@@ -5,11 +5,12 @@ latency-policy tests can drive them with a fake clock:
 
 - :class:`Batcher` — the admission state machine.  Requests are queued
   into a *forming batch*; :meth:`add` reports when the
-  :class:`~repro.serve.policy.AdmissionPolicy` size trigger fires,
-  :meth:`deadline` exposes the single point in time the delay trigger
-  would fire (``None`` while idle — the server arms exactly one timer
-  per forming batch and none when idle), and :meth:`take` drains the
-  batch for execution.
+  :class:`~repro.serve.policy.AdmissionPolicy` size trigger or the
+  learned arrival trigger fires, :meth:`deadline` exposes the single
+  point in time the delay trigger would fire (``None`` while idle — the
+  server arms exactly one timer per forming batch and none when idle),
+  :meth:`take` drains the batch for execution, and :meth:`settle` tells
+  the batcher that a drained batch has been answered.
 - :func:`merge_requests` / :func:`scatter_result` — the pure array math
   of coalescing.  Merge concatenates every request's key columns,
   dedups identical keys across requests (one fused-gather position per
@@ -40,6 +41,11 @@ from .policy import AdmissionPolicy
 
 __all__ = ["Batcher", "PendingRequest", "QueueFullError", "TenantQuotaError",
            "normalize_request_keys", "merge_requests", "scatter_result"]
+
+#: How many flushes the arrival trigger remembers.  The expected number
+#: of callers is the *largest* occupancy among them, so one small batch
+#: never shrinks it; callers that leave cost this many full windows.
+OCCUPANCY_HISTORY = 4
 
 
 class QueueFullError(RuntimeError):
@@ -123,6 +129,18 @@ class Batcher:
     Not thread-safe by itself: the server confines every call to its
     event-loop thread.  ``clock`` is injectable (monotonic seconds) so
     tests advance time explicitly.
+
+    **The arrival trigger.**  Waiting out ``max_delay_ms`` only pays
+    while more callers are still on their way.  The batcher therefore
+    learns how many requests the tier holds at once — its *occupancy*,
+    queued plus taken-and-not-yet-settled — and flushes a forming batch
+    the moment it holds that many, because nobody else is expected.  The
+    estimate is biased high on purpose: an over-estimate costs at most
+    the policy window, an under-estimate fragments batches that each pay
+    the store's per-shard fixed cost.  So it starts unknown (full
+    window), rises at once when an admission sees a higher occupancy,
+    and falls only to the largest occupancy of the last
+    :data:`OCCUPANCY_HISTORY` flushes.
     """
 
     def __init__(self, policy: Optional[AdmissionPolicy] = None,
@@ -133,9 +151,18 @@ class Batcher:
         self._pending_keys = 0
         self._tenant_keys: Dict[str, int] = {}
         self._deadline: Optional[float] = None
+        self._inflight = 0
+        self._expected: Optional[int] = None
+        self._occupancy_at_flush: Deque[int] = deque(maxlen=OCCUPANCY_HISTORY)
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    @property
+    def expected_requests(self) -> Optional[int]:
+        """Requests a forming batch waits for before the arrival trigger
+        flushes it; None until the first flush (full window)."""
+        return self._expected
 
     @property
     def pending_keys(self) -> int:
@@ -165,8 +192,10 @@ class Batcher:
         share = total_keys * self.policy.weight(tenant) / total_weight
         return self.tenant_queued_keys(tenant) + extra_keys > share
 
-    def add(self, request: PendingRequest) -> bool:
-        """Queue ``request``; True when the size trigger says flush now.
+    def add(self, request: PendingRequest) -> Optional[str]:
+        """Queue ``request``; returns the trigger that says flush now —
+        ``"size"`` (``max_batch_keys`` reached) or ``"arrival"`` (every
+        expected caller is queued) — or None to keep waiting.
 
         The first request of a batch starts the delay clock; later
         requests never extend it (the *oldest* waiter bounds the delay).
@@ -209,7 +238,16 @@ class Batcher:
         self._pending_keys += request.n_keys
         self._tenant_keys[request.tenant] = \
             self._tenant_keys.get(request.tenant, 0) + request.n_keys
-        return self._pending_keys >= self.policy.max_batch_keys
+        if self._pending_keys >= self.policy.max_batch_keys:
+            return "size"
+        if self._expected is None:
+            return None
+        # Callers queued behind an in-flight batch raise the expectation
+        # here, so they wait for each other instead of flushing one by
+        # one against a stale estimate.
+        self._expected = max(self._expected,
+                             len(self._pending) + self._inflight)
+        return "arrival" if len(self._pending) >= self._expected else None
 
     def evict_expired(self,
                       now: Optional[float] = None) -> List[PendingRequest]:
@@ -261,20 +299,30 @@ class Batcher:
 
         Resets the delay clock to idle when the queue empties; otherwise
         re-points it at the oldest *remaining* waiter so the server can
-        re-arm its timer for the leftovers.
+        re-arm its timer for the leftovers.  The drained requests count
+        as in flight until :meth:`settle`, and the occupancy at this
+        flush joins the arrival trigger's history.
         """
         if not self._pending:
             return []
+        self._occupancy_at_flush.append(len(self._pending) + self._inflight)
+        self._expected = max(self._occupancy_at_flush)
         max_keys = self.policy.max_batch_keys
         if self._pending_keys <= max_keys or len(self._pending) == 1:
             batch, self._pending = self._pending, []
             self._pending_keys = 0
             self._tenant_keys.clear()
             self._deadline = None
-            return batch
-        batch = self._drr_select(max_keys)
-        self._remove(batch)
+        else:
+            batch = self._drr_select(max_keys)
+            self._remove(batch)
+        self._inflight += len(batch)
         return batch
+
+    def settle(self, n_requests: int) -> None:
+        """``n_requests`` drained by :meth:`take` have been answered (or
+        failed): they no longer count towards the occupancy."""
+        self._inflight -= n_requests
 
     def _drr_select(self, max_keys: int) -> List[PendingRequest]:
         """Pick ~``max_keys`` queued keys, deficit-round-robin by tenant.

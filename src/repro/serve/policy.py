@@ -9,8 +9,13 @@ trade-off as two knobs:
   keys flushes immediately (the size trigger; protects tail latency of
   the requests already queued when traffic is heavy);
 - ``max_delay_ms`` — the oldest queued request never waits longer than
-  this before its batch flushes (the time trigger; bounds added latency
-  when traffic is light).
+  this before its batch flushes (the time trigger).  It is the *upper
+  bound* on the wait when fewer callers arrive than expected, not the
+  price of every batch: the batcher learns how many requests the tier
+  holds at once and flushes a forming batch as soon as it holds that
+  many (the arrival trigger, ``serve/batcher.py``), so a lone caller
+  stops paying the window after its first flush.  The learned trigger
+  is not a knob — there is nothing here to turn it on, off or tune.
 
 An idle server has no timers armed at all: the delay clock starts when
 the *first* request of a batch is admitted, so there are zero wakeups
@@ -41,7 +46,8 @@ class AdmissionPolicy:
     #: over queued requests, before cross-request dedup).
     max_batch_keys: int = 8192
     #: Flush at most this many milliseconds after the batch's first
-    #: request was admitted, even if the batch is still small.
+    #: request was admitted, even if fewer requests than expected have
+    #: arrived.
     max_delay_ms: float = 2.0
     #: Refuse admission once this many requests are queued in the
     #: forming batch (back-pressure; ``None`` = unbounded).

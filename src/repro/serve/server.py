@@ -145,7 +145,7 @@ class LookupServer:
         request = PendingRequest(key_cols, tenant, future, loop.time(),
                                  deadline=deadline)
         try:
-            flush_now = self._batcher.add(request)
+            trigger = self._batcher.add(request)
         except QueueFullError:
             # Before rejecting, evict queued waiters whose deadline has
             # already passed — a dead waiter must not hold a slot
@@ -157,13 +157,13 @@ class LookupServer:
                 self.stats.record_reject(tenant)
                 raise
             try:
-                flush_now = self._batcher.add(request)
+                trigger = self._batcher.add(request)
             except QueueFullError:
                 self.stats.record_reject(tenant)
                 raise
         self.stats.record_admit(tenant, request.n_keys)
-        if flush_now:
-            self._flush()
+        if trigger is not None:
+            self._flush(trigger)
         else:
             self._arm_timer(loop)
         return await future
@@ -208,18 +208,21 @@ class LookupServer:
     # Flush path
     # ------------------------------------------------------------------
     def _on_timer(self) -> None:
-        """Delay trigger fired: flush whatever has formed."""
+        """Delay trigger fired: fewer callers arrived than expected (or
+        the expectation is still unknown) — flush whatever has formed."""
         self._timer = None
         self.stats.record_wakeup()
         if len(self._batcher):
-            self._flush()
+            self._flush("delay")
 
-    def _flush(self) -> None:
+    def _flush(self, trigger: str) -> None:
         """Drain the forming batch into one in-flight execution task.
 
-        Under overload the batcher's deficit-round-robin drain may leave
-        requests queued (they did not fit this batch's key budget); the
-        timer is re-armed for them so they ride the next flush.
+        ``trigger`` names why for :attr:`ServeStats.flushes` (``size`` /
+        ``arrival`` / ``delay`` / ``drain``).  Under overload the
+        batcher's deficit-round-robin drain may leave requests queued
+        (they did not fit this batch's key budget); the timer is
+        re-armed for them so they ride the next flush.
         """
         if self._timer is not None:
             self._timer.cancel()
@@ -227,6 +230,7 @@ class LookupServer:
         batch = self._batcher.take()
         if not batch:
             return
+        self.stats.record_flush(trigger)
         batch_keys = sum(r.n_keys for r in batch)
         self._inflight_keys += batch_keys
         task = self._loop.create_task(self._execute(batch))
@@ -265,6 +269,16 @@ class LookupServer:
         return self.store.lookup_async(key_cols)
 
     async def _execute(self, batch) -> None:
+        """Serve one drained batch, then settle it with the batcher."""
+        try:
+            await self._serve_batch(batch)
+        finally:
+            # Before this task yields, i.e. before the callers it just
+            # answered resume: one that re-admits at once must not count
+            # its own finished request as in flight.
+            self._batcher.settle(len(batch))
+
+    async def _serve_batch(self, batch) -> None:
         # A waiter can expire while its batch forms (urgent deadline,
         # size trigger never fired, store busy): fail it alone before
         # spending a store call on its keys.
@@ -413,6 +427,8 @@ class LookupServer:
             "queued_requests": len(self._batcher),
             "queued_keys": self._batcher.pending_keys,
             "inflight_batches": len(self._inflight),
+            # The arrival trigger's target (None: not learned yet).
+            "expected_requests": self._batcher.expected_requests,
             "shed_level": (self.shedder.level if self.shedder is not None
                            else "healthy"),
         }
@@ -443,7 +459,7 @@ class LookupServer:
         # queue is truly empty (admission is off, so this terminates).
         while len(self._batcher):
             before = len(self._batcher)
-            self._flush()
+            self._flush("drain")
             flushed += before - len(self._batcher)
             if len(self._batcher) >= before:  # pragma: no cover - safety
                 break

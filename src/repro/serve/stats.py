@@ -5,9 +5,10 @@ coalescing actually happening, and what does it cost each tenant in
 latency?*  :class:`ServeStats` therefore tracks two planes:
 
 - **batch plane** (global): batches formed, requests and keys coalesced
-  into them, unique keys after cross-request dedup, timer wakeups, and
-  the queue-depth gauge — ``coalesce_ratio`` (requests per store call)
-  and ``dedup_ratio`` (merged keys per unique key) fall out of these;
+  into them, unique keys after cross-request dedup, timer wakeups,
+  flushes by trigger, and the queue-depth gauge — ``coalesce_ratio``
+  (requests per store call) and ``dedup_ratio`` (merged keys per unique
+  key) fall out of these;
 - **tenant plane** (per ``tenant`` string): requests, keys, errors, and
   a bounded ring of request latencies from which :meth:`TenantStats.p50`
   / :meth:`TenantStats.p99` are computed on demand.
@@ -121,6 +122,12 @@ class ServeStats:
         self.unique_keys = 0
         #: Delay-timer firings (an idle server stays at zero).
         self.timer_wakeups = 0
+        #: Flushes by what triggered them: ``size`` (``max_batch_keys``
+        #: reached), ``arrival`` (every expected caller was queued),
+        #: ``delay`` (the window ran out first) or ``drain`` (graceful
+        #: shutdown).
+        self.flushes: Dict[str, int] = {"size": 0, "arrival": 0,
+                                        "delay": 0, "drain": 0}
         #: Batches whose merged store call failed and fell back to
         #: per-request isolation (poison containment).
         self.batch_fallbacks = 0
@@ -275,6 +282,10 @@ class ServeStats:
         with self._lock:
             self.timer_wakeups += 1
 
+    def record_flush(self, trigger: str) -> None:
+        with self._lock:
+            self.flushes[trigger] += 1
+
     def record_fallback(self) -> None:
         with self._lock:
             self.batch_fallbacks += 1
@@ -322,6 +333,7 @@ class ServeStats:
                     "won": self.hedges_won,
                 },
                 "timer_wakeups": self.timer_wakeups,
+                "flushes": dict(self.flushes),
                 "batch_fallbacks": self.batch_fallbacks,
                 "rejected": self.rejected,
                 "shed": self.shed,

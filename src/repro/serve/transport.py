@@ -13,9 +13,12 @@ Request fields:
   request alone (the connection, and its batchmates, live on).
 
 Responses carry the echoed ``id`` plus either ``found``/``values``
-(lookup), ``stats`` (a :meth:`~repro.serve.stats.ServeStats.snapshot`),
-``pong`` (ping), or ``error`` (a message string; the connection stays
-open — one bad request fails alone, same containment as in-process).
+(lookup), ``stats`` (a :meth:`~repro.serve.stats.ServeStats.snapshot`,
+including ``flushes``: batches flushed by ``size`` / ``arrival`` /
+``delay`` / ``drain``), ``pong`` (ping), or ``error`` (a message string;
+the connection stays open — one bad request fails alone, same
+containment as in-process).  A line that is not JSON, or is JSON but not
+an object, is answered with ``{"id": null, "error": ...}``.
 Error responses also carry ``error_type`` (the server-side exception
 class name) and, for overload rejections, ``retry_after_ms`` — so
 :class:`TCPClient` re-raises **typed** errors
@@ -26,7 +29,9 @@ instead of a generic ``RuntimeError`` string.
 Control verbs for a fronting balancer / process manager:
 
 - ``op: "health"`` — the server's readiness/liveness snapshot
-  (``ready`` flips false the moment a drain starts);
+  (``ready`` flips false the moment a drain starts;
+  ``expected_requests`` is how many requests a forming batch currently
+  waits for before it flushes without the timer);
 - ``op: "drain"`` — zero-downtime shutdown: stops admission, finishes
   every admitted request, answers with the drain report.
 
@@ -65,7 +70,7 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 def encode_result(result) -> Dict[str, list]:
     """JSON-encodable form of a :class:`LookupResult`."""
     return {
-        "found": [bool(f) for f in result.found],
+        "found": result.found.tolist(),
         "values": {name: np.asarray(arr).tolist()
                    for name, arr in result.values.items()},
     }
@@ -76,6 +81,9 @@ async def _handle_line(server: LookupServer, line: bytes) -> Dict:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         return {"id": None, "error": f"bad JSON: {exc}"}
+    if not isinstance(message, dict):
+        return {"id": None, "error": "a request line must be a JSON "
+                f"object, got {type(message).__name__}"}
     request_id = message.get("id")
     op = message.get("op", "lookup")
     try:

@@ -10,9 +10,12 @@ Containment layers under test:
 3. a store that dies mid-flight fails every awaiting future with the
    store's error — promptly, not by hanging;
 4. closing the server cancels queued requests (``CancelledError``) and
-   drains in-flight batches.
+   drains in-flight batches;
+5. a TCP request line that is valid JSON but not an object is answered
+   with an error, and the connection stays usable.
 """
 
+import json
 import threading
 import time
 from asyncio import CancelledError
@@ -23,7 +26,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.serve import AdmissionPolicy, Client, QueueFullError
+from repro.serve import (AdmissionPolicy, BackgroundTCPServer, Client,
+                         QueueFullError)
 
 from .harness import assert_identical
 
@@ -144,6 +148,24 @@ class TestAdmissionContainment:
                 third.result(timeout=30)
             assert first.result(timeout=30).found.tolist() == [True]
             assert second.result(timeout=30).found.tolist() == [True]
+
+
+class TestWireContainment:
+    @pytest.mark.parametrize("line", [b"[1, 2]\n", b"42\n", b"null\n"])
+    def test_non_object_json_line_is_answered(self, sharded_store, line):
+        # Regression: valid JSON that is not an object killed the
+        # respond task (AttributeError on ``.get``) — no reply at all,
+        # and the client sat out its whole socket timeout.
+        with BackgroundTCPServer(sharded_store) as server:
+            with server.connect(timeout=10) as tcp:
+                tcp._file.write(line)
+                tcp._file.flush()
+                reply = json.loads(tcp._file.readline())
+                assert reply["id"] is None
+                assert "JSON object" in reply["error"]
+                # The next line on the same connection is still answered.
+                assert tcp.ping()
+                assert tcp.lookup({"sku": [3]})["found"] == [True]
 
 
 class TestMidBatchContainment:

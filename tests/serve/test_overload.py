@@ -78,7 +78,7 @@ class TestBackpressureMeetsDeadlines:
             assert snap["tenants"]["pushy"]["errors"] == 1
             assert snap["tenants"]["pushy"]["requests"] == 0
             assert snap["tenants"]["patient"]["errors"] == 0
-            server._flush()
+            server._flush("drain")
             assert (await waiting).found.tolist() == [True]
         asyncio.run(scenario())
 
