@@ -15,7 +15,8 @@ trajectory (max/mean row-count ratio after every batch), insert
 throughput, split/merge counts, and the model-footprint comparison
 between a per-shard-sized build and a fixed-spec build over identical
 final data.  Losslessness is asserted throughout — every live key must
-answer exactly, through the compiled and the reference read paths alike.
+answer exactly, from the store's read path and from the reference-engine
+oracle (``repro.testing.oracles``) alike.
 
 Writes ``BENCH_modify.json`` at the repo root so the trajectory is
 machine-readable from PR to PR; ``docs/lifecycle.md`` explains how to
@@ -44,6 +45,7 @@ from repro.core import DeepMappingConfig
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.testing.oracles import barrier_lookup, reference_lookup
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -77,27 +79,21 @@ def lifecycle_config(smoke: bool) -> LifecycleConfig:
     )
 
 
-def set_compiled(store, flag: bool) -> None:
-    """Per-shard configs diverge after sized rebuilds; flip them all."""
-    store.config.compiled_lookup = flag
-    for shard in store.shards:
-        if shard is not None:
-            shard.config.compiled_lookup = flag
-
-
 def verify_lossless(store, truth: dict) -> None:
-    """Every live key answers its exact row, on both read paths."""
+    """Every live key answers its exact row, from the store's read path
+    and from the reference engine behind the barrier merge."""
     keys = np.fromiter(truth.keys(), dtype=np.int64, count=len(truth))
     expected = np.array([truth[int(k)] for k in keys])
-    for flag in (True, False):
-        set_compiled(store, flag)
-        result = store.lookup({"key": keys})
+    query = {"key": keys}
+    for engine, result in (
+            ("compiled", store.lookup(query)),
+            ("reference", barrier_lookup(store, query,
+                                         shard_lookup=reference_lookup))):
         assert result.found.all(), (
-            f"{int((~result.found).sum())} misses with compiled={flag}")
+            f"{int((~result.found).sum())} misses with the {engine} engine")
         mismatches = int((result.values["value"] != expected).sum())
         assert mismatches == 0, (
-            f"{mismatches} wrong values with compiled={flag}")
-    set_compiled(store, True)
+            f"{mismatches} wrong values with the {engine} engine")
 
 
 def balance_ratio(store) -> float:

@@ -52,6 +52,7 @@ from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import payload_cache
 from repro.storage.backends import LocalDirBackend
+from repro.testing.oracles import barrier_lookup
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -145,7 +146,7 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
     # Parity before any timing: the pruned path must be bit-identical to
     # the unpruned one on both batches (and to the barrier reference).
     for label, query in (("all-miss", all_miss), ("50%-hit", half)):
-        reference = unpruned.lookup_barrier(query)
+        reference = barrier_lookup(unpruned, query)
         assert_identical(pruned.lookup(query), reference,
                          pruned.value_names, f"pruned {label}")
         assert_identical(unpruned.lookup(query), reference,
@@ -262,7 +263,7 @@ def run_cold_open_section(rows: int, shards: int, runs: int,
 
     rng = np.random.default_rng(1)
     query, _ = build_queries(table, min(rows, 10_000), rng)
-    reference = store.lookup_barrier(query)
+    reference = barrier_lookup(store, query)
 
     def cold_open(url):
         payload_cache().clear()  # every timed open pays the cold path

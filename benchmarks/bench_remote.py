@@ -52,6 +52,7 @@ from repro.storage import configure_hydration_cache, payload_cache
 from repro.storage.backends import LocalDirBackend
 from repro.storage.remote import _cache_config
 from repro.testing import serve_backend
+from repro.testing.oracles import barrier_lookup
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -139,8 +140,8 @@ def _run(table, batch: int, shards: int, runs: int, workdir: str,
 
     rng = np.random.default_rng(0)
     full, skew = build_queries(table, shards, batch, rng)
-    reference_full = store.lookup_barrier(full)
-    reference_skew = store.lookup_barrier(skew)
+    reference_full = barrier_lookup(store, full)
+    reference_skew = barrier_lookup(store, skew)
     store.close()
 
     backend = LocalDirBackend(url, create=False)

@@ -2,8 +2,9 @@
 
 The serving tier (``repro.serve``) exists because many small concurrent
 lookups are far cheaper fused into one batched call than executed one by
-one — batched throughput scales with batch size (see BENCH_lookup /
-BENCH_pipeline), so a coalescer that merges a 64-client burst into a few
+one — batched throughput scales with batch size (``keys_per_s`` @
+``bulk_scan`` vs ``serve_point`` in ``bench/``), so a coalescer that
+merges a 64-client burst into a few
 store calls should beat 64 sequential per-request lookups by a wide
 margin.  This benchmark measures that claim closed-loop:
 

@@ -1,10 +1,10 @@
 """Merge every tracked ``BENCH_*.json`` into one trajectory summary.
 
 Each perf PR checks a full benchmark run into the repo root
-(``BENCH_lookup.json``, ``BENCH_modify.json``, ``BENCH_api.json``,
-``BENCH_pipeline.json``, ...).  This tool reads them all and renders one
-table — the benchmark trajectory — so a reader (or a doc) sees the
-current state of every tracked claim without opening four JSON files::
+(``BENCH_modify.json``, ``BENCH_api.json``, ``BENCH_prune.json``, ...).
+This tool reads them all and renders one table — the benchmark
+trajectory — so a reader (or a doc) sees the current state of every
+tracked claim without opening each JSON file::
 
     PYTHONPATH=src python benchmarks/report.py             # aligned table
     PYTHONPATH=src python benchmarks/report.py --markdown  # for docs
@@ -44,10 +44,6 @@ def _fmt(value, kind=""):
 def _headline(name, data):
     """(headline, target, measured) for one benchmark report."""
     acceptance = data.get("acceptance", {})
-    if name == "lookup":
-        return ("compiled vs reference, 50%-hit batch",
-                _fmt(acceptance.get("target"), "x") ,
-                _fmt(acceptance.get("measured"), "x"))
     if name == "api":
         return ("worst facade overhead vs direct",
                 f"< {_fmt(acceptance.get('target'), 'pct')}",
@@ -56,13 +52,6 @@ def _headline(name, data):
         return ("rebalanced max/mean shard load",
                 f"<= {_fmt(acceptance.get('rebalanced_ratio_bar'))}",
                 _fmt(acceptance.get("rebalanced_ratio")))
-    if name == "pipeline":
-        pipeline = _fmt(acceptance.get("pipeline_measured"), "x")
-        warm = _fmt(acceptance.get("warm_measured"), "x")
-        return ("pipelined vs barrier; warm vs cold reopen",
-                f">= {_fmt(acceptance.get('pipeline_target'), 'x')}; "
-                f">= {_fmt(acceptance.get('warm_target'), 'x')}",
-                f"{pipeline}; {warm}")
     if name == "serving":
         ratio = _fmt(acceptance.get("coalesce_ratio"), "x")
         measured = (f"{_fmt(acceptance.get('measured'), 'x')} "

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["DeepMappingConfig"]
+from ..resilience.errors import StoreCorruptedError
+
+__all__ = ["DeepMappingConfig", "check_stored_config"]
 
 
 @dataclass
@@ -85,17 +87,6 @@ class DeepMappingConfig:
     seed: int = 0
     #: Batch size for model inference at query time.
     inference_batch: int = 65536
-    #: Serve lookups through the fused
-    #: :class:`~repro.nn.compiled.CompiledSession` kernel (float32 weights
-    #: cached once, gather-based first layer, existence-gated batches).
-    #: Off falls back to the reference ``InferenceSession`` path — same
-    #: answers, slower; kept for parity testing and benchmarking.  When
-    #: this is on, build and modification residual masks cover *both*
-    #: predictors' errors, so turning it off at query time is always
-    #: lossless; turning it *on* for a structure built entirely with it
-    #: off is not guaranteed lossless (its ``T_aux`` only covers the
-    #: reference predictor's errors).
-    compiled_lookup: bool = True
 
     def __post_init__(self):
         bases = ((self.key_base,) if isinstance(self.key_base, int)
@@ -114,3 +105,21 @@ class DeepMappingConfig:
             raise ValueError("retrain_threshold_bytes must be positive or None")
         if self.retrain_aux_ratio is not None and not 0 < self.retrain_aux_ratio <= 1:
             raise ValueError("retrain_aux_ratio must be in (0, 1] or None")
+
+
+def check_stored_config(config: DeepMappingConfig) -> DeepMappingConfig:
+    """Open-time guard for a config unpickled from a saved store.
+
+    Configs written while the ``compiled_lookup`` knob existed still
+    carry it.  ``True`` (the default then): ``T_aux`` was built with
+    the union of both predictors' errors, as every build is now; the
+    stale attribute is dropped.  ``False``: ``T_aux`` covers the
+    reference predictor only, so the compiled kernel — the only engine
+    left — could return wrong values; refuse instead.
+    """
+    if config.__dict__.pop("compiled_lookup", True) is False:
+        raise StoreCorruptedError(
+            "this store was built for the reference engine only "
+            "(compiled_lookup=False), so its auxiliary table does not "
+            "cover the compiled kernel's errors; refit it")
+    return config

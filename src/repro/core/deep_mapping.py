@@ -3,7 +3,8 @@
 A :class:`DeepMapping` couples four artifacts:
 
 1. ``M`` — a frozen multi-task neural network memorizing most of the
-   key→value mapping (:class:`~repro.nn.inference.InferenceSession`);
+   key→value mapping (:class:`~repro.nn.inference.InferenceSession`,
+   served through its :class:`~repro.nn.compiled.CompiledSession`);
 2. ``T_aux`` — a compressed auxiliary table holding the rows ``M`` gets
    wrong (:class:`~repro.core.aux_table.AuxiliaryTable`);
 3. ``V_exist`` — an existence bit vector over the flattened key domain
@@ -14,6 +15,11 @@ A :class:`DeepMapping` couples four artifacts:
 Together they answer exact-match lookups losslessly (Algorithm 1), support
 insert/delete/update without retraining (Algorithms 3–5), and occupy a
 fraction of the raw data's footprint when key-value structure exists.
+
+There is one lookup engine, :class:`LookupPlan` over the compiled
+kernel; ``T_aux`` holds the union of both predictors' errors, so the
+paper-literal Algorithm 1 survives only as the bit-exact parity oracle
+:func:`repro.testing.oracles.reference_lookup`.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from ..store.deprecation import warn_once
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
-from .config import DeepMappingConfig
+from .config import DeepMappingConfig, check_stored_config
 from .exist_index import (ExistenceIndex, existence_from_state,
                           load_existence, make_existence_index)
 from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
@@ -185,28 +191,25 @@ class LookupPlan:
       the plan sorts the surviving keys once and both the aux probe and
       the scatter reuse that order.
     - **Aux-gated inference.** ``T_aux`` overrides the model wherever it
-      has a row, so running the model there is pure waste.  The compiled
-      path probes ``T_aux`` first and runs inference only on keys that
-      are live *and* not served from the auxiliary table.  (The
-      reference path still runs the session over every key, exactly as
-      Algorithm 1 is written — it stays the parity oracle.)
+      has a row, so running the model there is pure waste.  The plan
+      probes ``T_aux`` first and runs inference only on keys that are
+      live *and* not served from the auxiliary table.
     - **Streaming scatter.** :meth:`execute_into` writes the finished
       segment straight into caller-owned output arrays, so a sharded
       fan-out assembles results as shards finish instead of
       concatenating and permuting a list of per-shard results behind a
       barrier.
 
-    Results are bit-identical to the pre-staged lookup on both the
-    compiled and the reference path: gating only skips predictions that
-    were about to be overwritten, misses decode to the same
-    ``vocab[0]`` filler, and stage order never changes any per-key
+    Results are bit-identical to Algorithm 1 as written
+    (:func:`repro.testing.oracles.reference_lookup`): gating only skips
+    predictions that were about to be overwritten, misses decode to the
+    same ``vocab[0]`` filler, and stage order never changes any per-key
     answer.  Plans are single-use and not thread-safe; build one per
     batch via :meth:`DeepMapping.plan_lookup`.
     """
 
     __slots__ = ("mapping", "flat", "in_domain", "presorted", "found",
-                 "_hits", "_aux_hit", "_aux_codes", "_model_codes",
-                 "_ref_codes")
+                 "_hits", "_aux_hit", "_aux_codes", "_model_codes")
 
     def __init__(self, mapping: "DeepMapping",
                  key_cols: Dict[str, np.ndarray],
@@ -219,7 +222,6 @@ class LookupPlan:
         self._aux_hit: Optional[np.ndarray] = None    # bool per hit row
         self._aux_codes: Optional[Dict[str, np.ndarray]] = None
         self._model_codes: Optional[Dict[str, np.ndarray]] = None
-        self._ref_codes: Optional[Dict[str, np.ndarray]] = None
 
     def __len__(self) -> int:
         return int(self.flat.size)
@@ -273,19 +275,10 @@ class LookupPlan:
 
     # -- stage 4: model inference --------------------------------------
     def run_inference(self) -> None:
-        """Run the frozen model on the rows that still need it.
-
-        Compiled path: the fused kernel runs only on :attr:`model_rows`
-        (live keys without an aux override).  Reference path: the
-        session runs over every key, as the paper writes Algorithm 1.
-        """
+        """Run the fused kernel on :attr:`model_rows` only — the live
+        keys without an aux override."""
         m = self.mapping
         with m.stats.timing("inference"):
-            if not m._use_compiled():
-                x = m.key_encoder.encode(self.flat)
-                self._ref_codes = m.session.run(
-                    x, batch_size=m.config.inference_batch)
-                return
             rows = self.model_rows
             if rows.size:
                 engine = m.compiled_session()
@@ -305,20 +298,11 @@ class LookupPlan:
         lives here once.
         """
         enc = self.mapping.fdecode.encoders[task]
-        if self._ref_codes is not None:
-            codes = self._ref_codes[task].copy()
-            codes[self.aux_rows] = self._aux_codes[task]
-            out = enc.decode(np.clip(codes, 0, enc.cardinality - 1))
-            # Misses read the deterministic ``vocab[0]`` filler in BOTH
-            # engines — not whatever the model happened to predict —
-            # so compiled and reference lookups are bit-identical even
-            # outside the found mask, and the sharded store's
-            # miss-pruning tier can synthesize a pruned key's value
-            # without consulting the engine at all.
-            miss = ~self.found
-            if miss.any():
-                out[miss] = enc.decode(_ZERO_CODE)[0]
-            return out
+        # Misses read the deterministic ``vocab[0]`` filler — not
+        # whatever the model would have predicted — so the sharded
+        # store's miss-pruning tier can synthesize a pruned key's value
+        # without consulting the engine at all, and the reference
+        # oracle agrees even outside the found mask.
         out = np.full(self.flat.size, enc.decode(_ZERO_CODE)[0],
                       dtype=enc.vocab.dtype)
         rows = self.model_rows
@@ -369,7 +353,8 @@ class LookupPlan:
                 values_out[task][dest] = self._decoded_task(task)
 
 
-#: Shared scratch for the "decode code 0" filler lookups.
+#: The decode code every encoder maps a miss to — the ``vocab[0]``
+#: filler; the sharded read path writes the same one for pruned keys.
 _ZERO_CODE = np.zeros(1, dtype=np.int64)
 
 
@@ -529,23 +514,16 @@ class DeepMapping:
             auto_compact_rows=config.aux_auto_compact_rows,
             name_prefix=aux_name_prefix,
         )
-        # T_aux must hold every row the *query-time* predictor gets wrong.
+        # T_aux must hold every row the query-time predictor gets wrong.
         # The compiled kernel's fused float32 partial sums can differ from
         # the reference GEMM by an ulp — enough to flip a near-tie argmax —
-        # so when compiled lookups are enabled the mask is the UNION of
-        # both predictors' errors: any key the two paths disagree on is
-        # wrong for at least one of them, lands in T_aux, and is served
-        # from there by either path.  That keeps lookups lossless even if
-        # ``compiled_lookup`` is later toggled at query time.  The freshly
-        # compiled engine is kept for the mapping.
-        mis = cls._misclassified_mask(session, x, labels,
+        # so the mask is the UNION of both predictors' errors: any key the
+        # two disagree on lands in T_aux and is served from there, which
+        # is what makes the reference session a bit-exact oracle for the
+        # kernel.  The freshly compiled engine is kept for the mapping.
+        engine = CompiledSession(session, key_encoder)
+        mis = cls._misclassified_mask(engine, x, flat, labels,
                                       config.inference_batch)
-        engine = None
-        if getattr(config, "compiled_lookup", True):
-            engine = CompiledSession(session, key_encoder)
-            predicted = engine.run(flat, batch_size=config.inference_batch)
-            for task in fdecode.columns:
-                mis |= predicted[task] != np.asarray(labels[task])
         aux.build(flat[mis], {t: labels[t][mis] for t in fdecode.columns})
 
         exist = make_existence_index(key_codec.domain_size, flat.size)
@@ -569,39 +547,27 @@ class DeepMapping:
         return mapping
 
     @staticmethod
-    def _misclassified_mask(
-        session: InferenceSession,
-        x: np.ndarray,
-        labels: Dict[str, np.ndarray],
-        batch: int,
-    ) -> np.ndarray:
-        """Rows where any task's prediction disagrees with the label."""
-        predicted = session.run(x, batch_size=batch)
-        mis = np.zeros(x.shape[0], dtype=bool)
-        for task, lab in labels.items():
-            mis |= predicted[task] != np.asarray(lab)
+    def _misclassified_mask(engine: CompiledSession, x: np.ndarray,
+                            flat: np.ndarray, labels: Dict[str, np.ndarray],
+                            batch: int) -> np.ndarray:
+        """Rows where either predictor — the compiled kernel over the
+        keys ``flat`` or the reference session it was compiled from over
+        their encoding ``x`` — disagrees with any task's label: the rows
+        ``T_aux`` must hold."""
+        mis = np.zeros(flat.size, dtype=bool)
+        for predicted in (engine.session.run(x, batch_size=batch),
+                          engine.run(flat, batch_size=batch)):
+            for task, lab in labels.items():
+                mis |= predicted[task] != np.asarray(lab)
         return mis
 
     def _mis_mask(self, flat: np.ndarray,
                   labels: Dict[str, np.ndarray]) -> np.ndarray:
-        """Rows where the serving predictor(s) disagree with the labels.
-
-        With compiled lookups enabled this is the union of the reference
-        and compiled predictions' errors, mirroring :meth:`fit`'s aux
-        mask: a modified row stays out of ``T_aux`` only when *both*
-        predictors get it right, so lookups stay lossless under either
-        path (the knob may be toggled at query time).  The model itself
-        is unchanged by modifications, so the cached engine stays valid.
-        """
-        x = self.key_encoder.encode(flat)
-        mis = self._misclassified_mask(self.session, x, labels,
-                                       self.config.inference_batch)
-        if self._use_compiled():
-            predicted = self.compiled_session().run(
-                flat, batch_size=self.config.inference_batch)
-            for task, lab in labels.items():
-                mis |= predicted[task] != np.asarray(lab)
-        return mis
+        """:meth:`fit`'s union-of-errors mask for a modification batch
+        (the model is unchanged, so the cached engine stays valid)."""
+        return self._misclassified_mask(
+            self.compiled_session(), self.key_encoder.encode(flat), flat,
+            labels, self.config.inference_batch)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -656,10 +622,6 @@ class DeepMapping:
             self._compiled = engine
         return engine
 
-    def _use_compiled(self) -> bool:
-        # getattr: configs pickled before this knob existed lack the field.
-        return bool(getattr(self.config, "compiled_lookup", True))
-
     def plan_lookup(self, keys: KeysLike,
                     presorted: bool = False) -> LookupPlan:
         """Stage a batched lookup without executing it.
@@ -680,9 +642,8 @@ class DeepMapping:
 
         Masks non-existing keys through ``V_exist``, probes ``T_aux``,
         runs batch inference (through the compiled kernel, gated to keys
-        that are live and not served from ``T_aux``, unless
-        ``config.compiled_lookup`` is off), and decodes label codes to
-        original values.  Implemented as the serial execution of a
+        that are live and not served from ``T_aux``), and decodes label
+        codes to original values.  Implemented as the serial execution of a
         :class:`LookupPlan`; see :meth:`plan_lookup` for the staged
         form.
         """
@@ -869,9 +830,8 @@ class DeepMapping:
         self.last_training = fresh.last_training
         self.warm_started_tensors = fresh.warm_started_tensors
         # The compiled kernel is frozen over the retired session/encoder;
-        # adopt the rebuilt structure's engine (None when compiled lookups
-        # are off — the staleness check in compiled_session() would also
-        # catch a stale engine).
+        # adopt the rebuilt structure's engine (the staleness check in
+        # compiled_session() would also catch a stale one).
         self._compiled = fresh._compiled
         self.tracker.threshold_bytes = self.config.retrain_threshold_bytes
         self.tracker.mark_rebuilt()
@@ -1013,7 +973,7 @@ class DeepMapping:
         no behavior, and their materialized row arrays are freed once
         compressed.
         """
-        config: DeepMappingConfig = state["config"]
+        config = check_stored_config(state["config"])
         fdecode = DecodeMap.from_state(state["fdecode"])
         aux = AuxiliaryTable(
             tasks=fdecode.columns,
@@ -1140,10 +1100,8 @@ class DeepMapping:
             # Hold the payload view explicitly: zero-copy arrays
             # reference it, and the bundle must outlive any of them.
             bundle["payload_view"] = view
-            bundle["compiled"] = (
-                CompiledSession(bundle["session"], bundle["key_encoder"])
-                if getattr(bundle["config"], "compiled_lookup", True)
-                else None)
+            bundle["compiled"] = CompiledSession(bundle["session"],
+                                                 bundle["key_encoder"])
             return bundle, view.nbytes
         bundle = payload_cache().get(backend, blob, loader)
         return cls._from_bundle(bundle, stats=stats)

@@ -36,15 +36,14 @@ feature vectors.  At query time the staged read path
 over: it runs only on keys that pass the existence mask *and* have no
 ``T_aux`` override (an aux row would overwrite the prediction anyway),
 so on negative-heavy or high-churn batches most of the inference cost
-never happens.  Parity with the reference path holds at the level of
+never happens.  Parity with the reference session holds at the level of
 predicted label codes (argmax), which is what the lookup algorithm
 consumes; pre-summing group tables can shift float32 logits by an ulp —
-enough to flip a near-tie argmax — so a structure built for compiled
-lookups derives its auxiliary table from the *union* of this kernel's
-and the reference session's prediction errors (see ``DeepMapping.fit``):
-any key the two predictors disagree on is served from ``T_aux`` by
-either path, preserving losslessness.  ``InferenceSession.run`` remains
-the parity oracle in the test suite.
+enough to flip a near-tie argmax — so every build derives its auxiliary
+table from the *union* of this kernel's and the reference session's
+prediction errors (see ``DeepMapping.fit``): any key the two disagree
+on is served from ``T_aux``.  ``InferenceSession.run`` remains the
+parity oracle (``repro.testing.oracles.reference_lookup``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Admission policy for the coalescing lookup server.
 
 Micro-batching trades a bounded amount of queueing delay for the fused
-kernel's large-batch throughput (BENCH_lookup / BENCH_pipeline: keys/s
-scales strongly with batch size).  :class:`AdmissionPolicy` holds that
+kernel's large-batch throughput (``keys_per_s`` @ ``bulk_scan`` vs
+``serve_point`` in ``bench/``: keys/s scales strongly with batch size).  :class:`AdmissionPolicy` holds that
 trade-off as two knobs:
 
 - ``max_batch_keys`` — a forming batch that reaches this many merged

@@ -1,0 +1,511 @@
+"""The sharded read path: prune → route → allocate/fill → dispatch → result.
+
+:func:`lookup` (behind ``ShardedDeepMapping.lookup``, which documents the
+contract) is one composition of named stages over one topology snapshot
+— the names ``bench/tracing.py`` replays from outside.  Shard work is a
+:class:`~repro.core.deep_mapping.LookupPlan` per owning shard that
+scatters its finished segment straight into the batch's preallocated
+output arrays; small unbounded dispatches run inline, everything else
+goes through :func:`fan_out`, the **one** completion-driven wait, where
+bundling and hedging are policy rather than separate code paths.  The
+parity oracles (barrier merge, reference engine) live in
+:mod:`repro.testing.oracles`; nothing here can select them.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED
+from concurrent.futures import wait as futures_wait
+from time import monotonic
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ..core.deep_mapping import _ZERO_CODE, LookupResult
+from ..core.negative_filter import hash_key_columns
+from ..resilience.errors import DeadlineExceeded
+from ..resilience.partial import PartialResult
+from ..storage.hydration import LazyShard
+from .router import RangeShardRouter
+
+__all__ = ["lookup", "contains_batch", "fan_out"]
+
+#: Fan-outs dispatching at most this many keys run inline instead of
+#: through the executor: at that size the thread hand-off costs more
+#: than the shard work itself (pruned batches especially — the handful
+#: of false-positive survivors is existence-checked without inference).
+_SERIAL_DISPATCH_MAX = 4096
+
+#: Hit-heavy batches lose money on pruning (the full-batch probe plus
+#: survivor compaction outweigh the few skipped dispatches), so batches
+#: above ``_PRUNE_SAMPLE_MIN_N`` first probe a ``_PRUNE_SAMPLE``-key
+#: stride sample and skip the prune pass entirely unless the sampled
+#: prunable fraction clears ``_PRUNE_MIN_FRACTION``.  Results are
+#: bit-identical either way — pruning only moves *where* a miss's
+#: filler gets written.
+_PRUNE_SAMPLE = 4096
+_PRUNE_SAMPLE_MIN_N = 16384
+_PRUNE_MIN_FRACTION = 0.55
+
+
+class FillPlan(NamedTuple):
+    """The cheapest way to make pruned keys read like dispatched misses
+    (``execute_into`` writes those the owning shard's ``vocab[0]``):
+
+    - ``"paint"`` — every shard shares one filler and most of the batch
+      was pruned: allocate the output already holding it.
+    - ``"assign"`` — shared filler, minority pruned: scalar broadcast
+      into the pruned positions ``pos``.
+    - ``"gather"`` — fillers differ by shard (or shards are missing):
+      one filler-by-shard table per column, indexed by the pruned keys'
+      shard ``ids``.  EMPTY shards' rows are the dtype zero / None, the
+      placeholder those keys read in the unpruned path.
+    """
+
+    kind: str
+    fillers: Optional[Dict[str, object]] = None
+    pos: Optional[np.ndarray] = None
+    ids: Optional[np.ndarray] = None
+
+
+_NOTHING_PRUNED = (None, None, None)
+
+
+def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
+    """One sharded batch through every stage."""
+    mode = (on_shard_error if on_shard_error is not None
+            else store.sharding.on_shard_error)
+    if mode not in ("raise", "partial"):
+        raise ValueError(
+            f"on_shard_error must be 'raise' or 'partial', got {mode!r}")
+    key_cols = store._normalize_keys(keys)
+    n = int(np.asarray(key_cols[store.key_names[0]]).size)
+    # One topology snapshot per batch: every stage sees the same
+    # (router, shards, filters) triple, so a lifecycle swap can never
+    # mispair cuts (or filters) with ordinals.  This does NOT license
+    # concurrent mutation — the single-writer contract stands (a
+    # retired shard's dropped aux storage is not safe to read).
+    router, shards, filters = store._topology
+    if n == 0:
+        return LookupResult(found=np.zeros(0, dtype=bool),
+                            values={c: _blank(0, _recorded_dtype(store, c))
+                                    for c in store.value_names})
+    if deadline is not None:
+        deadline.check("sharded lookup")
+    if router.n_shards == 1 and shards[0] is not None and mode == "raise":
+        # Nothing to route, merge or isolate.  (Partial mode still takes
+        # the generic path so a failure comes back marked, not raised.)
+        return shards[0].lookup(key_cols)
+    idx, fill, dtypes = _prune(store, router, shards, filters, key_cols, n)
+    jobs, n_routed = [], n
+    if idx is not None:
+        n_routed = int(idx.size)
+        store.stats.bump("pruned_keys", n - n_routed)
+    if n_routed:  # else every key was pruned: nothing to sort or dispatch
+        routed = _route(store, router, key_cols, idx)
+        jobs, dtypes = _make_jobs(store, shards, routed, dtypes)
+    found, values = _allocate(store, shards, n, dtypes, fill)
+    errors, stragglers = _dispatch(store, jobs, n_routed, found, values,
+                                   deadline)
+    return _result(n, jobs, found, values, errors, stragglers, mode)
+
+
+def contains_batch(store, keys) -> np.ndarray:
+    """Liveness per key from each owning shard's existence vector."""
+    key_cols = store._normalize_keys(keys)
+    n = int(np.asarray(key_cols[store.key_names[0]]).size)
+    router, shards, _ = store._topology
+    exists = np.zeros(n, dtype=bool)
+    routed = _route(store, router, key_cols)
+    for _, shard, segment, dest in _segments(shards, *routed):
+        if shard is not None:
+            exists[dest] = shard.contains_batch(segment)
+    return exists
+
+
+def _prune(store, router, shards, filters, key_cols, n: int):
+    """Negative-filter pass over the batch, before sort/dispatch.
+
+    Returns ``(idx, fill, dtypes)``: the positions surviving the filters
+    (``None``: nothing pruned, run the exact unpruned path), the
+    :class:`FillPlan` for the pruned ones, and per-column promotion
+    lists from **pre-prune** shard occupancy — output dtypes must match
+    the unpruned path even when the filters empty a group entirely.
+    The scalar lane needs ``store._prune_meta``'s ``scalar_ok``: then
+    promotion is occupancy-invariant and nothing is routed before the
+    store filter has answered; otherwise the full batch is routed.
+    """
+    if not any(f is not None for f in filters):
+        filters = None  # no per-shard tier
+    if store._store_filter is None and filters is None:
+        return _NOTHING_PRUNED
+    with store.stats.timing("prune"):
+        hashes = hash_key_columns(key_cols, store.key_names)
+        if store._store_filter is not None:
+            meta = store._prune_meta(shards)
+            if meta["scalar_ok"]:
+                return _prune_scalar(store, router, filters, key_cols,
+                                     hashes, n, meta)
+        return _prune_general(store, router, shards, filters, key_cols,
+                              hashes, n)
+
+
+def _prune_scalar(store, router, filters, key_cols, hashes, n: int, meta):
+    """Tier 1, the store-level filter over the union of every shard's
+    keys, probed with *zero routing* (placement is a pure function of
+    the key, so "in no shard" is "not in the owning shard"); tier 2, the
+    skinny per-shard filters, only screens its survivors."""
+    store_filter = store._store_filter
+    if n > _PRUNE_SAMPLE_MIN_N:
+        sample = np.ascontiguousarray(hashes[::n // _PRUNE_SAMPLE])
+        if 1.0 - float(store_filter.might_contain(sample).mean()) \
+                < _PRUNE_MIN_FRACTION:
+            return _NOTHING_PRUNED
+    maybe = store_filter.might_contain(hashes)
+    if maybe.all():
+        return _NOTHING_PRUNED
+    idx = np.flatnonzero(maybe)
+    if n - int(idx.size) < _PRUNE_MIN_FRACTION * n:
+        # Not miss-heavy enough for compaction to pay for itself (small
+        # batches skip the sample gate and land here).
+        return _NOTHING_PRUNED
+    if filters is not None and idx.size and not store_filter.exact:
+        owners = router.route(_take(key_cols, idx))
+        idx = idx[_shard_filter_mask(store, filters, owners, hashes[idx])]
+    dtypes = {c: [meta["dtype"][c]] for c in store.value_names}
+    if n - int(idx.size) > n // 2:
+        return idx, FillPlan("paint", meta["filler"]), dtypes
+    keep = np.zeros(n, dtype=bool)
+    keep[idx] = True
+    return idx, FillPlan("assign", meta["filler"],
+                         np.flatnonzero(~keep)), dtypes
+
+
+def _prune_general(store, router, shards, filters, key_cols, hashes, n: int):
+    """Fillers or dtypes differ by shard (or shards are missing): route
+    the full batch and combine both tiers into one mask.  Keys of empty
+    shards may be pruned too: the gather fill is their placeholder."""
+    shard_ids = router.route(key_cols)
+    maybe = np.ones(n, dtype=bool)
+    if store._store_filter is not None:
+        maybe = store._store_filter.might_contain(hashes)
+    if filters is not None:
+        maybe = maybe & _shard_filter_mask(store, filters, shard_ids, hashes)
+    if maybe.all():
+        return _NOTHING_PRUNED
+    pruned = np.flatnonzero(~maybe)
+    occupied = np.flatnonzero(np.bincount(shard_ids))
+    return (np.flatnonzero(maybe),
+            FillPlan("gather", None, pruned, shard_ids[pruned]),
+            _promotion_dtypes(store, shards, occupied))
+
+
+def _shard_filter_mask(store, filters, shard_ids, hashes) -> np.ndarray:
+    """Per key: might the owning shard's filter contain it?"""
+    bank = store._bank_for(filters)
+    if bank.uniform:  # every filter shares one k: a single routed gather
+        return bank.might_contain(shard_ids, hashes)
+    keep = np.ones(hashes.size, dtype=bool)
+    for ordinal, filt in enumerate(filters):
+        if filt is not None:
+            mask = shard_ids == ordinal
+            keep[mask] = filt.might_contain(hashes[mask])
+    return keep
+
+
+def _take(key_cols, idx) -> Dict[str, np.ndarray]:
+    return {name: np.asarray(arr)[idx] for name, arr in key_cols.items()}
+
+
+def _route(store, router, key_cols, idx=None):
+    """Route + sort the batch (or its prune survivors ``idx``) in one
+    pass: ``order`` permutes the ORIGINAL batch positions into (shard,
+    key...) order — shard groups contiguous *and* each ascending in
+    flattened-key order, so every aux probe rides the partition store's
+    monotonic fast path and no later stage sorts again —
+    ``bounds[s]:bounds[s+1]`` delimits shard ``s``'s group, and
+    ``grouped`` holds the key columns permuted by ``order``."""
+    with store.stats.timing("route"):
+        if idx is not None:
+            key_cols = _take(key_cols, idx)
+        cols = [np.asarray(key_cols[name]) for name in store.key_names]
+        if isinstance(router, RangeShardRouter) and len(cols) == 1:
+            # Range routing on a single key: shard ordinal is monotone
+            # in the key, so one plain sort both groups and orders, and
+            # the group boundaries are the cuts' positions in the
+            # sorted keys.
+            leading = cols[0].astype(np.int64, copy=False)
+            order = np.argsort(leading)
+            grouped = {store.key_names[0]: leading[order]}
+            inner = np.searchsorted(grouped[store.key_names[0]], router.cuts,
+                                    side="left")
+            bounds = np.concatenate(([0], inner, [leading.size]))
+        else:
+            shard_ids = router.route(key_cols)
+            # lexsort: last key is primary — shard first, then key
+            # columns in significance order, which is exactly ascending
+            # flattened-key order inside each shard (the codec is
+            # lexicographic).
+            order = np.lexsort(tuple(np.asarray(c, dtype=np.int64)
+                                     for c in reversed(cols)) + (shard_ids,))
+            bounds = np.searchsorted(shard_ids[order],
+                                     np.arange(router.n_shards + 1))
+            grouped = _take(key_cols, order)
+        return (order if idx is None else idx[order]), bounds, grouped
+
+
+def _segments(shards, order, bounds, grouped):
+    """``(ordinal, shard, key segment, destination rows)`` per non-empty
+    routed group, in shard order (``shard`` is None for empty shards)."""
+    edges = bounds.tolist()
+    for ordinal, shard in enumerate(shards):
+        start, stop = edges[ordinal], edges[ordinal + 1]
+        if stop > start:
+            yield (ordinal, shard,
+                   {name: arr[start:stop] for name, arr in grouped.items()},
+                   order[start:stop])
+
+
+def _make_jobs(store, shards, routed, dtypes):
+    """One job per live routed shard, plus the promotion dtypes when the
+    prune stage has not already fixed them."""
+    groups = list(_segments(shards, *routed))
+    # Groups owned by empty shards are misses by definition: no job, the
+    # preallocated outputs already read as misses.
+    jobs = [group for group in groups if group[1] is not None]
+    # Prefetch: fire hydration for every cold lazy shard the batch routes
+    # into *before* the dtype probe below (which touches shards serially)
+    # and before any plan runs, so remote downloads overlap on the
+    # workers.  The proxy's hydrate lock makes the race benign.
+    cold = [job[1] for job in jobs
+            if isinstance(job[1], LazyShard) and not job[1].hydrated]
+    if len(cold) > 1:
+        for proxy in cold:
+            store.executor.submit_job(proxy.hydrate)
+    if dtypes is None:
+        dtypes = _promotion_dtypes(store, shards,
+                                   [group[0] for group in groups])
+    return jobs, dtypes
+
+
+def _recorded_dtype(store, column: str) -> np.dtype:
+    return store._value_dtypes.get(column, np.dtype(object))
+
+
+def _blank(size: int, dtype) -> np.ndarray:
+    """A column of misses: the dtype's zero, or None for objects."""
+    if dtype == object:
+        return np.full(size, None, dtype=object)
+    return np.zeros(size, dtype=dtype)
+
+
+def _promotion_dtypes(store, shards, occupied) -> Dict[str, List[np.dtype]]:
+    """Per column, the dtype every occupied shard's segment would carry
+    (an empty shard's placeholder participates exactly as it would have
+    in a concatenate of per-shard results)."""
+    return {c: [_recorded_dtype(store, c) if shards[ordinal] is None
+                else shards[ordinal].fdecode.encoders[c].vocab.dtype
+                for ordinal in occupied]
+            for c in store.value_names}
+
+
+def _allocate(store, shards, n: int, dtypes, fill: Optional[FillPlan]):
+    """Output arrays for the batch, pruned positions already filled."""
+    kind = fill.kind if fill is not None else None
+    values = {}
+    for c in store.value_names:
+        dtype = (np.result_type(*dtypes[c]) if dtypes[c]
+                 else _recorded_dtype(store, c))
+        if kind == "paint":
+            out = np.full(n, fill.fillers[c], dtype=dtype)
+        else:
+            out = _blank(n, dtype)
+        if kind == "assign":
+            out[fill.pos] = fill.fillers[c]
+        elif kind == "gather":
+            table = _blank(len(shards), dtype)
+            for ordinal, shard in enumerate(shards):
+                if shard is not None:
+                    table[ordinal] = \
+                        shard.fdecode.encoders[c].decode(_ZERO_CODE)[0]
+            out[fill.pos] = table[fill.ids]
+        values[c] = out
+    return np.zeros(n, dtype=bool), values
+
+
+def _dispatch(store, jobs, n_routed: int, found, values, deadline):
+    def run_job(job) -> None:
+        ordinal, shard, segment, dest = job
+        if deadline is not None:
+            deadline.check(f"shard {ordinal} lookup")
+        shard.plan_lookup(segment, presorted=True).execute_into(
+            found, values, dest)
+
+    return fan_out(jobs, run_job, store.executor, store.stats,
+                   n_keys=n_routed, deadline=deadline, hedger=store.hedger)
+
+
+def _run_unit(run_job, jobs, outcomes: list) -> None:
+    """Run ``jobs`` back to back, appending ``None`` (clean) or the
+    exception per job — ``outcomes`` doubles as the unit's progress."""
+    for job in jobs:
+        try:
+            run_job(job)
+            outcomes.append(None)
+        except Exception as exc:
+            outcomes.append(exc)
+
+
+def fan_out(jobs, run_job, executor, stats, *, n_keys: int, deadline=None,
+            hedger=None) -> Tuple[Dict[int, BaseException], bool]:
+    """Run ``run_job`` over ``jobs`` (tuples led by the shard ordinal);
+    returns the exception per failing ordinal, and whether an attempt
+    may still be running (and writing) on return.
+
+    Dispatch rule: with no deadline and no hedger, a dispatch of at most
+    ``_SERIAL_DISPATCH_MAX`` keys — or a single job — runs **inline**.
+    A deadline or a hedger always takes the executor lane, because only
+    a job on another thread can be abandoned or raced: a small
+    deadline-armed dispatch is ONE unit (per-shard submission costs a
+    thread wake-up per shard, which dominates sub-millisecond jobs and
+    lands on the healthy-path p50), anything else is one unit per job.
+    """
+    if not jobs:
+        return {}, False
+    small = n_keys <= _SERIAL_DISPATCH_MAX
+    if deadline is None and hedger is None and (small or len(jobs) == 1):
+        outcomes: list = []
+        _run_unit(run_job, jobs, outcomes)
+        return {job[0]: exc for job, exc in zip(jobs, outcomes)
+                if exc is not None}, False
+    groups = [jobs] if small and hedger is None else [[job] for job in jobs]
+    return _wait(groups, run_job, executor, stats, deadline, hedger)
+
+
+class _Unit:
+    """Jobs run back to back on one worker, and every attempt at them
+    as ``(future, outcomes)`` pairs (the second is the hedge)."""
+
+    __slots__ = ("jobs", "start", "attempts")
+
+    def __init__(self, jobs):
+        self.jobs, self.start, self.attempts = jobs, monotonic(), []
+
+    def errors(self) -> Dict[int, BaseException]:
+        """``{ordinal: error}`` from what the attempts have reported so
+        far: a job is fine once any attempt finished it clean, failed
+        when every attempt reported an error for it, and out of time
+        otherwise.  Read on the dispatching thread only — workers write
+        nothing a result will carry."""
+        reports = []
+        for future, outcomes in self.attempts:
+            report = list(outcomes)
+            if future.done() and not future.cancelled() \
+                    and future.exception() is not None:
+                # Failed as a whole (the executor's dequeue gate): the
+                # jobs it never reached share that failure.
+                report += [future.exception()] * (len(self.jobs)
+                                                  - len(report))
+            reports.append(report)
+        errors = {}
+        for i, (ordinal, *_) in enumerate(self.jobs):
+            seen = [report[i] for report in reports if len(report) > i]
+            if all(outcome is not None for outcome in seen):
+                errors[ordinal] = (
+                    seen[0] if len(seen) == len(reports)
+                    else DeadlineExceeded(
+                        f"shard {ordinal} lookup exceeded its deadline"))
+        return errors
+
+
+def _wait(groups, run_job, executor, stats, deadline, hedger):
+    """The one completion-driven wait.  Every unit launches at once; the
+    loop then sleeps until the next thing it could act on — a
+    completion, the next hedge fire, or the deadline (neither hedger
+    nor deadline: one blocking wait).  A unit still running past the
+    hedger's adaptive delay (this batch's completed peers set the
+    basis, the cross-batch EWMA seeds cold batches) earns ONE backup
+    within the per-batch budget; the first clean attempt settles it and
+    the loser's identical writes are benign (``resilience/hedging.py``).
+    A deadline expiry cancels what has not started and marks only the
+    jobs no attempt finished."""
+    owner = {}
+
+    def launch(unit):
+        outcomes: list = []
+        future = executor.submit_job(_run_unit, run_job, unit.jobs, outcomes,
+                                     deadline=deadline)
+        unit.attempts.append((future, outcomes))
+        owner[future] = unit
+        return future
+
+    units = [_Unit(jobs) for jobs in groups]
+    pending = {launch(unit) for unit in units}
+    open_units = set(units)
+    budget = hedger.batch_budget(len(units)) if hedger is not None else 0
+    peers: List[float] = []
+    errors: Dict[int, BaseException] = {}
+    while open_units and pending:
+        timeout = None if deadline is None else deadline.remaining()
+        if timeout is not None and timeout <= 0.0:
+            break
+        delay = hedger.hedge_delay_s(peers) if budget > 0 else None
+        if delay is not None:
+            now = monotonic()
+            for unit in units:
+                if unit in open_units and len(unit.attempts) == 1 \
+                        and not unit.attempts[0][0].done():
+                    fires_in = unit.start + delay - now
+                    if fires_in > 0.0:
+                        timeout = (fires_in if timeout is None
+                                   else min(timeout, fires_in))
+                    elif budget > 0:
+                        pending.add(launch(unit))
+                        budget -= 1
+                        stats.bump("hedges_launched", 1)
+        done, pending = futures_wait(
+            pending, timeout=timeout, return_when=(
+                FIRST_COMPLETED if hedger is not None else ALL_COMPLETED))
+        now = monotonic()
+        for future in done:
+            unit = owner[future]
+            if unit not in open_units:
+                continue  # the loser of a hedge: same bytes, nothing new
+            failed = unit.errors()
+            if failed and not all(f.done() for f, _ in unit.attempts):
+                continue  # another attempt may still finish it clean
+            open_units.discard(unit)
+            errors.update(failed)
+            if hedger is not None and not failed:
+                peers.append(now - unit.start)
+                hedger.record(now - unit.start)
+                if future is not unit.attempts[0][0]:
+                    stats.bump("hedges_won", 1)
+    for unit in open_units:  # out of time with attempts outstanding
+        for future, _ in unit.attempts:
+            future.cancel()
+        errors.update(unit.errors())
+    return errors, any(not future.done() for future in owner)
+
+
+def _result(n: int, jobs, found, values, errors, stragglers: bool,
+            mode: str) -> LookupResult:
+    if not errors:
+        return LookupResult(found=found, values=values)
+    if mode == "raise":
+        raise errors[min(errors)]  # deterministic: lowest failing ordinal
+    failed = np.zeros(n, dtype=bool)
+    for ordinal, _, _, dest in jobs:
+        if ordinal in errors:
+            failed[dest] = True
+    if stragglers:
+        # A timed-out job holds references to these arrays and may
+        # scatter into them after we return; hand the caller private
+        # copies so the result is immutable from here on.
+        found = found.copy()
+        values = {c: arr.copy() for c, arr in values.items()}
+    # A failing job may have scattered part of its segment before
+    # dying; force its keys back to misses so found/values agree.
+    found[failed] = False
+    return PartialResult(found=found, values=values, failed_mask=failed,
+                         shard_errors=errors)

@@ -7,35 +7,14 @@ them one facade with the same surface (``lookup`` / ``lookup_one`` /
 ``size_report``), so existing layers — :func:`repro.core.query.select`,
 the CLI, the bench harness — work over it transparently.
 
-Batched lookups run through a pipelined, vectorized read path:
-
-1. **route + prune + sort** — the :mod:`~repro.shard.router` assigns
-   every query key a shard ordinal with NumPy array arithmetic; when the
-   store carries per-shard
-   :class:`~repro.core.negative_filter.NegativeFilter`\\ s (built at fit
-   time, persisted in the manifest), keys the owning shard's filter
-   rejects go straight to the miss output — no sort slot, no job, no
-   dispatch (the filter never false-negatives, so pruning is lossless);
-   then one sort puts the *surviving* batch in (shard, key) order: shard
-   groups come out contiguous *and* pre-sorted, so no downstream stage
-   (notably the aux partition probe) ever sorts again;
-2. **staged fan out** — each owning shard runs a
-   :class:`~repro.core.deep_mapping.LookupPlan` (existence gate,
-   ``T_aux`` probe, aux-gated fused inference through its
-   :class:`~repro.nn.compiled.CompiledSession`, decode) as its own job
-   on the store's pluggable
-   :class:`~repro.store.executors.ExecutorStrategy` (serial, thread
-   pool, or free-threading aware; NumPy kernels release the GIL, so
-   shard *i* can run inference while shard *j* decompresses aux
-   partitions).  :meth:`lookup_async` schedules the whole batch on the
-   same strategy and returns a future;
-3. **streaming assembly** — every job scatters its finished segment
-   straight into preallocated output arrays (disjoint positions), so
-   there is no serial concatenate-and-permute merge behind a barrier;
-   keys owned by an empty shard (or matching no row) are reported as
-   per-key misses.  :meth:`lookup_barrier` keeps the pre-pipeline
-   map/merge path as the serial reference — bit-identical by the parity
-   suite, tracked for speedup by ``benchmarks/bench_pipeline.py``.
+This module owns the store's **topology** (the atomically swapped
+``(router, shards, filters)`` triple and split/merge), its **mutation**
+path and its **persistence**.  The **read path** — prune → route →
+allocate/fill → dispatch → result over one completion-driven wait —
+lives in :mod:`repro.shard.read_path`; :meth:`lookup` and
+:meth:`contains_batch` hand straight to it, and :meth:`lookup_async`
+schedules the same call on the store's pluggable
+:class:`~repro.store.executors.ExecutorStrategy`.
 
 Modifications route the same way: each row is applied to the owning
 shard's auxiliary table, and an insert that targets an empty shard
@@ -62,44 +41,35 @@ from __future__ import annotations
 import functools
 import os
 import pickle
-import time
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import (DeepMapping, KeysLike, LookupResult,
-                                 RowsLike, SizeReport, normalize_keys,
-                                 normalize_rows)
+from ..core.config import DeepMappingConfig, check_stored_config
+from ..core.deep_mapping import (_ZERO_CODE, DeepMapping, KeysLike,
+                                 LookupResult, RowsLike, SizeReport,
+                                 normalize_keys, normalize_rows)
 from ..core.negative_filter import (FilterBank, NegativeFilter,
                                     build_store_filter, filter_from_json,
                                     hash_key_columns)
 from ..data.table import ColumnTable
 from ..lifecycle import LifecycleConfig, MaintenanceEngine, derive_build_config
 from ..resilience.deadline import Deadline
-from ..resilience.errors import DeadlineExceeded
 from ..resilience.hedging import HedgeController
-from ..resilience.partial import PartialResult
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy, make_executor
+from . import read_path
 from .manifest import CONFIG_NAME, ShardEntry, ShardManifest
 from .router import RangeShardRouter, ShardRouter, make_router, router_from_state
 
 __all__ = ["ShardedDeepMapping", "ShardingConfig"]
-
-#: The decode code every per-shard encoder maps a miss to — pruned keys
-#: must carry the same vocab[0] filler a dispatched miss would get (see
-#: ``LookupPlan.execute_into`` in core/deep_mapping.py).
-_ZERO_CODE = np.zeros(1, dtype=np.int64)
 
 #: Filter sizing for the two pruning tiers, in bits per inserted key.
 #: The combined manifest growth must stay under 2 bytes/key after the
@@ -110,23 +80,6 @@ _ZERO_CODE = np.zeros(1, dtype=np.int64)
 #: with the store tier's ~2% to a sub-percent combined pass rate.
 _STORE_FILTER_BITS = 8
 _SHARD_FILTER_BITS = 3
-
-#: Fan-outs dispatching at most this many keys run inline instead of
-#: through the executor: at that size the thread hand-off costs more
-#: than the shard work itself (pruned batches especially — the handful
-#: of false-positive survivors is existence-checked without inference).
-_SERIAL_DISPATCH_MAX = 4096
-
-#: Hit-heavy batches lose money on pruning (the full-batch probe plus
-#: survivor compaction outweigh the few skipped dispatches), so batches
-#: above ``_PRUNE_SAMPLE_MIN_N`` first probe a ``_PRUNE_SAMPLE``-key
-#: stride sample and skip the prune pass entirely unless the sampled
-#: prunable fraction clears ``_PRUNE_MIN_FRACTION``.  Results are
-#: bit-identical either way — pruning only moves *where* a miss's
-#: filler gets written.
-_PRUNE_SAMPLE = 4096
-_PRUNE_SAMPLE_MIN_N = 16384
-_PRUNE_MIN_FRACTION = 0.55
 
 
 @dataclass
@@ -181,8 +134,8 @@ class ShardingConfig:
     #: first.  Safe because shard lookups are pure reads of an
     #: atomically-snapshotted topology and both attempts scatter
     #: bit-identical bytes into disjoint output rows; bounded by a
-    #: per-batch hedge budget.  Off by default (the historical
-    #: sequential-wait fan-out).
+    #: per-batch hedge budget.  The only switch the fan-out wait
+    #: reads; off by default.
     hedged_reads: bool = False
 
     def __post_init__(self):
@@ -431,6 +384,41 @@ class ShardedDeepMapping:
         # post-rebalance shard count.
         self.sharding.n_shards = router.n_shards
 
+    def _bank_for(self, filters) -> FilterBank:
+        """The (cached) :class:`FilterBank` for one filters snapshot.
+        Readers may race to build the first bank for a fresh topology;
+        both build the same pure function of ``filters``, so last wins."""
+        cached = self._filter_bank
+        if cached is None or cached[0] is not filters:
+            cached = self._filter_bank = (filters, FilterBank(filters))
+        return cached[1]
+
+    def _prune_meta(self, shards: List[Optional[DeepMapping]]):
+        """Cached per-topology facts gating the read path's scalar prune
+        lane (and what :meth:`_export_prune_meta` persists).
+        ``scalar_ok``: every shard is live and, per value column, all
+        share one vocab dtype and one miss filler (``vocab[0]``) — a
+        pruned key's fill is then a scalar broadcast and dtype promotion
+        is independent of which shards a batch touches.
+        """
+        cached = self._prune_meta_cache
+        if cached is not None and cached[0] is shards:
+            return cached[1]
+        live = bool(shards) and all(s is not None for s in shards)
+        meta = {"scalar_ok": live, "filler": {}, "dtype": {}}
+        for c in self.value_names if live else ():
+            encoders = [s.fdecode.encoders[c] for s in shards]
+            fillers = [e.decode(_ZERO_CODE)[0] for e in encoders]
+            if any(e.vocab.dtype != encoders[0].vocab.dtype
+                   for e in encoders) \
+                    or any(v != fillers[0] for v in fillers[1:]):
+                meta["scalar_ok"] = False
+                break
+            meta["dtype"][c] = encoders[0].vocab.dtype
+            meta["filler"][c] = fillers[0]
+        self._prune_meta_cache = (shards, meta)
+        return meta
+
     @property
     def n_shards(self) -> int:
         """Number of shards (including empty ones)."""
@@ -461,11 +449,8 @@ class ShardedDeepMapping:
         (fit-time shards already carry the engine their build produced)
         keeps first-query latency flat and guarantees the thread-pool
         fan-out hits a ready :class:`~repro.nn.compiled.CompiledSession`
-        in each shard.  Returns the number of engines ready; no-op when
-        the config disables the compiled path.
+        in each shard.  Returns the number of engines ready.
         """
-        if not getattr(self.config, "compiled_lookup", True):
-            return 0
         count = 0
         for shard in self.shards:
             if shard is not None:
@@ -499,790 +484,37 @@ class ShardedDeepMapping:
                on_shard_error: Optional[str] = None) -> LookupResult:
         """Batched exact-match lookup across shards, input order preserved.
 
-        The pipelined read path: the route stage sorts the batch **by
-        key within shard groups** once (so every shard receives its
-        segment pre-sorted and no later stage ever sorts again), each
-        shard then runs a staged
-        :class:`~repro.core.deep_mapping.LookupPlan` — existence gate,
-        ``T_aux`` probe, aux-gated fused inference, decode — as its own
-        job on the executor strategy, and finished segments stream
-        straight into the preallocated output arrays (shard *i* can be
-        decompressing aux partitions while shard *j* runs inference;
-        there is no serial merge behind a barrier).  Results are
-        bit-identical to :meth:`lookup_barrier`, the pre-pipeline
-        reference path, which remains available for comparison and for
-        executor strategies without a per-job fan-out lane.
+        One read path (:mod:`repro.shard.read_path`): the batch is
+        pruned by the negative filters and sorted once **by key within
+        shard groups** (no later stage ever sorts again); each owning
+        shard runs a staged :class:`~repro.core.deep_mapping.LookupPlan`
+        — existence gate, ``T_aux`` probe, aux-gated fused inference,
+        decode — and streams its finished segment straight into the
+        preallocated output arrays (no serial merge behind a barrier).
+        Results are bit-identical to the barrier and reference-engine
+        oracles in :mod:`repro.testing.oracles`.
 
         Resilience knobs (see ``docs/resilience.md``):
 
         ``deadline``
             A :class:`~repro.resilience.Deadline` bounding the whole
-            call.  Queued shard jobs past the deadline are never started,
-            and the merge stops waiting on stragglers once the budget is
-            gone; what happens to their keys depends on the error mode.
+            call.  Deadline-armed shard jobs always run on the executor
+            lane, so even a single wedged shard is timed out rather
+            than waited on; queued jobs past the deadline never start,
+            and the wait stops once the budget is gone.  What happens
+            to the unanswered keys depends on the error mode.
         ``on_shard_error``
-            ``"raise"`` (default, the historical behavior) fails the
-            whole batch on the first shard error.  ``"partial"``
-            isolates the fault: healthy shards' results are returned
-            bit-identical in a
+            ``"raise"`` (default) fails the whole batch with the lowest
+            failing shard's error.  ``"partial"`` isolates the fault:
+            healthy shards' results come back bit-identical in a
             :class:`~repro.resilience.PartialResult` whose
-            ``failed_mask`` marks the keys owned by failing or
-            timed-out shards (forced to ``found=False``).  ``None``
-            defers to ``ShardingConfig.on_shard_error``.  When every
-            shard succeeds, partial mode returns a plain
-            :class:`LookupResult` — zero overhead on the healthy path.
+            ``failed_mask`` marks the keys of failing or timed-out
+            shards (forced to ``found=False``); a fully healthy batch
+            returns a plain :class:`LookupResult`.  ``None`` defers to
+            ``ShardingConfig.on_shard_error``.
         """
-        mode = on_shard_error if on_shard_error is not None \
-            else self.sharding.on_shard_error
-        if mode not in ("raise", "partial"):
-            raise ValueError(
-                f"on_shard_error must be 'raise' or 'partial', got {mode!r}")
-        key_cols = self._normalize_keys(keys)
-        n = int(np.asarray(key_cols[self.key_names[0]]).size)
-        # One topology snapshot for the whole batch: route, prune,
-        # fan-out and merge all see the same (router, shards, filters)
-        # triple, so a lifecycle swap between the route and index steps
-        # can never mispair cuts (or filters) with ordinals.  This does
-        # NOT license concurrent mutation — the single-writer contract
-        # stands (a retired shard's dropped aux storage is not safe to
-        # read through).
-        router, shards, filters = self._topology
-        if n == 0:
-            return LookupResult(
-                found=np.zeros(0, dtype=bool),
-                values={c: self._placeholder(c, 0) for c in self.value_names},
-            )
-        if deadline is not None:
-            deadline.check("sharded lookup")
-        if router.n_shards == 1 and shards[0] is not None \
-                and mode == "raise":
-            # Single shard, fail-fast mode: no routing, merging, or
-            # fault-isolation bookkeeping to do.  (Partial mode still
-            # takes the generic path so a failure comes back marked
-            # rather than raised.)
-            return shards[0].lookup(key_cols)
-        submit_job = getattr(self.executor, "submit_job", None)
-        if submit_job is None:
-            # Custom strategy without a fan-out job lane: barrier path.
-            # It has no per-shard fault boundary, so errors raise
-            # regardless of mode — documented in docs/resilience.md.
-            return self.lookup_barrier(key_cols)
-
-        # Manifest-tier miss pruning: consult the store-level and
-        # per-shard negative filters before any (shard, key) sort or job
-        # submission.  A pruned key is a guaranteed miss (neither tier
-        # ever false-negatives); only the survivors pay sort + dispatch.
-        idx = fill_plan = pre_dtypes = None
-        if self._store_filter is not None \
-                or any(f is not None for f in filters):
-            with self.stats.timing("prune"):
-                idx, fill_plan, pre_dtypes = self._prune(
-                    router, shards, filters, key_cols, n)
-
-        if idx is not None and int(idx.size) == 0:
-            # Every key pruned (typical for an all-miss batch under the
-            # exact dense filter): build the outputs directly — there is
-            # nothing to route, sort, or dispatch.
-            self.stats.bump("pruned_keys", n)
-            return self._all_pruned_result(router, shards, fill_plan,
-                                           pre_dtypes, n)
-
-        with self.stats.timing("route"):
-            if idx is None:
-                # Nothing pruned (or no filters): the historical path,
-                # including the single-sort range fast lane.
-                order, bounds, grouped = self._sorted_route(
-                    router, key_cols, n)
-            else:
-                self.stats.bump("pruned_keys", n - int(idx.size))
-                survivors = {name: np.asarray(arr)[idx]
-                             for name, arr in key_cols.items()}
-                order, bounds, grouped = self._sorted_route(
-                    router, survivors, int(idx.size))
-                # Destinations live in the ORIGINAL batch positions.
-                order = idx[order]
-
-        # Prefetch hint from the batch's per-shard histogram: fire
-        # hydration for every cold lazy shard this batch routes into
-        # *before* the dtype-promotion probe below (which touches shards
-        # serially) and before any plan job runs — remote downloads then
-        # overlap on the fan-out workers instead of serializing.  The
-        # proxy's hydrate lock makes the race with the main thread
-        # benign (one loader runs; the other waits and shares).
-        cold = [shards[ordinal] for ordinal in range(router.n_shards)
-                if bounds[ordinal + 1] > bounds[ordinal]
-                and isinstance(shards[ordinal], LazyShard)
-                and not shards[ordinal].hydrated]
-        if len(cold) > 1:
-            for proxy in cold:
-                submit_job(proxy.hydrate)
-
-        # (ordinal, shard, segment, dest) per non-empty routed group.
-        jobs: List[Tuple[int, DeepMapping, Dict[str, np.ndarray],
-                         np.ndarray]] = []
-        segment_dtypes: Dict[str, List[np.dtype]] = \
-            {c: [] for c in self.value_names}
-        for ordinal in range(router.n_shards):
-            start, stop = int(bounds[ordinal]), int(bounds[ordinal + 1])
-            if stop <= start:
-                continue
-            shard = shards[ordinal]
-            if shard is None:
-                # Misses by definition; the preallocated outputs already
-                # read as misses, but the segment still participates in
-                # dtype promotion exactly as its placeholder array would
-                # have in the barrier merge's concatenate.
-                for c in self.value_names:
-                    segment_dtypes[c].append(self._placeholder(c, 0).dtype)
-                continue
-            for c in self.value_names:
-                segment_dtypes[c].append(
-                    shard.fdecode.encoders[c].vocab.dtype)
-            segment = {name: arr[start:stop] for name, arr in grouped.items()}
-            jobs.append((ordinal, shard, segment, order[start:stop]))
-        if pre_dtypes is not None:
-            # Promotion must reflect PRE-prune occupancy: a group the
-            # filters emptied entirely still contributed its dtype in
-            # the unpruned path, and results are bit-identical only if
-            # the output dtypes match too.
-            segment_dtypes = pre_dtypes
-
-        # A dispatched miss gets the owning shard's vocab[0] decode
-        # filler written by execute_into; a pruned key must read
-        # identically.  _prune picked the cheapest write plan:
-        #
-        # - "paint": every shard shares one filler, and most of the batch
-        #   was pruned — allocate the output already holding the filler
-        #   (one np.full instead of zeros + fancy assignment; survivors
-        #   are overwritten by execute_into with found values or that
-        #   same filler).
-        # - "assign": shared filler, minority pruned — scalar broadcast
-        #   into the pruned positions.
-        # - "gather": fillers differ by shard (or shards are missing) —
-        #   one filler-by-shard table per column, then a single fancy
-        #   assignment.  Rows for EMPTY shards are the dtype zero /
-        #   None, which is exactly the placeholder those keys read in
-        #   the unpruned path.
-        paint = fill_plan is not None and fill_plan[0] == "paint"
-        found_out = np.zeros(n, dtype=bool)
-        values_out = {}
-        for c in self.value_names:
-            dtype = (np.result_type(*segment_dtypes[c])
-                     if segment_dtypes[c] else self._placeholder(c, 0).dtype)
-            if paint:
-                values_out[c] = np.full(n, fill_plan[1][c], dtype=dtype)
-            elif dtype == object:
-                values_out[c] = np.full(n, None, dtype=object)
-            else:
-                values_out[c] = np.zeros(n, dtype=dtype)
-        if fill_plan is not None and fill_plan[0] == "assign":
-            _, pruned_pos, col_fillers = fill_plan
-            for c in self.value_names:
-                values_out[c][pruned_pos] = col_fillers[c]
-        elif fill_plan is not None and fill_plan[0] == "gather":
-            _, pruned_pos, pruned_ids = fill_plan
-            for c in self.value_names:
-                out = values_out[c]
-                fillers = np.zeros(router.n_shards, dtype=out.dtype) \
-                    if out.dtype != object \
-                    else np.full(router.n_shards, None, dtype=object)
-                for ordinal, shard in enumerate(shards):
-                    if shard is not None:
-                        fillers[ordinal] = \
-                            shard.fdecode.encoders[c].decode(_ZERO_CODE)[0]
-                out[pruned_pos] = fillers[pruned_ids]
-
-        def run_job(job) -> None:
-            ordinal, shard, segment, dest = job
-            if deadline is not None:
-                deadline.check(f"shard {ordinal} lookup")
-            plan = shard.plan_lookup(segment, presorted=True)
-            plan.execute_into(found_out, values_out, dest)
-
-        shard_errors: Dict[int, BaseException] = {}
-        stragglers = False  # a timed-out job may still be running
-        if len(jobs) <= 1 or (deadline is None and self.hedger is None
-                              and int(order.size) <= _SERIAL_DISPATCH_MAX):
-            # Tiny dispatches (often: a heavily pruned batch) run their
-            # jobs inline — thread hand-off costs more than the work.
-            # Deadline-bounded calls keep the executor lane so a
-            # straggling shard can be timed out rather than waited on.
-            for job in jobs:
-                try:
-                    run_job(job)
-                except Exception as exc:
-                    if mode == "raise":
-                        raise
-                    shard_errors[job[0]] = exc
-        else:
-            def submit_one(job):
-                if deadline is None:
-                    return submit_job(run_job, job)
-                try:
-                    return submit_job(run_job, job, deadline=deadline)
-                except TypeError:
-                    # Custom strategy whose submit_job() lacks the
-                    # deadline capability (pre-resilience signature):
-                    # the per-job check still honors the budget.
-                    return submit_job(run_job, job)
-
-            if self.hedger is not None:
-                # Completion-driven wait with backup attempts for
-                # stragglers; the trailing raise below still applies.
-                stragglers = self._hedged_wait(jobs, submit_one, deadline,
-                                               shard_errors)
-                futures = []
-            elif (deadline is not None
-                  and int(order.size) <= _SERIAL_DISPATCH_MAX):
-                # Small deadline-armed dispatches take a single executor
-                # hand-off for the whole job set: per-shard submission
-                # costs one thread wake-up per shard, which dominates
-                # sub-millisecond jobs and lands squarely on the
-                # healthy-path p50 the resilience layer promises not to
-                # move.  The caller still waits with a timeout, so a
-                # wedged shard is classified a straggler instead of
-                # blocking past the budget.
-                stragglers = self._bundled_wait(jobs, run_job, submit_job,
-                                                deadline, shard_errors)
-                futures = []
-            else:
-                futures = [(job, submit_one(job)) for job in jobs]
-            for job, future in futures:
-                ordinal = job[0]
-                try:
-                    if deadline is None:
-                        future.result()
-                    else:
-                        future.result(timeout=max(0.0, deadline.remaining()))
-                except DeadlineExceeded as exc:
-                    # Raised *inside* the job (the executor's dequeue
-                    # gate, or the per-job check) — the job is finished
-                    # and wrote nothing, so it is a clean failure, not a
-                    # straggler.  Must precede the FutureTimeoutError
-                    # arm: DeadlineExceeded is a TimeoutError subclass.
-                    shard_errors[ordinal] = exc
-                except FutureTimeoutError as exc:
-                    if future.done():
-                        # On 3.11+ FutureTimeoutError aliases builtin
-                        # TimeoutError, so this arm also sees a plain
-                        # TimeoutError raised *inside* a finished job
-                        # (e.g. a backend socket timeout).  That is an
-                        # ordinary shard failure, not a straggler.
-                        shard_errors[ordinal] = exc
-                        continue
-                    # Budget exhausted while this shard still runs.  The
-                    # job either never starts (the executor's dequeue
-                    # gate fails it) or finishes late into arrays we are
-                    # about to stop sharing (see the copy below).
-                    future.cancel()
-                    stragglers = True
-                    shard_errors[ordinal] = DeadlineExceeded(
-                        f"shard {ordinal} lookup exceeded its deadline")
-                except Exception as exc:
-                    shard_errors[ordinal] = exc
-            if shard_errors and mode == "raise":
-                # Deterministic choice: lowest failing ordinal wins.
-                raise shard_errors[min(shard_errors)]
-
-        if not shard_errors:
-            return LookupResult(found=found_out, values=values_out)
-
-        failed = np.zeros(n, dtype=bool)
-        for job in jobs:
-            if job[0] in shard_errors:
-                failed[job[3]] = True
-        if stragglers:
-            # A timed-out shard job holds references to these arrays and
-            # may scatter into them after we return; hand the caller
-            # private copies so the result is immutable from here on.
-            found_out = found_out.copy()
-            values_out = {c: arr.copy() for c, arr in values_out.items()}
-        # A failing job may have scattered part of its segment before
-        # dying; force its keys back to misses so found/values agree.
-        found_out[failed] = False
-        return PartialResult(found=found_out, values=values_out,
-                             failed_mask=failed, shard_errors=shard_errors)
-
-    def _bundled_wait(self, jobs, run_job, submit_job,
-                      deadline: Deadline,
-                      shard_errors: Dict[int, BaseException]) -> bool:
-        """Run a small deadline-armed dispatch as one executor job.
-
-        The jobs run back to back on a single worker — the per-job
-        deadline gate inside ``run_job`` still applies — and per-shard
-        failures are recorded exactly as the per-shard lanes record
-        them.  Attribution on expiry is coarser than per-shard
-        submission: jobs the budget never let start fail with
-        ``DeadlineExceeded`` even if their shard was healthy, matching
-        how the serial inline lane already treats tiny undeadlined
-        dispatches as one unit of work.  Returns True when the bundle
-        was still running at the budget's edge (straggler: the caller
-        must stop sharing the output arrays).
-        """
-        progress = [0]  # jobs[:progress[0]] have fully settled
-
-        def run_all() -> None:
-            for job in jobs:
-                try:
-                    run_job(job)
-                except Exception as exc:
-                    shard_errors[job[0]] = exc
-                progress[0] += 1
-
-        try:
-            future = submit_job(run_all, deadline=deadline)
-        except TypeError:
-            # Custom strategy whose submit_job() lacks the deadline
-            # capability (pre-resilience signature).
-            future = submit_job(run_all)
-        try:
-            future.result(timeout=max(0.0, deadline.remaining()))
-            return False
-        except DeadlineExceeded:
-            # The executor's dequeue gate failed the bundle before it
-            # started; no job ran.
-            pass
-        except FutureTimeoutError:
-            if future.done():
-                # Finished right at the clock's edge; everything is
-                # already recorded.
-                return False
-            future.cancel()
-        exc_by_job = {
-            job[0]: DeadlineExceeded(
-                f"shard {job[0]} lookup exceeded its deadline")
-            for job in jobs[progress[0]:]
-        }
-        for ordinal, exc in exc_by_job.items():
-            shard_errors.setdefault(ordinal, exc)
-        return not future.done()
-
-    def _hedged_wait(self, jobs, submit_one, deadline: Optional[Deadline],
-                     shard_errors: Dict[int, BaseException]) -> bool:
-        """Completion-driven fan-out wait with hedged backup attempts.
-
-        Every job launches immediately; the loop then waits for
-        *whichever* attempt finishes next (no ordinal-order
-        head-of-line blocking).  A job still running past the
-        :class:`~repro.resilience.hedging.HedgeController`'s adaptive
-        delay — this batch's completed peers set the basis, the
-        cross-batch EWMA seeds cold batches — earns ONE backup attempt
-        within the per-batch budget; the first success settles the job
-        and the loser's identical writes are benign (see
-        ``resilience/hedging.py`` for the idempotency argument).  A job
-        fails only when *every* launched attempt has failed; a deadline
-        expiry cancels what it can and records the rest as
-        ``DeadlineExceeded``.  Returns True when any attempt may still
-        be running at exit (the caller copies the output arrays before
-        exposing a partial result).
-        """
-        hedger = self.hedger
-        budget = hedger.batch_budget(len(jobs))
-        state: Dict[int, dict] = {}
-        owner: Dict[Future, int] = {}
-        for job in jobs:
-            future = submit_one(job)
-            state[job[0]] = {"job": job, "settled": False, "errors": [],
-                             "hedged": False, "start": time.monotonic(),
-                             "futures": [future]}
-            owner[future] = job[0]
-        peer_durations: List[float] = []
-        pending = set(owner)
-        unsettled = set(state)
-        while unsettled and pending:
-            if deadline is not None and deadline.expired:
-                break
-            timeout = (None if deadline is None
-                       else max(0.0, deadline.remaining()))
-            hedge_delay = (hedger.hedge_delay_s(peer_durations)
-                           if budget > 0 else None)
-            if hedge_delay is not None:
-                now = time.monotonic()
-                fires = [state[o]["start"] + hedge_delay - now
-                         for o in unsettled if not state[o]["hedged"]]
-                if fires:
-                    soonest = max(0.0, min(fires))
-                    timeout = (soonest if timeout is None
-                               else min(timeout, soonest))
-            done, pending = futures_wait(pending, timeout=timeout,
-                                         return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future in done:
-                ordinal = owner.pop(future)
-                entry = state[ordinal]
-                exc = future.exception()
-                if exc is None:
-                    if not entry["settled"]:
-                        entry["settled"] = True
-                        unsettled.discard(ordinal)
-                        duration = now - entry["start"]
-                        peer_durations.append(duration)
-                        hedger.record(duration)
-                        if entry["hedged"] \
-                                and future is entry["futures"][-1]:
-                            self.stats.bump("hedges_won", 1)
-                    # A losing success wrote the same bytes the winner
-                    # did; nothing to record.
-                else:
-                    entry["errors"].append(exc)
-                    if not entry["settled"] \
-                            and len(entry["errors"]) >= len(entry["futures"]):
-                        # Every launched attempt failed: a real shard
-                        # failure, not a straggler.
-                        entry["settled"] = True
-                        unsettled.discard(ordinal)
-                        shard_errors[ordinal] = entry["errors"][0]
-            if not unsettled or (deadline is not None and deadline.expired):
-                break
-            if budget > 0:
-                hedge_delay = hedger.hedge_delay_s(peer_durations)
-                if hedge_delay is not None:
-                    now = time.monotonic()
-                    for ordinal in tuple(unsettled):
-                        if budget <= 0:
-                            break
-                        entry = state[ordinal]
-                        if entry["hedged"] \
-                                or now - entry["start"] < hedge_delay:
-                            continue
-                        backup = submit_one(entry["job"])
-                        entry["hedged"] = True
-                        entry["futures"].append(backup)
-                        owner[backup] = ordinal
-                        pending.add(backup)
-                        budget -= 1
-                        self.stats.bump("hedges_launched", 1)
-        for ordinal in unsettled:
-            # Deadline ran out (or the pool died) with attempts still
-            # outstanding: cancel what has not started, record the rest.
-            for future in state[ordinal]["futures"]:
-                future.cancel()
-            shard_errors[ordinal] = DeadlineExceeded(
-                f"shard {ordinal} lookup exceeded its deadline")
-        return any(not future.done()
-                   for entry in state.values()
-                   for future in entry["futures"])
-
-    def _prune(
-        self,
-        router: ShardRouter,
-        shards: List[Optional[DeepMapping]],
-        filters: List[Optional[NegativeFilter]],
-        key_cols: Dict[str, np.ndarray],
-        n: int,
-    ):
-        """Negative-filter pass over the batch, before sort/dispatch.
-
-        Two tiers.  Tier 1 is the **store-level** filter over the union
-        of every shard's keys, probed with *zero routing* — key→shard
-        placement is a pure function of the key, so "in no shard" is
-        exactly "not in the owning shard".  Tier 2 is the skinny
-        per-shard filters, which only screen tier-1 survivors (a few
-        percent of an all-miss batch), so their routed gather runs over
-        a tiny index set.  On an all-hit batch tier 1 answers "maybe"
-        everywhere and the whole pass is one unrouted probe.
-
-        Returns ``(idx, fill_plan, dtypes)``:
-
-        - ``idx`` — positions surviving the filters, or ``None`` when no
-          key was pruned (the caller then runs the exact historical
-          path, including the single-sort range fast lane);
-        - ``fill_plan`` — ``("paint", fillers)``, ``("assign",
-          pruned_pos, fillers)`` or ``("gather", pruned_pos,
-          pruned_ids)`` telling the caller the cheapest way to make
-          pruned keys read exactly like dispatched misses (see the fill
-          block in :meth:`lookup`);
-        - ``dtypes`` — per-column dtype promotion lists computed from
-          **pre-prune** shard occupancy, so output dtypes match the
-          unpruned path even when the filters empty a group entirely.
-
-        The scalar lanes ("paint"/"assign") require every shard live
-        with one shared miss filler and vocab dtype per column
-        (:meth:`_prune_meta`); then promotion is occupancy-invariant and
-        no pre-prune routing is needed at all.  Otherwise the general
-        lane routes the full batch and combines both tiers into one
-        mask; keys owned by empty shards can be pruned by tier 1 there
-        (the "gather" fill table hands them the same placeholder the
-        dispatch loop's skip would have).
-        """
-        hashes = hash_key_columns(key_cols, self.key_names)
-        store_filter = self._store_filter
-        if store_filter is not None:
-            meta = self._prune_meta(shards)
-            if meta["scalar_ok"]:
-                if n > _PRUNE_SAMPLE_MIN_N:
-                    # Cheap strided sample decides whether the batch is
-                    # miss-heavy enough for the full pass to pay off.
-                    sample = np.ascontiguousarray(
-                        hashes[::n // _PRUNE_SAMPLE])
-                    frac = 1.0 - float(
-                        store_filter.might_contain(sample).mean())
-                    if frac < _PRUNE_MIN_FRACTION:
-                        return None, None, None
-                maybe = store_filter.might_contain(hashes)
-                if maybe.all():
-                    return None, None, None
-                idx = np.flatnonzero(maybe)
-                if n - int(idx.size) < _PRUNE_MIN_FRACTION * n:
-                    # Not miss-heavy enough for compaction to pay for
-                    # itself (small batches skip the sample gate and
-                    # land here; the probe itself was cheap).
-                    return None, None, None
-                if not store_filter.exact:
-                    idx = self._screen_survivors(
-                        router, filters, key_cols, hashes, idx)
-                pre = {c: [meta["dtype"][c]] for c in self.value_names}
-                if n - int(idx.size) > n // 2:
-                    return idx, ("paint", meta["filler"]), pre
-                keep = np.zeros(n, dtype=bool)
-                keep[idx] = True
-                return idx, ("assign", np.flatnonzero(~keep),
-                             meta["filler"]), pre
-
-        shard_ids = router.route(key_cols)
-        maybe = None
-        if store_filter is not None:
-            maybe = store_filter.might_contain(hashes)
-        if any(f is not None for f in filters):
-            bank = self._bank_for(filters)
-            if bank.uniform:
-                # The common case: every filter shares one k, so the
-                # whole batch is answered by a single routed gather.
-                tier2 = bank.might_contain(shard_ids, hashes)
-            else:
-                tier2 = np.ones(n, dtype=bool)
-                for ordinal, filt in enumerate(filters):
-                    if filt is None:
-                        continue
-                    mask = shard_ids == ordinal
-                    tier2[mask] = filt.might_contain(hashes[mask])
-            maybe = tier2 if maybe is None else (maybe & tier2)
-        if maybe is None or maybe.all():
-            return None, None, None
-
-        pruned_pos = np.flatnonzero(~maybe)
-        pruned_ids = shard_ids[pruned_pos]
-        counts = np.bincount(shard_ids, minlength=router.n_shards)
-        dtypes: Dict[str, List[np.dtype]] = \
-            {c: [] for c in self.value_names}
-        for ordinal in range(router.n_shards):
-            if not counts[ordinal]:
-                continue
-            shard = shards[ordinal]
-            if shard is None:
-                for c in self.value_names:
-                    dtypes[c].append(self._placeholder(c, 0).dtype)
-                continue
-            for c in self.value_names:
-                dtypes[c].append(shard.fdecode.encoders[c].vocab.dtype)
-        return (np.flatnonzero(maybe),
-                ("gather", pruned_pos, pruned_ids), dtypes)
-
-    def _screen_survivors(
-        self,
-        router: ShardRouter,
-        filters: List[Optional[NegativeFilter]],
-        key_cols: Dict[str, np.ndarray],
-        hashes: np.ndarray,
-        idx: np.ndarray,
-    ) -> np.ndarray:
-        """Tier-2 pass: route only the tier-1 survivors and drop the
-        ones their owning shard's filter also rejects."""
-        if int(idx.size) == 0 or not any(f is not None for f in filters):
-            return idx
-        surv_cols = {name: np.asarray(arr)[idx]
-                     for name, arr in key_cols.items()}
-        shard_ids = router.route(surv_cols)
-        surv_hashes = hashes[idx]
-        bank = self._bank_for(filters)
-        if bank.uniform:
-            keep = bank.might_contain(shard_ids, surv_hashes)
-        else:
-            keep = np.ones(int(idx.size), dtype=bool)
-            for ordinal, filt in enumerate(filters):
-                if filt is None:
-                    continue
-                mask = shard_ids == ordinal
-                keep[mask] = filt.might_contain(surv_hashes[mask])
-        return idx[keep]
-
-    def _prune_meta(self, shards: List[Optional[DeepMapping]]):
-        """Cached per-topology facts gating the scalar prune lanes.
-
-        ``scalar_ok`` is True when every shard is live and, per value
-        column, all shards share one vocab dtype and one miss filler
-        (``vocab[0]``) — then a pruned key's fill is a scalar broadcast
-        and dtype promotion is independent of which shards a batch
-        touches.  Keyed by the shard *list's identity*: lifecycle swaps
-        build a new list, while in-place mutations (insert / update /
-        rebuild) invalidate the cache explicitly.
-        """
-        cached = self._prune_meta_cache
-        if cached is not None and cached[0] is shards:
-            return cached[1]
-        scalar_ok = bool(shards) and all(s is not None for s in shards)
-        filler: Dict[str, object] = {}
-        dtype: Dict[str, np.dtype] = {}
-        if scalar_ok:
-            for c in self.value_names:
-                dts = [s.fdecode.encoders[c].vocab.dtype for s in shards]
-                vals = [s.fdecode.encoders[c].decode(_ZERO_CODE)[0]
-                        for s in shards]
-                if any(dt != dts[0] for dt in dts[1:]) \
-                        or any(v != vals[0] for v in vals[1:]):
-                    scalar_ok = False
-                    break
-                dtype[c] = dts[0]
-                filler[c] = vals[0]
-        meta = {"scalar_ok": scalar_ok, "filler": filler, "dtype": dtype}
-        self._prune_meta_cache = (shards, meta)
-        return meta
-
-    def _all_pruned_result(self, router, shards, fill_plan, pre_dtypes,
-                           n: int) -> LookupResult:
-        """The lookup result when the filters pruned the *whole* batch:
-        all misses, every value a fill — bit-identical to what the
-        dispatch path produces with zero jobs, minus the route/sort."""
-        values_out = {}
-        for c in self.value_names:
-            dtype = (np.result_type(*pre_dtypes[c]) if pre_dtypes[c]
-                     else self._placeholder(c, 0).dtype)
-            if fill_plan[0] == "paint" or fill_plan[0] == "assign":
-                fillers = (fill_plan[1] if fill_plan[0] == "paint"
-                           else fill_plan[2])
-                values_out[c] = np.full(n, fillers[c], dtype=dtype)
-            else:  # gather
-                _, pruned_pos, pruned_ids = fill_plan
-                out = (np.full(n, None, dtype=object) if dtype == object
-                       else np.zeros(n, dtype=dtype))
-                table = np.zeros(router.n_shards, dtype=dtype) \
-                    if dtype != object \
-                    else np.full(router.n_shards, None, dtype=object)
-                for ordinal, shard in enumerate(shards):
-                    if shard is not None:
-                        table[ordinal] = \
-                            shard.fdecode.encoders[c].decode(_ZERO_CODE)[0]
-                out[pruned_pos] = table[pruned_ids]
-                values_out[c] = out
-        return LookupResult(found=np.zeros(n, dtype=bool),
-                            values=values_out)
-
-    def _bank_for(self, filters: List[Optional[NegativeFilter]],
-                  ) -> FilterBank:
-        """The (cached) :class:`FilterBank` for one filters snapshot.
-
-        Concurrent readers may race to build the first bank for a fresh
-        topology; both build the same pure function of ``filters`` and
-        the last store wins, so the race is benign.
-        """
-        cached = self._filter_bank
-        if cached is not None and cached[0] is filters:
-            return cached[1]
-        bank = FilterBank(filters)
-        self._filter_bank = (filters, bank)
-        return bank
-
-    def _sorted_route(
-        self, router: ShardRouter, key_cols: Dict[str, np.ndarray], n: int,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-        """Route + sort the batch in one pass for the pipelined fan-out.
-
-        Returns ``(order, bounds, grouped)`` where ``order`` permutes the
-        batch into (shard, key...) order — shard groups are contiguous
-        *and* each group is ascending in flattened-key order, so every
-        shard's aux probe rides the partition store's monotonic fast
-        path — ``bounds[s]:bounds[s+1]`` delimits shard ``s``'s group,
-        and ``grouped`` holds the key columns permuted by ``order``.
-        """
-        cols = [np.asarray(key_cols[name]) for name in self.key_names]
-        if isinstance(router, RangeShardRouter) and len(cols) == 1:
-            # Range routing on a single key: shard ordinal is monotone in
-            # the key, so one plain sort both groups and orders, and the
-            # group boundaries are the cuts' positions in the sorted keys.
-            leading = cols[0].astype(np.int64, copy=False)
-            order = np.argsort(leading)
-            sorted_leading = leading[order]
-            bounds = np.empty(router.n_shards + 1, dtype=np.int64)
-            bounds[0] = 0
-            bounds[-1] = n
-            if router.cuts.size:
-                bounds[1:-1] = np.searchsorted(sorted_leading, router.cuts,
-                                               side="left")
-            grouped = {self.key_names[0]: sorted_leading}
-            return order, bounds, grouped
-        shard_ids = router.route(key_cols)
-        # lexsort: last key is primary — shard first, then key columns in
-        # significance order, which is exactly ascending flattened-key
-        # order inside each shard (the codec is lexicographic).
-        order = np.lexsort(tuple(np.asarray(c, dtype=np.int64)
-                                 for c in reversed(cols)) + (shard_ids,))
-        bounds = np.searchsorted(shard_ids[order],
-                                 np.arange(router.n_shards + 1))
-        grouped = {name: np.asarray(arr)[order]
-                   for name, arr in key_cols.items()}
-        return order, bounds, grouped
-
-    def lookup_barrier(self, keys: KeysLike) -> LookupResult:
-        """The pre-pipeline read path, kept as the serial reference.
-
-        Routes with a stable sort by shard ordinal only, fans complete
-        per-shard lookups out with one barrier, then concatenates and
-        inverse-permutes the results.  `benchmarks/bench_pipeline.py`
-        tracks :meth:`lookup`'s speedup over this baseline, and the
-        parity suite asserts the two stay bit-identical; it also serves
-        executor strategies that lack the ``submit_job`` fan-out lane.
-        """
-        key_cols = self._normalize_keys(keys)
-        n = int(np.asarray(key_cols[self.key_names[0]]).size)
-        # Reference path: deliberately unpruned (filters ignored), so
-        # the parity suite can hold it against the filtered fan-out.
-        router, shards, _ = self._topology
-        if n == 0:
-            return LookupResult(
-                found=np.zeros(0, dtype=bool),
-                values={c: self._placeholder(c, 0) for c in self.value_names},
-            )
-        if router.n_shards == 1 and shards[0] is not None:
-            return shards[0].lookup(key_cols)
-
-        with self.stats.timing("route"):
-            shard_ids = router.route(key_cols)
-            order = np.argsort(shard_ids, kind="stable")
-            grouped = {name: np.asarray(arr)[order]
-                       for name, arr in key_cols.items()}
-            bounds = np.searchsorted(shard_ids[order],
-                                     np.arange(router.n_shards + 1))
-
-        jobs: List[Tuple[int, int, int]] = []  # (ordinal, start, stop)
-        for ordinal in range(router.n_shards):
-            start, stop = int(bounds[ordinal]), int(bounds[ordinal + 1])
-            if stop > start:
-                jobs.append((ordinal, start, stop))
-
-        def run_job(job: Tuple[int, int, int]) -> LookupResult:
-            ordinal, start, stop = job
-            shard = shards[ordinal]
-            count = stop - start
-            if shard is None:
-                return LookupResult(
-                    found=np.zeros(count, dtype=bool),
-                    values={c: self._placeholder(c, count)
-                            for c in self.value_names},
-                )
-            segment = {name: arr[start:stop] for name, arr in grouped.items()}
-            return shard.lookup(segment)
-
-        results = self._map_jobs(run_job, jobs)
-
-        with self.stats.timing("merge"):
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[order] = np.arange(n)
-            found = np.concatenate([r.found for r in results])[inverse]
-            values = {
-                column: np.concatenate([r.values[column] for r in results])[inverse]
-                for column in self.value_names
-            }
-        return LookupResult(found=found, values=values)
+        return read_path.lookup(self, keys, deadline=deadline,
+                                on_shard_error=on_shard_error)
 
     def lookup_one(self, **key_parts) -> Optional[Dict[str, object]]:
         """Convenience single-key lookup; returns a row dict or None."""
@@ -1295,29 +527,7 @@ class ShardedDeepMapping:
         """Liveness test per key — routed to each owning shard's
         existence vector, no value inference.  Keys owned by an empty
         shard are absent by definition."""
-        key_cols = self._normalize_keys(keys)
-        n = int(np.asarray(key_cols[self.key_names[0]]).size)
-        router, shards, _ = self._topology
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        with self.stats.timing("route"):
-            shard_ids = router.route(key_cols)
-            order = np.argsort(shard_ids, kind="stable")
-            grouped = {name: np.asarray(arr)[order]
-                       for name, arr in key_cols.items()}
-            bounds = np.searchsorted(shard_ids[order],
-                                     np.arange(router.n_shards + 1))
-        exists_sorted = np.zeros(n, dtype=bool)
-        for ordinal in range(router.n_shards):
-            start, stop = int(bounds[ordinal]), int(bounds[ordinal + 1])
-            shard = shards[ordinal]
-            if stop == start or shard is None:
-                continue
-            segment = {name: arr[start:stop] for name, arr in grouped.items()}
-            exists_sorted[start:stop] = shard.contains_batch(segment)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.arange(n)
-        return exists_sorted[inverse]
+        return read_path.contains_batch(self, keys)
 
     def aux_ratio(self) -> float:
         """Fraction of live rows currently served from auxiliary tables,
@@ -1379,14 +589,7 @@ class ShardedDeepMapping:
         """
         fn = functools.partial(self.lookup, keys, deadline=deadline,
                                on_shard_error=on_shard_error)
-        if deadline is None:
-            return self.executor.submit(fn)
-        try:
-            return self.executor.submit(fn, deadline=deadline)
-        except TypeError:
-            # Custom strategy whose submit() lacks the deadline
-            # capability: the lookup itself still honors the budget.
-            return self.executor.submit(fn)
+        return self.executor.submit(fn, deadline=deadline)
 
     def set_executor(self, executor) -> None:
         """Swap the executor strategy (a name from
@@ -1996,8 +1199,8 @@ class ShardedDeepMapping:
         :class:`~repro.storage.buffer_pool.BufferPool` under the budget.
         ``negative_filter=False`` ignores any persisted per-shard
         filters (and stops new ones being built) — the unpruned
-        baseline the parity suite and ``benchmarks/bench_prune.py``
-        compare against; ``None`` keeps the saved knob.
+        baseline ``benchmarks/bench_prune.py`` times against; ``None``
+        keeps the saved knob.
 
         ``writable=False`` opens every shard read-only through the
         process-wide payload cache: payload arrays are zero-copy views
@@ -2023,8 +1226,8 @@ class ShardedDeepMapping:
             writable = False
         manifest = ShardManifest.load_from(backend)
         router = router_from_state(manifest.router)
-        config: DeepMappingConfig = pickle.loads(
-            backend.read_bytes(CONFIG_NAME))
+        config = check_stored_config(pickle.loads(
+            backend.read_bytes(CONFIG_NAME)))
 
         saved = manifest.sharding
         lifecycle_state = manifest.lifecycle.get("config")

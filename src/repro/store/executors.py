@@ -20,6 +20,13 @@ behind one small protocol:
 
 Strategies are named (``"serial"`` / ``"threads"`` / ``"free-threads"``)
 so configs and CLIs can select them by string via :func:`make_executor`.
+
+A strategy has two lanes — ``submit``, the *coordinator* lane behind
+``lookup_async``, and ``submit_job``, the *fan-out* lane the sharded read
+path runs per-shard work on — and a custom strategy must provide both.
+Each takes an optional ``deadline``: a job still queued when it passes
+fails with ``DeadlineExceeded`` the moment a worker picks it up, so
+abandoned work cannot wedge a lane.
 """
 
 from __future__ import annotations
@@ -63,6 +70,16 @@ def _deadline_gated(fn: Callable, deadline: Optional[Deadline]) -> Callable:
     return gated
 
 
+def _resolved(fn: Callable, *args, **kwargs) -> Future:
+    """Run ``fn`` now; its outcome comes back as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args, **kwargs))
+    except BaseException as exc:  # the future carries the failure
+        future.set_exception(exc)
+    return future
+
+
 def gil_enabled() -> bool:
     """True on a GIL-ful interpreter (every CPython before free threading)."""
     checker = getattr(sys, "_is_gil_enabled", None)
@@ -80,25 +97,22 @@ class ExecutorStrategy(Protocol):
         """Run ``fn`` over ``jobs``, returning results in job order."""
         ...
 
-    def submit(self, fn: Callable, *args, **kwargs) -> "Future":
-        """Schedule ``fn(*args, **kwargs)``; return a future of its result."""
+    def submit(self, fn: Callable, *args,
+               deadline: Optional[Deadline] = None, **kwargs) -> "Future":
+        """Schedule ``fn(*args, **kwargs)`` on the coordinator lane;
+        return a future of its result."""
+        ...
+
+    def submit_job(self, fn: Callable, *args,
+                   deadline: Optional[Deadline] = None) -> "Future":
+        """Schedule ``fn(*args)`` on the fan-out lane (the pool ``map``
+        uses); return a future of its result.  Job functions never
+        block on sibling futures."""
         ...
 
     def close(self) -> None:
         """Release any worker threads (idempotent)."""
         ...
-
-    # NOTE: the built-in strategies additionally provide
-    # ``submit_job(fn, *args, deadline=None) -> Future`` — a per-job
-    # handle on the *fan-out* lane (``submit`` targets the coordinator
-    # lane), used by the sharded store's pipelined lookup to stream
-    # per-shard results as they finish.  It is a capability rather than
-    # part of this protocol so pre-existing custom strategies keep
-    # satisfying ``isinstance(..., ExecutorStrategy)``; stores fall back
-    # to the barrier path when it is absent.  Both lanes accept an
-    # optional ``deadline`` keyword: a job still queued when its
-    # deadline passes fails with ``DeadlineExceeded`` the moment a
-    # worker picks it up, so abandoned work cannot wedge a lane.
 
 
 class SerialStrategy:
@@ -111,13 +125,7 @@ class SerialStrategy:
 
     def submit(self, fn: Callable, *args,
                deadline: Optional[Deadline] = None, **kwargs) -> Future:
-        fn = _deadline_gated(fn, deadline)
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # the future carries the failure
-            future.set_exception(exc)
-        return future
+        return _resolved(_deadline_gated(fn, deadline), *args, **kwargs)
 
     def submit_job(self, fn: Callable, *args,
                    deadline: Optional[Deadline] = None) -> Future:
@@ -187,29 +195,21 @@ class ThreadPoolStrategy:
 
     def submit_job(self, fn: Callable, *args,
                    deadline: Optional[Deadline] = None) -> Future:
-        """One fan-out job as a future (the pipelined-lookup lane).
+        """One fan-out job as a future.
 
         Jobs land on the same pool ``map`` uses, so inference for one
         shard overlaps aux decompression for another; with a single
         worker the job runs inline (same short-circuit as ``map``),
-        avoiding thread ping-pong on one-core hosts.  Job functions must
-        never block on sibling futures — the sharded store's jobs
-        scatter into shared output arrays and return.  A ``deadline``
+        avoiding thread ping-pong on one-core hosts.  A ``deadline``
         makes the job a no-op (``DeadlineExceeded``) if it is still
         queued when the budget runs out — and disables the one-worker
         inline shortcut, because a deadline only isolates the caller
         from a hung job when the job runs on a thread the caller can
         abandon.
         """
-        fn = _deadline_gated(fn, deadline)
         if self.max_workers <= 1 and deadline is None:
-            future: Future = Future()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-            return future
-        return self._get_pool().submit(fn, *args)
+            return _resolved(fn, *args)
+        return self._get_pool().submit(_deadline_gated(fn, deadline), *args)
 
     def close(self) -> None:
         with self._lock:

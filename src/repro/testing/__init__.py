@@ -22,6 +22,10 @@ get a saboteur:
   scripted fault/latency injection, so the remote read path
   (``http://`` opens, lazy hydration) is testable without a network.
 
+:mod:`repro.testing.oracles` holds the other kind of test support: the
+read path's parity references (:func:`barrier_lookup`,
+:func:`reference_lookup`), which production code cannot select.
+
 These are test doubles, not mocks of the contract: everything they do
 not sabotage is delegated to the real object, so a chaos run still
 exercises the production read path end to end.
@@ -29,7 +33,9 @@ exercises the production read path end to end.
 
 from .chaos import ChaosStore, break_shard
 from .faults import FaultInjectingBackend
+from .oracles import barrier_lookup, reference_lookup
 from .range_server import RangeServer, RequestRecord, serve_backend
 
 __all__ = ["ChaosStore", "FaultInjectingBackend", "break_shard",
-           "RangeServer", "RequestRecord", "serve_backend"]
+           "RangeServer", "RequestRecord", "serve_backend",
+           "barrier_lookup", "reference_lookup"]

@@ -163,10 +163,11 @@ class BrokenShardProxy:
     """One shard replaced by a saboteur: fails, hangs, or dawdles.
 
     Supports the two entry points the sharded fan-out uses
-    (:meth:`plan_lookup` for the pipelined path, :meth:`lookup` for the
-    barrier/single-shard paths) and delegates everything else — dtype
-    promotion still reads the real shard's vocab, so routing and output
-    allocation are unchanged and healthy shards stay bit-identical.
+    (:meth:`plan_lookup` for routed segments, :meth:`lookup` for the
+    single-shard fast path and the barrier oracle) and delegates
+    everything else — dtype promotion still reads the real shard's
+    vocab, so routing and output allocation are unchanged and healthy
+    shards stay bit-identical.
     """
 
     def __init__(self, inner, *, exc_factory: Optional[

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import payload_cache
+from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
 from .conftest import assert_same_result
@@ -130,7 +131,7 @@ class TestShardedReadOnly:
         assert_same_result(readonly.lookup(query_keys),
                            original.lookup(query_keys),
                            original.value_names)
-        assert_same_result(readonly.lookup_barrier(query_keys),
+        assert_same_result(barrier_lookup(readonly, query_keys),
                            original.lookup(query_keys),
                            original.value_names)
 

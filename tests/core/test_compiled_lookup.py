@@ -1,15 +1,19 @@
-"""The compiled read path: gating, parity with the reference path, and
-engine invalidation across mutations and rebuilds."""
+"""The compiled read path: gating, parity with the reference oracle
+(``repro.testing.oracles.reference_lookup``, Algorithm 1 as written),
+and engine invalidation across mutations and rebuilds."""
 
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig
+import repro
+from repro.core import DeepMapping
 from repro.data import ColumnTable, synthetic
 from repro.nn import CompiledSession
+from repro.resilience import StoreCorruptedError
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.testing.oracles import barrier_lookup, reference_lookup
 
 from .conftest import fast_config
 
@@ -40,17 +44,15 @@ def mixed_query(table, rng, n_hits=400, n_misses=400):
 
 class TestCompiledLookupParity:
     def test_compiled_and_reference_paths_agree(self, gap_table):
-        """Same found mask and identical values on found rows."""
-        compiled_dm = DeepMapping.fit(gap_table, fast_config())
-        reference_dm = DeepMapping.fit(
-            gap_table, fast_config(compiled_lookup=False))
+        """Bit-identical, misses included (both read ``vocab[0]``)."""
+        dm = DeepMapping.fit(gap_table, fast_config())
         query = mixed_query(gap_table, np.random.default_rng(0))
-        a = compiled_dm.lookup(query)
-        b = reference_dm.lookup(query)
+        a = dm.lookup(query)
+        b = reference_lookup(dm, query)
         np.testing.assert_array_equal(a.found, b.found)
         for column in a.values:
-            np.testing.assert_array_equal(a.values[column][a.found],
-                                          b.values[column][b.found])
+            np.testing.assert_array_equal(a.values[column], b.values[column])
+            assert a.values[column].dtype == b.values[column].dtype
 
     def test_compiled_lookup_is_lossless(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
@@ -78,10 +80,10 @@ class TestCompiledLookupParity:
         result = dm.lookup({"key": np.empty(0, dtype=np.int64)})
         assert len(result) == 0
 
-    def test_toggle_off_after_build_stays_lossless(self, gap_table):
-        """T_aux covers the union of both predictors' errors, so flipping
-        a compiled-built store to the reference path at query time keeps
-        every answer identical (including post-mutation rows)."""
+    def test_reference_engine_stays_lossless_after_mutations(self, gap_table):
+        """T_aux covers the union of both predictors' errors, so the
+        reference engine answers a compiled-built structure identically
+        (including post-mutation rows)."""
         dm = DeepMapping.fit(gap_table, fast_config(
             key_headroom_fraction=0.5))
         dm.insert({"key": np.array([3001, 3004], dtype=np.int64),
@@ -91,8 +93,7 @@ class TestCompiledLookupParity:
         query = {"key": np.concatenate([gap_table.column("key"),
                                         np.array([3001, 3004])])}
         compiled = dm.lookup(query)
-        dm.config = dataclasses.replace(dm.config, compiled_lookup=False)
-        reference = dm.lookup(query)
+        reference = reference_lookup(dm, query)
         np.testing.assert_array_equal(compiled.found, reference.found)
         assert compiled.found.all()
         np.testing.assert_array_equal(compiled.values["status"],
@@ -116,12 +117,13 @@ class TestCompiledLookupParity:
         np.testing.assert_array_equal(result.values["head"],
                                       table.column("head"))
 
-    def test_reference_toggle_is_respected(self, gap_table, monkeypatch):
-        dm = DeepMapping.fit(gap_table, fast_config(compiled_lookup=False))
+    def test_reference_oracle_never_touches_the_compiled_engine(
+            self, gap_table, monkeypatch):
+        dm = DeepMapping.fit(gap_table, fast_config())
         def boom(*a, **k):
             raise AssertionError("compiled engine must not be used")
         monkeypatch.setattr(DeepMapping, "compiled_session", boom)
-        result = dm.lookup({"key": gap_table.column("key")[:20]})
+        result = reference_lookup(dm, {"key": gap_table.column("key")[:20]})
         assert result.found.all()
 
 
@@ -198,25 +200,20 @@ class TestShardedCompiledEngines:
 
     def test_sharded_lookup_matches_reference_path(self):
         table = synthetic.single_column(2000, "high", seed=3)
-        compiled_store = ShardedDeepMapping.fit(
+        store = ShardedDeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=4))
-        reference_store = ShardedDeepMapping.fit(
-            table, fast_config(compiled_lookup=False),
-            ShardingConfig(n_shards=4))
         rng = np.random.default_rng(1)
         keys = table.column("key")
         query = {"key": np.concatenate([
             rng.choice(keys, size=500),
             np.array([keys.max() + 7, keys.max() + 9999]),
         ])}
-        a = compiled_store.lookup(query)
-        b = reference_store.lookup(query)
+        a = store.lookup(query)
+        b = barrier_lookup(store, query, shard_lookup=reference_lookup)
         np.testing.assert_array_equal(a.found, b.found)
         for column in a.values:
-            np.testing.assert_array_equal(a.values[column][a.found],
-                                          b.values[column][b.found])
-        compiled_store.close()
-        reference_store.close()
+            np.testing.assert_array_equal(a.values[column], b.values[column])
+        store.close()
 
     def test_load_compiles_engines(self, tmp_path):
         table = synthetic.single_column(1500, "high", seed=4)
@@ -231,20 +228,45 @@ class TestShardedCompiledEngines:
         assert clone.lookup({"key": table.column("key")}).found.all()
         clone.close()
 
-    def test_compile_engines_noop_when_disabled(self):
+    def test_compile_engines_counts_live_shards(self):
         table = synthetic.single_column(1000, "high", seed=5)
         store = ShardedDeepMapping.fit(
-            table, fast_config(compiled_lookup=False),
-            ShardingConfig(n_shards=2))
-        assert store.compile_engines() == 0
+            table, fast_config(), ShardingConfig(n_shards=2))
+        assert store.compile_engines() == 2
         store.close()
 
 
-def test_config_pickled_without_flag_defaults_to_compiled(gap_table):
-    """Configs saved before the knob existed must load as compiled-on."""
-    dm = DeepMapping.fit(gap_table, fast_config())
-    legacy = dataclasses.replace(dm.config)
-    del legacy.__dict__["compiled_lookup"]
-    dm.config = legacy
-    assert dm._use_compiled()
-    assert dm.lookup({"key": gap_table.column("key")[:10]}).found.all()
+class TestReferenceOnlyStoresAreRefused:
+    """A config that still says ``compiled_lookup=False`` was built
+    without the union-of-errors ``T_aux``: opening it must fail loudly
+    rather than serve it through the compiled kernel."""
+
+    def test_monolithic_payload(self, gap_table, tmp_path):
+        dm = DeepMapping.fit(gap_table, fast_config())
+        dm.config.__dict__["compiled_lookup"] = False  # as old pickles carry it
+        path = str(tmp_path / "reference-only.dm")
+        dm.save(path)
+        for writable in (True, False):
+            with pytest.raises(StoreCorruptedError, match="refit"):
+                repro.open(path, writable=writable)
+
+    def test_sharded_store_config(self, tmp_path):
+        table = synthetic.single_column(600, "high", seed=6)
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2), ShardingConfig(n_shards=2))
+        store.config.__dict__["compiled_lookup"] = False
+        path = str(tmp_path / "reference-only.dms")
+        store.save(path)
+        store.close()
+        with pytest.raises(StoreCorruptedError, match="refit"):
+            repro.open(path)
+
+    def test_stale_true_flag_is_dropped_on_open(self, gap_table, tmp_path):
+        dm = DeepMapping.fit(gap_table, fast_config())
+        dm.config.__dict__["compiled_lookup"] = True
+        path = str(tmp_path / "compiled.dm")
+        dm.save(path)
+        clone = repro.open(path)
+        assert "compiled_lookup" not in vars(clone.config)
+        assert b"compiled_lookup" not in pickle.dumps(clone.config)
+        assert clone.lookup({"key": gap_table.column("key")}).found.all()

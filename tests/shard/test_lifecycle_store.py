@@ -7,22 +7,15 @@ import pytest
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig
 from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
+from repro.testing.oracles import barrier_lookup, reference_lookup
 
 from ..core.conftest import fast_config
 
 
-def set_compiled(store, flag: bool) -> None:
-    """Toggle the compiled read path on the store and every live shard
-    (per-shard configs may be distinct objects after sized rebuilds)."""
-    store.config.compiled_lookup = flag
-    for shard in store.shards:
-        if shard is not None:
-            shard.config.compiled_lookup = flag
-
-
 def assert_lossless(store, table, extra_rows=None):
     """Every row of ``table`` (+ ``extra_rows`` dicts) answers exactly,
-    through the compiled path and the reference path alike."""
+    through the store's read path and through the reference engine
+    behind the barrier merge alike."""
     keys = [np.asarray(table.column(store.key_names[0]), dtype=np.int64)]
     expected = {c: [np.asarray(table.column(c))] for c in store.value_names}
     if extra_rows:
@@ -30,16 +23,16 @@ def assert_lossless(store, table, extra_rows=None):
             keys.append(np.asarray(rows[store.key_names[0]], dtype=np.int64))
             for c in store.value_names:
                 expected[c].append(np.asarray(rows[c]))
-    all_keys = np.concatenate(keys)
-    for flag in (True, False):
-        set_compiled(store, flag)
-        result = store.lookup({store.key_names[0]: all_keys})
-        assert result.found.all(), f"misses with compiled={flag}"
+    query = {store.key_names[0]: np.concatenate(keys)}
+    for engine, result in (
+            ("compiled", store.lookup(query)),
+            ("reference", barrier_lookup(store, query,
+                                         shard_lookup=reference_lookup))):
+        assert result.found.all(), f"misses with the {engine} engine"
         for column in store.value_names:
             np.testing.assert_array_equal(
                 result.values[column], np.concatenate(expected[column]),
-                err_msg=f"column {column} with compiled={flag}")
-    set_compiled(store, True)
+                err_msg=f"column {column} with the {engine} engine")
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ from repro.core.negative_filter import (
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.shard.manifest import ShardManifest
+from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
 
@@ -259,7 +260,7 @@ class TestStoreNoFalseNegative:
             min_size=1, max_size=400))
         query = {"key": np.asarray(keys, dtype=np.int64)}
         assert_bit_identical(store.lookup(query),
-                             store.lookup_barrier(query),
+                             barrier_lookup(store, query),
                              store.value_names)
 
 
@@ -335,7 +336,7 @@ class TestLifecycleInvariants:
         query = {table.key[0]: np.concatenate([
             table.column(table.key[0])[:200],
             np.array([10**8, 10**8 + 1], dtype=np.int64)])}
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         store.split_shard(0)
         assert_no_false_negative(store)
         assert_bit_identical(store.lookup(query), reference,
@@ -397,7 +398,7 @@ class TestManifestPersistence:
             rng.choice(table.column("key"), 100),
             rng.integers(0, 10**7, 100)])}
         assert_bit_identical(reopened.lookup(query),        # ...still exact
-                             store.lookup_barrier(query), store.value_names)
+                             barrier_lookup(store, query), store.value_names)
         reopened.close()
 
 

@@ -8,11 +8,14 @@ Exercised deterministically and as a hypothesis property over random
 key subsets and random victim shards.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.resilience import (DeadlineExceeded, PartialResult,
+from repro.resilience import (Deadline, DeadlineExceeded, PartialResult,
                               PartialResultError)
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.testing import break_shard
@@ -100,6 +103,21 @@ class TestPartialContract:
         finally:
             restore()
 
+    @pytest.mark.parametrize("budget_s", [None, 30.0],
+                             ids=["inline", "executor-lane"])
+    def test_raise_mode_picks_the_lowest_failing_ordinal(
+            self, store, all_keys, budget_s):
+        restores = [break_shard(store, 3), break_shard(store, 1)]
+        deadline = None if budget_s is None else Deadline(budget_s)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="injected failure in shard 1"):
+                store.lookup({"key": all_keys}, deadline=deadline,
+                             on_shard_error="raise")
+        finally:
+            for restore in restores:
+                restore()
+
 
 class TestTimeoutClassification:
     def test_job_raised_timeout_is_a_shard_error_not_a_straggler(
@@ -120,6 +138,65 @@ class TestTimeoutClassification:
         assert isinstance(error, TimeoutError)
         assert not isinstance(error, DeadlineExceeded)
         assert "socket read timed out" in str(error)
+
+
+    def test_single_shard_batch_is_timed_out_too(self, store):
+        # Regression: a deadline-armed batch that routed to ONE shard
+        # ran inline ("one job" beat "deadline-bounded calls keep the
+        # executor lane"), so a wedged shard held the caller for as
+        # long as it liked and the budget was never enforced.
+        keys = np.arange(40, dtype=np.int64)
+        assert set(store.router.route({"key": keys}).tolist()) == {0}
+        release = threading.Event()
+        restore = break_shard(store, 0, delay_s=60.0, release=release)
+        try:
+            started = time.monotonic()
+            got = store.lookup({"key": keys}, deadline=Deadline(0.1))
+            partial_s = time.monotonic() - started
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                store.lookup({"key": keys}, deadline=Deadline(0.1),
+                             on_shard_error="raise")
+            raise_s = time.monotonic() - started
+        finally:
+            release.set()
+            restore()
+        assert isinstance(got, PartialResult)
+        assert got.failed_mask.all() and not got.found.any()
+        assert isinstance(got.shard_errors[0], DeadlineExceeded)
+        # the budget plus scheduling slack, nowhere near the 60 s stall
+        assert partial_s < 5.0 and raise_s < 5.0
+
+
+class TestResultIsPrivate:
+    def test_shard_errors_do_not_change_after_return(self, store, all_keys):
+        # Regression: the bundled wait's worker wrote into the very dict
+        # the caller got back inside PartialResult, so a shard that
+        # failed *after* the budget ran out replaced its entry behind
+        # the caller's back (the arrays were copied for exactly this
+        # reason; the dict was not).
+        release = threading.Event()
+        restore = break_shard(
+            store, 1, delay_s=60.0, release=release,
+            exc_factory=lambda: RuntimeError("failed after the deadline"))
+        try:
+            got = store.lookup({"key": all_keys[:400]},
+                               deadline=Deadline(0.1))
+            assert isinstance(got, PartialResult)
+            before = dict(got.shard_errors)
+            found, failed = got.found.copy(), got.failed_mask.copy()
+            release.set()
+            store.close()  # joins the straggler; pools rebuild lazily
+        finally:
+            release.set()
+            restore()
+        assert 1 in before
+        assert set(got.shard_errors) == set(before)
+        assert all(got.shard_errors[o] is before[o] for o in before)
+        assert all(isinstance(exc, DeadlineExceeded)
+                   for exc in got.shard_errors.values())
+        np.testing.assert_array_equal(got.found, found)
+        np.testing.assert_array_equal(got.failed_mask, failed)
 
 
 class TestPartialParityProperty:

@@ -1,9 +1,10 @@
-"""Pipelined read path: bit-parity with the barrier reference, all routes.
+"""Pipelined read path: bit-parity with the barrier oracle, all routes.
 
 `ShardedDeepMapping.lookup` (staged plans, shared sort, streaming
-scatter) must return bit-identical results to `lookup_barrier` (the
-pre-pipeline map/concat/permute path) on every router, key shape,
-executor and hit mix — including adversarial batches from hypothesis.
+scatter) must return bit-identical results to
+`repro.testing.oracles.barrier_lookup` (the pre-pipeline
+map/concat/permute path) on every router, key shape, executor and hit
+mix — including adversarial batches from hypothesis.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DeepMappingConfig
 from repro.data import ColumnTable, synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.store import make_executor
+from repro.testing.oracles import barrier_lookup, reference_lookup
 
 from ..core.conftest import fast_config
 
@@ -45,12 +48,12 @@ class TestParity:
             rng.choice(live, 500),
             rng.integers(live.min(), live.max() + 100, 500),
         ])}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
     def test_sorted_batch_rides_fast_path(self, store, table):
         query = {"key": np.sort(table.column("key")[:400])}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
     def test_all_miss_batch(self, store, table):
@@ -58,18 +61,18 @@ class TestParity:
         query = {"key": np.arange(hi + 10, hi + 210, dtype=np.int64)}
         result = store.lookup(query)
         assert not result.found.any()
-        assert_same(result, store.lookup_barrier(query), store.value_names)
+        assert_same(result, barrier_lookup(store, query), store.value_names)
 
     def test_empty_batch(self, store):
         query = {"key": np.empty(0, dtype=np.int64)}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
     def test_duplicate_keys_in_batch(self, store, table):
         key = int(table.column("key")[3])
         query = {"key": np.array([key, key, key + 10**7, key],
                                  dtype=np.int64)}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
     @settings(max_examples=25, deadline=None)
@@ -82,21 +85,22 @@ class TestParity:
                       st.integers(lo, hi)),
             min_size=1, max_size=300))
         query = {"key": np.asarray(keys, dtype=np.int64)}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
 
 class TestReferencePathParity:
-    def test_uncompiled_store_matches_barrier(self, table):
+    def test_store_matches_reference_engine_behind_barrier_merge(self, table):
         store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=3, compiled_lookup=False),
-            ShardingConfig(n_shards=3))
+            table, fast_config(epochs=3), ShardingConfig(n_shards=3))
         rng = np.random.default_rng(1)
         live = table.column("key")
         query = {"key": np.concatenate([
             rng.choice(live, 300),
             rng.integers(live.min(), live.max() + 100, 300)])}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query),
+                    barrier_lookup(store, query,
+                                   shard_lookup=reference_lookup),
                     store.value_names)
 
 
@@ -115,7 +119,7 @@ class TestCompositeKeys:
             "a": np.concatenate([a[::7], rng.integers(0, 40, 60)]),
             "b": np.concatenate([b[::7], rng.integers(0, 25, 60)]),
         }
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
 
@@ -136,81 +140,31 @@ class TestEmptyShards:
         query = {"key": np.concatenate([
             rng.choice(live, 400),
             rng.integers(live.min(), live.max() + 100, 400)])}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 
 
-class TestExecutorFallback:
-    def test_strategy_without_submit_job_uses_barrier(self, table):
-        class MinimalStrategy:
-            name = "minimal"
+class TestExecutors:
+    def test_strategy_without_fan_out_lane_is_rejected(self):
+        class NoJobLane:
+            name = "no-job-lane"
 
             def map(self, fn, jobs):
                 return [fn(job) for job in jobs]
 
-            def submit(self, fn, *args, **kwargs):
-                from concurrent.futures import Future
-                future = Future()
-                future.set_result(fn(*args, **kwargs))
-                return future
+            def submit(self, fn, *args, deadline=None, **kwargs):
+                raise AssertionError("never scheduled")
 
             def close(self):
                 pass
 
-        store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=3),
-            ShardingConfig(n_shards=3, executor=MinimalStrategy()))
-        rng = np.random.default_rng(3)
-        live = table.column("key")
-        query = {"key": rng.choice(live, 200)}
-        reference = ShardedDeepMapping.lookup_barrier(store, query)
-        assert_same(store.lookup(query), reference, store.value_names)
-
-    def test_pre_deadline_submit_job_signature_still_serves(self, table):
-        # Regression: a deadline-carrying lookup used to call
-        # submit_job(..., deadline=...) unconditionally, so a custom
-        # strategy with the documented pre-resilience signature
-        # ``submit_job(fn, *args)`` raised TypeError on every
-        # multi-shard lookup.
-        from concurrent.futures import Future
-
-        from repro.resilience import Deadline
-
-        class LegacyStrategy:
-            name = "legacy"
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
-
-            def _resolve(self, fn, *args, **kwargs):
-                future = Future()
-                try:
-                    future.set_result(fn(*args, **kwargs))
-                except BaseException as exc:
-                    future.set_exception(exc)
-                return future
-
-            def submit(self, fn, *args):
-                return self._resolve(fn, *args)
-
-            def submit_job(self, fn, *args):
-                return self._resolve(fn, *args)
-
-            def close(self):
-                pass
-
-        store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=3),
-            ShardingConfig(n_shards=3, executor=LegacyStrategy()))
-        rng = np.random.default_rng(6)
-        live = table.column("key")
-        query = {"key": rng.choice(live, 200)}
-        reference = store.lookup_barrier(query)
-        deadline = Deadline(30.0)
-        assert_same(store.lookup(query, deadline=deadline), reference,
-                    store.value_names)
-        assert_same(store.lookup_async(query, deadline=deadline).result(),
-                    reference, store.value_names)
+        with pytest.raises(TypeError, match="ExecutorStrategy"):
+            make_executor(NoJobLane())
+        with pytest.raises(TypeError, match="ExecutorStrategy"):
+            ShardedDeepMapping.fit(
+                synthetic.multi_column(50, "low", seed=5),
+                fast_config(epochs=1),
+                ShardingConfig(n_shards=2, executor=NoJobLane()))
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_named_strategies_parity(self, table, executor):
@@ -222,8 +176,8 @@ class TestExecutorFallback:
         query = {"key": np.concatenate([
             rng.choice(live, 300),
             rng.integers(live.min(), live.max() + 100, 300)])}
-        assert_same(store.lookup(query), store.lookup_barrier(query),
+        assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
         assert_same(store.lookup_async(query).result(),
-                    store.lookup_barrier(query), store.value_names)
+                    barrier_lookup(store, query), store.value_names)
         store.close()

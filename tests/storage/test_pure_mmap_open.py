@@ -17,6 +17,7 @@ from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import LocalDirBackend
 from repro.storage.blob_cache import payload_cache
 from repro.storage.disk import DiskStore
+from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
 
@@ -111,7 +112,7 @@ class TestPureMmapColdOpen:
         query = {table.key[0]: np.concatenate([
             table.column(table.key[0])[:100],
             np.array([10**8], dtype=np.int64)])}
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
 
         payload_cache().clear()
         partition_writes[0] = 0
@@ -147,7 +148,7 @@ class TestLegacyPayloadCompat:
         query = {table.key[0]: np.concatenate([
             table.column(table.key[0])[:100],
             np.array([10**8], dtype=np.int64)])}
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
 
         payload_cache().clear()
         partition_writes[0] = 0

@@ -24,6 +24,7 @@ from repro.storage import LocalDirBackend, configure_hydration_cache
 from repro.storage.blob_cache import payload_cache
 from repro.storage.remote import _cache_config
 from repro.testing import serve_backend
+from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
 
@@ -93,7 +94,7 @@ class TestLazyHydration:
         store, table, server = served
         misses = {table.key[0]: np.array([10 ** 8, 10 ** 8 + 1, -12345],
                                          dtype=np.int64)}
-        reference = store.lookup_barrier(misses)
+        reference = barrier_lookup(store, misses)
         opened = repro.open(server.url)
         result = opened.lookup(misses)
         assert_identical(reference, result, store)
@@ -108,7 +109,7 @@ class TestLazyHydration:
         # The smallest keys route to exactly one range shard.
         keys = np.sort(table.column(table.key[0]))[:5]
         query = {table.key[0]: keys}
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         opened = repro.open(server.url)
         result = opened.lookup(query)
         assert_identical(reference, result, store)
@@ -120,7 +121,7 @@ class TestLazyHydration:
     def test_full_fanout_is_bit_identical(self, served):
         store, table, server = served
         query = full_query(store, table)
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         opened = repro.open(server.url)
         assert_identical(reference, opened.lookup(query), store)
         assert len(shard_blob_gets(server)) == 2
@@ -145,7 +146,7 @@ class TestCachedTier:
     def test_warm_reopen_is_head_only(self, served, cache_dir):
         store, table, server = served
         query = full_query(store, table)
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         cached_url = "cached+" + server.url
 
         first = repro.open(cached_url)
@@ -178,7 +179,7 @@ class TestCachedTier:
             backend.write_bytes(name, payload)
         server.reset_requests()
         reopened = repro.open(cached_url)
-        reference = store.lookup_barrier(full_query(store, table))
+        reference = barrier_lookup(store, full_query(store, table))
         assert_identical(reference,
                          reopened.lookup(full_query(store, table)), store)
         assert server.request_count(method="GET") > 0, (
@@ -190,7 +191,7 @@ class TestRemoteChaos:
     def test_injected_faults_are_retried_bit_identically(self, served):
         store, table, server = served
         query = full_query(store, table)
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         server.fail_next(2, status=503)
         opened = repro.open(server.url)
         assert_identical(reference, opened.lookup(query), store)
@@ -201,7 +202,7 @@ class TestRemoteChaos:
     def test_faults_mid_hydration_are_retried(self, served):
         store, table, server = served
         query = full_query(store, table)
-        reference = store.lookup_barrier(query)
+        reference = barrier_lookup(store, query)
         opened = repro.open(server.url)  # clean open...
         server.fail_next(1, status=502)  # ...then the first fetch breaks
         assert_identical(reference, opened.lookup(query), store)
