@@ -224,8 +224,9 @@ def write_legacy_copy(store, new_url: str, legacy_url: str) -> None:
 
 
 def assert_zero_copy(opened) -> int:
-    """Every live shard's weights and exist bits must be read-only views
-    into the shard's payload mapping.  Returns bytes verified shared."""
+    """Every live shard's weights, exist bits and compressed auxiliary
+    partitions must be read-only views into the shard's payload mapping.
+    Returns bytes verified shared."""
     verified = 0
     for ordinal, shard in enumerate(opened.shards):
         if shard is None:
@@ -240,6 +241,9 @@ def assert_zero_copy(opened) -> int:
             arrays.append(exist._bits.packed)
         else:                                 # sparse index
             arrays.append(exist._keys)
+        partitions = shard.aux._store
+        arrays += [np.frombuffer(partitions.disk.read(meta.name), np.uint8)
+                   for meta in partitions.partitions]
         for arr in arrays:
             arr = np.asarray(arr)
             assert not arr.flags.writeable, (

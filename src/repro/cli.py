@@ -40,8 +40,10 @@ from .bench import format_storage_latency_table, run_comparison
 from .core import DeepMapping, DeepMappingConfig
 from .data import ColumnTable, crop, synthetic, tpcds, tpch
 from .lifecycle import LifecycleConfig, POLICY_NAMES
-from .shard import ShardedDeepMapping, ShardingConfig
-from .store import EXECUTOR_NAMES, build_store, open_store, warn_once
+from .shard import MANIFEST_NAME, ShardedDeepMapping, ShardingConfig
+from .storage import read_blob_view
+from .store import (EXECUTOR_NAMES, build_store, describe_target, open_store,
+                    warn_once)
 
 __all__ = ["main", "load_dataset"]
 
@@ -175,6 +177,25 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
+    """The bytes the store's blobs really occupy, next to the paper's
+    accounting (``total:``), which counts neither container framing nor
+    the manifest's filters."""
+    backend, blob, _ = describe_target(path)
+    names = [blob] if blob is not None else backend.list()
+    sizes = {name: read_blob_view(backend, name).nbytes for name in names}
+    total = sum(sizes.values())
+    line = (f"on disk:      {total:>10,} B "
+            f"({total / max(n_rows, 1):.2f} B/row, "
+            f"{total / max(paper_bytes, 1):.2f}x total")
+    if blob is None:
+        shards = sum(size for name, size in sizes.items()
+                     if name.startswith("shard-"))
+        line += (f": manifest {sizes[MANIFEST_NAME]:,} B, "
+                 f"shard payloads {shards:,} B")
+    return line + ")"
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     dm = _load_structure(args.path)
     report = dm.size_report()
@@ -197,6 +218,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"total:        {report.total_bytes:>10,} B "
           f"(ratio {report.compression_ratio:.3f} of "
           f"{report.dataset_bytes:,} B raw)")
+    print(_on_disk_line(args.path, len(dm), report.total_bytes))
     print(f"memorized:    {report.memorized_fraction:.1%} of tuples")
     return 0
 

@@ -10,7 +10,11 @@ Stores the key→value pairs the model misclassifies, as *label codes*:
   :class:`~repro.storage.partition.SortedPartitionStore`;
 - modifications (Algorithms 3–5) are absorbed by a small in-memory overlay
   (adds/updates plus tombstones) that :meth:`compact` merges back into the
-  compressed partitions.
+  compressed partitions;
+- the compressed partitions are also what is saved: :meth:`to_state` hands
+  them out as stored and :meth:`attach` adopts them back without
+  rebuilding, so the bytes :meth:`stored_bytes` counts are the bytes on
+  disk.
 
 The overlay keeps single-row mutations O(1) instead of rewriting a
 compressed partition per operation; its serialized size is charged to the
@@ -19,11 +23,11 @@ auxiliary structure so the retrain trigger sees the true footprint.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..resilience.errors import StoreCorruptedError
 from ..storage.buffer_pool import BufferPool
 from ..storage.disk import DiskStore
 from ..storage.partition import SortedPartitionStore
@@ -79,9 +83,6 @@ class AuxiliaryTable:
         )
         self._overlay: Dict[int, Tuple[int, ...]] = {}
         self._tombstones: set = set()
-        self._pending: Optional[
-            Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
-        self._pending_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Build
@@ -97,33 +98,40 @@ class AuxiliaryTable:
         self._store.build(flat_keys, columns)
         self._overlay.clear()
         self._tombstones.clear()
-        # Cleared *after* the partitions land so a concurrent reader in
-        # :meth:`_ensure_built` never sees "built" before it is true.
-        self._pending = None
 
-    def build_lazy(self, flat_keys: np.ndarray,
-                   codes: Dict[str, np.ndarray]) -> None:
-        """Record rows but defer partition materialization to first use.
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def to_state(self) -> Dict[str, object]:
+        """What a save writes: the compressed partitions as stored (see
+        :meth:`SortedPartitionStore.export`) plus the overlay and
+        tombstones as key-sorted arrays."""
+        overlay_keys = np.array(sorted(self._overlay), dtype=np.int64)
+        rows = np.array([self._overlay[key] for key in overlay_keys.tolist()],
+                        dtype=np.int64).reshape(overlay_keys.size,
+                                                len(self.tasks))
+        return {
+            "store": self._store.export(),
+            "overlay_keys": overlay_keys,
+            "overlay_codes": rows.astype(
+                minimal_int_dtype(int(rows.max()) if rows.size else 0)),
+            "tombstones": np.array(sorted(self._tombstones), dtype=np.int64),
+        }
 
-        Read-only cold opens call this with zero-copy views into the
-        payload mapping (already pinned by the owning bundle), so the
-        deferral retains no extra memory; the compress-and-write cost of
-        :meth:`build` is paid on the first probe instead of at open
-        time.  Thread-safe: concurrent first probes build exactly once.
-        """
-        self._overlay.clear()
-        self._tombstones.clear()
-        self._pending = (flat_keys, codes)
-
-    def _ensure_built(self) -> None:
-        """Materialize partitions deferred by :meth:`build_lazy`."""
-        if self._pending is None:
-            return
-        with self._pending_lock:
-            pending = self._pending
-            if pending is None:      # lost the race: already built
-                return
-            self.build(*pending)
+    def attach(self, state: Dict[str, object]) -> None:
+        """Adopt a :meth:`to_state` image: the partitions are attached
+        where they lie (a fault decompresses one straight out of the
+        opened payload), never rebuilt."""
+        self._store.attach(state["store"])
+        if self._store.column_names != self.tasks:
+            raise StoreCorruptedError(
+                f"auxiliary partitions hold columns "
+                f"{self._store.column_names}, expected {self.tasks}")
+        rows = np.asarray(state["overlay_codes"])
+        self._overlay = {
+            key: tuple(row) for key, row
+            in zip(state["overlay_keys"].tolist(), rows.tolist())}
+        self._tombstones = set(state["tombstones"].tolist())
 
     @property
     def pool(self) -> BufferPool:
@@ -136,13 +144,14 @@ class AuxiliaryTable:
         return self._store.name_prefix
 
     def drop_storage(self) -> None:
-        """Delete this table's partitions and purge them from the pool.
+        """Delete this table's partitions, purge them from the pool and
+        remove the temporary directory a private disk store made for
+        them.
 
         Called when a rebuilt structure replaces this table: the successor
         reuses the same pool and name prefix, so stale cached blocks must
         not survive under the names the successor will fault in.
         """
-        self._pending = None
         self._store.drop_storage()
         self._overlay.clear()
         self._tombstones.clear()
@@ -158,7 +167,6 @@ class AuxiliaryTable:
         Overlay entries win over partitions; tombstoned keys read as
         absent.  Code arrays are int64 and only meaningful where ``found``.
         """
-        self._ensure_built()
         flat_keys = np.asarray(flat_keys, dtype=np.int64)
         found, raw = self._store.lookup_batch(flat_keys)
         codes = {t: np.asarray(raw[t], dtype=np.int64) for t in self.tasks}
@@ -194,7 +202,6 @@ class AuxiliaryTable:
     def remove_batch(self, flat_keys: np.ndarray) -> None:
         """Remove rows if present (deletes / updates the model now gets
         right).  Removal of an absent key is a no-op."""
-        self._ensure_built()
         flat_keys = np.asarray(flat_keys, dtype=np.int64)
         in_parts, _ = self._store.lookup_batch(flat_keys)
         for i, key in enumerate(flat_keys.tolist()):
@@ -217,29 +224,10 @@ class AuxiliaryTable:
         """Merge the overlay and tombstones back into compressed partitions."""
         if not self._overlay and not self._tombstones:
             return
-        self._ensure_built()
-        keys, columns = self._store.scan()
-        merged: Dict[int, Tuple[int, ...]] = {
-            int(k): tuple(int(columns[t][i]) for t in self.tasks)
-            for i, k in enumerate(keys)
-            if int(k) not in self._tombstones
-        }
-        merged.update(self._overlay)
-        if merged:
-            new_keys = np.array(sorted(merged), dtype=np.int64)
-            new_codes = {
-                t: np.array([merged[k][j] for k in new_keys.tolist()],
-                            dtype=np.int64)
-                for j, t in enumerate(self.tasks)
-            }
-        else:
-            new_keys = np.empty(0, dtype=np.int64)
-            new_codes = {t: np.empty(0, dtype=np.int64) for t in self.tasks}
-        self.build(new_keys, new_codes)
+        self.build(*self.scan())
 
     def __len__(self) -> int:
         """Live row count (partitions − tombstones + fresh overlay rows)."""
-        self._ensure_built()
         overlay_new = sum(
             1 for key in self._overlay
             if not self._store.lookup_batch(np.array([key]))[0][0]
@@ -248,7 +236,6 @@ class AuxiliaryTable:
 
     def stored_bytes(self) -> int:
         """Offline footprint: compressed partitions + serialized overlay."""
-        self._ensure_built()
         overlay_bytes = 0
         if self._overlay or self._tombstones:
             overlay_bytes = serialized_size((self._overlay, self._tombstones))
@@ -257,25 +244,34 @@ class AuxiliaryTable:
     @property
     def partition_count(self) -> int:
         """Number of compressed partitions."""
-        self._ensure_built()
         return len(self._store.partitions)
 
     def scan(self) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Materialize all live rows, sorted by key (overlay merged)."""
-        self._ensure_built()
-        self_keys, columns = self._store.scan()
-        merged: Dict[int, Tuple[int, ...]] = {
-            int(k): tuple(int(columns[t][i]) for t in self.tasks)
-            for i, k in enumerate(self_keys)
-            if int(k) not in self._tombstones
-        }
-        merged.update(self._overlay)
-        keys = np.array(sorted(merged), dtype=np.int64)
-        codes = {
-            t: np.array([merged[k][j] for k in keys.tolist()], dtype=np.int64)
-            for j, t in enumerate(self.tasks)
-        }
-        return keys, codes
+        """Materialize all live rows, sorted by key (overlay merged).
+
+        An array merge, not a per-row dict: partition rows minus the
+        tombstoned ones, then the overlay rows, stably sorted by key
+        with the last occurrence kept — the overlay wins.
+        """
+        keys, columns = self._store.scan()
+        rows = np.stack([np.asarray(columns[t], dtype=np.int64)
+                         for t in self.tasks], axis=1)
+        if self._tombstones:
+            dead = np.fromiter(self._tombstones, dtype=np.int64,
+                               count=len(self._tombstones))
+            live = ~np.isin(keys, dead)
+            keys, rows = keys[live], rows[live]
+        if self._overlay:
+            keys = np.concatenate([keys, np.fromiter(
+                self._overlay, dtype=np.int64, count=len(self._overlay))])
+            rows = np.concatenate([rows, np.array(
+                list(self._overlay.values()), dtype=np.int64)])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            last = np.append(keys[1:] != keys[:-1], True)
+            keys, rows = keys[last], rows[order[last]]
+        return keys, {t: np.ascontiguousarray(rows[:, j])
+                      for j, t in enumerate(self.tasks)}
 
     def __repr__(self) -> str:
         return (

@@ -879,18 +879,23 @@ class DeepMapping:
         """Serialize the full hybrid structure to one byte payload.
 
         The payload is a :mod:`repro.storage.zerocopy` container: the
-        pickled state plus out-of-band, 64-byte-aligned buffer segments
-        for **every** array — aux rows, vocabularies, codec domains,
-        and (since the ``session_v2`` / ``exist_v2`` keys) the model
-        weights and existence bit-vector, which older payloads nested
-        inside pickled ``bytes`` blobs that had to be copied and
-        decompressed on every cold open.  Opened through an mmap-capable
-        backend with ``writable=False``, all of those arrays materialize
-        as views over shared pages instead of copies — the cold open is
-        pure mmap.  Legacy payloads (nested ``session`` / ``exist``
-        bytes, or pre-container plain pickle) remain readable.
+        pickled state plus out-of-band, 64-byte-aligned, CRC-checked
+        buffer segments for **every** array — vocabularies, codec
+        domains, the model weights and existence bit-vector
+        (``session_v2`` / ``exist_v2``), and ``T_aux`` the way the paper
+        stores it (``aux_v2``): one segment per *compressed* partition,
+        exactly the bytes :meth:`AuxiliaryTable.stored_bytes` counts,
+        beside a small fence index in the head (first key, last key and
+        row count per partition; column names and dtypes) and the
+        not-yet-compacted overlay / tombstones as arrays.  Nothing is
+        decompressed, re-sorted or re-compressed to save, and an open
+        attaches the partitions where they lie.  Opened through an
+        mmap-capable backend with ``writable=False``, all of it
+        materializes as views over shared pages instead of copies — the
+        cold open is pure mmap.  Older payloads (raw ``aux_keys`` /
+        ``aux_codes`` rows, nested ``session`` / ``exist`` bytes, or
+        pre-container plain pickle) remain readable.
         """
-        aux_keys, aux_codes = self.aux.scan()
         state = {
             "config": self.config,
             "key_codec": self.key_codec.to_state(),
@@ -898,8 +903,7 @@ class DeepMapping:
             "session_v2": self.session.to_state(),
             "exist_v2": self.exist.to_state(),
             "fdecode": self.fdecode.to_state(),
-            "aux_keys": aux_keys,
-            "aux_codes": aux_codes,
+            "aux_v2": self.aux.to_state(),
             "dataset_bytes": self._dataset_bytes,
             # Sec. IV-D lazy-update state: without this a loaded store
             # would restart the retrain threshold from zero every reopen.
@@ -909,7 +913,8 @@ class DeepMapping:
 
     def _to_payload_legacy(self) -> bytearray:
         """The pre-``*_v2`` payload layout: session and exist index as
-        nested pickled/compressed ``bytes``.  Kept (private) so the
+        nested pickled/compressed ``bytes``, ``T_aux`` as raw
+        ``aux_keys`` / ``aux_codes`` rows.  Kept (private) so the
         compatibility tests and ``benchmarks/bench_prune.py`` can write
         payloads in the old format and measure the cold-open cost the
         ``*_v2`` keys removed."""
@@ -959,19 +964,17 @@ class DeepMapping:
         pool: Optional[BufferPool],
         stats: StoreStats,
         aux_name_prefix: str,
-        lazy_aux: bool = False,
     ) -> Dict[str, object]:
         """Materialize the shared components a payload state describes.
 
-        ``lazy_aux=True`` defers auxiliary-partition compression to the
-        first probe, and is honored only for array-first (``*_v2``)
-        payloads: there the ``aux_keys`` / ``aux_codes`` rows are
-        zero-copy views into a payload mapping the bundle pins anyway,
-        so deferral holds no extra memory and a cold ``writable=False``
-        open does no compress-and-write work at all.  Legacy payloads
-        keep the historical eager open — the compatibility path changes
-        no behavior, and their materialized row arrays are freed once
-        compressed.
+        ``T_aux`` is *attached*: the compressed partitions in ``aux_v2``
+        (views into the payload mapping on a read-only open, the private
+        copy's segments on a writable one) become the table's partitions
+        as they are, and the first probe of one decompresses it straight
+        out of the payload — no sort, no compression, no temporary file.
+        One compatibility branch: a payload that still carries raw
+        ``aux_keys`` / ``aux_codes`` rows (anything saved before
+        ``aux_v2``) builds its partitions here, eagerly.
         """
         config = check_stored_config(state["config"])
         fdecode = DecodeMap.from_state(state["fdecode"])
@@ -985,8 +988,8 @@ class DeepMapping:
             auto_compact_rows=config.aux_auto_compact_rows,
             name_prefix=aux_name_prefix,
         )
-        if lazy_aux and "session_v2" in state and "exist_v2" in state:
-            aux.build_lazy(state["aux_keys"], state["aux_codes"])
+        if "aux_v2" in state:
+            aux.attach(state["aux_v2"])
         else:
             aux.build(state["aux_keys"], state["aux_codes"])
         # Prefer the array-first *_v2 keys (weights and exist bits come
@@ -1084,19 +1087,18 @@ class DeepMapping:
         Cold path: the payload is read as a zero-copy view (mmap'd on
         ``file://`` backends), deserialized once, its lookup kernel
         compiled, and the whole bundle cached under the blob's version
-        stamp.  Array-first payloads defer auxiliary-partition
-        compression to the first probe (the rows are zero-copy views
-        into the pinned payload), so their cold open is pure mmap;
-        legacy payloads build partitions eagerly as before.  Warm path:
-        the cached bundle is wrapped directly — no I/O, no
-        deserialization, no aux rebuild, no recompile.
+        stamp.  The auxiliary partitions are attached as views into the
+        pinned payload (see :meth:`_components_from_state`), so the cold
+        open writes nothing and creates no file; only payloads from
+        before ``aux_v2`` build partitions.  Warm path: the cached
+        bundle is wrapped directly — no I/O, no deserialization, no
+        recompile.
         """
         def loader():
             view = read_blob_view(backend, blob)
             state = cls._load_state(view, zero_copy=True)
             bundle = cls._components_from_state(
-                state, None, pool, StoreStats(), aux_name_prefix,
-                lazy_aux=True)
+                state, None, pool, StoreStats(), aux_name_prefix)
             # Hold the payload view explicitly: zero-copy arrays
             # reference it, and the bundle must outlive any of them.
             bundle["payload_view"] = view

@@ -9,7 +9,10 @@ the benchmark harness can report it (Figure 7's "data loading" bucket).
 Where the blobs physically live is pluggable: by default a local
 directory, but any :class:`~repro.storage.backends.StorageBackend`
 (in-memory, zip archive, a future object store) can host them — pass
-``backend=`` and the store becomes a thin timed adapter over it.
+``backend=`` and the store becomes a thin timed adapter over it.  Blobs
+that already sit in a saved store file are *attached*
+(:meth:`DiskStore.attach`): read through the same timed path straight
+from the file's mapping, never copied into the directory.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Iterator, Optional
+import threading
+import weakref
+from typing import Dict, Iterator, List, Optional, Union
 
 from .backends import StorageBackend
 from .stats import StoreStats
@@ -32,8 +37,11 @@ class DiskStore:
     ----------
     directory:
         Where blobs are stored.  When ``None`` (and no ``backend``) a
-        private temporary directory is created and removed on
-        :meth:`close`.
+        private temporary directory is created by the first
+        :meth:`write` — a store that only serves :meth:`attach`-ed
+        blobs never touches the filesystem — and removed on
+        :meth:`close`, when the store is garbage-collected, or at
+        interpreter exit, whichever comes first.
     stats:
         Optional shared stats sink; reads are timed under ``"io"``.
     backend:
@@ -48,18 +56,20 @@ class DiskStore:
         if backend is not None and directory is not None:
             raise ValueError("pass either directory or backend, not both")
         self._backend = backend
+        self._owns_directory = backend is None and directory is None
+        #: Removes an owned temporary directory (None until one exists).
+        self._cleanup: Optional[weakref.finalize] = None
+        self._create_lock = threading.Lock()
         if backend is not None:
             self._directory = getattr(backend, "root", None)
-            self._owns_directory = False
-        elif directory is None:
-            self._directory = tempfile.mkdtemp(prefix="repro-diskstore-")
-            self._owns_directory = True
         else:
-            os.makedirs(directory, exist_ok=True)
+            if directory is not None:
+                os.makedirs(directory, exist_ok=True)
             self._directory = directory
-            self._owns_directory = False
         self.stats = stats if stats is not None else StoreStats()
         self._sizes: dict = {}
+        #: Blobs that live in somebody else's memory (see :meth:`attach`).
+        self._attached: Dict[str, memoryview] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -69,18 +79,40 @@ class DiskStore:
 
     @property
     def directory(self) -> str:
-        """Directory backing this store (local stores only)."""
+        """Directory backing this store (local stores only); an owned
+        temporary directory is created on first use."""
         if self._directory is None:
-            raise TypeError(f"{self._backend!r} has no local directory")
+            if not self._owns_directory:
+                raise TypeError(f"{self._backend!r} has no local directory")
+            with self._create_lock:
+                if self._directory is None:
+                    directory = tempfile.mkdtemp(prefix="repro-diskstore-")
+                    self._cleanup = weakref.finalize(
+                        self, shutil.rmtree, directory, ignore_errors=True)
+                    self._directory = directory
         return self._directory
 
     def path(self, name: str) -> str:
         """Filesystem path for blob ``name`` (local stores only)."""
-        safe = name.replace(os.sep, "_")
-        return os.path.join(self.directory, safe)
+        return os.path.join(self.directory, self._safe(name))
 
     def _safe(self, name: str) -> str:
         return name.replace(os.sep, "_")
+
+    def attach(self, name: str, payload) -> int:
+        """Serve ``payload`` (any contiguous buffer — a segment of an
+        mmap'd store file, say) as blob ``name`` straight from the
+        caller's memory, without copying or writing it anywhere;
+        returns the byte count.
+
+        The caller keeps the buffer valid for as long as the blob may be
+        read.  :meth:`write` and :meth:`delete` of the same name replace
+        or forget the attachment; the buffer itself is never modified.
+        """
+        view = memoryview(payload).cast("B")
+        self._attached[name] = view
+        self._sizes[name] = view.nbytes
+        return view.nbytes
 
     def write(self, name: str, payload: bytes) -> int:
         """Store ``payload`` under ``name``; returns the byte count."""
@@ -89,31 +121,38 @@ class DiskStore:
         else:
             with open(self.path(name), "wb") as handle:
                 handle.write(payload)
+        self._attached.pop(name, None)
         self._sizes[name] = len(payload)
         return len(payload)
 
-    def read(self, name: str) -> bytes:
-        """Read blob ``name``; raises ``KeyError`` if absent."""
-        if self._backend is not None:
-            with self.stats.timing("io"):
-                payload = self._backend.read_bytes(self._safe(name))
-        else:
-            try:
-                with self.stats.timing("io"):
-                    with open(self.path(name), "rb") as handle:
-                        payload = handle.read()
-            except FileNotFoundError:
-                raise KeyError(
-                    f"no blob named {name!r} in {self._directory}") from None
+    def read(self, name: str) -> Union[bytes, memoryview]:
+        """Read blob ``name`` — stored blobs as ``bytes``, attached ones
+        as a view of their buffer; raises ``KeyError`` if absent."""
+        with self.stats.timing("io"):
+            payload = self._attached.get(name)
+            if payload is None:
+                payload = self._read_stored(name)
         self.stats.bump("blobs_read")
         self.stats.bump("bytes_read", len(payload))
         return payload
 
+    def _read_stored(self, name: str) -> bytes:
+        if self._backend is not None:
+            return self._backend.read_bytes(self._safe(name))
+        if self._directory is not None:
+            try:
+                with open(self.path(name), "rb") as handle:
+                    return handle.read()
+            except FileNotFoundError:
+                pass
+        raise KeyError(f"no blob named {name!r} in {self._directory}")
+
     def delete(self, name: str) -> None:
         """Remove blob ``name`` if present."""
+        self._attached.pop(name, None)
         if self._backend is not None:
             self._backend.delete(self._safe(name))
-        else:
+        elif self._directory is not None:
             try:
                 os.remove(self.path(name))
             except FileNotFoundError:
@@ -122,15 +161,23 @@ class DiskStore:
 
     def exists(self, name: str) -> bool:
         """True when a blob named ``name`` is stored."""
+        if name in self._attached:
+            return True
         if self._backend is not None:
             return self._backend.exists(self._safe(name))
-        return os.path.exists(self.path(name))
+        return (self._directory is not None
+                and os.path.exists(self.path(name)))
+
+    def _stored_names(self) -> List[str]:
+        if self._backend is not None:
+            return list(self._backend.list())
+        if self._directory is None:
+            return []
+        return os.listdir(self._directory)
 
     def names(self) -> Iterator[str]:
         """Iterate over stored blob names."""
-        if self._backend is not None:
-            return iter(self._backend.list())
-        return iter(sorted(os.listdir(self._directory)))
+        return iter(sorted({*self._stored_names(), *self._attached}))
 
     def size(self, name: str) -> int:
         """Stored byte count of blob ``name``."""
@@ -142,19 +189,18 @@ class DiskStore:
 
     def total_bytes(self) -> int:
         """Total stored footprint of all blobs."""
-        if self._backend is not None:
-            return sum(len(self._backend.read_bytes(name))
-                       for name in self._backend.list())
-        return sum(
-            os.path.getsize(os.path.join(self._directory, f))
-            for f in os.listdir(self._directory)
-        )
+        return sum(self.size(name) for name in self.names())
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Remove the backing directory when this store owns it."""
-        if self._owns_directory and os.path.isdir(self._directory):
-            shutil.rmtree(self._directory, ignore_errors=True)
+        """Forget attached blobs and remove the backing directory when
+        this store owns it; the next :meth:`write` starts a fresh one."""
+        self._attached.clear()
+        self._sizes.clear()
+        if self._cleanup is not None:
+            self._cleanup()
+            self._cleanup = None
+            self._directory = None
 
     def __enter__(self) -> "DiskStore":
         return self

@@ -42,9 +42,10 @@ from .zerocopy import MAGIC, MAGIC_V1, _ALIGN, _CRC, _HEADER, _SLOT, _aligned
 __all__ = ["RangeReader", "LazyShard", "SNIFF_BYTES", "COALESCE_GAP"]
 
 #: Bytes of the fixed-prefix sniff: covers magic + header + 254 slot
-#: entries — more buffers than any shard payload in this repo ships —
-#: so one request usually reads the whole index.  Blobs smaller than
-#: this arrive whole in the sniff and need no second request.
+#: entries, so one request usually reads the whole index (a payload
+#: whose ``T_aux`` runs to hundreds of partitions — one slot each —
+#: costs one follow-up request).  Blobs smaller than this arrive whole
+#: in the sniff and need no second request.
 SNIFF_BYTES = 4096
 
 #: Two wanted ranges closer than this are fetched as one request (the

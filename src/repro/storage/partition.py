@@ -7,7 +7,12 @@ Both the DeepMapping auxiliary table ``T_aux`` and the array-based baselines
 2. each partition is serialized (optionally dictionary-encoded first) and
    compressed with a byte codec,
 3. partitions live on disk and are faulted into an LRU
-   :class:`~repro.storage.buffer_pool.BufferPool` on access,
+   :class:`~repro.storage.buffer_pool.BufferPool` on access — in a
+   :class:`~repro.storage.disk.DiskStore` directory for a store built in
+   this process, inside the saved store file for one opened from it
+   (:meth:`SortedPartitionStore.export` / :meth:`~SortedPartitionStore.attach`:
+   the compressed partitions *are* the persistent form, so an open
+   neither re-sorts nor re-compresses nor copies them),
 4. a lookup locates the partition by binary search over partition boundaries,
    decompresses it (at most once per query batch — queries are sorted), and
    binary-searches the key inside.
@@ -85,6 +90,7 @@ class SortedPartitionStore:
         self.target_partition_bytes = int(target_partition_bytes)
         self.dict_encode = bool(dict_encode)
         self.stats = stats if stats is not None else StoreStats()
+        self._owns_disk = disk is None
         self.disk = disk if disk is not None else DiskStore(stats=self.stats)
         self.pool = pool if pool is not None else BufferPool(stats=self.stats)
         self.name_prefix = name_prefix
@@ -153,7 +159,7 @@ class SortedPartitionStore:
         else:
             block["columns"] = dict(columns)
         payload = self.codec.compress(serialize_block(block))
-        name = f"{self.name_prefix}-{pid:06d}"
+        name = self._partition_name(pid)
         stored = self.disk.write(name, payload)
         self._metas.append(
             PartitionMeta(
@@ -164,6 +170,9 @@ class SortedPartitionStore:
                 stored_bytes=stored,
             )
         )
+
+    def _partition_name(self, pid: int) -> str:
+        return f"{self.name_prefix}-{pid:06d}"
 
     def _refresh_boundaries(self) -> None:
         self._first_keys = np.array([m.first_key for m in self._metas], dtype=np.int64)
@@ -184,6 +193,66 @@ class SortedPartitionStore:
         self._drop_existing_blobs()
         self._metas = []
         self._n_rows = 0
+        self._refresh_boundaries()
+        if self._owns_disk:
+            self.disk.close()
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def export(self) -> Dict[str, object]:
+        """The persistent form: a fence index plus every partition's
+        bytes exactly as stored.
+
+        Each partition is a :class:`pickle.PickleBuffer`, so
+        :func:`repro.storage.zerocopy.pack` writes it as its own
+        CRC-checked out-of-band segment while the fences (plain ints)
+        stay in the container head.  Always exported read-only, so the
+        pickle head does not depend on whether the bytes came from a
+        build, a private copy or a mapping.
+        """
+        return {
+            "columns": list(self._columns),
+            "dtypes": [self._dtypes[name].str for name in self._columns],
+            "first_keys": [meta.first_key for meta in self._metas],
+            "last_keys": [meta.last_key for meta in self._metas],
+            "n_rows": [meta.n_rows for meta in self._metas],
+            "partitions": [
+                pickle.PickleBuffer(
+                    memoryview(self.disk.read(meta.name)).toreadonly())
+                for meta in self._metas],
+        }
+
+    def attach(self, state: Dict[str, object]) -> None:
+        """Adopt partitions written by :meth:`export`, in place.
+
+        No sort, no serialize, no compress, no write: each blob (a slice
+        of the opened payload, or of its private copy) is handed to the
+        disk store as is and decompressed when a lookup first faults it
+        in.  Partition names are derived from this store's prefix, not
+        read from the payload, so stores sharing one pool stay apart.
+        """
+        blobs = state["partitions"]
+        fences = [state[name]
+                  for name in ("first_keys", "last_keys", "n_rows")]
+        if ({len(fence) for fence in fences} != {len(blobs)}
+                or len(state["columns"]) != len(state["dtypes"])):
+            raise StoreCorruptedError(
+                f"partition index of {self.name_prefix!r} does not match "
+                f"its {len(blobs)} partition blob(s)")
+        self._drop_existing_blobs()
+        self._columns = tuple(state["columns"])
+        self._dtypes = {name: np.dtype(spec) for name, spec
+                        in zip(self._columns, state["dtypes"])}
+        self._metas = [
+            PartitionMeta(name=self._partition_name(pid),
+                          first_key=int(first), last_key=int(last),
+                          n_rows=int(n_rows),
+                          stored_bytes=self.disk.attach(
+                              self._partition_name(pid), blob))
+            for pid, (first, last, n_rows, blob)
+            in enumerate(zip(*fences, blobs))]
+        self._n_rows = sum(meta.n_rows for meta in self._metas)
         self._refresh_boundaries()
 
     # ------------------------------------------------------------------

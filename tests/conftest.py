@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import importlib.util
+import tempfile
 
 import numpy as np
 import pytest
@@ -47,3 +48,13 @@ def tmp_store_dir(tmp_path):
     path = tmp_path / "store"
     path.mkdir()
     return str(path)
+
+
+@pytest.fixture
+def temp_root(tmp_path, monkeypatch):
+    """Point ``tempfile`` at an empty directory the test can inspect:
+    whatever the code under test leaves in the temp dir shows up here."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import StoreCorruptedError
 from repro.core import AuxiliaryTable
+from repro.storage import zerocopy
 
 
 def build_aux(n=500, codec="zstd", partition=2048):
@@ -191,3 +193,138 @@ def test_aux_matches_dict_model_under_random_ops(data):
         else:
             assert not found[key]
     assert len(aux) == len(model)
+
+
+# ---------------------------------------------------------------------------
+# scan() / compact(): the array merge against the per-row dict it replaced
+# ---------------------------------------------------------------------------
+def scan_by_dict(aux):
+    """The row-by-row merge ``scan`` and ``compact`` used to run: every
+    partition row into a dict unless tombstoned, the overlay on top,
+    keys sorted.  Kept as the oracle for the array merge."""
+    keys, columns = aux._store.scan()
+    merged = {
+        int(k): tuple(int(columns[t][i]) for t in aux.tasks)
+        for i, k in enumerate(keys)
+        if int(k) not in aux._tombstones
+    }
+    merged.update(aux._overlay)
+    out_keys = np.array(sorted(merged), dtype=np.int64)
+    codes = {
+        t: np.array([merged[k][j] for k in out_keys.tolist()], dtype=np.int64)
+        for j, t in enumerate(aux.tasks)
+    }
+    return out_keys, codes
+
+
+def assert_rows_equal(got, expected):
+    (got_keys, got_codes), (keys, codes) = got, expected
+    assert got_keys.dtype == keys.dtype and got_keys.shape == keys.shape
+    np.testing.assert_array_equal(got_keys, keys)
+    assert list(got_codes) == list(codes)
+    for task in codes:
+        assert got_codes[task].dtype == codes[task].dtype
+        assert got_codes[task].shape == codes[task].shape
+        np.testing.assert_array_equal(got_codes[task], codes[task])
+
+
+aux_keys = st.integers(min_value=-50, max_value=300)
+aux_rows = st.lists(
+    st.tuples(aux_keys, st.integers(0, 2**40), st.integers(0, 200)),
+    max_size=60, unique_by=lambda row: row[0])
+
+
+def rows_to_arrays(rows):
+    return (np.array([r[0] for r in rows], dtype=np.int64),
+            {"a": np.array([r[1] for r in rows], dtype=np.int64),
+             "b": np.array([r[2] for r in rows], dtype=np.int64)})
+
+
+@st.composite
+def mutated_aux(draw):
+    """A table with random partitions, overlay and tombstones."""
+    aux = AuxiliaryTable(
+        ("a", "b"), codec=draw(st.sampled_from(["none", "zstd"])),
+        target_partition_bytes=draw(st.sampled_from([1, 200, 4096])),
+        auto_compact_rows=10_000)
+    aux.build(*rows_to_arrays(draw(aux_rows)))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            aux.add_batch(*rows_to_arrays(draw(aux_rows)))
+        else:
+            aux.remove_batch(np.array(draw(st.lists(aux_keys, max_size=20)),
+                                      dtype=np.int64))
+    return aux
+
+
+@settings(max_examples=60, deadline=None)
+@given(aux=mutated_aux())
+def test_scan_and_compact_match_the_per_row_dict_merge(aux):
+    expected = scan_by_dict(aux)
+    assert_rows_equal(aux.scan(), expected)
+    live = len(aux)
+    aux.compact()
+    assert not aux._overlay and not aux._tombstones
+    assert_rows_equal(aux.scan(), expected)
+    assert len(aux) == live == expected[0].size
+
+
+# ---------------------------------------------------------------------------
+# to_state() / attach(): the compressed partitions are the persistent form
+# ---------------------------------------------------------------------------
+class TestAttach:
+    @settings(max_examples=40, deadline=None)
+    @given(aux=mutated_aux(), zero_copy=st.booleans())
+    def test_state_round_trips_without_rebuilding(self, aux, zero_copy):
+        packed = zerocopy.pack(aux.to_state())
+        clone = AuxiliaryTable(aux.tasks, codec=aux._store.codec.name,
+                               name_prefix="clone")
+        clone._store.disk.write = None   # attaching must never write
+        clone.attach(zerocopy.unpack(packed, zero_copy=zero_copy))
+        assert clone._store.disk._directory is None
+        assert_rows_equal(clone.scan(), aux.scan())
+        assert len(clone) == len(aux)
+        assert clone.stored_bytes() == aux.stored_bytes()
+        assert clone.partition_count == aux.partition_count
+        assert [m.name for m in clone._store.partitions] == [
+            f"clone-{pid:06d}" for pid in range(clone.partition_count)]
+        probe = np.arange(-60, 310, dtype=np.int64)
+        found, codes = aux.lookup_batch(probe)
+        got_found, got_codes = clone.lookup_batch(probe)
+        np.testing.assert_array_equal(got_found, found)
+        for task in aux.tasks:
+            np.testing.assert_array_equal(got_codes[task][found],
+                                          codes[task][found])
+        assert bytes(zerocopy.pack(clone.to_state())) == bytes(packed)
+
+    def test_segments_are_the_bytes_stored_bytes_counts(self):
+        aux, _, _ = build_aux(n=2000, partition=1024)
+        segments = aux.to_state()["store"]["partitions"]
+        assert len(segments) == aux.partition_count > 1
+        assert sum(memoryview(seg).nbytes for seg in segments) \
+            == aux.stored_bytes()
+
+    @pytest.mark.parametrize("fence", ["first_keys", "last_keys", "n_rows"])
+    def test_fences_that_disagree_with_the_blobs_are_refused(self, fence):
+        aux, _, _ = build_aux(n=2000, partition=1024)
+        state = aux.to_state()
+        state["store"][fence] = state["store"][fence][:-1]
+        clone = AuxiliaryTable(aux.tasks)
+        with pytest.raises(StoreCorruptedError, match="partition"):
+            clone.attach(state)
+
+    def test_partitions_of_other_columns_are_refused(self):
+        aux, _, _ = build_aux(n=100)
+        with pytest.raises(StoreCorruptedError, match="columns"):
+            AuxiliaryTable(("a", "c")).attach(aux.to_state())
+
+    def test_attached_table_rebuilds_into_its_own_storage(self):
+        aux, keys, codes = build_aux(n=500, partition=1024)
+        clone = AuxiliaryTable(aux.tasks)
+        clone.attach(aux.to_state())
+        clone.remove_batch(keys[:5])
+        clone.compact()
+        found, _ = clone.lookup_batch(keys)
+        assert not found[:5].any() and found[5:].all()
+        # The source's partitions are untouched by the clone's rebuild.
+        assert aux.lookup_batch(keys)[0].all()

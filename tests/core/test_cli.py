@@ -65,6 +65,20 @@ class TestBuildInfoQuery:
         assert "aux table:" in stdout
         assert "exist vector:" in stdout
 
+    def test_info_reports_the_bytes_on_disk(self, tmp_path, capsys):
+        argv, out = build_args(tmp_path)
+        main(argv)
+        capsys.readouterr()
+        assert main(["info", out]) == 0
+        lines = {line.split(":")[0]: line
+                 for line in capsys.readouterr().out.splitlines()}
+        size = os.path.getsize(out)
+        paper = int(lines["total"].split()[1].replace(",", ""))
+        rows = int(lines["keys"].rsplit("live rows: ", 1)[1])
+        assert lines["on disk"].split(":", 1)[1].strip() == (
+            f"{size:,} B ({size / rows:.2f} B/row, "
+            f"{size / paper:.2f}x total)")
+
     def test_query_hits_and_misses(self, tmp_path, capsys):
         argv, out = build_args(tmp_path)
         main(argv)

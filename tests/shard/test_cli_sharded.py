@@ -41,6 +41,21 @@ class TestShardedInfoQuery:
         stdout = capsys.readouterr().out
         assert "shards:" in stdout and "model:" in stdout
 
+    def test_info_splits_the_bytes_on_disk(self, tmp_path, capsys):
+        argv, out = build_sharded(tmp_path)
+        main(argv)
+        capsys.readouterr()
+        assert main(["info", out]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("on disk:"))
+        sizes = {name: os.path.getsize(os.path.join(out, name))
+                 for name in os.listdir(out)}
+        shards = sum(size for name, size in sizes.items()
+                     if name.startswith("shard-"))
+        assert f" {sum(sizes.values()):,} B (" in line
+        assert line.endswith(f": manifest {sizes['manifest.json']:,} B, "
+                             f"shard payloads {shards:,} B)")
+
     def test_query_hits_and_misses(self, tmp_path, capsys):
         argv, out = build_sharded(tmp_path)
         main(argv)

@@ -74,6 +74,32 @@ class TestMonolithicCorruption:
         with pytest.raises(pickle.UnpicklingError):
             repro.open(str(path))
 
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_flipped_byte_in_an_aux_partition_names_its_segment(
+            self, tmp_path, table, writable):
+        # T_aux is saved as compressed partitions, one container segment
+        # each; damage inside one must be caught by that segment's CRC at
+        # open, not by a decompressor at some later lookup.
+        path = tmp_path / "store.dm"
+        build_monolithic(table, str(path))
+        payload = path.read_bytes()
+        with repro.open(str(path)) as store:
+            meta = store.aux._store.partitions[-1]
+            blob = bytes(store.aux._store.disk.read(meta.name))
+        start = payload.find(blob)
+        assert start > 0 and payload.count(blob) == 1
+        n_segments, _ = zerocopy._HEADER.unpack_from(payload,
+                                                     len(zerocopy.MAGIC))
+        slots = [zerocopy._SLOT.unpack_from(
+            payload, len(zerocopy.MAGIC) + zerocopy._HEADER.size
+            + i * zerocopy._SLOT.size) for i in range(n_segments)]
+        segment = slots.index((start, len(blob)))
+        flip_file_byte(path, start + len(blob) // 2)
+        with pytest.raises(
+                StoreCorruptedError,
+                match=f"segment {segment} of {n_segments} failed checksum"):
+            repro.open(str(path), writable=writable)
+
     def test_healthy_reopen_unaffected(self, tmp_path, table):
         url = str(tmp_path / "store.dm")
         store = repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),

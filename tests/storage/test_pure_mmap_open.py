@@ -1,22 +1,34 @@
-"""Read accounting for ``writable=False`` cold opens.
+"""Read and write accounting for opens of a saved store.
 
 The pure-mmap claim (``docs/performance.md``): a cold read-only open of
 an array-first (v2) payload issues exactly one ``read_view`` per shard
-blob — never a materializing ``read_bytes`` — its weights and existence
-bits come up as read-only views into that mapping, and no auxiliary
-partition is compressed or written until the table is first probed.
-Legacy nested-pickled payloads must still load (eagerly, as before).
+blob — never a materializing ``read_bytes`` — and its weights, existence
+bits *and compressed auxiliary partitions* come up as read-only views
+into that mapping.  ``T_aux`` is attached, not built: no open and no
+lookup, read-only or writable, compresses or writes a partition or
+creates a file, what is saved is byte for byte what
+``AuxiliaryTable.stored_bytes()`` counts, and a store reopened writable
+saves back the identical files.  Payloads from before the ``aux_v2``
+layout (raw aux rows; nested-pickled session / exist) must still load,
+by building their partitions eagerly as they always did.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.core import AuxiliaryTable, DeepMapping
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.storage import LocalDirBackend
+from repro.storage import InMemoryBackend, LocalDirBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.storage.disk import DiskStore
+from repro.testing import serve_backend
 from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
@@ -72,6 +84,26 @@ def payload_blobs(names):
     return [n for n in names if n.endswith(".dm")]
 
 
+def full_query(table):
+    """Keys spanning both shards plus a guaranteed miss."""
+    return {table.key[0]: np.concatenate([
+        table.column(table.key[0])[:100],
+        np.array([10**8], dtype=np.int64)])}
+
+
+def assert_identical(result, reference, store):
+    np.testing.assert_array_equal(result.found, reference.found)
+    for column in store.value_names:
+        np.testing.assert_array_equal(result.values[column],
+                                      reference.values[column])
+
+
+def partition_blobs(aux):
+    """The compressed partitions of ``aux``, as its disk store holds them."""
+    return [memoryview(aux._store.disk.read(meta.name))
+            for meta in aux._store.partitions]
+
+
 class TestPureMmapColdOpen:
     def test_no_materializing_payload_reads(self, saved_store, read_calls):
         _, _, url = saved_store
@@ -106,58 +138,240 @@ class TestPureMmapColdOpen:
                 assert np.shares_memory(base, arr)
         opened.close()
 
-    def test_aux_partitions_deferred_until_first_probe(self, saved_store,
-                                                       partition_writes):
+    def check_open_writes_nothing(self, saved_store, partition_writes,
+                                  temp_root, writable):
         store, table, url = saved_store
-        query = {table.key[0]: np.concatenate([
-            table.column(table.key[0])[:100],
-            np.array([10**8], dtype=np.int64)])}
+        query = full_query(table)
         reference = barrier_lookup(store, query)
-
         payload_cache().clear()
         partition_writes[0] = 0
-        opened = repro.open(url, writable=False)
+        opened = repro.open(url, writable=writable)
+        assert_identical(opened.lookup(query), reference, store)
         assert partition_writes[0] == 0, (
-            "cold read-only open materialized aux partitions")
-        # First probe builds the partitions — results are identical to
-        # the eagerly-built writable store's.
-        result = opened.lookup(query)
-        np.testing.assert_array_equal(result.found, reference.found)
-        for column in store.value_names:
-            np.testing.assert_array_equal(result.values[column],
-                                          reference.values[column])
+            "an open / first lookup re-materialized aux partitions")
+        assert os.listdir(temp_root) == [], "an open created temporary files"
+        for shard, source in zip(opened.shards, store.shards):
+            assert shard.aux.partition_count == source.aux.partition_count
+            assert shard.aux.stored_bytes() == source.aux.stored_bytes()
         opened.close()
 
-    def test_writable_open_stays_eager(self, saved_store, partition_writes):
+    def test_read_only_open_writes_no_partition(self, saved_store,
+                                                partition_writes, temp_root):
+        self.check_open_writes_nothing(saved_store, partition_writes,
+                                       temp_root, writable=False)
+
+    def test_writable_open_writes_no_partition(self, saved_store,
+                                               partition_writes, temp_root):
+        self.check_open_writes_nothing(saved_store, partition_writes,
+                                       temp_root, writable=True)
+
+    def test_partition_blobs_are_views_into_the_payload(self, saved_store):
         _, _, url = saved_store
-        partition_writes[0] = 0
-        opened = repro.open(url, writable=True)
-        assert partition_writes[0] > 0
+        payload_cache().clear()
+        opened = repro.open(url, writable=False)
+        for shard in opened.shards:
+            base = np.frombuffer(shard._shared_bundle["payload_view"],
+                                 dtype=np.uint8)
+            blobs = partition_blobs(shard.aux)
+            assert blobs, "fixture should leave rows in T_aux"
+            for blob in blobs:
+                assert blob.readonly
+                assert np.shares_memory(base, np.frombuffer(blob, np.uint8))
         opened.close()
+
+    def test_saved_partition_segments_are_what_the_paper_counts(
+            self, saved_store):
+        store, _, url = saved_store
+        backend = LocalDirBackend(url, create=False)
+        for ordinal, shard in enumerate(store.shards):
+            state = zerocopy.unpack(
+                backend.read_bytes(f"shard-{ordinal:04d}.dm"))
+            segments = state["aux_v2"]["store"]["partitions"]
+            assert "aux_keys" not in state
+            assert sum(len(seg) for seg in segments) \
+                == shard.aux.stored_bytes()
+
+    def test_writable_reopen_saves_identical_files(self, saved_store,
+                                                   tmp_path):
+        _, _, url = saved_store
+        again = str(tmp_path / "again")
+        opened = repro.open(url, writable=True)
+        opened.save(again)
+        opened.close()
+        assert sorted(os.listdir(again)) == sorted(os.listdir(url))
+        for name in os.listdir(url):
+            with open(os.path.join(url, name), "rb") as first, \
+                    open(os.path.join(again, name), "rb") as second:
+                assert first.read() == second.read(), name
+
+    def test_read_only_reopen_saves_the_same_sizes_and_answers(
+            self, saved_store, tmp_path):
+        # Protocol 5 marks buffers that were read-only when pickled, so
+        # the head of a payload saved from a mapped open may differ by
+        # those one-byte opcodes; everything else may not.
+        store, table, url = saved_store
+        again = str(tmp_path / "again")
+        payload_cache().clear()
+        opened = repro.open(url, writable=False)
+        opened.save(again)
+        opened.close()
+        for name in os.listdir(url):
+            first = os.path.getsize(os.path.join(url, name))
+            second = os.path.getsize(os.path.join(again, name))
+            assert abs(first - second) <= 64, name
+        query = full_query(table)
+        resaved = repro.open(again, writable=False)
+        assert_identical(resaved.lookup(query),
+                         barrier_lookup(store, query), store)
+        resaved.close()
+
+
+def parent_layout_payload(shard):
+    """The payload as the commit before ``aux_v2`` wrote it: ``*_v2``
+    session / exist arrays, ``T_aux`` as raw int64 key and code rows."""
+    state = zerocopy.unpack(shard.to_payload())
+    del state["aux_v2"]
+    state["aux_keys"], state["aux_codes"] = shard.aux.scan()
+    return zerocopy.pack(state)
 
 
 class TestLegacyPayloadCompat:
-    def test_legacy_nested_bytes_payload_still_loads(self, saved_store,
-                                                     partition_writes):
+    """The one compatibility branch: a payload that still carries raw
+    ``aux_keys`` / ``aux_codes`` rows has them partitioned and
+    compressed at open, eagerly, as it always was."""
+
+    def check_still_loads(self, saved_store, partition_writes, layout,
+                          writable):
         store, table, url = saved_store
         backend = LocalDirBackend(url)
         for ordinal, shard in enumerate(store.shards):
-            if shard is not None:
-                backend.write_bytes(f"shard-{ordinal:04d}.dm",
-                                    shard._to_payload_legacy())
-        query = {table.key[0]: np.concatenate([
-            table.column(table.key[0])[:100],
-            np.array([10**8], dtype=np.int64)])}
+            backend.write_bytes(f"shard-{ordinal:04d}.dm", layout(shard))
+        query = full_query(table)
         reference = barrier_lookup(store, query)
 
         payload_cache().clear()
         partition_writes[0] = 0
-        opened = repro.open(url, writable=False)
-        # The compatibility path keeps its historical eager aux build.
+        opened = repro.open(url, writable=writable)
         assert partition_writes[0] > 0
-        result = opened.lookup(query)
-        np.testing.assert_array_equal(result.found, reference.found)
-        for column in store.value_names:
-            np.testing.assert_array_equal(result.values[column],
-                                          reference.values[column])
+        assert_identical(opened.lookup(query), reference, store)
+        for shard, source in zip(opened.shards, store.shards):
+            assert len(shard.aux) == len(source.aux)
+            assert shard.aux.stored_bytes() == source.aux.stored_bytes()
         opened.close()
+
+    def test_legacy_nested_bytes_payload_still_loads(self, saved_store,
+                                                     partition_writes):
+        self.check_still_loads(saved_store, partition_writes,
+                               DeepMapping._to_payload_legacy, writable=False)
+
+    def test_legacy_nested_bytes_payload_loads_writable(self, saved_store,
+                                                        partition_writes):
+        self.check_still_loads(saved_store, partition_writes,
+                               DeepMapping._to_payload_legacy, writable=True)
+
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_parent_commit_payload_still_loads(self, saved_store,
+                                               partition_writes, writable):
+        self.check_still_loads(saved_store, partition_writes,
+                               parent_layout_payload, writable)
+
+
+# ---------------------------------------------------------------------------
+# Round trip of arbitrary auxiliary tables through every way to open
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def template():
+    """One trained structure whose ``T_aux`` the property test swaps."""
+    table = synthetic.single_column(300, "high", seed=5)
+    return DeepMapping.fit(table, fast_config(epochs=2))
+
+
+def with_aux(template, codec, partition_bytes, rows, overlay, dead):
+    """``template`` over a hand-made auxiliary table: ``rows`` in
+    partitions, then ``overlay`` rows added and ``dead`` keys removed."""
+    config = replace(template.config, aux_codec=codec,
+                     aux_partition_bytes=partition_bytes)
+    aux = AuxiliaryTable(template.value_names, codec=codec,
+                         target_partition_bytes=partition_bytes,
+                         auto_compact_rows=10_000)
+
+    def columns(pairs):
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        return keys, {task: np.array([c for _, c in pairs], dtype=np.int64)
+                      for task in template.value_names}
+
+    aux.build(*columns(rows))
+    if overlay:
+        aux.add_batch(*columns(overlay))
+    aux.remove_batch(np.array(dead, dtype=np.int64))
+    return DeepMapping(
+        key_codec=template.key_codec, key_encoder=template.key_encoder,
+        session=template.session, aux=aux, exist=template.exist,
+        fdecode=template.fdecode, config=config,
+        dataset_bytes=template._dataset_bytes)
+
+
+def assert_same_store(opened, source, query):
+    result, reference = opened.lookup(query), source.lookup(query)
+    np.testing.assert_array_equal(result.found, reference.found)
+    for column in source.value_names:
+        np.testing.assert_array_equal(result.values[column],
+                                      reference.values[column])
+    assert len(opened.aux) == len(source.aux)
+    assert opened.aux.stored_bytes() == source.aux.stored_bytes()
+    assert opened.aux.partition_count == source.aux.partition_count
+    got_keys, got_codes = opened.aux.scan()
+    keys, codes = source.aux.scan()
+    np.testing.assert_array_equal(got_keys, keys)
+    for task in codes:
+        assert got_codes[task].dtype == codes[task].dtype
+        np.testing.assert_array_equal(got_codes[task], codes[task])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_aux_table_round_trips_through_every_open(template, data):
+    """Property: save → open (read-only, writable, over HTTP ranges)
+    reproduces lookups, ``len(aux)``, ``stored_bytes()``,
+    ``partition_count`` and ``scan()``, and the writable reopen saves
+    back the identical bytes — for any codec, partition sizes down to
+    one row, an empty table, and a live overlay and tombstones."""
+    n_keys = template.key_codec.domain_size
+    cardinality = min(template.fdecode.cardinalities().values())
+    key = st.integers(min_value=0, max_value=n_keys - 1)
+    row = st.tuples(key, st.integers(min_value=0, max_value=cardinality - 1))
+    unique_rows = dict(unique_by=lambda pair: pair[0])
+
+    codec = data.draw(st.sampled_from(["none", "zstd", "gzip", "lzma"]))
+    partition_bytes = data.draw(st.sampled_from([1, 64, 4096]))
+    rows = data.draw(st.lists(row, max_size=40, **unique_rows))
+    overlay = data.draw(st.lists(row, max_size=8, **unique_rows))
+    dead = data.draw(st.lists(key, max_size=8))
+    source = with_aux(template, codec, partition_bytes, rows, overlay, dead)
+    if partition_bytes == 1:
+        assert source.aux.partition_count == len(rows)
+    query = template.key_codec.unflatten(np.arange(n_keys, dtype=np.int64))
+
+    name = f"aux-round-trip-{os.urandom(6).hex()}"
+    url = f"mem://{name}"
+    try:
+        source.save(url)
+        backend = InMemoryBackend.named(name)
+        first = backend.read_bytes(repro.storage.MONOLITHIC_BLOB)
+
+        read_only = repro.open(url, writable=False)
+        assert_same_store(read_only, source, query)
+        writable = repro.open(url, writable=True)
+        assert_same_store(writable, source, query)
+        with serve_backend(backend) as server:
+            assert_same_store(repro.open(server.url), source, query)
+
+        writable.save(url)
+        assert backend.read_bytes(repro.storage.MONOLITHIC_BLOB) == first
+        # Still mutable after attaching: fold the overlay in and compare.
+        writable.aux.compact()
+        source.aux.compact()
+        assert_same_store(writable, source, query)
+    finally:
+        payload_cache().clear()
+        InMemoryBackend.discard(name)
