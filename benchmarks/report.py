@@ -76,13 +76,11 @@ def _headline(name, data):
                 measured)
     if name == "prune":
         all_miss = _fmt(acceptance.get("all_miss_measured"), "x")
-        cold = _fmt(acceptance.get("cold_open_measured"), "x")
         mono = _fmt(data.get("pruning", {}).get("all_miss", {})
                     .get("sharded_vs_monolithic"), "x")
-        return ("all-miss pruned vs unpruned; cold RO open vs legacy",
-                f">= {_fmt(acceptance.get('all_miss_target'), 'x')}; "
-                f">= {_fmt(acceptance.get('cold_open_target'), 'x')}",
-                f"{all_miss}; {cold} (all-miss vs monolithic {mono})")
+        return ("all-miss pruned vs unpruned",
+                f">= {_fmt(acceptance.get('all_miss_target'), 'x')}",
+                f"{all_miss} (all-miss vs monolithic {mono})")
     if name == "remote":
         skew = _fmt(acceptance.get("skew_fraction_measured"), "pct_abs")
         warm = _fmt(acceptance.get("warm_ratio_measured"), "x")

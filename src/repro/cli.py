@@ -14,8 +14,8 @@ output target is then a container (manifest + one payload per shard), and
 
 Store targets are URLs — ``file://`` (the default for bare paths),
 ``mem://`` (process-local scratch), ``zip://`` (single-archive store) —
-resolved through :func:`repro.open`; passing a bare path still works but
-is the deprecated pre-URL dispatch.
+resolved through :func:`repro.open`, which reads a bare path as
+``file://``.
 
 Examples::
 
@@ -41,9 +41,9 @@ from .core import DeepMapping, DeepMappingConfig
 from .data import ColumnTable, crop, synthetic, tpcds, tpch
 from .lifecycle import LifecycleConfig, POLICY_NAMES
 from .shard import MANIFEST_NAME, ShardedDeepMapping, ShardingConfig
+from .shard.persistence import is_shard_blob
 from .storage import read_blob_view
-from .store import (EXECUTOR_NAMES, build_store, describe_target, open_store,
-                    warn_once)
+from .store import EXECUTOR_NAMES, build_store, describe_target, open_store
 
 __all__ = ["main", "load_dataset"]
 
@@ -94,17 +94,7 @@ def _config_from_args(args: argparse.Namespace) -> DeepMappingConfig:
 
 def _load_structure(path: str, **open_kwargs) \
         -> Union[DeepMapping, ShardedDeepMapping]:
-    """Open a saved structure, monolithic or sharded, via :func:`repro.open`.
-
-    Bare paths (no ``scheme://``) are the deprecated pre-URL dispatch:
-    they keep working identically but announce the URL form once.
-    """
-    if "://" not in path:
-        warn_once(
-            "cli-path-dispatch",
-            "bare store paths on the CLI are deprecated; address stores by "
-            "URL instead (file:// for local paths, mem://, zip://)",
-        )
+    """Open a saved structure, monolithic or sharded, via :func:`repro.open`."""
     try:
         return open_store(path, **open_kwargs)
     except (FileNotFoundError, ValueError) as exc:
@@ -190,7 +180,7 @@ def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
             f"{total / max(paper_bytes, 1):.2f}x total")
     if blob is None:
         shards = sum(size for name, size in sizes.items()
-                     if name.startswith("shard-"))
+                     if is_shard_blob(name))
         line += (f": manifest {sizes[MANIFEST_NAME]:,} B, "
                  f"shard payloads {shards:,} B")
     return line + ")"

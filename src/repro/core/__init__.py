@@ -5,8 +5,7 @@ from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .deep_mapping import DeepMapping, LookupResult, SizeReport
 from .exist_index import (ExistenceIndex, SparseExistenceIndex,
-                          existence_from_state, load_existence,
-                          make_existence_index)
+                          existence_from_state, make_existence_index)
 from .modify import ModificationTracker, estimate_batch_bytes
 from .negative_filter import NegativeFilter, hash_key_columns
 from .multikey import MultiKeyDeepMapping, MultiRelationDeepMapping
@@ -23,7 +22,6 @@ __all__ = [
     "ExistenceIndex",
     "SparseExistenceIndex",
     "make_existence_index",
-    "load_existence",
     "existence_from_state",
     "ModificationTracker",
     "estimate_batch_bytes",

@@ -24,7 +24,6 @@ paper-literal Algorithm 1 survives only as the bit-exact parity oracle
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -45,13 +44,12 @@ from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.disk import DiskStore
 from ..storage.stats import StoreStats
-from ..store.deprecation import warn_once
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig, check_stored_config
 from .exist_index import (ExistenceIndex, existence_from_state,
-                          load_existence, make_existence_index)
+                          make_existence_index)
 from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
                      estimate_batch_bytes)
 
@@ -363,7 +361,7 @@ class DeepMapping:
 
     Build with :meth:`fit`; query with :meth:`lookup`; mutate with
     :meth:`insert` / :meth:`delete` / :meth:`update`; persist with
-    :meth:`save` / :meth:`load`.
+    :meth:`save` / :meth:`open`.
     """
 
     def __init__(
@@ -892,9 +890,8 @@ class DeepMapping:
         attaches the partitions where they lie.  Opened through an
         mmap-capable backend with ``writable=False``, all of it
         materializes as views over shared pages instead of copies — the
-        cold open is pure mmap.  Older payloads (raw ``aux_keys`` /
-        ``aux_codes`` rows, nested ``session`` / ``exist`` bytes, or
-        pre-container plain pickle) remain readable.
+        cold open is pure mmap.  This is the only layout any open reads
+        (see :meth:`_load_state`).
         """
         state = {
             "config": self.config,
@@ -907,28 +904,6 @@ class DeepMapping:
             "dataset_bytes": self._dataset_bytes,
             # Sec. IV-D lazy-update state: without this a loaded store
             # would restart the retrain threshold from zero every reopen.
-            "tracker": self.tracker.to_state(),
-        }
-        return zerocopy.pack(state)
-
-    def _to_payload_legacy(self) -> bytearray:
-        """The pre-``*_v2`` payload layout: session and exist index as
-        nested pickled/compressed ``bytes``, ``T_aux`` as raw
-        ``aux_keys`` / ``aux_codes`` rows.  Kept (private) so the
-        compatibility tests and ``benchmarks/bench_prune.py`` can write
-        payloads in the old format and measure the cold-open cost the
-        ``*_v2`` keys removed."""
-        aux_keys, aux_codes = self.aux.scan()
-        state = {
-            "config": self.config,
-            "key_codec": self.key_codec.to_state(),
-            "key_encoder": self.key_encoder.to_state(),
-            "session": self.session.to_bytes(),
-            "exist": self.exist.to_bytes(),
-            "fdecode": self.fdecode.to_state(),
-            "aux_keys": aux_keys,
-            "aux_codes": aux_codes,
-            "dataset_bytes": self._dataset_bytes,
             "tracker": self.tracker.to_state(),
         }
         return zerocopy.pack(state)
@@ -951,10 +926,27 @@ class DeepMapping:
 
     @staticmethod
     def _load_state(payload, zero_copy: bool = False) -> Dict[str, object]:
-        """Payload bytes/view -> state dict (either container format)."""
-        if zerocopy.is_packed(payload):
-            return zerocopy.unpack(payload, zero_copy=zero_copy)
-        return pickle.loads(payload)
+        """Payload bytes/view -> state dict, for the one layout
+        :meth:`to_payload` writes.
+
+        Anything else is refused with a ``ValueError`` — not
+        :class:`~repro.resilience.errors.StoreCorruptedError`: the bytes
+        are intact, so the caches' re-read would change nothing.
+        """
+        if not zerocopy.is_packed(payload):
+            raise _unsupported_layout(
+                "it does not start with the RZC2 container magic (bare "
+                "pickles and containers without checksums are no longer "
+                "read)")
+        state = zerocopy.unpack(payload, zero_copy=zero_copy)
+        missing = [key for key in ("session_v2", "exist_v2", "aux_v2")
+                   if key not in state]
+        if missing:
+            raise _unsupported_layout(
+                f"it lacks {', '.join(missing)} (nested session / exist "
+                "bytes and raw aux_keys / aux_codes rows are no longer "
+                "read)")
+        return state
 
     @classmethod
     def _components_from_state(
@@ -972,9 +964,6 @@ class DeepMapping:
         copy's segments on a writable one) become the table's partitions
         as they are, and the first probe of one decompresses it straight
         out of the payload — no sort, no compression, no temporary file.
-        One compatibility branch: a payload that still carries raw
-        ``aux_keys`` / ``aux_codes`` rows (anything saved before
-        ``aux_v2``) builds its partitions here, eagerly.
         """
         config = check_stored_config(state["config"])
         fdecode = DecodeMap.from_state(state["fdecode"])
@@ -988,31 +977,17 @@ class DeepMapping:
             auto_compact_rows=config.aux_auto_compact_rows,
             name_prefix=aux_name_prefix,
         )
-        if "aux_v2" in state:
-            aux.attach(state["aux_v2"])
-        else:
-            aux.build(state["aux_keys"], state["aux_codes"])
-        # Prefer the array-first *_v2 keys (weights and exist bits come
-        # up as zero-copy views); fall back to the legacy nested-bytes
-        # keys so payloads written before the v2 layout still load.
-        if "session_v2" in state:
-            session = InferenceSession.from_state(state["session_v2"])
-        else:
-            session = InferenceSession.from_bytes(state["session"])
-        if "exist_v2" in state:
-            exist = existence_from_state(state["exist_v2"])
-        else:
-            exist = load_existence(state["exist"])
+        aux.attach(state["aux_v2"])
         return {
             "config": config,
             "key_codec": CompositeKeyCodec.from_state(state["key_codec"]),
             "key_encoder": KeyEncoder.from_state(state["key_encoder"]),
-            "session": session,
+            "session": InferenceSession.from_state(state["session_v2"]),
             "aux": aux,
-            "exist": exist,
+            "exist": existence_from_state(state["exist_v2"]),
             "fdecode": fdecode,
             "dataset_bytes": state["dataset_bytes"],
-            "tracker": state.get("tracker"),
+            "tracker": state["tracker"],
         }
 
     @classmethod
@@ -1029,10 +1004,7 @@ class DeepMapping:
             dataset_bytes=components["dataset_bytes"],
             stats=stats,
         )
-        # Payloads written before tracker persistence lack the key; they
-        # keep today's behavior (counters restart at zero).
-        if components.get("tracker") is not None:
-            mapping.tracker.restore_counters(components["tracker"])
+        mapping.tracker.restore_counters(components["tracker"])
         return mapping
 
     @classmethod
@@ -1089,8 +1061,7 @@ class DeepMapping:
         compiled, and the whole bundle cached under the blob's version
         stamp.  The auxiliary partitions are attached as views into the
         pinned payload (see :meth:`_components_from_state`), so the cold
-        open writes nothing and creates no file; only payloads from
-        before ``aux_v2`` build partitions.  Warm path: the cached
+        open writes nothing and creates no file.  Warm path: the cached
         bundle is wrapped directly — no I/O, no deserialization, no
         recompile.
         """
@@ -1140,29 +1111,6 @@ class DeepMapping:
                                      f"{target!r}") from None
         return cls.from_payload(payload, disk=disk, pool=pool, stats=stats,
                                 aux_name_prefix=aux_name_prefix)
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        disk: Optional[DiskStore] = None,
-        pool: Optional[BufferPool] = None,
-        stats: Optional[StoreStats] = None,
-        aux_name_prefix: str = "aux",
-    ) -> "DeepMapping":
-        """Deprecated alias of :meth:`open` (kept for pre-facade callers).
-
-        Emits a ``DeprecationWarning`` once per process; behavior is
-        unchanged.  Use :func:`repro.open` (layout auto-detection, all
-        URL schemes) or :meth:`DeepMapping.open` instead.
-        """
-        warn_once(
-            "DeepMapping.load",
-            "DeepMapping.load() is deprecated; use repro.open(url_or_path) "
-            "or DeepMapping.open() instead",
-        )
-        return cls.open(path, disk=disk, pool=pool, stats=stats,
-                        aux_name_prefix=aux_name_prefix)
 
     # ------------------------------------------------------------------
     # Input normalization
@@ -1231,6 +1179,14 @@ class DeepMapping:
             f"rows={len(self)}, aux_rows={len(self.aux)}, "
             f"bytes={self.storage_bytes()})"
         )
+
+
+def _unsupported_layout(found: str) -> ValueError:
+    return ValueError(
+        "this payload does not hold a DeepMapping store in the one layout "
+        f"this version reads: {found}. If it is a store saved by an older "
+        "version, open and re-save it at commit b054dba, the last one "
+        "that reads the older layouts.")
 
 
 class _DomainRebuilt(Exception):

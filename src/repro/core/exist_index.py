@@ -14,15 +14,12 @@ Two implementations share the interface:
   larger than the key count (e.g. wide composite keys), O(n) words, still
   exact (a Bloom filter would reintroduce hallucinations).
 
-:func:`make_existence_index` picks automatically; :func:`load_existence`
-restores either from bytes.
+:func:`make_existence_index` picks automatically.
 
-Serialization comes in two shapes.  ``to_bytes`` / ``load_existence`` is
-the legacy nested-``bytes`` form (tagged, zlib-compressed) still read
-from old payloads.  ``to_state`` / :func:`existence_from_state` is the
-zero-copy form: a small dict whose arrays stay first-class, so the RZC2
-container exports them as out-of-band segments and a ``writable=False``
-cold open wraps the mmap bytes directly — no decompression, no copy.
+``to_state`` / :func:`existence_from_state` is how either is persisted:
+a small dict whose arrays stay first-class, so the RZC2 container
+exports them as out-of-band segments and a ``writable=False`` cold open
+wraps the mmap bytes directly — no decompression, no copy.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "ExistenceIndex",
     "SparseExistenceIndex",
     "make_existence_index",
-    "load_existence",
     "existence_from_state",
 ]
 
@@ -92,20 +88,6 @@ class ExistenceIndex:
     def stored_bytes(self) -> int:
         """Offline (compressed) size — the ``size(V_exist)`` term of Eq. 1."""
         return len(zlib.compress(self._bits.to_bytes(), 1))
-
-    def to_bytes(self) -> bytes:
-        """Serialize (compressed, tagged dense)."""
-        return b"D" + zlib.compress(self._bits.to_bytes(), 1)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "ExistenceIndex":
-        """Inverse of :meth:`to_bytes`."""
-        if payload[:1] == b"D":
-            payload = payload[1:]
-        bits = BitVector.from_bytes(zlib.decompress(payload))
-        index = cls.__new__(cls)
-        index._bits = bits
-        return index
 
     def to_state(self) -> dict:
         """Array-first state for the zero-copy container.
@@ -178,34 +160,11 @@ class SparseExistenceIndex:
         return int(self._keys.nbytes)
 
     def stored_bytes(self) -> int:
-        """Offline size: delta-encoded, compressed keys.
-
-        Counts only the compressed key payload — not the 1-byte format
-        tag or the 8-byte domain header — so ``size(V_exist)`` in Eq. 1
-        is accounted exactly like the dense variant's (which likewise
-        excludes its serialization tag).
-        """
-        return len(self._compressed_keys())
-
-    def _compressed_keys(self) -> bytes:
+        """Offline size: delta-encoded, compressed keys — the
+        ``size(V_exist)`` term of Eq. 1, accounted like the dense
+        variant's (compressed content only)."""
         deltas = np.diff(self._keys, prepend=np.int64(0))
-        return zlib.compress(deltas.tobytes(), 1)
-
-    def to_bytes(self) -> bytes:
-        """Serialize (delta-encoded + compressed, tagged sparse)."""
-        return (b"S" + self._domain.to_bytes(8, "little")
-                + self._compressed_keys())
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "SparseExistenceIndex":
-        """Inverse of :meth:`to_bytes`."""
-        if payload[:1] == b"S":
-            payload = payload[1:]
-        domain = int.from_bytes(payload[:8], "little")
-        deltas = np.frombuffer(zlib.decompress(payload[8:]), dtype=np.int64)
-        index = cls(domain)
-        index._keys = np.cumsum(deltas).astype(np.int64)
-        return index
+        return len(zlib.compress(deltas.tobytes(), 1))
 
     def to_state(self) -> dict:
         """Array-first state for the zero-copy container (keys stay a
@@ -231,14 +190,6 @@ def make_existence_index(domain_size: int, expected_keys: int):
     if dense_affordable and dense_economic:
         return ExistenceIndex(domain_size)
     return SparseExistenceIndex(domain_size)
-
-
-def load_existence(payload: bytes):
-    """Restore whichever existence index :meth:`to_bytes` produced."""
-    tag = payload[:1]
-    if tag == b"S":
-        return SparseExistenceIndex.from_bytes(payload)
-    return ExistenceIndex.from_bytes(payload)
 
 
 def existence_from_state(state: dict):

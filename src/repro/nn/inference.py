@@ -5,8 +5,9 @@ a forward-only graph with frozen weights, optimized for batched lookups.
 :class:`InferenceSession` plays that role here: it snapshots a trained
 :class:`~repro.nn.multitask.MultiTaskMLP` into plain weight arrays (stored
 at ``float16`` by default, halving the offline model footprint), executes
-batched forward passes with no autograd bookkeeping, and serializes to a
-compact byte blob whose length is the "model size" term of the paper's
+batched forward passes with no autograd bookkeeping, and exports its spec
+and weight arrays as the state the payload container stores; the
+serialized size of that state is the "model size" term of the paper's
 Eq. 1 objective.
 """
 
@@ -38,7 +39,7 @@ class InferenceSession:
     """Forward-only snapshot of a multi-task model.
 
     Build with :meth:`from_model`, query with :meth:`run` /
-    :meth:`run_logits`, persist with :meth:`to_bytes` / :meth:`from_bytes`.
+    :meth:`run_logits`, persist with :meth:`to_state` / :meth:`from_state`.
     """
 
     def __init__(
@@ -111,42 +112,14 @@ class InferenceSession:
     # ------------------------------------------------------------------
     # Serialization / size accounting
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize the frozen graph (spec + weights) to bytes."""
-        payload = {
-            "spec": {
-                "input_dim": self.spec.input_dim,
-                "shared_sizes": self.spec.shared_sizes,
-                "private_sizes": self.spec.private_sizes,
-                "output_dims": self.spec.output_dims,
-            },
-            "weight_dtype": self.weight_dtype.str,
-            "shared": self._shared,
-            "heads": self._heads,
-        }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "InferenceSession":
-        """Inverse of :meth:`to_bytes`."""
-        data = pickle.loads(payload)
-        session = cls.__new__(cls)
-        session.spec = _spec_from_dict(data["spec"])
-        session.weight_dtype = np.dtype(data["weight_dtype"])
-        session._shared = data["shared"]
-        session._heads = data["heads"]
-        session._nbytes = len(payload)
-        return session
-
     def to_state(self) -> Dict[str, object]:
         """Array-first state for the zero-copy container.
 
-        Unlike :meth:`to_bytes` (one nested pickle blob the loader must
-        copy and re-parse), every weight array here stays first-class,
-        so the RZC2 container exports them as out-of-band segments and a
-        ``writable=False`` cold open maps them straight off disk.  The
-        arrays are shared, not copied — the container snapshots them at
-        pack time, and the weights are frozen anyway.
+        Every weight array stays first-class, so the RZC2 container
+        exports them as out-of-band segments and a ``writable=False``
+        cold open maps them straight off disk.  The arrays are shared,
+        not copied — the container snapshots them at pack time, and the
+        weights are frozen anyway.
         """
         return {
             "spec": {
@@ -190,14 +163,16 @@ class InferenceSession:
 
     @property
     def nbytes(self) -> int:
-        """Serialized model size — the ``size(M)`` term in Eq. 1.
+        """Serialized model size — the ``size(M)`` term in Eq. 1: the
+        spec and every weight array of :meth:`to_state`, pickled.
 
-        Memoized: the weights are frozen, so the blob length never
-        changes, and size accounting (``size_report`` → ``storage_bytes``
-        → ``__repr__``) asks for it repeatedly.
+        Memoized: the weights are frozen, so the size never changes,
+        and size accounting (``size_report`` → ``storage_bytes`` →
+        ``__repr__``) asks for it repeatedly.
         """
         if self._nbytes is None:
-            self._nbytes = len(self.to_bytes())
+            self._nbytes = len(pickle.dumps(
+                self.to_state(), protocol=pickle.HIGHEST_PROTOCOL))
         return self._nbytes
 
     def param_count(self) -> int:

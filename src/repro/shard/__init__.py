@@ -14,7 +14,9 @@ scales the structure out horizontally:
   thread pool) and merges the results back into input order;
 - :mod:`repro.shard.manifest` — the on-disk manifest describing a saved
   sharded store (router state, per-shard files, schema, lifecycle
-  metadata).
+  metadata);
+- :mod:`repro.shard.persistence` — the saved store's directory layout:
+  what ``save`` writes and the writable / shared / hydrating opens.
 
 The write-side lifecycle — retrain policies, range split/merge
 rebalancing, per-shard model sizing — lives in :mod:`repro.lifecycle`;
@@ -31,6 +33,9 @@ from .manifest import (MANIFEST_NAME, ShardEntry, ShardManifest,
 from .router import (HashShardRouter, RangeShardRouter, ShardRouter,
                      make_router, router_from_state)
 from .store import ShardedDeepMapping, ShardingConfig
+# After .store (which it imports): loaded with the package, so the first
+# save / open does not pay for the import.
+from . import persistence  # noqa: E402,F401
 
 __all__ = [
     "ShardedDeepMapping",

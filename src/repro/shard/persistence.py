@@ -1,0 +1,306 @@
+"""The sharded store's on-disk layout: the one module that knows it.
+
+A saved store is a container — any
+:class:`~repro.storage.backends.StorageBackend`, selected by URL scheme
+— holding ``manifest.json`` (:mod:`repro.shard.manifest` draws the
+tree), ``config.pkl`` and one ``shard-NNNN.dm`` payload per non-empty
+shard.  :func:`save` writes it and sweeps payload blobs a previous save
+left behind; :func:`load` reads it back three ways — writable, shared
+read-only, or hydrating over a remote backend.
+:meth:`ShardedDeepMapping.save` / :meth:`ShardedDeepMapping.load` are
+the public entry points; they hand straight to this module.
+"""
+
+from __future__ import annotations
+
+import functools
+import pickle
+from contextlib import nullcontext
+from typing import Dict, List, Optional, Union
+
+import numpy as np
+
+from ..core.config import check_stored_config
+from ..core.deep_mapping import DeepMapping
+from ..core.negative_filter import NegativeFilter, filter_from_json
+from ..lifecycle import LifecycleConfig
+from ..storage.backends import StorageBackend, backend_for_url
+from ..storage.blob_cache import payload_cache
+from ..storage.buffer_pool import BufferPool
+from ..storage.hydration import LazyShard
+from ..storage.stats import StoreStats
+from ..store.executors import ExecutorStrategy
+from .manifest import CONFIG_NAME, ShardEntry, ShardManifest
+from .router import router_from_state
+from .store import ShardedDeepMapping, ShardingConfig, _aux_prefix
+
+__all__ = ["save", "load", "shard_blob_name", "is_shard_blob"]
+
+
+def shard_blob_name(ordinal: int) -> str:
+    """Blob name of shard ``ordinal``'s payload."""
+    return f"shard-{ordinal:04d}.dm"
+
+
+def is_shard_blob(name: str) -> bool:
+    """True for names :func:`shard_blob_name` produces."""
+    return name.startswith("shard-") and name.endswith(".dm")
+
+
+# ----------------------------------------------------------------------
+# Save
+# ----------------------------------------------------------------------
+def save(store: ShardedDeepMapping,
+         target: Union[str, StorageBackend]) -> int:
+    """Write ``store`` into ``target``; returns total bytes written.
+
+    Empty shards are recorded in the manifest with no payload blob;
+    payload blobs from a previous save that this store no longer
+    references are deleted, so a re-save in place cannot leave stale
+    shards behind.
+    """
+    backend = (backend_for_url(target) if isinstance(target, str)
+               else target)
+    # Backends that buffer whole-container rewrites (zip) batch the
+    # save into one atomic replace instead of one rewrite per blob.
+    batch = getattr(backend, "batch", None)
+    with (batch() if batch is not None else nullcontext()):
+        return _save_into(store, backend)
+
+
+def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
+    total = 0
+    entries: List[ShardEntry] = []
+    filters = store.filters
+    sharding = store.sharding
+    with store.stats.timing("io"):
+        for ordinal, shard in enumerate(store.shards):
+            if shard is None:
+                entries.append(ShardEntry(file=None))
+                continue
+            fname = shard_blob_name(ordinal)
+            nbytes = backend.write_bytes(fname, shard.to_payload())
+            filt = filters[ordinal]
+            entries.append(ShardEntry(
+                file=fname, n_rows=len(shard), n_bytes=nbytes,
+                filter=filt.to_json() if filt is not None else None))
+            total += nbytes
+
+        config_payload = pickle.dumps(store.config,
+                                      protocol=pickle.HIGHEST_PROTOCOL)
+        total += backend.write_bytes(CONFIG_NAME, config_payload)
+
+    lifecycle: Dict[str, object] = {}
+    if sharding.lifecycle is not None:
+        lifecycle["config"] = sharding.lifecycle.to_state()
+    if store.engine is not None:
+        lifecycle["counters"] = store.engine.summary()
+
+    manifest = ShardManifest(
+        router=store.router.to_state(),
+        key_names=list(store.key_names),
+        value_names=list(store.value_names),
+        value_dtypes={name: dtype.str
+                      for name, dtype in store._value_dtypes.items()},
+        shards=entries,
+        sharding={
+            "strategy": sharding.strategy,
+            "n_shards": sharding.n_shards,
+            "max_workers": sharding.max_workers,
+            "pool_budget_bytes": sharding.pool_budget_bytes,
+            "executor": getattr(sharding.executor, "name",
+                                sharding.executor),
+            "on_shard_error": sharding.on_shard_error,
+            "negative_filter": sharding.negative_filter,
+            "hedged_reads": sharding.hedged_reads,
+        },
+        lifecycle=lifecycle,
+        store_filter=(store._store_filter.to_json()
+                      if store._store_filter is not None else None),
+        prune_meta=export_prune_meta(store),
+    )
+    total += manifest.save_to(backend)
+
+    # A shrunk store (merges, fewer shards) must not leave orphaned
+    # payload blobs for a later loader to trip over.
+    referenced = {entry.file for entry in entries if entry.file}
+    for name in backend.list():
+        if is_shard_blob(name) and name not in referenced:
+            backend.delete(name)
+    # Every blob under this container may have changed (including
+    # deletions after a lifecycle split/merge); retire all cached
+    # read-only bundles for it at once.
+    payload_cache().invalidate_backend(backend)
+    return total
+
+
+def export_prune_meta(store: ShardedDeepMapping) \
+        -> Optional[Dict[str, object]]:
+    """Manifest (JSON) form of the scalar prune-lane metadata.
+
+    Written at save time so a hydrating loader can run the
+    store-filter scalar fast lane — per-column vocab dtype and miss
+    filler — without downloading a single shard to rediscover them.
+    ``None`` when the scalar lanes do not apply (mixed dtypes or
+    fillers, empty shards) or a filler does not survive JSON.
+    """
+    meta = store._prune_meta(store.shards)
+    if not meta["scalar_ok"]:
+        return None
+    columns: Dict[str, object] = {}
+    for c in store.value_names:
+        filler = meta["filler"][c]
+        if isinstance(filler, np.generic):
+            filler = filler.item()
+        if not isinstance(filler, (bool, int, float, str)):
+            return None
+        columns[c] = {"dtype": meta["dtype"][c].str, "filler": filler}
+    return {"scalar_ok": True, "columns": columns}
+
+
+def prime_prune_meta(store: ShardedDeepMapping,
+                     manifest: ShardManifest) -> None:
+    """Install save-time prune metadata on a hydrating store.
+
+    Without this, the first lookup's ``_prune_meta`` pass would touch
+    every shard's decoder — hydrating the whole store to answer an
+    all-miss batch.  Metadata that is absent or does not match the
+    schema is simply ignored (the general prune lane still works; it
+    just hydrates the shards it routes into).
+    """
+    meta = manifest.prune_meta
+    if not meta or not meta.get("scalar_ok"):
+        return
+    columns = meta.get("columns") or {}
+    if set(columns) != set(store.value_names):
+        return
+    try:
+        dtype = {c: np.dtype(columns[c]["dtype"]) for c in columns}
+        filler = {c: dtype[c].type(columns[c]["filler"])
+                  for c in columns}
+    except (KeyError, TypeError, ValueError):
+        return
+    store._prune_meta_cache = (store.shards, {
+        "scalar_ok": True, "filler": filler, "dtype": dtype})
+
+
+# ----------------------------------------------------------------------
+# Load
+# ----------------------------------------------------------------------
+def load(cls, target: Union[str, StorageBackend],
+         stats: Optional[StoreStats], max_workers: Optional[int],
+         pool_budget_bytes: Optional[int],
+         executor: Union[str, ExecutorStrategy, None], writable: bool,
+         negative_filter: Optional[bool]) -> ShardedDeepMapping:
+    """Open the store saved in ``target`` as a ``cls``
+    (:meth:`ShardedDeepMapping.load` documents the overrides).
+
+    All shards' auxiliary partitions share one
+    :class:`~repro.storage.buffer_pool.BufferPool`, so a single byte
+    budget caps resident partitions across the store.  Three opens:
+    **writable** (the default) reads every payload whole into private,
+    mutable copies.  **Shared** (``writable=False``) opens every shard
+    through the process-wide payload cache: zero-copy views
+    (mmap-backed on local directories), one deserialized bundle per
+    unchanged blob (compiled kernel and attached partitions included);
+    cached shards keep the pool of their *first* (cold) open, so
+    ``pool_budget_bytes`` only applies to shards loaded cold.
+    **Hydrating** (backends flagging ``remote = True``; forces
+    ``writable=False``) fetches only the manifest and build config and
+    stands a :class:`~repro.storage.hydration.LazyShard` in for every
+    shard, which runs the shared open on first routed touch
+    (``docs/remote.md``).
+    """
+    backend = (backend_for_url(target, create=False)
+               if isinstance(target, str) else target)
+    hydrating = bool(getattr(backend, "remote", False))
+    if hydrating:
+        writable = False
+    manifest = ShardManifest.load_from(backend)
+    router = router_from_state(manifest.router)
+    config = check_stored_config(pickle.loads(
+        backend.read_bytes(CONFIG_NAME)))
+
+    saved = manifest.sharding
+    lifecycle_state = manifest.lifecycle.get("config")
+    sharding = ShardingConfig(
+        n_shards=manifest.n_shards,
+        strategy=saved.get("strategy", router.kind),
+        max_workers=(max_workers if max_workers is not None
+                     else saved.get("max_workers")),
+        pool_budget_bytes=(pool_budget_bytes if pool_budget_bytes is not None
+                           else saved.get("pool_budget_bytes")),
+        executor=(executor if executor is not None
+                  else saved.get("executor")),
+        lifecycle=(LifecycleConfig.from_state(lifecycle_state)
+                   if lifecycle_state else None),
+        on_shard_error=saved.get("on_shard_error", "raise"),
+        # Manifests written before the pruning tier default to True:
+        # they simply carry no filters (entries lack the field), so
+        # nothing prunes until a mutation/rebuild grows filters.
+        negative_filter=(negative_filter if negative_filter is not None
+                         else saved.get("negative_filter", True)),
+        # Pre-hedging manifests lack the field: hedging stays off.
+        hedged_reads=saved.get("hedged_reads", False),
+    )
+    stats = stats if stats is not None else StoreStats()
+    # Remote transports accumulate range/hydration counters; point
+    # them at this store's sink so `store.stats` (and the serving
+    # tier's snapshot bracket) sees them.
+    bind_stats = getattr(backend, "bind_stats", None)
+    if bind_stats is not None:
+        bind_stats(stats)
+    pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
+                      stats=stats)
+    filters: List[Optional[NegativeFilter]] = [
+        (NegativeFilter.from_json(entry.filter)
+         if sharding.negative_filter and entry.filter is not None
+         else None)
+        for entry in manifest.shards
+    ]
+    shards: List[Optional[DeepMapping]] = []
+    for ordinal, entry in enumerate(manifest.shards):
+        if entry.file is None:
+            shards.append(None)
+            continue
+        open_shared = functools.partial(
+            DeepMapping._open_shared, backend, entry.file, stats=stats,
+            pool=pool, aux_name_prefix=_aux_prefix(ordinal))
+        if hydrating:
+            # Nothing is fetched here: the proxy defers the shared
+            # open (a ranged container fetch through the payload
+            # cache, which also dedupes concurrent hydrations of
+            # the same blob) until a batch actually routes into
+            # this shard.
+            shards.append(LazyShard(open_shared, n_rows=entry.n_rows,
+                                    stats=stats, label=entry.file))
+        elif not writable:
+            shards.append(open_shared())
+        else:
+            with stats.timing("io"):
+                payload = backend.read_bytes(entry.file)
+            shards.append(DeepMapping.from_payload(
+                payload, pool=pool, stats=stats,
+                aux_name_prefix=_aux_prefix(ordinal)))
+    value_dtypes = {name: np.dtype(spec)
+                    for name, spec in manifest.value_dtypes.items()}
+    store_filter = (filter_from_json(manifest.store_filter)
+                    if sharding.negative_filter
+                    and manifest.store_filter is not None else None)
+    store = cls(router, shards, config, sharding,
+                value_names=tuple(manifest.value_names),
+                value_dtypes=value_dtypes, stats=stats, pool=pool,
+                filters=filters, store_filter=store_filter)
+    store.writable = writable
+    if store.engine is not None and "counters" in manifest.lifecycle:
+        store.engine.restore_counters(manifest.lifecycle["counters"])
+    if hydrating:
+        # Eager engine compilation would iterate (and download)
+        # every shard; hydrated shards come out of _open_shared
+        # with their compiled kernel already built.  Prime the
+        # prune fast lane from the manifest instead, so an
+        # all-miss batch is answered with zero shard fetches.
+        prime_prune_meta(store, manifest)
+    else:
+        store.compile_engines()
+    return store

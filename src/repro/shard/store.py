@@ -8,10 +8,12 @@ them one facade with the same surface (``lookup`` / ``lookup_one`` /
 the CLI, the bench harness — work over it transparently.
 
 This module owns the store's **topology** (the atomically swapped
-``(router, shards, filters)`` triple and split/merge), its **mutation**
-path and its **persistence**.  The **read path** — prune → route →
-allocate/fill → dispatch → result over one completion-driven wait —
-lives in :mod:`repro.shard.read_path`; :meth:`lookup` and
+``(router, shards, filters)`` triple and split/merge) and its
+**mutation** path.  The on-disk layout — what :meth:`save` writes and
+:meth:`load` reads — lives in :mod:`repro.shard.persistence`.  The
+**read path** — prune → route → allocate/fill → dispatch → result over
+one completion-driven wait — lives in
+:mod:`repro.shard.read_path`; :meth:`lookup` and
 :meth:`contains_batch` hand straight to it, and :meth:`lookup_async`
 schedules the same call on the store's pluggable
 :class:`~repro.store.executors.ExecutorStrategy`.
@@ -24,50 +26,34 @@ ends with a :class:`~repro.lifecycle.MaintenanceEngine` pass — policy-
 driven retrains on the fan-out pool, plus range shard split/merge
 rebalancing with per-shard MHAS sizing (``split_shard`` /
 ``merge_shards`` hold the mechanics; the engine holds the policy).
-
-Persistence reuses the storage substrate: every shard's auxiliary table
-runs through :class:`~repro.storage.partition.SortedPartitionStore` with a
-per-shard blob prefix into one *shared*
-:class:`~repro.storage.buffer_pool.BufferPool`, so a single byte budget
-caps resident partitions across the whole store.  ``save()`` writes one
-``DeepMapping`` payload per non-empty shard plus a JSON manifest
-(:mod:`~repro.shard.manifest`) into any
-:class:`~repro.storage.backends.StorageBackend` — a local directory,
-an in-memory container, or a zip archive, selected by URL scheme.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import pickle
 from concurrent.futures import Future
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.config import DeepMappingConfig, check_stored_config
+from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (_ZERO_CODE, DeepMapping, KeysLike,
                                  LookupResult, RowsLike, SizeReport,
                                  normalize_keys, normalize_rows)
 from ..core.negative_filter import (FilterBank, NegativeFilter,
-                                    build_store_filter, filter_from_json,
-                                    hash_key_columns)
+                                    build_store_filter, hash_key_columns)
 from ..data.table import ColumnTable
 from ..lifecycle import LifecycleConfig, MaintenanceEngine, derive_build_config
 from ..resilience.deadline import Deadline
 from ..resilience.hedging import HedgeController
-from ..storage.backends import StorageBackend, backend_for_url
-from ..storage.blob_cache import payload_cache
+from ..storage.backends import StorageBackend
 from ..storage.buffer_pool import BufferPool
-from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy, make_executor
 from . import read_path
-from .manifest import CONFIG_NAME, ShardEntry, ShardManifest
-from .router import RangeShardRouter, ShardRouter, make_router, router_from_state
+from .router import RangeShardRouter, ShardRouter, make_router
 
 __all__ = ["ShardedDeepMapping", "ShardingConfig"]
 
@@ -338,8 +324,6 @@ class ShardedDeepMapping:
                             hashes[shard_ids == ordinal],
                             bits_per_key=_SHARD_FILTER_BITS)
 
-        # No compile_engines() here: DeepMapping.fit already leaves each
-        # shard holding its freshly compiled engine.
         return cls(router, shards, config, sharding,
                    value_names=value_names, value_dtypes=value_dtypes,
                    stats=stats, pool=pool, executor=executor,
@@ -395,7 +379,7 @@ class ShardedDeepMapping:
 
     def _prune_meta(self, shards: List[Optional[DeepMapping]]):
         """Cached per-topology facts gating the read path's scalar prune
-        lane (and what :meth:`_export_prune_meta` persists).
+        lane (and what :func:`persistence.export_prune_meta` persists).
         ``scalar_ok``: every shard is live and, per value column, all
         share one vocab dtype and one miss filler (``vocab[0]``) — a
         pruned key's fill is then a scalar broadcast and dtype promotion
@@ -443,14 +427,11 @@ class ShardedDeepMapping:
         return [0 if shard is None else len(shard) for shard in self.shards]
 
     def compile_engines(self) -> int:
-        """Eagerly build every live shard's fused lookup kernel.
-
-        Lookups would compile lazily on first use; doing it at load time
-        (fit-time shards already carry the engine their build produced)
-        keeps first-query latency flat and guarantees the thread-pool
-        fan-out hits a ready :class:`~repro.nn.compiled.CompiledSession`
-        in each shard.  Returns the number of engines ready.
-        """
+        """Eagerly build every live shard's fused lookup kernel (a load
+        does, so first-query latency stays flat and the fan-out hits a
+        ready :class:`~repro.nn.compiled.CompiledSession` per shard;
+        fit-time shards already carry the engine their build produced).
+        Returns the number of engines ready."""
         count = 0
         for shard in self.shards:
             if shard is not None:
@@ -1045,7 +1026,7 @@ class ShardedDeepMapping:
         return merged
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Persistence (the directory layout lives in repro.shard.persistence)
     # ------------------------------------------------------------------
     def save(self, target: Union[str, StorageBackend]) -> int:
         """Write manifest + per-shard payloads into a store container.
@@ -1053,131 +1034,10 @@ class ShardedDeepMapping:
         ``target`` is a directory path, a ``file:// / mem:// / zip://``
         URL, or a :class:`~repro.storage.backends.StorageBackend`
         instance — payload location is fully decoupled from routing.
-        Returns total bytes written.  Empty shards are recorded in the
-        manifest with no payload blob; payload blobs from a previous save
-        that this store no longer references are deleted so a re-save in
-        place cannot leave stale shards behind.
+        Returns total bytes written.
         """
-        backend = (backend_for_url(target) if isinstance(target, str)
-                   else target)
-        # Backends that buffer whole-container rewrites (zip) batch the
-        # save into one atomic replace instead of one rewrite per blob.
-        batch = getattr(backend, "batch", None)
-        with (batch() if batch is not None else nullcontext()):
-            return self._save_into(backend)
-
-    def _save_into(self, backend: StorageBackend) -> int:
-        total = 0
-        entries: List[ShardEntry] = []
-        filters = self.filters
-        with self.stats.timing("io"):
-            for ordinal, shard in enumerate(self.shards):
-                if shard is None:
-                    entries.append(ShardEntry(file=None))
-                    continue
-                fname = f"shard-{ordinal:04d}.dm"
-                nbytes = backend.write_bytes(fname, shard.to_payload())
-                filt = filters[ordinal]
-                entries.append(ShardEntry(
-                    file=fname, n_rows=len(shard), n_bytes=nbytes,
-                    filter=filt.to_json() if filt is not None else None))
-                total += nbytes
-
-            config_payload = pickle.dumps(self.config,
-                                          protocol=pickle.HIGHEST_PROTOCOL)
-            total += backend.write_bytes(CONFIG_NAME, config_payload)
-
-        lifecycle: Dict[str, object] = {}
-        if self.sharding.lifecycle is not None:
-            lifecycle["config"] = self.sharding.lifecycle.to_state()
-        if self.engine is not None:
-            lifecycle["counters"] = self.engine.summary()
-
-        manifest = ShardManifest(
-            router=self.router.to_state(),
-            key_names=list(self.key_names),
-            value_names=list(self.value_names),
-            value_dtypes={name: dtype.str
-                          for name, dtype in self._value_dtypes.items()},
-            shards=entries,
-            sharding={
-                "strategy": self.sharding.strategy,
-                "n_shards": self.sharding.n_shards,
-                "max_workers": self.sharding.max_workers,
-                "pool_budget_bytes": self.sharding.pool_budget_bytes,
-                "executor": getattr(self.sharding.executor, "name",
-                                    self.sharding.executor),
-                "on_shard_error": self.sharding.on_shard_error,
-                "negative_filter": self.sharding.negative_filter,
-                "hedged_reads": self.sharding.hedged_reads,
-            },
-            lifecycle=lifecycle,
-            store_filter=(self._store_filter.to_json()
-                          if self._store_filter is not None else None),
-            prune_meta=self._export_prune_meta(),
-        )
-        total += manifest.save_to(backend)
-
-        # A shrunk store (merges, fewer shards) must not leave orphaned
-        # payload blobs for a later loader to trip over.
-        referenced = {entry.file for entry in entries if entry.file}
-        for name in backend.list():
-            if (name.startswith("shard-") and name.endswith(".dm")
-                    and name not in referenced):
-                backend.delete(name)
-        # Every blob under this container may have changed (including
-        # deletions after a lifecycle split/merge); retire all cached
-        # read-only bundles for it at once.
-        payload_cache().invalidate_backend(backend)
-        return total
-
-    def _export_prune_meta(self) -> Optional[Dict[str, object]]:
-        """Manifest (JSON) form of the scalar prune-lane metadata.
-
-        Written at save time so a hydrating loader can run the
-        store-filter scalar fast lane — per-column vocab dtype and miss
-        filler — without downloading a single shard to rediscover them.
-        ``None`` when the scalar lanes do not apply (mixed dtypes or
-        fillers, empty shards) or a filler does not survive JSON.
-        """
-        meta = self._prune_meta(self.shards)
-        if not meta["scalar_ok"]:
-            return None
-        columns: Dict[str, object] = {}
-        for c in self.value_names:
-            filler = meta["filler"][c]
-            if isinstance(filler, np.generic):
-                filler = filler.item()
-            if not isinstance(filler, (bool, int, float, str)):
-                return None
-            columns[c] = {"dtype": meta["dtype"][c].str, "filler": filler}
-        return {"scalar_ok": True, "columns": columns}
-
-    @staticmethod
-    def _prime_prune_meta(store: "ShardedDeepMapping",
-                          manifest: ShardManifest) -> None:
-        """Install save-time prune metadata on a hydrating store.
-
-        Without this, the first lookup's :meth:`_prune_meta` pass would
-        touch every shard's decoder — hydrating the whole store to
-        answer an all-miss batch.  Metadata that is absent or does not
-        match the schema is simply ignored (the general prune lane
-        still works; it just hydrates the shards it routes into).
-        """
-        meta = manifest.prune_meta
-        if not meta or not meta.get("scalar_ok"):
-            return
-        columns = meta.get("columns") or {}
-        if set(columns) != set(store.value_names):
-            return
-        try:
-            dtype = {c: np.dtype(columns[c]["dtype"]) for c in columns}
-            filler = {c: dtype[c].type(columns[c]["filler"])
-                      for c in columns}
-        except (KeyError, TypeError, ValueError):
-            return
-        store._prune_meta_cache = (store.shards, {
-            "scalar_ok": True, "filler": filler, "dtype": dtype})
+        from . import persistence
+        return persistence.save(self, target)
 
     @classmethod
     def load(
@@ -1194,130 +1054,20 @@ class ShardedDeepMapping:
 
         ``max_workers`` / ``pool_budget_bytes`` / ``executor`` override
         the saved knobs (e.g. load a store built on a big box onto a
-        small one, or force serial fan-out).  All shards' auxiliary
-        partitions share one
-        :class:`~repro.storage.buffer_pool.BufferPool` under the budget.
-        ``negative_filter=False`` ignores any persisted per-shard
-        filters (and stops new ones being built) — the unpruned
-        baseline ``benchmarks/bench_prune.py`` times against; ``None``
-        keeps the saved knob.
-
-        ``writable=False`` opens every shard read-only through the
-        process-wide payload cache: payload arrays are zero-copy views
-        (mmap-backed on local directories), repeated opens of unchanged
-        blobs share one deserialized bundle per shard (including its
-        compiled lookup kernel and built aux partitions), and mutating
-        calls raise ``PermissionError``.  Cached shards keep the buffer
-        pool of their *first* (cold) open, so ``pool_budget_bytes``
-        overrides only apply to shards loaded cold.
-
-        Remote backends (``http://`` family — anything flagging
-        ``remote = True``) open **hydrating**: the load fetches only
-        the manifest and the build config, every shard comes up as a
-        :class:`~repro.storage.hydration.LazyShard` proxy that
-        downloads its payload on first routed touch, and ``writable``
-        is forced to ``False`` (the transport refuses writes anyway).
-        See ``docs/remote.md``.
+        small one, or force serial fan-out); ``negative_filter=False``
+        ignores any persisted filters (and stops new ones being built),
+        ``None`` keeps the saved knob.  ``writable=False`` opens every
+        shard read-only through the process-wide payload cache
+        (zero-copy views, shared bundles, mutations raise
+        ``PermissionError``); remote backends always open read-only and
+        **hydrating** — shards download on first routed touch.  The
+        three opens are described in
+        :func:`repro.shard.persistence.load`.
         """
-        backend = (backend_for_url(target, create=False)
-                   if isinstance(target, str) else target)
-        hydrating = bool(getattr(backend, "remote", False))
-        if hydrating:
-            writable = False
-        manifest = ShardManifest.load_from(backend)
-        router = router_from_state(manifest.router)
-        config = check_stored_config(pickle.loads(
-            backend.read_bytes(CONFIG_NAME)))
-
-        saved = manifest.sharding
-        lifecycle_state = manifest.lifecycle.get("config")
-        sharding = ShardingConfig(
-            n_shards=manifest.n_shards,
-            strategy=saved.get("strategy", router.kind),
-            max_workers=(max_workers if max_workers is not None
-                         else saved.get("max_workers")),
-            pool_budget_bytes=(pool_budget_bytes if pool_budget_bytes is not None
-                               else saved.get("pool_budget_bytes")),
-            executor=(executor if executor is not None
-                      else saved.get("executor")),
-            lifecycle=(LifecycleConfig.from_state(lifecycle_state)
-                       if lifecycle_state else None),
-            on_shard_error=saved.get("on_shard_error", "raise"),
-            # Manifests written before the pruning tier default to True:
-            # they simply carry no filters (entries lack the field), so
-            # nothing prunes until a mutation/rebuild grows filters.
-            negative_filter=(negative_filter if negative_filter is not None
-                             else saved.get("negative_filter", True)),
-            # Pre-hedging manifests lack the field: hedging stays off.
-            hedged_reads=saved.get("hedged_reads", False),
-        )
-        stats = stats if stats is not None else StoreStats()
-        # Remote transports accumulate range/hydration counters; point
-        # them at this store's sink so `store.stats` (and the serving
-        # tier's snapshot bracket) sees them.
-        bind_stats = getattr(backend, "bind_stats", None)
-        if bind_stats is not None:
-            bind_stats(stats)
-        pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
-                          stats=stats)
-        filters: List[Optional[NegativeFilter]] = [
-            (NegativeFilter.from_json(entry.filter)
-             if sharding.negative_filter and entry.filter is not None
-             else None)
-            for entry in manifest.shards
-        ]
-        shards: List[Optional[DeepMapping]] = []
-        for ordinal, entry in enumerate(manifest.shards):
-            if entry.file is None:
-                shards.append(None)
-                continue
-            if hydrating:
-                # Nothing is fetched here: the proxy defers the shared
-                # open (a ranged container fetch through the payload
-                # cache, which also dedupes concurrent hydrations of
-                # the same blob) until a batch actually routes into
-                # this shard.
-                shards.append(LazyShard(
-                    functools.partial(
-                        DeepMapping._open_shared, backend, entry.file,
-                        stats=stats, pool=pool,
-                        aux_name_prefix=_aux_prefix(ordinal)),
-                    n_rows=entry.n_rows, stats=stats, label=entry.file))
-                continue
-            if not writable:
-                shards.append(DeepMapping._open_shared(
-                    backend, entry.file, stats=stats, pool=pool,
-                    aux_name_prefix=_aux_prefix(ordinal),
-                ))
-                continue
-            with stats.timing("io"):
-                payload = backend.read_bytes(entry.file)
-            shards.append(DeepMapping.from_payload(
-                payload, pool=pool, stats=stats,
-                aux_name_prefix=_aux_prefix(ordinal),
-            ))
-        value_dtypes = {name: np.dtype(spec)
-                        for name, spec in manifest.value_dtypes.items()}
-        store_filter = (filter_from_json(manifest.store_filter)
-                        if sharding.negative_filter
-                        and manifest.store_filter is not None else None)
-        store = cls(router, shards, config, sharding,
-                    value_names=tuple(manifest.value_names),
-                    value_dtypes=value_dtypes, stats=stats, pool=pool,
-                    filters=filters, store_filter=store_filter)
-        store.writable = writable
-        if store.engine is not None and "counters" in manifest.lifecycle:
-            store.engine.restore_counters(manifest.lifecycle["counters"])
-        if hydrating:
-            # Eager engine compilation would iterate (and download)
-            # every shard; hydrated shards come out of _open_shared
-            # with their compiled kernel already built.  Prime the
-            # prune fast lane from the manifest instead, so an
-            # all-miss batch is answered with zero shard fetches.
-            cls._prime_prune_meta(store, manifest)
-        else:
-            store.compile_engines()
-        return store
+        from . import persistence
+        return persistence.load(cls, target, stats, max_workers,
+                                pool_budget_bytes, executor, writable,
+                                negative_filter)
 
     # ------------------------------------------------------------------
     # Input normalization (shared with DeepMapping: identical shapes)

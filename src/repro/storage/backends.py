@@ -158,6 +158,14 @@ class LocalDirBackend:
             raise StoreNotFoundError(
                 f"no blob named {name!r} in {self.url}") from None
 
+    def size(self, name: str) -> int:
+        """Length of blob ``name`` in bytes (the file's size)."""
+        try:
+            return os.stat(self._path(name)).st_size
+        except FileNotFoundError:
+            raise StoreNotFoundError(
+                f"no blob named {name!r} in {self.url}") from None
+
     def read_view(self, name: str) -> memoryview:
         """Read-only memoryview of blob ``name`` over mmap'd pages.
 
@@ -324,6 +332,10 @@ class InMemoryBackend:
         if length <= 0:
             return b""
         return self.read_bytes(name)[start:start + length]
+
+    def size(self, name: str) -> int:
+        """Length of blob ``name`` in bytes."""
+        return len(self.read_bytes(name))
 
     def blob_version(self, name: str):
         """Write counter of blob ``name`` (None when absent)."""

@@ -169,19 +169,10 @@ class BitVector:
         return self._bits
 
     def to_bytes(self) -> bytes:
-        """Serialize to ``8-byte little-endian length + packed payload``."""
+        """``8-byte little-endian length + packed payload`` — the bytes
+        :meth:`~repro.core.exist_index.ExistenceIndex.stored_bytes`
+        compresses and counts."""
         return self._size.to_bytes(8, "little") + self._bits.tobytes()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "BitVector":
-        """Inverse of :meth:`to_bytes`."""
-        size = int.from_bytes(payload[:8], "little")
-        vec = cls(size)
-        raw = np.frombuffer(payload[8:], dtype=np.uint8)
-        if raw.size != vec._bits.size:
-            raise ValueError("payload length does not match encoded size")
-        vec._bits = raw.copy()
-        return vec
 
     def copy(self) -> "BitVector":
         """Deep copy."""

@@ -5,12 +5,12 @@ touching a single shard payload — so a reader over remote storage
 should not *download* a shard until a batch actually routes keys into
 it.  This module supplies the two pieces that make that work:
 
-- :class:`RangeReader` — understands the zero-copy container layout
-  (``storage/zerocopy.py``): one small fixed-prefix fetch reads the
-  magic, header, and slot table, after which the head pickle, the
-  64-byte-aligned buffer segments, and the CRC footer are all known
-  byte ranges.  :meth:`RangeReader.fetch` pulls them as **coalesced**
-  range requests (adjacent/overlapping ranges within
+- :class:`RangeReader` — one small fixed-prefix fetch reads the
+  container index; :func:`~repro.storage.zerocopy.parse_index` (the one
+  place that knows the layout) checks it against the blob's length and
+  turns it into the byte ranges of the head pickle, the buffer segments
+  and the CRC footer.  :meth:`RangeReader.fetch` pulls them as
+  **coalesced** range requests (adjacent/overlapping ranges within
   :data:`COALESCE_GAP` merge into one request) and reassembles a
   container image that :func:`~repro.storage.zerocopy.unpack` loads —
   checksums intact — exactly as if it had been read whole.
@@ -27,9 +27,10 @@ it.  This module supplies the two pieces that make that work:
   per-key fault locking, so the bytes are only fetched once).
 
 The layer is backend-agnostic: anything exposing
-``read_range(name, start, length) -> bytes`` can be hydrated from —
-the HTTP backend (``storage/remote.py``), but also the local backends
-(useful for tests and for any future object-store transport).
+``read_range(name, start, length) -> bytes`` and ``size(name)`` can be
+hydrated from — the HTTP backend (``storage/remote.py``), but also the
+local backends (useful for tests and for any future object-store
+transport).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .zerocopy import MAGIC, MAGIC_V1, _ALIGN, _CRC, _HEADER, _SLOT, _aligned
+from .zerocopy import ContainerIndex, index_size, parse_index
 
 __all__ = ["RangeReader", "LazyShard", "SNIFF_BYTES", "COALESCE_GAP"]
 
@@ -62,45 +63,56 @@ class RangeReader:
     ----------
     backend:
         Anything with ``read_range(name, start, length) -> bytes``
-        (short reads at end-of-blob are fine and expected).
+        (short reads at end-of-blob are fine and expected) and
+        ``size(name)``.
     name:
         Blob name inside the backend.
-    prefix:
-        Optional already-fetched leading bytes (the caller may have
-        sniffed the blob); saves re-reading the index.
+    prefix, blob_size:
+        Optional already-fetched leading bytes and the blob's length
+        (a transport whose first response carries both, as an HTTP
+        ``Content-Range`` does, saves the sniff and the size probe).
 
-    After construction, :attr:`packed` says whether the blob is a
-    recognized container.  When it is, :attr:`total_size`,
-    :attr:`slots` (absolute ``(offset, length)`` per buffer segment)
-    and the index/head/footer extents are all known without any
-    further requests, and :meth:`fetch` materializes the container.
-    ``ranges_fetched`` / ``bytes_fetched`` account every request made
-    through this reader (including the sniff).
+    After construction :attr:`index` holds the container's extents —
+    checked against ``blob_size``, so a damaged slot table raises
+    :class:`~repro.resilience.errors.StoreCorruptedError` naming the
+    blob here, before :meth:`fetch` allocates anything — or None when
+    the blob is not a container.  ``ranges_fetched`` / ``bytes_fetched``
+    account every request made through this reader (including the
+    sniff).
     """
 
     def __init__(self, backend, name: str,
                  prefix: Optional[bytes] = None,
-                 sniff_bytes: int = SNIFF_BYTES):
+                 blob_size: Optional[int] = None):
         self.backend = backend
         self.name = name
         self.ranges_fetched: List[Tuple[int, int]] = []
         self.bytes_fetched = 0
         if prefix is None:
-            prefix = self._read(0, sniff_bytes)
-        self._prefix = bytes(prefix)
-        self._sniff_bytes = sniff_bytes
-        #: Whole blob already in hand (it was smaller than the sniff).
+            prefix = self._read(0, SNIFF_BYTES)
+        prefix = bytes(prefix)
+        if blob_size is None:
+            # A short sniff is the whole blob; otherwise ask.
+            blob_size = len(prefix) if len(prefix) < SNIFF_BYTES \
+                else int(backend.size(name))
+        self.total_size = blob_size
+        #: Whole blob already in hand (it was no longer than the sniff).
         self.whole: Optional[bytes] = (
-            self._prefix if len(self._prefix) < sniff_bytes else None)
-        self.packed = False
-        self.version = 0
-        self.slots: List[Tuple[int, int]] = []
-        self.head_len = 0
-        self.index_size = 0
-        self.data_end = 0
-        self.footer_size = 0
-        self.total_size = len(self._prefix)
-        self._parse()
+            prefix if len(prefix) >= blob_size else None)
+        what = f"{name!r} in {getattr(backend, 'url', backend)}"
+        need = index_size(prefix, blob_size, what)
+        if need is not None and len(prefix) < need:
+            # Giant slot table (hundreds of buffers): one follow-up
+            # request completes the index.
+            prefix += self._read(len(prefix), need - len(prefix))
+        self._prefix = prefix
+        self.index: Optional[ContainerIndex] = (
+            None if need is None else parse_index(prefix, blob_size, what))
+
+    @property
+    def packed(self) -> bool:
+        """True when the blob is a zero-copy container."""
+        return self.index is not None
 
     # -- accounting-aware transport ------------------------------------
     def _read(self, start: int, length: int) -> bytes:
@@ -109,64 +121,17 @@ class RangeReader:
         self.bytes_fetched += len(data)
         return data
 
-    # -- index parsing -------------------------------------------------
-    def _parse(self) -> None:
-        prefix = self._prefix
-        if len(prefix) < len(MAGIC) + _HEADER.size:
-            return
-        lead = prefix[:len(MAGIC)]
-        if lead == MAGIC:
-            self.version = 2
-        elif lead == MAGIC_V1:
-            self.version = 1
-        else:
-            return
-        n_buffers, head_len = _HEADER.unpack_from(prefix, len(MAGIC))
-        index_size = len(MAGIC) + _HEADER.size + _SLOT.size * n_buffers
-        if self.whole is None and len(prefix) < index_size:
-            # Giant slot table (hundreds of buffers): one follow-up
-            # request completes the index.
-            prefix = prefix + self._read(len(prefix),
-                                         index_size - len(prefix))
-            self._prefix = prefix
-        slots = []
-        pos = len(MAGIC) + _HEADER.size
-        for _ in range(n_buffers):
-            slots.append(_SLOT.unpack_from(prefix, pos))
-            pos += _SLOT.size
-        if slots:
-            last_off, last_len = slots[-1]
-            data_end = _aligned(last_off + last_len)
-        else:
-            data_end = index_size + head_len
-        self.packed = True
-        self.slots = slots
-        self.head_len = int(head_len)
-        self.index_size = index_size
-        self.data_end = data_end
-        self.footer_size = _CRC.size * (n_buffers + 1) if self.version == 2 \
-            else 0
-        self.total_size = data_end + self.footer_size
-        if self.whole is not None:
-            # The sniff already returned every byte; trust the parse but
-            # serve from what we hold.
-            self.total_size = len(self.whole)
-
     # -- range planning ------------------------------------------------
     def _wanted(self, segments: Optional[Sequence[int]]) -> List[
             Tuple[int, int]]:
         """Absolute (start, end) extents needed beyond the prefix."""
-        wanted = [(self.index_size, self.index_size + self.head_len)]
-        chosen = range(len(self.slots)) if segments is None else segments
-        for i in chosen:
-            off, length = self.slots[i]
-            wanted.append((off, off + length))
-        if self.footer_size:
-            wanted.append((self.data_end, self.data_end + self.footer_size))
+        index = self.index
+        chosen = index.segments if segments is None \
+            else [index.segments[i] for i in segments]
         have = len(self._prefix)
-        clipped = [(max(start, have), min(end, self.total_size))
-                   for start, end in wanted]
-        return sorted((s, e) for s, e in clipped if e > s)
+        return sorted((max(start, have), end)
+                      for start, end in (index.head, *chosen, index.footer)
+                      if end > have)
 
     @staticmethod
     def coalesce(extents: List[Tuple[int, int]],
@@ -186,22 +151,20 @@ class RangeReader:
         """Materialize the container image as a memoryview.
 
         ``segments`` restricts which buffer slots are pulled (default:
-        all).  Unfetched segments read as zeros — only useful to
-        callers that unpack with ``verify=False`` and touch a known
-        subset; the hydration path always fetches everything, so the
-        CRC footer verifies as usual.  The inter-segment alignment
-        padding a partial plan skips is never checksummed, so sparse
-        fetches stay byte-exact for the ranges they do cover.
+        all, which is what hydration does, so the image verifies like a
+        whole read).  Unfetched segments read as zeros and fail their
+        checksums — a sparse image is for callers that read the bytes
+        of the segments they named; those stay byte-exact (the
+        alignment padding a sparse plan skips is never checksummed).
         """
         if self.whole is not None:
             return memoryview(self.whole)
-        if not self.packed:
+        if self.index is None:
             raise ValueError(
                 f"blob {self.name!r} is not a zero-copy container; "
                 "read it whole instead")
         out = bytearray(self.total_size)
-        have = min(len(self._prefix), self.total_size)
-        out[:have] = self._prefix[:have]
+        out[:len(self._prefix)] = self._prefix
         for start, end in self.coalesce(self._wanted(segments), gap):
             data = self._read(start, end - start)
             out[start:start + len(data)] = data
@@ -217,8 +180,12 @@ class LazyShard:
     (``__len__``, ``repr``, row-count reports) stays download-free.
     """
 
+    #: ``auto_rebuild`` is the one attribute a store *sets* on its
+    #: shards at open (the maintenance engine takes over the retrain
+    #: decision); a hydrated shard is read-only and never retrains, so
+    #: the proxy keeps the flag itself instead of downloading to set it.
     __slots__ = ("_loader", "_lock", "_target", "_stats", "_n_rows",
-                 "_label")
+                 "_label", "auto_rebuild")
 
     def __init__(self, loader: Callable[[], object], *,
                  n_rows: int = 0, stats=None, label: str = ""):

@@ -10,8 +10,9 @@ object store, any static file server) into a read-only
   degrades gracefully to a slice); ``exists`` / ``size`` /
   ``blob_version`` are HEADs, with ETag / ``Last-Modified`` as the
   freshness stamp the :class:`~repro.storage.blob_cache.BlobCache`
-  keys on.  ``read_view`` sniffs the zero-copy container index through
-  a :class:`~repro.storage.hydration.RangeReader` and assembles the
+  keys on.  ``read_view`` fetches the zero-copy container index through
+  a :class:`~repro.storage.hydration.RangeReader`, which checks it
+  against the blob's length as the server states it, and assembles the
   blob from coalesced ranges — the hydration path that lets a sharded
   open fetch a shard's bytes only when a batch routes into it.
 
@@ -51,7 +52,7 @@ import urllib.request
 from typing import Dict, List, Optional
 
 from ..resilience.errors import StoreNotFoundError
-from .hydration import RangeReader
+from .hydration import SNIFF_BYTES, RangeReader
 from .stats import StoreStats
 
 __all__ = ["HttpBackend", "CachedHttpBackend", "configure_hydration_cache",
@@ -152,39 +153,52 @@ class HttpBackend:
         self.stats.bump("hydrated_bytes", len(body))
         return body
 
+    def _ranged(self, name: str, start: int, length: int):
+        """One ranged GET: ``(bytes [start, start+length), blob length)``.
+
+        The length is what the server states — ``Content-Range`` on a
+        206, ``Content-Length`` on a 200 from a server that ignored the
+        header — or None when it states neither.
+        """
+        ranged = {"Range": f"bytes={start}-{start + length - 1}"}
+        try:
+            with self._open(name, headers=ranged) as response:
+                body = response.read()
+                status = response.status
+                headers = response.headers
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code == 416:  # requested range entirely past EOF
+                return b"", None
+            raise
+        self.stats.bump("range_requests")
+        self.stats.bump("hydrated_bytes", len(body))
+        stated = (headers.get("Content-Range", "").rpartition("/")[2]
+                  if status == 206 else headers.get("Content-Length", ""))
+        total = int(stated) if stated.isdigit() else None
+        if status == 200 and start:
+            # Server ignored the Range header and sent the whole blob.
+            return body[start:start + length], total
+        return body[:length], total
+
     def read_range(self, name: str, start: int, length: int) -> bytes:
         """Bytes ``[start, start+length)`` of the blob (short at EOF)."""
         if length <= 0:
             return b""
-        headers = {"Range": f"bytes={start}-{start + length - 1}"}
-        try:
-            with self._open(name, headers=headers) as response:
-                body = response.read()
-                status = response.status
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 416:  # requested range entirely past EOF
-                return b""
-            raise
-        self.stats.bump("range_requests")
-        self.stats.bump("hydrated_bytes", len(body))
-        if status == 200 and start:
-            # Server ignored the Range header and sent the whole blob.
-            return body[start:start + length]
-        return body[:length]
+        return self._ranged(name, start, length)[0]
 
     def read_view(self, name: str) -> memoryview:
         """Blob as a read-only buffer, assembled from coalesced ranges.
 
         Zero-copy containers are fetched index-first through a
-        :class:`RangeReader` (head + segments + footer as a few
-        coalesced requests); anything else — small JSON/pickle blobs,
-        legacy payloads — is read whole.
+        :class:`RangeReader` — its index checked against the length the
+        first response states — as head + segments + footer in a few
+        coalesced requests; anything else (the JSON manifest,
+        ``config.pkl``) is read whole.
         """
-        reader = RangeReader(self, name)
-        if reader.whole is not None:
-            return memoryview(reader.whole)
-        if reader.packed:
+        prefix, total = self._ranged(name, 0, SNIFF_BYTES)
+        reader = RangeReader(self, name, prefix=prefix, blob_size=total)
+        if reader.whole is not None or reader.packed:
             return reader.fetch()
         return memoryview(self.read_bytes(name))
 

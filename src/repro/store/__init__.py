@@ -22,7 +22,6 @@ See ``docs/api.md`` for the full tour and the old→new migration table.
 from ..storage.backends import (MONOLITHIC_BLOB, URL_SCHEMES, InMemoryBackend,
                                 LocalDirBackend, StorageBackend, ZipBackend,
                                 backend_for_url, parse_url, resolve_blob_url)
-from .deprecation import reset_warnings, warn_once
 from .executors import (EXECUTOR_NAMES, ExecutorStrategy,
                         FreeThreadingStrategy, SerialStrategy,
                         ThreadPoolStrategy, gil_enabled, make_executor)
@@ -51,6 +50,4 @@ __all__ = [
     "EXECUTOR_NAMES",
     "make_executor",
     "gil_enabled",
-    "warn_once",
-    "reset_warnings",
 ]

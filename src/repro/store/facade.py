@@ -27,11 +27,10 @@ Both are re-exported as :func:`repro.open` and :func:`repro.build`.
 
 from __future__ import annotations
 
-import pickle
 import zipfile
 from typing import Optional, Union
 
-from ..resilience.errors import StoreCorruptedError, StoreNotFoundError
+from ..resilience.errors import StoreNotFoundError
 from ..storage.backends import (MONOLITHIC_BLOB, URL_SCHEMES, LocalDirBackend,
                                 ZipBackend, backend_for_url, parse_url)
 from .executors import ExecutorStrategy
@@ -148,15 +147,13 @@ def open_store(
                 # accept writes): share the deserialized bundle through
                 # the payload cache and keep the payload a view.
                 store = DeepMapping._open_shared(backend, blob, stats=stats)
-        except StoreCorruptedError:
-            # A recognized container that fails its checksums (or is
-            # truncated) is *damage*, not a wrong-format target — let the
-            # typed error through so operators can tell the two apart.
-            raise
-        except (pickle.UnpicklingError, EOFError):
+        except ValueError as exc:
+            # Intact bytes in a layout this version does not read (or
+            # not a store at all).  A recognized container that fails its
+            # checksums is *damage* and stays a StoreCorruptedError, so
+            # operators can tell the two apart.
             raise ValueError(
-                f"{url_or_path!r} exists but does not hold a DeepMapping "
-                f"payload; {_schemes_note()}") from None
+                f"{url_or_path!r}: {exc} {_schemes_note()}") from exc
         if executor is not None:
             # Pass the raw spec through: set_executor owns strategies it
             # builds from names and leaves caller instances caller-owned.

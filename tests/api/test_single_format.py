@@ -1,0 +1,130 @@
+"""One on-disk generation: what every open reads is what ``to_payload``
+writes today, and each layout an earlier version wrote is refused with
+an error that says how to bring the store forward."""
+
+import pathlib
+import pickle
+import re
+import warnings
+
+import pytest
+
+import repro
+from repro.cli import main
+from repro.resilience import StoreCorruptedError
+from repro.storage import MONOLITHIC_BLOB, InMemoryBackend, zerocopy
+from repro.storage.blob_cache import payload_cache
+from repro.testing import serve_backend
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+# Retired payload shapes, rebuilt here because no product code writes them.
+def unchecksummed_container(mapping):
+    """Same index, head and segments; no CRC footer; another magic."""
+    payload = bytes(mapping.to_payload())
+    footer_start = zerocopy.parse_index(payload, len(payload)).footer[0]
+    return b"RZC1" + payload[4:footer_start]
+
+
+def nested_bytes(mapping):
+    """Session and existence index as opaque ``bytes`` inside the head."""
+    state = zerocopy.unpack(mapping.to_payload())
+    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
+    state["session"] = pickle.dumps(state.pop("session_v2"))
+    state["exist"] = pickle.dumps(state.pop("exist_v2"))
+    return zerocopy.pack(state)
+
+
+def raw_aux_rows(mapping):
+    """``T_aux`` as decompressed key and code rows."""
+    state = zerocopy.unpack(mapping.to_payload())
+    del state["aux_v2"]
+    state["aux_keys"], state["aux_codes"] = mapping.aux.scan()
+    return zerocopy.pack(state)
+
+
+def bare_pickle(mapping):
+    """No container at all: the state dict, arrays inline."""
+    return pickle.dumps(zerocopy.unpack(raw_aux_rows(mapping)),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+
+
+RETIRED = {
+    "bare-pickle": (bare_pickle, "RZC2 container magic"),
+    "no-crc-container": (unchecksummed_container, "RZC2 container magic"),
+    "nested-bytes": (nested_bytes, "lacks session_v2, exist_v2"),
+    "raw-aux-rows": (raw_aux_rows, "lacks aux_v2"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RETIRED))
+def test_retired_shape_is_refused_by_every_open(mono, shape):
+    build, names = RETIRED[shape]
+    backend = InMemoryBackend.named(f"retired-{shape}")
+    backend.write_bytes(MONOLITHIC_BLOB, build(mono))
+
+    def opens():
+        yield lambda: repro.open(backend.url)
+        yield lambda: repro.open(backend.url, writable=False)
+        with serve_backend(backend) as server:
+            yield lambda: repro.open(server.url)
+
+    try:
+        for attempt in opens():
+            with pytest.raises(ValueError) as refusal:
+                attempt()
+            # Not damage: the caches retry StoreCorruptedError in vain.
+            assert not isinstance(refusal.value, StoreCorruptedError)
+            assert names in str(refusal.value)
+            assert "open and re-save it at commit b054dba" \
+                in str(refusal.value)
+    finally:
+        payload_cache().clear()
+        InMemoryBackend.discard(backend.name)
+
+
+def test_unpickling_and_container_internals_stay_in_their_modules():
+    """Unpickling happens for the container head, a partition block and
+    the sharded store's ``config.pkl``; the container's underscore names
+    are used by nobody else."""
+    unpicklers, reach_ins = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        module, text = path.relative_to(SRC).as_posix(), path.read_text()
+        if re.search(r"\bpickle\.loads?\(", text):
+            unpicklers.add(module)
+        if module != "storage/zerocopy.py":
+            reach_ins += [(module, hit) for hit in re.findall(
+                r"zerocopy\._\w+|from \S*zerocopy import [^\n]*\b_\w+", text)]
+    assert unpicklers == {"storage/zerocopy.py", "storage/serializer.py",
+                          "shard/persistence.py"}
+    assert reach_ins == []
+
+
+class TestCliStoreTargets:
+    """A bare path is ``file://``, and the CLI says nothing about it."""
+
+    @pytest.mark.parametrize("scheme", ["", "file://"], ids=["path", "url"])
+    def test_store_target_opens_silently(
+            self, tmp_path, mono, capsys, scheme):
+        path = str(tmp_path / "cli.dm")
+        mono.save(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["info", scheme + path]) == 0
+        stdout = capsys.readouterr().out
+        assert "model:" in stdout and "total:" in stdout
+
+    def test_missing_store_error_names_schemes(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["info", str(tmp_path / "absent.dm")])
+        message = str(excinfo.value)
+        for scheme in ("file://", "mem://", "zip://"):
+            assert scheme in message
+
+    def test_directory_without_manifest_names_schemes(self, tmp_path):
+        bare = tmp_path / "not-a-store"
+        bare.mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", str(bare), "--key", "key=1"])
+        assert "file://" in str(excinfo.value)

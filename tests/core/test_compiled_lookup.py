@@ -182,7 +182,7 @@ class TestEngineLifecycle:
         dm = DeepMapping.fit(gap_table, fast_config())
         path = str(tmp_path / "store.dm")
         dm.save(path)
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
         result = clone.lookup({"key": gap_table.column("key")})
         assert result.found.all()
         np.testing.assert_array_equal(result.values["status"],

@@ -207,7 +207,7 @@ class TestPersistence:
         path = os.path.join(tmp_path, "dm.bin")
         nbytes = dm.save(path)
         assert nbytes > 0
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
         probe = {"key": small_high_table.column("key")}
         a, b = dm.lookup(probe), clone.lookup(probe)
         np.testing.assert_array_equal(a.found, b.found)
@@ -220,7 +220,7 @@ class TestPersistence:
                              fast_config(key_headroom_fraction=1.0))
         path = os.path.join(tmp_path, "dm.bin")
         dm.save(path)
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
         clone.delete({"key": np.array([0])})
         assert clone.lookup_one(key=0) is None
 

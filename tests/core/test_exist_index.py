@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ExistenceIndex
+from repro.core import ExistenceIndex, existence_from_state
 
 
 class TestBasics:
@@ -40,7 +40,7 @@ class TestSerialization:
     def test_roundtrip(self):
         index = ExistenceIndex(1000)
         index.set_batch(np.array([1, 500, 999]))
-        clone = ExistenceIndex.from_bytes(index.to_bytes())
+        clone = existence_from_state(index.to_state())
         assert clone.count() == 3
         assert clone.domain_size == 1000
         assert clone.test_batch(np.array([500]))[0]

@@ -260,7 +260,7 @@ class TestTrackerPersistence:
         path = str(tmp_path / "store.dm")
         dm.save(path)
 
-        loaded = DeepMapping.load(path)
+        loaded = DeepMapping.open(path)
         assert loaded.tracker.bytes_since_build == dm.tracker.bytes_since_build
         assert loaded.tracker.ops_since_build == dm.tracker.ops_since_build
         assert loaded.tracker.total_retrains == dm.tracker.total_retrains
@@ -275,7 +275,7 @@ class TestTrackerPersistence:
         before = dm.tracker.bytes_since_build
         path = str(tmp_path / "store.dm")
         dm.save(path)
-        loaded = DeepMapping.load(path)
+        loaded = DeepMapping.open(path)
         grown = loaded.to_table()
         loaded.insert(synthetic.insert_batch(grown, 20, "high"))
         assert loaded.tracker.bytes_since_build > before

@@ -1,5 +1,7 @@
 """Tests for the sparse existence index and the dense/sparse selector."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from repro.core import (
     DeepMapping,
     ExistenceIndex,
     SparseExistenceIndex,
-    load_existence,
+    existence_from_state,
     make_existence_index,
 )
 from repro.data import ColumnTable
@@ -50,7 +52,7 @@ class TestSparseIndex:
     def test_roundtrip(self):
         index = SparseExistenceIndex(10**10)
         index.set_batch(np.array([1, 10**9, 123456789]))
-        clone = SparseExistenceIndex.from_bytes(index.to_bytes())
+        clone = existence_from_state(index.to_state())
         assert clone.domain_size == 10**10
         assert clone.existing_keys().tolist() == index.existing_keys().tolist()
 
@@ -62,25 +64,24 @@ class TestSparseIndex:
         huge_domain.set_batch(keys)
         assert huge_domain.nbytes == small_domain.nbytes
 
+
     def test_stored_bytes_excludes_tag_and_domain_header(self):
-        """size(V_exist) counts the compressed keys only — not the 1-byte
-        format tag or 8-byte domain header — mirroring the dense
-        variant's accounting in the Eq. 1 objective."""
+        """size(V_exist) counts the delta-coded, compressed keys only,
+        mirroring the dense variant's accounting in Eq. 1."""
         index = SparseExistenceIndex(10**10)
-        index.set_batch(np.array([1, 7, 10**9], dtype=np.int64))
-        assert index.stored_bytes() == len(index.to_bytes()) - 9
+        keys = np.array([1, 7, 10**9], dtype=np.int64)
+        index.set_batch(keys)
+        assert index.stored_bytes() == len(zlib.compress(
+            np.diff(keys, prepend=np.int64(0)).tobytes(), 1))
 
     def test_stored_bytes_matches_dense_accounting_convention(self):
-        """Dense counts len(compressed bits); sparse must likewise count
-        only its compressed payload, so the Eq. 1 comparison between the
-        two variants is apples-to-apples."""
+        """Dense counts len(compressed bits) and nothing else, so the
+        Eq. 1 comparison between the two variants is apples-to-apples."""
         dense = ExistenceIndex(512)
-        overhead = len(dense.to_bytes()) - dense.stored_bytes()
-        assert overhead == 1  # dense: tag only
-        sparse = SparseExistenceIndex(512)
-        sparse.set_batch(np.array([3, 400], dtype=np.int64))
-        overhead = len(sparse.to_bytes()) - sparse.stored_bytes()
-        assert overhead == 9  # sparse: tag + domain header
+        dense.set_batch(np.array([3, 400], dtype=np.int64))
+        assert dense.stored_bytes() == len(zlib.compress(
+            (512).to_bytes(8, "little") + dense.to_state()["bits"].tobytes(),
+            1))
 
 
 class TestSelector:
@@ -100,8 +101,9 @@ class TestSelector:
         dense.set_batch(np.array([1, 2]))
         sparse = SparseExistenceIndex(10**9)
         sparse.set_batch(np.array([5]))
-        assert isinstance(load_existence(dense.to_bytes()), ExistenceIndex)
-        assert isinstance(load_existence(sparse.to_bytes()),
+        assert isinstance(existence_from_state(dense.to_state()),
+                          ExistenceIndex)
+        assert isinstance(existence_from_state(sparse.to_state()),
                           SparseExistenceIndex)
 
 
@@ -130,7 +132,7 @@ class TestDeepMappingWithSparseKeys:
         dm = DeepMapping.fit(table, fast_config(epochs=2))
         path = str(tmp_path / "sparse.dm")
         dm.save(path)
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
         assert isinstance(clone.exist, SparseExistenceIndex)
         assert clone.lookup({"key": keys}).found.all()
 

@@ -94,7 +94,7 @@ class TestLifecycleRoundtrip:
 
         path = str(tmp_path / "m.dm")
         dm.save(path)
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
 
         # The clone carries the modifications...
         assert not clone.lookup({"key": table.column("key")[:50]}).found.any()

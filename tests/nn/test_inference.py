@@ -1,5 +1,7 @@
 """Tests for the frozen InferenceSession (the ONNX-runtime stand-in)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,33 +76,25 @@ class TestSerialization:
     def test_roundtrip_preserves_predictions(self, np_rng):
         model = trained_model(np_rng)
         session = InferenceSession.from_model(model)
-        clone = InferenceSession.from_bytes(session.to_bytes())
+        clone = InferenceSession.from_state(session.to_state())
         x = np_rng.normal(size=(30, 5)).astype(np.float32)
         np.testing.assert_array_equal(session.run(x)["a"], clone.run(x)["a"])
         assert clone.spec == session.spec
 
     def test_nbytes_equals_serialized_length(self, np_rng):
         session = InferenceSession.from_model(trained_model(np_rng))
-        assert session.nbytes == len(session.to_bytes())
+        assert session.nbytes == len(pickle.dumps(
+            session.to_state(), protocol=pickle.HIGHEST_PROTOCOL))
 
     def test_nbytes_memoized(self, np_rng, monkeypatch):
-        """Weights are frozen, so the blob is pickled at most once."""
+        """Weights are frozen, so the state is pickled at most once."""
         session = InferenceSession.from_model(trained_model(np_rng))
         calls = []
-        original = InferenceSession.to_bytes
+        original = InferenceSession.to_state
         monkeypatch.setattr(
-            InferenceSession, "to_bytes",
+            InferenceSession, "to_state",
             lambda self: (calls.append(1), original(self))[1])
         expected = session.nbytes
         assert session.nbytes == expected
         assert repr(session)  # __repr__ paths must not re-pickle either
         assert len(calls) <= 1
-
-    def test_from_bytes_knows_nbytes_without_repickling(self, np_rng,
-                                                        monkeypatch):
-        payload = InferenceSession.from_model(trained_model(np_rng)).to_bytes()
-        clone = InferenceSession.from_bytes(payload)
-        monkeypatch.setattr(
-            InferenceSession, "to_bytes",
-            lambda self: (_ for _ in ()).throw(AssertionError("re-pickled")))
-        assert clone.nbytes == len(payload)

@@ -125,7 +125,7 @@ class TestResize:
 class TestSerialization:
     def test_roundtrip(self):
         vec = BitVector.from_indices([3, 77, 1000], size=1024)
-        clone = BitVector.from_bytes(vec.to_bytes())
+        clone = BitVector.wrap(len(vec), vec.packed.copy())
         assert clone == vec
 
     def test_nbytes_is_packed(self):
@@ -134,9 +134,8 @@ class TestSerialization:
         assert BitVector(0).nbytes == 0
 
     def test_bad_payload_rejected(self):
-        payload = BitVector(64).to_bytes()
         with pytest.raises(ValueError):
-            BitVector.from_bytes(payload[:-1])
+            BitVector.wrap(64, BitVector(64).packed[:-1])
 
     def test_copy_is_independent(self):
         vec = BitVector(8)
@@ -182,4 +181,4 @@ def test_bitvector_matches_python_set_model(size, data):
 )
 def test_bitvector_serialization_roundtrip_property(indices):
     vec = BitVector.from_indices(indices, size=500)
-    assert BitVector.from_bytes(vec.to_bytes()) == vec
+    assert BitVector.wrap(len(vec), vec.packed.copy()) == vec

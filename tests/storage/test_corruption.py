@@ -6,6 +6,7 @@ blobs must surface as :class:`StoreNotFoundError` naming blob and URL.
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.storage import zerocopy
 from repro.storage.backends import (InMemoryBackend, LocalDirBackend,
                                     ZipBackend)
 from repro.storage.blob_cache import BlobCache
+from repro.storage.hydration import SNIFF_BYTES, RangeReader
 from repro.testing import FaultInjectingBackend
 
 
@@ -88,12 +90,9 @@ class TestMonolithicCorruption:
             blob = bytes(store.aux._store.disk.read(meta.name))
         start = payload.find(blob)
         assert start > 0 and payload.count(blob) == 1
-        n_segments, _ = zerocopy._HEADER.unpack_from(payload,
-                                                     len(zerocopy.MAGIC))
-        slots = [zerocopy._SLOT.unpack_from(
-            payload, len(zerocopy.MAGIC) + zerocopy._HEADER.size
-            + i * zerocopy._SLOT.size) for i in range(n_segments)]
-        segment = slots.index((start, len(blob)))
+        segments = zerocopy.parse_index(payload, len(payload)).segments
+        n_segments = len(segments)
+        segment = segments.index((start, start + len(blob)))
         flip_file_byte(path, start + len(blob) // 2)
         with pytest.raises(
                 StoreCorruptedError,
@@ -236,40 +235,70 @@ class TestReadSideRetry:
         assert cache.corruption_retries == 1  # retried once, then raised
 
 
-class TestLegacyContainers:
-    def _as_v1(self, payload: bytes, n_buffers: int) -> bytes:
-        # v1 is the identical layout minus the CRC footer, under the old
-        # magic. Reconstruct one from a v2 payload to prove old stores
-        # written before checksumming still load.
-        footer = 4 * (n_buffers + 1)
-        return zerocopy.MAGIC_V1 + bytes(payload[len(zerocopy.MAGIC):-footer])
+def slot_position(i: int) -> int:  # of slot i's (offset, length) pair
+    return len(zerocopy.MAGIC) + 16 + 16 * i
 
-    def test_v1_container_still_unpacks(self):
-        obj = {"arr": np.arange(128, dtype=np.float32), "tag": "legacy"}
-        packed = zerocopy.pack(obj)
-        n_buffers = len(pickle_buffer_count(obj))
-        legacy = self._as_v1(bytes(packed), n_buffers)
-        assert zerocopy.is_packed(legacy)
-        restored = zerocopy.unpack(legacy)
-        assert restored["tag"] == "legacy"
-        assert np.array_equal(restored["arr"], obj["arr"])
 
-    def test_v1_corruption_goes_undetected_but_v2_catches_it(self):
-        # The whole point of the v2 footer: the same bit flip that v1
-        # silently absorbs (or fails unpredictably on) is a typed error
-        # under v2.
-        obj = {"arr": np.arange(128, dtype=np.float32)}
-        packed = bytearray(zerocopy.pack(obj))
-        packed[len(packed) // 2] ^= 0xFF
+def damaged_index(kind: str) -> bytes:
+    """A four-segment container whose index alone is damaged as named."""
+    blob = bytearray(zerocopy.pack(
+        {f"a{i}": np.arange(1000 + i, dtype=np.int64) for i in range(4)}))
+    assert len(blob) > 4 * SNIFF_BYTES
+    slots = [struct.unpack_from("<QQ", blob, slot_position(i))
+             for i in range(4)]
+    (off1, len1), (off2, len2) = slots[1], slots[2]
+    if kind == "giant length":
+        struct.pack_into("<QQ", blob, slot_position(1), off1, 1 << 42)
+    elif kind == "unaligned":
+        struct.pack_into("<QQ", blob, slot_position(1), off1 + 8, len1 - 8)
+    elif kind == "overlapping":
+        struct.pack_into("<QQ", blob, slot_position(2), off2 - 64, len2)
+    elif kind == "out of order":
+        struct.pack_into("<QQ", blob, slot_position(1), off2, len2)
+        struct.pack_into("<QQ", blob, slot_position(2), off1, len1)
+    elif kind == "past the end":
+        del blob[-100:]
+    elif kind == "giant segment count":
+        struct.pack_into("<Q", blob, len(zerocopy.MAGIC), 1 << 60)
+    return bytes(blob)
+
+
+class TestDamagedSlotTable:
+    """The index is checked against the blob's length before anything is
+    sliced or allocated, by a range reader (naming the blob) and unpack."""
+
+    @pytest.mark.parametrize("kind", [
+        "giant length", "unaligned", "overlapping", "out of order",
+        "past the end", "giant segment count"])
+    def test_range_reader_and_unpack_refuse(self, kind):
+        backend = InMemoryBackend()
+        blob = damaged_index(kind)
+        backend.write_bytes("shard-0000.dm", blob)
+        with pytest.raises(StoreCorruptedError, match="shard-0000.dm"):
+            RangeReader(backend, "shard-0000.dm")
         with pytest.raises(StoreCorruptedError):
-            zerocopy.unpack(packed)
+            zerocopy.unpack(blob)
 
 
-def pickle_buffer_count(obj):
-    import pickle
-    buffers = []
-    pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    return buffers
+class TestRetiredMagic:
+    def test_relabelled_flipped_container_cannot_load(self, tmp_path,
+                                                      table):
+        # The pre-checksum container (same layout, no CRC footer, another
+        # magic) loaded with damage inside a segment.  Nothing reads it now.
+        path = tmp_path / "store.dm"
+        build_monolithic(table, str(path))
+        payload = path.read_bytes()
+        index = zerocopy.parse_index(payload, len(payload))
+        relabelled = bytearray(
+            b"RZC1" + payload[4:index.footer[0]])
+        start, end = index.segments[0]
+        relabelled[(start + end) // 2] ^= 0xFF
+        path.write_bytes(bytes(relabelled))
+        with pytest.raises(StoreCorruptedError, match="bad magic"):
+            zerocopy.unpack(bytes(relabelled))
+        for writable in (True, False):
+            with pytest.raises(ValueError, match="re-save it at commit"):
+                repro.open(str(path), writable=writable)
 
 
 class TestDurability:

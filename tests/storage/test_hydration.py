@@ -7,16 +7,20 @@ exactly once, answer ``len()`` from the manifest before hydration, and
 account contention.
 """
 
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.resilience import StoreCorruptedError
 from repro.storage import InMemoryBackend, LocalDirBackend, StoreStats
 from repro.storage.hydration import (COALESCE_GAP, SNIFF_BYTES, LazyShard,
                                      RangeReader)
-from repro.storage.zerocopy import pack, unpack
+from repro.storage.remote import HttpBackend
+from repro.storage.zerocopy import MAGIC, pack, unpack
+from repro.testing import serve_backend
 
 
 def packed_blob(n_arrays=4, rows=5000, seed=0):
@@ -37,7 +41,7 @@ class TestRangeReader:
         obj, blob = packed_blob()
         backend.write_bytes("shard.dm", blob)
         reader = RangeReader(backend, "shard.dm")
-        assert reader.packed and reader.version == 2
+        assert reader.packed
         assert reader.total_size == len(blob)
         image = reader.fetch()
         assert bytes(image) == blob
@@ -85,7 +89,7 @@ class TestRangeReader:
         backend.write_bytes("wide.dm", blob)
         reader = RangeReader(backend, "wide.dm")
         assert reader.packed
-        assert reader.index_size > SNIFF_BYTES
+        assert reader.index.head[0] > SNIFF_BYTES
         assert bytes(reader.fetch()) == blob
         unpack(memoryview(bytes(blob)))  # sanity: source container valid
 
@@ -95,8 +99,8 @@ class TestRangeReader:
         reader = RangeReader(backend, "shard.dm")
         image = reader.fetch(segments=[0, 1])
         for idx in (0, 1):
-            off, length = reader.slots[idx]
-            assert bytes(image[off:off + length]) == blob[off:off + length]
+            start, end = reader.index.segments[idx]
+            assert bytes(image[start:end]) == blob[start:end]
         full = RangeReader(backend, "shard.dm")
         assert full.fetch(segments=None).nbytes == len(blob)
         # The sparse plan fetched strictly less than the full plan.
@@ -114,6 +118,25 @@ class TestRangeReader:
         backend.write_bytes("shard.dm", blob)
         reader = RangeReader(backend, "shard.dm")
         assert bytes(reader.fetch()) == blob
+
+    def test_damaged_slot_length_over_http_names_the_blob(self, backend,
+                                                          monkeypatch):
+        # A slot length of 1 << 42 used to reach ``bytearray(1 << 42)`` in
+        # fetch().  The index is checked against the length Content-Range
+        # states: refused before a byte is allocated or another asked for.
+        _, blob = packed_blob()
+        damaged = bytearray(blob)
+        struct.pack_into("<Q", damaged, len(MAGIC) + 16 + 8, 1 << 42)
+        backend.write_bytes("shard.dm", bytes(damaged))
+        monkeypatch.setattr(
+            RangeReader, "fetch",
+            lambda *a, **k: pytest.fail("fetch() reached: would allocate"))
+        with serve_backend(backend) as server:
+            with pytest.raises(StoreCorruptedError,
+                               match=r"'shard.dm' in http://127.0.0.1"):
+                HttpBackend(server.url).read_view("shard.dm")
+            assert server.request_count("shard.dm", method="GET") == 1
+            assert server.request_count(method="HEAD") == 0
 
 
 class TestLazyShard:

@@ -8,9 +8,7 @@ into that mapping.  ``T_aux`` is attached, not built: no open and no
 lookup, read-only or writable, compresses or writes a partition or
 creates a file, what is saved is byte for byte what
 ``AuxiliaryTable.stored_bytes()`` counts, and a store reopened writable
-saves back the identical files.  Payloads from before the ``aux_v2``
-layout (raw aux rows; nested-pickled session / exist) must still load,
-by building their partitions eagerly as they always did.
+saves back the identical files.
 """
 
 import os
@@ -224,56 +222,6 @@ class TestPureMmapColdOpen:
         assert_identical(resaved.lookup(query),
                          barrier_lookup(store, query), store)
         resaved.close()
-
-
-def parent_layout_payload(shard):
-    """The payload as the commit before ``aux_v2`` wrote it: ``*_v2``
-    session / exist arrays, ``T_aux`` as raw int64 key and code rows."""
-    state = zerocopy.unpack(shard.to_payload())
-    del state["aux_v2"]
-    state["aux_keys"], state["aux_codes"] = shard.aux.scan()
-    return zerocopy.pack(state)
-
-
-class TestLegacyPayloadCompat:
-    """The one compatibility branch: a payload that still carries raw
-    ``aux_keys`` / ``aux_codes`` rows has them partitioned and
-    compressed at open, eagerly, as it always was."""
-
-    def check_still_loads(self, saved_store, partition_writes, layout,
-                          writable):
-        store, table, url = saved_store
-        backend = LocalDirBackend(url)
-        for ordinal, shard in enumerate(store.shards):
-            backend.write_bytes(f"shard-{ordinal:04d}.dm", layout(shard))
-        query = full_query(table)
-        reference = barrier_lookup(store, query)
-
-        payload_cache().clear()
-        partition_writes[0] = 0
-        opened = repro.open(url, writable=writable)
-        assert partition_writes[0] > 0
-        assert_identical(opened.lookup(query), reference, store)
-        for shard, source in zip(opened.shards, store.shards):
-            assert len(shard.aux) == len(source.aux)
-            assert shard.aux.stored_bytes() == source.aux.stored_bytes()
-        opened.close()
-
-    def test_legacy_nested_bytes_payload_still_loads(self, saved_store,
-                                                     partition_writes):
-        self.check_still_loads(saved_store, partition_writes,
-                               DeepMapping._to_payload_legacy, writable=False)
-
-    def test_legacy_nested_bytes_payload_loads_writable(self, saved_store,
-                                                        partition_writes):
-        self.check_still_loads(saved_store, partition_writes,
-                               DeepMapping._to_payload_legacy, writable=True)
-
-    @pytest.mark.parametrize("writable", [False, True])
-    def test_parent_commit_payload_still_loads(self, saved_store,
-                                               partition_writes, writable):
-        self.check_still_loads(saved_store, partition_writes,
-                               parent_layout_payload, writable)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ from ..core.conftest import fast_config
 @pytest.fixture
 def saved_store(tmp_path):
     table = synthetic.single_column(400, "high", seed=2)
+    # Managed: the engine adopts every shard at open, proxies included.
     store = ShardedDeepMapping.fit(
         table, fast_config(epochs=2),
-        ShardingConfig(n_shards=2, strategy="range"))
+        ShardingConfig(n_shards=2, strategy="range",
+                       lifecycle=repro.LifecycleConfig(policy="never")))
     url = str(tmp_path / "store")
     store.save(url)
     yield store, table, url
