@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -186,6 +187,19 @@ def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
     return line + ")"
 
 
+def _weight_widths(dm) -> str:
+    """How the model weights are stored: ``4-bit`` / ``float16`` for a
+    monolithic store, ``4-bit x6, 5-bit x2`` counted over a sharded
+    one's models.  Read off the sessions as opened — nothing is
+    dequantised or compiled."""
+    if not isinstance(dm, ShardedDeepMapping):
+        return dm.session.width_label
+    counts = Counter(shard.session.width_label
+                     for shard in dm.shards if shard is not None)
+    return ", ".join(f"{label} x{n}"
+                     for label, n in counts.most_common()) or "no models"
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     dm = _load_structure(args.path)
     report = dm.size_report()
@@ -201,7 +215,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
                   f"per-shard-mhas={summary['per_shard_mhas']}; "
                   f"{summary['rebuilds']} rebuilds, "
                   f"{summary['splits']} splits, {summary['merges']} merges")
-    print(f"model:        {report.model_bytes:>10,} B")
+    print(f"model:        {report.model_bytes:>10,} B "
+          f"({_weight_widths(dm)})")
     print(f"aux table:    {report.aux_bytes:>10,} B ({report.n_in_aux} rows)")
     print(f"exist vector: {report.exist_bytes:>10,} B")
     print(f"decode map:   {report.decode_bytes:>10,} B")

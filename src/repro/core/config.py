@@ -55,7 +55,10 @@ class DeepMappingConfig:
     #: Early-stopping tolerance on the epoch-loss delta (paper: 1e-4,
     #: tightened because scaled losses are smaller).
     tol: float = 1e-5
-    #: Storage dtype of frozen model weights.
+    #: Widest storage of the frozen model weights — an upper bound, not
+    #: necessarily what is stored: the freeze keeps whichever of this
+    #: dtype unpacked and the bit-packed widths 8..3 minimises Eq. 1
+    #: (:func:`repro.nn.inference.choose_width`).
     weight_dtype: str = "float16"
 
     # -- auxiliary structure -------------------------------------------

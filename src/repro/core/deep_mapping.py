@@ -4,6 +4,7 @@ A :class:`DeepMapping` couples four artifacts:
 
 1. ``M`` — a frozen multi-task neural network memorizing most of the
    key→value mapping (:class:`~repro.nn.inference.InferenceSession`,
+   its weights stored at the bit width Eq. 1 picks at freeze time,
    served through its :class:`~repro.nn.compiled.CompiledSession`);
 2. ``T_aux`` — a compressed auxiliary table holding the rows ``M`` gets
    wrong (:class:`~repro.core.aux_table.AuxiliaryTable`);
@@ -33,7 +34,7 @@ import numpy as np
 from ..data.encoding import CompositeKeyCodec, DecodeMap, KeyEncoder
 from ..data.table import ColumnTable
 from ..nn.compiled import CompiledSession
-from ..nn.inference import InferenceSession
+from ..nn.inference import InferenceSession, choose_width
 from ..nn.multitask import ArchitectureSpec, MultiTaskMLP
 from ..nn.optimizers import Adam, ExponentialDecay
 from ..nn.training import Trainer
@@ -50,6 +51,7 @@ from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig, check_stored_config
 from .exist_index import (ExistenceIndex, existence_from_state,
                           make_existence_index)
+from .mhas.reward import measure_aux_bytes_per_row, misclassified
 from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
                      estimate_batch_bytes)
 
@@ -432,8 +434,13 @@ class DeepMapping:
 
         The build follows the paper's initialization: encode keys/values,
         pick an architecture (fixed sizes or MHAS when
-        ``config.use_search``), train to convergence, then materialize the
-        auxiliary structures from the model's residual errors.
+        ``config.use_search``), train to convergence, freeze the model at
+        the storage width that minimises Eq. 1
+        (:func:`~repro.nn.inference.choose_width`; ``config.weight_dtype``
+        is the widest candidate), then materialize the auxiliary
+        structures from the *frozen* model's residual errors — so
+        whatever quantisation loses lands in ``T_aux``, never in an
+        answer.
 
         ``warm_start`` optionally carries named weight arrays from a
         previous model (see :meth:`rebuild`): tensors whose shape still
@@ -479,6 +486,7 @@ class DeepMapping:
                 overhead_bytes=fdecode.nbytes,
                 config=search_cfg,
                 rng=rng,
+                weight_dtype=config.weight_dtype,
             )
             model = outcome.model
             search_history = outcome
@@ -501,7 +509,19 @@ class DeepMapping:
                           tol=config.tol, rng=rng)
         training = trainer.fit(x, labels, epochs=config.epochs)
 
-        session = InferenceSession.from_model(model, config.weight_dtype)
+        # Freeze at the width Eq. 1 picks: each candidate is scored by
+        # its own compiled predictor over the keys it will serve, so the
+        # rows quantisation loses are priced as the aux rows they become.
+        def aux_bytes(candidate: InferenceSession) -> float:
+            wrong = misclassified(
+                CompiledSession(candidate, key_encoder).run(
+                    flat, batch_size=config.inference_batch), labels)
+            return wrong.sum() * measure_aux_bytes_per_row(
+                flat[wrong], {t: labels[t][wrong] for t in fdecode.columns},
+                codec=config.aux_codec,
+                partition_bytes=config.aux_partition_bytes)
+
+        session, _ = choose_width(model, config.weight_dtype, aux_bytes)
         aux = AuxiliaryTable(
             tasks=fdecode.columns,
             codec=config.aux_codec,
@@ -552,12 +572,8 @@ class DeepMapping:
         keys ``flat`` or the reference session it was compiled from over
         their encoding ``x`` — disagrees with any task's label: the rows
         ``T_aux`` must hold."""
-        mis = np.zeros(flat.size, dtype=bool)
-        for predicted in (engine.session.run(x, batch_size=batch),
-                          engine.run(flat, batch_size=batch)):
-            for task, lab in labels.items():
-                mis |= predicted[task] != np.asarray(lab)
-        return mis
+        return (misclassified(engine.session.run(x, batch_size=batch), labels)
+                | misclassified(engine.run(flat, batch_size=batch), labels))
 
     def _mis_mask(self, flat: np.ndarray,
                   labels: Dict[str, np.ndarray]) -> np.ndarray:

@@ -66,6 +66,7 @@ def search(
     overhead_bytes: int,
     config: Optional[MHASConfig] = None,
     rng: Optional[np.random.Generator] = None,
+    weight_dtype: str = "float16",
 ) -> SearchOutcome:
     """Run MHAS over encoded keys ``x`` and label codes ``labels``.
 
@@ -81,6 +82,10 @@ def search(
         ``size(D)`` — the Eq. 1 denominator.
     overhead_bytes:
         Architecture-independent terms (``V_exist`` + ``f_decode``).
+    weight_dtype:
+        The build's ``DeepMappingConfig.weight_dtype`` — the widest the
+        frozen weights may be stored; candidates are sized at whatever
+        width at or below it the freeze would choose.
     """
     config = config if config is not None else MHASConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -103,7 +108,7 @@ def search(
             overhead_bytes=overhead_bytes,
             dataset_bytes=dataset_bytes,
             sample_idx=sample_idx,
-            weight_dtype_size=config.weight_dtype_size,
+            weight_dtype=weight_dtype,
         )
 
     outcome = SearchOutcome(

@@ -73,8 +73,6 @@ class MHASConfig:
     tol: float = 1e-4
     #: Consecutive controller rounds under ``tol`` before stopping.
     patience: int = 4
-    #: Frozen-weight dtype assumed when estimating model bytes.
-    weight_dtype_size: int = 2
 
     def __post_init__(self):
         if self.max_shared_layers < 0 or self.max_private_layers < 0:

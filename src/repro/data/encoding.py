@@ -394,7 +394,12 @@ class ValueEncoder:
     def from_state(cls, state: Dict[str, object]) -> "ValueEncoder":
         """Restore from :meth:`to_state`."""
         enc = cls(state["name"])
-        enc._vocab = np.asarray(state["vocab"])
+        vocab = np.asarray(state["vocab"])
+        # An unpickled dtype is a private object; re-wrap (no copy) at
+        # NumPy's canonical one, as every other component's from_state
+        # does, so a re-save shares dtype objects between arrays the
+        # way a fresh build does and writes the identical head.
+        enc._vocab = np.asarray(vocab, dtype=np.dtype(vocab.dtype.str))
         enc._rebuild_index()
         return enc
 

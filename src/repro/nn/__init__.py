@@ -3,7 +3,8 @@
 Stands in for the paper's PyTorch (training) and ONNX runtime (inference):
 dense layers with manual backprop, multi-task shared-trunk models, an LSTM
 cell for the MHAS controller, Adam/SGD optimizers, and a frozen
-:class:`~repro.nn.inference.InferenceSession`.
+:class:`~repro.nn.inference.InferenceSession` whose weights are stored
+bit-packed (:mod:`~repro.nn.quantize`) at the width Eq. 1 picks.
 """
 
 from .activations import log_softmax, relu, sigmoid, softmax, tanh

@@ -1,15 +1,18 @@
 """Compiled query-time kernel for the frozen lookup model.
 
 :class:`~repro.nn.inference.InferenceSession` is the *reference* runtime:
-it stores quantized weights and replays the generic layer graph, casting
-weights up to float32 on every batch and consuming a dense one-hot input.
-That is faithful to the paper's ONNX deployment but leaves measurable
-work on the table for the lookup hot path.  :class:`CompiledSession`
-freezes the same model into the tightest kernel the input structure
-allows:
+it holds the weights as they are stored (bit-packed integers plus
+per-channel scales, or plain ``weight_dtype`` arrays) and replays the
+generic layer graph over a dense one-hot input.  That is faithful to the
+paper's ONNX deployment but leaves measurable work on the table for the
+lookup hot path.  :class:`CompiledSession` freezes the same model into
+the tightest kernel the input structure allows:
 
-1. **Dequantize once** — float32 copies of every weight/bias are cached
-   at construction, so no ``astype`` runs per batch per layer.
+1. **Same float32 weights, dequantised once** — the kernel is built from
+   :meth:`InferenceSession.float_layers`, the session's memoised float32
+   arrays, so the stored width never reaches a batch: no unpack and no
+   ``astype`` runs per batch per layer, and both predictors multiply
+   the very same numbers.
 2. **Gather-fused first layer** — the model's input is a concatenation of
    one-hot digit blocks (:class:`~repro.data.encoding.KeyEncoder`), so
    ``x @ W1 + b1`` is exactly a sum of one ``W1`` row per digit position.
@@ -114,8 +117,7 @@ class CompiledSession:
         # The first layer consuming the one-hot input gets the gather
         # fusion: the shared trunk's first layer when a trunk exists,
         # otherwise every head chain's first layer.
-        shared = session._shared
-        heads = session._heads
+        shared, heads = session.float_layers()
         # Slot names are namespaced ("trunk/" vs "head/") so a value
         # column whose name collides with an internal scope (e.g. a task
         # literally called "shared") can never alias a trunk buffer.
@@ -140,8 +142,8 @@ class CompiledSession:
     # ------------------------------------------------------------------
     def _compile_layer(self, scope: str, w: np.ndarray, b: np.ndarray,
                        relu: bool, fuse: bool):
-        weight = np.ascontiguousarray(w.astype(np.float32))
-        bias = np.ascontiguousarray(b.astype(np.float32).reshape(-1))
+        weight = np.ascontiguousarray(w, dtype=np.float32)
+        bias = np.ascontiguousarray(b, dtype=np.float32).reshape(-1)
         self._slot_widths[scope] = weight.shape[1]
         if not fuse:
             return _DenseLayer(weight, bias, relu, scope)

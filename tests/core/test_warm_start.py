@@ -57,6 +57,27 @@ class TestLoadStateArrays:
                                       model.predict_codes(x)["a"])
 
 
+    @pytest.mark.parametrize("bits", [8, 4, 3])
+    def test_packed_session_transfers_every_tensor(self, bits):
+        """A retrain warm-started from bit-packed weights starts from
+        the dequantised model: every tensor transfers, at float32, and
+        the clone predicts what the packed session predicts."""
+        rng = np.random.default_rng(5)
+        spec = ArchitectureSpec(6, (12,), {"a": (4,), "b": ()},
+                                {"a": 3, "b": 2})
+        model = MultiTaskMLP(spec, rng=rng)
+        session = InferenceSession.from_model(model, bits=bits)
+        arrays = session.state_arrays()
+        assert set(arrays) == set(model.state_arrays())
+        assert all(a.dtype == np.float32 for a in arrays.values())
+        clone = MultiTaskMLP(spec, rng=np.random.default_rng(6))
+        assert clone.load_state_arrays(arrays) == len(model.parameters())
+        x = rng.normal(size=(40, 6)).astype(np.float32)
+        for task in spec.tasks:
+            np.testing.assert_array_equal(clone.predict_codes(x)[task],
+                                          session.run(x)[task])
+
+
 class TestWarmStartFit:
     def test_warm_start_lowers_initial_loss(self):
         table = synthetic.multi_column(800, "high")
@@ -84,6 +105,19 @@ class TestWarmRebuild:
                                                 key_headroom_fraction=1.0))
         dm.rebuild()
         assert dm.warm_started_tensors > 0
+
+    def test_rebuild_from_a_packed_store_transfers_every_tensor(self):
+        table = synthetic.multi_column(600, "high")
+        dm = DeepMapping.fit(table, fast_config(epochs=30))
+        assert dm.session.bits is not None
+        dm.rebuild()
+        assert dm.warm_started_tensors == 2 * len(
+            dm.session.spec.layer_plan())
+        result = dm.lookup({"key": table.column("key")})
+        assert result.found.all()
+        for column in table.value_columns:
+            np.testing.assert_array_equal(result.values[column],
+                                          table.column(column))
 
     def test_rebuild_cold_when_disabled(self):
         table = synthetic.multi_column(600, "high")

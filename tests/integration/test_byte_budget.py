@@ -1,0 +1,68 @@
+"""Byte budget of the benchmark-shaped store.
+
+Compression is the paper's headline claim, and bytes — unlike timings —
+repeat exactly for a seed, so they can be pinned in tier-1.  The store
+has the shape ``bench/`` measures (8 range shards, one 64-wide shared
+layer and one 32-wide private layer, 4 KiB ``T_aux`` partitions, the
+gapped high-correlation table) at its 20 000-row smoke scale, seed 0.
+
+The ceilings are this store's bytes when weights first reached disk
+bit-packed (the width chosen per shard by Eq. 1), plus ~4 % for a BLAS
+that rounds a near-tie the other way.  At the commit before, the same
+store was 146 483 B on disk (7.32 B/row) with 82 272 B of model.  Lower
+a ceiling when a change shrinks the store; a change that has to raise
+one is a storage regression and needs that argued.
+"""
+
+import os
+
+import pytest
+
+import repro
+from repro import DeepMappingConfig, LifecycleConfig, ShardingConfig
+from repro.data import synthetic
+from repro.storage import LocalDirBackend
+
+ROWS = 20_000
+
+#: Measured: 86 635 B on disk = 4.33 B/row (manifest 19 267 B).
+DISK_BYTES_PER_ROW = 4.5
+#: Measured: 21 480 B (8 shards x 3-bit weights).
+MODEL_BYTES = 22_400
+#: Measured: 22 941 B for 9 442 auxiliary rows.
+AUX_BYTES = 23_900
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    table = synthetic.single_column(ROWS, "high", seed=0, domain_factor=2.0)
+    config = DeepMappingConfig(
+        epochs=12, batch_size=512, shared_sizes=(64,), private_sizes=(32,),
+        aux_partition_bytes=4 * 1024)
+    sharding = ShardingConfig(
+        n_shards=8, strategy="range",
+        lifecycle=LifecycleConfig(policy="aux-ratio", aux_ratio=0.5,
+                                  rebalance=True))
+    store = repro.build(table, config, sharding=sharding)
+    directory = str(tmp_path_factory.mktemp("byte-budget") / "store")
+    store.save(LocalDirBackend(directory).url)
+    yield store, directory
+    store.close()
+
+
+def test_bytes_on_disk_per_row(saved):
+    _, directory = saved
+    on_disk = sum(os.path.getsize(os.path.join(directory, name))
+                  for name in os.listdir(directory))
+    assert on_disk / ROWS <= DISK_BYTES_PER_ROW
+
+
+def test_paper_accounting(saved):
+    store, _ = saved
+    report = store.size_report()
+    assert report.n_rows == ROWS
+    assert report.model_bytes <= MODEL_BYTES
+    assert report.aux_bytes <= AUX_BYTES
+    # Every shard's weights are stored packed: the unpacked float16
+    # model alone (4 935 parameters x 2 B x 8 shards) would be 78 960 B.
+    assert all(shard.session.bits is not None for shard in store.shards)

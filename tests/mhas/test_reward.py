@@ -10,6 +10,7 @@ from repro.core.mhas import (
     measure_aux_bytes_per_row,
 )
 from repro.nn import ArchitectureSpec, InferenceSession, MultiTaskMLP
+from repro.nn.inference import WIDTH_CANDIDATES, choose_width
 
 
 def make_spec(shared=(16,), private=(8,)):
@@ -23,16 +24,25 @@ def make_spec(shared=(16,), private=(8,)):
 
 class TestApproxModelBytes:
     def test_tracks_serialized_size(self):
+        """Within 0.5-2x of the real ``nbytes`` at every width the
+        freeze may choose — the estimate the search ranks candidates by
+        counts the bytes that are persisted."""
         spec = make_spec()
         model = MultiTaskMLP(spec, rng=np.random.default_rng(0))
-        session = InferenceSession.from_model(model, weight_dtype="float16")
-        estimate = approx_model_bytes(spec, weight_dtype_size=2)
-        assert 0.5 * session.nbytes < estimate < 2.0 * session.nbytes
+        for dtype in ("float16", "float32"):
+            for bits in WIDTH_CANDIDATES:
+                session = InferenceSession.from_model(model, dtype, bits=bits)
+                estimate = approx_model_bytes(spec, bits, dtype)
+                assert 0.5 * session.nbytes < estimate < 2.0 * session.nbytes
 
     def test_grows_with_width(self):
         small = approx_model_bytes(make_spec(shared=(8,)))
         large = approx_model_bytes(make_spec(shared=(256,)))
         assert large > small
+        wide = make_spec(shared=(256,))
+        assert (approx_model_bytes(wide, 3) < approx_model_bytes(wide, 8)
+                < approx_model_bytes(wide) < approx_model_bytes(
+                    wide, weight_dtype="float32"))
 
 
 class TestAuxBytesPerRow:
@@ -57,18 +67,48 @@ class TestAuxBytesPerRow:
 
 class TestEstimateRatio:
     def test_perfect_model_excludes_aux(self):
+        """No row is lost at any width, so the ratio is the model alone,
+        sized at the narrowest candidate — the width the freeze takes."""
         rng = np.random.default_rng(1)
         spec = make_spec(shared=(32,), private=(16,))
         model = MultiTaskMLP(spec, rng=rng)
         x = rng.normal(size=(200, 10)).astype(np.float32)
-        labels = {"a": model.predict_codes(x)["a"]}  # by construction perfect
         idx = np.arange(200)
-        ratio = estimate_ratio(model, x, labels, n_rows=200,
-                               aux_bytes_per_row=100.0, overhead_bytes=0,
-                               dataset_bytes=100_000, sample_idx=idx)
+        ratio = estimate_ratio(model, x, {"a": np.zeros(200, np.int64)},
+                               n_rows=200, aux_bytes_per_row=0.0,
+                               overhead_bytes=0, dataset_bytes=100_000,
+                               sample_idx=idx)
         assert ratio == pytest.approx(
-            approx_model_bytes(spec) / 100_000, rel=1e-6
-        )
+            approx_model_bytes(spec, min(WIDTH_CANDIDATES[1:])) / 100_000,
+            rel=1e-6)
+
+    def test_sized_at_the_width_the_freeze_chooses(self):
+        """The search and the freeze minimise one expression: the
+        estimate equals Eq. 1 recomputed at the chooser's own pick, and
+        ``weight_dtype`` bounds it from above."""
+        rng = np.random.default_rng(4)
+        spec = make_spec(shared=(32,), private=(16,))
+        model = MultiTaskMLP(spec, rng=rng)
+        x = rng.normal(size=(300, 10)).astype(np.float32)
+        labels = {"a": InferenceSession.from_model(
+            model, "float32").run(x)["a"]}
+        idx = np.arange(300)
+
+        def wrong(session):
+            return float((session.run(x)["a"] != labels["a"]).mean())
+
+        for dtype in ("float16", "float32"):
+            ratio = estimate_ratio(model, x, labels, n_rows=3000,
+                                   aux_bytes_per_row=2.5, overhead_bytes=7,
+                                   dataset_bytes=50_000, sample_idx=idx,
+                                   weight_dtype=dtype)
+            chosen, _ = choose_width(
+                model, dtype, lambda s: wrong(s) * 3000 * 2.5)
+            expected = (approx_model_bytes(spec, chosen.bits, dtype)
+                        + wrong(chosen) * 3000 * 2.5 + 7) / 50_000
+            assert ratio == pytest.approx(expected, rel=1e-9)
+            unpacked = (approx_model_bytes(spec, None, dtype) + 7) / 50_000
+            assert ratio <= unpacked
 
     def test_bad_model_pays_aux(self):
         rng = np.random.default_rng(2)

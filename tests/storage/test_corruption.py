@@ -99,6 +99,32 @@ class TestMonolithicCorruption:
                 match=f"segment {segment} of {n_segments} failed checksum"):
             repro.open(str(path), writable=writable)
 
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_flipped_byte_in_a_packed_weight_segment_names_its_segment(
+            self, tmp_path, table, writable):
+        # Bit-packed weights have no redundancy of their own — any byte
+        # is a valid run of k-bit levels — so the segment CRC is what
+        # stands between a flipped bit and a silently different model.
+        path = tmp_path / "store.dm"
+        build_monolithic(table, str(path))
+        payload = path.read_bytes()
+        with repro.open(str(path)) as store:
+            assert store.session.bits is not None
+            packed = max((layer[0] for layer in store.session._shared),
+                         key=lambda array: array.nbytes)
+            assert packed.dtype == np.uint8 and packed.ndim == 1
+            blob = packed.tobytes()
+        start = payload.find(blob)
+        assert start > 0 and payload.count(blob) == 1
+        segments = zerocopy.parse_index(payload, len(payload)).segments
+        segment = segments.index((start, start + len(blob)))
+        flip_file_byte(path, start + len(blob) // 2)
+        with pytest.raises(
+                StoreCorruptedError,
+                match=f"segment {segment} of {len(segments)} "
+                      "failed checksum"):
+            repro.open(str(path), writable=writable)
+
     def test_healthy_reopen_unaffected(self, tmp_path, table):
         url = str(tmp_path / "store.dm")
         store = repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
