@@ -2,16 +2,17 @@
 
 Two claims are tracked:
 
-1. **Router-level miss pruning.** Each shard's manifest entry carries a
-   compact negative filter (``core/negative_filter.py``); the sharded
-   lookup consults it *before* the (shard, key) sort and shard dispatch,
-   so miss keys skip the fan-out entirely.  On a 4-shard store the
-   all-miss batch must be **>= 3x** faster than the same store loaded
-   with ``negative_filter=False`` (the unpruned baseline), and the
-   50%-hit batch must not regress below **0.95x** — with bit-identical
-   results on both.  The monolithic all-miss time rides along so the
-   sharded-vs-monolithic miss gap (5.2x at PR 6) is tracked as it
-   closes.
+1. **Router-level miss pruning.** The manifest carries one compact
+   negative filter over the whole store's keys
+   (``core/negative_filter.py``); the sharded lookup consults it
+   *before* routing, the (shard, key) sort and shard dispatch, so miss
+   keys skip the fan-out entirely.  On a 4-shard store the all-miss
+   batch must be **>= 3x** faster than the same saved store opened from
+   a copy whose manifest has no ``store_filter`` (such a store never
+   prunes: the unpruned baseline), and the 50%-hit batch must not
+   regress below **0.95x** — with bit-identical results on both.  The
+   monolithic all-miss time rides along so the sharded-vs-monolithic
+   miss gap (5.2x at PR 6) is tracked as it closes.
 2. **Pure-mmap cold opens.** The payload exports model weights,
    existence bits and compressed ``T_aux`` partitions as first-class
    out-of-band container segments.  After a cold ``writable=False``
@@ -21,7 +22,7 @@ Two claims are tracked:
    ``bench/run.py`` are the tracked numbers (``bench/README.md``).
 
 Also gated: filter cost in the manifest stays **<= 2 bytes per stored
-key** (manifest.json with filters vs without, divided by rows).
+key** (manifest.json with the filter vs without, divided by rows).
 
 Writes ``BENCH_prune.json`` at the repo root (the tracked trajectory);
 ``docs/performance.md`` explains how to read it.  Run::
@@ -49,7 +50,7 @@ import repro
 from repro.bench import format_table
 from repro.core import DeepMappingConfig
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
 from repro.storage import payload_cache
 from repro.testing.oracles import barrier_lookup
 
@@ -88,7 +89,7 @@ def cold_open_config(smoke: bool) -> DeepMappingConfig:
 
 def build_queries(table, batch: int, rng):
     """All-miss and 50%-hit batches; misses are in-domain gap keys (the
-    ``domain_factor`` holes), so the filters — not domain validation —
+    ``domain_factor`` holes), so the filter — not domain validation —
     must reject them."""
     key_name = table.key[0]
     keys = table.column(key_name)
@@ -133,10 +134,15 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
     store.save(url)
     monolithic = repro.build(table, config)
 
+    # The unpruned baseline: the same bytes, minus the manifest's filter.
+    url_bare = os.path.join(workdir, "store-nofilter")
+    shutil.copytree(url, url_bare)
+    bare = ShardManifest.load(url_bare)
+    bare.store_filter = None
+    bare.save(url_bare)
+
     pruned = ShardedDeepMapping.load(url)
-    unpruned = ShardedDeepMapping.load(url, negative_filter=False)
-    assert any(f is not None for f in pruned.filters), "filters not loaded"
-    assert all(f is None for f in unpruned.filters), "baseline has filters"
+    unpruned = ShardedDeepMapping.load(url_bare)
 
     rng = np.random.default_rng(0)
     all_miss, half = build_queries(table, batch, rng)
@@ -163,10 +169,10 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
     assert int(result.found.sum()) == 0, "all-miss batch found keys"
     pruned_keys = int(pruned.stats.counters.get("pruned_keys", 0))
 
-    # Manifest cost of the filter tier: same store saved with and
-    # without filters, manifest.json delta per stored key.
-    url_bare = os.path.join(workdir, "store-nofilter")
-    unpruned.save(url_bare)
+    assert not unpruned.stats.counters.get("pruned_keys", 0), \
+        "baseline pruned keys"
+    # Manifest cost of the filter: the two manifests' size delta per
+    # stored key.
     with_filters = os.path.getsize(os.path.join(url, "manifest.json"))
     without = os.path.getsize(os.path.join(url_bare, "manifest.json"))
     bytes_per_key = (with_filters - without) / len(table)

@@ -5,7 +5,7 @@ server (``repro.testing.range_server``) so the numbers measure the
 *read path* — request counts and bytes moved — rather than a network:
 
 1. **Cold-open economy.** Opening a sharded store over ``http://``
-   downloads only the manifest (router + filters + prune metadata) and
+   downloads only the manifest (router + filter + prune metadata) and
    the config blob.  The cold-open download must stay a small fraction
    of the store's total bytes, and zero shard payload blobs may be
    touched.

@@ -3,24 +3,23 @@
 DeepMapping's headline win is that the existence tier (Sec. III-C)
 short-circuits misses *inside* a shard before any inference — but in the
 sharded store every miss key still pays routing, the (shard, key) sort,
-and shard dispatch before that gate fires.  This module moves compact
-summaries of the stored key set up into the *manifest*, so the router
-can drop miss keys before any fan-out work happens at all.  Pruning is
-two-tiered (see ``ShardedDeepMapping._prune``):
+and shard dispatch before that gate fires.  This module moves **one**
+compact summary of the stored key set up into the *manifest*: a single
+store-level filter over the union of every shard's keys, probed before
+any routing (valid because key→shard placement is a pure function of
+the key), so the read path can drop miss keys before any fan-out work
+happens at all (see ``repro.shard.read_path._prune``).  Whatever it
+lets through is rejected exactly by the owning shard's ``V_exist``.
 
-- **Tier 1, store level** — one filter over the union of every shard's
-  keys, probed before any routing (valid because key→shard placement is
-  a pure function of the key).  :func:`build_store_filter` picks the
-  structure: an exact :class:`DenseNegativeFilter` bitmap when the key
-  fingerprints span a dense domain (the paper's existence bit-vector
-  hoisted to the manifest — no false positives at all), or a blocked
-  Bloom :class:`NegativeFilter` at ~8 bits/key otherwise (in the spirit
-  of the compressed/learned-filter line of work cited in PAPERS.md,
-  with the classic Bloom construction as the guaranteed-no-false-
-  negative fallback).
-- **Tier 2, shard level** — skinny ~3 bits/key blocked Bloom filters,
-  one per shard, screening tier-1 false positives after routing via one
-  :class:`FilterBank` gather.  Skipped entirely when tier 1 is exact.
+:func:`build_store_filter` picks the structure: an exact
+:class:`DenseNegativeFilter` bitmap when the key fingerprints span a
+dense domain (the paper's existence bit-vector hoisted to the manifest
+— no false positives at all), or a blocked Bloom :class:`NegativeFilter`
+at ~8 bits/key otherwise (the classic construction as the guaranteed-
+no-false-negative fallback; a tighter structure for non-dense domains —
+the compressed/learned-filter line of work cited in PAPERS.md — would
+join the ``kind`` registry of :func:`filter_from_json`, not stack a
+second tier behind this one).
 
 Blocked Bloom probes touch a single 64-bit word (``h1`` selects the
 block, ``k`` bit positions come from disjoint 6-bit fields of ``h2``),
@@ -32,12 +31,13 @@ live key set — a deleted key may survive as a false positive until the
 next rebuild, which only costs a dispatch the existence tier then
 rejects); false positives only waste a shard dispatch.
 
-Persistence is JSON-friendly (``to_json`` / ``from_json`` /
-:func:`filter_from_json`): word arrays ride in the shard manifest as
-``base64(zlib(words))`` under a ``kind`` tag.  The combined raw cost of
-both tiers is ~11 bits/key worst case, inside the manifest's <= 2
+Persistence is JSON-friendly (``to_json`` / :func:`filter_from_json`):
+the word array rides in the shard manifest as ``base64(zlib(words))``
+under a ``kind`` tag, <= 8 raw bits/key — inside the manifest's <= 2
 bytes/key budget even when random bits do not compress (see
-``docs/sharding.md``).
+``docs/sharding.md``).  :func:`filter_from_json` is the one reader and
+checks everything it is handed (parameters, word count, the decode): a
+damaged filter is a ``ValueError`` at open, never a wrong answer later.
 
 Key hashing (:func:`hash_key_columns`) mirrors the hash router's
 column-mixing scheme — a splitmix64-style avalanche per column with a
@@ -50,13 +50,14 @@ imported: core must not depend on the shard layer.
 from __future__ import annotations
 
 import base64
+import operator
 import zlib
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-__all__ = ["NegativeFilter", "DenseNegativeFilter", "FilterBank",
-           "hash_key_columns", "build_store_filter", "filter_from_json"]
+__all__ = ["NegativeFilter", "DenseNegativeFilter", "hash_key_columns",
+           "build_store_filter", "filter_from_json"]
 
 # splitmix64 finalizer constants — same family the shard router uses.
 _MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -128,7 +129,7 @@ def _bit_mask(h2: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _word_index(h2: np.ndarray, k: int, sizes) -> np.ndarray:
+def _word_index(h2: np.ndarray, k: int, size: np.uint64) -> np.ndarray:
     """Word index per hash: the bits above the ``6k`` position fields,
     reduced into ``[0, size)``.
 
@@ -137,15 +138,33 @@ def _word_index(h2: np.ndarray, k: int, sizes) -> np.ndarray:
     one widening multiply instead of a 64-bit division and maps uniform
     ``x`` to uniform indices.  ``k = 6`` leaves only 28 spare bits, not
     enough for an unbiased multiply-shift, so it keeps the modulo.
-    ``sizes`` may be a scalar or a per-hash array (the FilterBank case);
-    any zero size yields index 0 — callers must mask those out.
     """
     hi = np.right_shift(h2, np.uint64(6 * k))
     if k <= 5:
         x = np.bitwise_and(hi, _U32_MASK)
-        x *= sizes
+        x *= size
         return np.right_shift(x, _SHIFT_32).astype(np.int64)
-    return (hi % np.maximum(sizes, _ONE)).astype(np.int64)
+    return (hi % size).astype(np.int64)
+
+
+def _encode_words(words: np.ndarray) -> str:
+    """A filter's word array as manifest text: ``base64(zlib(words))``."""
+    return base64.b64encode(zlib.compress(words.tobytes(), 6)).decode("ascii")
+
+
+def _decode_words(data, n_words: int) -> np.ndarray:
+    """Inverse of :func:`_encode_words`; anything but exactly
+    ``n_words`` words is a ``ValueError``."""
+    try:
+        raw = zlib.decompress(base64.b64decode(data, validate=True))
+    except (zlib.error, TypeError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"filter data does not decode: {exc}") from exc
+    if len(raw) != 8 * n_words:
+        raise ValueError(f"filter data holds {len(raw)} bytes, its "
+                         f"parameters imply {8 * n_words}")
+    # .copy(): frombuffer over bytes is read-only, and a loaded writable
+    # store keeps inserting into the filter.
+    return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
 def hash_key_columns(
@@ -274,31 +293,12 @@ class NegativeFilter:
 
     def to_json(self) -> Dict[str, object]:
         """Manifest-embeddable state: params + ``base64(zlib(words))``."""
-        raw = self._words.tobytes()
         return {
             "kind": "bloom64",
             "k": self.k,
             "n_words": int(self._words.size),
-            "data": base64.b64encode(zlib.compress(raw, 6)).decode("ascii"),
+            "data": _encode_words(self._words),
         }
-
-    @classmethod
-    def from_json(cls, state: Dict[str, object]) -> "NegativeFilter":
-        kind = state.get("kind")
-        if kind != "bloom64":
-            raise ValueError(f"unknown negative-filter kind {kind!r}")
-        raw = zlib.decompress(base64.b64decode(state["data"]))
-        # .copy(): frombuffer over bytes is read-only, and a loaded
-        # writable store keeps inserting into the filter.
-        words = np.frombuffer(raw, dtype=np.uint64).copy()
-        if words.size != int(state["n_words"]):
-            raise ValueError(
-                f"negative filter payload holds {words.size} words, "
-                f"manifest says {state['n_words']}")
-        filt = cls.__new__(cls)
-        filt._words = words
-        filt.k = int(state["k"])
-        return filt
 
     def __repr__(self) -> str:
         set_bits = int(np.unpackbits(self._words.view(np.uint8)).sum())
@@ -319,8 +319,8 @@ class DenseNegativeFilter:
     bitmap over ``[lo, lo + n_bits)`` answers membership **exactly** —
     no hashing, no false positives, and still never a false negative.
     The probe is a subtract, one gather and a bit test, several times
-    cheaper than a Bloom probe, and exactness means tier-2 screening and
-    shard dispatch are skipped entirely for true misses.
+    cheaper than a Bloom probe, and exactness means shard dispatch is
+    skipped entirely for true misses.
 
     Only :func:`build_store_filter` chooses this structure, and only
     when the fingerprint domain fits a bits-per-key budget; composite
@@ -338,6 +338,8 @@ class DenseNegativeFilter:
     def __init__(self, lo: int, n_bits: int):
         if n_bits < 1:
             raise ValueError("n_bits must be >= 1")
+        if not -2**63 <= lo <= 2**63 - n_bits:
+            raise ValueError("[lo, lo + n_bits) must lie inside int64")
         self.lo = int(lo)
         self.n_bits = int(n_bits)
         self._words = np.zeros((self.n_bits + 63) // 64, dtype=np.uint64)
@@ -399,30 +401,12 @@ class DenseNegativeFilter:
         return int(self._words.nbytes)
 
     def to_json(self) -> Dict[str, object]:
-        raw = self._words.tobytes()
         return {
             "kind": "dense64",
             "lo": self.lo,
             "n_bits": self.n_bits,
-            "data": base64.b64encode(zlib.compress(raw, 6)).decode("ascii"),
+            "data": _encode_words(self._words),
         }
-
-    @classmethod
-    def from_json(cls, state: Dict[str, object]) -> "DenseNegativeFilter":
-        kind = state.get("kind")
-        if kind != "dense64":
-            raise ValueError(f"unknown negative-filter kind {kind!r}")
-        raw = zlib.decompress(base64.b64decode(state["data"]))
-        words = np.frombuffer(raw, dtype=np.uint64).copy()
-        filt = cls.__new__(cls)
-        filt.lo = int(state["lo"])
-        filt.n_bits = int(state["n_bits"])
-        filt._words = words
-        if words.size != (filt.n_bits + 63) // 64:
-            raise ValueError(
-                f"dense filter payload holds {words.size} words, "
-                f"manifest implies {(filt.n_bits + 63) // 64}")
-        return filt
 
     def __repr__(self) -> str:
         set_bits = int(np.unpackbits(self._words.view(np.uint8)).sum())
@@ -439,7 +423,7 @@ DENSE_MAX_BITS_PER_KEY = 8
 def build_store_filter(hashes: np.ndarray,
                        bits_per_key: int = NegativeFilter.BITS_PER_KEY,
                        k: int = NegativeFilter.K):
-    """The store-level (tier-1) filter for a set of key fingerprints.
+    """The store filter for a set of key fingerprints.
 
     Picks the exact :class:`DenseNegativeFilter` when the fingerprints
     span a domain of at most :data:`DENSE_MAX_BITS_PER_KEY` bits per
@@ -459,65 +443,28 @@ def build_store_filter(hashes: np.ndarray,
 
 
 def filter_from_json(state: Dict[str, object]):
-    """Restore any persisted negative filter by its ``kind`` tag."""
-    kind = state.get("kind") if isinstance(state, dict) else None
-    if kind == "dense64":
-        return DenseNegativeFilter.from_json(state)
-    return NegativeFilter.from_json(state)
+    """Restore a persisted negative filter by its ``kind`` tag.
 
-
-class FilterBank:
-    """One vectorized probe across a whole shard topology's filters.
-
-    Probing shard-by-shard costs a boolean mask, a ``flatnonzero`` and
-    two gathers *per shard* per batch.  The bank concatenates every
-    shard's word array once and answers the whole batch with a single
-    routed gather: ``word = words[offset[shard] + h2 % size[shard]]`` —
-    per-key cost independent of the shard count.  Shards without a
-    filter (empty shards, or filters disabled) get ``size = 0`` and
-    always answer "might contain", i.e. are never pruned.
-
-    The bank snapshots the filters' words at construction; the owning
-    store rebuilds it whenever a filter is added to, refreshed, or
-    swapped (see ``ShardedDeepMapping._filter_bank``).  Requires every
-    present filter to share one ``k`` (always true for filters built
-    with the default; :attr:`uniform` is False otherwise and the owner
-    must fall back to per-shard probes).
+    The one reader of ``to_json`` output, and the state is outside
+    input: parameters go through the constructors' checks and the data
+    must decode to exactly the words they imply, so damage surfaces here
+    as a ``ValueError`` (``KeyError`` / ``TypeError`` for a missing or
+    non-integer field) instead of a filter that answers wrongly.
     """
-
-    __slots__ = ("uniform", "k", "_words", "_offsets", "_sizes")
-
-    def __init__(self, filters):
-        ks = {f.k for f in filters if f is not None}
-        self.uniform = len(ks) <= 1
-        self.k = ks.pop() if ks else NegativeFilter.K
-        if not self.uniform:
-            return
-        self._offsets = np.zeros(len(filters), dtype=np.int64)
-        self._sizes = np.zeros(len(filters), dtype=np.uint64)
-        parts = []
-        offset = 0
-        for ordinal, filt in enumerate(filters):
-            if filt is None:
-                continue
-            self._offsets[ordinal] = offset
-            self._sizes[ordinal] = filt._words.size
-            parts.append(filt._words)
-            offset += filt._words.size
-        self._words = (np.concatenate(parts) if parts
-                       else np.zeros(1, dtype=np.uint64))
-
-    def might_contain(self, shard_ids: np.ndarray,
-                      hashes: np.ndarray) -> np.ndarray:
-        """Boolean per key, routed: ``False`` is a guaranteed miss in
-        the key's own shard; keys of filterless shards answer ``True``."""
-        h2 = _mix64(np.bitwise_xor(np.asarray(hashes, dtype=np.uint64),
-                                   _BIT_SALT), copy=False)
-        sizes = self._sizes[shard_ids]
-        idx = _word_index(h2, self.k, sizes)
-        idx += self._offsets[shard_ids]
-        words = self._words[idx]
-        mask = _bit_mask(h2, self.k)
-        hit = np.bitwise_and(words, mask) == mask
-        # Filterless shards (size 0) must never prune.
-        return np.logical_or(hit, sizes == 0, out=hit)
+    kind = state.get("kind") if isinstance(state, dict) else None
+    # Decode before constructing: a damaged size field must fail the
+    # word-count check, not drive an allocation.
+    if kind == "dense64":
+        lo = operator.index(state["lo"])
+        n_bits = operator.index(state["n_bits"])
+        words = _decode_words(state["data"], (n_bits + 63) // 64)
+        filt = DenseNegativeFilter(lo, n_bits)
+    elif kind == "bloom64":
+        n_words = operator.index(state["n_words"])
+        k = operator.index(state["k"])
+        words = _decode_words(state["data"], n_words)
+        filt = NegativeFilter(n_words, k=k)
+    else:
+        raise ValueError(f"unknown negative-filter kind {kind!r}")
+    filt._words = words
+    return filt

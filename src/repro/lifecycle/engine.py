@@ -173,10 +173,6 @@ class MaintenanceEngine:
             shard = self.store.shards[ordinal]
             n_rows = len(shard)
             shard.rebuild(config=self.build_config_for(n_rows))
-            # Retraining preserves the keyset, but rebuilding the
-            # shard's negative filter too drops the false positives
-            # accumulated by deletes since the last build.
-            self.store.refresh_filter(ordinal)
             return LifecycleEvent("rebuild", ordinal, n_rows)
 
         # Through the store's fan-out pool: one job per due shard, the

@@ -71,7 +71,7 @@ class TenantStats:
         self.requests = 0
         self.keys = 0
         self.errors = 0
-        #: Keys the sharded store's manifest-tier negative filters
+        #: Keys the sharded store's manifest-tier negative filter
         #: pruned before dispatch, attributed to this tenant (see
         #: ``ServeStats.record_pruned`` for attribution semantics).
         self.pruned_keys = 0
@@ -141,9 +141,9 @@ class ServeStats:
         #: Requests that ran out of deadline budget in the tier (queued
         #: past expiry, or the store call outlived their deadline).
         self.deadline_expired = 0
-        #: Keys the store's negative filters pruned before shard
+        #: Keys the store's negative filter pruned before shard
         #: dispatch, summed over every coalesced store call (zero for
-        #: monolithic stores and filter-disabled sharded stores).
+        #: monolithic stores and sharded stores saved without one).
         self.keys_pruned = 0
         #: Hydration telemetry mirrored from the store's stats counters
         #: (remote-backed stores only; all zero for local opens):

@@ -11,11 +11,14 @@ A saved store is a directory::
 
 ``manifest.json`` is deliberately human-readable JSON: it carries the
 router state (strategy + cut points / seed), the key and value schema with
-NumPy dtype strings, and a per-shard table of file name / row count / byte
-size plus an optional compact negative filter (the miss-pruning tier,
-``core/negative_filter.py``).  Everything needed to route a query — and to
-reject most miss keys outright — is in the manifest, so a loader can open
-shards lazily or on remote storage without unpickling them first.
+NumPy dtype strings, a per-shard table of file name / row count / byte
+size, and one compact negative filter over the whole store's keys (the
+miss-pruning tier, ``core/negative_filter.py``).  Everything needed to
+route a query — and to reject most miss keys outright — is in the
+manifest, so a loader can open shards lazily or on remote storage without
+unpickling them first.  Keys this reader does not know (older manifests
+carried a ``filter`` per shard entry and ``sharding.negative_filter``) are
+ignored and not written back.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.negative_filter import filter_from_json
 from ..resilience.errors import StoreCorruptedError, StoreNotFoundError
 from ..storage.backends import LocalDirBackend, StorageBackend
 
@@ -46,24 +50,15 @@ class ShardEntry:
     file: Optional[str]
     n_rows: int = 0
     n_bytes: int = 0
-    #: Per-shard negative filter (``NegativeFilter.to_json()`` dict) —
-    #: the manifest-level miss-pruning tier.  ``None`` for empty shards,
-    #: stores saved with the filter knob off, and manifests written
-    #: before the tier existed (loaders treat absence as "never prune").
-    #: Budget: <= 2 bytes per shard key (see ``docs/sharding.md``).
-    filter: Optional[Dict[str, object]] = None
 
     def to_json(self) -> Dict[str, object]:
-        obj: Dict[str, object] = {"file": self.file, "n_rows": self.n_rows,
-                                  "n_bytes": self.n_bytes}
-        if self.filter is not None:
-            obj["filter"] = self.filter
-        return obj
+        return {"file": self.file, "n_rows": self.n_rows,
+                "n_bytes": self.n_bytes}
 
     @classmethod
     def from_json(cls, obj: Dict[str, object]) -> "ShardEntry":
         return cls(file=obj["file"], n_rows=int(obj["n_rows"]),
-                   n_bytes=int(obj["n_bytes"]), filter=obj.get("filter"))
+                   n_bytes=int(obj["n_bytes"]))
 
 
 @dataclass
@@ -83,13 +78,13 @@ class ShardManifest:
     #: the maintenance engine).  Empty for unmanaged stores; absent in
     #: manifests written before the lifecycle subsystem existed.
     lifecycle: Dict[str, object] = field(default_factory=dict)
-    #: Store-level negative filter over the union of every shard's key
-    #: set (``NegativeFilter.to_json()`` dict) — tier 1 of the pruning
-    #: pass, probed for every batch key *before* any routing.  ``None``
-    #: for stores saved with the filter knob off and for manifests
-    #: written before the store-level tier existed (loaders then fall
-    #: back to the routed per-shard filters, or never prune).
-    store_filter: Optional[Dict[str, object]] = None
+    #: The store's negative filter over the union of every shard's key
+    #: set (a ``core.negative_filter`` filter object; ``to_json`` /
+    #: ``filter_from_json`` on the way to and from JSON), probed for
+    #: every batch key *before* any routing.  ``None`` when the manifest
+    #: carries none: such a store never prunes.  Budget: <= 2 bytes per
+    #: key (see ``docs/sharding.md``).
+    store_filter: Optional[object] = None
     #: Scalar prune-lane metadata captured at save time:
     #: ``{"scalar_ok": true, "columns": {name: {"dtype": str,
     #: "filler": scalar}}}``.  Lets a *hydrating* loader (remote
@@ -118,7 +113,7 @@ class ShardManifest:
             "lifecycle": dict(self.lifecycle),
         }
         if self.store_filter is not None:
-            obj["store_filter"] = self.store_filter
+            obj["store_filter"] = self.store_filter.to_json()
         if self.prune_meta is not None:
             obj["prune_meta"] = self.prune_meta
         return obj
@@ -139,7 +134,8 @@ class ShardManifest:
             shards=[ShardEntry.from_json(e) for e in obj["shards"]],
             sharding=dict(obj.get("sharding", {})),
             lifecycle=dict(obj.get("lifecycle", {})),
-            store_filter=obj.get("store_filter"),
+            store_filter=(filter_from_json(obj["store_filter"])
+                          if obj.get("store_filter") is not None else None),
             prune_meta=obj.get("prune_meta"),
         )
 
@@ -168,8 +164,9 @@ class ShardManifest:
         """Read ``manifest.json`` from ``backend``.
 
         An absent manifest raises :class:`StoreNotFoundError` (a
-        ``FileNotFoundError``); unparseable or wrong-format JSON raises
-        :class:`StoreCorruptedError` — both name the blob and the URL.
+        ``FileNotFoundError``); unparseable or wrong-format JSON — a
+        damaged ``store_filter`` included — raises
+        :class:`StoreCorruptedError`; both name the blob and the URL.
         """
         url = getattr(backend, "url", backend)
         try:

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..core.config import check_stored_config
 from ..core.deep_mapping import DeepMapping
-from ..core.negative_filter import NegativeFilter, filter_from_json
 from ..lifecycle import LifecycleConfig
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
@@ -71,7 +70,6 @@ def save(store: ShardedDeepMapping,
 def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
     total = 0
     entries: List[ShardEntry] = []
-    filters = store.filters
     sharding = store.sharding
     with store.stats.timing("io"):
         for ordinal, shard in enumerate(store.shards):
@@ -80,10 +78,8 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
                 continue
             fname = shard_blob_name(ordinal)
             nbytes = backend.write_bytes(fname, shard.to_payload())
-            filt = filters[ordinal]
-            entries.append(ShardEntry(
-                file=fname, n_rows=len(shard), n_bytes=nbytes,
-                filter=filt.to_json() if filt is not None else None))
+            entries.append(ShardEntry(file=fname, n_rows=len(shard),
+                                      n_bytes=nbytes))
             total += nbytes
 
         config_payload = pickle.dumps(store.config,
@@ -111,12 +107,10 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
             "executor": getattr(sharding.executor, "name",
                                 sharding.executor),
             "on_shard_error": sharding.on_shard_error,
-            "negative_filter": sharding.negative_filter,
             "hedged_reads": sharding.hedged_reads,
         },
         lifecycle=lifecycle,
-        store_filter=(store._store_filter.to_json()
-                      if store._store_filter is not None else None),
+        store_filter=store._store_filter,
         prune_meta=export_prune_meta(store),
     )
     total += manifest.save_to(backend)
@@ -190,8 +184,8 @@ def prime_prune_meta(store: ShardedDeepMapping,
 def load(cls, target: Union[str, StorageBackend],
          stats: Optional[StoreStats], max_workers: Optional[int],
          pool_budget_bytes: Optional[int],
-         executor: Union[str, ExecutorStrategy, None], writable: bool,
-         negative_filter: Optional[bool]) -> ShardedDeepMapping:
+         executor: Union[str, ExecutorStrategy, None],
+         writable: bool) -> ShardedDeepMapping:
     """Open the store saved in ``target`` as a ``cls``
     (:meth:`ShardedDeepMapping.load` documents the overrides).
 
@@ -235,11 +229,6 @@ def load(cls, target: Union[str, StorageBackend],
         lifecycle=(LifecycleConfig.from_state(lifecycle_state)
                    if lifecycle_state else None),
         on_shard_error=saved.get("on_shard_error", "raise"),
-        # Manifests written before the pruning tier default to True:
-        # they simply carry no filters (entries lack the field), so
-        # nothing prunes until a mutation/rebuild grows filters.
-        negative_filter=(negative_filter if negative_filter is not None
-                         else saved.get("negative_filter", True)),
         # Pre-hedging manifests lack the field: hedging stays off.
         hedged_reads=saved.get("hedged_reads", False),
     )
@@ -252,12 +241,6 @@ def load(cls, target: Union[str, StorageBackend],
         bind_stats(stats)
     pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                       stats=stats)
-    filters: List[Optional[NegativeFilter]] = [
-        (NegativeFilter.from_json(entry.filter)
-         if sharding.negative_filter and entry.filter is not None
-         else None)
-        for entry in manifest.shards
-    ]
     shards: List[Optional[DeepMapping]] = []
     for ordinal, entry in enumerate(manifest.shards):
         if entry.file is None:
@@ -284,13 +267,10 @@ def load(cls, target: Union[str, StorageBackend],
                 aux_name_prefix=_aux_prefix(ordinal)))
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
-    store_filter = (filter_from_json(manifest.store_filter)
-                    if sharding.negative_filter
-                    and manifest.store_filter is not None else None)
     store = cls(router, shards, config, sharding,
                 value_names=tuple(manifest.value_names),
                 value_dtypes=value_dtypes, stats=stats, pool=pool,
-                filters=filters, store_filter=store_filter)
+                store_filter=manifest.store_filter)
     store.writable = writable
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])

@@ -52,10 +52,9 @@ class FillPlan(NamedTuple):
     """The cheapest way to make pruned keys read like dispatched misses
     (``execute_into`` writes those the owning shard's ``vocab[0]``):
 
-    - ``"paint"`` — every shard shares one filler and most of the batch
-      was pruned: allocate the output already holding it.
-    - ``"assign"`` — shared filler, minority pruned: scalar broadcast
-      into the pruned positions ``pos``.
+    - ``"paint"`` — every shard shares one filler (and the prune gate
+      only lets miss-heavy batches through, so most of the output is
+      pruned): allocate the output already holding it.
     - ``"gather"`` — fillers differ by shard (or shards are missing):
       one filler-by-shard table per column, indexed by the pruned keys'
       shard ``ids``.  EMPTY shards' rows are the dtype zero / None, the
@@ -81,11 +80,11 @@ def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
     key_cols = store._normalize_keys(keys)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     # One topology snapshot per batch: every stage sees the same
-    # (router, shards, filters) triple, so a lifecycle swap can never
-    # mispair cuts (or filters) with ordinals.  This does NOT license
-    # concurrent mutation — the single-writer contract stands (a
-    # retired shard's dropped aux storage is not safe to read).
-    router, shards, filters = store._topology
+    # (router, shards) pair, so a lifecycle swap can never mispair cuts
+    # with ordinals.  This does NOT license concurrent mutation — the
+    # single-writer contract stands (a retired shard's dropped aux
+    # storage is not safe to read).
+    router, shards = store._topology
     if n == 0:
         return LookupResult(found=np.zeros(0, dtype=bool),
                             values={c: _blank(0, _recorded_dtype(store, c))
@@ -96,7 +95,7 @@ def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
         # Nothing to route, merge or isolate.  (Partial mode still takes
         # the generic path so a failure comes back marked, not raised.)
         return shards[0].lookup(key_cols)
-    idx, fill, dtypes = _prune(store, router, shards, filters, key_cols, n)
+    idx, fill, dtypes = _prune(store, router, shards, key_cols, n)
     jobs, n_routed = [], n
     if idx is not None:
         n_routed = int(idx.size)
@@ -114,7 +113,7 @@ def contains_batch(store, keys) -> np.ndarray:
     """Liveness per key from each owning shard's existence vector."""
     key_cols = store._normalize_keys(keys)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
-    router, shards, _ = store._topology
+    router, shards = store._topology
     exists = np.zeros(n, dtype=bool)
     routed = _route(store, router, key_cols)
     for _, shard, segment, dest in _segments(shards, *routed):
@@ -123,94 +122,61 @@ def contains_batch(store, keys) -> np.ndarray:
     return exists
 
 
-def _prune(store, router, shards, filters, key_cols, n: int):
-    """Negative-filter pass over the batch, before sort/dispatch.
+def _prune(store, router, shards, key_cols, n: int):
+    """Store-filter pass over the batch, before sort/dispatch.
 
-    Returns ``(idx, fill, dtypes)``: the positions surviving the filters
+    Returns ``(idx, fill, dtypes)``: the positions surviving the filter
     (``None``: nothing pruned, run the exact unpruned path), the
     :class:`FillPlan` for the pruned ones, and per-column promotion
     lists from **pre-prune** shard occupancy — output dtypes must match
-    the unpruned path even when the filters empty a group entirely.
+    the unpruned path even when the filter empties a group entirely.
     The scalar lane needs ``store._prune_meta``'s ``scalar_ok``: then
-    promotion is occupancy-invariant and nothing is routed before the
-    store filter has answered; otherwise the full batch is routed.
+    promotion is occupancy-invariant and nothing is routed at all;
+    otherwise the full batch is routed for its fillers.
     """
-    if not any(f is not None for f in filters):
-        filters = None  # no per-shard tier
-    if store._store_filter is None and filters is None:
+    if store._store_filter is None:
         return _NOTHING_PRUNED
     with store.stats.timing("prune"):
         hashes = hash_key_columns(key_cols, store.key_names)
-        if store._store_filter is not None:
-            meta = store._prune_meta(shards)
-            if meta["scalar_ok"]:
-                return _prune_scalar(store, router, filters, key_cols,
-                                     hashes, n, meta)
-        return _prune_general(store, router, shards, filters, key_cols,
-                              hashes, n)
+        meta = store._prune_meta(shards)
+        if meta["scalar_ok"]:
+            return _prune_scalar(store, hashes, n, meta)
+        return _prune_general(store, router, shards, key_cols, hashes)
 
 
-def _prune_scalar(store, router, filters, key_cols, hashes, n: int, meta):
-    """Tier 1, the store-level filter over the union of every shard's
-    keys, probed with *zero routing* (placement is a pure function of
-    the key, so "in no shard" is "not in the owning shard"); tier 2, the
-    skinny per-shard filters, only screens its survivors."""
+def _prune_scalar(store, hashes, n: int, meta):
+    """The store filter covers the union of every shard's keys, so it is
+    probed with *zero routing* (placement is a pure function of the key:
+    "in no shard" is "not in the owning shard")."""
     store_filter = store._store_filter
     if n > _PRUNE_SAMPLE_MIN_N:
         sample = np.ascontiguousarray(hashes[::n // _PRUNE_SAMPLE])
         if 1.0 - float(store_filter.might_contain(sample).mean()) \
                 < _PRUNE_MIN_FRACTION:
             return _NOTHING_PRUNED
-    maybe = store_filter.might_contain(hashes)
-    if maybe.all():
-        return _NOTHING_PRUNED
-    idx = np.flatnonzero(maybe)
+    idx = np.flatnonzero(store_filter.might_contain(hashes))
     if n - int(idx.size) < _PRUNE_MIN_FRACTION * n:
         # Not miss-heavy enough for compaction to pay for itself (small
         # batches skip the sample gate and land here).
         return _NOTHING_PRUNED
-    if filters is not None and idx.size and not store_filter.exact:
-        owners = router.route(_take(key_cols, idx))
-        idx = idx[_shard_filter_mask(store, filters, owners, hashes[idx])]
     dtypes = {c: [meta["dtype"][c]] for c in store.value_names}
-    if n - int(idx.size) > n // 2:
-        return idx, FillPlan("paint", meta["filler"]), dtypes
-    keep = np.zeros(n, dtype=bool)
-    keep[idx] = True
-    return idx, FillPlan("assign", meta["filler"],
-                         np.flatnonzero(~keep)), dtypes
+    return idx, FillPlan("paint", meta["filler"]), dtypes
 
 
-def _prune_general(store, router, shards, filters, key_cols, hashes, n: int):
+def _prune_general(store, router, shards, key_cols, hashes):
     """Fillers or dtypes differ by shard (or shards are missing): route
-    the full batch and combine both tiers into one mask.  Keys of empty
-    shards may be pruned too: the gather fill is their placeholder."""
-    shard_ids = router.route(key_cols)
-    maybe = np.ones(n, dtype=bool)
-    if store._store_filter is not None:
-        maybe = store._store_filter.might_contain(hashes)
-    if filters is not None:
-        maybe = maybe & _shard_filter_mask(store, filters, shard_ids, hashes)
+    the full batch so each pruned key gets its owner's filler.  Keys of
+    empty shards may be pruned too: the gather fill is their
+    placeholder."""
+    maybe = store._store_filter.might_contain(hashes)
     if maybe.all():
         return _NOTHING_PRUNED
+    shard_ids = router.route(key_cols)
     pruned = np.flatnonzero(~maybe)
     occupied = np.flatnonzero(np.bincount(shard_ids))
     return (np.flatnonzero(maybe),
             FillPlan("gather", None, pruned, shard_ids[pruned]),
             _promotion_dtypes(store, shards, occupied))
-
-
-def _shard_filter_mask(store, filters, shard_ids, hashes) -> np.ndarray:
-    """Per key: might the owning shard's filter contain it?"""
-    bank = store._bank_for(filters)
-    if bank.uniform:  # every filter shares one k: a single routed gather
-        return bank.might_contain(shard_ids, hashes)
-    keep = np.ones(hashes.size, dtype=bool)
-    for ordinal, filt in enumerate(filters):
-        if filt is not None:
-            mask = shard_ids == ordinal
-            keep[mask] = filt.might_contain(hashes[mask])
-    return keep
 
 
 def _take(key_cols, idx) -> Dict[str, np.ndarray]:
@@ -320,9 +286,7 @@ def _allocate(store, shards, n: int, dtypes, fill: Optional[FillPlan]):
             out = np.full(n, fill.fillers[c], dtype=dtype)
         else:
             out = _blank(n, dtype)
-        if kind == "assign":
-            out[fill.pos] = fill.fillers[c]
-        elif kind == "gather":
+        if kind == "gather":
             table = _blank(len(shards), dtype)
             for ordinal, shard in enumerate(shards):
                 if shard is not None:

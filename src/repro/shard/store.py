@@ -8,9 +8,9 @@ them one facade with the same surface (``lookup`` / ``lookup_one`` /
 the CLI, the bench harness — work over it transparently.
 
 This module owns the store's **topology** (the atomically swapped
-``(router, shards, filters)`` triple and split/merge) and its
-**mutation** path.  The on-disk layout — what :meth:`save` writes and
-:meth:`load` reads — lives in :mod:`repro.shard.persistence`.  The
+``(router, shards)`` pair and split/merge) and its **mutation** path.
+The on-disk layout — what :meth:`save` writes and :meth:`load` reads —
+lives in :mod:`repro.shard.persistence`.  The
 **read path** — prune → route → allocate/fill → dispatch → result over
 one completion-driven wait — lives in
 :mod:`repro.shard.read_path`; :meth:`lookup` and
@@ -42,8 +42,7 @@ from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (_ZERO_CODE, DeepMapping, KeysLike,
                                  LookupResult, RowsLike, SizeReport,
                                  normalize_keys, normalize_rows)
-from ..core.negative_filter import (FilterBank, NegativeFilter,
-                                    build_store_filter, hash_key_columns)
+from ..core.negative_filter import build_store_filter, hash_key_columns
 from ..data.table import ColumnTable
 from ..lifecycle import LifecycleConfig, MaintenanceEngine, derive_build_config
 from ..resilience.deadline import Deadline
@@ -57,15 +56,11 @@ from .router import RangeShardRouter, ShardRouter, make_router
 
 __all__ = ["ShardedDeepMapping", "ShardingConfig"]
 
-#: Filter sizing for the two pruning tiers, in bits per inserted key.
-#: The combined manifest growth must stay under 2 bytes/key after the
-#: base64 framing (see docs/sharding.md).  The store-level filter is
-#: the workhorse — it answers every batch key with zero routing work —
-#: so it gets most of the bit budget; the skinny per-shard filters only
-#: screen its survivors, where even a ~30% single-tier FPR compounds
-#: with the store tier's ~2% to a sub-percent combined pass rate.
+#: Store-filter sizing when it is a Bloom filter, in bits per inserted
+#: key (~3 % of misses pass and are rejected by the owning shard's
+#: ``V_exist``).  The manifest growth must stay under 2 bytes/key after
+#: the base64 framing (see docs/sharding.md).
 _STORE_FILTER_BITS = 8
-_SHARD_FILTER_BITS = 3
 
 
 @dataclass
@@ -103,16 +98,6 @@ class ShardingConfig:
     #: shards' results stay bit-identical.  Overridable per call via
     #: ``lookup(..., on_shard_error=...)``.
     on_shard_error: str = "raise"
-    #: Manifest-level miss pruning: build a compact per-shard
-    #: :class:`~repro.core.negative_filter.NegativeFilter` (blocked
-    #: Bloom, guaranteed no false negatives) at fit time, keep it in
-    #: step through inserts and lifecycle split/merge, and persist it in
-    #: the shard manifest (<= 2 bytes/key).  The lookup fan-out consults
-    #: the filters before any (shard, key) sort or job submission, so
-    #: miss keys skip dispatch entirely; results stay bit-identical
-    #: either way.  ``False`` disables building (and, on load, ignores
-    #: persisted filters).
-    negative_filter: bool = True
     #: Hedged shard reads: when a routed shard's plan-job runs well past
     #: an adaptive multiple of what its batch peers needed (see
     #: :class:`~repro.resilience.hedging.HedgeController`), launch ONE
@@ -175,39 +160,23 @@ class ShardedDeepMapping:
         stats: Optional[StoreStats] = None,
         pool: Optional[BufferPool] = None,
         executor: Optional[ExecutorStrategy] = None,
-        filters: Optional[List[Optional[NegativeFilter]]] = None,
-        store_filter: Optional[NegativeFilter] = None,
+        store_filter=None,
     ):
         if len(shards) != router.n_shards:
             raise ValueError(
                 f"router expects {router.n_shards} shards, got {len(shards)}"
             )
-        if filters is None:
-            filters = [None] * router.n_shards
-        if len(filters) != router.n_shards:
-            raise ValueError(
-                f"router expects {router.n_shards} filters, got {len(filters)}"
-            )
-        #: Router, shard list and per-shard negative filters live in ONE
-        #: tuple so lifecycle actions (split/merge) can swap all three
-        #: with a single atomic attribute store; readers snapshot the
-        #: triple once per operation (a filter must never be consulted
-        #: against a shard from a different topology generation).
-        self._topology: Tuple[ShardRouter, List[Optional[DeepMapping]],
-                              List[Optional[NegativeFilter]]] = (
-            router, list(shards), list(filters))
-        #: Lazily built ``(filters_list, FilterBank)`` pair backing the
-        #: one-gather prune pass; keyed by the filters list's identity
-        #: (every topology swap installs a fresh list) and reset
-        #: explicitly by the in-place mutators (``insert``,
-        #: :meth:`refresh_filter`).
-        self._filter_bank: Optional[
-            Tuple[List[Optional[NegativeFilter]], FilterBank]] = None
-        #: Tier-1 pruning filter over the union of every shard's keys.
-        #: Since key->shard placement is a pure function of the key, "in
-        #: no shard" and "not in the owning shard" are the same
+        #: Router and shard list live in ONE tuple so lifecycle actions
+        #: (split/merge) can swap both with a single atomic attribute
+        #: store; readers snapshot the pair once per operation.
+        self._topology: Tuple[ShardRouter, List[Optional[DeepMapping]]] = (
+            router, list(shards))
+        #: The pruning filter over the union of every shard's keys (a
+        #: ``NegativeFilter`` / ``DenseNegativeFilter``; ``None``: never
+        #: prune).  Since key->shard placement is a pure function of the
+        #: key, "in no shard" and "not in the owning shard" are the same
         #: predicate — so this filter prunes without routing anything.
-        #: Kept outside the topology triple: splits/merges/retrains
+        #: Kept outside the topology pair: splits/merges/retrains
         #: preserve the key union, so it survives them unchanged, and
         #: deletes only ever leave it a stale superset (never a false
         #: negative) until :meth:`refresh_store_filter`.
@@ -308,26 +277,15 @@ class ShardedDeepMapping:
                                  sharding.effective_workers())
         shards = executor.map(build_one, range(sharding.n_shards))
 
-        # One hash pass over the whole table seeds the store-level
-        # filter and every shard's filter (empty shards need none:
-        # absence prunes).
-        filters: List[Optional[NegativeFilter]] = [None] * sharding.n_shards
-        store_filter: Optional[NegativeFilter] = None
-        if sharding.negative_filter:
-            with stats.timing("filter_build"):
-                hashes = hash_key_columns(key_cols, router.key_names)
-                store_filter = build_store_filter(
-                    hashes, bits_per_key=_STORE_FILTER_BITS)
-                for ordinal in range(sharding.n_shards):
-                    if shards[ordinal] is not None:
-                        filters[ordinal] = NegativeFilter.build(
-                            hashes[shard_ids == ordinal],
-                            bits_per_key=_SHARD_FILTER_BITS)
+        with stats.timing("filter_build"):
+            store_filter = build_store_filter(
+                hash_key_columns(key_cols, router.key_names),
+                bits_per_key=_STORE_FILTER_BITS)
 
         return cls(router, shards, config, sharding,
                    value_names=value_names, value_dtypes=value_dtypes,
                    stats=stats, pool=pool, executor=executor,
-                   filters=filters, store_filter=store_filter)
+                   store_filter=store_filter)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -342,40 +300,20 @@ class ShardedDeepMapping:
         """The live shard list (swapped atomically with the router)."""
         return self._topology[1]
 
-    @property
-    def filters(self) -> List[Optional[NegativeFilter]]:
-        """Per-shard negative filters (swapped atomically with the
-        router); ``None`` entries mean "never prune this shard"."""
-        return self._topology[2]
-
     def _swap_topology(
         self,
         router: ShardRouter,
         shards: List[Optional[DeepMapping]],
-        filters: List[Optional[NegativeFilter]],
     ) -> None:
-        """Install a new (router, shards, filters) triple atomically."""
+        """Install a new (router, shards) pair atomically."""
         if len(shards) != router.n_shards:
             raise ValueError(
                 f"router expects {router.n_shards} shards, got {len(shards)}"
             )
-        if len(filters) != router.n_shards:
-            raise ValueError(
-                f"router expects {router.n_shards} filters, got {len(filters)}"
-            )
-        self._topology = (router, list(shards), list(filters))
+        self._topology = (router, list(shards))
         # Keep the recorded knob in step so save/load round-trips the
         # post-rebalance shard count.
         self.sharding.n_shards = router.n_shards
-
-    def _bank_for(self, filters) -> FilterBank:
-        """The (cached) :class:`FilterBank` for one filters snapshot.
-        Readers may race to build the first bank for a fresh topology;
-        both build the same pure function of ``filters``, so last wins."""
-        cached = self._filter_bank
-        if cached is None or cached[0] is not filters:
-            cached = self._filter_bank = (filters, FilterBank(filters))
-        return cached[1]
 
     def _prune_meta(self, shards: List[Optional[DeepMapping]]):
         """Cached per-topology facts gating the read path's scalar prune
@@ -466,7 +404,7 @@ class ShardedDeepMapping:
         """Batched exact-match lookup across shards, input order preserved.
 
         One read path (:mod:`repro.shard.read_path`): the batch is
-        pruned by the negative filters and sorted once **by key within
+        pruned by the store filter and sorted once **by key within
         shard groups** (no later stage ever sorts again); each owning
         shard runs a staged :class:`~repro.core.deep_mapping.LookupPlan`
         — existence gate, ``T_aux`` probe, aux-gated fused inference,
@@ -544,11 +482,9 @@ class ShardedDeepMapping:
 
         live = [shard for shard in self.shards if shard is not None]
         self._map_jobs(rebuild_one, live)
-        # A retrain preserves the keyset, so the filters were still
-        # correct supersets — but rebuilding them here drops the false
+        # A retrain preserves the keyset, so the store filter was still a
+        # correct superset — but rebuilding it here drops the false
         # positives accumulated by deletes since the last build.
-        for ordinal in range(self.n_shards):
-            self.refresh_filter(ordinal)
         self.refresh_store_filter()
         self._prune_meta_cache = None
 
@@ -634,58 +570,49 @@ class ShardedDeepMapping:
             raise ValueError(f"{already} key(s) already exist; use update()")
 
         landed = 0
-        filters = self.filters
-        key_hashes = None
-        if self.sharding.negative_filter or self._store_filter is not None \
-                or any(f is not None for f in filters):
-            key_hashes = hash_key_columns(
-                {name: columns[name] for name in self.key_names},
-                self.key_names)
-        for ordinal, rows_idx in groups:
-            subset = {name: arr[rows_idx] for name, arr in columns.items()}
-            shard = self.shards[ordinal]
-            if shard is None:
-                fresh = DeepMapping.fit(
-                    ColumnTable(subset, key=self.key_names, name="shard"),
-                    self._build_config(int(rows_idx.size)),
-                    pool=self.pool, stats=self.stats,
-                    aux_name_prefix=self._new_aux_prefix(),
-                )
-                self._register_shard(fresh)
-                self.shards[ordinal] = fresh
-                if self.sharding.negative_filter and key_hashes is not None:
-                    filters[ordinal] = NegativeFilter.build(
-                        key_hashes[rows_idx],
-                        bits_per_key=_SHARD_FILTER_BITS)
-                landed += len(fresh.aux)
-            else:
-                landed += shard.insert(subset)
-                # Grow the filter only after the shard accepted the rows
-                # (an insert that raises must not poison the filter with
-                # phantom positives beyond the superset guarantee).
-                if filters[ordinal] is not None and key_hashes is not None:
-                    filters[ordinal].add(key_hashes[rows_idx])
-        # The store-level filter grows with every insert regardless of
-        # which shard landed the rows — its keyset is the union.  A
-        # dense filter can decline keys outside its built domain; the
-        # rows have already landed in their shards, so a full rebuild
-        # from shard content re-covers them (widening the domain or
-        # falling back to Bloom as build_store_filter sees fit).
-        if self._store_filter is not None and key_hashes is not None \
-                and not self._store_filter.try_add(key_hashes):
-            self.refresh_store_filter()
-        # Fresh shards and in-place filter growth both invalidate the
-        # cached probe bank (it snapshots the filters' words); a fresh
-        # shard (or new vocab) also invalidates the prune fast-lane meta.
-        self._filter_bank = None
-        self._prune_meta_cache = None
+        stale = False  # the dense store filter declined rows: rebuild it
+        try:
+            for ordinal, rows_idx in groups:
+                subset = {name: arr[rows_idx]
+                          for name, arr in columns.items()}
+                shard = self.shards[ordinal]
+                if shard is None:
+                    fresh = DeepMapping.fit(
+                        ColumnTable(subset, key=self.key_names, name="shard"),
+                        self._build_config(int(rows_idx.size)),
+                        pool=self.pool, stats=self.stats,
+                        aux_name_prefix=self._new_aux_prefix(),
+                    )
+                    self._register_shard(fresh)
+                    self.shards[ordinal] = fresh
+                    landed += len(fresh.aux)
+                else:
+                    landed += shard.insert(subset)
+                # Grow the store filter once the shard has accepted the
+                # rows — not before (an insert that raises must not
+                # leave phantom positives) and not after the loop (if a
+                # later shard raises, the rows that landed here must
+                # already be visible to lookups).  A dense filter can
+                # decline keys outside its built domain; a rebuild from
+                # shard content then re-covers them (widening the domain
+                # or falling back to Bloom as build_store_filter sees
+                # fit).
+                if self._store_filter is not None and not stale:
+                    stale = not self._store_filter.try_add(
+                        hash_key_columns(subset, self.key_names))
+        finally:
+            if stale:
+                self.refresh_store_filter()
+            # A fresh shard (or new vocab) invalidates the prune
+            # fast-lane meta.
+            self._prune_meta_cache = None
         self._maintain()
         return landed
 
     def delete(self, keys: KeysLike) -> int:
         """Delete keys from their owning shards; absent keys are ignored.
 
-        Negative filters are deliberately left untouched: a Bloom filter
+        The store filter is deliberately left untouched: a Bloom filter
         cannot clear bits, so a deleted key survives as a false positive
         (one wasted dispatch the shard's existence tier rejects) until
         the next filter rebuild — the superset invariant, never a false
@@ -789,43 +716,17 @@ class ShardedDeepMapping:
         self._prefix_seq += 1
         return prefix
 
-    def refresh_filter(self, ordinal: int) -> None:
-        """Rebuild shard ``ordinal``'s negative filter from its live keys.
-
-        Keyset-preserving retrains never *require* this (the filter
-        stays a correct superset), but deleted keys accumulate as false
-        positives until a rebuild — so the lifecycle engine calls this
-        after each retrain and :meth:`rebuild` calls it for every shard,
-        resetting the filter's FPR along with the model.  No-op when the
-        filter knob is off (a legacy-loaded store keeps its ``None``
-        filters rather than growing new ones behind the caller's back).
-        Runs under the single-writer mutation contract.
-        """
-        if not self.sharding.negative_filter:
-            return
-        shard = self.shards[ordinal]
-        self.filters[ordinal] = (None if shard is None
-                                 else self._build_filter(shard))
-        self._filter_bank = None  # in-place filter swap: bank is stale
-
-    def _build_filter(self, shard: DeepMapping) -> NegativeFilter:
-        """A fresh negative filter over one shard's live keys."""
-        key_cols = shard.key_codec.unflatten(shard.exist.existing_keys())
-        return NegativeFilter.build(
-            hash_key_columns(key_cols, self.key_names),
-            bits_per_key=_SHARD_FILTER_BITS)
-
     def refresh_store_filter(self) -> None:
-        """Rebuild the store-level (tier-1) filter from all live keys.
+        """Rebuild the store filter from all live keys.
 
         Splits, merges, and retrains preserve the key *union*, so the
-        store filter normally survives topology changes untouched; like
-        the per-shard tier, it only accumulates false positives through
-        deletes.  :meth:`rebuild` calls this to reset its FPR.  No-op
-        when the filter knob is off or the store never had a tier-1
-        filter (legacy load).
+        store filter survives topology changes untouched; it only
+        accumulates false positives through deletes.  :meth:`rebuild`
+        calls this to reset its FPR, :meth:`insert` when a dense filter
+        declined rows.  No-op when the store never had a filter (a
+        manifest saved without one never prunes).
         """
-        if not self.sharding.negative_filter or self._store_filter is None:
+        if self._store_filter is None:
             return
         parts = []
         for shard in self.shards:
@@ -934,20 +835,7 @@ class ShardedDeepMapping:
         new_router = router.split_at(ordinal, cut)
         new_shards = (self.shards[:ordinal] + [left, right]
                       + self.shards[ordinal + 1:])
-        # Fresh filters for the halves, built from the same row split
-        # the shards were, so they swap in with the topology they match.
-        left_filter = right_filter = None
-        if self.sharding.negative_filter:
-            hashes = hash_key_columns(
-                {name: np.asarray(table.column(name))
-                 for name in self.key_names}, self.key_names)
-            left_filter = NegativeFilter.build(
-                hashes[left_rows], bits_per_key=_SHARD_FILTER_BITS)
-            right_filter = NegativeFilter.build(
-                hashes[right_rows], bits_per_key=_SHARD_FILTER_BITS)
-        new_filters = (self.filters[:ordinal] + [left_filter, right_filter]
-                       + self.filters[ordinal + 1:])
-        self._swap_topology(new_router, new_shards, new_filters)
+        self._swap_topology(new_router, new_shards)
         shard.aux.drop_storage()
         return cut
 
@@ -977,7 +865,6 @@ class ShardedDeepMapping:
         tables = [s.to_table() for s in (first, second)
                   if s is not None and len(s)]
         merged: Optional[DeepMapping] = None
-        merged_filter: Optional[NegativeFilter] = None
         if tables:
             combined = tables[0] if len(tables) == 1 else tables[0].concat(
                 tables[1])
@@ -989,18 +876,11 @@ class ShardedDeepMapping:
                 aux_name_prefix=self._new_aux_prefix(),
             )
             self._register_shard(merged)
-            if self.sharding.negative_filter:
-                merged_filter = NegativeFilter.build(hash_key_columns(
-                    {name: np.asarray(combined.column(name))
-                     for name in self.key_names}, self.key_names),
-                    bits_per_key=_SHARD_FILTER_BITS)
 
         new_router = router.merge_at(ordinal)
         new_shards = (self.shards[:ordinal] + [merged]
                       + self.shards[ordinal + 2:])
-        new_filters = (self.filters[:ordinal] + [merged_filter]
-                       + self.filters[ordinal + 2:])
-        self._swap_topology(new_router, new_shards, new_filters)
+        self._swap_topology(new_router, new_shards)
         for retired in (first, second):
             if retired is not None:
                 retired.aux.drop_storage()
@@ -1048,16 +928,13 @@ class ShardedDeepMapping:
         pool_budget_bytes: Optional[int] = None,
         executor: Union[str, ExecutorStrategy, None] = None,
         writable: bool = True,
-        negative_filter: Optional[bool] = None,
     ) -> "ShardedDeepMapping":
         """Inverse of :meth:`save`; ``target`` as there.
 
         ``max_workers`` / ``pool_budget_bytes`` / ``executor`` override
         the saved knobs (e.g. load a store built on a big box onto a
-        small one, or force serial fan-out); ``negative_filter=False``
-        ignores any persisted filters (and stops new ones being built),
-        ``None`` keeps the saved knob.  ``writable=False`` opens every
-        shard read-only through the process-wide payload cache
+        small one, or force serial fan-out).  ``writable=False`` opens
+        every shard read-only through the process-wide payload cache
         (zero-copy views, shared bundles, mutations raise
         ``PermissionError``); remote backends always open read-only and
         **hydrating** — shards download on first routed touch.  The
@@ -1066,8 +943,7 @@ class ShardedDeepMapping:
         """
         from . import persistence
         return persistence.load(cls, target, stats, max_workers,
-                                pool_budget_bytes, executor, writable,
-                                negative_filter)
+                                pool_budget_bytes, executor, writable)
 
     # ------------------------------------------------------------------
     # Input normalization (shared with DeepMapping: identical shapes)

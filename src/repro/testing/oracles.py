@@ -71,7 +71,7 @@ def barrier_lookup(
     ``shard_lookup(shard, segment)`` answers one shard's segment;
     the default is the shard's own ``lookup`` (pass
     :func:`reference_lookup` for the reference engine).  Deliberately
-    unpruned — the negative filters are ignored — so filtered fan-outs
+    unpruned — the store filter is ignored — so the pruned read path
     can be held against it.
     """
     router, shards = store.router, store.shards

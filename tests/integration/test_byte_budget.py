@@ -6,12 +6,14 @@ has the shape ``bench/`` measures (8 range shards, one 64-wide shared
 layer and one 32-wide private layer, 4 KiB ``T_aux`` partitions, the
 gapped high-correlation table) at its 20 000-row smoke scale, seed 0.
 
-The ceilings are this store's bytes when weights first reached disk
-bit-packed (the width chosen per shard by Eq. 1), plus ~4 % for a BLAS
-that rounds a near-tie the other way.  At the commit before, the same
-store was 146 483 B on disk (7.32 B/row) with 82 272 B of model.  Lower
-a ceiling when a change shrinks the store; a change that has to raise
-one is a storage regression and needs that argued.
+The ceilings are this store's bytes with weights on disk bit-packed
+(the width chosen per shard by Eq. 1) and one store filter in the
+manifest, plus ~4 % for a BLAS that rounds a near-tie the other way.
+Before the weights were packed the same store was 146 483 B on disk
+(7.32 B/row) with 82 272 B of model; while the manifest also carried a
+Bloom filter per shard it was 86 635 B (4.33 B/row), 19 267 B of it
+manifest.  Lower a ceiling when a change shrinks the store; a change
+that has to raise one is a storage regression and needs that argued.
 """
 
 import os
@@ -25,8 +27,11 @@ from repro.storage import LocalDirBackend
 
 ROWS = 20_000
 
-#: Measured: 86 635 B on disk = 4.33 B/row (manifest 19 267 B).
-DISK_BYTES_PER_ROW = 4.5
+#: Measured: 76 238 B on disk = 3.81 B/row.
+DISK_BYTES_PER_ROW = 3.96
+#: Measured: 8 870 B of manifest.json (one exact store filter over the
+#: key domain, nothing per shard).
+MANIFEST_BYTES = 9_200
 #: Measured: 21 480 B (8 shards x 3-bit weights).
 MODEL_BYTES = 22_400
 #: Measured: 22 941 B for 9 442 auxiliary rows.
@@ -55,6 +60,8 @@ def test_bytes_on_disk_per_row(saved):
     on_disk = sum(os.path.getsize(os.path.join(directory, name))
                   for name in os.listdir(directory))
     assert on_disk / ROWS <= DISK_BYTES_PER_ROW
+    assert os.path.getsize(
+        os.path.join(directory, "manifest.json")) <= MANIFEST_BYTES
 
 
 def test_paper_accounting(saved):

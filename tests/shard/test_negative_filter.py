@@ -3,17 +3,21 @@
 The load-bearing invariant is **no false negatives, ever**: a filter
 probe answering False must be a guaranteed miss, across both filter
 structures (blocked Bloom and exact dense bitmap), both router
-strategies, and every mutation the store supports (insert, delete,
-update, rebuild, split, merge).  A violated invariant silently drops
-live rows from lookups, so most tests here are property-based.
+strategies, and every mutation the store supports (insert — also one
+that fails part-way — delete, update, rebuild, split, merge).  A
+violated invariant silently drops live rows from lookups, so most tests
+here are property-based.
 
-Also covered: tier selection (`build_store_filter`), dense `try_add`
-declining out-of-domain inserts without corrupting state, FilterBank
-equivalence with per-filter probes, manifest persistence round-trips
-(including legacy manifests without a store filter), the `pruned_keys`
-counter, and bit-identical lookup parity against a filter-disabled
-store.
+Also covered: structure selection (`build_store_filter`), dense
+`try_add` declining out-of-domain inserts without corrupting state,
+manifest persistence round-trips (manifests without a store filter, and
+parent-shaped ones still carrying per-shard `filter` entries and the
+`negative_filter` knob), the `pruned_keys` counter, and bit-identical
+lookup parity against the unpruned `barrier_lookup` oracle.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -22,15 +26,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.negative_filter import (
     DENSE_MAX_BITS_PER_KEY,
     DenseNegativeFilter,
-    FilterBank,
     NegativeFilter,
     build_store_filter,
     filter_from_json,
     hash_key_columns,
 )
+import repro
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.shard.manifest import ShardManifest
+from repro.shard.manifest import MANIFEST_NAME, ShardManifest
+from repro.storage import LocalDirBackend
+from repro.testing import serve_backend
 from repro.testing.oracles import barrier_lookup
 
 from ..core.conftest import fast_config
@@ -173,49 +179,16 @@ class TestPersistenceRoundTrip:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            NegativeFilter.from_json({"kind": "martian"})
+            filter_from_json({"kind": "martian"})
         with pytest.raises(ValueError, match="kind"):
-            DenseNegativeFilter.from_json({"kind": "bloom64"})
-
-
-class TestFilterBank:
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_matches_per_filter_probes(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        n_shards = data.draw(st.integers(1, 6))
-        filters = []
-        for ordinal in range(n_shards):
-            if data.draw(st.booleans()):
-                filters.append(None)        # empty / filterless shard
-                continue
-            keys = rng.integers(-2**40, 2**40, 100).view(np.uint64)
-            filters.append(NegativeFilter.build(keys, bits_per_key=3))
-        bank = FilterBank(filters)
-        assert bank.uniform
-        hashes = rng.integers(-2**40, 2**40, 400).view(np.uint64)
-        shard_ids = rng.integers(0, n_shards, 400)
-        got = bank.might_contain(shard_ids, hashes)
-        for ordinal, filt in enumerate(filters):
-            sel = shard_ids == ordinal
-            if filt is None:                # never prunes
-                assert got[sel].all()
-            else:
-                np.testing.assert_array_equal(
-                    got[sel], filt.might_contain(hashes[sel]))
-
-    def test_mixed_k_reports_non_uniform(self):
-        keys = np.arange(10, dtype=np.int64).view(np.uint64)
-        bank = FilterBank([NegativeFilter.build(keys, k=4),
-                           NegativeFilter.build(keys, k=3)])
-        assert not bank.uniform
+            filter_from_json(["dense64"])
 
 
 # ----------------------------------------------------------------------
 # Store-level properties: both routers, mutations, lifecycle
 # ----------------------------------------------------------------------
 def assert_no_false_negative(store):
-    """Every live key must survive both pruning tiers."""
+    """Every live key must survive the store filter."""
     parts = [shard.key_codec.unflatten(shard.exist.existing_keys())
              for shard in store.shards if shard is not None and len(shard)]
     if not parts:
@@ -223,14 +196,7 @@ def assert_no_false_negative(store):
     key_cols = {name: np.concatenate([p[name] for p in parts])
                 for name in store.key_names}
     hashes = hash_key_columns(key_cols, store.key_names)
-    if store._store_filter is not None:
-        assert store._store_filter.might_contain(hashes).all()
-    shard_ids = store.router.route(key_cols)
-    for ordinal, filt in enumerate(store.filters):
-        if filt is None:
-            continue
-        sel = shard_ids == ordinal
-        assert filt.might_contain(hashes[sel]).all()
+    assert store._store_filter.might_contain(hashes).all()
 
 
 @pytest.fixture(scope="module", params=["range", "hash"])
@@ -348,37 +314,161 @@ class TestLifecycleInvariants:
         store.close()
 
 
+class TestPartialInsertFailure:
+    """A multi-shard insert that raises part-way must leave the store
+    filter agreeing with what the shards hold."""
+
+    @pytest.fixture
+    def store_and_rows(self, monkeypatch):
+        table = synthetic.single_column(800, "high", seed=3,
+                                        domain_factor=2.0)
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2),
+            ShardingConfig(n_shards=4, strategy="range"))
+        assert store._store_filter.exact
+        key_name = table.key[0]
+        live = np.asarray(table.column(key_name), dtype=np.int64)
+        gaps = np.setdiff1d(
+            np.arange(live.min(), live.max(), dtype=np.int64), live)
+        owners = store.router.route({key_name: gaps})
+        fresh = np.concatenate([gaps[owners == ordinal][:5]
+                                for ordinal in range(4)])
+        assert fresh.size == 20
+
+        def refuse(rows):
+            raise RuntimeError("injected shard failure")
+
+        monkeypatch.setattr(store.shards[2], "insert", refuse)
+        yield store, table, key_name, fresh
+        store.close()
+
+    def insert(self, store, table, key_name, keys):
+        rows = {c: np.repeat(table.column(c)[:1], keys.size)
+                for c in store.value_names}
+        with pytest.raises(RuntimeError, match="injected"):
+            store.insert({key_name: keys, **rows})
+
+    def test_rows_that_landed_are_found(self, store_and_rows):
+        store, table, key_name, fresh = store_and_rows
+        before = len(store)
+        self.insert(store, table, key_name, fresh)
+        landed, lost = fresh[:10], fresh[10:]   # shards 0-1 / shards 2-3
+        assert store.contains_batch({key_name: landed}).all()
+        assert not store.contains_batch({key_name: lost}).any()
+        assert len(store) == before + landed.size
+        assert store.lookup({key_name: landed}).found.all()
+        assert_no_false_negative(store)
+        # ... and through the pruning lane: a miss-heavy batch around them.
+        far = np.arange(10**8, 10**8 + 40, dtype=np.int64)
+        query = {key_name: np.concatenate([landed, lost, far])}
+        result = store.lookup(query)
+        np.testing.assert_array_equal(
+            result.found, np.arange(query[key_name].size) < landed.size)
+        assert_bit_identical(result, barrier_lookup(store, query),
+                             store.value_names)
+
+    def test_declined_rows_are_recovered_on_the_error_path(
+            self, store_and_rows):
+        store, table, key_name, fresh = store_and_rows
+        # Below the dense domain: shard 0 takes the row, the filter
+        # declines it, and shard 2 still raises afterwards.
+        below = int(table.column(key_name).min()) - 10**9
+        keys = np.concatenate([[below], fresh]).astype(np.int64)
+        self.insert(store, table, key_name, keys)
+        assert store.lookup({key_name: keys[:11]}).found.all()
+        assert not store.lookup({key_name: keys[11:]}).found.any()
+        assert_no_false_negative(store)
+
+
 # ----------------------------------------------------------------------
-# Persistence + parity vs a filter-disabled store, pruned_keys counter
+# Persistence + parity vs the unpruned oracle, pruned_keys counter
 # ----------------------------------------------------------------------
+def read_manifest(path):
+    with open(os.path.join(path, MANIFEST_NAME)) as handle:
+        return json.load(handle)
+
+
 class TestManifestPersistence:
     def test_round_trip_and_filter_disabled_parity(self, routed_store,
                                                    tmp_path):
+        """"Filter disabled" is the unpruned oracle: ``barrier_lookup``
+        never consults the store filter."""
         store, table = routed_store
         path = str(tmp_path / "store")
         store.save(path)
 
         manifest = ShardManifest.load(path)
         assert manifest.store_filter is not None
-        clone = filter_from_json(manifest.store_filter)
         live_cols = {"key": table.column("key").astype(np.int64)}
-        assert clone.might_contain(
+        assert manifest.store_filter.might_contain(
             hash_key_columns(live_cols, store.key_names)).all()
-        assert any(entry.filter is not None for entry in manifest.shards)
+        # One existence summary above the shards: nothing per shard.
+        raw = read_manifest(path)
+        assert all("filter" not in entry for entry in raw["shards"])
+        assert "negative_filter" not in raw["sharding"]
 
         rng = np.random.default_rng(5)
         live = table.column("key")
         query = {"key": np.concatenate([
             rng.choice(live, 300),
             rng.integers(live.min() - 50, live.max() + 10**6, 300)])}
-        pruned = ShardedDeepMapping.load(path)
-        unpruned = ShardedDeepMapping.load(path, negative_filter=False)
-        assert pruned._store_filter is not None
-        assert unpruned._store_filter is None
-        assert_bit_identical(pruned.lookup(query), unpruned.lookup(query),
-                             store.value_names)
-        pruned.close()
-        unpruned.close()
+        reopened = ShardedDeepMapping.load(path)
+        assert reopened._store_filter is not None
+        assert len(reopened._topology) == 2
+        assert_bit_identical(reopened.lookup(query),
+                             barrier_lookup(store, query), store.value_names)
+        reopened.close()
+
+    def test_parent_shaped_manifest_opens_everywhere(self, routed_store,
+                                                     tmp_path):
+        """Manifests saved before the per-shard tier was deleted carry a
+        ``filter`` per shard entry and ``sharding.negative_filter``:
+        both are ignored by every open and dropped by the next save."""
+        store, table = routed_store
+        path = str(tmp_path / "store")
+        store.save(path)
+        raw = read_manifest(path)
+        some = np.arange(50, dtype=np.int64).view(np.uint64)
+        for entry in raw["shards"]:
+            if entry["file"] is not None:
+                entry["filter"] = NegativeFilter.build(
+                    some, bits_per_key=3).to_json()
+        raw["sharding"]["negative_filter"] = True
+        with open(os.path.join(path, MANIFEST_NAME), "w") as handle:
+            json.dump(raw, handle)
+
+        rng = np.random.default_rng(6)
+        live = table.column("key")
+        queries = [
+            {"key": rng.choice(live, 300)},
+            {"key": np.concatenate([
+                rng.choice(live, 60),
+                rng.integers(live.max() + 1, live.max() + 10**6, 240)])},
+        ]
+        expected = [barrier_lookup(store, query) for query in queries]
+
+        def check(opened):
+            for query, reference in zip(queries, expected):
+                assert_bit_identical(opened.lookup(query), reference,
+                                     store.value_names)
+
+        writable = repro.open(path)
+        check(writable)
+        shared = repro.open(path, writable=False)
+        check(shared)
+        shared.close()
+        with serve_backend(LocalDirBackend(path, create=False)) as server:
+            remote = repro.open(server.url)
+            check(remote)
+            remote.close()
+
+        resaved = str(tmp_path / "resaved")
+        writable.save(resaved)
+        writable.close()
+        raw = read_manifest(resaved)
+        assert all("filter" not in entry for entry in raw["shards"])
+        assert "negative_filter" not in raw["sharding"]
+        assert raw["store_filter"] is not None
 
     def test_legacy_manifest_without_store_filter_loads(self, routed_store,
                                                         tmp_path):
@@ -392,13 +482,15 @@ class TestManifestPersistence:
         assert legacy.store_filter is None
         legacy.save(path)
         reopened = ShardedDeepMapping.load(path)
-        assert reopened._store_filter is None   # no tier 1...
+        assert reopened._store_filter is None   # no filter...
         rng = np.random.default_rng(12)
         query = {"key": np.concatenate([
             rng.choice(table.column("key"), 100),
             rng.integers(0, 10**7, 100)])}
+        before = reopened.stats.counters.get("pruned_keys", 0)
         assert_bit_identical(reopened.lookup(query),        # ...still exact
                              barrier_lookup(store, query), store.value_names)
+        assert reopened.stats.counters.get("pruned_keys", 0) == before
         reopened.close()
 
 

@@ -132,9 +132,7 @@ class TestEmptyShards:
         flat = shard.exist.existing_keys()
         key_cols = shard.key_codec.unflatten(flat)
         store.delete(key_cols)
-        store._topology = (store.router,
-                           [None] + list(store.shards[1:]),
-                           [None] + list(store.filters[1:]))
+        store._swap_topology(store.router, [None] + list(store.shards[1:]))
         rng = np.random.default_rng(2)
         live = table.column("key")
         query = {"key": np.concatenate([

@@ -171,6 +171,67 @@ class TestShardedCorruption:
             repro.open(url)
 
 
+def bloom_state(**overrides):
+    from repro.core.negative_filter import NegativeFilter
+    keys = np.arange(256, dtype=np.int64).view(np.uint64)
+    return {**NegativeFilter.build(keys).to_json(), **overrides}
+
+
+class TestDamagedStoreFilter:
+    """The manifest's filter is outside input: damage must fail the open
+    as manifest corruption — not escape as ``zlib.error``, and above all
+    not load into a filter that calls stored keys absent."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda f: {**f, "data": f["data"][:-12]},
+        lambda f: {**f, "data": "AAAA" + f["data"][4:]},
+        lambda f: {**f, "data": "!" + f["data"]},
+        lambda f: {**f, "data": None},
+        lambda f: {**f, "n_bits": 0},
+        lambda f: {**f, "n_bits": f["n_bits"] + 640},
+        lambda f: {**f, "n_bits": 2 ** 70},
+        lambda f: {**f, "lo": "0"},
+        lambda f: {**f, "lo": 2 ** 63},
+        lambda f: {k: v for k, v in f.items() if k != "lo"},
+        lambda f: {**f, "kind": "martian"},
+        lambda f: [f],
+        lambda f: bloom_state(k=9),
+        lambda f: bloom_state(k=0),
+        lambda f: bloom_state(n_words=0),
+        lambda f: bloom_state(n_words=3),
+    ], ids=["truncated data", "damaged zlib stream", "not base64",
+            "data missing", "n_bits 0", "word count", "giant n_bits",
+            "lo a string", "lo past int64", "lo missing", "unknown kind",
+            "not an object", "k 9", "k 0", "n_words 0", "n_words short"])
+    def test_open_refuses_and_names_the_manifest(self, tmp_path, table,
+                                                 damage):
+        url = str(tmp_path / "sharded")
+        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
+                    shards=2, url=url).close()
+        backend = LocalDirBackend(url)
+        manifest = json.loads(backend.read_bytes("manifest.json"))
+        assert manifest["store_filter"]["kind"] == "dense64"
+        manifest["store_filter"] = damage(manifest["store_filter"])
+        backend.write_bytes("manifest.json", json.dumps(manifest).encode())
+        for writable in (True, False):
+            with pytest.raises(StoreCorruptedError, match="manifest.json"):
+                repro.open(url, writable=writable)
+
+    def test_healthy_bloom_filter_still_opens(self, tmp_path, table):
+        url = str(tmp_path / "sharded")
+        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
+                    shards=2, url=url).close()
+        backend = LocalDirBackend(url)
+        manifest = json.loads(backend.read_bytes("manifest.json"))
+        manifest["store_filter"] = bloom_state()
+        backend.write_bytes("manifest.json", json.dumps(manifest).encode())
+        store = repro.open(url)
+        keys = np.arange(-300, 600, dtype=np.int64)
+        np.testing.assert_array_equal(store.lookup({"sku": keys}).found,
+                                      (keys >= 0) & (keys < 256))
+        store.close()
+
+
 class TestNotFound:
     def test_missing_blob_names_blob_and_url(self, tmp_path):
         backend = LocalDirBackend(str(tmp_path))
