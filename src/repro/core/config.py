@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..resilience.errors import StoreCorruptedError
-
-__all__ = ["DeepMappingConfig", "check_stored_config"]
+__all__ = ["DeepMappingConfig"]
 
 
 @dataclass
@@ -109,20 +107,3 @@ class DeepMappingConfig:
         if self.retrain_aux_ratio is not None and not 0 < self.retrain_aux_ratio <= 1:
             raise ValueError("retrain_aux_ratio must be in (0, 1] or None")
 
-
-def check_stored_config(config: DeepMappingConfig) -> DeepMappingConfig:
-    """Open-time guard for a config unpickled from a saved store.
-
-    Configs written while the ``compiled_lookup`` knob existed still
-    carry it.  ``True`` (the default then): ``T_aux`` was built with
-    the union of both predictors' errors, as every build is now; the
-    stale attribute is dropped.  ``False``: ``T_aux`` covers the
-    reference predictor only, so the compiled kernel — the only engine
-    left — could return wrong values; refuse instead.
-    """
-    if config.__dict__.pop("compiled_lookup", True) is False:
-        raise StoreCorruptedError(
-            "this store was built for the reference engine only "
-            "(compiled_lookup=False), so its auxiliary table does not "
-            "cover the compiled kernel's errors; refit it")
-    return config

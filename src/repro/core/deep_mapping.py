@@ -17,9 +17,10 @@ Together they answer exact-match lookups losslessly (Algorithm 1), support
 insert/delete/update without retraining (Algorithms 3–5), and occupy a
 fraction of the raw data's footprint when key-value structure exists.
 
-There is one lookup engine, :class:`LookupPlan` over the compiled
-kernel; ``T_aux`` holds the union of both predictors' errors, so the
-paper-literal Algorithm 1 survives only as the bit-exact parity oracle
+There is one predictor, the compiled kernel: it serves every lookup
+(:class:`LookupPlan`) and alone decides what ``T_aux`` holds
+(:func:`_aux_rows`), so the paper-literal Algorithm 1 survives only as
+the bit-exact parity oracle
 :func:`repro.testing.oracles.reference_lookup`.
 """
 
@@ -48,7 +49,7 @@ from ..storage.stats import StoreStats
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
-from .config import DeepMappingConfig, check_stored_config
+from .config import DeepMappingConfig
 from .exist_index import (ExistenceIndex, existence_from_state,
                           make_existence_index)
 from .mhas.reward import measure_aux_bytes_per_row, misclassified
@@ -509,19 +510,23 @@ class DeepMapping:
                           tol=config.tol, rng=rng)
         training = trainer.fit(x, labels, epochs=config.epochs)
 
-        # Freeze at the width Eq. 1 picks: each candidate is scored by
-        # its own compiled predictor over the keys it will serve, so the
-        # rows quantisation loses are priced as the aux rows they become.
+        # Freeze at the width Eq. 1 picks, each candidate priced by the
+        # rows T_aux would hold under its own compiled kernel — the
+        # winner's mask is then exactly the rows stored.  Only the masks
+        # are kept: each engine's scratch is freed once it is priced.
+        priced = []
+
         def aux_bytes(candidate: InferenceSession) -> float:
-            wrong = misclassified(
-                CompiledSession(candidate, key_encoder).run(
-                    flat, batch_size=config.inference_batch), labels)
-            return wrong.sum() * measure_aux_bytes_per_row(
-                flat[wrong], {t: labels[t][wrong] for t in fdecode.columns},
+            mis = _aux_rows(CompiledSession(candidate, key_encoder), flat,
+                            labels, config.inference_batch)
+            priced.append((candidate, mis))
+            return mis.sum() * measure_aux_bytes_per_row(
+                flat[mis], {t: labels[t][mis] for t in fdecode.columns},
                 codec=config.aux_codec,
                 partition_bytes=config.aux_partition_bytes)
 
         session, _ = choose_width(model, config.weight_dtype, aux_bytes)
+        mis = next(mask for candidate, mask in priced if candidate is session)
         aux = AuxiliaryTable(
             tasks=fdecode.columns,
             codec=config.aux_codec,
@@ -532,16 +537,6 @@ class DeepMapping:
             auto_compact_rows=config.aux_auto_compact_rows,
             name_prefix=aux_name_prefix,
         )
-        # T_aux must hold every row the query-time predictor gets wrong.
-        # The compiled kernel's fused float32 partial sums can differ from
-        # the reference GEMM by an ulp — enough to flip a near-tie argmax —
-        # so the mask is the UNION of both predictors' errors: any key the
-        # two disagree on lands in T_aux and is served from there, which
-        # is what makes the reference session a bit-exact oracle for the
-        # kernel.  The freshly compiled engine is kept for the mapping.
-        engine = CompiledSession(session, key_encoder)
-        mis = cls._misclassified_mask(engine, x, flat, labels,
-                                      config.inference_batch)
         aux.build(flat[mis], {t: labels[t][mis] for t in fdecode.columns})
 
         exist = make_existence_index(key_codec.domain_size, flat.size)
@@ -561,27 +556,15 @@ class DeepMapping:
         mapping.search_history = search_history
         mapping.last_training = training
         mapping.warm_started_tensors = warm_tensors
-        mapping._compiled = engine
+        mapping._compiled = CompiledSession(session, key_encoder)
         return mapping
-
-    @staticmethod
-    def _misclassified_mask(engine: CompiledSession, x: np.ndarray,
-                            flat: np.ndarray, labels: Dict[str, np.ndarray],
-                            batch: int) -> np.ndarray:
-        """Rows where either predictor — the compiled kernel over the
-        keys ``flat`` or the reference session it was compiled from over
-        their encoding ``x`` — disagrees with any task's label: the rows
-        ``T_aux`` must hold."""
-        return (misclassified(engine.session.run(x, batch_size=batch), labels)
-                | misclassified(engine.run(flat, batch_size=batch), labels))
 
     def _mis_mask(self, flat: np.ndarray,
                   labels: Dict[str, np.ndarray]) -> np.ndarray:
-        """:meth:`fit`'s union-of-errors mask for a modification batch
-        (the model is unchanged, so the cached engine stays valid)."""
-        return self._misclassified_mask(
-            self.compiled_session(), self.key_encoder.encode(flat), flat,
-            labels, self.config.inference_batch)
+        """:func:`_aux_rows` for a modification batch (the model is
+        unchanged, so the cached engine stays valid)."""
+        return _aux_rows(self.compiled_session(), flat, labels,
+                         self.config.inference_batch)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -981,7 +964,7 @@ class DeepMapping:
         as they are, and the first probe of one decompresses it straight
         out of the payload — no sort, no compression, no temporary file.
         """
-        config = check_stored_config(state["config"])
+        config = state["config"]
         fdecode = DecodeMap.from_state(state["fdecode"])
         aux = AuxiliaryTable(
             tasks=fdecode.columns,
@@ -1195,6 +1178,14 @@ class DeepMapping:
             f"rows={len(self)}, aux_rows={len(self.aux)}, "
             f"bytes={self.storage_bytes()})"
         )
+
+
+def _aux_rows(engine: CompiledSession, flat: np.ndarray,
+              labels: Dict[str, np.ndarray], batch: int) -> np.ndarray:
+    """The rows ``T_aux`` must hold: the serving kernel answers a task
+    wrong, or a task's top-two logit gap is under its ``tie_margin``."""
+    codes, ties = engine.classify(flat, batch_size=batch)
+    return misclassified(codes, labels) | ties
 
 
 def _unsupported_layout(found: str) -> ValueError:

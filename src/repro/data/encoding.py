@@ -64,12 +64,7 @@ class CompositeKeyCodec:
                 extent += int(headroom)
             mins.append(lo)
             extents.append(extent)
-        self._mins = np.array(mins, dtype=np.int64)
-        self._extents = np.array(extents, dtype=np.int64)
-        strides = np.ones(len(extents), dtype=np.int64)
-        for i in range(len(extents) - 2, -1, -1):
-            strides[i] = strides[i + 1] * extents[i + 1]
-        self._strides = strides
+        self._set_domain(mins, extents)
         if self.domain_size > _MAX_DOMAIN:
             raise ValueError(
                 f"flattened key domain {self.domain_size} exceeds {_MAX_DOMAIN}"
@@ -91,18 +86,13 @@ class CompositeKeyCodec:
     def flatten(self, columns: Dict[str, np.ndarray]) -> np.ndarray:
         """Flatten key columns to int64 codes in ``[0, domain_size)``.
 
-        Raises ``ValueError`` for key values outside the fitted domain.
+        Raises ``ValueError`` naming the first key column with values
+        outside the fitted domain.
         """
-        self._require_fitted()
-        n = len(np.asarray(columns[self.key_names[0]]))
-        flat = np.zeros(n, dtype=np.int64)
-        for i, name in enumerate(self.key_names):
-            col = np.asarray(columns[name], dtype=np.int64) - self._mins[i]
-            if col.size and (col.min() < 0 or col.max() >= self._extents[i]):
-                raise ValueError(
-                    f"key column {name!r} has values outside the fitted domain"
-                )
-            flat += col * self._strides[i]
+        flat, _, outside = self._flatten(columns)
+        if outside is not None:
+            raise ValueError(f"key column {outside!r} has values outside "
+                             "the fitted domain")
         return flat
 
     def extend_domain(self, columns: Dict[str, np.ndarray]) -> bool:
@@ -145,16 +135,26 @@ class CompositeKeyCodec:
         flat code 0 and ``in_domain`` False.  Used at query time, where an
         unknown key simply means "does not exist".
         """
+        flat, in_domain, _ = self._flatten(columns)
+        return flat, in_domain
+
+    def _flatten(self, columns: Dict[str, np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
+        """``(flat, in_domain, first out-of-domain column or None)``."""
         self._require_fitted()
         n = len(np.asarray(columns[self.key_names[0]]))
         flat = np.zeros(n, dtype=np.int64)
         ok = np.ones(n, dtype=bool)
+        outside = None
         for i, name in enumerate(self.key_names):
             col = np.asarray(columns[name], dtype=np.int64) - self._mins[i]
-            ok &= (col >= 0) & (col < self._extents[i])
+            inside = (col >= 0) & (col < self._extents[i])
+            if outside is None and not inside.all():
+                outside = name
+            ok &= inside
             flat += np.clip(col, 0, self._extents[i] - 1) * self._strides[i]
         flat[~ok] = 0
-        return flat, ok
+        return flat, ok, outside
 
     def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
         """Invert :meth:`flatten`."""
@@ -180,13 +180,15 @@ class CompositeKeyCodec:
     def from_state(cls, state: Dict[str, object]) -> "CompositeKeyCodec":
         """Restore from :meth:`to_state`."""
         codec = cls(state["key_names"])
-        codec._mins = np.asarray(state["mins"], dtype=np.int64)
-        codec._extents = np.asarray(state["extents"], dtype=np.int64)
-        strides = np.ones(len(codec._extents), dtype=np.int64)
-        for i in range(len(codec._extents) - 2, -1, -1):
-            strides[i] = strides[i + 1] * codec._extents[i + 1]
-        codec._strides = strides
+        codec._set_domain(state["mins"], state["extents"])
         return codec
+
+    def _set_domain(self, mins, extents) -> None:
+        self._mins = np.asarray(mins, dtype=np.int64)
+        self._extents = np.asarray(extents, dtype=np.int64)
+        self._strides = np.ones(self._extents.size, dtype=np.int64)
+        for i in range(self._extents.size - 2, -1, -1):
+            self._strides[i] = self._strides[i + 1] * self._extents[i + 1]
 
     def _require_fitted(self) -> None:
         if self._mins is None:
@@ -220,16 +222,12 @@ class KeyEncoder:
     single base.
     """
 
-    def __init__(self, base=10, width: Optional[int] = None):
+    def __init__(self, base=10):
         bases = (base,) if isinstance(base, int) else tuple(base)
         if not bases or any(b < 2 for b in bases):
             raise ValueError("every base must be >= 2")
         self.bases = bases
-        self.base = bases[0]  # kept for backwards-compatible introspection
         self.widths: Optional[Tuple[int, ...]] = None
-        if width is not None:
-            self.widths = tuple(width for _ in bases) if isinstance(width, int) \
-                else tuple(width)
 
     def fit(self, max_key: int) -> "KeyEncoder":
         """Choose per-base digit widths from the largest key to encode."""
@@ -294,13 +292,10 @@ class KeyEncoder:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "KeyEncoder":
-        """Restore from :meth:`to_state` (tolerates the old single-base
-        layout)."""
-        if "bases" in state:
-            encoder = cls(base=tuple(state["bases"]))
-            encoder.widths = tuple(state["widths"])
-            return encoder
-        return cls(base=state["base"], width=state["width"])
+        """Restore from :meth:`to_state`."""
+        encoder = cls(base=tuple(state["bases"]))
+        encoder.widths = tuple(state["widths"])
+        return encoder
 
     def _require_fitted(self) -> None:
         if self.widths is None:

@@ -39,14 +39,16 @@ feature vectors.  At query time the staged read path
 over: it runs only on keys that pass the existence mask *and* have no
 ``T_aux`` override (an aux row would overwrite the prediction anyway),
 so on negative-heavy or high-churn batches most of the inference cost
-never happens.  Parity with the reference session holds at the level of
-predicted label codes (argmax), which is what the lookup algorithm
-consumes; pre-summing group tables can shift float32 logits by an ulp —
-enough to flip a near-tie argmax — so every build derives its auxiliary
-table from the *union* of this kernel's and the reference session's
-prediction errors (see ``DeepMapping.fit``): any key the two disagree
-on is served from ``T_aux``.  ``InferenceSession.run`` remains the
-parity oracle (``repro.testing.oracles.reference_lookup``).
+never happens.
+
+**Tie margin.**  Pre-summed group tables, another BLAS or another batch
+shape round float32 logits differently, enough to flip a near-tie
+argmax.  :attr:`CompiledSession.tie_margin` bounds that from the frozen
+layers and float32 epsilon alone; :meth:`CompiledSession.classify` flags
+the keys whose top-two gap is under it, and the write path stores them
+in ``T_aux`` beside the wrong ones.  That keeps ``InferenceSession.run``
+a bit-exact parity oracle (``repro.testing.oracles.reference_lookup``)
+without it ever running on a write.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ class CompiledSession:
                 for i, (w, b) in enumerate(chain)
             ]
 
+        #: Smallest top-two logit gap no float32 evaluation can flip.
+        self.tie_margin = self._tie_margin()
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -192,6 +196,32 @@ class CompiledSession:
         first = groups[0]
         groups[0] = (first[0] + bias, first[1], first[2])
         return groups
+
+    def _tie_margin(self) -> float:
+        """``τ = 4·max e`` over the output logits, ``e`` bounding one
+        float32 evaluation's rounding error: the first layer has
+        ``|h| ≤ Σ_groups max|table|``, ``e = γ_K·|h|`` with ``K`` = digit
+        positions + 1; each later one ``|h| ← |W|ᵀ|h| + |b|``,
+        ``e ← γ_{fan_in+1}·|h| + |W|ᵀe``.  Two evaluations differ by at
+        most ``2e``, so a gap of ``4e`` cannot flip."""
+        def gamma(k):  # rounding factor of a k-term float32 sum
+            return k * 2.0 ** -24 / (1 - k * 2.0 ** -24)
+
+        def bound(chain, h, e):
+            for layer in chain:
+                if isinstance(layer, _FusedLayer):
+                    h = sum(np.abs(table).max(axis=0).astype(np.float64)
+                            for table, _, _ in layer.groups)
+                    e = gamma(sum(self.key_encoder.widths) + 1) * h
+                else:
+                    w = np.abs(layer.weight).astype(np.float64)
+                    h = h @ w + np.abs(layer.bias)
+                    e = gamma(w.shape[0] + 1) * h + e @ w
+            return h, e
+
+        h, e = bound(self._trunk, None, None)
+        return 4.0 * max(float(bound(chain, h, e)[1].max())
+                         for chain in self._heads.values())
 
     # ------------------------------------------------------------------
     # Execution
@@ -259,49 +289,53 @@ class CompiledSession:
 
     # ------------------------------------------------------------------
     def run_logits(self, flat_keys: np.ndarray) -> Dict[str, np.ndarray]:
-        """Raw output logits per task (copied out of scratch).
-
-        Internally chunked so one huge call cannot permanently grow the
-        thread-local scratch (the engine is long-lived and cached).
-        """
+        """Raw output logits per task (copied out of scratch)."""
         keys = self._checked(flat_keys)
-        n = keys.size
-        out = {
-            task: np.empty((n, self.session.spec.output_dims[task]),
-                           dtype=np.float32)
-            for task in self.tasks
-        }
-        step = max(1, min(n, 65536)) if n else 1
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            logits = self._forward(keys[start:stop])
+        out = {task: np.empty((keys.size, self.session.spec.output_dims[task]),
+                              dtype=np.float32)
+               for task in self.tasks}
+        for rows, logits in self._chunks(keys, None):
             for task in self.tasks:
-                out[task][start:stop] = logits[task]
+                out[task][rows] = logits[task]
         return out
 
     def run(
         self, flat_keys: np.ndarray, batch_size: Optional[int] = 65536
     ) -> Dict[str, np.ndarray]:
-        """Predicted label codes per task (argmax), computed in chunks.
-
-        Accepts flat integer keys; mirrors ``InferenceSession.run`` over
-        the equivalent one-hot encoding.
-        """
+        """Predicted label codes per task (argmax), computed in chunks —
+        ``InferenceSession.run`` over the equivalent one-hot encoding."""
         keys = self._checked(flat_keys)
-        n = keys.size
-        out = {task: np.empty(n, dtype=np.int64) for task in self.tasks}
-        if n == 0:
-            return out
-        # batch_size=None still caps the internal chunk: codes are
-        # identical either way, and one huge call must not permanently
-        # grow the cached engine's thread-local scratch.
-        step = min(n, 65536) if batch_size is None else max(1, int(batch_size))
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            logits = self._forward(keys[start:stop])
+        out = {task: np.empty(keys.size, dtype=np.int64) for task in self.tasks}
+        for rows, logits in self._chunks(keys, batch_size):
             for task in self.tasks:
-                out[task][start:stop] = logits[task].argmax(axis=1)
+                out[task][rows] = logits[task].argmax(axis=1)
         return out
+
+    def classify(
+        self, flat_keys: np.ndarray, batch_size: Optional[int] = 65536
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """:meth:`run` plus a per-key flag: some task's top-two logit gap
+        is below :attr:`tie_margin`, so another float32 evaluation of
+        this model could answer that key differently."""
+        keys = self._checked(flat_keys)
+        out = {task: np.empty(keys.size, dtype=np.int64) for task in self.tasks}
+        ties = np.zeros(keys.size, dtype=bool)
+        for rows, logits in self._chunks(keys, batch_size):
+            for task, task_logits in logits.items():
+                out[task][rows] = task_logits.argmax(axis=1)
+                if task_logits.shape[1] > 1:
+                    top = np.partition(task_logits, -2, axis=1)
+                    ties[rows] |= top[:, -1] - top[:, -2] < self.tie_margin
+        return out, ties
+
+    def _chunks(self, keys: np.ndarray, batch_size: Optional[int]):
+        """``(rows, logits)`` per chunk of ``batch_size`` keys.  ``None``
+        still caps a chunk at 65 536: one huge call must not permanently
+        grow the cached engine's thread-local scratch."""
+        step = 65536 if batch_size is None else max(1, int(batch_size))
+        for start in range(0, keys.size, step):
+            rows = slice(start, start + step)
+            yield rows, self._forward(keys[rows])
 
     def _checked(self, flat_keys) -> np.ndarray:
         keys = np.asarray(flat_keys, dtype=np.int64).reshape(-1)

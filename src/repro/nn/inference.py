@@ -306,11 +306,11 @@ def choose_width(
     Every width in :data:`WIDTH_CANDIDATES` is frozen and scored with
     ``weight_nbytes(...) + aux_bytes(session)`` — the two terms of
     ``size(M) + size(T_aux) + size(V_exist) + size(f_decode)`` that
-    depend on the width.  ``aux_bytes`` prices the rows the candidate's
-    *own* predictor gets wrong (rows × compressed bytes per auxiliary
-    row), so whatever quantisation breaks is charged as the auxiliary
-    rows it will become.  Returns the winning session and its score in
-    bytes.
+    depend on the width.  ``aux_bytes`` prices the rows ``T_aux`` would
+    hold under the candidate's *own* predictor (rows × compressed bytes
+    per auxiliary row), so whatever quantisation breaks is charged as the
+    auxiliary rows it will become.  Returns the winning session and its
+    score in bytes.
     """
     best: Optional[Tuple[InferenceSession, float]] = None
     for bits in WIDTH_CANDIDATES:

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.config import check_stored_config
 from ..core.deep_mapping import DeepMapping
 from ..lifecycle import LifecycleConfig
 from ..storage.backends import StorageBackend, backend_for_url
@@ -212,8 +211,7 @@ def load(cls, target: Union[str, StorageBackend],
         writable = False
     manifest = ShardManifest.load_from(backend)
     router = router_from_state(manifest.router)
-    config = check_stored_config(pickle.loads(
-        backend.read_bytes(CONFIG_NAME)))
+    config = pickle.loads(backend.read_bytes(CONFIG_NAME))
 
     saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")

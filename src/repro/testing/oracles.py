@@ -11,7 +11,7 @@ select them:
   one :class:`~repro.core.deep_mapping.DeepMapping`: ``V_exist``, then
   the reference :class:`~repro.nn.inference.InferenceSession` over
   **every** key, then ``T_aux`` overrides, then decode.  No compiled
-  kernel, no aux-gated inference.
+  kernel, no aux-gated inference; no write runs it either.
 - :func:`barrier_lookup` — the pre-pipeline sharded read: route, stable
   sort by shard ordinal only, one complete lookup per shard, then
   concatenate and inverse-permute.  No filters, no shared sort, no
@@ -37,11 +37,10 @@ _ZERO_CODE = np.zeros(1, dtype=np.int64)
 def reference_lookup(mapping, keys) -> LookupResult:
     """Algorithm 1, unoptimized, over one (unsharded) structure.
 
-    Bit-identical to ``mapping.lookup(keys)`` on any structure whose
-    ``T_aux`` holds the union of both predictors' errors (every build
-    since the compiled kernel exists): the two engines may disagree
-    only on keys ``T_aux`` overrides, and misses read the deterministic
-    ``vocab[0]`` filler in both.
+    Bit-identical to ``mapping.lookup(keys)``: ``T_aux`` holds every
+    stored key under the compiled kernel's ``tie_margin``, so the two
+    engines may disagree only on keys ``T_aux`` overrides, and misses
+    read the deterministic ``vocab[0]`` filler in both.
     """
     key_cols = normalize_keys(keys, mapping.key_names)
     flat, in_domain = mapping.key_codec.try_flatten(key_cols)

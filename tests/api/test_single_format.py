@@ -44,6 +44,14 @@ def raw_aux_rows(mapping):
     return zerocopy.pack(state)
 
 
+def reference_only_config(mapping):
+    """The last layout whose config could carry ``compiled_lookup``:
+    raw ``T_aux`` rows, with the knob set to its reference-only value."""
+    state = zerocopy.unpack(raw_aux_rows(mapping))
+    state["config"].__dict__["compiled_lookup"] = False
+    return zerocopy.pack(state)
+
+
 def bare_pickle(mapping):
     """No container at all: the state dict, arrays inline."""
     return pickle.dumps(zerocopy.unpack(raw_aux_rows(mapping)),
@@ -55,6 +63,7 @@ RETIRED = {
     "no-crc-container": (unchecksummed_container, "RZC2 container magic"),
     "nested-bytes": (nested_bytes, "lacks session_v2, exist_v2"),
     "raw-aux-rows": (raw_aux_rows, "lacks aux_v2"),
+    "reference-only-config": (reference_only_config, "lacks aux_v2"),
 }
 
 
@@ -99,6 +108,23 @@ def test_unpickling_and_container_internals_stay_in_their_modules():
     assert unpicklers == {"storage/zerocopy.py", "storage/serializer.py",
                           "shard/persistence.py"}
     assert reach_ins == []
+
+
+def test_the_write_path_runs_one_predictor():
+    """``T_aux`` is decided by the compiled kernel alone: nothing under
+    ``core/`` runs the reference session or one-hot encodes keys, except
+    ``fit``'s training input and MHAS's sampled estimate."""
+    calls = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module.startswith("core/mhas/"):
+            continue
+        calls += [(module, line.strip())
+                  for line in path.read_text().splitlines()
+                  if re.search(r"\.session\.run\(|key_encoder\.encode\(",
+                               line)]
+    assert calls == [("core/deep_mapping.py",
+                      "x = key_encoder.encode(flat)")]
 
 
 class TestCliStoreTargets:

@@ -2,16 +2,12 @@
 (``repro.testing.oracles.reference_lookup``, Algorithm 1 as written),
 and engine invalidation across mutations and rebuilds."""
 
-import pickle
-
 import numpy as np
 import pytest
 
-import repro
 from repro.core import DeepMapping
 from repro.data import ColumnTable, synthetic
-from repro.nn import CompiledSession
-from repro.resilience import StoreCorruptedError
+from repro.nn import CompiledSession, InferenceSession
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
@@ -81,7 +77,7 @@ class TestCompiledLookupParity:
         assert len(result) == 0
 
     def test_reference_engine_stays_lossless_after_mutations(self, gap_table):
-        """T_aux covers the union of both predictors' errors, so the
+        """T_aux covers the compiled kernel's near-ties, so the
         reference engine answers a compiled-built structure identically
         (including post-mutation rows)."""
         dm = DeepMapping.fit(gap_table, fast_config(
@@ -236,37 +232,115 @@ class TestShardedCompiledEngines:
         store.close()
 
 
-class TestReferenceOnlyStoresAreRefused:
-    """A config that still says ``compiled_lookup=False`` was built
-    without the union-of-errors ``T_aux``: opening it must fail loudly
-    rather than serve it through the compiled kernel."""
+class TestOnePredictorDecidesAux:
+    """``T_aux`` is decided by the serving kernel alone: wrong answers
+    plus top-two gaps under its float32 tie margin."""
 
-    def test_monolithic_payload(self, gap_table, tmp_path):
-        dm = DeepMapping.fit(gap_table, fast_config())
-        dm.config.__dict__["compiled_lookup"] = False  # as old pickles carry it
-        path = str(tmp_path / "reference-only.dm")
-        dm.save(path)
-        for writable in (True, False):
-            with pytest.raises(StoreCorruptedError, match="refit"):
-                repro.open(path, writable=writable)
+    @pytest.fixture
+    def table(self):
+        # Learnable enough that some rows the model gets right sit under
+        # the margin (two at this seed): those are what noise would flip.
+        return synthetic.single_column(3000, "high", seed=21)
 
-    def test_sharded_store_config(self, tmp_path):
-        table = synthetic.single_column(600, "high", seed=6)
+    @pytest.mark.parametrize("noise", ["uniform", "worst-case"])
+    def test_lookups_survive_logit_noise_of_half_the_margin(
+            self, table, monkeypatch, noise):
+        """Any float32 evaluation within ``tie_margin / 2`` of the
+        write-time one answers the same: noise that large on every logit
+        at lookup time changes no value, through fit, insert, update and
+        delete, and the reference oracle still agrees bit for bit.
+        ``worst-case`` lowers each row's top logit and raises the others
+        (by 0.45 of the margin), flipping every gap the margin let by."""
+        noisy = []
+        rng = np.random.default_rng(0)
+        forward = CompiledSession._forward
+
+        def perturbed(engine, keys):
+            logits = forward(engine, keys)
+            if not noisy:
+                return logits
+            half = engine.tie_margin / 2
+            for task_logits in logits.values():
+                if noise == "uniform":
+                    shift = rng.uniform(-half, half, task_logits.shape)
+                else:
+                    shift = np.full(task_logits.shape, 0.9 * half)
+                    shift[np.arange(len(shift)),
+                          task_logits.argmax(axis=1)] *= -1
+                task_logits += shift.astype(np.float32)
+            return logits
+
+        monkeypatch.setattr(CompiledSession, "_forward", perturbed)
+        dm = DeepMapping.fit(table, fast_config(key_headroom_fraction=0.5))
+        columns = table.value_columns
+        truth = {int(k): tuple(table.column(c)[i] for c in columns)
+                 for i, k in enumerate(table.column("key"))}
+
+        def rows(keys, seed):
+            donor = synthetic.single_column(len(keys), "high", seed=seed)
+            out = {"key": np.asarray(keys, dtype=np.int64)}
+            out.update({c: donor.column(c) for c in columns})
+            for i, key in enumerate(out["key"].tolist()):
+                truth[key] = tuple(out[c][i] for c in columns)
+            return out
+
+        top = int(table.column("key").max())
+        dm.insert(rows(range(top + 1, top + 200), seed=22))
+        dm.update(rows(table.column("key")[::4].tolist(), seed=23))
+        dead = table.column("key")[1::9]
+        dm.delete({"key": dead})
+        for key in dead.tolist():
+            del truth[int(key)]
+
+        keys = np.array(sorted(truth), dtype=np.int64)
+        query = {"key": np.concatenate(
+            [keys, np.setdiff1d(np.arange(keys.max() + 5), keys)])}
+        noisy.append(True)
+        got = dm.lookup(query)
+        noisy.clear()
+        assert got.found[:keys.size].all()
+        assert not got.found[keys.size:].any()
+        for j, column in enumerate(columns):
+            np.testing.assert_array_equal(
+                got.values[column][:keys.size],
+                np.array([truth[k][j] for k in keys.tolist()]))
+        reference = reference_lookup(dm, query)
+        np.testing.assert_array_equal(got.found, reference.found)
+        for column in columns:
+            np.testing.assert_array_equal(got.values[column],
+                                          reference.values[column])
+
+    def test_write_path_never_runs_the_reference_predictor(
+            self, table, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference predictor ran on a write")
+
+        monkeypatch.setattr(InferenceSession, "run", refuse)
+        monkeypatch.setattr(InferenceSession, "run_logits", refuse)
+        dm = DeepMapping.fit(table, fast_config(key_headroom_fraction=0.5))
+        top = int(table.column("key").max())
+        new = {"key": np.arange(top + 1, top + 40, dtype=np.int64)}
+        new.update({c: table.column(c)[:39] for c in table.value_columns})
+        dm.insert(new)
+        dm.update(new)
+        dm.rebuild()
+        assert dm.lookup({"key": new["key"]}).found.all()
+
         store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=2), ShardingConfig(n_shards=2))
-        store.config.__dict__["compiled_lookup"] = False
-        path = str(tmp_path / "reference-only.dms")
-        store.save(path)
+            synthetic.single_column(2000, "high", seed=24),
+            fast_config(epochs=5), ShardingConfig(n_shards=2))
+        store.split_shard(0)
+        store.merge_shards(0)
+        assert len(store) == 2000
         store.close()
-        with pytest.raises(StoreCorruptedError, match="refit"):
-            repro.open(path)
 
-    def test_stale_true_flag_is_dropped_on_open(self, gap_table, tmp_path):
-        dm = DeepMapping.fit(gap_table, fast_config())
-        dm.config.__dict__["compiled_lookup"] = True
-        path = str(tmp_path / "compiled.dm")
-        dm.save(path)
-        clone = repro.open(path)
-        assert "compiled_lookup" not in vars(clone.config)
-        assert b"compiled_lookup" not in pickle.dumps(clone.config)
-        assert clone.lookup({"key": gap_table.column("key")}).found.all()
+    def test_aux_holds_exactly_the_wrong_and_the_near_tied_rows(self, table):
+        dm = DeepMapping.fit(table, fast_config())
+        flat = dm.key_codec.flatten(table.key_columns_dict())
+        labels = dm.fdecode.encode(table.value_columns_dict())
+        codes, ties = dm.compiled_session().classify(flat)
+        wrong = np.zeros(flat.size, dtype=bool)
+        for task, expected in labels.items():
+            wrong |= codes[task] != expected
+        in_aux, _ = dm.aux.lookup_batch(flat)
+        np.testing.assert_array_equal(in_aux, wrong | ties)

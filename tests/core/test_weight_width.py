@@ -235,11 +235,13 @@ class TestChosenWidthIsTheEq1Argmin:
     def recompute(self, mapping, model, table):
         """Eq. 1's width-dependent terms for every candidate, from
         scratch: stored weight bytes plus the compressed bytes of the
-        rows that candidate's compiled predictor loses."""
+        rows ``T_aux`` would hold under that candidate's compiled
+        predictor — the ones it gets wrong and the ones under its tie
+        margin."""
         flat = mapping.key_codec.flatten(table.key_columns_dict())
         labels = mapping.fdecode.encode(table.value_columns_dict())
         config = mapping.config
-        costs = {}
+        costs, rows = {}, {}
         for bits in CANDIDATES:
             session = InferenceSession.from_model(
                 model, config.weight_dtype, bits=bits)
@@ -247,9 +249,8 @@ class TestChosenWidthIsTheEq1Argmin:
                 array.nbytes
                 for chain in [session._shared, *session._heads.values()]
                 for layer in chain for array in layer)
-            predicted = CompiledSession(
-                session, mapping.key_encoder).run(flat)
-            wrong = np.zeros(flat.size, dtype=bool)
+            predicted, wrong = CompiledSession(
+                session, mapping.key_encoder).classify(flat)
             for task, codes in labels.items():
                 wrong |= predicted[task] != codes
             per_row = measure_aux_bytes_per_row(
@@ -257,7 +258,8 @@ class TestChosenWidthIsTheEq1Argmin:
                 codec=config.aux_codec,
                 partition_bytes=config.aux_partition_bytes)
             costs[bits] = stored + wrong.sum() * per_row
-        return costs
+            rows[bits] = int(wrong.sum())
+        return costs, rows
 
     @pytest.mark.parametrize("correlation", ["high", "low"])
     def test_no_candidate_beats_the_stored_width(self, monkeypatch,
@@ -274,8 +276,10 @@ class TestChosenWidthIsTheEq1Argmin:
         mapping = DeepMapping.fit(table, fast_config(epochs=20))
         (model,) = frozen
         assert isinstance(model, MultiTaskMLP)
-        costs = self.recompute(mapping, model, table)
+        costs, aux_rows = self.recompute(mapping, model, table)
         assert costs[mapping.session.bits] == min(costs.values())
+        # The winner's priced rows are exactly the rows T_aux holds.
+        assert aux_rows[mapping.session.bits] == len(mapping.aux)
         assert verify(mapping, table).ok
 
     def test_perfectly_memorised_float32_table_stays_exact(self):

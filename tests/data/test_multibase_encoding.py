@@ -41,11 +41,6 @@ class TestMultiBase:
         clone = KeyEncoder.from_state(enc.to_state())
         np.testing.assert_array_equal(clone.encode([777]), enc.encode([777]))
 
-    def test_legacy_state_restores(self):
-        clone = KeyEncoder.from_state({"base": 10, "width": 3})
-        assert clone.bases == (10,)
-        assert clone.input_dim == 30
-
     def test_validation(self):
         with pytest.raises(ValueError):
             KeyEncoder(base=(10, 1))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.data.encoding import KeyEncoder
 from repro.nn import (ArchitectureSpec, CompiledSession, InferenceSession,
                       MultiTaskMLP)
+from repro.nn.inference import WIDTH_CANDIDATES
 
 
 def make_pair(bases, shared_sizes, private_sizes, output_dims, max_key,
@@ -134,3 +135,72 @@ def test_parity_property_random_batches(keys):
         max_key=10**6 - 1)
     arr = np.array(keys, dtype=np.int64)
     assert_codes_match(session, compiled, encoder, arr)
+
+
+def exact_logits(session, encoder, keys):
+    """The frozen float32 layers evaluated in float64 — the logits every
+    float32 predictor approximates."""
+    shared, heads = session.float_layers()
+    h = encoder.encode(keys).astype(np.float64)
+    for w, b in shared:
+        h = np.maximum(h @ w.astype(np.float64) + b, 0.0)
+    out = {}
+    for task, chain in heads.items():
+        t = h
+        for i, (w, b) in enumerate(chain):
+            t = t @ w.astype(np.float64) + b
+            if i < len(chain) - 1:
+                t = np.maximum(t, 0.0)
+        out[task] = t
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tie_margin_bounds_every_float32_logit(data):
+    """Property: random specs × every stored width × multi-base
+    encoders — the compiled kernel's and the reference session's float32
+    logits are each within ``tie_margin / 4`` of the exact ones, so the
+    two can flip no argmax whose top-two gap is at least the margin."""
+    bases = tuple(data.draw(st.lists(st.integers(2, 12), min_size=1,
+                                     max_size=3, unique=True)))
+    shared = tuple(data.draw(st.lists(st.integers(1, 24), max_size=2)))
+    private = {"a": tuple(data.draw(st.lists(st.integers(1, 12),
+                                             max_size=2))),
+               "b": ()}
+    outputs = {"a": data.draw(st.integers(1, 9)),
+               "b": data.draw(st.integers(2, 5))}
+    max_key = data.draw(st.integers(1, 10**7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    encoder = KeyEncoder(bases).fit(max_key)
+    model = MultiTaskMLP(ArchitectureSpec(
+        input_dim=encoder.input_dim, shared_sizes=shared,
+        private_sizes=private, output_dims=outputs), rng=rng)
+    session = InferenceSession.from_model(
+        model, weight_dtype=data.draw(st.sampled_from(["float16",
+                                                       "float32"])),
+        bits=data.draw(st.sampled_from(WIDTH_CANDIDATES)))
+    compiled = CompiledSession(session, encoder)
+    assert 0 < compiled.tie_margin < 1
+
+    keys = rng.integers(0, max_key + 1, size=300)
+    exact = exact_logits(session, encoder, keys)
+    kernel = compiled.run_logits(keys)
+    reference = session.run_logits(encoder.encode(keys))
+    for task in outputs:
+        for got in (kernel[task], reference[task]):
+            assert np.abs(got - exact[task]).max() <= compiled.tie_margin / 4
+
+
+def test_classify_flags_exactly_the_near_ties():
+    session, compiled, encoder = make_pair(
+        (10, 7), (12,), {"a": (6,), "b": ()}, {"a": 4, "b": 1},
+        max_key=99999)
+    keys = np.random.default_rng(8).integers(0, 100000, size=3000)
+    codes, ties = compiled.classify(keys, batch_size=777)
+    for task, expected in compiled.run(keys).items():
+        np.testing.assert_array_equal(codes[task], expected)
+    top = np.sort(compiled.run_logits(keys)["a"], axis=1)[:, -2:]
+    # A one-class task ("b") can never tie.
+    np.testing.assert_array_equal(
+        ties, top[:, 1] - top[:, 0] < compiled.tie_margin)
