@@ -1,6 +1,6 @@
 """Array-based baselines: AB and ABC-{D,G,Z,L} (paper Sec. V-A3).
 
-Rows are kept key-sorted in serialized-numpy partitions; lookups binary
+Rows are kept key-sorted in encoded partitions; lookups binary
 search (the machinery shared with ``T_aux`` via
 :class:`~repro.storage.partition.SortedPartitionStore`).  ``AB`` stores
 partitions uncompressed; ``ABC-*`` applies dictionary encoding (D), Gzip
@@ -15,8 +15,7 @@ import numpy as np
 
 from ..storage.buffer_pool import BufferPool
 from ..storage.disk import DiskStore
-from ..storage.partition import PartitionMeta, SortedPartitionStore
-from ..storage.serializer import serialize_block
+from ..storage.partition import SortedPartitionStore
 from ..storage.stats import StoreStats
 from .base import BaselineStore
 
@@ -112,9 +111,10 @@ class ArrayStore(BaselineStore):
     def append_partition(self, rows) -> None:
         """Append new rows as one extra partition, old partitions untouched.
 
-        The cheaper insert variant for monotone keys: still pays serialize
-        + compress + write for the new partition.  Requires every new key
-        to sort after the existing range.
+        The cheaper insert variant for monotone keys: still pays encode
+        + compress + write for the new partition
+        (:meth:`SortedPartitionStore.append`).  Requires every new key to
+        sort after the existing range.
         """
         self._require_built()
         columns = self._rows_to_columns(rows)
@@ -122,22 +122,7 @@ class ArrayStore(BaselineStore):
         if not self._key_codec.extend_domain(key_cols):
             raise ValueError("appended keys cannot extend the key domain")
         flat = self._key_codec.flatten(key_cols)
-        metas = self._store.partitions
-        last_key = metas[-1].last_key if metas else -1
-        if flat.size and int(flat.min()) <= last_key:
-            raise ValueError("append_partition requires keys beyond the range")
-
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        values = {n: np.asarray(columns[n])[order] for n in self._value_names}
-        block = {"keys": flat, "columns": dict(values)}
-        payload = self._store.codec.compress(serialize_block(block))
-        name = f"{self._store.name_prefix}-{len(metas):06d}"
-        stored = self.disk.write(name, payload)
-        self._store._metas.append(PartitionMeta(
-            name=name, first_key=int(flat[0]), last_key=int(flat[-1]),
-            n_rows=int(flat.size), stored_bytes=stored))
-        self._store._refresh_boundaries()
+        self._store.append(flat, {n: columns[n] for n in self._value_names})
         self._n_rows += int(flat.size)
 
     def delete(self, keys) -> int:

@@ -2,8 +2,11 @@
 
 Stores the key→value pairs the model misclassifies, as *label codes*:
 
-- rows are sorted by flattened key, partitioned, and each partition is
-  compressed (Z-Standard or LZMA in the paper — DM-Z / DM-L);
+- rows are sorted by flattened key and partitioned; a partition is its
+  keys as gaps from its first key at their narrowest unsigned width and
+  each task's codes at the table's narrowest code dtype, as raw bytes
+  (:func:`~repro.storage.partition.encode_partition`), compressed
+  (Z-Standard or LZMA in the paper — DM-Z / DM-L);
 - lookups locate the partition (binary search over boundaries), fault it
   into the buffer pool, decompress once per query batch, and binary-search
   the key inside — all inherited from

@@ -882,8 +882,9 @@ class DeepMapping:
         (``session_v2`` / ``exist_v2``), and ``T_aux`` the way the paper
         stores it (``aux_v2``): one segment per *compressed* partition,
         exactly the bytes :meth:`AuxiliaryTable.stored_bytes` counts,
-        beside a small fence index in the head (first key, last key and
-        row count per partition; column names and dtypes) and the
+        beside a small fence index in the head (first key, last key, row
+        count and key-gap width per partition; column names and dtypes;
+        see :func:`~repro.storage.partition.encode_partition`) and the
         not-yet-compacted overlay / tombstones as arrays.  Nothing is
         decompressed, re-sorted or re-compressed to save, and an open
         attaches the partitions where they lie.  Opened through an
@@ -945,6 +946,11 @@ class DeepMapping:
                 f"it lacks {', '.join(missing)} (nested session / exist "
                 "bytes and raw aux_keys / aux_codes rows are no longer "
                 "read)")
+        if "gap_widths" not in state["aux_v2"]["store"]:
+            raise _unsupported_layout(
+                "its aux_v2 partitions are pickled blocks of int64 keys "
+                "(no gap_widths fence; they are no longer read)",
+                last_reader="dae9259")
         return state
 
     @classmethod
@@ -1188,12 +1194,13 @@ def _aux_rows(engine: CompiledSession, flat: np.ndarray,
     return misclassified(codes, labels) | ties
 
 
-def _unsupported_layout(found: str) -> ValueError:
+def _unsupported_layout(found: str,
+                        last_reader: str = "b054dba") -> ValueError:
     return ValueError(
         "this payload does not hold a DeepMapping store in the one layout "
         f"this version reads: {found}. If it is a store saved by an older "
-        "version, open and re-save it at commit b054dba, the last one "
-        "that reads the older layouts.")
+        f"version, open and re-save it at commit {last_reader}, the last "
+        "one that reads that layout.")
 
 
 class _DomainRebuilt(Exception):

@@ -67,11 +67,16 @@ def measure_aux_bytes_per_row(
 ) -> float:
     """Compressed bytes per auxiliary row, measured on one partition.
 
-    Mirrors how ``T_aux`` stores rows: int64 keys beside per-task codes
-    at their narrowest dtype, as many rows as one partition of
-    ``partition_bytes`` holds, serialized and compressed with ``codec``
-    (a partition's framing is a real share of a small one, so the
-    partition size is part of the measurement).
+    Prices a partition the way ``T_aux`` stored rows before key gaps:
+    int64 keys beside per-task codes at their narrowest dtype, pickled,
+    as many rows as one partition of ``partition_bytes`` holds, and
+    compressed with ``codec`` (a partition's framing is a real share of
+    a small one, so the partition size is part of the measurement).
+    The stored layout (:func:`~repro.storage.partition.encode_partition`)
+    costs about a third of this.  The price is kept on purpose: at the
+    stored layout's price the width chooser moves most shards to 3-bit
+    weights, and their extra auxiliary rows make the lifecycle retrain
+    under writes (docs/performance.md, "``T_aux`` layout").
     """
     n = flat_keys.size
     if n == 0:

@@ -113,7 +113,13 @@ class ZstdCodec(Codec):
 
 
 class LzmaCodec(Codec):
-    """LZMA codec — the paper's ``-L`` suffix (slowest, best ratio)."""
+    """LZMA codec — the paper's ``-L`` suffix (slowest, best ratio).
+
+    Streams use the bare ``.lzma`` container (a 13-byte header), not
+    ``.xz``, whose ~60 bytes of headers, index and check per stream
+    outweigh LZMA's ratio gain on a partition of a few hundred bytes.
+    Integrity comes from the store container's per-segment CRC.
+    """
 
     name = "lzma"
 
@@ -123,10 +129,11 @@ class LzmaCodec(Codec):
         self.preset = preset
 
     def compress(self, payload: bytes) -> bytes:
-        return lzma.compress(payload, preset=self.preset)
+        return lzma.compress(payload, format=lzma.FORMAT_ALONE,
+                             preset=self.preset)
 
     def decompress(self, payload: bytes) -> bytes:
-        return lzma.decompress(payload)
+        return lzma.decompress(payload, format=lzma.FORMAT_ALONE)
 
 
 _REGISTRY: Dict[str, Callable[[], Codec]] = {

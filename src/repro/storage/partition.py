@@ -3,9 +3,14 @@
 Both the DeepMapping auxiliary table ``T_aux`` and the array-based baselines
 (AB / ABC-*) store tuples the same way (paper Sec. IV-B1 and V-A3):
 
-1. rows are sorted by key and split into fixed-size partitions,
-2. each partition is serialized (optionally dictionary-encoded first) and
-   compressed with a byte codec,
+1. rows are sorted by key and split into partitions of a fixed resident
+   size,
+2. each partition is encoded by one codec, :func:`encode_partition` /
+   :func:`decode_partition` — its keys as gaps from the partition's first
+   key at their narrowest unsigned width, then its columns' raw bytes at
+   the dtypes the store records (object columns and dictionary encoding,
+   which only the baselines use, as one pickled column section instead) —
+   and compressed with a byte codec,
 3. partitions live on disk and are faulted into an LRU
    :class:`~repro.storage.buffer_pool.BufferPool` on access — in a
    :class:`~repro.storage.disk.DiskStore` directory for a store built in
@@ -14,8 +19,9 @@ Both the DeepMapping auxiliary table ``T_aux`` and the array-based baselines
    the compressed partitions *are* the persistent form, so an open
    neither re-sorts nor re-compresses nor copies them),
 4. a lookup locates the partition by binary search over partition boundaries,
-   decompresses it (at most once per query batch — queries are sorted), and
-   binary-searches the key inside.
+   decompresses and decodes it (at most once per query batch — queries are
+   sorted; one ``cumsum`` restores the keys), and binary-searches the key
+   inside.
 
 :class:`SortedPartitionStore` implements that machinery once so the auxiliary
 table and the baselines share identical I/O behaviour.
@@ -23,6 +29,7 @@ table and the baselines share identical I/O behaviour.
 
 from __future__ import annotations
 
+import lzma
 import pickle
 import zlib
 from dataclasses import dataclass
@@ -38,22 +45,110 @@ from .serializer import (
     deserialize_block,
     dictionary_decode,
     dictionary_encode,
+    minimal_int_dtype,
     serialize_block,
 )
 from .stats import StoreStats
 
-__all__ = ["PartitionMeta", "SortedPartitionStore"]
+__all__ = ["PartitionMeta", "SortedPartitionStore", "encode_partition",
+           "decode_partition"]
+
+#: Byte widths a partition's key gaps may be stored at.
+GAP_WIDTHS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
 class PartitionMeta:
-    """Summary of one stored partition."""
+    """Summary of one stored partition: its fence (key range, row count,
+    key-gap width) and its stored size."""
 
     name: str
     first_key: int
     last_key: int
     n_rows: int
+    gap_width: int
     stored_bytes: int
+
+
+def _pickles_columns(dtypes, dict_encode: bool) -> bool:
+    """Whether a partition's column section is one pickle rather than
+    raw fixed-width bytes."""
+    return dict_encode or any(np.dtype(dtype).hasobject for dtype in dtypes)
+
+
+def encode_partition(keys: np.ndarray, columns: Dict[str, np.ndarray],
+                     dict_encode: bool = False) -> Tuple[bytes, int]:
+    """One partition's bytes before compression, and its key-gap width.
+
+    ``keys`` are int64, sorted and unique; the first one is not stored
+    (the fence holds it).  The bytes are the ``n - 1`` gaps
+    ``keys[i + 1] - keys[i] - 1`` as little-endian unsigned integers of
+    the returned width (1, 2, 4 or 8 bytes: a partition may span the
+    whole int64 range), then the columns in order — each one's raw bytes
+    at its own dtype, or, when any column holds objects or
+    ``dict_encode`` is set, one pickle of all of them.
+    """
+    unsigned = np.ascontiguousarray(keys, dtype=np.int64).view(np.uint64)
+    gaps = np.diff(unsigned) - np.uint64(1)
+    gap_dtype = minimal_int_dtype(int(gaps.max()) if gaps.size else 0)
+    parts = [gaps.astype(gap_dtype.newbyteorder("<")).tobytes()]
+    if _pickles_columns((col.dtype for col in columns.values()), dict_encode):
+        section = dict(columns)
+        parts.append(serialize_block(
+            dictionary_encode(section) if dict_encode else section))
+    else:
+        parts += [np.ascontiguousarray(col).tobytes()
+                  for col in columns.values()]
+    return b"".join(parts), gap_dtype.itemsize
+
+
+def decode_partition(raw, meta: PartitionMeta, dtypes: Dict[str, np.dtype],
+                     dict_encode: bool = False) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`encode_partition`: ``{"keys": int64, <columns>}``.
+
+    ``meta`` supplies the fence (first and last key, row count, gap
+    width) and ``dtypes`` the column names and dtypes the store records.
+    Bytes that disagree with them — a length other than the fence
+    implies, a last key other than the fence's — raise ``ValueError``
+    before anything is read out of them.
+    """
+    n_rows, width = meta.n_rows, meta.gap_width
+    if n_rows < 1 or width not in GAP_WIDTHS:
+        raise ValueError(f"fence claims {n_rows} row(s) with {width}-byte "
+                         f"key gaps")
+    raw = raw if isinstance(raw, bytes) else bytes(raw)
+    key_bytes = (n_rows - 1) * width
+    pickled = _pickles_columns(dtypes.values(), dict_encode)
+    expected = key_bytes + (0 if pickled else n_rows * sum(
+        dtype.itemsize for dtype in dtypes.values()))
+    if len(raw) < expected or (not pickled and len(raw) != expected):
+        raise ValueError(f"partition holds {len(raw)} bytes, expected "
+                         f"{expected} for {n_rows} row(s)")
+    keys = np.empty(n_rows, dtype=np.int64)
+    keys[0] = meta.first_key
+    steps = keys.view(np.uint64)
+    steps[1:] = np.frombuffer(raw, dtype=f"<u{width}", count=n_rows - 1)
+    steps[1:] += np.uint64(1)
+    np.cumsum(steps, out=steps)  # wraps modulo 2**64, as the gaps did
+    if keys[-1] != meta.last_key:
+        raise ValueError(f"keys decode to end at {int(keys[-1])}, the "
+                         f"fence says {meta.last_key}")
+    if pickled:
+        columns = deserialize_block(memoryview(raw)[key_bytes:])
+        if dict_encode:
+            columns = dictionary_decode(columns)
+        if (list(columns) != list(dtypes)
+                or any(len(col) != n_rows for col in columns.values())):
+            raise ValueError("pickled column section does not match the "
+                             "fence")
+        return {"keys": keys, **columns}
+    resident = {"keys": keys}
+    offset = key_bytes
+    for name, dtype in dtypes.items():
+        resident[name] = np.frombuffer(raw, dtype=dtype, count=n_rows,
+                                       offset=offset)
+        offset += n_rows * dtype.itemsize
+    return resident
 
 
 class SortedPartitionStore:
@@ -62,12 +157,13 @@ class SortedPartitionStore:
     Parameters
     ----------
     codec:
-        Byte codec (name or instance) applied to each serialized partition.
+        Byte codec (name or instance) applied to each encoded partition.
     target_partition_bytes:
-        Desired *uncompressed serialized* size per partition; the paper tunes
-        this per representation (Sec. V-A5).
+        Desired *resident* (decoded) size per partition — what the buffer
+        pool charges for it; the paper tunes this per representation
+        (Sec. V-A5).
     dict_encode:
-        Apply dictionary encoding before pickling (the paper's ABC-D).
+        Dictionary-encode the columns, pickled (the paper's ABC-D).
     disk / pool / stats:
         Substrate components; private ones are created when omitted.
     name_prefix:
@@ -110,18 +206,7 @@ class SortedPartitionStore:
         ``keys`` must be int64-compatible and *unique*; rows are sorted here,
         so callers may pass unsorted data.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        for name, col in columns.items():
-            if len(col) != keys.size:
-                raise ValueError(
-                    f"column {name!r} has {len(col)} rows, expected {keys.size}"
-                )
-        if keys.size != np.unique(keys).size:
-            raise ValueError("keys must be unique")
-
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        columns = {name: np.asarray(col)[order] for name, col in columns.items()}
+        keys, columns = self._sorted(keys, columns)
 
         # _drop_existing_blobs invalidates this store's own pool entries;
         # a whole-pool clear() would also evict co-hosted stores (the
@@ -136,37 +221,75 @@ class SortedPartitionStore:
             self._refresh_boundaries()
             return
 
-        rows_per_partition = self._rows_per_partition(keys, columns)
+        rows_per_partition = self._rows_per_partition()
         for pid, start in enumerate(range(0, keys.size, rows_per_partition)):
             stop = min(start + rows_per_partition, keys.size)
             self._write_partition(pid, keys[start:stop],
                                   {n: c[start:stop] for n, c in columns.items()})
         self._refresh_boundaries()
 
-    def _rows_per_partition(self, keys: np.ndarray, columns: Dict[str, np.ndarray]) -> int:
-        """Pick a row count whose serialized size approximates the target."""
-        probe = min(keys.size, 2048)
-        sample = {n: c[:probe] for n, c in columns.items()}
-        sample["__keys__"] = keys[:probe]
-        per_row = max(1.0, len(serialize_block(sample)) / probe)
-        return max(1, int(self.target_partition_bytes / per_row))
+    def append(self, keys: np.ndarray, columns: Dict[str, np.ndarray]) -> None:
+        """Add rows as one more partition; existing partitions are untouched.
+
+        Every key must sort after the stored range, and each column must
+        cast safely to the dtype the store records for it (a wider one
+        needs :meth:`build`).  An empty store is simply built.
+        """
+        if not self._metas:
+            self.build(keys, columns)
+            return
+        keys, columns = self._sorted(
+            keys, {name: columns[name] for name in self._columns})
+        if keys.size == 0:
+            return
+        if keys[0] <= self._metas[-1].last_key:
+            raise ValueError("append requires keys beyond the range")
+        for name, col in columns.items():
+            if not np.can_cast(col.dtype, self._dtypes[name]):
+                raise ValueError(f"column {name!r} is {col.dtype}, which "
+                                 f"does not fit the stored "
+                                 f"{self._dtypes[name]}")
+        self._write_partition(len(self._metas), keys, {
+            name: col.astype(self._dtypes[name], copy=False)
+            for name, col in columns.items()})
+        self._n_rows += int(keys.size)
+        self._refresh_boundaries()
+
+    @staticmethod
+    def _sorted(keys, columns: Dict[str, np.ndarray]):
+        """Check parallel arrays (equal lengths, unique keys) and sort
+        them by key."""
+        keys = np.asarray(keys, dtype=np.int64)
+        for name, col in columns.items():
+            if len(col) != keys.size:
+                raise ValueError(
+                    f"column {name!r} has {len(col)} rows, expected {keys.size}"
+                )
+        if keys.size != np.unique(keys).size:
+            raise ValueError("keys must be unique")
+        order = np.argsort(keys, kind="stable")
+        return keys[order], {name: np.asarray(col)[order]
+                             for name, col in columns.items()}
+
+    def _rows_per_partition(self) -> int:
+        """Rows per partition: the target over the resident row width (an
+        int64 key plus each column's itemsize) — what the pool charges for
+        a faulted-in partition, not what it compresses to."""
+        row_bytes = 8 + sum(dtype.itemsize for dtype in self._dtypes.values())
+        return max(1, self.target_partition_bytes // row_bytes)
 
     def _write_partition(self, pid: int, keys: np.ndarray,
                          columns: Dict[str, np.ndarray]) -> None:
-        block: Dict[str, object] = {"keys": keys}
-        if self.dict_encode:
-            block["columns"] = dictionary_encode(columns)
-        else:
-            block["columns"] = dict(columns)
-        payload = self.codec.compress(serialize_block(block))
+        raw, gap_width = encode_partition(keys, columns, self.dict_encode)
         name = self._partition_name(pid)
-        stored = self.disk.write(name, payload)
+        stored = self.disk.write(name, self.codec.compress(raw))
         self._metas.append(
             PartitionMeta(
                 name=name,
                 first_key=int(keys[0]),
                 last_key=int(keys[-1]),
                 n_rows=int(keys.size),
+                gap_width=gap_width,
                 stored_bytes=stored,
             )
         )
@@ -204,7 +327,10 @@ class SortedPartitionStore:
         """The persistent form: a fence index plus every partition's
         bytes exactly as stored.
 
-        Each partition is a :class:`pickle.PickleBuffer`, so
+        The fences are plain ints per partition — first key, last key,
+        row count and key-gap width, everything :func:`decode_partition`
+        needs beside the column dtypes.  Each partition is a
+        :class:`pickle.PickleBuffer`, so
         :func:`repro.storage.zerocopy.pack` writes it as its own
         CRC-checked out-of-band segment while the fences (plain ints)
         stay in the container head.  Always exported read-only, so the
@@ -217,6 +343,7 @@ class SortedPartitionStore:
             "first_keys": [meta.first_key for meta in self._metas],
             "last_keys": [meta.last_key for meta in self._metas],
             "n_rows": [meta.n_rows for meta in self._metas],
+            "gap_widths": [meta.gap_width for meta in self._metas],
             "partitions": [
                 pickle.PickleBuffer(
                     memoryview(self.disk.read(meta.name)).toreadonly())
@@ -233,8 +360,8 @@ class SortedPartitionStore:
         read from the payload, so stores sharing one pool stay apart.
         """
         blobs = state["partitions"]
-        fences = [state[name]
-                  for name in ("first_keys", "last_keys", "n_rows")]
+        fences = [state[name] for name
+                  in ("first_keys", "last_keys", "n_rows", "gap_widths")]
         if ({len(fence) for fence in fences} != {len(blobs)}
                 or len(state["columns"]) != len(state["dtypes"])):
             raise StoreCorruptedError(
@@ -247,10 +374,10 @@ class SortedPartitionStore:
         self._metas = [
             PartitionMeta(name=self._partition_name(pid),
                           first_key=int(first), last_key=int(last),
-                          n_rows=int(n_rows),
+                          n_rows=int(n_rows), gap_width=int(gap_width),
                           stored_bytes=self.disk.attach(
                               self._partition_name(pid), blob))
-            for pid, (first, last, n_rows, blob)
+            for pid, (first, last, n_rows, gap_width, blob)
             in enumerate(zip(*fences, blobs))]
         self._n_rows = sum(meta.n_rows for meta in self._metas)
         self._refresh_boundaries()
@@ -292,7 +419,8 @@ class SortedPartitionStore:
     def load_partition(self, pid: int) -> Dict[str, np.ndarray]:
         """Fetch partition ``pid`` through the buffer pool, decompressing on miss.
 
-        Undecompressable / unpicklable partition bytes surface as a typed
+        Partition bytes that do not decompress, or do not decode to what
+        the fence says (:func:`decode_partition`), surface as a typed
         :class:`~repro.resilience.errors.StoreCorruptedError` naming the
         blob; the pool retries the load once (torn-read healing) before
         letting it propagate.
@@ -305,18 +433,15 @@ class SortedPartitionStore:
                 with self.stats.timing("decompress"):
                     raw = self.codec.decompress(payload)
                 with self.stats.timing("deserialize"):
-                    block = deserialize_block(raw)
+                    resident = decode_partition(raw, meta, self._dtypes,
+                                                self.dict_encode)
             except StoreCorruptedError:
                 raise
-            except (zlib.error, pickle.UnpicklingError, EOFError,
-                    ValueError, OSError) as exc:
+            except (zlib.error, lzma.LZMAError, pickle.UnpicklingError,
+                    EOFError, ValueError, OSError) as exc:
                 raise StoreCorruptedError(
                     f"partition blob {meta.name!r} is corrupt "
                     f"({type(exc).__name__}: {exc})") from exc
-            columns = block["columns"]
-            if self.dict_encode:
-                columns = dictionary_decode(columns)
-            resident = {"keys": block["keys"], **columns}
             size = sum(np.asarray(v).nbytes for v in resident.values())
             return resident, size
 

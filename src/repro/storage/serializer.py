@@ -1,9 +1,11 @@
 """Block (de)serialization and dictionary encoding.
 
-A *block* is the unit that partitions serialize: a ``dict`` mapping column
-names to numpy arrays (plus small metadata values).  The paper serializes
-partitions with ``pickle`` backed by C, which we mirror with
-``pickle.HIGHEST_PROTOCOL``.
+A *block* is a ``dict`` mapping column names to numpy arrays (plus small
+metadata values), serialized with ``pickle`` backed by C as the paper does
+(``pickle.HIGHEST_PROTOCOL``).  The hash baselines store their partitions
+this way, and an array partition its columns when they hold objects or
+are dictionary-encoded; fixed-width columns are written raw by
+:func:`repro.storage.partition.encode_partition` instead.
 
 Dictionary encoding (the paper's ``ABC-D`` baseline and Redshift-style byte
 dictionary) is implemented here as a columnar transform applied before

@@ -58,18 +58,41 @@ def bare_pickle(mapping):
                         protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def pickled_aux_partitions(mapping):
+    """``aux_v2`` partitions as compressed pickles of ``{"keys": int64,
+    "columns": {...}}`` blocks, with no key-gap widths in the fence."""
+    state = zerocopy.unpack(mapping.to_payload())
+    aux = mapping.aux.to_state()
+    store, partitions = aux["store"], mapping.aux._store
+    del store["gap_widths"]
+    blocks = [partitions.load_partition(pid)
+              for pid in range(len(partitions.partitions))]
+    store["partitions"] = [pickle.PickleBuffer(partitions.codec.compress(
+        pickle.dumps({"keys": block["keys"],
+                      "columns": {name: block[name]
+                                  for name in store["columns"]}})))
+        for block in blocks]
+    state["aux_v2"] = aux
+    return zerocopy.pack(state)
+
+
+#: shape -> (payload builder, what the refusal names, last commit to read it)
 RETIRED = {
-    "bare-pickle": (bare_pickle, "RZC2 container magic"),
-    "no-crc-container": (unchecksummed_container, "RZC2 container magic"),
-    "nested-bytes": (nested_bytes, "lacks session_v2, exist_v2"),
-    "raw-aux-rows": (raw_aux_rows, "lacks aux_v2"),
-    "reference-only-config": (reference_only_config, "lacks aux_v2"),
+    "bare-pickle": (bare_pickle, "RZC2 container magic", "b054dba"),
+    "no-crc-container": (unchecksummed_container, "RZC2 container magic",
+                         "b054dba"),
+    "nested-bytes": (nested_bytes, "lacks session_v2, exist_v2", "b054dba"),
+    "raw-aux-rows": (raw_aux_rows, "lacks aux_v2", "b054dba"),
+    "reference-only-config": (reference_only_config, "lacks aux_v2",
+                              "b054dba"),
+    "pickled-aux-partitions": (pickled_aux_partitions, "no gap_widths",
+                               "dae9259"),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(RETIRED))
 def test_retired_shape_is_refused_by_every_open(mono, shape):
-    build, names = RETIRED[shape]
+    build, names, last_reader = RETIRED[shape]
     backend = InMemoryBackend.named(f"retired-{shape}")
     backend.write_bytes(MONOLITHIC_BLOB, build(mono))
 
@@ -86,7 +109,7 @@ def test_retired_shape_is_refused_by_every_open(mono, shape):
             # Not damage: the caches retry StoreCorruptedError in vain.
             assert not isinstance(refusal.value, StoreCorruptedError)
             assert names in str(refusal.value)
-            assert "open and re-save it at commit b054dba" \
+            assert f"open and re-save it at commit {last_reader}" \
                 in str(refusal.value)
     finally:
         payload_cache().clear()
@@ -94,9 +117,10 @@ def test_retired_shape_is_refused_by_every_open(mono, shape):
 
 
 def test_unpickling_and_container_internals_stay_in_their_modules():
-    """Unpickling happens for the container head, a partition block and
-    the sharded store's ``config.pkl``; the container's underscore names
-    are used by nobody else."""
+    """Unpickling happens for the container head, the column section of
+    a partition holding objects (the baselines only) and the sharded
+    store's ``config.pkl``; the container's underscore names are used by
+    nobody else."""
     unpicklers, reach_ins = set(), []
     for path in sorted(SRC.rglob("*.py")):
         module, text = path.relative_to(SRC).as_posix(), path.read_text()

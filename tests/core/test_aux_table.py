@@ -304,7 +304,8 @@ class TestAttach:
         assert sum(memoryview(seg).nbytes for seg in segments) \
             == aux.stored_bytes()
 
-    @pytest.mark.parametrize("fence", ["first_keys", "last_keys", "n_rows"])
+    @pytest.mark.parametrize("fence", ["first_keys", "last_keys", "n_rows",
+                                       "gap_widths"])
     def test_fences_that_disagree_with_the_blobs_are_refused(self, fence):
         aux, _, _ = build_aux(n=2000, partition=1024)
         state = aux.to_state()

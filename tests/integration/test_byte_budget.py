@@ -7,16 +7,18 @@ layer and one 32-wide private layer, 4 KiB ``T_aux`` partitions, the
 gapped high-correlation table) at its 20 000-row smoke scale, seed 0.
 
 The ceilings are this store's bytes with weights on disk bit-packed
-(the width chosen per shard by Eq. 1) and one store filter in the
-manifest, plus ~4 % headroom.  ``T_aux``'s ceiling is its measured
-size: it holds the serving kernel's near-ties as well as its errors, so
-a kernel that rounds a near-tie the other way no longer moves rows in or
-out of it.
+(the width chosen per shard by Eq. 1), one store filter in the
+manifest and ``T_aux`` partitions stored as key gaps plus raw codes,
+plus ~4 % headroom.  ``T_aux`` holds the serving kernel's near-ties as
+well as its errors, so a kernel that rounds a near-tie the other way no
+longer moves rows in or out of it.
 Before the weights were packed the same store was 146 483 B on disk
 (7.32 B/row) with 82 272 B of model; while the manifest also carried a
 Bloom filter per shard it was 86 635 B (4.33 B/row), 19 267 B of it
-manifest.  Lower a ceiling when a change shrinks the store; a change
-that has to raise one is a storage regression and needs that argued.
+manifest; while ``T_aux`` partitions were pickled int64 keys and codes
+it was 76 302 B (3.82 B/row), 22 980 B of it ``T_aux``.  Lower a
+ceiling when a change shrinks the store; a change that has to raise one
+is a storage regression and needs that argued.
 """
 
 import os
@@ -30,16 +32,16 @@ from repro.storage import LocalDirBackend
 
 ROWS = 20_000
 
-#: Measured: 76 302 B on disk = 3.82 B/row.
-DISK_BYTES_PER_ROW = 3.96
+#: Measured: 60 750 B on disk = 3.04 B/row.
+DISK_BYTES_PER_ROW = 3.16
 #: Measured: 8 870 B of manifest.json (one exact store filter over the
 #: key domain, nothing per shard).
 MANIFEST_BYTES = 9_200
 #: Measured: 21 480 B (8 shards x 3-bit weights).
 MODEL_BYTES = 22_400
-#: Measured: 22 980 B for 9 461 auxiliary rows (22 941 B for 9 442
-#: before the tie margin).
-AUX_BYTES = 23_000
+#: Measured: 6 904 B for 9 461 auxiliary rows in 24 partitions, all
+#: with one-byte key gaps (22 980 B as pickled int64 keys and codes).
+AUX_BYTES = 7_200
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ blobs must surface as :class:`StoreNotFoundError` naming blob and URL.
 
 import json
 import os
+import pickle
 import struct
 
 import numpy as np
@@ -135,6 +136,55 @@ class TestMonolithicCorruption:
             got = reopened.lookup({"sku": np.arange(64, dtype=np.int64)})
         assert np.array_equal(got.found, want.found)
         assert np.array_equal(got.values["price"], want.values["price"])
+
+
+def recompressed(codec, blob, edit):
+    return pickle.PickleBuffer(codec.compress(edit(codec.decompress(blob))))
+
+
+#: Damage a CRC cannot see: the container is re-packed around it, so the
+#: segment checksums hold and only the partition decoder can refuse it.
+#: name -> (list in the fence index, edit of its last entry)
+AUX_DAMAGE = {
+    "truncated segment": ("partitions", lambda blob, codec:
+                          pickle.PickleBuffer(bytes(blob)[:-5])),
+    "short partition": ("partitions", lambda blob, codec:
+                        recompressed(codec, blob, lambda raw: raw[:-1])),
+    "padded partition": ("partitions", lambda blob, codec:
+                         recompressed(codec, blob, lambda raw: raw + b"\0")),
+    "gap width": ("gap_widths", lambda width, codec: 2 * width),
+    "unknown gap width": ("gap_widths", lambda width, codec: 3),
+    "row count": ("n_rows", lambda n_rows, codec: n_rows + 1),
+    "first key": ("first_keys", lambda key, codec: key - 1),
+}
+
+
+class TestDamagedAuxPartition:
+    """A partition whose bytes are intact but do not decode to what its
+    fence says fails the lookup that faults it in, typed and naming the
+    blob — never garbage, never an ``IndexError`` — in both open modes,
+    after the pool's one retry."""
+
+    @pytest.mark.parametrize("writable", [False, True])
+    @pytest.mark.parametrize("damage", sorted(AUX_DAMAGE))
+    def test_lookup_refuses_and_names_the_partition(
+            self, tmp_path, table, damage, writable):
+        path = tmp_path / "store.dm"
+        build_monolithic(table, str(path))
+        with repro.open(str(path)) as store:
+            state = zerocopy.unpack(store.to_payload())
+            state["aux_v2"] = store.aux.to_state()  # re-packable segments
+            name = store.aux._store.partitions[-1].name
+            field, edit = AUX_DAMAGE[damage]
+            entries = state["aux_v2"]["store"][field]
+            entries[-1] = edit(entries[-1], store.aux._store.codec)
+        path.write_bytes(bytes(zerocopy.pack(state)))
+        with repro.open(str(path), writable=writable) as damaged:
+            with pytest.raises(StoreCorruptedError,
+                               match=f"partition blob {name!r}"):
+                damaged.lookup({"sku": np.arange(256, dtype=np.int64)})
+            assert damaged.aux.pool.stats.counters[
+                "pool_corruption_retries"] == 1
 
 
 class TestShardedCorruption:

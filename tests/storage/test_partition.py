@@ -1,11 +1,16 @@
 """Tests for SortedPartitionStore (shared by T_aux and array baselines)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage import BufferPool, SortedPartitionStore, StoreStats
+from repro.storage import partition as partition_module
+from repro.storage.partition import (PartitionMeta, decode_partition,
+                                     encode_partition)
 
 
 def build_store(n=1000, codec="zstd", target=4096, dict_encode=False, pool=None):
@@ -194,6 +199,182 @@ def test_partition_store_matches_dict_model(keys, probe):
             assert values["v"][i] == model[key]
         else:
             assert not found[i]
+
+
+# ---------------------------------------------------------------------------
+# The partition codec: encode_partition / decode_partition
+# ---------------------------------------------------------------------------
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+#: Every column kind a partition store accepts, built for ``n`` rows.
+COLUMN_KINDS = {
+    "codes_u8": lambda rng, n: rng.integers(0, 256, n).astype(np.uint8),
+    "codes_u16": lambda rng, n: rng.integers(0, 2 ** 16, n).astype(np.uint16),
+    "int64": lambda rng, n: rng.integers(INT64_MIN, INT64_MAX, n,
+                                         dtype=np.int64, endpoint=True),
+    "unicode": lambda rng, n: np.array(
+        [f"v{x}" * int(x % 3) for x in rng.integers(0, 500, n)]),
+    "object": lambda rng, n: np.array(
+        [f"s{x}" for x in rng.integers(0, 40, n)], dtype=object),
+}
+
+
+def gap_width_of(keys) -> int:
+    """Bytes the widest gap ``k[i+1] - k[i] - 1`` needs, by Python ints."""
+    widest = max((b - a - 1 for a, b in zip(keys, keys[1:])), default=0)
+    return next(w for w in (1, 2, 4, 8) if widest < 2 ** (8 * w))
+
+
+def fence(keys: np.ndarray, gap_width: int) -> PartitionMeta:
+    return PartitionMeta(name="p", first_key=int(keys[0]),
+                         last_key=int(keys[-1]), n_rows=int(keys.size),
+                         gap_width=gap_width, stored_bytes=0)
+
+
+# Key sets whose widest gap sits just below or just above each width.
+key_sets = st.one_of(
+    st.lists(st.integers(0, 300), min_size=1, max_size=60, unique=True),
+    st.lists(st.integers(0, 70_000), min_size=1, max_size=60, unique=True),
+    st.lists(st.integers(-2 ** 33, 2 ** 33), min_size=1, max_size=60,
+             unique=True),
+    st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=60,
+             unique=True),
+).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=key_sets,
+       kinds=st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1,
+                      max_size=3, unique=True),
+       dict_encode=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(keys=[7], kinds=["codes_u8"], dict_encode=False, seed=0)
+@example(keys=[0, 256], kinds=["codes_u8"], dict_encode=False, seed=0)
+@example(keys=[0, 257], kinds=["codes_u8"], dict_encode=False, seed=0)
+@example(keys=[0, 2 ** 16], kinds=["int64"], dict_encode=False, seed=0)
+@example(keys=[0, 2 ** 16 + 1], kinds=["int64"], dict_encode=False, seed=0)
+@example(keys=[0, 2 ** 32], kinds=["unicode"], dict_encode=False, seed=0)
+@example(keys=[0, 2 ** 32 + 1], kinds=["unicode"], dict_encode=False, seed=0)
+@example(keys=[INT64_MIN, 0, INT64_MAX], kinds=["codes_u8"],
+         dict_encode=False, seed=0)
+@example(keys=[INT64_MIN, INT64_MAX], kinds=["object"], dict_encode=True,
+         seed=0)
+def test_codec_round_trips_bit_identically(keys, kinds, dict_encode, seed):
+    rng = np.random.default_rng(seed)
+    columns = {kind: COLUMN_KINDS[kind](rng, len(keys)) for kind in kinds}
+    key_array = np.array(keys, dtype=np.int64)
+    raw, gap_width = encode_partition(key_array, columns, dict_encode)
+    assert gap_width == gap_width_of(keys)
+    # What a reader holds: the dtypes as export() records them.
+    dtypes = {name: np.dtype(col.dtype.str) for name, col in columns.items()}
+    block = decode_partition(raw, fence(key_array, gap_width), dtypes,
+                             dict_encode)
+    assert list(block) == ["keys", *columns]
+    assert block["keys"].dtype == np.int64
+    assert block["keys"].tolist() == keys
+    for name, col in columns.items():
+        assert block[name].dtype == dtypes[name]
+        if col.dtype.hasobject:
+            assert block[name].tolist() == col.tolist()
+        else:
+            assert block[name].tobytes() == col.tobytes()
+
+
+def test_fixed_width_partitions_are_gaps_then_raw_columns():
+    """No pickle framing: the bytes are exactly the gaps and the columns."""
+    keys = np.array([10, 11, 15, 265], dtype=np.int64)
+    codes = np.array([1, 2, 3, 4], dtype=np.uint8)
+    raw, gap_width = encode_partition(keys, {"c": codes})
+    assert gap_width == 1
+    assert raw == bytes([0, 3, 249, 1, 2, 3, 4])
+    raw, gap_width = encode_partition(keys + [0, 0, 0, 7], {"c": codes})
+    assert gap_width == 2   # the last gap is 256
+    assert raw == bytes([0, 0, 3, 0, 0, 1, 1, 2, 3, 4])
+
+
+def test_fixed_width_store_never_pickles(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a fixed-width partition went through pickle")
+
+    monkeypatch.setattr(partition_module, "serialize_block", refuse)
+    monkeypatch.setattr(partition_module, "deserialize_block", refuse)
+    keys = np.arange(0, 3000, 3, dtype=np.int64)
+    store = SortedPartitionStore(codec="zstd", target_partition_bytes=512)
+    store.build(keys, {"a": (keys % 7).astype(np.uint8),
+                       "b": np.array([f"x{k % 5}" for k in keys])})
+    found, values = store.lookup_batch(keys)
+    assert found.all()
+    np.testing.assert_array_equal(values["a"], keys % 7)
+
+
+class TestDecodeRefusesBytesThatDisagreeWithTheFence:
+    @pytest.fixture
+    def encoded(self):
+        keys = np.arange(0, 200, 2, dtype=np.int64)
+        columns = {"c": (keys % 11).astype(np.uint8)}
+        raw, gap_width = encode_partition(keys, columns)
+        return raw, fence(keys, gap_width), {"c": np.dtype(np.uint8)}
+
+    @pytest.mark.parametrize("raw_edit, fence_edit", [
+        (lambda raw: raw[:-1], {}),
+        (lambda raw: raw + b"\0", {}),
+        (None, {"gap_width": 2}),
+        (None, {"gap_width": 3}),
+        (None, {"n_rows": 101}),
+        (None, {"n_rows": 0}),
+        (None, {"first_key": -1}),
+    ], ids=["truncated", "trailing byte", "wider gaps", "gap width 3",
+            "row count", "no rows", "first key"])
+    def test_value_error(self, encoded, raw_edit, fence_edit):
+        raw, meta, dtypes = encoded
+        with pytest.raises(ValueError):
+            decode_partition(raw_edit(raw) if raw_edit else raw,
+                             dataclasses.replace(meta, **fence_edit), dtypes)
+
+
+class TestAppend:
+    def test_append_adds_one_partition_past_the_range(self):
+        store, keys, status, qty = build_store(n=300)
+        before = len(store.partitions)
+        new = np.array([10_000, 9_000, 9_500], dtype=np.int64)
+        store.append(new, {"status": np.array(["A", "B", "C"], dtype=object),
+                           "qty": np.array([1, 2, 3])})
+        assert len(store.partitions) == before + 1
+        assert len(store) == keys.size + 3
+        found, values = store.lookup_batch(np.concatenate([keys, new]))
+        assert found.all()
+        assert values["qty"][-3:].tolist() == [1, 2, 3]
+        assert values["status"][-3:].tolist() == ["A", "B", "C"]
+
+    def test_append_inside_the_range_is_refused(self):
+        store, keys, _, _ = build_store(n=300)
+        with pytest.raises(ValueError, match="beyond the range"):
+            store.append(np.array([int(keys.max())]),
+                         {"status": np.array(["A"], dtype=object),
+                          "qty": np.array([1])})
+
+    def test_append_that_widens_a_column_is_refused(self):
+        store = SortedPartitionStore()
+        store.build(np.arange(5, dtype=np.int64),
+                    {"c": np.arange(5, dtype=np.uint8)})
+        with pytest.raises(ValueError, match="does not fit"):
+            store.append(np.array([9]), {"c": np.array([300])})
+
+    def test_append_to_an_empty_store_builds_it(self):
+        store = SortedPartitionStore()
+        store.append(np.array([3, 1], dtype=np.int64),
+                     {"c": np.array([30, 10])})
+        found, values = store.lookup_batch([1, 3])
+        assert found.all() and values["c"].tolist() == [10, 30]
+
+
+def test_keys_spanning_the_int64_range_round_trip_through_a_store():
+    keys = np.array([INT64_MIN, -1, 0, INT64_MAX], dtype=np.int64)
+    store = SortedPartitionStore(codec="zstd")
+    store.build(keys, {"v": np.arange(4, dtype=np.uint8)})
+    assert store.partitions[0].gap_width == 8
+    found, values = store.lookup_batch(keys)
+    assert found.all() and values["v"].tolist() == [0, 1, 2, 3]
+    assert not store.lookup_batch([INT64_MIN + 1, 1])[0].any()
 
 
 def test_rebuild_preserves_cohosted_pool_entries():
