@@ -230,7 +230,7 @@ def test_ablation_existence_vector(benchmark):
 
     # Simulate dropping the existence check: run the raw model path.
     flat, _ = dm.key_codec.try_flatten({"o_orderkey": absent})
-    raw_predictions = dm.session.run(dm.key_encoder.encode(flat))
+    raw_predictions = dm.compiled_session().run(flat)
     hallucinated_without = int(raw_predictions["o_orderstatus"].size)
 
     report_text = format_table(

@@ -6,7 +6,10 @@ workload — and prints the search trace (Fig. 9's curve) plus the chosen
 architecture.
 
 Run:  python examples/architecture_search.py
+(exits non-zero unless the searched structure answers losslessly)
 """
+
+import sys
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from repro.core.mhas import MHASConfig
 from repro.data import tpcds
 
 
-def main() -> None:
+def main() -> bool:
     table = tpcds.generate("customer_demographics", scale=0.2, seed=5)
     print(f"dataset: {table.name}, {table.n_rows} rows, "
           f"{len(table.value_columns)} value columns "
@@ -63,7 +66,8 @@ def main() -> None:
     exact = all(np.array_equal(result.values[c], table.column(c))
                 for c in table.value_columns)
     print(f"lossless: {exact}")
+    return exact
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(0 if main() else 1)

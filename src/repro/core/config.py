@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -86,8 +87,12 @@ class DeepMappingConfig:
     # -- misc -------------------------------------------------------------
     #: Seed for weight init and shuffling.
     seed: int = 0
-    #: Batch size for model inference at query time.
-    inference_batch: int = 65536
+
+    def __setstate__(self, state):
+        # Drops the retired ``inference_batch`` field older stores carry;
+        # names are interned as pickle's default restore does.
+        state.pop("inference_batch", None)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
 
     def __post_init__(self):
         bases = ((self.key_base,) if isinstance(self.key_base, int)

@@ -18,10 +18,10 @@ insert/delete/update without retraining (Algorithms 3–5), and occupy a
 fraction of the raw data's footprint when key-value structure exists.
 
 There is one predictor, the compiled kernel: it serves every lookup
-(:class:`LookupPlan`) and alone decides what ``T_aux`` holds
-(:func:`_aux_rows`), so the paper-literal Algorithm 1 survives only as
-the bit-exact parity oracle
-:func:`repro.testing.oracles.reference_lookup`.
+(:class:`LookupPlan`), and its ``lost_rows`` alone decides what
+``T_aux`` holds — in ``fit``'s Eq. 1 pricing and build, on every insert
+and update, and in MHAS.  The paper-literal Algorithm 1 survives only as
+the bit-exact parity oracle :func:`repro.testing.oracles.reference_lookup`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .exist_index import (ExistenceIndex, existence_from_state,
                           make_existence_index)
-from .mhas.reward import measure_aux_bytes_per_row, misclassified
+from .mhas.reward import measure_aux_bytes_per_row
 from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
                      estimate_batch_bytes)
 
@@ -282,9 +282,7 @@ class LookupPlan:
         with m.stats.timing("inference"):
             rows = self.model_rows
             if rows.size:
-                engine = m.compiled_session()
-                self._model_codes = engine.run(
-                    self.flat[rows], batch_size=m.config.inference_batch)
+                self._model_codes = m.compiled_session().run(self.flat[rows])
             else:
                 self._model_codes = {t: np.zeros(0, dtype=np.int64)
                                      for t in m.value_names}
@@ -485,6 +483,11 @@ class DeepMapping:
                 output_dims=fdecode.cardinalities(),
                 dataset_bytes=table.uncompressed_bytes(),
                 overhead_bytes=fdecode.nbytes,
+                flat_keys=flat,
+                key_encoder=key_encoder,
+                aux_bytes_per_row=measure_aux_bytes_per_row(
+                    flat, labels, codec=config.aux_codec,
+                    partition_bytes=config.aux_partition_bytes),
                 config=search_cfg,
                 rng=rng,
                 weight_dtype=config.weight_dtype,
@@ -517,8 +520,8 @@ class DeepMapping:
         priced = []
 
         def aux_bytes(candidate: InferenceSession) -> float:
-            mis = _aux_rows(CompiledSession(candidate, key_encoder), flat,
-                            labels, config.inference_batch)
+            mis = CompiledSession(candidate, key_encoder).lost_rows(
+                flat, labels)
             priced.append((candidate, mis))
             return mis.sum() * measure_aux_bytes_per_row(
                 flat[mis], {t: labels[t][mis] for t in fdecode.columns},
@@ -558,13 +561,6 @@ class DeepMapping:
         mapping.warm_started_tensors = warm_tensors
         mapping._compiled = CompiledSession(session, key_encoder)
         return mapping
-
-    def _mis_mask(self, flat: np.ndarray,
-                  labels: Dict[str, np.ndarray]) -> np.ndarray:
-        """:func:`_aux_rows` for a modification batch (the model is
-        unchanged, so the cached engine stays valid)."""
-        return _aux_rows(self.compiled_session(), flat, labels,
-                         self.config.inference_batch)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -728,7 +724,7 @@ class DeepMapping:
         labels = self.fdecode.encode(value_cols)
 
         self.exist.set_batch(flat)
-        mis = self._mis_mask(flat, labels)
+        mis = self.compiled_session().lost_rows(flat, labels)
         if mis.any():
             self.aux.add_batch(flat[mis], {t: labels[t][mis]
                                            for t in self.value_names})
@@ -774,7 +770,7 @@ class DeepMapping:
         self.fdecode.extend(value_cols)
         labels = self.fdecode.encode(value_cols)
 
-        mis = self._mis_mask(flat, labels)
+        mis = self.compiled_session().lost_rows(flat, labels)
         if (~mis).any():
             self.aux.remove_batch(flat[~mis])
         if mis.any():
@@ -856,17 +852,7 @@ class DeepMapping:
         flat = self.exist.existing_keys()
         key_cols = self.key_codec.unflatten(flat)
         columns: Dict[str, np.ndarray] = dict(key_cols)
-        batch = max(self.config.inference_batch, 1)
-        parts = {t: [] for t in self.value_names}
-        for start in range(0, flat.size, batch):
-            chunk_keys = {n: arr[start: start + batch]
-                          for n, arr in key_cols.items()}
-            result = self.lookup(chunk_keys)
-            for t in self.value_names:
-                parts[t].append(result.values[t])
-        for t in self.value_names:
-            columns[t] = (np.concatenate(parts[t]) if parts[t]
-                          else np.empty(0))
+        columns.update(self.lookup(key_cols).values)
         return ColumnTable(columns, key=self.key_names, name="deepmapping")
 
     # ------------------------------------------------------------------
@@ -1184,14 +1170,6 @@ class DeepMapping:
             f"rows={len(self)}, aux_rows={len(self.aux)}, "
             f"bytes={self.storage_bytes()})"
         )
-
-
-def _aux_rows(engine: CompiledSession, flat: np.ndarray,
-              labels: Dict[str, np.ndarray], batch: int) -> np.ndarray:
-    """The rows ``T_aux`` must hold: the serving kernel answers a task
-    wrong, or a task's top-two logit gap is under its ``tie_margin``."""
-    codes, ties = engine.classify(flat, batch_size=batch)
-    return misclassified(codes, labels) | ties
 
 
 def _unsupported_layout(found: str,

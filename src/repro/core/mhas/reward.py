@@ -8,9 +8,12 @@ Evaluating a candidate exactly would mean serializing the model and
 rebuilding the auxiliary table per sample; during search we instead
 size the model from its shape at the storage width the freeze would
 pick (:func:`repro.nn.inference.choose_width` — the same chooser, run on
-the row sample) and ``size(T_aux)`` from the misclassification rate on
-that sample times a measured compressed bytes-per-row — cheap enough to
-score thousands of candidates, and the same expression
+a row sample) and ``size(T_aux)`` from the share of sampled rows that
+width's compiled kernel loses
+(:meth:`~repro.nn.compiled.CompiledSession.lost_rows`, the one
+definition of the rows ``T_aux`` holds) times the compressed bytes per
+row the build measured with its own codec — cheap enough to score
+thousands of candidates, and the same expression
 :meth:`DeepMapping.fit <repro.core.deep_mapping.DeepMapping.fit>`
 minimises over all rows when it freezes the winner.
 """
@@ -21,6 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ...data.encoding import KeyEncoder
+from ...nn.compiled import CompiledSession
 from ...nn.inference import InferenceSession, choose_width, weight_nbytes
 from ...nn.multitask import ArchitectureSpec, MultiTaskMLP
 from ...storage.codecs import get_codec
@@ -29,7 +34,6 @@ from ...storage.serializer import minimal_int_dtype, serialize_block
 __all__ = [
     "approx_model_bytes",
     "measure_aux_bytes_per_row",
-    "misclassified",
     "estimate_ratio",
     "flops_per_lookup",
 ]
@@ -47,16 +51,6 @@ def approx_model_bytes(spec: ArchitectureSpec, bits: Optional[int] = None,
     """Estimated frozen-model size at a storage width (``bits=None``:
     unpacked ``weight_dtype``) without serializing it."""
     return weight_nbytes(spec, bits, weight_dtype) + _framing_bytes(spec)
-
-
-def misclassified(predicted: Dict[str, np.ndarray],
-                  labels: Dict[str, np.ndarray]) -> np.ndarray:
-    """Rows where any task's predicted code differs from its label —
-    the rows ``T_aux`` has to hold for that predictor."""
-    wrong = np.zeros(len(next(iter(predicted.values()))), dtype=bool)
-    for task, lab in labels.items():
-        wrong |= predicted[task] != np.asarray(lab)
-    return wrong
 
 
 def measure_aux_bytes_per_row(
@@ -95,35 +89,37 @@ def measure_aux_bytes_per_row(
 
 def estimate_ratio(
     model: MultiTaskMLP,
-    x: np.ndarray,
+    key_encoder: KeyEncoder,
+    flat_keys: np.ndarray,
     labels: Dict[str, np.ndarray],
-    n_rows: int,
     aux_bytes_per_row: float,
     overhead_bytes: int,
     dataset_bytes: int,
     sample_idx: np.ndarray,
     weight_dtype: str = "float16",
 ) -> float:
-    """Estimated Eq. 1 ratio for a candidate model.
+    """Estimated Eq. 1 ratio for a candidate model over ``flat_keys``.
 
     The candidate is frozen the way a build would freeze it — at the
     storage width :func:`~repro.nn.inference.choose_width` picks, with
-    ``weight_dtype`` as the upper bound — and its misclassification rate
-    is that frozen predictor's over the rows ``sample_idx`` selects;
-    ``overhead_bytes`` carries the (architecture-independent)
-    ``size(V_exist) + size(f_decode)`` terms.
+    ``weight_dtype`` as the upper bound — and each width is charged the
+    share of the rows ``sample_idx`` selects that its compiled kernel
+    (over ``key_encoder``'s layout) loses, scaled to every key at
+    ``aux_bytes_per_row``.  ``overhead_bytes`` carries the
+    (architecture-independent) ``size(V_exist) + size(f_decode)`` terms.
     """
     if dataset_bytes <= 0:
         raise ValueError("dataset_bytes must be positive")
-    sample_x = x[sample_idx]
+    sample_keys = np.asarray(flat_keys)[sample_idx]
     sample_labels = {task: np.asarray(lab)[sample_idx]
                      for task, lab in labels.items()}
 
     def aux_bytes(candidate: InferenceSession) -> float:
         if not sample_idx.size:
             return 0.0
-        wrong = misclassified(candidate.run(sample_x), sample_labels)
-        return float(wrong.mean()) * n_rows * aux_bytes_per_row
+        lost = CompiledSession(candidate, key_encoder).lost_rows(
+            sample_keys, sample_labels)
+        return float(lost.mean()) * len(flat_keys) * aux_bytes_per_row
 
     _, eq1_bytes = choose_width(model, weight_dtype, aux_bytes)
     return (eq1_bytes + _framing_bytes(model.spec)

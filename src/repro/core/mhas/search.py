@@ -21,11 +21,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ...data.encoding import KeyEncoder
 from ...nn.multitask import ArchitectureSpec, MultiTaskMLP
 from ...nn.optimizers import Adam, ExponentialDecay
 from ...nn.training import Trainer
 from .controller import Controller
-from .reward import estimate_ratio, flops_per_lookup, measure_aux_bytes_per_row
+from .reward import estimate_ratio, flops_per_lookup
 from .search_space import MHASConfig, SearchSpace, WeightBank
 
 __all__ = ["SearchSample", "SearchOutcome", "search"]
@@ -64,24 +65,31 @@ def search(
     output_dims: Dict[str, int],
     dataset_bytes: int,
     overhead_bytes: int,
+    *,
+    flat_keys: np.ndarray,
+    key_encoder: KeyEncoder,
+    aux_bytes_per_row: float,
     config: Optional[MHASConfig] = None,
     rng: Optional[np.random.Generator] = None,
     weight_dtype: str = "float16",
 ) -> SearchOutcome:
-    """Run MHAS over encoded keys ``x`` and label codes ``labels``.
+    """Run MHAS over keys ``flat_keys`` and label codes ``labels``.
 
     Parameters
     ----------
     x:
-        Encoded key matrix (n, input_dim).
+        One-hot encoding of ``flat_keys`` — the training input only.
     labels:
-        Per-task label codes, aligned with ``x``.
+        Per-task label codes, aligned with ``flat_keys``.
     output_dims:
         Task cardinalities (softmax widths).
     dataset_bytes:
         ``size(D)`` — the Eq. 1 denominator.
     overhead_bytes:
         Architecture-independent terms (``V_exist`` + ``f_decode``).
+    flat_keys, key_encoder, aux_bytes_per_row:
+        What candidates are priced by: their compiled kernels over the
+        keys, and the bytes per ``T_aux`` row the build measured.
     weight_dtype:
         The build's ``DeepMappingConfig.weight_dtype`` — the widest the
         frozen weights may be stored; candidates are sized at whatever
@@ -94,16 +102,13 @@ def search(
     space = SearchSpace(x.shape[1], output_dims, config)
     bank = WeightBank(rng)
     controller = Controller(space, rng)
-    flat_keys = np.arange(n_rows, dtype=np.int64)  # proxy for key codes
-    aux_bytes_per_row = measure_aux_bytes_per_row(flat_keys, labels)
 
     def build(spec: ArchitectureSpec) -> MultiTaskMLP:
         return MultiTaskMLP(spec, weights=bank.provider)
 
     def score(model: MultiTaskMLP, sample_idx: np.ndarray) -> float:
         return estimate_ratio(
-            model, x, labels,
-            n_rows=n_rows,
+            model, key_encoder, flat_keys, labels,
             aux_bytes_per_row=aux_bytes_per_row,
             overhead_bytes=overhead_bytes,
             dataset_bytes=dataset_bytes,

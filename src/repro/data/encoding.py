@@ -243,11 +243,6 @@ class KeyEncoder:
         return self
 
     @property
-    def width(self) -> Optional[int]:
-        """Digit width of the first base (None before :meth:`fit`)."""
-        return self.widths[0] if self.widths else None
-
-    @property
     def input_dim(self) -> int:
         """Width of the encoded feature vector."""
         self._require_fitted()
@@ -270,19 +265,6 @@ class KeyEncoder:
                 rest //= base
                 out[rows, offset + d * base + digit] = 1.0
             offset += width * base
-        return out
-
-    def digits(self, keys, base_index: int = 0) -> np.ndarray:
-        """Digit matrix (n, width) for one base, most significant first."""
-        self._require_fitted()
-        base = self.bases[base_index]
-        width = self.widths[base_index]
-        keys = np.asarray(keys, dtype=np.int64)
-        out = np.zeros((keys.size, width), dtype=np.int64)
-        rest = keys.copy()
-        for d in range(width - 1, -1, -1):
-            out[:, d] = rest % base
-            rest //= base
         return out
 
     def to_state(self) -> Dict[str, object]:

@@ -1,18 +1,17 @@
-"""Compiled query-time kernel for the frozen lookup model.
+"""Compiled query-time kernel: the one predictor of the frozen model.
 
-:class:`~repro.nn.inference.InferenceSession` is the *reference* runtime:
-it holds the weights as they are stored (bit-packed integers plus
-per-channel scales, or plain ``weight_dtype`` arrays) and replays the
-generic layer graph over a dense one-hot input.  That is faithful to the
-paper's ONNX deployment but leaves measurable work on the table for the
-lookup hot path.  :class:`CompiledSession` freezes the same model into
-the tightest kernel the input structure allows:
+:class:`~repro.nn.inference.InferenceSession` only stores the model: the
+weights as they reach disk (bit-packed integers plus per-channel
+scales, or plain ``weight_dtype`` arrays).  :class:`CompiledSession`
+freezes those weights into the tightest kernel the input structure
+allows, and every prediction in the package runs through it — lookups,
+the rows ``T_aux`` must hold at build and on every write
+(:meth:`CompiledSession.lost_rows`), and MHAS's pricing of candidates:
 
 1. **Same float32 weights, dequantised once** — the kernel is built from
    :meth:`InferenceSession.float_layers`, the session's memoised float32
    arrays, so the stored width never reaches a batch: no unpack and no
-   ``astype`` runs per batch per layer, and both predictors multiply
-   the very same numbers.
+   ``astype`` runs per batch per layer.
 2. **Gather-fused first layer** — the model's input is a concatenation of
    one-hot digit blocks (:class:`~repro.data.encoding.KeyEncoder`), so
    ``x @ W1 + b1`` is exactly a sum of one ``W1`` row per digit position.
@@ -44,11 +43,11 @@ never happens.
 **Tie margin.**  Pre-summed group tables, another BLAS or another batch
 shape round float32 logits differently, enough to flip a near-tie
 argmax.  :attr:`CompiledSession.tie_margin` bounds that from the frozen
-layers and float32 epsilon alone; :meth:`CompiledSession.classify` flags
-the keys whose top-two gap is under it, and the write path stores them
-in ``T_aux`` beside the wrong ones.  That keeps ``InferenceSession.run``
-a bit-exact parity oracle (``repro.testing.oracles.reference_lookup``)
-without it ever running on a write.
+layers and float32 epsilon alone; :meth:`CompiledSession.lost_rows`
+counts the keys whose top-two gap is under it beside the wrong ones.
+That keeps the textbook one-hot forward pass
+(``repro.testing.oracles.reference_logits``) a bit-exact parity oracle
+without it ever running outside the tests.
 """
 
 from __future__ import annotations
@@ -61,7 +60,11 @@ import numpy as np
 from ..data.encoding import KeyEncoder
 from .inference import InferenceSession
 
-__all__ = ["CompiledSession"]
+__all__ = ["CHUNK_ROWS", "CompiledSession"]
+
+#: Keys per forward pass: a large batch runs in chunks of this many, so
+#: one huge call never permanently grows the thread-local scratch.
+CHUNK_ROWS = 65536
 
 #: Per-group table budget: tables are meant to sit in L2 while a batch
 #: streams through them, and build cost must stay negligible.
@@ -97,7 +100,7 @@ class CompiledSession:
     Parameters
     ----------
     session:
-        The frozen reference model (any weight dtype).
+        The frozen model (any stored width).
     key_encoder:
         The fitted encoder whose one-hot layout the model was trained on;
         its ``input_dim`` must match the model's.
@@ -294,25 +297,22 @@ class CompiledSession:
         out = {task: np.empty((keys.size, self.session.spec.output_dims[task]),
                               dtype=np.float32)
                for task in self.tasks}
-        for rows, logits in self._chunks(keys, None):
+        for rows, logits in self._chunks(keys):
             for task in self.tasks:
                 out[task][rows] = logits[task]
         return out
 
-    def run(
-        self, flat_keys: np.ndarray, batch_size: Optional[int] = 65536
-    ) -> Dict[str, np.ndarray]:
-        """Predicted label codes per task (argmax), computed in chunks —
-        ``InferenceSession.run`` over the equivalent one-hot encoding."""
+    def run(self, flat_keys: np.ndarray) -> Dict[str, np.ndarray]:
+        """Predicted label codes per task (argmax)."""
         keys = self._checked(flat_keys)
         out = {task: np.empty(keys.size, dtype=np.int64) for task in self.tasks}
-        for rows, logits in self._chunks(keys, batch_size):
+        for rows, logits in self._chunks(keys):
             for task in self.tasks:
                 out[task][rows] = logits[task].argmax(axis=1)
         return out
 
     def classify(
-        self, flat_keys: np.ndarray, batch_size: Optional[int] = 65536
+        self, flat_keys: np.ndarray
     ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
         """:meth:`run` plus a per-key flag: some task's top-two logit gap
         is below :attr:`tie_margin`, so another float32 evaluation of
@@ -320,7 +320,7 @@ class CompiledSession:
         keys = self._checked(flat_keys)
         out = {task: np.empty(keys.size, dtype=np.int64) for task in self.tasks}
         ties = np.zeros(keys.size, dtype=bool)
-        for rows, logits in self._chunks(keys, batch_size):
+        for rows, logits in self._chunks(keys):
             for task, task_logits in logits.items():
                 out[task][rows] = task_logits.argmax(axis=1)
                 if task_logits.shape[1] > 1:
@@ -328,13 +328,20 @@ class CompiledSession:
                     ties[rows] |= top[:, -1] - top[:, -2] < self.tie_margin
         return out, ties
 
-    def _chunks(self, keys: np.ndarray, batch_size: Optional[int]):
-        """``(rows, logits)`` per chunk of ``batch_size`` keys.  ``None``
-        still caps a chunk at 65 536: one huge call must not permanently
-        grow the cached engine's thread-local scratch."""
-        step = 65536 if batch_size is None else max(1, int(batch_size))
-        for start in range(0, keys.size, step):
-            rows = slice(start, start + step)
+    def lost_rows(self, flat_keys: np.ndarray,
+                  labels: Dict[str, np.ndarray]) -> np.ndarray:
+        """The rows ``T_aux`` must hold under this kernel: some task's
+        answer differs from its label code, or is under the tie margin
+        (:meth:`classify`)."""
+        codes, lost = self.classify(flat_keys)
+        for task, label in labels.items():
+            lost |= codes[task] != np.asarray(label)
+        return lost
+
+    def _chunks(self, keys: np.ndarray):
+        """``(rows, logits)`` per chunk of :data:`CHUNK_ROWS` keys."""
+        for start in range(0, keys.size, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             yield rows, self._forward(keys[rows])
 
     def _checked(self, flat_keys) -> np.ndarray:

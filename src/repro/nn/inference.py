@@ -1,13 +1,13 @@
-"""Frozen batch-inference runtime.
+"""The frozen model, as it is stored.
 
 The paper deploys trained models through the ONNX runtime (Sec. IV-B2) —
-a forward-only graph with frozen weights, optimized for batched lookups.
-:class:`InferenceSession` plays that role here: it snapshots a trained
-:class:`~repro.nn.multitask.MultiTaskMLP` into the arrays that reach
-disk, executes batched forward passes with no autograd bookkeeping, and
-exports its spec and those arrays as the state the payload container
-stores; the serialized size of that state is the "model size" term of
-the paper's Eq. 1 objective.
+a forward-only graph with frozen weights.  :class:`InferenceSession`
+snapshots a trained :class:`~repro.nn.multitask.MultiTaskMLP` into the
+arrays that reach disk and exports its spec and those arrays as the
+state the payload container stores; the serialized size of that state
+is the "model size" term of the paper's Eq. 1 objective.  It runs no
+forward pass: :class:`~repro.nn.compiled.CompiledSession` is the one
+predictor.
 
 **What is stored.**  Each dense layer is two arrays.  Unpacked
 (``bits is None``): the weight matrix and the bias at ``weight_dtype``.
@@ -15,14 +15,14 @@ Packed (``2 <= bits <= 8``): the weights as ``bits``-bit integers in one
 flat ``uint8`` buffer (:mod:`repro.nn.quantize`) and one ``float16``
 ``(2, out)`` array holding the bias row and the per-output-channel scale
 row — still two segments per layer.  Whatever is stored, every consumer
-(:meth:`InferenceSession.run_logits`, :meth:`~InferenceSession.state_arrays`,
-:class:`~repro.nn.compiled.CompiledSession`) computes with the same
-float32 arrays, dequantised **once per session** and memoised.
+(:class:`~repro.nn.compiled.CompiledSession`, the test oracles,
+:meth:`~InferenceSession.state_arrays`) computes with the same float32
+arrays, dequantised **once per session** and memoised.
 
 **Which width.**  :func:`choose_width` freezes a trained model at every
 candidate in :data:`WIDTH_CANDIDATES` and keeps the one that minimises
 the part of Eq. 1 the width moves: stored weight bytes plus the rows
-that candidate's predictor gets wrong times the compressed bytes an
+that candidate's compiled kernel loses times the compressed bytes an
 auxiliary row costs.  ``weight_dtype`` is therefore the *upper bound*
 (the unpacked candidate), not necessarily what is stored.
 """
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .activations import relu
 from .multitask import ArchitectureSpec, MultiTaskMLP
 from .quantize import dequantize, pack, packed_nbytes, quantize, unpack
 
@@ -74,10 +73,11 @@ def weight_nbytes(spec: ArchitectureSpec, bits: Optional[int],
 
 
 class InferenceSession:
-    """Forward-only snapshot of a multi-task model.
+    """Stored snapshot of a multi-task model.
 
     Build with :meth:`from_model` (or :func:`choose_width`, which picks
-    ``bits``), query with :meth:`run` / :meth:`run_logits`, persist with
+    ``bits``), predict through a
+    :class:`~repro.nn.compiled.CompiledSession`, persist with
     :meth:`to_state` / :meth:`from_state`.
     """
 
@@ -165,37 +165,6 @@ class InferenceSession:
             out.append((weight, bias))
             in_dim = weight.shape[1]
         return out
-
-    def run_logits(self, x: np.ndarray) -> Dict[str, np.ndarray]:
-        """Raw output logits per task for one input batch."""
-        shared, heads = self.float_layers()
-        h = np.asarray(x, dtype=np.float32)
-        for w, b in shared:
-            h = relu(h @ w + b)
-        out: Dict[str, np.ndarray] = {}
-        for task, chain in heads.items():
-            t = h
-            for w, b in chain[:-1]:
-                t = relu(t @ w + b)
-            w, b = chain[-1]
-            out[task] = t @ w + b
-        return out
-
-    def run(
-        self, x: np.ndarray, batch_size: Optional[int] = 65536
-    ) -> Dict[str, np.ndarray]:
-        """Predicted label codes per task (argmax), computed in batches."""
-        x = np.asarray(x, dtype=np.float32)
-        if batch_size is None or x.shape[0] <= batch_size:
-            return {t: lg.argmax(axis=1).astype(np.int64)
-                    for t, lg in self.run_logits(x).items()}
-        outs = {task: np.empty(x.shape[0], dtype=np.int64) for task in self.tasks}
-        for start in range(0, x.shape[0], batch_size):
-            stop = min(start + batch_size, x.shape[0])
-            logits = self.run_logits(x[start:stop])
-            for task in self.tasks:
-                outs[task][start:stop] = logits[task].argmax(axis=1)
-        return outs
 
     # ------------------------------------------------------------------
     # Serialization / size accounting

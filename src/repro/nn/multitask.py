@@ -172,19 +172,6 @@ class MultiTaskMLP:
             grad = layer.backward(grad)
         return total
 
-    def predict_codes(
-        self, x: np.ndarray, batch_size: int = 65536
-    ) -> Dict[str, np.ndarray]:
-        """Argmax label code per task, evaluated in batches."""
-        x = np.asarray(x, dtype=np.float32)
-        outs = {task: np.empty(x.shape[0], dtype=np.int64) for task in self.tasks}
-        for start in range(0, x.shape[0], batch_size):
-            stop = min(start + batch_size, x.shape[0])
-            logits = self.forward(x[start:stop], train=False)
-            for task in self.tasks:
-                outs[task][start:stop] = logits[task].argmax(axis=1)
-        return outs
-
     # ------------------------------------------------------------------
     def parameters(self) -> List[Parameter]:
         """Unique parameters across trunk and heads."""

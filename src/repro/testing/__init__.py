@@ -23,7 +23,7 @@ get a saboteur:
   (``http://`` opens, lazy hydration) is testable without a network.
 
 :mod:`repro.testing.oracles` holds the other kind of test support: the
-read path's parity references (:func:`barrier_lookup`,
+parity references (:func:`reference_logits`, :func:`barrier_lookup`,
 :func:`reference_lookup`), which production code cannot select.
 
 These are test doubles, not mocks of the contract: everything they do
@@ -33,9 +33,9 @@ exercises the production read path end to end.
 
 from .chaos import ChaosStore, break_shard
 from .faults import FaultInjectingBackend
-from .oracles import barrier_lookup, reference_lookup
+from .oracles import barrier_lookup, reference_logits, reference_lookup
 from .range_server import RangeServer, RequestRecord, serve_backend
 
 __all__ = ["ChaosStore", "FaultInjectingBackend", "break_shard",
            "RangeServer", "RequestRecord", "serve_backend",
-           "barrier_lookup", "reference_lookup"]
+           "barrier_lookup", "reference_logits", "reference_lookup"]

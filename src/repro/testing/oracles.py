@@ -1,17 +1,19 @@
-"""Parity oracles: the read path's two predecessors, kept as references.
+"""Parity oracles: the predictor's and the read path's predecessors.
 
-Production serves one read path (``repro.shard.read_path`` over each
-shard's compiled :class:`~repro.core.deep_mapping.LookupPlan`).  The
-two implementations it replaced stay here, written the slow obvious
-way, so every parity suite and benchmark keeps an independent answer
-to hold it against — nothing in ``repro`` outside this package can
-select them:
+Production runs one predictor (:class:`~repro.nn.compiled.CompiledSession`)
+and serves one read path (``repro.shard.read_path`` over each shard's
+compiled :class:`~repro.core.deep_mapping.LookupPlan`).  The
+implementations they replaced stay here, written the slow obvious way,
+so every parity suite and benchmark keeps an independent answer to hold
+them against — nothing in ``repro`` outside this package can select
+them:
 
+- :func:`reference_logits` — the textbook forward pass of a stored
+  session: one GEMM per layer, the first over the dense one-hot matrix.
 - :func:`reference_lookup` — Algorithm 1 as the paper writes it for
   one :class:`~repro.core.deep_mapping.DeepMapping`: ``V_exist``, then
-  the reference :class:`~repro.nn.inference.InferenceSession` over
-  **every** key, then ``T_aux`` overrides, then decode.  No compiled
-  kernel, no aux-gated inference; no write runs it either.
+  :func:`reference_logits` over **every** key, then ``T_aux``
+  overrides, then decode.  No compiled kernel, no aux-gated inference.
 - :func:`barrier_lookup` — the pre-pipeline sharded read: route, stable
   sort by shard ordinal only, one complete lookup per shard, then
   concatenate and inverse-permute.  No filters, no shared sort, no
@@ -23,15 +25,33 @@ reference_lookup)`` is "reference engine, barrier merge".
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict
 
 import numpy as np
 
 from ..core.deep_mapping import LookupResult, normalize_keys
+from ..nn.activations import relu
 
-__all__ = ["barrier_lookup", "reference_lookup"]
+__all__ = ["barrier_lookup", "reference_logits", "reference_lookup"]
 
 _ZERO_CODE = np.zeros(1, dtype=np.int64)
+
+
+def reference_logits(session, x) -> Dict[str, np.ndarray]:
+    """Output logits per task of ``session``'s float32 layers (the arrays
+    the compiled kernel folds into its tables) over one-hot rows ``x``."""
+    shared, heads = session.float_layers()
+    h = np.asarray(x, dtype=np.float32)
+    for w, b in shared:
+        h = relu(h @ w + b)
+    out: Dict[str, np.ndarray] = {}
+    for task, chain in heads.items():
+        t = h
+        for w, b in chain[:-1]:
+            t = relu(t @ w + b)
+        w, b = chain[-1]
+        out[task] = t @ w + b
+    return out
 
 
 def reference_lookup(mapping, keys) -> LookupResult:
@@ -45,15 +65,15 @@ def reference_lookup(mapping, keys) -> LookupResult:
     key_cols = normalize_keys(keys, mapping.key_names)
     flat, in_domain = mapping.key_codec.try_flatten(key_cols)
     found = mapping.exist.test_batch(flat) & in_domain
-    codes = mapping.session.run(mapping.key_encoder.encode(flat),
-                                batch_size=mapping.config.inference_batch)
+    logits = reference_logits(mapping.session,
+                              mapping.key_encoder.encode(flat))
     hits = np.flatnonzero(found)
     hits = hits[np.argsort(flat[hits], kind="stable")]
     aux_hit, aux_codes = mapping.aux.lookup_batch(flat[hits])
     values = {}
     for task in mapping.value_names:
         encoder = mapping.fdecode.encoders[task]
-        task_codes = codes[task].copy()
+        task_codes = logits[task].argmax(axis=1)
         task_codes[hits[aux_hit]] = aux_codes[task][aux_hit]
         out = encoder.decode(np.clip(task_codes, 0, encoder.cardinality - 1))
         out[~found] = encoder.decode(_ZERO_CODE)[0]

@@ -2,6 +2,7 @@
 writes today, and each layout an earlier version wrote is refused with
 an error that says how to bring the store forward."""
 
+import os
 import pathlib
 import pickle
 import re
@@ -11,10 +12,15 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.nn import InferenceSession
 from repro.resilience import StoreCorruptedError
+from repro.shard.manifest import CONFIG_NAME
+from repro.shard.persistence import shard_blob_name
 from repro.storage import MONOLITHIC_BLOB, InMemoryBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
+
+from .conftest import assert_same_result
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -135,20 +141,76 @@ def test_unpickling_and_container_internals_stay_in_their_modules():
 
 
 def test_the_write_path_runs_one_predictor():
-    """``T_aux`` is decided by the compiled kernel alone: nothing under
-    ``core/`` runs the reference session or one-hot encodes keys, except
-    ``fit``'s training input and MHAS's sampled estimate."""
+    """Every prediction outside ``repro/testing/`` — lookups, ``T_aux``
+    at build and on writes, MHAS's pricing — runs the compiled kernel:
+    the stored session has no forward pass, nothing calls one, and the
+    only one-hot encode is ``fit``'s training input."""
+    assert not hasattr(InferenceSession, "run")
+    assert not hasattr(InferenceSession, "run_logits")
     calls = []
-    for path in sorted((SRC / "core").rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
-        if module.startswith("core/mhas/"):
+        if module.startswith("testing/"):
             continue
         calls += [(module, line.strip())
                   for line in path.read_text().splitlines()
-                  if re.search(r"\.session\.run\(|key_encoder\.encode\(",
-                               line)]
+                  if re.search(r"session\.run\(|\.run_logits\(|"
+                               r"key_encoder\.encode\(", line)]
     assert calls == [("core/deep_mapping.py",
                       "x = key_encoder.encode(flat)")]
+
+
+def parent_config_payload(mapping):
+    """``mapping``'s payload as the parent commit wrote it: the pickled
+    config still carries the retired ``inference_batch`` field."""
+    state = zerocopy.unpack(mapping.to_payload())
+    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
+    state["config"].__dict__["inference_batch"] = 65536
+    return zerocopy.pack(state)
+
+
+@pytest.mark.parametrize("kind", ["mono", "sharded"])
+def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
+        request, query_keys, kind):
+    store = request.getfixturevalue(kind)
+    name = f"parent-config-{kind}-{os.urandom(6).hex()}"
+    backend = InMemoryBackend.named(name)
+    store.save(backend.url)
+    if kind == "mono":
+        backend.write_bytes(MONOLITHIC_BLOB, parent_config_payload(store))
+    else:
+        for ordinal, shard in enumerate(store.shards):
+            backend.write_bytes(shard_blob_name(ordinal),
+                                parent_config_payload(shard))
+        config = pickle.loads(backend.read_bytes(CONFIG_NAME))
+        config.__dict__["inference_batch"] = 65536
+        backend.write_bytes(CONFIG_NAME, pickle.dumps(
+            config, protocol=pickle.HIGHEST_PROTOCOL))
+    assert all(b"inference_batch" in backend.read_bytes(blob)
+               for blob in backend.list() if blob.endswith((".dm", ".pkl")))
+    expected = store.lookup(query_keys)
+
+    def opens():
+        yield "writable", repro.open(backend.url)
+        yield "read-only", repro.open(backend.url, writable=False)
+        with serve_backend(backend) as server:
+            yield "http", repro.open(server.url)
+
+    again = InMemoryBackend.named(f"{name}-again")
+    try:
+        for how, opened in opens():
+            assert_same_result(opened.lookup(query_keys), expected,
+                               store.value_names)
+            if how == "writable":
+                opened.save(again.url)
+            opened.close()
+        assert again.list()
+        assert not any(b"inference_batch" in again.read_bytes(blob)
+                       for blob in again.list())
+    finally:
+        payload_cache().clear()
+        InMemoryBackend.discard(name)
+        InMemoryBackend.discard(again.name)
 
 
 class TestCliStoreTargets:

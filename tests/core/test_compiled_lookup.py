@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import DeepMapping
 from repro.data import ColumnTable, synthetic
-from repro.nn import CompiledSession, InferenceSession
+from repro.nn import CompiledSession, MultiTaskMLP
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.testing import oracles
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
 from .conftest import fast_config
@@ -312,11 +313,20 @@ class TestOnePredictorDecidesAux:
 
     def test_write_path_never_runs_the_reference_predictor(
             self, table, monkeypatch):
+        """Neither the textbook oracle nor an inference-mode pass of the
+        training model runs on any write."""
         def refuse(*args, **kwargs):
             raise AssertionError("the reference predictor ran on a write")
 
-        monkeypatch.setattr(InferenceSession, "run", refuse)
-        monkeypatch.setattr(InferenceSession, "run_logits", refuse)
+        train_forward = MultiTaskMLP.forward
+
+        def training_only(self, x, train=True):
+            if not train:
+                refuse()
+            return train_forward(self, x, train=train)
+
+        monkeypatch.setattr(oracles, "reference_logits", refuse)
+        monkeypatch.setattr(MultiTaskMLP, "forward", training_only)
         dm = DeepMapping.fit(table, fast_config(key_headroom_fraction=0.5))
         top = int(table.column("key").max())
         new = {"key": np.arange(top + 1, top + 40, dtype=np.int64)}

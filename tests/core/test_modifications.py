@@ -139,14 +139,11 @@ class TestUpdate:
         any existing T_aux entry is removed instead of updated."""
         table, dm = fresh_mapping(n=1500, correlation="high", epochs=80)
         keys = table.column("key")
-        predicted = dm.session.run(dm.key_encoder.encode(
-            dm.key_codec.flatten({"key": keys})))
-        # Find a row the model predicts correctly.
+        # Find a row the model predicts correctly (and not near a tie).
         labels = {t: dm.fdecode.encoders[t].encode(table.column(t))
                   for t in dm.value_names}
-        correct = np.ones(keys.size, dtype=bool)
-        for t in dm.value_names:
-            correct &= predicted[t] == labels[t]
+        correct = ~dm.compiled_session().lost_rows(
+            dm.key_codec.flatten({"key": keys}), labels)
         assert correct.any()
         idx = int(np.flatnonzero(correct)[0])
         # Force the row into aux with a different value, then restore it.

@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 from repro.data import CompositeKeyCodec, DecodeMap, KeyEncoder, ValueEncoder
 
 
+def one_hot_digits(enc, keys, base_index=0):
+    """Digit matrix (n, width) of one base, most significant first, read
+    back off ``enc.encode``'s one-hot blocks."""
+    offset = sum(w * b for w, b in zip(enc.widths[:base_index], enc.bases))
+    base, width = enc.bases[base_index], enc.widths[base_index]
+    block = enc.encode(keys)[:, offset: offset + width * base]
+    return block.reshape(-1, width, base).argmax(axis=2)
+
+
 class TestCompositeKeyCodec:
     def test_single_column_flatten_roundtrip(self):
         codec = CompositeKeyCodec(["k"]).fit({"k": np.array([5, 9, 7])})
@@ -66,11 +75,11 @@ class TestCompositeKeyCodec:
 
 class TestKeyEncoder:
     def test_fit_width(self):
-        assert KeyEncoder(base=10).fit(0).width == 1
-        assert KeyEncoder(base=10).fit(9).width == 1
-        assert KeyEncoder(base=10).fit(10).width == 2
-        assert KeyEncoder(base=2).fit(7).width == 3
-        assert KeyEncoder(base=2).fit(8).width == 4
+        assert KeyEncoder(base=10).fit(0).widths == (1,)
+        assert KeyEncoder(base=10).fit(9).widths == (1,)
+        assert KeyEncoder(base=10).fit(10).widths == (2,)
+        assert KeyEncoder(base=2).fit(7).widths == (3,)
+        assert KeyEncoder(base=2).fit(8).widths == (4,)
 
     def test_input_dim(self):
         enc = KeyEncoder(base=10).fit(999)
@@ -87,7 +96,7 @@ class TestKeyEncoder:
 
     def test_digits(self):
         enc = KeyEncoder(base=10).fit(999)
-        assert enc.digits([305]).tolist() == [[3, 0, 5]]
+        assert one_hot_digits(enc, [305]).tolist() == [[3, 0, 5]]
 
     def test_distinct_keys_distinct_encodings(self):
         enc = KeyEncoder(base=10).fit(999)
@@ -184,10 +193,10 @@ class TestDecodeMap:
 @given(keys=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1,
                      max_size=100))
 def test_key_encoder_digits_invert_property(keys):
-    """Property: digit decomposition reconstructs the key."""
+    """Property: the one-hot digit blocks reconstruct the key."""
     enc = KeyEncoder(base=10).fit(max(keys))
-    digits = enc.digits(keys)
-    powers = 10 ** np.arange(enc.width - 1, -1, -1, dtype=np.int64)
+    digits = one_hot_digits(enc, keys)
+    powers = 10 ** np.arange(enc.widths[0] - 1, -1, -1, dtype=np.int64)
     np.testing.assert_array_equal(digits @ powers, np.array(keys))
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.data import KeyEncoder
 
+from .test_encoding import one_hot_digits
+
 
 class TestMultiBase:
     def test_input_dim_sums_bases(self):
@@ -28,7 +30,7 @@ class TestMultiBase:
         """The point of the extension: k % 7 is the last base-7 digit."""
         enc = KeyEncoder(base=(10, 7)).fit(10_000)
         keys = np.arange(500)
-        digits = enc.digits(keys, base_index=1)
+        digits = one_hot_digits(enc, keys, base_index=1)
         np.testing.assert_array_equal(digits[:, -1], keys % 7)
 
     def test_distinct_keys_distinct_encodings(self):

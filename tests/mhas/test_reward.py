@@ -9,13 +9,15 @@ from repro.core.mhas import (
     flops_per_lookup,
     measure_aux_bytes_per_row,
 )
-from repro.nn import ArchitectureSpec, InferenceSession, MultiTaskMLP
+from repro.data import KeyEncoder
+from repro.nn import (ArchitectureSpec, CompiledSession, InferenceSession,
+                      MultiTaskMLP)
 from repro.nn.inference import WIDTH_CANDIDATES, choose_width
 
 
-def make_spec(shared=(16,), private=(8,)):
+def make_spec(shared=(16,), private=(8,), input_dim=10):
     return ArchitectureSpec(
-        input_dim=10,
+        input_dim=input_dim,
         shared_sizes=shared,
         private_sizes={"a": private},
         output_dims={"a": 4},
@@ -65,69 +67,111 @@ class TestAuxBytesPerRow:
         assert noisy > structured
 
 
+def keyed(n, seed):
+    """``n`` distinct flat keys and the encoder fitted over them."""
+    rng = np.random.default_rng(seed)
+    keys = np.sort(rng.choice(10 * n, size=n, replace=False))
+    return keys, KeyEncoder(10).fit(int(keys.max()))
+
+
+def kernel_codes(model, encoder, keys):
+    """The float32 freeze's compiled answers."""
+    session = InferenceSession.from_model(model, "float32")
+    return CompiledSession(session, encoder).run(keys)["a"]
+
+
 class TestEstimateRatio:
     def test_perfect_model_excludes_aux(self):
-        """No row is lost at any width, so the ratio is the model alone,
-        sized at the narrowest candidate — the width the freeze takes."""
+        """No row costs anything at any width, so the ratio is the model
+        alone, sized at the narrowest candidate — the width the freeze
+        takes."""
         rng = np.random.default_rng(1)
-        spec = make_spec(shared=(32,), private=(16,))
+        keys, encoder = keyed(200, seed=1)
+        spec = make_spec(shared=(32,), private=(16,),
+                         input_dim=encoder.input_dim)
         model = MultiTaskMLP(spec, rng=rng)
-        x = rng.normal(size=(200, 10)).astype(np.float32)
-        idx = np.arange(200)
-        ratio = estimate_ratio(model, x, {"a": np.zeros(200, np.int64)},
-                               n_rows=200, aux_bytes_per_row=0.0,
-                               overhead_bytes=0, dataset_bytes=100_000,
-                               sample_idx=idx)
+        ratio = estimate_ratio(model, encoder, keys,
+                               {"a": np.zeros(200, np.int64)},
+                               aux_bytes_per_row=0.0, overhead_bytes=0,
+                               dataset_bytes=100_000,
+                               sample_idx=np.arange(200))
         assert ratio == pytest.approx(
             approx_model_bytes(spec, min(WIDTH_CANDIDATES[1:])) / 100_000,
             rel=1e-6)
 
     def test_sized_at_the_width_the_freeze_chooses(self):
         """The search and the freeze minimise one expression: the
-        estimate equals Eq. 1 recomputed at the chooser's own pick, and
-        ``weight_dtype`` bounds it from above."""
+        estimate equals Eq. 1 recomputed with ``lost_rows`` at the
+        chooser's own pick, and ``weight_dtype`` bounds it from above."""
         rng = np.random.default_rng(4)
-        spec = make_spec(shared=(32,), private=(16,))
+        keys, encoder = keyed(3000, seed=4)
+        spec = make_spec(shared=(32,), private=(16,),
+                         input_dim=encoder.input_dim)
         model = MultiTaskMLP(spec, rng=rng)
-        x = rng.normal(size=(300, 10)).astype(np.float32)
-        labels = {"a": InferenceSession.from_model(
-            model, "float32").run(x)["a"]}
-        idx = np.arange(300)
+        labels = {"a": kernel_codes(model, encoder, keys)}
+        idx = rng.choice(3000, size=300, replace=False)
 
-        def wrong(session):
-            return float((session.run(x)["a"] != labels["a"]).mean())
+        def lost(session):
+            return float(CompiledSession(session, encoder).lost_rows(
+                keys[idx], {"a": labels["a"][idx]}).mean())
 
         for dtype in ("float16", "float32"):
-            ratio = estimate_ratio(model, x, labels, n_rows=3000,
+            ratio = estimate_ratio(model, encoder, keys, labels,
                                    aux_bytes_per_row=2.5, overhead_bytes=7,
                                    dataset_bytes=50_000, sample_idx=idx,
                                    weight_dtype=dtype)
             chosen, _ = choose_width(
-                model, dtype, lambda s: wrong(s) * 3000 * 2.5)
+                model, dtype, lambda s: lost(s) * 3000 * 2.5)
             expected = (approx_model_bytes(spec, chosen.bits, dtype)
-                        + wrong(chosen) * 3000 * 2.5 + 7) / 50_000
+                        + lost(chosen) * 3000 * 2.5 + 7) / 50_000
             assert ratio == pytest.approx(expected, rel=1e-9)
             unpacked = (approx_model_bytes(spec, None, dtype) + 7) / 50_000
             assert ratio <= unpacked
 
+    def test_right_but_near_tied_rows_are_priced(self):
+        """A sampled row the kernel answers right but within its tie
+        margin is a ``T_aux`` row at build, so the search pays for it."""
+        rng = np.random.default_rng(6)
+        keys, encoder = keyed(400, seed=6)
+        spec = make_spec(shared=(16,), private=(),
+                         input_dim=encoder.input_dim)
+        model = MultiTaskMLP(spec, rng=rng)
+        # Classes 0 and 1 share one output channel, lifted above the
+        # rest: every key's top two tie at every stored width.
+        out = model.heads["a"][-1]
+        out.weight.value[:, 1] = out.weight.value[:, 0]
+        out.bias.value[:2] = 10.0
+        labels = {"a": kernel_codes(model, encoder, keys)}
+        session = InferenceSession.from_model(model, "float32")
+        assert CompiledSession(session, encoder).lost_rows(keys, labels).all()
+        ratio = estimate_ratio(model, encoder, keys, labels,
+                               aux_bytes_per_row=2.5, overhead_bytes=7,
+                               dataset_bytes=50_000,
+                               sample_idx=np.arange(0, 400, 4))
+        # Every width loses every row, so the narrowest wins and all
+        # 400 rows are charged.
+        narrowest = min(WIDTH_CANDIDATES[1:])
+        assert ratio == pytest.approx(
+            (approx_model_bytes(spec, narrowest) + 400 * 2.5 + 7) / 50_000,
+            rel=1e-9)
+
     def test_bad_model_pays_aux(self):
         rng = np.random.default_rng(2)
-        spec = make_spec()
-        model = MultiTaskMLP(spec, rng=rng)
-        x = rng.normal(size=(100, 10)).astype(np.float32)
-        wrong = (model.predict_codes(x)["a"] + 1) % 4
-        idx = np.arange(100)
-        ratio = estimate_ratio(model, x, {"a": wrong}, n_rows=100,
+        keys, encoder = keyed(100, seed=2)
+        model = MultiTaskMLP(make_spec(input_dim=encoder.input_dim), rng=rng)
+        wrong = (kernel_codes(model, encoder, keys) + 1) % 4
+        ratio = estimate_ratio(model, encoder, keys, {"a": wrong},
                                aux_bytes_per_row=50.0, overhead_bytes=0,
-                               dataset_bytes=10_000, sample_idx=idx)
+                               dataset_bytes=10_000, sample_idx=np.arange(100))
         assert ratio >= (100 * 50.0) / 10_000
 
     def test_dataset_bytes_validated(self):
         rng = np.random.default_rng(3)
-        model = MultiTaskMLP(make_spec(), rng=rng)
+        keys, encoder = keyed(1, seed=3)
+        model = MultiTaskMLP(make_spec(input_dim=encoder.input_dim), rng=rng)
         with pytest.raises(ValueError):
-            estimate_ratio(model, np.zeros((1, 10), dtype=np.float32),
-                           {"a": np.zeros(1, dtype=np.int64)}, n_rows=1,
+            estimate_ratio(model, encoder, keys,
+                           {"a": np.zeros(1, dtype=np.int64)},
                            aux_bytes_per_row=1.0, overhead_bytes=0,
                            dataset_bytes=0, sample_idx=np.arange(1))
 

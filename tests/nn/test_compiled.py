@@ -1,9 +1,9 @@
-"""Parity tests: CompiledSession vs the reference InferenceSession.
+"""Parity tests: CompiledSession vs the textbook forward pass.
 
 The compiled engine must predict exactly the label codes the reference
-path predicts (``InferenceSession.run`` over the one-hot encoding) on
-every supported configuration — that is the oracle the lookup algorithm
-was built against.
+path predicts (``repro.testing.oracles.reference_logits`` over the
+one-hot encoding) on every supported configuration — that is the oracle
+the lookup algorithm was built against.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from repro.data.encoding import KeyEncoder
 from repro.nn import (ArchitectureSpec, CompiledSession, InferenceSession,
-                      MultiTaskMLP)
+                      MultiTaskMLP, compiled as compiled_module)
 from repro.nn.inference import WIDTH_CANDIDATES
+from repro.testing.oracles import reference_logits
 
 
 def make_pair(bases, shared_sizes, private_sizes, output_dims, max_key,
@@ -33,9 +34,14 @@ def make_pair(bases, shared_sizes, private_sizes, output_dims, max_key,
     return session, CompiledSession(session, encoder), encoder
 
 
-def assert_codes_match(session, compiled, encoder, keys, batch_size=None):
-    reference = session.run(encoder.encode(keys), batch_size=batch_size)
-    got = compiled.run(keys, batch_size=batch_size)
+def reference_codes(session, encoder, keys):
+    return {task: logits.argmax(axis=1) for task, logits in
+            reference_logits(session, encoder.encode(keys)).items()}
+
+
+def assert_codes_match(session, compiled, encoder, keys):
+    reference = reference_codes(session, encoder, keys)
+    got = compiled.run(keys)
     assert set(got) == set(reference)
     for task in reference:
         np.testing.assert_array_equal(got[task], reference[task])
@@ -67,15 +73,16 @@ class TestParity:
         keys = rng.integers(0, 100000, size=4000)
         assert_codes_match(session, compiled, encoder, keys)
 
-    def test_chunked_run_equals_single_shot(self):
+    def test_chunked_run_equals_single_shot(self, monkeypatch):
         session, compiled, encoder = make_pair(
             10, (12,), {"a": (6,)}, {"a": 4}, max_key=9999)
         rng = np.random.default_rng(4)
         keys = rng.integers(0, 10000, size=2500)
-        single = compiled.run(keys, batch_size=None)
-        chunked = compiled.run(keys, batch_size=333)
+        single = compiled.run(keys)
+        monkeypatch.setattr(compiled_module, "CHUNK_ROWS", 333)
+        chunked = compiled.run(keys)
         np.testing.assert_array_equal(single["a"], chunked["a"])
-        assert_codes_match(session, compiled, encoder, keys, batch_size=333)
+        assert_codes_match(session, compiled, encoder, keys)
 
     def test_empty_batch(self):
         _, compiled, _ = make_pair(10, (8,), {"a": ()}, {"a": 3},
@@ -101,7 +108,7 @@ class TestParity:
             weight_dtype="float32")
         rng = np.random.default_rng(6)
         keys = rng.integers(0, 10000, size=500)
-        reference = session.run_logits(encoder.encode(keys))
+        reference = reference_logits(session, encoder.encode(keys))
         got = compiled.run_logits(keys)
         np.testing.assert_allclose(got["a"], reference["a"],
                                    rtol=1e-5, atol=1e-5)
@@ -186,21 +193,45 @@ def test_tie_margin_bounds_every_float32_logit(data):
     keys = rng.integers(0, max_key + 1, size=300)
     exact = exact_logits(session, encoder, keys)
     kernel = compiled.run_logits(keys)
-    reference = session.run_logits(encoder.encode(keys))
+    reference = reference_logits(session, encoder.encode(keys))
     for task in outputs:
         for got in (kernel[task], reference[task]):
             assert np.abs(got - exact[task]).max() <= compiled.tie_margin / 4
 
 
-def test_classify_flags_exactly_the_near_ties():
+def test_classify_flags_exactly_the_near_ties(monkeypatch):
     session, compiled, encoder = make_pair(
         (10, 7), (12,), {"a": (6,), "b": ()}, {"a": 4, "b": 1},
         max_key=99999)
     keys = np.random.default_rng(8).integers(0, 100000, size=3000)
-    codes, ties = compiled.classify(keys, batch_size=777)
-    for task, expected in compiled.run(keys).items():
+    expected_codes = compiled.run(keys)
+    monkeypatch.setattr(compiled_module, "CHUNK_ROWS", 777)
+    codes, ties = compiled.classify(keys)
+    for task, expected in expected_codes.items():
         np.testing.assert_array_equal(codes[task], expected)
     top = np.sort(compiled.run_logits(keys)["a"], axis=1)[:, -2:]
     # A one-class task ("b") can never tie.
     np.testing.assert_array_equal(
         ties, top[:, 1] - top[:, 0] < compiled.tie_margin)
+
+
+def test_lost_rows_are_the_wrong_and_the_near_tied():
+    """``lost_rows`` is the one definition of what ``T_aux`` holds: a
+    key some task answers wrong, or any key under the tie margin —
+    including a right one."""
+    session, compiled, encoder = make_pair(
+        10, (12,), {"a": (6,), "b": ()}, {"a": 4, "b": 3}, max_key=99999)
+    keys = np.random.default_rng(9).integers(0, 100000, size=3000)
+    codes, ties = compiled.classify(keys)
+    labels = {"a": codes["a"].copy(), "b": codes["b"].copy()}
+    labels["b"][::5] = (labels["b"][::5] + 1) % 3
+    wrong = np.zeros(keys.size, dtype=bool)
+    wrong[::5] = True
+    np.testing.assert_array_equal(compiled.lost_rows(keys, labels),
+                                  wrong | ties)
+    # Every answer right: exactly the near ties are lost.
+    top = np.sort(compiled.run_logits(keys)["a"], axis=1)[:, -2:]
+    compiled.tie_margin = float(np.median(top[:, 1] - top[:, 0]))
+    _, wide_ties = compiled.classify(keys)
+    assert wide_ties.any() and not wide_ties.all()
+    np.testing.assert_array_equal(compiled.lost_rows(keys, codes), wide_ties)

@@ -60,13 +60,6 @@ class TestForward:
         assert out["type"].shape == (10, 3)
         assert out["status"].shape == (10, 2)
 
-    def test_predict_codes_batched(self, np_rng):
-        model = MultiTaskMLP(small_spec(), rng=np_rng)
-        x = np_rng.normal(size=(50, 6)).astype(np.float32)
-        full = model.predict_codes(x)
-        chunked = model.predict_codes(x, batch_size=7)
-        np.testing.assert_array_equal(full["type"], chunked["type"])
-
     def test_param_count_matches_spec(self, np_rng):
         spec = small_spec()
         model = MultiTaskMLP(spec, rng=np_rng)
@@ -149,9 +142,9 @@ class TestMemorization:
         trainer = Trainer(model, Adam(0.01), batch_size=64, tol=0.0,
                           rng=np_rng)
         trainer.fit(x, {"type": y_type, "status": y_status}, epochs=150)
-        pred = model.predict_codes(x)
-        assert (pred["type"] == y_type).mean() == 1.0
-        assert (pred["status"] == y_status).mean() == 1.0
+        logits = model.forward(x, train=False)
+        assert (logits["type"].argmax(axis=1) == y_type).mean() == 1.0
+        assert (logits["status"].argmax(axis=1) == y_status).mean() == 1.0
 
     def test_state_arrays_named(self, np_rng):
         model = MultiTaskMLP(small_spec(), rng=np_rng)

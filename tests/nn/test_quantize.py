@@ -14,6 +14,7 @@ from repro.nn import (ArchitectureSpec, CompiledSession, InferenceSession,
 from repro.nn import inference
 from repro.nn.quantize import (dequantize, pack, packed_nbytes, quantize,
                                unpack)
+from repro.testing.oracles import reference_logits
 
 BITS = st.integers(min_value=1, max_value=8)
 
@@ -137,8 +138,8 @@ class TestPackedSession:
         assert f"weights={bits}-bit" in repr(clone)
         x = np.random.default_rng(0).normal(size=(50, 20)).astype(np.float32)
         for task in session.tasks:
-            np.testing.assert_array_equal(clone.run_logits(x)[task],
-                                          session.run_logits(x)[task])
+            np.testing.assert_array_equal(reference_logits(clone, x)[task],
+                                          reference_logits(session, x)[task])
 
     def test_dequantised_once_and_shared_by_every_consumer(self, monkeypatch):
         calls = []
@@ -149,8 +150,8 @@ class TestPackedSession:
         session = InferenceSession.from_model(small_model(), bits=4)
         n_layers = len(session.spec.layer_plan())
         x = np.zeros((3, 20), dtype=np.float32)
-        session.run_logits(x)
-        session.run(x, batch_size=1)
+        reference_logits(session, x)
+        reference_logits(session, x[:1])
         arrays = session.state_arrays()
         encoder = KeyEncoder(10).fit(99)
         engine = CompiledSession(session, encoder)
@@ -169,7 +170,8 @@ class TestPackedSession:
         clone = InferenceSession.from_state(state)
         assert clone.bits is None and "weights=float16" in repr(clone)
         x = np.random.default_rng(1).normal(size=(9, 20)).astype(np.float32)
-        np.testing.assert_array_equal(clone.run(x)["a"], session.run(x)["a"])
+        np.testing.assert_array_equal(reference_logits(clone, x)["a"],
+                                      reference_logits(session, x)["a"])
 
 
 class TestChooseWidth:
