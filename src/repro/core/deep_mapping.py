@@ -200,6 +200,15 @@ class LookupPlan:
       fan-out assembles results as shards finish instead of
       concatenating and permuting a list of per-shard results behind a
       barrier.
+    - **Each distinct key once.** In a presorted batch equal keys sit
+      next to each other, so one adjacent-inequality pass over the raw
+      key columns keeps the first key of every run, and every stage —
+      flatten, existence, aux, inference, decode — runs on the distinct
+      keys only; :meth:`finish` and :meth:`execute_into` expand each
+      output column back through ``spread`` (one distinct position per
+      input key).  Raw columns, not flat codes, are compared: every
+      out-of-domain key flattens to 0, while equal raw keys always share
+      one answer.
 
     Results are bit-identical to Algorithm 1 as written
     (:func:`repro.testing.oracles.reference_lookup`): gating only skips
@@ -209,13 +218,18 @@ class LookupPlan:
     batch via :meth:`DeepMapping.plan_lookup`.
     """
 
-    __slots__ = ("mapping", "flat", "in_domain", "presorted", "found",
-                 "_hits", "_aux_hit", "_aux_codes", "_model_codes")
+    __slots__ = ("mapping", "flat", "in_domain", "presorted", "spread",
+                 "found", "_hits", "_aux_hit", "_aux_codes", "_model_codes")
 
     def __init__(self, mapping: "DeepMapping",
                  key_cols: Dict[str, np.ndarray],
                  presorted: bool = False):
         self.mapping = mapping
+        #: Distinct position per input key, or None when every key is
+        #: distinct (or the batch is unsorted, so runs are not adjacent).
+        self.spread: Optional[np.ndarray] = None
+        if presorted:
+            key_cols, self.spread = _distinct_runs(key_cols)
         self.flat, self.in_domain = mapping.key_codec.try_flatten(key_cols)
         self.presorted = presorted
         self.found: Optional[np.ndarray] = None
@@ -225,11 +239,18 @@ class LookupPlan:
         self._model_codes: Optional[Dict[str, np.ndarray]] = None
 
     def __len__(self) -> int:
-        return int(self.flat.size)
+        """Keys given, repeats included."""
+        return int(self.flat.size if self.spread is None
+                   else self.spread.size)
+
+    def _expand(self, column: np.ndarray) -> np.ndarray:
+        """One distinct-key column back to one entry per input key."""
+        return column if self.spread is None else column[self.spread]
 
     # -- stage 2: existence gate ---------------------------------------
     def run_existence(self) -> np.ndarray:
-        """Mask the batch through ``V_exist`` (and the key domain)."""
+        """Mask the distinct keys through ``V_exist`` (and the key
+        domain); ``found`` is indexed by distinct position."""
         m = self.mapping
         with m.stats.timing("existence"):
             self.found = m.exist.test_batch(self.flat) & self.in_domain
@@ -266,12 +287,12 @@ class LookupPlan:
 
     @property
     def aux_rows(self) -> np.ndarray:
-        """Batch positions served from ``T_aux``."""
+        """Distinct-key positions served from ``T_aux``."""
         return self._hits[self._aux_hit]
 
     @property
     def model_rows(self) -> np.ndarray:
-        """Batch positions served by model inference alone."""
+        """Distinct-key positions served by model inference alone."""
         return self._hits[~self._aux_hit]
 
     # -- stage 4: model inference --------------------------------------
@@ -289,7 +310,7 @@ class LookupPlan:
 
     # -- stage 5: decode + assembly ------------------------------------
     def _decoded_task(self, task: str) -> np.ndarray:
-        """This batch's decoded values for one task.
+        """This batch's decoded values for one task, per distinct key.
 
         The single decode implementation behind both :meth:`finish` and
         :meth:`execute_into` — the bit-identity-critical branch (clip
@@ -316,9 +337,9 @@ class LookupPlan:
         """Decode codes to values and assemble a LookupResult."""
         m = self.mapping
         with m.stats.timing("decode"):
-            values = {task: self._decoded_task(task)
+            values = {task: self._expand(self._decoded_task(task))
                       for task in m.value_names}
-        return LookupResult(found=self.found, values=values)
+        return LookupResult(found=self._expand(self.found), values=values)
 
     def execute(self) -> LookupResult:
         """Run every stage in order — the serial lookup."""
@@ -346,10 +367,27 @@ class LookupPlan:
         self.run_aux()
         self.run_inference()
         m = self.mapping
-        found_out[dest] = self.found
+        found_out[dest] = self._expand(self.found)
         with m.stats.timing("decode"):
             for task in m.value_names:
-                values_out[task][dest] = self._decoded_task(task)
+                values_out[task][dest] = self._expand(self._decoded_task(task))
+
+
+def _distinct_runs(key_cols: Dict[str, np.ndarray]):
+    """``(distinct key columns, spread)`` of a batch whose equal keys are
+    adjacent; ``spread`` is None when no key repeats its predecessor."""
+    cols = [np.asarray(col) for col in key_cols.values()]
+    if cols[0].size < 2:
+        return key_cols, None
+    first = np.empty(cols[0].size, dtype=bool)
+    first[0] = True
+    np.not_equal(cols[0][1:], cols[0][:-1], out=first[1:])
+    for col in cols[1:]:
+        first[1:] |= col[1:] != col[:-1]
+    if first.all():
+        return key_cols, None
+    spread = np.cumsum(first) - 1
+    return {name: col[first] for name, col in zip(key_cols, cols)}, spread
 
 
 #: The decode code every encoder maps a miss to — the ``vocab[0]``
@@ -625,7 +663,9 @@ class DeepMapping:
         ``plan.execute_into`` streams the finished segment into shared
         output arrays (the sharded store's pipelined fan-out).  Pass
         ``presorted=True`` only when the keys arrive in ascending
-        flattened order; the aux stage then skips sorting entirely.
+        flattened order, equal keys adjacent (repeats are allowed): the
+        aux stage then skips sorting entirely, and each run of equal
+        keys is answered once.
         """
         return LookupPlan(self, self._normalize_keys(keys),
                           presorted=presorted)

@@ -24,10 +24,12 @@ the rows ``T_aux`` must hold at build and on every write
    reduces to a couple of table gathers — the ``(n, input_dim)`` one-hot
    matrix is never materialized and the widest GEMM of the network
    disappears.
-3. **Preallocated scratch** — activation buffers and the group-index
-   vector live in thread-local scratch, reused across batches (and across
-   the chunks of one large batch), so steady-state inference does no
-   large allocations; gathers use ``np.take(..., mode="clip", out=...)``,
+3. **One scratch arena per thread** — activation buffers and the
+   group-index vector are views carved out of one thread-local arena
+   that every :class:`CompiledSession` shares, reused across batches,
+   chunks and sessions, so steady-state inference does no large
+   allocations and kernel memory follows threads, not shards × threads;
+   gathers use ``np.take(..., mode="clip", out=...)``,
    whose unchecked path is several times faster than bounds-checked take
    (indices are in-range by construction).
 
@@ -72,6 +74,10 @@ _TABLE_BYTES_CAP = 1 << 20
 
 #: One gathered digit group: (partial-sum table, key divisor, radix).
 _Group = Tuple[np.ndarray, int, int]
+
+#: The calling thread's scratch arena, shared by every session (see
+#: :meth:`CompiledSession._scratch`).
+_ARENA = threading.local()
 
 
 class _FusedLayer:
@@ -142,7 +148,7 @@ class CompiledSession:
 
         #: Smallest top-two logit gap no float32 evaluation can flip.
         self.tie_margin = self._tie_margin()
-        self._local = threading.local()
+        self._row_floats = sum(self._slot_widths.values())
 
     # ------------------------------------------------------------------
     # Compilation
@@ -229,29 +235,37 @@ class CompiledSession:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _scratch(self, n: int):
-        """Thread-local buffers sized for at least ``n`` rows.
+    def _scratch(self, n: int) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """This pass's group-index vector and ``(n, width)`` slot views,
+        carved out of the calling thread's arena.
 
-        Thread-local because the sharded store's fan-out may run lookups
-        against one structure from several threads at once; each thread
-        reuses its own buffers across batches and chunks.
+        One arena per thread serves every session: it grows to the
+        largest pass seen on that thread — at most :data:`CHUNK_ROWS`
+        rows of the widest session — and is reused from then on.
+        Sharing it is safe because a forward pass never interleaves with
+        another on one thread, and :meth:`run`, :meth:`classify` and
+        :meth:`run_logits` copy their answers out of scratch before they
+        return.  Per thread because the sharded fan-out may run lookups
+        from several threads at once.
         """
-        local = self._local
-        if getattr(local, "capacity", -1) < n:
-            local.capacity = n
-            local.gidx = np.empty(n, dtype=np.int64)
-            local.slots = {
-                name: np.empty((n, width), dtype=np.float32)
-                for name, width in self._slot_widths.items()
-            }
-        return local
+        arena = _ARENA
+        floats = getattr(arena, "floats", None)
+        if floats is None or floats.size < n * self._row_floats:
+            arena.floats = floats = np.empty(n * self._row_floats,
+                                             dtype=np.float32)
+        if getattr(arena, "gidx", None) is None or arena.gidx.size < n:
+            arena.gidx = np.empty(n, dtype=np.int64)
+        slots, start = {}, 0
+        for name, width in self._slot_widths.items():
+            slots[name] = floats[start:start + n * width].reshape(n, width)
+            start += n * width
+        return arena.gidx[:n], slots
 
     def _apply(self, layer, h: Optional[np.ndarray], keys: np.ndarray,
-               local, n: int) -> np.ndarray:
-        out = local.slots[layer.slot][:n]
+               gidx: np.ndarray, slots: Dict[str, np.ndarray]) -> np.ndarray:
+        out = slots[layer.slot]
         if isinstance(layer, _FusedLayer):
-            gidx = local.gidx[:n]
-            tmp = local.slots[layer.slot + "/tmp"][:n]
+            tmp = slots[layer.slot + "/tmp"]
             for j, (table, shift, radix) in enumerate(layer.groups):
                 if shift == 1:
                     # The least-significant group of every base: the
@@ -277,16 +291,15 @@ class CompiledSession:
 
     def _forward(self, keys: np.ndarray) -> Dict[str, np.ndarray]:
         """Logit views (into scratch) per task for one chunk of flat keys."""
-        n = keys.size
-        local = self._scratch(n)
+        gidx, slots = self._scratch(keys.size)
         h: Optional[np.ndarray] = None
         for layer in self._trunk:
-            h = self._apply(layer, h, keys, local, n)
+            h = self._apply(layer, h, keys, gidx, slots)
         logits: Dict[str, np.ndarray] = {}
         for task, chain in self._heads.items():
             t = h
             for layer in chain:
-                t = self._apply(layer, t, keys, local, n)
+                t = self._apply(layer, t, keys, gidx, slots)
             logits[task] = t
         return logits
 
