@@ -67,6 +67,8 @@ def main() -> None:
     )
     print(f"all {grown.n_rows} surviving rows answer losslessly: {exact}")
     assert exact and result.found.all()
+    # Five rounds of ~20 % each cross the DM-Z1 threshold at least once.
+    assert dm.tracker.total_retrains >= 1, "the retrain rule never fired"
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Public API highlights
   horizontally sharded store: N independent DeepMapping shards behind one
   facade, fan-out on a pluggable executor strategy.
 - :class:`repro.LifecycleConfig` / :mod:`repro.lifecycle` — write-side
-  maintenance: pluggable retrain policies, range shard split/merge
+  maintenance: a retrain bound per policy name, range shard split/merge
   rebalancing, per-shard MHAS model sizing.
 - :func:`repro.serving` / :mod:`repro.serve` — the serving tier: a
   coalescing lookup server that merges many small concurrent requests

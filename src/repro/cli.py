@@ -111,7 +111,7 @@ def _lifecycle_from_args(args: argparse.Namespace) -> Optional[LifecycleConfig]:
     if not wants:
         return None
     if args.retrain_policy == "bytes" and args.retrain_bytes is None:
-        # BytesThresholdPolicy(None) never fires — the explicitly
+        # A bytes bound with no threshold never fires — the explicitly
         # requested policy would silently behave like "never".
         raise SystemExit("--retrain-policy bytes needs --retrain-bytes")
     if args.retrain_policy is not None:

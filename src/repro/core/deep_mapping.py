@@ -390,6 +390,12 @@ def _distinct_runs(key_cols: Dict[str, np.ndarray]):
     return {name: col[first] for name, col in zip(key_cols, cols)}, spread
 
 
+#: What a retrain takes over from the freshly fit structure (see
+#: ``DeepMapping._adopt``); everything else belongs to the logical store.
+_BUILD_FIELDS = ("config", "key_codec", "key_encoder", "session", "aux",
+                 "exist", "fdecode", "_dataset_bytes", "last_training",
+                 "search_history", "warm_started_tensors", "_compiled")
+
 #: The decode code every encoder maps a miss to — the ``vocab[0]``
 #: filler; the sharded read path writes the same one for pruned keys.
 _ZERO_CODE = np.zeros(1, dtype=np.int64)
@@ -423,7 +429,7 @@ class DeepMapping:
         self.fdecode = fdecode
         self.config = config
         self.stats = stats if stats is not None else StoreStats()
-        self.tracker = ModificationTracker(config.retrain_threshold_bytes)
+        self.tracker = ModificationTracker()
         #: When False, modifications only *record* into the tracker; the
         #: retrain decision is owned by an external maintenance engine
         #: (see :class:`repro.lifecycle.MaintenanceEngine`) instead of
@@ -769,7 +775,7 @@ class DeepMapping:
             self.aux.add_batch(flat[mis], {t: labels[t][mis]
                                            for t in self.value_names})
 
-        self.tracker.record(estimate_batch_bytes(columns), n_ops=flat.size)
+        self.tracker.record(estimate_batch_bytes(columns))
         self._maybe_retrain()
         return int(mis.sum())
 
@@ -786,7 +792,7 @@ class DeepMapping:
         targets = flat[live]
         self.exist.clear_batch(targets)
         self.aux.remove_batch(targets)
-        self.tracker.record(estimate_batch_bytes(key_cols), n_ops=targets.size)
+        self.tracker.record(estimate_batch_bytes(key_cols))
         self._maybe_retrain()
         return int(targets.size)
 
@@ -816,7 +822,7 @@ class DeepMapping:
         if mis.any():
             self.aux.add_batch(flat[mis], {t: labels[t][mis]
                                            for t in self.value_names})
-        self.tracker.record(estimate_batch_bytes(columns), n_ops=flat.size)
+        self.tracker.record(estimate_batch_bytes(columns))
         self._maybe_retrain()
         return int(mis.sum())
 
@@ -825,7 +831,8 @@ class DeepMapping:
     # ------------------------------------------------------------------
     def rebuild(self, config: Optional[DeepMappingConfig] = None) -> None:
         """Retrain the model and reconstruct the auxiliary structures from
-        the current logical content (triggered lazily by the tracker).
+        the current logical content (triggered lazily by
+        :meth:`retrain_due`).
 
         When ``config.warm_start_rebuild`` is set (default), the retrain is
         initialized from the current model's weights — the paper's
@@ -848,25 +855,23 @@ class DeepMapping:
         warm = (self.session.state_arrays()
                 if build_config.warm_start_rebuild and not build_config.use_search
                 else None)
-        fresh = DeepMapping.fit(table, build_config, pool=self.aux.pool,
-                                stats=self.stats, warm_start=warm,
-                                aux_name_prefix=self.aux.name_prefix)
+        self._adopt(DeepMapping.fit(table, build_config, pool=self.aux.pool,
+                                    stats=self.stats, warm_start=warm,
+                                    aux_name_prefix=self.aux.name_prefix))
+
+    def _adopt(self, fresh: "DeepMapping") -> None:
+        """Replace this structure's build with ``fresh``, a structure just
+        fit over its content — the one swap behind :meth:`rebuild` and
+        domain-widening inserts.
+
+        The retired ``T_aux`` storage is dropped and every build-owned
+        field is taken over, the compiled kernel included (it is frozen
+        over the retired session/encoder).  The tracker, executor, stats
+        and flags belong to the logical store and stay.
+        """
         self.aux.drop_storage()
-        self.config = fresh.config
-        self.key_codec = fresh.key_codec
-        self.key_encoder = fresh.key_encoder
-        self.session = fresh.session
-        self.aux = fresh.aux
-        self.exist = fresh.exist
-        self.fdecode = fresh.fdecode
-        self._dataset_bytes = fresh._dataset_bytes
-        self.last_training = fresh.last_training
-        self.warm_started_tensors = fresh.warm_started_tensors
-        # The compiled kernel is frozen over the retired session/encoder;
-        # adopt the rebuilt structure's engine (the staleness check in
-        # compiled_session() would also catch a stale one).
-        self._compiled = fresh._compiled
-        self.tracker.threshold_bytes = self.config.retrain_threshold_bytes
+        for name in _BUILD_FIELDS:
+            setattr(self, name, getattr(fresh, name))
         self.tracker.mark_rebuilt()
 
     def aux_ratio(self) -> float:
@@ -876,15 +881,34 @@ class DeepMapping:
             return 0.0
         return len(self.aux) / n_rows
 
+    def retrain_due(self, threshold_bytes: Optional[int],
+                    aux_ratio: Optional[float]) -> bool:
+        """The one retrain rule (paper Sec. IV-D): True once either bound
+        is met; ``None`` disables a bound.
+
+        - bytes: ``threshold_bytes`` or more modified since the last
+          build (DM-Z1);
+        - ratio: at least ``MIN_ROWS_FOR_RATIO_RETRAIN`` live rows and an
+          :meth:`aux_ratio` of at least ``aux_ratio`` (``T_aux`` is only
+          counted when this bound is set).
+
+        A monolithic structure asks it inline with its config's bounds; a
+        managed sharded store's engine asks every shard with the bounds
+        its lifecycle policy names.
+        """
+        if (threshold_bytes is not None
+                and self.tracker.bytes_since_build >= threshold_bytes):
+            return True
+        if aux_ratio is None:
+            return False
+        n_rows = len(self)
+        return (n_rows >= MIN_ROWS_FOR_RATIO_RETRAIN
+                and len(self.aux) / n_rows >= aux_ratio)
+
     def _maybe_retrain(self) -> None:
-        if not self.auto_rebuild:
-            return
-        trigger = self.tracker.should_retrain()
-        ratio_bound = getattr(self.config, "retrain_aux_ratio", None)
-        if (not trigger and ratio_bound is not None
-                and len(self) >= MIN_ROWS_FOR_RATIO_RETRAIN):
-            trigger = self.aux_ratio() >= ratio_bound
-        if trigger:
+        if self.auto_rebuild and self.retrain_due(
+                self.config.retrain_threshold_bytes,
+                self.config.retrain_aux_ratio):
             self.rebuild()
 
     def to_table(self) -> ColumnTable:
@@ -1169,17 +1193,9 @@ class DeepMapping:
         base = self.to_table()
         incoming = ColumnTable(columns, key=self.key_names)
         merged = base.concat(incoming) if base.n_rows else incoming
-        fresh = DeepMapping.fit(merged, self.config, pool=self.aux.pool,
-                                stats=self.stats,
-                                aux_name_prefix=self.aux.name_prefix)
-        self.aux.drop_storage()
-        # The widened structure replaces this one wholesale, but the
-        # modification history and the external-maintenance flag belong to
-        # the logical store, not the build — carry both across.
-        fresh.tracker = self.tracker
-        fresh.auto_rebuild = self.auto_rebuild
-        self.__dict__.update(fresh.__dict__)
-        self.tracker.mark_rebuilt()
+        self._adopt(DeepMapping.fit(merged, self.config, pool=self.aux.pool,
+                                    stats=self.stats,
+                                    aux_name_prefix=self.aux.name_prefix))
         # All rows (including the new ones) are now inside the structure;
         # signal the caller that no further per-row handling is needed.
         raise _DomainRebuilt()

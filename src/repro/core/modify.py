@@ -1,15 +1,18 @@
-"""Modification bookkeeping: the lazy-update / retrain policy.
+"""Modification bookkeeping for lazy updates.
 
 The paper's workflows (Sec. IV-D) absorb insert/update/delete into the
 auxiliary structure and retrain only when it grows past a threshold
 (the evaluation's DM-Z1 variant retrains after 200MB of modifications).
-:class:`ModificationTracker` measures modified bytes since the last build
-and answers "is it time to retrain?".
+:class:`ModificationTracker` only counts — modified bytes since the last
+build and lifetime retrains.  Whether it is time to retrain is decided in
+one place, :meth:`DeepMapping.retrain_due
+<repro.core.deep_mapping.DeepMapping.retrain_due>`, which reads these
+counters against the bounds its caller passes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -20,8 +23,7 @@ __all__ = ["ModificationTracker", "estimate_batch_bytes",
 
 #: Structures below this many rows skip ratio-based retrain triggers: a
 #: tiny table whose residual rows dominate ``T_aux`` would otherwise
-#: thrash through a full rebuild on nearly every mutation batch (the
-#: engine-side ``AuxRatioPolicy.min_rows`` guards the same way).
+#: thrash through a full rebuild on nearly every mutation batch.
 MIN_ROWS_FOR_RATIO_RETRAIN = 64
 
 
@@ -31,73 +33,48 @@ def estimate_batch_bytes(columns: Dict[str, np.ndarray]) -> int:
 
 
 class ModificationTracker:
-    """Counts modified bytes and checks the retrain threshold.
+    """Counts modified bytes since the last build and lifetime retrains.
 
     The counters are part of the structure's durable state: a store that
     is saved, restarted, and loaded must keep accumulating toward the
-    same threshold, not silently restart from zero (see
-    :meth:`to_state` / :meth:`from_state`, persisted by
-    ``DeepMapping.save`` / ``load``).
+    same threshold, not silently restart from zero (see :meth:`to_state`
+    / :meth:`restore_counters`, persisted by ``DeepMapping.save`` /
+    ``open``).
     """
 
-    def __init__(self, threshold_bytes: Optional[int] = None):
-        if threshold_bytes is not None and threshold_bytes <= 0:
-            raise ValueError("threshold_bytes must be positive or None")
-        self.threshold_bytes = threshold_bytes
+    def __init__(self):
         self.bytes_since_build = 0
-        self.ops_since_build = 0
         self.total_retrains = 0
 
-    def record(self, batch_bytes: int, n_ops: int = 1) -> None:
+    def record(self, batch_bytes: int) -> None:
         """Account for one modification batch."""
         self.bytes_since_build += int(batch_bytes)
-        self.ops_since_build += int(n_ops)
-
-    def should_retrain(self) -> bool:
-        """True when accumulated modifications exceed the threshold."""
-        if self.threshold_bytes is None:
-            return False
-        return self.bytes_since_build >= self.threshold_bytes
 
     def mark_rebuilt(self) -> None:
-        """Reset counters after a retrain."""
+        """Reset the byte counter after a retrain."""
         self.bytes_since_build = 0
-        self.ops_since_build = 0
         self.total_retrains += 1
 
     # ------------------------------------------------------------------
     # Persistence (counters survive save/load)
     # ------------------------------------------------------------------
-    def to_state(self) -> Dict[str, Optional[int]]:
-        """JSON-friendly counter snapshot (inverse of :meth:`from_state`)."""
+    def to_state(self) -> Dict[str, int]:
+        """JSON-friendly counter snapshot (see :meth:`restore_counters`)."""
         return {
-            "threshold_bytes": self.threshold_bytes,
             "bytes_since_build": self.bytes_since_build,
-            "ops_since_build": self.ops_since_build,
             "total_retrains": self.total_retrains,
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, Optional[int]]) -> "ModificationTracker":
-        """Restore a tracker, counters included."""
-        tracker = cls(state.get("threshold_bytes"))
-        tracker.bytes_since_build = int(state.get("bytes_since_build", 0))
-        tracker.ops_since_build = int(state.get("ops_since_build", 0))
-        tracker.total_retrains = int(state.get("total_retrains", 0))
-        return tracker
+    def restore_counters(self, state: Dict[str, int]) -> None:
+        """Adopt saved counters onto this tracker.
 
-    def restore_counters(self, state: Dict[str, Optional[int]]) -> None:
-        """Adopt saved counters onto this tracker (threshold kept as-is).
-
-        Used on load: the threshold comes from the (possibly newer) config
-        while the accumulated counters come from the saved payload.
+        Used on open.  Any other key in ``state`` — older payloads also
+        saved a threshold and an op count — is ignored: the threshold
+        comes from the config.
         """
         self.bytes_since_build = int(state.get("bytes_since_build", 0))
-        self.ops_since_build = int(state.get("ops_since_build", 0))
         self.total_retrains = int(state.get("total_retrains", 0))
 
     def __repr__(self) -> str:
-        return (
-            f"ModificationTracker(bytes={self.bytes_since_build}, "
-            f"threshold={self.threshold_bytes}, retrains={self.total_retrains})"
-        )
+        return (f"ModificationTracker(bytes={self.bytes_since_build}, "
+                f"retrains={self.total_retrains})")

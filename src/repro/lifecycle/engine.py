@@ -14,12 +14,14 @@ rebalancing**:
   ``merge_balance`` times the mean merges back into one shard
   (hysteresis between the two bounds prevents split/merge oscillation);
 - **retrains** — after rebalancing (split/merge products are freshly
-  built, so they never double-build here), the engine judges each live
-  shard's :class:`~repro.lifecycle.policy.ShardStats` against the
-  configured :class:`~repro.lifecycle.policy.MaintenancePolicy`; due
-  shards rebuild *through the store's thread pool* (NumPy training
-  kernels release the GIL, so several shards retrain concurrently)
-  instead of inline in the mutating thread.
+  built, so they never double-build here), the engine asks each live
+  shard :meth:`~repro.core.deep_mapping.DeepMapping.retrain_due` with
+  the bounds its policy name maps to
+  (:meth:`~repro.lifecycle.policy.LifecycleConfig.retrain_bounds`) — the
+  same rule a monolithic structure runs inline, so the engine asks and
+  never judges.  Due shards rebuild *through the store's thread pool*
+  (NumPy training kernels release the GIL, so several shards retrain
+  concurrently) instead of inline in the mutating thread.
 
 Every lifecycle rebuild routes architecture selection through per-shard
 MHAS sizing (:mod:`repro.lifecycle.sizing`) when
@@ -39,7 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from .policy import LifecycleConfig, MaintenancePolicy, ShardStats
+from .policy import LifecycleConfig
 from .sizing import derive_build_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -66,13 +68,11 @@ class LifecycleEvent:
 
 
 class MaintenanceEngine:
-    """Policy-driven retrain/split/merge maintenance for a sharded store."""
+    """Retrain/split/merge maintenance for a sharded store."""
 
     def __init__(self, store: "ShardedDeepMapping", config: LifecycleConfig):
         self.store = store
         self.config = config
-        self.policy: MaintenancePolicy = config.build_policy(
-            store.config.retrain_threshold_bytes)
         self.events: List[LifecycleEvent] = []
         self.n_rebuilds = 0
         self.n_splits = 0
@@ -80,13 +80,13 @@ class MaintenanceEngine:
         self.adopt_all()
 
     # ------------------------------------------------------------------
-    # Shard adoption: the engine owns the retrain decision
+    # Shard adoption: the engine owns when a retrain runs
     # ------------------------------------------------------------------
     def adopt(self, shard: Optional["DeepMapping"]) -> None:
-        """Disable a shard's inline retrain; the engine decides instead.
+        """Disable a shard's inline retrain; the engine asks instead.
 
         The shard keeps *recording* into its tracker — that is exactly the
-        per-shard accounting the policies read.
+        per-shard accounting its retrain rule reads.
         """
         if shard is not None:
             shard.auto_rebuild = False
@@ -98,23 +98,10 @@ class MaintenanceEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def shard_stats(self, ordinal: int) -> Optional[ShardStats]:
-        """Policy-facing snapshot of one shard (None when empty)."""
-        shard = self.store.shards[ordinal]
-        if shard is None:
-            return None
-        return ShardStats(
-            ordinal=ordinal,
-            n_rows=len(shard),
-            aux_rows=len(shard.aux),
-            bytes_since_build=shard.tracker.bytes_since_build,
-            ops_since_build=shard.tracker.ops_since_build,
-        )
-
     def summary(self) -> Dict[str, object]:
         """Manifest-ready counters (see ``ShardManifest.lifecycle``)."""
         return {
-            "policy": self.policy.name,
+            "policy": self.config.policy,
             "rebalance": self.config.rebalance,
             "per_shard_mhas": self.config.per_shard_mhas,
             "rebuilds": self.n_rebuilds,
@@ -161,11 +148,10 @@ class MaintenanceEngine:
 
     # -- retrains -------------------------------------------------------
     def _run_retrains(self) -> List[LifecycleEvent]:
-        due: List[int] = []
-        for ordinal in range(len(self.store.shards)):
-            stats = self.shard_stats(ordinal)
-            if stats is not None and self.policy.should_retrain(stats):
-                due.append(ordinal)
+        bounds = self.config.retrain_bounds(
+            self.store.config.retrain_threshold_bytes)
+        due = [ordinal for ordinal, shard in enumerate(self.store.shards)
+               if shard is not None and shard.retrain_due(*bounds)]
         if not due:
             return []
 
@@ -249,7 +235,7 @@ class MaintenanceEngine:
         return ordinal
 
     def __repr__(self) -> str:
-        return (f"MaintenanceEngine(policy={self.policy.name!r}, "
+        return (f"MaintenanceEngine(policy={self.config.policy!r}, "
                 f"rebalance={self.config.rebalance}, "
                 f"rebuilds={self.n_rebuilds}, splits={self.n_splits}, "
                 f"merges={self.n_merges})")

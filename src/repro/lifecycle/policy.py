@@ -1,147 +1,37 @@
-"""Maintenance policies: when does a shard earn a retrain?
+"""The lifecycle configuration: which retrain bound a managed store sets.
 
 The paper's lazy-update discussion (Sec. IV-D) retrains once accumulated
 modifications pass a byte threshold (the evaluation's DM-Z1 retrains after
-200MB).  The learned-compression literature since (Liu et al. 2024) frames
-update handling as a *policy* problem — different workloads want different
-triggers — so the engine takes the trigger as a pluggable object:
+200MB).  There is one retrain rule, :meth:`DeepMapping.retrain_due
+<repro.core.deep_mapping.DeepMapping.retrain_due>`, with two bounds; the
+policy name only chooses which bound a managed store sets
+(:meth:`LifecycleConfig.retrain_bounds`):
 
-- :class:`BytesThresholdPolicy` — the paper's DM-Z1 rule: retrain after N
-  modified bytes;
-- :class:`AuxRatioPolicy` — retrain when the auxiliary table serves more
-  than a fraction of live rows (bounds the compression regression between
-  retrains directly, instead of through a byte proxy);
-- :class:`NeverPolicy` — accumulate forever (modifications stay absorbed
-  in ``T_aux``; the operator retrains explicitly).
+- ``"bytes"`` — the paper's DM-Z1 rule: retrain after N modified bytes;
+- ``"aux-ratio"`` — retrain when the auxiliary table serves at least a
+  share of live rows (bounds the compression regression between retrains
+  directly, instead of through a byte proxy);
+- ``"never"`` — accumulate forever (modifications stay absorbed in
+  ``T_aux``; the operator retrains explicitly).
 
-Policies judge a :class:`ShardStats` snapshot, so they are trivially
-testable and independent of the store/engine layers.  This module is
-dependency-free on purpose: both :mod:`repro.core` and
+This module is dependency-free on purpose: both :mod:`repro.core` and
 :mod:`repro.shard` may import it without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-__all__ = [
-    "ShardStats",
-    "MaintenancePolicy",
-    "BytesThresholdPolicy",
-    "AuxRatioPolicy",
-    "NeverPolicy",
-    "make_policy",
-    "POLICY_NAMES",
-    "LifecycleConfig",
-]
+__all__ = ["POLICY_NAMES", "LifecycleConfig"]
 
 POLICY_NAMES = ("bytes", "aux-ratio", "never")
 
 
 @dataclass
-class ShardStats:
-    """What a policy may look at when judging one shard."""
-
-    ordinal: int
-    n_rows: int
-    aux_rows: int
-    bytes_since_build: int
-    ops_since_build: int
-
-    @property
-    def aux_ratio(self) -> float:
-        """Fraction of live rows served from the auxiliary table."""
-        if self.n_rows == 0:
-            return 0.0
-        return self.aux_rows / self.n_rows
-
-
-class MaintenancePolicy:
-    """Base class: decide whether a shard should retrain now."""
-
-    name = "base"
-
-    def should_retrain(self, stats: ShardStats) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class BytesThresholdPolicy(MaintenancePolicy):
-    """Retrain after ``threshold_bytes`` of modifications (DM-Z1)."""
-
-    name = "bytes"
-
-    def __init__(self, threshold_bytes: Optional[int]):
-        if threshold_bytes is not None and threshold_bytes <= 0:
-            raise ValueError("threshold_bytes must be positive or None")
-        self.threshold_bytes = threshold_bytes
-
-    def should_retrain(self, stats: ShardStats) -> bool:
-        if self.threshold_bytes is None:
-            return False
-        return stats.bytes_since_build >= self.threshold_bytes
-
-    def __repr__(self) -> str:
-        return f"BytesThresholdPolicy(threshold={self.threshold_bytes})"
-
-
-class AuxRatioPolicy(MaintenancePolicy):
-    """Retrain when ``len(T_aux) / n_rows`` exceeds ``max_ratio``.
-
-    ``min_rows`` keeps freshly materialized micro-shards (whose first few
-    rows all sit in the aux table) from thrashing through retrains.
-    """
-
-    name = "aux-ratio"
-
-    def __init__(self, max_ratio: float, min_rows: int = 64):
-        if not 0 < max_ratio <= 1:
-            raise ValueError("max_ratio must be in (0, 1]")
-        self.max_ratio = float(max_ratio)
-        self.min_rows = int(min_rows)
-
-    def should_retrain(self, stats: ShardStats) -> bool:
-        if stats.n_rows < self.min_rows:
-            return False
-        return stats.aux_ratio >= self.max_ratio
-
-    def __repr__(self) -> str:
-        return (f"AuxRatioPolicy(max_ratio={self.max_ratio}, "
-                f"min_rows={self.min_rows})")
-
-
-class NeverPolicy(MaintenancePolicy):
-    """Accumulate modifications forever; retrains are explicit only."""
-
-    name = "never"
-
-    def should_retrain(self, stats: ShardStats) -> bool:
-        return False
-
-
-def make_policy(
-    name: str,
-    threshold_bytes: Optional[int] = None,
-    aux_ratio: float = 0.5,
-    min_rows: int = 64,
-) -> MaintenancePolicy:
-    """Build a policy by registry name (see :data:`POLICY_NAMES`)."""
-    if name == BytesThresholdPolicy.name:
-        return BytesThresholdPolicy(threshold_bytes)
-    if name == AuxRatioPolicy.name:
-        return AuxRatioPolicy(aux_ratio, min_rows=min_rows)
-    if name == NeverPolicy.name:
-        return NeverPolicy()
-    raise ValueError(f"unknown maintenance policy {name!r}; "
-                     f"expected one of {POLICY_NAMES}")
-
-
-@dataclass
 class LifecycleConfig:
-    """Knobs of the maintenance engine (policy + rebalancing + sizing).
+    """Knobs of the maintenance engine (retrain bound + rebalancing +
+    sizing).
 
     All fields are JSON-serializable scalars so the config round-trips
     through the store manifest (:meth:`to_state` / :meth:`from_state`).
@@ -152,10 +42,9 @@ class LifecycleConfig:
     #: Byte threshold for the ``bytes`` policy; ``None`` falls back to the
     #: build config's ``retrain_threshold_bytes``.
     retrain_bytes: Optional[int] = None
-    #: Aux-table share triggering the ``aux-ratio`` policy.
+    #: Aux-table share triggering the ``aux-ratio`` policy (shards under
+    #: ``MIN_ROWS_FOR_RATIO_RETRAIN`` rows never fire it).
     aux_ratio: float = 0.5
-    #: Rows below which the aux-ratio policy stays quiet.
-    policy_min_rows: int = 64
 
     #: Enable range split/merge rebalancing (range routers only).
     rebalance: bool = False
@@ -191,6 +80,10 @@ class LifecycleConfig:
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; "
                              f"expected one of {POLICY_NAMES}")
+        if self.retrain_bytes is not None and self.retrain_bytes <= 0:
+            raise ValueError("retrain_bytes must be positive or None")
+        if not 0 < self.aux_ratio <= 1:
+            raise ValueError("aux_ratio must be in (0, 1]")
         if self.split_balance <= 1.0:
             raise ValueError("split_balance must be > 1.0")
         if not 0 < self.merge_balance < self.split_balance:
@@ -206,15 +99,19 @@ class LifecycleConfig:
         if self.sizing_reference_rows < 1 or self.sizing_min_width < 1:
             raise ValueError("sizing parameters must be positive")
 
-    def build_policy(
+    def retrain_bounds(
         self, default_threshold_bytes: Optional[int] = None
-    ) -> MaintenancePolicy:
-        """Instantiate the configured retrain policy."""
-        threshold = (self.retrain_bytes if self.retrain_bytes is not None
-                     else default_threshold_bytes)
-        return make_policy(self.policy, threshold_bytes=threshold,
-                           aux_ratio=self.aux_ratio,
-                           min_rows=self.policy_min_rows)
+    ) -> Tuple[Optional[int], Optional[float]]:
+        """``(threshold_bytes, aux_ratio)`` for
+        :meth:`~repro.core.deep_mapping.DeepMapping.retrain_due`; ``None``
+        disables a bound.  The ``bytes`` policy falls back to the build
+        config's threshold when ``retrain_bytes`` is unset."""
+        if self.policy == "bytes":
+            return (self.retrain_bytes if self.retrain_bytes is not None
+                    else default_threshold_bytes), None
+        if self.policy == "aux-ratio":
+            return None, self.aux_ratio
+        return None, None
 
     # ------------------------------------------------------------------
     # Manifest round trip

@@ -2,6 +2,7 @@
 writes today, and each layout an earlier version wrote is refused with
 an error that says how to bring the store forward."""
 
+import json
 import os
 import pathlib
 import pickle
@@ -11,15 +12,18 @@ import warnings
 import pytest
 
 import repro
+from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
 from repro.cli import main
+from repro.lifecycle import LifecycleConfig
 from repro.nn import InferenceSession
 from repro.resilience import StoreCorruptedError
-from repro.shard.manifest import CONFIG_NAME
+from repro.shard.manifest import CONFIG_NAME, MANIFEST_NAME
 from repro.shard.persistence import shard_blob_name
 from repro.storage import MONOLITHIC_BLOB, InMemoryBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
 
+from ..core.conftest import fast_config
 from .conftest import assert_same_result
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -207,6 +211,98 @@ def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
         assert again.list()
         assert not any(b"inference_batch" in again.read_bytes(blob)
                        for blob in again.list())
+    finally:
+        payload_cache().clear()
+        InMemoryBackend.discard(name)
+        InMemoryBackend.discard(again.name)
+
+
+def parent_tracker_payload(mapping):
+    """``mapping``'s payload as the parent commit wrote it: the tracker
+    state still carries the retired ``threshold_bytes`` and
+    ``ops_since_build``."""
+    state = zerocopy.unpack(mapping.to_payload())
+    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
+    state["tracker"].update(threshold_bytes=10**9, ops_since_build=7)
+    return zerocopy.pack(state)
+
+
+@pytest.fixture(scope="module")
+def mutated(api_table):
+    """A writable mono store and a managed 4-shard store, each rebuilt
+    once and then updated on every shard, so both tracker counters are
+    non-zero everywhere."""
+    config = fast_config(epochs=5)
+    rows = {name: api_table.column(name)[::9] for name in api_table.key}
+    rows.update({name: api_table.column(name)[::-9]
+                 for name in api_table.value_columns})
+    stores = {
+        "mono": DeepMapping.fit(api_table, config),
+        "sharded": ShardedDeepMapping.fit(
+            api_table, config,
+            ShardingConfig(n_shards=4, lifecycle=LifecycleConfig(
+                policy="bytes", retrain_bytes=10**9))),
+    }
+    for store in stores.values():
+        store.rebuild()
+        store.update(rows)
+    return stores
+
+
+def saved_fields(backend):
+    """Tracker keys of every payload, plus the lifecycle-config keys of
+    the manifest."""
+    found = set()
+    for blob in backend.list():
+        if blob == MANIFEST_NAME:
+            manifest = json.loads(backend.read_bytes(blob))
+            found |= set(manifest["lifecycle"]["config"])
+        elif blob.endswith(".dm"):
+            found |= set(zerocopy.unpack(backend.read_bytes(blob))["tracker"])
+    return found
+
+
+def tracker_counters(store):
+    shards = store.shards if hasattr(store, "shards") else [store]
+    return [(shard.tracker.bytes_since_build, shard.tracker.total_retrains)
+            for shard in shards if shard is not None]
+
+
+@pytest.mark.parametrize("kind", ["mono", "sharded"])
+def test_parent_saved_tracker_and_manifest_fields_open_and_resave_without_them(
+        mutated, query_keys, kind):
+    store = mutated[kind]
+    counters = tracker_counters(store)
+    assert all(done > 0 and retrains == 1 for done, retrains in counters)
+    name = f"parent-tracker-{kind}-{os.urandom(6).hex()}"
+    backend = InMemoryBackend.named(name)
+    store.save(backend.url)
+    retired = {"threshold_bytes", "ops_since_build"}
+    if kind == "mono":
+        backend.write_bytes(MONOLITHIC_BLOB, parent_tracker_payload(store))
+    else:
+        for ordinal, shard in enumerate(store.shards):
+            backend.write_bytes(shard_blob_name(ordinal),
+                                parent_tracker_payload(shard))
+        manifest = json.loads(backend.read_bytes(MANIFEST_NAME))
+        manifest["lifecycle"]["config"]["policy_min_rows"] = 1
+        backend.write_bytes(MANIFEST_NAME, json.dumps(manifest).encode())
+        retired.add("policy_min_rows")
+    assert retired <= saved_fields(backend)
+    expected = store.lookup(query_keys)
+
+    again = InMemoryBackend.named(f"{name}-again")
+    try:
+        for writable in (True, False):
+            opened = repro.open(backend.url, writable=writable)
+            assert_same_result(opened.lookup(query_keys), expected,
+                               store.value_names)
+            assert tracker_counters(opened) == counters
+            if writable:
+                opened.save(again.url)
+            opened.close()
+        assert not retired & saved_fields(again)
+        assert tracker_counters(repro.open(again.url)) == counters
     finally:
         payload_cache().clear()
         InMemoryBackend.discard(name)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DeepMapping, ModificationTracker
 from repro.data import ColumnTable, synthetic
+from repro.store import ThreadPoolStrategy
 
 from .conftest import fast_config
 
@@ -68,6 +69,32 @@ class TestInsert:
         assert dm.tracker.total_retrains == rebuilds_before + 1
         assert dm.lookup({"key": batch.column("key")}).found.all()
         assert len(dm) == table.n_rows + 50
+
+    @pytest.mark.parametrize("owned", [True, False],
+                             ids=["owned", "caller-owned"])
+    def test_domain_widening_keeps_the_executor(self, owned):
+        """A widening insert replaces the build, not the store's runtime:
+        the installed strategy survives and still answers
+        ``lookup_async``, ``close()`` closes it only when the structure
+        made it, and a caller's instance is never replaced."""
+        table, dm = fresh_mapping(n=300, headroom=0.0)
+        mine = ThreadPoolStrategy(max_workers=2)
+        dm.set_executor("threads" if owned else mine)
+        installed = dm.executor
+        assert (installed is mine) is not owned
+        closes = []
+        close = installed.close
+        installed.close = lambda: (closes.append(installed), close())
+        far_key = int(table.column("key").max()) * 10 + 3
+        dm.insert({"key": np.array([far_key], dtype=np.int64),
+                   **{c: table.column(c)[:1] for c in dm.value_names}})
+        assert dm.tracker.total_retrains == 1  # the domain did widen
+        assert dm.executor is installed
+        result = dm.lookup_async({"key": np.array([far_key])}).result(30)
+        assert result.found.all()
+        dm.close()
+        assert closes == ([installed] if owned else [])
+        mine.close()
 
     def test_insert_with_new_vocabulary_value(self):
         keys = np.arange(100, dtype=np.int64)
@@ -208,23 +235,23 @@ class TestDictModelEquivalence:
 
 class TestRetrainTrigger:
     def test_tracker_thresholds(self):
-        tracker = ModificationTracker(threshold_bytes=100)
-        tracker.record(60)
-        assert not tracker.should_retrain()
-        tracker.record(50)
-        assert tracker.should_retrain()
-        tracker.mark_rebuilt()
-        assert not tracker.should_retrain()
-        assert tracker.total_retrains == 1
+        """The bytes bound reads the tracker's count, and a build resets
+        it (the full truth table is in tests/lifecycle/test_policy.py)."""
+        _, dm = fresh_mapping(n=400)
+        dm.tracker.record(60)
+        assert not dm.retrain_due(100, None)
+        dm.tracker.record(50)
+        assert dm.retrain_due(100, None)
+        dm.tracker.mark_rebuilt()
+        assert not dm.retrain_due(100, None)
+        assert dm.tracker.total_retrains == 1
 
     def test_tracker_disabled(self):
-        tracker = ModificationTracker(None)
-        tracker.record(10**12)
-        assert not tracker.should_retrain()
-
-    def test_tracker_validation(self):
-        with pytest.raises(ValueError):
-            ModificationTracker(0)
+        """No configured bound: the inline rule never fires."""
+        _, dm = fresh_mapping(n=400)
+        dm.tracker.record(10**12)
+        assert not dm.retrain_due(dm.config.retrain_threshold_bytes,
+                                  dm.config.retrain_aux_ratio)
 
     def test_retrain_fires_and_preserves_content(self):
         table, dm = fresh_mapping(n=400, retrain_threshold_bytes=1)
@@ -243,14 +270,15 @@ class TestRetrainTrigger:
 
 class TestTrackerPersistence:
     def test_state_round_trip(self):
-        tracker = ModificationTracker(threshold_bytes=500)
-        tracker.record(120, n_ops=3)
+        tracker = ModificationTracker()
+        tracker.record(120)
         tracker.mark_rebuilt()
-        tracker.record(77, n_ops=2)
-        restored = ModificationTracker.from_state(tracker.to_state())
-        assert restored.threshold_bytes == 500
+        tracker.record(77)
+        assert tracker.to_state() == {"bytes_since_build": 77,
+                                      "total_retrains": 1}
+        restored = ModificationTracker()
+        restored.restore_counters(tracker.to_state())
         assert restored.bytes_since_build == 77
-        assert restored.ops_since_build == 2
         assert restored.total_retrains == 1
 
     def test_counters_survive_save_load(self, tmp_path):
@@ -264,10 +292,9 @@ class TestTrackerPersistence:
 
         loaded = DeepMapping.open(path)
         assert loaded.tracker.bytes_since_build == dm.tracker.bytes_since_build
-        assert loaded.tracker.ops_since_build == dm.tracker.ops_since_build
         assert loaded.tracker.total_retrains == dm.tracker.total_retrains
         # Threshold comes from the config, counters from the payload.
-        assert loaded.tracker.threshold_bytes == 10**9
+        assert loaded.config.retrain_threshold_bytes == 10**9
 
     def test_accumulation_crosses_a_restart(self, tmp_path):
         """Modifications before and after a save/load both count toward

@@ -97,10 +97,10 @@ class TestRetrains:
         assert store.engine.n_rebuilds == 0
 
     def test_aux_ratio_policy_fires_on_flooded_shard(self, small_table):
+        # Each shard holds ~300 rows, above the one 64-row floor.
         store = managed_store(
             small_table,
-            LifecycleConfig(policy="aux-ratio", aux_ratio=0.01,
-                            policy_min_rows=1),
+            LifecycleConfig(policy="aux-ratio", aux_ratio=0.01),
             key_headroom_fraction=1.0)
         rng = np.random.default_rng(1)
         new_key = int(small_table.column("key").max()) + 1
@@ -108,6 +108,39 @@ class TestRetrains:
         # Low-correlation data: essentially every row sits in aux, so the
         # 1% bound fires immediately on the touched shard.
         assert store.engine.n_rebuilds >= 1
+
+    @pytest.mark.parametrize("bound", ["bytes", "aux-ratio"])
+    def test_engine_and_inline_rule_retrain_the_same_shards(
+            self, small_table, bound):
+        """One rule: an engine asking every shard with its policy's bounds
+        and unmanaged shards asking themselves inline retrain the same
+        shards the same number of times.  Every batch of the stream
+        touches every shard, so each shard is asked after every batch on
+        both sides (the engine also asks shards a batch left alone)."""
+        if bound == "bytes":
+            cfg = dict(retrain_threshold_bytes=1500)
+            lifecycle = LifecycleConfig(policy="bytes")
+        else:
+            cfg = dict(retrain_aux_ratio=0.995)
+            lifecycle = LifecycleConfig(policy="aux-ratio", aux_ratio=0.995)
+
+        def retrains(lifecycle):
+            store = managed_store(small_table, lifecycle,
+                                  key_headroom_fraction=1.0, **cfg)
+            rng = np.random.default_rng(5)
+            keys = rng.permutation(small_table.column("key"))
+            for batch in range(4):
+                updated = keys[batch * 100:(batch + 1) * 100]
+                store.update({"key": updated, **{
+                    c: rng.choice(small_table.column(c), size=updated.size)
+                    for c in store.value_names}})
+                store.delete({"key": keys[1000 + batch * 40:
+                                          1000 + (batch + 1) * 40]})
+            return [shard.tracker.total_retrains for shard in store.shards]
+
+        inline, managed = retrains(None), retrains(lifecycle)
+        assert inline == managed
+        assert sum(inline) > 0
 
     def test_events_recorded(self, small_table):
         store = managed_store(

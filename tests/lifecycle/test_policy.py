@@ -1,62 +1,91 @@
-"""Tests for maintenance policies and the lifecycle config."""
+"""Tests for the one retrain rule and the bounds a lifecycle policy names.
+
+``DeepMapping.retrain_due`` reads three things: the tracker's byte count,
+``len(self)`` and ``len(self.aux)``.  The truth table runs the real method
+over a stand-in that sets exactly those, so each bound can be put at its
+edge without training a model.
+"""
 
 import pytest
 
-from repro.lifecycle import (AuxRatioPolicy, BytesThresholdPolicy,
-                             LifecycleConfig, NeverPolicy, POLICY_NAMES,
-                             ShardStats, make_policy)
+from repro.core import DeepMapping, DeepMappingConfig, ModificationTracker
+from repro.core.modify import MIN_ROWS_FOR_RATIO_RETRAIN
+from repro.lifecycle import LifecycleConfig, POLICY_NAMES
 
 
-def stats(n_rows=1000, aux_rows=0, bytes_since=0, ops=0, ordinal=0):
-    return ShardStats(ordinal=ordinal, n_rows=n_rows, aux_rows=aux_rows,
-                      bytes_since_build=bytes_since, ops_since_build=ops)
+class Unreadable:
+    """An aux table whose length must not be asked for."""
+
+    def __len__(self):
+        raise AssertionError("len(aux) read with no ratio bound set")
+
+
+class Structure:
+    """What ``retrain_due`` reads, and nothing else."""
+
+    retrain_due = DeepMapping.retrain_due
+    aux_ratio = DeepMapping.aux_ratio
+
+    def __init__(self, n_rows=1000, aux_rows=0, bytes_since=0, aux=None):
+        self.n_rows = n_rows
+        self.aux = aux if aux is not None else range(aux_rows)
+        self.tracker = ModificationTracker()
+        self.tracker.record(bytes_since)
+
+    def __len__(self):
+        return self.n_rows
 
 
 class TestPolicies:
+    """The truth table of the one rule."""
+
     def test_bytes_threshold(self):
-        policy = BytesThresholdPolicy(100)
-        assert not policy.should_retrain(stats(bytes_since=99))
-        assert policy.should_retrain(stats(bytes_since=100))
+        assert not Structure(bytes_since=99).retrain_due(100, None)
+        assert Structure(bytes_since=100).retrain_due(100, None)
+        # The bytes bound alone never counts T_aux.
+        assert Structure(bytes_since=100,
+                         aux=Unreadable()).retrain_due(100, None)
 
     def test_bytes_threshold_none_never_fires(self):
-        policy = BytesThresholdPolicy(None)
-        assert not policy.should_retrain(stats(bytes_since=10**12))
+        shard = Structure(bytes_since=10**12, aux=Unreadable())
+        assert not shard.retrain_due(None, None)
 
     def test_bytes_threshold_validation(self):
         with pytest.raises(ValueError):
-            BytesThresholdPolicy(0)
+            LifecycleConfig(retrain_bytes=0)
+        with pytest.raises(ValueError):
+            DeepMappingConfig(retrain_threshold_bytes=0)
 
     def test_aux_ratio(self):
-        policy = AuxRatioPolicy(0.5)
-        assert not policy.should_retrain(stats(n_rows=1000, aux_rows=499))
-        assert policy.should_retrain(stats(n_rows=1000, aux_rows=500))
+        assert not Structure(aux_rows=499).retrain_due(None, 0.5)
+        assert Structure(aux_rows=500).retrain_due(None, 0.5)
+        # Either bound suffices.
+        assert Structure(aux_rows=500, bytes_since=1).retrain_due(100, 0.5)
+        assert Structure(aux_rows=0, bytes_since=100).retrain_due(100, 0.5)
 
     def test_aux_ratio_min_rows_guard(self):
         """A freshly materialized micro-shard (all rows in aux) must not
         thrash through retrains."""
-        policy = AuxRatioPolicy(0.5, min_rows=64)
-        assert not policy.should_retrain(stats(n_rows=10, aux_rows=10))
-        assert policy.should_retrain(stats(n_rows=64, aux_rows=64))
+        assert MIN_ROWS_FOR_RATIO_RETRAIN == 64
+        assert not Structure(n_rows=63, aux_rows=63).retrain_due(None, 0.5)
+        assert Structure(n_rows=64, aux_rows=64).retrain_due(None, 0.5)
+        assert Structure(n_rows=64, aux_rows=32).retrain_due(None, 0.5)
+        assert not Structure(n_rows=64, aux_rows=31).retrain_due(None, 0.5)
 
     def test_aux_ratio_validation(self):
         with pytest.raises(ValueError):
-            AuxRatioPolicy(0.0)
+            LifecycleConfig(aux_ratio=0.0)
         with pytest.raises(ValueError):
-            AuxRatioPolicy(1.5)
+            LifecycleConfig(aux_ratio=1.5)
 
     def test_never(self):
-        assert not NeverPolicy().should_retrain(
-            stats(bytes_since=10**12, aux_rows=1000, n_rows=1000))
+        shard = Structure(bytes_since=10**12, n_rows=1000, aux_rows=1000)
+        assert not shard.retrain_due(None, None)
 
     def test_empty_shard_ratio_is_zero(self):
-        assert stats(n_rows=0, aux_rows=0).aux_ratio == 0.0
-
-    def test_make_policy_registry(self):
-        for name in POLICY_NAMES:
-            policy = make_policy(name, threshold_bytes=10)
-            assert policy.name == name
-        with pytest.raises(ValueError):
-            make_policy("sometimes")
+        empty = Structure(n_rows=0)
+        assert empty.aux_ratio() == 0.0
+        assert not empty.retrain_due(None, 0.01)
 
 
 class TestLifecycleConfig:
@@ -73,17 +102,28 @@ class TestLifecycleConfig:
         assert restored == config
 
     def test_from_state_ignores_unknown_keys(self):
-        """Manifests written by a newer version must still load."""
+        """Manifests written by a newer version — or an older one that
+        still saved ``policy_min_rows`` — must still load."""
         state = LifecycleConfig().to_state()
         state["future_knob"] = 42
+        state["policy_min_rows"] = 1
         assert LifecycleConfig.from_state(state) == LifecycleConfig()
 
-    def test_build_policy_falls_back_to_config_threshold(self):
-        policy = LifecycleConfig(policy="bytes").build_policy(12345)
-        assert policy.threshold_bytes == 12345
-        policy = LifecycleConfig(policy="bytes",
-                                 retrain_bytes=99).build_policy(12345)
-        assert policy.threshold_bytes == 99
+    def test_retrain_bounds_per_policy_name(self):
+        bounds = {name: LifecycleConfig(policy=name, retrain_bytes=10,
+                                        aux_ratio=0.25).retrain_bounds(99)
+                  for name in POLICY_NAMES}
+        assert bounds == {"bytes": (10, None), "aux-ratio": (None, 0.25),
+                          "never": (None, None)}
+
+    def test_retrain_bounds_falls_back_to_config_threshold(self):
+        assert LifecycleConfig(policy="bytes").retrain_bounds(12345) \
+            == (12345, None)
+        assert LifecycleConfig(policy="bytes", retrain_bytes=99) \
+            .retrain_bounds(12345) == (99, None)
+        # No threshold anywhere: the bytes bound is off.
+        assert LifecycleConfig(policy="bytes").retrain_bounds(None) \
+            == (None, None)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,9 @@ one-hot encoding) on every supported configuration — that is the oracle
 the lookup algorithm was built against.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +238,59 @@ def test_lost_rows_are_the_wrong_and_the_near_tied():
     _, wide_ties = compiled.classify(keys)
     assert wide_ties.any() and not wide_ties.all()
     np.testing.assert_array_equal(compiled.lost_rows(keys, codes), wide_ties)
+
+
+def test_threads_alternating_sessions_share_no_answers(monkeypatch):
+    """The scratch arena is per thread and shared by every session:
+    4 threads alternate ``run`` / ``lost_rows`` over sessions of
+    different widths and batch sizes (one batch spans three chunks),
+    and every answer equals a single-threaded run on a fresh session."""
+    monkeypatch.setattr(compiled_module, "CHUNK_ROWS", 1000)
+    pairs = [
+        make_pair(10, (12,), {"a": (6,)}, {"a": 4}, max_key=99999, seed=1),
+        make_pair((10, 7), (40,), {"a": (24,), "b": ()}, {"a": 5, "b": 3},
+                  max_key=99999, seed=2),
+        make_pair(2, (8,), {"a": ()}, {"a": 3}, max_key=99999, seed=3),
+        make_pair(10, (), {"a": (16,)}, {"a": 6}, max_key=99999, seed=4),
+    ]
+    rng = np.random.default_rng(11)
+    jobs = []
+    for (session, compiled, encoder), size in zip(pairs, (2500, 700, 64, 1)):
+        keys = rng.integers(0, 100000, size=size)
+        fresh = CompiledSession(session, encoder)
+        codes = fresh.run(keys)
+        labels = {task: (code + (np.arange(size) % 3 == 0))
+                  % session.spec.output_dims[task]
+                  for task, code in codes.items()}
+        jobs.append((compiled, keys, labels, codes,
+                     fresh.lost_rows(keys, labels)))
+    start, failures = threading.Barrier(4), []
+
+    def worker(offset):
+        start.wait()
+        try:
+            for step in range(24):
+                compiled, keys, labels, codes, lost = jobs[(offset + step) % 4]
+                if step % 2:
+                    np.testing.assert_array_equal(
+                        compiled.lost_rows(keys, labels), lost)
+                else:
+                    got = compiled.run(keys)
+                    for task, expected in codes.items():
+                        np.testing.assert_array_equal(got[task], expected)
+        except AssertionError as exc:  # pragma: no cover - failure path
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(offset,))
+               for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-pass as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

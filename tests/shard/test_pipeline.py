@@ -89,6 +89,54 @@ class TestParity:
                     store.value_names)
 
 
+class TestPresortedRuns:
+    """A presorted plan answers each run of equal keys once and expands
+    the answer back to every copy (the sharded route hands each shard
+    its keys sorted, repeats adjacent)."""
+
+    @staticmethod
+    def check(shard, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        plan = shard.plan_lookup({"key": keys}, presorted=True)
+        assert len(plan) == keys.size
+        plan.run_existence()
+        plan.run_aux()
+        plan.run_inference()
+        expected = reference_lookup(shard, {"key": keys})
+        distinct_hits = np.unique(keys[expected.found]).size
+        assert plan.model_rows.size + plan.aux_rows.size == distinct_hits
+        assert_same(plan.finish(), expected, shard.value_names)
+
+    @pytest.fixture
+    def shard(self, store):
+        return next(shard for shard in store.shards if shard is not None)
+
+    def test_one_key_repeated(self, shard):
+        key = int(shard.to_table().column("key")[5])
+        self.check(shard, [key] * 9)
+
+    def test_runs_of_hits_and_misses(self, shard):
+        live = shard.to_table().column("key")
+        span = np.arange(live.min() - 5, live.max() + 6, dtype=np.int64)
+        misses = np.setdiff1d(span, live)[:40]
+        rng = np.random.default_rng(3)
+        distinct = np.concatenate([rng.choice(live, 60, replace=False),
+                                   misses])
+        self.check(shard, np.sort(np.repeat(
+            distinct, rng.integers(1, 5, distinct.size))))
+
+    def test_out_of_domain_runs_below_and_above(self, shard):
+        live = np.sort(shard.to_table().column("key"))
+        below, above = int(live[0]) - 10**6, int(live[-1]) + 10**6
+        self.check(shard, [below - 1] * 3 + [below] * 2
+                   + list(np.repeat(live[:4], 2))
+                   + [above] * 4 + [above + 7] * 2)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_tiny_batches(self, shard, size):
+        self.check(shard, shard.to_table().column("key")[:size])
+
+
 class TestReferencePathParity:
     def test_store_matches_reference_engine_behind_barrier_merge(self, table):
         store = ShardedDeepMapping.fit(
