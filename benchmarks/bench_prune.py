@@ -233,9 +233,8 @@ def assert_zero_copy(opened) -> int:
             arrays.append(exist._bits.packed)
         else:                                 # sparse index
             arrays.append(exist._keys)
-        partitions = shard.aux._store
-        arrays += [np.frombuffer(partitions.disk.read(meta.name), np.uint8)
-                   for meta in partitions.partitions]
+        arrays += [np.frombuffer(meta.blob, np.uint8)
+                   for meta in shard.aux._store.partitions]
         for arr in arrays:
             arr = np.asarray(arr)
             assert not arr.flags.writeable, (

@@ -20,7 +20,6 @@ DS        DeepSqueeze (semantic, lossy, error bound 0.001)
 from typing import Optional
 
 from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
 from ..storage.stats import StoreStats
 from .array_store import ArrayStore
 from .base import BaselineStore
@@ -44,13 +43,12 @@ BASELINE_NAMES = (
 def make_baseline(
     name: str,
     target_partition_bytes: int = 128 * 1024,
-    disk: Optional[DiskStore] = None,
     pool: Optional[BufferPool] = None,
     stats: Optional[StoreStats] = None,
     **kwargs,
 ) -> BaselineStore:
     """Instantiate a baseline by its paper name (see module docstring)."""
-    common = dict(disk=disk, pool=pool, stats=stats)
+    common = dict(pool=pool, stats=stats)
     if name == "AB":
         return ArrayStore(codec="none",
                           target_partition_bytes=target_partition_bytes,

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
 from ..storage.partition import SortedPartitionStore
 from ..storage.stats import StoreStats
 from .base import BaselineStore
@@ -48,20 +47,17 @@ class ArrayStore(BaselineStore):
         codec: str = "none",
         dict_encode: bool = False,
         target_partition_bytes: int = 128 * 1024,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
     ):
-        super().__init__(disk=disk, pool=pool, stats=stats)
+        super().__init__(pool=pool, stats=stats)
         self.name = _NAMES.get((codec, dict_encode), f"ABC-{codec}")
         self._store = SortedPartitionStore(
             codec=codec,
             target_partition_bytes=target_partition_bytes,
             dict_encode=dict_encode,
-            disk=self.disk,
             pool=self.pool,
             stats=self.stats,
-            name_prefix=f"array-{codec}{'-d' if dict_encode else ''}",
         )
 
     # ------------------------------------------------------------------
@@ -75,7 +71,7 @@ class ArrayStore(BaselineStore):
         return self._store.lookup_batch(flat_keys)
 
     def stored_bytes(self) -> int:
-        """Compressed partition bytes on disk."""
+        """Compressed partition bytes (the offline footprint)."""
         return self._store.stored_bytes()
 
     @property

@@ -17,7 +17,6 @@ from ..core.deep_mapping import LookupResult
 from ..data.encoding import CompositeKeyCodec
 from ..data.table import ColumnTable
 from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
 from ..storage.stats import StoreStats
 
 __all__ = ["BaselineStore"]
@@ -31,12 +30,10 @@ class BaselineStore:
 
     def __init__(
         self,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
     ):
         self.stats = stats if stats is not None else StoreStats()
-        self.disk = disk if disk is not None else DiskStore(stats=self.stats)
         self.pool = pool if pool is not None else BufferPool(stats=self.stats)
         self._key_codec: Optional[CompositeKeyCodec] = None
         self._value_names: Tuple[str, ...] = ()

@@ -25,8 +25,7 @@ from ..data.encoding import ValueEncoder
 from ..nn.layers import Dense
 from ..nn.losses import mse
 from ..nn.optimizers import Adam
-from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
+from ..storage.buffer_pool import BufferPool, new_pool_key
 from ..storage.serializer import serialize_block
 from ..storage.stats import StoreStats
 from .base import BaselineStore
@@ -59,11 +58,10 @@ class DeepSqueeze(BaselineStore):
         batch_size: int = 1024,
         lr: float = 0.003,
         seed: int = 0,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
     ):
-        super().__init__(disk=disk, pool=pool, stats=stats)
+        super().__init__(pool=pool, stats=stats)
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.epsilon = epsilon
@@ -86,6 +84,7 @@ class DeepSqueeze(BaselineStore):
     def _build_impl(self, flat_keys: np.ndarray,
                     values: Dict[str, np.ndarray]) -> None:
         rng = np.random.default_rng(self.seed)
+        self._pool_key = new_pool_key()
         order = np.argsort(flat_keys, kind="stable")
         self._keys = flat_keys[order]
         names = self._value_names
@@ -168,7 +167,7 @@ class DeepSqueeze(BaselineStore):
             size = sum(arr.nbytes for arr in out.values()) + recon.nbytes
             return out, size
 
-        return self.pool.get("ds-reconstruction", loader)
+        return self.pool.get(self._pool_key, loader)
 
     # ------------------------------------------------------------------
     def _lookup_impl(

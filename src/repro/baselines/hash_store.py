@@ -14,9 +14,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..storage.buffer_pool import BufferPool
+from ..storage.buffer_pool import BufferPool, new_pool_key
 from ..storage.codecs import get_codec
-from ..storage.disk import DiskStore
+from ..storage.partition import read_blob
 from ..storage.serializer import deserialize_block, serialize_block
 from ..storage.stats import StoreStats
 from .base import BaselineStore
@@ -42,18 +42,18 @@ class HashStore(BaselineStore):
         self,
         codec: str = "none",
         target_partition_bytes: int = 128 * 1024,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
     ):
-        super().__init__(disk=disk, pool=pool, stats=stats)
+        super().__init__(pool=pool, stats=stats)
         if target_partition_bytes <= 0:
             raise ValueError("target_partition_bytes must be positive")
         self.name = _NAMES.get(codec, f"HBC-{codec}")
         self.codec = get_codec(codec)
         self.target_partition_bytes = target_partition_bytes
         self._n_partitions = 1
-        self._partition_bytes: Dict[int, int] = {}
+        #: pid -> (pool key, compressed dict), a fresh key per rewrite.
+        self._partitions: Dict[int, Tuple[int, memoryview]] = {}
 
     # ------------------------------------------------------------------
     def _build_impl(self, flat_keys: np.ndarray,
@@ -84,18 +84,17 @@ class HashStore(BaselineStore):
 
     def _write_partition(self, pid: int, table: Dict[int, tuple]) -> None:
         payload = self.codec.compress(serialize_block(table))
-        stored = self.disk.write(self._blob_name(pid), payload)
-        self._partition_bytes[pid] = stored
-        self.pool.invalidate(self._blob_name(pid))
-
-    def _blob_name(self, pid: int) -> str:
-        return f"hash-{self.codec.name}-{pid:06d}"
+        retired = self._partitions.get(pid)
+        if retired is not None:
+            self.pool.invalidate(retired[0])
+        self._partitions[pid] = (new_pool_key(),
+                                 memoryview(payload).toreadonly())
 
     def _load_partition(self, pid: int) -> Dict[int, tuple]:
-        name = self._blob_name(pid)
+        key, blob = self._partitions[pid]
 
         def loader():
-            payload = self.disk.read(name)
+            payload = read_blob(blob, self.stats)
             with self.stats.timing("decompress"):
                 raw = self.codec.decompress(payload)
             with self.stats.timing("deserialize"):
@@ -104,7 +103,7 @@ class HashStore(BaselineStore):
             # charge a conservative expansion factor to the pool.
             return table, max(len(raw) * 3, 64)
 
-        return self.pool.get(name, loader)
+        return self.pool.get(key, loader)
 
     # ------------------------------------------------------------------
     def _lookup_impl(
@@ -170,8 +169,8 @@ class HashStore(BaselineStore):
 
     # ------------------------------------------------------------------
     def stored_bytes(self) -> int:
-        """Compressed partition bytes on disk."""
-        return sum(self._partition_bytes.values())
+        """Compressed partition bytes (the offline footprint)."""
+        return sum(blob.nbytes for _, blob in self._partitions.values())
 
     @property
     def partition_count(self) -> int:

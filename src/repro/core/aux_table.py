@@ -14,10 +14,13 @@ Stores the key→value pairs the model misclassifies, as *label codes*:
 - modifications (Algorithms 3–5) are absorbed by a small in-memory overlay
   (adds/updates plus tombstones) that :meth:`compact` merges back into the
   compressed partitions;
-- the compressed partitions are also what is saved: :meth:`to_state` hands
-  them out as stored and :meth:`attach` adopts them back without
-  rebuilding, so the bytes :meth:`stored_bytes` counts are the bytes on
-  disk.
+- the compressed partitions are also what is saved: each lives in one
+  read-only buffer (the codec's output, or a slice of the opened store
+  file), :meth:`to_state` hands those buffers out and :meth:`attach`
+  adopts them back without rebuilding, so the bytes :meth:`stored_bytes`
+  counts are the bytes on disk;
+- retiring a table (:meth:`drop_storage`) only purges its pool entries:
+  a reader still holding it answers as before.
 
 The overlay keeps single-row mutations O(1) instead of rewriting a
 compressed partition per operation; its serialized size is charged to the
@@ -32,7 +35,6 @@ import numpy as np
 
 from ..resilience.errors import StoreCorruptedError
 from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
 from ..storage.partition import SortedPartitionStore
 from ..storage.serializer import minimal_int_dtype, serialized_size
 from ..storage.stats import StoreStats
@@ -49,13 +51,10 @@ class AuxiliaryTable:
         Value-column (task) names, defining the code tuple layout.
     codec / target_partition_bytes:
         Partition compression settings (paper's DM-Z vs DM-L knob).
-    disk / pool / stats:
-        Storage substrate; private instances created when omitted.
-    name_prefix:
-        Partition blob-name prefix.  Callers sharing one disk store or
-        buffer pool across several auxiliary tables (the sharded store)
-        must give each table a distinct prefix so cached partitions never
-        collide.
+    pool / stats:
+        Storage substrate; private instances created when omitted.  Any
+        number of tables may share one pool (the sharded store does):
+        every partition caches under a key of its own.
     """
 
     def __init__(
@@ -63,11 +62,9 @@ class AuxiliaryTable:
         tasks: Tuple[str, ...],
         codec: str = "zstd",
         target_partition_bytes: int = 64 * 1024,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
         auto_compact_rows: int = 4096,
-        name_prefix: str = "aux",
     ):
         if not tasks:
             raise ValueError("at least one task is required")
@@ -79,10 +76,8 @@ class AuxiliaryTable:
         self._store = SortedPartitionStore(
             codec=codec,
             target_partition_bytes=target_partition_bytes,
-            disk=disk,
             pool=pool,
             stats=self.stats,
-            name_prefix=name_prefix,
         )
         self._overlay: Dict[int, Tuple[int, ...]] = {}
         self._tombstones: set = set()
@@ -141,23 +136,15 @@ class AuxiliaryTable:
         """The buffer pool caching this table's decompressed partitions."""
         return self._store.pool
 
-    @property
-    def name_prefix(self) -> str:
-        """Partition blob-name prefix (see the constructor)."""
-        return self._store.name_prefix
-
     def drop_storage(self) -> None:
-        """Delete this table's partitions, purge them from the pool and
-        remove the temporary directory a private disk store made for
-        them.
+        """Retire this table: purge its partitions from the pool.
 
-        Called when a rebuilt structure replaces this table: the successor
-        reuses the same pool and name prefix, so stale cached blocks must
-        not survive under the names the successor will fault in.
+        Called when a rebuilt structure replaces this table (a retrain,
+        split or merge).  The fences, partition bytes, overlay and
+        tombstones stay, so a reader still holding the table gets the
+        same answers as before; the bytes are freed with the object.
         """
         self._store.drop_storage()
-        self._overlay.clear()
-        self._tombstones.clear()
 
     # ------------------------------------------------------------------
     # Lookup

@@ -40,11 +40,11 @@ from ..nn.multitask import ArchitectureSpec, MultiTaskMLP
 from ..nn.optimizers import Adam, ExponentialDecay
 from ..nn.training import Trainer
 from ..storage import zerocopy
+from ..resilience.deadline import Deadline
 from ..resilience.errors import StoreNotFoundError
 from ..storage.backends import read_blob_view, resolve_blob_url
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
-from ..storage.disk import DiskStore
 from ..storage.stats import StoreStats
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
@@ -467,11 +467,9 @@ class DeepMapping:
         cls,
         table: ColumnTable,
         config: Optional[DeepMappingConfig] = None,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
         warm_start: Optional[Dict[str, np.ndarray]] = None,
-        aux_name_prefix: str = "aux",
     ) -> "DeepMapping":
         """Train a hybrid structure that losslessly represents ``table``.
 
@@ -490,9 +488,9 @@ class DeepMapping:
         matches are copied before training, implementing the paper's
         model-reuse retraining (Sec. V-D future work).
 
-        ``aux_name_prefix`` names this structure's auxiliary partitions;
-        callers co-hosting several structures on one disk store or buffer
-        pool (e.g. the sharded store) must keep prefixes distinct.
+        ``pool`` may be shared with other structures (the sharded store
+        shares one across shards): every auxiliary partition caches under
+        a pool key of its own.
         """
         config = config if config is not None else DeepMappingConfig()
         stats = stats if stats is not None else StoreStats()
@@ -578,11 +576,9 @@ class DeepMapping:
             tasks=fdecode.columns,
             codec=config.aux_codec,
             target_partition_bytes=config.aux_partition_bytes,
-            disk=disk,
             pool=pool,
             stats=stats,
             auto_compact_rows=config.aux_auto_compact_rows,
-            name_prefix=aux_name_prefix,
         )
         aux.build(flat[mis], {t: labels[t][mis] for t in fdecode.columns})
 
@@ -732,14 +728,18 @@ class DeepMapping:
         self._executor = new
         self._owns_executor = new is not executor
 
-    def lookup_async(self, keys: KeysLike) -> Future:
+    def lookup_async(self, keys: KeysLike, *,
+                     deadline: Optional[Deadline] = None) -> Future:
         """Schedule :meth:`lookup` on the executor strategy.
 
         Returns a future resolving to the same :class:`LookupResult` the
         synchronous call would produce.  Under the serial strategy the
         work happens inline and the future comes back already resolved.
+        ``deadline`` gates the job: if the budget is gone before it
+        starts, the future fails with ``DeadlineExceeded`` and
+        :meth:`lookup` never runs.
         """
-        return self.executor.submit(self.lookup, keys)
+        return self.executor.submit(self.lookup, keys, deadline=deadline)
 
     # ------------------------------------------------------------------
     # Modifications (paper Algorithms 3-5)
@@ -844,10 +844,9 @@ class DeepMapping:
         shard now holds (warm-start tensors transfer only where shapes
         still match).
 
-        The rebuilt auxiliary table keeps this structure's buffer pool and
-        partition-name prefix (co-hosted structures like the sharded store
-        rely on both), and the retired table's cached partitions are purged
-        so the successor never reads stale blocks under its own names.
+        The rebuilt auxiliary table keeps this structure's buffer pool
+        (co-hosted structures like the sharded store rely on it), and the
+        retired table's cached partitions are purged from it.
         """
         self._require_writable()
         table = self.to_table()
@@ -856,15 +855,15 @@ class DeepMapping:
                 if build_config.warm_start_rebuild and not build_config.use_search
                 else None)
         self._adopt(DeepMapping.fit(table, build_config, pool=self.aux.pool,
-                                    stats=self.stats, warm_start=warm,
-                                    aux_name_prefix=self.aux.name_prefix))
+                                    stats=self.stats, warm_start=warm))
 
     def _adopt(self, fresh: "DeepMapping") -> None:
         """Replace this structure's build with ``fresh``, a structure just
         fit over its content — the one swap behind :meth:`rebuild` and
         domain-widening inserts.
 
-        The retired ``T_aux`` storage is dropped and every build-owned
+        The retired ``T_aux`` is purged from the pool (a reader still
+        holding it keeps its answers) and every build-owned
         field is taken over, the compiled kernel included (it is frozen
         over the retired session/encoder).  The tracker, executor, stats
         and flags belong to the logical store and stay.
@@ -1007,10 +1006,8 @@ class DeepMapping:
     def _components_from_state(
         cls,
         state: Dict[str, object],
-        disk: Optional[DiskStore],
         pool: Optional[BufferPool],
         stats: StoreStats,
-        aux_name_prefix: str,
     ) -> Dict[str, object]:
         """Materialize the shared components a payload state describes.
 
@@ -1026,11 +1023,9 @@ class DeepMapping:
             tasks=fdecode.columns,
             codec=config.aux_codec,
             target_partition_bytes=config.aux_partition_bytes,
-            disk=disk,
             pool=pool,
             stats=stats,
             auto_compact_rows=config.aux_auto_compact_rows,
-            name_prefix=aux_name_prefix,
         )
         aux.attach(state["aux_v2"])
         return {
@@ -1066,18 +1061,14 @@ class DeepMapping:
     def from_payload(
         cls,
         payload: bytes,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
-        aux_name_prefix: str = "aux",
     ) -> "DeepMapping":
         """Inverse of :meth:`to_payload` (private, writable copies)."""
         stats = stats if stats is not None else StoreStats()
         state = cls._load_state(payload)
         return cls._assemble(
-            cls._components_from_state(state, disk, pool, stats,
-                                       aux_name_prefix),
-            stats)
+            cls._components_from_state(state, pool, stats), stats)
 
     @classmethod
     def _from_bundle(cls, bundle: Dict[str, object],
@@ -1107,7 +1098,6 @@ class DeepMapping:
         blob: str,
         stats: Optional[StoreStats] = None,
         pool: Optional[BufferPool] = None,
-        aux_name_prefix: str = "aux",
     ) -> "DeepMapping":
         """Read-only open through the process-wide payload cache.
 
@@ -1123,8 +1113,7 @@ class DeepMapping:
         def loader():
             view = read_blob_view(backend, blob)
             state = cls._load_state(view, zero_copy=True)
-            bundle = cls._components_from_state(
-                state, None, pool, StoreStats(), aux_name_prefix)
+            bundle = cls._components_from_state(state, pool, StoreStats())
             # Hold the payload view explicitly: zero-copy arrays
             # reference it, and the bundle must outlive any of them.
             bundle["payload_view"] = view
@@ -1138,10 +1127,8 @@ class DeepMapping:
     def open(
         cls,
         target: str,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
-        aux_name_prefix: str = "aux",
         writable: bool = True,
     ) -> "DeepMapping":
         """Inverse of :meth:`save`: open a payload by path or URL.
@@ -1158,14 +1145,12 @@ class DeepMapping:
         try:
             if not writable:
                 return cls._open_shared(backend, blob, stats=stats,
-                                        pool=pool,
-                                        aux_name_prefix=aux_name_prefix)
+                                        pool=pool)
             payload = backend.read_bytes(blob)
         except KeyError:
             raise StoreNotFoundError(f"no DeepMapping payload at "
                                      f"{target!r}") from None
-        return cls.from_payload(payload, disk=disk, pool=pool, stats=stats,
-                                aux_name_prefix=aux_name_prefix)
+        return cls.from_payload(payload, pool=pool, stats=stats)
 
     # ------------------------------------------------------------------
     # Input normalization
@@ -1194,8 +1179,7 @@ class DeepMapping:
         incoming = ColumnTable(columns, key=self.key_names)
         merged = base.concat(incoming) if base.n_rows else incoming
         self._adopt(DeepMapping.fit(merged, self.config, pool=self.aux.pool,
-                                    stats=self.stats,
-                                    aux_name_prefix=self.aux.name_prefix))
+                                    stats=self.stats))
         # All rows (including the new ones) are now inside the structure;
         # signal the caller that no further per-row handling is needed.
         raise _DomainRebuilt()

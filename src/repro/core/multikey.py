@@ -21,7 +21,7 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping, LookupResult
+from .deep_mapping import _ZERO_CODE, DeepMapping, LookupResult
 
 __all__ = ["MultiKeyDeepMapping", "MultiRelationDeepMapping"]
 
@@ -145,13 +145,20 @@ class MultiRelationDeepMapping:
             raise ValueError("dimension relation must have a single-column key")
 
         fact_result = fact_map.lookup(fact_keys)
+        hit = fact_result.found
         fk_values = np.asarray(fact_result.values[fk_column], dtype=np.int64)
-        # Fact rows that were missing get an out-of-domain FK probe so the
-        # dimension lookup reports them as not found.
-        fk_values = np.where(fact_result.found, fk_values, -1)
-        dim_result = dim_map.lookup({dim_map.key_names[0]: fk_values})
-        dim_result.found &= fact_result.found
-        return fact_result, dim_result
+        # Only found rows' foreign keys are probed (any key value, -1
+        # included, may be a live dimension row); the rest read exactly
+        # as a dimension miss does, the ``vocab[0]`` filler.
+        probed = dim_map.lookup({dim_map.key_names[0]: fk_values[hit]})
+        found = np.zeros(hit.size, dtype=bool)
+        found[hit] = probed.found
+        values = {}
+        for name, column in probed.values.items():
+            miss = dim_map.fdecode.encoders[name].decode(_ZERO_CODE)[0]
+            values[name] = np.full(hit.size, miss, dtype=column.dtype)
+            values[name][hit] = column
+        return fact_result, LookupResult(found=found, values=values)
 
     def storage_bytes(self) -> int:
         """Total footprint across relations."""

@@ -31,7 +31,6 @@ the coalescing tier without writing any asyncio.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
 from typing import Dict, Optional, Union
 
@@ -85,15 +84,6 @@ class LookupServer:
         self._inflight_keys = 0
         self._closed = False
         self._draining = False
-        # Capability sniff, once: a store whose lookup_async accepts a
-        # ``deadline`` keyword (the sharded store) has the budget pushed
-        # down so shard jobs self-terminate; other stores are bounded
-        # from outside by wait_for alone.
-        try:
-            self._store_takes_deadline = "deadline" in \
-                inspect.signature(store.lookup_async).parameters
-        except (TypeError, ValueError):
-            self._store_takes_deadline = False
 
     # ------------------------------------------------------------------
     # Admission
@@ -261,13 +251,6 @@ class LookupServer:
                 live.append(request)
         return live
 
-    def _store_call(self, key_cols, deadline: Optional[Deadline]):
-        """The fused (or per-request) store future, budget pushed down
-        when the store can take it."""
-        if deadline is not None and self._store_takes_deadline:
-            return self.store.lookup_async(key_cols, deadline=deadline)
-        return self.store.lookup_async(key_cols)
-
     async def _execute(self, batch) -> None:
         """Serve one drained batch, then settle it with the batcher."""
         try:
@@ -310,9 +293,9 @@ class LookupServer:
             # batch off-loop; shard fan-out uses its separate worker
             # lane, so this await cannot deadlock the pool.  The wait is
             # bounded by the batch's most urgent waiter; the store-level
-            # deadline (when supported) makes the workers stop too.
-            future = asyncio.wrap_future(self._store_call(
-                unique_cols, deadline))
+            # deadline makes the workers stop too.
+            future = asyncio.wrap_future(self.store.lookup_async(
+                unique_cols, deadline=deadline))
             if deadline is not None:
                 result = await asyncio.wait_for(future, deadline.timeout_or())
             else:
@@ -371,8 +354,8 @@ class LookupServer:
                 self._expire(request, where)
                 continue
             try:
-                future = asyncio.wrap_future(self._store_call(
-                    request.key_cols, request.deadline))
+                future = asyncio.wrap_future(self.store.lookup_async(
+                    request.key_cols, deadline=request.deadline))
                 if request.deadline is not None:
                     result = await asyncio.wait_for(
                         future, request.deadline.timeout_or())

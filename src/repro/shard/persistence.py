@@ -30,7 +30,7 @@ from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
 from .manifest import CONFIG_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
-from .store import ShardedDeepMapping, ShardingConfig, _aux_prefix
+from .store import ShardedDeepMapping, ShardingConfig
 
 __all__ = ["save", "load", "shard_blob_name", "is_shard_blob"]
 
@@ -240,13 +240,13 @@ def load(cls, target: Union[str, StorageBackend],
     pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                       stats=stats)
     shards: List[Optional[DeepMapping]] = []
-    for ordinal, entry in enumerate(manifest.shards):
+    for entry in manifest.shards:
         if entry.file is None:
             shards.append(None)
             continue
         open_shared = functools.partial(
             DeepMapping._open_shared, backend, entry.file, stats=stats,
-            pool=pool, aux_name_prefix=_aux_prefix(ordinal))
+            pool=pool)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload
@@ -260,9 +260,8 @@ def load(cls, target: Union[str, StorageBackend],
         else:
             with stats.timing("io"):
                 payload = backend.read_bytes(entry.file)
-            shards.append(DeepMapping.from_payload(
-                payload, pool=pool, stats=stats,
-                aux_name_prefix=_aux_prefix(ordinal)))
+            shards.append(DeepMapping.from_payload(payload, pool=pool,
+                                                   stats=stats))
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
     store = cls(router, shards, config, sharding,

@@ -81,9 +81,9 @@ def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     # One topology snapshot per batch: every stage sees the same
     # (router, shards) pair, so a lifecycle swap can never mispair cuts
-    # with ordinals.  This does NOT license concurrent mutation — the
-    # single-writer contract stands (a retired shard's dropped aux
-    # storage is not safe to read).
+    # with ordinals.  A shard retired mid-batch keeps answering as it
+    # did (retiring only purges its pool entries), but this does NOT
+    # license concurrent mutation: the single-writer contract stands.
     router, shards = store._topology
     if n == 0:
         return LookupResult(found=np.zeros(0, dtype=bool),

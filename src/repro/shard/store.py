@@ -211,10 +211,6 @@ class ShardedDeepMapping:
         #: shard components may be shared with other opens of the same
         #: blobs, so every mutating entry point refuses.
         self.writable = True
-        #: Monotonic source of aux-partition prefixes: splits and merges
-        #: materialize shards at shifting ordinals, so prefixes are issued
-        #: from a counter instead of being derived from the ordinal.
-        self._prefix_seq = router.n_shards
         #: Maintenance engine (None = unmanaged store).
         self.engine: Optional[MaintenanceEngine] = None
         if sharding.lifecycle is not None:
@@ -266,10 +262,8 @@ class ShardedDeepMapping:
                                                    lifecycle)
             # Shards share the store's stats sink so pool/io/inference
             # buckets aggregate; increments race benignly under threads.
-            return DeepMapping.fit(
-                table.take(rows), shard_config, pool=pool, stats=stats,
-                aux_name_prefix=_aux_prefix(ordinal),
-            )
+            return DeepMapping.fit(table.take(rows), shard_config,
+                                   pool=pool, stats=stats)
 
         # The same strategy that will fan lookups out also fans the
         # per-shard builds out (NumPy training kernels release the GIL).
@@ -580,9 +574,7 @@ class ShardedDeepMapping:
                     fresh = DeepMapping.fit(
                         ColumnTable(subset, key=self.key_names, name="shard"),
                         self._build_config(int(rows_idx.size)),
-                        pool=self.pool, stats=self.stats,
-                        aux_name_prefix=self._new_aux_prefix(),
-                    )
+                        pool=self.pool, stats=self.stats)
                     self._register_shard(fresh)
                     self.shards[ordinal] = fresh
                     landed += len(fresh.aux)
@@ -710,12 +702,6 @@ class ShardedDeepMapping:
             return derive_build_config(self.config, n_rows, lifecycle)
         return self.config
 
-    def _new_aux_prefix(self) -> str:
-        """A store-unique aux-partition prefix for a new shard."""
-        prefix = _aux_prefix(self._prefix_seq)
-        self._prefix_seq += 1
-        return prefix
-
     def refresh_store_filter(self) -> None:
         """Rebuild the store filter from all live keys.
 
@@ -781,7 +767,8 @@ class ShardedDeepMapping:
         per-shard MHAS hook).  The halves build concurrently on the
         fan-out pool, then the router (with the new cut) and the shard
         list swap in atomically; the retired shard's aux partitions are
-        dropped.  Runs under the store's single-writer mutation contract.
+        purged from the pool (a reader still holding it keeps its
+        answers).  Runs under the store's single-writer mutation contract.
         Returns the cut used.
         """
         self._require_writable()
@@ -815,18 +802,16 @@ class ShardedDeepMapping:
         builds = [
             (table.take(left_rows),
              cfg_left if cfg_left is not None
-             else self._build_config(int(left_rows.size)),
-             self._new_aux_prefix()),
+             else self._build_config(int(left_rows.size))),
             (table.take(right_rows),
              cfg_right if cfg_right is not None
-             else self._build_config(int(right_rows.size)),
-             self._new_aux_prefix()),
+             else self._build_config(int(right_rows.size))),
         ]
 
         def build_half(job) -> DeepMapping:
-            part, cfg, prefix = job
+            part, cfg = job
             return DeepMapping.fit(part, cfg, pool=self.pool,
-                                   stats=self.stats, aux_name_prefix=prefix)
+                                   stats=self.stats)
 
         left, right = self._map_jobs(build_half, builds)
         self._register_shard(left)
@@ -850,8 +835,8 @@ class ShardedDeepMapping:
         optionally overrides its build configuration); merging two empty
         shards just removes the boundary.  The router (minus the boundary
         cut) and the shard list swap in atomically; both retired shards'
-        aux partitions are dropped.  Runs under the store's single-writer
-        mutation contract.
+        aux partitions are purged from the pool.  Runs under the store's
+        single-writer mutation contract.
         """
         self._require_writable()
         router = self._require_range_router()
@@ -872,9 +857,7 @@ class ShardedDeepMapping:
                 combined,
                 config if config is not None
                 else self._build_config(combined.n_rows),
-                pool=self.pool, stats=self.stats,
-                aux_name_prefix=self._new_aux_prefix(),
-            )
+                pool=self.pool, stats=self.stats)
             self._register_shard(merged)
 
         new_router = router.merge_at(ordinal)
@@ -969,8 +952,3 @@ class ShardedDeepMapping:
             f"({live} live), strategy={self.sharding.strategy!r}, "
             f"rows={len(self)})"
         )
-
-
-def _aux_prefix(ordinal: int) -> str:
-    """Unique aux-partition blob prefix per shard (shared pool safety)."""
-    return f"shard{ordinal:04d}-aux"

@@ -1,7 +1,12 @@
-"""Storage substrate: backends, bit vectors, codecs, partitions, pool, disk.
+"""Storage substrate: backends, bit vectors, codecs, partitions, pool.
 
 These are the building blocks under both the DeepMapping hybrid structure
-and every baseline in the paper's evaluation.
+and every baseline in the paper's evaluation.  A partition's compressed
+bytes live in one place, the read-only buffer its
+:class:`SortedPartitionStore` holds (a slice of the opened store file, or
+the codec's output for one built in this process); the
+:class:`BufferPool` caches decoded partitions under keys that are never
+reused (:func:`new_pool_key`).
 """
 
 from . import zerocopy
@@ -11,7 +16,7 @@ from .backends import (MONOLITHIC_BLOB, URL_SCHEMES, InMemoryBackend,
                        parse_url, read_blob_view, resolve_blob_url)
 from .bitvector import BitVector
 from .blob_cache import BlobCache, configure_payload_cache, payload_cache
-from .buffer_pool import BufferPool, MemoryBudgetError
+from .buffer_pool import BufferPool, MemoryBudgetError, new_pool_key
 from .codecs import (
     Codec,
     GzipCodec,
@@ -22,7 +27,6 @@ from .codecs import (
     get_codec,
     register_codec,
 )
-from .disk import DiskStore
 from .hydration import LazyShard, RangeReader
 from .remote import (CachedHttpBackend, HttpBackend,
                      configure_hydration_cache, hydration_cache_root)
@@ -56,6 +60,7 @@ __all__ = [
     "configure_payload_cache",
     "BufferPool",
     "MemoryBudgetError",
+    "new_pool_key",
     "zerocopy",
     "Codec",
     "IdentityCodec",
@@ -71,7 +76,6 @@ __all__ = [
     "hydration_cache_root",
     "RangeReader",
     "LazyShard",
-    "DiskStore",
     "PartitionMeta",
     "SortedPartitionStore",
     "serialize_block",

@@ -7,10 +7,16 @@ memory pool; here the pool budget is an explicit number of bytes.  When a
 store's partitions exceed the budget, the pool evicts the least recently used
 partition, and the next access pays disk I/O + decompression again — exactly
 the cost the paper's Table I measures and DeepMapping avoids.
+
+Stores cache under keys from :func:`new_pool_key`, one process-wide
+counter, so any number of stores can share one pool without naming
+schemes: a key is never issued twice, not even after its store is
+collected (which ``id()`` would not guarantee).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional, Tuple
@@ -18,7 +24,14 @@ from typing import Any, Callable, Hashable, Optional, Tuple
 from ..resilience.errors import StoreCorruptedError
 from .stats import StoreStats
 
-__all__ = ["BufferPool", "MemoryBudgetError"]
+__all__ = ["BufferPool", "MemoryBudgetError", "new_pool_key"]
+
+_pool_keys = itertools.count()
+
+
+def new_pool_key() -> int:
+    """A pool key never issued before in this process."""
+    return next(_pool_keys)
 
 
 class MemoryBudgetError(MemoryError):
@@ -55,8 +68,9 @@ class BufferPool:
     from scratch (one of them becomes the next leader), so per-caller
     error semantics match the un-deduplicated pool.  A load that
     straddles an ``invalidate()``/``clear()`` is returned to its callers
-    but never cached (generation check), so a rebuild that retires blob
-    names cannot have stale content resurrected by an in-flight loader.
+    but never cached (generation check), so a rebuild that retires
+    partitions cannot have stale content resurrected by an in-flight
+    loader.
 
     Parameters
     ----------
@@ -92,8 +106,8 @@ class BufferPool:
         # event instead of re-running the loader (see class docstring).
         self._faults: dict = {}
         # Bumped by invalidate()/clear(); a load that straddles a bump is
-        # returned to its caller but never cached (it may be stale: rebuilds
-        # replace blob content under reused names).
+        # returned to its caller but never cached (it may be stale: the
+        # key's partition was just retired).
         self._generation = 0
 
     # ------------------------------------------------------------------

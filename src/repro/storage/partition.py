@@ -11,13 +11,15 @@ Both the DeepMapping auxiliary table ``T_aux`` and the array-based baselines
    the dtypes the store records (object columns and dictionary encoding,
    which only the baselines use, as one pickled column section instead) —
    and compressed with a byte codec,
-3. partitions live on disk and are faulted into an LRU
-   :class:`~repro.storage.buffer_pool.BufferPool` on access — in a
-   :class:`~repro.storage.disk.DiskStore` directory for a store built in
-   this process, inside the saved store file for one opened from it
+3. each compressed partition lives in one read-only buffer the store
+   holds — the codec's output for a partition built in this process, a
+   slice of the saved store file for one opened from it
    (:meth:`SortedPartitionStore.export` / :meth:`~SortedPartitionStore.attach`:
    the compressed partitions *are* the persistent form, so an open
-   neither re-sorts nor re-compresses nor copies them),
+   neither re-sorts nor re-compresses nor copies them) — and is faulted
+   into an LRU :class:`~repro.storage.buffer_pool.BufferPool` on access,
+   under a pool key no other partition ever gets
+   (:func:`~repro.storage.buffer_pool.new_pool_key`),
 4. a lookup locates the partition by binary search over partition boundaries,
    decompresses and decodes it (at most once per query batch — queries are
    sorted; one ``cumsum`` restores the keys), and binary-searches the key
@@ -32,15 +34,14 @@ from __future__ import annotations
 import lzma
 import pickle
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..resilience.errors import StoreCorruptedError
-from .buffer_pool import BufferPool
+from .buffer_pool import BufferPool, new_pool_key
 from .codecs import Codec, get_codec
-from .disk import DiskStore
 from .serializer import (
     deserialize_block,
     dictionary_decode,
@@ -51,7 +52,7 @@ from .serializer import (
 from .stats import StoreStats
 
 __all__ = ["PartitionMeta", "SortedPartitionStore", "encode_partition",
-           "decode_partition"]
+           "decode_partition", "read_blob"]
 
 #: Byte widths a partition's key gaps may be stored at.
 GAP_WIDTHS = (1, 2, 4, 8)
@@ -59,15 +60,31 @@ GAP_WIDTHS = (1, 2, 4, 8)
 
 @dataclass(frozen=True)
 class PartitionMeta:
-    """Summary of one stored partition: its fence (key range, row count,
-    key-gap width) and its stored size."""
+    """One stored partition: its fence (key range, row count, key-gap
+    width), its compressed bytes and the pool key they cache under —
+    fresh for every partition, so no two partitions ever share one."""
 
-    name: str
     first_key: int
     last_key: int
     n_rows: int
     gap_width: int
-    stored_bytes: int
+    blob: memoryview = field(repr=False, compare=False)
+    pool_key: int = field(default_factory=new_pool_key, compare=False)
+
+    @property
+    def stored_bytes(self) -> int:
+        """Compressed size of the partition."""
+        return self.blob.nbytes
+
+
+def read_blob(blob: memoryview, stats: StoreStats) -> memoryview:
+    """Hand out a held partition blob, charged as one read: the ``io``
+    timer, ``blobs_read`` and ``bytes_read``."""
+    with stats.timing("io"):
+        payload = blob
+    stats.bump("blobs_read")
+    stats.bump("bytes_read", payload.nbytes)
+    return payload
 
 
 def _pickles_columns(dtypes, dict_encode: bool) -> bool:
@@ -152,7 +169,7 @@ def decode_partition(raw, meta: PartitionMeta, dtypes: Dict[str, np.dtype],
 
 
 class SortedPartitionStore:
-    """Key-sorted columnar rows in compressed disk partitions.
+    """Key-sorted columnar rows in compressed partitions.
 
     Parameters
     ----------
@@ -164,10 +181,9 @@ class SortedPartitionStore:
         (Sec. V-A5).
     dict_encode:
         Dictionary-encode the columns, pickled (the paper's ABC-D).
-    disk / pool / stats:
+    pool / stats:
         Substrate components; private ones are created when omitted.
-    name_prefix:
-        Blob-name prefix, letting several stores share one directory.
+        Stores may share one pool: their partitions' keys never collide.
     """
 
     def __init__(
@@ -175,10 +191,8 @@ class SortedPartitionStore:
         codec: "Codec | str" = "none",
         target_partition_bytes: int = 128 * 1024,
         dict_encode: bool = False,
-        disk: Optional[DiskStore] = None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
-        name_prefix: str = "part",
     ):
         if target_partition_bytes <= 0:
             raise ValueError("target_partition_bytes must be positive")
@@ -186,10 +200,9 @@ class SortedPartitionStore:
         self.target_partition_bytes = int(target_partition_bytes)
         self.dict_encode = bool(dict_encode)
         self.stats = stats if stats is not None else StoreStats()
-        self._owns_disk = disk is None
-        self.disk = disk if disk is not None else DiskStore(stats=self.stats)
         self.pool = pool if pool is not None else BufferPool(stats=self.stats)
-        self.name_prefix = name_prefix
+        #: Set by :meth:`drop_storage`: faults are served uncached.
+        self._retired = False
         self._metas: List[PartitionMeta] = []
         self._first_keys = np.empty(0, dtype=np.int64)
         self._last_keys = np.empty(0, dtype=np.int64)
@@ -208,10 +221,10 @@ class SortedPartitionStore:
         """
         keys, columns = self._sorted(keys, columns)
 
-        # _drop_existing_blobs invalidates this store's own pool entries;
-        # a whole-pool clear() would also evict co-hosted stores (the
-        # sharded store shares one pool across shards).
-        self._drop_existing_blobs()
+        # Only this store's own pool entries go; a whole-pool clear()
+        # would also evict co-hosted stores (the sharded store shares one
+        # pool across shards).
+        self._purge_pool()
         self._metas = []
         self._columns = tuple(columns)
         self._dtypes = {name: np.asarray(col).dtype for name, col in columns.items()}
@@ -222,9 +235,9 @@ class SortedPartitionStore:
             return
 
         rows_per_partition = self._rows_per_partition()
-        for pid, start in enumerate(range(0, keys.size, rows_per_partition)):
+        for start in range(0, keys.size, rows_per_partition):
             stop = min(start + rows_per_partition, keys.size)
-            self._write_partition(pid, keys[start:stop],
+            self._write_partition(keys[start:stop],
                                   {n: c[start:stop] for n, c in columns.items()})
         self._refresh_boundaries()
 
@@ -249,7 +262,7 @@ class SortedPartitionStore:
                 raise ValueError(f"column {name!r} is {col.dtype}, which "
                                  f"does not fit the stored "
                                  f"{self._dtypes[name]}")
-        self._write_partition(len(self._metas), keys, {
+        self._write_partition(keys, {
             name: col.astype(self._dtypes[name], copy=False)
             for name, col in columns.items()})
         self._n_rows += int(keys.size)
@@ -278,47 +291,33 @@ class SortedPartitionStore:
         row_bytes = 8 + sum(dtype.itemsize for dtype in self._dtypes.values())
         return max(1, self.target_partition_bytes // row_bytes)
 
-    def _write_partition(self, pid: int, keys: np.ndarray,
+    def _write_partition(self, keys: np.ndarray,
                          columns: Dict[str, np.ndarray]) -> None:
         raw, gap_width = encode_partition(keys, columns, self.dict_encode)
-        name = self._partition_name(pid)
-        stored = self.disk.write(name, self.codec.compress(raw))
-        self._metas.append(
-            PartitionMeta(
-                name=name,
-                first_key=int(keys[0]),
-                last_key=int(keys[-1]),
-                n_rows=int(keys.size),
-                gap_width=gap_width,
-                stored_bytes=stored,
-            )
-        )
-
-    def _partition_name(self, pid: int) -> str:
-        return f"{self.name_prefix}-{pid:06d}"
+        self._metas.append(PartitionMeta(
+            first_key=int(keys[0]), last_key=int(keys[-1]),
+            n_rows=int(keys.size), gap_width=gap_width,
+            blob=memoryview(self.codec.compress(raw)).toreadonly()))
 
     def _refresh_boundaries(self) -> None:
         self._first_keys = np.array([m.first_key for m in self._metas], dtype=np.int64)
         self._last_keys = np.array([m.last_key for m in self._metas], dtype=np.int64)
 
-    def _drop_existing_blobs(self) -> None:
+    def _purge_pool(self) -> None:
         for meta in self._metas:
-            self.disk.delete(meta.name)
-            self.pool.invalidate(meta.name)
+            self.pool.invalidate(meta.pool_key)
 
     def drop_storage(self) -> None:
-        """Delete every partition blob and purge them from the pool.
+        """Retire this store: purge its partitions from the pool.
 
-        For callers retiring this store while a successor reuses the same
-        pool and name prefix (rebuilds): stale cached blocks must not be
-        served under the successor's partition names.
+        The fences and partition bytes stay, so a reader still holding
+        the store (a topology snapshot taken before a split, say) gets
+        the same answers as before; what it faults in from now on is
+        served uncached, since nothing would evict it from an unbounded
+        pool.  The bytes are freed with the store object.
         """
-        self._drop_existing_blobs()
-        self._metas = []
-        self._n_rows = 0
-        self._refresh_boundaries()
-        if self._owns_disk:
-            self.disk.close()
+        self._purge_pool()
+        self._retired = True
 
     # ------------------------------------------------------------------
     # Persistence
@@ -333,8 +332,8 @@ class SortedPartitionStore:
         :class:`pickle.PickleBuffer`, so
         :func:`repro.storage.zerocopy.pack` writes it as its own
         CRC-checked out-of-band segment while the fences (plain ints)
-        stay in the container head.  Always exported read-only, so the
-        pickle head does not depend on whether the bytes came from a
+        stay in the container head.  Every held blob is read-only, so
+        the pickle head does not depend on whether the bytes came from a
         build, a private copy or a mapping.
         """
         return {
@@ -344,20 +343,23 @@ class SortedPartitionStore:
             "last_keys": [meta.last_key for meta in self._metas],
             "n_rows": [meta.n_rows for meta in self._metas],
             "gap_widths": [meta.gap_width for meta in self._metas],
-            "partitions": [
-                pickle.PickleBuffer(
-                    memoryview(self.disk.read(meta.name)).toreadonly())
-                for meta in self._metas],
+            # Each through an array view: a memoryview that a PickleBuffer
+            # exports must never be in cyclic garbage with it (CPython
+            # would clear the view first and crash releasing it), and
+            # arrays, untracked by the collector, keep theirs reachable.
+            "partitions": [pickle.PickleBuffer(np.frombuffer(meta.blob,
+                                                             np.uint8))
+                           for meta in self._metas],
         }
 
     def attach(self, state: Dict[str, object]) -> None:
         """Adopt partitions written by :meth:`export`, in place.
 
-        No sort, no serialize, no compress, no write: each blob (a slice
-        of the opened payload, or of its private copy) is handed to the
-        disk store as is and decompressed when a lookup first faults it
-        in.  Partition names are derived from this store's prefix, not
-        read from the payload, so stores sharing one pool stay apart.
+        No sort, no serialize, no compress, no copy: each blob (a slice
+        of the opened payload, or of its private copy) is held as a
+        read-only view and decompressed when a lookup first faults it
+        in, under a fresh pool key, so stores sharing one pool stay
+        apart.
         """
         blobs = state["partitions"]
         fences = [state[name] for name
@@ -365,20 +367,18 @@ class SortedPartitionStore:
         if ({len(fence) for fence in fences} != {len(blobs)}
                 or len(state["columns"]) != len(state["dtypes"])):
             raise StoreCorruptedError(
-                f"partition index of {self.name_prefix!r} does not match "
-                f"its {len(blobs)} partition blob(s)")
-        self._drop_existing_blobs()
+                f"partition index does not match its {len(blobs)} "
+                f"partition blob(s)")
+        self._purge_pool()
         self._columns = tuple(state["columns"])
         self._dtypes = {name: np.dtype(spec) for name, spec
                         in zip(self._columns, state["dtypes"])}
         self._metas = [
-            PartitionMeta(name=self._partition_name(pid),
-                          first_key=int(first), last_key=int(last),
+            PartitionMeta(first_key=int(first), last_key=int(last),
                           n_rows=int(n_rows), gap_width=int(gap_width),
-                          stored_bytes=self.disk.attach(
-                              self._partition_name(pid), blob))
-            for pid, (first, last, n_rows, gap_width, blob)
-            in enumerate(zip(*fences, blobs))]
+                          blob=memoryview(blob).cast("B").toreadonly())
+            for first, last, n_rows, gap_width, blob
+            in zip(*fences, blobs)]
         self._n_rows = sum(meta.n_rows for meta in self._metas)
         self._refresh_boundaries()
 
@@ -422,13 +422,13 @@ class SortedPartitionStore:
         Partition bytes that do not decompress, or do not decode to what
         the fence says (:func:`decode_partition`), surface as a typed
         :class:`~repro.resilience.errors.StoreCorruptedError` naming the
-        blob; the pool retries the load once (torn-read healing) before
-        letting it propagate.
+        partition by ordinal and key range; the pool retries the load
+        once (torn-read healing) before letting it propagate.
         """
         meta = self._metas[pid]
 
         def loader():
-            payload = self.disk.read(meta.name)
+            payload = read_blob(meta.blob, self.stats)
             try:
                 with self.stats.timing("decompress"):
                     raw = self.codec.decompress(payload)
@@ -440,12 +440,15 @@ class SortedPartitionStore:
             except (zlib.error, lzma.LZMAError, pickle.UnpicklingError,
                     EOFError, ValueError, OSError) as exc:
                 raise StoreCorruptedError(
-                    f"partition blob {meta.name!r} is corrupt "
+                    f"partition {pid} (keys {meta.first_key}.."
+                    f"{meta.last_key}) is corrupt "
                     f"({type(exc).__name__}: {exc})") from exc
             size = sum(np.asarray(v).nbytes for v in resident.values())
             return resident, size
 
-        return self.pool.get(meta.name, loader)
+        if self._retired:
+            return loader()[0]
+        return self.pool.get(meta.pool_key, loader)
 
     def lookup_batch(self, keys) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Batch point lookup.

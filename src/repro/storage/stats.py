@@ -48,7 +48,8 @@ class StoreStats:
     whatever buckets make sense for them; the benchmark layer aggregates by
     name.  Canonical timer names used across the repo:
 
-    - ``io``: reading partition bytes from the disk store
+    - ``io``: reading a partition's compressed bytes out of the buffer
+      that holds them (:func:`~repro.storage.partition.read_blob`)
     - ``decompress``: codec decompression
     - ``deserialize``: pickle loads
     - ``locate``: finding the partition for a key

@@ -66,9 +66,12 @@ class DataStore(Protocol):
         """Single-key convenience lookup; a row dict, or None for a miss."""
         ...
 
-    def lookup_async(self, keys) -> Future:
+    def lookup_async(self, keys, *, deadline=None) -> Future:
         """Schedule :meth:`lookup` on the store's executor strategy;
-        returns a future resolving to the same :class:`LookupResult`."""
+        returns a future resolving to the same :class:`LookupResult`.
+        ``deadline`` (a :class:`~repro.resilience.Deadline`) gates and
+        bounds the job: an expired one fails the future with
+        ``DeadlineExceeded``."""
         ...
 
     def contains_batch(self, keys) -> np.ndarray:

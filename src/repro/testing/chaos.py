@@ -78,7 +78,7 @@ class ChaosStore:
         self._released = threading.Event()
         try:
             self._inner_takes_deadline = "deadline" in \
-                inspect.signature(inner.lookup_async).parameters
+                inspect.signature(inner.lookup).parameters
         except (TypeError, ValueError):
             self._inner_takes_deadline = False
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
+from repro.resilience import Deadline, DeadlineExceeded
 from repro.store import DataStore
 
 from ..core.conftest import fast_config
@@ -128,6 +129,20 @@ class TestSharedSurfaceBehaves:
         mono_store.close()
         assert isinstance(mono_store.executor, ThreadPoolStrategy)
         assert mono_store.lookup_async(query_keys).result(timeout=30)
+
+    @pytest.mark.parametrize("strategy", ["serial", "threads"])
+    def test_expired_deadline_fails_a_mono_future_without_a_lookup(
+            self, api_table, query_keys, monkeypatch, strategy):
+        mono_store = DeepMapping.fit(api_table, fast_config(epochs=2))
+        mono_store.set_executor(strategy)
+        ran = []
+        monkeypatch.setattr(mono_store, "lookup", ran.append)
+        future = mono_store.lookup_async(query_keys,
+                                         deadline=Deadline(-1.0))
+        with pytest.raises(DeadlineExceeded):
+            future.result(timeout=30)
+        assert ran == []
+        mono_store.close()
 
     def test_shared_executor_instance_stays_caller_owned(self, api_table):
         from repro.store import ThreadPoolStrategy

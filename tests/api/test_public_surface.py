@@ -72,7 +72,7 @@ EXPECTED_DATASTORE = {
     "aux_ratio": ("self",),
     "lookup": ("self", "keys"),
     "lookup_one": ("self", "key_parts"),
-    "lookup_async": ("self", "keys"),
+    "lookup_async": ("self", "keys", "deadline"),
     "contains_batch": ("self", "keys"),
     "insert": ("self", "rows"),
     "delete": ("self", "keys"),

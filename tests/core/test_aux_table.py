@@ -278,16 +278,17 @@ class TestAttach:
     def test_state_round_trips_without_rebuilding(self, aux, zero_copy):
         packed = zerocopy.pack(aux.to_state())
         clone = AuxiliaryTable(aux.tasks, codec=aux._store.codec.name,
-                               name_prefix="clone")
-        clone._store.disk.write = None   # attaching must never write
+                               pool=aux.pool)
+        clone._store._write_partition = None  # attaching never compresses
         clone.attach(zerocopy.unpack(packed, zero_copy=zero_copy))
-        assert clone._store.disk._directory is None
         assert_rows_equal(clone.scan(), aux.scan())
         assert len(clone) == len(aux)
         assert clone.stored_bytes() == aux.stored_bytes()
         assert clone.partition_count == aux.partition_count
-        assert [m.name for m in clone._store.partitions] == [
-            f"clone-{pid:06d}" for pid in range(clone.partition_count)]
+        # Sharing the source's pool, the clone caches under keys of its own.
+        keys = [m.pool_key for m in clone._store.partitions]
+        assert len(set(keys)) == len(keys)
+        assert not set(keys) & {m.pool_key for m in aux._store.partitions}
         probe = np.arange(-60, 310, dtype=np.int64)
         found, codes = aux.lookup_batch(probe)
         got_found, got_codes = clone.lookup_batch(probe)

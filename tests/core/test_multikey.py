@@ -126,6 +126,32 @@ class TestMultiRelation:
         assert fact.found.tolist() == [True, False]
         assert dim.found.tolist() == [True, False]
 
+    def test_missing_fact_row_reads_as_a_dimension_miss(self):
+        # A dimension with a live key -1: a missing fact row must not
+        # read the -1 row's values, but exactly what a plain miss reads.
+        n = 50
+        segment = np.zeros(n + 1, dtype=np.int64)
+        segment[0] = 9
+        customers = ColumnTable(
+            {"c_id": np.arange(-1, n, dtype=np.int64), "c_seg": segment},
+            key=("c_id",), name="customers")
+        orders = ColumnTable(
+            {"o_id": np.arange(20, dtype=np.int64),
+             "o_customer": np.arange(20, dtype=np.int64) % n},
+            key=("o_id",), name="orders")
+        mr = MultiRelationDeepMapping.fit(
+            {"customers": customers, "orders": orders},
+            config=fast_config(epochs=3))
+        fact, dim = mr.lookup_via(
+            "orders", {"o_id": np.array([0, 10**6])},
+            fk_column="o_customer", dimension="customers")
+        plain_miss = mr.lookup("customers", {"c_id": np.array([10**6])})
+        assert fact.found.tolist() == [True, False]
+        assert dim.found.tolist() == [True, False]
+        assert dim.values["c_seg"].tolist() == [
+            0, plain_miss.values["c_seg"][0]]
+        assert plain_miss.values["c_seg"][0] != 9
+
     def test_unknown_relation_rejected(self):
         customers, _ = star_schema()
         mr = MultiRelationDeepMapping.fit({"customers": customers},

@@ -53,8 +53,8 @@ class ProxyStore:
     def lookup(self, keys):
         return self._inner.lookup(keys)
 
-    def lookup_async(self, keys):
-        return self._inner.lookup_async(keys)
+    def lookup_async(self, keys, deadline=None):
+        return self._inner.lookup_async(keys, deadline=deadline)
 
     def close(self):
         pass
@@ -68,16 +68,16 @@ class PoisonKeyStore(ProxyStore):
         super().__init__(inner)
         self.poison = poison
 
-    def lookup_async(self, keys):
+    def lookup_async(self, keys, deadline=None):
         if self.poison in np.asarray(keys["sku"]):
             raise ValueError(f"poison key {self.poison}")
-        return self._inner.lookup_async(keys)
+        return self._inner.lookup_async(keys, deadline=deadline)
 
 
 class DeadStore(ProxyStore):
     """Every lookup fails — the store was closed under the server."""
 
-    def lookup_async(self, keys):
+    def lookup_async(self, keys, deadline=None):
         raise RuntimeError("store is closed")
 
 
@@ -90,7 +90,7 @@ class BlockingStore(ProxyStore):
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def lookup_async(self, keys):
+    def lookup_async(self, keys, deadline=None):
         inner = self._inner
 
         def blocked():

@@ -84,9 +84,72 @@ class TestParity:
             st.one_of(st.sampled_from(list(live[:100])),
                       st.integers(lo, hi)),
             min_size=1, max_size=300))
+        if data.draw(st.booleans(), label="duplicate-heavy"):
+            # Every key 3-5 times, shuffled: runs only form once the
+            # route stage sorts each shard's segment.
+            copies = data.draw(st.lists(st.integers(3, 5), min_size=len(keys),
+                                        max_size=len(keys)))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            keys = rng.permutation(np.repeat(keys, copies))
         query = {"key": np.asarray(keys, dtype=np.int64)}
-        assert_same(store.lookup(query), barrier_lookup(store, query),
+        result = store.lookup(query)
+        assert_same(result, barrier_lookup(store, query), store.value_names)
+        assert_same(result, barrier_lookup(store, query,
+                                           shard_lookup=reference_lookup),
                     store.value_names)
+
+
+class TestEachDistinctKeyOnce:
+    def test_repeated_keys_reach_the_kernel_and_aux_once(
+            self, store, table, monkeypatch):
+        """Every key 3-5 times: the compiled kernel and ``T_aux`` each
+        see every distinct key once, and the answers are Algorithm 1's."""
+        from repro.core import AuxiliaryTable
+        from repro.nn.compiled import CompiledSession
+
+        seen = {"run": [], "aux": []}
+        run, probe = CompiledSession.run, AuxiliaryTable.lookup_batch
+
+        def counting_run(self, flat_keys):
+            seen["run"].append((self, np.array(flat_keys)))
+            return run(self, flat_keys)
+
+        def counting_probe(self, flat_keys):
+            seen["aux"].append((self, np.array(flat_keys)))
+            return probe(self, flat_keys)
+
+        monkeypatch.setattr(CompiledSession, "run", counting_run)
+        monkeypatch.setattr(AuxiliaryTable, "lookup_batch", counting_probe)
+
+        rng = np.random.default_rng(4)
+        live = table.column("key")
+        distinct = np.concatenate([
+            rng.choice(live, 400, replace=False),
+            np.arange(live.max() + 1, live.max() + 41, dtype=np.int64)])
+        keys = rng.permutation(np.repeat(distinct,
+                                         rng.integers(3, 6, distinct.size)))
+        query = {"key": keys}
+        result = store.lookup(query)
+        monkeypatch.undo()
+
+        assert_same(result, barrier_lookup(store, query,
+                                           shard_lookup=reference_lookup),
+                    store.value_names)
+        for stage, calls in seen.items():
+            per_engine = {}
+            for engine, flat in calls:
+                per_engine.setdefault(id(engine), []).append(flat)
+            for parts in per_engine.values():
+                flat = np.concatenate(parts)
+                assert np.unique(flat).size == flat.size, (
+                    f"{stage} saw a key twice")
+        # T_aux is probed with every distinct live key, the kernel with
+        # every one T_aux does not hold.
+        n_live = np.isin(distinct, live).sum()
+        assert sum(flat.size for _, flat in seen["aux"]) == n_live
+        n_aux = sum(int(aux.lookup_batch(flat)[0].sum())
+                    for aux, flat in seen["aux"])
+        assert sum(flat.size for _, flat in seen["run"]) == n_live - n_aux
 
 
 class TestPresortedRuns:

@@ -295,14 +295,12 @@ class TestPersistence:
 
 
 class TestRebuildKeepsCoHosting:
-    def test_out_of_domain_insert_keeps_shared_pool_and_prefix(self,
-                                                               small_table):
+    def test_out_of_domain_insert_keeps_the_shared_pool(self, small_table):
         """A shard rebuild (out-of-domain insert) must stay on the store's
-        shared pool and keep its partition-name prefix."""
+        shared pool."""
         store = ShardedDeepMapping.fit(
             small_table, fast_config(epochs=4),
             ShardingConfig(n_shards=3, strategy="range"))
-        prefixes = [shard.aux.name_prefix for shard in store.shards]
         far_key = int(small_table.column("key").max()) * 10 + 7
         owner = int(store.router.route({"key": np.array([far_key])})[0])
         store.insert({
@@ -312,18 +310,15 @@ class TestRebuildKeepsCoHosting:
         })
         rebuilt = store.shards[owner]
         assert rebuilt.aux.pool is store.pool
-        assert rebuilt.aux.name_prefix == prefixes[owner]
         assert store.lookup_one(key=far_key) is not None
 
-    def test_explicit_rebuild_keeps_pool_and_prefix(self, small_table):
+    def test_explicit_rebuild_keeps_the_pool(self, small_table):
         from repro.storage import BufferPool
 
         pool = BufferPool()
-        dm = DeepMapping.fit(small_table, fast_config(epochs=3), pool=pool,
-                             aux_name_prefix="myprefix")
+        dm = DeepMapping.fit(small_table, fast_config(epochs=3), pool=pool)
         dm.rebuild()
         assert dm.aux.pool is pool
-        assert dm.aux.name_prefix == "myprefix"
 
 
 class TestConfigValidation:

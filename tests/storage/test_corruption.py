@@ -87,8 +87,7 @@ class TestMonolithicCorruption:
         build_monolithic(table, str(path))
         payload = path.read_bytes()
         with repro.open(str(path)) as store:
-            meta = store.aux._store.partitions[-1]
-            blob = bytes(store.aux._store.disk.read(meta.name))
+            blob = bytes(store.aux._store.partitions[-1].blob)
         start = payload.find(blob)
         assert start > 0 and payload.count(blob) == 1
         segments = zerocopy.parse_index(payload, len(payload)).segments
@@ -162,7 +161,7 @@ AUX_DAMAGE = {
 class TestDamagedAuxPartition:
     """A partition whose bytes are intact but do not decode to what its
     fence says fails the lookup that faults it in, typed and naming the
-    blob — never garbage, never an ``IndexError`` — in both open modes,
+    partition by ordinal and key range — never garbage, never an ``IndexError`` — in both open modes,
     after the pool's one retry."""
 
     @pytest.mark.parametrize("writable", [False, True])
@@ -174,14 +173,15 @@ class TestDamagedAuxPartition:
         with repro.open(str(path)) as store:
             state = zerocopy.unpack(store.to_payload())
             state["aux_v2"] = store.aux.to_state()  # re-packable segments
-            name = store.aux._store.partitions[-1].name
+            # Named by ordinal and (as the damaged fence reads) key range.
+            named = rf"partition {len(store.aux._store.partitions) - 1} " \
+                    r"\(keys -?\d+\.\.-?\d+\)"
             field, edit = AUX_DAMAGE[damage]
             entries = state["aux_v2"]["store"][field]
             entries[-1] = edit(entries[-1], store.aux._store.codec)
         path.write_bytes(bytes(zerocopy.pack(state)))
         with repro.open(str(path), writable=writable) as damaged:
-            with pytest.raises(StoreCorruptedError,
-                               match=f"partition blob {name!r}"):
+            with pytest.raises(StoreCorruptedError, match=named):
                 damaged.lookup({"sku": np.arange(256, dtype=np.int64)})
             assert damaged.aux.pool.stats.counters[
                 "pool_corruption_retries"] == 1

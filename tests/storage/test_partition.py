@@ -1,12 +1,14 @@
 """Tests for SortedPartitionStore (shared by T_aux and array baselines)."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.resilience.errors import StoreCorruptedError
 from repro.storage import BufferPool, SortedPartitionStore, StoreStats
 from repro.storage import partition as partition_module
 from repro.storage.partition import (PartitionMeta, decode_partition,
@@ -161,6 +163,14 @@ class TestBufferPoolIntegration:
         assert stats.seconds("decompress") > 0.0
         assert stats.seconds("io") > 0.0
         assert stats.seconds("locate") > 0.0
+        # Every fault reads one held blob, timed and counted.
+        n_parts = len(store.partitions)
+        assert n_parts > 1
+        assert stats.timers["io"].calls == n_parts
+        assert stats.counters["blobs_read"] == n_parts
+        assert stats.counters["bytes_read"] == store.stored_bytes()
+        store.lookup_batch(keys)                # pool hits read nothing
+        assert stats.counters["blobs_read"] == n_parts
 
 
 class TestScan:
@@ -226,9 +236,9 @@ def gap_width_of(keys) -> int:
 
 
 def fence(keys: np.ndarray, gap_width: int) -> PartitionMeta:
-    return PartitionMeta(name="p", first_key=int(keys[0]),
-                         last_key=int(keys[-1]), n_rows=int(keys.size),
-                         gap_width=gap_width, stored_bytes=0)
+    return PartitionMeta(first_key=int(keys[0]), last_key=int(keys[-1]),
+                         n_rows=int(keys.size), gap_width=gap_width,
+                         blob=memoryview(b""))
 
 
 # Key sets whose widest gap sits just below or just above each width.
@@ -377,17 +387,107 @@ def test_keys_spanning_the_int64_range_round_trip_through_a_store():
     assert not store.lookup_batch([INT64_MIN + 1, 1])[0].any()
 
 
+class TestHeldBlobs:
+    """A partition's compressed bytes live in one read-only buffer the
+    store holds: the codec's output, or the buffer it was attached from."""
+
+    def test_built_blobs_are_read_only_and_exported_as_held(self):
+        store, _, _, _ = build_store(n=600, target=1024)
+        state = store.export()
+        for meta, exported in zip(store.partitions, state["partitions"]):
+            assert meta.blob.readonly
+            assert meta.stored_bytes == meta.blob.nbytes
+            view = exported.raw()
+            assert np.shares_memory(np.frombuffer(view, np.uint8),
+                                    np.frombuffer(meta.blob, np.uint8))
+
+    def test_exported_state_in_cyclic_garbage_with_its_store(self):
+        # The collector may clear the store's held blobs before the
+        # exported buffers that reference them: that must neither raise
+        # nor crash.
+        for _ in range(5):
+            store, _, _, _ = build_store(n=300, target=512)
+            cycle = [store, store.export()]
+            cycle.append(cycle)
+            del store, cycle
+            gc.collect()
+
+    def test_attached_blob_is_served_from_the_callers_buffer(self):
+        source, keys, _, qty = build_store(n=600, target=1024)
+        state = source.export()
+        buffers = [bytearray(blob.raw()) for blob in state["partitions"]]
+        state["partitions"] = [memoryview(buf) for buf in buffers]
+        stats = StoreStats()
+        clone = SortedPartitionStore(codec="zstd", stats=stats)
+        clone.attach(state)
+        for meta, buf in zip(clone.partitions, buffers):
+            assert meta.blob.readonly
+            assert np.shares_memory(np.frombuffer(meta.blob, np.uint8),
+                                    np.frombuffer(buf, np.uint8))
+        found, values = clone.lookup_batch(keys)
+        assert found.all()
+        np.testing.assert_array_equal(values["qty"], qty)
+        assert stats.counters["blobs_read"] == len(buffers)
+        assert stats.counters["bytes_read"] == sum(map(len, buffers))
+        assert stats.timers["io"].calls == len(buffers)
+        buffers[0][:] = b"\0" * len(buffers[0])   # a view, not a copy
+        clone.pool.clear()
+        with pytest.raises(StoreCorruptedError, match="partition 0 "):
+            clone.lookup_batch([clone.partitions[0].first_key])
+
+
+def test_stores_sharing_one_small_pool_never_serve_each_others_blocks():
+    """Two partition stores and a hash store over the same keys share a
+    pool that holds only a few blocks; each store's pool keys are its
+    own, so every answer is its own — also after a compaction rebuilds
+    one store in place."""
+    from repro.baselines import HashStore
+    from repro.data import ColumnTable
+
+    pool = BufferPool(budget_bytes=4096)
+    keys = np.arange(600, dtype=np.int64)
+    first = SortedPartitionStore(pool=pool, target_partition_bytes=512)
+    second = SortedPartitionStore(pool=pool, target_partition_bytes=512)
+    first.build(keys, {"v": keys % 7})
+    second.build(keys, {"v": keys % 5 + 100})
+    hashed = HashStore(target_partition_bytes=512, pool=pool).build(
+        ColumnTable({"k": keys, "v": keys % 3 + 200}, key=("k",)))
+    expected = {"first": keys % 7, "second": keys % 5 + 100,
+                "hashed": keys % 3 + 200}
+
+    def assert_own_answers():
+        for probe in (keys[::3], keys[1::3], keys[::-7]):
+            for name, store in (("first", first), ("second", second)):
+                found, values = store.lookup_batch(probe)
+                assert found.all()
+                np.testing.assert_array_equal(values["v"],
+                                              expected[name][probe])
+            result = hashed.lookup({"k": probe})
+            assert result.found.all()
+            assert result.values["v"].tolist() == \
+                expected["hashed"][probe].tolist()
+
+    assert_own_answers()
+    assert pool.stats.counters["pool_evictions"] > 0
+    own = [{meta.pool_key for meta in store.partitions}
+           for store in (first, second)]
+    assert not own[0] & own[1]
+
+    retired = own[1]
+    second.build(keys, {"v": keys % 11 + 300})     # a compaction
+    expected["second"] = keys % 11 + 300
+    assert not retired & {meta.pool_key for meta in second.partitions}
+    assert not retired & set(pool.cached_keys())
+    assert_own_answers()
+
+
 def test_rebuild_preserves_cohosted_pool_entries():
     """build() must only invalidate its own partitions: the sharded store
     co-hosts many stores' partitions in one shared pool."""
-    import numpy as np
-
-    from repro.storage import BufferPool, SortedPartitionStore
-
     pool = BufferPool()
     pool.put("foreign-partition", {"keys": np.arange(3)}, 24)
 
-    store = SortedPartitionStore(pool=pool, name_prefix="mine")
+    store = SortedPartitionStore(pool=pool)
     keys = np.arange(50, dtype=np.int64)
     store.build(keys, {"v": keys % 7})
     store.lookup_batch(keys[:5])  # fault own partitions into the pool
@@ -397,3 +497,62 @@ def test_rebuild_preserves_cohosted_pool_entries():
     assert "foreign-partition" in pool
     found, values = store.lookup_batch(np.array([9]))
     assert found[0] and values["v"][0] == 0
+
+
+class TestAccounting:
+    def test_stored_bytes_is_the_sum_of_the_held_blobs(self):
+        store, _, _, _ = build_store(n=600, target=1024)
+        assert len(store.partitions) > 1
+        assert store.stored_bytes() == sum(
+            meta.blob.nbytes for meta in store.partitions)
+
+    def test_read_blob_hands_out_the_held_view_as_one_read(self):
+        stats = StoreStats()
+        source = bytearray(b"0123456789")
+        blob = memoryview(source)[2:6].toreadonly()
+        payload = partition_module.read_blob(blob, stats)
+        assert bytes(payload) == b"2345"
+        source[2] = ord("x")               # a view, not a copy
+        assert bytes(payload) == b"x345"
+        assert stats.counters["blobs_read"] == 1
+        assert stats.counters["bytes_read"] == 4
+        assert stats.seconds("io") >= 0.0
+        assert stats.timers["io"].calls == 1
+
+
+class TestLifecycle:
+    def test_nothing_enters_the_pool_until_the_first_lookup(self):
+        pool = BufferPool()
+        source, _, _, _ = build_store(n=600, target=1024, pool=pool)
+        clone = SortedPartitionStore(codec="zstd", pool=pool)
+        clone.attach(source.export())
+        assert len(pool) == 0
+        clone.lookup_batch([clone.partitions[0].first_key])
+        assert set(pool.cached_keys()) == {clone.partitions[0].pool_key}
+
+    def test_drop_storage_purges_only_its_own_pool_entries(self):
+        pool = BufferPool()
+        kept, keys, _, _ = build_store(n=600, target=1024, pool=pool)
+        dropped, _, _, _ = build_store(n=600, target=1024, pool=pool)
+        kept.lookup_batch(keys)
+        dropped.lookup_batch(keys)
+        kept_keys = {meta.pool_key for meta in kept.partitions}
+        dropped.drop_storage()
+        assert set(pool.cached_keys()) == kept_keys
+
+    def test_a_dropped_store_answers_as_before_and_caches_nothing(self):
+        pool = BufferPool()
+        store, keys, status, qty = build_store(n=600, target=1024, pool=pool)
+        probe = np.concatenate([keys, [-1, 1, int(keys.max()) + 3]])
+        found, values = store.lookup_batch(probe)
+        store.drop_storage()
+        for _ in range(2):
+            again, again_values = store.lookup_batch(probe)
+            np.testing.assert_array_equal(again, found)
+            for name in ("status", "qty"):
+                np.testing.assert_array_equal(again_values[name][again],
+                                              values[name][found])
+            assert len(pool) == 0
+        assert found[:keys.size].all() and not found[keys.size:].any()
+        np.testing.assert_array_equal(values["qty"][:keys.size], qty)
+        np.testing.assert_array_equal(values["status"][:keys.size], status)

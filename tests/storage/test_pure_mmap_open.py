@@ -25,7 +25,7 @@ from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import InMemoryBackend, LocalDirBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
-from repro.storage.disk import DiskStore
+from repro.storage.partition import SortedPartitionStore
 from repro.testing import serve_backend
 from repro.testing.oracles import barrier_lookup
 
@@ -66,15 +66,15 @@ def read_calls(monkeypatch):
 
 @pytest.fixture
 def partition_writes(monkeypatch):
-    """Count DiskStore blob writes (aux-partition materialization)."""
+    """Count partition compressions (aux-partition materialization)."""
     count = [0]
-    orig = DiskStore.write
+    orig = SortedPartitionStore._write_partition
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         return orig(self, *args, **kwargs)
 
-    monkeypatch.setattr(DiskStore, "write", counting)
+    monkeypatch.setattr(SortedPartitionStore, "_write_partition", counting)
     return count
 
 
@@ -97,9 +97,8 @@ def assert_identical(result, reference, store):
 
 
 def partition_blobs(aux):
-    """The compressed partitions of ``aux``, as its disk store holds them."""
-    return [memoryview(aux._store.disk.read(meta.name))
-            for meta in aux._store.partitions]
+    """The compressed partitions of ``aux``, as its store holds them."""
+    return [meta.blob for meta in aux._store.partitions]
 
 
 class TestPureMmapColdOpen:
@@ -146,7 +145,7 @@ class TestPureMmapColdOpen:
         opened = repro.open(url, writable=writable)
         assert_identical(opened.lookup(query), reference, store)
         assert partition_writes[0] == 0, (
-            "an open / first lookup re-materialized aux partitions")
+            "an open / first lookup compressed aux partitions")
         assert os.listdir(temp_root) == [], "an open created temporary files"
         for shard, source in zip(opened.shards, store.shards):
             assert shard.aux.partition_count == source.aux.partition_count
