@@ -57,7 +57,7 @@ from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
                      estimate_batch_bytes)
 
 __all__ = ["DeepMapping", "LookupPlan", "LookupResult", "SizeReport",
-           "normalize_keys", "normalize_rows"]
+           "blank", "normalize_keys", "normalize_rows"]
 
 KeysLike = Union[Dict[str, np.ndarray], ColumnTable, np.ndarray, list]
 RowsLike = Union[Dict[str, np.ndarray], ColumnTable]
@@ -108,12 +108,20 @@ def normalize_rows(
     return columns
 
 
+def blank(size: int, dtype) -> np.ndarray:
+    """What ``size`` misses read: the dtype's zero (``0``, ``''``,
+    ``False``), or ``None`` for object columns."""
+    if dtype == object:
+        return np.full(size, None, dtype=object)
+    return np.zeros(size, dtype=dtype)
+
+
 @dataclass
 class LookupResult:
     """Outcome of a batch lookup.
 
     ``found[i]`` is False for keys absent from the data (the paper's NULL);
-    ``values[col][i]`` is only meaningful where ``found[i]`` is True.
+    ``values[col][i]`` is then the column's :func:`blank`.
     """
 
     found: np.ndarray
@@ -212,8 +220,8 @@ class LookupPlan:
 
     Results are bit-identical to Algorithm 1 as written
     (:func:`repro.testing.oracles.reference_lookup`): gating only skips
-    predictions that were about to be overwritten, misses decode to the
-    same ``vocab[0]`` filler, and stage order never changes any per-key
+    predictions that were about to be overwritten, misses read the same
+    :func:`blank`, and stage order never changes any per-key
     answer.  Plans are single-use and not thread-safe; build one per
     batch via :meth:`DeepMapping.plan_lookup`.
     """
@@ -313,18 +321,12 @@ class LookupPlan:
         """This batch's decoded values for one task, per distinct key.
 
         The single decode implementation behind both :meth:`finish` and
-        :meth:`execute_into` — the bit-identity-critical branch (clip
-        bounds, ``vocab[0]`` miss filler, model/aux overwrite order)
-        lives here once.
+        :meth:`execute_into` — the bit-identity-critical branch (the
+        :func:`blank` a miss reads, model/aux overwrite order) lives
+        here once.
         """
         enc = self.mapping.fdecode.encoders[task]
-        # Misses read the deterministic ``vocab[0]`` filler — not
-        # whatever the model would have predicted — so the sharded
-        # store's miss-pruning tier can synthesize a pruned key's value
-        # without consulting the engine at all, and the reference
-        # oracle agrees even outside the found mask.
-        out = np.full(self.flat.size, enc.decode(_ZERO_CODE)[0],
-                      dtype=enc.vocab.dtype)
+        out = blank(self.flat.size, enc.vocab.dtype)
         rows = self.model_rows
         if rows.size:
             out[rows] = enc.decode(self._model_codes[task])
@@ -359,9 +361,8 @@ class LookupPlan:
         ``dest`` maps this plan's batch positions to positions in the
         caller's arrays; disjoint ``dest`` sets may be filled from
         concurrent threads (the sharded store's streaming assembly).
-        Misses inside the segment are written too (the per-store
-        ``vocab[0]`` filler), matching what a merge of per-shard
-        results would have produced.
+        Misses inside the segment are written too (the :func:`blank`),
+        matching what a merge of per-shard results would have produced.
         """
         self.run_existence()
         self.run_aux()
@@ -395,11 +396,6 @@ def _distinct_runs(key_cols: Dict[str, np.ndarray]):
 _BUILD_FIELDS = ("config", "key_codec", "key_encoder", "session", "aux",
                  "exist", "fdecode", "_dataset_bytes", "last_training",
                  "search_history", "warm_started_tensors", "_compiled")
-
-#: The decode code every encoder maps a miss to — the ``vocab[0]``
-#: filler; the sharded read path writes the same one for pruned keys.
-_ZERO_CODE = np.zeros(1, dtype=np.int64)
-
 
 class DeepMapping:
     """Learned, lossless, updateable key→value mapping.

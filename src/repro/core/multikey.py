@@ -21,7 +21,7 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import _ZERO_CODE, DeepMapping, LookupResult
+from .deep_mapping import DeepMapping, LookupResult, blank
 
 __all__ = ["MultiKeyDeepMapping", "MultiRelationDeepMapping"]
 
@@ -149,14 +149,13 @@ class MultiRelationDeepMapping:
         fk_values = np.asarray(fact_result.values[fk_column], dtype=np.int64)
         # Only found rows' foreign keys are probed (any key value, -1
         # included, may be a live dimension row); the rest read exactly
-        # as a dimension miss does, the ``vocab[0]`` filler.
+        # as a dimension miss does, the blank.
         probed = dim_map.lookup({dim_map.key_names[0]: fk_values[hit]})
         found = np.zeros(hit.size, dtype=bool)
         found[hit] = probed.found
         values = {}
         for name, column in probed.values.items():
-            miss = dim_map.fdecode.encoders[name].decode(_ZERO_CODE)[0]
-            values[name] = np.full(hit.size, miss, dtype=column.dtype)
+            values[name] = blank(hit.size, column.dtype)
             values[name][hit] = column
         return fact_result, LookupResult(found=found, values=values)
 

@@ -149,7 +149,8 @@ async def serve_tcp(server: LookupServer, host: str = "127.0.0.1",
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except (ConnectionError, asyncio.LimitOverrunError,
+                        asyncio.CancelledError):  # cancelled: shutdown
                     break
                 if not line:
                     break
@@ -222,35 +223,36 @@ class BackgroundTCPServer:
         drain report; afterwards the server is closed."""
         if self._closed:
             return {"flushed_requests": 0, "awaited_batches": 0}
-        self._closed = True
-
-        async def _drain() -> Dict[str, int]:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            return await self.server.drain()
-
-        report = asyncio.run_coroutine_threadsafe(
-            _drain(), self._loop).result(timeout=self.control_timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=self.control_timeout)
-        self._loop.close()
-        return report
+        return self._shut_down(self.server.drain)
 
     def close(self) -> None:
-        if self._closed:
-            return
+        if not self._closed:
+            self._shut_down(self.server.aclose)
+
+    def _shut_down(self, stop_server):
+        """Stop the listener, then ``stop_server()``, then cancel and
+        await every task left on the loop — the handlers of idle
+        connections, parked in ``readline()`` — and close the loop.  A
+        handler left suspended would run its ``finally`` (``writer.
+        close()``) on the closed loop once collected."""
         self._closed = True
 
-        async def _shutdown() -> None:
+        async def shut_down():
             self._tcp.close()
             await self._tcp.wait_closed()
-            await self.server.aclose()
+            result = await stop_server()
+            rest = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in rest:
+                task.cancel()
+            await asyncio.gather(*rest, return_exceptions=True)
+            return result
 
-        asyncio.run_coroutine_threadsafe(
-            _shutdown(), self._loop).result(timeout=self.control_timeout)
+        result = asyncio.run_coroutine_threadsafe(
+            shut_down(), self._loop).result(timeout=self.control_timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=self.control_timeout)
         self._loop.close()
+        return result
 
     def __enter__(self) -> "BackgroundTCPServer":
         return self

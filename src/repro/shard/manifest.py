@@ -16,9 +16,8 @@ size, and one compact negative filter over the whole store's keys (the
 miss-pruning tier, ``core/negative_filter.py``).  Everything needed to
 route a query — and to reject most miss keys outright — is in the
 manifest, so a loader can open shards lazily or on remote storage without
-unpickling them first.  Keys this reader does not know (older manifests
-carried a ``filter`` per shard entry and ``sharding.negative_filter``) are
-ignored and not written back.
+unpickling them first.  Keys this reader does not know are ignored and
+not written back.
 """
 
 from __future__ import annotations
@@ -38,9 +37,12 @@ __all__ = ["MANIFEST_NAME", "CONFIG_NAME", "ShardEntry", "ShardManifest",
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.pkl"
 
-#: Bumped when the directory layout changes incompatibly.
+#: Bumped when the directory layout changes incompatibly.  Version 2:
+#: ``value_dtypes`` is the dtype each column comes back in, widened by
+#: every insert and update; a version-1 manifest recorded the build
+#: dtype, which can be narrower than a shard's vocabulary.
 FORMAT = "sharded-deepmapping"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -68,7 +70,8 @@ class ShardManifest:
     router: Dict[str, object]
     key_names: List[str]
     value_names: List[str]
-    #: Column name -> NumPy dtype string (``np.dtype(s)`` round-trips).
+    #: Column name -> NumPy dtype string (``np.dtype(s)`` round-trips):
+    #: ``ShardedDeepMapping.value_dtype`` of each column.
     value_dtypes: Dict[str, str]
     shards: List[ShardEntry] = field(default_factory=list)
     #: Sharding knobs worth preserving across save/load (max_workers etc.).
@@ -85,16 +88,6 @@ class ShardManifest:
     #: carries none: such a store never prunes.  Budget: <= 2 bytes per
     #: key (see ``docs/sharding.md``).
     store_filter: Optional[object] = None
-    #: Scalar prune-lane metadata captured at save time:
-    #: ``{"scalar_ok": true, "columns": {name: {"dtype": str,
-    #: "filler": scalar}}}``.  Lets a *hydrating* loader (remote
-    #: backends, ``storage/hydration.py``) run the store-filter fast
-    #: lane — including the all-pruned short circuit — without touching
-    #: a single shard payload to learn each column's vocab dtype and
-    #: miss filler.  ``None`` (or absent, in manifests written before
-    #: lazy hydration existed) simply means the first prune derives the
-    #: metadata from hydrated shards as always.
-    prune_meta: Optional[Dict[str, object]] = None
 
     @property
     def n_shards(self) -> int:
@@ -114,8 +107,6 @@ class ShardManifest:
         }
         if self.store_filter is not None:
             obj["store_filter"] = self.store_filter.to_json()
-        if self.prune_meta is not None:
-            obj["prune_meta"] = self.prune_meta
         return obj
 
     @classmethod
@@ -123,9 +114,7 @@ class ShardManifest:
         if obj.get("format") != FORMAT:
             raise ValueError(f"not a {FORMAT} manifest: "
                              f"format={obj.get('format')!r}")
-        if int(obj.get("version", -1)) > VERSION:
-            raise ValueError(f"manifest version {obj['version']} is newer "
-                             f"than supported version {VERSION}")
+        _check_version(obj)
         return cls(
             router=obj["router"],
             key_names=list(obj["key_names"]),
@@ -136,7 +125,6 @@ class ShardManifest:
             lifecycle=dict(obj.get("lifecycle", {})),
             store_filter=(filter_from_json(obj["store_filter"])
                           if obj.get("store_filter") is not None else None),
-            prune_meta=obj.get("prune_meta"),
         )
 
     # ------------------------------------------------------------------
@@ -179,8 +167,15 @@ class ShardManifest:
             if not isinstance(obj, dict):
                 raise ValueError(f"manifest root is {type(obj).__name__}, "
                                  "expected an object")
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise StoreCorruptedError(
+                f"{MANIFEST_NAME} in {url!r} is corrupt: {exc}") from exc
+        # Intact bytes in a version this reader refuses: a ValueError,
+        # not corruption (a cache's re-read would change nothing).
+        _check_version(obj)
+        try:
             return cls.from_json(obj)
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise StoreCorruptedError(
                 f"{MANIFEST_NAME} in {url!r} is corrupt: {exc}") from exc
 
@@ -190,6 +185,20 @@ class ShardManifest:
         if not os.path.isdir(directory):
             raise StoreNotFoundError(f"no such store directory: {directory!r}")
         return cls.load_from(LocalDirBackend(directory, create=False))
+
+
+def _check_version(obj: Dict[str, object]) -> None:
+    version = obj.get("version")
+    if version == 1:
+        raise ValueError(
+            "this manifest is version 1, whose value_dtypes are build "
+            "dtypes that a later insert or update may have outgrown; "
+            "this version reads only version 2. Open the store at commit "
+            "798b592, the last one that reads version 1, take its rows "
+            "(to_table()) and build them again with this version.")
+    if isinstance(version, int) and version > VERSION:
+        raise ValueError(f"manifest version {version} is newer than "
+                         f"supported version {VERSION}")
 
 
 def is_sharded_store(path: str) -> bool:

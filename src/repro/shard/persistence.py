@@ -95,8 +95,8 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
         router=store.router.to_state(),
         key_names=list(store.key_names),
         value_names=list(store.value_names),
-        value_dtypes={name: dtype.str
-                      for name, dtype in store._value_dtypes.items()},
+        value_dtypes={name: store.value_dtype(name).str
+                      for name in store.value_names},
         shards=entries,
         sharding={
             "strategy": sharding.strategy,
@@ -110,7 +110,6 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
         },
         lifecycle=lifecycle,
         store_filter=store._store_filter,
-        prune_meta=export_prune_meta(store),
     )
     total += manifest.save_to(backend)
 
@@ -125,56 +124,6 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
     # read-only bundles for it at once.
     payload_cache().invalidate_backend(backend)
     return total
-
-
-def export_prune_meta(store: ShardedDeepMapping) \
-        -> Optional[Dict[str, object]]:
-    """Manifest (JSON) form of the scalar prune-lane metadata.
-
-    Written at save time so a hydrating loader can run the
-    store-filter scalar fast lane — per-column vocab dtype and miss
-    filler — without downloading a single shard to rediscover them.
-    ``None`` when the scalar lanes do not apply (mixed dtypes or
-    fillers, empty shards) or a filler does not survive JSON.
-    """
-    meta = store._prune_meta(store.shards)
-    if not meta["scalar_ok"]:
-        return None
-    columns: Dict[str, object] = {}
-    for c in store.value_names:
-        filler = meta["filler"][c]
-        if isinstance(filler, np.generic):
-            filler = filler.item()
-        if not isinstance(filler, (bool, int, float, str)):
-            return None
-        columns[c] = {"dtype": meta["dtype"][c].str, "filler": filler}
-    return {"scalar_ok": True, "columns": columns}
-
-
-def prime_prune_meta(store: ShardedDeepMapping,
-                     manifest: ShardManifest) -> None:
-    """Install save-time prune metadata on a hydrating store.
-
-    Without this, the first lookup's ``_prune_meta`` pass would touch
-    every shard's decoder — hydrating the whole store to answer an
-    all-miss batch.  Metadata that is absent or does not match the
-    schema is simply ignored (the general prune lane still works; it
-    just hydrates the shards it routes into).
-    """
-    meta = manifest.prune_meta
-    if not meta or not meta.get("scalar_ok"):
-        return
-    columns = meta.get("columns") or {}
-    if set(columns) != set(store.value_names):
-        return
-    try:
-        dtype = {c: np.dtype(columns[c]["dtype"]) for c in columns}
-        filler = {c: dtype[c].type(columns[c]["filler"])
-                  for c in columns}
-    except (KeyError, TypeError, ValueError):
-        return
-    store._prune_meta_cache = (store.shards, {
-        "scalar_ok": True, "filler": filler, "dtype": dtype})
 
 
 # ----------------------------------------------------------------------
@@ -271,13 +220,9 @@ def load(cls, target: Union[str, StorageBackend],
     store.writable = writable
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])
-    if hydrating:
-        # Eager engine compilation would iterate (and download)
-        # every shard; hydrated shards come out of _open_shared
-        # with their compiled kernel already built.  Prime the
-        # prune fast lane from the manifest instead, so an
-        # all-miss batch is answered with zero shard fetches.
-        prime_prune_meta(store, manifest)
-    else:
+    if not hydrating:
+        # Eager engine compilation would iterate (and download) every
+        # shard; hydrated shards come out of _open_shared with their
+        # compiled kernel already built.
         store.compile_engines()
     return store

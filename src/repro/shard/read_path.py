@@ -1,8 +1,13 @@
-"""The sharded read path: prune → route → allocate/fill → dispatch → result.
+"""The sharded read path: prune → route → allocate → dispatch → result.
 
 :func:`lookup` (behind ``ShardedDeepMapping.lookup``, which documents the
 contract) is one composition of named stages over one topology snapshot
-— the names ``bench/tracing.py`` replays from outside.  Shard work is a
+— the names ``bench/tracing.py`` replays from outside.  The store, not
+its shards, decides what a miss reads: the
+:func:`~repro.core.deep_mapping.blank` of the column's
+:meth:`~repro.shard.ShardedDeepMapping.value_dtype`.  A pruned key, a
+key of an empty shard and a dispatched miss all read it, and no
+output dtype depends on which shards a batch touches.  Shard work is a
 :class:`~repro.core.deep_mapping.LookupPlan` per owning shard that
 scatters its finished segment straight into the batch's preallocated
 output arrays; small unbounded dispatches run inline, everything else
@@ -17,11 +22,11 @@ from __future__ import annotations
 from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
 from time import monotonic
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.deep_mapping import _ZERO_CODE, LookupResult
+from ..core.deep_mapping import LookupResult, blank
 from ..core.negative_filter import hash_key_columns
 from ..resilience.errors import DeadlineExceeded
 from ..resilience.partial import PartialResult
@@ -41,42 +46,16 @@ _SERIAL_DISPATCH_MAX = 4096
 #: above ``_PRUNE_SAMPLE_MIN_N`` first probe a ``_PRUNE_SAMPLE``-key
 #: stride sample and skip the prune pass entirely unless the sampled
 #: prunable fraction clears ``_PRUNE_MIN_FRACTION``.  Results are
-#: bit-identical either way — pruning only moves *where* a miss's
-#: filler gets written.
+#: bit-identical either way — a pruned key keeps the blank its output
+#: row was allocated with, which is what a dispatched miss writes.
 _PRUNE_SAMPLE = 4096
 _PRUNE_SAMPLE_MIN_N = 16384
 _PRUNE_MIN_FRACTION = 0.55
 
 
-class FillPlan(NamedTuple):
-    """The cheapest way to make pruned keys read like dispatched misses
-    (``execute_into`` writes those the owning shard's ``vocab[0]``):
-
-    - ``"paint"`` — every shard shares one filler (and the prune gate
-      only lets miss-heavy batches through, so most of the output is
-      pruned): allocate the output already holding it.
-    - ``"gather"`` — fillers differ by shard (or shards are missing):
-      one filler-by-shard table per column, indexed by the pruned keys'
-      shard ``ids``.  EMPTY shards' rows are the dtype zero / None, the
-      placeholder those keys read in the unpruned path.
-    """
-
-    kind: str
-    fillers: Optional[Dict[str, object]] = None
-    pos: Optional[np.ndarray] = None
-    ids: Optional[np.ndarray] = None
-
-
-_NOTHING_PRUNED = (None, None, None)
-
-
-def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
+def lookup(store, keys, *, deadline=None) -> LookupResult:
     """One sharded batch through every stage."""
-    mode = (on_shard_error if on_shard_error is not None
-            else store.sharding.on_shard_error)
-    if mode not in ("raise", "partial"):
-        raise ValueError(
-            f"on_shard_error must be 'raise' or 'partial', got {mode!r}")
+    mode = store.sharding.on_shard_error
     key_cols = store._normalize_keys(keys)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     # One topology snapshot per batch: every stage sees the same
@@ -86,24 +65,27 @@ def lookup(store, keys, *, deadline=None, on_shard_error=None) -> LookupResult:
     # license concurrent mutation: the single-writer contract stands.
     router, shards = store._topology
     if n == 0:
-        return LookupResult(found=np.zeros(0, dtype=bool),
-                            values={c: _blank(0, _recorded_dtype(store, c))
-                                    for c in store.value_names})
+        return LookupResult(*_allocate(store, 0))
     if deadline is not None:
         deadline.check("sharded lookup")
     if router.n_shards == 1 and shards[0] is not None and mode == "raise":
         # Nothing to route, merge or isolate.  (Partial mode still takes
         # the generic path so a failure comes back marked, not raised.)
-        return shards[0].lookup(key_cols)
-    idx, fill, dtypes = _prune(store, router, shards, key_cols, n)
+        result = shards[0].lookup(key_cols)
+        return LookupResult(
+            found=result.found,
+            values={c: result.values[c].astype(store.value_dtype(c),
+                                               copy=False)
+                    for c in store.value_names})
+    idx = _prune(store, key_cols, n)
     jobs, n_routed = [], n
     if idx is not None:
         n_routed = int(idx.size)
         store.stats.bump("pruned_keys", n - n_routed)
     if n_routed:  # else every key was pruned: nothing to sort or dispatch
-        routed = _route(store, router, key_cols, idx)
-        jobs, dtypes = _make_jobs(store, shards, routed, dtypes)
-    found, values = _allocate(store, shards, n, dtypes, fill)
+        jobs = _make_jobs(store, shards,
+                          _route(store, router, key_cols, idx))
+    found, values = _allocate(store, n)
     errors, stragglers = _dispatch(store, jobs, n_routed, found, values,
                                    deadline)
     return _result(n, jobs, found, values, errors, stragglers, mode)
@@ -122,61 +104,28 @@ def contains_batch(store, keys) -> np.ndarray:
     return exists
 
 
-def _prune(store, router, shards, key_cols, n: int):
-    """Store-filter pass over the batch, before sort/dispatch.
-
-    Returns ``(idx, fill, dtypes)``: the positions surviving the filter
-    (``None``: nothing pruned, run the exact unpruned path), the
-    :class:`FillPlan` for the pruned ones, and per-column promotion
-    lists from **pre-prune** shard occupancy — output dtypes must match
-    the unpruned path even when the filter empties a group entirely.
-    The scalar lane needs ``store._prune_meta``'s ``scalar_ok``: then
-    promotion is occupancy-invariant and nothing is routed at all;
-    otherwise the full batch is routed for its fillers.
-    """
-    if store._store_filter is None:
-        return _NOTHING_PRUNED
+def _prune(store, key_cols, n: int) -> Optional[np.ndarray]:
+    """Store-filter pass over the batch, before any routing: the
+    positions that may hold a live key, or ``None`` (nothing pruned:
+    run the unpruned path).  The filter covers the union of every
+    shard's keys and placement is a pure function of the key, so "in
+    no shard" is "not in the owning shard" and nothing is routed."""
+    store_filter = store._store_filter
+    if store_filter is None:
+        return None
     with store.stats.timing("prune"):
         hashes = hash_key_columns(key_cols, store.key_names)
-        meta = store._prune_meta(shards)
-        if meta["scalar_ok"]:
-            return _prune_scalar(store, hashes, n, meta)
-        return _prune_general(store, router, shards, key_cols, hashes)
-
-
-def _prune_scalar(store, hashes, n: int, meta):
-    """The store filter covers the union of every shard's keys, so it is
-    probed with *zero routing* (placement is a pure function of the key:
-    "in no shard" is "not in the owning shard")."""
-    store_filter = store._store_filter
-    if n > _PRUNE_SAMPLE_MIN_N:
-        sample = np.ascontiguousarray(hashes[::n // _PRUNE_SAMPLE])
-        if 1.0 - float(store_filter.might_contain(sample).mean()) \
-                < _PRUNE_MIN_FRACTION:
-            return _NOTHING_PRUNED
-    idx = np.flatnonzero(store_filter.might_contain(hashes))
+        if n > _PRUNE_SAMPLE_MIN_N:
+            sample = np.ascontiguousarray(hashes[::n // _PRUNE_SAMPLE])
+            if 1.0 - float(store_filter.might_contain(sample).mean()) \
+                    < _PRUNE_MIN_FRACTION:
+                return None
+        idx = np.flatnonzero(store_filter.might_contain(hashes))
     if n - int(idx.size) < _PRUNE_MIN_FRACTION * n:
         # Not miss-heavy enough for compaction to pay for itself (small
         # batches skip the sample gate and land here).
-        return _NOTHING_PRUNED
-    dtypes = {c: [meta["dtype"][c]] for c in store.value_names}
-    return idx, FillPlan("paint", meta["filler"]), dtypes
-
-
-def _prune_general(store, router, shards, key_cols, hashes):
-    """Fillers or dtypes differ by shard (or shards are missing): route
-    the full batch so each pruned key gets its owner's filler.  Keys of
-    empty shards may be pruned too: the gather fill is their
-    placeholder."""
-    maybe = store._store_filter.might_contain(hashes)
-    if maybe.all():
-        return _NOTHING_PRUNED
-    shard_ids = router.route(key_cols)
-    pruned = np.flatnonzero(~maybe)
-    occupied = np.flatnonzero(np.bincount(shard_ids))
-    return (np.flatnonzero(maybe),
-            FillPlan("gather", None, pruned, shard_ids[pruned]),
-            _promotion_dtypes(store, shards, occupied))
+        return None
+    return idx
 
 
 def _take(key_cols, idx) -> Dict[str, np.ndarray]:
@@ -232,69 +181,28 @@ def _segments(shards, order, bounds, grouped):
                    order[start:stop])
 
 
-def _make_jobs(store, shards, routed, dtypes):
-    """One job per live routed shard, plus the promotion dtypes when the
-    prune stage has not already fixed them."""
-    groups = list(_segments(shards, *routed))
+def _make_jobs(store, shards, routed):
+    """One job per live routed shard."""
     # Groups owned by empty shards are misses by definition: no job, the
     # preallocated outputs already read as misses.
-    jobs = [group for group in groups if group[1] is not None]
+    jobs = [group for group in _segments(shards, *routed)
+            if group[1] is not None]
     # Prefetch: fire hydration for every cold lazy shard the batch routes
-    # into *before* the dtype probe below (which touches shards serially)
-    # and before any plan runs, so remote downloads overlap on the
+    # into before any plan runs, so remote downloads overlap on the
     # workers.  The proxy's hydrate lock makes the race benign.
     cold = [job[1] for job in jobs
             if isinstance(job[1], LazyShard) and not job[1].hydrated]
     if len(cold) > 1:
         for proxy in cold:
             store.executor.submit_job(proxy.hydrate)
-    if dtypes is None:
-        dtypes = _promotion_dtypes(store, shards,
-                                   [group[0] for group in groups])
-    return jobs, dtypes
+    return jobs
 
 
-def _recorded_dtype(store, column: str) -> np.dtype:
-    return store._value_dtypes.get(column, np.dtype(object))
-
-
-def _blank(size: int, dtype) -> np.ndarray:
-    """A column of misses: the dtype's zero, or None for objects."""
-    if dtype == object:
-        return np.full(size, None, dtype=object)
-    return np.zeros(size, dtype=dtype)
-
-
-def _promotion_dtypes(store, shards, occupied) -> Dict[str, List[np.dtype]]:
-    """Per column, the dtype every occupied shard's segment would carry
-    (an empty shard's placeholder participates exactly as it would have
-    in a concatenate of per-shard results)."""
-    return {c: [_recorded_dtype(store, c) if shards[ordinal] is None
-                else shards[ordinal].fdecode.encoders[c].vocab.dtype
-                for ordinal in occupied]
-            for c in store.value_names}
-
-
-def _allocate(store, shards, n: int, dtypes, fill: Optional[FillPlan]):
-    """Output arrays for the batch, pruned positions already filled."""
-    kind = fill.kind if fill is not None else None
-    values = {}
-    for c in store.value_names:
-        dtype = (np.result_type(*dtypes[c]) if dtypes[c]
-                 else _recorded_dtype(store, c))
-        if kind == "paint":
-            out = np.full(n, fill.fillers[c], dtype=dtype)
-        else:
-            out = _blank(n, dtype)
-        if kind == "gather":
-            table = _blank(len(shards), dtype)
-            for ordinal, shard in enumerate(shards):
-                if shard is not None:
-                    table[ordinal] = \
-                        shard.fdecode.encoders[c].decode(_ZERO_CODE)[0]
-            out[fill.pos] = table[fill.ids]
-        values[c] = out
-    return np.zeros(n, dtype=bool), values
+def _allocate(store, n: int):
+    """Output arrays for the batch, every row a miss until its shard
+    scatters into it."""
+    return np.zeros(n, dtype=bool), {c: blank(n, store.value_dtype(c))
+                                     for c in store.value_names}
 
 
 def _dispatch(store, jobs, n_routed: int, found, values, deadline):
@@ -471,5 +379,7 @@ def _result(n: int, jobs, found, values, errors, stragglers: bool,
     # A failing job may have scattered part of its segment before
     # dying; force its keys back to misses so found/values agree.
     found[failed] = False
+    for column in values.values():
+        column[failed] = blank(1, column.dtype)[0]
     return PartialResult(found=found, values=values, failed_mask=failed,
                          shard_errors=errors)

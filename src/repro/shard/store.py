@@ -11,7 +11,7 @@ This module owns the store's **topology** (the atomically swapped
 ``(router, shards)`` pair and split/merge) and its **mutation** path.
 The on-disk layout — what :meth:`save` writes and :meth:`load` reads —
 lives in :mod:`repro.shard.persistence`.  The
-**read path** — prune → route → allocate/fill → dispatch → result over
+**read path** — prune → route → allocate → dispatch → result over
 one completion-driven wait — lives in
 :mod:`repro.shard.read_path`; :meth:`lookup` and
 :meth:`contains_batch` hand straight to it, and :meth:`lookup_async`
@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import (_ZERO_CODE, DeepMapping, KeysLike,
-                                 LookupResult, RowsLike, SizeReport,
+from ..core.deep_mapping import (DeepMapping, KeysLike, LookupResult,
+                                 RowsLike, SizeReport, blank,
                                  normalize_keys, normalize_rows)
 from ..core.negative_filter import build_store_filter, hash_key_columns
 from ..data.table import ColumnTable
@@ -95,8 +95,8 @@ class ShardingConfig:
     #: whole batch.  ``"partial"``: a failing or timed-out shard does not
     #: poison the batch — its keys come back marked in a
     #: :class:`~repro.resilience.partial.PartialResult` while healthy
-    #: shards' results stay bit-identical.  Overridable per call via
-    #: ``lookup(..., on_shard_error=...)``.
+    #: shards' results stay bit-identical.  The one place the mode is
+    #: set.
     on_shard_error: str = "raise"
     #: Hedged shard reads: when a routed shard's plan-job runs well past
     #: an adaptive multiple of what its batch peers needed (see
@@ -139,14 +139,19 @@ class ShardedDeepMapping:
     :class:`~repro.core.deep_mapping.DeepMapping` closely enough that
     query layers accept either.
 
+    Each value column comes back in one dtype, :meth:`value_dtype`,
+    whichever shards a batch touches, and a miss reads that dtype's
+    :func:`~repro.core.deep_mapping.blank`.
+
     Concurrency contract: :meth:`lookup` is safe to call from many
     threads at once (that is the point of the fan-out).  Mutations
     (:meth:`insert` / :meth:`delete` / :meth:`update`) are
     single-writer and must not run concurrently with lookups — a
     mutation can trigger a shard rebuild that swaps structures
-    non-atomically, exactly like the monolithic ``rebuild()``.  Racing
-    readers fail loudly (an exception), never silently return wrong
-    rows.
+    non-atomically, exactly like the monolithic ``rebuild()``, and a
+    reader racing it is promised nothing.  A split or merge swaps the
+    topology atomically: a reader still holding the old pair keeps its
+    retired shards' answers.
     """
 
     def __init__(
@@ -181,12 +186,6 @@ class ShardedDeepMapping:
         #: deletes only ever leave it a stale superset (never a false
         #: negative) until :meth:`refresh_store_filter`.
         self._store_filter = store_filter
-        #: Cached per-topology fill/dtype metadata for the prune fast
-        #: lane (see :meth:`_prune_meta`); keyed by the shard list's
-        #: identity and reset by the in-place mutators, which can grow a
-        #: shard's value vocabulary (and with it the vocab[0] filler)
-        #: without swapping the list.
-        self._prune_meta_cache = None
         self.config = config
         self.sharding = sharding
         self.stats = stats if stats is not None else StoreStats()
@@ -309,32 +308,6 @@ class ShardedDeepMapping:
         # post-rebalance shard count.
         self.sharding.n_shards = router.n_shards
 
-    def _prune_meta(self, shards: List[Optional[DeepMapping]]):
-        """Cached per-topology facts gating the read path's scalar prune
-        lane (and what :func:`persistence.export_prune_meta` persists).
-        ``scalar_ok``: every shard is live and, per value column, all
-        share one vocab dtype and one miss filler (``vocab[0]``) — a
-        pruned key's fill is then a scalar broadcast and dtype promotion
-        is independent of which shards a batch touches.
-        """
-        cached = self._prune_meta_cache
-        if cached is not None and cached[0] is shards:
-            return cached[1]
-        live = bool(shards) and all(s is not None for s in shards)
-        meta = {"scalar_ok": live, "filler": {}, "dtype": {}}
-        for c in self.value_names if live else ():
-            encoders = [s.fdecode.encoders[c] for s in shards]
-            fillers = [e.decode(_ZERO_CODE)[0] for e in encoders]
-            if any(e.vocab.dtype != encoders[0].vocab.dtype
-                   for e in encoders) \
-                    or any(v != fillers[0] for v in fillers[1:]):
-                meta["scalar_ok"] = False
-                break
-            meta["dtype"][c] = encoders[0].vocab.dtype
-            meta["filler"][c] = fillers[0]
-        self._prune_meta_cache = (shards, meta)
-        return meta
-
     @property
     def n_shards(self) -> int:
         """Number of shards (including empty ones)."""
@@ -349,6 +322,18 @@ class ShardedDeepMapping:
     def value_names(self) -> Tuple[str, ...]:
         """Value column (task) names."""
         return self._value_names
+
+    def value_dtype(self, column: str) -> np.dtype:
+        """The one dtype column ``column`` comes back in, from every
+        lookup path: the build dtype, widened by :meth:`insert` and
+        :meth:`update` with ``np.result_type`` — the rule a shard's
+        vocabulary widens by, so it covers every shard's."""
+        return self._value_dtypes[column]
+
+    def _widen_dtypes(self, columns: Dict[str, np.ndarray]) -> None:
+        for name in self.value_names:
+            self._value_dtypes[name] = np.result_type(
+                self._value_dtypes[name], columns[name].dtype)
 
     def __len__(self) -> int:
         """Live keys across all shards."""
@@ -393,8 +378,7 @@ class ShardedDeepMapping:
     # Lookup
     # ------------------------------------------------------------------
     def lookup(self, keys: KeysLike, *,
-               deadline: Optional[Deadline] = None,
-               on_shard_error: Optional[str] = None) -> LookupResult:
+               deadline: Optional[Deadline] = None) -> LookupResult:
         """Batched exact-match lookup across shards, input order preserved.
 
         One read path (:mod:`repro.shard.read_path`): the batch is
@@ -405,9 +389,10 @@ class ShardedDeepMapping:
         decode — and streams its finished segment straight into the
         preallocated output arrays (no serial merge behind a barrier).
         Results are bit-identical to the barrier and reference-engine
-        oracles in :mod:`repro.testing.oracles`.
+        oracles in :mod:`repro.testing.oracles`; every column is in its
+        :meth:`value_dtype` and a miss reads that dtype's blank.
 
-        Resilience knobs (see ``docs/resilience.md``):
+        Resilience (see ``docs/resilience.md``):
 
         ``deadline``
             A :class:`~repro.resilience.Deadline` bounding the whole
@@ -416,18 +401,16 @@ class ShardedDeepMapping:
             than waited on; queued jobs past the deadline never start,
             and the wait stops once the budget is gone.  What happens
             to the unanswered keys depends on the error mode.
-        ``on_shard_error``
+        ``ShardingConfig.on_shard_error``
             ``"raise"`` (default) fails the whole batch with the lowest
             failing shard's error.  ``"partial"`` isolates the fault:
             healthy shards' results come back bit-identical in a
             :class:`~repro.resilience.PartialResult` whose
             ``failed_mask`` marks the keys of failing or timed-out
-            shards (forced to ``found=False``); a fully healthy batch
-            returns a plain :class:`LookupResult`.  ``None`` defers to
-            ``ShardingConfig.on_shard_error``.
+            shards (forced to misses); a fully healthy batch returns a
+            plain :class:`LookupResult`.
         """
-        return read_path.lookup(self, keys, deadline=deadline,
-                                on_shard_error=on_shard_error)
+        return read_path.lookup(self, keys, deadline=deadline)
 
     def lookup_one(self, **key_parts) -> Optional[Dict[str, object]]:
         """Convenience single-key lookup; returns a row dict or None."""
@@ -480,11 +463,9 @@ class ShardedDeepMapping:
         # correct superset — but rebuilding it here drops the false
         # positives accumulated by deletes since the last build.
         self.refresh_store_filter()
-        self._prune_meta_cache = None
 
     def lookup_async(self, keys: KeysLike, *,
-                     deadline: Optional[Deadline] = None,
-                     on_shard_error: Optional[str] = None) -> Future:
+                     deadline: Optional[Deadline] = None) -> Future:
         """Schedule :meth:`lookup` on the executor strategy.
 
         Returns a future resolving to the same :class:`LookupResult` the
@@ -496,10 +477,9 @@ class ShardedDeepMapping:
         ``deadline`` bounds the lookup *and* gates the coordinating job
         itself: if the budget is gone before a coordinator lane frees
         up, the future fails with ``DeadlineExceeded`` without touching
-        a shard.  ``on_shard_error`` is forwarded to :meth:`lookup`.
+        a shard.
         """
-        fn = functools.partial(self.lookup, keys, deadline=deadline,
-                               on_shard_error=on_shard_error)
+        fn = functools.partial(self.lookup, keys, deadline=deadline)
         return self.executor.submit(fn, deadline=deadline)
 
     def set_executor(self, executor) -> None:
@@ -563,6 +543,7 @@ class ShardedDeepMapping:
         if already:
             raise ValueError(f"{already} key(s) already exist; use update()")
 
+        self._widen_dtypes(columns)
         landed = 0
         stale = False  # the dense store filter declined rows: rebuild it
         try:
@@ -595,9 +576,6 @@ class ShardedDeepMapping:
         finally:
             if stale:
                 self.refresh_store_filter()
-            # A fresh shard (or new vocab) invalidates the prune
-            # fast-lane meta.
-            self._prune_meta_cache = None
         self._maintain()
         return landed
 
@@ -643,13 +621,11 @@ class ShardedDeepMapping:
         if missing:
             raise KeyError(f"{missing} key(s) do not exist; use insert()")
 
+        self._widen_dtypes(columns)
         landed = 0
         for ordinal, rows_idx in groups:
             landed += self.shards[ordinal].update(
                 {name: arr[rows_idx] for name, arr in columns.items()})
-        # Updates can grow a shard's value vocab (new fill values), which
-        # the prune fast lane snapshots — drop the cached meta.
-        self._prune_meta_cache = None
         self._maintain()
         return landed
 
@@ -880,7 +856,7 @@ class ShardedDeepMapping:
                 name: np.empty(0, dtype=np.int64) for name in self.key_names
             }
             for name in self.value_names:
-                columns[name] = self._placeholder(name, 0)
+                columns[name] = blank(0, self.value_dtype(name))
             return ColumnTable(columns, key=self.key_names, name="sharded")
         merged = tables[0]
         for part in tables[1:]:
@@ -936,13 +912,6 @@ class ShardedDeepMapping:
 
     def _normalize_rows(self, rows: RowsLike) -> Dict[str, np.ndarray]:
         return normalize_rows(rows, self.key_names, self.value_names)
-
-    def _placeholder(self, column: str, size: int) -> np.ndarray:
-        """All-miss value array of the recorded dtype."""
-        dtype = self._value_dtypes.get(column, np.dtype(object))
-        if dtype == object:
-            return np.full(size, None, dtype=object)
-        return np.zeros(size, dtype=dtype)
 
     def __repr__(self) -> str:
         live = sum(1 for shard in self.shards if shard is not None)

@@ -18,7 +18,7 @@ it.  This module supplies the two pieces that make that work:
 - :class:`LazyShard` — a deferred-load proxy standing in for a
   :class:`~repro.core.deep_mapping.DeepMapping` shard.  Construction
   costs nothing; the first attribute touch (a routed lookup segment,
-  a dtype-promotion probe, a save) runs the loader exactly once under
+  a save) runs the loader exactly once under
   a lock.  ``len()`` answers from the manifest's row count so the
   store facade (``__len__`` / ``repr`` / load-time bookkeeping) never
   forces a download.  Contended hydration bumps a ``hydration_waits``

@@ -56,9 +56,9 @@ class ChaosStore:
 
     The async surface matters more than the sync one here: the serve
     tier calls ``lookup_async`` and sniffs it for deadline support, so
-    this proxy exposes the same ``deadline`` / ``on_shard_error``
-    keywords and forwards them only when the inner store understands
-    them — a ChaosStore over a sharded store keeps budget push-down
+    this proxy exposes the same ``deadline`` keyword and forwards it
+    only when the inner store understands it — a ChaosStore over a
+    sharded store keeps budget push-down
     working, and over a monolithic store degrades exactly as the real
     thing would.
     """
@@ -116,15 +116,13 @@ class ChaosStore:
                 raise RuntimeError("injected store error")
 
     # -- DataStore read surface ----------------------------------------
-    def lookup(self, keys, *, deadline=None, on_shard_error=None):
+    def lookup(self, keys, *, deadline=None):
         self._misbehave()
         if self._inner_takes_deadline:
-            return self.inner.lookup(keys, deadline=deadline,
-                                     on_shard_error=on_shard_error)
+            return self.inner.lookup(keys, deadline=deadline)
         return self.inner.lookup(keys)
 
-    def lookup_async(self, keys, *, deadline=None,
-                     on_shard_error=None) -> Future:
+    def lookup_async(self, keys, *, deadline=None) -> Future:
         """Chaos-wrapped async lookup.
 
         The misbehavior runs on a private thread (not the caller's),
@@ -135,8 +133,7 @@ class ChaosStore:
 
         def run() -> None:
             try:
-                result = self.lookup(keys, deadline=deadline,
-                                     on_shard_error=on_shard_error)
+                result = self.lookup(keys, deadline=deadline)
             except BaseException as exc:  # future carries the failure
                 _settle(future, exception=exc)
             else:
@@ -165,9 +162,8 @@ class BrokenShardProxy:
     Supports the two entry points the sharded fan-out uses
     (:meth:`plan_lookup` for routed segments, :meth:`lookup` for the
     single-shard fast path and the barrier oracle) and delegates
-    everything else — dtype promotion still reads the real shard's
-    vocab, so routing and output allocation are unchanged and healthy
-    shards stay bit-identical.
+    everything else to the real shard, so routing is unchanged and
+    healthy shards stay bit-identical.
     """
 
     def __init__(self, inner, *, exc_factory: Optional[

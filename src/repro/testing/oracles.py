@@ -29,12 +29,10 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult, normalize_keys
+from ..core.deep_mapping import LookupResult, blank, normalize_keys
 from ..nn.activations import relu
 
 __all__ = ["barrier_lookup", "reference_logits", "reference_lookup"]
-
-_ZERO_CODE = np.zeros(1, dtype=np.int64)
 
 
 def reference_logits(session, x) -> Dict[str, np.ndarray]:
@@ -60,7 +58,7 @@ def reference_lookup(mapping, keys) -> LookupResult:
     Bit-identical to ``mapping.lookup(keys)``: ``T_aux`` holds every
     stored key under the compiled kernel's ``tie_margin``, so the two
     engines may disagree only on keys ``T_aux`` overrides, and misses
-    read the deterministic ``vocab[0]`` filler in both.
+    read the :func:`~repro.core.deep_mapping.blank` in both.
     """
     key_cols = normalize_keys(keys, mapping.key_names)
     flat, in_domain = mapping.key_codec.try_flatten(key_cols)
@@ -76,7 +74,7 @@ def reference_lookup(mapping, keys) -> LookupResult:
         task_codes = logits[task].argmax(axis=1)
         task_codes[hits[aux_hit]] = aux_codes[task][aux_hit]
         out = encoder.decode(np.clip(task_codes, 0, encoder.cardinality - 1))
-        out[~found] = encoder.decode(_ZERO_CODE)[0]
+        out[~found] = blank(1, out.dtype)[0]
         values[task] = out
     return LookupResult(found=found, values=values)
 
@@ -91,7 +89,8 @@ def barrier_lookup(
     the default is the shard's own ``lookup`` (pass
     :func:`reference_lookup` for the reference engine).  Deliberately
     unpruned — the store filter is ignored — so the pruned read path
-    can be held against it.
+    can be held against it.  Every column comes back in the store's
+    :meth:`~repro.shard.ShardedDeepMapping.value_dtype`.
     """
     router, shards = store.router, store.shards
     key_cols = normalize_keys(keys, store.key_names)
@@ -99,9 +98,14 @@ def barrier_lookup(
     if n == 0:
         return LookupResult(
             found=np.zeros(0, dtype=bool),
-            values={c: store._placeholder(c, 0) for c in store.value_names})
+            values={c: blank(0, store.value_dtype(c))
+                    for c in store.value_names})
     if router.n_shards == 1 and shards[0] is not None:
-        return shard_lookup(shards[0], key_cols)
+        result = shard_lookup(shards[0], key_cols)
+        return LookupResult(
+            found=result.found,
+            values={c: result.values[c].astype(store.value_dtype(c))
+                    for c in store.value_names})
 
     shard_ids = router.route(key_cols)
     order = np.argsort(shard_ids, kind="stable")
@@ -116,7 +120,7 @@ def barrier_lookup(
         if shard is None:  # an empty shard's keys are misses by definition
             results.append(LookupResult(
                 found=np.zeros(stop - start, dtype=bool),
-                values={c: store._placeholder(c, stop - start)
+                values={c: blank(stop - start, store.value_dtype(c))
                         for c in store.value_names}))
             continue
         results.append(shard_lookup(
@@ -128,4 +132,5 @@ def barrier_lookup(
         found=np.concatenate([r.found for r in results])[inverse],
         values={column: np.concatenate([r.values[column]
                                         for r in results])[inverse]
+                .astype(store.value_dtype(column))
                 for column in store.value_names})

@@ -84,6 +84,18 @@ EXPECTED_DATASTORE = {
     "__exit__": ("self", "exc"),
 }
 
+# --------------------------------------------------------------------------
+# Read entry points past the protocol: member -> parameter names.  The
+# error mode is ShardingConfig.on_shard_error, not a per-call keyword.
+# --------------------------------------------------------------------------
+EXPECTED_READ_PARAMS = {
+    (repro.ShardedDeepMapping, "lookup"): ("self", "keys", "deadline"),
+    (repro.ShardedDeepMapping, "lookup_async"): ("self", "keys", "deadline"),
+    (repro.ShardedDeepMapping, "value_dtype"): ("self", "column"),
+    (repro.testing.ChaosStore, "lookup"): ("self", "keys", "deadline"),
+    (repro.testing.ChaosStore, "lookup_async"): ("self", "keys", "deadline"),
+}
+
 
 class TestAllSnapshot:
     def test_all_matches_snapshot(self):
@@ -122,6 +134,13 @@ class TestDataStoreSnapshot:
             assert isinstance(store, DataStore)
             for name in EXPECTED_DATASTORE:
                 assert hasattr(store, name), (type(store).__name__, name)
+
+
+class TestReadParamsSnapshot:
+    def test_parameter_names_match_snapshot(self):
+        for (owner, name), params in EXPECTED_READ_PARAMS.items():
+            signature = inspect.signature(getattr(owner, name))
+            assert tuple(signature.parameters) == params, (owner, name)
 
 
 class TestQuickstartDoctest:

@@ -41,7 +41,7 @@ def mixed_query(table, rng, n_hits=400, n_misses=400):
 
 class TestCompiledLookupParity:
     def test_compiled_and_reference_paths_agree(self, gap_table):
-        """Bit-identical, misses included (both read ``vocab[0]``)."""
+        """Bit-identical, misses included (both read the blank)."""
         dm = DeepMapping.fit(gap_table, fast_config())
         query = mixed_query(gap_table, np.random.default_rng(0))
         a = dm.lookup(query)

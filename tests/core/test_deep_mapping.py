@@ -75,6 +75,8 @@ class TestLosslessness:
         missing = sparse_table.column("key")[:-1] + 1  # gaps of 3
         result = dm.lookup({"key": missing})
         assert not result.found.any()
+        # A miss reads the blank, not a stored value ("A", "B", "C").
+        assert (result.values["status"] == "").all()
 
     def test_out_of_domain_keys_return_null(self, fitted_high):
         result = fitted_high.lookup({"key": np.array([-1, 10**9])})

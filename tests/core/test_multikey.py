@@ -128,9 +128,10 @@ class TestMultiRelation:
 
     def test_missing_fact_row_reads_as_a_dimension_miss(self):
         # A dimension with a live key -1: a missing fact row must not
-        # read the -1 row's values, but exactly what a plain miss reads.
+        # read the -1 row's values, but exactly what a plain miss reads:
+        # the blank, which no live row holds.
         n = 50
-        segment = np.zeros(n + 1, dtype=np.int64)
+        segment = np.full(n + 1, 3, dtype=np.int64)
         segment[0] = 9
         customers = ColumnTable(
             {"c_id": np.arange(-1, n, dtype=np.int64), "c_seg": segment},
@@ -148,9 +149,8 @@ class TestMultiRelation:
         plain_miss = mr.lookup("customers", {"c_id": np.array([10**6])})
         assert fact.found.tolist() == [True, False]
         assert dim.found.tolist() == [True, False]
-        assert dim.values["c_seg"].tolist() == [
-            0, plain_miss.values["c_seg"][0]]
-        assert plain_miss.values["c_seg"][0] != 9
+        assert dim.values["c_seg"].tolist() == [3, 0]
+        assert plain_miss.values["c_seg"].tolist() == [0]
 
     def test_unknown_relation_rejected(self):
         customers, _ = star_schema()

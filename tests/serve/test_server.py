@@ -1,5 +1,6 @@
 """Server behavior: parity, coalescing, stats, transports, facade, CLI."""
 
+import gc
 import json
 import os
 import subprocess
@@ -173,6 +174,22 @@ class TestTCPTransport:
                 assert tcp.ping()
                 good = tcp.lookup({"sku": [3]})
                 assert good["found"] == [True]
+
+    @pytest.mark.parametrize("stop", ["close", "drain"])
+    def test_stop_with_idle_connection_leaves_nothing_unraisable(
+            self, sharded_store, monkeypatch, stop):
+        # The handler of an idle connection is parked in readline();
+        # stopping must end it before the loop closes, or collecting it
+        # runs writer.close() on a closed loop.
+        seen = []
+        monkeypatch.setattr(sys, "unraisablehook", seen.append)
+        server = BackgroundTCPServer(sharded_store)
+        with server.connect() as tcp:
+            assert tcp.ping()
+            getattr(server, stop)()
+            gc.collect()
+        gc.collect()
+        assert [repr(u.exc_value) for u in seen] == []
 
 
 class TestServeCLI:

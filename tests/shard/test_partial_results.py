@@ -10,6 +10,7 @@ key subsets and random victim shards.
 
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def store():
     )
     yield built
     built.close()
+
+
+@contextmanager
+def raise_mode(store):
+    """The module store in ``on_shard_error="raise"`` mode for a while."""
+    store.sharding.on_shard_error = "raise"
+    try:
+        yield
+    finally:
+        store.sharding.on_shard_error = "partial"
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +108,9 @@ class TestPartialContract:
     def test_raise_mode_override_propagates(self, store, all_keys):
         restore = break_shard(store, 1)
         try:
-            with pytest.raises(RuntimeError, match="injected failure"):
-                store.lookup({"key": all_keys[:50]},
-                             on_shard_error="raise")
+            with raise_mode(store), \
+                    pytest.raises(RuntimeError, match="injected failure"):
+                store.lookup({"key": all_keys[:50]})
         finally:
             restore()
 
@@ -110,10 +121,9 @@ class TestPartialContract:
         restores = [break_shard(store, 3), break_shard(store, 1)]
         deadline = None if budget_s is None else Deadline(budget_s)
         try:
-            with pytest.raises(RuntimeError,
-                               match="injected failure in shard 1"):
-                store.lookup({"key": all_keys}, deadline=deadline,
-                             on_shard_error="raise")
+            with raise_mode(store), pytest.raises(
+                    RuntimeError, match="injected failure in shard 1"):
+                store.lookup({"key": all_keys}, deadline=deadline)
         finally:
             for restore in restores:
                 restore()
@@ -154,9 +164,8 @@ class TestTimeoutClassification:
             got = store.lookup({"key": keys}, deadline=Deadline(0.1))
             partial_s = time.monotonic() - started
             started = time.monotonic()
-            with pytest.raises(DeadlineExceeded):
-                store.lookup({"key": keys}, deadline=Deadline(0.1),
-                             on_shard_error="raise")
+            with raise_mode(store), pytest.raises(DeadlineExceeded):
+                store.lookup({"key": keys}, deadline=Deadline(0.1))
             raise_s = time.monotonic() - started
         finally:
             release.set()

@@ -1,8 +1,8 @@
 """Read accounting for remote (``http://`` / ``cached+http://``) opens.
 
 The lazy-hydration claim (``docs/remote.md``): opening a sharded store
-over HTTP downloads only the manifest (which carries router, filters,
-and prune metadata) plus the config blob — **zero shard payload bytes**.
+over HTTP downloads only the manifest (which carries router, filter and
+value dtypes) plus the config blob — **zero shard payload bytes**.
 Shards hydrate on first routed touch: an all-miss batch that the
 manifest filters prune answers without any new download, a batch routed
 into one shard downloads exactly that shard, and every result is
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.data import synthetic
+from repro.data import ColumnTable, synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import LocalDirBackend, configure_hydration_cache
 from repro.storage.blob_cache import payload_cache
@@ -29,9 +29,18 @@ from repro.testing.oracles import barrier_lookup
 from ..core.conftest import fast_config
 
 
+def key_correlated_table():
+    """Each range shard's smallest value differs: 0 in one, 4 in the
+    other."""
+    keys = np.arange(400, dtype=np.int64)
+    return ColumnTable({"key": keys, "v": keys // 50}, key=("key",))
+
+
 @pytest.fixture
-def saved_store(tmp_path):
-    table = synthetic.single_column(400, "high", seed=2)
+def saved_store(tmp_path, request):
+    table = (key_correlated_table()
+             if getattr(request, "param", None) == "key-correlated"
+             else synthetic.single_column(400, "high", seed=2))
     # Managed: the engine adopts every shard at open, proxies included.
     store = ShardedDeepMapping.fit(
         table, fast_config(epochs=2),
@@ -92,9 +101,12 @@ class TestLazyHydration:
                    if shard is not None)
         opened.close()
 
+    @pytest.mark.parametrize("saved_store", ["synthetic", "key-correlated"],
+                             indirect=True)
     def test_all_miss_batch_stays_download_free(self, served):
         store, table, server = served
-        misses = {table.key[0]: np.array([10 ** 8, 10 ** 8 + 1, -12345],
+        misses = {table.key[0]: np.array([10 ** 8, 10 ** 8 + 1, -12345,
+                                          -1, 400, 10 ** 6],
                                          dtype=np.int64)}
         reference = barrier_lookup(store, misses)
         opened = repro.open(server.url)
