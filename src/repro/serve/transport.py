@@ -162,13 +162,16 @@ async def serve_tcp(server: LookupServer, host: str = "127.0.0.1",
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
-            if tasks:
-                await asyncio.gather(*tuple(tasks), return_exceptions=True)
-            writer.close()
             try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+                if tasks:
+                    await asyncio.gather(*tuple(tasks),
+                                         return_exceptions=True)
+            finally:  # cancelled mid-gather: still close the connection
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except ConnectionError:
+                    pass
 
     return await asyncio.start_server(handle_connection, host, port,
                                       limit=MAX_LINE_BYTES)
@@ -234,17 +237,19 @@ class BackgroundTCPServer:
         await every task left on the loop — the handlers of idle
         connections, parked in ``readline()`` — and close the loop.  A
         handler left suspended would run its ``finally`` (``writer.
-        close()``) on the closed loop once collected."""
+        close()``) on the closed loop once collected.  The handlers go
+        before ``wait_closed()``: from Python 3.12.1 it waits for every
+        open connection, so an idle client would otherwise stall it."""
         self._closed = True
 
         async def shut_down():
             self._tcp.close()
-            await self._tcp.wait_closed()
             result = await stop_server()
             rest = asyncio.all_tasks() - {asyncio.current_task()}
             for task in rest:
                 task.cancel()
             await asyncio.gather(*rest, return_exceptions=True)
+            await self._tcp.wait_closed()
             return result
 
         result = asyncio.run_coroutine_threadsafe(

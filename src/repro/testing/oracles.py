@@ -100,12 +100,6 @@ def barrier_lookup(
             found=np.zeros(0, dtype=bool),
             values={c: blank(0, store.value_dtype(c))
                     for c in store.value_names})
-    if router.n_shards == 1 and shards[0] is not None:
-        result = shard_lookup(shards[0], key_cols)
-        return LookupResult(
-            found=result.found,
-            values={c: result.values[c].astype(store.value_dtype(c))
-                    for c in store.value_names})
 
     shard_ids = router.route(key_cols)
     order = np.argsort(shard_ids, kind="stable")

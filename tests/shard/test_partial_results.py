@@ -11,6 +11,7 @@ key subsets and random victim shards.
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,12 +40,15 @@ def store():
 
 @contextmanager
 def raise_mode(store):
-    """The module store in ``on_shard_error="raise"`` mode for a while."""
-    store.sharding.on_shard_error = "raise"
+    """The module store in ``on_shard_error="raise"`` mode for a while.
+
+    ``replace`` builds a fresh, validated config rather than mutating
+    the live one."""
+    store.sharding = replace(store.sharding, on_shard_error="raise")
     try:
         yield
     finally:
-        store.sharding.on_shard_error = "partial"
+        store.sharding = replace(store.sharding, on_shard_error="partial")
 
 
 @pytest.fixture(scope="module")
