@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult
+from ..core.plan import LookupResult
 from ..data.encoding import CompositeKeyCodec
 from ..data.table import ColumnTable
 from ..storage.buffer_pool import BufferPool

@@ -3,12 +3,13 @@
 from . import mhas
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping, LookupResult, SizeReport
+from .deep_mapping import DeepMapping, SizeReport
 from .exist_index import (ExistenceIndex, SparseExistenceIndex,
                           existence_from_state, make_existence_index)
 from .modify import ModificationTracker, estimate_batch_bytes
 from .negative_filter import NegativeFilter, hash_key_columns
 from .multikey import MultiKeyDeepMapping, MultiRelationDeepMapping
+from .plan import LookupResult
 from .query import QueryError, run_select, select
 from .range_query import build_range_view, lookup_range
 from .verify import VerificationReport, verify

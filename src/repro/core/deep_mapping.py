@@ -17,18 +17,24 @@ Together they answer exact-match lookups losslessly (Algorithm 1), support
 insert/delete/update without retraining (Algorithms 3–5), and occupy a
 fraction of the raw data's footprint when key-value structure exists.
 
+This module owns key/row normalisation, the build (``fit``), the
+mutations and the retrain rule.  One batched lookup lives in
+:mod:`repro.core.plan`; the payload and its opens live in
+:mod:`repro.core.persistence`.
+
 There is one predictor, the compiled kernel: it serves every lookup
-(:class:`LookupPlan`), and its ``lost_rows`` alone decides what
-``T_aux`` holds — in ``fit``'s Eq. 1 pricing and build, on every insert
-and update, and in MHAS.  The paper-literal Algorithm 1 survives only as
-the bit-exact parity oracle :func:`repro.testing.oracles.reference_lookup`.
+(:class:`~repro.core.plan.LookupPlan`), and its ``lost_rows`` alone
+decides what ``T_aux`` holds — in ``fit``'s Eq. 1 pricing and build, on
+every insert and update, and in MHAS.  The paper-literal Algorithm 1
+survives only as the bit-exact parity oracle
+:func:`repro.testing.oracles.reference_lookup`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,25 +45,20 @@ from ..nn.inference import InferenceSession, choose_width
 from ..nn.multitask import ArchitectureSpec, MultiTaskMLP
 from ..nn.optimizers import Adam, ExponentialDecay
 from ..nn.training import Trainer
-from ..storage import zerocopy
 from ..resilience.deadline import Deadline
-from ..resilience.errors import StoreNotFoundError
-from ..storage.backends import read_blob_view, resolve_blob_url
-from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
-from .exist_index import (ExistenceIndex, existence_from_state,
-                          make_existence_index)
+from .exist_index import ExistenceIndex, make_existence_index
 from .mhas.reward import measure_aux_bytes_per_row
 from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
                      estimate_batch_bytes)
+from .plan import LookupPlan, LookupResult
 
-__all__ = ["DeepMapping", "LookupPlan", "LookupResult", "SizeReport",
-           "blank", "normalize_keys", "normalize_rows"]
+__all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows"]
 
 KeysLike = Union[Dict[str, np.ndarray], ColumnTable, np.ndarray, list]
 RowsLike = Union[Dict[str, np.ndarray], ColumnTable]
@@ -108,37 +109,6 @@ def normalize_rows(
     return columns
 
 
-def blank(size: int, dtype) -> np.ndarray:
-    """What ``size`` misses read: the dtype's zero (``0``, ``''``,
-    ``False``), or ``None`` for object columns."""
-    if dtype == object:
-        return np.full(size, None, dtype=object)
-    return np.zeros(size, dtype=dtype)
-
-
-@dataclass
-class LookupResult:
-    """Outcome of a batch lookup.
-
-    ``found[i]`` is False for keys absent from the data (the paper's NULL);
-    ``values[col][i]`` is then the column's :func:`blank`.
-    """
-
-    found: np.ndarray
-    values: Dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return int(self.found.size)
-
-    def rows(self) -> Iterator[Optional[Dict[str, object]]]:
-        """Iterate rows as dicts, yielding ``None`` for missing keys."""
-        for i in range(self.found.size):
-            if self.found[i]:
-                yield {name: arr[i] for name, arr in self.values.items()}
-            else:
-                yield None
-
-
 @dataclass
 class SizeReport:
     """Storage breakdown of a hybrid structure (paper Fig. 6 / Eq. 1)."""
@@ -180,215 +150,6 @@ class SizeReport:
             "exist_vector": 100.0 * self.exist_bytes / total,
             "decode_map": 100.0 * self.decode_bytes / total,
         }
-
-
-class LookupPlan:
-    """One batched lookup (Algorithm 1), decomposed into explicit stages.
-
-    The stages and their data dependencies::
-
-        encode ──> existence ──> aux ──> inference ──> decode/scatter
-        (ctor)      (V_exist)   (T_aux)  (compiled M)
-
-    Splitting the lookup open buys three things the opaque call could
-    not deliver:
-
-    - **Shared sort order.** The auxiliary store wants sorted keys (one
-      partition fault per batch).  A caller that already holds the keys
-      sorted — the sharded route stage sorts *once* for every shard —
-      passes ``presorted=True`` and no stage ever sorts again; otherwise
-      the plan sorts the surviving keys once and both the aux probe and
-      the scatter reuse that order.
-    - **Aux-gated inference.** ``T_aux`` overrides the model wherever it
-      has a row, so running the model there is pure waste.  The plan
-      probes ``T_aux`` first and runs inference only on keys that are
-      live *and* not served from the auxiliary table.
-    - **Streaming scatter.** :meth:`execute_into` writes the finished
-      segment straight into caller-owned output arrays, so a sharded
-      fan-out assembles results as shards finish instead of
-      concatenating and permuting a list of per-shard results behind a
-      barrier.
-    - **Each distinct key once.** In a presorted batch equal keys sit
-      next to each other, so one adjacent-inequality pass over the raw
-      key columns keeps the first key of every run, and every stage —
-      flatten, existence, aux, inference, decode — runs on the distinct
-      keys only; :meth:`finish` and :meth:`execute_into` expand each
-      output column back through ``spread`` (one distinct position per
-      input key).  Raw columns, not flat codes, are compared: every
-      out-of-domain key flattens to 0, while equal raw keys always share
-      one answer.
-
-    Results are bit-identical to Algorithm 1 as written
-    (:func:`repro.testing.oracles.reference_lookup`): gating only skips
-    predictions that were about to be overwritten, misses read the same
-    :func:`blank`, and stage order never changes any per-key
-    answer.  Plans are single-use and not thread-safe; build one per
-    batch via :meth:`DeepMapping.plan_lookup`.
-    """
-
-    __slots__ = ("mapping", "flat", "in_domain", "presorted", "spread",
-                 "found", "_hits", "_aux_hit", "_aux_codes", "_model_codes")
-
-    def __init__(self, mapping: "DeepMapping",
-                 key_cols: Dict[str, np.ndarray],
-                 presorted: bool = False):
-        self.mapping = mapping
-        #: Distinct position per input key, or None when every key is
-        #: distinct (or the batch is unsorted, so runs are not adjacent).
-        self.spread: Optional[np.ndarray] = None
-        if presorted:
-            key_cols, self.spread = _distinct_runs(key_cols)
-        self.flat, self.in_domain = mapping.key_codec.try_flatten(key_cols)
-        self.presorted = presorted
-        self.found: Optional[np.ndarray] = None
-        self._hits: Optional[np.ndarray] = None       # hit rows, key-sorted
-        self._aux_hit: Optional[np.ndarray] = None    # bool per hit row
-        self._aux_codes: Optional[Dict[str, np.ndarray]] = None
-        self._model_codes: Optional[Dict[str, np.ndarray]] = None
-
-    def __len__(self) -> int:
-        """Keys given, repeats included."""
-        return int(self.flat.size if self.spread is None
-                   else self.spread.size)
-
-    def _expand(self, column: np.ndarray) -> np.ndarray:
-        """One distinct-key column back to one entry per input key."""
-        return column if self.spread is None else column[self.spread]
-
-    # -- stage 2: existence gate ---------------------------------------
-    def run_existence(self) -> np.ndarray:
-        """Mask the distinct keys through ``V_exist`` (and the key
-        domain); ``found`` is indexed by distinct position."""
-        m = self.mapping
-        with m.stats.timing("existence"):
-            self.found = m.exist.test_batch(self.flat) & self.in_domain
-        return self.found
-
-    # -- stage 3: auxiliary table --------------------------------------
-    def run_aux(self) -> None:
-        """Probe ``T_aux`` for every surviving key.
-
-        Keys are probed in sorted order — reusing the caller's order
-        when ``presorted``, sorting once here otherwise — so the
-        partition store's monotonic fast path skips its own argsort and
-        each partition is faulted at most once.
-        """
-        m = self.mapping
-        hits = np.flatnonzero(self.found)
-        if hits.size == 0:
-            self._hits = hits
-            self._aux_hit = np.zeros(0, dtype=bool)
-            self._aux_codes = {t: np.zeros(0, dtype=np.int64)
-                               for t in m.value_names}
-            return
-        sub = self.flat[hits]
-        if not self.presorted and sub.size > 1 \
-                and not np.all(sub[1:] >= sub[:-1]):
-            order = np.argsort(sub, kind="stable")
-            hits = hits[order]
-            sub = sub[order]
-        with m.stats.timing("aux"):
-            aux_hit, aux_codes = m.aux.lookup_batch(sub)
-        self._hits = hits
-        self._aux_hit = aux_hit
-        self._aux_codes = {t: aux_codes[t][aux_hit] for t in m.value_names}
-
-    @property
-    def aux_rows(self) -> np.ndarray:
-        """Distinct-key positions served from ``T_aux``."""
-        return self._hits[self._aux_hit]
-
-    @property
-    def model_rows(self) -> np.ndarray:
-        """Distinct-key positions served by model inference alone."""
-        return self._hits[~self._aux_hit]
-
-    # -- stage 4: model inference --------------------------------------
-    def run_inference(self) -> None:
-        """Run the fused kernel on :attr:`model_rows` only — the live
-        keys without an aux override."""
-        m = self.mapping
-        with m.stats.timing("inference"):
-            rows = self.model_rows
-            if rows.size:
-                self._model_codes = m.compiled_session().run(self.flat[rows])
-            else:
-                self._model_codes = {t: np.zeros(0, dtype=np.int64)
-                                     for t in m.value_names}
-
-    # -- stage 5: decode + assembly ------------------------------------
-    def _decoded_task(self, task: str) -> np.ndarray:
-        """This batch's decoded values for one task, per distinct key.
-
-        The single decode implementation behind both :meth:`finish` and
-        :meth:`execute_into` — the bit-identity-critical branch (the
-        :func:`blank` a miss reads, model/aux overwrite order) lives
-        here once.
-        """
-        enc = self.mapping.fdecode.encoders[task]
-        out = blank(self.flat.size, enc.vocab.dtype)
-        rows = self.model_rows
-        if rows.size:
-            out[rows] = enc.decode(self._model_codes[task])
-        rows = self.aux_rows
-        if rows.size:
-            out[rows] = enc.decode(self._aux_codes[task])
-        return out
-
-    def finish(self) -> LookupResult:
-        """Decode codes to values and assemble a LookupResult."""
-        m = self.mapping
-        with m.stats.timing("decode"):
-            values = {task: self._expand(self._decoded_task(task))
-                      for task in m.value_names}
-        return LookupResult(found=self._expand(self.found), values=values)
-
-    def execute(self) -> LookupResult:
-        """Run every stage in order — the serial lookup."""
-        self.run_existence()
-        self.run_aux()
-        self.run_inference()
-        return self.finish()
-
-    def execute_into(
-        self,
-        found_out: np.ndarray,
-        values_out: Dict[str, np.ndarray],
-        dest: np.ndarray,
-    ) -> None:
-        """Run the plan and scatter its segment into shared output arrays.
-
-        ``dest`` maps this plan's batch positions to positions in the
-        caller's arrays; disjoint ``dest`` sets may be filled from
-        concurrent threads (the sharded store's streaming assembly).
-        Misses inside the segment are written too (the :func:`blank`),
-        matching what a merge of per-shard results would have produced.
-        """
-        self.run_existence()
-        self.run_aux()
-        self.run_inference()
-        m = self.mapping
-        found_out[dest] = self._expand(self.found)
-        with m.stats.timing("decode"):
-            for task in m.value_names:
-                values_out[task][dest] = self._expand(self._decoded_task(task))
-
-
-def _distinct_runs(key_cols: Dict[str, np.ndarray]):
-    """``(distinct key columns, spread)`` of a batch whose equal keys are
-    adjacent; ``spread`` is None when no key repeats its predecessor."""
-    cols = [np.asarray(col) for col in key_cols.values()]
-    if cols[0].size < 2:
-        return key_cols, None
-    first = np.empty(cols[0].size, dtype=bool)
-    first[0] = True
-    np.not_equal(cols[0][1:], cols[0][:-1], out=first[1:])
-    for col in cols[1:]:
-        first[1:] |= col[1:] != col[:-1]
-    if first.all():
-        return key_cols, None
-    spread = np.cumsum(first) - 1
-    return {name: col[first] for name, col in zip(key_cols, cols)}, spread
 
 
 #: What a retrain takes over from the freshly fit structure (see
@@ -665,7 +426,7 @@ class DeepMapping:
         aux stage then skips sorting entirely, and each run of equal
         keys is answered once.
         """
-        return LookupPlan(self, self._normalize_keys(keys),
+        return LookupPlan(self, normalize_keys(keys, self.key_names),
                           presorted=presorted)
 
     def lookup(self, keys: KeysLike) -> LookupResult:
@@ -694,7 +455,7 @@ class DeepMapping:
         The cheap membership predicate behind lookup/delete/update; also
         used by the sharded facade to pre-validate mutation batches.
         """
-        key_cols = self._normalize_keys(keys)
+        key_cols = normalize_keys(keys, self.key_names)
         flat, in_domain = self.key_codec.try_flatten(key_cols)
         return self.exist.test_batch(flat) & in_domain
 
@@ -748,10 +509,9 @@ class DeepMapping:
         Returns the number of rows landed in the auxiliary table.
         """
         self._require_writable()
-        columns = self._normalize_rows(rows)
-        try:
-            flat = self._flatten_or_rebuild_domain(columns)
-        except _DomainRebuilt:
+        columns = normalize_rows(rows, self.key_names, self.value_names)
+        flat = self._flatten_or_rebuild_domain(columns)
+        if flat is None:
             # The structure was rebuilt over old + new rows; nothing lands
             # in the (fresh) auxiliary overlay for this call specifically.
             return 0
@@ -782,7 +542,7 @@ class DeepMapping:
         ignored, matching the paper's idempotent bit-clear semantics).
         """
         self._require_writable()
-        key_cols = self._normalize_keys(keys)
+        key_cols = normalize_keys(keys, self.key_names)
         flat, in_domain = self.key_codec.try_flatten(key_cols)
         live = self.exist.test_batch(flat) & in_domain
         targets = flat[live]
@@ -800,7 +560,7 @@ class DeepMapping:
         number of rows materialized in the auxiliary table.
         """
         self._require_writable()
-        columns = self._normalize_rows(rows)
+        columns = normalize_rows(rows, self.key_names, self.value_names)
         flat, in_domain = self.key_codec.try_flatten(columns)
         live = self.exist.test_batch(flat) & in_domain
         if not live.all():
@@ -915,238 +675,37 @@ class DeepMapping:
         return ColumnTable(columns, key=self.key_names, name="deepmapping")
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Persistence (the payload and its opens live in repro.core.persistence)
     # ------------------------------------------------------------------
     def to_payload(self) -> bytearray:
-        """Serialize the full hybrid structure to one byte payload.
-
-        The payload is a :mod:`repro.storage.zerocopy` container: the
-        pickled state plus out-of-band, 64-byte-aligned, CRC-checked
-        buffer segments for **every** array — vocabularies, codec
-        domains, the model weights and existence bit-vector
-        (``session_v2`` / ``exist_v2``), and ``T_aux`` the way the paper
-        stores it (``aux_v2``): one segment per *compressed* partition,
-        exactly the bytes :meth:`AuxiliaryTable.stored_bytes` counts,
-        beside a small fence index in the head (first key, last key, row
-        count and key-gap width per partition; column names and dtypes;
-        see :func:`~repro.storage.partition.encode_partition`) and the
-        not-yet-compacted overlay / tombstones as arrays.  Nothing is
-        decompressed, re-sorted or re-compressed to save, and an open
-        attaches the partitions where they lie.  Opened through an
-        mmap-capable backend with ``writable=False``, all of it
-        materializes as views over shared pages instead of copies — the
-        cold open is pure mmap.  This is the only layout any open reads
-        (see :meth:`_load_state`).
-        """
-        state = {
-            "config": self.config,
-            "key_codec": self.key_codec.to_state(),
-            "key_encoder": self.key_encoder.to_state(),
-            "session_v2": self.session.to_state(),
-            "exist_v2": self.exist.to_state(),
-            "fdecode": self.fdecode.to_state(),
-            "aux_v2": self.aux.to_state(),
-            "dataset_bytes": self._dataset_bytes,
-            # Sec. IV-D lazy-update state: without this a loaded store
-            # would restart the retrain threshold from zero every reopen.
-            "tracker": self.tracker.to_state(),
-        }
-        return zerocopy.pack(state)
+        """This structure as one payload
+        (:func:`repro.core.persistence.to_payload`)."""
+        from . import persistence
+        return persistence.to_payload(self)
 
     def save(self, target: str) -> int:
-        """Persist to a path or ``file:// / mem:// / zip://`` URL.
-
-        A filesystem path / ``file://`` URL names the payload file itself;
-        ``mem://`` and ``zip://`` targets are containers and store the
-        payload under
-        :data:`~repro.storage.backends.MONOLITHIC_BLOB`.  The write is
-        atomic on every backend, and the process-wide payload cache entry
-        for the target is invalidated so later ``writable=False`` opens
-        never serve the retired content.  Returns bytes written.
-        """
-        backend, blob = resolve_blob_url(str(target))
-        written = backend.write_bytes(blob, self.to_payload())
-        payload_cache().invalidate(backend, blob)
-        return written
-
-    @staticmethod
-    def _load_state(payload, zero_copy: bool = False) -> Dict[str, object]:
-        """Payload bytes/view -> state dict, for the one layout
-        :meth:`to_payload` writes.
-
-        Anything else is refused with a ``ValueError`` — not
-        :class:`~repro.resilience.errors.StoreCorruptedError`: the bytes
-        are intact, so the caches' re-read would change nothing.
-        """
-        if not zerocopy.is_packed(payload):
-            raise _unsupported_layout(
-                "it does not start with the RZC2 container magic (bare "
-                "pickles and containers without checksums are no longer "
-                "read)")
-        state = zerocopy.unpack(payload, zero_copy=zero_copy)
-        missing = [key for key in ("session_v2", "exist_v2", "aux_v2")
-                   if key not in state]
-        if missing:
-            raise _unsupported_layout(
-                f"it lacks {', '.join(missing)} (nested session / exist "
-                "bytes and raw aux_keys / aux_codes rows are no longer "
-                "read)")
-        if "gap_widths" not in state["aux_v2"]["store"]:
-            raise _unsupported_layout(
-                "its aux_v2 partitions are pickled blocks of int64 keys "
-                "(no gap_widths fence; they are no longer read)",
-                last_reader="dae9259")
-        return state
+        """Persist to a path or URL; returns bytes written
+        (:func:`repro.core.persistence.save`)."""
+        from . import persistence
+        return persistence.save(self, target)
 
     @classmethod
-    def _components_from_state(
-        cls,
-        state: Dict[str, object],
-        pool: Optional[BufferPool],
-        stats: StoreStats,
-    ) -> Dict[str, object]:
-        """Materialize the shared components a payload state describes.
-
-        ``T_aux`` is *attached*: the compressed partitions in ``aux_v2``
-        (views into the payload mapping on a read-only open, the private
-        copy's segments on a writable one) become the table's partitions
-        as they are, and the first probe of one decompresses it straight
-        out of the payload — no sort, no compression, no temporary file.
-        """
-        config = state["config"]
-        fdecode = DecodeMap.from_state(state["fdecode"])
-        aux = AuxiliaryTable(
-            tasks=fdecode.columns,
-            codec=config.aux_codec,
-            target_partition_bytes=config.aux_partition_bytes,
-            pool=pool,
-            stats=stats,
-            auto_compact_rows=config.aux_auto_compact_rows,
-        )
-        aux.attach(state["aux_v2"])
-        return {
-            "config": config,
-            "key_codec": CompositeKeyCodec.from_state(state["key_codec"]),
-            "key_encoder": KeyEncoder.from_state(state["key_encoder"]),
-            "session": InferenceSession.from_state(state["session_v2"]),
-            "aux": aux,
-            "exist": existence_from_state(state["exist_v2"]),
-            "fdecode": fdecode,
-            "dataset_bytes": state["dataset_bytes"],
-            "tracker": state["tracker"],
-        }
-
-    @classmethod
-    def _assemble(cls, components: Dict[str, object],
-                  stats: Optional[StoreStats]) -> "DeepMapping":
-        mapping = cls(
-            key_codec=components["key_codec"],
-            key_encoder=components["key_encoder"],
-            session=components["session"],
-            aux=components["aux"],
-            exist=components["exist"],
-            fdecode=components["fdecode"],
-            config=components["config"],
-            dataset_bytes=components["dataset_bytes"],
-            stats=stats,
-        )
-        mapping.tracker.restore_counters(components["tracker"])
-        return mapping
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: bytes,
-        pool: Optional[BufferPool] = None,
-        stats: Optional[StoreStats] = None,
-    ) -> "DeepMapping":
-        """Inverse of :meth:`to_payload` (private, writable copies)."""
-        stats = stats if stats is not None else StoreStats()
-        state = cls._load_state(payload)
-        return cls._assemble(
-            cls._components_from_state(state, pool, stats), stats)
-
-    @classmethod
-    def _from_bundle(cls, bundle: Dict[str, object],
+    def from_payload(cls, payload, pool: Optional[BufferPool] = None,
                      stats: Optional[StoreStats] = None) -> "DeepMapping":
-        """A read-only structure over a cached component bundle.
-
-        Every heavy artifact — session, compiled engine, auxiliary
-        partitions, existence vector, decode map — is *shared* with any
-        other store wrapping the same bundle; only per-instance state
-        (stats sink, tracker, executor) is fresh.  Safe because the
-        returned structure refuses mutations (``writable=False``) and
-        all shared read paths are thread-safe.
-        """
-        mapping = cls._assemble(bundle, stats)
-        mapping.writable = False
-        mapping._compiled = bundle.get("compiled")
-        # Pin the bundle (and through it any mmap view backing its
-        # arrays) for this structure's lifetime, independent of cache
-        # eviction.
-        mapping._shared_bundle = bundle
-        return mapping
+        """Inverse of :meth:`to_payload`: private, writable copies."""
+        from . import persistence
+        return persistence.from_payload(payload, pool=pool, stats=stats)
 
     @classmethod
-    def _open_shared(
-        cls,
-        backend,
-        blob: str,
-        stats: Optional[StoreStats] = None,
-        pool: Optional[BufferPool] = None,
-    ) -> "DeepMapping":
-        """Read-only open through the process-wide payload cache.
-
-        Cold path: the payload is read as a zero-copy view (mmap'd on
-        ``file://`` backends), deserialized once, its lookup kernel
-        compiled, and the whole bundle cached under the blob's version
-        stamp.  The auxiliary partitions are attached as views into the
-        pinned payload (see :meth:`_components_from_state`), so the cold
-        open writes nothing and creates no file.  Warm path: the cached
-        bundle is wrapped directly — no I/O, no deserialization, no
-        recompile.
-        """
-        def loader():
-            view = read_blob_view(backend, blob)
-            state = cls._load_state(view, zero_copy=True)
-            bundle = cls._components_from_state(state, pool, StoreStats())
-            # Hold the payload view explicitly: zero-copy arrays
-            # reference it, and the bundle must outlive any of them.
-            bundle["payload_view"] = view
-            bundle["compiled"] = CompiledSession(bundle["session"],
-                                                 bundle["key_encoder"])
-            return bundle, view.nbytes
-        bundle = payload_cache().get(backend, blob, loader)
-        return cls._from_bundle(bundle, stats=stats)
-
-    @classmethod
-    def open(
-        cls,
-        target: str,
-        pool: Optional[BufferPool] = None,
-        stats: Optional[StoreStats] = None,
-        writable: bool = True,
-    ) -> "DeepMapping":
-        """Inverse of :meth:`save`: open a payload by path or URL.
-
-        ``writable=False`` opens a read-only structure through the
-        process-wide payload cache: payload arrays come up as zero-copy
-        (mmap-backed on local directories) views, repeated opens of the
-        same unchanged blob share one deserialized bundle, and mutating
-        calls raise ``PermissionError``.  Prefer :func:`repro.open`,
-        which also auto-detects sharded stores; this is the
-        monolithic-only loader beneath it.
-        """
-        backend, blob = resolve_blob_url(str(target), create=False)
-        try:
-            if not writable:
-                return cls._open_shared(backend, blob, stats=stats,
-                                        pool=pool)
-            payload = backend.read_bytes(blob)
-        except KeyError:
-            raise StoreNotFoundError(f"no DeepMapping payload at "
-                                     f"{target!r}") from None
-        return cls.from_payload(payload, pool=pool, stats=stats)
+    def open(cls, target: str, pool: Optional[BufferPool] = None,
+             stats: Optional[StoreStats] = None,
+             writable: bool = True) -> "DeepMapping":
+        """Inverse of :meth:`save` (:func:`repro.core.persistence.load`).
+        Prefer :func:`repro.open`, which also auto-detects sharded
+        stores; this is the monolithic-only loader beneath it."""
+        from . import persistence
+        return persistence.load(target, pool=pool, stats=stats,
+                                writable=writable)
 
     # ------------------------------------------------------------------
     # Input normalization
@@ -1157,14 +716,10 @@ class DeepMapping:
                 "this store was opened writable=False (shared, read-only "
                 "components); reopen with repro.open(url) to mutate it")
 
-    def _normalize_keys(self, keys: KeysLike) -> Dict[str, np.ndarray]:
-        return normalize_keys(keys, self.key_names)
-
-    def _normalize_rows(self, rows: RowsLike) -> Dict[str, np.ndarray]:
-        return normalize_rows(rows, self.key_names, self.value_names)
-
-    def _flatten_or_rebuild_domain(self, columns: Dict[str, np.ndarray]) -> np.ndarray:
-        """Flatten new keys; widen the key domain via rebuild if needed."""
+    def _flatten_or_rebuild_domain(
+            self, columns: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
+        """Flatten new keys; or widen the key domain by a rebuild over
+        old and new rows, and return None: nothing is left to insert."""
         flat, in_domain = self.key_codec.try_flatten(columns)
         if in_domain.all():
             return flat
@@ -1176,9 +731,7 @@ class DeepMapping:
         merged = base.concat(incoming) if base.n_rows else incoming
         self._adopt(DeepMapping.fit(merged, self.config, pool=self.aux.pool,
                                     stats=self.stats))
-        # All rows (including the new ones) are now inside the structure;
-        # signal the caller that no further per-row handling is needed.
-        raise _DomainRebuilt()
+        return None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1206,16 +759,3 @@ class DeepMapping:
             f"rows={len(self)}, aux_rows={len(self.aux)}, "
             f"bytes={self.storage_bytes()})"
         )
-
-
-def _unsupported_layout(found: str,
-                        last_reader: str = "b054dba") -> ValueError:
-    return ValueError(
-        "this payload does not hold a DeepMapping store in the one layout "
-        f"this version reads: {found}. If it is a store saved by an older "
-        f"version, open and re-save it at commit {last_reader}, the last "
-        "one that reads that layout.")
-
-
-class _DomainRebuilt(Exception):
-    """Internal control flow: insert triggered a full domain rebuild."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping, LookupResult, blank
+from .deep_mapping import DeepMapping
+from .plan import LookupResult, blank
 
 __all__ = ["MultiKeyDeepMapping", "MultiRelationDeepMapping"]
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping, LookupResult
+from .deep_mapping import DeepMapping
+from .plan import LookupResult
 
 __all__ = ["lookup_range", "build_range_view"]
 

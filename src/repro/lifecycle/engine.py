@@ -9,7 +9,7 @@ rebalancing**:
 - **splits** — a shard whose row count exceeds ``split_balance`` times
   the mean splits its key range at a median cut chosen from its live
   keys; the two halves rebuild and the router/shard-list swap is atomic
-  (see ``ShardedDeepMapping._swap_topology``);
+  (see :mod:`repro.shard.topology`);
 - **merges** — an adjacent pair whose combined rows fall under
   ``merge_balance`` times the mean merges back into one shard
   (hysteresis between the two bounds prevents split/merge oscillation);
@@ -23,15 +23,17 @@ rebalancing**:
   (NumPy training kernels release the GIL, so several shards retrain
   concurrently) instead of inline in the mutating thread.
 
-Every lifecycle rebuild routes architecture selection through per-shard
-MHAS sizing (:mod:`repro.lifecycle.sizing`) when
-``lifecycle.per_shard_mhas`` is on, so rebalanced shards get right-sized
-models instead of the global fixed spec.
+Which config a lifecycle build uses is the store's answer, not the
+engine's: :func:`repro.shard.topology.build_config` sizes every build
+through per-shard MHAS (:mod:`repro.lifecycle.sizing`) when
+``lifecycle.per_shard_mhas`` is on, and otherwise keeps a retrained
+shard's own config.
 
-The engine holds a plain reference to its store and calls only public
-surface (``shards``, ``router``, ``split_shard``, ``merge_shards``,
-``_map_jobs``); the store imports this module, not the other way around,
-so the layering stays acyclic.
+The engine holds a plain reference to its store and calls its surface
+(``shards``, ``router``, ``split_shard``, ``merge_shards``,
+``executor``) and :func:`~repro.shard.topology.build_config`; the store
+imports this module, not the other way around, so the layering stays
+acyclic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from .policy import LifecycleConfig
-from .sizing import derive_build_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..core.deep_mapping import DeepMapping
@@ -115,16 +116,6 @@ class MaintenanceEngine:
         self.n_splits = int(state.get("splits", 0))
         self.n_merges = int(state.get("merges", 0))
 
-    def build_config_for(self, n_rows: int):
-        """Build configuration for a lifecycle (re)build of ``n_rows``.
-
-        Returns ``None`` (meaning "use the store config") when per-shard
-        sizing is disabled.
-        """
-        if not self.config.per_shard_mhas:
-            return None
-        return derive_build_config(self.store.config, n_rows, self.config)
-
     # ------------------------------------------------------------------
     # The maintenance run
     # ------------------------------------------------------------------
@@ -155,16 +146,19 @@ class MaintenanceEngine:
         if not due:
             return []
 
+        from ..shard.topology import build_config  # the store imports us
+
         def rebuild_one(ordinal: int) -> LifecycleEvent:
             shard = self.store.shards[ordinal]
             n_rows = len(shard)
-            shard.rebuild(config=self.build_config_for(n_rows))
+            shard.rebuild(config=build_config(self.store.config, self.config,
+                                              n_rows, shard.config))
             return LifecycleEvent("rebuild", ordinal, n_rows)
 
         # Through the store's fan-out pool: one job per due shard, the
         # mutating thread blocks on the batch instead of training inline
         # one shard at a time.
-        events = self.store._map_jobs(rebuild_one, due)
+        events = self.store.executor.map(rebuild_one, due)
         self.n_rebuilds += len(events)
         return events
 
@@ -192,11 +186,7 @@ class MaintenanceEngine:
         if split is not None:
             ordinal = split
             n_rows = int(counts[ordinal])
-            cut = self.store.split_shard(
-                ordinal,
-                configs=(self.build_config_for(n_rows // 2),
-                         self.build_config_for(n_rows - n_rows // 2)),
-            )
+            cut = self.store.split_shard(ordinal)
             self.n_splits += 1
             return LifecycleEvent("split", ordinal, n_rows, cut=cut)
 
@@ -205,8 +195,7 @@ class MaintenanceEngine:
             ordinal = merge
             n_rows = int(counts[ordinal] + counts[ordinal + 1])
             boundary = int(self.store.router.cuts[ordinal])
-            self.store.merge_shards(
-                ordinal, config=self.build_config_for(n_rows))
+            self.store.merge_shards(ordinal)
             self.n_merges += 1
             return LifecycleEvent("merge", ordinal, n_rows, cut=boundary)
         return None

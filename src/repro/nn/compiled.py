@@ -36,7 +36,7 @@ the rows ``T_aux`` must hold at build and on every write
 The compiled kernel consumes *flat integer keys* (the output of
 :meth:`~repro.data.encoding.CompositeKeyCodec.flatten`), not encoded
 feature vectors.  At query time the staged read path
-(:class:`~repro.core.deep_mapping.LookupPlan`) gates this kernel twice
+(:class:`~repro.core.plan.LookupPlan`) gates this kernel twice
 over: it runs only on keys that pass the existence mask *and* have no
 ``T_aux`` override (an aux row would overwrite the prediction anyway),
 so on negative-heavy or high-churn batches most of the inference cost

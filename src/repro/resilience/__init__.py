@@ -2,7 +2,7 @@
 typed errors, and partial results.
 
 This package has no dependencies on the rest of the library except
-:class:`~repro.core.deep_mapping.LookupResult` (the base of
+:class:`~repro.core.plan.LookupResult` (the base of
 :class:`PartialResult`), so every layer — storage, shard, serve — can
 import it without cycles.  See ``docs/resilience.md`` for the full
 semantics.

@@ -2,7 +2,7 @@
 
 Under ``on_shard_error="partial"`` a sharded lookup that loses a shard
 (exception or deadline) still returns — as a :class:`PartialResult`,
-a :class:`~repro.core.deep_mapping.LookupResult` plus:
+a :class:`~repro.core.plan.LookupResult` plus:
 
 - ``failed_mask[i]`` — True where key ``i`` was routed to a shard that
   failed.  For those positions ``found`` is forced False and ``values``
@@ -22,7 +22,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult
+from ..core.plan import LookupResult
 from .errors import PartialResultError
 
 __all__ = ["PartialResult"]

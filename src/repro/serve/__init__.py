@@ -29,7 +29,7 @@ from .server import Client, LookupServer
 from .shedding import (LoadShedder, ServerDrainingError,
                        ServerOverloadedError, SheddingPolicy)
 from .stats import ServeStats, TenantStats
-from .transport import BackgroundTCPServer, TCPClient, serve_tcp
+from .transport import BackgroundTCPServer, TCPClient, serve_tcp, shut_down
 
 __all__ = [
     "AdmissionPolicy",
@@ -64,8 +64,10 @@ def run_forever(store, host: str = "127.0.0.1", port: int = 0,
     ``KeyboardInterrupt`` on platforms without signal handlers) stops
     the listener, then :meth:`LookupServer.drain` refuses new
     admissions and finishes every request already admitted — queued or
-    in flight — before the function returns.  Zero in-flight work is
-    lost to a shutdown; the process exits 0.
+    in flight — before the function returns, and idle connections are
+    closed (the same :func:`~repro.serve.transport.shut_down` as
+    :class:`BackgroundTCPServer`).  Zero in-flight work is lost to a
+    shutdown; the process exits 0.
     """
     import asyncio
     import signal
@@ -93,9 +95,7 @@ def run_forever(store, host: str = "127.0.0.1", port: int = 0,
         finally:
             for sig in installed:
                 loop.remove_signal_handler(sig)
-            tcp.close()
-            await tcp.wait_closed()
-            await server.drain()
+            await shut_down(tcp, server.drain)
 
     try:
         asyncio.run(_main())

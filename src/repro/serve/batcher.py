@@ -16,7 +16,7 @@ latency-policy tests can drive them with a fake clock:
   dedups identical keys across requests (one fused-gather position per
   distinct key, however many requests asked for it), and remembers the
   per-request slices; scatter routes the store's one
-  :class:`~repro.core.deep_mapping.LookupResult` back into bit-identical
+  :class:`~repro.core.plan.LookupResult` back into bit-identical
   per-request results via the dedup inverse.
 
 Parity argument: ``lookup`` is a pure function of (store state, key), so
@@ -34,7 +34,8 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult, normalize_keys
+from ..core.deep_mapping import normalize_keys
+from ..core.plan import LookupResult
 from ..resilience.deadline import Deadline
 from ..resilience.partial import PartialResult
 from .policy import AdmissionPolicy

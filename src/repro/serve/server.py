@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from ..core.deep_mapping import LookupResult
+from ..core.plan import LookupResult
 from ..resilience.deadline import Deadline, default_timeout
 from ..resilience.errors import DeadlineExceeded
 from .batcher import (Batcher, PendingRequest, QueueFullError,
@@ -552,16 +552,7 @@ class Client:
         report.  After this the client behaves as closed."""
         if self._closed:
             return {"flushed_requests": 0, "awaited_batches": 0}
-        self._closed = True
-        bound = default_timeout(timeout)
-        report = asyncio.run_coroutine_threadsafe(
-            self.server.drain(), self._loop).result(timeout=bound)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=bound)
-        self._loop.close()
-        if self._close_store:
-            self.store.close()
-        return report
+        return self._shut_down(self.server.drain, timeout)
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Shut the server down and stop the loop thread (idempotent).
@@ -569,17 +560,22 @@ class Client:
         ``timeout`` bounds the shutdown drain and the loop-thread join
         (default :data:`~repro.resilience.DEFAULT_TIMEOUT_S`).
         """
-        if self._closed:
-            return
+        if not self._closed:
+            self._shut_down(self.server.aclose, timeout)
+
+    def _shut_down(self, stop_server, timeout: Optional[float]):
+        """``stop_server()`` on the loop, then stop the loop thread and
+        close the store if this client owns it."""
         self._closed = True
         bound = default_timeout(timeout)
-        asyncio.run_coroutine_threadsafe(
-            self.server.aclose(), self._loop).result(timeout=bound)
+        result = asyncio.run_coroutine_threadsafe(
+            stop_server(), self._loop).result(timeout=bound)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=bound)
         self._loop.close()
         if self._close_store:
             self.store.close()
+        return result
 
     def __enter__(self) -> "Client":
         return self

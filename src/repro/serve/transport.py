@@ -177,6 +177,25 @@ async def serve_tcp(server: LookupServer, host: str = "127.0.0.1",
                                       limit=MAX_LINE_BYTES)
 
 
+async def shut_down(tcp: asyncio.AbstractServer, stop_server):
+    """The one shutdown of both TCP hosts (:class:`BackgroundTCPServer`,
+    :func:`repro.serve.run_forever`): stop the listener, then
+    ``stop_server()``, then cancel and await every task left on the
+    loop — the handlers of idle connections, parked in ``readline()`` —
+    and only then ``wait_closed()``, which from Python 3.12.1 waits for
+    every open connection.  (A handler left suspended would run its
+    ``finally``, ``writer.close()``, on a closed loop once collected.)
+    Returns ``stop_server()``'s result."""
+    tcp.close()
+    result = await stop_server()
+    rest = asyncio.all_tasks() - {asyncio.current_task()}
+    for task in rest:
+        task.cancel()
+    await asyncio.gather(*rest, return_exceptions=True)
+    await tcp.wait_closed()
+    return result
+
+
 class BackgroundTCPServer:
     """A TCP lookup server on its own event-loop thread.
 
@@ -233,27 +252,12 @@ class BackgroundTCPServer:
             self._shut_down(self.server.aclose)
 
     def _shut_down(self, stop_server):
-        """Stop the listener, then ``stop_server()``, then cancel and
-        await every task left on the loop — the handlers of idle
-        connections, parked in ``readline()`` — and close the loop.  A
-        handler left suspended would run its ``finally`` (``writer.
-        close()``) on the closed loop once collected.  The handlers go
-        before ``wait_closed()``: from Python 3.12.1 it waits for every
-        open connection, so an idle client would otherwise stall it."""
+        """:func:`shut_down` on the server's loop, then stop and close
+        the loop."""
         self._closed = True
-
-        async def shut_down():
-            self._tcp.close()
-            result = await stop_server()
-            rest = asyncio.all_tasks() - {asyncio.current_task()}
-            for task in rest:
-                task.cancel()
-            await asyncio.gather(*rest, return_exceptions=True)
-            await self._tcp.wait_closed()
-            return result
-
         result = asyncio.run_coroutine_threadsafe(
-            shut_down(), self._loop).result(timeout=self.control_timeout)
+            shut_down(self._tcp, stop_server),
+            self._loop).result(timeout=self.control_timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=self.control_timeout)
         self._loop.close()

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..core.deep_mapping import DeepMapping
+from ..core.persistence import open_payload
 from ..lifecycle import LifecycleConfig
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
@@ -139,18 +140,19 @@ def load(cls, target: Union[str, StorageBackend],
 
     All shards' auxiliary partitions share one
     :class:`~repro.storage.buffer_pool.BufferPool`, so a single byte
-    budget caps resident partitions across the store.  Three opens:
-    **writable** (the default) reads every payload whole into private,
-    mutable copies.  **Shared** (``writable=False``) opens every shard
-    through the process-wide payload cache: zero-copy views
-    (mmap-backed on local directories), one deserialized bundle per
-    unchanged blob (compiled kernel and attached partitions included);
-    cached shards keep the pool of their *first* (cold) open, so
-    ``pool_budget_bytes`` only applies to shards loaded cold.
+    budget caps resident partitions across the store.  Every shard
+    opens through :func:`repro.core.persistence.open_payload`, the one
+    open rule: **writable** (the default) reads every payload whole
+    into private, mutable copies; **shared** (``writable=False``) opens
+    every shard through the process-wide payload cache — zero-copy
+    views (mmap-backed on local directories), one deserialized bundle
+    per unchanged blob (compiled kernel and attached partitions
+    included); cached shards keep the pool of their *first* (cold)
+    open, so ``pool_budget_bytes`` only applies to shards loaded cold.
     **Hydrating** (backends flagging ``remote = True``; forces
     ``writable=False``) fetches only the manifest and build config and
     stands a :class:`~repro.storage.hydration.LazyShard` in for every
-    shard, which runs the shared open on first routed touch
+    shard, which runs the same open on first routed touch
     (``docs/remote.md``).
     """
     backend = (backend_for_url(target, create=False)
@@ -193,24 +195,18 @@ def load(cls, target: Union[str, StorageBackend],
         if entry.file is None:
             shards.append(None)
             continue
-        open_shared = functools.partial(
-            DeepMapping._open_shared, backend, entry.file, stats=stats,
-            pool=pool)
+        opener = functools.partial(open_payload, backend, entry.file,
+                                   writable=writable, pool=pool, stats=stats)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload
             # cache, which also dedupes concurrent hydrations of
             # the same blob) until a batch actually routes into
             # this shard.
-            shards.append(LazyShard(open_shared, n_rows=entry.n_rows,
+            shards.append(LazyShard(opener, n_rows=entry.n_rows,
                                     stats=stats, label=entry.file))
-        elif not writable:
-            shards.append(open_shared())
         else:
-            with stats.timing("io"):
-                payload = backend.read_bytes(entry.file)
-            shards.append(DeepMapping.from_payload(payload, pool=pool,
-                                                   stats=stats))
+            shards.append(opener())
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
     store = cls(router, shards, config, sharding,
@@ -220,9 +216,4 @@ def load(cls, target: Union[str, StorageBackend],
     store.writable = writable
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])
-    if not hydrating:
-        # Eager engine compilation would iterate (and download) every
-        # shard; hydrated shards come out of _open_shared with their
-        # compiled kernel already built.
-        store.compile_engines()
     return store

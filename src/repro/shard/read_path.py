@@ -4,11 +4,11 @@
 contract) is one composition of named stages over one topology snapshot
 — the names ``bench/tracing.py`` replays from outside.  The store, not
 its shards, decides what a miss reads: the
-:func:`~repro.core.deep_mapping.blank` of the column's
+:func:`~repro.core.plan.blank` of the column's
 :meth:`~repro.shard.ShardedDeepMapping.value_dtype`.  A pruned key, a
 key of an empty shard and a dispatched miss all read it, and no
 output dtype depends on which shards a batch touches.  Shard work is a
-:class:`~repro.core.deep_mapping.LookupPlan` per owning shard that
+:class:`~repro.core.plan.LookupPlan` per owning shard that
 scatters its finished segment straight into the batch's preallocated
 output arrays; small unbounded dispatches run inline, everything else
 goes through :func:`fan_out`, the **one** completion-driven wait, where
@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult, blank
+from ..core.deep_mapping import normalize_keys
 from ..core.negative_filter import hash_key_columns
+from ..core.plan import LookupResult, blank
 from ..resilience.errors import DeadlineExceeded
 from ..resilience.partial import PartialResult
 from ..storage.hydration import LazyShard
@@ -56,7 +57,7 @@ _PRUNE_MIN_FRACTION = 0.55
 def lookup(store, keys, *, deadline=None) -> LookupResult:
     """One sharded batch through every stage."""
     mode = store.sharding.on_shard_error
-    key_cols = store._normalize_keys(keys)
+    key_cols = normalize_keys(keys, store.key_names)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     # One topology snapshot per batch: every stage sees the same
     # (router, shards) pair, so a lifecycle swap can never mispair cuts
@@ -93,7 +94,7 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
 
 def contains_batch(store, keys) -> np.ndarray:
     """Liveness per key from each owning shard's existence vector."""
-    key_cols = store._normalize_keys(keys)
+    key_cols = normalize_keys(keys, store.key_names)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     router, shards = store._topology
     exists = np.zeros(n, dtype=bool)

@@ -7,16 +7,13 @@ them one facade with the same surface (``lookup`` / ``lookup_one`` /
 ``size_report``), so existing layers — :func:`repro.core.query.select`,
 the CLI, the bench harness — work over it transparently.
 
-This module owns the store's **topology** (the atomically swapped
-``(router, shards)`` pair and split/merge) and its **mutation** path.
-The on-disk layout — what :meth:`save` writes and :meth:`load` reads —
-lives in :mod:`repro.shard.persistence`.  The
-**read path** — prune → route → allocate → dispatch → result over
-one completion-driven wait — lives in
-:mod:`repro.shard.read_path`; :meth:`lookup` and
-:meth:`contains_batch` hand straight to it, and :meth:`lookup_async`
-schedules the same call on the store's pluggable
-:class:`~repro.store.executors.ExecutorStrategy`.
+This module owns the store's build, its **mutation** path and the
+store filter; its other methods hand straight to the module that owns
+the decision: the **topology** (the atomically swapped ``(router,
+shards)`` pair, split/merge, and which config builds a shard) to
+:mod:`repro.shard.topology`, the **read path** (prune → route →
+allocate → dispatch → result) to :mod:`repro.shard.read_path`, and the
+on-disk layout to :mod:`repro.shard.persistence`.
 
 Modifications route the same way: each row is applied to the owning
 shard's auxiliary table, and an insert that targets an empty shard
@@ -24,8 +21,8 @@ materializes a fresh shard over those rows.  When the sharding config
 carries a :class:`~repro.lifecycle.LifecycleConfig`, every mutation batch
 ends with a :class:`~repro.lifecycle.MaintenanceEngine` pass — policy-
 driven retrains on the fan-out pool, plus range shard split/merge
-rebalancing with per-shard MHAS sizing (``split_shard`` /
-``merge_shards`` hold the mechanics; the engine holds the policy).
+rebalancing with per-shard MHAS sizing (:mod:`repro.shard.topology`
+holds the mechanics; the engine holds the policy).
 """
 
 from __future__ import annotations
@@ -39,20 +36,20 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import (DeepMapping, KeysLike, LookupResult,
-                                 RowsLike, SizeReport, blank,
-                                 normalize_keys, normalize_rows)
+from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
+                                 SizeReport, normalize_keys, normalize_rows)
 from ..core.negative_filter import build_store_filter, hash_key_columns
+from ..core.plan import LookupResult, blank
 from ..data.table import ColumnTable
-from ..lifecycle import LifecycleConfig, MaintenanceEngine, derive_build_config
+from ..lifecycle import LifecycleConfig, MaintenanceEngine
 from ..resilience.deadline import Deadline
 from ..resilience.hedging import HedgeController
 from ..storage.backends import StorageBackend
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy, make_executor
-from . import read_path
-from .router import RangeShardRouter, ShardRouter, make_router
+from . import read_path, topology
+from .router import ShardRouter, make_router
 
 __all__ = ["ShardedDeepMapping", "ShardingConfig"]
 
@@ -77,7 +74,7 @@ class ShardingConfig:
     max_workers: Optional[int] = None
     #: Executor strategy behind the fan-out and ``lookup_async`` — a name
     #: from :data:`repro.store.EXECUTOR_NAMES` (``"serial"`` /
-    #: ``"threads"`` / ``"free-threads"``) or an
+    #: ``"threads"``) or an
     #: :class:`~repro.store.executors.ExecutorStrategy` instance.
     #: ``None`` means a thread pool of :meth:`effective_workers` width —
     #: exactly the pre-strategy behavior.
@@ -141,7 +138,7 @@ class ShardedDeepMapping:
 
     Each value column comes back in one dtype, :meth:`value_dtype`,
     whichever shards a batch touches, and a miss reads that dtype's
-    :func:`~repro.core.deep_mapping.blank`.
+    :func:`~repro.core.plan.blank`.
 
     Concurrency contract: :meth:`lookup` is safe to call from many
     threads at once (that is the point of the fan-out).  Mutations
@@ -249,16 +246,12 @@ class ShardedDeepMapping:
         value_dtypes = {name: table.column(name).dtype
                         for name in value_names}
 
-        lifecycle = sharding.lifecycle
-
         def build_one(ordinal: int) -> Optional[DeepMapping]:
             rows = np.flatnonzero(shard_ids == ordinal)
             if rows.size == 0:
                 return None
-            shard_config = config
-            if lifecycle is not None and lifecycle.per_shard_mhas:
-                shard_config = derive_build_config(config, int(rows.size),
-                                                   lifecycle)
+            shard_config = topology.build_config(config, sharding.lifecycle,
+                                                 int(rows.size))
             # Shards share the store's stats sink so pool/io/inference
             # buckets aggregate; increments race benignly under threads.
             return DeepMapping.fit(table.take(rows), shard_config,
@@ -293,20 +286,10 @@ class ShardedDeepMapping:
         """The live shard list (swapped atomically with the router)."""
         return self._topology[1]
 
-    def _swap_topology(
-        self,
-        router: ShardRouter,
-        shards: List[Optional[DeepMapping]],
-    ) -> None:
+    def _swap_topology(self, router: ShardRouter,
+                       shards: List[Optional[DeepMapping]]) -> None:
         """Install a new (router, shards) pair atomically."""
-        if len(shards) != router.n_shards:
-            raise ValueError(
-                f"router expects {router.n_shards} shards, got {len(shards)}"
-            )
-        self._topology = (router, list(shards))
-        # Keep the recorded knob in step so save/load round-trips the
-        # post-rebalance shard count.
-        self.sharding.n_shards = router.n_shards
+        topology.swap(self, router, shards)
 
     @property
     def n_shards(self) -> int:
@@ -384,7 +367,7 @@ class ShardedDeepMapping:
         One read path (:mod:`repro.shard.read_path`): the batch is
         pruned by the store filter and sorted once **by key within
         shard groups** (no later stage ever sorts again); each owning
-        shard runs a staged :class:`~repro.core.deep_mapping.LookupPlan`
+        shard runs a staged :class:`~repro.core.plan.LookupPlan`
         — existence gate, ``T_aux`` probe, aux-gated fused inference,
         decode — and streams its finished segment straight into the
         preallocated output arrays (no serial merge behind a barrier).
@@ -439,26 +422,23 @@ class ShardedDeepMapping:
         """Retrain every live shard from its current logical content.
 
         ``config`` optionally replaces each shard's build configuration;
-        when omitted, a lifecycle store with per-shard MHAS re-derives a
-        size-appropriate config per shard and an unmanaged store keeps
-        each shard's own.  Shards rebuild concurrently on the executor
-        strategy.  Runs under the store's single-writer mutation
-        contract (a rebuild swaps shard internals non-atomically).
+        when omitted, each shard rebuilds with the config
+        :func:`repro.shard.topology.build_config` gives its row count and
+        its own config.
+        Shards rebuild concurrently on the executor strategy.  Runs under
+        the store's single-writer mutation contract (a rebuild swaps
+        shard internals non-atomically).
         """
         self._require_writable()
         lifecycle = self.sharding.lifecycle
-        per_shard_sizing = (config is None and lifecycle is not None
-                            and lifecycle.per_shard_mhas)
 
         def rebuild_one(shard: DeepMapping) -> None:
-            shard_config = config
-            if per_shard_sizing:
-                shard_config = derive_build_config(self.config, len(shard),
-                                                   lifecycle)
-            shard.rebuild(shard_config)
+            shard.rebuild(config if config is not None else
+                          topology.build_config(self.config, lifecycle,
+                                                len(shard), shard.config))
 
         live = [shard for shard in self.shards if shard is not None]
-        self._map_jobs(rebuild_one, live)
+        self.executor.map(rebuild_one, live)
         # A retrain preserves the keyset, so the store filter was still a
         # correct superset — but rebuilding it here drops the false
         # positives accumulated by deletes since the last build.
@@ -496,10 +476,6 @@ class ShardedDeepMapping:
         self.executor = new
         self._owns_executor = new is not executor
 
-    def _map_jobs(self, fn, jobs: List) -> List:
-        """Run shard jobs through the executor strategy (job order kept)."""
-        return self.executor.map(fn, jobs)
-
     def close(self) -> None:
         """Shut down the executor strategy's workers (idempotent).
 
@@ -530,7 +506,7 @@ class ShardedDeepMapping:
         ``ValueError`` and no shard changes.
         """
         self._require_writable()
-        columns = self._normalize_rows(rows)
+        columns = normalize_rows(rows, self.key_names, self.value_names)
         self._require_unique_batch_keys(columns)
         groups = list(self._group_rows(columns))
         already = 0
@@ -552,11 +528,8 @@ class ShardedDeepMapping:
                           for name, arr in columns.items()}
                 shard = self.shards[ordinal]
                 if shard is None:
-                    fresh = DeepMapping.fit(
-                        ColumnTable(subset, key=self.key_names, name="shard"),
-                        self._build_config(int(rows_idx.size)),
-                        pool=self.pool, stats=self.stats)
-                    self._register_shard(fresh)
+                    fresh = topology.build_shard(self, ColumnTable(
+                        subset, key=self.key_names, name="shard"))
                     self.shards[ordinal] = fresh
                     landed += len(fresh.aux)
                 else:
@@ -589,7 +562,7 @@ class ShardedDeepMapping:
         negative.
         """
         self._require_writable()
-        key_cols = self._normalize_keys(keys)
+        key_cols = normalize_keys(keys, self.key_names)
         deleted = 0
         for ordinal, rows_idx in self._group_rows(key_cols):
             shard = self.shards[ordinal]
@@ -608,7 +581,7 @@ class ShardedDeepMapping:
         monolithic all-or-nothing contract).
         """
         self._require_writable()
-        columns = self._normalize_rows(rows)
+        columns = normalize_rows(rows, self.key_names, self.value_names)
         groups = list(self._group_rows(columns))
         missing = 0
         for ordinal, rows_idx in groups:
@@ -666,18 +639,6 @@ class ShardedDeepMapping:
         if self.engine is not None:
             self.engine.run_pending()
 
-    def _register_shard(self, shard: Optional[DeepMapping]) -> None:
-        """Hand a newly materialized shard to the engine (if any)."""
-        if self.engine is not None:
-            self.engine.adopt(shard)
-
-    def _build_config(self, n_rows: int) -> DeepMappingConfig:
-        """Config for materializing a shard of ``n_rows`` rows."""
-        lifecycle = self.sharding.lifecycle
-        if lifecycle is not None and lifecycle.per_shard_mhas:
-            return derive_build_config(self.config, n_rows, lifecycle)
-        return self.config
-
     def refresh_store_filter(self) -> None:
         """Rebuild the store filter from all live keys.
 
@@ -701,148 +662,20 @@ class ShardedDeepMapping:
         self._store_filter = build_store_filter(
             hashes, bits_per_key=_STORE_FILTER_BITS)
 
-    def _shard_leading_keys(self, shard: DeepMapping) -> np.ndarray:
-        """Live leading-key values of one shard (no value inference)."""
-        flat = shard.exist.existing_keys()
-        key_cols = shard.key_codec.unflatten(flat)
-        return np.asarray(key_cols[self.key_names[0]], dtype=np.int64)
-
-    def _require_range_router(self) -> RangeShardRouter:
-        router = self.router
-        if not isinstance(router, RangeShardRouter):
-            raise TypeError(
-                "shard split/merge requires a range router; this store "
-                f"routes by {router.kind!r}"
-            )
-        return router
-
     def can_split(self, ordinal: int) -> bool:
-        """True when shard ``ordinal`` has at least two distinct leading
-        keys (the minimum to place a cut with both sides non-empty)."""
-        if not isinstance(self.router, RangeShardRouter):
-            return False
-        shard = self.shards[ordinal]
-        if shard is None:
-            return False
-        leading = self._shard_leading_keys(shard)
-        return np.unique(leading).size >= 2
+        """True when shard ``ordinal`` can split
+        (:func:`repro.shard.topology.can_split`)."""
+        return topology.can_split(self, ordinal)
 
-    def split_shard(
-        self,
-        ordinal: int,
-        cut: Optional[int] = None,
-        configs: Optional[Tuple[Optional[DeepMappingConfig],
-                                Optional[DeepMappingConfig]]] = None,
-    ) -> int:
-        """Split range shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
-        upper)`` halves, rebuilding each as its own DeepMapping.
+    def split_shard(self, ordinal: int, cut: Optional[int] = None) -> int:
+        """Split range shard ``ordinal`` at ``cut``; returns the cut used
+        (:func:`repro.shard.topology.split_shard`)."""
+        return topology.split_shard(self, ordinal, cut)
 
-        ``cut`` defaults to the shard's median live leading key; an
-        explicit cut must leave both halves non-empty.  ``configs``
-        optionally overrides the halves' build configurations (the
-        per-shard MHAS hook).  The halves build concurrently on the
-        fan-out pool, then the router (with the new cut) and the shard
-        list swap in atomically; the retired shard's aux partitions are
-        purged from the pool (a reader still holding it keeps its
-        answers).  Runs under the store's single-writer mutation contract.
-        Returns the cut used.
-        """
-        self._require_writable()
-        router = self._require_range_router()
-        shard = self.shards[ordinal]
-        if shard is None:
-            raise ValueError(f"shard {ordinal} is empty; nothing to split")
-        table = shard.to_table()
-        leading = np.asarray(table.column(self.key_names[0]), dtype=np.int64)
-        uniq = np.unique(leading)
-        if uniq.size < 2:
-            raise ValueError(
-                f"shard {ordinal} holds {uniq.size} distinct leading "
-                "key(s); a split needs at least two"
-            )
-        if cut is None:
-            cut = int(np.sort(leading)[leading.size // 2])
-            if cut <= int(uniq[0]):
-                cut = int(uniq[1])  # left half (keys < cut) must be non-empty
-        else:
-            cut = int(cut)
-            if not int(uniq[0]) < cut <= int(uniq[-1]):
-                raise ValueError(
-                    f"cut {cut} leaves an empty half: live leading keys "
-                    f"span [{int(uniq[0])}, {int(uniq[-1])}]"
-                )
-
-        left_rows = np.flatnonzero(leading < cut)
-        right_rows = np.flatnonzero(leading >= cut)
-        cfg_left, cfg_right = configs if configs is not None else (None, None)
-        builds = [
-            (table.take(left_rows),
-             cfg_left if cfg_left is not None
-             else self._build_config(int(left_rows.size))),
-            (table.take(right_rows),
-             cfg_right if cfg_right is not None
-             else self._build_config(int(right_rows.size))),
-        ]
-
-        def build_half(job) -> DeepMapping:
-            part, cfg = job
-            return DeepMapping.fit(part, cfg, pool=self.pool,
-                                   stats=self.stats)
-
-        left, right = self._map_jobs(build_half, builds)
-        self._register_shard(left)
-        self._register_shard(right)
-
-        new_router = router.split_at(ordinal, cut)
-        new_shards = (self.shards[:ordinal] + [left, right]
-                      + self.shards[ordinal + 1:])
-        self._swap_topology(new_router, new_shards)
-        shard.aux.drop_storage()
-        return cut
-
-    def merge_shards(
-        self,
-        ordinal: int,
-        config: Optional[DeepMappingConfig] = None,
-    ) -> None:
-        """Merge range shards ``ordinal`` and ``ordinal + 1`` into one.
-
-        The pair's live rows rebuild as a single DeepMapping (``config``
-        optionally overrides its build configuration); merging two empty
-        shards just removes the boundary.  The router (minus the boundary
-        cut) and the shard list swap in atomically; both retired shards'
-        aux partitions are purged from the pool.  Runs under the store's
-        single-writer mutation contract.
-        """
-        self._require_writable()
-        router = self._require_range_router()
-        if not 0 <= ordinal < router.n_shards - 1:
-            raise ValueError(
-                f"cannot merge shard {ordinal} with its right neighbour "
-                f"in a {router.n_shards}-shard store"
-            )
-        first = self.shards[ordinal]
-        second = self.shards[ordinal + 1]
-        tables = [s.to_table() for s in (first, second)
-                  if s is not None and len(s)]
-        merged: Optional[DeepMapping] = None
-        if tables:
-            combined = tables[0] if len(tables) == 1 else tables[0].concat(
-                tables[1])
-            merged = DeepMapping.fit(
-                combined,
-                config if config is not None
-                else self._build_config(combined.n_rows),
-                pool=self.pool, stats=self.stats)
-            self._register_shard(merged)
-
-        new_router = router.merge_at(ordinal)
-        new_shards = (self.shards[:ordinal] + [merged]
-                      + self.shards[ordinal + 2:])
-        self._swap_topology(new_router, new_shards)
-        for retired in (first, second):
-            if retired is not None:
-                retired.aux.drop_storage()
+    def merge_shards(self, ordinal: int) -> None:
+        """Merge range shards ``ordinal`` and ``ordinal + 1``
+        (:func:`repro.shard.topology.merge_shards`)."""
+        topology.merge_shards(self, ordinal)
 
     # ------------------------------------------------------------------
     # Materialization
@@ -903,15 +736,6 @@ class ShardedDeepMapping:
         from . import persistence
         return persistence.load(cls, target, stats, max_workers,
                                 pool_budget_bytes, executor, writable)
-
-    # ------------------------------------------------------------------
-    # Input normalization (shared with DeepMapping: identical shapes)
-    # ------------------------------------------------------------------
-    def _normalize_keys(self, keys: KeysLike) -> Dict[str, np.ndarray]:
-        return normalize_keys(keys, self.key_names)
-
-    def _normalize_rows(self, rows: RowsLike) -> Dict[str, np.ndarray]:
-        return normalize_rows(rows, self.key_names, self.value_names)
 
     def __repr__(self) -> str:
         live = sum(1 for shard in self.shards if shard is not None)

@@ -559,14 +559,20 @@ class _ZipBatch:
 # ---------------------------------------------------------------------------
 # Capability helpers (duck-typed so third-party backends keep working)
 # ---------------------------------------------------------------------------
-def read_blob_view(backend: StorageBackend, name: str) -> memoryview:
+def read_blob_view(backend: StorageBackend, name: str,
+                   version=None) -> memoryview:
     """Blob ``name`` as a read-only buffer, zero-copy when the backend
     supports it (``read_view``), otherwise a view over ``read_bytes``.
 
     ``read_view`` is a capability, not part of the :class:`StorageBackend`
     protocol — backends that only implement the five core operations are
     still fully functional, they just pay one heap copy per read.
+    ``version``, a :func:`blob_version` stamp the caller just took,
+    spares a backend that revalidates every read (``cached+http``) its
+    own.
     """
+    if version is not None and getattr(backend, "revalidates_reads", False):
+        return backend.read_view(name, version=version)
     reader = getattr(backend, "read_view", None)
     if reader is not None:
         return reader(name)

@@ -83,15 +83,17 @@ class BlobCache:
         self,
         backend: StorageBackend,
         name: str,
-        loader: Callable[[], Tuple[Any, int]],
+        loader: Callable[[Any], Tuple[Any, int]],
     ) -> Any:
         """The object cached for blob ``name`` of ``backend``, loading
         (and caching) it when absent or stale.
 
-        ``loader`` returns ``(object, charged_bytes)``.  The version
-        stamp is taken *before* the load, so a write racing the load can
-        only make the entry stale-keyed (it will miss next time), never
-        let stale content impersonate fresh.
+        ``loader(version)`` returns ``(object, charged_bytes)``.  The
+        version stamp is taken *before* the load and handed to it, so a
+        write racing the load can only make the entry stale-keyed (it
+        will miss next time), never let stale content impersonate fresh
+        — and a backend that revalidates per read reuses this stamp
+        instead of asking for the same one again.
 
         A loader that raises :class:`StoreCorruptedError` is retried
         once (``corruption_retries`` counts them): a checksum failure
@@ -111,11 +113,11 @@ class BlobCache:
                 self._drop(key)
             self.misses += 1
         try:
-            obj, size = loader()
+            obj, size = loader(version)
         except StoreCorruptedError:
             self.corruption_retries += 1
             version = blob_version(backend, name)  # re-stamp: may be mid-save
-            obj, size = loader()
+            obj, size = loader(version)
         if version is None:
             return obj  # unversionable: serve fresh, never cache
         size = int(size)
@@ -125,12 +127,7 @@ class BlobCache:
             self._drop(key)
             self._entries[key] = (version, obj, size)
             self._used_bytes += size
-            while (self.budget_bytes is not None
-                   and self._used_bytes > self.budget_bytes
-                   and self._entries):
-                _, (_, _, evicted) = self._entries.popitem(last=False)
-                self._used_bytes -= evicted
-                self.evictions += 1
+            self._evict_over_budget()
         return obj
 
     # ------------------------------------------------------------------
@@ -154,6 +151,15 @@ class BlobCache:
         with self._lock:
             self._entries.clear()
             self._used_bytes = 0
+
+    def _evict_over_budget(self) -> None:
+        """Drop least recently used entries until under budget (the
+        caller holds the lock)."""
+        while (self.budget_bytes is not None
+               and self._used_bytes > self.budget_bytes and self._entries):
+            _, (_, _, evicted) = self._entries.popitem(last=False)
+            self._used_bytes -= evicted
+            self.evictions += 1
 
     def _drop(self, key) -> None:
         entry = self._entries.pop(key, None)
@@ -187,10 +193,5 @@ def configure_payload_cache(budget_bytes: Optional[int]) -> BlobCache:
         raise ValueError("budget_bytes must be positive or None")
     with cache._lock:
         cache.budget_bytes = budget_bytes
-        while (cache.budget_bytes is not None
-               and cache._used_bytes > cache.budget_bytes
-               and cache._entries):
-            _, (_, _, evicted) = cache._entries.popitem(last=False)
-            cache._used_bytes -= evicted
-            cache.evictions += 1
+        cache._evict_over_budget()
     return cache

@@ -283,6 +283,8 @@ class CachedHttpBackend:
 
     remote = True
     writable = False
+    #: ``read_view`` revalidates; it takes a stamp the caller holds.
+    revalidates_reads = True
 
     def __init__(self, inner, *,
                  cache_root: Optional[str] = None,
@@ -377,8 +379,11 @@ class CachedHttpBackend:
             total -= size
 
     # -- reads -----------------------------------------------------------
-    def read_view(self, name: str) -> memoryview:
-        version = self.inner.blob_version(name)
+    def read_view(self, name: str, version=None) -> memoryview:
+        """Blob ``name`` from the cache file of its ``version`` (a stamp
+        the caller just took; without one, a HEAD of its own)."""
+        if version is None:
+            version = self.inner.blob_version(name)
         if version is None:
             # Unversionable (or absent — the fetch will say which):
             # nothing safe to key a cache file on.

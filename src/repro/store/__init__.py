@@ -13,8 +13,7 @@ This package is the public way to use the library:
   local-directory / in-memory / zip implementations — where payloads
   live, fully decoupled from how queries route;
 - :class:`ExecutorStrategy` — how lookups fan out and how
-  ``lookup_async`` schedules (serial / thread pool / free-threading
-  aware).
+  ``lookup_async`` schedules (serial / thread pool).
 
 See ``docs/api.md`` for the full tour and the old→new migration table.
 """
@@ -22,9 +21,8 @@ See ``docs/api.md`` for the full tour and the old→new migration table.
 from ..storage.backends import (MONOLITHIC_BLOB, URL_SCHEMES, InMemoryBackend,
                                 LocalDirBackend, StorageBackend, ZipBackend,
                                 backend_for_url, parse_url, resolve_blob_url)
-from .executors import (EXECUTOR_NAMES, ExecutorStrategy,
-                        FreeThreadingStrategy, SerialStrategy,
-                        ThreadPoolStrategy, gil_enabled, make_executor)
+from .executors import (EXECUTOR_NAMES, ExecutorStrategy, SerialStrategy,
+                        ThreadPoolStrategy, make_executor)
 from .facade import build_store, describe_target, open_store, serving
 from .protocol import DataStore
 
@@ -46,8 +44,6 @@ __all__ = [
     "ExecutorStrategy",
     "SerialStrategy",
     "ThreadPoolStrategy",
-    "FreeThreadingStrategy",
     "EXECUTOR_NAMES",
     "make_executor",
-    "gil_enabled",
 ]

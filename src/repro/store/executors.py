@@ -13,12 +13,8 @@ behind one small protocol:
   overlap on multi-core hosts), plus a *separate* small pool for
   ``submit`` so an async lookup coordinating a fan-out can never
   deadlock against its own workers.
-- :class:`FreeThreadingStrategy` — a ``ThreadPoolStrategy`` that detects
-  free-threaded CPython (PEP 703, ``sys._is_gil_enabled() is False``)
-  and widens its default worker count to the full core count, since
-  pure-Python sections stop serializing there too.
 
-Strategies are named (``"serial"`` / ``"threads"`` / ``"free-threads"``)
+Strategies are named (``"serial"`` / ``"threads"``)
 so configs and CLIs can select them by string via :func:`make_executor`.
 
 A strategy has two lanes — ``submit``, the *coordinator* lane behind
@@ -32,7 +28,6 @@ abandoned work cannot wedge a lane.
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Protocol, Union, \
@@ -44,10 +39,8 @@ __all__ = [
     "ExecutorStrategy",
     "SerialStrategy",
     "ThreadPoolStrategy",
-    "FreeThreadingStrategy",
     "EXECUTOR_NAMES",
     "make_executor",
-    "gil_enabled",
 ]
 
 
@@ -78,12 +71,6 @@ def _resolved(fn: Callable, *args, **kwargs) -> Future:
     except BaseException as exc:  # the future carries the failure
         future.set_exception(exc)
     return future
-
-
-def gil_enabled() -> bool:
-    """True on a GIL-ful interpreter (every CPython before free threading)."""
-    checker = getattr(sys, "_is_gil_enabled", None)
-    return True if checker is None else bool(checker())
 
 
 @runtime_checkable
@@ -152,26 +139,20 @@ class ThreadPoolStrategy:
 
     name = "threads"
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 thread_name_prefix: str = "repro-exec"):
+    def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = (max(1, int(max_workers))
                             if max_workers is not None
-                            else self._default_workers())
-        self._prefix = thread_name_prefix
+                            else max(1, min(32, os.cpu_count() or 1)))
         self._pool: Optional[ThreadPoolExecutor] = None
         self._coordinator: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _default_workers() -> int:
-        return max(1, min(32, os.cpu_count() or 1))
 
     def _get_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.max_workers,
-                    thread_name_prefix=self._prefix)
+                    thread_name_prefix="repro-exec")
             return self._pool
 
     def _get_coordinator(self) -> ThreadPoolExecutor:
@@ -179,7 +160,7 @@ class ThreadPoolStrategy:
             if self._coordinator is None:
                 self._coordinator = ThreadPoolExecutor(
                     max_workers=2,
-                    thread_name_prefix=self._prefix + "-async")
+                    thread_name_prefix="repro-exec-async")
             return self._coordinator
 
     def map(self, fn: Callable, jobs: Iterable) -> List:
@@ -224,34 +205,12 @@ class ThreadPoolStrategy:
         return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
-class FreeThreadingStrategy(ThreadPoolStrategy):
-    """Thread pool sized for free-threaded CPython.
-
-    On a no-GIL build the pure-Python routing/merge sections parallelize
-    too, so the default width is the full core count rather than the
-    conservative shared-pool default.  On a GIL-ful interpreter it behaves
-    exactly like :class:`ThreadPoolStrategy` (NumPy still releases the
-    GIL inside kernels), so selecting it is always safe.
-    """
-
-    name = "free-threads"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 thread_name_prefix: str = "repro-freethread"):
-        self.gil_enabled = gil_enabled()
-        if max_workers is None and not self.gil_enabled:
-            max_workers = os.cpu_count() or 1
-        super().__init__(max_workers=max_workers,
-                         thread_name_prefix=thread_name_prefix)
-
-
 #: Selectable strategy names, in documentation order.
-EXECUTOR_NAMES = ("serial", "threads", "free-threads")
+EXECUTOR_NAMES = ("serial", "threads")
 
 _FACTORIES = {
     "serial": lambda max_workers: SerialStrategy(),
     "threads": ThreadPoolStrategy,
-    "free-threads": FreeThreadingStrategy,
 }
 
 

@@ -64,12 +64,7 @@ def describe_target(url_or_path: str):
     scheme, path = parse_url(url_or_path)
     if scheme == "file":
         if os.path.isdir(path):
-            backend = LocalDirBackend(path, create=False)
-            if backend.exists(_MANIFEST_BLOB):
-                return backend, None, "sharded"
-            if backend.exists(MONOLITHIC_BLOB):
-                return backend, MONOLITHIC_BLOB, "monolithic"
-            return backend, None, "absent"
+            return _classify_container(LocalDirBackend(path, create=False))
         if os.path.isfile(path):
             if zipfile.is_zipfile(path):
                 # A zip-store addressed by bare path (zip:// omitted):
@@ -128,7 +123,7 @@ def open_store(
         opens hydrate shards lazily on first routed touch (see
         ``docs/remote.md``).
     """
-    from ..core.deep_mapping import DeepMapping
+    from ..core.persistence import open_payload
     from ..shard.store import ShardedDeepMapping
 
     backend, blob, kind = describe_target(url_or_path)
@@ -139,14 +134,8 @@ def open_store(
             writable=writable)
     if kind == "monolithic":
         try:
-            if writable and not getattr(backend, "remote", False):
-                store = DeepMapping.from_payload(backend.read_bytes(blob),
-                                                 stats=stats)
-            else:
-                # Read-only request, or a remote backend (which cannot
-                # accept writes): share the deserialized bundle through
-                # the payload cache and keep the payload a view.
-                store = DeepMapping._open_shared(backend, blob, stats=stats)
+            store = open_payload(backend, blob, writable=writable,
+                                 stats=stats)
         except ValueError as exc:
             # Intact bytes in a layout this version does not read (or
             # not a store at all).  A recognized container that fails its

@@ -2,7 +2,7 @@
 
 Production runs one predictor (:class:`~repro.nn.compiled.CompiledSession`)
 and serves one read path (``repro.shard.read_path`` over each shard's
-compiled :class:`~repro.core.deep_mapping.LookupPlan`).  The
+compiled :class:`~repro.core.plan.LookupPlan`).  The
 implementations they replaced stay here, written the slow obvious way,
 so every parity suite and benchmark keeps an independent answer to hold
 them against — nothing in ``repro`` outside this package can select
@@ -29,7 +29,8 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from ..core.deep_mapping import LookupResult, blank, normalize_keys
+from ..core.deep_mapping import normalize_keys
+from ..core.plan import LookupResult, blank
 from ..nn.activations import relu
 
 __all__ = ["barrier_lookup", "reference_logits", "reference_lookup"]
@@ -58,7 +59,7 @@ def reference_lookup(mapping, keys) -> LookupResult:
     Bit-identical to ``mapping.lookup(keys)``: ``T_aux`` holds every
     stored key under the compiled kernel's ``tie_margin``, so the two
     engines may disagree only on keys ``T_aux`` overrides, and misses
-    read the :func:`~repro.core.deep_mapping.blank` in both.
+    read the :func:`~repro.core.plan.blank` in both.
     """
     key_cols = normalize_keys(keys, mapping.key_names)
     flat, in_domain = mapping.key_codec.try_flatten(key_cols)

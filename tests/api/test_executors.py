@@ -4,9 +4,8 @@ import threading
 
 import pytest
 
-from repro.store import (EXECUTOR_NAMES, ExecutorStrategy,
-                         FreeThreadingStrategy, SerialStrategy,
-                         ThreadPoolStrategy, gil_enabled, make_executor)
+from repro.store import (EXECUTOR_NAMES, ExecutorStrategy, SerialStrategy,
+                         ThreadPoolStrategy, make_executor)
 
 
 class TestSerial:
@@ -88,21 +87,6 @@ class TestThreadPool:
         try:
             with pytest.raises(ValueError, match="worker failure"):
                 strategy.map(maybe_boom, range(8))
-        finally:
-            strategy.close()
-
-
-class TestFreeThreading:
-    def test_reports_gil_state(self):
-        strategy = FreeThreadingStrategy(max_workers=2)
-        assert strategy.gil_enabled == gil_enabled()
-        strategy.close()
-
-    def test_behaves_like_thread_pool(self):
-        strategy = FreeThreadingStrategy(max_workers=3)
-        try:
-            assert strategy.map(lambda x: -x, range(6)) == \
-                [0, -1, -2, -3, -4, -5]
         finally:
             strategy.close()
 

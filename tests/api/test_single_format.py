@@ -144,6 +144,28 @@ def test_unpickling_and_container_internals_stay_in_their_modules():
     assert reach_ins == []
 
 
+def test_payload_loaders_stay_in_core_persistence():
+    """One open rule: every loader opens a payload through
+    ``repro.core.persistence.open_payload``, so the private steps it is
+    made of are named nowhere else."""
+    private = re.compile(r"\b(_open_shared|_load_state|_components_from_state"
+                         r"|_from_bundle|_assemble)\b")
+    outside = [(path.relative_to(SRC).as_posix(), hit)
+               for path in sorted(SRC.rglob("*.py"))
+               if path.relative_to(SRC).as_posix() != "core/persistence.py"
+               for hit in private.findall(path.read_text())]
+    assert outside == []
+
+
+def test_no_source_file_is_over_800_lines():
+    """Each decision gets a module: no file under ``src/repro/`` grows
+    past 800 lines."""
+    sizes = {path.relative_to(SRC).as_posix():
+             len(path.read_text().splitlines())
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {module: n for module, n in sizes.items() if n > 800} == {}
+
+
 def test_the_write_path_runs_one_predictor():
     """Every prediction outside ``repro/testing/`` — lookups, ``T_aux``
     at build and on writes, MHAS's pricing — runs the compiled kernel:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.deep_mapping import LookupResult
+from repro.core.plan import LookupResult
 
 
 @dataclass

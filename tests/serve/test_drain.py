@@ -219,8 +219,35 @@ class TestTCPDrain:
         assert "awaited_batches" in report
 
 
+#: ``python -m repro`` with Python 3.12.1's ``Server.wait_closed``: from
+#: that release it waits for every open connection, where older ones
+#: return once the listener is closed.  Patched in on older interpreters
+#: so an idle client's effect on shutdown is the same on every version.
+SERVE_WITH_NEW_WAIT_CLOSED = """
+import asyncio.base_events
+import sys
+
+if sys.version_info < (3, 12, 1):
+    async def wait_closed(self):
+        if self._waiters is None:
+            return
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        await waiter
+
+    asyncio.base_events.Server.wait_closed = wait_closed
+
+from repro.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestCLIGracefulShutdown:
-    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+    @pytest.fixture
+    def serve_cli(self, tmp_path):
+        """``repro serve`` on a small sharded store; yields
+        ``(process, port)`` and kills the process if a test left it."""
         keys = np.arange(150, dtype=np.int64) * 2
         table = repro.ColumnTable({"k": keys, "v": keys % 23}, key=("k",))
         url = str(tmp_path / "drain-store")
@@ -230,29 +257,44 @@ class TestCLIGracefulShutdown:
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", url, "--port", "0"],
+            [sys.executable, "-c", SERVE_WITH_NEW_WAIT_CLOSED, "serve", url,
+             "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
             text=True)
         try:
             ready = proc.stdout.readline()
             assert "drains" in ready, ready  # shutdown contract advertised
-            port = int(ready.split("127.0.0.1:")[1].split()[0])
-            deadline = time.monotonic() + 30
-            while True:
-                try:
-                    tcp = TCPClient("127.0.0.1", port, timeout=10)
-                    break
-                except OSError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
-            with tcp:
-                assert tcp.lookup({"k": [4]})["found"] == [True]
-                assert tcp.health()["ready"]
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
+            yield proc, int(ready.split("127.0.0.1:")[1].split()[0])
         finally:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=30)
             proc.stdout.close()
+
+    @staticmethod
+    def connect(port: int) -> TCPClient:
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                return TCPClient("127.0.0.1", port, timeout=10)
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+
+    def test_sigterm_drains_and_exits_zero(self, serve_cli):
+        proc, port = serve_cli
+        with self.connect(port) as tcp:
+            assert tcp.lookup({"k": [4]})["found"] == [True]
+            assert tcp.health()["ready"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+
+    def test_sigterm_exits_past_an_idle_connection(self, serve_cli):
+        # A client that stays connected, idle, across the signal: the
+        # shutdown closes its connection instead of waiting on it.
+        proc, port = serve_cli
+        with self.connect(port) as tcp:
+            assert tcp.lookup({"k": [4]})["found"] == [True]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0

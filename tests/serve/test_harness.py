@@ -88,7 +88,7 @@ class TestConcurrencyHarness:
                 stats = server.server.stats
 
                 def lookup(self, keys, tenant="default"):
-                    from repro.core.deep_mapping import LookupResult
+                    from repro.core.plan import LookupResult
                     with server.connect() as tcp:
                         response = tcp.lookup(keys, tenant=tenant)
                     return LookupResult(

@@ -79,7 +79,7 @@ class TestPartitionParity:
         """merge/scatter round-trips any partition without a store:
         scattering the identity over merged uniques must reproduce every
         request's own keys."""
-        from repro.core.deep_mapping import LookupResult
+        from repro.core.plan import LookupResult
         from repro.serve.batcher import (PendingRequest, merge_requests,
                                          normalize_request_keys,
                                          scatter_result)

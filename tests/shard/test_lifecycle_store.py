@@ -1,11 +1,13 @@
 """Store-level lifecycle tests: split/merge mechanics, losslessness,
 persistence of the lifecycle state, compiled/reference parity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.data import synthetic
-from repro.lifecycle import LifecycleConfig
+from repro.data import ColumnTable, synthetic
+from repro.lifecycle import LifecycleConfig, derive_build_config
 from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
@@ -239,3 +241,57 @@ class TestSkewedStream:
         assert managed_ratio <= 2.0
         assert baseline_ratio > 2.0
         assert managed_ratio < baseline_ratio
+
+
+class TestBuildConfig:
+    """Every build takes its config from one rule
+    (``repro.shard.topology.build_config``)."""
+
+    def test_engine_split_sizes_each_half_from_its_own_rows(self):
+        # Leading key 0 x20 | 1 x10, 2 x10, 3 x280: once shard 1 holds
+        # a >= 1, the engine splits it at the median leading key (3) into
+        # halves of 20 and 280 rows, not two of 150.
+        leading = np.repeat([0, 1, 2, 3], [20, 10, 10, 280]).astype(np.int64)
+        table = ColumnTable({"a": leading,
+                             "b": np.arange(leading.size, dtype=np.int64),
+                             "v": leading * 7 % 5}, key=("a", "b"))
+        lifecycle = LifecycleConfig(
+            policy="never", rebalance=True, per_shard_mhas=True,
+            split_balance=1.5, split_min_rows=8, max_actions_per_run=1,
+            sizing_reference_rows=300)
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2, shared_sizes=(64,),
+                               private_sizes=(32,)),
+            ShardingConfig(n_shards=1, lifecycle=lifecycle))
+        store.split_shard(0, cut=1)
+        assert store.shard_row_counts() == [20, 300]
+
+        events = store.engine.run_pending()
+        assert [event.kind for event in events] == ["split"]
+        assert store.shard_row_counts() == [20, 20, 280]
+        for shard in store.shards:
+            assert shard.config == derive_build_config(
+                store.config, len(shard), lifecycle)
+        assert store.shards[1].config != store.shards[2].config
+        result = store.lookup(table)
+        assert result.found.all()
+        np.testing.assert_array_equal(result.values["v"], table.column("v"))
+
+    def test_engine_retrain_keeps_a_rebuilt_shards_config(self, table):
+        # Sizing off: a retrain keeps the config the shard was last
+        # built with, not the store's.
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2),
+            ShardingConfig(n_shards=2, lifecycle=LifecycleConfig(
+                policy="bytes", retrain_bytes=1)))
+        custom = dataclasses.replace(store.config, shared_sizes=(16,),
+                                     private_sizes=(8,))
+        store.rebuild(config=custom)
+        assert all(shard.config == custom for shard in store.shards)
+
+        row = {name: column[:1]
+               for name, column in table.columns_dict().items()}
+        store.update(row)
+        assert store.engine.n_rebuilds >= 1
+        assert all(shard.config == custom for shard in store.shards)
+        assert store.config != custom

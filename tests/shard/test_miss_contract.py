@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.deep_mapping import blank
+from repro.core.plan import blank
 from repro.data import ColumnTable
 from repro.serve import BackgroundTCPServer
 from repro.shard import ShardedDeepMapping, ShardingConfig

@@ -11,7 +11,7 @@ from repro.storage import (BlobCache, InMemoryBackend, LocalDirBackend,
 
 
 def loader_of(obj, size, counter=None):
-    def loader():
+    def loader(version):
         if counter is not None:
             counter.append(1)
         return obj, size

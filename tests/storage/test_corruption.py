@@ -344,7 +344,7 @@ class TestReadSideRetry:
         cache = BlobCache(budget_bytes=None)
         attempts = []
 
-        def loader():
+        def loader(version):
             raw = flaky.read_bytes("blob")
             if not attempts:
                 raw = flaky.corrupt_byte(raw, position=len(raw) // 2)
@@ -363,7 +363,7 @@ class TestReadSideRetry:
         backend.write_bytes("blob", bytes(payload))
         cache = BlobCache(budget_bytes=None)
 
-        def loader():
+        def loader(version):
             raw = backend.read_bytes("blob")
             return zerocopy.unpack(raw), len(raw)
 

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro import DeepMapping
 from repro.data import ColumnTable, synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.storage import LocalDirBackend, configure_hydration_cache
+from repro.storage import (MONOLITHIC_BLOB, LocalDirBackend,
+                           configure_hydration_cache)
 from repro.storage.blob_cache import payload_cache
 from repro.storage.remote import _cache_config
 from repro.testing import serve_backend
@@ -156,6 +158,74 @@ class TestLazyHydration:
         opened.close()
 
 
+@pytest.fixture
+def saved_mono(tmp_path):
+    """A monolithic store saved into a directory container."""
+    table = synthetic.single_column(400, "high", seed=2)
+    store = DeepMapping.fit(table, fast_config(epochs=2))
+    directory = tmp_path / "mono"
+    directory.mkdir()
+    store.save(str(directory / MONOLITHIC_BLOB))
+    payload_cache().clear()
+    yield table, directory
+    payload_cache().clear()
+
+
+def insert_refused(opened, table):
+    key = table.key[0]
+    row = {key: np.array([10 ** 8], dtype=np.int64)}
+    for column in opened.value_names:
+        row[column] = table.column(column)[:1]
+    with pytest.raises(PermissionError):
+        opened.insert(row)
+
+
+class TestOneOpenRule:
+    """``DeepMapping.open`` and ``repro.open`` open a payload by one rule
+    (``repro.core.persistence.open_payload``)."""
+
+    @pytest.mark.parametrize("scheme", ["", "cached+"])
+    @pytest.mark.parametrize("entry", [repro.open, DeepMapping.open],
+                             ids=["repro.open", "DeepMapping.open"])
+    def test_remote_monolithic_opens_are_read_only(self, saved_mono, scheme,
+                                                   entry, cache_dir):
+        table, directory = saved_mono
+        with serve_backend(LocalDirBackend(str(directory),
+                                           create=False)) as server:
+            for writable in (True, False):
+                opened = entry(scheme + server.url, writable=writable)
+                assert opened.writable is False
+                insert_refused(opened, table)
+                assert opened.lookup(table).found.all()
+                opened.close()
+
+    def test_both_entry_points_agree_on_every_scheme(self, saved_mono,
+                                                     cache_dir, tmp_path):
+        table, directory = saved_mono
+        payload = (directory / MONOLITHIC_BLOB).read_bytes()
+        mem = repro.storage.InMemoryBackend.named("one-open-rule")
+        mem.write_bytes(MONOLITHIC_BLOB, payload)
+        zip_url = f"zip://{tmp_path / 'store.zip'}"
+        repro.storage.backend_for_url(zip_url).write_bytes(MONOLITHIC_BLOB,
+                                                           payload)
+        try:
+            with serve_backend(LocalDirBackend(str(directory),
+                                               create=False)) as server:
+                urls = {str(directory / MONOLITHIC_BLOB): True,
+                        mem.url: True, zip_url: True,
+                        server.url: False, "cached+" + server.url: False}
+                for url, can_write in urls.items():
+                    for writable in (True, False):
+                        opens = [entry(url, writable=writable)
+                                 for entry in (repro.open, DeepMapping.open)]
+                        assert [store.writable for store in opens] == \
+                            [writable and can_write] * 2, (url, writable)
+                        for store in opens:
+                            store.close()
+        finally:
+            repro.storage.InMemoryBackend.discard(mem.name)
+
+
 class TestCachedTier:
     def test_warm_reopen_is_head_only(self, served, cache_dir):
         store, table, server = served
@@ -175,6 +245,11 @@ class TestCachedTier:
         assert server.request_count(method="GET") == 0, (
             "warm cached reopen should revalidate with HEADs only: "
             f"{server.requests}")
+        # The payload cache's stamp serves the read too: one HEAD each.
+        for blob in server.backend.list():
+            if blob.endswith(".dm"):
+                assert server.request_count(name=blob, method="HEAD") <= 1, (
+                    blob, server.requests)
         assert second.stats.counters["cache_hits"] > 0
         second.close()
 
