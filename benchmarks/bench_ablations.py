@@ -206,14 +206,14 @@ def test_ablation_warm_start_retraining(benchmark):
 
     report_text = format_table(
         ["retrain", "epochs run", "seconds", "final ratio"],
-        [["warm start", warm.last_training.epochs_run, warm_seconds,
+        [["warm start", warm.model.last_training.epochs_run, warm_seconds,
           warm.size_report().compression_ratio],
-         ["cold start", cold.last_training.epochs_run, cold_seconds,
+         ["cold start", cold.model.last_training.epochs_run, cold_seconds,
           cold.size_report().compression_ratio]],
         title="Ablation 6: warm-started vs cold retraining")
     write_report("ablation_warm_start", report_text)
 
-    assert warm.last_training.epochs_run <= cold.last_training.epochs_run
+    assert warm.model.last_training.epochs_run <= cold.model.last_training.epochs_run
 
     batch = key_batches(table, 1000, repeats=1)[0]
     benchmark.pedantic(lambda: warm.lookup(batch), rounds=3, iterations=1)

@@ -36,7 +36,7 @@ def test_fig10_mhas_progression(benchmark):
     config = DeepMappingConfig(use_search=True, search=SEARCH,
                                epochs=40, batch_size=1024)
     dm = DeepMapping.fit(table, config)
-    history = dm.search_history.history
+    history = dm.model.search_history.history
 
     thirds = np.array_split(np.arange(len(history)), 3)
     rows = []

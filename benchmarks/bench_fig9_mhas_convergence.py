@@ -40,7 +40,7 @@ def test_fig9_mhas_convergence(benchmark, table_name):
     config = DeepMappingConfig(use_search=True, search=SEARCH,
                                epochs=40, batch_size=1024)
     dm = DeepMapping.fit(table, config)
-    outcome = dm.search_history
+    outcome = dm.model.search_history
     ratios = outcome.ratios()
     smoothed = running_average(ratios, window=max(3, len(ratios) // 6))
 

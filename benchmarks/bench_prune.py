@@ -216,31 +216,34 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
 # Claim 2: pure-mmap cold opens
 # ----------------------------------------------------------------------
 def assert_zero_copy(opened) -> int:
-    """Every live shard's weights, exist bits and compressed auxiliary
-    partitions must be read-only views into the shard's payload mapping.
-    Returns bytes verified shared."""
-    verified = 0
+    """The store's model weights must be read-only views into the model
+    blob's mapping, and every live shard's exist bits and compressed
+    auxiliary partitions into the shard's payload mapping.  Returns
+    bytes verified shared."""
+    session = opened.model.session
+    pinned = [("model", opened.model._shared_bundle["payload_view"],
+               [w for layer in session._shared for w in layer]
+               + [w for chain in session._heads.values()
+                  for layer in chain for w in layer])]
     for ordinal, shard in enumerate(opened.shards):
         if shard is None:
             continue
-        bundle = shard._shared_bundle
-        base = np.frombuffer(bundle["payload_view"], dtype=np.uint8)
         exist = shard.exist
-        arrays = [w for layer in shard.session._shared for w in layer]
-        arrays += [w for chain in shard.session._heads.values()
-                   for layer in chain for w in layer]
-        if hasattr(exist, "_bits"):          # dense index
-            arrays.append(exist._bits.packed)
-        else:                                 # sparse index
-            arrays.append(exist._keys)
+        arrays = [exist._bits.packed if hasattr(exist, "_bits")  # dense
+                  else exist._keys]                               # sparse
         arrays += [np.frombuffer(meta.blob, np.uint8)
                    for meta in shard.aux._store.partitions]
+        pinned.append((f"shard {ordinal}",
+                       shard._shared_bundle["payload_view"], arrays))
+    verified = 0
+    for owner, view, arrays in pinned:
+        base = np.frombuffer(view, dtype=np.uint8)
         for arr in arrays:
             arr = np.asarray(arr)
             assert not arr.flags.writeable, (
-                f"shard {ordinal}: writable array in read-only open")
+                f"{owner}: writable array in read-only open")
             assert np.shares_memory(base, arr), (
-                f"shard {ordinal}: array copied out of the payload view")
+                f"{owner}: array copied out of the payload view")
             verified += arr.nbytes
     return verified
 

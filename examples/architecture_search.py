@@ -40,7 +40,7 @@ def main() -> bool:
         batch_size=1024,
     )
     dm = repro.build(table, config)
-    outcome = dm.search_history
+    outcome = dm.model.search_history
 
     print(f"search explored {len(outcome.history)} candidate architectures "
           f"over {outcome.iterations_run} iterations "

@@ -55,7 +55,7 @@ def main() -> None:
 
         report(dm, f"after round {round_no}")
 
-    print(f"\nwarm start transferred {dm.warm_started_tensors} weight "
+    print(f"\nwarm start transferred {dm.model.warm_started_tensors} weight "
           f"tensors into the last retrain")
 
     # The structure still answers exactly for the surviving logical rows.

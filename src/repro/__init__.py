@@ -13,11 +13,11 @@ Public API highlights
   hybrid learned structure (model + auxiliary table + existence bit vector
   + decode map) and its build knobs.
 - :class:`repro.ShardedDeepMapping` / :class:`repro.ShardingConfig` — the
-  horizontally sharded store: N independent DeepMapping shards behind one
+  horizontally sharded store: one model, its rows in N shards behind one
   facade, fan-out on a pluggable executor strategy.
 - :class:`repro.LifecycleConfig` / :mod:`repro.lifecycle` — write-side
-  maintenance: a retrain bound per policy name, range shard split/merge
-  rebalancing, per-shard MHAS model sizing.
+  maintenance: a retrain bound per policy name and range shard
+  split/merge rebalancing.
 - :func:`repro.serving` / :mod:`repro.serve` — the serving tier: a
   coalescing lookup server that merges many small concurrent requests
   into fused batches over a shared read-only store (in-process client,

@@ -24,6 +24,7 @@ import numpy as np
 from ..baselines import make_baseline
 from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import DeepMapping
+from ..core.model import Model
 from ..data.table import ColumnTable
 from ..storage.buffer_pool import BufferPool, MemoryBudgetError
 from ..storage.stats import StoreStats
@@ -124,18 +125,11 @@ def dm_with_codec(
         auto_compact_rows=template.config.aux_auto_compact_rows,
     )
     aux.build(keys, codes)
-    clone = DeepMapping(
-        key_codec=template.key_codec,
-        key_encoder=template.key_encoder,
-        session=template.session,
-        aux=aux,
-        exist=template.exist,
-        fdecode=template.fdecode,
-        config=replace(template.config, aux_codec=codec),
-        dataset_bytes=template._dataset_bytes,
-        stats=stats,
-    )
-    return clone
+    model = Model(replace(template.config, aux_codec=codec),
+                  template.key_codec, template.key_encoder,
+                  template.session, template.fdecode,
+                  template.model.dataset_bytes)
+    return DeepMapping(model, aux, template.exist, stats=stats)
 
 
 def storage_of(system) -> int:

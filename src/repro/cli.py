@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -105,8 +104,7 @@ def _load_structure(path: str, **open_kwargs) \
 
 def _lifecycle_from_args(args: argparse.Namespace) -> Optional[LifecycleConfig]:
     """A LifecycleConfig when any lifecycle knob was given, else None."""
-    wants = (args.rebalance or args.per_shard_mhas
-             or args.retrain_policy is not None
+    wants = (args.rebalance or args.retrain_policy is not None
              or args.retrain_bytes is not None)
     if not wants:
         return None
@@ -119,14 +117,13 @@ def _lifecycle_from_args(args: argparse.Namespace) -> Optional[LifecycleConfig]:
     elif args.retrain_bytes is not None:
         policy = "bytes"
     else:
-        # Only --rebalance / --per-shard-mhas given: no retrain trigger
+        # Only --rebalance given: no retrain trigger
         # was requested, so say so instead of a thresholdless "bytes".
         policy = "never"
     return LifecycleConfig(
         policy=policy,
         retrain_bytes=args.retrain_bytes,
         rebalance=args.rebalance,
-        per_shard_mhas=args.per_shard_mhas,
     )
 
 
@@ -135,8 +132,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     lifecycle = _lifecycle_from_args(args)
     if lifecycle is not None and args.shards == 1:
-        raise SystemExit("lifecycle knobs (--rebalance / --per-shard-mhas / "
-                         "--retrain-*) need --shards > 1")
+        raise SystemExit("lifecycle knobs (--rebalance / --retrain-*) "
+                         "need --shards > 1")
     if lifecycle is not None and lifecycle.rebalance \
             and args.shard_strategy != "range":
         raise SystemExit("--rebalance requires --shard-strategy range")
@@ -155,8 +152,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if dm.engine is not None:
             summary = dm.engine.summary()
             print(f"lifecycle: policy={summary['policy']} "
-                  f"rebalance={summary['rebalance']} "
-                  f"per-shard-mhas={summary['per_shard_mhas']}")
+                  f"rebalance={summary['rebalance']}")
     else:
         dm = build_store(table, _config_from_args(args))
     report = dm.size_report()
@@ -187,19 +183,6 @@ def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
     return line + ")"
 
 
-def _weight_widths(dm) -> str:
-    """How the model weights are stored: ``4-bit`` / ``float16`` for a
-    monolithic store, ``4-bit x6, 5-bit x2`` counted over a sharded
-    one's models.  Read off the sessions as opened — nothing is
-    dequantised or compiled."""
-    if not isinstance(dm, ShardedDeepMapping):
-        return dm.session.width_label
-    counts = Counter(shard.session.width_label
-                     for shard in dm.shards if shard is not None)
-    return ", ".join(f"{label} x{n}"
-                     for label, n in counts.most_common()) or "no models"
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     dm = _load_structure(args.path)
     report = dm.size_report()
@@ -211,12 +194,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
         if dm.engine is not None:
             summary = dm.engine.summary()
             print(f"lifecycle:    policy={summary['policy']}, "
-                  f"rebalance={summary['rebalance']}, "
-                  f"per-shard-mhas={summary['per_shard_mhas']}; "
+                  f"rebalance={summary['rebalance']}; "
                   f"{summary['rebuilds']} rebuilds, "
                   f"{summary['splits']} splits, {summary['merges']} merges")
     print(f"model:        {report.model_bytes:>10,} B "
-          f"({_weight_widths(dm)})")
+          f"({dm.model.session.width_label})")
     print(f"aux table:    {report.aux_bytes:>10,} B ({report.n_in_aux} rows)")
     print(f"exist vector: {report.exist_bytes:>10,} B")
     print(f"decode map:   {report.decode_bytes:>10,} B")
@@ -345,9 +327,6 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rebalance", action="store_true",
                         help="enable range shard split/merge rebalancing "
                              "under inserts (with --shards > 1)")
-    parser.add_argument("--per-shard-mhas", action="store_true",
-                        help="right-size each shard's architecture to its "
-                             "row count (with --shards > 1)")
     parser.add_argument("--retrain-policy", default=None,
                         choices=list(POLICY_NAMES),
                         help="lifecycle retrain trigger (with --shards > 1)")

@@ -17,14 +17,19 @@ Together they answer exact-match lookups losslessly (Algorithm 1), support
 insert/delete/update without retraining (Algorithms 3–5), and occupy a
 fraction of the raw data's footprint when key-value structure exists.
 
-This module owns key/row normalisation, the build (``fit``), the
-mutations and the retrain rule.  One batched lookup lives in
-:mod:`repro.core.plan`; the payload and its opens live in
-:mod:`repro.core.persistence`.
+``M``, the key encodings and ``f_decode`` are one
+:class:`~repro.core.model.Model`, fit once per table (the only place
+anything trains); a DeepMapping is ``T_aux`` and ``V_exist`` of one key
+window under a model (:meth:`DeepMapping.materialize`) — the whole
+domain, or one shard's window of a store sharing one model.
+
+This module owns key/row normalisation, the build, the mutations and the
+retrain rule.  One batched lookup lives in :mod:`repro.core.plan`; the
+payload and its opens live in :mod:`repro.core.persistence`.
 
 There is one predictor, the compiled kernel: it serves every lookup
 (:class:`~repro.core.plan.LookupPlan`), and its ``lost_rows`` alone
-decides what ``T_aux`` holds — in ``fit``'s Eq. 1 pricing and build, on
+decides what ``T_aux`` holds — in the fit's Eq. 1 pricing and build, on
 every insert and update, and in MHAS.  The paper-literal Algorithm 1
 survives only as the bit-exact parity oracle
 :func:`repro.testing.oracles.reference_lookup`.
@@ -38,13 +43,8 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..data.encoding import CompositeKeyCodec, DecodeMap, KeyEncoder
 from ..data.table import ColumnTable
 from ..nn.compiled import CompiledSession
-from ..nn.inference import InferenceSession, choose_width
-from ..nn.multitask import ArchitectureSpec, MultiTaskMLP
-from ..nn.optimizers import Adam, ExponentialDecay
-from ..nn.training import Trainer
 from ..resilience.deadline import Deadline
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
@@ -53,9 +53,8 @@ from ..store.executors import (ExecutorStrategy, SerialStrategy,
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .exist_index import ExistenceIndex, make_existence_index
-from .mhas.reward import measure_aux_bytes_per_row
-from .modify import (MIN_ROWS_FOR_RATIO_RETRAIN, ModificationTracker,
-                     estimate_batch_bytes)
+from .model import Model
+from .modify import ModificationTracker, estimate_batch_bytes, retrain_due
 from .plan import LookupPlan, LookupResult
 
 __all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows"]
@@ -154,9 +153,8 @@ class SizeReport:
 
 #: What a retrain takes over from the freshly fit structure (see
 #: ``DeepMapping._adopt``); everything else belongs to the logical store.
-_BUILD_FIELDS = ("config", "key_codec", "key_encoder", "session", "aux",
-                 "exist", "fdecode", "_dataset_bytes", "last_training",
-                 "search_history", "warm_started_tensors", "_compiled")
+_BUILD_FIELDS = ("model", "aux", "exist")
+
 
 class DeepMapping:
     """Learned, lossless, updateable key→value mapping.
@@ -168,38 +166,25 @@ class DeepMapping:
 
     def __init__(
         self,
-        key_codec: CompositeKeyCodec,
-        key_encoder: KeyEncoder,
-        session: InferenceSession,
+        model: Model,
         aux: AuxiliaryTable,
         exist: ExistenceIndex,
-        fdecode: DecodeMap,
-        config: DeepMappingConfig,
-        dataset_bytes: int,
         stats: Optional[StoreStats] = None,
     ):
-        self.key_codec = key_codec
-        self.key_encoder = key_encoder
-        self.session = session
+        self.model = model
         self.aux = aux
         self.exist = exist
-        self.fdecode = fdecode
-        self.config = config
         self.stats = stats if stats is not None else StoreStats()
         self.tracker = ModificationTracker()
-        #: When False, modifications only *record* into the tracker; the
-        #: retrain decision is owned by an external maintenance engine
-        #: (see :class:`repro.lifecycle.MaintenanceEngine`) instead of
-        #: firing inline in the mutating call.
+        #: When False, modifications never retrain inline: the owner of
+        #: the model decides (a sharded store's shards share one model,
+        #: so the store retrains, never a shard).
         self.auto_rebuild = True
         #: False for structures opened via ``repro.open(...,
         #: writable=False)``: components may be shared with other opens
         #: of the same payload (and backed by read-only mmap views), so
         #: every mutating entry point refuses with ``PermissionError``.
         self.writable = True
-        self._dataset_bytes = int(dataset_bytes)
-        #: Lazily compiled fused lookup kernel (see :meth:`compiled_session`).
-        self._compiled: Optional[CompiledSession] = None
         #: Executor strategy behind :meth:`lookup_async` (serial unless
         #: :meth:`set_executor` installs another one).  ``close()`` only
         #: shuts strategies this structure created itself — an instance
@@ -207,14 +192,6 @@ class DeepMapping:
         #: caller-owned.
         self._executor: Optional[ExecutorStrategy] = None
         self._owns_executor = True
-        #: :class:`~repro.core.mhas.SearchOutcome` when MHAS built this
-        #: structure (None for fixed architectures).
-        self.search_history = None
-        #: :class:`~repro.nn.training.TrainingResult` of the build (None
-        #: for loaded structures).
-        self.last_training = None
-        #: How many tensors a warm-started build transferred.
-        self.warm_started_tensors = 0
 
     # ------------------------------------------------------------------
     # Build
@@ -228,140 +205,63 @@ class DeepMapping:
         stats: Optional[StoreStats] = None,
         warm_start: Optional[Dict[str, np.ndarray]] = None,
     ) -> "DeepMapping":
-        """Train a hybrid structure that losslessly represents ``table``.
-
-        The build follows the paper's initialization: encode keys/values,
-        pick an architecture (fixed sizes or MHAS when
-        ``config.use_search``), train to convergence, freeze the model at
-        the storage width that minimises Eq. 1
-        (:func:`~repro.nn.inference.choose_width`; ``config.weight_dtype``
-        is the widest candidate), then materialize the auxiliary
-        structures from the *frozen* model's residual errors — so
-        whatever quantisation loses lands in ``T_aux``, never in an
-        answer.
-
-        ``warm_start`` optionally carries named weight arrays from a
-        previous model (see :meth:`rebuild`): tensors whose shape still
-        matches are copied before training, implementing the paper's
-        model-reuse retraining (Sec. V-D future work).
+        """Train a hybrid structure that losslessly represents ``table``:
+        fit its model (:meth:`Model.fit <repro.core.model.Model.fit>`,
+        which ``warm_start`` seeds), then materialize ``T_aux`` and
+        ``V_exist`` over the whole key domain under it.
 
         ``pool`` may be shared with other structures (the sharded store
         shares one across shards): every auxiliary partition caches under
         a pool key of its own.
         """
-        config = config if config is not None else DeepMappingConfig()
+        fit = Model.fit(table, config, warm_start=warm_start)
+        return cls.materialize(fit.model, fit.flat, fit.labels, fit.lost,
+                               pool=pool, stats=stats)
+
+    @classmethod
+    def materialize(
+        cls,
+        model: Model,
+        flat: np.ndarray,
+        labels: Dict[str, np.ndarray],
+        lost: np.ndarray,
+        window: Optional[Tuple[int, int]] = None,
+        pool: Optional[BufferPool] = None,
+        stats: Optional[StoreStats] = None,
+    ) -> "DeepMapping":
+        """``T_aux`` and ``V_exist`` of rows ``flat`` under ``model``, no
+        training: ``labels`` are their codes, ``lost`` the rows the
+        kernel loses (:meth:`Model.encode <repro.core.model.Model.encode>`
+        computes both), ``window`` the ``(base, size)`` of flat keys
+        ``V_exist`` covers (default: the whole domain)."""
         stats = stats if stats is not None else StoreStats()
-        rng = np.random.default_rng(config.seed)
-
-        key_cols = table.key_columns_dict()
-        first_key = np.asarray(key_cols[table.key[0]], dtype=np.int64)
-        extent = int(first_key.max() - first_key.min() + 1)
-        headroom = int(extent * config.key_headroom_fraction)
-        key_codec = CompositeKeyCodec(table.key).fit(key_cols, headroom=headroom)
-        flat = key_codec.flatten(key_cols)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("the designated key does not uniquely identify rows")
-
-        value_cols = table.value_columns_dict()
-        if not value_cols:
-            raise ValueError("table has no value columns to learn")
-        fdecode = DecodeMap.fit(value_cols)
-        labels = fdecode.encode(value_cols)
-
-        key_encoder = KeyEncoder(config.key_base).fit(key_codec.domain_size - 1)
-        x = key_encoder.encode(flat)
-
-        search_history = None
-        if config.use_search:
-            from .mhas import MHASConfig, search as mhas_search
-
-            search_cfg = config.search if config.search is not None else MHASConfig()
-            outcome = mhas_search(
-                x,
-                labels,
-                output_dims=fdecode.cardinalities(),
-                dataset_bytes=table.uncompressed_bytes(),
-                overhead_bytes=fdecode.nbytes,
-                flat_keys=flat,
-                key_encoder=key_encoder,
-                aux_bytes_per_row=measure_aux_bytes_per_row(
-                    flat, labels, codec=config.aux_codec,
-                    partition_bytes=config.aux_partition_bytes),
-                config=search_cfg,
-                rng=rng,
-                weight_dtype=config.weight_dtype,
-            )
-            model = outcome.model
-            search_history = outcome
-        else:
-            spec = ArchitectureSpec(
-                input_dim=key_encoder.input_dim,
-                shared_sizes=tuple(config.shared_sizes),
-                private_sizes={t: tuple(config.private_sizes)
-                               for t in fdecode.columns},
-                output_dims=fdecode.cardinalities(),
-            )
-            model = MultiTaskMLP(spec, rng=rng)
-
-        warm_tensors = 0
-        if warm_start is not None:
-            warm_tensors = model.load_state_arrays(warm_start)
-
-        optimizer = Adam(ExponentialDecay(config.learning_rate, config.lr_decay))
-        trainer = Trainer(model, optimizer, batch_size=config.batch_size,
-                          tol=config.tol, rng=rng)
-        training = trainer.fit(x, labels, epochs=config.epochs)
-
-        # Freeze at the width Eq. 1 picks, each candidate priced by the
-        # rows T_aux would hold under its own compiled kernel — the
-        # winner's mask is then exactly the rows stored.  Only the masks
-        # are kept: each engine's scratch is freed once it is priced.
-        priced = []
-
-        def aux_bytes(candidate: InferenceSession) -> float:
-            mis = CompiledSession(candidate, key_encoder).lost_rows(
-                flat, labels)
-            priced.append((candidate, mis))
-            return mis.sum() * measure_aux_bytes_per_row(
-                flat[mis], {t: labels[t][mis] for t in fdecode.columns},
-                codec=config.aux_codec,
-                partition_bytes=config.aux_partition_bytes)
-
-        session, _ = choose_width(model, config.weight_dtype, aux_bytes)
-        mis = next(mask for candidate, mask in priced if candidate is session)
+        config = model.config
+        tasks = model.fdecode.columns
         aux = AuxiliaryTable(
-            tasks=fdecode.columns,
+            tasks=tasks,
             codec=config.aux_codec,
             target_partition_bytes=config.aux_partition_bytes,
             pool=pool,
             stats=stats,
             auto_compact_rows=config.aux_auto_compact_rows,
         )
-        aux.build(flat[mis], {t: labels[t][mis] for t in fdecode.columns})
-
-        exist = make_existence_index(key_codec.domain_size, flat.size)
+        aux.build(flat[lost], {t: labels[t][lost] for t in tasks})
+        base, size = (window if window is not None
+                      else (0, model.key_codec.domain_size))
+        exist = make_existence_index(size, flat.size, base)
         exist.set_batch(flat)
-
-        mapping = cls(
-            key_codec=key_codec,
-            key_encoder=key_encoder,
-            session=session,
-            aux=aux,
-            exist=exist,
-            fdecode=fdecode,
-            config=config,
-            dataset_bytes=table.uncompressed_bytes(),
-            stats=stats,
-        )
-        mapping.search_history = search_history
-        mapping.last_training = training
-        mapping.warm_started_tensors = warm_tensors
-        mapping._compiled = CompiledSession(session, key_encoder)
-        return mapping
+        return cls(model, aux, exist, stats=stats)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    #: The model's parts, read through: a retrain swaps the model.
+    config = property(lambda self: self.model.config)
+    key_codec = property(lambda self: self.model.key_codec)
+    key_encoder = property(lambda self: self.model.key_encoder)
+    session = property(lambda self: self.model.session)
+    fdecode = property(lambda self: self.model.fdecode)
+
     @property
     def key_names(self) -> Tuple[str, ...]:
         """Key column names."""
@@ -387,7 +287,7 @@ class DeepMapping:
             aux_bytes=self.aux.stored_bytes(),
             exist_bytes=self.exist.stored_bytes(),
             decode_bytes=self.fdecode.nbytes,
-            dataset_bytes=self._dataset_bytes,
+            dataset_bytes=self.model.dataset_bytes,
             n_rows=len(self),
             n_in_aux=len(self.aux),
         )
@@ -396,21 +296,9 @@ class DeepMapping:
     # Lookup (paper Algorithm 1)
     # ------------------------------------------------------------------
     def compiled_session(self) -> CompiledSession:
-        """The fused lookup kernel for the current frozen model.
-
-        Compiled lazily on first use and cached; the cache is keyed to the
-        live ``session``/``key_encoder`` objects, so any path that swaps
-        them (``rebuild``, domain-widening inserts) recompiles on the next
-        call even without an explicit invalidation.  Concurrent readers
-        may race to build the first engine — construction is cheap and
-        idempotent, and the attribute swap is atomic.
-        """
-        engine = self._compiled
-        if (engine is None or engine.session is not self.session
-                or engine.key_encoder is not self.key_encoder):
-            engine = CompiledSession(self.session, self.key_encoder)
-            self._compiled = engine
-        return engine
+        """The fused lookup kernel of the model (compiled once per model;
+        a retrain swaps in a new model, and with it a new kernel)."""
+        return self.model.compiled_session()
 
     def plan_lookup(self, keys: KeysLike,
                     presorted: bool = False) -> LookupPlan:
@@ -525,6 +413,8 @@ class DeepMapping:
         self.fdecode.extend(value_cols)
         labels = self.fdecode.encode(value_cols)
 
+        if flat.size:
+            self.exist.cover(int(flat.max()) + 1)
         self.exist.set_batch(flat)
         mis = self.compiled_session().lost_rows(flat, labels)
         if mis.any():
@@ -593,16 +483,12 @@ class DeepMapping:
         When ``config.warm_start_rebuild`` is set (default), the retrain is
         initialized from the current model's weights — the paper's
         model-reuse optimization for its expensive retraining step.
-
         ``config`` optionally replaces the build configuration for this and
-        future rebuilds — the hook behind per-shard MHAS sizing, where a
-        lifecycle rebuild right-sizes the architecture to the rows the
-        shard now holds (warm-start tensors transfer only where shapes
+        future rebuilds (warm-start tensors transfer only where shapes
         still match).
 
-        The rebuilt auxiliary table keeps this structure's buffer pool
-        (co-hosted structures like the sharded store rely on it), and the
-        retired table's cached partitions are purged from it.
+        The rebuilt auxiliary table keeps this structure's buffer pool,
+        and the retired table's cached partitions are purged from it.
         """
         self._require_writable()
         table = self.to_table()
@@ -619,10 +505,9 @@ class DeepMapping:
         domain-widening inserts.
 
         The retired ``T_aux`` is purged from the pool (a reader still
-        holding it keeps its answers) and every build-owned
-        field is taken over, the compiled kernel included (it is frozen
-        over the retired session/encoder).  The tracker, executor, stats
-        and flags belong to the logical store and stay.
+        holding it keeps its answers) and the model, ``T_aux`` and
+        ``V_exist`` are taken over.  The tracker, executor, stats and
+        flags belong to the logical store and stay.
         """
         self.aux.drop_storage()
         for name in _BUILD_FIELDS:
@@ -638,27 +523,10 @@ class DeepMapping:
 
     def retrain_due(self, threshold_bytes: Optional[int],
                     aux_ratio: Optional[float]) -> bool:
-        """The one retrain rule (paper Sec. IV-D): True once either bound
-        is met; ``None`` disables a bound.
-
-        - bytes: ``threshold_bytes`` or more modified since the last
-          build (DM-Z1);
-        - ratio: at least ``MIN_ROWS_FOR_RATIO_RETRAIN`` live rows and an
-          :meth:`aux_ratio` of at least ``aux_ratio`` (``T_aux`` is only
-          counted when this bound is set).
-
-        A monolithic structure asks it inline with its config's bounds; a
-        managed sharded store's engine asks every shard with the bounds
-        its lifecycle policy names.
-        """
-        if (threshold_bytes is not None
-                and self.tracker.bytes_since_build >= threshold_bytes):
-            return True
-        if aux_ratio is None:
-            return False
-        n_rows = len(self)
-        return (n_rows >= MIN_ROWS_FOR_RATIO_RETRAIN
-                and len(self.aux) / n_rows >= aux_ratio)
+        """The one retrain rule (:func:`repro.core.modify.retrain_due`)
+        over this structure's tracker and counts."""
+        return retrain_due(self.tracker, len(self), lambda: len(self.aux),
+                           threshold_bytes, aux_ratio)
 
     def _maybe_retrain(self) -> None:
         if self.auto_rebuild and self.retrain_due(
@@ -718,12 +586,18 @@ class DeepMapping:
 
     def _flatten_or_rebuild_domain(
             self, columns: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
-        """Flatten new keys; or widen the key domain by a rebuild over
-        old and new rows, and return None: nothing is left to insert."""
+        """Flatten new keys, growing the key domain past the leading
+        key's max when they need it; or widen it by a rebuild over old
+        and new rows, and return None: nothing is left to insert."""
         flat, in_domain = self.key_codec.try_flatten(columns)
         if in_domain.all():
             return flat
-        # Out-of-domain inserts: rebuild the codec (and everything keyed by
+        if self.key_codec.extend_domain(columns):
+            # Past the leading key's max: every old code keeps its key, so
+            # the frozen model answers the new keys like any other insert
+            # (lost_rows decides what lands in T_aux) and nothing trains.
+            return self.key_codec.flatten(columns)
+        # Any other widening: rebuild the codec (and everything keyed by
         # it) over current content plus the new rows' key range.  This is
         # the "retrain offline when the structure no longer fits" path.
         base = self.to_table()

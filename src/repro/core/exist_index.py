@@ -7,6 +7,10 @@ input, so every lookup is masked through this vector first (Algorithm 1,
 line 5).  Offline, the vector is stored compressed; the paper notes the
 compressed size depends on the randomness of the set bits (Sec. V-C).
 
+An index covers one *window* ``[base, base + domain_size)`` of flat
+keys (a monolithic structure's whole domain, or a shard's key range);
+keys outside it test absent, and ``cover`` grows its upper end.
+
 Two implementations share the interface:
 
 - :class:`ExistenceIndex` — the paper's dense bit vector, O(domain) bits;
@@ -46,12 +50,14 @@ _MAX_DENSE_DOMAIN = 1 << 32
 
 
 class ExistenceIndex:
-    """Bit-vector existence filter over ``[0, domain_size)`` flat keys."""
+    """Bit-vector existence filter over the flat keys
+    ``[base, base + domain_size)``."""
 
-    def __init__(self, domain_size: int):
+    def __init__(self, domain_size: int, base: int = 0):
         if domain_size <= 0:
             raise ValueError("domain_size must be positive")
         self._bits = BitVector(domain_size)
+        self.base = int(base)
 
     # ------------------------------------------------------------------
     @property
@@ -61,15 +67,22 @@ class ExistenceIndex:
 
     def set_batch(self, flat_keys: np.ndarray) -> None:
         """Mark keys as existing."""
-        self._bits.set_many(flat_keys, True)
+        self._bits.set_many(np.asarray(flat_keys) - self.base, True)
 
     def clear_batch(self, flat_keys: np.ndarray) -> None:
         """Mark keys as deleted."""
-        self._bits.set_many(flat_keys, False)
+        self._bits.set_many(np.asarray(flat_keys) - self.base, False)
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
-        """Boolean existence mask for the queried keys."""
-        return self._bits.test_many(flat_keys)
+        """Boolean existence mask for the queried keys (False outside
+        the window)."""
+        return self._bits.test_many(
+            np.asarray(flat_keys, dtype=np.int64) - self.base)
+
+    def cover(self, end: int) -> None:
+        """Grow the window to end at flat key ``end`` at least."""
+        if end > self.base + len(self._bits):
+            self._bits.resize(end - self.base)
 
     def count(self) -> int:
         """Number of live keys."""
@@ -77,7 +90,8 @@ class ExistenceIndex:
 
     def existing_keys(self) -> np.ndarray:
         """All live flat keys, ascending (used by rebuild/scan paths)."""
-        return np.flatnonzero(self._bits.to_bools()).astype(np.int64)
+        return np.flatnonzero(self._bits.to_bools()).astype(np.int64) \
+            + self.base
 
     # ------------------------------------------------------------------
     @property
@@ -97,10 +111,11 @@ class ExistenceIndex:
         read-only open wraps the mmap bytes with zero decompression.
         """
         return {"kind": "dense", "size": self.domain_size,
-                "bits": self._bits.packed}
+                "base": self.base, "bits": self._bits.packed}
 
     def __repr__(self) -> str:
-        return f"ExistenceIndex(domain={self.domain_size}, live={self.count()})"
+        return (f"ExistenceIndex(window=[{self.base}, "
+                f"{self.base + self.domain_size}), live={self.count()})")
 
 
 class SparseExistenceIndex:
@@ -111,10 +126,12 @@ class SparseExistenceIndex:
     the footprint is O(live keys) instead of O(domain).
     """
 
-    def __init__(self, domain_size: int):
+    def __init__(self, domain_size: int, base: int = 0):
         if domain_size <= 0:
             raise ValueError("domain_size must be positive")
         self._domain = int(domain_size)
+        self.base = int(base)
+        #: Live flat keys (absolute, not window-relative), ascending.
         self._keys = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -137,13 +154,18 @@ class SparseExistenceIndex:
                                       assume_unique=False)
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
-        """Boolean existence mask for the queried keys."""
-        flat_keys = self._checked(flat_keys)
+        """Boolean existence mask for the queried keys (False outside
+        the window)."""
+        flat_keys = np.asarray(flat_keys, dtype=np.int64)
         if self._keys.size == 0:
             return np.zeros(flat_keys.size, dtype=bool)
         pos = np.searchsorted(self._keys, flat_keys)
         pos = np.minimum(pos, self._keys.size - 1)
         return self._keys[pos] == flat_keys
+
+    def cover(self, end: int) -> None:
+        """Grow the window to end at flat key ``end`` at least."""
+        self._domain = max(self._domain, int(end) - self.base)
 
     def count(self) -> int:
         """Number of live keys."""
@@ -170,26 +192,29 @@ class SparseExistenceIndex:
         """Array-first state for the zero-copy container (keys stay a
         first-class ``int64`` array; no delta coding, no compression)."""
         return {"kind": "sparse", "domain": self._domain,
-                "keys": self._keys}
+                "base": self.base, "keys": self._keys}
 
     def _checked(self, flat_keys) -> np.ndarray:
         arr = np.asarray(flat_keys, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self._domain):
-            raise IndexError("flat key outside the domain")
+        if arr.size and (arr.min() < self.base
+                         or arr.max() >= self.base + self._domain):
+            raise IndexError("flat key outside the window")
         return arr
 
     def __repr__(self) -> str:
-        return (f"SparseExistenceIndex(domain={self._domain}, "
-                f"live={self.count()})")
+        return (f"SparseExistenceIndex(window=[{self.base}, "
+                f"{self.base + self._domain}), live={self.count()})")
 
 
-def make_existence_index(domain_size: int, expected_keys: int):
-    """Pick dense vs. sparse for a domain and expected population."""
+def make_existence_index(domain_size: int, expected_keys: int,
+                         base: int = 0):
+    """Pick dense vs. sparse for a window of ``domain_size`` keys from
+    ``base`` and its expected population."""
     dense_affordable = domain_size <= _MAX_DENSE_DOMAIN
     dense_economic = domain_size <= max(expected_keys, 1) * _DENSE_DOMAIN_FACTOR
     if dense_affordable and dense_economic:
-        return ExistenceIndex(domain_size)
-    return SparseExistenceIndex(domain_size)
+        return ExistenceIndex(domain_size, base)
+    return SparseExistenceIndex(domain_size, base)
 
 
 def existence_from_state(state: dict):
@@ -202,12 +227,14 @@ def existence_from_state(state: dict):
     work exactly as before.
     """
     kind = state["kind"]
+    base = int(state.get("base", 0))  # whole-domain indexes saved none
     if kind == "sparse":
-        index = SparseExistenceIndex(int(state["domain"]))
+        index = SparseExistenceIndex(int(state["domain"]), base)
         index._keys = np.asarray(state["keys"], dtype=np.int64)
         return index
     if kind != "dense":
         raise ValueError(f"unknown existence-index kind {kind!r}")
     index = ExistenceIndex.__new__(ExistenceIndex)
     index._bits = BitVector.wrap(int(state["size"]), state["bits"])
+    index.base = base
     return index

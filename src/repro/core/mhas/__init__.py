@@ -8,13 +8,12 @@ from .reward import (
     measure_aux_bytes_per_row,
 )
 from .search import SearchOutcome, SearchSample, search
-from .search_space import MHASConfig, SearchSpace, WeightBank, budgeted_config
+from .search_space import MHASConfig, SearchSpace, WeightBank
 
 __all__ = [
     "MHASConfig",
     "SearchSpace",
     "WeightBank",
-    "budgeted_config",
     "Controller",
     "Trajectory",
     "SearchOutcome",

@@ -15,8 +15,8 @@ trick the paper borrows and extends to multi-task search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ...nn.layers import Parameter
 from ...nn.initializers import glorot_uniform, zeros
 from ...nn.multitask import ArchitectureSpec
 
-__all__ = ["MHASConfig", "SearchSpace", "WeightBank", "budgeted_config"]
+__all__ = ["MHASConfig", "SearchSpace", "WeightBank"]
 
 #: Sentinel decision meaning "stop: connect to the output layer".
 STOP = 0
@@ -81,43 +81,6 @@ class MHASConfig:
             raise ValueError("size_choices must be non-empty")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-
-
-def budgeted_config(
-    n_rows: int,
-    base: Optional[MHASConfig] = None,
-    reference_rows: int = 4096,
-    max_width: Optional[int] = None,
-) -> MHASConfig:
-    """Scale a search budget to the rows the model must memorize.
-
-    The search entry point for per-shard MHAS: a shard holding a fraction
-    of the data neither needs the full iteration budget (fewer mappings to
-    score, faster convergence) nor the full width menu (a small table is
-    memorized by a small model — dreaMLearning's model-cost-tracks-data
-    observation).  Iterations and the evaluation sample shrink with
-    ``sqrt(n_rows / reference_rows)`` (floored so the controller still
-    gets a few REINFORCE rounds), and ``max_width`` prunes the width
-    choices from above (when pruning would empty the menu, ``max_width``
-    itself becomes the only choice, so the budget never upsizes past the
-    caller's bound).
-    """
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
-    base = base if base is not None else MHASConfig()
-    scale = min(1.0, (n_rows / max(reference_rows, 1)) ** 0.5)
-    floor = min(base.iterations, 2 * base.controller_every)
-    iterations = max(floor, int(round(base.iterations * scale)))
-    choices = base.size_choices
-    if max_width is not None:
-        pruned = tuple(w for w in choices if w <= max_width)
-        choices = pruned if pruned else (int(max_width),)
-    return replace(
-        base,
-        iterations=iterations,
-        size_choices=choices,
-        eval_sample=min(base.eval_sample, max(n_rows, 256)),
-    )
 
 
 class SearchSpace:

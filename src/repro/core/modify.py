@@ -5,20 +5,20 @@ auxiliary structure and retrain only when it grows past a threshold
 (the evaluation's DM-Z1 variant retrains after 200MB of modifications).
 :class:`ModificationTracker` only counts — modified bytes since the last
 build and lifetime retrains.  Whether it is time to retrain is decided in
-one place, :meth:`DeepMapping.retrain_due
-<repro.core.deep_mapping.DeepMapping.retrain_due>`, which reads these
-counters against the bounds its caller passes.
+one place, :func:`retrain_due`, which reads these counters against the
+bounds its caller passes; a monolithic structure asks it over its own
+counts, a sharded store over its totals.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..storage.serializer import serialized_size
 
-__all__ = ["ModificationTracker", "estimate_batch_bytes",
+__all__ = ["ModificationTracker", "estimate_batch_bytes", "retrain_due",
            "MIN_ROWS_FOR_RATIO_RETRAIN"]
 
 #: Structures below this many rows skip ratio-based retrain triggers: a
@@ -30,6 +30,23 @@ MIN_ROWS_FOR_RATIO_RETRAIN = 64
 def estimate_batch_bytes(columns: Dict[str, np.ndarray]) -> int:
     """Serialized size of a modification batch (keys + values)."""
     return serialized_size({n: np.asarray(v) for n, v in columns.items()})
+
+
+def retrain_due(tracker: "ModificationTracker", n_rows: int,
+                n_aux: Callable[[], int], threshold_bytes: Optional[int],
+                aux_ratio: Optional[float]) -> bool:
+    """The one retrain rule (paper Sec. IV-D), True once either bound
+    is met (``None`` disables one): ``threshold_bytes`` modified since
+    the last build (DM-Z1), or at least ``MIN_ROWS_FOR_RATIO_RETRAIN``
+    live rows with an ``aux_ratio`` share in ``T_aux`` (``n_aux`` is
+    only called under this bound: counting ``T_aux`` is not free)."""
+    if (threshold_bytes is not None
+            and tracker.bytes_since_build >= threshold_bytes):
+        return True
+    if aux_ratio is None:
+        return False
+    return (n_rows >= MIN_ROWS_FOR_RATIO_RETRAIN
+            and n_aux() / n_rows >= aux_ratio)
 
 
 class ModificationTracker:

@@ -1,20 +1,22 @@
-"""A DeepMapping's payload and its opens: the one module that knows them.
+"""A DeepMapping's payloads and their opens: the one module that knows them.
 
-:func:`to_payload` / :func:`save` write ``M``, ``T_aux``, ``V_exist``
-and ``f_decode`` as one :mod:`repro.storage.zerocopy` container.
-:func:`open_payload` is the one rule for how a payload opens — a
-private writable copy, or shared read-only through the payload cache —
-and every loader calls it: :meth:`DeepMapping.open` (via :func:`load`),
-:func:`repro.open` and :mod:`repro.shard.persistence`.
+Every payload is one :mod:`repro.storage.zerocopy` container cut from two
+parts: the **model part** (:meth:`Model.to_state
+<repro.core.model.Model.to_state>`) and the **shard part** (``V_exist``
+as ``exist_v2``, ``T_aux`` as ``aux_v2``).  A monolithic structure
+(:func:`to_payload`) holds both and its tracker; a sharded store writes
+the model part once (:func:`model_payload`) and a shard part per shard
+(:func:`shard_payload`).  :func:`open_payload` is the one rule for how a
+structure opens — a private writable copy, or shared read-only through
+the payload cache — behind :meth:`DeepMapping.open`, :func:`repro.open`
+and :mod:`repro.shard.persistence` (which opens the store's model by the
+same rule, :func:`open_model`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..data.encoding import CompositeKeyCodec, DecodeMap, KeyEncoder
-from ..nn.compiled import CompiledSession
-from ..nn.inference import InferenceSession
 from ..storage import zerocopy
 from ..storage.backends import read_blob_view, resolve_blob_url
 from ..storage.blob_cache import payload_cache
@@ -23,52 +25,53 @@ from ..storage.stats import StoreStats
 from .aux_table import AuxiliaryTable
 from .deep_mapping import DeepMapping
 from .exist_index import existence_from_state
+from .model import Model
 
-__all__ = ["to_payload", "save", "from_payload", "open_payload", "load"]
-
-#: The components a structure is constructed from.
-_ASSEMBLED = ("key_codec", "key_encoder", "session", "aux", "exist",
-              "fdecode", "config", "dataset_bytes")
+__all__ = ["to_payload", "save", "model_payload", "shard_payload",
+           "from_payload", "open_payload", "open_model", "load"]
 
 
 # ----------------------------------------------------------------------
 # Write
 # ----------------------------------------------------------------------
-def to_payload(mapping: DeepMapping) -> bytearray:
-    """Serialize the full hybrid structure to one byte payload.
+def _shard_state(mapping: DeepMapping) -> Dict[str, object]:
+    return {"exist_v2": mapping.exist.to_state(),
+            "aux_v2": mapping.aux.to_state()}
 
-    The payload is a :mod:`repro.storage.zerocopy` container: the
-    pickled state plus out-of-band, 64-byte-aligned, CRC-checked
-    buffer segments for **every** array — vocabularies, codec
-    domains, the model weights and existence bit-vector
-    (``session_v2`` / ``exist_v2``), and ``T_aux`` the way the paper
-    stores it (``aux_v2``): one segment per *compressed* partition,
-    exactly the bytes :meth:`AuxiliaryTable.stored_bytes` counts,
-    beside a small fence index in the head (first key, last key, row
-    count and key-gap width per partition; column names and dtypes;
-    see :func:`~repro.storage.partition.encode_partition`) and the
-    not-yet-compacted overlay / tombstones as arrays.  Nothing is
-    decompressed, re-sorted or re-compressed to save, and an open
-    attaches the partitions where they lie.  Opened through an
-    mmap-capable backend with ``writable=False``, all of it
-    materializes as views over shared pages instead of copies — the
-    cold open is pure mmap.  This is the only layout any open reads
-    (see :func:`_load_state`).
+
+def to_payload(mapping: DeepMapping) -> bytearray:
+    """Serialize a whole monolithic structure to one byte payload.
+
+    The container holds the pickled state plus out-of-band,
+    64-byte-aligned, CRC-checked buffer segments for **every** array.
+    ``T_aux`` is stored the way the paper stores it: one segment per
+    *compressed* partition, exactly the bytes
+    :meth:`AuxiliaryTable.stored_bytes` counts, beside a small fence
+    index in the head (see :func:`~repro.storage.partition.encode_partition`)
+    and the not-yet-compacted overlay / tombstones as arrays.  Nothing is
+    re-sorted or re-compressed to save, an open attaches the partitions
+    where they lie, and a ``writable=False`` open through an
+    mmap-capable backend is pure mmap.
     """
     state = {
-        "config": mapping.config,
-        "key_codec": mapping.key_codec.to_state(),
-        "key_encoder": mapping.key_encoder.to_state(),
-        "session_v2": mapping.session.to_state(),
-        "exist_v2": mapping.exist.to_state(),
-        "fdecode": mapping.fdecode.to_state(),
-        "aux_v2": mapping.aux.to_state(),
-        "dataset_bytes": mapping._dataset_bytes,
+        **mapping.model.to_state(),
+        **_shard_state(mapping),
         # Sec. IV-D lazy-update state: without this a loaded store
         # would restart the retrain threshold from zero every reopen.
         "tracker": mapping.tracker.to_state(),
     }
     return zerocopy.pack(state)
+
+
+def model_payload(model: Model) -> bytearray:
+    """A sharded store's model blob: the model part alone."""
+    return zerocopy.pack(model.to_state())
+
+
+def shard_payload(mapping: DeepMapping) -> bytearray:
+    """A sharded store's shard blob: the shard part alone (no session
+    segments; the store's model blob holds them once)."""
+    return zerocopy.pack(_shard_state(mapping))
 
 
 def save(mapping: DeepMapping, target: str) -> int:
@@ -91,9 +94,14 @@ def save(mapping: DeepMapping, target: str) -> int:
 # ----------------------------------------------------------------------
 # Read
 # ----------------------------------------------------------------------
-def _load_state(payload, zero_copy: bool = False) -> Dict[str, object]:
-    """Payload bytes/view -> state dict, for the one layout
-    :func:`to_payload` writes.
+_MODEL_SEGMENTS = ("session_v2",)
+_SHARD_SEGMENTS = ("exist_v2", "aux_v2")
+
+
+def _load_state(payload, required, zero_copy: bool = False
+                ) -> Dict[str, object]:
+    """Payload bytes/view -> state dict, for the layouts this module
+    writes; ``required`` names the segments the caller's shape needs.
 
     Anything else is refused with a ``ValueError`` — not
     :class:`~repro.resilience.errors.StoreCorruptedError`: the bytes
@@ -105,14 +113,13 @@ def _load_state(payload, zero_copy: bool = False) -> Dict[str, object]:
             "pickles and containers without checksums are no longer "
             "read)")
     state = zerocopy.unpack(payload, zero_copy=zero_copy)
-    missing = [key for key in ("session_v2", "exist_v2", "aux_v2")
-               if key not in state]
+    missing = [key for key in required if key not in state]
     if missing:
         raise _unsupported_layout(
             f"it lacks {', '.join(missing)} (nested session / exist "
             "bytes and raw aux_keys / aux_codes rows are no longer "
             "read)")
-    if "gap_widths" not in state["aux_v2"]["store"]:
+    if "aux_v2" in required and "gap_widths" not in state["aux_v2"]["store"]:
         raise _unsupported_layout(
             "its aux_v2 partitions are pickled blocks of int64 keys "
             "(no gap_widths fence; they are no longer read)",
@@ -120,10 +127,17 @@ def _load_state(payload, zero_copy: bool = False) -> Dict[str, object]:
     return state
 
 
-def _components_from_state(state: Dict[str, object],
-                           pool: Optional[BufferPool],
-                           stats: StoreStats) -> Dict[str, object]:
-    """Materialize the shared components a payload state describes.
+def _required(model: Optional[Model]):
+    """The segments a payload needs: a shard blob opened under a given
+    ``model`` only the shard part, anything else both parts."""
+    return _SHARD_SEGMENTS if model else _MODEL_SEGMENTS + _SHARD_SEGMENTS
+
+
+def _parts(state: Dict[str, object], model: Optional[Model],
+           pool: Optional[BufferPool],
+           stats: StoreStats) -> Dict[str, object]:
+    """The model (``model``, or the payload's own), ``T_aux``, ``V_exist``
+    and tracker counters a payload state describes.
 
     ``T_aux`` is *attached*: the compressed partitions in ``aux_v2``
     (views into the payload mapping on a read-only open, the private
@@ -131,82 +145,75 @@ def _components_from_state(state: Dict[str, object],
     as they are, and the first probe of one decompresses it straight
     out of the payload — no sort, no compression, no temporary file.
     """
-    config = state["config"]
-    fdecode = DecodeMap.from_state(state["fdecode"])
+    model = model or Model.from_state(state)
     aux = AuxiliaryTable(
-        tasks=fdecode.columns,
-        codec=config.aux_codec,
-        target_partition_bytes=config.aux_partition_bytes,
+        tasks=model.fdecode.columns,
+        codec=model.config.aux_codec,
+        target_partition_bytes=model.config.aux_partition_bytes,
         pool=pool,
         stats=stats,
-        auto_compact_rows=config.aux_auto_compact_rows,
+        auto_compact_rows=model.config.aux_auto_compact_rows,
     )
     aux.attach(state["aux_v2"])
-    return {
-        "config": config,
-        "key_codec": CompositeKeyCodec.from_state(state["key_codec"]),
-        "key_encoder": KeyEncoder.from_state(state["key_encoder"]),
-        "session": InferenceSession.from_state(state["session_v2"]),
-        "aux": aux,
-        "exist": existence_from_state(state["exist_v2"]),
-        "fdecode": fdecode,
-        "dataset_bytes": state["dataset_bytes"],
-        "tracker": state["tracker"],
-    }
+    return {"model": model, "aux": aux,
+            "exist": existence_from_state(state["exist_v2"]),
+            "tracker": state.get("tracker")}
 
 
-def _assemble(components: Dict[str, object],
-              stats: Optional[StoreStats]) -> DeepMapping:
-    mapping = DeepMapping(stats=stats, **{
-        name: components[name] for name in _ASSEMBLED})
-    mapping.tracker.restore_counters(components["tracker"])
+def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
+              model: Optional[Model] = None) -> DeepMapping:
+    mapping = DeepMapping(model or parts["model"], parts["aux"],
+                          parts["exist"], stats=stats)
+    if parts["tracker"] is not None:
+        mapping.tracker.restore_counters(parts["tracker"])
     return mapping
 
 
 def from_payload(payload, pool: Optional[BufferPool] = None,
-                 stats: Optional[StoreStats] = None) -> DeepMapping:
-    """Inverse of :func:`to_payload` (private, writable copies)."""
-    stats = stats if stats is not None else StoreStats()
-    return _assemble(
-        _components_from_state(_load_state(payload), pool, stats), stats)
-
-
-def _open_shared(backend, blob: str,
                  stats: Optional[StoreStats] = None,
-                 pool: Optional[BufferPool] = None) -> DeepMapping:
-    """Read-only open through the process-wide payload cache.
+                 model: Optional[Model] = None) -> DeepMapping:
+    """Inverse of :func:`to_payload` — or, given the store's ``model``,
+    of :func:`shard_payload` (private, writable copies)."""
+    stats = stats if stats is not None else StoreStats()
+    state = _load_state(payload, _required(model))
+    return _assemble(_parts(state, model, pool, stats), stats)
 
-    Cold path: the payload is read as a zero-copy view (mmap'd on
-    ``file://`` backends), deserialized once, its lookup kernel
-    compiled, and the whole bundle cached under the blob's version
-    stamp — the stamp the cache took is handed to the read, so a
-    backend that revalidates per read does not ask again.  The
-    auxiliary partitions are attached as views into the pinned payload
-    (see :func:`_components_from_state`), so the cold open writes
-    nothing and creates no file.  Warm path: the cached bundle is
-    wrapped directly — no I/O, no deserialization, no recompile.
 
-    Every heavy artifact — session, compiled engine, auxiliary
-    partitions, existence vector, decode map — is *shared* with any
-    other store wrapping the same bundle; only per-instance state
+def _cached(backend, blob: str, build) -> Dict[str, object]:
+    """The bundle ``build(view)`` makes of ``blob``'s zero-copy view
+    (mmap'd on ``file://``), made once per blob version through the
+    payload cache — read under the stamp the cache took, so a backend
+    that revalidates per read does not ask again.  The bundle holds the
+    view its arrays reference; a warm open does no I/O and no work."""
+    def loader(version):
+        view = read_blob_view(backend, blob, version=version)
+        bundle = build(view)
+        bundle["payload_view"] = view
+        return bundle, view.nbytes
+    return payload_cache().get(backend, blob, loader)
+
+
+def _open_shared(backend, blob: str, stats: Optional[StoreStats],
+                 pool: Optional[BufferPool],
+                 model: Optional[Model]) -> DeepMapping:
+    """Read-only open through the payload cache (:func:`_cached`).
+
+    The partitions are attached as views into the pinned payload, so
+    the cold open writes nothing and creates no file.  Every heavy
+    artifact — model, partitions, existence vector — is *shared* with
+    any other store wrapping the same bundle; only per-instance state
     (stats sink, tracker, executor) is fresh.  Safe because the
     returned structure refuses mutations (``writable=False``) and all
     shared read paths are thread-safe.
     """
-    def loader(version):
-        view = read_blob_view(backend, blob, version=version)
-        state = _load_state(view, zero_copy=True)
-        bundle = _components_from_state(state, pool, StoreStats())
-        # Hold the payload view explicitly: zero-copy arrays
-        # reference it, and the bundle must outlive any of them.
-        bundle["payload_view"] = view
-        bundle["compiled"] = CompiledSession(bundle["session"],
-                                             bundle["key_encoder"])
-        return bundle, view.nbytes
-    bundle = payload_cache().get(backend, blob, loader)
-    mapping = _assemble(bundle, stats)
+    def build(view):
+        parts = _parts(_load_state(view, _required(model), zero_copy=True),
+                       model, pool, StoreStats())
+        parts["model"].compiled_session()
+        return parts
+    bundle = _cached(backend, blob, build)
+    mapping = _assemble(bundle, stats, model)
     mapping.writable = False
-    mapping._compiled = bundle["compiled"]
     # Pin the bundle (and through it any mmap view backing its arrays)
     # for this structure's lifetime, independent of cache eviction.
     mapping._shared_bundle = bundle
@@ -215,23 +222,45 @@ def _open_shared(backend, blob: str,
 
 def open_payload(backend, blob: str, *, writable: bool,
                  pool: Optional[BufferPool] = None,
-                 stats: Optional[StoreStats] = None) -> DeepMapping:
+                 stats: Optional[StoreStats] = None,
+                 model: Optional[Model] = None) -> DeepMapping:
     """Open payload ``blob`` of ``backend`` — the one open rule.
 
-    A remote backend (which refuses writes) or ``writable=False`` gets a
-    shared read-only open through the payload cache (:func:`_open_shared`;
-    mutating calls raise ``PermissionError``).  Anything else reads the
-    payload whole into a private, mutable copy.  Either way the lookup
-    kernel is compiled before the open returns.
+    Without ``model`` the blob is a monolithic payload; with it, a
+    shard blob materialized under the store's model.  A remote backend
+    (which refuses writes) or ``writable=False`` gets a shared read-only
+    open through the payload cache (:func:`_open_shared`; mutating calls
+    raise ``PermissionError``).  Anything else reads the payload whole
+    into a private, mutable copy.  Either way the lookup kernel is
+    compiled before the open returns.
     """
     if not writable or getattr(backend, "remote", False):
-        return _open_shared(backend, blob, stats=stats, pool=pool)
+        return _open_shared(backend, blob, stats, pool, model)
     stats = stats if stats is not None else StoreStats()
     with stats.timing("io"):
         payload = backend.read_bytes(blob)
-    mapping = from_payload(payload, pool=pool, stats=stats)
+    mapping = from_payload(payload, pool=pool, stats=stats, model=model)
     mapping.compiled_session()
     return mapping
+
+
+def open_model(backend, blob: str, *, writable: bool) -> Model:
+    """Open a sharded store's model blob (:func:`model_payload`) by the
+    rule of :func:`open_payload`: a private copy when writable, else one
+    model shared through the payload cache, its kernel compiled once."""
+    if writable and not getattr(backend, "remote", False):
+        return Model.from_state(
+            _load_state(backend.read_bytes(blob), _MODEL_SEGMENTS))
+
+    def build(view):
+        model = Model.from_state(
+            _load_state(view, _MODEL_SEGMENTS, zero_copy=True))
+        model.compiled_session()
+        return {"model": model}
+    bundle = _cached(backend, blob, build)
+    # The model pins the bundle whose view its arrays reference.
+    bundle["model"]._shared_bundle = bundle
+    return bundle["model"]
 
 
 def load(target: str, pool: Optional[BufferPool] = None,

@@ -1,39 +1,28 @@
 """The maintenance engine: one owner for the sharded store's write-side
 lifecycle.
 
-:class:`MaintenanceEngine` absorbs what used to be scattered across the
-mutation path — per-shard :class:`~repro.core.modify.ModificationTracker`
-accounting, the inline retrain trigger, and (new here) **range shard
-rebalancing**:
+:class:`MaintenanceEngine` runs after every mutation batch:
 
 - **splits** — a shard whose row count exceeds ``split_balance`` times
   the mean splits its key range at a median cut chosen from its live
-  keys; the two halves rebuild and the router/shard-list swap is atomic
-  (see :mod:`repro.shard.topology`);
+  keys; the two halves are materialized under the store's one model
+  (nothing trains) and the router/shard-list swap is atomic (see
+  :mod:`repro.shard.topology`);
 - **merges** — an adjacent pair whose combined rows fall under
   ``merge_balance`` times the mean merges back into one shard
   (hysteresis between the two bounds prevents split/merge oscillation);
-- **retrains** — after rebalancing (split/merge products are freshly
-  built, so they never double-build here), the engine asks each live
-  shard :meth:`~repro.core.deep_mapping.DeepMapping.retrain_due` with
-  the bounds its policy name maps to
+- **retrain** — after rebalancing, the engine asks the store
+  :meth:`~repro.shard.store.ShardedDeepMapping.retrain_due` over its
+  totals with the bounds the policy name maps to
   (:meth:`~repro.lifecycle.policy.LifecycleConfig.retrain_bounds`) — the
   same rule a monolithic structure runs inline, so the engine asks and
-  never judges.  Due shards rebuild *through the store's thread pool*
-  (NumPy training kernels release the GIL, so several shards retrain
-  concurrently) instead of inline in the mutating thread.
-
-Which config a lifecycle build uses is the store's answer, not the
-engine's: :func:`repro.shard.topology.build_config` sizes every build
-through per-shard MHAS (:mod:`repro.lifecycle.sizing`) when
-``lifecycle.per_shard_mhas`` is on, and otherwise keeps a retrained
-shard's own config.
+  never judges.  A due store retrains once: one warm-started refit of
+  its model, every shard re-materialized under it.
 
 The engine holds a plain reference to its store and calls its surface
 (``shards``, ``router``, ``split_shard``, ``merge_shards``,
-``executor``) and :func:`~repro.shard.topology.build_config`; the store
-imports this module, not the other way around, so the layering stays
-acyclic.
+``retrain_due``, ``rebuild``); the store imports this module, not the
+other way around, so the layering stays acyclic.
 """
 
 from __future__ import annotations
@@ -46,7 +35,6 @@ import numpy as np
 from .policy import LifecycleConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..core.deep_mapping import DeepMapping
     from ..shard.store import ShardedDeepMapping
 
 __all__ = ["LifecycleEvent", "MaintenanceEngine"]
@@ -57,15 +45,14 @@ class LifecycleEvent:
     """One maintenance action, in execution order."""
 
     kind: str  # "rebuild" | "split" | "merge"
-    ordinal: int
-    #: Live rows involved (the shard for rebuild/split, the pair for merge).
+    #: The shard split, or the left shard of a merged pair; None for a
+    #: rebuild, which retrains the whole store.
+    ordinal: Optional[int]
+    #: Live rows involved (the store for a rebuild, the shard for a
+    #: split, the pair for a merge).
     n_rows: int
     #: Split: the chosen cut.  Merge: the removed boundary.  Rebuild: None.
     cut: Optional[int] = None
-
-    def to_json(self) -> Dict[str, object]:
-        return {"kind": self.kind, "ordinal": self.ordinal,
-                "n_rows": self.n_rows, "cut": self.cut}
 
 
 class MaintenanceEngine:
@@ -78,23 +65,6 @@ class MaintenanceEngine:
         self.n_rebuilds = 0
         self.n_splits = 0
         self.n_merges = 0
-        self.adopt_all()
-
-    # ------------------------------------------------------------------
-    # Shard adoption: the engine owns when a retrain runs
-    # ------------------------------------------------------------------
-    def adopt(self, shard: Optional["DeepMapping"]) -> None:
-        """Disable a shard's inline retrain; the engine asks instead.
-
-        The shard keeps *recording* into its tracker — that is exactly the
-        per-shard accounting its retrain rule reads.
-        """
-        if shard is not None:
-            shard.auto_rebuild = False
-
-    def adopt_all(self) -> None:
-        for shard in self.store.shards:
-            self.adopt(shard)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -104,7 +74,6 @@ class MaintenanceEngine:
         return {
             "policy": self.config.policy,
             "rebalance": self.config.rebalance,
-            "per_shard_mhas": self.config.per_shard_mhas,
             "rebuilds": self.n_rebuilds,
             "splits": self.n_splits,
             "merges": self.n_merges,
@@ -127,40 +96,18 @@ class MaintenanceEngine:
         events performed this pass (also appended to :attr:`events`).
         """
         performed: List[LifecycleEvent] = []
-        # Rebalance first: splits and merges rebuild their shards anyway
-        # (with zeroed trackers), so a shard that is both retrain-due and
-        # overfull gets one build, not a retrain whose model is thrown
-        # away by the split that follows.
+        # Rebalance first: a split or merge only repartitions, so a
+        # retrain after it re-materializes the final shards once.
         if self.config.rebalance and self.store.router.kind == "range":
             performed.extend(self._run_rebalance())
-        performed.extend(self._run_retrains())
-        self.events.extend(performed)
-        return performed
-
-    # -- retrains -------------------------------------------------------
-    def _run_retrains(self) -> List[LifecycleEvent]:
         bounds = self.config.retrain_bounds(
             self.store.config.retrain_threshold_bytes)
-        due = [ordinal for ordinal, shard in enumerate(self.store.shards)
-               if shard is not None and shard.retrain_due(*bounds)]
-        if not due:
-            return []
-
-        from ..shard.topology import build_config  # the store imports us
-
-        def rebuild_one(ordinal: int) -> LifecycleEvent:
-            shard = self.store.shards[ordinal]
-            n_rows = len(shard)
-            shard.rebuild(config=build_config(self.store.config, self.config,
-                                              n_rows, shard.config))
-            return LifecycleEvent("rebuild", ordinal, n_rows)
-
-        # Through the store's fan-out pool: one job per due shard, the
-        # mutating thread blocks on the batch instead of training inline
-        # one shard at a time.
-        events = self.store.executor.map(rebuild_one, due)
-        self.n_rebuilds += len(events)
-        return events
+        if self.store.retrain_due(*bounds):
+            performed.append(LifecycleEvent("rebuild", None, len(self.store)))
+            self.store.rebuild()
+            self.n_rebuilds += 1
+        self.events.extend(performed)
+        return performed
 
     # -- rebalancing ----------------------------------------------------
     def _run_rebalance(self) -> List[LifecycleEvent]:

@@ -30,8 +30,7 @@ POLICY_NAMES = ("bytes", "aux-ratio", "never")
 
 @dataclass
 class LifecycleConfig:
-    """Knobs of the maintenance engine (retrain bound + rebalancing +
-    sizing).
+    """Knobs of the maintenance engine (retrain bound + rebalancing).
 
     All fields are JSON-serializable scalars so the config round-trips
     through the store manifest (:meth:`to_state` / :meth:`from_state`).
@@ -50,8 +49,7 @@ class LifecycleConfig:
     rebalance: bool = False
     #: Split a shard once its rows exceed this multiple of the mean.
     split_balance: float = 2.0
-    #: Never split a shard below ``2 * split_min_rows`` rows (each half
-    #: must be worth its own model).
+    #: Never split a shard below ``2 * split_min_rows`` rows.
     split_min_rows: int = 128
     #: Merge an adjacent pair once their combined rows drop under this
     #: multiple of the mean (hysteresis: keep well below split_balance).
@@ -62,19 +60,6 @@ class LifecycleConfig:
     #: Cap on split/merge actions per maintenance run (a run happens per
     #: mutation batch; the cap bounds mutation-latency spikes).
     max_actions_per_run: int = 4
-
-    #: Right-size each lifecycle (re)build's architecture to the shard's
-    #: row count instead of reusing the global fixed spec.
-    per_shard_mhas: bool = False
-    #: Rows at parity with the base architecture: shards below scale
-    #: their widths down by ``sqrt(rows / reference_rows)``.
-    sizing_reference_rows: int = 4096
-    #: Narrowest hidden width the sizer will emit.
-    sizing_min_width: int = 8
-    #: Shards at or above this row count run a budget-scaled MHAS search;
-    #: smaller shards take the closed-form spec (search costs more than
-    #: it saves on tiny tables).
-    sizing_search_rows: int = 100_000
 
     def __post_init__(self):
         if self.policy not in POLICY_NAMES:
@@ -96,8 +81,6 @@ class LifecycleConfig:
             raise ValueError("split_min_rows must be positive")
         if self.max_actions_per_run < 1:
             raise ValueError("max_actions_per_run must be positive")
-        if self.sizing_reference_rows < 1 or self.sizing_min_width < 1:
-            raise ValueError("sizing parameters must be positive")
 
     def retrain_bounds(
         self, default_threshold_bytes: Optional[int] = None
@@ -122,5 +105,7 @@ class LifecycleConfig:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "LifecycleConfig":
+        """Inverse of :meth:`to_state`; keys this version does not know
+        (a manifest's retired sizing knobs) are ignored."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in state.items() if k in known})

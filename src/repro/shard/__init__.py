@@ -1,10 +1,8 @@
-"""Sharded DeepMapping: partition the key domain across independent models.
+"""Sharded DeepMapping: one model per table, its rows partitioned by key.
 
-A single :class:`~repro.core.deep_mapping.DeepMapping` couples one neural
-model with one existence vector over the *whole* flattened key domain, which
-caps both the dataset size (the bit vector, the model's one-hot input width)
-and lookup throughput (one model evaluates every query key).  This package
-scales the structure out horizontally:
+A sharded store fits one model over the whole table, as the paper does,
+and splits ``T_aux`` and ``V_exist`` into key windows (shards) that fan
+batched lookups out and rebalance independently:
 
 - :mod:`repro.shard.router` — vectorized key→shard routing policies
   (:class:`RangeShardRouter` over the leading key column,
@@ -18,14 +16,9 @@ scales the structure out horizontally:
 - :mod:`repro.shard.persistence` — the saved store's directory layout:
   what ``save`` writes and the writable / shared / hydrating opens.
 
-The write-side lifecycle — retrain policies, range split/merge
-rebalancing, per-shard model sizing — lives in :mod:`repro.lifecycle`;
-a store opts in by passing ``ShardingConfig(lifecycle=...)``.
-
-Range sharding additionally *shrinks* each shard's key domain, so per-shard
-key encodings need fewer one-hot digits and the per-key inference cost drops
-— a measurable win even on a single core (see ``benchmarks/bench_sharding``
-and ``docs/sharding.md``).
+The write-side lifecycle — the store-level retrain policy and range
+split/merge rebalancing — lives in :mod:`repro.lifecycle`; a store opts
+in by passing ``ShardingConfig(lifecycle=...)``.
 """
 
 from .manifest import (MANIFEST_NAME, ShardEntry, ShardManifest,

@@ -4,10 +4,10 @@ A saved store is a directory::
 
     store/
       manifest.json     <- this module's concern
-      config.pkl        <- pickled DeepMappingConfig (build knobs)
-      shard-0000.dm     <- one DeepMapping.save() payload per non-empty shard
-      shard-0002.dm        (empty shards have no file; the manifest records
-      ...                   them with ``file: null``)
+      model.rzc         <- the store's one model (RZC2 container, CRC-checked)
+      shard-0000.dm     <- one shard payload (T_aux + V_exist) per non-empty
+      shard-0002.dm        shard (empty shards have no file; the manifest
+      ...                  records them with ``file: null``)
 
 ``manifest.json`` is deliberately human-readable JSON: it carries the
 router state (strategy + cut points / seed), the key and value schema with
@@ -31,18 +31,23 @@ from ..core.negative_filter import filter_from_json
 from ..resilience.errors import StoreCorruptedError, StoreNotFoundError
 from ..storage.backends import LocalDirBackend, StorageBackend
 
-__all__ = ["MANIFEST_NAME", "CONFIG_NAME", "ShardEntry", "ShardManifest",
+__all__ = ["MANIFEST_NAME", "MODEL_NAME", "ShardEntry", "ShardManifest",
            "is_sharded_store", "is_sharded_backend"]
 
 MANIFEST_NAME = "manifest.json"
-CONFIG_NAME = "config.pkl"
+#: The store's one model (:func:`repro.core.persistence.model_payload`).
+#: Not a ``*.dm`` name: it is not a shard payload.
+MODEL_NAME = "model.rzc"
 
-#: Bumped when the directory layout changes incompatibly.  Version 2:
-#: ``value_dtypes`` is the dtype each column comes back in, widened by
-#: every insert and update; a version-1 manifest recorded the build
-#: dtype, which can be narrower than a shard's vocabulary.
+#: Bumped when the directory layout changes incompatibly.  Version 3:
+#: one model blob (``MODEL_NAME``) for the whole store, shard payloads
+#: without session segments, and the store's modification ``tracker``
+#: here.  Version 2 had one model per shard and a ``config.pkl``.
 FORMAT = "sharded-deepmapping"
-VERSION = 2
+VERSION = 3
+
+#: The last commit that reads each refused manifest version.
+_LAST_READER = {1: "798b592", 2: "b095e50"}
 
 
 @dataclass
@@ -88,6 +93,9 @@ class ShardManifest:
     #: carries none: such a store never prunes.  Budget: <= 2 bytes per
     #: key (see ``docs/sharding.md``).
     store_filter: Optional[object] = None
+    #: The store's ``ModificationTracker`` counters (modified bytes since
+    #: the last retrain), so a reopened store keeps its retrain budget.
+    tracker: Dict[str, int] = field(default_factory=dict)
 
     @property
     def n_shards(self) -> int:
@@ -104,6 +112,7 @@ class ShardManifest:
             "shards": [entry.to_json() for entry in self.shards],
             "sharding": dict(self.sharding),
             "lifecycle": dict(self.lifecycle),
+            "tracker": dict(self.tracker),
         }
         if self.store_filter is not None:
             obj["store_filter"] = self.store_filter.to_json()
@@ -125,6 +134,7 @@ class ShardManifest:
             lifecycle=dict(obj.get("lifecycle", {})),
             store_filter=(filter_from_json(obj["store_filter"])
                           if obj.get("store_filter") is not None else None),
+            tracker=dict(obj.get("tracker", {})),
         )
 
     # ------------------------------------------------------------------
@@ -135,9 +145,9 @@ class ShardManifest:
         manifest is the store's root pointer, and a crash mid-write must
         leave either the old manifest or the new one, never a torn blob.
         Note the scope: this protects the *manifest*; re-saving a store in
-        place rewrites shard payload blobs first, so a crash between
-        payload writes and the manifest swap can leave the old manifest
-        pointing at newer payloads.  Save to a fresh container when a
+        place rewrites the model and shard payload blobs first, so a
+        crash between payload writes and the manifest swap can leave the
+        old manifest pointing at newer payloads.  Save to a fresh container when a
         fully atomic store swap is required.
         """
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
@@ -189,13 +199,13 @@ class ShardManifest:
 
 def _check_version(obj: Dict[str, object]) -> None:
     version = obj.get("version")
-    if version == 1:
+    if version in _LAST_READER:
         raise ValueError(
-            "this manifest is version 1, whose value_dtypes are build "
-            "dtypes that a later insert or update may have outgrown; "
-            "this version reads only version 2. Open the store at commit "
-            "798b592, the last one that reads version 1, take its rows "
-            "(to_table()) and build them again with this version.")
+            f"this manifest is version {version}; this version reads only "
+            f"version {VERSION} (one model per store). Open the store at "
+            f"commit {_LAST_READER[version]}, the last one that reads "
+            f"version {version}, take its rows (to_table()) and build "
+            "them again with this version.")
     if isinstance(version, int) and version > VERSION:
         raise ValueError(f"manifest version {version} is newer than "
                          f"supported version {VERSION}")

@@ -3,7 +3,8 @@
 A saved store is a container — any
 :class:`~repro.storage.backends.StorageBackend`, selected by URL scheme
 — holding ``manifest.json`` (:mod:`repro.shard.manifest` draws the
-tree), ``config.pkl`` and one ``shard-NNNN.dm`` payload per non-empty
+tree), the store's one model blob ``model.rzc`` and one
+``shard-NNNN.dm`` payload (``T_aux`` and ``V_exist``) per non-empty
 shard.  :func:`save` writes it and sweeps payload blobs a previous save
 left behind; :func:`load` reads it back three ways — writable, shared
 read-only, or hydrating over a remote backend.
@@ -14,14 +15,14 @@ the public entry points; they hand straight to this module.
 from __future__ import annotations
 
 import functools
-import pickle
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..core.deep_mapping import DeepMapping
-from ..core.persistence import open_payload
+from ..core.persistence import (model_payload, open_model, open_payload,
+                                shard_payload)
 from ..lifecycle import LifecycleConfig
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
@@ -29,7 +30,7 @@ from ..storage.buffer_pool import BufferPool
 from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
-from .manifest import CONFIG_NAME, ShardEntry, ShardManifest
+from .manifest import MODEL_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
 from .store import ShardedDeepMapping, ShardingConfig
 
@@ -72,19 +73,16 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
     entries: List[ShardEntry] = []
     sharding = store.sharding
     with store.stats.timing("io"):
+        total += backend.write_bytes(MODEL_NAME, model_payload(store.model))
         for ordinal, shard in enumerate(store.shards):
             if shard is None:
                 entries.append(ShardEntry(file=None))
                 continue
             fname = shard_blob_name(ordinal)
-            nbytes = backend.write_bytes(fname, shard.to_payload())
+            nbytes = backend.write_bytes(fname, shard_payload(shard))
             entries.append(ShardEntry(file=fname, n_rows=len(shard),
                                       n_bytes=nbytes))
             total += nbytes
-
-        config_payload = pickle.dumps(store.config,
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-        total += backend.write_bytes(CONFIG_NAME, config_payload)
 
     lifecycle: Dict[str, object] = {}
     if sharding.lifecycle is not None:
@@ -111,6 +109,7 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
         },
         lifecycle=lifecycle,
         store_filter=store._store_filter,
+        tracker=store.tracker.to_state(),
     )
     total += manifest.save_to(backend)
 
@@ -138,21 +137,23 @@ def load(cls, target: Union[str, StorageBackend],
     """Open the store saved in ``target`` as a ``cls``
     (:meth:`ShardedDeepMapping.load` documents the overrides).
 
-    All shards' auxiliary partitions share one
+    The store's one model opens first
+    (:func:`repro.core.persistence.open_model`); every shard then opens
+    under it through :func:`repro.core.persistence.open_payload`, the
+    one open rule.  All shards' auxiliary partitions share one
     :class:`~repro.storage.buffer_pool.BufferPool`, so a single byte
-    budget caps resident partitions across the store.  Every shard
-    opens through :func:`repro.core.persistence.open_payload`, the one
-    open rule: **writable** (the default) reads every payload whole
-    into private, mutable copies; **shared** (``writable=False``) opens
-    every shard through the process-wide payload cache — zero-copy
-    views (mmap-backed on local directories), one deserialized bundle
-    per unchanged blob (compiled kernel and attached partitions
-    included); cached shards keep the pool of their *first* (cold)
-    open, so ``pool_budget_bytes`` only applies to shards loaded cold.
-    **Hydrating** (backends flagging ``remote = True``; forces
-    ``writable=False``) fetches only the manifest and build config and
-    stands a :class:`~repro.storage.hydration.LazyShard` in for every
-    shard, which runs the same open on first routed touch
+    budget caps resident partitions across the store.  **Writable**
+    (the default) reads every payload whole into private, mutable
+    copies; **shared** (``writable=False``) opens the model and every
+    shard through the process-wide payload cache — zero-copy views
+    (mmap-backed on local directories), one deserialized bundle per
+    unchanged blob (the model's compiled kernel and the shards'
+    attached partitions included); cached shards keep the pool of
+    their *first* (cold) open, so ``pool_budget_bytes`` only applies
+    to shards loaded cold.  **Hydrating** (backends flagging ``remote =
+    True``; forces ``writable=False``) fetches only the manifest and the
+    model blob and stands a :class:`~repro.storage.hydration.LazyShard`
+    in for every shard, which runs the same open on first routed touch
     (``docs/remote.md``).
     """
     backend = (backend_for_url(target, create=False)
@@ -162,7 +163,7 @@ def load(cls, target: Union[str, StorageBackend],
         writable = False
     manifest = ShardManifest.load_from(backend)
     router = router_from_state(manifest.router)
-    config = pickle.loads(backend.read_bytes(CONFIG_NAME))
+    model = open_model(backend, MODEL_NAME, writable=writable)
 
     saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")
@@ -196,7 +197,8 @@ def load(cls, target: Union[str, StorageBackend],
             shards.append(None)
             continue
         opener = functools.partial(open_payload, backend, entry.file,
-                                   writable=writable, pool=pool, stats=stats)
+                                   writable=writable, pool=pool, stats=stats,
+                                   model=model)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload
@@ -206,14 +208,19 @@ def load(cls, target: Union[str, StorageBackend],
             shards.append(LazyShard(opener, n_rows=entry.n_rows,
                                     stats=stats, label=entry.file))
         else:
-            shards.append(opener())
+            shard = opener()
+            # The store owns the model, so the store — never a shard —
+            # retrains.
+            shard.auto_rebuild = False
+            shards.append(shard)
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
-    store = cls(router, shards, config, sharding,
+    store = cls(router, model, shards, sharding,
                 value_names=tuple(manifest.value_names),
                 value_dtypes=value_dtypes, stats=stats, pool=pool,
                 store_filter=manifest.store_filter)
     store.writable = writable
+    store.tracker.restore_counters(manifest.tracker)
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])
     return store

@@ -64,7 +64,7 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     # with ordinals.  A shard retired mid-batch keeps answering as it
     # did (retiring only purges its pool entries), but this does NOT
     # license concurrent mutation: the single-writer contract stands.
-    router, shards = store._topology
+    router, _, shards = store._topology
     if n == 0:
         return LookupResult(*_allocate(store, 0))
     if deadline is not None:
@@ -96,7 +96,7 @@ def contains_batch(store, keys) -> np.ndarray:
     """Liveness per key from each owning shard's existence vector."""
     key_cols = normalize_keys(keys, store.key_names)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
-    router, shards = store._topology
+    router, _, shards = store._topology
     exists = np.zeros(n, dtype=bool)
     routed = _route(store, router, key_cols)
     for _, shard, segment, dest in _segments(shards, *routed):

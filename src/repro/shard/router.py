@@ -8,15 +8,14 @@ Two policies are provided:
 
 - :class:`RangeShardRouter` partitions on the *leading* key column using
   cut points chosen at build time to balance row counts.  Every shard owns
-  a contiguous key range, so per-shard key domains (and therefore the
-  one-hot digit width of each shard's model input) shrink with the shard
+  a contiguous key range, so its existence window shrinks with the shard
   count.  Keys outside the fitted range route to the first/last shard,
   which keeps inserts of fresh, larger keys well-defined.
 - :class:`HashShardRouter` mixes *all* key columns through a splitmix64
   finalizer and takes the result modulo ``n_shards``.  Placement is
   uniform and oblivious to key distribution (good for skewed or adversarial
-  leading columns) at the cost of per-shard domains as wide as the global
-  one.
+  leading columns) at the cost of per-shard existence windows as wide as
+  the global domain.
 
 Routers are deterministic, picklable via :meth:`ShardRouter.to_state` /
 :func:`router_from_state` (plain JSON-friendly dicts, recorded in the store
@@ -84,7 +83,9 @@ class RangeShardRouter(ShardRouter):
             raise ValueError(
                 f"expected {self.n_shards - 1} cut points, got {self.cuts.size}"
             )
-        if self.cuts.size and np.any(np.diff(self.cuts) < 0):
+        # Compare neighbours, not their difference: int64 cuts up to
+        # +-2**62 apart would overflow np.diff into a false "descending".
+        if np.any(self.cuts[1:] < self.cuts[:-1]):
             raise ValueError("cut points must be ascending")
 
     @classmethod

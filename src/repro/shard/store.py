@@ -1,28 +1,28 @@
 """The sharded DeepMapping store.
 
-:class:`ShardedDeepMapping` partitions a table's key domain across N
-independent :class:`~repro.core.deep_mapping.DeepMapping` shards and gives
-them one facade with the same surface (``lookup`` / ``lookup_one`` /
-``insert`` / ``delete`` / ``update`` / ``save`` / ``load`` /
-``size_report``), so existing layers — :func:`repro.core.query.select`,
-the CLI, the bench harness — work over it transparently.
+:class:`ShardedDeepMapping` fits **one** model over a table (paper Sec.
+IV) and partitions the key domain across N shards, each a
+:class:`~repro.core.deep_mapping.DeepMapping` holding only its window's
+``T_aux``, overlay and ``V_exist`` under that model, behind the
+monolithic structure's surface — so :func:`repro.core.query.select`,
+the CLI and the bench harness work over either.
 
-This module owns the store's build, its **mutation** path and the
-store filter; its other methods hand straight to the module that owns
-the decision: the **topology** (the atomically swapped ``(router,
-shards)`` pair, split/merge, and which config builds a shard) to
-:mod:`repro.shard.topology`, the **read path** (prune → route →
-allocate → dispatch → result) to :mod:`repro.shard.read_path`, and the
-on-disk layout to :mod:`repro.shard.persistence`.
+This module owns the store's build, its **mutation** path, the retrain
+rule over store totals and the store filter; its other methods hand
+straight to the module that owns the decision: the **topology** (the
+atomically swapped ``(router, model, shards)`` triple, split/merge and
+the store-level retrain) to :mod:`repro.shard.topology`, the **read
+path** (prune → route → allocate → dispatch → result) to
+:mod:`repro.shard.read_path`, and the on-disk layout to
+:mod:`repro.shard.persistence`.
 
-Modifications route the same way: each row is applied to the owning
-shard's auxiliary table, and an insert that targets an empty shard
-materializes a fresh shard over those rows.  When the sharding config
-carries a :class:`~repro.lifecycle.LifecycleConfig`, every mutation batch
-ends with a :class:`~repro.lifecycle.MaintenanceEngine` pass — policy-
-driven retrains on the fan-out pool, plus range shard split/merge
-rebalancing with per-shard MHAS sizing (:mod:`repro.shard.topology`
-holds the mechanics; the engine holds the policy).
+Each modified row goes to its owning shard's auxiliary table; an insert
+into an empty shard materializes one under the model, keys past the
+leading key's max grow the domain in place, and any other widening
+retrains the store.  Every mutation batch ends with the retrain rule —
+a :class:`~repro.lifecycle.MaintenanceEngine` pass when the sharding
+config carries a :class:`~repro.lifecycle.LifecycleConfig`, the build
+config's bounds otherwise.  Only a retrain trains.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ import numpy as np
 from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
                                  SizeReport, normalize_keys, normalize_rows)
+from ..core.model import Model
+from ..core.modify import (ModificationTracker, estimate_batch_bytes,
+                           retrain_due)
 from ..core.negative_filter import build_store_filter, hash_key_columns
 from ..core.plan import LookupResult, blank
 from ..data.table import ColumnTable
@@ -62,12 +65,13 @@ _STORE_FILTER_BITS = 8
 
 @dataclass
 class ShardingConfig:
-    """Knobs of the sharded store (orthogonal to the per-shard build)."""
+    """Knobs of the sharded store (orthogonal to the model's build)."""
 
     #: Number of shards the key domain is split into.
     n_shards: int = 4
-    #: ``"range"`` (contiguous leading-key ranges, shrinks per-shard
-    #: domains) or ``"hash"`` (uniform placement over all key columns).
+    #: ``"range"`` (contiguous leading-key ranges, shrinks each shard's
+    #: existence window) or ``"hash"`` (uniform placement over all key
+    #: columns).
     strategy: str = "range"
     #: Thread-pool width for fan-out; ``None`` means
     #: ``min(n_shards, cpu_count)``.  Effective width 1 runs inline.
@@ -82,10 +86,9 @@ class ShardingConfig:
     #: Shared buffer-pool budget for all shards' aux partitions
     #: (``None`` = unbounded).
     pool_budget_bytes: Optional[int] = None
-    #: Write-side maintenance: retrain policy, split/merge rebalancing,
-    #: per-shard MHAS sizing (see :mod:`repro.lifecycle`).  ``None`` keeps
-    #: the store unmanaged — shards retrain inline on their own
-    #: thresholds, exactly the pre-lifecycle behavior.
+    #: Write-side maintenance: retrain policy and split/merge
+    #: rebalancing (see :mod:`repro.lifecycle`).  ``None`` keeps the
+    #: store unmanaged — it retrains on its build config's bounds.
     lifecycle: Optional[LifecycleConfig] = None
     #: Fault-isolation mode of the lookup fan-out.  ``"raise"`` (the
     #: default, the historical behavior): any shard failure fails the
@@ -130,7 +133,7 @@ class ShardingConfig:
 
 
 class ShardedDeepMapping:
-    """N independent DeepMapping shards behind one mapping facade.
+    """N shards under one model behind one mapping facade.
 
     Build with :meth:`fit`; the facade mirrors
     :class:`~repro.core.deep_mapping.DeepMapping` closely enough that
@@ -143,19 +146,17 @@ class ShardedDeepMapping:
     Concurrency contract: :meth:`lookup` is safe to call from many
     threads at once (that is the point of the fan-out).  Mutations
     (:meth:`insert` / :meth:`delete` / :meth:`update`) are
-    single-writer and must not run concurrently with lookups — a
-    mutation can trigger a shard rebuild that swaps structures
-    non-atomically, exactly like the monolithic ``rebuild()``, and a
-    reader racing it is promised nothing.  A split or merge swaps the
-    topology atomically: a reader still holding the old pair keeps its
-    retired shards' answers.
+    single-writer and must not run concurrently with lookups, and a
+    reader racing one is promised nothing.  A split, merge or retrain
+    swaps the topology atomically: a reader still holding the old triple
+    keeps its retired shards' (and model's) answers.
     """
 
     def __init__(
         self,
         router: ShardRouter,
+        model: Model,
         shards: List[Optional[DeepMapping]],
-        config: DeepMappingConfig,
         sharding: ShardingConfig,
         value_names: Tuple[str, ...],
         value_dtypes: Dict[str, np.dtype],
@@ -168,23 +169,27 @@ class ShardedDeepMapping:
             raise ValueError(
                 f"router expects {router.n_shards} shards, got {len(shards)}"
             )
-        #: Router and shard list live in ONE tuple so lifecycle actions
-        #: (split/merge) can swap both with a single atomic attribute
-        #: store; readers snapshot the pair once per operation.
-        self._topology: Tuple[ShardRouter, List[Optional[DeepMapping]]] = (
-            router, list(shards))
+        #: Router, model and shard list live in ONE tuple so lifecycle
+        #: actions (split/merge/retrain) swap them with a single atomic
+        #: attribute store; readers snapshot the triple once per
+        #: operation.  Every shard is materialized under the model.
+        self._topology: Tuple[ShardRouter, Model,
+                              List[Optional[DeepMapping]]] = (
+            router, model, list(shards))
         #: The pruning filter over the union of every shard's keys (a
         #: ``NegativeFilter`` / ``DenseNegativeFilter``; ``None``: never
         #: prune).  Since key->shard placement is a pure function of the
         #: key, "in no shard" and "not in the owning shard" are the same
         #: predicate — so this filter prunes without routing anything.
-        #: Kept outside the topology pair: splits/merges/retrains
+        #: Kept outside the topology triple: splits/merges/retrains
         #: preserve the key union, so it survives them unchanged, and
         #: deletes only ever leave it a stale superset (never a false
         #: negative) until :meth:`refresh_store_filter`.
         self._store_filter = store_filter
-        self.config = config
         self.sharding = sharding
+        #: Modified bytes since the last retrain, over the whole store:
+        #: the bytes bound of :meth:`retrain_due`.
+        self.tracker = ModificationTracker()
         self.stats = stats if stats is not None else StoreStats()
         self.pool = pool
         self._value_names = tuple(value_names)
@@ -223,13 +228,9 @@ class ShardedDeepMapping:
         sharding: Optional[ShardingConfig] = None,
         stats: Optional[StoreStats] = None,
     ) -> "ShardedDeepMapping":
-        """Partition ``table`` and train one DeepMapping per shard.
-
-        Shards build concurrently on the fan-out thread pool when the
-        effective worker count exceeds one; each shard trains over only
-        its own rows (and, under range sharding, over a proportionally
-        smaller key domain).
-        """
+        """Fit one model over ``table``, then materialize each shard's
+        ``T_aux`` and ``V_exist`` under it (:func:`topology.install
+        <repro.shard.topology.install>`)."""
         config = config if config is not None else DeepMappingConfig()
         sharding = sharding if sharding is not None else ShardingConfig()
         stats = stats if stats is not None else StoreStats()
@@ -237,41 +238,22 @@ class ShardedDeepMapping:
         key_cols = table.key_columns_dict()
         router = make_router(sharding.strategy, key_cols, table.key,
                              sharding.n_shards)
-        with stats.timing("route"):
-            shard_ids = router.route(key_cols)
-
         pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                           stats=stats)
         value_names = tuple(sorted(table.value_columns))
         value_dtypes = {name: table.column(name).dtype
                         for name in value_names}
-
-        def build_one(ordinal: int) -> Optional[DeepMapping]:
-            rows = np.flatnonzero(shard_ids == ordinal)
-            if rows.size == 0:
-                return None
-            shard_config = topology.build_config(config, sharding.lifecycle,
-                                                 int(rows.size))
-            # Shards share the store's stats sink so pool/io/inference
-            # buckets aggregate; increments race benignly under threads.
-            return DeepMapping.fit(table.take(rows), shard_config,
-                                   pool=pool, stats=stats)
-
-        # The same strategy that will fan lookups out also fans the
-        # per-shard builds out (NumPy training kernels release the GIL).
-        executor = make_executor(sharding.executor,
-                                 sharding.effective_workers())
-        shards = executor.map(build_one, range(sharding.n_shards))
-
         with stats.timing("filter_build"):
             store_filter = build_store_filter(
                 hash_key_columns(key_cols, router.key_names),
                 bits_per_key=_STORE_FILTER_BITS)
 
-        return cls(router, shards, config, sharding,
-                   value_names=value_names, value_dtypes=value_dtypes,
-                   stats=stats, pool=pool, executor=executor,
-                   store_filter=store_filter)
+        fit = Model.fit(table, config)
+        store = cls(router, fit.model, [None] * router.n_shards, sharding,
+                    value_names=value_names, value_dtypes=value_dtypes,
+                    stats=stats, pool=pool, store_filter=store_filter)
+        topology.install(store, table, fit)
+        return store
 
     # ------------------------------------------------------------------
     # Introspection
@@ -282,14 +264,19 @@ class ShardedDeepMapping:
         return self._topology[0]
 
     @property
-    def shards(self) -> List[Optional[DeepMapping]]:
-        """The live shard list (swapped atomically with the router)."""
+    def model(self) -> Model:
+        """The store's one model (swapped atomically by a retrain)."""
         return self._topology[1]
 
-    def _swap_topology(self, router: ShardRouter,
-                       shards: List[Optional[DeepMapping]]) -> None:
-        """Install a new (router, shards) pair atomically."""
-        topology.swap(self, router, shards)
+    @property
+    def shards(self) -> List[Optional[DeepMapping]]:
+        """The live shard list (swapped atomically with the router)."""
+        return self._topology[2]
+
+    @property
+    def config(self) -> DeepMappingConfig:
+        """The build config (the model's)."""
+        return self.model.config
 
     @property
     def n_shards(self) -> int:
@@ -327,34 +314,30 @@ class ShardedDeepMapping:
         return [0 if shard is None else len(shard) for shard in self.shards]
 
     def compile_engines(self) -> int:
-        """Eagerly build every live shard's fused lookup kernel (a load
-        does, so first-query latency stays flat and the fan-out hits a
-        ready :class:`~repro.nn.compiled.CompiledSession` per shard;
-        fit-time shards already carry the engine their build produced).
-        Returns the number of engines ready."""
-        count = 0
-        for shard in self.shards:
-            if shard is not None:
-                shard.compiled_session()
-                count += 1
-        return count
+        """Eagerly build the model's fused lookup kernel (a load does, so
+        first-query latency stays flat; a fit already carries the kernel
+        its freeze priced).  Returns the number of live shards it
+        serves."""
+        self.model.compiled_session()
+        return sum(1 for shard in self.shards if shard is not None)
 
     def storage_bytes(self) -> int:
         """Total offline footprint across shards."""
         return self.size_report().total_bytes
 
     def size_report(self) -> SizeReport:
-        """Aggregated per-component storage breakdown (Eq. 1 summed)."""
-        reports = [shard.size_report() for shard in self.shards
-                   if shard is not None]
+        """Per-component storage breakdown (Eq. 1): the one model and
+        decode map once, ``T_aux`` and ``V_exist`` summed over shards."""
+        model = self.model
+        live = [shard for shard in self.shards if shard is not None]
         return SizeReport(
-            model_bytes=sum(r.model_bytes for r in reports),
-            aux_bytes=sum(r.aux_bytes for r in reports),
-            exist_bytes=sum(r.exist_bytes for r in reports),
-            decode_bytes=sum(r.decode_bytes for r in reports),
-            dataset_bytes=sum(r.dataset_bytes for r in reports),
+            model_bytes=model.session.nbytes,
+            aux_bytes=sum(shard.aux.stored_bytes() for shard in live),
+            exist_bytes=sum(shard.exist.stored_bytes() for shard in live),
+            decode_bytes=model.fdecode.nbytes,
+            dataset_bytes=model.dataset_bytes,
             n_rows=len(self),
-            n_in_aux=sum(r.n_in_aux for r in reports),
+            n_in_aux=sum(len(shard.aux) for shard in live),
         )
 
     # ------------------------------------------------------------------
@@ -408,41 +391,37 @@ class ShardedDeepMapping:
         shard are absent by definition."""
         return read_path.contains_batch(self, keys)
 
+    def _aux_rows(self) -> int:
+        return sum(len(shard.aux) for shard in self.shards
+                   if shard is not None)
+
     def aux_ratio(self) -> float:
         """Fraction of live rows currently served from auxiliary tables,
         aggregated across shards (empty store: 0.0)."""
         n_rows = len(self)
         if n_rows == 0:
             return 0.0
-        in_aux = sum(len(shard.aux) for shard in self.shards
-                     if shard is not None)
-        return in_aux / n_rows
+        return self._aux_rows() / n_rows
+
+    def retrain_due(self, threshold_bytes: Optional[int],
+                    aux_ratio: Optional[float]) -> bool:
+        """The one retrain rule (:func:`repro.core.modify.retrain_due`)
+        over store totals: modified bytes since the last retrain, live
+        rows and ``T_aux`` rows across every shard."""
+        return retrain_due(self.tracker, len(self), self._aux_rows,
+                           threshold_bytes, aux_ratio)
 
     def rebuild(self, config: Optional[DeepMappingConfig] = None) -> None:
-        """Retrain every live shard from its current logical content.
+        """Retrain the store from its current logical content: one
+        warm-started refit of the model, then every shard re-materialized
+        under it (:func:`repro.shard.topology.retrain`).
 
-        ``config`` optionally replaces each shard's build configuration;
-        when omitted, each shard rebuilds with the config
-        :func:`repro.shard.topology.build_config` gives its row count and
-        its own config.
-        Shards rebuild concurrently on the executor strategy.  Runs under
-        the store's single-writer mutation contract (a rebuild swaps
-        shard internals non-atomically).
+        ``config`` optionally replaces the build configuration for this
+        and future retrains.  Runs under the store's single-writer
+        mutation contract.
         """
         self._require_writable()
-        lifecycle = self.sharding.lifecycle
-
-        def rebuild_one(shard: DeepMapping) -> None:
-            shard.rebuild(config if config is not None else
-                          topology.build_config(self.config, lifecycle,
-                                                len(shard), shard.config))
-
-        live = [shard for shard in self.shards if shard is not None]
-        self.executor.map(rebuild_one, live)
-        # A retrain preserves the keyset, so the store filter was still a
-        # correct superset — but rebuilding it here drops the false
-        # positives accumulated by deletes since the last build.
-        self.refresh_store_filter()
+        topology.retrain(self, self.to_table(), config)
 
     def lookup_async(self, keys: KeysLike, *,
                      deadline: Optional[Deadline] = None) -> Future:
@@ -497,9 +476,11 @@ class ShardedDeepMapping:
     def insert(self, rows: RowsLike) -> int:
         """Route new rows to their owning shards (Algorithm 3 per shard).
 
-        An insert into an empty shard trains a fresh DeepMapping over just
-        those rows.  Returns the number of rows materialized in auxiliary
-        tables (fresh shards count their own aux rows).
+        An insert into an empty shard materializes one under the store's
+        model.  Keys past the leading key's max grow the domain and the
+        tail window in place; any other key outside the domain retrains
+        the store over its content and the batch.  Returns the rows
+        materialized in auxiliary tables (0 after a retrain).
 
         The batch is validated against existing keys and intra-batch
         duplicates before any shard is mutated: either problem raises
@@ -520,6 +501,16 @@ class ShardedDeepMapping:
             raise ValueError(f"{already} key(s) already exist; use update()")
 
         self._widen_dtypes(columns)
+        self.tracker.record(estimate_batch_bytes(columns))
+        codec = self.model.key_codec
+        if not (codec.try_flatten(columns)[1].all()
+                or codec.extend_domain(columns)):
+            incoming = ColumnTable(columns, key=self.key_names)
+            content = self.to_table()
+            topology.retrain(self, content.concat(incoming)
+                             if content.n_rows else incoming)
+            self._maintain()
+            return 0
         landed = 0
         stale = False  # the dense store filter declined rows: rebuild it
         try:
@@ -528,7 +519,7 @@ class ShardedDeepMapping:
                           for name, arr in columns.items()}
                 shard = self.shards[ordinal]
                 if shard is None:
-                    fresh = topology.build_shard(self, ColumnTable(
+                    fresh = topology.build_shard(self, ordinal, ColumnTable(
                         subset, key=self.key_names, name="shard"))
                     self.shards[ordinal] = fresh
                     landed += len(fresh.aux)
@@ -570,6 +561,7 @@ class ShardedDeepMapping:
                 continue
             deleted += shard.delete({name: arr[rows_idx]
                                      for name, arr in key_cols.items()})
+        self.tracker.record(estimate_batch_bytes(key_cols))
         self._maintain()
         return deleted
 
@@ -599,6 +591,7 @@ class ShardedDeepMapping:
         for ordinal, rows_idx in groups:
             landed += self.shards[ordinal].update(
                 {name: arr[rows_idx] for name, arr in columns.items()})
+        self.tracker.record(estimate_batch_bytes(columns))
         self._maintain()
         return landed
 
@@ -611,8 +604,8 @@ class ShardedDeepMapping:
     def _require_unique_batch_keys(self, columns: Dict[str, np.ndarray]) -> None:
         """Reject mutation batches that repeat a key.
 
-        A duplicate would fail *inside* one shard (a fresh fit or domain
-        rebuild requires unique keys) after other shards were already
+        A duplicate would fail *inside* one shard (a fresh shard or a
+        retrain requires unique keys) after other shards were already
         mutated — so it is rejected up front to keep insert all-or-nothing.
         """
         stacked = np.stack([np.asarray(columns[name], dtype=np.int64)
@@ -635,9 +628,13 @@ class ShardedDeepMapping:
     # Lifecycle: maintenance plumbing and split/merge mechanics
     # ------------------------------------------------------------------
     def _maintain(self) -> None:
-        """One engine pass after a mutation batch (no-op when unmanaged)."""
+        """After a mutation batch: one engine pass, or — unmanaged — the
+        retrain rule with the build config's bounds."""
         if self.engine is not None:
             self.engine.run_pending()
+        elif self.retrain_due(self.config.retrain_threshold_bytes,
+                              self.config.retrain_aux_ratio):
+            self.rebuild()
 
     def refresh_store_filter(self) -> None:
         """Rebuild the store filter from all live keys.

@@ -1,57 +1,117 @@
 """The sharded store's topology: the one module that changes it.
 
-The store's ``(router, shards)`` pair is swapped atomically
-(:func:`swap`), so a reader holding the old pair keeps its answers;
-:func:`split_shard` / :func:`merge_shards` build new range shards and
-swap them in.  :func:`build_config` is the one answer to which config
-builds a shard of ``n`` rows, for every build the store runs.
+The store's ``(router, model, shards)`` triple is swapped atomically
+(:func:`swap`), so a reader holding the old triple keeps its answers —
+the model it started with included.  A shard is ``T_aux`` and
+``V_exist`` of one key window (:func:`window`) materialized under the
+store's one model (:func:`build_shard`); nothing here trains.
+:func:`split_shard` / :func:`merge_shards` repartition range shards and
+swap them in; :func:`retrain` is the store-level retrain — one
+warm-started refit, then every shard re-materialized under it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import DeepMapping
-from ..lifecycle import LifecycleConfig, derive_build_config
+from ..core.model import Fit, Model
+from ..data.table import ColumnTable
 from .router import RangeShardRouter, ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .store import ShardedDeepMapping
 
-__all__ = ["build_config", "build_shard", "swap", "can_split",
-           "split_shard", "merge_shards"]
+__all__ = ["window", "build_shard", "swap", "install", "retrain",
+           "can_split", "split_shard", "merge_shards"]
 
 
-def build_config(config: DeepMappingConfig,
-                 lifecycle: Optional[LifecycleConfig], n_rows: int,
-                 own: Optional[DeepMappingConfig] = None,
-                 ) -> DeepMappingConfig:
-    """The config that builds a shard of ``n_rows`` rows.
+def window(router: ShardRouter, model: Model,
+           ordinal: int) -> Tuple[int, int]:
+    """``(base, size)``, the flat keys shard ``ordinal``'s ``V_exist``
+    covers: a range shard's leading keys ``[cuts[i-1], cuts[i])`` are
+    one run of flat codes under the lexicographic codec (the last run
+    ends at the domain's end); a hash bucket covers the whole domain."""
+    codec = model.key_codec
+    lo, hi = 0, codec.domain_size
+    if isinstance(router, RangeShardRouter):
+        if ordinal > 0:
+            lo = codec.leading_start(router.cuts[ordinal - 1])
+        if ordinal < router.n_shards - 1:
+            hi = codec.leading_start(router.cuts[ordinal])
+    return lo, max(hi - lo, 1)
 
-    With per-shard MHAS sizing on, it is derived from the row count
-    (:func:`~repro.lifecycle.derive_build_config`).  Otherwise a retrain
-    keeps the shard's ``own`` config and a new shard takes the store's
-    ``config``.
-    """
-    if lifecycle is not None and lifecycle.per_shard_mhas:
-        return derive_build_config(config, n_rows, lifecycle)
-    return own if own is not None else config
+
+def _shard(store: "ShardedDeepMapping", model: Model, router: ShardRouter,
+           ordinal: int, flat, labels, lost) -> DeepMapping:
+    shard = DeepMapping.materialize(model, flat, labels, lost,
+                                    window=window(router, model, ordinal),
+                                    pool=store.pool, stats=store.stats)
+    # The store owns the model, so the store — never a shard — retrains.
+    shard.auto_rebuild = False
+    return shard
 
 
-def swap(store: "ShardedDeepMapping", router: ShardRouter,
+def build_shard(store: "ShardedDeepMapping", ordinal: int,
+                table: ColumnTable,
+                router: Optional[ShardRouter] = None) -> DeepMapping:
+    """Shard ``ordinal`` of ``router`` (default: the store's) over
+    ``table``, materialized under the store's model — no training."""
+    model = store.model
+    return _shard(store, model, router or store.router, ordinal,
+                  *model.encode(table))
+
+
+def swap(store: "ShardedDeepMapping", router: ShardRouter, model: Model,
          shards: List[Optional[DeepMapping]]) -> None:
-    """Install a new (router, shards) pair atomically."""
+    """Install a new (router, model, shards) triple atomically."""
     if len(shards) != router.n_shards:
         raise ValueError(
             f"router expects {router.n_shards} shards, got {len(shards)}"
         )
-    store._topology = (router, list(shards))
+    store._topology = (router, model, list(shards))
     # Keep the recorded knob in step so save/load round-trips the
     # post-rebalance shard count.
     store.sharding.n_shards = router.n_shards
+
+
+def install(store: "ShardedDeepMapping", table: ColumnTable,
+            fit: Fit) -> None:
+    """Materialize every shard of ``table`` under ``fit`` (just fit over
+    it) and swap the triple in; retired shards' partitions leave the
+    pool, a reader still holding them keeps its answers."""
+    router = store.router
+    with store.stats.timing("route"):
+        shard_ids = router.route(table.key_columns_dict())
+    shards: List[Optional[DeepMapping]] = []
+    for ordinal in range(router.n_shards):
+        rows = np.flatnonzero(shard_ids == ordinal)
+        shards.append(None if rows.size == 0 else _shard(
+            store, fit.model, router, ordinal, fit.flat[rows],
+            {t: codes[rows] for t, codes in fit.labels.items()},
+            fit.lost[rows]))
+    retired = store.shards
+    swap(store, router, fit.model, shards)
+    for shard in retired:
+        if shard is not None:
+            shard.aux.drop_storage()
+
+
+def retrain(store: "ShardedDeepMapping", table: ColumnTable,
+            config: Optional[DeepMappingConfig] = None) -> None:
+    """The store-level retrain: refit the one model over ``table`` (the
+    content, plus rows the domain could not take), warm-started unless
+    ``config`` says otherwise, :func:`install` it, restart the tracker
+    and rebuild the store filter (dropping deletes' false positives)."""
+    config = config if config is not None else store.config
+    warm = (store.model.session.state_arrays()
+            if config.warm_start_rebuild and not config.use_search else None)
+    install(store, table, Model.fit(table, config, warm_start=warm))
+    store.tracker.mark_rebuilt()
+    store.refresh_store_filter()
 
 
 def _require_range_router(store: "ShardedDeepMapping") -> RangeShardRouter:
@@ -75,31 +135,16 @@ def can_split(store: "ShardedDeepMapping", ordinal: int) -> bool:
     return np.unique(leading).size >= 2
 
 
-def build_shard(store: "ShardedDeepMapping", table) -> DeepMapping:
-    """A new shard over ``table`` with the :func:`build_config` of its
-    row count, handed to the engine (if any)."""
-    config = build_config(store.config, store.sharding.lifecycle,
-                          table.n_rows)
-    shard = DeepMapping.fit(table, config, pool=store.pool,
-                            stats=store.stats)
-    if store.engine is not None:
-        store.engine.adopt(shard)
-    return shard
-
-
 def split_shard(store: "ShardedDeepMapping", ordinal: int,
                 cut: Optional[int] = None) -> int:
     """Split range shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
-    upper)`` halves, rebuilding each as its own DeepMapping.
+    upper)`` halves, each materialized under the store's model (nothing
+    trains), and swap them in atomically; the retired shard's partitions
+    leave the pool (a reader still holding it keeps its answers).
 
     ``cut`` defaults to the shard's median live leading key; an
-    explicit cut must leave both halves non-empty.  Each half builds
-    with the :func:`build_config` of its own row count.  The halves
-    build concurrently on the fan-out pool, then the router (with the
-    new cut) and the shard list swap in atomically; the retired shard's
-    aux partitions are purged from the pool (a reader still holding it
-    keeps its answers).  Runs under the store's single-writer mutation
-    contract.  Returns the cut used.
+    explicit cut must leave both halves non-empty.  Single-writer.
+    Returns the cut used.
     """
     store._require_writable()
     router = _require_range_router(store)
@@ -126,27 +171,21 @@ def split_shard(store: "ShardedDeepMapping", ordinal: int,
                 f"span [{int(uniq[0])}, {int(uniq[-1])}]"
             )
 
-    halves = [table.take(np.flatnonzero(leading < cut)),
-              table.take(np.flatnonzero(leading >= cut))]
-    left, right = store.executor.map(
-        lambda half: build_shard(store, half), halves)
-
-    new_shards = (store.shards[:ordinal] + [left, right]
-                  + store.shards[ordinal + 1:])
-    swap(store, router.split_at(ordinal, cut), new_shards)
+    split = router.split_at(ordinal, cut)
+    halves = [build_shard(store, ordinal + side,
+                          table.take(np.flatnonzero(mask)), split)
+              for side, mask in enumerate((leading < cut, leading >= cut))]
+    new_shards = store.shards[:ordinal] + halves + store.shards[ordinal + 1:]
+    swap(store, split, store.model, new_shards)
     shard.aux.drop_storage()
     return cut
 
 
 def merge_shards(store: "ShardedDeepMapping", ordinal: int) -> None:
-    """Merge range shards ``ordinal`` and ``ordinal + 1`` into one.
-
-    The pair's live rows rebuild as a single DeepMapping with the
-    :func:`build_config` of their row count; merging two empty shards
-    just removes the boundary.  The router (minus the boundary cut) and
-    the shard list swap in atomically; both retired shards' aux
-    partitions are purged from the pool.  Runs under the store's
-    single-writer mutation contract.
+    """Merge range shards ``ordinal`` and ``ordinal + 1``: the pair's
+    rows are materialized as one shard under the store's model (nothing
+    trains; two empty shards just lose their boundary) and swapped in
+    atomically, the retired shards' partitions purged.  Single-writer.
     """
     store._require_writable()
     router = _require_range_router(store)
@@ -159,14 +198,15 @@ def merge_shards(store: "ShardedDeepMapping", ordinal: int) -> None:
     second = store.shards[ordinal + 1]
     tables = [s.to_table() for s in (first, second)
               if s is not None and len(s)]
+    merged_router = router.merge_at(ordinal)
     merged: Optional[DeepMapping] = None
     if tables:
-        merged = build_shard(store, tables[0] if len(tables) == 1
-                             else tables[0].concat(tables[1]))
+        merged = build_shard(store, ordinal, tables[0] if len(tables) == 1
+                             else tables[0].concat(tables[1]), merged_router)
 
     new_shards = (store.shards[:ordinal] + [merged]
                   + store.shards[ordinal + 2:])
-    swap(store, router.merge_at(ordinal), new_shards)
+    swap(store, merged_router, store.model, new_shards)
     for retired in (first, second):
         if retired is not None:
             retired.aux.drop_storage()

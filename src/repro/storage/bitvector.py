@@ -110,11 +110,14 @@ class BitVector:
     # Batch access
     # ------------------------------------------------------------------
     def test_many(self, indices) -> np.ndarray:
-        """Vectorized :meth:`test`; returns a boolean array."""
+        """Vectorized :meth:`test`; returns a boolean array in which an
+        index outside ``[0, len)`` tests False."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._size):
-            raise IndexError("bit index out of range")
-        return ((self._bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1).astype(bool)
+        inside = idx.view(np.uint64) < self._size  # negatives wrap high
+        if not inside.all():
+            return self.test_many(np.where(inside, idx, 0)) & inside
+        return ((self._bits[idx >> 3] >> (idx & 7).astype(np.uint8))
+                & 1).astype(bool)
 
     def set_many(self, indices, value: bool = True) -> None:
         """Vectorized :meth:`set`.  Duplicate indices are permitted."""

@@ -180,12 +180,8 @@ class LazyShard:
     (``__len__``, ``repr``, row-count reports) stays download-free.
     """
 
-    #: ``auto_rebuild`` is the one attribute a store *sets* on its
-    #: shards at open (the maintenance engine takes over the retrain
-    #: decision); a hydrated shard is read-only and never retrains, so
-    #: the proxy keeps the flag itself instead of downloading to set it.
     __slots__ = ("_loader", "_lock", "_target", "_stats", "_n_rows",
-                 "_label", "auto_rebuild")
+                 "_label")
 
     def __init__(self, loader: Callable[[], object], *,
                  n_rows: int = 0, stats=None, label: str = ""):

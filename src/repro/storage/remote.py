@@ -193,8 +193,8 @@ class HttpBackend:
         Zero-copy containers are fetched index-first through a
         :class:`RangeReader` — its index checked against the length the
         first response states — as head + segments + footer in a few
-        coalesced requests; anything else (the JSON manifest,
-        ``config.pkl``) is read whole.
+        coalesced requests; anything else (the JSON manifest) is read
+        whole.
         """
         prefix, total = self._ranged(name, 0, SNIFF_BYTES)
         reader = RangeReader(self, name, prefix=prefix, blob_size=total)

@@ -9,21 +9,26 @@ decompression / locate partition / other).
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 __all__ = ["StoreStats", "Stopwatch"]
 
 
 class Stopwatch:
-    """Minimal accumulating stopwatch based on ``time.perf_counter``."""
+    """Minimal accumulating stopwatch based on ``time.perf_counter``.
 
-    __slots__ = ("seconds", "calls")
+    ``lock`` (the owning :class:`StoreStats`'s) guards the accumulation
+    when several threads time into one stopwatch."""
 
-    def __init__(self):
+    __slots__ = ("seconds", "calls", "_lock")
+
+    def __init__(self, lock: Optional[threading.Lock] = None):
         self.seconds = 0.0
         self.calls = 0
+        self._lock = lock if lock is not None else threading.Lock()
 
     @contextmanager
     def timing(self) -> Iterator[None]:
@@ -32,13 +37,16 @@ class Stopwatch:
         try:
             yield
         finally:
-            self.seconds += time.perf_counter() - start
-            self.calls += 1
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self.seconds += elapsed
+                self.calls += 1
 
     def reset(self) -> None:
         """Zero the accumulated time and call count."""
-        self.seconds = 0.0
-        self.calls = 0
+        with self._lock:
+            self.seconds = 0.0
+            self.calls = 0
 
 
 class StoreStats:
@@ -57,22 +65,29 @@ class StoreStats:
     - ``inference``: neural network forward pass
     - ``existence``: bit-vector membership test
     - ``decode``: label-code to original-value translation
+
+    Thread-safe: the sharded fan-out times and counts from several
+    threads into one sink, so one lock guards every counter bump, every
+    stopwatch accumulation, timer creation, :meth:`snapshot` and
+    :meth:`reset`.
     """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, Stopwatch] = {}
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def timer(self, name: str) -> Stopwatch:
         """Return (creating if needed) the stopwatch called ``name``."""
         watch = self.timers.get(name)
         if watch is None:
-            watch = Stopwatch()
-            self.timers[name] = watch
+            with self._lock:
+                watch = self.timers.setdefault(name, Stopwatch(self._lock))
         return watch
 
     @contextmanager
@@ -88,20 +103,24 @@ class StoreStats:
 
     def total_seconds(self) -> float:
         """Sum over all timers."""
-        return sum(watch.seconds for watch in self.timers.values())
+        with self._lock:
+            return sum(watch.seconds for watch in self.timers.values())
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of counters and timer seconds (timers keyed by name)."""
-        out: Dict[str, float] = dict(self.counters)
-        for name, watch in self.timers.items():
-            out[f"{name}_seconds"] = watch.seconds
+        with self._lock:
+            out: Dict[str, float] = dict(self.counters)
+            for name, watch in self.timers.items():
+                out[f"{name}_seconds"] = watch.seconds
         return out
 
     def reset(self) -> None:
         """Zero every counter and stopwatch."""
-        self.counters.clear()
-        for watch in self.timers.values():
-            watch.reset()
+        with self._lock:
+            self.counters.clear()
+            for watch in self.timers.values():
+                watch.seconds = 0.0
+                watch.calls = 0
 
     def __repr__(self) -> str:
         timers = {k: round(v.seconds, 4) for k, v in self.timers.items()}

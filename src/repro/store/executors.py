@@ -30,8 +30,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Protocol, Union, \
-    runtime_checkable
+from typing import Callable, Optional, Protocol, Union, runtime_checkable
 
 from ..resilience.deadline import Deadline
 
@@ -80,10 +79,6 @@ class ExecutorStrategy(Protocol):
     #: Stable name configs/CLIs select the strategy by.
     name: str
 
-    def map(self, fn: Callable, jobs: Iterable) -> List:
-        """Run ``fn`` over ``jobs``, returning results in job order."""
-        ...
-
     def submit(self, fn: Callable, *args,
                deadline: Optional[Deadline] = None, **kwargs) -> "Future":
         """Schedule ``fn(*args, **kwargs)`` on the coordinator lane;
@@ -92,9 +87,8 @@ class ExecutorStrategy(Protocol):
 
     def submit_job(self, fn: Callable, *args,
                    deadline: Optional[Deadline] = None) -> "Future":
-        """Schedule ``fn(*args)`` on the fan-out lane (the pool ``map``
-        uses); return a future of its result.  Job functions never
-        block on sibling futures."""
+        """Schedule ``fn(*args)`` on the fan-out lane; return a future
+        of its result.  Job functions never block on sibling futures."""
         ...
 
     def close(self) -> None:
@@ -106,9 +100,6 @@ class SerialStrategy:
     """Run everything inline on the calling thread."""
 
     name = "serial"
-
-    def map(self, fn: Callable, jobs: Iterable) -> List:
-        return [fn(job) for job in jobs]
 
     def submit(self, fn: Callable, *args,
                deadline: Optional[Deadline] = None, **kwargs) -> Future:
@@ -129,12 +120,11 @@ class SerialStrategy:
 class ThreadPoolStrategy:
     """Fan out on a lazily created thread pool.
 
-    ``map`` jobs run on the fan-out pool (inline when there is at most
-    one job or one worker — matching the sharded store's historical
-    short-circuit).  ``submit`` runs on a separate two-thread coordinator
-    pool: an async lookup submitted there can safely ``map`` its shard
-    jobs onto the fan-out pool without the two competing for the same
-    workers (the classic nested-pool deadlock).
+    ``submit_job`` jobs run on the fan-out pool (inline with one worker
+    and no deadline).  ``submit`` runs on a separate two-thread
+    coordinator pool: an async lookup submitted there can safely fan
+    its shard jobs onto the fan-out pool without the two competing for
+    the same workers (the classic nested-pool deadlock).
     """
 
     name = "threads"
@@ -163,12 +153,6 @@ class ThreadPoolStrategy:
                     thread_name_prefix="repro-exec-async")
             return self._coordinator
 
-    def map(self, fn: Callable, jobs: Iterable) -> List:
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.max_workers <= 1:
-            return [fn(job) for job in jobs]
-        return list(self._get_pool().map(fn, jobs))
-
     def submit(self, fn: Callable, *args,
                deadline: Optional[Deadline] = None, **kwargs) -> Future:
         return self._get_coordinator().submit(
@@ -178,10 +162,10 @@ class ThreadPoolStrategy:
                    deadline: Optional[Deadline] = None) -> Future:
         """One fan-out job as a future.
 
-        Jobs land on the same pool ``map`` uses, so inference for one
-        shard overlaps aux decompression for another; with a single
-        worker the job runs inline (same short-circuit as ``map``),
-        avoiding thread ping-pong on one-core hosts.  A ``deadline``
+        Jobs land on the fan-out pool, so inference for one shard
+        overlaps aux decompression for another; with a single worker
+        the job runs inline, avoiding thread ping-pong on one-core
+        hosts.  A ``deadline``
         makes the job a no-op (``DeadlineExceeded``) if it is still
         queued when the budget runs out — and disables the one-worker
         inline shortcut, because a deadline only isolates the caller

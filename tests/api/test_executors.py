@@ -9,14 +9,12 @@ from repro.store import (EXECUTOR_NAMES, ExecutorStrategy, SerialStrategy,
 
 
 class TestSerial:
-    def test_map_preserves_order(self):
-        strategy = SerialStrategy()
-        assert strategy.map(lambda x: x * 2, range(5)) == [0, 2, 4, 6, 8]
-
-    def test_map_runs_on_calling_thread(self):
+    def test_jobs_run_on_calling_thread(self):
         seen = []
-        SerialStrategy().map(lambda _: seen.append(threading.get_ident()),
-                             range(3))
+        strategy = SerialStrategy()
+        futures = [strategy.submit_job(seen.append, threading.get_ident())
+                   for _ in range(3)]
+        assert all(future.done() for future in futures)
         assert set(seen) == {threading.get_ident()}
 
     def test_submit_returns_resolved_future(self):
@@ -35,10 +33,12 @@ class TestSerial:
 
 
 class TestThreadPool:
-    def test_map_preserves_order(self):
+    def test_jobs_run_on_the_pool(self):
         strategy = ThreadPoolStrategy(max_workers=4)
         try:
-            assert strategy.map(lambda x: x * x, range(20)) == \
+            futures = [strategy.submit_job(lambda x: x * x, x)
+                       for x in range(20)]
+            assert [f.result(timeout=10) for f in futures] == \
                 [x * x for x in range(20)]
         finally:
             strategy.close()
@@ -46,47 +46,42 @@ class TestThreadPool:
     def test_single_worker_runs_inline(self):
         strategy = ThreadPoolStrategy(max_workers=1)
         seen = []
-        strategy.map(lambda _: seen.append(threading.get_ident()), range(3))
+        for _ in range(3):
+            strategy.submit_job(seen.append, threading.get_ident())
         assert set(seen) == {threading.get_ident()}
         assert strategy._pool is None  # never materialized
 
-    def test_single_job_runs_inline(self):
-        strategy = ThreadPoolStrategy(max_workers=4)
-        seen = []
-        strategy.map(lambda _: seen.append(threading.get_ident()), [0])
-        assert seen == [threading.get_ident()]
-        assert strategy._pool is None
-
     def test_submit_runs_off_fanout_pool(self):
-        # An async job that fans out onto the same strategy's map must
-        # not deadlock, even at width 1 (the coordinator is separate).
+        # An async job that fans out onto the same strategy's fan-out
+        # lane must not deadlock, even at width 1 (the coordinator is
+        # separate).
         strategy = ThreadPoolStrategy(max_workers=1)
         try:
-            future = strategy.submit(strategy.map, lambda x: x + 1, [1, 2])
+            future = strategy.submit(
+                lambda: [strategy.submit_job(lambda x: x + 1, x).result()
+                         for x in (1, 2)])
             assert future.result(timeout=10) == [2, 3]
         finally:
             strategy.close()
 
     def test_close_is_idempotent_and_recoverable(self):
         strategy = ThreadPoolStrategy(max_workers=2)
-        strategy.map(lambda x: x, range(4))
+        strategy.submit_job(lambda: None).result(timeout=10)
         strategy.close()
         strategy.close()
         # A closed strategy lazily rebuilds its pool on next use.
-        assert strategy.map(lambda x: x, range(4)) == [0, 1, 2, 3]
+        assert strategy.submit_job(lambda: 4).result(timeout=10) == 4
         strategy.close()
 
-    def test_exception_propagates_from_map(self):
+    def test_exception_propagates_from_a_job(self):
         strategy = ThreadPoolStrategy(max_workers=2)
 
-        def maybe_boom(x):
-            if x == 3:
-                raise ValueError("worker failure")
-            return x
+        def boom():
+            raise ValueError("worker failure")
 
         try:
             with pytest.raises(ValueError, match="worker failure"):
-                strategy.map(maybe_boom, range(8))
+                strategy.submit_job(boom).result(timeout=10)
         finally:
             strategy.close()
 

@@ -152,7 +152,7 @@ class TestSharedSurfaceBehaves:
                                                   executor=shared))
         b = DeepMapping.fit(api_table, fast_config(epochs=3))
         b.set_executor(shared)
-        shared.map(lambda x: x, range(4))  # materialize the pool
+        shared.submit_job(lambda: None).result()  # materialize the pool
         a.close()
         b.close()
         # Neither store shut the shared pool down.

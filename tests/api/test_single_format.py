@@ -17,8 +17,7 @@ from repro.cli import main
 from repro.lifecycle import LifecycleConfig
 from repro.nn import InferenceSession
 from repro.resilience import StoreCorruptedError
-from repro.shard.manifest import CONFIG_NAME, MANIFEST_NAME
-from repro.shard.persistence import shard_blob_name
+from repro.shard.manifest import MANIFEST_NAME, MODEL_NAME
 from repro.storage import MONOLITHIC_BLOB, InMemoryBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
@@ -127,10 +126,9 @@ def test_retired_shape_is_refused_by_every_open(mono, shape):
 
 
 def test_unpickling_and_container_internals_stay_in_their_modules():
-    """Unpickling happens for the container head, the column section of
-    a partition holding objects (the baselines only) and the sharded
-    store's ``config.pkl``; the container's underscore names are used by
-    nobody else."""
+    """Unpickling happens for the container head and the column section
+    of a partition holding objects (the baselines only); the container's
+    underscore names are used by nobody else."""
     unpicklers, reach_ins = set(), []
     for path in sorted(SRC.rglob("*.py")):
         module, text = path.relative_to(SRC).as_posix(), path.read_text()
@@ -139,8 +137,7 @@ def test_unpickling_and_container_internals_stay_in_their_modules():
         if module != "storage/zerocopy.py":
             reach_ins += [(module, hit) for hit in re.findall(
                 r"zerocopy\._\w+|from \S*zerocopy import [^\n]*\b_\w+", text)]
-    assert unpicklers == {"storage/zerocopy.py", "storage/serializer.py",
-                          "shard/persistence.py"}
+    assert unpicklers == {"storage/zerocopy.py", "storage/serializer.py"}
     assert reach_ins == []
 
 
@@ -148,7 +145,7 @@ def test_payload_loaders_stay_in_core_persistence():
     """One open rule: every loader opens a payload through
     ``repro.core.persistence.open_payload``, so the private steps it is
     made of are named nowhere else."""
-    private = re.compile(r"\b(_open_shared|_load_state|_components_from_state"
+    private = re.compile(r"\b(_open_shared|_load_state|_parts|_cached"
                          r"|_from_bundle|_assemble)\b")
     outside = [(path.relative_to(SRC).as_posix(), hit)
                for path in sorted(SRC.rglob("*.py"))
@@ -170,7 +167,7 @@ def test_the_write_path_runs_one_predictor():
     """Every prediction outside ``repro/testing/`` — lookups, ``T_aux``
     at build and on writes, MHAS's pricing — runs the compiled kernel:
     the stored session has no forward pass, nothing calls one, and the
-    only one-hot encode is ``fit``'s training input."""
+    only one-hot encode is the model fit's training input."""
     assert not hasattr(InferenceSession, "run")
     assert not hasattr(InferenceSession, "run_logits")
     calls = []
@@ -182,8 +179,7 @@ def test_the_write_path_runs_one_predictor():
                   for line in path.read_text().splitlines()
                   if re.search(r"session\.run\(|\.run_logits\(|"
                                r"key_encoder\.encode\(", line)]
-    assert calls == [("core/deep_mapping.py",
-                      "x = key_encoder.encode(flat)")]
+    assert calls == [("core/model.py", "x = key_encoder.encode(flat)")]
 
 
 def parent_config_payload(mapping):
@@ -205,15 +201,11 @@ def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
     if kind == "mono":
         backend.write_bytes(MONOLITHIC_BLOB, parent_config_payload(store))
     else:
-        for ordinal, shard in enumerate(store.shards):
-            backend.write_bytes(shard_blob_name(ordinal),
-                                parent_config_payload(shard))
-        config = pickle.loads(backend.read_bytes(CONFIG_NAME))
-        config.__dict__["inference_batch"] = 65536
-        backend.write_bytes(CONFIG_NAME, pickle.dumps(
-            config, protocol=pickle.HIGHEST_PROTOCOL))
-    assert all(b"inference_batch" in backend.read_bytes(blob)
-               for blob in backend.list() if blob.endswith((".dm", ".pkl")))
+        state = zerocopy.unpack(backend.read_bytes(MODEL_NAME))
+        state["config"].__dict__["inference_batch"] = 65536
+        backend.write_bytes(MODEL_NAME, zerocopy.pack(state))
+    config_blob = MONOLITHIC_BLOB if kind == "mono" else MODEL_NAME
+    assert b"inference_batch" in backend.read_bytes(config_blob)
     expected = store.lookup(query_keys)
 
     def opens():
@@ -272,22 +264,23 @@ def mutated(api_table):
 
 
 def saved_fields(backend):
-    """Tracker keys of every payload, plus the lifecycle-config keys of
-    the manifest."""
+    """Tracker keys of every payload and of the manifest, plus the
+    manifest's lifecycle-config keys."""
     found = set()
     for blob in backend.list():
         if blob == MANIFEST_NAME:
             manifest = json.loads(backend.read_bytes(blob))
             found |= set(manifest["lifecycle"]["config"])
+            found |= set(manifest["tracker"])
         elif blob.endswith(".dm"):
-            found |= set(zerocopy.unpack(backend.read_bytes(blob))["tracker"])
+            state = zerocopy.unpack(backend.read_bytes(blob))
+            found |= set(state.get("tracker", {}))
     return found
 
 
 def tracker_counters(store):
-    shards = store.shards if hasattr(store, "shards") else [store]
-    return [(shard.tracker.bytes_since_build, shard.tracker.total_retrains)
-            for shard in shards if shard is not None]
+    """A sharded store's one tracker, or a monolithic structure's."""
+    return (store.tracker.bytes_since_build, store.tracker.total_retrains)
 
 
 @pytest.mark.parametrize("kind", ["mono", "sharded"])
@@ -295,7 +288,7 @@ def test_parent_saved_tracker_and_manifest_fields_open_and_resave_without_them(
         mutated, query_keys, kind):
     store = mutated[kind]
     counters = tracker_counters(store)
-    assert all(done > 0 and retrains == 1 for done, retrains in counters)
+    assert counters[0] > 0 and counters[1] == 1
     name = f"parent-tracker-{kind}-{os.urandom(6).hex()}"
     backend = InMemoryBackend.named(name)
     store.save(backend.url)
@@ -303,13 +296,13 @@ def test_parent_saved_tracker_and_manifest_fields_open_and_resave_without_them(
     if kind == "mono":
         backend.write_bytes(MONOLITHIC_BLOB, parent_tracker_payload(store))
     else:
-        for ordinal, shard in enumerate(store.shards):
-            backend.write_bytes(shard_blob_name(ordinal),
-                                parent_tracker_payload(shard))
         manifest = json.loads(backend.read_bytes(MANIFEST_NAME))
-        manifest["lifecycle"]["config"]["policy_min_rows"] = 1
+        manifest["tracker"].update(threshold_bytes=10**9, ops_since_build=7)
+        retired |= {"policy_min_rows", "per_shard_mhas",
+                    "sizing_reference_rows", "sizing_min_width",
+                    "sizing_search_rows"}
+        manifest["lifecycle"]["config"].update(dict.fromkeys(retired, 1))
         backend.write_bytes(MANIFEST_NAME, json.dumps(manifest).encode())
-        retired.add("policy_min_rows")
     assert retired <= saved_fields(backend)
     expected = store.lookup(query_keys)
 

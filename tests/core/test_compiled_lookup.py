@@ -127,8 +127,8 @@ class TestCompiledLookupParity:
 class TestEngineLifecycle:
     def test_fit_prewarms_engine(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
-        assert isinstance(dm._compiled, CompiledSession)
-        assert dm.compiled_session() is dm._compiled
+        assert isinstance(dm.model._compiled, CompiledSession)
+        assert dm.compiled_session() is dm.model._compiled
 
     def test_engine_cached_across_lookups(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
@@ -164,15 +164,15 @@ class TestEngineLifecycle:
         np.testing.assert_array_equal(result.values["status"],
                                       np.array(["A", "B"]))
 
-    def test_stale_engine_detected_without_explicit_reset(self, gap_table):
-        # Belt and braces: even if an engine survives a session swap, the
-        # identity check in compiled_session() recompiles.
+    def test_engine_belongs_to_the_model(self, gap_table):
+        # The kernel is compiled once per model: a structure answers
+        # through whichever model it holds, never a stale kernel.
         dm = DeepMapping.fit(gap_table, fast_config())
         stale = dm.compiled_session()
         other = DeepMapping.fit(gap_table, fast_config(seed=5))
-        dm.session = other.session
-        dm.key_encoder = other.key_encoder
+        dm.model = other.model
         assert dm.compiled_session() is not stale
+        assert dm.compiled_session().session is other.session
 
     def test_save_load_roundtrip_keeps_compiled_lookups(self, gap_table,
                                                         tmp_path):
@@ -188,12 +188,14 @@ class TestEngineLifecycle:
 
 
 class TestShardedCompiledEngines:
-    def test_fit_compiles_one_engine_per_live_shard(self):
+    def test_fit_compiles_one_engine_for_every_shard(self):
         table = synthetic.single_column(2000, "high", seed=3)
         store = ShardedDeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=4))
         live = [s for s in store.shards if s is not None]
-        assert all(isinstance(s._compiled, CompiledSession) for s in live)
+        assert isinstance(store.model._compiled, CompiledSession)
+        assert all(s.compiled_session() is store.model._compiled
+                   for s in live)
 
     def test_sharded_lookup_matches_reference_path(self):
         table = synthetic.single_column(2000, "high", seed=3)
@@ -220,7 +222,8 @@ class TestShardedCompiledEngines:
         store.close()
         clone = ShardedDeepMapping.load(str(tmp_path / "store.dms"))
         live = [s for s in clone.shards if s is not None]
-        assert live and all(isinstance(s._compiled, CompiledSession)
+        assert isinstance(clone.model._compiled, CompiledSession)
+        assert live and all(s.compiled_session() is clone.model._compiled
                             for s in live)
         assert clone.lookup({"key": table.column("key")}).found.all()
         clone.close()

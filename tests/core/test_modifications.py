@@ -61,14 +61,26 @@ class TestInsert:
         with pytest.raises(ValueError, match="columns"):
             dm.insert({"key": np.array([99_999])})
 
-    def test_out_of_domain_insert_triggers_rebuild(self):
+    def test_append_past_the_max_widens_without_a_retrain(self):
         table, dm = fresh_mapping(headroom=0.0)
         batch = synthetic.insert_batch(table, 50, "high")
-        rebuilds_before = dm.tracker.total_retrains
+        assert batch.column("key").min() > table.column("key").max()
+        session = dm.session
         dm.insert(batch)
-        assert dm.tracker.total_retrains == rebuilds_before + 1
+        assert dm.tracker.total_retrains == 0
+        assert dm.session is session
         assert dm.lookup({"key": batch.column("key")}).found.all()
+        assert dm.lookup(table).found.all()
         assert len(dm) == table.n_rows + 50
+
+    def test_key_below_the_domain_triggers_rebuild(self):
+        table, dm = fresh_mapping(headroom=0.0)
+        below = int(table.column("key").min()) - 3
+        dm.insert({"key": np.array([below], dtype=np.int64),
+                   **{c: table.column(c)[:1] for c in dm.value_names}})
+        assert dm.tracker.total_retrains == 1
+        assert dm.lookup({"key": np.array([below])}).found.all()
+        assert len(dm) == table.n_rows + 1
 
     @pytest.mark.parametrize("owned", [True, False],
                              ids=["owned", "caller-owned"])
@@ -85,7 +97,7 @@ class TestInsert:
         closes = []
         close = installed.close
         installed.close = lambda: (closes.append(installed), close())
-        far_key = int(table.column("key").max()) * 10 + 3
+        far_key = int(table.column("key").min()) - 3
         dm.insert({"key": np.array([far_key], dtype=np.int64),
                    **{c: table.column(c)[:1] for c in dm.value_names}})
         assert dm.tracker.total_retrains == 1  # the domain did widen
@@ -316,7 +328,7 @@ class TestTrackerPersistence:
                                   retrain_threshold_bytes=10**9)
         dm.insert(synthetic.insert_batch(table, 10, "high"))
         tracker = dm.tracker
-        far_key = int(table.column("key").max()) * 10 + 3
+        far_key = int(table.column("key").min()) - 3
         dm.insert({
             "key": np.array([far_key], dtype=np.int64),
             **{c: np.array([table.column(c)[0]])

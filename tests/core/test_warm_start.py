@@ -87,10 +87,10 @@ class TestWarmStartFit:
         cold = DeepMapping.fit(table, fast_config(epochs=40))
         warm = DeepMapping.fit(table, fast_config(epochs=2),
                                warm_start=cold.session.state_arrays())
-        assert warm.warm_started_tensors > 0
+        assert warm.model.warm_started_tensors > 0
         cold_restart = DeepMapping.fit(table, fast_config(epochs=2))
-        assert (warm.last_training.epoch_losses[0]
-                < cold_restart.last_training.epoch_losses[0])
+        assert (warm.model.last_training.epoch_losses[0]
+                < cold_restart.model.last_training.epoch_losses[0])
 
     def test_warm_start_preserves_losslessness(self):
         table = synthetic.multi_column(500, "low")
@@ -107,14 +107,14 @@ class TestWarmRebuild:
         dm = DeepMapping.fit(table, fast_config(epochs=30,
                                                 key_headroom_fraction=1.0))
         dm.rebuild()
-        assert dm.warm_started_tensors > 0
+        assert dm.model.warm_started_tensors > 0
 
     def test_rebuild_from_a_packed_store_transfers_every_tensor(self):
         table = synthetic.multi_column(600, "high")
         dm = DeepMapping.fit(table, fast_config(epochs=30))
         assert dm.session.bits is not None
         dm.rebuild()
-        assert dm.warm_started_tensors == 2 * len(
+        assert dm.model.warm_started_tensors == 2 * len(
             dm.session.spec.layer_plan())
         result = dm.lookup({"key": table.column("key")})
         assert result.found.all()
@@ -127,7 +127,7 @@ class TestWarmRebuild:
         config = fast_config(epochs=10, warm_start_rebuild=False)
         dm = DeepMapping.fit(table, config)
         dm.rebuild()
-        assert dm.warm_started_tensors == 0
+        assert dm.model.warm_started_tensors == 0
 
     def test_warm_rebuild_converges_faster(self):
         """The paper's motivation: reuse makes the expensive retrain step
@@ -141,5 +141,5 @@ class TestWarmRebuild:
         dm_warm = DeepMapping.fit(table, config,
                                   warm_start=dm.session.state_arrays())
         dm_cold = DeepMapping.fit(table, config)
-        assert (dm_warm.last_training.epochs_run
-                <= dm_cold.last_training.epochs_run)
+        assert (dm_warm.model.last_training.epochs_run
+                <= dm_cold.model.last_training.epochs_run)

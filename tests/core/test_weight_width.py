@@ -272,7 +272,7 @@ class TestChosenWidthIsTheEq1Argmin:
             frozen.append(model)
             return original(model, *args)
 
-        monkeypatch.setattr(repro.core.deep_mapping, "choose_width", spy)
+        monkeypatch.setattr(repro.core.model, "choose_width", spy)
         mapping = DeepMapping.fit(table, fast_config(epochs=20))
         (model,) = frozen
         assert isinstance(model, MultiTaskMLP)

@@ -97,16 +97,19 @@ class TestLifecycleConfig:
     def test_state_round_trip(self):
         config = LifecycleConfig(policy="aux-ratio", aux_ratio=0.3,
                                  rebalance=True, split_balance=3.0,
-                                 per_shard_mhas=True, max_shards=16)
+                                 max_shards=16)
         restored = LifecycleConfig.from_state(config.to_state())
         assert restored == config
 
     def test_from_state_ignores_unknown_keys(self):
         """Manifests written by a newer version — or an older one that
-        still saved ``policy_min_rows`` — must still load."""
+        still saved ``policy_min_rows`` or the per-shard sizing knobs —
+        must still load."""
         state = LifecycleConfig().to_state()
         state["future_knob"] = 42
         state["policy_min_rows"] = 1
+        state["per_shard_mhas"] = True
+        state["sizing_reference_rows"] = 4096
         assert LifecycleConfig.from_state(state) == LifecycleConfig()
 
     def test_retrain_bounds_per_policy_name(self):

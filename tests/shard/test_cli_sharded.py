@@ -77,7 +77,7 @@ class TestBenchRejectsShards:
 class TestLifecycleFlags:
     def test_build_with_lifecycle_knobs(self, tmp_path, capsys):
         argv, out = build_sharded(
-            tmp_path, extra=["--rebalance", "--per-shard-mhas"])
+            tmp_path, extra=["--rebalance"])
         assert main(argv) == 0
         stdout = capsys.readouterr().out
         assert "lifecycle: policy=never rebalance=True" in stdout

@@ -121,7 +121,10 @@ class TestOneDtypePerColumn:
         assert store.value_dtype("s") == np.dtype("<U2")
         self.widen(store)
         assert store.value_dtype("s") == np.dtype("<U9")
-        assert store.shards[1].fdecode.encoders["s"].vocab.dtype == "<U2"
+        # One decode map for every shard: shard 1 decodes the new value
+        # too, though none of its rows holds it.
+        assert all(shard.fdecode is store.model.fdecode
+                   for shard in store.shards)
         for keys in (self.SHARD_1, {"key": np.zeros(0, dtype=np.int64)}):
             for result in (store.lookup(keys), barrier_lookup(store, keys)):
                 assert result.values["s"].dtype == np.dtype("<U9")
@@ -160,7 +163,7 @@ class TestOneDtypePerColumn:
 
 
 class TestManifestVersion:
-    def test_fresh_manifest_is_version_2_without_prune_meta(self, tmp_path):
+    def test_fresh_manifest_is_version_3_without_prune_meta(self, tmp_path):
         # Both shards share one smallest value per column, the case the
         # removed prune metadata was written for.
         table = ColumnTable({"key": KEYS, "v": KEYS % 3},
@@ -171,18 +174,22 @@ class TestManifestVersion:
         sharded.save(str(path))
         sharded.close()
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         assert "prune_meta" not in manifest
         assert manifest["value_dtypes"] == {"v": "<i8"}
 
     @pytest.mark.parametrize("writable", [True, False])
-    def test_version_1_manifest_is_refused(self, store, tmp_path, writable):
+    @pytest.mark.parametrize("version, last_reader",
+                             [(1, "798b592"), (2, "b095e50")])
+    def test_older_manifest_is_refused(self, store, tmp_path, writable,
+                                       version, last_reader):
         path = tmp_path / "store"
         store.save(str(path))
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["version"] = 1
+        manifest["version"] = version
         (path / "manifest.json").write_text(json.dumps(manifest))
         payload_cache().clear()
-        with pytest.raises(ValueError, match="commit 798b592") as info:
+        with pytest.raises(ValueError, match=f"commit {last_reader}") \
+                as info:
             repro.open(str(path), writable=writable)
         assert not isinstance(info.value, repro.StoreCorruptedError)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DeepMappingConfig
 from repro.data import ColumnTable, synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import ShardedDeepMapping, ShardingConfig, topology
 from repro.store import make_executor
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
@@ -243,7 +243,8 @@ class TestEmptyShards:
         flat = shard.exist.existing_keys()
         key_cols = shard.key_codec.unflatten(flat)
         store.delete(key_cols)
-        store._swap_topology(store.router, [None] + list(store.shards[1:]))
+        topology.swap(store, store.router, store.model,
+                      [None] + list(store.shards[1:]))
         rng = np.random.default_rng(2)
         live = table.column("key")
         query = {"key": np.concatenate([
@@ -257,9 +258,6 @@ class TestExecutors:
     def test_strategy_without_fan_out_lane_is_rejected(self):
         class NoJobLane:
             name = "no-job-lane"
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
 
             def submit(self, fn, *args, deadline=None, **kwargs):
                 raise AssertionError("never scheduled")

@@ -280,7 +280,12 @@ class TestPersistence:
         report = sharded.size_report()
         per_shard = [shard.size_report() for shard in sharded.shards
                      if shard is not None]
-        assert report.model_bytes == sum(r.model_bytes for r in per_shard)
+        # One model and one decode map, counted once; T_aux and V_exist
+        # summed over shards.
+        assert report.model_bytes == sharded.model.session.nbytes
+        assert report.decode_bytes == sharded.model.fdecode.nbytes
+        assert report.aux_bytes == sum(r.aux_bytes for r in per_shard)
+        assert report.exist_bytes == sum(r.exist_bytes for r in per_shard)
         assert report.n_rows == len(sharded)
         assert report.total_bytes > 0
 

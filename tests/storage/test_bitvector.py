@@ -99,12 +99,12 @@ class TestBatchAccess:
         vec.set_many(np.empty(0, dtype=np.int64))
         assert vec.count() == 0
 
-    def test_batch_out_of_range_raises(self):
-        vec = BitVector(10)
+    def test_batch_set_out_of_range_raises_and_tests_false(self):
+        vec = BitVector(10, fill=True)
         with pytest.raises(IndexError):
             vec.set_many([10])
-        with pytest.raises(IndexError):
-            vec.test_many([-1])
+        assert vec.test_many([-1, 10, 2**40, 9]).tolist() == [
+            False, False, False, True]
 
 
 class TestResize:

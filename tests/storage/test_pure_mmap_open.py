@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import AuxiliaryTable, DeepMapping
+from repro.core.model import Model
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard.manifest import MODEL_NAME
 from repro.storage import InMemoryBackend, LocalDirBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.storage.partition import SortedPartitionStore
@@ -79,7 +81,7 @@ def partition_writes(monkeypatch):
 
 
 def payload_blobs(names):
-    return [n for n in names if n.endswith(".dm")]
+    return [n for n in names if n.endswith(".dm") or n == MODEL_NAME]
 
 
 def full_query(table):
@@ -108,27 +110,31 @@ class TestPureMmapColdOpen:
         read_calls["read_bytes"].clear()
         read_calls["read_view"].clear()
         opened = repro.open(url, writable=False)
-        # Shard payloads are mapped, never copied out as bytes; the
-        # (small, JSON) manifest may use whichever access it likes.
+        # The model and shard payloads are mapped, never copied out as
+        # bytes; the (small, JSON) manifest may use whichever access it
+        # likes.
         assert payload_blobs(read_calls["read_bytes"]) == []
-        assert len(payload_blobs(read_calls["read_view"])) == 2
+        assert len(payload_blobs(read_calls["read_view"])) == 3
         opened.close()
 
     def test_exist_and_weights_are_views_into_the_payload(self, saved_store):
         _, _, url = saved_store
         payload_cache().clear()
         opened = repro.open(url, writable=False)
+        session = opened.model.session
+        pinned = [(opened.model._shared_bundle["payload_view"],
+                   [w for layer in session._shared for w in layer]
+                   + [w for chain in session._heads.values()
+                      for layer in chain for w in layer])]
         for shard in opened.shards:
             if shard is None:
                 continue
-            base = np.frombuffer(shard._shared_bundle["payload_view"],
-                                 dtype=np.uint8)
-            arrays = [w for layer in shard.session._shared for w in layer]
-            arrays += [w for chain in shard.session._heads.values()
-                       for layer in chain for w in layer]
             exist = shard.exist
-            arrays.append(exist._bits.packed if hasattr(exist, "_bits")
-                          else exist._keys)
+            pinned.append((shard._shared_bundle["payload_view"],
+                           [exist._bits.packed if hasattr(exist, "_bits")
+                            else exist._keys]))
+        for view, arrays in pinned:
+            base = np.frombuffer(view, dtype=np.uint8)
             for arr in arrays:
                 arr = np.asarray(arr)
                 assert not arr.flags.writeable
@@ -251,11 +257,10 @@ def with_aux(template, codec, partition_bytes, rows, overlay, dead):
     if overlay:
         aux.add_batch(*columns(overlay))
     aux.remove_batch(np.array(dead, dtype=np.int64))
-    return DeepMapping(
-        key_codec=template.key_codec, key_encoder=template.key_encoder,
-        session=template.session, aux=aux, exist=template.exist,
-        fdecode=template.fdecode, config=config,
-        dataset_bytes=template._dataset_bytes)
+    model = Model(config, template.key_codec, template.key_encoder,
+                  template.session, template.fdecode,
+                  template.model.dataset_bytes)
+    return DeepMapping(model, aux, template.exist)
 
 
 def assert_same_store(opened, source, query):

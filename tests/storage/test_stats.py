@@ -73,3 +73,54 @@ class TestStoreStats:
         stats.reset()
         assert stats.counters == {}
         assert stats.seconds("io") == 0.0
+
+
+class TestThreadSafety:
+    """Fan-out threads share one sink: totals must come out exact."""
+
+    def test_concurrent_bumps_timings_and_snapshots_are_exact(self):
+        import sys
+        import threading
+
+        stats = StoreStats()
+        n_threads, n_ops = 4, 300
+        errors = []
+        start = threading.Barrier(n_threads + 2)
+
+        def worker(index):
+            start.wait()
+            for i in range(n_ops):
+                stats.bump("hits")
+                # New timers keep appearing while the reader iterates.
+                with stats.timing(f"t{index}-{i % 20}"):
+                    pass
+
+        def reader():
+            start.wait()
+            try:
+                while any(t.is_alive() for t in threads):
+                    stats.snapshot()
+                    stats.total_seconds()
+            except RuntimeError as exc:  # dict changed size mid-iteration
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n_threads)]
+            watcher = threading.Thread(target=reader)
+            for thread in threads:
+                thread.start()
+            watcher.start()
+            start.wait()
+            for thread in threads:
+                thread.join()
+            watcher.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        assert stats.counters["hits"] == n_threads * n_ops
+        assert sum(w.calls for w in stats.timers.values()) \
+            == n_threads * n_ops
+        assert len(stats.timers) == n_threads * 20
