@@ -4,15 +4,15 @@ Builds the same table as a 1/2/4/8-shard :class:`ShardedDeepMapping`
 (range strategy) plus a monolithic :class:`DeepMapping` reference, then
 times a 100k-key batched lookup against each.  Reported per store:
 
-- build seconds (all shards, fanned out on the build thread pool),
+- build seconds (one model fit over the table, then every shard's
+  ``T_aux`` and ``V_exist`` materialized under it),
 - storage bytes (aggregated hybrid footprint),
 - batched-lookup throughput in keys/second (best of several runs).
 
-Expected shape: range sharding shrinks each shard's flattened key domain,
-so per-shard key encodings need fewer one-hot digits and the per-key
-inference cost drops — throughput rises with shard count even on a single
-core, and thread fan-out adds on multi-core hosts.  Build time also drops:
-each shard trains on a fraction of the rows and converges sooner.
+Expected shape: every store answers through the same one model, so the
+per-key work is the same at every shard count and build time and bytes
+stay flat; throughput rises with shard count only through the thread
+fan-out on multi-core hosts.
 
 Run as a pytest benchmark or directly::
 

@@ -205,4 +205,4 @@ class Model:
     def __repr__(self) -> str:
         return (f"Model(key={self.key_codec.key_names}, "
                 f"values={list(self.fdecode.columns)}, "
-                f"bytes={self.nbytes})")
+                f"bytes={self.session.nbytes})")

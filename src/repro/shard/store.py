@@ -194,7 +194,7 @@ class ShardedDeepMapping:
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy: shard fan-out goes through ``executor.map``,
+        #: Executor strategy: shard fan-out goes through ``submit_job``,
         #: ``lookup_async`` through ``executor.submit``.  A strategy the
         #: store built itself (config named it, or None) is store-owned;
         #: an instance supplied via ``ShardingConfig.executor`` stays

@@ -67,6 +67,7 @@ def test_nothing_outside_a_retrain_trains(two_group_table, fits):
     assert fits == []
     assert all(shard.model is store.model
                for shard in store.shards if shard is not None)
+    assert repr(store.model).startswith("Model(")
     for table in (two_group_table, appended, gap):
         lookup_matches(store, table)
 

@@ -32,6 +32,7 @@ import repro
 from repro.core.negative_filter import hash_key_columns
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.storage import InMemoryBackend, payload_cache
 
 from ..core.conftest import fast_config
 
@@ -92,6 +93,7 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         self.ever = set(self.model)
         self.snapshot = None  # (router, shards, keys, found, values)
         self.scratch = None  # directory of this example's file:// saves
+        self.mem_names = []  # this example's mem:// containers
 
     # -- helpers ---------------------------------------------------------
     def _value(self, draw_index: int, fresh: bool) -> str:
@@ -186,6 +188,7 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         name = f"state-machine-{next(_COUNTER)}"
         if scheme == "mem":
             url = f"mem://{name}"
+            self.mem_names.append(name)
         else:
             if self.scratch is None:
                 self.scratch = tempfile.mkdtemp(prefix="repro-machine-")
@@ -244,7 +247,11 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         self.snapshot = None
 
     def teardown(self):
+        # Free what this example saved: a soak run makes thousands.
         self.store.close()
+        payload_cache().clear()
+        for name in self.mem_names:
+            InMemoryBackend.discard(name)
         if self.scratch is not None:
             shutil.rmtree(self.scratch, ignore_errors=True)
 
