@@ -29,11 +29,11 @@ auxiliary row costs.  ``weight_dtype`` is therefore the *upper bound*
 
 from __future__ import annotations
 
-import pickle
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..storage.serializer import serialized_size
 from .multitask import ArchitectureSpec, MultiTaskMLP
 from .quantize import dequantize, pack, packed_nbytes, quantize, unpack
 
@@ -244,8 +244,7 @@ class InferenceSession:
         ``__repr__``) asks for it repeatedly.
         """
         if self._nbytes is None:
-            self._nbytes = len(pickle.dumps(
-                self.to_state(), protocol=pickle.HIGHEST_PROTOCOL))
+            self._nbytes = serialized_size(self.to_state())
         return self._nbytes
 
     def param_count(self) -> int:

@@ -16,6 +16,7 @@ dtype instead, which is what production dictionary encoders fall back to.
 
 from __future__ import annotations
 
+import io
 import pickle
 from typing import Any, Dict
 
@@ -45,9 +46,26 @@ def deserialize_block(payload: bytes) -> Any:
     return pickle.loads(payload)
 
 
+class _SizingPickler(pickle.Pickler):
+    """Pickles a read-only array as the owned array it was saved from.
+
+    Protocol 5 frames a read-only buffer shorter than a writable one, so
+    without this a store opened read-only (its arrays are views into
+    the mapped payload) would report other Eq. 1 sizes than the same
+    store freshly fit or opened writable."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray) and not obj.flags.writeable:
+            return obj.copy().__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        return NotImplemented
+
+
 def serialized_size(block: Any) -> int:
-    """Size in bytes of the pickled representation of ``block``."""
-    return len(serialize_block(block))
+    """Size in bytes of the pickled representation of ``block``, the
+    same whether its arrays own their memory or are read-only views."""
+    buffer = io.BytesIO()
+    _SizingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(block)
+    return buffer.tell()
 
 
 def minimal_int_dtype(max_value: int) -> np.dtype:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.resilience import Deadline, DeadlineExceeded
 from repro.store import (EXECUTOR_NAMES, ExecutorStrategy, SerialStrategy,
                          ThreadPoolStrategy, make_executor)
 
@@ -32,6 +33,24 @@ class TestSerial:
             future.result()
 
 
+    def test_job_failure_is_carried_by_its_future(self):
+        def boom():
+            raise RuntimeError("job failed")
+
+        future = SerialStrategy().submit_job(boom)
+        assert future.done()
+        with pytest.raises(RuntimeError, match="job failed"):
+            future.result()
+
+    def test_job_past_its_deadline_never_runs(self):
+        ran = []
+        future = SerialStrategy().submit_job(
+            ran.append, 1, deadline=Deadline(0.0, clock=lambda: 5.0))
+        with pytest.raises(DeadlineExceeded, match="queued job"):
+            future.result()
+        assert ran == []
+
+
 class TestThreadPool:
     def test_jobs_run_on_the_pool(self):
         strategy = ThreadPoolStrategy(max_workers=4)
@@ -50,6 +69,38 @@ class TestThreadPool:
             strategy.submit_job(seen.append, threading.get_ident())
         assert set(seen) == {threading.get_ident()}
         assert strategy._pool is None  # never materialized
+
+    def test_one_worker_with_a_deadline_runs_on_the_pool(self):
+        # A deadline only isolates the caller from a hung job when the
+        # job runs on a thread the caller can abandon.
+        strategy = ThreadPoolStrategy(max_workers=1)
+        try:
+            future = strategy.submit_job(threading.get_ident,
+                                         deadline=Deadline(60.0))
+            assert future.result(timeout=10) != threading.get_ident()
+            assert strategy._pool is not None
+        finally:
+            strategy.close()
+
+    def test_queued_job_past_its_deadline_never_runs(self):
+        now = [0.0]
+        release = threading.Event()
+        ran = []
+        strategy = ThreadPoolStrategy(max_workers=1)
+        try:
+            blocker = strategy.submit_job(release.wait, 10,
+                                          deadline=Deadline(60.0))
+            queued = strategy.submit_job(
+                ran.append, 1, deadline=Deadline(1.0, clock=lambda: now[0]))
+            now[0] = 2.0  # the budget runs out while the job waits
+            release.set()
+            assert blocker.result(timeout=10) is True
+            with pytest.raises(DeadlineExceeded, match="queued job"):
+                queued.result(timeout=10)
+            assert ran == []
+        finally:
+            release.set()
+            strategy.close()
 
     def test_submit_runs_off_fanout_pool(self):
         # An async job that fans out onto the same strategy's fan-out

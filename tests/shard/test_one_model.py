@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro import DeepMapping
 from repro.data import ColumnTable, synthetic
+from repro.lifecycle import LifecycleConfig
 from repro.nn.training import Trainer
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.storage import InMemoryBackend, MONOLITHIC_BLOB, zerocopy
@@ -75,6 +76,71 @@ def test_nothing_outside_a_retrain_trains(two_group_table, fits):
     assert len(fits) == 1  # a retrain is one fit, not one per shard
     for table in (two_group_table, appended, gap):
         lookup_matches(store, table)
+
+
+def test_hash_buckets_share_the_one_model(fits):
+    table = synthetic.multi_column(1200, "low", seed=3)
+    store = ShardedDeepMapping.fit(table, fast_config(epochs=2),
+                                   ShardingConfig(n_shards=4,
+                                                  strategy="hash"))
+    assert len(fits) == 1
+    assert all(shard.model is store.model for shard in store.shards)
+    fits.clear()
+
+    keys = table.column("key").astype(np.int64)
+    added = {"key": np.arange(keys.max() + 1, keys.max() + 41,
+                              dtype=np.int64)}
+    for column in store.value_names:
+        added[column] = table.column(column)[:40]
+    store.insert(added)
+    assert fits == []
+    lookup_matches(store, table)
+    lookup_matches(store, ColumnTable(added, key=("key",)))
+
+
+def test_engine_split_trains_nothing(fits):
+    # Leading key 0 x20 | 1 x10, 2 x10, 3 x280: once shard 1 holds
+    # a >= 1, the engine splits it at the median leading key (3) into
+    # halves of 20 and 280 rows, and both halves answer through the
+    # store's model.
+    leading = np.repeat([0, 1, 2, 3], [20, 10, 10, 280]).astype(np.int64)
+    table = ColumnTable({"a": leading,
+                         "b": np.arange(leading.size, dtype=np.int64),
+                         "v": leading * 7 % 5}, key=("a", "b"))
+    lifecycle = LifecycleConfig(
+        policy="never", rebalance=True, split_balance=1.5,
+        split_min_rows=8, max_actions_per_run=1)
+    store = ShardedDeepMapping.fit(
+        table, fast_config(epochs=2), ShardingConfig(n_shards=1,
+                                                     lifecycle=lifecycle))
+    store.split_shard(0, cut=1)
+    assert store.shard_row_counts() == [20, 300]
+    fits.clear()
+
+    events = store.engine.run_pending()
+    assert [event.kind for event in events] == ["split"]
+    assert store.shard_row_counts() == [20, 20, 280]
+    assert fits == []
+    assert all(shard.model is store.model for shard in store.shards)
+    lookup_matches(store, table)
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_a_reopened_store_shares_one_model(two_group_table, writable):
+    store = ShardedDeepMapping.fit(two_group_table, fast_config(epochs=2),
+                                   ShardingConfig(n_shards=4))
+    backend = InMemoryBackend.named(f"one-model-reopen-{writable}")
+    try:
+        store.save(backend.url)
+        with repro.open(backend.url, writable=writable) as opened:
+            live = [shard for shard in opened.shards if shard is not None]
+            assert len(live) == 2
+            assert all(shard.model is opened.model for shard in live)
+            assert opened.size_report().model_bytes == \
+                store.size_report().model_bytes
+            lookup_matches(opened, two_group_table)
+    finally:
+        InMemoryBackend.discard(backend.name)
 
 
 def test_sharded_model_bytes_equal_a_one_shard_fit():

@@ -201,6 +201,30 @@ class TestShardedCorruption:
         with pytest.raises(StoreCorruptedError):
             repro.open(url)
 
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_flipped_byte_in_the_model_blob(self, tmp_path, table, writable):
+        # Every shard answers through the one model: damage to it must
+        # fail the open, not read back as wrong values from every shard.
+        url = str(tmp_path / "sharded")
+        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
+                    shards=4, url=url).close()
+        backend = LocalDirBackend(url)
+        flip_blob_byte(backend, "model.rzc",
+                       len(backend.read_bytes("model.rzc")) // 2)
+        with pytest.raises(StoreCorruptedError, match="checksum"):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_missing_model_blob_names_blob_and_url(self, tmp_path, table,
+                                                   writable):
+        url = str(tmp_path / "sharded")
+        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
+                    shards=2, url=url).close()
+        (tmp_path / "sharded" / "model.rzc").unlink()
+        with pytest.raises(StoreNotFoundError,
+                           match=r"model\.rzc.*sharded"):
+            repro.open(url, writable=writable)
+
     def test_corrupt_manifest_names_blob_and_url(self, tmp_path, table):
         url = str(tmp_path / "sharded")
         repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),

@@ -26,6 +26,18 @@ class TestSerializeBlock:
         block = {"a": np.arange(100)}
         assert serialized_size(block) == len(serialize_block(block))
 
+    def test_serialized_size_ignores_the_writeable_flag(self):
+        # A store opened read-only holds views into its mapped payload;
+        # its Eq. 1 sizes must be those of the same arrays owned.
+        owned = {"w": np.arange(64, dtype=np.float16),
+                 "vocab": np.array(["A", "B", "C"])}
+        views = {}
+        for name, array in owned.items():
+            view = array.view()
+            view.flags.writeable = False
+            views[name] = view
+        assert serialized_size(views) == serialized_size(owned)
+
 
 class TestMinimalIntDtype:
     @pytest.mark.parametrize(
