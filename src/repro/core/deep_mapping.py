@@ -52,12 +52,13 @@ from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
-from .exist_index import ExistenceIndex, make_existence_index
+from .exist_index import ExistenceIndex, cover, make_existence_index
 from .model import Model
-from .modify import ModificationTracker, estimate_batch_bytes, retrain_due
+from .modify import ModificationTracker, retrain_due, settle
 from .plan import LookupPlan, LookupResult
 
-__all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows"]
+__all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows",
+           "with_rows"]
 
 KeysLike = Union[Dict[str, np.ndarray], ColumnTable, np.ndarray, list]
 RowsLike = Union[Dict[str, np.ndarray], ColumnTable]
@@ -108,6 +109,14 @@ def normalize_rows(
     return columns
 
 
+def with_rows(content: ColumnTable, columns: Dict[str, np.ndarray],
+              key_names: Tuple[str, ...]) -> ColumnTable:
+    """``content`` plus the rows ``columns`` — what a retrain fits when
+    an insert's keys widen the domain past what the model admits."""
+    incoming = ColumnTable(columns, key=key_names)
+    return content.concat(incoming) if content.n_rows else incoming
+
+
 @dataclass
 class SizeReport:
     """Storage breakdown of a hybrid structure (paper Fig. 6 / Eq. 1)."""
@@ -151,11 +160,6 @@ class SizeReport:
         }
 
 
-#: What a retrain takes over from the freshly fit structure (see
-#: ``DeepMapping._adopt``); everything else belongs to the logical store.
-_BUILD_FIELDS = ("model", "aux", "exist")
-
-
 class DeepMapping:
     """Learned, lossless, updateable key→value mapping.
 
@@ -175,11 +179,11 @@ class DeepMapping:
         self.aux = aux
         self.exist = exist
         self.stats = stats if stats is not None else StoreStats()
+        #: Modified bytes since the last retrain, counted by this
+        #: structure's own insert/delete/update (:func:`settle
+        #: <repro.core.modify.settle>`); a shard's rows are applied and
+        #: counted by its store, so a shard's stays at zero.
         self.tracker = ModificationTracker()
-        #: When False, modifications never retrain inline: the owner of
-        #: the model decides (a sharded store's shards share one model,
-        #: so the store retrains, never a shard).
-        self.auto_rebuild = True
         #: False for structures opened via ``repro.open(...,
         #: writable=False)``: components may be shared with other opens
         #: of the same payload (and backed by read-only mmap views), so
@@ -390,67 +394,77 @@ class DeepMapping:
     # Modifications (paper Algorithms 3-5)
     # ------------------------------------------------------------------
     def insert(self, rows: RowsLike) -> int:
-        """Insert new key→value rows (Algorithm 3).
+        """Insert new key→value rows (Algorithm 3), then :func:`settle
+        <repro.core.modify.settle>` the batch.
 
-        Existence bits are set, the model is evaluated on the new keys, and
-        only rows the model mispredicts are materialized in ``T_aux``.
-        Returns the number of rows landed in the auxiliary table.
+        Keys the model does not admit (:meth:`Model.admits
+        <repro.core.model.Model.admits>`) retrain the structure over its
+        content and the batch, and nothing lands in ``T_aux`` for this
+        call.  Returns the number of rows landed in the auxiliary table.
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        flat = self._flatten_or_rebuild_domain(columns)
-        if flat is None:
-            # The structure was rebuilt over old + new rows; nothing lands
-            # in the (fresh) auxiliary overlay for this call specifically.
+        if not self.model.admits(columns):
+            self._retrain(with_rows(self.to_table(), columns, self.key_names))
             return 0
-        existing = self.exist.test_batch(flat)
-        if existing.any():
-            raise ValueError(
-                f"{int(existing.sum())} key(s) already exist; use update()"
-            )
-
-        value_cols = {t: np.asarray(columns[t]) for t in self.value_names}
-        self.fdecode.extend(value_cols)
-        labels = self.fdecode.encode(value_cols)
-
-        if flat.size:
-            self.exist.cover(int(flat.max()) + 1)
-        self.exist.set_batch(flat)
-        mis = self.compiled_session().lost_rows(flat, labels)
-        if mis.any():
-            self.aux.add_batch(flat[mis], {t: labels[t][mis]
-                                           for t in self.value_names})
-
-        self.tracker.record(estimate_batch_bytes(columns))
-        self._maybe_retrain()
-        return int(mis.sum())
+        landed = self.apply_insert(columns)
+        settle(self, columns)
+        return landed
 
     def delete(self, keys: KeysLike) -> int:
-        """Delete keys (Algorithm 4): clear existence bits, drop aux rows.
+        """Delete keys (Algorithm 4), then settle the batch.
 
         Returns the number of keys actually deleted (absent keys are
         ignored, matching the paper's idempotent bit-clear semantics).
         """
         self._require_writable()
         key_cols = normalize_keys(keys, self.key_names)
+        deleted = self.apply_delete(key_cols)
+        settle(self, key_cols)
+        return deleted
+
+    def update(self, rows: RowsLike) -> int:
+        """Replace values of existing keys (Algorithm 5), then settle the
+        batch.  Returns the number of rows materialized in ``T_aux``."""
+        self._require_writable()
+        columns = normalize_rows(rows, self.key_names, self.value_names)
+        landed = self.apply_update(columns)
+        settle(self, columns)
+        return landed
+
+    # The row-level halves below are all a shard does: its store owns
+    # the model, validates the batch, counts it and retrains.
+    def apply_insert(self, columns: Dict[str, np.ndarray]) -> int:
+        """Algorithm 3 on rows whose keys the model admits: set existence
+        bits, evaluate the model on the new keys, and materialize only
+        the rows it mispredicts in ``T_aux`` (their count is returned)."""
+        flat = self.key_codec.flatten(columns)
+        existing = self.exist.test_batch(flat)
+        if existing.any():
+            raise ValueError(
+                f"{int(existing.sum())} key(s) already exist; use update()"
+            )
+        if flat.size:
+            self.exist = cover(self.exist, int(flat.max()) + 1,
+                               len(self) + flat.size)
+        self.exist.set_batch(flat)
+        _, labels, mis = self.model.encode(columns)
+        return self._hold(flat, labels, mis)
+
+    def apply_delete(self, key_cols: Dict[str, np.ndarray]) -> int:
+        """Algorithm 4: clear existence bits and drop aux rows of the live
+        keys; returns how many there were."""
         flat, in_domain = self.key_codec.try_flatten(key_cols)
         live = self.exist.test_batch(flat) & in_domain
         targets = flat[live]
         self.exist.clear_batch(targets)
         self.aux.remove_batch(targets)
-        self.tracker.record(estimate_batch_bytes(key_cols))
-        self._maybe_retrain()
         return int(targets.size)
 
-    def update(self, rows: RowsLike) -> int:
-        """Replace values of existing keys (Algorithm 5).
-
-        Rows the model now predicts correctly are dropped from ``T_aux``;
-        the rest are inserted or updated in place there.  Returns the
-        number of rows materialized in the auxiliary table.
-        """
-        self._require_writable()
-        columns = normalize_rows(rows, self.key_names, self.value_names)
+    def apply_update(self, columns: Dict[str, np.ndarray]) -> int:
+        """Algorithm 5: rows the model now predicts correctly leave
+        ``T_aux``; the rest are inserted or updated in place there
+        (their count is returned).  Every key must be live."""
         flat, in_domain = self.key_codec.try_flatten(columns)
         live = self.exist.test_batch(flat) & in_domain
         if not live.all():
@@ -458,18 +472,18 @@ class DeepMapping:
                 f"{int((~live).sum())} key(s) do not exist; use insert()"
             )
 
-        value_cols = {t: np.asarray(columns[t]) for t in self.value_names}
-        self.fdecode.extend(value_cols)
-        labels = self.fdecode.encode(value_cols)
-
-        mis = self.compiled_session().lost_rows(flat, labels)
+        _, labels, mis = self.model.encode(columns)
         if (~mis).any():
             self.aux.remove_batch(flat[~mis])
+        return self._hold(flat, labels, mis)
+
+    def _hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
+              mis: np.ndarray) -> int:
+        """Put the ``mis`` rows (the ones the model loses) in ``T_aux``;
+        returns how many."""
         if mis.any():
-            self.aux.add_batch(flat[mis], {t: labels[t][mis]
-                                           for t in self.value_names})
-        self.tracker.record(estimate_batch_bytes(columns))
-        self._maybe_retrain()
+            self.aux.add_batch(flat[mis], {t: codes[mis]
+                                           for t, codes in labels.items()})
         return int(mis.sum())
 
     # ------------------------------------------------------------------
@@ -491,27 +505,26 @@ class DeepMapping:
         and the retired table's cached partitions are purged from it.
         """
         self._require_writable()
-        table = self.to_table()
-        build_config = config if config is not None else self.config
-        warm = (self.session.state_arrays()
-                if build_config.warm_start_rebuild and not build_config.use_search
-                else None)
-        self._adopt(DeepMapping.fit(table, build_config, pool=self.aux.pool,
-                                    stats=self.stats, warm_start=warm))
+        self._retrain(self.to_table(), config)
 
-    def _adopt(self, fresh: "DeepMapping") -> None:
-        """Replace this structure's build with ``fresh``, a structure just
-        fit over its content — the one swap behind :meth:`rebuild` and
-        domain-widening inserts.
+    def _retrain(self, table: ColumnTable,
+                 config: Optional[DeepMappingConfig] = None) -> None:
+        """Fit ``table`` (the content, plus rows the domain could not
+        take) warm-started unless ``config`` says otherwise, and take
+        over the fresh model, ``T_aux`` and ``V_exist``.
 
         The retired ``T_aux`` is purged from the pool (a reader still
-        holding it keeps its answers) and the model, ``T_aux`` and
-        ``V_exist`` are taken over.  The tracker, executor, stats and
+        holding it keeps its answers).  The tracker, executor, stats and
         flags belong to the logical store and stay.
         """
+        config = config if config is not None else self.config
+        warm = (self.session.state_arrays()
+                if config.warm_start_rebuild and not config.use_search
+                else None)
+        fresh = DeepMapping.fit(table, config, pool=self.aux.pool,
+                                stats=self.stats, warm_start=warm)
         self.aux.drop_storage()
-        for name in _BUILD_FIELDS:
-            setattr(self, name, getattr(fresh, name))
+        self.model, self.aux, self.exist = fresh.model, fresh.aux, fresh.exist
         self.tracker.mark_rebuilt()
 
     def aux_ratio(self) -> float:
@@ -527,12 +540,6 @@ class DeepMapping:
         over this structure's tracker and counts."""
         return retrain_due(self.tracker, len(self), lambda: len(self.aux),
                            threshold_bytes, aux_ratio)
-
-    def _maybe_retrain(self) -> None:
-        if self.auto_rebuild and self.retrain_due(
-                self.config.retrain_threshold_bytes,
-                self.config.retrain_aux_ratio):
-            self.rebuild()
 
     def to_table(self) -> ColumnTable:
         """Materialize the current logical content as a ColumnTable."""
@@ -583,29 +590,6 @@ class DeepMapping:
             raise PermissionError(
                 "this store was opened writable=False (shared, read-only "
                 "components); reopen with repro.open(url) to mutate it")
-
-    def _flatten_or_rebuild_domain(
-            self, columns: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
-        """Flatten new keys, growing the key domain past the leading
-        key's max when they need it; or widen it by a rebuild over old
-        and new rows, and return None: nothing is left to insert."""
-        flat, in_domain = self.key_codec.try_flatten(columns)
-        if in_domain.all():
-            return flat
-        if self.key_codec.extend_domain(columns):
-            # Past the leading key's max: every old code keeps its key, so
-            # the frozen model answers the new keys like any other insert
-            # (lost_rows decides what lands in T_aux) and nothing trains.
-            return self.key_codec.flatten(columns)
-        # Any other widening: rebuild the codec (and everything keyed by
-        # it) over current content plus the new rows' key range.  This is
-        # the "retrain offline when the structure no longer fits" path.
-        base = self.to_table()
-        incoming = ColumnTable(columns, key=self.key_names)
-        merged = base.concat(incoming) if base.n_rows else incoming
-        self._adopt(DeepMapping.fit(merged, self.config, pool=self.aux.pool,
-                                    stats=self.stats))
-        return None
 
     # ------------------------------------------------------------------
     # Lifecycle

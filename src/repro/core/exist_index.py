@@ -9,7 +9,7 @@ compressed size depends on the randomness of the set bits (Sec. V-C).
 
 An index covers one *window* ``[base, base + domain_size)`` of flat
 keys (a monolithic structure's whole domain, or a shard's key range);
-keys outside it test absent, and ``cover`` grows its upper end.
+keys outside it test absent, and :func:`cover` grows its upper end.
 
 Two implementations share the interface:
 
@@ -18,7 +18,8 @@ Two implementations share the interface:
   larger than the key count (e.g. wide composite keys), O(n) words, still
   exact (a Bloom filter would reintroduce hallucinations).
 
-:func:`make_existence_index` picks automatically.
+:func:`make_existence_index` picks automatically, and :func:`cover`
+applies the same rule when a window grows.
 
 ``to_state`` / :func:`existence_from_state` is how either is persisted:
 a small dict whose arrays stay first-class, so the RZC2 container
@@ -38,6 +39,7 @@ __all__ = [
     "ExistenceIndex",
     "SparseExistenceIndex",
     "make_existence_index",
+    "cover",
     "existence_from_state",
 ]
 
@@ -78,11 +80,6 @@ class ExistenceIndex:
         the window)."""
         return self._bits.test_many(
             np.asarray(flat_keys, dtype=np.int64) - self.base)
-
-    def cover(self, end: int) -> None:
-        """Grow the window to end at flat key ``end`` at least."""
-        if end > self.base + len(self._bits):
-            self._bits.resize(end - self.base)
 
     def count(self) -> int:
         """Number of live keys."""
@@ -163,10 +160,6 @@ class SparseExistenceIndex:
         pos = np.minimum(pos, self._keys.size - 1)
         return self._keys[pos] == flat_keys
 
-    def cover(self, end: int) -> None:
-        """Grow the window to end at flat key ``end`` at least."""
-        self._domain = max(self._domain, int(end) - self.base)
-
     def count(self) -> int:
         """Number of live keys."""
         return int(self._keys.size)
@@ -206,15 +199,41 @@ class SparseExistenceIndex:
                 f"{self.base + self._domain}), live={self.count()})")
 
 
+def _dense_fits(domain_size: int, expected_keys: int) -> bool:
+    """True when a dense vector of ``domain_size`` bits is affordable and
+    economic for ``expected_keys`` live keys."""
+    return (domain_size <= _MAX_DENSE_DOMAIN
+            and domain_size <= max(expected_keys, 1) * _DENSE_DOMAIN_FACTOR)
+
+
 def make_existence_index(domain_size: int, expected_keys: int,
                          base: int = 0):
     """Pick dense vs. sparse for a window of ``domain_size`` keys from
     ``base`` and its expected population."""
-    dense_affordable = domain_size <= _MAX_DENSE_DOMAIN
-    dense_economic = domain_size <= max(expected_keys, 1) * _DENSE_DOMAIN_FACTOR
-    if dense_affordable and dense_economic:
+    if _dense_fits(domain_size, expected_keys):
         return ExistenceIndex(domain_size, base)
     return SparseExistenceIndex(domain_size, base)
+
+
+def cover(index, end: int, expected_keys: int):
+    """``index`` with its window grown to end at flat key ``end`` at
+    least, for ``expected_keys`` live keys, by the rule of
+    :func:`make_existence_index`: a dense index whose grown window that
+    rule would not build dense comes back as a sparse index over the
+    same keys (one key far past the max must not allocate bits for the
+    whole gap).  The caller keeps the index this returns."""
+    size = int(end) - index.base
+    if size <= index.domain_size:
+        return index
+    if isinstance(index, SparseExistenceIndex):
+        index._domain = size
+        return index
+    if _dense_fits(size, expected_keys):
+        index._bits.resize(size)
+        return index
+    sparse = SparseExistenceIndex(size, index.base)
+    sparse.set_batch(index.existing_keys())
+    return sparse
 
 
 def existence_from_state(state: dict):

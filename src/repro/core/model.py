@@ -168,15 +168,27 @@ class Model:
             self._compiled = engine
         return engine
 
-    def encode(self, table: ColumnTable):
-        """``(flat keys, label codes, lost rows)`` of ``table`` under this
-        model, no training.  New values join the decode map first (the
-        model never predicts them, so their rows are lost)."""
-        flat = self.key_codec.flatten(table.key_columns_dict())
-        values = table.value_columns_dict()
+    def encode(self, columns: Dict[str, np.ndarray]):
+        """``(flat keys, label codes, lost rows)`` of the rows
+        ``columns`` (key and value columns) under this model, no
+        training.  New values join the decode map first (the model never
+        predicts them, so their rows are lost)."""
+        flat = self.key_codec.flatten(columns)
+        values = {t: np.asarray(columns[t]) for t in self.fdecode.columns}
         self.fdecode.extend(values)
         labels = self.fdecode.encode(values)
         return flat, labels, self.compiled_session().lost_rows(flat, labels)
+
+    def admits(self, columns: Dict[str, np.ndarray]) -> bool:
+        """Whether the key codec takes every key of ``columns`` — the one
+        widen-or-retrain rule of an insert.  Keys past the leading key's
+        max grow the domain in place: every old code keeps its key, so
+        the frozen model answers the new keys like any other insert
+        (``lost_rows`` decides what lands in ``T_aux``).  False: only a
+        retrain over the content and these rows can widen the domain."""
+        codec = self.key_codec
+        return codec.try_flatten(columns)[1].all() or codec.extend_domain(
+            columns)
 
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:

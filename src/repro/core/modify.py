@@ -7,7 +7,8 @@ auxiliary structure and retrain only when it grows past a threshold
 build and lifetime retrains.  Whether it is time to retrain is decided in
 one place, :func:`retrain_due`, which reads these counters against the
 bounds its caller passes; a monolithic structure asks it over its own
-counts, a sharded store over its totals.
+counts, a sharded store over its totals.  Both owners end every mutation
+batch with :func:`settle`; a shard only applies rows and counts nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ..storage.serializer import serialized_size
 
 __all__ = ["ModificationTracker", "estimate_batch_bytes", "retrain_due",
-           "MIN_ROWS_FOR_RATIO_RETRAIN"]
+           "settle", "MIN_ROWS_FOR_RATIO_RETRAIN"]
 
 #: Structures below this many rows skip ratio-based retrain triggers: a
 #: tiny table whose residual rows dominate ``T_aux`` would otherwise
@@ -47,6 +48,21 @@ def retrain_due(tracker: "ModificationTracker", n_rows: int,
         return False
     return (n_rows >= MIN_ROWS_FOR_RATIO_RETRAIN
             and n_aux() / n_rows >= aux_ratio)
+
+
+def settle(owner, batch: Dict[str, np.ndarray], engine=None) -> None:
+    """End a mutation batch on the model's owner — a monolithic
+    structure or a sharded store: count the batch's bytes on its
+    tracker, then one pass of its maintenance ``engine`` when it has
+    one, else :meth:`rebuild` once its own ``retrain_due`` meets the
+    build config's bounds."""
+    owner.tracker.record(estimate_batch_bytes(batch))
+    config = owner.config
+    if engine is not None:
+        engine.run_pending()
+    elif owner.retrain_due(config.retrain_threshold_bytes,
+                           config.retrain_aux_ratio):
+        owner.rebuild()
 
 
 class ModificationTracker:

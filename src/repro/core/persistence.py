@@ -6,7 +6,8 @@ parts: the **model part** (:meth:`Model.to_state
 as ``exist_v2``, ``T_aux`` as ``aux_v2``).  A monolithic structure
 (:func:`to_payload`) holds both and its tracker; a sharded store writes
 the model part once (:func:`model_payload`) and a shard part per shard
-(:func:`shard_payload`).  :func:`open_payload` is the one rule for how a
+(:func:`shard_payload`), each shard blob bound to its model blob by that
+blob's CRC (:func:`blob_crc`).  :func:`open_payload` is the one rule for how a
 structure opens — a private writable copy, or shared read-only through
 the payload cache — behind :meth:`DeepMapping.open`, :func:`repro.open`
 and :mod:`repro.shard.persistence` (which opens the store's model by the
@@ -15,8 +16,10 @@ same rule, :func:`open_model`).
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Optional
 
+from ..resilience.errors import StoreCorruptedError
 from ..storage import zerocopy
 from ..storage.backends import read_blob_view, resolve_blob_url
 from ..storage.blob_cache import payload_cache
@@ -28,7 +31,7 @@ from .exist_index import existence_from_state
 from .model import Model
 
 __all__ = ["to_payload", "save", "model_payload", "shard_payload",
-           "from_payload", "open_payload", "open_model", "load"]
+           "blob_crc", "from_payload", "open_payload", "open_model", "load"]
 
 
 # ----------------------------------------------------------------------
@@ -68,10 +71,18 @@ def model_payload(model: Model) -> bytearray:
     return zerocopy.pack(model.to_state())
 
 
-def shard_payload(mapping: DeepMapping) -> bytearray:
+def blob_crc(payload) -> int:
+    """CRC-32 of a whole model blob: what binds a shard blob to it."""
+    return zlib.crc32(memoryview(payload).cast("B"))
+
+
+def shard_payload(mapping: DeepMapping, model_crc: int) -> bytearray:
     """A sharded store's shard blob: the shard part alone (no session
-    segments; the store's model blob holds them once)."""
-    return zerocopy.pack(_shard_state(mapping))
+    segments; the store's model blob holds them once) and the
+    :func:`blob_crc` of the model blob it was materialized under —
+    ``T_aux`` holds exactly the rows *that* model loses, so the shard
+    must never open under another."""
+    return zerocopy.pack({**_shard_state(mapping), "model_crc": model_crc})
 
 
 def save(mapping: DeepMapping, target: str) -> int:
@@ -157,11 +168,21 @@ def _parts(state: Dict[str, object], model: Optional[Model],
     aux.attach(state["aux_v2"])
     return {"model": model, "aux": aux,
             "exist": existence_from_state(state["exist_v2"]),
-            "tracker": state.get("tracker")}
+            "tracker": state.get("tracker"),
+            "model_crc": state.get("model_crc")}
 
 
 def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
-              model: Optional[Model] = None) -> DeepMapping:
+              model: Optional[Model] = None,
+              model_crc: Optional[int] = None,
+              blob: str = "the payload") -> DeepMapping:
+    """The structure ``parts`` describe; a shard blob (given ``model``)
+    must name ``model_crc``, the CRC of the model blob it opens under."""
+    if model is not None and parts["model_crc"] != model_crc:
+        raise StoreCorruptedError(
+            f"{blob} was saved under another model than the one this "
+            "store opened (a save cut short, or a blob published by "
+            "another save); its T_aux would answer for the wrong model")
     mapping = DeepMapping(model or parts["model"], parts["aux"],
                           parts["exist"], stats=stats)
     if parts["tracker"] is not None:
@@ -171,12 +192,16 @@ def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
 
 def from_payload(payload, pool: Optional[BufferPool] = None,
                  stats: Optional[StoreStats] = None,
-                 model: Optional[Model] = None) -> DeepMapping:
-    """Inverse of :func:`to_payload` — or, given the store's ``model``,
-    of :func:`shard_payload` (private, writable copies)."""
+                 model: Optional[Model] = None,
+                 model_crc: Optional[int] = None,
+                 blob: str = "the payload") -> DeepMapping:
+    """Inverse of :func:`to_payload` — or, given the store's ``model``
+    and its blob's ``model_crc``, of :func:`shard_payload` (private,
+    writable copies)."""
     stats = stats if stats is not None else StoreStats()
     state = _load_state(payload, _required(model))
-    return _assemble(_parts(state, model, pool, stats), stats)
+    return _assemble(_parts(state, model, pool, stats), stats, model,
+                     model_crc, blob)
 
 
 def _cached(backend, blob: str, build) -> Dict[str, object]:
@@ -194,8 +219,8 @@ def _cached(backend, blob: str, build) -> Dict[str, object]:
 
 
 def _open_shared(backend, blob: str, stats: Optional[StoreStats],
-                 pool: Optional[BufferPool],
-                 model: Optional[Model]) -> DeepMapping:
+                 pool: Optional[BufferPool], model: Optional[Model],
+                 model_crc: Optional[int]) -> DeepMapping:
     """Read-only open through the payload cache (:func:`_cached`).
 
     The partitions are attached as views into the pinned payload, so
@@ -212,7 +237,7 @@ def _open_shared(backend, blob: str, stats: Optional[StoreStats],
         parts["model"].compiled_session()
         return parts
     bundle = _cached(backend, blob, build)
-    mapping = _assemble(bundle, stats, model)
+    mapping = _assemble(bundle, stats, model, model_crc, blob)
     mapping.writable = False
     # Pin the bundle (and through it any mmap view backing its arrays)
     # for this structure's lifetime, independent of cache eviction.
@@ -223,11 +248,15 @@ def _open_shared(backend, blob: str, stats: Optional[StoreStats],
 def open_payload(backend, blob: str, *, writable: bool,
                  pool: Optional[BufferPool] = None,
                  stats: Optional[StoreStats] = None,
-                 model: Optional[Model] = None) -> DeepMapping:
+                 model: Optional[Model] = None,
+                 model_crc: Optional[int] = None) -> DeepMapping:
     """Open payload ``blob`` of ``backend`` — the one open rule.
 
     Without ``model`` the blob is a monolithic payload; with it, a
-    shard blob materialized under the store's model.  A remote backend
+    shard blob materialized under the store's model, whose blob's CRC
+    ``model_crc`` the shard blob must name
+    (:class:`~repro.resilience.errors.StoreCorruptedError` otherwise).
+    A remote backend
     (which refuses writes) or ``writable=False`` gets a shared read-only
     open through the payload cache (:func:`_open_shared`; mutating calls
     raise ``PermissionError``).  Anything else reads the payload whole
@@ -235,32 +264,35 @@ def open_payload(backend, blob: str, *, writable: bool,
     compiled before the open returns.
     """
     if not writable or getattr(backend, "remote", False):
-        return _open_shared(backend, blob, stats, pool, model)
+        return _open_shared(backend, blob, stats, pool, model, model_crc)
     stats = stats if stats is not None else StoreStats()
     with stats.timing("io"):
         payload = backend.read_bytes(blob)
-    mapping = from_payload(payload, pool=pool, stats=stats, model=model)
+    mapping = from_payload(payload, pool=pool, stats=stats, model=model,
+                           model_crc=model_crc, blob=blob)
     mapping.compiled_session()
     return mapping
 
 
-def open_model(backend, blob: str, *, writable: bool) -> Model:
+def open_model(backend, blob: str, *, writable: bool):
     """Open a sharded store's model blob (:func:`model_payload`) by the
     rule of :func:`open_payload`: a private copy when writable, else one
-    model shared through the payload cache, its kernel compiled once."""
+    model shared through the payload cache, its kernel compiled once.
+    Returns the model and the blob's :func:`blob_crc`."""
     if writable and not getattr(backend, "remote", False):
-        return Model.from_state(
-            _load_state(backend.read_bytes(blob), _MODEL_SEGMENTS))
+        payload = backend.read_bytes(blob)
+        return (Model.from_state(_load_state(payload, _MODEL_SEGMENTS)),
+                blob_crc(payload))
 
     def build(view):
         model = Model.from_state(
             _load_state(view, _MODEL_SEGMENTS, zero_copy=True))
         model.compiled_session()
-        return {"model": model}
+        return {"model": model, "crc": blob_crc(view)}
     bundle = _cached(backend, blob, build)
     # The model pins the bundle whose view its arrays reference.
     bundle["model"]._shared_bundle = bundle
-    return bundle["model"]
+    return bundle["model"], bundle["crc"]
 
 
 def load(target: str, pool: Optional[BufferPool] = None,

@@ -9,6 +9,10 @@ A saved store is a directory::
       shard-0002.dm        shard (empty shards have no file; the manifest
       ...                  records them with ``file: null``)
 
+The manifest and every shard payload name the CRC-32 of the
+``model.rzc`` they were saved with, and an open refuses any that differs
+(a shard's ``T_aux`` holds exactly the rows its model loses).
+
 ``manifest.json`` is deliberately human-readable JSON: it carries the
 router state (strategy + cut points / seed), the key and value schema with
 NumPy dtype strings, a per-shard table of file name / row count / byte
@@ -96,6 +100,10 @@ class ShardManifest:
     #: The store's ``ModificationTracker`` counters (modified bytes since
     #: the last retrain), so a reopened store keeps its retrain budget.
     tracker: Dict[str, int] = field(default_factory=dict)
+    #: CRC-32 of the model blob this save wrote
+    #: (:func:`repro.core.persistence.blob_crc`); an open refuses a
+    #: model blob, and every shard blob, that names another.
+    model_crc: Optional[int] = None
 
     @property
     def n_shards(self) -> int:
@@ -113,6 +121,7 @@ class ShardManifest:
             "sharding": dict(self.sharding),
             "lifecycle": dict(self.lifecycle),
             "tracker": dict(self.tracker),
+            "model_crc": self.model_crc,
         }
         if self.store_filter is not None:
             obj["store_filter"] = self.store_filter.to_json()
@@ -135,6 +144,7 @@ class ShardManifest:
             store_filter=(filter_from_json(obj["store_filter"])
                           if obj.get("store_filter") is not None else None),
             tracker=dict(obj.get("tracker", {})),
+            model_crc=obj.get("model_crc"),
         )
 
     # ------------------------------------------------------------------

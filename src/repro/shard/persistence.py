@@ -5,8 +5,9 @@ A saved store is a container — any
 — holding ``manifest.json`` (:mod:`repro.shard.manifest` draws the
 tree), the store's one model blob ``model.rzc`` and one
 ``shard-NNNN.dm`` payload (``T_aux`` and ``V_exist``) per non-empty
-shard.  :func:`save` writes it and sweeps payload blobs a previous save
-left behind; :func:`load` reads it back three ways — writable, shared
+shard, each naming the CRC of the model blob it was saved under, as the
+manifest does.  :func:`save` writes it and sweeps payload blobs a
+previous save left behind; :func:`load` reads it back three ways — writable, shared
 read-only, or hydrating over a remote backend.
 :meth:`ShardedDeepMapping.save` / :meth:`ShardedDeepMapping.load` are
 the public entry points; they hand straight to this module.
@@ -21,16 +22,17 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..core.deep_mapping import DeepMapping
-from ..core.persistence import (model_payload, open_model, open_payload,
-                                shard_payload)
+from ..core.persistence import (blob_crc, model_payload, open_model,
+                                open_payload, shard_payload)
 from ..lifecycle import LifecycleConfig
+from ..resilience.errors import StoreCorruptedError
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
-from .manifest import MODEL_NAME, ShardEntry, ShardManifest
+from .manifest import MANIFEST_NAME, MODEL_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
 from .store import ShardedDeepMapping, ShardingConfig
 
@@ -72,14 +74,17 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
     total = 0
     entries: List[ShardEntry] = []
     sharding = store.sharding
+    model_blob = model_payload(store.model)
+    model_crc = blob_crc(model_blob)
     with store.stats.timing("io"):
-        total += backend.write_bytes(MODEL_NAME, model_payload(store.model))
+        total += backend.write_bytes(MODEL_NAME, model_blob)
         for ordinal, shard in enumerate(store.shards):
             if shard is None:
                 entries.append(ShardEntry(file=None))
                 continue
             fname = shard_blob_name(ordinal)
-            nbytes = backend.write_bytes(fname, shard_payload(shard))
+            nbytes = backend.write_bytes(fname,
+                                         shard_payload(shard, model_crc))
             entries.append(ShardEntry(file=fname, n_rows=len(shard),
                                       n_bytes=nbytes))
             total += nbytes
@@ -97,6 +102,7 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
         value_dtypes={name: store.value_dtype(name).str
                       for name in store.value_names},
         shards=entries,
+        model_crc=model_crc,
         sharding={
             "strategy": sharding.strategy,
             "n_shards": sharding.n_shards,
@@ -163,7 +169,12 @@ def load(cls, target: Union[str, StorageBackend],
         writable = False
     manifest = ShardManifest.load_from(backend)
     router = router_from_state(manifest.router)
-    model = open_model(backend, MODEL_NAME, writable=writable)
+    model, model_crc = open_model(backend, MODEL_NAME, writable=writable)
+    if model_crc != manifest.model_crc:
+        raise StoreCorruptedError(
+            f"{MODEL_NAME} in {getattr(backend, 'url', backend)!r} is not "
+            f"the model {MANIFEST_NAME} names (a save cut short, or a "
+            "blob published by another save)")
 
     saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")
@@ -198,7 +209,7 @@ def load(cls, target: Union[str, StorageBackend],
             continue
         opener = functools.partial(open_payload, backend, entry.file,
                                    writable=writable, pool=pool, stats=stats,
-                                   model=model)
+                                   model=model, model_crc=model_crc)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload
@@ -208,11 +219,7 @@ def load(cls, target: Union[str, StorageBackend],
             shards.append(LazyShard(opener, n_rows=entry.n_rows,
                                     stats=stats, label=entry.file))
         else:
-            shard = opener()
-            # The store owns the model, so the store — never a shard —
-            # retrains.
-            shard.auto_rebuild = False
-            shards.append(shard)
+            shards.append(opener())
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
     store = cls(router, model, shards, sharding,

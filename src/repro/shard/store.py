@@ -37,10 +37,10 @@ import numpy as np
 
 from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
-                                 SizeReport, normalize_keys, normalize_rows)
+                                 SizeReport, normalize_keys, normalize_rows,
+                                 with_rows)
 from ..core.model import Model
-from ..core.modify import (ModificationTracker, estimate_batch_bytes,
-                           retrain_due)
+from ..core.modify import ModificationTracker, retrain_due, settle
 from ..core.negative_filter import build_store_filter, hash_key_columns
 from ..core.plan import LookupResult, blank
 from ..data.table import ColumnTable
@@ -489,32 +489,19 @@ class ShardedDeepMapping:
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
         self._require_unique_batch_keys(columns)
-        groups = list(self._group_rows(columns))
-        already = 0
-        for ordinal, rows_idx in groups:
-            shard = self.shards[ordinal]
-            if shard is not None:
-                subset = {name: columns[name][rows_idx]
-                          for name in self.key_names}
-                already += int(shard.contains_batch(subset).sum())
+        already = int(self.contains_batch(columns).sum())
         if already:
             raise ValueError(f"{already} key(s) already exist; use update()")
 
         self._widen_dtypes(columns)
-        self.tracker.record(estimate_batch_bytes(columns))
-        codec = self.model.key_codec
-        if not (codec.try_flatten(columns)[1].all()
-                or codec.extend_domain(columns)):
-            incoming = ColumnTable(columns, key=self.key_names)
-            content = self.to_table()
-            topology.retrain(self, content.concat(incoming)
-                             if content.n_rows else incoming)
-            self._maintain()
+        if not self.model.admits(columns):
+            topology.retrain(self, with_rows(self.to_table(), columns,
+                                             self.key_names))
             return 0
         landed = 0
         stale = False  # the dense store filter declined rows: rebuild it
         try:
-            for ordinal, rows_idx in groups:
+            for ordinal, rows_idx in self._group_rows(columns):
                 subset = {name: arr[rows_idx]
                           for name, arr in columns.items()}
                 shard = self.shards[ordinal]
@@ -524,7 +511,7 @@ class ShardedDeepMapping:
                     self.shards[ordinal] = fresh
                     landed += len(fresh.aux)
                 else:
-                    landed += shard.insert(subset)
+                    landed += shard.apply_insert(subset)
                 # Grow the store filter once the shard has accepted the
                 # rows — not before (an insert that raises must not
                 # leave phantom positives) and not after the loop (if a
@@ -540,7 +527,7 @@ class ShardedDeepMapping:
         finally:
             if stale:
                 self.refresh_store_filter()
-        self._maintain()
+        settle(self, columns, self.engine)
         return landed
 
     def delete(self, keys: KeysLike) -> int:
@@ -559,10 +546,9 @@ class ShardedDeepMapping:
             shard = self.shards[ordinal]
             if shard is None:
                 continue
-            deleted += shard.delete({name: arr[rows_idx]
-                                     for name, arr in key_cols.items()})
-        self.tracker.record(estimate_batch_bytes(key_cols))
-        self._maintain()
+            deleted += shard.apply_delete({name: arr[rows_idx]
+                                           for name, arr in key_cols.items()})
+        settle(self, key_cols, self.engine)
         return deleted
 
     def update(self, rows: RowsLike) -> int:
@@ -574,25 +560,16 @@ class ShardedDeepMapping:
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        groups = list(self._group_rows(columns))
-        missing = 0
-        for ordinal, rows_idx in groups:
-            shard = self.shards[ordinal]
-            if shard is None:
-                missing += int(rows_idx.size)
-                continue
-            subset = {name: columns[name][rows_idx] for name in self.key_names}
-            missing += int((~shard.contains_batch(subset)).sum())
+        missing = int((~self.contains_batch(columns)).sum())
         if missing:
             raise KeyError(f"{missing} key(s) do not exist; use insert()")
 
         self._widen_dtypes(columns)
         landed = 0
-        for ordinal, rows_idx in groups:
-            landed += self.shards[ordinal].update(
+        for ordinal, rows_idx in self._group_rows(columns):
+            landed += self.shards[ordinal].apply_update(
                 {name: arr[rows_idx] for name, arr in columns.items()})
-        self.tracker.record(estimate_batch_bytes(columns))
-        self._maintain()
+        settle(self, columns, self.engine)
         return landed
 
     def _require_writable(self) -> None:
@@ -627,15 +604,6 @@ class ShardedDeepMapping:
     # ------------------------------------------------------------------
     # Lifecycle: maintenance plumbing and split/merge mechanics
     # ------------------------------------------------------------------
-    def _maintain(self) -> None:
-        """After a mutation batch: one engine pass, or — unmanaged — the
-        retrain rule with the build config's bounds."""
-        if self.engine is not None:
-            self.engine.run_pending()
-        elif self.retrain_due(self.config.retrain_threshold_bytes,
-                              self.config.retrain_aux_ratio):
-            self.rebuild()
-
     def refresh_store_filter(self) -> None:
         """Rebuild the store filter from all live keys.
 

@@ -47,12 +47,9 @@ def window(router: ShardRouter, model: Model,
 
 def _shard(store: "ShardedDeepMapping", model: Model, router: ShardRouter,
            ordinal: int, flat, labels, lost) -> DeepMapping:
-    shard = DeepMapping.materialize(model, flat, labels, lost,
-                                    window=window(router, model, ordinal),
-                                    pool=store.pool, stats=store.stats)
-    # The store owns the model, so the store — never a shard — retrains.
-    shard.auto_rebuild = False
-    return shard
+    return DeepMapping.materialize(model, flat, labels, lost,
+                                   window=window(router, model, ordinal),
+                                   pool=store.pool, stats=store.stats)
 
 
 def build_shard(store: "ShardedDeepMapping", ordinal: int,
@@ -62,7 +59,7 @@ def build_shard(store: "ShardedDeepMapping", ordinal: int,
     ``table``, materialized under the store's model — no training."""
     model = store.model
     return _shard(store, model, router or store.router, ordinal,
-                  *model.encode(table))
+                  *model.encode(table.columns_dict()))
 
 
 def swap(store: "ShardedDeepMapping", router: ShardRouter, model: Model,

@@ -81,17 +81,16 @@ class TestRebuild:
             if shard is not None:
                 assert shard.config.shared_sizes == (16,)
 
-    def test_rebuild_resets_trackers(self, api_table):
+    def test_rebuild_resets_the_store_tracker(self, api_table):
         store = ShardedDeepMapping.fit(api_table, fast_config(epochs=4),
                                        ShardingConfig(n_shards=2))
         head = {name: api_table.column(name)[:5]
                 for name in store.key_names}
         store.delete(head)
-        assert any(s.tracker.bytes_since_build > 0
-                   for s in store.shards if s is not None)
+        assert store.tracker.bytes_since_build > 0
         store.rebuild()
-        assert all(s.tracker.bytes_since_build == 0
-                   for s in store.shards if s is not None)
+        assert store.tracker.bytes_since_build == 0
+        assert store.tracker.total_retrains == 1
 
 
 class TestSharedSurfaceBehaves:

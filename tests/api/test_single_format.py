@@ -197,13 +197,17 @@ def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
     store = request.getfixturevalue(kind)
     name = f"parent-config-{kind}-{os.urandom(6).hex()}"
     backend = InMemoryBackend.named(name)
-    store.save(backend.url)
     if kind == "mono":
+        store.save(backend.url)
         backend.write_bytes(MONOLITHIC_BLOB, parent_config_payload(store))
     else:
-        state = zerocopy.unpack(backend.read_bytes(MODEL_NAME))
-        state["config"].__dict__["inference_batch"] = 65536
-        backend.write_bytes(MODEL_NAME, zerocopy.pack(state))
+        # Saved whole, so the shard blobs name the model blob's CRC.
+        config = store.model.config
+        config.__dict__["inference_batch"] = 65536
+        try:
+            store.save(backend.url)
+        finally:
+            del config.__dict__["inference_batch"]
     config_blob = MONOLITHIC_BLOB if kind == "mono" else MODEL_NAME
     assert b"inference_batch" in backend.read_bytes(config_blob)
     expected = store.lookup(query_keys)

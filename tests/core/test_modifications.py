@@ -358,12 +358,19 @@ class TestAuxRatioRetrain:
         dm.insert(synthetic.insert_batch(table, 5, "low"))
         assert dm.tracker.total_retrains == 0
 
-    def test_auto_rebuild_flag_suppresses_inline_retrain(self):
+    def test_row_level_halves_count_nothing_and_never_retrain(self):
+        """``apply_*`` are what a shard runs under its store: the owner's
+        insert/delete/update count the batch and retrain, they do not."""
         table, dm = fresh_mapping(n=300, retrain_threshold_bytes=1)
-        dm.auto_rebuild = False
-        dm.insert(synthetic.insert_batch(table, 20, "high"))
+        batch = batch_columns(synthetic.insert_batch(table, 20, "high"))
+        dm.apply_insert(batch)
+        dm.apply_update(batch)
+        dm.apply_delete({"key": batch["key"][:5]})
+        assert dm.tracker.bytes_since_build == 0
         assert dm.tracker.total_retrains == 0
-        assert dm.tracker.bytes_since_build > 0  # still records
+        assert len(dm) == len(table) + 15
+        dm.delete({"key": batch["key"][5:10]})
+        assert dm.tracker.total_retrains == 1
 
     def test_config_validation(self):
         from repro.core import DeepMappingConfig

@@ -33,24 +33,34 @@ def small_table():
 
 class TestAdoption:
     """The store owns the model, so no shard ever retrains inline —
-    managed or not."""
+    managed or not: a shard applies rows and counts nothing."""
 
     def test_managed_shards_never_retrain_inline(self, small_table):
-        store = managed_store(small_table, LifecycleConfig(policy="never"))
+        store = managed_store(small_table, LifecycleConfig(policy="never"),
+                              key_headroom_fraction=1.0,
+                              retrain_threshold_bytes=1)
         assert store.engine is not None
-        assert all(not shard.auto_rebuild for shard in store.shards
-                   if shard is not None)
+        model = store.model
+        insert_rows(store, small_table,
+                    [int(small_table.column("key").max()) + 1],
+                    np.random.default_rng(0))
+        assert store.model is model
+        assert store.tracker.bytes_since_build > 0
+        assert all(shard.tracker.bytes_since_build == 0
+                   for shard in store.shards if shard is not None)
 
     def test_unmanaged_store_has_no_engine(self, small_table):
         store = ShardedDeepMapping.fit(
             small_table, fast_config(epochs=3), ShardingConfig(n_shards=2))
         assert store.engine is None
-        assert all(not shard.auto_rebuild for shard in store.shards
-                   if shard is not None)
+        store.delete({"key": small_table.column("key")[:3]})
+        assert store.tracker.bytes_since_build > 0
+        assert all(shard.tracker.bytes_since_build == 0
+                   for shard in store.shards if shard is not None)
 
     def test_fresh_shard_from_insert_never_retrains_inline(self):
         """An insert materializing an empty shard makes a shard of the
-        store's model, which must not fire its own inline threshold."""
+        store's model, which counts nothing of its own."""
         grp = np.repeat(np.array([0, 1], dtype=np.int64), 100)
         sub = np.tile(np.arange(100, dtype=np.int64), 2)
         rng = np.random.default_rng(7)
@@ -60,16 +70,18 @@ class TestAdoption:
              "status": rng.choice(np.array(["A", "B"]), size=grp.size)},
             key=("grp", "sub"), name="two-group")
         store = managed_store(table, LifecycleConfig(policy="never"),
-                              n_shards=4)
+                              n_shards=4, retrain_threshold_bytes=1)
         empty = store.shard_row_counts().index(0)
         target = next(
             g for g in range(-5, 50)
             if int(store.router.route({"grp": np.array([g]),
                                        "sub": np.array([0])})[0]) == empty)
+        model = store.model
         store.insert({"grp": np.array([target], dtype=np.int64),
                       "sub": np.array([0], dtype=np.int64),
                       "status": np.array(["A"])})
-        assert not store.shards[empty].auto_rebuild
+        assert store.shards[empty].model is model is store.model
+        assert store.shards[empty].tracker.bytes_since_build == 0
 
 
 class TestRetrains:

@@ -180,8 +180,8 @@ class TestLifecyclePersistence:
         assert loaded.engine.n_splits == 1
         assert loaded.sharding.lifecycle == lifecycle
         assert loaded.n_shards == 5
-        assert not any(shard.auto_rebuild for shard in loaded.shards
-                       if shard is not None)
+        assert all(shard.model is loaded.model for shard in loaded.shards
+                   if shard is not None)
         assert_lossless(loaded, table)
 
     def test_post_split_store_round_trips(self, store, table, tmp_path):

@@ -338,7 +338,7 @@ class TestPartialInsertFailure:
         def refuse(rows):
             raise RuntimeError("injected shard failure")
 
-        monkeypatch.setattr(store.shards[2], "insert", refuse)
+        monkeypatch.setattr(store.shards[2], "apply_insert", refuse)
         yield store, table, key_name, fresh
         store.close()
 

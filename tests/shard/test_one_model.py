@@ -13,10 +13,14 @@ import pytest
 import repro
 from repro import DeepMapping
 from repro.data import ColumnTable, synthetic
+from repro.core.persistence import blob_crc
 from repro.lifecycle import LifecycleConfig
 from repro.nn.training import Trainer
-from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.storage import InMemoryBackend, MONOLITHIC_BLOB, zerocopy
+from repro.resilience import StoreCorruptedError
+from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
+from repro.storage import (InMemoryBackend, LocalDirBackend, MONOLITHIC_BLOB,
+                           payload_cache, zerocopy)
+from repro.testing import serve_backend
 
 from ..core.conftest import fast_config
 
@@ -167,9 +171,12 @@ def test_shard_blobs_hold_no_session_and_the_model_is_written_once(
                          "shard-0001.dm"]
         model_state = zerocopy.unpack(backend.read_bytes("model.rzc"))
         assert "session_v2" in model_state and "aux_v2" not in model_state
+        crc = blob_crc(backend.read_bytes("model.rzc"))
+        assert ShardManifest.load_from(backend).model_crc == crc
         for name in ("shard-0000.dm", "shard-0001.dm"):
             state = zerocopy.unpack(backend.read_bytes(name))
-            assert set(state) == {"exist_v2", "aux_v2"}
+            assert set(state) == {"exist_v2", "aux_v2", "model_crc"}
+            assert state["model_crc"] == crc
     finally:
         InMemoryBackend.discard(backend.name)
 
@@ -199,3 +206,105 @@ def sparse_table():
         {"key": keys,
          "status": rng.choice(np.array(["A", "B", "C"]), size=keys.size)},
         key=("key",), name="sparse")
+
+
+FAR_KEY = 2 ** 36
+
+
+def far_rows(store):
+    return {"key": np.array([FAR_KEY], dtype=np.int64),
+            **{name: store.lookup({"key": np.array([0])}).values[name]
+               for name in store.value_names}}
+
+
+@pytest.mark.parametrize("sharding", [None, "range", "hash"])
+def test_a_key_far_past_the_max_keeps_v_exist_small(tmp_path, sharding,
+                                                    fits):
+    """One append ~2**36 past a dense window must not allocate (or save)
+    a bit per key of the gap: the grown window goes sparse by the rule
+    that built it, and nothing trains."""
+    table = synthetic.single_column(2_000, "high", seed=1)
+    config = fast_config(epochs=2)
+    store = (DeepMapping.fit(table, config) if sharding is None
+             else ShardedDeepMapping.fit(table, config, ShardingConfig(
+                 n_shards=4, strategy=sharding)))
+    rows = far_rows(store)
+    before = store.size_report().exist_bytes
+    fits.clear()
+    store.insert(rows)
+    assert fits == []
+    assert store.size_report().exist_bytes < before + 4096
+    shards = [store] if sharding is None else store.shards
+    assert sum(s.exist.nbytes for s in shards if s is not None) < 1 << 20
+    lookup_matches(store, table)
+    hit = store.lookup({"key": rows["key"]})
+    assert hit.found.all()
+    for name in store.value_names:
+        np.testing.assert_array_equal(hit.values[name], rows[name])
+    assert not store.lookup({"key": np.array([FAR_KEY - 1])}).found.any()
+
+    path = str(tmp_path / ("store" if sharding else "store.dm"))
+    assert store.save(path) < 1 << 20
+    reopened = repro.open(path)
+    assert reopened.lookup({"key": rows["key"]}).found.all()
+    lookup_matches(reopened, table)
+
+
+class CutShort(LocalDirBackend):
+    """A directory whose shard writes fail: a save that dies after it
+    wrote the model blob."""
+
+    def write_bytes(self, name, payload):
+        if name.startswith("shard-"):
+            raise OSError("save cut short")
+        return super().write_bytes(name, payload)
+
+
+@pytest.fixture
+def saved_and_retrained(two_group_table, tmp_path):
+    """A store saved at ``tmp_path/store`` and the same store after a
+    retrain that changed its model."""
+    store = ShardedDeepMapping.fit(two_group_table, fast_config(epochs=2),
+                                   ShardingConfig(n_shards=4))
+    path = str(tmp_path / "store")
+    store.save(path)
+    old_crc = ShardManifest.load(path).model_crc
+    store.rebuild(fast_config(epochs=3, seed=5))
+    yield path, store, old_crc
+    payload_cache().clear()
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_a_resave_cut_short_after_the_model_is_refused(saved_and_retrained,
+                                                       writable):
+    path, store, old_crc = saved_and_retrained
+    with pytest.raises(OSError, match="cut short"):
+        store.save(CutShort(path))
+    assert blob_crc(LocalDirBackend(path).read_bytes("model.rzc")) != old_crc
+    with pytest.raises(StoreCorruptedError, match="model.rzc"):
+        repro.open(path, writable=writable)
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_a_shard_blob_of_another_save_is_refused(saved_and_retrained,
+                                                 tmp_path, writable):
+    path, store, _ = saved_and_retrained
+    other = str(tmp_path / "other")
+    store.save(other)
+    fresh = LocalDirBackend(other).read_bytes("shard-0001.dm")
+    LocalDirBackend(path).write_bytes("shard-0001.dm", fresh)
+    with pytest.raises(StoreCorruptedError, match="shard-0001.dm"):
+        repro.open(path, writable=writable)
+
+
+def test_a_hydrating_shard_republished_under_a_new_model_is_refused(
+        saved_and_retrained, two_group_table):
+    """A lazy shard fetched after the store was re-saved under a retrained
+    model must not answer under the model the open already holds."""
+    path, store, _ = saved_and_retrained
+    with serve_backend(LocalDirBackend(path, create=False)) as server:
+        remote = repro.open(server.url)
+        store.save(path)
+        with pytest.raises(StoreCorruptedError, match="another model"):
+            remote.lookup(two_group_table)
+        remote.close()
