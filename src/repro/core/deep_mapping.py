@@ -48,8 +48,7 @@ from ..nn.compiled import CompiledSession
 from ..resilience.deadline import Deadline
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from ..store.executors import (ExecutorStrategy, SerialStrategy,
-                               make_executor)
+from ..store.executors import ExecutorOwner
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .exist_index import ExistenceIndex, cover, make_existence_index
@@ -160,7 +159,7 @@ class SizeReport:
         }
 
 
-class DeepMapping:
+class DeepMapping(ExecutorOwner):
     """Learned, lossless, updateable key→value mapping.
 
     Build with :meth:`fit`; query with :meth:`lookup`; mutate with
@@ -189,13 +188,6 @@ class DeepMapping:
         #: of the same payload (and backed by read-only mmap views), so
         #: every mutating entry point refuses with ``PermissionError``.
         self.writable = True
-        #: Executor strategy behind :meth:`lookup_async` (serial unless
-        #: :meth:`set_executor` installs another one).  ``close()`` only
-        #: shuts strategies this structure created itself — an instance
-        #: handed in by the caller (possibly shared between stores) stays
-        #: caller-owned.
-        self._executor: Optional[ExecutorStrategy] = None
-        self._owns_executor = True
 
     # ------------------------------------------------------------------
     # Build
@@ -338,8 +330,7 @@ class DeepMapping:
         key_cols = {name: np.array([value]) for name, value in key_parts.items()}
         if set(key_cols) != set(self.key_names):
             raise KeyError(f"expected key columns {self.key_names}")
-        result = self.lookup(key_cols)
-        return next(result.rows())
+        return next(self.lookup(key_cols).rows())
 
     def contains_batch(self, keys: KeysLike) -> np.ndarray:
         """Liveness test per key — no inference, just ``V_exist``.
@@ -352,31 +343,9 @@ class DeepMapping:
         return self.exist.test_batch(flat) & in_domain
 
     # ------------------------------------------------------------------
-    # Async reads / executor strategy
+    # Async reads (the executor strategy: ExecutorOwner, serial until
+    # set_executor installs another — no internal fan-out to overlap)
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> ExecutorStrategy:
-        """The strategy behind :meth:`lookup_async` (serial by default —
-        a monolithic structure has no internal fan-out to overlap)."""
-        if self._executor is None:
-            self._executor = SerialStrategy()
-        return self._executor
-
-    def set_executor(self, executor) -> None:
-        """Install an executor strategy (a name from
-        :data:`repro.store.EXECUTOR_NAMES` or a strategy instance).
-
-        A strategy built here from a name is owned (and closed) by this
-        structure; a passed-in instance stays caller-owned and is never
-        closed by :meth:`close`.
-        """
-        new = make_executor(executor)
-        if (self._executor is not None and self._owns_executor
-                and new is not self._executor):
-            self._executor.close()
-        self._executor = new
-        self._owns_executor = new is not executor
-
     def lookup_async(self, keys: KeysLike, *,
                      deadline: Optional[Deadline] = None) -> Future:
         """Schedule :meth:`lookup` on the executor strategy.
@@ -395,13 +364,10 @@ class DeepMapping:
     # ------------------------------------------------------------------
     def insert(self, rows: RowsLike) -> int:
         """Insert new key→value rows (Algorithm 3), then :func:`settle
-        <repro.core.modify.settle>` the batch.
-
-        Keys the model does not admit (:meth:`Model.admits
-        <repro.core.model.Model.admits>`) retrain the structure over its
-        content and the batch, and nothing lands in ``T_aux`` for this
-        call.  Returns the number of rows landed in the auxiliary table.
-        """
+        <repro.core.modify.settle>` the batch.  Keys the model does not
+        admit (:meth:`Model.admits <repro.core.model.Model.admits>`)
+        retrain the structure over its content and the batch instead
+        (0 is returned); else the count of rows landed in ``T_aux``."""
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
         if not self.model.admits(columns):
@@ -412,11 +378,8 @@ class DeepMapping:
         return landed
 
     def delete(self, keys: KeysLike) -> int:
-        """Delete keys (Algorithm 4), then settle the batch.
-
-        Returns the number of keys actually deleted (absent keys are
-        ignored, matching the paper's idempotent bit-clear semantics).
-        """
+        """Delete keys (Algorithm 4), then settle the batch; returns how
+        many were live (absent keys are ignored: idempotent bit-clear)."""
         self._require_writable()
         key_cols = normalize_keys(keys, self.key_names)
         deleted = self.apply_delete(key_cols)
@@ -479,8 +442,7 @@ class DeepMapping:
 
     def _hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
               mis: np.ndarray) -> int:
-        """Put the ``mis`` rows (the ones the model loses) in ``T_aux``;
-        returns how many."""
+        """Put the ``mis`` rows (the model loses them) in ``T_aux``."""
         if mis.any():
             self.aux.add_batch(flat[mis], {t: codes[mis]
                                            for t, codes in labels.items()})
@@ -590,26 +552,6 @@ class DeepMapping:
             raise PermissionError(
                 "this store was opened writable=False (shared, read-only "
                 "components); reopen with repro.open(url) to mutate it")
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the async executor's worker threads (idempotent).
-
-        The structure itself stays usable — ``close`` frees runtime
-        resources, it does not drop data.  The installed strategy is
-        kept (its pools rebuild lazily on next use); a caller-owned
-        strategy instance is left untouched.
-        """
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "DeepMapping":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -216,12 +216,11 @@ def make_existence_index(domain_size: int, expected_keys: int,
 
 
 def cover(index, end: int, expected_keys: int):
-    """``index`` with its window grown to end at flat key ``end`` at
-    least, for ``expected_keys`` live keys, by the rule of
-    :func:`make_existence_index`: a dense index whose grown window that
-    rule would not build dense comes back as a sparse index over the
-    same keys (one key far past the max must not allocate bits for the
-    whole gap).  The caller keeps the index this returns."""
+    """``index`` grown to end at flat key ``end`` at least, for
+    ``expected_keys`` live keys, by the rule of
+    :func:`make_existence_index`: a dense window that rule would not
+    build dense comes back sparse over the same keys (one key far past
+    the max must not cost a bit per key of the gap)."""
     size = int(end) - index.base
     if size <= index.domain_size:
         return index

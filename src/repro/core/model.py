@@ -182,10 +182,8 @@ class Model:
     def admits(self, columns: Dict[str, np.ndarray]) -> bool:
         """Whether the key codec takes every key of ``columns`` — the one
         widen-or-retrain rule of an insert.  Keys past the leading key's
-        max grow the domain in place: every old code keeps its key, so
-        the frozen model answers the new keys like any other insert
-        (``lost_rows`` decides what lands in ``T_aux``).  False: only a
-        retrain over the content and these rows can widen the domain."""
+        max grow the domain in place (every old code keeps its key, so
+        nothing trains); False: only a retrain can widen it."""
         codec = self.key_codec
         return codec.try_flatten(columns)[1].all() or codec.extend_domain(
             columns)

@@ -51,11 +51,10 @@ def retrain_due(tracker: "ModificationTracker", n_rows: int,
 
 
 def settle(owner, batch: Dict[str, np.ndarray], engine=None) -> None:
-    """End a mutation batch on the model's owner — a monolithic
-    structure or a sharded store: count the batch's bytes on its
-    tracker, then one pass of its maintenance ``engine`` when it has
-    one, else :meth:`rebuild` once its own ``retrain_due`` meets the
-    build config's bounds."""
+    """End a mutation batch on the model's owner (a monolithic structure
+    or a sharded store): count its bytes, then one pass of the owner's
+    maintenance ``engine`` if it has one, else ``rebuild()`` once its
+    ``retrain_due`` meets the build config's bounds."""
     owner.tracker.record(estimate_batch_bytes(batch))
     config = owner.config
     if engine is not None:

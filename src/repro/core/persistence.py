@@ -191,17 +191,11 @@ def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
 
 
 def from_payload(payload, pool: Optional[BufferPool] = None,
-                 stats: Optional[StoreStats] = None,
-                 model: Optional[Model] = None,
-                 model_crc: Optional[int] = None,
-                 blob: str = "the payload") -> DeepMapping:
-    """Inverse of :func:`to_payload` — or, given the store's ``model``
-    and its blob's ``model_crc``, of :func:`shard_payload` (private,
-    writable copies)."""
+                 stats: Optional[StoreStats] = None) -> DeepMapping:
+    """Inverse of :func:`to_payload` (private, writable copies)."""
     stats = stats if stats is not None else StoreStats()
-    state = _load_state(payload, _required(model))
-    return _assemble(_parts(state, model, pool, stats), stats, model,
-                     model_crc, blob)
+    state = _load_state(payload, _required(None))
+    return _assemble(_parts(state, None, pool, stats), stats)
 
 
 def _cached(backend, blob: str, build) -> Dict[str, object]:
@@ -253,23 +247,22 @@ def open_payload(backend, blob: str, *, writable: bool,
     """Open payload ``blob`` of ``backend`` — the one open rule.
 
     Without ``model`` the blob is a monolithic payload; with it, a
-    shard blob materialized under the store's model, whose blob's CRC
-    ``model_crc`` the shard blob must name
+    shard blob materialized under the store's model, which must name
+    ``model_crc``, the CRC of that model's blob
     (:class:`~repro.resilience.errors.StoreCorruptedError` otherwise).
-    A remote backend
-    (which refuses writes) or ``writable=False`` gets a shared read-only
-    open through the payload cache (:func:`_open_shared`; mutating calls
-    raise ``PermissionError``).  Anything else reads the payload whole
-    into a private, mutable copy.  Either way the lookup kernel is
-    compiled before the open returns.
+    A remote backend (which refuses writes) or ``writable=False`` gets a
+    shared read-only open through the payload cache
+    (:func:`_open_shared`; mutating calls raise ``PermissionError``).
+    Anything else reads the payload whole into a private, mutable copy.
+    Either way the lookup kernel is compiled before the open returns.
     """
     if not writable or getattr(backend, "remote", False):
         return _open_shared(backend, blob, stats, pool, model, model_crc)
     stats = stats if stats is not None else StoreStats()
     with stats.timing("io"):
-        payload = backend.read_bytes(blob)
-    mapping = from_payload(payload, pool=pool, stats=stats, model=model,
-                           model_crc=model_crc, blob=blob)
+        state = _load_state(backend.read_bytes(blob), _required(model))
+    mapping = _assemble(_parts(state, model, pool, stats), stats, model,
+                        model_crc, blob)
     mapping.compiled_session()
     return mapping
 

@@ -50,7 +50,7 @@ from ..resilience.hedging import HedgeController
 from ..storage.backends import StorageBackend
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from ..store.executors import ExecutorStrategy, make_executor
+from ..store.executors import ExecutorOwner, ExecutorStrategy
 from . import read_path, topology
 from .router import ShardRouter, make_router
 
@@ -132,7 +132,7 @@ class ShardingConfig:
         return max(1, min(self.n_shards, os.cpu_count() or 1))
 
 
-class ShardedDeepMapping:
+class ShardedDeepMapping(ExecutorOwner):
     """N shards under one model behind one mapping facade.
 
     Build with :meth:`fit`; the facade mirrors
@@ -194,16 +194,11 @@ class ShardedDeepMapping:
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy: shard fan-out goes through ``submit_job``,
-        #: ``lookup_async`` through ``executor.submit``.  A strategy the
-        #: store built itself (config named it, or None) is store-owned;
-        #: an instance supplied via ``ShardingConfig.executor`` stays
-        #: caller-owned and is never closed by :meth:`close`.
-        self.executor: ExecutorStrategy = (
-            executor if executor is not None
-            else make_executor(sharding.executor,
-                               sharding.effective_workers()))
-        self._owns_executor = self.executor is not sharding.executor
+        #: Executor strategy (:class:`~repro.store.executors.ExecutorOwner`):
+        #: shard fan-out goes through ``submit_job``, ``lookup_async``
+        #: through ``executor.submit``.
+        self.set_executor(executor if executor is not None
+                          else sharding.executor)
         #: Adaptive hedge-delay controller (None when hedging is off);
         #: shared across batches so the duration EWMA spans traffic.
         self.hedger: Optional[HedgeController] = (
@@ -441,34 +436,8 @@ class ShardedDeepMapping:
         fn = functools.partial(self.lookup, keys, deadline=deadline)
         return self.executor.submit(fn, deadline=deadline)
 
-    def set_executor(self, executor) -> None:
-        """Swap the executor strategy (a name from
-        :data:`repro.store.EXECUTOR_NAMES` or a strategy instance).
-
-        The outgoing strategy is closed only if this store owned it; a
-        passed-in instance stays caller-owned and is never closed here
-        or by :meth:`close`.
-        """
-        new = make_executor(executor, self.sharding.effective_workers())
-        if new is not self.executor and self._owns_executor:
-            self.executor.close()
-        self.executor = new
-        self._owns_executor = new is not executor
-
-    def close(self) -> None:
-        """Shut down the executor strategy's workers (idempotent).
-
-        The store stays usable — an owned strategy rebuilds its pools
-        lazily on next use; a caller-owned strategy is left untouched.
-        """
-        if self._owns_executor:
-            self.executor.close()
-
-    def __enter__(self) -> "ShardedDeepMapping":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _executor_workers(self) -> int:
+        return self.sharding.effective_workers()
 
     # ------------------------------------------------------------------
     # Modifications
