@@ -2,7 +2,7 @@
 
 One hypothesis ``RuleBasedStateMachine`` drives a writable range-sharded
 store with a lifecycle-free config through inserts (into gaps and past
-the leading key's max), deletes, updates, ``rebuild``, ``split_shard``,
+the leading key's max, near it or 10**6 past it), deletes, updates, ``rebuild``, ``split_shard``,
 ``merge_shards`` and save -> reopen on ``file://`` and ``mem://`` (both
 writable and ``writable=False``), and checks after every step that:
 
@@ -116,12 +116,13 @@ class ShardedStoreMachine(RuleBasedStateMachine):
     # -- rules -------------------------------------------------------------
     @rule(data=st.data(), n=st.integers(1, 12), fresh=st.booleans())
     def insert_in_gap(self, data, n, fresh):
-        hi = self._leading_max()
-        candidates = [k for k in range(0, hi) if k not in self.model]
-        if not candidates:
+        # Drawn from the whole range, not a list of its gaps: after a
+        # far append the range spans millions of keys.
+        picks = data.draw(st.lists(st.integers(0, self._leading_max() - 1),
+                                   min_size=1, max_size=n, unique=True))
+        picks = [k for k in picks if k not in self.model]
+        if not picks:
             return
-        picks = data.draw(st.lists(st.sampled_from(candidates), min_size=1,
-                                   max_size=n, unique=True))
         keys = np.array(sorted(picks), dtype=np.int64)
         values = np.array([self._value(int(k), fresh) for k in keys])
         self.store.insert({"key": keys, "value": values})
@@ -129,7 +130,12 @@ class ShardedStoreMachine(RuleBasedStateMachine):
             self.model[k] = v
             self.ever.add(k)
 
-    @rule(n=st.integers(1, 10), gap=st.integers(1, 5), fresh=st.booleans())
+    # A gap of 10**6 takes the tail window past the dense bounds, so it
+    # turns sparse (and every later split, merge, retrain and reopen
+    # meets a sparse window).
+    @rule(n=st.integers(1, 10),
+          gap=st.one_of(st.integers(1, 5), st.just(10**6)),
+          fresh=st.booleans())
     def insert_past_max(self, n, gap, fresh):
         start = self._leading_max() + gap
         keys = np.arange(start, start + n, dtype=np.int64)
