@@ -48,12 +48,12 @@ from ..nn.compiled import CompiledSession
 from ..resilience.deadline import Deadline
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from ..store.executors import ExecutorOwner
+from ..store.base import StoreBase
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .exist_index import ExistenceIndex, cover, make_existence_index
 from .model import Model
-from .modify import ModificationTracker, retrain_due, settle
+from .modify import ModificationTracker, settle
 from .plan import LookupPlan, LookupResult
 
 __all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows",
@@ -159,7 +159,7 @@ class SizeReport:
         }
 
 
-class DeepMapping(ExecutorOwner):
+class DeepMapping(StoreBase):
     """Learned, lossless, updateable key→value mapping.
 
     Build with :meth:`fit`; query with :meth:`lookup`; mutate with
@@ -173,6 +173,7 @@ class DeepMapping(ExecutorOwner):
         aux: AuxiliaryTable,
         exist: ExistenceIndex,
         stats: Optional[StoreStats] = None,
+        tracker: Optional[ModificationTracker] = None,
     ):
         self.model = model
         self.aux = aux
@@ -180,9 +181,10 @@ class DeepMapping(ExecutorOwner):
         self.stats = stats if stats is not None else StoreStats()
         #: Modified bytes since the last retrain, counted by this
         #: structure's own insert/delete/update (:func:`settle
-        #: <repro.core.modify.settle>`); a shard's rows are applied and
-        #: counted by its store, so a shard's stays at zero.
-        self.tracker = ModificationTracker()
+        #: <repro.core.modify.settle>`).  ``None`` on a shard of a
+        #: sharded store: the store owns the model, applies the shard's
+        #: rows, counts and retrains, and the shard refuses to.
+        self.tracker = tracker
         #: False for structures opened via ``repro.open(...,
         #: writable=False)``: components may be shared with other opens
         #: of the same payload (and backed by read-only mmap views), so
@@ -211,8 +213,10 @@ class DeepMapping(ExecutorOwner):
         a pool key of its own.
         """
         fit = Model.fit(table, config, warm_start=warm_start)
-        return cls.materialize(fit.model, fit.flat, fit.labels, fit.lost,
-                               pool=pool, stats=stats)
+        mapping = cls.materialize(fit.model, fit.flat, fit.labels, fit.lost,
+                                  pool=pool, stats=stats)
+        mapping.tracker = ModificationTracker()
+        return mapping
 
     @classmethod
     def materialize(
@@ -272,10 +276,6 @@ class DeepMapping(ExecutorOwner):
         """Number of live keys."""
         return self.exist.count()
 
-    def storage_bytes(self) -> int:
-        """Total offline footprint of the hybrid structure."""
-        return self.size_report().total_bytes
-
     def size_report(self) -> SizeReport:
         """Per-component storage breakdown (Fig. 6 / Eq. 1)."""
         return SizeReport(
@@ -325,13 +325,6 @@ class DeepMapping(ExecutorOwner):
         """
         return self.plan_lookup(keys).execute()
 
-    def lookup_one(self, **key_parts) -> Optional[Dict[str, object]]:
-        """Convenience single-key lookup; returns a row dict or None."""
-        key_cols = {name: np.array([value]) for name, value in key_parts.items()}
-        if set(key_cols) != set(self.key_names):
-            raise KeyError(f"expected key columns {self.key_names}")
-        return next(self.lookup(key_cols).rows())
-
     def contains_batch(self, keys: KeysLike) -> np.ndarray:
         """Liveness test per key — no inference, just ``V_exist``.
 
@@ -343,8 +336,7 @@ class DeepMapping(ExecutorOwner):
         return self.exist.test_batch(flat) & in_domain
 
     # ------------------------------------------------------------------
-    # Async reads (the executor strategy: ExecutorOwner, serial until
-    # set_executor installs another — no internal fan-out to overlap)
+    # Async reads (on StoreBase's executor: serial until set_executor)
     # ------------------------------------------------------------------
     def lookup_async(self, keys: KeysLike, *,
                      deadline: Optional[Deadline] = None) -> Future:
@@ -472,13 +464,9 @@ class DeepMapping(ExecutorOwner):
     def _retrain(self, table: ColumnTable,
                  config: Optional[DeepMappingConfig] = None) -> None:
         """Fit ``table`` (the content, plus rows the domain could not
-        take) warm-started unless ``config`` says otherwise, and take
-        over the fresh model, ``T_aux`` and ``V_exist``.
-
-        The retired ``T_aux`` is purged from the pool (a reader still
-        holding it keeps its answers).  The tracker, executor, stats and
-        flags belong to the logical store and stay.
-        """
+        take), warm-started unless ``config`` says otherwise, and take
+        over its model, ``T_aux`` and ``V_exist``; the tracker, executor,
+        stats and flags belong to the logical store and stay."""
         config = config if config is not None else self.config
         warm = (self.session.state_arrays()
                 if config.warm_start_rebuild and not config.use_search
@@ -489,19 +477,8 @@ class DeepMapping(ExecutorOwner):
         self.model, self.aux, self.exist = fresh.model, fresh.aux, fresh.exist
         self.tracker.mark_rebuilt()
 
-    def aux_ratio(self) -> float:
-        """Fraction of live rows currently served from ``T_aux``."""
-        n_rows = len(self)
-        if n_rows == 0:
-            return 0.0
-        return len(self.aux) / n_rows
-
-    def retrain_due(self, threshold_bytes: Optional[int],
-                    aux_ratio: Optional[float]) -> bool:
-        """The one retrain rule (:func:`repro.core.modify.retrain_due`)
-        over this structure's tracker and counts."""
-        return retrain_due(self.tracker, len(self), lambda: len(self.aux),
-                           threshold_bytes, aux_ratio)
+    def _aux_rows(self) -> int:
+        return len(self.aux)
 
     def to_table(self) -> ColumnTable:
         """Materialize the current logical content as a ColumnTable."""
@@ -548,6 +525,10 @@ class DeepMapping(ExecutorOwner):
     # Input normalization
     # ------------------------------------------------------------------
     def _require_writable(self) -> None:
+        if self.tracker is None:
+            raise PermissionError(
+                "this is a shard of a sharded store, which owns its model: "
+                "insert, delete, update and rebuild through the store")
         if not self.writable:
             raise PermissionError(
                 "this store was opened writable=False (shared, read-only "

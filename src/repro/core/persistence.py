@@ -29,6 +29,7 @@ from .aux_table import AuxiliaryTable
 from .deep_mapping import DeepMapping
 from .exist_index import existence_from_state
 from .model import Model
+from .modify import ModificationTracker
 
 __all__ = ["to_payload", "save", "model_payload", "shard_payload",
            "blob_crc", "from_payload", "open_payload", "open_model", "load"]
@@ -184,8 +185,9 @@ def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
             "store opened (a save cut short, or a blob published by "
             "another save); its T_aux would answer for the wrong model")
     mapping = DeepMapping(model or parts["model"], parts["aux"],
-                          parts["exist"], stats=stats)
-    if parts["tracker"] is not None:
+                          parts["exist"], stats=stats,
+                          tracker=None if model else ModificationTracker())
+    if parts["tracker"] is not None:  # a monolithic payload's counters
         mapping.tracker.restore_counters(parts["tracker"])
     return mapping
 
@@ -267,25 +269,30 @@ def open_payload(backend, blob: str, *, writable: bool,
     return mapping
 
 
-def open_model(backend, blob: str, *, writable: bool):
+def open_model(backend, blob: str, *, writable: bool, crc: int) -> Model:
     """Open a sharded store's model blob (:func:`model_payload`) by the
     rule of :func:`open_payload`: a private copy when writable, else one
     model shared through the payload cache, its kernel compiled once.
-    Returns the model and the blob's :func:`blob_crc`."""
+    A blob whose :func:`blob_crc` is not ``crc`` (the manifest's) raises
+    :class:`~repro.resilience.errors.StoreCorruptedError`."""
     if writable and not getattr(backend, "remote", False):
         payload = backend.read_bytes(blob)
-        return (Model.from_state(_load_state(payload, _MODEL_SEGMENTS)),
-                blob_crc(payload))
-
-    def build(view):
-        model = Model.from_state(
-            _load_state(view, _MODEL_SEGMENTS, zero_copy=True))
-        model.compiled_session()
-        return {"model": model, "crc": blob_crc(view)}
-    bundle = _cached(backend, blob, build)
-    # The model pins the bundle whose view its arrays reference.
-    bundle["model"]._shared_bundle = bundle
-    return bundle["model"], bundle["crc"]
+        bundle = {"model": Model.from_state(
+            _load_state(payload, _MODEL_SEGMENTS)), "crc": blob_crc(payload)}
+    else:
+        def build(view):
+            model = Model.from_state(
+                _load_state(view, _MODEL_SEGMENTS, zero_copy=True))
+            model.compiled_session()
+            return {"model": model, "crc": blob_crc(view)}
+        bundle = _cached(backend, blob, build)
+        # The model pins the bundle whose view its arrays reference.
+        bundle["model"]._shared_bundle = bundle
+    if bundle["crc"] != crc:
+        raise StoreCorruptedError(
+            f"{blob} is not the model the manifest names (a save cut "
+            "short, or a blob published by another save)")
+    return bundle["model"]
 
 
 def load(target: str, pool: Optional[BufferPool] = None,

@@ -25,14 +25,13 @@ from ..core.deep_mapping import DeepMapping
 from ..core.persistence import (blob_crc, model_payload, open_model,
                                 open_payload, shard_payload)
 from ..lifecycle import LifecycleConfig
-from ..resilience.errors import StoreCorruptedError
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
-from .manifest import MANIFEST_NAME, MODEL_NAME, ShardEntry, ShardManifest
+from .manifest import MODEL_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
 from .store import ShardedDeepMapping, ShardingConfig
 
@@ -169,12 +168,8 @@ def load(cls, target: Union[str, StorageBackend],
         writable = False
     manifest = ShardManifest.load_from(backend)
     router = router_from_state(manifest.router)
-    model, model_crc = open_model(backend, MODEL_NAME, writable=writable)
-    if model_crc != manifest.model_crc:
-        raise StoreCorruptedError(
-            f"{MODEL_NAME} in {getattr(backend, 'url', backend)!r} is not "
-            f"the model {MANIFEST_NAME} names (a save cut short, or a "
-            "blob published by another save)")
+    model = open_model(backend, MODEL_NAME, writable=writable,
+                       crc=manifest.model_crc)
 
     saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")
@@ -190,7 +185,6 @@ def load(cls, target: Union[str, StorageBackend],
         lifecycle=(LifecycleConfig.from_state(lifecycle_state)
                    if lifecycle_state else None),
         on_shard_error=saved.get("on_shard_error", "raise"),
-        # Pre-hedging manifests lack the field: hedging stays off.
         hedged_reads=saved.get("hedged_reads", False),
     )
     stats = stats if stats is not None else StoreStats()
@@ -209,7 +203,8 @@ def load(cls, target: Union[str, StorageBackend],
             continue
         opener = functools.partial(open_payload, backend, entry.file,
                                    writable=writable, pool=pool, stats=stats,
-                                   model=model, model_crc=model_crc)
+                                   model=model,
+                                   model_crc=manifest.model_crc)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload

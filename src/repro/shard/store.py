@@ -40,7 +40,7 @@ from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
                                  SizeReport, normalize_keys, normalize_rows,
                                  with_rows)
 from ..core.model import Model
-from ..core.modify import ModificationTracker, retrain_due, settle
+from ..core.modify import ModificationTracker, settle
 from ..core.negative_filter import build_store_filter, hash_key_columns
 from ..core.plan import LookupResult, blank
 from ..data.table import ColumnTable
@@ -50,7 +50,8 @@ from ..resilience.hedging import HedgeController
 from ..storage.backends import StorageBackend
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from ..store.executors import ExecutorOwner, ExecutorStrategy
+from ..store.base import StoreBase
+from ..store.executors import ExecutorStrategy
 from . import read_path, topology
 from .router import ShardRouter, make_router
 
@@ -132,7 +133,7 @@ class ShardingConfig:
         return max(1, min(self.n_shards, os.cpu_count() or 1))
 
 
-class ShardedDeepMapping(ExecutorOwner):
+class ShardedDeepMapping(StoreBase):
     """N shards under one model behind one mapping facade.
 
     Build with :meth:`fit`; the facade mirrors
@@ -162,7 +163,6 @@ class ShardedDeepMapping(ExecutorOwner):
         value_dtypes: Dict[str, np.dtype],
         stats: Optional[StoreStats] = None,
         pool: Optional[BufferPool] = None,
-        executor: Optional[ExecutorStrategy] = None,
         store_filter=None,
     ):
         if len(shards) != router.n_shards:
@@ -194,11 +194,10 @@ class ShardedDeepMapping(ExecutorOwner):
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy (:class:`~repro.store.executors.ExecutorOwner`):
+        #: Executor strategy (:class:`~repro.store.base.StoreBase`):
         #: shard fan-out goes through ``submit_job``, ``lookup_async``
         #: through ``executor.submit``.
-        self.set_executor(executor if executor is not None
-                          else sharding.executor)
+        self.set_executor(sharding.executor)
         #: Adaptive hedge-delay controller (None when hedging is off);
         #: shared across batches so the duration EWMA spans traffic.
         self.hedger: Optional[HedgeController] = (
@@ -316,10 +315,6 @@ class ShardedDeepMapping(ExecutorOwner):
         self.model.compiled_session()
         return sum(1 for shard in self.shards if shard is not None)
 
-    def storage_bytes(self) -> int:
-        """Total offline footprint across shards."""
-        return self.size_report().total_bytes
-
     def size_report(self) -> SizeReport:
         """Per-component storage breakdown (Eq. 1): the one model and
         decode map once, ``T_aux`` and ``V_exist`` summed over shards."""
@@ -373,13 +368,6 @@ class ShardedDeepMapping(ExecutorOwner):
         """
         return read_path.lookup(self, keys, deadline=deadline)
 
-    def lookup_one(self, **key_parts) -> Optional[Dict[str, object]]:
-        """Convenience single-key lookup; returns a row dict or None."""
-        key_cols = {name: np.array([value]) for name, value in key_parts.items()}
-        if set(key_cols) != set(self.key_names):
-            raise KeyError(f"expected key columns {self.key_names}")
-        return next(self.lookup(key_cols).rows())
-
     def contains_batch(self, keys: KeysLike) -> np.ndarray:
         """Liveness test per key — routed to each owning shard's
         existence vector, no value inference.  Keys owned by an empty
@@ -389,22 +377,6 @@ class ShardedDeepMapping(ExecutorOwner):
     def _aux_rows(self) -> int:
         return sum(len(shard.aux) for shard in self.shards
                    if shard is not None)
-
-    def aux_ratio(self) -> float:
-        """Fraction of live rows currently served from auxiliary tables,
-        aggregated across shards (empty store: 0.0)."""
-        n_rows = len(self)
-        if n_rows == 0:
-            return 0.0
-        return self._aux_rows() / n_rows
-
-    def retrain_due(self, threshold_bytes: Optional[int],
-                    aux_ratio: Optional[float]) -> bool:
-        """The one retrain rule (:func:`repro.core.modify.retrain_due`)
-        over store totals: modified bytes since the last retrain, live
-        rows and ``T_aux`` rows across every shard."""
-        return retrain_due(self.tracker, len(self), self._aux_rows,
-                           threshold_bytes, aux_ratio)
 
     def rebuild(self, config: Optional[DeepMappingConfig] = None) -> None:
         """Retrain the store from its current logical content: one

@@ -35,7 +35,6 @@ from typing import Callable, Optional, Protocol, Union, runtime_checkable
 from ..resilience.deadline import Deadline
 
 __all__ = [
-    "ExecutorOwner",
     "ExecutorStrategy",
     "SerialStrategy",
     "ThreadPoolStrategy",
@@ -222,50 +221,3 @@ def make_executor(spec: Union[str, ExecutorStrategy, None] = None,
     raise TypeError(f"executor must be a strategy name, an ExecutorStrategy "
                     f"instance, or None; got {type(spec).__name__}")
 
-
-class ExecutorOwner:
-    """The executor strategy a store runs ``lookup_async`` (and a sharded
-    store its fan-out) on, shared by both store kinds.
-
-    A strategy built here from a name (or ``None``, the default) is
-    owned by the store and shut by :meth:`close`; a strategy instance
-    handed in — possibly shared between stores — stays caller-owned and
-    is never closed here.  The store stays usable after ``close``: an
-    owned strategy rebuilds its pools lazily on next use.
-    """
-
-    _executor: Optional[ExecutorStrategy] = None
-    _owns_executor = True
-
-    def _executor_workers(self) -> Optional[int]:
-        """Width of a pool built here (``None``: the pool's default)."""
-        return None
-
-    @property
-    def executor(self) -> ExecutorStrategy:
-        """The installed strategy (serial until one is installed)."""
-        if self._executor is None:
-            self._executor = SerialStrategy()
-        return self._executor
-
-    def set_executor(self, executor) -> None:
-        """Install a strategy: a name from :data:`EXECUTOR_NAMES`, an
-        instance, or ``None`` for the default (:func:`make_executor`).
-        The outgoing one is closed only if this store owned it."""
-        new = make_executor(executor, self._executor_workers())
-        if (self._executor is not None and self._owns_executor
-                and new is not self._executor):
-            self._executor.close()
-        self._executor = new
-        self._owns_executor = new is not executor
-
-    def close(self) -> None:
-        """Shut an owned strategy's workers (idempotent); data stays."""
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

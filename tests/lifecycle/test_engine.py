@@ -46,7 +46,7 @@ class TestAdoption:
                     np.random.default_rng(0))
         assert store.model is model
         assert store.tracker.bytes_since_build > 0
-        assert all(shard.tracker.bytes_since_build == 0
+        assert all(shard.tracker is None
                    for shard in store.shards if shard is not None)
 
     def test_unmanaged_store_has_no_engine(self, small_table):
@@ -55,7 +55,7 @@ class TestAdoption:
         assert store.engine is None
         store.delete({"key": small_table.column("key")[:3]})
         assert store.tracker.bytes_since_build > 0
-        assert all(shard.tracker.bytes_since_build == 0
+        assert all(shard.tracker is None
                    for shard in store.shards if shard is not None)
 
     def test_fresh_shard_from_insert_never_retrains_inline(self):
@@ -81,7 +81,31 @@ class TestAdoption:
                       "sub": np.array([0], dtype=np.int64),
                       "status": np.array(["A"])})
         assert store.shards[empty].model is model is store.model
-        assert store.shards[empty].tracker.bytes_since_build == 0
+        assert store.shards[empty].tracker is None
+
+    def test_a_shard_refuses_to_be_mutated_or_retrained_directly(
+            self, small_table, tmp_path):
+        """A shard's T_aux holds the rows the *store's* model loses, so a
+        shard retrained on its own would be saved under the wrong
+        model; its owner entry points refuse and nothing changes."""
+        store = managed_store(small_table, LifecycleConfig(policy="never"),
+                              retrain_threshold_bytes=1)
+        shard = next(s for s in store.shards if s is not None)
+        rows = {"key": small_table.column("key")[:1],
+                **{name: small_table.column(name)[:1]
+                   for name in store.value_names}}
+        for call in (lambda: shard.insert(rows), lambda: shard.update(rows),
+                     lambda: shard.delete({"key": rows["key"]}),
+                     shard.rebuild):
+            with pytest.raises(PermissionError, match="shard"):
+                call()
+        assert shard.model is store.model
+        store.save(str(tmp_path / "store"))
+        reopened = ShardedDeepMapping.load(str(tmp_path / "store"))
+        assert all(s.tracker is None for s in reopened.shards
+                   if s is not None)
+        with pytest.raises(PermissionError, match="shard"):
+            next(s for s in reopened.shards if s is not None).rebuild()
 
 
 class TestRetrains:

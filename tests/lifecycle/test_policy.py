@@ -25,6 +25,7 @@ class Structure:
 
     retrain_due = DeepMapping.retrain_due
     aux_ratio = DeepMapping.aux_ratio
+    _aux_rows = DeepMapping._aux_rows
 
     def __init__(self, n_rows=1000, aux_rows=0, bytes_since=0, aux=None):
         self.n_rows = n_rows

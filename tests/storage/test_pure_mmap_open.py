@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import AuxiliaryTable, DeepMapping
 from repro.core.model import Model
+from repro.core.modify import ModificationTracker
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.shard.manifest import MODEL_NAME
@@ -260,7 +261,8 @@ def with_aux(template, codec, partition_bytes, rows, overlay, dead):
     model = Model(config, template.key_codec, template.key_encoder,
                   template.session, template.fdecode,
                   template.model.dataset_bytes)
-    return DeepMapping(model, aux, template.exist)
+    return DeepMapping(model, aux, template.exist,
+                       tracker=ModificationTracker())
 
 
 def assert_same_store(opened, source, query):
