@@ -60,9 +60,9 @@ def to_payload(mapping: DeepMapping) -> bytearray:
     state = {
         **mapping.model.to_state(),
         **_shard_state(mapping),
-        # Sec. IV-D lazy-update state: without this a loaded store
-        # would restart the retrain threshold from zero every reopen.
-        "tracker": mapping.tracker.to_state(),
+        # Sec. IV-D lazy-update state (none on a shard): without this a
+        # loaded store would restart the retrain threshold every reopen.
+        "tracker": (mapping.tracker or ModificationTracker()).to_state(),
     }
     return zerocopy.pack(state)
 
