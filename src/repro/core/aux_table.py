@@ -25,11 +25,18 @@ Stores the key→value pairs the model misclassifies, as *label codes*:
 The overlay keeps single-row mutations O(1) instead of rewriting a
 compressed partition per operation; its serialized size is charged to the
 auxiliary structure so the retrain trigger sees the true footprint.
+
+The live row count is kept as rows change, so ``len`` is O(1) and a
+write costs O(batch), whatever the table's history: :meth:`add_batch` and
+:meth:`remove_batch` each learn from one sorted partition probe which
+keys come or go, :meth:`build` (and so :meth:`compact`) resets it, and
+after :meth:`attach` it is counted once, on first use — without touching
+a partition when the opened overlay is empty.  The count is not saved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -81,6 +88,8 @@ class AuxiliaryTable:
         )
         self._overlay: Dict[int, Tuple[int, ...]] = {}
         self._tombstones: set = set()
+        #: Live rows; ``None`` from :meth:`attach` until first counted.
+        self._live: Optional[int] = 0
 
     # ------------------------------------------------------------------
     # Build
@@ -96,6 +105,7 @@ class AuxiliaryTable:
         self._store.build(flat_keys, columns)
         self._overlay.clear()
         self._tombstones.clear()
+        self._live = len(self._store)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -130,6 +140,7 @@ class AuxiliaryTable:
             key: tuple(row) for key, row
             in zip(state["overlay_keys"].tolist(), rows.tolist())}
         self._tombstones = set(state["tombstones"].tolist())
+        self._live = None
 
     @property
     def pool(self) -> BufferPool:
@@ -181,24 +192,48 @@ class AuxiliaryTable:
     # ------------------------------------------------------------------
     def add_batch(self, flat_keys: np.ndarray, codes: Dict[str, np.ndarray]) -> None:
         """Insert or overwrite rows (misclassified inserts / updates)."""
-        flat_keys = np.asarray(flat_keys, dtype=np.int64)
-        for i, key in enumerate(flat_keys.tolist()):
+        keys = np.asarray(flat_keys, dtype=np.int64).tolist()
+        in_parts = self._in_partitions(
+            [key for key in keys if key not in self._overlay
+             and key not in self._tombstones])
+        added = 0
+        for i, key in enumerate(keys):
+            if key not in self._overlay and (key in self._tombstones
+                                             or key not in in_parts):
+                added += 1  # dead or absent until now
             self._tombstones.discard(key)
             self._overlay[key] = tuple(
                 int(codes[task][i]) for task in self.tasks
             )
+        if self._live is not None:
+            self._live += added
         self._maybe_compact()
 
     def remove_batch(self, flat_keys: np.ndarray) -> None:
         """Remove rows if present (deletes / updates the model now gets
         right).  Removal of an absent key is a no-op."""
-        flat_keys = np.asarray(flat_keys, dtype=np.int64)
-        in_parts, _ = self._store.lookup_batch(flat_keys)
-        for i, key in enumerate(flat_keys.tolist()):
+        keys = np.asarray(flat_keys, dtype=np.int64).tolist()
+        in_parts = self._in_partitions(keys)
+        removed = 0
+        for key in keys:
+            if key in self._overlay or (key in in_parts
+                                        and key not in self._tombstones):
+                removed += 1  # live until now
             self._overlay.pop(key, None)
-            if in_parts[i]:
+            if key in in_parts:
                 self._tombstones.add(key)
+        if self._live is not None:
+            self._live -= removed
         self._maybe_compact()
+
+    def _in_partitions(self, keys: List[int]) -> Set[int]:
+        """Which of ``keys`` the compressed partitions hold (tombstoned
+        or not): one sorted probe, none for an empty list."""
+        if not keys:
+            return set()
+        probe = np.unique(np.asarray(keys, dtype=np.int64))
+        found, _ = self._store.lookup_batch(probe)
+        return set(probe[found].tolist())
 
     def _maybe_compact(self) -> None:
         """Fold the overlay into compressed partitions once it grows past
@@ -217,12 +252,13 @@ class AuxiliaryTable:
         self.build(*self.scan())
 
     def __len__(self) -> int:
-        """Live row count (partitions − tombstones + fresh overlay rows)."""
-        overlay_new = sum(
-            1 for key in self._overlay
-            if not self._store.lookup_batch(np.array([key]))[0][0]
-        )
-        return len(self._store) - len(self._tombstones) + overlay_new
+        """Live row count (partitions − tombstones + fresh overlay rows),
+        kept as rows change; counted once after :meth:`attach`."""
+        if self._live is None:
+            self._live = (len(self._store) - len(self._tombstones)
+                          + len(self._overlay)
+                          - len(self._in_partitions(list(self._overlay))))
+        return self._live
 
     def stored_bytes(self) -> int:
         """Offline footprint: compressed partitions + serialized overlay."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,12 +52,12 @@ from ..store.base import StoreBase
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
 from .exist_index import ExistenceIndex, cover, make_existence_index
-from .model import Model
+from .model import Model, require_unique
 from .modify import ModificationTracker, settle
 from .plan import LookupPlan, LookupResult
 
 __all__ = ["DeepMapping", "SizeReport", "normalize_keys", "normalize_rows",
-           "with_rows"]
+           "with_rows", "encode_insert", "encode_update"]
 
 KeysLike = Union[Dict[str, np.ndarray], ColumnTable, np.ndarray, list]
 RowsLike = Union[Dict[str, np.ndarray], ColumnTable]
@@ -114,6 +114,34 @@ def with_rows(content: ColumnTable, columns: Dict[str, np.ndarray],
     an insert's keys widen the domain past what the model admits."""
     incoming = ColumnTable(columns, key=key_names)
     return content.concat(incoming) if content.n_rows else incoming
+
+
+def encode_insert(model: Model, columns: Dict[str, np.ndarray],
+                  live: Callable[[np.ndarray], np.ndarray]):
+    """The one flatten and model pass of an insert batch whose keys
+    ``model`` admits: ``(flat, labels, lost)`` (:meth:`Model.encode
+    <repro.core.model.Model.encode>`), after the checks both owners make
+    before anything changes — a key the batch repeats, or one that
+    ``live`` (the owner's existence mask over flat keys) holds, raises
+    ``ValueError``."""
+    flat = model.key_codec.flatten(columns)
+    require_unique(flat)
+    already = int(live(flat).sum())
+    if already:
+        raise ValueError(f"{already} key(s) already exist; use update()")
+    return model.encode(columns, flat)
+
+
+def encode_update(model: Model, columns: Dict[str, np.ndarray],
+                  live: Callable[[np.ndarray], np.ndarray]):
+    """The one flatten and model pass of an update batch, as
+    :func:`encode_insert`; a key that is not live raises ``KeyError``
+    before anything changes."""
+    flat, in_domain = model.key_codec.try_flatten(columns)
+    missing = int((~(live(flat) & in_domain)).sum())
+    if missing:
+        raise KeyError(f"{missing} key(s) do not exist; use insert()")
+    return model.encode(columns, flat)
 
 
 @dataclass
@@ -359,13 +387,16 @@ class DeepMapping(StoreBase):
         <repro.core.modify.settle>` the batch.  Keys the model does not
         admit (:meth:`Model.admits <repro.core.model.Model.admits>`)
         retrain the structure over its content and the batch instead
-        (0 is returned); else the count of rows landed in ``T_aux``."""
+        (0 is returned); else the count of rows landed in ``T_aux``.  A
+        key that exists or that the batch repeats raises ``ValueError``
+        (:func:`encode_insert`) and nothing changes."""
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
         if not self.model.admits(columns):
             self._retrain(with_rows(self.to_table(), columns, self.key_names))
             return 0
-        landed = self.apply_insert(columns)
+        landed = self.apply_insert(*encode_insert(self.model, columns,
+                                                  self.exist.test_batch))
         settle(self, columns)
         return landed
 
@@ -374,7 +405,8 @@ class DeepMapping(StoreBase):
         many were live (absent keys are ignored: idempotent bit-clear)."""
         self._require_writable()
         key_cols = normalize_keys(keys, self.key_names)
-        deleted = self.apply_delete(key_cols)
+        flat, in_domain = self.key_codec.try_flatten(key_cols)
+        deleted = self.apply_delete(flat[in_domain])
         settle(self, key_cols)
         return deleted
 
@@ -383,62 +415,49 @@ class DeepMapping(StoreBase):
         batch.  Returns the number of rows materialized in ``T_aux``."""
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        landed = self.apply_update(columns)
+        landed = self.apply_update(*encode_update(self.model, columns,
+                                                  self.exist.test_batch))
         settle(self, columns)
         return landed
 
-    # The row-level halves below are all a shard does: its store owns
-    # the model, validates the batch, counts it and retrains.
-    def apply_insert(self, columns: Dict[str, np.ndarray]) -> int:
-        """Algorithm 3 on rows whose keys the model admits: set existence
-        bits, evaluate the model on the new keys, and materialize only
-        the rows it mispredicts in ``T_aux`` (their count is returned)."""
-        flat = self.key_codec.flatten(columns)
-        existing = self.exist.test_batch(flat)
-        if existing.any():
-            raise ValueError(
-                f"{int(existing.sum())} key(s) already exist; use update()"
-            )
+    # The row-level halves below are all a shard does: its owner (this
+    # structure, or the store) validates the batch, flattens it and runs
+    # the model once (:func:`encode_insert` / :func:`encode_update`),
+    # then hands each shard its slice; the owner counts and retrains.
+    def apply_insert(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
+                     lost: np.ndarray) -> int:
+        """Algorithm 3 on new rows: set their existence bits and hold the
+        ``lost`` ones (the model mispredicts them) in ``T_aux``; returns
+        how many that is."""
         if flat.size:
             self.exist = cover(self.exist, int(flat.max()) + 1,
                                len(self) + flat.size)
         self.exist.set_batch(flat)
-        _, labels, mis = self.model.encode(columns)
-        return self._hold(flat, labels, mis)
+        return self._hold(flat, labels, lost)
 
-    def apply_delete(self, key_cols: Dict[str, np.ndarray]) -> int:
-        """Algorithm 4: clear existence bits and drop aux rows of the live
-        keys; returns how many there were."""
-        flat, in_domain = self.key_codec.try_flatten(key_cols)
-        live = self.exist.test_batch(flat) & in_domain
-        targets = flat[live]
-        self.exist.clear_batch(targets)
+    def apply_delete(self, flat: np.ndarray) -> int:
+        """Algorithm 4: clear the existence bits and drop the aux rows of
+        the live keys among ``flat``; returns how many there were."""
+        targets = flat[self.exist.test_batch(flat)]
         self.aux.remove_batch(targets)
-        return int(targets.size)
+        return self.exist.clear_batch(targets)
 
-    def apply_update(self, columns: Dict[str, np.ndarray]) -> int:
-        """Algorithm 5: rows the model now predicts correctly leave
-        ``T_aux``; the rest are inserted or updated in place there
-        (their count is returned).  Every key must be live."""
-        flat, in_domain = self.key_codec.try_flatten(columns)
-        live = self.exist.test_batch(flat) & in_domain
-        if not live.all():
-            raise KeyError(
-                f"{int((~live).sum())} key(s) do not exist; use insert()"
-            )
-
-        _, labels, mis = self.model.encode(columns)
-        if (~mis).any():
-            self.aux.remove_batch(flat[~mis])
-        return self._hold(flat, labels, mis)
+    def apply_update(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
+                     lost: np.ndarray) -> int:
+        """Algorithm 5 on live rows: those the model now predicts
+        correctly leave ``T_aux``; the ``lost`` ones are inserted or
+        updated in place there (their count is returned)."""
+        if (~lost).any():
+            self.aux.remove_batch(flat[~lost])
+        return self._hold(flat, labels, lost)
 
     def _hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
-              mis: np.ndarray) -> int:
-        """Put the ``mis`` rows (the model loses them) in ``T_aux``."""
-        if mis.any():
-            self.aux.add_batch(flat[mis], {t: codes[mis]
-                                           for t, codes in labels.items()})
-        return int(mis.sum())
+              lost: np.ndarray) -> int:
+        """Put the ``lost`` rows (the model loses them) in ``T_aux``."""
+        if lost.any():
+            self.aux.add_batch(flat[lost], {t: codes[lost]
+                                            for t, codes in labels.items()})
+        return int(lost.sum())
 
     # ------------------------------------------------------------------
     # Retraining (paper Sec. IV-D closing discussion)

@@ -11,6 +11,12 @@ An index covers one *window* ``[base, base + domain_size)`` of flat
 keys (a monolithic structure's whole domain, or a shard's key range);
 keys outside it test absent, and :func:`cover` grows its upper end.
 
+Its live count is kept as bits flip, so :meth:`~ExistenceIndex.count`
+(and ``len`` of the structure that holds it) is O(1): ``set_batch`` /
+``clear_batch`` return and count only the keys they actually flipped
+(a key repeated in a batch counts once), and the one full recount runs
+at open, in :func:`existence_from_state`.
+
 Two implementations share the interface:
 
 - :class:`ExistenceIndex` — the paper's dense bit vector, O(domain) bits;
@@ -60,6 +66,7 @@ class ExistenceIndex:
             raise ValueError("domain_size must be positive")
         self._bits = BitVector(domain_size)
         self.base = int(base)
+        self._count = 0
 
     # ------------------------------------------------------------------
     @property
@@ -67,13 +74,21 @@ class ExistenceIndex:
         """Number of addressable keys."""
         return len(self._bits)
 
-    def set_batch(self, flat_keys: np.ndarray) -> None:
-        """Mark keys as existing."""
-        self._bits.set_many(np.asarray(flat_keys) - self.base, True)
+    def set_batch(self, flat_keys: np.ndarray) -> int:
+        """Mark keys as existing; returns how many were not before."""
+        return self._flip(flat_keys, True)
 
-    def clear_batch(self, flat_keys: np.ndarray) -> None:
-        """Mark keys as deleted."""
-        self._bits.set_many(np.asarray(flat_keys) - self.base, False)
+    def clear_batch(self, flat_keys: np.ndarray) -> int:
+        """Mark keys as deleted; returns how many were live."""
+        return self._flip(flat_keys, False)
+
+    def _flip(self, flat_keys, value: bool) -> int:
+        idx = np.asarray(flat_keys, dtype=np.int64) - self.base
+        flips = idx[self._bits.test_many(idx) != value]
+        self._bits.set_many(idx, value)
+        flipped = int(np.unique(flips).size)
+        self._count += flipped if value else -flipped
+        return flipped
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
         """Boolean existence mask for the queried keys (False outside
@@ -82,8 +97,8 @@ class ExistenceIndex:
             np.asarray(flat_keys, dtype=np.int64) - self.base)
 
     def count(self) -> int:
-        """Number of live keys."""
-        return self._bits.count()
+        """Number of live keys (kept as bits flip: O(1))."""
+        return self._count
 
     def existing_keys(self) -> np.ndarray:
         """All live flat keys, ascending (used by rebuild/scan paths)."""
@@ -137,18 +152,33 @@ class SparseExistenceIndex:
         """Number of addressable keys."""
         return self._domain
 
-    def set_batch(self, flat_keys: np.ndarray) -> None:
-        """Mark keys as existing."""
-        flat_keys = self._checked(flat_keys)
-        if flat_keys.size:
-            self._keys = np.union1d(self._keys, flat_keys)
+    def set_batch(self, flat_keys: np.ndarray) -> int:
+        """Mark keys as existing; returns how many were not before.  The
+        new keys go in where they sort: one insert, no re-sort."""
+        batch, pos, live = self._probe(flat_keys)
+        if live.all():
+            return 0
+        self._keys = np.insert(self._keys, pos[~live], batch[~live])
+        return int((~live).sum())
 
-    def clear_batch(self, flat_keys: np.ndarray) -> None:
-        """Mark keys as deleted."""
-        flat_keys = self._checked(flat_keys)
-        if flat_keys.size:
-            self._keys = np.setdiff1d(self._keys, flat_keys,
-                                      assume_unique=False)
+    def clear_batch(self, flat_keys: np.ndarray) -> int:
+        """Mark keys as deleted; returns how many were live."""
+        _, pos, live = self._probe(flat_keys)
+        if not live.any():
+            return 0
+        self._keys = np.delete(self._keys, pos[live])
+        return int(live.sum())
+
+    def _probe(self, flat_keys):
+        """``(batch, pos, live)``: the batch's distinct keys ascending,
+        where each sorts among the live keys, and which of them are
+        live."""
+        batch = np.unique(self._checked(flat_keys))
+        pos = np.searchsorted(self._keys, batch)
+        live = np.zeros(batch.size, dtype=bool)
+        inside = pos < self._keys.size
+        live[inside] = self._keys[pos[inside]] == batch[inside]
+        return batch, pos, live
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
         """Boolean existence mask for the queried keys (False outside
@@ -255,4 +285,5 @@ def existence_from_state(state: dict):
     index = ExistenceIndex.__new__(ExistenceIndex)
     index._bits = BitVector.wrap(int(state["size"]), state["bits"])
     index.base = base
+    index._count = index._bits.count()  # the one full recount
     return index

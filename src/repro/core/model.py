@@ -26,7 +26,16 @@ from ..nn.training import Trainer
 from .config import DeepMappingConfig
 from .mhas.reward import measure_aux_bytes_per_row
 
-__all__ = ["Model", "Fit"]
+__all__ = ["Model", "Fit", "require_unique"]
+
+
+def require_unique(flat: np.ndarray) -> None:
+    """The one check that rows' flat keys identify them: a build and an
+    insert batch both refuse a key they repeat (``ValueError``)."""
+    repeated = flat.size - np.unique(flat).size
+    if repeated:
+        raise ValueError(f"{repeated} duplicate key(s): the designated "
+                         "key does not uniquely identify rows")
 
 
 class Fit(NamedTuple):
@@ -84,8 +93,7 @@ class Model:
         key_codec = CompositeKeyCodec(table.key).fit(key_cols,
                                                      headroom=headroom)
         flat = key_codec.flatten(key_cols)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("the designated key does not uniquely identify rows")
+        require_unique(flat)
 
         value_cols = table.value_columns_dict()
         if not value_cols:
@@ -168,12 +176,15 @@ class Model:
             self._compiled = engine
         return engine
 
-    def encode(self, columns: Dict[str, np.ndarray]):
+    def encode(self, columns: Dict[str, np.ndarray],
+               flat: Optional[np.ndarray] = None):
         """``(flat keys, label codes, lost rows)`` of the rows
         ``columns`` (key and value columns) under this model, no
-        training.  New values join the decode map first (the model never
+        training; ``flat`` is their flat keys when the caller already
+        has them.  New values join the decode map first (the model never
         predicts them, so their rows are lost)."""
-        flat = self.key_codec.flatten(columns)
+        if flat is None:
+            flat = self.key_codec.flatten(columns)
         values = {t: np.asarray(columns[t]) for t in self.fdecode.columns}
         self.fdecode.extend(values)
         labels = self.fdecode.encode(values)

@@ -151,18 +151,22 @@ class CompositeKeyCodec:
                  ) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
         """``(flat, in_domain, first out-of-domain column or None)``."""
         self._require_fitted()
-        n = len(np.asarray(columns[self.key_names[0]]))
-        flat = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-        outside = None
+        flat = ok = outside = None
         for i, name in enumerate(self.key_names):
+            # A fresh array: offsets from the column's min.  Viewed
+            # unsigned, a negative offset wraps high, so one compare
+            # tests both ends of the extent.
             col = np.asarray(columns[name], dtype=np.int64) - self._mins[i]
-            inside = (col >= 0) & (col < self._extents[i])
-            if outside is None and not inside.all():
-                outside = name
-            ok &= inside
-            flat += np.clip(col, 0, self._extents[i] - 1) * self._strides[i]
-        flat[~ok] = 0
+            inside = col.view(np.uint64) < np.uint64(self._extents[i])
+            if not inside.all():
+                if outside is None:
+                    outside = name
+                col[~inside] = 0
+            col *= self._strides[i]
+            flat = col if flat is None else flat + col
+            ok = inside if ok is None else ok & inside
+        if outside is not None:
+            flat[~ok] = 0
         return flat, ok, outside
 
     def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:

@@ -37,8 +37,8 @@ import numpy as np
 
 from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
-                                 SizeReport, normalize_keys, normalize_rows,
-                                 with_rows)
+                                 SizeReport, encode_insert, encode_update,
+                                 normalize_keys, normalize_rows, with_rows)
 from ..core.model import Model
 from ..core.modify import ModificationTracker, settle
 from ..core.negative_filter import build_store_filter, hash_key_columns
@@ -423,36 +423,38 @@ class ShardedDeepMapping(StoreBase):
         the store over its content and the batch.  Returns the rows
         materialized in auxiliary tables (0 after a retrain).
 
-        The batch is validated against existing keys and intra-batch
-        duplicates before any shard is mutated: either problem raises
-        ``ValueError`` and no shard changes.
+        The batch is flattened and run through the model once
+        (:func:`~repro.core.deep_mapping.encode_insert`), and validated
+        against existing keys and intra-batch duplicates before any shard
+        is mutated: either problem raises ``ValueError`` and no shard
+        changes.  Each shard then sets bits and holds rows of its slice.
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        self._require_unique_batch_keys(columns)
-        already = int(self.contains_batch(columns).sum())
-        if already:
-            raise ValueError(f"{already} key(s) already exist; use update()")
-
-        self._widen_dtypes(columns)
-        if not self.model.admits(columns):
+        model = self.model
+        if not model.admits(columns):
             topology.retrain(self, with_rows(self.to_table(), columns,
                                              self.key_names))
+            self._widen_dtypes(columns)
             return 0
+        groups = self._group_rows(columns)
+        flat, labels, lost = encode_insert(
+            model, columns, functools.partial(self._live, groups))
+        self._widen_dtypes(columns)
+        hashes = (hash_key_columns(columns, self.key_names)
+                  if self._store_filter is not None else None)
         landed = 0
         stale = False  # the dense store filter declined rows: rebuild it
         try:
-            for ordinal, rows_idx in self._group_rows(columns):
-                subset = {name: arr[rows_idx]
-                          for name, arr in columns.items()}
+            for ordinal, rows_idx in groups:
+                part = topology.rows(rows_idx, flat, labels, lost)
                 shard = self.shards[ordinal]
                 if shard is None:
-                    fresh = topology.build_shard(self, ordinal, ColumnTable(
-                        subset, key=self.key_names, name="shard"))
-                    self.shards[ordinal] = fresh
-                    landed += len(fresh.aux)
+                    self.shards[ordinal] = topology.materialize(
+                        self, model, self.router, ordinal, *part)
+                    landed += int(part[2].sum())
                 else:
-                    landed += shard.apply_insert(subset)
+                    landed += shard.apply_insert(*part)
                 # Grow the store filter once the shard has accepted the
                 # rows — not before (an insert that raises must not
                 # leave phantom positives) and not after the loop (if a
@@ -462,9 +464,8 @@ class ShardedDeepMapping(StoreBase):
                 # shard content then re-covers them (widening the domain
                 # or falling back to Bloom as build_store_filter sees
                 # fit).
-                if self._store_filter is not None and not stale:
-                    stale = not self._store_filter.try_add(
-                        hash_key_columns(subset, self.key_names))
+                if hashes is not None and not stale:
+                    stale = not self._store_filter.try_add(hashes[rows_idx])
         finally:
             if stale:
                 self.refresh_store_filter()
@@ -482,34 +483,35 @@ class ShardedDeepMapping(StoreBase):
         """
         self._require_writable()
         key_cols = normalize_keys(keys, self.key_names)
+        flat, in_domain = self.model.key_codec.try_flatten(key_cols)
         deleted = 0
         for ordinal, rows_idx in self._group_rows(key_cols):
             shard = self.shards[ordinal]
-            if shard is None:
-                continue
-            deleted += shard.apply_delete({name: arr[rows_idx]
-                                           for name, arr in key_cols.items()})
+            if shard is not None:
+                deleted += shard.apply_delete(
+                    flat[rows_idx[in_domain[rows_idx]]])
         settle(self, key_cols, self.engine)
         return deleted
 
     def update(self, rows: RowsLike) -> int:
         """Replace values of existing keys in their owning shards.
 
-        The whole batch is validated first: if any key does not exist,
-        ``KeyError`` is raised and no shard is mutated (matching the
-        monolithic all-or-nothing contract).
+        The batch is flattened and run through the model once
+        (:func:`~repro.core.deep_mapping.encode_update`) and validated
+        first: if any key does not exist, ``KeyError`` is raised and no
+        shard is mutated (matching the monolithic all-or-nothing
+        contract).
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        missing = int((~self.contains_batch(columns)).sum())
-        if missing:
-            raise KeyError(f"{missing} key(s) do not exist; use insert()")
-
+        groups = self._group_rows(columns)
+        flat, labels, lost = encode_update(
+            self.model, columns, functools.partial(self._live, groups))
         self._widen_dtypes(columns)
         landed = 0
-        for ordinal, rows_idx in self._group_rows(columns):
+        for ordinal, rows_idx in groups:
             landed += self.shards[ordinal].apply_update(
-                {name: arr[rows_idx] for name, arr in columns.items()})
+                *topology.rows(rows_idx, flat, labels, lost))
         settle(self, columns, self.engine)
         return landed
 
@@ -519,28 +521,25 @@ class ShardedDeepMapping(StoreBase):
                 "this store was opened writable=False (shared, read-only "
                 "shard components); reopen with repro.open(url) to mutate it")
 
-    def _require_unique_batch_keys(self, columns: Dict[str, np.ndarray]) -> None:
-        """Reject mutation batches that repeat a key.
-
-        A duplicate would fail *inside* one shard (a fresh shard or a
-        retrain requires unique keys) after other shards were already
-        mutated — so it is rejected up front to keep insert all-or-nothing.
-        """
-        stacked = np.stack([np.asarray(columns[name], dtype=np.int64)
-                            for name in self.key_names], axis=1)
-        n_unique = np.unique(stacked, axis=0).shape[0]
-        if n_unique != stacked.shape[0]:
-            raise ValueError(
-                f"{stacked.shape[0] - n_unique} duplicate key(s) in batch"
-            )
-
-    def _group_rows(self, columns: Dict[str, np.ndarray]):
-        """Yield ``(shard_ordinal, row_indices)`` for routed input rows."""
+    def _group_rows(self, columns: Dict[str, np.ndarray]
+                    ) -> List[Tuple[int, np.ndarray]]:
+        """``(shard_ordinal, row_indices)`` for routed input rows."""
         key_cols = {name: columns[name] for name in self.key_names}
         with self.stats.timing("route"):
             shard_ids = self.router.route(key_cols)
-        for ordinal in np.unique(shard_ids):
-            yield int(ordinal), np.flatnonzero(shard_ids == ordinal)
+        return [(int(ordinal), np.flatnonzero(shard_ids == ordinal))
+                for ordinal in np.unique(shard_ids)]
+
+    def _live(self, groups: List[Tuple[int, np.ndarray]],
+              flat: np.ndarray) -> np.ndarray:
+        """Which of the routed rows' flat keys their shard holds (keys of
+        an empty shard are not live)."""
+        live = np.zeros(flat.size, dtype=bool)
+        for ordinal, rows_idx in groups:
+            shard = self.shards[ordinal]
+            if shard is not None:
+                live[rows_idx] = shard.exist.test_batch(flat[rows_idx])
+        return live
 
     # ------------------------------------------------------------------
     # Lifecycle: maintenance plumbing and split/merge mechanics

@@ -4,7 +4,8 @@ The store's ``(router, model, shards)`` triple is swapped atomically
 (:func:`swap`), so a reader holding the old triple keeps its answers —
 the model it started with included.  A shard is ``T_aux`` and
 ``V_exist`` of one key window (:func:`window`) materialized under the
-store's one model (:func:`build_shard`); nothing here trains.
+store's one model (:func:`materialize`, from rows already encoded
+under it, or :func:`build_shard`, from a table); nothing here trains.
 :func:`split_shard` / :func:`merge_shards` repartition range shards and
 swap them in; :func:`retrain` is the store-level retrain — one
 warm-started refit, then every shard re-materialized under it.
@@ -12,7 +13,7 @@ warm-started refit, then every shard re-materialized under it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .router import RangeShardRouter, ShardRouter
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .store import ShardedDeepMapping
 
-__all__ = ["window", "build_shard", "swap", "install", "retrain",
-           "can_split", "split_shard", "merge_shards"]
+__all__ = ["window", "rows", "materialize", "build_shard", "swap",
+           "install", "retrain", "can_split", "split_shard", "merge_shards"]
 
 
 def window(router: ShardRouter, model: Model,
@@ -45,8 +46,20 @@ def window(router: ShardRouter, model: Model,
     return lo, max(hi - lo, 1)
 
 
-def _shard(store: "ShardedDeepMapping", model: Model, router: ShardRouter,
-           ordinal: int, flat, labels, lost) -> DeepMapping:
+def rows(idx: np.ndarray, flat: np.ndarray, labels: Dict[str, np.ndarray],
+         lost: np.ndarray):
+    """Rows ``idx`` of a batch encoded under a model, ``(flat, labels,
+    lost)`` as :meth:`Model.encode <repro.core.model.Model.encode>` gives
+    them: one shard's slice."""
+    return flat[idx], {t: codes[idx] for t, codes in labels.items()}, \
+        lost[idx]
+
+
+def materialize(store: "ShardedDeepMapping", model: Model,
+                router: ShardRouter, ordinal: int, flat, labels,
+                lost) -> DeepMapping:
+    """Shard ``ordinal`` of ``router`` over rows encoded under ``model``
+    (see :func:`rows`); no training."""
     return DeepMapping.materialize(model, flat, labels, lost,
                                    window=window(router, model, ordinal),
                                    pool=store.pool, stats=store.stats)
@@ -58,8 +71,8 @@ def build_shard(store: "ShardedDeepMapping", ordinal: int,
     """Shard ``ordinal`` of ``router`` (default: the store's) over
     ``table``, materialized under the store's model — no training."""
     model = store.model
-    return _shard(store, model, router or store.router, ordinal,
-                  *model.encode(table.columns_dict()))
+    return materialize(store, model, router or store.router, ordinal,
+                       *model.encode(table.columns_dict()))
 
 
 def swap(store: "ShardedDeepMapping", router: ShardRouter, model: Model,
@@ -85,11 +98,10 @@ def install(store: "ShardedDeepMapping", table: ColumnTable,
         shard_ids = router.route(table.key_columns_dict())
     shards: List[Optional[DeepMapping]] = []
     for ordinal in range(router.n_shards):
-        rows = np.flatnonzero(shard_ids == ordinal)
-        shards.append(None if rows.size == 0 else _shard(
-            store, fit.model, router, ordinal, fit.flat[rows],
-            {t: codes[rows] for t, codes in fit.labels.items()},
-            fit.lost[rows]))
+        idx = np.flatnonzero(shard_ids == ordinal)
+        shards.append(None if idx.size == 0 else materialize(
+            store, fit.model, router, ordinal,
+            *rows(idx, fit.flat, fit.labels, fit.lost)))
     retired = store.shards
     swap(store, router, fit.model, shards)
     for shard in retired:

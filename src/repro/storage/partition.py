@@ -408,12 +408,12 @@ class SortedPartitionStore:
     def locate(self, keys: np.ndarray) -> np.ndarray:
         """Partition ordinal for each query key (-1 when outside any range)."""
         keys = np.asarray(keys, dtype=np.int64)
+        if not self._metas:
+            return np.full(keys.size, -1, dtype=np.int64)
         with self.stats.timing("locate"):
-            idx = np.searchsorted(self._first_keys, keys, side="right") - 1
-            valid = idx >= 0
-            in_range = np.zeros(keys.size, dtype=bool)
-            in_range[valid] = keys[valid] <= self._last_keys[idx[valid]]
-            idx[~in_range] = -1
+            idx = self._first_keys.searchsorted(keys, side="right") - 1
+            # idx -1 reads the last fence; the idx < 0 term voids it.
+            idx[(idx < 0) | (keys > self._last_keys[idx])] = -1
         return idx
 
     def load_partition(self, pid: int) -> Dict[str, np.ndarray]:
@@ -471,7 +471,7 @@ class SortedPartitionStore:
         if keys.size == 0 or not self._metas:
             return found, values
 
-        if keys.size < 2 or np.all(keys[1:] >= keys[:-1]):
+        if keys.size < 2 or (keys[1:] >= keys[:-1]).all():
             order = None  # already sorted: identity order
             sorted_keys = keys
         else:
@@ -483,10 +483,9 @@ class SortedPartitionStore:
         # sorted and partitions are disjoint ascending ranges), so equal
         # pids form contiguous runs — iterate runs instead of scanning a
         # ``pids == pid`` mask per partition.
-        boundaries = np.flatnonzero(pids[1:] != pids[:-1]) + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [pids.size]])
-        for start, stop in zip(starts, stops):
+        edges = [0, *((pids[1:] != pids[:-1]).nonzero()[0] + 1).tolist(),
+                 pids.size]
+        for start, stop in zip(edges[:-1], edges[1:]):
             pid = int(pids[start])
             if pid < 0:
                 continue
@@ -494,11 +493,11 @@ class SortedPartitionStore:
             part_keys = block["keys"]
             run = sorted_keys[start:stop]
             with self.stats.timing("search"):
-                pos = np.searchsorted(part_keys, run)
-                pos = np.minimum(pos, part_keys.size - 1)
+                pos = part_keys.searchsorted(run)
+                np.minimum(pos, part_keys.size - 1, out=pos)
                 hit = part_keys[pos] == run
             if order is None:
-                rows = np.flatnonzero(hit) + start
+                rows = hit.nonzero()[0] + start
             else:
                 rows = order[start:stop][hit]
             found[rows] = True

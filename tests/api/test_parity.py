@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
+from repro.data import synthetic
 from repro.resilience import Deadline, DeadlineExceeded
 from repro.store import DataStore
 
@@ -157,3 +158,31 @@ class TestSharedSurfaceBehaves:
         # Neither store shut the shared pool down.
         assert shared._pool is not None
         shared.close()
+
+
+class TestInsertRepeatingAKey:
+    """Both owners refuse an insert batch that repeats a key, with one
+    check on the batch's flat keys, before anything changes."""
+
+    @pytest.mark.parametrize("kind", ["mono", "sharded"])
+    @pytest.mark.parametrize("where", ["gap", "append"])
+    def test_refused_and_nothing_changes(self, kind, where):
+        table = synthetic.single_column(600, "low", seed=3,
+                                        domain_factor=2.0)
+        config = fast_config(epochs=3)
+        store = (DeepMapping.fit(table, config) if kind == "mono" else
+                 ShardedDeepMapping.fit(table, config,
+                                        ShardingConfig(n_shards=3)))
+        live = table.column("key")
+        if where == "gap":
+            fresh = np.setdiff1d(np.arange(live.min(), live.max()), live)[:2]
+        else:
+            fresh = np.array([live.max() + 7, live.max() + 9])
+        keys = np.array([fresh[0], fresh[1], fresh[0]], dtype=np.int64)
+        values = np.repeat(table.column("value")[:1], 3)
+        before = len(store)
+        with pytest.raises(ValueError, match="1 duplicate key"):
+            store.insert({"key": keys, "value": values})
+        assert len(store) == before
+        assert not store.contains_batch({"key": fresh}).any()
+        assert store.tracker.bytes_since_build == 0

@@ -363,9 +363,10 @@ class TestAuxRatioRetrain:
         insert/delete/update count the batch and retrain, they do not."""
         table, dm = fresh_mapping(n=300, retrain_threshold_bytes=1)
         batch = batch_columns(synthetic.insert_batch(table, 20, "high"))
-        dm.apply_insert(batch)
-        dm.apply_update(batch)
-        dm.apply_delete({"key": batch["key"][:5]})
+        flat, labels, lost = dm.model.encode(batch)
+        dm.apply_insert(flat, labels, lost)
+        dm.apply_update(flat, labels, lost)
+        dm.apply_delete(flat[:5])
         assert dm.tracker.bytes_since_build == 0
         assert dm.tracker.total_retrains == 0
         assert len(dm) == len(table) + 15

@@ -335,7 +335,7 @@ class TestPartialInsertFailure:
                                 for ordinal in range(4)])
         assert fresh.size == 20
 
-        def refuse(rows):
+        def refuse(flat, labels, lost):
             raise RuntimeError("injected shard failure")
 
         monkeypatch.setattr(store.shards[2], "apply_insert", refuse)

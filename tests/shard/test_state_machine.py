@@ -9,6 +9,10 @@ writable and ``writable=False``), and checks after every step that:
 - found-mask and values are bit-identical to the dict, on live keys and
   on misses (deleted keys, gaps, keys outside the domain);
 - ``len(store)`` is the dict's size;
+- every shard's live counts, kept as rows change, are the rows it
+  holds: ``len(shard.aux)`` is what a scan of its ``T_aux`` finds and
+  ``len(shard)`` the keys its ``V_exist`` holds (on a read-only reopen
+  too);
 - the store filter has no false negative on a live key;
 - a lookup through a ``store._topology`` snapshot taken before the last
   split, merge or retrain returns what it returned then.
@@ -67,6 +71,14 @@ def _base_store_url() -> str:
                                  table.column("value").tolist()))
         _BASE["vocab"] = sorted(set(_BASE["rows"].values()))
     return _BASE["url"]
+
+
+def _check_counts(store) -> None:
+    """The O(1) live counts against a recount of what each shard holds."""
+    for shard in store.shards:
+        if shard is not None:
+            assert len(shard.aux) == shard.aux.scan()[0].size
+            assert len(shard) == shard.exist.existing_keys().size
 
 
 def _route_lookup(router, shards, keys: np.ndarray):
@@ -228,6 +240,7 @@ class ShardedStoreMachine(RuleBasedStateMachine):
                             dtype=dtype)
         np.testing.assert_array_equal(values, expected)
         assert len(store) == len(self.model)
+        _check_counts(store)
 
     @invariant()
     def matches_model(self):

@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.storage import Stopwatch, StoreStats
 
 
@@ -31,6 +33,13 @@ class TestStopwatch:
         except RuntimeError:
             pass
         assert watch.calls == 1
+        stats = StoreStats()
+        with pytest.raises(RuntimeError, match="boom"):
+            with stats.timing("io"):
+                time.sleep(0.001)
+                raise RuntimeError("boom")
+        assert stats.timer("io").calls == 1
+        assert stats.seconds("io") >= 0.001
 
 
 class TestStoreStats:
