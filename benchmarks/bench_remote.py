@@ -5,8 +5,8 @@ server (``repro.testing.range_server``) so the numbers measure the
 *read path* — request counts and bytes moved — rather than a network:
 
 1. **Cold-open economy.** Opening a sharded store over ``http://``
-   downloads only the manifest (router + filter + prune metadata) and
-   the config blob.  The cold-open download must stay a small fraction
+   downloads only the manifest (router + schema), the model blob and
+   the existence blob.  The cold-open download must stay a small fraction
    of the store's total bytes, and zero shard payload blobs may be
    touched.
 2. **Skewed-workload hydration.** A workload routed into 2 of N shards

@@ -75,12 +75,13 @@ def _headline(name, data):
                 f">= {_fmt(acceptance.get('target'), 'x')}",
                 measured)
     if name == "prune":
-        all_miss = _fmt(acceptance.get("all_miss_measured"), "x")
-        mono = _fmt(data.get("pruning", {}).get("all_miss", {})
-                    .get("sharded_vs_monolithic"), "x")
-        return ("all-miss pruned vs unpruned",
-                f">= {_fmt(acceptance.get('all_miss_target'), 'x')}",
-                f"{all_miss} (all-miss vs monolithic {mono})")
+        pruning = data.get("pruning", {})
+        miss = pruning.get("all_miss", {})
+        return ("all-miss batch: keys pruned, shard plans; manifest bytes",
+                f"all, 0; <= {acceptance.get('manifest_bytes_limit', '?')}",
+                f"{miss.get('pruned_keys', '?')} of "
+                f"{pruning.get('batch', '?')}, {miss.get('shard_plans', '?')}"
+                f"; {pruning.get('manifest_bytes', '?')}")
     if name == "remote":
         skew = _fmt(acceptance.get("skew_fraction_measured"), "pct_abs")
         warm = _fmt(acceptance.get("warm_ratio_measured"), "x")

@@ -167,7 +167,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
     """The bytes the store's blobs really occupy, next to the paper's
     accounting (``total:``), which counts neither container framing nor
-    the manifest's filter."""
+    the manifest."""
     backend, blob, _ = describe_target(path)
     names = [blob] if blob is not None else backend.list()
     sizes = {name: read_blob_view(backend, name).nbytes for name in names}

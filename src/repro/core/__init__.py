@@ -7,7 +7,6 @@ from .deep_mapping import DeepMapping, SizeReport
 from .exist_index import (ExistenceIndex, SparseExistenceIndex,
                           existence_from_state, make_existence_index)
 from .modify import ModificationTracker, estimate_batch_bytes
-from .negative_filter import NegativeFilter, hash_key_columns
 from .multikey import MultiKeyDeepMapping, MultiRelationDeepMapping
 from .plan import LookupResult
 from .query import QueryError, run_select, select
@@ -26,8 +25,6 @@ __all__ = [
     "existence_from_state",
     "ModificationTracker",
     "estimate_batch_bytes",
-    "NegativeFilter",
-    "hash_key_columns",
     "MultiKeyDeepMapping",
     "MultiRelationDeepMapping",
     "lookup_range",

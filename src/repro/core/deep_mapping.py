@@ -19,9 +19,10 @@ fraction of the raw data's footprint when key-value structure exists.
 
 ``M``, the key encodings and ``f_decode`` are one
 :class:`~repro.core.model.Model`, fit once per table (the only place
-anything trains); a DeepMapping is ``T_aux`` and ``V_exist`` of one key
-window under a model (:meth:`DeepMapping.materialize`) — the whole
-domain, or one shard's window of a store sharing one model.
+anything trains); a DeepMapping is ``T_aux`` and ``V_exist`` under a
+model (:meth:`DeepMapping.materialize`) — its own index over the whole
+domain, or, as one shard of a store sharing one model, the store's one
+index.
 
 This module owns key/row normalisation, the build, the mutations and the
 retrain rule.  One batched lookup lives in :mod:`repro.core.plan`; the
@@ -202,6 +203,7 @@ class DeepMapping(StoreBase):
         exist: ExistenceIndex,
         stats: Optional[StoreStats] = None,
         tracker: Optional[ModificationTracker] = None,
+        n_rows: Optional[int] = None,
     ):
         self.model = model
         self.aux = aux
@@ -213,6 +215,11 @@ class DeepMapping(StoreBase):
         #: sharded store: the store owns the model, applies the shard's
         #: rows, counts and retrains, and the shard refuses to.
         self.tracker = tracker
+        #: A shard's live keys, which its store counts from the bits it
+        #: flips for the shard's rows: a shard's ``exist`` is its store's
+        #: one index over every shard's keys.  ``None`` when ``exist`` is
+        #: this structure's own, whose count it is.
+        self.n_rows = n_rows
         #: False for structures opened via ``repro.open(...,
         #: writable=False)``: components may be shared with other opens
         #: of the same payload (and backed by read-only mmap views), so
@@ -253,15 +260,17 @@ class DeepMapping(StoreBase):
         flat: np.ndarray,
         labels: Dict[str, np.ndarray],
         lost: np.ndarray,
-        window: Optional[Tuple[int, int]] = None,
+        exist=None,
         pool: Optional[BufferPool] = None,
         stats: Optional[StoreStats] = None,
     ) -> "DeepMapping":
         """``T_aux`` and ``V_exist`` of rows ``flat`` under ``model``, no
         training: ``labels`` are their codes, ``lost`` the rows the
         kernel loses (:meth:`Model.encode <repro.core.model.Model.encode>`
-        computes both), ``window`` the ``(base, size)`` of flat keys
-        ``V_exist`` covers (default: the whole domain)."""
+        computes both).  ``V_exist`` is a new index over the whole domain
+        holding ``flat``, or ``exist``: a store's one index, whose owner
+        sets the rows' bits, and then the structure is one shard of that
+        store counting ``flat.size`` rows."""
         stats = stats if stats is not None else StoreStats()
         config = model.config
         tasks = model.fdecode.columns
@@ -274,9 +283,9 @@ class DeepMapping(StoreBase):
             auto_compact_rows=config.aux_auto_compact_rows,
         )
         aux.build(flat[lost], {t: labels[t][lost] for t in tasks})
-        base, size = (window if window is not None
-                      else (0, model.key_codec.domain_size))
-        exist = make_existence_index(size, flat.size, base)
+        if exist is not None:
+            return cls(model, aux, exist, stats=stats, n_rows=flat.size)
+        exist = make_existence_index(model.key_codec.domain_size, flat.size)
         exist.set_batch(flat)
         return cls(model, aux, exist, stats=stats)
 
@@ -302,7 +311,7 @@ class DeepMapping(StoreBase):
 
     def __len__(self) -> int:
         """Number of live keys."""
-        return self.exist.count()
+        return self.exist.count() if self.n_rows is None else self.n_rows
 
     def size_report(self) -> SizeReport:
         """Per-component storage breakdown (Fig. 6 / Eq. 1)."""
@@ -420,10 +429,12 @@ class DeepMapping(StoreBase):
         settle(self, columns)
         return landed
 
-    # The row-level halves below are all a shard does: its owner (this
-    # structure, or the store) validates the batch, flattens it and runs
-    # the model once (:func:`encode_insert` / :func:`encode_update`),
-    # then hands each shard its slice; the owner counts and retrains.
+    # The row-level halves below: the owner validates the batch, flattens
+    # it and runs the model once (:func:`encode_insert` /
+    # :func:`encode_update`), then applies them; the owner counts and
+    # retrains.  A sharded store flips the bits of its one index itself
+    # and hands each shard's ``T_aux`` its slice (:meth:`hold`,
+    # :meth:`apply_update`).
     def apply_insert(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
                      lost: np.ndarray) -> int:
         """Algorithm 3 on new rows: set their existence bits and hold the
@@ -433,7 +444,7 @@ class DeepMapping(StoreBase):
             self.exist = cover(self.exist, int(flat.max()) + 1,
                                len(self) + flat.size)
         self.exist.set_batch(flat)
-        return self._hold(flat, labels, lost)
+        return self.hold(flat, labels, lost)
 
     def apply_delete(self, flat: np.ndarray) -> int:
         """Algorithm 4: clear the existence bits and drop the aux rows of
@@ -449,10 +460,10 @@ class DeepMapping(StoreBase):
         updated in place there (their count is returned)."""
         if (~lost).any():
             self.aux.remove_batch(flat[~lost])
-        return self._hold(flat, labels, lost)
+        return self.hold(flat, labels, lost)
 
-    def _hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
-              lost: np.ndarray) -> int:
+    def hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
+             lost: np.ndarray) -> int:
         """Put the ``lost`` rows (the model loses them) in ``T_aux``."""
         if lost.any():
             self.aux.add_batch(flat[lost], {t: codes[lost]
@@ -501,6 +512,10 @@ class DeepMapping(StoreBase):
 
     def to_table(self) -> ColumnTable:
         """Materialize the current logical content as a ColumnTable."""
+        if self.n_rows is not None:
+            raise PermissionError(
+                "a shard reads its store's one V_exist, which holds every "
+                "shard's keys: take the rows through the store")
         flat = self.exist.existing_keys()
         key_cols = self.key_codec.unflatten(flat)
         columns: Dict[str, np.ndarray] = dict(key_cols)

@@ -7,9 +7,9 @@ input, so every lookup is masked through this vector first (Algorithm 1,
 line 5).  Offline, the vector is stored compressed; the paper notes the
 compressed size depends on the randomness of the set bits (Sec. V-C).
 
-An index covers one *window* ``[base, base + domain_size)`` of flat
-keys (a monolithic structure's whole domain, or a shard's key range);
-keys outside it test absent, and :func:`cover` grows its upper end.
+An index covers the flat keys ``[0, domain_size)`` of a model's whole
+key domain (a sharded store holds one for all its shards); keys outside
+it test absent, and :func:`cover` grows its upper end.
 
 Its live count is kept as bits flip, so :meth:`~ExistenceIndex.count`
 (and ``len`` of the structure that holds it) is O(1): ``set_batch`` /
@@ -25,7 +25,7 @@ Two implementations share the interface:
   exact (a Bloom filter would reintroduce hallucinations).
 
 :func:`make_existence_index` picks automatically, and :func:`cover`
-applies the same rule when a window grows.
+applies the same rule when the domain grows.
 
 ``to_state`` / :func:`existence_from_state` is how either is persisted:
 a small dict whose arrays stay first-class, so the RZC2 container
@@ -59,13 +59,12 @@ _MAX_DENSE_DOMAIN = 1 << 32
 
 class ExistenceIndex:
     """Bit-vector existence filter over the flat keys
-    ``[base, base + domain_size)``."""
+    ``[0, domain_size)``."""
 
-    def __init__(self, domain_size: int, base: int = 0):
+    def __init__(self, domain_size: int):
         if domain_size <= 0:
             raise ValueError("domain_size must be positive")
         self._bits = BitVector(domain_size)
-        self.base = int(base)
         self._count = 0
 
     # ------------------------------------------------------------------
@@ -83,7 +82,7 @@ class ExistenceIndex:
         return self._flip(flat_keys, False)
 
     def _flip(self, flat_keys, value: bool) -> int:
-        idx = np.asarray(flat_keys, dtype=np.int64) - self.base
+        idx = np.asarray(flat_keys, dtype=np.int64)
         flips = idx[self._bits.test_many(idx) != value]
         self._bits.set_many(idx, value)
         flipped = int(np.unique(flips).size)
@@ -92,9 +91,8 @@ class ExistenceIndex:
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
         """Boolean existence mask for the queried keys (False outside
-        the window)."""
-        return self._bits.test_many(
-            np.asarray(flat_keys, dtype=np.int64) - self.base)
+        the domain)."""
+        return self._bits.test_many(np.asarray(flat_keys, dtype=np.int64))
 
     def count(self) -> int:
         """Number of live keys (kept as bits flip: O(1))."""
@@ -102,8 +100,7 @@ class ExistenceIndex:
 
     def existing_keys(self) -> np.ndarray:
         """All live flat keys, ascending (used by rebuild/scan paths)."""
-        return np.flatnonzero(self._bits.to_bools()).astype(np.int64) \
-            + self.base
+        return np.flatnonzero(self._bits.to_bools()).astype(np.int64)
 
     # ------------------------------------------------------------------
     @property
@@ -123,11 +120,11 @@ class ExistenceIndex:
         read-only open wraps the mmap bytes with zero decompression.
         """
         return {"kind": "dense", "size": self.domain_size,
-                "base": self.base, "bits": self._bits.packed}
+                "bits": self._bits.packed}
 
     def __repr__(self) -> str:
-        return (f"ExistenceIndex(window=[{self.base}, "
-                f"{self.base + self.domain_size}), live={self.count()})")
+        return (f"ExistenceIndex(domain={self.domain_size}, "
+                f"live={self.count()})")
 
 
 class SparseExistenceIndex:
@@ -138,12 +135,11 @@ class SparseExistenceIndex:
     the footprint is O(live keys) instead of O(domain).
     """
 
-    def __init__(self, domain_size: int, base: int = 0):
+    def __init__(self, domain_size: int):
         if domain_size <= 0:
             raise ValueError("domain_size must be positive")
         self._domain = int(domain_size)
-        self.base = int(base)
-        #: Live flat keys (absolute, not window-relative), ascending.
+        #: Live flat keys, ascending.
         self._keys = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -182,7 +178,7 @@ class SparseExistenceIndex:
 
     def test_batch(self, flat_keys: np.ndarray) -> np.ndarray:
         """Boolean existence mask for the queried keys (False outside
-        the window)."""
+        the domain)."""
         flat_keys = np.asarray(flat_keys, dtype=np.int64)
         if self._keys.size == 0:
             return np.zeros(flat_keys.size, dtype=bool)
@@ -215,18 +211,17 @@ class SparseExistenceIndex:
         """Array-first state for the zero-copy container (keys stay a
         first-class ``int64`` array; no delta coding, no compression)."""
         return {"kind": "sparse", "domain": self._domain,
-                "base": self.base, "keys": self._keys}
+                "keys": self._keys}
 
     def _checked(self, flat_keys) -> np.ndarray:
         arr = np.asarray(flat_keys, dtype=np.int64)
-        if arr.size and (arr.min() < self.base
-                         or arr.max() >= self.base + self._domain):
-            raise IndexError("flat key outside the window")
+        if arr.size and (arr.min() < 0 or arr.max() >= self._domain):
+            raise IndexError("flat key outside the domain")
         return arr
 
     def __repr__(self) -> str:
-        return (f"SparseExistenceIndex(window=[{self.base}, "
-                f"{self.base + self._domain}), live={self.count()})")
+        return (f"SparseExistenceIndex(domain={self._domain}, "
+                f"live={self.count()})")
 
 
 def _dense_fits(domain_size: int, expected_keys: int) -> bool:
@@ -236,22 +231,21 @@ def _dense_fits(domain_size: int, expected_keys: int) -> bool:
             and domain_size <= max(expected_keys, 1) * _DENSE_DOMAIN_FACTOR)
 
 
-def make_existence_index(domain_size: int, expected_keys: int,
-                         base: int = 0):
-    """Pick dense vs. sparse for a window of ``domain_size`` keys from
-    ``base`` and its expected population."""
+def make_existence_index(domain_size: int, expected_keys: int):
+    """Pick dense vs. sparse for a domain of ``domain_size`` keys and its
+    expected population."""
     if _dense_fits(domain_size, expected_keys):
-        return ExistenceIndex(domain_size, base)
-    return SparseExistenceIndex(domain_size, base)
+        return ExistenceIndex(domain_size)
+    return SparseExistenceIndex(domain_size)
 
 
 def cover(index, end: int, expected_keys: int):
     """``index`` grown to end at flat key ``end`` at least, for
     ``expected_keys`` live keys, by the rule of
-    :func:`make_existence_index`: a dense window that rule would not
+    :func:`make_existence_index`: a dense index that rule would not
     build dense comes back sparse over the same keys (one key far past
     the max must not cost a bit per key of the gap)."""
-    size = int(end) - index.base
+    size = int(end)
     if size <= index.domain_size:
         return index
     if isinstance(index, SparseExistenceIndex):
@@ -260,7 +254,7 @@ def cover(index, end: int, expected_keys: int):
     if _dense_fits(size, expected_keys):
         index._bits.resize(size)
         return index
-    sparse = SparseExistenceIndex(size, index.base)
+    sparse = SparseExistenceIndex(size)
     sparse.set_batch(index.existing_keys())
     return sparse
 
@@ -275,15 +269,13 @@ def existence_from_state(state: dict):
     work exactly as before.
     """
     kind = state["kind"]
-    base = int(state.get("base", 0))  # whole-domain indexes saved none
     if kind == "sparse":
-        index = SparseExistenceIndex(int(state["domain"]), base)
+        index = SparseExistenceIndex(int(state["domain"]))
         index._keys = np.asarray(state["keys"], dtype=np.int64)
         return index
     if kind != "dense":
         raise ValueError(f"unknown existence-index kind {kind!r}")
     index = ExistenceIndex.__new__(ExistenceIndex)
     index._bits = BitVector.wrap(int(state["size"]), state["bits"])
-    index.base = base
     index._count = index._bits.count()  # the one full recount
     return index

@@ -1,17 +1,18 @@
 """A DeepMapping's payloads and their opens: the one module that knows them.
 
-Every payload is one :mod:`repro.storage.zerocopy` container cut from two
-parts: the **model part** (:meth:`Model.to_state
-<repro.core.model.Model.to_state>`) and the **shard part** (``V_exist``
-as ``exist_v2``, ``T_aux`` as ``aux_v2``).  A monolithic structure
-(:func:`to_payload`) holds both and its tracker; a sharded store writes
-the model part once (:func:`model_payload`) and a shard part per shard
-(:func:`shard_payload`), each shard blob bound to its model blob by that
-blob's CRC (:func:`blob_crc`).  :func:`open_payload` is the one rule for how a
+Every payload is one :mod:`repro.storage.zerocopy` container cut from
+three parts: the **model part** (:meth:`Model.to_state
+<repro.core.model.Model.to_state>`), ``V_exist`` (``exist_v2``) and
+``T_aux`` (``aux_v2``).  A monolithic structure (:func:`to_payload`)
+holds all three and its tracker; a sharded store writes the model part
+once (:func:`model_payload`), its one ``V_exist`` once
+(:func:`exist_payload`) and ``T_aux`` per shard (:func:`shard_payload`),
+the last two bound to the model blob by that blob's CRC
+(:func:`blob_crc`).  :func:`open_payload` is the one rule for how a
 structure opens — a private writable copy, or shared read-only through
 the payload cache — behind :meth:`DeepMapping.open`, :func:`repro.open`
-and :mod:`repro.shard.persistence` (which opens the store's model by the
-same rule, :func:`open_model`).
+and :mod:`repro.shard.persistence` (which opens the store's model and
+index by the same rule, :func:`open_model` and :func:`open_exist`).
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ from .exist_index import existence_from_state
 from .model import Model
 from .modify import ModificationTracker
 
-__all__ = ["to_payload", "save", "model_payload", "shard_payload",
-           "blob_crc", "from_payload", "open_payload", "open_model", "load"]
+__all__ = ["to_payload", "save", "model_payload", "exist_payload",
+           "shard_payload", "blob_crc", "from_payload", "open_payload",
+           "open_model", "open_exist", "load"]
 
 
 # ----------------------------------------------------------------------
 # Write
 # ----------------------------------------------------------------------
-def _shard_state(mapping: DeepMapping) -> Dict[str, object]:
-    return {"exist_v2": mapping.exist.to_state(),
-            "aux_v2": mapping.aux.to_state()}
-
-
 def to_payload(mapping: DeepMapping) -> bytearray:
     """Serialize a whole monolithic structure to one byte payload.
 
@@ -59,7 +56,8 @@ def to_payload(mapping: DeepMapping) -> bytearray:
     """
     state = {
         **mapping.model.to_state(),
-        **_shard_state(mapping),
+        "exist_v2": mapping.exist.to_state(),
+        "aux_v2": mapping.aux.to_state(),
         # Sec. IV-D lazy-update state (none on a shard): without this a
         # loaded store would restart the retrain threshold every reopen.
         "tracker": (mapping.tracker or ModificationTracker()).to_state(),
@@ -73,17 +71,26 @@ def model_payload(model: Model) -> bytearray:
 
 
 def blob_crc(payload) -> int:
-    """CRC-32 of a whole model blob: what binds a shard blob to it."""
+    """CRC-32 of a whole blob: what binds the existence and shard blobs
+    to their model blob, and the manifest to both model and index."""
     return zlib.crc32(memoryview(payload).cast("B"))
 
 
+def exist_payload(exist, model_crc: int) -> bytearray:
+    """A sharded store's existence blob: its one ``V_exist`` and the
+    :func:`blob_crc` of the model blob whose key domain it indexes."""
+    return zerocopy.pack({"exist_v2": exist.to_state(),
+                          "model_crc": model_crc})
+
+
 def shard_payload(mapping: DeepMapping, model_crc: int) -> bytearray:
-    """A sharded store's shard blob: the shard part alone (no session
-    segments; the store's model blob holds them once) and the
-    :func:`blob_crc` of the model blob it was materialized under —
-    ``T_aux`` holds exactly the rows *that* model loses, so the shard
-    must never open under another."""
-    return zerocopy.pack({**_shard_state(mapping), "model_crc": model_crc})
+    """A sharded store's shard blob: ``T_aux`` alone (the store's model
+    and existence blobs hold the rest once) and the :func:`blob_crc` of
+    the model blob it was materialized under — ``T_aux`` holds exactly
+    the rows *that* model loses, so the shard must never open under
+    another."""
+    return zerocopy.pack({"aux_v2": mapping.aux.to_state(),
+                          "model_crc": model_crc})
 
 
 def save(mapping: DeepMapping, target: str) -> int:
@@ -107,7 +114,8 @@ def save(mapping: DeepMapping, target: str) -> int:
 # Read
 # ----------------------------------------------------------------------
 _MODEL_SEGMENTS = ("session_v2",)
-_SHARD_SEGMENTS = ("exist_v2", "aux_v2")
+_EXIST_SEGMENTS = ("exist_v2",)
+_SHARD_SEGMENTS = ("aux_v2",)
 
 
 def _load_state(payload, required, zero_copy: bool = False
@@ -141,15 +149,17 @@ def _load_state(payload, required, zero_copy: bool = False
 
 def _required(model: Optional[Model]):
     """The segments a payload needs: a shard blob opened under a given
-    ``model`` only the shard part, anything else both parts."""
-    return _SHARD_SEGMENTS if model else _MODEL_SEGMENTS + _SHARD_SEGMENTS
+    ``model`` only ``T_aux``, anything else all three parts."""
+    return (_SHARD_SEGMENTS if model
+            else _MODEL_SEGMENTS + _EXIST_SEGMENTS + _SHARD_SEGMENTS)
 
 
 def _parts(state: Dict[str, object], model: Optional[Model],
            pool: Optional[BufferPool],
            stats: StoreStats) -> Dict[str, object]:
     """The model (``model``, or the payload's own), ``T_aux``, ``V_exist``
-    and tracker counters a payload state describes.
+    (``None`` in a shard blob) and tracker counters a payload state
+    describes.
 
     ``T_aux`` is *attached*: the compressed partitions in ``aux_v2``
     (views into the payload mapping on a read-only open, the private
@@ -168,7 +178,8 @@ def _parts(state: Dict[str, object], model: Optional[Model],
     )
     aux.attach(state["aux_v2"])
     return {"model": model, "aux": aux,
-            "exist": existence_from_state(state["exist_v2"]),
+            "exist": (existence_from_state(state["exist_v2"])
+                      if "exist_v2" in state else None),
             "tracker": state.get("tracker"),
             "model_crc": state.get("model_crc")}
 
@@ -176,17 +187,21 @@ def _parts(state: Dict[str, object], model: Optional[Model],
 def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
               model: Optional[Model] = None,
               model_crc: Optional[int] = None,
-              blob: str = "the payload") -> DeepMapping:
-    """The structure ``parts`` describe; a shard blob (given ``model``)
-    must name ``model_crc``, the CRC of the model blob it opens under."""
+              blob: str = "the payload", exist=None,
+              n_rows: Optional[int] = None) -> DeepMapping:
+    """The structure ``parts`` describe; a shard blob (given ``model``,
+    the store's ``exist`` and the shard's ``n_rows``) must name
+    ``model_crc``, the CRC of the model blob it opens under."""
     if model is not None and parts["model_crc"] != model_crc:
         raise StoreCorruptedError(
             f"{blob} was saved under another model than the one this "
             "store opened (a save cut short, or a blob published by "
             "another save); its T_aux would answer for the wrong model")
     mapping = DeepMapping(model or parts["model"], parts["aux"],
-                          parts["exist"], stats=stats,
-                          tracker=None if model else ModificationTracker())
+                          parts["exist"] if exist is None else exist,
+                          stats=stats,
+                          tracker=None if model else ModificationTracker(),
+                          n_rows=n_rows)
     if parts["tracker"] is not None:  # a monolithic payload's counters
         mapping.tracker.restore_counters(parts["tracker"])
     return mapping
@@ -216,13 +231,15 @@ def _cached(backend, blob: str, build) -> Dict[str, object]:
 
 def _open_shared(backend, blob: str, stats: Optional[StoreStats],
                  pool: Optional[BufferPool], model: Optional[Model],
-                 model_crc: Optional[int]) -> DeepMapping:
+                 model_crc: Optional[int], exist,
+                 n_rows: Optional[int]) -> DeepMapping:
     """Read-only open through the payload cache (:func:`_cached`).
 
     The partitions are attached as views into the pinned payload, so
     the cold open writes nothing and creates no file.  Every heavy
     artifact — model, partitions, existence vector — is *shared* with
-    any other store wrapping the same bundle; only per-instance state
+    any other store wrapping the same bundle (a shard's existence vector
+    is its store's, opened by :func:`open_exist`); only per-instance state
     (stats sink, tracker, executor) is fresh.  Safe because the
     returned structure refuses mutations (``writable=False``) and all
     shared read paths are thread-safe.
@@ -233,7 +250,7 @@ def _open_shared(backend, blob: str, stats: Optional[StoreStats],
         parts["model"].compiled_session()
         return parts
     bundle = _cached(backend, blob, build)
-    mapping = _assemble(bundle, stats, model, model_crc, blob)
+    mapping = _assemble(bundle, stats, model, model_crc, blob, exist, n_rows)
     mapping.writable = False
     # Pin the bundle (and through it any mmap view backing its arrays)
     # for this structure's lifetime, independent of cache eviction.
@@ -245,13 +262,16 @@ def open_payload(backend, blob: str, *, writable: bool,
                  pool: Optional[BufferPool] = None,
                  stats: Optional[StoreStats] = None,
                  model: Optional[Model] = None,
-                 model_crc: Optional[int] = None) -> DeepMapping:
+                 model_crc: Optional[int] = None,
+                 exist=None, n_rows: Optional[int] = None) -> DeepMapping:
     """Open payload ``blob`` of ``backend`` — the one open rule.
 
     Without ``model`` the blob is a monolithic payload; with it, a
     shard blob materialized under the store's model, which must name
     ``model_crc``, the CRC of that model's blob
-    (:class:`~repro.resilience.errors.StoreCorruptedError` otherwise).
+    (:class:`~repro.resilience.errors.StoreCorruptedError` otherwise);
+    the shard reads the store's index ``exist`` and counts ``n_rows``
+    live keys.
     A remote backend (which refuses writes) or ``writable=False`` gets a
     shared read-only open through the payload cache
     (:func:`_open_shared`; mutating calls raise ``PermissionError``).
@@ -259,40 +279,80 @@ def open_payload(backend, blob: str, *, writable: bool,
     Either way the lookup kernel is compiled before the open returns.
     """
     if not writable or getattr(backend, "remote", False):
-        return _open_shared(backend, blob, stats, pool, model, model_crc)
+        return _open_shared(backend, blob, stats, pool, model, model_crc,
+                            exist, n_rows)
     stats = stats if stats is not None else StoreStats()
     with stats.timing("io"):
         state = _load_state(backend.read_bytes(blob), _required(model))
     mapping = _assemble(_parts(state, model, pool, stats), stats, model,
-                        model_crc, blob)
+                        model_crc, blob, exist, n_rows)
     mapping.compiled_session()
     return mapping
+
+
+def _open_part(backend, blob: str, writable: bool, crc: int, what: str,
+               build) -> Dict[str, object]:
+    """The bundle ``build(payload, zero_copy)`` makes of a sharded
+    store's model or existence blob, by the rule of
+    :func:`open_payload`: from a private copy when writable, else once
+    per blob version through the payload cache (the bundle then holds
+    the ``payload_view`` its arrays reference).  A blob whose
+    :func:`blob_crc` is not ``crc`` (the manifest's) raises
+    :class:`~repro.resilience.errors.StoreCorruptedError`."""
+    if writable and not getattr(backend, "remote", False):
+        payload = backend.read_bytes(blob)
+        bundle = {**build(payload, False), "crc": blob_crc(payload)}
+    else:
+        bundle = _cached(backend, blob, lambda view: {
+            **build(view, True), "crc": blob_crc(view)})
+    if bundle["crc"] != crc:
+        raise StoreCorruptedError(
+            f"{blob} is not the {what} the manifest names (a save cut "
+            "short, or a blob published by another save)")
+    return bundle
 
 
 def open_model(backend, blob: str, *, writable: bool, crc: int) -> Model:
     """Open a sharded store's model blob (:func:`model_payload`) by the
     rule of :func:`open_payload`: a private copy when writable, else one
-    model shared through the payload cache, its kernel compiled once.
-    A blob whose :func:`blob_crc` is not ``crc`` (the manifest's) raises
-    :class:`~repro.resilience.errors.StoreCorruptedError`."""
-    if writable and not getattr(backend, "remote", False):
-        payload = backend.read_bytes(blob)
-        bundle = {"model": Model.from_state(
-            _load_state(payload, _MODEL_SEGMENTS)), "crc": blob_crc(payload)}
-    else:
-        def build(view):
-            model = Model.from_state(
-                _load_state(view, _MODEL_SEGMENTS, zero_copy=True))
+    model shared through the payload cache, its kernel compiled once
+    (:func:`_open_part` checks ``crc``)."""
+    def build(payload, zero_copy: bool):
+        model = Model.from_state(
+            _load_state(payload, _MODEL_SEGMENTS, zero_copy=zero_copy))
+        if zero_copy:
             model.compiled_session()
-            return {"model": model, "crc": blob_crc(view)}
-        bundle = _cached(backend, blob, build)
+        return {"model": model}
+    bundle = _open_part(backend, blob, writable, crc, "model", build)
+    if "payload_view" in bundle:
         # The model pins the bundle whose view its arrays reference.
         bundle["model"]._shared_bundle = bundle
-    if bundle["crc"] != crc:
-        raise StoreCorruptedError(
-            f"{blob} is not the model the manifest names (a save cut "
-            "short, or a blob published by another save)")
     return bundle["model"]
+
+
+def open_exist(backend, blob: str, *, writable: bool, crc: int,
+               model_crc: int):
+    """Open a sharded store's existence blob (:func:`exist_payload`) by
+    the rule of :func:`open_model`: a private, mutable copy when
+    writable, else one index shared through the payload cache whose
+    arrays are read-only views of the mapping.  The blob must be the
+    one the manifest names (``crc``) and name the model the store
+    opened (``model_crc``), or
+    :class:`~repro.resilience.errors.StoreCorruptedError` is raised."""
+    def build(payload, zero_copy: bool):
+        state = _load_state(payload, _EXIST_SEGMENTS, zero_copy=zero_copy)
+        return {"exist": existence_from_state(state["exist_v2"]),
+                "model_crc": state.get("model_crc")}
+    bundle = _open_part(backend, blob, writable, crc, "existence index",
+                        build)
+    if bundle["model_crc"] != model_crc:
+        raise StoreCorruptedError(
+            f"{blob} was saved under another model than the one this "
+            "store opened; it indexes another key domain")
+    if "payload_view" in bundle:
+        # The index pins the bundle whose view its arrays reference.
+        bundle["exist"]._shared_bundle = bundle
+    return bundle["exist"]
 
 
 def load(target: str, pool: Optional[BufferPool] = None,

@@ -126,15 +126,6 @@ class CompositeKeyCodec:
             self._extents[0] = new_first_max
         return True
 
-    def leading_start(self, value: int) -> int:
-        """Flat code of the first key whose leading column is ``value``,
-        clipped to ``[0, domain_size]``: where a range shard cut at
-        ``value`` starts its window (the codec is lexicographic, so a
-        leading-key range is one contiguous run of flat codes)."""
-        self._require_fitted()
-        start = (int(value) - int(self._mins[0])) * int(self._strides[0])
-        return min(max(start, 0), self.domain_size)
-
     def try_flatten(
         self, columns: Dict[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -274,8 +274,8 @@ class LookupServer:
         self.stats.record_batch(len(batch), n_keys, n_unique)
         deadline = Deadline.earliest(
             r.deadline for r in batch if r.deadline is not None)
-        # The sharded store counts manifest-filter pruning in its own
-        # stats; bracket the fused call so the tier can attribute this
+        # The sharded store counts the misses its V_exist prunes in its
+        # own stats; bracket the fused call so the tier can attribute this
         # batch's pruned keys to its tenants.  The delta is approximate
         # when batches overlap in flight — fine for telemetry.
         counters = getattr(getattr(self.store, "stats", None),

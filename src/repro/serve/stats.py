@@ -71,8 +71,8 @@ class TenantStats:
         self.requests = 0
         self.keys = 0
         self.errors = 0
-        #: Keys the sharded store's manifest-tier negative filter
-        #: pruned before dispatch, attributed to this tenant (see
+        #: Keys the sharded store's ``V_exist`` pruned before
+        #: dispatch, attributed to this tenant (see
         #: ``ServeStats.record_pruned`` for attribution semantics).
         self.pruned_keys = 0
         #: Requests the load shedder turned away (with a retry-after
@@ -141,9 +141,9 @@ class ServeStats:
         #: Requests that ran out of deadline budget in the tier (queued
         #: past expiry, or the store call outlived their deadline).
         self.deadline_expired = 0
-        #: Keys the store's negative filter pruned before shard
-        #: dispatch, summed over every coalesced store call (zero for
-        #: monolithic stores and sharded stores saved without one).
+        #: Keys the sharded store's ``V_exist`` pruned before shard
+        #: dispatch (every miss), summed over every coalesced store
+        #: call (zero for monolithic stores).
         self.keys_pruned = 0
         #: Hydration telemetry mirrored from the store's stats counters
         #: (remote-backed stores only; all zero for local opens):
@@ -227,7 +227,7 @@ class ServeStats:
 
     def record_pruned(self, n_pruned: int,
                       contributions: Dict[str, int]) -> None:
-        """Credit ``n_pruned`` filter-pruned keys to the batch's tenants.
+        """Credit ``n_pruned`` pruned keys to the batch's tenants.
 
         The store counts pruning per coalesced (cross-tenant, deduped)
         batch, not per request, so per-tenant attribution is pro-rata by

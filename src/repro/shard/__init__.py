@@ -1,8 +1,9 @@
 """Sharded DeepMapping: one model per table, its rows partitioned by key.
 
 A sharded store fits one model over the whole table, as the paper does,
-and splits ``T_aux`` and ``V_exist`` into key windows (shards) that fan
-batched lookups out and rebalance independently:
+keeps one ``V_exist`` over its key domain, and splits ``T_aux`` into
+key windows (shards) that fan batched lookups out and rebalance
+independently:
 
 - :mod:`repro.shard.router` — vectorized key→shard routing policies
   (:class:`RangeShardRouter` over the leading key column,

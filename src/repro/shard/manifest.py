@@ -5,23 +5,24 @@ A saved store is a directory::
     store/
       manifest.json     <- this module's concern
       model.rzc         <- the store's one model (RZC2 container, CRC-checked)
-      shard-0000.dm     <- one shard payload (T_aux + V_exist) per non-empty
-      shard-0002.dm        shard (empty shards have no file; the manifest
+      exist.rzc         <- the store's one V_exist over the model's key domain
+      shard-0000.dm     <- one shard payload (T_aux) per non-empty shard
+      shard-0002.dm        (empty shards have no file; the manifest
       ...                  records them with ``file: null``)
 
-The manifest and every shard payload name the CRC-32 of the
-``model.rzc`` they were saved with, and an open refuses any that differs
-(a shard's ``T_aux`` holds exactly the rows its model loses).
+The manifest, ``exist.rzc`` and every shard payload name the CRC-32 of
+the ``model.rzc`` they were saved with, the manifest names the CRC-32 of
+``exist.rzc`` too, and an open refuses any that differs (a shard's
+``T_aux`` holds exactly the rows its model loses, and the index is the
+key set of that save).
 
 ``manifest.json`` is deliberately human-readable JSON: it carries the
 router state (strategy + cut points / seed), the key and value schema with
-NumPy dtype strings, a per-shard table of file name / row count / byte
-size, and one compact negative filter over the whole store's keys (the
-miss-pruning tier, ``core/negative_filter.py``).  Everything needed to
-route a query — and to reject most miss keys outright — is in the
-manifest, so a loader can open shards lazily or on remote storage without
-unpickling them first.  Keys this reader does not know are ignored and
-not written back.
+NumPy dtype strings and a per-shard table of file name / row count / byte
+size.  Everything needed to route a query is in the manifest, and every
+miss is answered by ``exist.rzc`` alone, so a loader can open shards
+lazily or on remote storage without unpickling them first.  Keys this
+reader does not know are ignored and not written back.
 """
 
 from __future__ import annotations
@@ -31,27 +32,31 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.negative_filter import filter_from_json
 from ..resilience.errors import StoreCorruptedError, StoreNotFoundError
 from ..storage.backends import LocalDirBackend, StorageBackend
 
-__all__ = ["MANIFEST_NAME", "MODEL_NAME", "ShardEntry", "ShardManifest",
-           "is_sharded_store", "is_sharded_backend"]
+__all__ = ["MANIFEST_NAME", "MODEL_NAME", "EXIST_NAME", "ShardEntry",
+           "ShardManifest", "is_sharded_store", "is_sharded_backend"]
 
 MANIFEST_NAME = "manifest.json"
 #: The store's one model (:func:`repro.core.persistence.model_payload`).
 #: Not a ``*.dm`` name: it is not a shard payload.
 MODEL_NAME = "model.rzc"
+#: The store's one existence index
+#: (:func:`repro.core.persistence.exist_payload`).  Not a ``*.dm`` name
+#: either: a remote open fetches it with the manifest and the model.
+EXIST_NAME = "exist.rzc"
 
-#: Bumped when the directory layout changes incompatibly.  Version 3:
-#: one model blob (``MODEL_NAME``) for the whole store, shard payloads
-#: without session segments, and the store's modification ``tracker``
-#: here.  Version 2 had one model per shard and a ``config.pkl``.
+#: Bumped when the directory layout changes incompatibly.  Version 4:
+#: one existence blob (``EXIST_NAME``) for the whole store and shard
+#: payloads holding ``T_aux`` only.  Version 3 kept a ``V_exist``
+#: window per shard and a negative filter here; version 2 had one model
+#: per shard and a ``config.pkl``.
 FORMAT = "sharded-deepmapping"
-VERSION = 3
+VERSION = 4
 
 #: The last commit that reads each refused manifest version.
-_LAST_READER = {1: "798b592", 2: "b095e50"}
+_LAST_READER = {1: "798b592", 2: "b095e50", 3: "876da1c"}
 
 
 @dataclass
@@ -90,27 +95,23 @@ class ShardManifest:
     #: the maintenance engine).  Empty for unmanaged stores; absent in
     #: manifests written before the lifecycle subsystem existed.
     lifecycle: Dict[str, object] = field(default_factory=dict)
-    #: The store's negative filter over the union of every shard's key
-    #: set (a ``core.negative_filter`` filter object; ``to_json`` /
-    #: ``filter_from_json`` on the way to and from JSON), probed for
-    #: every batch key *before* any routing.  ``None`` when the manifest
-    #: carries none: such a store never prunes.  Budget: <= 2 bytes per
-    #: key (see ``docs/sharding.md``).
-    store_filter: Optional[object] = None
     #: The store's ``ModificationTracker`` counters (modified bytes since
     #: the last retrain), so a reopened store keeps its retrain budget.
     tracker: Dict[str, int] = field(default_factory=dict)
     #: CRC-32 of the model blob this save wrote
     #: (:func:`repro.core.persistence.blob_crc`); an open refuses a
-    #: model blob, and every shard blob, that names another.
+    #: model blob, and an existence or shard blob, that names another.
     model_crc: Optional[int] = None
+    #: CRC-32 of the existence blob this save wrote; an open refuses an
+    #: ``exist.rzc`` that differs.
+    exist_crc: Optional[int] = None
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
 
     def to_json(self) -> Dict[str, object]:
-        obj = {
+        return {
             "format": FORMAT,
             "version": VERSION,
             "router": self.router,
@@ -122,10 +123,8 @@ class ShardManifest:
             "lifecycle": dict(self.lifecycle),
             "tracker": dict(self.tracker),
             "model_crc": self.model_crc,
+            "exist_crc": self.exist_crc,
         }
-        if self.store_filter is not None:
-            obj["store_filter"] = self.store_filter.to_json()
-        return obj
 
     @classmethod
     def from_json(cls, obj: Dict[str, object]) -> "ShardManifest":
@@ -141,10 +140,9 @@ class ShardManifest:
             shards=[ShardEntry.from_json(e) for e in obj["shards"]],
             sharding=dict(obj.get("sharding", {})),
             lifecycle=dict(obj.get("lifecycle", {})),
-            store_filter=(filter_from_json(obj["store_filter"])
-                          if obj.get("store_filter") is not None else None),
             tracker=dict(obj.get("tracker", {})),
             model_crc=obj.get("model_crc"),
+            exist_crc=obj.get("exist_crc"),
         )
 
     # ------------------------------------------------------------------
@@ -155,10 +153,10 @@ class ShardManifest:
         manifest is the store's root pointer, and a crash mid-write must
         leave either the old manifest or the new one, never a torn blob.
         Note the scope: this protects the *manifest*; re-saving a store in
-        place rewrites the model and shard payload blobs first, so a
-        crash between payload writes and the manifest swap can leave the
-        old manifest pointing at newer payloads.  Save to a fresh container when a
-        fully atomic store swap is required.
+        place rewrites the model, existence and shard payload blobs
+        first, so a crash between payload writes and the manifest swap
+        can leave the old manifest pointing at newer payloads.  Save to
+        a fresh container when a fully atomic store swap is required.
         """
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         return backend.write_bytes(MANIFEST_NAME, payload.encode("utf-8"))
@@ -172,8 +170,7 @@ class ShardManifest:
         """Read ``manifest.json`` from ``backend``.
 
         An absent manifest raises :class:`StoreNotFoundError` (a
-        ``FileNotFoundError``); unparseable or wrong-format JSON — a
-        damaged ``store_filter`` included — raises
+        ``FileNotFoundError``); unparseable or wrong-format JSON raises
         :class:`StoreCorruptedError`; both name the blob and the URL.
         """
         url = getattr(backend, "url", backend)
@@ -212,7 +209,8 @@ def _check_version(obj: Dict[str, object]) -> None:
     if version in _LAST_READER:
         raise ValueError(
             f"this manifest is version {version}; this version reads only "
-            f"version {VERSION} (one model per store). Open the store at "
+            f"version {VERSION} (one model and one existence index per "
+            f"store). Open the store at "
             f"commit {_LAST_READER[version]}, the last one that reads "
             f"version {version}, take its rows (to_table()) and build "
             "them again with this version.")

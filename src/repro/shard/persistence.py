@@ -3,12 +3,13 @@
 A saved store is a container — any
 :class:`~repro.storage.backends.StorageBackend`, selected by URL scheme
 — holding ``manifest.json`` (:mod:`repro.shard.manifest` draws the
-tree), the store's one model blob ``model.rzc`` and one
-``shard-NNNN.dm`` payload (``T_aux`` and ``V_exist``) per non-empty
-shard, each naming the CRC of the model blob it was saved under, as the
-manifest does.  :func:`save` writes it and sweeps payload blobs a
-previous save left behind; :func:`load` reads it back three ways — writable, shared
-read-only, or hydrating over a remote backend.
+tree), the store's one model blob ``model.rzc``, its one existence
+index ``exist.rzc`` and one ``shard-NNNN.dm`` payload (``T_aux``) per
+non-empty shard; the index and every shard blob name the CRC of the
+model blob they were saved under, and the manifest names the CRCs of
+the model and the index.  :func:`save` writes it and sweeps payload
+blobs a previous save left behind; :func:`load` reads it back three
+ways — writable, shared read-only, or hydrating over a remote backend.
 :meth:`ShardedDeepMapping.save` / :meth:`ShardedDeepMapping.load` are
 the public entry points; they hand straight to this module.
 """
@@ -22,8 +23,9 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..core.deep_mapping import DeepMapping
-from ..core.persistence import (blob_crc, model_payload, open_model,
-                                open_payload, shard_payload)
+from ..core.persistence import (blob_crc, exist_payload, model_payload,
+                                open_exist, open_model, open_payload,
+                                shard_payload)
 from ..lifecycle import LifecycleConfig
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
@@ -31,7 +33,7 @@ from ..storage.buffer_pool import BufferPool
 from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
-from .manifest import MODEL_NAME, ShardEntry, ShardManifest
+from .manifest import EXIST_NAME, MODEL_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
 from .store import ShardedDeepMapping, ShardingConfig
 
@@ -75,8 +77,10 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
     sharding = store.sharding
     model_blob = model_payload(store.model)
     model_crc = blob_crc(model_blob)
+    exist_blob = exist_payload(store.exist, model_crc)
     with store.stats.timing("io"):
         total += backend.write_bytes(MODEL_NAME, model_blob)
+        total += backend.write_bytes(EXIST_NAME, exist_blob)
         for ordinal, shard in enumerate(store.shards):
             if shard is None:
                 entries.append(ShardEntry(file=None))
@@ -102,6 +106,7 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
                       for name in store.value_names},
         shards=entries,
         model_crc=model_crc,
+        exist_crc=blob_crc(exist_blob),
         sharding={
             "strategy": sharding.strategy,
             "n_shards": sharding.n_shards,
@@ -113,7 +118,6 @@ def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
             "hedged_reads": sharding.hedged_reads,
         },
         lifecycle=lifecycle,
-        store_filter=store._store_filter,
         tracker=store.tracker.to_state(),
     )
     total += manifest.save_to(backend)
@@ -143,23 +147,26 @@ def load(cls, target: Union[str, StorageBackend],
     (:meth:`ShardedDeepMapping.load` documents the overrides).
 
     The store's one model opens first
-    (:func:`repro.core.persistence.open_model`); every shard then opens
-    under it through :func:`repro.core.persistence.open_payload`, the
-    one open rule.  All shards' auxiliary partitions share one
-    :class:`~repro.storage.buffer_pool.BufferPool`, so a single byte
-    budget caps resident partitions across the store.  **Writable**
-    (the default) reads every payload whole into private, mutable
-    copies; **shared** (``writable=False``) opens the model and every
-    shard through the process-wide payload cache — zero-copy views
-    (mmap-backed on local directories), one deserialized bundle per
-    unchanged blob (the model's compiled kernel and the shards'
-    attached partitions included); cached shards keep the pool of
-    their *first* (cold) open, so ``pool_budget_bytes`` only applies
+    (:func:`repro.core.persistence.open_model`), then its one existence
+    index (:func:`repro.core.persistence.open_exist`), by the same rule;
+    every shard then opens under both through
+    :func:`repro.core.persistence.open_payload`, the one open rule, and
+    takes its live count from the manifest.  All shards' auxiliary
+    partitions share one :class:`~repro.storage.buffer_pool.BufferPool`,
+    so a single byte budget caps resident partitions across the store.
+    **Writable** (the default) reads every payload whole into private,
+    mutable copies; **shared** (``writable=False``) opens the model, the
+    index and every shard through the process-wide payload cache —
+    zero-copy views (mmap-backed on local directories), one deserialized
+    bundle per unchanged blob (the model's compiled kernel and the
+    shards' attached partitions included); cached shards keep the pool
+    of their *first* (cold) open, so ``pool_budget_bytes`` only applies
     to shards loaded cold.  **Hydrating** (backends flagging ``remote =
-    True``; forces ``writable=False``) fetches only the manifest and the
-    model blob and stands a :class:`~repro.storage.hydration.LazyShard`
-    in for every shard, which runs the same open on first routed touch
-    (``docs/remote.md``).
+    True``; forces ``writable=False``) fetches only the manifest, the
+    model blob and the existence blob — so a batch of misses downloads
+    nothing more — and stands a
+    :class:`~repro.storage.hydration.LazyShard` in for every shard, which
+    runs the same open on first routed touch (``docs/remote.md``).
     """
     backend = (backend_for_url(target, create=False)
                if isinstance(target, str) else target)
@@ -170,6 +177,8 @@ def load(cls, target: Union[str, StorageBackend],
     router = router_from_state(manifest.router)
     model = open_model(backend, MODEL_NAME, writable=writable,
                        crc=manifest.model_crc)
+    exist = open_exist(backend, EXIST_NAME, writable=writable,
+                       crc=manifest.exist_crc, model_crc=manifest.model_crc)
 
     saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")
@@ -204,7 +213,8 @@ def load(cls, target: Union[str, StorageBackend],
         opener = functools.partial(open_payload, backend, entry.file,
                                    writable=writable, pool=pool, stats=stats,
                                    model=model,
-                                   model_crc=manifest.model_crc)
+                                   model_crc=manifest.model_crc,
+                                   exist=exist, n_rows=entry.n_rows)
         if hydrating:
             # Nothing is fetched here: the proxy defers the shared
             # open (a ranged container fetch through the payload
@@ -217,10 +227,9 @@ def load(cls, target: Union[str, StorageBackend],
             shards.append(opener())
     value_dtypes = {name: np.dtype(spec)
                     for name, spec in manifest.value_dtypes.items()}
-    store = cls(router, model, shards, sharding,
+    store = cls(router, model, shards, exist, sharding,
                 value_names=tuple(manifest.value_names),
-                value_dtypes=value_dtypes, stats=stats, pool=pool,
-                store_filter=manifest.store_filter)
+                value_dtypes=value_dtypes, stats=stats, pool=pool)
     store.writable = writable
     store.tracker.restore_counters(manifest.tracker)
     if store.engine is not None and "counters" in manifest.lifecycle:

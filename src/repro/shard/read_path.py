@@ -1,13 +1,14 @@
-"""The sharded read path: prune → route → allocate → dispatch → result.
+"""The sharded read path: existence, route, allocate, dispatch, result.
 
 :func:`lookup` (behind ``ShardedDeepMapping.lookup``, which documents the
 contract) is one composition of named stages over one topology snapshot
-— the names ``bench/tracing.py`` replays from outside.  The store, not
-its shards, decides what a miss reads: the
-:func:`~repro.core.plan.blank` of the column's
-:meth:`~repro.shard.ShardedDeepMapping.value_dtype`.  A pruned key, a
-key of an empty shard and a dispatched miss all read it, and no
-output dtype depends on which shards a batch touches.  Shard work is a
+— the names ``bench/tracing.py`` replays from outside.  The existence
+stage tests the whole batch once against the store's one ``V_exist``;
+only live keys are routed, and every other key counts in the
+``pruned_keys`` counter.  The store, not its shards, decides what a
+miss reads: the :func:`~repro.core.plan.blank` of the column's
+:meth:`~repro.shard.ShardedDeepMapping.value_dtype`, and no output
+dtype depends on which shards a batch touches.  Shard work is a
 :class:`~repro.core.plan.LookupPlan` per owning shard that
 scatters its finished segment straight into the batch's preallocated
 output arrays; small unbounded dispatches run inline, everything else
@@ -27,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.deep_mapping import normalize_keys
-from ..core.negative_filter import hash_key_columns
 from ..core.plan import LookupResult, blank
 from ..resilience.errors import DeadlineExceeded
 from ..resilience.partial import PartialResult
@@ -38,20 +38,8 @@ __all__ = ["lookup", "contains_batch", "fan_out"]
 
 #: Fan-outs dispatching at most this many keys run inline instead of
 #: through the executor: at that size the thread hand-off costs more
-#: than the shard work itself (pruned batches especially — the handful
-#: of false-positive survivors is existence-checked without inference).
+#: than the shard work itself.
 _SERIAL_DISPATCH_MAX = 4096
-
-#: Hit-heavy batches lose money on pruning (the full-batch probe plus
-#: survivor compaction outweigh the few skipped dispatches), so batches
-#: above ``_PRUNE_SAMPLE_MIN_N`` first probe a ``_PRUNE_SAMPLE``-key
-#: stride sample and skip the prune pass entirely unless the sampled
-#: prunable fraction clears ``_PRUNE_MIN_FRACTION``.  Results are
-#: bit-identical either way — a pruned key keeps the blank its output
-#: row was allocated with, which is what a dispatched miss writes.
-_PRUNE_SAMPLE = 4096
-_PRUNE_SAMPLE_MIN_N = 16384
-_PRUNE_MIN_FRACTION = 0.55
 
 
 def lookup(store, keys, *, deadline=None) -> LookupResult:
@@ -60,30 +48,32 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     key_cols = normalize_keys(keys, store.key_names)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
     # One topology snapshot per batch: every stage sees the same
-    # (router, shards) pair, so a lifecycle swap can never mispair cuts
-    # with ordinals.  A shard retired mid-batch keeps answering as it
-    # did (retiring only purges its pool entries), but this does NOT
-    # license concurrent mutation: the single-writer contract stands.
-    router, _, shards = store._topology
+    # (router, model, shards, exist) tuple, so a lifecycle swap can
+    # never mispair cuts with ordinals, or an index with its model.  A
+    # shard retired mid-batch keeps answering as it did (retiring only
+    # purges its pool entries), but this does NOT license concurrent
+    # mutation: the single-writer contract stands.
+    router, model, shards, exist = store._topology
     if n == 0:
         return LookupResult(*_allocate(store, 0))
     if deadline is not None:
         deadline.check("sharded lookup")
-    if router.n_shards == 1 and shards[0] is not None and mode == "raise":
-        # Nothing to route, merge or isolate.  (Partial mode still takes
-        # the generic path so a failure comes back marked, not raised.)
+    idx = _live(store, model, exist, key_cols)
+    n_routed = n if idx is None else int(idx.size)
+    if n_routed < n:
+        store.stats.bump("pruned_keys", n - n_routed)
+    if idx is None and router.n_shards == 1 and mode == "raise":
+        # Nothing to compact, route, merge or isolate.  (Partial mode
+        # still takes the generic path so a failure comes back marked,
+        # not raised.)
         result = shards[0].lookup(key_cols)
         return LookupResult(
             found=result.found,
             values={c: result.values[c].astype(store.value_dtype(c),
                                                copy=False)
                     for c in store.value_names})
-    idx = _prune(store, key_cols, n)
-    jobs, n_routed = [], n
-    if idx is not None:
-        n_routed = int(idx.size)
-        store.stats.bump("pruned_keys", n - n_routed)
-    if n_routed:  # else every key was pruned: nothing to sort or dispatch
+    jobs = []
+    if n_routed:  # else no key is live: nothing to sort or dispatch
         jobs = _make_jobs(store, shards,
                           _route(store, router, key_cols, idx))
     found, values = _allocate(store, n)
@@ -93,40 +83,26 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
 
 
 def contains_batch(store, keys) -> np.ndarray:
-    """Liveness per key from each owning shard's existence vector."""
-    key_cols = normalize_keys(keys, store.key_names)
-    n = int(np.asarray(key_cols[store.key_names[0]]).size)
-    router, _, shards = store._topology
-    exists = np.zeros(n, dtype=bool)
-    routed = _route(store, router, key_cols)
-    for _, shard, segment, dest in _segments(shards, *routed):
-        if shard is not None:
-            exists[dest] = shard.contains_batch(segment)
-    return exists
+    """Liveness per key: the existence stage alone."""
+    _, model, _, exist = store._topology
+    return _exists(model, exist, normalize_keys(keys, store.key_names))
 
 
-def _prune(store, key_cols, n: int) -> Optional[np.ndarray]:
-    """Store-filter pass over the batch, before any routing: the
-    positions that may hold a live key, or ``None`` (nothing pruned:
-    run the unpruned path).  The filter covers the union of every
-    shard's keys and placement is a pure function of the key, so "in
-    no shard" is "not in the owning shard" and nothing is routed."""
-    store_filter = store._store_filter
-    if store_filter is None:
-        return None
-    with store.stats.timing("prune"):
-        hashes = hash_key_columns(key_cols, store.key_names)
-        if n > _PRUNE_SAMPLE_MIN_N:
-            sample = np.ascontiguousarray(hashes[::n // _PRUNE_SAMPLE])
-            if 1.0 - float(store_filter.might_contain(sample).mean()) \
-                    < _PRUNE_MIN_FRACTION:
-                return None
-        idx = np.flatnonzero(store_filter.might_contain(hashes))
-    if n - int(idx.size) < _PRUNE_MIN_FRACTION * n:
-        # Not miss-heavy enough for compaction to pay for itself (small
-        # batches skip the sample gate and land here).
-        return None
-    return idx
+def _exists(model, exist, key_cols) -> np.ndarray:
+    """The batch flattened once and tested once against the store's
+    index (a key outside the model's domain is not live)."""
+    flat, in_domain = model.key_codec.try_flatten(key_cols)
+    return exist.test_batch(flat) & in_domain
+
+
+def _live(store, model, exist, key_cols) -> Optional[np.ndarray]:
+    """The existence stage: the positions of the batch's live keys, or
+    ``None`` when every key is live (nothing to compact).  Placement is
+    a pure function of the key, so a key the store's index does not
+    hold is in no shard, and nothing routes it."""
+    with store.stats.timing("existence"):
+        live = _exists(model, exist, key_cols)
+    return None if live.all() else np.flatnonzero(live)
 
 
 def _take(key_cols, idx) -> Dict[str, np.ndarray]:
@@ -134,7 +110,7 @@ def _take(key_cols, idx) -> Dict[str, np.ndarray]:
 
 
 def _route(store, router, key_cols, idx=None):
-    """Route + sort the batch (or its prune survivors ``idx``) in one
+    """Route + sort the batch (or its live keys ``idx``) in one
     pass: ``order`` permutes the ORIGINAL batch positions into (shard,
     key...) order — shard groups contiguous *and* each ascending in
     flattened-key order, so every aux probe rides the partition store's
@@ -172,7 +148,7 @@ def _route(store, router, key_cols, idx=None):
 
 def _segments(shards, order, bounds, grouped):
     """``(ordinal, shard, key segment, destination rows)`` per non-empty
-    routed group, in shard order (``shard`` is None for empty shards)."""
+    routed group, in shard order."""
     edges = bounds.tolist()
     for ordinal, shard in enumerate(shards):
         start, stop = edges[ordinal], edges[ordinal + 1]
@@ -183,11 +159,8 @@ def _segments(shards, order, bounds, grouped):
 
 
 def _make_jobs(store, shards, routed):
-    """One job per live routed shard."""
-    # Groups owned by empty shards are misses by definition: no job, the
-    # preallocated outputs already read as misses.
-    jobs = [group for group in _segments(shards, *routed)
-            if group[1] is not None]
+    """One job per routed shard (a live key's shard is never empty)."""
+    jobs = list(_segments(shards, *routed))
     # Prefetch: fire hydration for every cold lazy shard the batch routes
     # into before any plan runs, so remote downloads overlap on the
     # workers.  The proxy's hydrate lock makes the race benign.

@@ -8,14 +8,13 @@ Two policies are provided:
 
 - :class:`RangeShardRouter` partitions on the *leading* key column using
   cut points chosen at build time to balance row counts.  Every shard owns
-  a contiguous key range, so its existence window shrinks with the shard
-  count.  Keys outside the fitted range route to the first/last shard,
-  which keeps inserts of fresh, larger keys well-defined.
+  a contiguous key range, so shards can split and merge.  Keys outside
+  the fitted range route to the first/last shard, which keeps inserts of
+  fresh, larger keys well-defined.
 - :class:`HashShardRouter` mixes *all* key columns through a splitmix64
   finalizer and takes the result modulo ``n_shards``.  Placement is
   uniform and oblivious to key distribution (good for skewed or adversarial
-  leading columns) at the cost of per-shard existence windows as wide as
-  the global domain.
+  leading columns), at the cost of split and merge.
 
 Routers are deterministic, picklable via :meth:`ShardRouter.to_state` /
 :func:`router_from_state` (plain JSON-friendly dicts, recorded in the store

@@ -1,26 +1,29 @@
 """The sharded DeepMapping store.
 
 :class:`ShardedDeepMapping` fits **one** model over a table (paper Sec.
-IV) and partitions the key domain across N shards, each a
-:class:`~repro.core.deep_mapping.DeepMapping` holding only its window's
-``T_aux``, overlay and ``V_exist`` under that model, behind the
-monolithic structure's surface — so :func:`repro.core.query.select`,
-the CLI and the bench harness work over either.
+IV), keeps **one** existence index ``V_exist`` over that model's whole
+key domain, and partitions the keys across N shards, each a
+:class:`~repro.core.deep_mapping.DeepMapping` holding only the
+``T_aux`` rows and overlay of its keys under that model and reading the
+store's index, behind the monolithic structure's surface — so
+:func:`repro.core.query.select`, the CLI and the bench harness work over
+either.
 
-This module owns the store's build, its **mutation** path, the retrain
-rule over store totals and the store filter; its other methods hand
-straight to the module that owns the decision: the **topology** (the
-atomically swapped ``(router, model, shards)`` triple, split/merge and
-the store-level retrain) to :mod:`repro.shard.topology`, the **read
-path** (prune → route → allocate → dispatch → result) to
+This module owns the store's build, its **mutation** path and the
+retrain rule over store totals; its other methods hand straight to the
+module that owns the decision: the **topology** (the atomically swapped
+``(router, model, shards, exist)`` tuple, split/merge and the
+store-level retrain) to :mod:`repro.shard.topology`, the **read path**
+(existence → route → allocate → dispatch → result) to
 :mod:`repro.shard.read_path`, and the on-disk layout to
 :mod:`repro.shard.persistence`.
 
-Each modified row goes to its owning shard's auxiliary table; an insert
-into an empty shard materializes one under the model, keys past the
-leading key's max grow the domain in place, and any other widening
-retrains the store.  Every mutation batch ends with the retrain rule —
-a :class:`~repro.lifecycle.MaintenanceEngine` pass when the sharding
+Each modified row flips its bit in the store's index and goes to its
+owning shard's auxiliary table; an insert into an empty shard
+materializes one under the model, keys past the leading key's max grow
+the domain in place, and any other widening retrains the store.  Every
+mutation batch ends with the retrain rule — a
+:class:`~repro.lifecycle.MaintenanceEngine` pass when the sharding
 config carries a :class:`~repro.lifecycle.LifecycleConfig`, the build
 config's bounds otherwise.  Only a retrain trains.
 """
@@ -39,10 +42,10 @@ from ..core.config import DeepMappingConfig
 from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
                                  SizeReport, encode_insert, encode_update,
                                  normalize_keys, normalize_rows, with_rows)
+from ..core.exist_index import cover
 from ..core.model import Model
 from ..core.modify import ModificationTracker, settle
-from ..core.negative_filter import build_store_filter, hash_key_columns
-from ..core.plan import LookupResult, blank
+from ..core.plan import LookupResult
 from ..data.table import ColumnTable
 from ..lifecycle import LifecycleConfig, MaintenanceEngine
 from ..resilience.deadline import Deadline
@@ -57,12 +60,6 @@ from .router import ShardRouter, make_router
 
 __all__ = ["ShardedDeepMapping", "ShardingConfig"]
 
-#: Store-filter sizing when it is a Bloom filter, in bits per inserted
-#: key (~3 % of misses pass and are rejected by the owning shard's
-#: ``V_exist``).  The manifest growth must stay under 2 bytes/key after
-#: the base64 framing (see docs/sharding.md).
-_STORE_FILTER_BITS = 8
-
 
 @dataclass
 class ShardingConfig:
@@ -70,9 +67,9 @@ class ShardingConfig:
 
     #: Number of shards the key domain is split into.
     n_shards: int = 4
-    #: ``"range"`` (contiguous leading-key ranges, shrinks each shard's
-    #: existence window) or ``"hash"`` (uniform placement over all key
-    #: columns).
+    #: ``"range"`` (contiguous leading-key ranges; the only strategy
+    #: that can split and merge) or ``"hash"`` (uniform placement over
+    #: all key columns).
     strategy: str = "range"
     #: Thread-pool width for fan-out; ``None`` means
     #: ``min(n_shards, cpu_count)``.  Effective width 1 runs inline.
@@ -149,8 +146,8 @@ class ShardedDeepMapping(StoreBase):
     (:meth:`insert` / :meth:`delete` / :meth:`update`) are
     single-writer and must not run concurrently with lookups, and a
     reader racing one is promised nothing.  A split, merge or retrain
-    swaps the topology atomically: a reader still holding the old triple
-    keeps its retired shards' (and model's) answers.
+    swaps the topology atomically: a reader still holding the old tuple
+    keeps its retired shards' (and model's and index's) answers.
     """
 
     def __init__(
@@ -158,34 +155,25 @@ class ShardedDeepMapping(StoreBase):
         router: ShardRouter,
         model: Model,
         shards: List[Optional[DeepMapping]],
+        exist,
         sharding: ShardingConfig,
         value_names: Tuple[str, ...],
         value_dtypes: Dict[str, np.dtype],
         stats: Optional[StoreStats] = None,
         pool: Optional[BufferPool] = None,
-        store_filter=None,
     ):
         if len(shards) != router.n_shards:
             raise ValueError(
                 f"router expects {router.n_shards} shards, got {len(shards)}"
             )
-        #: Router, model and shard list live in ONE tuple so lifecycle
-        #: actions (split/merge/retrain) swap them with a single atomic
-        #: attribute store; readers snapshot the triple once per
-        #: operation.  Every shard is materialized under the model.
+        #: Router, model, shard list and the one existence index live in
+        #: ONE tuple so lifecycle actions (split/merge/retrain) swap them
+        #: with a single atomic attribute store; readers snapshot the
+        #: tuple once per operation.  Every shard is materialized under
+        #: the model and reads the index (the same object).
         self._topology: Tuple[ShardRouter, Model,
-                              List[Optional[DeepMapping]]] = (
-            router, model, list(shards))
-        #: The pruning filter over the union of every shard's keys (a
-        #: ``NegativeFilter`` / ``DenseNegativeFilter``; ``None``: never
-        #: prune).  Since key->shard placement is a pure function of the
-        #: key, "in no shard" and "not in the owning shard" are the same
-        #: predicate — so this filter prunes without routing anything.
-        #: Kept outside the topology triple: splits/merges/retrains
-        #: preserve the key union, so it survives them unchanged, and
-        #: deletes only ever leave it a stale superset (never a false
-        #: negative) until :meth:`refresh_store_filter`.
-        self._store_filter = store_filter
+                              List[Optional[DeepMapping]], object] = (
+            router, model, list(shards), exist)
         self.sharding = sharding
         #: Modified bytes since the last retrain, over the whole store:
         #: the bytes bound of :meth:`retrain_due`.
@@ -222,9 +210,9 @@ class ShardedDeepMapping(StoreBase):
         sharding: Optional[ShardingConfig] = None,
         stats: Optional[StoreStats] = None,
     ) -> "ShardedDeepMapping":
-        """Fit one model over ``table``, then materialize each shard's
-        ``T_aux`` and ``V_exist`` under it (:func:`topology.install
-        <repro.shard.topology.install>`)."""
+        """Fit one model over ``table``, then build the store's index and
+        materialize each shard's ``T_aux`` under it
+        (:func:`topology.install <repro.shard.topology.install>`)."""
         config = config if config is not None else DeepMappingConfig()
         sharding = sharding if sharding is not None else ShardingConfig()
         stats = stats if stats is not None else StoreStats()
@@ -237,15 +225,10 @@ class ShardedDeepMapping(StoreBase):
         value_names = tuple(sorted(table.value_columns))
         value_dtypes = {name: table.column(name).dtype
                         for name in value_names}
-        with stats.timing("filter_build"):
-            store_filter = build_store_filter(
-                hash_key_columns(key_cols, router.key_names),
-                bits_per_key=_STORE_FILTER_BITS)
-
         fit = Model.fit(table, config)
-        store = cls(router, fit.model, [None] * router.n_shards, sharding,
-                    value_names=value_names, value_dtypes=value_dtypes,
-                    stats=stats, pool=pool, store_filter=store_filter)
+        store = cls(router, fit.model, [None] * router.n_shards, None,
+                    sharding, value_names=value_names,
+                    value_dtypes=value_dtypes, stats=stats, pool=pool)
         topology.install(store, table, fit)
         return store
 
@@ -266,6 +249,13 @@ class ShardedDeepMapping(StoreBase):
     def shards(self) -> List[Optional[DeepMapping]]:
         """The live shard list (swapped atomically with the router)."""
         return self._topology[2]
+
+    @property
+    def exist(self):
+        """The store's one ``V_exist`` over the model's key domain: the
+        existence stage of every read and write, read by every shard
+        (swapped atomically with the model)."""
+        return self._topology[3]
 
     @property
     def config(self) -> DeepMappingConfig:
@@ -301,10 +291,11 @@ class ShardedDeepMapping(StoreBase):
 
     def __len__(self) -> int:
         """Live keys across all shards."""
-        return sum(len(shard) for shard in self.shards if shard is not None)
+        return self.exist.count()
 
     def shard_row_counts(self) -> List[int]:
-        """Live keys per shard, in shard order."""
+        """Live keys per shard, in shard order (counted from the bits each
+        shard's rows flip)."""
         return [0 if shard is None else len(shard) for shard in self.shards]
 
     def compile_engines(self) -> int:
@@ -316,14 +307,14 @@ class ShardedDeepMapping(StoreBase):
         return sum(1 for shard in self.shards if shard is not None)
 
     def size_report(self) -> SizeReport:
-        """Per-component storage breakdown (Eq. 1): the one model and
-        decode map once, ``T_aux`` and ``V_exist`` summed over shards."""
+        """Per-component storage breakdown (Eq. 1): the one model, decode
+        map and ``V_exist`` once, ``T_aux`` summed over shards."""
         model = self.model
         live = [shard for shard in self.shards if shard is not None]
         return SizeReport(
             model_bytes=model.session.nbytes,
             aux_bytes=sum(shard.aux.stored_bytes() for shard in live),
-            exist_bytes=sum(shard.exist.stored_bytes() for shard in live),
+            exist_bytes=self.exist.stored_bytes(),
             decode_bytes=model.fdecode.nbytes,
             dataset_bytes=model.dataset_bytes,
             n_rows=len(self),
@@ -338,8 +329,9 @@ class ShardedDeepMapping(StoreBase):
         """Batched exact-match lookup across shards, input order preserved.
 
         One read path (:mod:`repro.shard.read_path`): the batch is
-        pruned by the store filter and sorted once **by key within
-        shard groups** (no later stage ever sorts again); each owning
+        tested once against the store's ``V_exist`` (only live keys are
+        routed) and sorted once **by key within shard groups** (no later
+        stage ever sorts again); each owning
         shard runs a staged :class:`~repro.core.plan.LookupPlan`
         — existence gate, ``T_aux`` probe, aux-gated fused inference,
         decode — and streams its finished segment straight into the
@@ -369,9 +361,8 @@ class ShardedDeepMapping(StoreBase):
         return read_path.lookup(self, keys, deadline=deadline)
 
     def contains_batch(self, keys: KeysLike) -> np.ndarray:
-        """Liveness test per key — routed to each owning shard's
-        existence vector, no value inference.  Keys owned by an empty
-        shard are absent by definition."""
+        """Liveness test per key against the store's ``V_exist`` — the
+        read path's existence stage; no routing, no inference."""
         return read_path.contains_batch(self, keys)
 
     def _aux_rows(self) -> int:
@@ -419,15 +410,16 @@ class ShardedDeepMapping(StoreBase):
 
         An insert into an empty shard materializes one under the store's
         model.  Keys past the leading key's max grow the domain and the
-        tail window in place; any other key outside the domain retrains
-        the store over its content and the batch.  Returns the rows
+        index in place; any other key outside the domain retrains the
+        store over its content and the batch.  Returns the rows
         materialized in auxiliary tables (0 after a retrain).
 
         The batch is flattened and run through the model once
         (:func:`~repro.core.deep_mapping.encode_insert`), and validated
         against existing keys and intra-batch duplicates before any shard
         is mutated: either problem raises ``ValueError`` and no shard
-        changes.  Each shard then sets bits and holds rows of its slice.
+        changes.  Each shard then holds the rows of its slice, and the
+        slice's bits are set in the store's index.
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
@@ -437,59 +429,64 @@ class ShardedDeepMapping(StoreBase):
                                              self.key_names))
             self._widen_dtypes(columns)
             return 0
-        groups = self._group_rows(columns)
-        flat, labels, lost = encode_insert(
-            model, columns, functools.partial(self._live, groups))
+        flat, labels, lost = encode_insert(model, columns,
+                                           self.exist.test_batch)
         self._widen_dtypes(columns)
-        hashes = (hash_key_columns(columns, self.key_names)
-                  if self._store_filter is not None else None)
+        exist = self._cover(flat)
         landed = 0
-        stale = False  # the dense store filter declined rows: rebuild it
-        try:
-            for ordinal, rows_idx in groups:
-                part = topology.rows(rows_idx, flat, labels, lost)
-                shard = self.shards[ordinal]
-                if shard is None:
-                    self.shards[ordinal] = topology.materialize(
-                        self, model, self.router, ordinal, *part)
-                    landed += int(part[2].sum())
-                else:
-                    landed += shard.apply_insert(*part)
-                # Grow the store filter once the shard has accepted the
-                # rows — not before (an insert that raises must not
-                # leave phantom positives) and not after the loop (if a
-                # later shard raises, the rows that landed here must
-                # already be visible to lookups).  A dense filter can
-                # decline keys outside its built domain; a rebuild from
-                # shard content then re-covers them (widening the domain
-                # or falling back to Bloom as build_store_filter sees
-                # fit).
-                if hashes is not None and not stale:
-                    stale = not self._store_filter.try_add(hashes[rows_idx])
-        finally:
-            if stale:
-                self.refresh_store_filter()
+        for ordinal, rows_idx in self._group_rows(columns):
+            part = topology.rows(rows_idx, flat, labels, lost)
+            shard = self.shards[ordinal]
+            if shard is None:
+                self.shards[ordinal] = topology.materialize(
+                    self, model, exist, *part)
+                landed += int(part[2].sum())
+            else:
+                landed += shard.hold(*part)
+                shard.n_rows += part[0].size
+            # Bits go up per shard once its rows have landed: if a later
+            # shard raises, the rows already held here are found.
+            exist.set_batch(part[0])
         settle(self, columns, self.engine)
         return landed
 
-    def delete(self, keys: KeysLike) -> int:
-        """Delete keys from their owning shards; absent keys are ignored.
+    def _cover(self, flat: np.ndarray):
+        """The store's index, grown to cover the new flat keys ``flat``
+        (:func:`~repro.core.exist_index.cover`); when growing gives a new
+        object it replaces the old one in the topology and in every
+        shard."""
+        exist = self.exist
+        if not flat.size:
+            return exist
+        grown = cover(exist, int(flat.max()) + 1, len(self) + flat.size)
+        if grown is not exist:
+            router, model, shards, _ = self._topology
+            for shard in shards:
+                if shard is not None:
+                    shard.exist = grown
+            topology.swap(self, router, model, shards, grown)
+        return grown
 
-        The store filter is deliberately left untouched: a Bloom filter
-        cannot clear bits, so a deleted key survives as a false positive
-        (one wasted dispatch the shard's existence tier rejects) until
-        the next filter rebuild — the superset invariant, never a false
-        negative.
-        """
+    def delete(self, keys: KeysLike) -> int:
+        """Delete keys: clear their bits in the store's index and drop
+        their rows from their owning shards' ``T_aux``; absent keys are
+        ignored (only live keys are routed).  Returns how many were
+        live."""
         self._require_writable()
         key_cols = normalize_keys(keys, self.key_names)
         flat, in_domain = self.model.key_codec.try_flatten(key_cols)
+        exist = self.exist
+        live = np.flatnonzero(exist.test_batch(flat) & in_domain)
         deleted = 0
-        for ordinal, rows_idx in self._group_rows(key_cols):
-            shard = self.shards[ordinal]
-            if shard is not None:
-                deleted += shard.apply_delete(
-                    flat[rows_idx[in_domain[rows_idx]]])
+        if live.size:
+            for ordinal, rows_idx in self._group_rows(
+                    {name: col[live] for name, col in key_cols.items()}):
+                targets = flat[live[rows_idx]]
+                shard = self.shards[ordinal]
+                shard.aux.remove_batch(targets)
+                cleared = exist.clear_batch(targets)
+                shard.n_rows -= cleared
+                deleted += cleared
         settle(self, key_cols, self.engine)
         return deleted
 
@@ -504,12 +501,11 @@ class ShardedDeepMapping(StoreBase):
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
-        groups = self._group_rows(columns)
-        flat, labels, lost = encode_update(
-            self.model, columns, functools.partial(self._live, groups))
+        flat, labels, lost = encode_update(self.model, columns,
+                                           self.exist.test_batch)
         self._widen_dtypes(columns)
         landed = 0
-        for ordinal, rows_idx in groups:
+        for ordinal, rows_idx in self._group_rows(columns):
             landed += self.shards[ordinal].apply_update(
                 *topology.rows(rows_idx, flat, labels, lost))
         settle(self, columns, self.engine)
@@ -530,43 +526,9 @@ class ShardedDeepMapping(StoreBase):
         return [(int(ordinal), np.flatnonzero(shard_ids == ordinal))
                 for ordinal in np.unique(shard_ids)]
 
-    def _live(self, groups: List[Tuple[int, np.ndarray]],
-              flat: np.ndarray) -> np.ndarray:
-        """Which of the routed rows' flat keys their shard holds (keys of
-        an empty shard are not live)."""
-        live = np.zeros(flat.size, dtype=bool)
-        for ordinal, rows_idx in groups:
-            shard = self.shards[ordinal]
-            if shard is not None:
-                live[rows_idx] = shard.exist.test_batch(flat[rows_idx])
-        return live
-
     # ------------------------------------------------------------------
-    # Lifecycle: maintenance plumbing and split/merge mechanics
+    # Lifecycle: split/merge mechanics
     # ------------------------------------------------------------------
-    def refresh_store_filter(self) -> None:
-        """Rebuild the store filter from all live keys.
-
-        Splits, merges, and retrains preserve the key *union*, so the
-        store filter survives topology changes untouched; it only
-        accumulates false positives through deletes.  :meth:`rebuild`
-        calls this to reset its FPR, :meth:`insert` when a dense filter
-        declined rows.  No-op when the store never had a filter (a
-        manifest saved without one never prunes).
-        """
-        if self._store_filter is None:
-            return
-        parts = []
-        for shard in self.shards:
-            if shard is None or not len(shard):
-                continue
-            key_cols = shard.key_codec.unflatten(shard.exist.existing_keys())
-            parts.append(hash_key_columns(key_cols, self.key_names))
-        hashes = (np.concatenate(parts) if parts
-                  else np.empty(0, dtype=np.uint64))
-        self._store_filter = build_store_filter(
-            hashes, bits_per_key=_STORE_FILTER_BITS)
-
     def can_split(self, ordinal: int) -> bool:
         """True when shard ``ordinal`` can split
         (:func:`repro.shard.topology.can_split`)."""
@@ -586,21 +548,14 @@ class ShardedDeepMapping(StoreBase):
     # Materialization
     # ------------------------------------------------------------------
     def to_table(self) -> ColumnTable:
-        """Logical content as one ColumnTable (shard order)."""
-        tables = [shard.to_table() for shard in self.shards
-                  if shard is not None and len(shard)]
-        if not tables:
-            columns: Dict[str, np.ndarray] = {
-                name: np.empty(0, dtype=np.int64) for name in self.key_names
-            }
-            for name in self.value_names:
-                columns[name] = blank(0, self.value_dtype(name))
-            return ColumnTable(columns, key=self.key_names, name="sharded")
-        merged = tables[0]
-        for part in tables[1:]:
-            merged = merged.concat(part)
-        merged.name = "sharded"
-        return merged
+        """Logical content as one ColumnTable: the keys of the store's
+        index, ascending, and their values as :meth:`lookup` reads
+        them."""
+        _, model, _, exist = self._topology
+        key_cols = model.key_codec.unflatten(exist.existing_keys())
+        columns: Dict[str, np.ndarray] = dict(key_cols)
+        columns.update(self.lookup(key_cols).values)
+        return ColumnTable(columns, key=self.key_names, name="sharded")
 
     # ------------------------------------------------------------------
     # Persistence (the directory layout lives in repro.shard.persistence)

@@ -16,8 +16,9 @@ them:
   overrides, then decode.  No compiled kernel, no aux-gated inference.
 - :func:`barrier_lookup` — the pre-pipeline sharded read: route, stable
   sort by shard ordinal only, one complete lookup per shard, then
-  concatenate and inverse-permute.  No filters, no shared sort, no
-  streaming scatter, no executor.
+  concatenate and inverse-permute.  No store-level existence stage
+  (every miss goes to its shard), no shared sort, no streaming
+  scatter, no executor.
 
 They compose: ``barrier_lookup(store, keys, shard_lookup=
 reference_lookup)`` is "reference engine, barrier merge".
@@ -89,8 +90,9 @@ def barrier_lookup(
     ``shard_lookup(shard, segment)`` answers one shard's segment;
     the default is the shard's own ``lookup`` (pass
     :func:`reference_lookup` for the reference engine).  Deliberately
-    unpruned — the store filter is ignored — so the pruned read path
-    can be held against it.  Every column comes back in the store's
+    unpruned — every miss is routed and answered by its shard's plan —
+    so the pruned read path can be held against it.  Every column comes
+    back in the store's
     :meth:`~repro.shard.ShardedDeepMapping.value_dtype`.
     """
     router, shards = store.router, store.shards

@@ -147,7 +147,7 @@ class TestAuxiliaryTableCount:
 @pytest.mark.parametrize("kind", [ExistenceIndex, SparseExistenceIndex])
 class TestExistenceCount:
     def test_flips_count_once(self, kind):
-        index = kind(1000, base=100)
+        index = kind(1000)
         assert index.set_batch(np.array([105, 105, 300, 105])) == 2
         assert index.set_batch(np.array([300, 301])) == 1
         assert index.count() == 3

@@ -38,17 +38,17 @@ class TestSparseIndex:
         index.set_batch(np.array([500, 2, 77]))
         assert index.existing_keys().tolist() == [2, 77, 500]
 
-    def test_out_of_window_set_rejected_and_tested_absent(self):
-        index = SparseExistenceIndex(10, base=5)
+    def test_out_of_domain_set_rejected_and_tested_absent(self):
+        index = SparseExistenceIndex(10)
         with pytest.raises(IndexError):
-            index.set_batch(np.array([15]))
+            index.set_batch(np.array([10]))
         with pytest.raises(IndexError):
-            index.set_batch(np.array([4]))
-        index.set_batch(np.array([5, 14]))
+            index.set_batch(np.array([-1]))
+        index.set_batch(np.array([0, 9]))
         np.testing.assert_array_equal(
-            index.test_batch(np.array([-1, 4, 5, 14, 15])),
-            [False, False, True, True, False])
-        assert index.existing_keys().tolist() == [5, 14]
+            index.test_batch(np.array([-1, 0, 5, 9, 10])),
+            [False, True, False, True, False])
+        assert index.existing_keys().tolist() == [0, 9]
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ class TestAdoption:
                    for name in store.value_names}}
         for call in (lambda: shard.insert(rows), lambda: shard.update(rows),
                      lambda: shard.delete({"key": rows["key"]}),
-                     shard.rebuild):
+                     shard.rebuild, shard.to_table):
             with pytest.raises(PermissionError, match="shard"):
                 call()
         assert shard.model is store.model

@@ -2,8 +2,9 @@
 
 A miss reads its column's blank — the dtype's zero (``0``, ``''``,
 ``False``), or ``None`` for object columns — on every path: a key the
-sharded store's filter prunes, a key a shard's ``V_exist`` rejects, a
-key routed to an empty shard, and a response on the wire.  A sharded
+sharded store's ``V_exist`` prunes (in a miss-heavy batch or a
+hit-heavy one), a key of an empty shard's range, a key a shard's own
+plan rejects, and a response on the wire.  A sharded
 store answers each column in one dtype, ``value_dtype``, whichever
 shards a batch touches, and across save and every reopen.
 
@@ -71,13 +72,13 @@ class TestMissReadsBlank:
         assert result.values["v"].tolist() == [0] * 40
         assert result.values["s"].tolist() == [""] * 40
 
-    def test_dispatched_misses(self, store):
-        # Hit-heavy, so nothing is pruned: each shard's V_exist rejects
-        # its own misses.
+    def test_hit_heavy_misses_are_pruned_too(self, store):
+        # The store's one V_exist answers every miss before routing,
+        # however few there are.
         keys = np.concatenate([KEYS[::10], [1, 3, 601, 603]])
         before = store.stats.counters.get("pruned_keys", 0)
         result = store.lookup({"key": keys})
-        assert store.stats.counters.get("pruned_keys", 0) == before
+        assert store.stats.counters.get("pruned_keys", 0) - before == 4
         assert result.found.tolist() == [True] * 40 + [False] * 4
         assert result.values["v"][-4:].tolist() == [0] * 4
         assert result.values["s"][-4:].tolist() == [""] * 4
@@ -163,7 +164,7 @@ class TestOneDtypePerColumn:
 
 
 class TestManifestVersion:
-    def test_fresh_manifest_is_version_3_without_prune_meta(self, tmp_path):
+    def test_fresh_manifest_is_version_4_without_prune_meta(self, tmp_path):
         # Both shards share one smallest value per column, the case the
         # removed prune metadata was written for.
         table = ColumnTable({"key": KEYS, "v": KEYS % 3},
@@ -174,8 +175,9 @@ class TestManifestVersion:
         sharded.save(str(path))
         sharded.close()
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
         assert "prune_meta" not in manifest
+        assert "store_filter" not in manifest
         assert manifest["value_dtypes"] == {"v": "<i8"}
 
     @pytest.mark.parametrize("writable", [True, False])

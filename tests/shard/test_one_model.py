@@ -167,27 +167,35 @@ def test_shard_blobs_hold_no_session_and_the_model_is_written_once(
     try:
         store.save(backend.url)
         names = sorted(backend.list())
-        assert names == ["manifest.json", "model.rzc", "shard-0000.dm",
-                         "shard-0001.dm"]
+        assert names == ["exist.rzc", "manifest.json", "model.rzc",
+                         "shard-0000.dm", "shard-0001.dm"]
         model_state = zerocopy.unpack(backend.read_bytes("model.rzc"))
         assert "session_v2" in model_state and "aux_v2" not in model_state
         crc = blob_crc(backend.read_bytes("model.rzc"))
-        assert ShardManifest.load_from(backend).model_crc == crc
+        manifest = ShardManifest.load_from(backend)
+        assert manifest.model_crc == crc
+        # One existence index for the store, bound like the shards.
+        assert manifest.exist_crc == blob_crc(backend.read_bytes("exist.rzc"))
+        exist_state = zerocopy.unpack(backend.read_bytes("exist.rzc"))
+        assert set(exist_state) == {"exist_v2", "model_crc"}
+        assert exist_state["model_crc"] == crc
         for name in ("shard-0000.dm", "shard-0001.dm"):
             state = zerocopy.unpack(backend.read_bytes(name))
-            assert set(state) == {"exist_v2", "aux_v2", "model_crc"}
+            assert set(state) == {"aux_v2", "model_crc"}
             assert state["model_crc"] == crc
     finally:
         InMemoryBackend.discard(backend.name)
 
 
-def test_a_whole_domain_payload_without_a_window_base_opens(sparse_table):
-    """A monolithic payload keeps the parent's layout; its existence
-    state had no window base, which reads as the whole domain."""
+def test_a_monolithic_payload_with_a_zero_window_base_opens(sparse_table):
+    """A monolithic payload keeps the parent's layout; the parent saved
+    its existence state with a window base of 0, which reads as the
+    whole domain."""
     mono = DeepMapping.fit(sparse_table, fast_config(epochs=3))
     state = zerocopy.unpack(mono.to_payload())
     state["aux_v2"] = mono.aux.to_state()  # re-packable partitions
-    del state["exist_v2"]["base"]
+    assert "base" not in state["exist_v2"]
+    state["exist_v2"]["base"] = 0
     backend = InMemoryBackend.named("one-model-parent-payload")
     try:
         backend.write_bytes(MONOLITHIC_BLOB, zerocopy.pack(state))

@@ -24,9 +24,11 @@ def store():
         ShardingConfig(n_shards=2, strategy="range"))
 
 
-def probe_for(shard):
-    """Every live key of ``shard`` (T_aux rows among them) plus misses."""
-    live = shard.key_codec.unflatten(shard.exist.existing_keys())["key"]
+def probe_for(store, ordinal):
+    """Every live key shard ``ordinal`` owns (T_aux rows among them, taken
+    from the store's one index) plus misses."""
+    keys = store.model.key_codec.unflatten(store.exist.existing_keys())["key"]
+    live = keys[store.router.route({"key": keys}) == ordinal]
     misses = np.array([-5, int(live.max()) + 10 ** 6], dtype=np.int64)
     return {"key": np.concatenate([live, misses])}
 
@@ -37,15 +39,15 @@ def assert_same(result, reference):
         np.testing.assert_array_equal(result.values[column], values)
 
 
-def answers(shard):
-    probe = probe_for(shard)
-    return probe, shard.lookup(probe)
+def answers(store, ordinal):
+    probe = probe_for(store, ordinal)
+    return probe, store.shards[ordinal].lookup(probe)
 
 
 def test_a_shard_retired_by_a_split_answers_as_before(store):
     retired = store.shards[0]
     assert len(retired.aux) > 0, "fixture should leave rows in T_aux"
-    probe, before = answers(retired)
+    probe, before = answers(store, 0)
     store.split_shard(0)
     assert all(shard is not retired for shard in store.shards)
     assert_same(retired.lookup(probe), before)
@@ -57,7 +59,7 @@ def test_a_shard_retired_by_a_split_answers_as_before(store):
 
 def test_shards_retired_by_a_merge_answer_as_before(store):
     first, second = store.shards
-    recorded = [answers(first), answers(second)]
+    recorded = [answers(store, 0), answers(store, 1)]
     store.merge_shards(0)
     for shard, (probe, before) in zip((first, second), recorded):
         assert_same(shard.lookup(probe), before)

@@ -280,12 +280,12 @@ class TestPersistence:
         report = sharded.size_report()
         per_shard = [shard.size_report() for shard in sharded.shards
                      if shard is not None]
-        # One model and one decode map, counted once; T_aux and V_exist
-        # summed over shards.
+        # One model, decode map and V_exist, counted once; T_aux summed
+        # over shards.
         assert report.model_bytes == sharded.model.session.nbytes
         assert report.decode_bytes == sharded.model.fdecode.nbytes
         assert report.aux_bytes == sum(r.aux_bytes for r in per_shard)
-        assert report.exist_bytes == sum(r.exist_bytes for r in per_shard)
+        assert report.exist_bytes == sharded.exist.stored_bytes()
         assert report.n_rows == len(sharded)
         assert report.total_bytes > 0
 

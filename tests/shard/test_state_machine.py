@@ -8,12 +8,14 @@ writable and ``writable=False``), and checks after every step that:
 
 - found-mask and values are bit-identical to the dict, on live keys and
   on misses (deleted keys, gaps, keys outside the domain);
-- ``len(store)`` is the dict's size;
-- every shard's live counts, kept as rows change, are the rows it
-  holds: ``len(shard.aux)`` is what a scan of its ``T_aux`` finds and
-  ``len(shard)`` the keys its ``V_exist`` holds (on a read-only reopen
-  too);
-- the store filter has no false negative on a live key;
+- ``len(store)`` is the dict's size, and the store's one ``V_exist``
+  (``store.exist``) holds exactly the dict's keys, so a deleted key is a
+  miss at the existence stage alone;
+- the live counts kept as rows change are the rows held:
+  ``shard_row_counts()`` is a recount by routing the index's keys, and
+  ``len(shard.aux)`` what a scan of its ``T_aux`` finds (on a read-only
+  reopen too);
+- a save's manifest round-trips through JSON and records those counts;
 - a lookup through a ``store._topology`` snapshot taken before the last
   split, merge or retrain returns what it returned then.
 
@@ -33,10 +35,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 import repro
-from repro.core.negative_filter import hash_key_columns
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.storage import InMemoryBackend, payload_cache
+from repro.shard.manifest import ShardManifest
+from repro.storage import InMemoryBackend, backend_for_url, payload_cache
 
 from ..core.conftest import fast_config
 
@@ -73,12 +75,20 @@ def _base_store_url() -> str:
     return _BASE["url"]
 
 
-def _check_counts(store) -> None:
-    """The O(1) live counts against a recount of what each shard holds."""
+def _check_index(store, live) -> None:
+    """The store's index against the dict's keys ``live``, and the O(1)
+    live counts against a recount of what each shard holds."""
+    flat = store.exist.existing_keys()
+    np.testing.assert_array_equal(
+        flat, np.sort(store.model.key_codec.flatten(
+            {"key": np.array(sorted(live), dtype=np.int64)})))
+    owners = store.router.route(store.model.key_codec.unflatten(flat))
+    assert store.shard_row_counts() == np.bincount(
+        owners, minlength=store.n_shards).tolist()
     for shard in store.shards:
         if shard is not None:
+            assert shard.exist is store.exist
             assert len(shard.aux) == shard.aux.scan()[0].size
-            assert len(shard) == shard.exist.existing_keys().size
 
 
 def _route_lookup(router, shards, keys: np.ndarray):
@@ -118,8 +128,7 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         return max(self.ever)
 
     def _take_snapshot(self) -> None:
-        topo = self.store._topology
-        router, shards = topo[0], topo[-1]
+        router, _, shards, _ = self.store._topology
         keys = np.array(sorted(self.ever) + [-5, max(self.ever) + 50],
                         dtype=np.int64)
         found, values = _route_lookup(router, shards, keys)
@@ -212,6 +221,10 @@ class ShardedStoreMachine(RuleBasedStateMachine):
                 self.scratch = tempfile.mkdtemp(prefix="repro-machine-")
             url = f"file://{os.path.join(self.scratch, name)}"
         self.store.save(url)
+        manifest = ShardManifest.load_from(backend_for_url(url, create=False))
+        assert ShardManifest.from_json(manifest.to_json()) == manifest
+        assert [entry.n_rows for entry in manifest.shards] == \
+            self.store.shard_row_counts()
         reopened = repro.open(url, writable=writable)
         if writable:
             self.store.close()
@@ -240,20 +253,11 @@ class ShardedStoreMachine(RuleBasedStateMachine):
                             dtype=dtype)
         np.testing.assert_array_equal(values, expected)
         assert len(store) == len(self.model)
-        _check_counts(store)
+        _check_index(store, self.model)
 
     @invariant()
     def matches_model(self):
         self._check_against_model(self.store)
-
-    @invariant()
-    def store_filter_has_no_false_negative(self):
-        store_filter = self.store._store_filter
-        if store_filter is None or not self.model:
-            return
-        live = {"key": np.array(sorted(self.model), dtype=np.int64)}
-        assert store_filter.might_contain(
-            hash_key_columns(live, self.store.key_names)).all()
 
     @invariant()
     def snapshot_answers_as_before(self):

@@ -245,65 +245,63 @@ class TestShardedCorruption:
             repro.open(url)
 
 
-def bloom_state(**overrides):
-    from repro.core.negative_filter import NegativeFilter
-    keys = np.arange(256, dtype=np.int64).view(np.uint64)
-    return {**NegativeFilter.build(keys).to_json(), **overrides}
+def build_sharded(table, url: str, seed: int = 0) -> None:
+    repro.build(table, repro.DeepMappingConfig(epochs=1, seed=seed),
+                shards=2, url=url).close()
 
 
-class TestDamagedStoreFilter:
-    """The manifest's filter is outside input: damage must fail the open
-    as manifest corruption — not escape as ``zlib.error``, and above all
-    not load into a filter that calls stored keys absent."""
+class TestDamagedExistenceBlob:
+    """``exist.rzc`` is the store's one ``V_exist``: every miss is
+    answered from it alone, so damage to it, its absence or a copy from
+    another save must fail the open — never load into an index that
+    calls stored keys absent (or absent keys stored)."""
 
-    @pytest.mark.parametrize("damage", [
-        lambda f: {**f, "data": f["data"][:-12]},
-        lambda f: {**f, "data": "AAAA" + f["data"][4:]},
-        lambda f: {**f, "data": "!" + f["data"]},
-        lambda f: {**f, "data": None},
-        lambda f: {**f, "n_bits": 0},
-        lambda f: {**f, "n_bits": f["n_bits"] + 640},
-        lambda f: {**f, "n_bits": 2 ** 70},
-        lambda f: {**f, "lo": "0"},
-        lambda f: {**f, "lo": 2 ** 63},
-        lambda f: {k: v for k, v in f.items() if k != "lo"},
-        lambda f: {**f, "kind": "martian"},
-        lambda f: [f],
-        lambda f: bloom_state(k=9),
-        lambda f: bloom_state(k=0),
-        lambda f: bloom_state(n_words=0),
-        lambda f: bloom_state(n_words=3),
-    ], ids=["truncated data", "damaged zlib stream", "not base64",
-            "data missing", "n_bits 0", "word count", "giant n_bits",
-            "lo a string", "lo past int64", "lo missing", "unknown kind",
-            "not an object", "k 9", "k 0", "n_words 0", "n_words short"])
-    def test_open_refuses_and_names_the_manifest(self, tmp_path, table,
-                                                 damage):
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_flipped_byte_is_corruption(self, tmp_path, table, writable):
         url = str(tmp_path / "sharded")
-        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
-                    shards=2, url=url).close()
+        build_sharded(table, url)
+        backend = LocalDirBackend(url)
+        flip_blob_byte(backend, "exist.rzc",
+                       len(backend.read_bytes("exist.rzc")) // 2)
+        with pytest.raises(StoreCorruptedError):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_missing_blob_names_blob_and_url(self, tmp_path, table,
+                                             writable):
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
+        (tmp_path / "sharded" / "exist.rzc").unlink()
+        with pytest.raises(StoreNotFoundError,
+                           match=r"exist\.rzc.*sharded"):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_blob_from_another_save_is_refused(self, tmp_path, table,
+                                               writable):
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
+        other = str(tmp_path / "other")
+        smaller = repro.ColumnTable(
+            {name: table.column(name)[::2] for name in ("sku", "price")},
+            key=("sku",))
+        build_sharded(smaller, other)
+        LocalDirBackend(url).write_bytes(
+            "exist.rzc", LocalDirBackend(other).read_bytes("exist.rzc"))
+        with pytest.raises(StoreCorruptedError, match="exist.rzc"):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_version_3_manifest_is_refused(self, tmp_path, table, writable):
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
         backend = LocalDirBackend(url)
         manifest = json.loads(backend.read_bytes("manifest.json"))
-        assert manifest["store_filter"]["kind"] == "dense64"
-        manifest["store_filter"] = damage(manifest["store_filter"])
+        manifest["version"] = 3
         backend.write_bytes("manifest.json", json.dumps(manifest).encode())
-        for writable in (True, False):
-            with pytest.raises(StoreCorruptedError, match="manifest.json"):
-                repro.open(url, writable=writable)
-
-    def test_healthy_bloom_filter_still_opens(self, tmp_path, table):
-        url = str(tmp_path / "sharded")
-        repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
-                    shards=2, url=url).close()
-        backend = LocalDirBackend(url)
-        manifest = json.loads(backend.read_bytes("manifest.json"))
-        manifest["store_filter"] = bloom_state()
-        backend.write_bytes("manifest.json", json.dumps(manifest).encode())
-        store = repro.open(url)
-        keys = np.arange(-300, 600, dtype=np.int64)
-        np.testing.assert_array_equal(store.lookup({"sku": keys}).found,
-                                      (keys >= 0) & (keys < 256))
-        store.close()
+        with pytest.raises(ValueError, match="commit 876da1c") as info:
+            repro.open(url, writable=writable)
+        assert not isinstance(info.value, StoreCorruptedError)
 
 
 class TestNotFound:

@@ -25,7 +25,7 @@ from repro.core.model import Model
 from repro.core.modify import ModificationTracker
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.shard.manifest import MODEL_NAME
+from repro.shard.manifest import EXIST_NAME, MODEL_NAME
 from repro.storage import InMemoryBackend, LocalDirBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.storage.partition import SortedPartitionStore
@@ -82,7 +82,8 @@ def partition_writes(monkeypatch):
 
 
 def payload_blobs(names):
-    return [n for n in names if n.endswith(".dm") or n == MODEL_NAME]
+    return [n for n in names
+            if n.endswith(".dm") or n in (MODEL_NAME, EXIST_NAME)]
 
 
 def full_query(table):
@@ -111,11 +112,11 @@ class TestPureMmapColdOpen:
         read_calls["read_bytes"].clear()
         read_calls["read_view"].clear()
         opened = repro.open(url, writable=False)
-        # The model and shard payloads are mapped, never copied out as
-        # bytes; the (small, JSON) manifest may use whichever access it
-        # likes.
+        # The model, existence and shard payloads are mapped, never
+        # copied out as bytes; the (small, JSON) manifest may use
+        # whichever access it likes.
         assert payload_blobs(read_calls["read_bytes"]) == []
-        assert len(payload_blobs(read_calls["read_view"])) == 3
+        assert len(payload_blobs(read_calls["read_view"])) == 4
         opened.close()
 
     def test_exist_and_weights_are_views_into_the_payload(self, saved_store):
@@ -123,17 +124,16 @@ class TestPureMmapColdOpen:
         payload_cache().clear()
         opened = repro.open(url, writable=False)
         session = opened.model.session
+        exist = opened.exist
         pinned = [(opened.model._shared_bundle["payload_view"],
                    [w for layer in session._shared for w in layer]
                    + [w for chain in session._heads.values()
-                      for layer in chain for w in layer])]
-        for shard in opened.shards:
-            if shard is None:
-                continue
-            exist = shard.exist
-            pinned.append((shard._shared_bundle["payload_view"],
-                           [exist._bits.packed if hasattr(exist, "_bits")
-                            else exist._keys]))
+                      for layer in chain for w in layer]),
+                  (exist._shared_bundle["payload_view"],
+                   [exist._bits.packed if hasattr(exist, "_bits")
+                    else exist._keys])]
+        assert all(shard.exist is exist
+                   for shard in opened.shards if shard is not None)
         for view, arrays in pinned:
             base = np.frombuffer(view, dtype=np.uint8)
             for arr in arrays:
