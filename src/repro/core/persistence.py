@@ -298,17 +298,33 @@ def _open_part(backend, blob: str, writable: bool, crc: int, what: str,
     per blob version through the payload cache (the bundle then holds
     the ``payload_view`` its arrays reference).  A blob whose
     :func:`blob_crc` is not ``crc`` (the manifest's) raises
-    :class:`~repro.resilience.errors.StoreCorruptedError`."""
-    if writable and not getattr(backend, "remote", False):
-        payload = backend.read_bytes(blob)
-        bundle = {**build(payload, False), "crc": blob_crc(payload)}
-    else:
-        bundle = _cached(backend, blob, lambda view: {
-            **build(view, True), "crc": blob_crc(view)})
-    if bundle["crc"] != crc:
-        raise StoreCorruptedError(
+    :class:`~repro.resilience.errors.StoreCorruptedError` — also when
+    its bytes hold no layout this module reads (an empty blob, or
+    another blob copied in its place): they are not the bytes the
+    manifest names, so there is no older layout to migrate from."""
+    def checked(payload, zero_copy: bool) -> Dict[str, object]:
+        actual = blob_crc(payload)
+        try:
+            bundle = build(payload, zero_copy)
+        except StoreCorruptedError:
+            raise
+        except ValueError as exc:
+            if actual == crc:
+                raise
+            raise not_named() from exc
+        return {**bundle, "crc": actual}
+
+    def not_named() -> StoreCorruptedError:
+        return StoreCorruptedError(
             f"{blob} is not the {what} the manifest names (a save cut "
             "short, or a blob published by another save)")
+
+    if writable and not getattr(backend, "remote", False):
+        bundle = checked(backend.read_bytes(blob), False)
+    else:
+        bundle = _cached(backend, blob, lambda view: checked(view, True))
+    if bundle["crc"] != crc:
+        raise not_named()
     return bundle
 
 

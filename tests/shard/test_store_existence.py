@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core.exist_index import SparseExistenceIndex
+from repro.core.exist_index import (ExistenceIndex,
+                                    SparseExistenceIndex)
 from repro.data import synthetic
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.shard.manifest import EXIST_NAME, MANIFEST_NAME
@@ -91,6 +92,41 @@ class TestExistenceStage:
         # Every miss is pruned, whatever the batch's hit share.
         assert store.stats.counters.get("pruned_keys", 0) - before == \
             int((~result.found).sum())
+
+
+class TestIndexSelection:
+    """The store's one index is picked by ``make_existence_index``'s rule
+    over the model's whole key domain, whatever the router: a bitmap
+    where the domain is dense, sorted keys where it is not."""
+
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    def test_dense_domain_picks_a_bitmap(self, strategy):
+        table = synthetic.single_column(600, "high", seed=2)
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2),
+            ShardingConfig(n_shards=3, strategy=strategy))
+        assert isinstance(store.exist, ExistenceIndex)
+        assert store.exist.domain_size == store.model.key_codec.domain_size
+        assert_index_holds(store, set(table.column(table.key[0]).tolist()))
+        store.close()
+
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    def test_sparse_domain_picks_sorted_keys(self, strategy):
+        # 600 keys over a 120 000-key domain: a bitmap would spend 200
+        # bits per key.
+        table = synthetic.single_column(600, "high", seed=2,
+                                        domain_factor=200.0)
+        store = ShardedDeepMapping.fit(
+            table, fast_config(epochs=2),
+            ShardingConfig(n_shards=3, strategy=strategy))
+        assert isinstance(store.exist, SparseExistenceIndex)
+        assert store.exist.domain_size == store.model.key_codec.domain_size
+        live = table.column(table.key[0])
+        assert_index_holds(store, set(live.tolist()))
+        gaps = np.setdiff1d(np.arange(live.min(), live.max(),
+                                      dtype=np.int64), live)[:300]
+        assert not store.contains_batch({table.key[0]: gaps}).any()
+        store.close()
 
 
 class TestMutationInvariants:

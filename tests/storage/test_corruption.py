@@ -187,6 +187,53 @@ class TestDamagedAuxPartition:
                 "pool_corruption_retries"] == 1
 
 
+def build_sharded(table, url: str, seed: int = 0) -> None:
+    repro.build(table, repro.DeepMappingConfig(epochs=1, seed=seed),
+                shards=2, url=url).close()
+
+
+def flip_at(payload, position: int) -> bytes:
+    payload = bytearray(payload)
+    payload[position] ^= 0xFF
+    return bytes(payload)
+
+
+#: Bytes of a sharded store's model or existence blob that decode to no
+#: layout at all, as ``edit(backend, raw, other_blob)``: each must be
+#: refused as a blob the manifest does not name.
+FOREIGN_BYTES = {
+    "empty": lambda backend, raw, other: b"",
+    "magic flipped": lambda backend, raw, other: flip_at(raw, 0),
+    "the other store blob": lambda backend, raw, other:
+        backend.read_bytes(other),
+    "a shard blob": lambda backend, raw, other:
+        backend.read_bytes("shard-0000.dm"),
+}
+
+#: Damage to ``exist.rzc``, edited like :data:`FOREIGN_BYTES`: torn,
+#: grown or flipped containers as well as the foreign bytes.
+EXIST_DAMAGE = {
+    "truncated to half": lambda backend, raw, other: raw[:len(raw) // 2],
+    "header only": lambda backend, raw, other:
+        raw[:len(zerocopy.MAGIC) + 4],
+    "one byte appended": lambda backend, raw, other: raw + b"\0",
+    "last byte flipped": lambda backend, raw, other:
+        flip_at(raw, len(raw) - 1),
+    **FOREIGN_BYTES,
+}
+
+#: Edits to the manifest's ``exist_crc``: an open must then refuse the
+#: intact ``exist.rzc`` as not the blob the manifest names.
+EXIST_CRC_DAMAGE = {
+    "missing": lambda manifest: manifest.pop("exist_crc"),
+    "a string": lambda manifest: manifest.update(exist_crc="0"),
+    "off by one": lambda manifest: manifest.update(
+        exist_crc=manifest["exist_crc"] + 1),
+    "the model's": lambda manifest: manifest.update(
+        exist_crc=manifest["model_crc"]),
+}
+
+
 class TestShardedCorruption:
     def test_flipped_byte_in_one_shard_payload(self, tmp_path, table):
         url = str(tmp_path / "sharded")
@@ -212,6 +259,21 @@ class TestShardedCorruption:
         flip_blob_byte(backend, "model.rzc",
                        len(backend.read_bytes("model.rzc")) // 2)
         with pytest.raises(StoreCorruptedError, match="checksum"):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("damage", sorted(FOREIGN_BYTES))
+    def test_foreign_bytes_in_the_model_blob_are_corruption(
+            self, tmp_path, table, damage, writable):
+        # Bytes that are not the model blob the manifest names fail the
+        # open as corruption naming the blob, never as a ValueError
+        # about an older layout to migrate from.
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
+        backend = LocalDirBackend(url)
+        backend.write_bytes("model.rzc", FOREIGN_BYTES[damage](
+            backend, backend.read_bytes("model.rzc"), "exist.rzc"))
+        with pytest.raises(StoreCorruptedError, match=r"model\.rzc"):
             repro.open(url, writable=writable)
 
     @pytest.mark.parametrize("writable", [True, False])
@@ -245,11 +307,6 @@ class TestShardedCorruption:
             repro.open(url)
 
 
-def build_sharded(table, url: str, seed: int = 0) -> None:
-    repro.build(table, repro.DeepMappingConfig(epochs=1, seed=seed),
-                shards=2, url=url).close()
-
-
 class TestDamagedExistenceBlob:
     """``exist.rzc`` is the store's one ``V_exist``: every miss is
     answered from it alone, so damage to it, its absence or a copy from
@@ -264,6 +321,34 @@ class TestDamagedExistenceBlob:
         flip_blob_byte(backend, "exist.rzc",
                        len(backend.read_bytes("exist.rzc")) // 2)
         with pytest.raises(StoreCorruptedError):
+            repro.open(url, writable=writable)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("damage", sorted(EXIST_DAMAGE))
+    def test_damaged_blob_is_corruption(self, tmp_path, table, damage,
+                                        writable):
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
+        backend = LocalDirBackend(url)
+        backend.write_bytes("exist.rzc", EXIST_DAMAGE[damage](
+            backend, backend.read_bytes("exist.rzc"), "model.rzc"))
+        with pytest.raises(StoreCorruptedError) as info:
+            repro.open(url, writable=writable)
+        if damage in FOREIGN_BYTES:
+            assert "exist.rzc" in str(info.value)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("damage", sorted(EXIST_CRC_DAMAGE))
+    def test_manifest_exist_crc_must_name_the_blob(self, tmp_path, table,
+                                                   damage, writable):
+        url = str(tmp_path / "sharded")
+        build_sharded(table, url)
+        backend = LocalDirBackend(url)
+        manifest = json.loads(backend.read_bytes("manifest.json"))
+        EXIST_CRC_DAMAGE[damage](manifest)
+        backend.write_bytes("manifest.json", json.dumps(manifest).encode())
+        with pytest.raises(StoreCorruptedError,
+                           match=r"exist\.rzc is not the existence index"):
             repro.open(url, writable=writable)
 
     @pytest.mark.parametrize("writable", [True, False])
