@@ -16,8 +16,9 @@ Not a paper table — these isolate the decisions the paper argues for:
 import numpy as np
 import pytest
 
+from repro import DeepMapping
 from repro.bench import format_table, key_batches, measure_lookup
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.data import synthetic, tpch
 
 from conftest import dm_config, write_report
@@ -105,7 +106,8 @@ def test_ablation_aux_partition_size(benchmark):
         batches = key_batches(table, 2000, repeats=3, seed=5)
         latency = measure_lookup(dm, batches) * 1000.0
         latencies[partition] = latency
-        rows.append([f"{partition // 1024}KB", dm.aux.partition_count,
+        rows.append([f"{partition // 1024}KB",
+                     dm.shards[0].aux.partition_count,
                      dm.storage_bytes() / 1024.0, latency])
     report_text = format_table(
         ["aux partition", "partitions", "storage KB", "B=2000 latency ms"],
@@ -194,11 +196,10 @@ def test_ablation_warm_start_retraining(benchmark):
 
     table = synthetic.multi_column(6000, "high")
     config = dm_config("high", tol=1e-4)
-    dm = DeepMapping.fit(table, config)
+    warm = DeepMapping.fit(table, config)
 
     t0 = time.perf_counter()
-    warm = DeepMapping.fit(table, config,
-                           warm_start=dm.session.state_arrays())
+    warm.rebuild()  # warm-started from the model it replaces
     warm_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     cold = DeepMapping.fit(table, config)
@@ -229,8 +230,8 @@ def test_ablation_existence_vector(benchmark):
     hallucinated_with_vexist = int(masked.found.sum())
 
     # Simulate dropping the existence check: run the raw model path.
-    flat, _ = dm.key_codec.try_flatten({"o_orderkey": absent})
-    raw_predictions = dm.compiled_session().run(flat)
+    flat, _ = dm.model.key_codec.try_flatten({"o_orderkey": absent})
+    raw_predictions = dm.model.compiled_session().run(flat)
     hallucinated_without = int(raw_predictions["o_orderstatus"].size)
 
     report_text = format_table(

@@ -33,8 +33,9 @@ import time
 import numpy as np
 
 import repro
+from repro import DeepMapping
 from repro.bench import format_table
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.data import synthetic
 from repro.store import EXECUTOR_NAMES
 
@@ -106,7 +107,7 @@ def run_api_benchmark(rows: int = 120_000, batch: int = 100_000,
     reference = direct.lookup(query)
 
     targets = [
-        ("file", os.path.join(workdir, "store.dm")),
+        ("file", os.path.join(workdir, "store")),
         ("mem", "mem://bench-api"),
         ("zip", f"zip://{workdir}/store.zip"),
     ]

@@ -14,9 +14,10 @@ import time
 
 import pytest
 
+from repro import DeepMapping
 from repro.bench.runner import build_system, storage_of
 from repro.bench import format_table
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.core.mhas import MHASConfig
 from repro.data import tpch
 

@@ -12,8 +12,9 @@ progresses the cloud contracts into a small low-ratio region (the paper's
 import numpy as np
 import pytest
 
+from repro import DeepMapping
 from repro.bench import format_table
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.core.mhas import MHASConfig
 from repro.data import tpch
 

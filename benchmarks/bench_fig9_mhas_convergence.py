@@ -12,8 +12,9 @@ controller concentrates on good architectures.
 import numpy as np
 import pytest
 
+from repro import DeepMapping
 from repro.bench import format_series, running_average
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.core.mhas import MHASConfig
 from repro.data import tpch
 

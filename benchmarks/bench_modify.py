@@ -45,7 +45,7 @@ from repro.bench import format_table
 from repro.core import DeepMappingConfig
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,11 +107,11 @@ def run_modify_benchmark(rows: int = 2000, stream: int = 12_000,
     table = synthetic.single_column(rows, "high", seed=1)
     config = bench_config(smoke)
 
-    rebalanced = ShardedDeepMapping.fit(
+    rebalanced = DeepMapping.fit(
         table, config,
         ShardingConfig(n_shards=4, strategy="range",
                        lifecycle=lifecycle_config(smoke)))
-    baseline = ShardedDeepMapping.fit(
+    baseline = DeepMapping.fit(
         table, config, ShardingConfig(n_shards=4, strategy="range"))
     built_model_bytes = rebalanced.size_report().model_bytes
 

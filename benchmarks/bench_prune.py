@@ -14,9 +14,9 @@ Two claims are tracked:
    - the 50%-hit batch prunes exactly its misses;
    - the manifest, which no longer carries a key set, is **<= 3 KB**.
 
-   The all-miss and 50%-hit times, and the monolithic all-miss time,
-   ride along for the record (there is no unpruned store left to time
-   against).
+   The all-miss and 50%-hit times, and the all-miss time of a
+   one-shard (default) store, ride along for the record (there is no
+   unpruned store left to time against).
 2. **Pure-mmap cold opens.** The payloads export model weights,
    existence bits and compressed ``T_aux`` partitions as first-class
    out-of-band container segments.  After a cold ``writable=False``
@@ -50,7 +50,7 @@ import repro
 from repro.bench import format_table
 from repro.core import DeepMappingConfig
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.storage import payload_cache
 from repro.testing.oracles import barrier_lookup
 
@@ -149,13 +149,13 @@ def pruned_by(store, query):
 def run_pruning_section(table, batch: int, shards: int, runs: int,
                         workdir: str, smoke: bool):
     config = bench_config(smoke)
-    built = ShardedDeepMapping.fit(
+    built = DeepMapping.fit(
         table, config, ShardingConfig(n_shards=shards, strategy="range"))
     url = os.path.join(workdir, "store")
     built.save(url)
     built.close()
-    monolithic = repro.build(table, config)
-    store = ShardedDeepMapping.load(url)
+    one_shard = repro.build(table, config)
+    store = DeepMapping.load(url)
 
     rng = np.random.default_rng(0)
     all_miss, half = build_queries(table, batch, rng)
@@ -168,7 +168,7 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
 
     best = interleaved_best([
         ("miss", lambda: store.lookup(all_miss)),
-        ("miss_monolithic", lambda: monolithic.lookup(all_miss)),
+        ("miss_one_shard", lambda: one_shard.lookup(all_miss)),
         ("half", lambda: store.lookup(half)),
     ], runs)
 
@@ -183,8 +183,8 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
         "shards": shards,
         "all_miss": {
             "seconds": best["miss"],
-            "monolithic_seconds": best["miss_monolithic"],
-            "sharded_vs_monolithic": best["miss"] / best["miss_monolithic"],
+            "one_shard_seconds": best["miss_one_shard"],
+            "sharded_vs_one_shard": best["miss"] / best["miss_one_shard"],
             "pruned_keys": miss_pruned,
             "shard_plans": miss_plans,
         },
@@ -243,7 +243,7 @@ def assert_zero_copy(opened) -> int:
 def run_cold_open_section(rows: int, shards: int, runs: int,
                           workdir: str, smoke: bool):
     table = synthetic.single_column(rows, "high", seed=3, domain_factor=8.0)
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, cold_open_config(smoke),
         ShardingConfig(n_shards=shards, strategy="range"))
     url = os.path.join(workdir, "cold")
@@ -322,9 +322,9 @@ def run_prune_benchmark(rows: int, batch: int, shards: int, runs: int,
 
     ms = 1e3
     print(format_table(
-        ["batch", "ms", "monolithic ms", "pruned keys", "shard plans"],
+        ["batch", "ms", "1-shard ms", "pruned keys", "shard plans"],
         [["all-miss", f"{miss['seconds'] * ms:.2f}",
-          f"{miss['monolithic_seconds'] * ms:.2f}",
+          f"{miss['one_shard_seconds'] * ms:.2f}",
           f"{miss['pruned_keys']} of {batch}", miss["shard_plans"]],
          ["50%-hit", f"{half['seconds'] * ms:.2f}", "-",
           f"{half['pruned_keys']} of {half['misses']} misses",
@@ -334,8 +334,8 @@ def run_prune_benchmark(rows: int, batch: int, shards: int, runs: int,
     ))
     print(f"manifest {pruning['manifest_bytes']} B "
           f"(limit {ACCEPTANCE_MANIFEST_BYTES}); exist.rzc "
-          f"{pruning['exist_bytes']} B; sharded all-miss vs monolithic: "
-          f"{miss['sharded_vs_monolithic']:.2f}x")
+          f"{pruning['exist_bytes']} B; sharded all-miss vs one shard: "
+          f"{miss['sharded_vs_one_shard']:.2f}x")
     print(f"cold read-only open: {cold['cold_v2_seconds'] * ms:.1f} ms; "
           f"{cold['zero_copy_bytes_verified']} bytes verified zero-copy")
     return report

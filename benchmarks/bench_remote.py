@@ -47,7 +47,7 @@ import repro
 from repro.bench import format_table
 from repro.core import DeepMappingConfig
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.storage import configure_hydration_cache, payload_cache
 from repro.storage.backends import LocalDirBackend
 from repro.storage.remote import _cache_config
@@ -130,7 +130,7 @@ def run_remote_benchmark(rows: int, batch: int, shards: int, runs: int,
 
 def _run(table, batch: int, shards: int, runs: int, workdir: str,
          smoke: bool):
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, bench_config(smoke),
         ShardingConfig(n_shards=shards, strategy="range"))
     url = os.path.join(workdir, "store")

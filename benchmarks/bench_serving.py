@@ -45,7 +45,7 @@ from repro.core import DeepMappingConfig
 from repro.resilience.hedging import HedgeController, HedgePolicy
 from repro.serve import (AdmissionPolicy, LoadShedder, QueueFullError,
                          ServeStats, SheddingPolicy)
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing import break_shard
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,7 +111,7 @@ def build_store(rows: int, shards: int, smoke: bool):
     from repro.data import synthetic
 
     table = synthetic.single_column(rows, "high", seed=11, domain_factor=2.0)
-    store = ShardedDeepMapping.fit(table, bench_config(smoke),
+    store = DeepMapping.fit(table, bench_config(smoke),
                                    ShardingConfig(n_shards=shards))
     return table, store
 
@@ -437,7 +437,7 @@ def run_hedging(rows: int, smoke: bool):
     from repro.data import synthetic
 
     table = synthetic.single_column(rows, "high", seed=13, domain_factor=2.0)
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, bench_config(smoke),
         ShardingConfig(n_shards=4, max_workers=4, hedged_reads=True))
     # A snappier hedge trigger than the library default: the bench's

@@ -1,8 +1,8 @@
 """Shard-count scaling of batched lookup throughput and build time.
 
-Builds the same table as a 1/2/4/8-shard :class:`ShardedDeepMapping`
-(range strategy) plus a monolithic :class:`DeepMapping` reference, then
-times a 100k-key batched lookup against each.  Reported per store:
+Builds the same table as a 1/2/4/8-shard :class:`DeepMapping`
+(range strategy; one shard is the default store), then times a
+100k-key batched lookup against each.  Reported per store:
 
 - build seconds (one model fit over the table, then every shard's
   ``T_aux`` and ``V_exist`` materialized under it),
@@ -57,10 +57,6 @@ def run_sharding_benchmark():
     config = bench_config()
 
     stores = []
-    start = time.perf_counter()
-    mono = repro.build(table, config)
-    stores.append(("DeepMapping (monolithic)", None, mono,
-                   time.perf_counter() - start))
     for n_shards in SHARD_COUNTS:
         start = time.perf_counter()
         store = repro.build(
@@ -83,9 +79,8 @@ def run_sharding_benchmark():
     throughput = {}
     for label, n_shards, store, build_seconds in stores:
         keys_per_second = BATCH / best[label]
-        if n_shards is not None:
-            throughput[n_shards] = keys_per_second
-            store.close()
+        throughput[n_shards] = keys_per_second
+        store.close()
         rows.append([label, build_seconds,
                      store.storage_bytes() / 1024.0, keys_per_second / 1e3])
 

@@ -43,7 +43,8 @@ def _insert(system, name, batch):
     if name in ("DM-Z", "DM-Z1"):
         # Fold the modification overlay into compressed partitions so the
         # reported storage matches the paper's compressed T_aux semantics.
-        system.aux.compact()
+        for shard in system.shards:
+            shard.aux.compact()
 
 
 def run_insert_experiment(correlation: str, insert_correlation: str,

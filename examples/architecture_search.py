@@ -52,7 +52,7 @@ def main() -> bool:
         bar = "#" * max(1, int(smoothed[i] * 60))
         print(f"  sample {i:3d}: {smoothed[i]:.3f} {bar}")
 
-    spec = dm.session.spec
+    spec = dm.model.session.spec
     print(f"\nchosen architecture: shared={spec.shared_sizes}, private="
           f"{ {t: spec.private_sizes[t] for t in spec.tasks} }")
     report = dm.size_report()

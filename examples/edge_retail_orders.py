@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro import DeepMapping, DeepMappingConfig
+from repro import DeepMapping, DeepMappingConfig, ShardingConfig
 from repro.baselines import make_baseline
 from repro.bench import key_batches, measure_lookup
 from repro.data import tpch
@@ -31,7 +31,8 @@ def main() -> None:
     config = DeepMappingConfig(epochs=200, batch_size=256,
                                shared_sizes=(128,), private_sizes=(64,),
                                key_headroom_fraction=1.0)
-    dm = DeepMapping.fit(orders, config, pool=BufferPool(budget))
+    dm = DeepMapping.fit(orders, config,
+                         ShardingConfig(pool_budget_bytes=budget))
     abc = make_baseline("ABC-Z", target_partition_bytes=16 * 1024,
                         pool=BufferPool(budget)).build(orders)
 

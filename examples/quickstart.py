@@ -3,10 +3,10 @@ it anywhere with `repro.open`.
 
 Builds the hybrid structure over a scaled TPC-H ``orders`` table, runs
 point lookups (hits and misses), inspects the storage breakdown, then
-round-trips the store through three persistence backends — a plain file,
-a single zip archive (the object-store stand-in), and an in-memory
-container — and finishes with an async batched lookup against a sharded
-build.
+round-trips the store through three persistence backends — a directory,
+a single zip archive (the single-file form, and the object-store
+stand-in), and an in-memory container — and finishes with an async
+batched lookup against a four-shard build.
 
 Run:  python examples/quickstart.py
 """
@@ -25,7 +25,8 @@ def main() -> None:
     print(f"dataset: {orders.name}, {orders.n_rows} rows, "
           f"{orders.uncompressed_bytes() // 1024} KB uncompressed")
 
-    # 2. Build the store (model + aux table + V_exist + f_decode).
+    # 2. Build the store (model + aux table + V_exist + f_decode; one
+    #    shard unless a ShardingConfig asks for more).
     config = repro.DeepMappingConfig(epochs=150, batch_size=256)
     dm = repro.build(orders, config)
 
@@ -52,8 +53,8 @@ def main() -> None:
     # 5. Persistence: one URL per backend, same bits back from each.
     workdir = tempfile.mkdtemp()
     targets = [
-        os.path.join(workdir, "orders.dm"),          # plain file
-        f"zip://{workdir}/orders.zip",               # single-archive store
+        os.path.join(workdir, "orders.dms"),         # directory
+        f"zip://{workdir}/orders.zip",               # single file
         "mem://quickstart-orders",                    # in-process scratch
     ]
     expected = dm.lookup_one(o_orderkey=first_key)

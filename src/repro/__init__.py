@@ -5,16 +5,15 @@ Public API highlights
 ---------------------
 - :func:`repro.open` / :func:`repro.build` — THE way in: build a store
   over a table and reopen it later by URL (``file://``, ``mem://``,
-  ``zip://``) or bare path, monolithic vs sharded auto-detected.
+  ``zip://``) or bare path.
 - :class:`repro.store.DataStore` — the protocol every store satisfies
   (lookup / lookup_async / insert / delete / update / rebuild / save /
   size_report / close, context-managed).
 - :class:`repro.DeepMapping` / :class:`repro.DeepMappingConfig` — the
-  hybrid learned structure (model + auxiliary table + existence bit vector
-  + decode map) and its build knobs.
-- :class:`repro.ShardedDeepMapping` / :class:`repro.ShardingConfig` — the
-  horizontally sharded store: one model, its rows in N shards behind one
-  facade, fan-out on a pluggable executor strategy.
+  store (one model + one existence bit vector + decode map, its
+  auxiliary table in N key shards, one by default) and its build knobs.
+- :class:`repro.ShardingConfig` — the store's shard count, placement,
+  executor strategy, buffer-pool budget and lifecycle.
 - :class:`repro.LifecycleConfig` / :mod:`repro.lifecycle` — write-side
   maintenance: a retrain bound per policy name and range shard
   split/merge rebalancing.
@@ -63,7 +62,6 @@ __version__ = "1.1.0"
 from . import (baselines, bench, core, data, lifecycle, nn, resilience,
                serve, shard, storage, store, testing)
 from .core import (
-    DeepMapping,
     DeepMappingConfig,
     LookupResult,
     MultiKeyDeepMapping,
@@ -77,7 +75,7 @@ from .lifecycle import LifecycleConfig, MaintenanceEngine
 from .resilience import (CircuitBreaker, Deadline, DeadlineExceeded,
                          PartialResult, RetryPolicy, StoreCorruptedError,
                          StoreNotFoundError, retry)
-from .shard import ShardedDeepMapping, ShardingConfig
+from .shard import DeepMapping, ShardingConfig
 from .store import DataStore, build_store, open_store, serving
 from .store import build_store as build
 from .store import open_store as open
@@ -96,7 +94,6 @@ __all__ = [
     "SizeReport",
     "MultiKeyDeepMapping",
     "MultiRelationDeepMapping",
-    "ShardedDeepMapping",
     "ShardingConfig",
     "LifecycleConfig",
     "MaintenanceEngine",

@@ -7,7 +7,9 @@ This module reproduces the paper's experimental mechanics:
   key batches;
 - the available memory is modelled by a byte-budgeted LRU
   :class:`~repro.storage.buffer_pool.BufferPool` shared by a system's
-  partitions (the paper's small/medium/large machines);
+  partitions (the paper's small/medium/large machines; a DeepMapping
+  store builds its own at the budget,
+  :attr:`~repro.shard.ShardingConfig.pool_budget_bytes`);
 - per-bucket timers provide the Figure 7 latency breakdown;
 - systems that cannot operate under the budget (DeepSqueeze's whole-table
   decode) are reported as ``failed`` like in Table I.
@@ -16,16 +18,17 @@ This module reproduces the paper's experimental mechanics:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..baselines import make_baseline
 from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import DeepMapping
+from ..core.deep_mapping import Shard, new_aux
 from ..core.model import Model
 from ..data.table import ColumnTable
+from ..shard.store import DeepMapping, ShardingConfig
 from ..storage.buffer_pool import BufferPool, MemoryBudgetError
 from ..storage.stats import StoreStats
 from .workload import key_batches
@@ -74,18 +77,23 @@ def build_system(
 ):
     """Build a named system ("DM-Z", "DM-L", or any baseline) over a table.
 
-    ``dm_template`` lets DM variants share one trained model: the template's
-    model/existence/decoder are reused and only the auxiliary table is
-    rebuilt with the variant's codec (the two differ only there).
+    A DM variant is a one-shard store whose own pool takes ``pool``'s
+    budget.  ``dm_template`` lets DM variants share one trained model:
+    the template's model/existence/decoder are reused and only the
+    auxiliary table is rebuilt with the variant's codec (the two differ
+    only there).
     """
     stats = stats if stats is not None else StoreStats()
     if name in DM_VARIANTS:
+        budget = None if pool is None else pool.budget_bytes
         if dm_template is not None:
-            return dm_with_codec(dm_template, DM_VARIANTS[name], pool=pool,
-                                 stats=stats)
+            return dm_with_codec(dm_template, DM_VARIANTS[name],
+                                 pool_budget_bytes=budget, stats=stats)
         config = dm_config if dm_config is not None else DeepMappingConfig()
         config = _with_aux(config, DM_VARIANTS[name], partition_bytes)
-        return DeepMapping.fit(table, config, pool=pool, stats=stats)
+        return DeepMapping.fit(
+            table, config, ShardingConfig(pool_budget_bytes=budget),
+            stats=stats)
     store = make_baseline(name, target_partition_bytes=partition_bytes,
                           pool=pool, stats=stats)
     return store.build(table)
@@ -93,8 +101,6 @@ def build_system(
 
 def _with_aux(config: DeepMappingConfig, codec: str,
               partition_bytes: int) -> DeepMappingConfig:
-    from dataclasses import replace
-
     return replace(config, aux_codec=codec,
                    aux_partition_bytes=partition_bytes)
 
@@ -102,34 +108,36 @@ def _with_aux(config: DeepMappingConfig, codec: str,
 def dm_with_codec(
     template: DeepMapping,
     codec: str,
-    pool: Optional[BufferPool] = None,
+    pool_budget_bytes: Optional[int] = None,
     stats: Optional[StoreStats] = None,
 ) -> DeepMapping:
-    """Clone a DeepMapping, re-compressing only its auxiliary table.
+    """Clone a store, re-compressing only its shards' auxiliary tables.
 
     DM-Z and DM-L share the trained model; cloning avoids retraining when
-    benchmarking both (the paper evaluates them as codec variants).
+    benchmarking both (the paper evaluates them as codec variants).  The
+    clone reads the template's ``V_exist`` and has a pool of its own.
     """
-    from dataclasses import replace
-
-    from ..core.aux_table import AuxiliaryTable
-
     stats = stats if stats is not None else StoreStats()
-    keys, codes = template.aux.scan()
-    aux = AuxiliaryTable(
-        tasks=template.fdecode.columns,
-        codec=codec,
-        target_partition_bytes=template.config.aux_partition_bytes,
-        pool=pool,
-        stats=stats,
-        auto_compact_rows=template.config.aux_auto_compact_rows,
-    )
-    aux.build(keys, codes)
-    model = Model(replace(template.config, aux_codec=codec),
-                  template.key_codec, template.key_encoder,
-                  template.session, template.fdecode,
-                  template.model.dataset_bytes)
-    return DeepMapping(model, aux, template.exist, stats=stats)
+    base = template.model
+    config = replace(base.config, aux_codec=codec)
+    model = Model(config, base.key_codec, base.key_encoder, base.session,
+                  base.fdecode, base.dataset_bytes)
+    sharding = replace(template.sharding, pool_budget_bytes=pool_budget_bytes)
+    pool = BufferPool(budget_bytes=pool_budget_bytes, stats=stats)
+    shards = []
+    for shard in template.shards:
+        if shard is None:
+            shards.append(None)
+            continue
+        aux = new_aux(model, pool, stats)
+        aux.build(*shard.aux.scan())
+        shards.append(Shard(model, aux, template.exist, stats, len(shard)))
+    return DeepMapping(
+        template.router, model, shards, template.exist, sharding,
+        value_names=template.value_names,
+        value_dtypes={c: template.value_dtype(c)
+                      for c in template.value_names},
+        stats=stats, pool=pool)
 
 
 def storage_of(system) -> int:
@@ -191,7 +199,7 @@ def run_comparison(
             stats_reset_safe(system)
             result.latencies[batch_size] = measure_lookup(system, batches)
         result.breakdown = dict(stats.snapshot())
-        result.peak_pool_bytes = pool.peak_bytes
+        result.peak_pool_bytes = system.pool.peak_bytes
         results.append(result)
     return results
 

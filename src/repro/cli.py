@@ -2,27 +2,27 @@
 
 Subcommands:
 
-- ``build``  — fit a hybrid structure over a generated dataset and save it
-- ``info``   — print a saved structure's size report
-- ``query``  — point lookups against a saved structure
+- ``build``  — fit a store over a generated dataset and save it
+- ``info``   — print a saved store's size report
+- ``query``  — point lookups against a saved store
 - ``serve``  — long-lived coalescing lookup server (TCP/JSON-lines)
 - ``bench``  — quick size/latency comparison against baselines
 
-``build --shards N`` fits a sharded store instead of a monolithic one; the
-output target is then a container (manifest + one payload per shard), and
-``info`` / ``query`` detect it automatically.
+``build --shards N`` splits the store's ``T_aux`` across N shards (one
+by default).  A saved store is a container: manifest, model, existence
+index and one payload per non-empty shard.
 
-Store targets are URLs — ``file://`` (the default for bare paths),
-``mem://`` (process-local scratch), ``zip://`` (single-archive store) —
-resolved through :func:`repro.open`, which reads a bare path as
-``file://``.
+Store targets are URLs — ``file://`` (the default for bare paths, a
+directory), ``mem://`` (process-local scratch), ``zip://`` (the
+single-file form) — resolved through :func:`repro.open`, which reads a
+bare path as ``file://``.
 
 Examples::
 
-    python -m repro build --dataset tpch:orders --scale 0.2 --out orders.dm
-    python -m repro build --dataset tpch:orders --shards 4 --out orders.dms
+    python -m repro build --dataset tpch:orders --scale 0.2 --out orders.dms
+    python -m repro build --dataset tpch:orders --shards 4 --out orders4.dms
     python -m repro build --dataset tpch:orders --out zip://orders.zip
-    python -m repro info orders.dm
+    python -m repro info orders.dms
     python -m repro query zip://orders.zip --key o_orderkey=1
     python -m repro serve orders.dms --port 7474 --max-delay-ms 2
     python -m repro bench --dataset synthetic:multi-high --systems DM-Z,ABC-Z
@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .bench import format_storage_latency_table, run_comparison
-from .core import DeepMapping, DeepMappingConfig
+from .core import DeepMappingConfig
 from .data import ColumnTable, crop, synthetic, tpcds, tpch
 from .lifecycle import LifecycleConfig, POLICY_NAMES
-from .shard import MANIFEST_NAME, ShardedDeepMapping, ShardingConfig
+from .shard import MANIFEST_NAME, DeepMapping, ShardingConfig
 from .shard.persistence import is_shard_blob
 from .storage import read_blob_view
 from .store import EXECUTOR_NAMES, build_store, describe_target, open_store
@@ -92,9 +92,8 @@ def _config_from_args(args: argparse.Namespace) -> DeepMappingConfig:
     return DeepMappingConfig(**kwargs)
 
 
-def _load_structure(path: str, **open_kwargs) \
-        -> Union[DeepMapping, ShardedDeepMapping]:
-    """Open a saved structure, monolithic or sharded, via :func:`repro.open`."""
+def _load_structure(path: str, **open_kwargs) -> DeepMapping:
+    """Open a saved store via :func:`repro.open`."""
     try:
         return open_store(path, **open_kwargs)
     except (FileNotFoundError, ValueError) as exc:
@@ -131,30 +130,24 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     lifecycle = _lifecycle_from_args(args)
-    if lifecycle is not None and args.shards == 1:
-        raise SystemExit("lifecycle knobs (--rebalance / --retrain-*) "
-                         "need --shards > 1")
     if lifecycle is not None and lifecycle.rebalance \
             and args.shard_strategy != "range":
         raise SystemExit("--rebalance requires --shard-strategy range")
     table = load_dataset(args.dataset, args.scale, args.seed)
     print(f"building DeepMapping over {table.name}: {table.n_rows} rows, "
           f"{table.uncompressed_bytes() // 1024} KB raw")
-    if args.shards > 1:
-        dm = build_store(
-            table, _config_from_args(args),
-            sharding=ShardingConfig(n_shards=args.shards,
-                                    strategy=args.shard_strategy,
-                                    executor=args.executor,
-                                    lifecycle=lifecycle))
-        print(f"sharded {args.shard_strategy} x{args.shards}: "
-              f"rows/shard {dm.shard_row_counts()}")
-        if dm.engine is not None:
-            summary = dm.engine.summary()
-            print(f"lifecycle: policy={summary['policy']} "
-                  f"rebalance={summary['rebalance']}")
-    else:
-        dm = build_store(table, _config_from_args(args))
+    dm = build_store(
+        table, _config_from_args(args),
+        sharding=ShardingConfig(n_shards=args.shards,
+                                strategy=args.shard_strategy,
+                                executor=args.executor,
+                                lifecycle=lifecycle))
+    print(f"sharded {args.shard_strategy} x{args.shards}: "
+          f"rows/shard {dm.shard_row_counts()}")
+    if dm.engine is not None:
+        summary = dm.engine.summary()
+        print(f"lifecycle: policy={summary['policy']} "
+              f"rebalance={summary['rebalance']}")
     report = dm.size_report()
     print(f"hybrid: {report.total_bytes // 1024} KB "
           f"(ratio {report.compression_ratio:.3f}); "
@@ -168,19 +161,17 @@ def _on_disk_line(path: str, n_rows: int, paper_bytes: int) -> str:
     """The bytes the store's blobs really occupy, next to the paper's
     accounting (``total:``), which counts neither container framing nor
     the manifest."""
-    backend, blob, _ = describe_target(path)
-    names = [blob] if blob is not None else backend.list()
-    sizes = {name: read_blob_view(backend, name).nbytes for name in names}
+    backend, _ = describe_target(path)
+    sizes = {name: read_blob_view(backend, name).nbytes
+             for name in backend.list()}
     total = sum(sizes.values())
-    line = (f"on disk:      {total:>10,} B "
+    shards = sum(size for name, size in sizes.items()
+                 if is_shard_blob(name))
+    return (f"on disk:      {total:>10,} B "
             f"({total / max(n_rows, 1):.2f} B/row, "
-            f"{total / max(paper_bytes, 1):.2f}x total")
-    if blob is None:
-        shards = sum(size for name, size in sizes.items()
-                     if is_shard_blob(name))
-        line += (f": manifest {sizes[MANIFEST_NAME]:,} B, "
-                 f"shard payloads {shards:,} B")
-    return line + ")"
+            f"{total / max(paper_bytes, 1):.2f}x total: "
+            f"manifest {sizes[MANIFEST_NAME]:,} B, "
+            f"shard payloads {shards:,} B)")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -188,15 +179,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
     report = dm.size_report()
     print(f"keys: {dm.key_names}; values: {list(dm.value_names)}; "
           f"live rows: {len(dm)}")
-    if isinstance(dm, ShardedDeepMapping):
-        print(f"shards:       {dm.n_shards} "
-              f"({dm.sharding.strategy}; rows {dm.shard_row_counts()})")
-        if dm.engine is not None:
-            summary = dm.engine.summary()
-            print(f"lifecycle:    policy={summary['policy']}, "
-                  f"rebalance={summary['rebalance']}; "
-                  f"{summary['rebuilds']} rebuilds, "
-                  f"{summary['splits']} splits, {summary['merges']} merges")
+    print(f"shards:       {dm.n_shards} "
+          f"({dm.sharding.strategy}; rows {dm.shard_row_counts()})")
+    if dm.engine is not None:
+        summary = dm.engine.summary()
+        print(f"lifecycle:    policy={summary['policy']}, "
+              f"rebalance={summary['rebalance']}; "
+              f"{summary['rebuilds']} rebuilds, "
+              f"{summary['splits']} splits, {summary['merges']} merges")
     print(f"model:        {report.model_bytes:>10,} B "
           f"({dm.model.session.width_label})")
     print(f"aux table:    {report.aux_bytes:>10,} B ({report.n_in_aux} rows)")
@@ -279,7 +269,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.shards > 1:
-        raise SystemExit("bench compares monolithic systems; for shard "
+        raise SystemExit("bench compares one-shard stores; for shard "
                          "scaling run benchmarks/bench_sharding.py")
     table = load_dataset(args.dataset, args.scale, args.seed)
     systems = args.systems.split(",")
@@ -315,21 +305,20 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
                         help="run MHAS instead of fixed layer sizes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=1,
-                        help="partition the key domain across N independent "
-                             "shards (N>1 saves a directory store)")
+                        help="split the store's T_aux across N key shards")
     parser.add_argument("--shard-strategy", default="range",
                         choices=["range", "hash"],
-                        help="shard placement policy (with --shards > 1)")
+                        help="shard placement policy")
     parser.add_argument("--executor", default=None,
                         choices=list(EXECUTOR_NAMES),
-                        help="fan-out executor strategy (with --shards > 1; "
-                             "default: thread pool)")
+                        help="fan-out executor strategy (default: thread "
+                             "pool)")
     parser.add_argument("--rebalance", action="store_true",
                         help="enable range shard split/merge rebalancing "
-                             "under inserts (with --shards > 1)")
+                             "under inserts")
     parser.add_argument("--retrain-policy", default=None,
                         choices=list(POLICY_NAMES),
-                        help="lifecycle retrain trigger (with --shards > 1)")
+                        help="lifecycle retrain trigger")
     parser.add_argument("--retrain-bytes", type=int, default=None,
                         help="byte threshold for the 'bytes' retrain policy")
 
@@ -339,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="DeepMapping reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="fit and save a structure")
+    p_build = sub.add_parser("build", help="fit and save a store")
     p_build.add_argument("--dataset", required=True,
                          help="family:name, e.g. tpch:orders")
     p_build.add_argument("--scale", type=float, default=0.2)
     p_build.add_argument("--out", required=True,
-                         help="output target: a path or file:// / mem:// / "
-                              "zip:// URL (a container when --shards > 1)")
+                         help="output target: a directory path or file:// / "
+                              "mem:// / zip:// URL")
     _add_build_options(p_build)
     p_build.set_defaults(func=_cmd_build)
 
-    p_info = sub.add_parser("info", help="size report of a saved structure")
+    p_info = sub.add_parser("info", help="size report of a saved store")
     p_info.add_argument("path", help="store path or file:// / zip:// URL")
     p_info.set_defaults(func=_cmd_info)
 

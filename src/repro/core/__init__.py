@@ -1,9 +1,13 @@
-"""DeepMapping core: the hybrid learned structure and its workflows."""
+"""DeepMapping core: the hybrid structure's parts and their workflows.
+
+The store class that owns them is :class:`repro.DeepMapping`
+(:mod:`repro.shard.store`); nothing here imports it at module level.
+"""
 
 from . import mhas
 from .aux_table import AuxiliaryTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping, SizeReport
+from .deep_mapping import Shard, SizeReport
 from .exist_index import (ExistenceIndex, SparseExistenceIndex,
                           existence_from_state, make_existence_index)
 from .modify import ModificationTracker, estimate_batch_bytes
@@ -14,10 +18,10 @@ from .range_query import build_range_view, lookup_range
 from .verify import VerificationReport, verify
 
 __all__ = [
-    "DeepMapping",
     "DeepMappingConfig",
     "LookupResult",
     "SizeReport",
+    "Shard",
     "AuxiliaryTable",
     "ExistenceIndex",
     "SparseExistenceIndex",

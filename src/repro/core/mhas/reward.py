@@ -14,7 +14,7 @@ width's compiled kernel loses
 definition of the rows ``T_aux`` holds) times the compressed bytes per
 row the build measured with its own codec — cheap enough to score
 thousands of candidates, and the same expression
-:meth:`DeepMapping.fit <repro.core.deep_mapping.DeepMapping.fit>`
+:meth:`Model.fit <repro.core.model.Model.fit>`
 minimises over all rows when it freezes the winner.
 """
 

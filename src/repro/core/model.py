@@ -4,10 +4,9 @@ A :class:`Model` is what a table's build fixes once: ``M`` (the frozen
 session, served through its compiled kernel and tie margin τ), the key
 codec and key encoder over the global key domain, the decode map
 ``f_decode`` and the build config.  :meth:`Model.fit` is the one place
-anything trains; ``T_aux`` and ``V_exist`` of a key window are
-materialized under a model by
-:meth:`~repro.core.deep_mapping.DeepMapping.materialize` — one window
-for a monolithic structure, one per shard for a sharded store.
+anything trains; a store builds its one ``V_exist`` over the model's
+key domain and materializes each shard's ``T_aux`` under the model
+(:meth:`~repro.core.deep_mapping.Shard.materialize`).
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ auxiliary structure and retrain only when it grows past a threshold
 :class:`ModificationTracker` only counts — modified bytes since the last
 build and lifetime retrains.  Whether it is time to retrain is decided in
 one place, :func:`retrain_due`, which reads these counters against the
-bounds its caller passes; a monolithic structure asks it over its own
-counts, a sharded store over its totals.  Both owners end every mutation
-batch with :func:`settle`; a shard only applies rows and counts nothing.
+bounds its caller passes, over the store's totals.  The store ends
+every mutation batch with :func:`settle`; a shard only holds rows and
+counts nothing.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def retrain_due(tracker: "ModificationTracker", n_rows: int,
 
 
 def settle(owner, batch: Dict[str, np.ndarray], engine=None) -> None:
-    """End a mutation batch on the model's owner (a monolithic structure
-    or a sharded store): count its bytes, then one pass of the owner's
+    """End a mutation batch on the model's owner, the store: count its
+    bytes, then one pass of the owner's
     maintenance ``engine`` if it has one, else ``rebuild()`` once its
     ``retrain_due`` meets the build config's bounds."""
     owner.tracker.record(estimate_batch_bytes(batch))
@@ -70,8 +70,7 @@ class ModificationTracker:
     The counters are part of the structure's durable state: a store that
     is saved, restarted, and loaded must keep accumulating toward the
     same threshold, not silently restart from zero (see :meth:`to_state`
-    / :meth:`restore_counters`, persisted by ``DeepMapping.save`` /
-    ``open``).
+    / :meth:`restore_counters`, persisted in the store's manifest).
     """
 
     def __init__(self):

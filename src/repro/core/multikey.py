@@ -21,10 +21,14 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping
 from .plan import LookupResult, blank
 
 __all__ = ["MultiKeyDeepMapping", "MultiRelationDeepMapping"]
+
+
+def _fit(table: ColumnTable, config: Optional[DeepMappingConfig]):
+    from ..shard.store import DeepMapping  # the store imports core
+    return DeepMapping.fit(table, config)
 
 
 class MultiKeyDeepMapping:
@@ -35,7 +39,7 @@ class MultiKeyDeepMapping:
     requires ``d_mu`` to return *the* value for a key).
     """
 
-    def __init__(self, mappings: Dict[Tuple[str, ...], DeepMapping]):
+    def __init__(self, mappings: Dict[Tuple[str, ...], object]):
         if not mappings:
             raise ValueError("at least one key designation required")
         self._mappings = dict(mappings)
@@ -48,11 +52,11 @@ class MultiKeyDeepMapping:
         config: Optional[DeepMappingConfig] = None,
     ) -> "MultiKeyDeepMapping":
         """Build one DeepMapping per key designation over ``table``."""
-        mappings: Dict[Tuple[str, ...], DeepMapping] = {}
+        mappings: Dict[Tuple[str, ...], object] = {}
         for key in keys:
             key = tuple(key)
             rekeyed = ColumnTable(table.columns_dict(), key=key, name=table.name)
-            mappings[key] = DeepMapping.fit(rekeyed, config)
+            mappings[key] = _fit(rekeyed, config)
         return cls(mappings)
 
     @property
@@ -60,7 +64,7 @@ class MultiKeyDeepMapping:
         """Available key designations."""
         return tuple(self._mappings)
 
-    def mapping_for(self, key: Sequence[str]) -> DeepMapping:
+    def mapping_for(self, key: Sequence[str]):
         """The structure serving one key designation."""
         try:
             return self._mappings[tuple(key)]
@@ -85,7 +89,7 @@ class MultiRelationDeepMapping:
     """A set of relations, each with its own DeepMapping, supporting
     foreign-key chained lookups across relations."""
 
-    def __init__(self, mappings: Dict[str, DeepMapping]):
+    def __init__(self, mappings: Dict[str, object]):
         if not mappings:
             raise ValueError("at least one relation required")
         self._mappings = dict(mappings)
@@ -104,7 +108,7 @@ class MultiRelationDeepMapping:
         mappings = {}
         for name, table in tables.items():
             chosen = (configs or {}).get(name, config)
-            mappings[name] = DeepMapping.fit(table, chosen)
+            mappings[name] = _fit(table, chosen)
         return cls(mappings)
 
     @property
@@ -112,7 +116,7 @@ class MultiRelationDeepMapping:
         """Relation names, sorted."""
         return tuple(sorted(self._mappings))
 
-    def relation(self, name: str) -> DeepMapping:
+    def relation(self, name: str):
         """The structure for one relation."""
         try:
             return self._mappings[name]

@@ -1,18 +1,15 @@
-"""A DeepMapping's payloads and their opens: the one module that knows them.
+"""A store's payloads and their opens: the one module that knows them.
 
-Every payload is one :mod:`repro.storage.zerocopy` container cut from
-three parts: the **model part** (:meth:`Model.to_state
-<repro.core.model.Model.to_state>`), ``V_exist`` (``exist_v2``) and
-``T_aux`` (``aux_v2``).  A monolithic structure (:func:`to_payload`)
-holds all three and its tracker; a sharded store writes the model part
-once (:func:`model_payload`), its one ``V_exist`` once
+Every payload is one :mod:`repro.storage.zerocopy` container.  A store
+(:mod:`repro.shard.persistence` lays out the container) writes its one
+model once (:func:`model_payload`, :meth:`Model.to_state
+<repro.core.model.Model.to_state>`), its one ``V_exist`` once
 (:func:`exist_payload`) and ``T_aux`` per shard (:func:`shard_payload`),
 the last two bound to the model blob by that blob's CRC
 (:func:`blob_crc`).  :func:`open_payload` is the one rule for how a
-structure opens — a private writable copy, or shared read-only through
-the payload cache — behind :meth:`DeepMapping.open`, :func:`repro.open`
-and :mod:`repro.shard.persistence` (which opens the store's model and
-index by the same rule, :func:`open_model` and :func:`open_exist`).
+shard opens — a private writable copy, or shared read-only through the
+payload cache — and :func:`open_model` and :func:`open_exist` open the
+model and the index by the same rule.
 """
 
 from __future__ import annotations
@@ -22,51 +19,23 @@ from typing import Dict, Optional
 
 from ..resilience.errors import StoreCorruptedError
 from ..storage import zerocopy
-from ..storage.backends import read_blob_view, resolve_blob_url
+from ..storage.backends import read_blob_view
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from .aux_table import AuxiliaryTable
-from .deep_mapping import DeepMapping
+from .deep_mapping import Shard, new_aux
 from .exist_index import existence_from_state
 from .model import Model
-from .modify import ModificationTracker
 
-__all__ = ["to_payload", "save", "model_payload", "exist_payload",
-           "shard_payload", "blob_crc", "from_payload", "open_payload",
-           "open_model", "open_exist", "load"]
+__all__ = ["model_payload", "exist_payload", "shard_payload", "blob_crc",
+           "open_payload", "open_model", "open_exist"]
 
 
 # ----------------------------------------------------------------------
 # Write
 # ----------------------------------------------------------------------
-def to_payload(mapping: DeepMapping) -> bytearray:
-    """Serialize a whole monolithic structure to one byte payload.
-
-    The container holds the pickled state plus out-of-band,
-    64-byte-aligned, CRC-checked buffer segments for **every** array.
-    ``T_aux`` is stored the way the paper stores it: one segment per
-    *compressed* partition, exactly the bytes
-    :meth:`AuxiliaryTable.stored_bytes` counts, beside a small fence
-    index in the head (see :func:`~repro.storage.partition.encode_partition`)
-    and the not-yet-compacted overlay / tombstones as arrays.  Nothing is
-    re-sorted or re-compressed to save, an open attaches the partitions
-    where they lie, and a ``writable=False`` open through an
-    mmap-capable backend is pure mmap.
-    """
-    state = {
-        **mapping.model.to_state(),
-        "exist_v2": mapping.exist.to_state(),
-        "aux_v2": mapping.aux.to_state(),
-        # Sec. IV-D lazy-update state (none on a shard): without this a
-        # loaded store would restart the retrain threshold every reopen.
-        "tracker": (mapping.tracker or ModificationTracker()).to_state(),
-    }
-    return zerocopy.pack(state)
-
-
 def model_payload(model: Model) -> bytearray:
-    """A sharded store's model blob: the model part alone."""
+    """A store's model blob: the model part alone."""
     return zerocopy.pack(model.to_state())
 
 
@@ -77,37 +46,20 @@ def blob_crc(payload) -> int:
 
 
 def exist_payload(exist, model_crc: int) -> bytearray:
-    """A sharded store's existence blob: its one ``V_exist`` and the
+    """A store's existence blob: its one ``V_exist`` and the
     :func:`blob_crc` of the model blob whose key domain it indexes."""
     return zerocopy.pack({"exist_v2": exist.to_state(),
                           "model_crc": model_crc})
 
 
-def shard_payload(mapping: DeepMapping, model_crc: int) -> bytearray:
-    """A sharded store's shard blob: ``T_aux`` alone (the store's model
+def shard_payload(shard: Shard, model_crc: int) -> bytearray:
+    """A store's shard blob: ``T_aux`` alone (the store's model
     and existence blobs hold the rest once) and the :func:`blob_crc` of
     the model blob it was materialized under — ``T_aux`` holds exactly
     the rows *that* model loses, so the shard must never open under
     another."""
-    return zerocopy.pack({"aux_v2": mapping.aux.to_state(),
+    return zerocopy.pack({"aux_v2": shard.aux.to_state(),
                           "model_crc": model_crc})
-
-
-def save(mapping: DeepMapping, target: str) -> int:
-    """Persist ``mapping`` to a path or ``file:// / mem:// / zip://``
-    URL; returns bytes written.
-
-    A filesystem path / ``file://`` URL names the payload file itself;
-    ``mem://`` and ``zip://`` targets are containers and store the
-    payload under :data:`~repro.storage.backends.MONOLITHIC_BLOB`.  The
-    write is atomic on every backend, and the process-wide payload cache
-    entry for the target is invalidated so later ``writable=False``
-    opens never serve the retired content.
-    """
-    backend, blob = resolve_blob_url(str(target))
-    written = backend.write_bytes(blob, to_payload(mapping))
-    payload_cache().invalidate(backend, blob)
-    return written
 
 
 # ----------------------------------------------------------------------
@@ -147,74 +99,6 @@ def _load_state(payload, required, zero_copy: bool = False
     return state
 
 
-def _required(model: Optional[Model]):
-    """The segments a payload needs: a shard blob opened under a given
-    ``model`` only ``T_aux``, anything else all three parts."""
-    return (_SHARD_SEGMENTS if model
-            else _MODEL_SEGMENTS + _EXIST_SEGMENTS + _SHARD_SEGMENTS)
-
-
-def _parts(state: Dict[str, object], model: Optional[Model],
-           pool: Optional[BufferPool],
-           stats: StoreStats) -> Dict[str, object]:
-    """The model (``model``, or the payload's own), ``T_aux``, ``V_exist``
-    (``None`` in a shard blob) and tracker counters a payload state
-    describes.
-
-    ``T_aux`` is *attached*: the compressed partitions in ``aux_v2``
-    (views into the payload mapping on a read-only open, the private
-    copy's segments on a writable one) become the table's partitions
-    as they are, and the first probe of one decompresses it straight
-    out of the payload — no sort, no compression, no temporary file.
-    """
-    model = model or Model.from_state(state)
-    aux = AuxiliaryTable(
-        tasks=model.fdecode.columns,
-        codec=model.config.aux_codec,
-        target_partition_bytes=model.config.aux_partition_bytes,
-        pool=pool,
-        stats=stats,
-        auto_compact_rows=model.config.aux_auto_compact_rows,
-    )
-    aux.attach(state["aux_v2"])
-    return {"model": model, "aux": aux,
-            "exist": (existence_from_state(state["exist_v2"])
-                      if "exist_v2" in state else None),
-            "tracker": state.get("tracker"),
-            "model_crc": state.get("model_crc")}
-
-
-def _assemble(parts: Dict[str, object], stats: Optional[StoreStats],
-              model: Optional[Model] = None,
-              model_crc: Optional[int] = None,
-              blob: str = "the payload", exist=None,
-              n_rows: Optional[int] = None) -> DeepMapping:
-    """The structure ``parts`` describe; a shard blob (given ``model``,
-    the store's ``exist`` and the shard's ``n_rows``) must name
-    ``model_crc``, the CRC of the model blob it opens under."""
-    if model is not None and parts["model_crc"] != model_crc:
-        raise StoreCorruptedError(
-            f"{blob} was saved under another model than the one this "
-            "store opened (a save cut short, or a blob published by "
-            "another save); its T_aux would answer for the wrong model")
-    mapping = DeepMapping(model or parts["model"], parts["aux"],
-                          parts["exist"] if exist is None else exist,
-                          stats=stats,
-                          tracker=None if model else ModificationTracker(),
-                          n_rows=n_rows)
-    if parts["tracker"] is not None:  # a monolithic payload's counters
-        mapping.tracker.restore_counters(parts["tracker"])
-    return mapping
-
-
-def from_payload(payload, pool: Optional[BufferPool] = None,
-                 stats: Optional[StoreStats] = None) -> DeepMapping:
-    """Inverse of :func:`to_payload` (private, writable copies)."""
-    stats = stats if stats is not None else StoreStats()
-    state = _load_state(payload, _required(None))
-    return _assemble(_parts(state, None, pool, stats), stats)
-
-
 def _cached(backend, blob: str, build) -> Dict[str, object]:
     """The bundle ``build(view)`` makes of ``blob``'s zero-copy view
     (mmap'd on ``file://``), made once per blob version through the
@@ -229,71 +113,68 @@ def _cached(backend, blob: str, build) -> Dict[str, object]:
     return payload_cache().get(backend, blob, loader)
 
 
-def _open_shared(backend, blob: str, stats: Optional[StoreStats],
-                 pool: Optional[BufferPool], model: Optional[Model],
-                 model_crc: Optional[int], exist,
-                 n_rows: Optional[int]) -> DeepMapping:
-    """Read-only open through the payload cache (:func:`_cached`).
-
-    The partitions are attached as views into the pinned payload, so
-    the cold open writes nothing and creates no file.  Every heavy
-    artifact — model, partitions, existence vector — is *shared* with
-    any other store wrapping the same bundle (a shard's existence vector
-    is its store's, opened by :func:`open_exist`); only per-instance state
-    (stats sink, tracker, executor) is fresh.  Safe because the
-    returned structure refuses mutations (``writable=False``) and all
-    shared read paths are thread-safe.
-    """
-    def build(view):
-        parts = _parts(_load_state(view, _required(model), zero_copy=True),
-                       model, pool, StoreStats())
-        parts["model"].compiled_session()
-        return parts
-    bundle = _cached(backend, blob, build)
-    mapping = _assemble(bundle, stats, model, model_crc, blob, exist, n_rows)
-    mapping.writable = False
-    # Pin the bundle (and through it any mmap view backing its arrays)
-    # for this structure's lifetime, independent of cache eviction.
-    mapping._shared_bundle = bundle
-    return mapping
+def _shard_bundle(state, model: Model, pool: Optional[BufferPool],
+                  stats: StoreStats) -> Dict[str, object]:
+    """The ``T_aux`` a shard blob's state describes, *attached*: the
+    compressed partitions in ``aux_v2`` (views into the payload mapping
+    on a read-only open, the private copy's segments on a writable one)
+    become the table's partitions as they are, and the first probe of
+    one decompresses it straight out of the payload — no sort, no
+    compression, no temporary file."""
+    aux = new_aux(model, pool, stats)
+    aux.attach(state["aux_v2"])
+    return {"aux": aux, "model_crc": state.get("model_crc")}
 
 
-def open_payload(backend, blob: str, *, writable: bool,
+def open_payload(backend, blob: str, *, writable: bool, model: Model,
+                 model_crc: int, exist, n_rows: int,
                  pool: Optional[BufferPool] = None,
-                 stats: Optional[StoreStats] = None,
-                 model: Optional[Model] = None,
-                 model_crc: Optional[int] = None,
-                 exist=None, n_rows: Optional[int] = None) -> DeepMapping:
-    """Open payload ``blob`` of ``backend`` — the one open rule.
+                 stats: Optional[StoreStats] = None) -> Shard:
+    """Open shard blob ``blob`` of ``backend`` — the one open rule.
 
-    Without ``model`` the blob is a monolithic payload; with it, a
-    shard blob materialized under the store's model, which must name
-    ``model_crc``, the CRC of that model's blob
+    The blob holds ``T_aux`` materialized under the store's ``model``
+    and must name ``model_crc``, the CRC of that model's blob
     (:class:`~repro.resilience.errors.StoreCorruptedError` otherwise);
     the shard reads the store's index ``exist`` and counts ``n_rows``
     live keys.
+
     A remote backend (which refuses writes) or ``writable=False`` gets a
     shared read-only open through the payload cache
-    (:func:`_open_shared`; mutating calls raise ``PermissionError``).
-    Anything else reads the payload whole into a private, mutable copy.
-    Either way the lookup kernel is compiled before the open returns.
+    (:func:`_cached`): the partitions are attached as views into the
+    pinned payload, so the cold open writes nothing and creates no
+    file, and they are *shared* with any other store wrapping the same
+    bundle; only the stats sink is per open.  Safe because the store
+    refuses mutations (``writable=False``) and all shared read paths
+    are thread-safe.  Anything else reads the payload whole into a
+    private, mutable copy.
     """
-    if not writable or getattr(backend, "remote", False):
-        return _open_shared(backend, blob, stats, pool, model, model_crc,
-                            exist, n_rows)
     stats = stats if stats is not None else StoreStats()
-    with stats.timing("io"):
-        state = _load_state(backend.read_bytes(blob), _required(model))
-    mapping = _assemble(_parts(state, model, pool, stats), stats, model,
-                        model_crc, blob, exist, n_rows)
-    mapping.compiled_session()
-    return mapping
+    shared = not writable or getattr(backend, "remote", False)
+    if shared:
+        bundle = _cached(backend, blob, lambda view: _shard_bundle(
+            _load_state(view, _SHARD_SEGMENTS, zero_copy=True), model,
+            pool, StoreStats()))
+    else:
+        with stats.timing("io"):
+            state = _load_state(backend.read_bytes(blob), _SHARD_SEGMENTS)
+        bundle = _shard_bundle(state, model, pool, stats)
+    if bundle["model_crc"] != model_crc:
+        raise StoreCorruptedError(
+            f"{blob} was saved under another model than the one this "
+            "store opened (a save cut short, or a blob published by "
+            "another save); its T_aux would answer for the wrong model")
+    shard = Shard(model, bundle["aux"], exist, stats, n_rows)
+    if shared:
+        # Pin the bundle (and through it any mmap view backing its
+        # arrays) for this shard's lifetime, independent of eviction.
+        shard._shared_bundle = bundle
+    return shard
 
 
 def _open_part(backend, blob: str, writable: bool, crc: int, what: str,
                build) -> Dict[str, object]:
-    """The bundle ``build(payload, zero_copy)`` makes of a sharded
-    store's model or existence blob, by the rule of
+    """The bundle ``build(payload, zero_copy)`` makes of a store's
+    model or existence blob, by the rule of
     :func:`open_payload`: from a private copy when writable, else once
     per blob version through the payload cache (the bundle then holds
     the ``payload_view`` its arrays reference).  A blob whose
@@ -329,15 +210,15 @@ def _open_part(backend, blob: str, writable: bool, crc: int, what: str,
 
 
 def open_model(backend, blob: str, *, writable: bool, crc: int) -> Model:
-    """Open a sharded store's model blob (:func:`model_payload`) by the
+    """Open a store's model blob (:func:`model_payload`) by the
     rule of :func:`open_payload`: a private copy when writable, else one
-    model shared through the payload cache, its kernel compiled once
-    (:func:`_open_part` checks ``crc``)."""
+    model shared through the payload cache; either way its lookup
+    kernel is compiled before the open returns (:func:`_open_part`
+    checks ``crc``)."""
     def build(payload, zero_copy: bool):
         model = Model.from_state(
             _load_state(payload, _MODEL_SEGMENTS, zero_copy=zero_copy))
-        if zero_copy:
-            model.compiled_session()
+        model.compiled_session()
         return {"model": model}
     bundle = _open_part(backend, blob, writable, crc, "model", build)
     if "payload_view" in bundle:
@@ -348,7 +229,7 @@ def open_model(backend, blob: str, *, writable: bool, crc: int) -> Model:
 
 def open_exist(backend, blob: str, *, writable: bool, crc: int,
                model_crc: int):
-    """Open a sharded store's existence blob (:func:`exist_payload`) by
+    """Open a store's existence blob (:func:`exist_payload`) by
     the rule of :func:`open_model`: a private, mutable copy when
     writable, else one index shared through the payload cache whose
     arrays are read-only views of the mapping.  The blob must be the
@@ -369,18 +250,6 @@ def open_exist(backend, blob: str, *, writable: bool, crc: int,
         # The index pins the bundle whose view its arrays reference.
         bundle["exist"]._shared_bundle = bundle
     return bundle["exist"]
-
-
-def load(target: str, pool: Optional[BufferPool] = None,
-         stats: Optional[StoreStats] = None,
-         writable: bool = True) -> DeepMapping:
-    """Open the payload :func:`save` wrote at a path or URL, by the
-    rule of :func:`open_payload`: ``writable=False``, or any remote
-    target (``http://`` / ``https://`` / ``cached+http://``), gives a
-    read-only structure shared through the payload cache."""
-    backend, blob = resolve_blob_url(str(target), create=False)
-    return open_payload(backend, blob, writable=writable, pool=pool,
-                        stats=stats)
 
 
 def _unsupported_layout(found: str,

@@ -1,9 +1,10 @@
 """One batched lookup (paper Algorithm 1) and what it returns.
 
-:class:`LookupPlan` runs one batch through a DeepMapping stage by stage
-(the sharded read path drives one per shard); :class:`LookupResult` is
-what every ``lookup`` returns and :func:`blank` what a miss reads.  It
-imports nothing from :mod:`repro.core.deep_mapping`, which imports it.
+:class:`LookupPlan` runs one batch through a shard stage by stage (the
+store's read path drives one per shard it routes to);
+:class:`LookupResult` is what every ``lookup`` returns and :func:`blank`
+what a miss reads.  It imports nothing from
+:mod:`repro.core.deep_mapping`, which imports it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LookupPlan:
 
     - **Shared sort order.** The auxiliary store wants sorted keys (one
       partition fault per batch).  A caller that already holds the keys
-      sorted — the sharded route stage sorts *once* for every shard —
+      sorted — the store's route stage sorts *once* for every shard —
       passes ``presorted=True`` and no stage ever sorts again; otherwise
       the plan sorts the surviving keys once and both the aux probe and
       the scatter reuse that order.
@@ -69,7 +70,7 @@ class LookupPlan:
       probes ``T_aux`` first and runs inference only on keys that are
       live *and* not served from the auxiliary table.
     - **Streaming scatter.** :meth:`execute_into` writes the finished
-      segment straight into caller-owned output arrays, so a sharded
+      segment straight into caller-owned output arrays, so the store's
       fan-out assembles results as shards finish instead of
       concatenating and permuting a list of per-shard results behind a
       barrier.
@@ -88,23 +89,23 @@ class LookupPlan:
     predictions that were about to be overwritten, misses read the same
     :func:`blank`, and stage order never changes any per-key
     answer.  Plans are single-use and not thread-safe; build one per
-    batch via
-    :meth:`~repro.core.deep_mapping.DeepMapping.plan_lookup`.
+    batch via :meth:`~repro.core.deep_mapping.Shard.plan_lookup`.
     """
 
-    __slots__ = ("mapping", "flat", "in_domain", "presorted", "spread",
+    __slots__ = ("shard", "flat", "in_domain", "presorted", "spread",
                  "found", "_hits", "_aux_hit", "_aux_codes", "_model_codes")
 
-    def __init__(self, mapping,
+    def __init__(self, shard,
                  key_cols: Dict[str, np.ndarray],
                  presorted: bool = False):
-        self.mapping = mapping
+        self.shard = shard
         #: Distinct position per input key, or None when every key is
         #: distinct (or the batch is unsorted, so runs are not adjacent).
         self.spread: Optional[np.ndarray] = None
         if presorted:
             key_cols, self.spread = _distinct_runs(key_cols)
-        self.flat, self.in_domain = mapping.key_codec.try_flatten(key_cols)
+        self.flat, self.in_domain = shard.model.key_codec.try_flatten(
+            key_cols)
         self.presorted = presorted
         self.found: Optional[np.ndarray] = None
         self._hits: Optional[np.ndarray] = None       # hit rows, key-sorted
@@ -125,7 +126,7 @@ class LookupPlan:
     def run_existence(self) -> np.ndarray:
         """Mask the distinct keys through ``V_exist`` (and the key
         domain); ``found`` is indexed by distinct position."""
-        m = self.mapping
+        m = self.shard
         with m.stats.timing("existence"):
             self.found = m.exist.test_batch(self.flat) & self.in_domain
         return self.found
@@ -139,13 +140,13 @@ class LookupPlan:
         partition store's monotonic fast path skips its own argsort and
         each partition is faulted at most once.
         """
-        m = self.mapping
+        m = self.shard
         hits = np.flatnonzero(self.found)
         if hits.size == 0:
             self._hits = hits
             self._aux_hit = np.zeros(0, dtype=bool)
             self._aux_codes = {t: np.zeros(0, dtype=np.int64)
-                               for t in m.value_names}
+                               for t in m.model.fdecode.columns}
             return
         sub = self.flat[hits]
         if not self.presorted and sub.size > 1 \
@@ -157,7 +158,8 @@ class LookupPlan:
             aux_hit, aux_codes = m.aux.lookup_batch(sub)
         self._hits = hits
         self._aux_hit = aux_hit
-        self._aux_codes = {t: aux_codes[t][aux_hit] for t in m.value_names}
+        self._aux_codes = {t: codes[aux_hit]
+                           for t, codes in aux_codes.items()}
 
     @property
     def aux_rows(self) -> np.ndarray:
@@ -173,14 +175,15 @@ class LookupPlan:
     def run_inference(self) -> None:
         """Run the fused kernel on :attr:`model_rows` only — the live
         keys without an aux override."""
-        m = self.mapping
+        m = self.shard
         with m.stats.timing("inference"):
             rows = self.model_rows
             if rows.size:
-                self._model_codes = m.compiled_session().run(self.flat[rows])
+                self._model_codes = m.model.compiled_session().run(
+                    self.flat[rows])
             else:
                 self._model_codes = {t: np.zeros(0, dtype=np.int64)
-                                     for t in m.value_names}
+                                     for t in m.model.fdecode.columns}
 
     # -- stage 5: decode + assembly ------------------------------------
     def _decoded_task(self, task: str) -> np.ndarray:
@@ -191,7 +194,7 @@ class LookupPlan:
         :func:`blank` a miss reads, model/aux overwrite order) lives
         here once.
         """
-        enc = self.mapping.fdecode.encoders[task]
+        enc = self.shard.model.fdecode.encoders[task]
         out = blank(self.flat.size, enc.vocab.dtype)
         rows = self.model_rows
         if rows.size:
@@ -203,10 +206,10 @@ class LookupPlan:
 
     def finish(self) -> LookupResult:
         """Decode codes to values and assemble a LookupResult."""
-        m = self.mapping
+        m = self.shard
         with m.stats.timing("decode"):
             values = {task: self._expand(self._decoded_task(task))
-                      for task in m.value_names}
+                      for task in m.model.fdecode.columns}
         return LookupResult(found=self._expand(self.found), values=values)
 
     def execute(self) -> LookupResult:
@@ -233,10 +236,10 @@ class LookupPlan:
         self.run_existence()
         self.run_aux()
         self.run_inference()
-        m = self.mapping
+        m = self.shard
         found_out[dest] = self._expand(self.found)
         with m.stats.timing("decode"):
-            for task in m.value_names:
+            for task in m.model.fdecode.columns:
                 values_out[task][dest] = self._expand(self._decoded_task(task))
 
 

@@ -11,10 +11,8 @@ equality predicates is rejected — richer queries belong to a real engine;
 DeepMapping is the access method underneath.
 
 Both entry points accept any mapping exposing ``key_names`` /
-``value_names`` / ``lookup`` — a single
-:class:`~repro.core.deep_mapping.DeepMapping` or a
-:class:`~repro.shard.ShardedDeepMapping` — so queries run unchanged over
-monolithic and sharded stores.  Execution flows through the mapping's
+``value_names`` / ``lookup`` — a :class:`repro.DeepMapping`, or a test
+double standing in for one.  Execution flows through the mapping's
 batched ``lookup``, i.e. through the fused
 :class:`~repro.nn.compiled.CompiledSession` kernel (existence-gated,
 gather-based inference; see ``docs/performance.md``) unless the build
@@ -24,19 +22,17 @@ config disables it.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .deep_mapping import DeepMapping
-
 if TYPE_CHECKING:  # avoid a runtime import cycle (shard imports core)
-    from ..shard import ShardedDeepMapping
+    from ..shard import DeepMapping
 
 __all__ = ["select", "run_select", "QueryError", "MappingLike"]
 
 #: Any point-lookup structure select() can execute over.
-MappingLike = Union[DeepMapping, "ShardedDeepMapping"]
+MappingLike = "DeepMapping"
 
 
 class QueryError(ValueError):
@@ -48,7 +44,7 @@ def select(
     columns: Sequence[str],
     where: Dict[str, object],
 ) -> List[Optional[Dict[str, object]]]:
-    """Programmatic point SELECT over a monolithic or sharded mapping.
+    """Programmatic point SELECT over a store.
 
     Parameters
     ----------

@@ -19,18 +19,18 @@ import numpy as np
 
 from ..data.table import ColumnTable
 from .config import DeepMappingConfig
-from .deep_mapping import DeepMapping
 from .plan import LookupResult
 
 __all__ = ["lookup_range", "build_range_view"]
 
 
 def lookup_range(
-    mapping: DeepMapping,
+    mapping,
     low: Dict[str, int],
     high: Dict[str, int],
 ) -> Tuple[Dict[str, np.ndarray], LookupResult]:
-    """Exact range lookup over the key domain.
+    """Exact range lookup over ``mapping``'s (a
+    :class:`repro.DeepMapping`'s) key domain.
 
     ``low``/``high`` give inclusive per-key-column bounds.  Returns
     ``(key_columns, result)`` for every existing key inside the box; the
@@ -42,7 +42,7 @@ def lookup_range(
 
     # Step 1 (paper): range-filter the existence index.
     live = mapping.exist.existing_keys()
-    key_cols = mapping.key_codec.unflatten(live)
+    key_cols = mapping.model.key_codec.unflatten(live)
     mask = np.ones(live.size, dtype=bool)
     for name in mapping.key_names:
         col = key_cols[name]
@@ -55,11 +55,11 @@ def lookup_range(
 
 
 def build_range_view(
-    mapping: DeepMapping,
+    mapping,
     column: str,
     ranges: Sequence[Tuple[int, int]],
     config: Optional[DeepMappingConfig] = None,
-) -> DeepMapping:
+):
     """Learn a DeepMapping over materialized range-aggregate results.
 
     For each ``(low, high)`` range over the *first* key column, the count
@@ -106,4 +106,5 @@ def build_range_view(
     view_config = config if config is not None else DeepMappingConfig(
         epochs=40, batch_size=256, shared_sizes=(64,), private_sizes=(32,)
     )
+    from ..shard.store import DeepMapping  # the store imports core
     return DeepMapping.fit(view, view_config)

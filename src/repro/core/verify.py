@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..data.table import ColumnTable
-from .deep_mapping import DeepMapping
 
 __all__ = ["VerificationReport", "verify"]
 
@@ -48,13 +47,13 @@ class VerificationReport:
 
 
 def verify(
-    mapping: DeepMapping,
+    mapping,
     table: ColumnTable,
     probe_absent: int = 1000,
     batch_size: int = 65536,
     rng: Optional[np.random.Generator] = None,
 ) -> VerificationReport:
-    """Audit ``mapping`` against ``table``.
+    """Audit ``mapping`` (a :class:`repro.DeepMapping`) against ``table``.
 
     Checks (1) every row of ``table`` is found and returns exactly its
     values, and (2) up to ``probe_absent`` keys *not* in the table return
@@ -92,16 +91,17 @@ def verify(
 
     # Pass 2: hallucination probes on keys absent from the table.
     if probe_absent > 0:
-        flat_present, in_domain = mapping.key_codec.try_flatten(
+        key_codec = mapping.model.key_codec
+        flat_present, in_domain = key_codec.try_flatten(
             table.key_columns_dict())
         present = set(flat_present[in_domain].tolist())
-        domain = mapping.key_codec.domain_size
+        domain = key_codec.domain_size
         candidates = rng.integers(0, domain, size=probe_absent * 3)
         absent = np.array([c for c in candidates.tolist()
                            if c not in present][:probe_absent],
                           dtype=np.int64)
         if absent.size:
-            key_cols = mapping.key_codec.unflatten(absent)
+            key_cols = key_codec.unflatten(absent)
             result = mapping.lookup(key_cols)
             if result.found.any():
                 report.spurious_hits = int(result.found.sum())

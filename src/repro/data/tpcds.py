@@ -18,6 +18,7 @@ Row counts are scaled to 1/100th of the official counts, like
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Tuple
 
 import numpy as np
@@ -67,7 +68,8 @@ def generate(table: str, scale: float = 1.0, seed: int = 0) -> ColumnTable:
     """Generate one TPC-DS table at the given (scaled-down) scale factor."""
     if table not in ROWS_PER_SF:
         raise KeyError(f"unknown TPC-DS table {table!r}; have {TPCDS_TABLES}")
-    rng = np.random.default_rng((seed, hash(table) & 0xFFFF))
+    # crc32, not hash(): str hashes are salted per process.
+    rng = np.random.default_rng((seed, zlib.crc32(table.encode())))
     n = _rows(table, scale)
     builder = {
         "customer_demographics": _customer_demographics,

@@ -17,6 +17,7 @@ to land in that regime.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Tuple
 
 import numpy as np
@@ -73,7 +74,8 @@ def generate(table: str, scale: float = 1.0, seed: int = 0) -> ColumnTable:
     """
     if table not in ROWS_PER_SF:
         raise KeyError(f"unknown TPC-H table {table!r}; have {TPCH_TABLES}")
-    rng = np.random.default_rng((seed, hash(table) & 0xFFFF))
+    # crc32, not hash(): str hashes are salted per process.
+    rng = np.random.default_rng((seed, zlib.crc32(table.encode())))
     n = _rows(table, scale)
     builder = {
         "supplier": _supplier,

@@ -1,13 +1,13 @@
 """Adaptive shard lifecycle: retrain bounds and rebalancing.
 
-This package owns the *write-side* lifecycle of a sharded DeepMapping
-store, complementing the read-side fan-out of :mod:`repro.shard`:
+This package owns the *write-side* lifecycle of a DeepMapping store,
+complementing the read-side fan-out of :mod:`repro.shard`:
 
 - :mod:`repro.lifecycle.policy` — :class:`LifecycleConfig`, the knob
   bundle persisted in the store manifest; its policy name (the paper's
   DM-Z1 bytes threshold, an aux-ratio bound, or never) picks the bounds
   the store's one retrain rule,
-  :meth:`~repro.shard.store.ShardedDeepMapping.retrain_due`, is asked
+  :meth:`~repro.shard.store.DeepMapping.retrain_due`, is asked
   with;
 - :mod:`repro.lifecycle.engine` — :class:`MaintenanceEngine`, which runs
   after every mutation batch: overfull range shards split at a median

@@ -1,4 +1,4 @@
-"""The maintenance engine: one owner for the sharded store's write-side
+"""The maintenance engine: one owner for the store's write-side
 lifecycle.
 
 :class:`MaintenanceEngine` runs after every mutation batch:
@@ -12,10 +12,10 @@ lifecycle.
   ``merge_balance`` times the mean merges back into one shard
   (hysteresis between the two bounds prevents split/merge oscillation);
 - **retrain** — after rebalancing, the engine asks the store
-  :meth:`~repro.shard.store.ShardedDeepMapping.retrain_due` over its
+  :meth:`~repro.shard.store.DeepMapping.retrain_due` over its
   totals with the bounds the policy name maps to
   (:meth:`~repro.lifecycle.policy.LifecycleConfig.retrain_bounds`) — the
-  same rule a monolithic structure runs inline, so the engine asks and
+  same rule an unmanaged store runs inline, so the engine asks and
   never judges.  A due store retrains once: one warm-started refit of
   its model, every shard re-materialized under it.
 
@@ -35,7 +35,7 @@ import numpy as np
 from .policy import LifecycleConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..shard.store import ShardedDeepMapping
+    from ..shard.store import DeepMapping
 
 __all__ = ["LifecycleEvent", "MaintenanceEngine"]
 
@@ -58,7 +58,7 @@ class LifecycleEvent:
 class MaintenanceEngine:
     """Retrain/split/merge maintenance for a sharded store."""
 
-    def __init__(self, store: "ShardedDeepMapping", config: LifecycleConfig):
+    def __init__(self, store: "DeepMapping", config: LifecycleConfig):
         self.store = store
         self.config = config
         self.events: List[LifecycleEvent] = []

@@ -3,7 +3,7 @@
 The paper's lazy-update discussion (Sec. IV-D) retrains once accumulated
 modifications pass a byte threshold (the evaluation's DM-Z1 retrains after
 200MB).  There is one retrain rule, :meth:`DeepMapping.retrain_due
-<repro.core.deep_mapping.DeepMapping.retrain_due>`, with two bounds; the
+<repro.shard.store.DeepMapping.retrain_due>`, with two bounds; the
 policy name only chooses which bound a managed store sets
 (:meth:`LifecycleConfig.retrain_bounds`):
 
@@ -86,7 +86,7 @@ class LifecycleConfig:
         self, default_threshold_bytes: Optional[int] = None
     ) -> Tuple[Optional[int], Optional[float]]:
         """``(threshold_bytes, aux_ratio)`` for
-        :meth:`~repro.core.deep_mapping.DeepMapping.retrain_due`; ``None``
+        :meth:`~repro.shard.store.DeepMapping.retrain_due`; ``None``
         disables a bound.  The ``bytes`` policy falls back to the build
         config's threshold when ``retrain_bytes`` is unset."""
         if self.policy == "bytes":

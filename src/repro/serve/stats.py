@@ -141,9 +141,8 @@ class ServeStats:
         #: Requests that ran out of deadline budget in the tier (queued
         #: past expiry, or the store call outlived their deadline).
         self.deadline_expired = 0
-        #: Keys the sharded store's ``V_exist`` pruned before shard
-        #: dispatch (every miss), summed over every coalesced store
-        #: call (zero for monolithic stores).
+        #: Keys the store's ``V_exist`` pruned before shard dispatch
+        #: (every miss), summed over every coalesced store call.
         self.keys_pruned = 0
         #: Hydration telemetry mirrored from the store's stats counters
         #: (remote-backed stores only; all zero for local opens):

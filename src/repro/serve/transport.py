@@ -170,7 +170,11 @@ async def serve_tcp(server: LookupServer, host: str = "127.0.0.1",
                 writer.close()
                 try:
                     await writer.wait_closed()
-                except ConnectionError:
+                except (ConnectionError, asyncio.CancelledError):
+                    # Cancelled by a shutdown while closing: the
+                    # connection is going anyway, and a handler that
+                    # ends cancelled makes asyncio's stream callback log
+                    # a traceback.
                     pass
 
     return await asyncio.start_server(handle_connection, host, port,

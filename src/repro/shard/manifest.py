@@ -1,6 +1,6 @@
-"""On-disk manifest for a saved sharded DeepMapping store.
+"""On-disk manifest for a saved DeepMapping store.
 
-A saved store is a directory::
+A saved store is a container (a directory, a zip archive, ...)::
 
     store/
       manifest.json     <- this module's concern
@@ -28,15 +28,14 @@ reader does not know are ignored and not written back.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..resilience.errors import StoreCorruptedError, StoreNotFoundError
-from ..storage.backends import LocalDirBackend, StorageBackend
+from ..storage.backends import StorageBackend
 
 __all__ = ["MANIFEST_NAME", "MODEL_NAME", "EXIST_NAME", "ShardEntry",
-           "ShardManifest", "is_sharded_store", "is_sharded_backend"]
+           "ShardManifest"]
 
 MANIFEST_NAME = "manifest.json"
 #: The store's one model (:func:`repro.core.persistence.model_payload`).
@@ -85,7 +84,7 @@ class ShardManifest:
     key_names: List[str]
     value_names: List[str]
     #: Column name -> NumPy dtype string (``np.dtype(s)`` round-trips):
-    #: ``ShardedDeepMapping.value_dtype`` of each column.
+    #: ``DeepMapping.value_dtype`` of each column.
     value_dtypes: Dict[str, str]
     shards: List[ShardEntry] = field(default_factory=list)
     #: Sharding knobs worth preserving across save/load (max_workers etc.).
@@ -161,10 +160,6 @@ class ShardManifest:
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         return backend.write_bytes(MANIFEST_NAME, payload.encode("utf-8"))
 
-    def save(self, directory: str) -> int:
-        """Write ``manifest.json`` under local ``directory``; returns bytes."""
-        return self.save_to(LocalDirBackend(directory))
-
     @classmethod
     def load_from(cls, backend: StorageBackend) -> "ShardManifest":
         """Read ``manifest.json`` from ``backend``.
@@ -196,13 +191,6 @@ class ShardManifest:
             raise StoreCorruptedError(
                 f"{MANIFEST_NAME} in {url!r} is corrupt: {exc}") from exc
 
-    @classmethod
-    def load(cls, directory: str) -> "ShardManifest":
-        """Read ``manifest.json`` from local ``directory``."""
-        if not os.path.isdir(directory):
-            raise StoreNotFoundError(f"no such store directory: {directory!r}")
-        return cls.load_from(LocalDirBackend(directory, create=False))
-
 
 def _check_version(obj: Dict[str, object]) -> None:
     version = obj.get("version")
@@ -218,13 +206,3 @@ def _check_version(obj: Dict[str, object]) -> None:
         raise ValueError(f"manifest version {version} is newer than "
                          f"supported version {VERSION}")
 
-
-def is_sharded_store(path: str) -> bool:
-    """True when ``path`` is a directory holding a sharded-store manifest."""
-    return (os.path.isdir(path)
-            and os.path.isfile(os.path.join(path, MANIFEST_NAME)))
-
-
-def is_sharded_backend(backend: StorageBackend) -> bool:
-    """True when ``backend`` holds a sharded-store manifest blob."""
-    return backend.exists(MANIFEST_NAME)

@@ -1,4 +1,4 @@
-"""The sharded store's on-disk layout: the one module that knows it.
+"""The store's on-disk layout: the one module that knows it.
 
 A saved store is a container — any
 :class:`~repro.storage.backends.StorageBackend`, selected by URL scheme
@@ -10,8 +10,10 @@ model blob they were saved under, and the manifest names the CRCs of
 the model and the index.  :func:`save` writes it and sweeps payload
 blobs a previous save left behind; :func:`load` reads it back three
 ways — writable, shared read-only, or hydrating over a remote backend.
-:meth:`ShardedDeepMapping.save` / :meth:`ShardedDeepMapping.load` are
-the public entry points; they hand straight to this module.
+:meth:`DeepMapping.save <repro.shard.store.DeepMapping.save>` and
+:func:`repro.open` are the public entry points; they hand straight to
+this module.  A bare path is a directory; the single-file form is the
+same layout in a ``zip://`` container.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.deep_mapping import DeepMapping
+from ..core.deep_mapping import Shard
 from ..core.persistence import (blob_crc, exist_payload, model_payload,
                                 open_exist, open_model, open_payload,
                                 shard_payload)
@@ -35,7 +37,7 @@ from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
 from .manifest import EXIST_NAME, MODEL_NAME, ShardEntry, ShardManifest
 from .router import router_from_state
-from .store import ShardedDeepMapping, ShardingConfig
+from .store import DeepMapping, ShardingConfig
 
 __all__ = ["save", "load", "shard_blob_name", "is_shard_blob"]
 
@@ -53,7 +55,7 @@ def is_shard_blob(name: str) -> bool:
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
-def save(store: ShardedDeepMapping,
+def save(store: DeepMapping,
          target: Union[str, StorageBackend]) -> int:
     """Write ``store`` into ``target``; returns total bytes written.
 
@@ -71,7 +73,7 @@ def save(store: ShardedDeepMapping,
         return _save_into(store, backend)
 
 
-def _save_into(store: ShardedDeepMapping, backend: StorageBackend) -> int:
+def _save_into(store: DeepMapping, backend: StorageBackend) -> int:
     total = 0
     entries: List[ShardEntry] = []
     sharding = store.sharding
@@ -142,9 +144,10 @@ def load(cls, target: Union[str, StorageBackend],
          stats: Optional[StoreStats], max_workers: Optional[int],
          pool_budget_bytes: Optional[int],
          executor: Union[str, ExecutorStrategy, None],
-         writable: bool) -> ShardedDeepMapping:
+         writable: bool) -> DeepMapping:
     """Open the store saved in ``target`` as a ``cls``
-    (:meth:`ShardedDeepMapping.load` documents the overrides).
+    (:meth:`DeepMapping.load <repro.shard.store.DeepMapping.load>`
+    documents the overrides).
 
     The store's one model opens first
     (:func:`repro.core.persistence.open_model`), then its one existence
@@ -205,7 +208,7 @@ def load(cls, target: Union[str, StorageBackend],
         bind_stats(stats)
     pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                       stats=stats)
-    shards: List[Optional[DeepMapping]] = []
+    shards: List[Optional[Shard]] = []
     for entry in manifest.shards:
         if entry.file is None:
             shards.append(None)

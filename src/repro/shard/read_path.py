@@ -1,14 +1,17 @@
-"""The sharded read path: existence, route, allocate, dispatch, result.
+"""The read path: existence, route, allocate, dispatch, result.
 
-:func:`lookup` (behind ``ShardedDeepMapping.lookup``, which documents the
+:func:`lookup` (behind ``DeepMapping.lookup``, which documents the
 contract) is one composition of named stages over one topology snapshot
 — the names ``bench/tracing.py`` replays from outside.  The existence
 stage tests the whole batch once against the store's one ``V_exist``;
 only live keys are routed, and every other key counts in the
-``pruned_keys`` counter.  The store, not its shards, decides what a
-miss reads: the :func:`~repro.core.plan.blank` of the column's
-:meth:`~repro.shard.ShardedDeepMapping.value_dtype`, and no output
-dtype depends on which shards a batch touches.  Shard work is a
+``pruned_keys`` counter.  A one-shard store skips routing when nothing
+needs the executor lane (``"raise"`` mode, no deadline, no hedger): its
+one plan's existence stage is then the store's.  The store, not
+its shards, decides what a miss reads: the
+:func:`~repro.core.plan.blank` of the column's
+:meth:`~repro.shard.DeepMapping.value_dtype`, and no output dtype
+depends on which shards a batch touches.  Shard work is a
 :class:`~repro.core.plan.LookupPlan` per owning shard that
 scatters its finished segment straight into the batch's preallocated
 output arrays; small unbounded dispatches run inline, everything else
@@ -43,7 +46,7 @@ _SERIAL_DISPATCH_MAX = 4096
 
 
 def lookup(store, keys, *, deadline=None) -> LookupResult:
-    """One sharded batch through every stage."""
+    """One batch through every stage."""
     mode = store.sharding.on_shard_error
     key_cols = normalize_keys(keys, store.key_names)
     n = int(np.asarray(key_cols[store.key_names[0]]).size)
@@ -57,21 +60,17 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     if n == 0:
         return LookupResult(*_allocate(store, 0))
     if deadline is not None:
-        deadline.check("sharded lookup")
+        deadline.check("store lookup")
+    if (router.n_shards == 1 and shards[0] is not None and mode == "raise"
+            and deadline is None and store.hedger is None):
+        # Nothing to compact, route, merge, isolate, abandon or race
+        # (fan_out's inline rule): partial mode, a deadline and a hedger
+        # take the generic path, whose executor lane they need.
+        return _single(store, shards[0], key_cols, n)
     idx = _live(store, model, exist, key_cols)
     n_routed = n if idx is None else int(idx.size)
     if n_routed < n:
         store.stats.bump("pruned_keys", n - n_routed)
-    if idx is None and router.n_shards == 1 and mode == "raise":
-        # Nothing to compact, route, merge or isolate.  (Partial mode
-        # still takes the generic path so a failure comes back marked,
-        # not raised.)
-        result = shards[0].lookup(key_cols)
-        return LookupResult(
-            found=result.found,
-            values={c: result.values[c].astype(store.value_dtype(c),
-                                               copy=False)
-                    for c in store.value_names})
     jobs = []
     if n_routed:  # else no key is live: nothing to sort or dispatch
         jobs = _make_jobs(store, shards,
@@ -80,6 +79,24 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     errors, stragglers = _dispatch(store, jobs, n_routed, found, values,
                                    deadline)
     return _result(n, jobs, found, values, errors, stragglers, mode)
+
+
+def _single(store, shard, key_cols, n: int) -> LookupResult:
+    """The whole batch as one plan of the only shard: the plan's
+    existence stage (the store's index, tested once) is the store's, and
+    its misses count in ``pruned_keys``."""
+    plan = shard.plan_lookup(key_cols)
+    found = plan.run_existence()
+    n_live = int(np.count_nonzero(found))
+    if n_live < n:
+        store.stats.bump("pruned_keys", n - n_live)
+    plan.run_aux()
+    plan.run_inference()
+    result = plan.finish()
+    for c in store.value_names:
+        result.values[c] = result.values[c].astype(store.value_dtype(c),
+                                                   copy=False)
+    return result
 
 
 def contains_batch(store, keys) -> np.ndarray:

@@ -1,22 +1,19 @@
-"""The sharded DeepMapping store.
+"""The DeepMapping store: one model, one ``V_exist``, ``T_aux`` in shards.
 
-:class:`ShardedDeepMapping` fits **one** model over a table (paper Sec.
-IV), keeps **one** existence index ``V_exist`` over that model's whole
-key domain, and partitions the keys across N shards, each a
-:class:`~repro.core.deep_mapping.DeepMapping` holding only the
-``T_aux`` rows and overlay of its keys under that model and reading the
-store's index, behind the monolithic structure's surface — so
-:func:`repro.core.query.select`, the CLI and the bench harness work over
-either.
+:class:`DeepMapping` fits **one** model over a table (paper Sec. IV),
+keeps **one** existence index ``V_exist`` over that model's whole key
+domain, and partitions the keys across N shards (one by default), each a
+:class:`~repro.core.deep_mapping.Shard` holding only the ``T_aux`` rows
+of its keys under that model and reading the store's index.
 
-This module owns the store's build, its **mutation** path and the
-retrain rule over store totals; its other methods hand straight to the
-module that owns the decision: the **topology** (the atomically swapped
-``(router, model, shards, exist)`` tuple, split/merge and the
-store-level retrain) to :mod:`repro.shard.topology`, the **read path**
-(existence → route → allocate → dispatch → result) to
-:mod:`repro.shard.read_path`, and the on-disk layout to
-:mod:`repro.shard.persistence`.
+This module owns the store's build, its **mutation** path, the retrain
+rule over store totals and the executor its reads run on; its other
+methods hand straight to the module that owns the decision: the
+**topology** (the atomically swapped ``(router, model, shards, exist)``
+tuple, split/merge and the store-level retrain) to
+:mod:`repro.shard.topology`, the **read path** (existence → route →
+allocate → dispatch → result) to :mod:`repro.shard.read_path`, and the
+on-disk layout to :mod:`repro.shard.persistence`.
 
 Each modified row flips its bit in the store's index and goes to its
 owning shard's auxiliary table; an insert into an empty shard
@@ -39,12 +36,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import (DeepMapping, KeysLike, RowsLike,
-                                 SizeReport, encode_insert, encode_update,
+from ..core.deep_mapping import (KeysLike, RowsLike, Shard, SizeReport,
+                                 encode_insert, encode_update,
                                  normalize_keys, normalize_rows, with_rows)
 from ..core.exist_index import cover
 from ..core.model import Model
-from ..core.modify import ModificationTracker, settle
+from ..core.modify import ModificationTracker, retrain_due, settle
 from ..core.plan import LookupResult
 from ..data.table import ColumnTable
 from ..lifecycle import LifecycleConfig, MaintenanceEngine
@@ -53,20 +50,20 @@ from ..resilience.hedging import HedgeController
 from ..storage.backends import StorageBackend
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
-from ..store.base import StoreBase
-from ..store.executors import ExecutorStrategy
+from ..store.executors import ExecutorStrategy, make_executor
 from . import read_path, topology
 from .router import ShardRouter, make_router
 
-__all__ = ["ShardedDeepMapping", "ShardingConfig"]
+__all__ = ["DeepMapping", "ShardingConfig"]
 
 
 @dataclass
 class ShardingConfig:
-    """Knobs of the sharded store (orthogonal to the model's build)."""
+    """Knobs of the store's shards, executor and lifecycle (orthogonal
+    to the model's build)."""
 
     #: Number of shards the key domain is split into.
-    n_shards: int = 4
+    n_shards: int = 1
     #: ``"range"`` (contiguous leading-key ranges; the only strategy
     #: that can split and merge) or ``"hash"`` (uniform placement over
     #: all key columns).
@@ -130,12 +127,14 @@ class ShardingConfig:
         return max(1, min(self.n_shards, os.cpu_count() or 1))
 
 
-class ShardedDeepMapping(StoreBase):
-    """N shards under one model behind one mapping facade.
+class DeepMapping:
+    """Learned, lossless, updateable key→value mapping: one model and
+    one ``V_exist`` over the table, its ``T_aux`` rows in N shards.
 
-    Build with :meth:`fit`; the facade mirrors
-    :class:`~repro.core.deep_mapping.DeepMapping` closely enough that
-    query layers accept either.
+    Build with :meth:`fit` (or :func:`repro.build`); query with
+    :meth:`lookup`; mutate with :meth:`insert` / :meth:`delete` /
+    :meth:`update`; persist with :meth:`save` and reopen with
+    :func:`repro.open`.
 
     Each value column comes back in one dtype, :meth:`value_dtype`,
     whichever shards a batch touches, and a miss reads that dtype's
@@ -154,7 +153,7 @@ class ShardedDeepMapping(StoreBase):
         self,
         router: ShardRouter,
         model: Model,
-        shards: List[Optional[DeepMapping]],
+        shards: List[Optional[Shard]],
         exist,
         sharding: ShardingConfig,
         value_names: Tuple[str, ...],
@@ -172,7 +171,7 @@ class ShardedDeepMapping(StoreBase):
         #: tuple once per operation.  Every shard is materialized under
         #: the model and reads the index (the same object).
         self._topology: Tuple[ShardRouter, Model,
-                              List[Optional[DeepMapping]], object] = (
+                              List[Optional[Shard]], object] = (
             router, model, list(shards), exist)
         self.sharding = sharding
         #: Modified bytes since the last retrain, over the whole store:
@@ -182,9 +181,13 @@ class ShardedDeepMapping(StoreBase):
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy (:class:`~repro.store.base.StoreBase`):
-        #: shard fan-out goes through ``submit_job``, ``lookup_async``
-        #: through ``executor.submit``.
+        #: Executor strategy: shard fan-out goes through
+        #: ``submit_job``, ``lookup_async`` through ``executor.submit``.
+        #: One built here from a name (or ``None``) is owned by the
+        #: store and shut by :meth:`close`; an instance handed in —
+        #: possibly shared between stores — stays caller-owned.
+        self.executor: Optional[ExecutorStrategy] = None
+        self._owns_executor = False
         self.set_executor(sharding.executor)
         #: Adaptive hedge-delay controller (None when hedging is off);
         #: shared across batches so the duration EWMA spans traffic.
@@ -209,7 +212,7 @@ class ShardedDeepMapping(StoreBase):
         config: Optional[DeepMappingConfig] = None,
         sharding: Optional[ShardingConfig] = None,
         stats: Optional[StoreStats] = None,
-    ) -> "ShardedDeepMapping":
+    ) -> "DeepMapping":
         """Fit one model over ``table``, then build the store's index and
         materialize each shard's ``T_aux`` under it
         (:func:`topology.install <repro.shard.topology.install>`)."""
@@ -246,7 +249,7 @@ class ShardedDeepMapping(StoreBase):
         return self._topology[1]
 
     @property
-    def shards(self) -> List[Optional[DeepMapping]]:
+    def shards(self) -> List[Optional[Shard]]:
         """The live shard list (swapped atomically with the router)."""
         return self._topology[2]
 
@@ -305,6 +308,10 @@ class ShardedDeepMapping(StoreBase):
         serves."""
         self.model.compiled_session()
         return sum(1 for shard in self.shards if shard is not None)
+
+    def storage_bytes(self) -> int:
+        """Total offline footprint (Eq. 1's numerator)."""
+        return self.size_report().total_bytes
 
     def size_report(self) -> SizeReport:
         """Per-component storage breakdown (Eq. 1): the one model, decode
@@ -369,6 +376,18 @@ class ShardedDeepMapping(StoreBase):
         return sum(len(shard.aux) for shard in self.shards
                    if shard is not None)
 
+    def aux_ratio(self) -> float:
+        """Fraction of live rows served from ``T_aux`` (empty: 0.0)."""
+        n_rows = len(self)
+        return self._aux_rows() / n_rows if n_rows else 0.0
+
+    def retrain_due(self, threshold_bytes: Optional[int],
+                    aux_ratio: Optional[float]) -> bool:
+        """The one retrain rule (:func:`repro.core.modify.retrain_due`)
+        over this store's tracker, live rows and ``T_aux`` rows."""
+        return retrain_due(self.tracker, len(self), self._aux_rows,
+                           threshold_bytes, aux_ratio)
+
     def rebuild(self, config: Optional[DeepMappingConfig] = None) -> None:
         """Retrain the store from its current logical content: one
         warm-started refit of the model, then every shard re-materialized
@@ -399,8 +418,37 @@ class ShardedDeepMapping(StoreBase):
         fn = functools.partial(self.lookup, keys, deadline=deadline)
         return self.executor.submit(fn, deadline=deadline)
 
-    def _executor_workers(self) -> int:
-        return self.sharding.effective_workers()
+    def set_executor(self, executor) -> None:
+        """Install a strategy: a name from :data:`EXECUTOR_NAMES
+        <repro.store.EXECUTOR_NAMES>`, an instance, or ``None`` for the
+        default (:func:`~repro.store.executors.make_executor`, as wide
+        as :meth:`ShardingConfig.effective_workers`).  The outgoing one
+        is closed only if this store owned it."""
+        new = make_executor(executor, self.sharding.effective_workers())
+        if self._owns_executor and new is not self.executor:
+            self.executor.close()
+        self.executor = new
+        self._owns_executor = new is not executor
+
+    def close(self) -> None:
+        """Shut an owned strategy's workers (idempotent); data stays, and
+        an owned strategy rebuilds its pools lazily on next use."""
+        if self._owns_executor:
+            self.executor.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def lookup_one(self, **key_parts) -> Optional[Dict[str, object]]:
+        """Convenience single-key lookup; returns a row dict or None."""
+        key_cols = {name: np.array([value])
+                    for name, value in key_parts.items()}
+        if set(key_cols) != set(self.key_names):
+            raise KeyError(f"expected key columns {self.key_names}")
+        return next(self.lookup(key_cols).rows())
 
     # ------------------------------------------------------------------
     # Modifications
@@ -496,8 +544,7 @@ class ShardedDeepMapping(StoreBase):
         The batch is flattened and run through the model once
         (:func:`~repro.core.deep_mapping.encode_update`) and validated
         first: if any key does not exist, ``KeyError`` is raised and no
-        shard is mutated (matching the monolithic all-or-nothing
-        contract).
+        shard is mutated (all or nothing).
         """
         self._require_writable()
         columns = normalize_rows(rows, self.key_names, self.value_names)
@@ -555,7 +602,7 @@ class ShardedDeepMapping(StoreBase):
         key_cols = model.key_codec.unflatten(exist.existing_keys())
         columns: Dict[str, np.ndarray] = dict(key_cols)
         columns.update(self.lookup(key_cols).values)
-        return ColumnTable(columns, key=self.key_names, name="sharded")
+        return ColumnTable(columns, key=self.key_names, name="deepmapping")
 
     # ------------------------------------------------------------------
     # Persistence (the directory layout lives in repro.shard.persistence)
@@ -580,8 +627,9 @@ class ShardedDeepMapping(StoreBase):
         pool_budget_bytes: Optional[int] = None,
         executor: Union[str, ExecutorStrategy, None] = None,
         writable: bool = True,
-    ) -> "ShardedDeepMapping":
-        """Inverse of :meth:`save`; ``target`` as there.
+    ) -> "DeepMapping":
+        """Inverse of :meth:`save`; ``target`` as there
+        (:func:`repro.open` opens through here).
 
         ``max_workers`` / ``pool_budget_bytes`` / ``executor`` override
         the saved knobs (e.g. load a store built on a big box onto a
@@ -600,7 +648,7 @@ class ShardedDeepMapping(StoreBase):
     def __repr__(self) -> str:
         live = sum(1 for shard in self.shards if shard is not None)
         return (
-            f"ShardedDeepMapping(key={self.key_names}, "
+            f"DeepMapping(key={self.key_names}, "
             f"values={list(self.value_names)}, shards={self.n_shards} "
             f"({live} live), strategy={self.sharding.strategy!r}, "
             f"rows={len(self)})"

@@ -1,4 +1,4 @@
-"""The sharded store's topology: the one module that changes it.
+"""The store's topology: the one module that changes it.
 
 The store's ``(router, model, shards, exist)`` tuple is swapped
 atomically (:func:`swap`), so a reader holding the old tuple keeps its
@@ -21,14 +21,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from ..core.config import DeepMappingConfig
-from ..core.deep_mapping import DeepMapping
+from ..core.deep_mapping import Shard
 from ..core.exist_index import make_existence_index
 from ..core.model import Fit, Model
 from ..data.table import ColumnTable
 from .router import RangeShardRouter, ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .store import ShardedDeepMapping
+    from .store import DeepMapping
 
 __all__ = ["rows", "materialize", "build_shard", "swap", "install",
            "retrain", "can_split", "split_shard", "merge_shards"]
@@ -43,17 +43,17 @@ def rows(idx: np.ndarray, flat: np.ndarray, labels: Dict[str, np.ndarray],
         lost[idx]
 
 
-def materialize(store: "ShardedDeepMapping", model: Model, exist, flat,
-                labels, lost) -> DeepMapping:
+def materialize(store: "DeepMapping", model: Model, exist, flat,
+                labels, lost) -> Shard:
     """A shard over rows encoded under ``model`` (see :func:`rows`),
     reading ``exist``, the index that holds (or is about to hold) their
     keys; no training."""
-    return DeepMapping.materialize(model, flat, labels, lost, exist=exist,
-                                   pool=store.pool, stats=store.stats)
+    return Shard.materialize(model, flat, labels, lost, exist,
+                             pool=store.pool, stats=store.stats)
 
 
-def build_shard(store: "ShardedDeepMapping",
-                table: ColumnTable) -> DeepMapping:
+def build_shard(store: "DeepMapping",
+                table: ColumnTable) -> Shard:
     """A shard over ``table``, whose keys the store's index holds,
     materialized under the store's model — no training."""
     model = store.model
@@ -61,8 +61,8 @@ def build_shard(store: "ShardedDeepMapping",
                        *model.encode(table.columns_dict()))
 
 
-def swap(store: "ShardedDeepMapping", router: ShardRouter, model: Model,
-         shards: List[Optional[DeepMapping]], exist) -> None:
+def swap(store: "DeepMapping", router: ShardRouter, model: Model,
+         shards: List[Optional[Shard]], exist) -> None:
     """Install a new (router, model, shards, exist) tuple atomically."""
     if len(shards) != router.n_shards:
         raise ValueError(
@@ -74,7 +74,7 @@ def swap(store: "ShardedDeepMapping", router: ShardRouter, model: Model,
     store.sharding.n_shards = router.n_shards
 
 
-def install(store: "ShardedDeepMapping", table: ColumnTable,
+def install(store: "DeepMapping", table: ColumnTable,
             fit: Fit) -> None:
     """Build the one index of ``table``'s keys under ``fit`` (just fit
     over it), materialize every shard under it and swap the tuple in;
@@ -86,7 +86,7 @@ def install(store: "ShardedDeepMapping", table: ColumnTable,
     exist.set_batch(fit.flat)
     with store.stats.timing("route"):
         shard_ids = router.route(table.key_columns_dict())
-    shards: List[Optional[DeepMapping]] = []
+    shards: List[Optional[Shard]] = []
     for ordinal in range(router.n_shards):
         idx = np.flatnonzero(shard_ids == ordinal)
         shards.append(None if idx.size == 0 else materialize(
@@ -99,7 +99,7 @@ def install(store: "ShardedDeepMapping", table: ColumnTable,
             shard.aux.drop_storage()
 
 
-def retrain(store: "ShardedDeepMapping", table: ColumnTable,
+def retrain(store: "DeepMapping", table: ColumnTable,
             config: Optional[DeepMappingConfig] = None) -> None:
     """The store-level retrain: refit the one model over ``table`` (the
     content, plus rows the domain could not take), warm-started unless
@@ -112,7 +112,7 @@ def retrain(store: "ShardedDeepMapping", table: ColumnTable,
     store.tracker.mark_rebuilt()
 
 
-def _require_range_router(store: "ShardedDeepMapping") -> RangeShardRouter:
+def _require_range_router(store: "DeepMapping") -> RangeShardRouter:
     router = store.router
     if not isinstance(router, RangeShardRouter):
         raise TypeError(
@@ -122,7 +122,7 @@ def _require_range_router(store: "ShardedDeepMapping") -> RangeShardRouter:
     return router
 
 
-def _live_keys(store: "ShardedDeepMapping", ordinals) -> Dict[
+def _live_keys(store: "DeepMapping", ordinals) -> Dict[
         str, np.ndarray]:
     """Key columns of the live keys that shards ``ordinals`` own, taken
     from the store's one index, ascending."""
@@ -131,15 +131,15 @@ def _live_keys(store: "ShardedDeepMapping", ordinals) -> Dict[
     return {name: col[mine] for name, col in key_cols.items()}
 
 
-def _shard_table(store: "ShardedDeepMapping", *ordinals: int) -> ColumnTable:
+def _shard_table(store: "DeepMapping", *ordinals: int) -> ColumnTable:
     """The rows shards ``ordinals`` hold, as the store reads them."""
     key_cols = _live_keys(store, list(ordinals))
     columns: Dict[str, np.ndarray] = dict(key_cols)
     columns.update(store.lookup(key_cols).values)
-    return ColumnTable(columns, key=store.key_names, name="sharded")
+    return ColumnTable(columns, key=store.key_names, name="deepmapping")
 
 
-def can_split(store: "ShardedDeepMapping", ordinal: int) -> bool:
+def can_split(store: "DeepMapping", ordinal: int) -> bool:
     """True when shard ``ordinal`` has at least two distinct leading
     keys (the minimum to place a cut with both sides non-empty)."""
     if store.shards[ordinal] is None \
@@ -149,7 +149,7 @@ def can_split(store: "ShardedDeepMapping", ordinal: int) -> bool:
     return np.unique(leading).size >= 2
 
 
-def split_shard(store: "ShardedDeepMapping", ordinal: int,
+def split_shard(store: "DeepMapping", ordinal: int,
                 cut: Optional[int] = None) -> int:
     """Split range shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
     upper)`` halves, each materialized under the store's model (nothing
@@ -194,7 +194,7 @@ def split_shard(store: "ShardedDeepMapping", ordinal: int,
     return cut
 
 
-def merge_shards(store: "ShardedDeepMapping", ordinal: int) -> None:
+def merge_shards(store: "DeepMapping", ordinal: int) -> None:
     """Merge range shards ``ordinal`` and ``ordinal + 1``: the pair's
     rows are materialized as one shard under the store's model (nothing
     trains; two empty shards just lose their boundary) and swapped in

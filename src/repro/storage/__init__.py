@@ -13,7 +13,7 @@ from . import zerocopy
 from .backends import (MONOLITHIC_BLOB, URL_SCHEMES, InMemoryBackend,
                        LocalDirBackend, StorageBackend, ZipBackend,
                        backend_for_url, backend_identity, blob_version,
-                       parse_url, read_blob_view, resolve_blob_url)
+                       parse_url, read_blob_view)
 from .bitvector import BitVector
 from .blob_cache import BlobCache, configure_payload_cache, payload_cache
 from .buffer_pool import BufferPool, MemoryBudgetError, new_pool_key
@@ -47,7 +47,6 @@ __all__ = [
     "InMemoryBackend",
     "ZipBackend",
     "backend_for_url",
-    "resolve_blob_url",
     "parse_url",
     "read_blob_view",
     "blob_version",

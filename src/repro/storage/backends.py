@@ -1,8 +1,8 @@
 """Pluggable persistence backends: named byte blobs behind one protocol.
 
-Every persisted artifact in this repo — a monolithic ``DeepMapping``
-payload, a sharded store's manifest / config / per-shard payloads, spilled
-auxiliary partitions — is ultimately a *named byte blob*.
+Every persisted artifact in this repo — a store's manifest, model,
+existence index and per-shard payloads — is ultimately a *named byte
+blob*.
 :class:`StorageBackend` pins that down to five operations
 (``read_bytes`` / ``write_bytes`` / ``list`` / ``exists`` / ``delete``)
 with **atomic write semantics**: a reader concurrent with ``write_bytes``
@@ -25,7 +25,7 @@ URL scheme selects the backend: ``file://`` (or a bare path),
 :class:`~repro.resilience.backend.ResilientBackend`) and
 ``cached+http://`` / ``cached+https://`` (same, behind a local disk
 hydration cache) from :mod:`repro.storage.remote` — see
-:func:`backend_for_url` and :func:`resolve_blob_url`.
+:func:`backend_for_url`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "MONOLITHIC_BLOB",
     "parse_url",
     "backend_for_url",
-    "resolve_blob_url",
     "read_blob_view",
     "blob_version",
     "backend_identity",
@@ -61,9 +60,9 @@ __all__ = [
 URL_SCHEMES = ("file", "mem", "zip", "http", "https",
                "cached+http", "cached+https")
 
-#: Canonical blob name of a monolithic DeepMapping payload inside a
-#: container backend (``mem://`` / ``zip://`` targets have no file name of
-#: their own, so the payload lives under this fixed name).
+#: Blob name under which a container held a monolithic payload, a
+#: layout no longer read: :func:`repro.open` refuses a container that
+#: holds it and no manifest.
 MONOLITHIC_BLOB = "deepmapping.dm"
 
 _URL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://(.*)$")
@@ -636,8 +635,7 @@ def parse_url(url_or_path: str) -> Tuple[str, str]:
 def backend_for_url(url_or_path: str, create: bool = True) -> StorageBackend:
     """The *container* backend a store URL designates.
 
-    ``file://`` paths (and bare paths) must name a directory here; use
-    :func:`resolve_blob_url` when the target may be a single ``.dm`` file.
+    ``file://`` paths (and bare paths) name a directory.
     """
     scheme, path = parse_url(url_or_path)
     if scheme == "mem":
@@ -656,23 +654,3 @@ def backend_for_url(url_or_path: str, create: bool = True) -> StorageBackend:
             return CachedHttpBackend(ResilientBackend(HttpBackend(base_url)))
         return ResilientBackend(HttpBackend(f"{scheme}://{path}"))
     return LocalDirBackend(path, create=create)
-
-
-def resolve_blob_url(url_or_path: str,
-                     default_blob: str = MONOLITHIC_BLOB,
-                     create: bool = True) -> Tuple[StorageBackend, str]:
-    """Resolve a *single-blob* target to ``(backend, blob_name)``.
-
-    For the ``file`` scheme the path names the blob itself (backend is its
-    parent directory, blob its basename — exactly the classic
-    ``store.save("orders.dm")`` shape).  ``mem://`` and ``zip://`` targets
-    are whole containers, so the payload goes under ``default_blob``.
-    """
-    scheme, path = parse_url(url_or_path)
-    if scheme == "file":
-        directory, blob = os.path.split(path)
-        if not blob:
-            raise ValueError(f"file target {url_or_path!r} names a "
-                             "directory, not a payload file")
-        return LocalDirBackend(directory or ".", create=create), blob
-    return backend_for_url(url_or_path, create=create), default_blob

@@ -1,6 +1,6 @@
 """Lazy shard hydration over range-read backends.
 
-A sharded store's manifest routes keys (and prunes misses) without
+A store's manifest routes keys (and prunes misses) without
 touching a single shard payload — so a reader over remote storage
 should not *download* a shard until a batch actually routes keys into
 it.  This module supplies the two pieces that make that work:
@@ -16,7 +16,7 @@ it.  This module supplies the two pieces that make that work:
   checksums intact — exactly as if it had been read whole.
 
 - :class:`LazyShard` — a deferred-load proxy standing in for a
-  :class:`~repro.core.deep_mapping.DeepMapping` shard.  Construction
+  :class:`~repro.core.deep_mapping.Shard`.  Construction
   costs nothing; the first attribute touch (a routed lookup segment,
   a save) runs the loader exactly once under
   a lock.  ``len()`` answers from the manifest's row count so the

@@ -2,31 +2,31 @@
 
 One store URL (or bare path) names any persisted store:
 
-- ``orders.dm`` / ``file:///data/orders.dm`` — a monolithic
-  :class:`~repro.core.deep_mapping.DeepMapping` payload file;
-- ``store/`` / ``file:///data/store`` — a sharded store directory
-  (``manifest.json`` + per-shard payloads);
+- ``store/`` / ``file:///data/store`` — a store directory
+  (``manifest.json``, ``model.rzc``, ``exist.rzc`` and one payload per
+  non-empty shard);
+- ``zip:///data/store.zip`` — the same blobs in one zip archive: the
+  single-file form (a bare path to a zip archive opens it too);
 - ``mem://name`` — a process-local in-memory container (tests, scratch);
-- ``zip:///data/store.zip`` — all blobs in one zip archive (the
-  object-store stand-in);
 - ``http://host/store`` / ``https://...`` — a store published behind
   any range-capable HTTP server, opened read-only with lazy shard
   hydration; ``cached+http://`` adds a local disk cache tier so warm
   reopens are pure local mmap (``docs/remote.md``).
 
-:func:`open_store` resolves the URL to a backend, sniffs whether it holds
-a sharded manifest or a monolithic payload (the auto-detection that used
-to live privately in the CLI), and returns the matching
-:class:`~repro.store.protocol.DataStore`.  :func:`build_store` is the
-forward direction: fit a store over a table — monolithic by default,
-sharded when a sharding config (or shard count) is given — and optionally
-persist it to a URL in the same breath.
+:func:`open_store` resolves the URL to a backend, checks that it holds a
+store manifest, and opens it (:func:`repro.shard.persistence.load`, the
+one reader).  A monolithic payload — a single ``.dm`` file, or a
+container holding ``deepmapping.dm`` and no manifest — is refused with a
+``ValueError`` naming the last commit that reads it.
+:func:`build_store` is the forward direction: fit a store over a table
+and optionally persist it to a URL in the same breath.
 
 Both are re-exported as :func:`repro.open` and :func:`repro.build`.
 """
 
 from __future__ import annotations
 
+import os
 import zipfile
 from typing import Optional, Union
 
@@ -38,51 +38,58 @@ from .protocol import DataStore
 
 __all__ = ["open_store", "build_store", "serving", "describe_target"]
 
-#: Blob name that marks a container as a sharded store (mirrors
+#: Blob name that marks a container as a store (mirrors
 #: ``repro.shard.manifest.MANIFEST_NAME``; duplicated here so the facade
 #: stays importable without triggering the shard package's import chain).
 _MANIFEST_BLOB = "manifest.json"
+
+#: The last commit that reads a monolithic payload.
+_LAST_MONOLITHIC_READER = "41e3f8f"
 
 
 def _schemes_note() -> str:
     accepted = ", ".join(f"{scheme}://" for scheme in URL_SCHEMES)
     return (f"accepted URL schemes: {accepted} (a bare path is file://); "
-            "a store is a .dm payload file or a container holding "
-            f"'{_MANIFEST_BLOB}' (sharded) or '{MONOLITHIC_BLOB}' "
-            "(monolithic)")
+            f"a store is a container holding '{_MANIFEST_BLOB}'")
+
+
+def _monolithic(url_or_path: str, found: str) -> ValueError:
+    return ValueError(
+        f"{url_or_path!r} is {found}, not a store container: a monolithic "
+        "DeepMapping payload, a layout this version does not read. Commit "
+        f"{_LAST_MONOLITHIC_READER} is the last that reads it: check it "
+        "out, take the rows with repro.open(path).to_table(), and rebuild "
+        "the store from that table with repro.build.")
 
 
 def describe_target(url_or_path: str):
-    """Classify a store target: ``(backend, blob_or_None, kind)``.
+    """Classify a store target: ``(backend, kind)``.
 
-    ``kind`` is ``"sharded"`` (container with a manifest), ``"monolithic"``
-    (single payload blob), or ``"absent"`` (nothing there yet — the write
-    side may create it).  Raises ``ValueError`` for unknown URL schemes.
+    ``kind`` is ``"store"`` (a container holding a manifest) or
+    ``"absent"`` (nothing there yet — the write side may create it).
+    Raises ``ValueError`` for an unknown URL scheme and for a monolithic
+    payload: a regular file that is not a zip archive, or a container
+    holding ``deepmapping.dm`` and no manifest.
     """
-    import os
-
     scheme, path = parse_url(url_or_path)
     if scheme == "file":
-        if os.path.isdir(path):
-            return _classify_container(LocalDirBackend(path, create=False))
         if os.path.isfile(path):
-            if zipfile.is_zipfile(path):
-                # A zip-store addressed by bare path (zip:// omitted):
-                # classify by the archive's contents, not as a payload.
-                return _classify_container(ZipBackend(path))
-            directory, blob = os.path.split(path)
-            return LocalDirBackend(directory or ".", create=False), blob, \
-                "monolithic"
-        return None, None, "absent"
-    return _classify_container(backend_for_url(url_or_path, create=False))
-
-
-def _classify_container(backend):
+            if not zipfile.is_zipfile(path):
+                raise _monolithic(url_or_path, "a single file")
+            # A zip store addressed by bare path (zip:// omitted).
+            backend = ZipBackend(path)
+        elif os.path.isdir(path):
+            backend = LocalDirBackend(path, create=False)
+        else:
+            return None, "absent"
+    else:
+        backend = backend_for_url(url_or_path, create=False)
     if backend.exists(_MANIFEST_BLOB):
-        return backend, None, "sharded"
+        return backend, "store"
     if backend.exists(MONOLITHIC_BLOB):
-        return backend, MONOLITHIC_BLOB, "monolithic"
-    return backend, None, "absent"
+        raise _monolithic(url_or_path, f"a container holding "
+                          f"'{MONOLITHIC_BLOB}' and no manifest")
+    return backend, "absent"
 
 
 def open_store(
@@ -94,18 +101,18 @@ def open_store(
     executor: Union[str, ExecutorStrategy, None] = None,
     writable: bool = True,
 ) -> DataStore:
-    """Open a persisted store — monolithic or sharded — by URL or path.
+    """Open a persisted store by URL or path.
 
     Parameters
     ----------
     url_or_path:
-        ``file://`` / ``mem://`` / ``zip://`` URL, or a bare filesystem
-        path (a ``.dm`` file or a sharded store directory).
+        ``file://`` / ``mem://`` / ``zip://`` / ``http(s)://`` URL, or a
+        bare filesystem path (a store directory or zip archive).
     stats:
         Optional shared :class:`~repro.storage.stats.StoreStats` sink.
     max_workers / pool_budget_bytes:
-        Sharded stores only: override the saved fan-out width / shared
-        buffer-pool budget (e.g. reopen a big-box store on a laptop).
+        Override the saved fan-out width / shared buffer-pool budget
+        (e.g. reopen a big-box store on a laptop).
     executor:
         Executor strategy for fan-out and ``lookup_async`` — a name from
         :data:`repro.store.EXECUTOR_NAMES` or an
@@ -119,37 +126,19 @@ def open_store(
         raise ``PermissionError``.  The default keeps every component
         private and mutable.  Remote targets (``http://`` /
         ``https://`` / ``cached+http://``) are *always* opened
-        read-only — the transport refuses writes — and sharded remote
-        opens hydrate shards lazily on first routed touch (see
-        ``docs/remote.md``).
+        read-only — the transport refuses writes — and hydrate shards
+        lazily on first routed touch (see ``docs/remote.md``).
     """
-    from ..core.persistence import open_payload
-    from ..shard.store import ShardedDeepMapping
+    from ..shard.store import DeepMapping
 
-    backend, blob, kind = describe_target(url_or_path)
-    if kind == "sharded":
-        return ShardedDeepMapping.load(
-            backend, stats=stats, max_workers=max_workers,
-            pool_budget_bytes=pool_budget_bytes, executor=executor,
-            writable=writable)
-    if kind == "monolithic":
-        try:
-            store = open_payload(backend, blob, writable=writable,
-                                 stats=stats)
-        except ValueError as exc:
-            # Intact bytes in a layout this version does not read (or
-            # not a store at all).  A recognized container that fails its
-            # checksums is *damage* and stays a StoreCorruptedError, so
-            # operators can tell the two apart.
-            raise ValueError(
-                f"{url_or_path!r}: {exc} {_schemes_note()}") from exc
-        if executor is not None:
-            # Pass the raw spec through: set_executor owns strategies it
-            # builds from names and leaves caller instances caller-owned.
-            store.set_executor(executor)
-        return store
-    raise StoreNotFoundError(
-        f"no store at {url_or_path!r}; {_schemes_note()}")
+    backend, kind = describe_target(url_or_path)
+    if kind == "absent":
+        raise StoreNotFoundError(
+            f"no store at {url_or_path!r}; {_schemes_note()}")
+    return DeepMapping.load(
+        backend, stats=stats, max_workers=max_workers,
+        pool_budget_bytes=pool_budget_bytes, executor=executor,
+        writable=writable)
 
 
 def build_store(
@@ -163,27 +152,21 @@ def build_store(
 ) -> DataStore:
     """Fit a store over ``table``; optionally persist it to ``url``.
 
-    Monolithic by default; pass ``sharding=ShardingConfig(...)`` (or the
-    ``shards=N`` shorthand) for a sharded store.  When ``url`` is given
-    the fitted store is saved there before being returned, so
-    ``repro.open(url)`` round-trips it.
+    One shard by default; pass ``sharding=ShardingConfig(...)`` (or the
+    ``shards=N`` shorthand) for more.  When ``url`` is given the fitted
+    store is saved there before being returned, so ``repro.open(url)``
+    round-trips it.
     """
-    from ..core.deep_mapping import DeepMapping
-    from ..shard.store import ShardedDeepMapping, ShardingConfig
+    from ..shard.store import DeepMapping, ShardingConfig
 
     if sharding is not None and shards is not None \
             and shards != sharding.n_shards:
         raise ValueError(
             f"conflicting shard counts: shards={shards} vs "
             f"sharding.n_shards={sharding.n_shards}")
-    if sharding is None and shards is not None and shards > 1:
+    if sharding is None and shards is not None:
         sharding = ShardingConfig(n_shards=shards)
-
-    if sharding is not None:
-        store: DataStore = ShardedDeepMapping.fit(table, config, sharding,
-                                                  stats=stats)
-    else:
-        store = DeepMapping.fit(table, config, stats=stats)
+    store = DeepMapping.fit(table, config, sharding, stats=stats)
     if url is not None:
         store.save(url)
     return store

@@ -1,15 +1,13 @@
-"""The ``DataStore`` protocol: the one public surface of every store.
+"""The ``DataStore`` protocol: the one public surface of a store.
 
-:class:`~repro.core.deep_mapping.DeepMapping` (monolithic) and
-:class:`~repro.shard.store.ShardedDeepMapping` (horizontally sharded) both
-satisfy this protocol, so everything above the store — the CLI, the bench
-harness, the SELECT layer, user code — can be written once against
-``DataStore`` and handed either implementation by
-:func:`repro.open` / :func:`repro.build`.
+:class:`~repro.shard.store.DeepMapping` satisfies this protocol, so
+everything above the store — the CLI, the bench harness, the SELECT
+layer, user code — is written against ``DataStore`` (and a test double
+such as :class:`~repro.testing.ChaosStore` can stand in for it).
 
 The protocol is structural (:func:`typing.runtime_checkable`):
 ``isinstance(obj, DataStore)`` verifies the surface is present without
-either class inheriting anything.  Its exact method set and signatures
+the class inheriting anything.  Its exact method set and signatures
 are locked by ``tests/api/test_public_surface.py`` — changing this file
 is an API change and must be deliberate.
 """

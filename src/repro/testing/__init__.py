@@ -15,7 +15,7 @@ get a saboteur:
   while staying deadline-transparent so the serve tier's budget
   machinery is what is actually under test.
 - :func:`break_shard` — swaps one shard of a
-  :class:`~repro.shard.store.ShardedDeepMapping` for a failing or
+  :class:`~repro.shard.store.DeepMapping` for a failing or
   hanging proxy, the unit of fault for partial-result tests.
 - :func:`serve_backend` / :class:`RangeServer` — an in-process HTTP
   range server over any local backend, with request accounting and

@@ -4,7 +4,7 @@
 and injects the failure modes a production store exhibits under stress —
 errors, latency, outright hangs — without touching the store itself.
 :func:`break_shard` goes one level deeper: it swaps a single shard of a
-:class:`~repro.shard.store.ShardedDeepMapping` for a saboteur proxy, the
+:class:`~repro.shard.store.DeepMapping` for a saboteur proxy, the
 fault unit that partial-result fan-out isolation is specified against.
 """
 
@@ -58,9 +58,8 @@ class ChaosStore:
     tier calls ``lookup_async`` and sniffs it for deadline support, so
     this proxy exposes the same ``deadline`` keyword and forwards it
     only when the inner store understands it — a ChaosStore over a
-    sharded store keeps budget push-down
-    working, and over a monolithic store degrades exactly as the real
-    thing would.
+    store keeps budget push-down working, and over a store without the
+    keyword degrades exactly as that store would.
     """
 
     def __init__(self, inner, *, error_rate: float = 0.0,
@@ -159,11 +158,10 @@ class ChaosStore:
 class BrokenShardProxy:
     """One shard replaced by a saboteur: fails, hangs, or dawdles.
 
-    Supports the two entry points the sharded fan-out uses
-    (:meth:`plan_lookup` for routed segments, :meth:`lookup` for the
-    single-shard fast path and the barrier oracle) and delegates
-    everything else to the real shard, so routing is unchanged and
-    healthy shards stay bit-identical.
+    Sabotages :meth:`plan_lookup`, the one entry point the read path
+    and the barrier oracle use, and delegates everything else to the
+    real shard, so routing is unchanged and healthy shards stay
+    bit-identical.
     """
 
     def __init__(self, inner, *, exc_factory: Optional[
@@ -209,10 +207,6 @@ class BrokenShardProxy:
     def plan_lookup(self, keys, presorted: bool = False):
         self._sabotage()
         return self._inner.plan_lookup(keys, presorted=presorted)
-
-    def lookup(self, keys):
-        self._sabotage()
-        return self._inner.lookup(keys)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

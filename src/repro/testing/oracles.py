@@ -11,12 +11,12 @@ them:
 - :func:`reference_logits` — the textbook forward pass of a stored
   session: one GEMM per layer, the first over the dense one-hot matrix.
 - :func:`reference_lookup` — Algorithm 1 as the paper writes it for
-  one :class:`~repro.core.deep_mapping.DeepMapping`: ``V_exist``, then
+  one :class:`~repro.core.deep_mapping.Shard`: ``V_exist``, then
   :func:`reference_logits` over **every** key, then ``T_aux``
   overrides, then decode.  No compiled kernel, no aux-gated inference.
-- :func:`barrier_lookup` — the pre-pipeline sharded read: route, stable
-  sort by shard ordinal only, one complete lookup per shard, then
-  concatenate and inverse-permute.  No store-level existence stage
+- :func:`barrier_lookup` — the pre-pipeline read: route, stable sort by
+  shard ordinal only, one complete lookup per shard, then concatenate
+  and inverse-permute.  No store-level existence stage
   (every miss goes to its shard), no shared sort, no streaming
   scatter, no executor.
 
@@ -54,25 +54,27 @@ def reference_logits(session, x) -> Dict[str, np.ndarray]:
     return out
 
 
-def reference_lookup(mapping, keys) -> LookupResult:
-    """Algorithm 1, unoptimized, over one (unsharded) structure.
+def reference_lookup(shard, keys) -> LookupResult:
+    """Algorithm 1, unoptimized, over one shard.
 
-    Bit-identical to ``mapping.lookup(keys)``: ``T_aux`` holds every
-    stored key under the compiled kernel's ``tie_margin``, so the two
-    engines may disagree only on keys ``T_aux`` overrides, and misses
-    read the :func:`~repro.core.plan.blank` in both.
+    Bit-identical to ``shard.plan_lookup(keys).execute()``: ``T_aux``
+    holds every stored key under the compiled kernel's ``tie_margin``,
+    so the two engines may disagree only on keys ``T_aux`` overrides,
+    and misses read the :func:`~repro.core.plan.blank` in both.  A key
+    another shard owns reads as that shard's ``T_aux`` would not: pass
+    a store through :func:`barrier_lookup` to answer any key.
     """
-    key_cols = normalize_keys(keys, mapping.key_names)
-    flat, in_domain = mapping.key_codec.try_flatten(key_cols)
-    found = mapping.exist.test_batch(flat) & in_domain
-    logits = reference_logits(mapping.session,
-                              mapping.key_encoder.encode(flat))
+    model = shard.model
+    key_cols = normalize_keys(keys, model.key_codec.key_names)
+    flat, in_domain = model.key_codec.try_flatten(key_cols)
+    found = shard.exist.test_batch(flat) & in_domain
+    logits = reference_logits(model.session, model.key_encoder.encode(flat))
     hits = np.flatnonzero(found)
     hits = hits[np.argsort(flat[hits], kind="stable")]
-    aux_hit, aux_codes = mapping.aux.lookup_batch(flat[hits])
+    aux_hit, aux_codes = shard.aux.lookup_batch(flat[hits])
     values = {}
-    for task in mapping.value_names:
-        encoder = mapping.fdecode.encoders[task]
+    for task in model.fdecode.columns:
+        encoder = model.fdecode.encoders[task]
         task_codes = logits[task].argmax(axis=1)
         task_codes[hits[aux_hit]] = aux_codes[task][aux_hit]
         out = encoder.decode(np.clip(task_codes, 0, encoder.cardinality - 1))
@@ -81,19 +83,21 @@ def reference_lookup(mapping, keys) -> LookupResult:
     return LookupResult(found=found, values=values)
 
 
-def barrier_lookup(
-        store, keys,
-        shard_lookup: Callable = lambda shard, segment: shard.lookup(segment),
-) -> LookupResult:
-    """The pre-pipeline sharded read over ``store``'s current topology.
+def _plan_lookup(shard, segment) -> LookupResult:
+    return shard.plan_lookup(segment).execute()
+
+
+def barrier_lookup(store, keys,
+                   shard_lookup: Callable = _plan_lookup) -> LookupResult:
+    """The pre-pipeline read over ``store``'s current topology.
 
     ``shard_lookup(shard, segment)`` answers one shard's segment;
-    the default is the shard's own ``lookup`` (pass
+    the default runs the shard's own plan (pass
     :func:`reference_lookup` for the reference engine).  Deliberately
     unpruned — every miss is routed and answered by its shard's plan —
     so the pruned read path can be held against it.  Every column comes
     back in the store's
-    :meth:`~repro.shard.ShardedDeepMapping.value_dtype`.
+    :meth:`~repro.shard.DeepMapping.value_dtype`.
     """
     router, shards = store.router, store.shards
     key_cols = normalize_keys(keys, store.key_names)

@@ -1,4 +1,5 @@
-"""Fixtures for the unified-store API tests: one table, both store kinds.
+"""Fixtures for the unified-store API tests: one table, one and four
+shards.
 
 Stores are module-scoped (fitting is the slow part); tests that mutate a
 store must build their own.
@@ -7,7 +8,7 @@ store must build their own.
 import numpy as np
 import pytest
 
-from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
+from repro import DeepMapping, ShardingConfig
 from repro.data import synthetic
 
 from ..core.conftest import fast_config
@@ -20,16 +21,16 @@ def api_table():
 
 
 @pytest.fixture(scope="module")
-def mono(api_table):
-    """A monolithic DeepMapping over the table (read-only in tests)."""
+def one_shard(api_table):
+    """A default (one-shard) store over the table (read-only in tests)."""
     return DeepMapping.fit(api_table, fast_config(epochs=5))
 
 
 @pytest.fixture(scope="module")
 def sharded(api_table):
     """A 4-shard range store over the table (read-only in tests)."""
-    return ShardedDeepMapping.fit(api_table, fast_config(epochs=5),
-                                  ShardingConfig(n_shards=4))
+    return DeepMapping.fit(api_table, fast_config(epochs=5),
+                           ShardingConfig(n_shards=4))
 
 
 @pytest.fixture(scope="module")

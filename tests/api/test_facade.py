@@ -1,9 +1,9 @@
 """`repro.open()` / `repro.build()` round-trips across every backend.
 
-The acceptance matrix: both store kinds round-trip through ``file://``
-(bare path and URL form), ``mem://``, and ``zip://`` with bit-identical
-lookup results, and ``lookup_async`` under every executor strategy
-matches synchronous ``lookup`` exactly.
+The acceptance matrix: one-shard and four-shard stores round-trip
+through ``file://`` (bare path and URL form), ``mem://``, and ``zip://``
+with bit-identical lookup results, and ``lookup_async`` under every
+executor strategy matches synchronous ``lookup`` exactly.
 """
 
 import os
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import DeepMapping, ShardedDeepMapping
+from repro import DeepMapping
 from repro.store import EXECUTOR_NAMES, describe_target
 
 from .conftest import assert_same_result
@@ -22,7 +22,7 @@ BACKENDS = ("path", "file", "mem", "zip")
 
 def target_url(kind, tmp_path, label):
     if kind == "path":
-        return str(tmp_path / f"{label}.dm")
+        return str(tmp_path / f"{label}.dms")
     if kind == "file":
         return f"file://{tmp_path}/{label}-store"
     if kind == "mem":
@@ -32,15 +32,17 @@ def target_url(kind, tmp_path, label):
 
 class TestRoundTrips:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_monolithic_round_trip(self, backend, tmp_path, mono,
-                                   query_keys):
-        url = target_url(backend, tmp_path, "mono")
-        nbytes = mono.save(url)
+    def test_one_shard_round_trip(self, backend, tmp_path, one_shard,
+                                  query_keys):
+        url = target_url(backend, tmp_path, "one")
+        nbytes = one_shard.save(url)
         assert nbytes > 0
         with repro.open(url) as clone:
             assert isinstance(clone, DeepMapping)
+            assert clone.n_shards == 1
             assert_same_result(clone.lookup(query_keys),
-                               mono.lookup(query_keys), mono.value_names)
+                               one_shard.lookup(query_keys),
+                               one_shard.value_names)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded_round_trip(self, backend, tmp_path, sharded,
@@ -51,7 +53,7 @@ class TestRoundTrips:
         nbytes = sharded.save(url)
         assert nbytes > 0
         with repro.open(url) as clone:
-            assert isinstance(clone, ShardedDeepMapping)
+            assert isinstance(clone, DeepMapping)
             assert clone.n_shards == sharded.n_shards
             assert_same_result(clone.lookup(query_keys),
                                sharded.lookup(query_keys),
@@ -64,11 +66,11 @@ class TestRoundTrips:
         # Nothing else materialized: the archive is the entire store.
         assert sorted(os.listdir(tmp_path)) == ["whole.zip"]
 
-    @pytest.mark.parametrize("kind", ("mono", "sharded"))
-    def test_zip_store_opens_by_bare_path(self, kind, tmp_path, mono,
+    @pytest.mark.parametrize("kind", ("one", "sharded"))
+    def test_zip_store_opens_by_bare_path(self, kind, tmp_path, one_shard,
                                           sharded, query_keys):
         # zip:// omitted on open: the archive is sniffed, not unpickled.
-        source = mono if kind == "mono" else sharded
+        source = one_shard if kind == "one" else sharded
         path = str(tmp_path / f"{kind}-bare.zip")
         source.save(f"zip://{path}")
         with repro.open(path) as clone:
@@ -79,15 +81,13 @@ class TestRoundTrips:
 
 class TestAsyncMatchesSync:
     @pytest.mark.parametrize("strategy", EXECUTOR_NAMES)
-    @pytest.mark.parametrize("kind", ("mono", "sharded"))
+    @pytest.mark.parametrize("kind", ("one", "sharded"))
     @pytest.mark.parametrize("backend", ("file", "mem", "zip"))
     def test_lookup_async_matches_lookup(self, kind, strategy, backend,
-                                         tmp_path, mono, sharded,
+                                         tmp_path, one_shard, sharded,
                                          query_keys):
-        source = mono if kind == "mono" else sharded
+        source = one_shard if kind == "one" else sharded
         url = target_url(backend, tmp_path, f"{kind}-{strategy}")
-        if kind == "mono" and backend == "file":
-            url = f"file://{tmp_path}/{kind}-{strategy}.dm"
         source.save(url)
         with repro.open(url, executor=strategy) as store:
             future = store.lookup_async(query_keys)
@@ -98,15 +98,16 @@ class TestAsyncMatchesSync:
 
 
 class TestBuild:
-    def test_build_monolithic_default(self, api_table):
+    def test_build_one_shard_default(self, api_table):
         from ..core.conftest import fast_config
         store = repro.build(api_table, fast_config(epochs=3))
         assert isinstance(store, DeepMapping)
+        assert store.n_shards == 1
 
     def test_build_shards_shorthand(self, api_table):
         from ..core.conftest import fast_config
         store = repro.build(api_table, fast_config(epochs=3), shards=3)
-        assert isinstance(store, ShardedDeepMapping)
+        assert isinstance(store, DeepMapping)
         assert store.n_shards == 3
 
     def test_build_conflicting_shard_counts_rejected(self, api_table):
@@ -149,22 +150,21 @@ class TestErrors:
     def test_non_store_file_gets_helpful_error(self, tmp_path):
         junk = tmp_path / "junk.dm"
         junk.write_bytes(b"definitely not a pickle payload")
-        with pytest.raises(ValueError, match="does not hold a DeepMapping"):
+        with pytest.raises(ValueError, match="not a store container"):
             repro.open(str(junk))
 
 
 class TestDescribeTarget:
-    def test_classifies_monolithic_file(self, tmp_path, mono):
+    def test_a_bare_path_save_is_a_directory(self, tmp_path, one_shard):
         path = str(tmp_path / "m.dm")
-        mono.save(path)
-        _backend, blob, kind = describe_target(path)
-        assert (blob, kind) == ("m.dm", "monolithic")
+        one_shard.save(path)
+        assert os.path.isdir(path)
+        assert describe_target(path)[1] == "store"
 
-    def test_classifies_sharded_dir(self, tmp_path, sharded):
+    def test_classifies_store_dir(self, tmp_path, sharded):
         path = str(tmp_path / "s")
         sharded.save(path)
-        _backend, blob, kind = describe_target(path)
-        assert (blob, kind) == (None, "sharded")
+        assert describe_target(path)[1] == "store"
 
     def test_classifies_absent(self, tmp_path):
-        assert describe_target(str(tmp_path / "nope"))[2] == "absent"
+        assert describe_target(str(tmp_path / "nope")) == (None, "absent")

@@ -1,14 +1,15 @@
-"""Cross-store parity: both implementations satisfy ``DataStore`` alike.
+"""Shard-count parity: a one-shard store (the default) and a four-shard
+store satisfy ``DataStore`` alike and answer alike.
 
-The sharded facade historically lagged the monolithic surface
-(``contains_batch`` / ``aux_ratio`` / ``rebuild`` were missing); these
-tests pin the shared behavior so the two can never drift apart again.
+A one-shard store reads through its only shard's plan, whose existence
+stage is the store's; a sharded one tests existence first and routes
+the live keys.  These tests pin that both paths give the same answers.
 """
 
 import numpy as np
 import pytest
 
-from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
+from repro import DeepMapping, ShardingConfig
 from repro.data import synthetic
 from repro.resilience import Deadline, DeadlineExceeded
 from repro.store import DataStore
@@ -18,8 +19,8 @@ from .conftest import assert_same_result
 
 
 class TestProtocolConformance:
-    def test_monolithic_is_a_datastore(self, mono):
-        assert isinstance(mono, DataStore)
+    def test_one_shard_store_is_a_datastore(self, one_shard):
+        assert isinstance(one_shard, DataStore)
 
     def test_sharded_is_a_datastore(self, sharded):
         assert isinstance(sharded, DataStore)
@@ -29,9 +30,9 @@ class TestProtocolConformance:
 
 
 class TestContainsBatch:
-    def test_matches_monolithic(self, mono, sharded, query_keys):
+    def test_matches_one_shard(self, one_shard, sharded, query_keys):
         np.testing.assert_array_equal(sharded.contains_batch(query_keys),
-                                      mono.contains_batch(query_keys))
+                                      one_shard.contains_batch(query_keys))
 
     def test_matches_lookup_found(self, sharded, query_keys):
         np.testing.assert_array_equal(sharded.contains_batch(query_keys),
@@ -50,41 +51,41 @@ class TestContainsBatch:
 
 
 class TestAuxRatio:
-    def test_monolithic_definition(self, mono):
-        assert mono.aux_ratio() == pytest.approx(
-            len(mono.aux) / len(mono))
+    def test_one_shard_definition(self, one_shard):
+        assert one_shard.aux_ratio() == pytest.approx(
+            len(one_shard.shards[0].aux) / len(one_shard))
 
     def test_sharded_aggregates_shards(self, sharded):
         in_aux = sum(len(s.aux) for s in sharded.shards if s is not None)
         assert sharded.aux_ratio() == pytest.approx(in_aux / len(sharded))
 
-    def test_bounded(self, mono, sharded):
-        for store in (mono, sharded):
+    def test_bounded(self, one_shard, sharded):
+        for store in (one_shard, sharded):
             assert 0.0 <= store.aux_ratio() <= 1.0
 
 
 class TestRebuild:
     def test_sharded_rebuild_is_lossless(self, api_table, query_keys):
-        store = ShardedDeepMapping.fit(api_table, fast_config(epochs=4),
-                                       ShardingConfig(n_shards=3))
+        store = DeepMapping.fit(api_table, fast_config(epochs=4),
+                                ShardingConfig(n_shards=3))
         before = store.lookup(query_keys)
         store.rebuild()
         assert_same_result(store.lookup(query_keys), before,
                            store.value_names)
 
     def test_sharded_rebuild_accepts_config(self, api_table):
-        store = ShardedDeepMapping.fit(api_table, fast_config(epochs=4),
-                                       ShardingConfig(n_shards=2))
+        store = DeepMapping.fit(api_table, fast_config(epochs=4),
+                                ShardingConfig(n_shards=2))
         new_config = fast_config(epochs=3, shared_sizes=(16,),
                                  private_sizes=(8,))
         store.rebuild(new_config)
         for shard in store.shards:
             if shard is not None:
-                assert shard.config.shared_sizes == (16,)
+                assert shard.model.config.shared_sizes == (16,)
 
     def test_rebuild_resets_the_store_tracker(self, api_table):
-        store = ShardedDeepMapping.fit(api_table, fast_config(epochs=4),
-                                       ShardingConfig(n_shards=2))
+        store = DeepMapping.fit(api_table, fast_config(epochs=4),
+                                ShardingConfig(n_shards=2))
         head = {name: api_table.column(name)[:5]
                 for name in store.key_names}
         store.delete(head)
@@ -97,23 +98,24 @@ class TestRebuild:
 class TestSharedSurfaceBehaves:
     """The same calls give the same answers through either store."""
 
-    def test_len_matches(self, api_table, mono, sharded):
-        assert len(mono) == len(sharded) == api_table.n_rows
+    def test_len_matches(self, api_table, one_shard, sharded):
+        assert len(one_shard) == len(sharded) == api_table.n_rows
 
-    def test_lookup_results_identical(self, mono, sharded, query_keys):
+    def test_lookup_results_identical(self, one_shard, sharded, query_keys):
         assert_same_result(sharded.lookup(query_keys),
-                           mono.lookup(query_keys), mono.value_names)
+                           one_shard.lookup(query_keys),
+                           one_shard.value_names)
 
     def test_context_manager_both(self, api_table):
         with DeepMapping.fit(api_table, fast_config(epochs=3)) as store:
             assert len(store) == api_table.n_rows
-        with ShardedDeepMapping.fit(api_table, fast_config(epochs=3),
-                                    ShardingConfig(n_shards=2)) as store:
+        with DeepMapping.fit(api_table, fast_config(epochs=3),
+                             ShardingConfig(n_shards=2)) as store:
             assert len(store) == api_table.n_rows
 
     def test_close_is_idempotent(self, api_table):
-        store = ShardedDeepMapping.fit(api_table, fast_config(epochs=3),
-                                       ShardingConfig(n_shards=2))
+        store = DeepMapping.fit(api_table, fast_config(epochs=3),
+                                ShardingConfig(n_shards=2))
         store.close()
         store.close()
         # Reads still work after close (executors rebuild lazily).
@@ -121,35 +123,33 @@ class TestSharedSurfaceBehaves:
         assert store.lookup_one(key=key) is not None
 
     def test_close_keeps_installed_strategy(self, api_table, query_keys):
-        # Post-close async behavior must match across implementations:
-        # the installed strategy survives close on both store kinds.
+        # The installed strategy survives close.
         from repro.store import ThreadPoolStrategy
-        mono_store = DeepMapping.fit(api_table, fast_config(epochs=3))
-        mono_store.set_executor("threads")
-        mono_store.close()
-        assert isinstance(mono_store.executor, ThreadPoolStrategy)
-        assert mono_store.lookup_async(query_keys).result(timeout=30)
+        store = DeepMapping.fit(api_table, fast_config(epochs=3))
+        store.set_executor("threads")
+        store.close()
+        assert isinstance(store.executor, ThreadPoolStrategy)
+        assert store.lookup_async(query_keys).result(timeout=30)
 
     @pytest.mark.parametrize("strategy", ["serial", "threads"])
-    def test_expired_deadline_fails_a_mono_future_without_a_lookup(
+    def test_expired_deadline_fails_a_future_without_a_lookup(
             self, api_table, query_keys, monkeypatch, strategy):
-        mono_store = DeepMapping.fit(api_table, fast_config(epochs=2))
-        mono_store.set_executor(strategy)
+        store = DeepMapping.fit(api_table, fast_config(epochs=2))
+        store.set_executor(strategy)
         ran = []
-        monkeypatch.setattr(mono_store, "lookup", ran.append)
-        future = mono_store.lookup_async(query_keys,
+        monkeypatch.setattr(store, "lookup", ran.append)
+        future = store.lookup_async(query_keys,
                                          deadline=Deadline(-1.0))
         with pytest.raises(DeadlineExceeded):
             future.result(timeout=30)
         assert ran == []
-        mono_store.close()
+        store.close()
 
     def test_shared_executor_instance_stays_caller_owned(self, api_table):
         from repro.store import ThreadPoolStrategy
         shared = ThreadPoolStrategy(max_workers=2)
-        a = ShardedDeepMapping.fit(api_table, fast_config(epochs=3),
-                                   ShardingConfig(n_shards=2,
-                                                  executor=shared))
+        a = DeepMapping.fit(api_table, fast_config(epochs=3),
+                            ShardingConfig(n_shards=2, executor=shared))
         b = DeepMapping.fit(api_table, fast_config(epochs=3))
         b.set_executor(shared)
         shared.submit_job(lambda: None).result()  # materialize the pool
@@ -161,18 +161,16 @@ class TestSharedSurfaceBehaves:
 
 
 class TestInsertRepeatingAKey:
-    """Both owners refuse an insert batch that repeats a key, with one
+    """A store refuses an insert batch that repeats a key, with one
     check on the batch's flat keys, before anything changes."""
 
-    @pytest.mark.parametrize("kind", ["mono", "sharded"])
+    @pytest.mark.parametrize("n_shards", [1, 3])
     @pytest.mark.parametrize("where", ["gap", "append"])
-    def test_refused_and_nothing_changes(self, kind, where):
+    def test_refused_and_nothing_changes(self, n_shards, where):
         table = synthetic.single_column(600, "low", seed=3,
                                         domain_factor=2.0)
-        config = fast_config(epochs=3)
-        store = (DeepMapping.fit(table, config) if kind == "mono" else
-                 ShardedDeepMapping.fit(table, config,
-                                        ShardingConfig(n_shards=3)))
+        store = DeepMapping.fit(table, fast_config(epochs=3),
+                                ShardingConfig(n_shards=n_shards))
         live = table.column("key")
         if where == "gap":
             fresh = np.setdiff1d(np.arange(live.min(), live.max()), live)[:2]

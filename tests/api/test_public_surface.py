@@ -32,7 +32,6 @@ EXPECTED_ALL = {
     "SizeReport",
     "MultiKeyDeepMapping",
     "MultiRelationDeepMapping",
-    "ShardedDeepMapping",
     "ShardingConfig",
     "LifecycleConfig",
     "MaintenanceEngine",
@@ -89,9 +88,9 @@ EXPECTED_DATASTORE = {
 # error mode is ShardingConfig.on_shard_error, not a per-call keyword.
 # --------------------------------------------------------------------------
 EXPECTED_READ_PARAMS = {
-    (repro.ShardedDeepMapping, "lookup"): ("self", "keys", "deadline"),
-    (repro.ShardedDeepMapping, "lookup_async"): ("self", "keys", "deadline"),
-    (repro.ShardedDeepMapping, "value_dtype"): ("self", "column"),
+    (repro.DeepMapping, "lookup"): ("self", "keys", "deadline"),
+    (repro.DeepMapping, "lookup_async"): ("self", "keys", "deadline"),
+    (repro.DeepMapping, "value_dtype"): ("self", "column"),
     (repro.testing.ChaosStore, "lookup"): ("self", "keys", "deadline"),
     (repro.testing.ChaosStore, "lookup_async"): ("self", "keys", "deadline"),
 }
@@ -108,6 +107,11 @@ class TestAllSnapshot:
     def test_open_and_build_are_the_facade(self):
         assert repro.open is repro.store.open_store
         assert repro.build is repro.store.build_store
+
+    def test_one_store_class(self):
+        assert repro.DeepMapping is repro.shard.DeepMapping
+        assert not hasattr(repro, "ShardedDeepMapping")
+        assert not hasattr(repro.core, "DeepMapping")
 
 
 class TestDataStoreSnapshot:
@@ -129,8 +133,8 @@ class TestDataStoreSnapshot:
             signature = inspect.signature(member)
             assert tuple(signature.parameters) == params, name
 
-    def test_both_stores_expose_every_member(self, mono, sharded):
-        for store in (mono, sharded):
+    def test_stores_expose_every_member(self, one_shard, sharded):
+        for store in (one_shard, sharded):
             assert isinstance(store, DataStore)
             for name in EXPECTED_DATASTORE:
                 assert hasattr(store, name), (type(store).__name__, name)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import ShardingConfig
 from repro.storage import payload_cache
 from repro.testing.oracles import barrier_lookup
 
@@ -27,10 +27,10 @@ def fresh_cache():
 
 
 @pytest.fixture()
-def mono_url(tmp_path, api_table):
+def one_shard_url(tmp_path, api_table):
     store = repro.build(api_table, fast_config(epochs=4),
-                        url=str(tmp_path / "m.dm"))
-    return str(tmp_path / "m.dm"), store
+                        url=str(tmp_path / "m.dms"))
+    return str(tmp_path / "m.dms"), store
 
 
 @pytest.fixture()
@@ -41,33 +41,34 @@ def sharded_url(tmp_path, api_table):
     return str(tmp_path / "store"), store
 
 
-class TestMonolithicReadOnly:
-    def test_parity_with_writable_open(self, mono_url, query_keys):
-        url, original = mono_url
+class TestOneShardReadOnly:
+    def test_parity_with_writable_open(self, one_shard_url, query_keys):
+        url, original = one_shard_url
         readonly = repro.open(url, writable=False)
         assert_same_result(readonly.lookup(query_keys),
                            original.lookup(query_keys),
                            original.value_names)
 
-    def test_warm_open_shares_components(self, mono_url):
-        url, _ = mono_url
+    def test_warm_open_shares_components(self, one_shard_url):
+        url, _ = one_shard_url
         first = repro.open(url, writable=False)
         second = repro.open(url, writable=False)
-        assert first.session is second.session
-        assert first.aux is second.aux
+        assert first.model.session is second.model.session
+        assert first.shards[0].aux is second.shards[0].aux
         assert first.exist is second.exist
-        assert first.compiled_session() is second.compiled_session()
+        assert (first.model.compiled_session()
+                is second.model.compiled_session())
         assert payload_cache().hits >= 1
 
-    def test_writable_open_stays_private(self, mono_url):
-        url, _ = mono_url
+    def test_writable_open_stays_private(self, one_shard_url):
+        url, _ = one_shard_url
         readonly = repro.open(url, writable=False)
         writable = repro.open(url)
-        assert writable.session is not readonly.session
+        assert writable.model.session is not readonly.model.session
         assert writable.writable and not readonly.writable
 
-    def test_mutations_refused(self, mono_url, api_table):
-        url, _ = mono_url
+    def test_mutations_refused(self, one_shard_url, api_table):
+        url, _ = one_shard_url
         readonly = repro.open(url, writable=False)
         row = {name: np.array([api_table.column(name)[0]])
                for name in readonly.key_names + readonly.value_names}
@@ -80,15 +81,16 @@ class TestMonolithicReadOnly:
         with pytest.raises(PermissionError):
             readonly.rebuild()
 
-    def test_payload_arrays_are_readonly_views(self, mono_url):
-        url, _ = mono_url
+    def test_payload_arrays_are_readonly_views(self, one_shard_url):
+        url, _ = one_shard_url
         readonly = repro.open(url, writable=False)
         for task in readonly.value_names:
-            vocab = readonly.fdecode.encoders[task].vocab
+            vocab = readonly.model.fdecode.encoders[task].vocab
             assert not vocab.flags.writeable
 
-    def test_save_invalidates_cache(self, mono_url, query_keys, api_table):
-        url, original = mono_url
+    def test_save_invalidates_cache(self, one_shard_url, query_keys,
+                                    api_table):
+        url, original = one_shard_url
         stale = repro.open(url, writable=False)
         # Mutate through a writable handle and re-save in place.
         writable = repro.open(url)
@@ -97,20 +99,20 @@ class TestMonolithicReadOnly:
         writable.delete(live)
         writable.save(url)
         fresh = repro.open(url, writable=False)
-        assert fresh.session is not stale.session
+        assert fresh.model.session is not stale.model.session
         assert_same_result(fresh.lookup(query_keys),
                            writable.lookup(query_keys),
                            writable.value_names)
 
-    def test_views_stay_valid_across_resave(self, mono_url, query_keys):
+    def test_views_stay_valid_across_resave(self, one_shard_url, query_keys):
         """The mmap'd payload outlives an os.replace of its file: a
         store opened before a re-save keeps answering (with the content
         it was opened on) across many lookups."""
-        url, original = mono_url
+        url, original = one_shard_url
         readonly = repro.open(url, writable=False)
         before = readonly.lookup(query_keys)
         writable = repro.open(url)
-        live = {n: np.asarray([readonly.key_codec.unflatten(
+        live = {n: np.asarray([readonly.model.key_codec.unflatten(
             readonly.exist.existing_keys()[:1])[n][0]])
             for n in readonly.key_names}
         writable.delete(live)
@@ -141,8 +143,8 @@ class TestShardedReadOnly:
         second = repro.open(url, writable=False)
         for a, b in zip(first.shards, second.shards):
             if a is not None:
-                assert a.session is b.session
-                assert not a.writable
+                assert a.aux is b.aux
+                assert a.model is b.model is first.model
 
     def test_mutations_refused(self, sharded_url, api_table):
         url, _ = sharded_url
@@ -196,6 +198,6 @@ class TestOtherBackends:
         assert_same_result(readonly.lookup(query_keys),
                            store.lookup(query_keys), store.value_names)
         again = repro.open(url, writable=False)
-        assert again.session is readonly.session
+        assert again.model.session is readonly.model.session
         with pytest.raises(PermissionError):
             again.rebuild()

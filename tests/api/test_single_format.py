@@ -1,4 +1,4 @@
-"""One on-disk generation: what every open reads is what ``to_payload``
+"""One on-disk generation: what every open reads is what ``save``
 writes today, and each layout an earlier version wrote is refused with
 an error that says how to bring the store forward."""
 
@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import repro
-from repro import DeepMapping, ShardedDeepMapping, ShardingConfig
+from repro import DeepMapping, ShardingConfig
 from repro.cli import main
 from repro.lifecycle import LifecycleConfig
 from repro.nn import InferenceSession
@@ -27,59 +27,46 @@ from .conftest import assert_same_result
 
 SRC = pathlib.Path(repro.__file__).parent
 
+#: The shard blob the retired shapes below replace.
+SHARD_BLOB = "shard-0000.dm"
 
-# Retired payload shapes, rebuilt here because no product code writes them.
-def unchecksummed_container(mapping):
+
+# Retired shard payload shapes, rebuilt here because no product code
+# writes them; ``payload`` is the blob a one-shard store saves today.
+def unchecksummed_container(store, payload):
     """Same index, head and segments; no CRC footer; another magic."""
-    payload = bytes(mapping.to_payload())
     footer_start = zerocopy.parse_index(payload, len(payload)).footer[0]
     return b"RZC1" + payload[4:footer_start]
 
 
-def nested_bytes(mapping):
-    """Session and existence index as opaque ``bytes`` inside the head."""
-    state = zerocopy.unpack(mapping.to_payload())
-    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
-    state["session"] = pickle.dumps(state.pop("session_v2"))
-    state["exist"] = pickle.dumps(state.pop("exist_v2"))
-    return zerocopy.pack(state)
-
-
-def raw_aux_rows(mapping):
+def raw_aux_rows(store, payload):
     """``T_aux`` as decompressed key and code rows."""
-    state = zerocopy.unpack(mapping.to_payload())
+    state = zerocopy.unpack(payload)
     del state["aux_v2"]
-    state["aux_keys"], state["aux_codes"] = mapping.aux.scan()
+    state["aux_keys"], state["aux_codes"] = store.shards[0].aux.scan()
     return zerocopy.pack(state)
 
 
-def reference_only_config(mapping):
-    """The last layout whose config could carry ``compiled_lookup``:
-    raw ``T_aux`` rows, with the knob set to its reference-only value."""
-    state = zerocopy.unpack(raw_aux_rows(mapping))
-    state["config"].__dict__["compiled_lookup"] = False
-    return zerocopy.pack(state)
-
-
-def bare_pickle(mapping):
+def bare_pickle(store, payload):
     """No container at all: the state dict, arrays inline."""
-    return pickle.dumps(zerocopy.unpack(raw_aux_rows(mapping)),
+    return pickle.dumps(zerocopy.unpack(raw_aux_rows(store, payload)),
                         protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def pickled_aux_partitions(mapping):
+def pickled_aux_partitions(store, payload):
     """``aux_v2`` partitions as compressed pickles of ``{"keys": int64,
     "columns": {...}}`` blocks, with no key-gap widths in the fence."""
-    state = zerocopy.unpack(mapping.to_payload())
-    aux = mapping.aux.to_state()
-    store, partitions = aux["store"], mapping.aux._store
-    del store["gap_widths"]
+    state = zerocopy.unpack(payload)
+    table = store.shards[0].aux
+    aux = table.to_state()
+    meta, partitions = aux["store"], table._store
+    del meta["gap_widths"]
     blocks = [partitions.load_partition(pid)
               for pid in range(len(partitions.partitions))]
-    store["partitions"] = [pickle.PickleBuffer(partitions.codec.compress(
+    meta["partitions"] = [pickle.PickleBuffer(partitions.codec.compress(
         pickle.dumps({"keys": block["keys"],
                       "columns": {name: block[name]
-                                  for name in store["columns"]}})))
+                                  for name in meta["columns"]}})))
         for block in blocks]
     state["aux_v2"] = aux
     return zerocopy.pack(state)
@@ -90,29 +77,30 @@ RETIRED = {
     "bare-pickle": (bare_pickle, "RZC2 container magic", "b054dba"),
     "no-crc-container": (unchecksummed_container, "RZC2 container magic",
                          "b054dba"),
-    "nested-bytes": (nested_bytes, "lacks session_v2, exist_v2", "b054dba"),
     "raw-aux-rows": (raw_aux_rows, "lacks aux_v2", "b054dba"),
-    "reference-only-config": (reference_only_config, "lacks aux_v2",
-                              "b054dba"),
     "pickled-aux-partitions": (pickled_aux_partitions, "no gap_widths",
                                "dae9259"),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(RETIRED))
-def test_retired_shape_is_refused_by_every_open(mono, shape):
+def test_retired_shard_shape_is_refused_by_every_open(one_shard, query_keys,
+                                                      shape):
     build, names, last_reader = RETIRED[shape]
     backend = InMemoryBackend.named(f"retired-{shape}")
-    backend.write_bytes(MONOLITHIC_BLOB, build(mono))
+    one_shard.save(backend.url)
+    backend.write_bytes(SHARD_BLOB, build(
+        one_shard, bytes(backend.read_bytes(SHARD_BLOB))))
 
-    def opens():
+    def reads():
         yield lambda: repro.open(backend.url)
         yield lambda: repro.open(backend.url, writable=False)
         with serve_backend(backend) as server:
-            yield lambda: repro.open(server.url)
+            # Hydrating: the shard opens on the first routed key.
+            yield lambda: repro.open(server.url).lookup(query_keys)
 
     try:
-        for attempt in opens():
+        for attempt in reads():
             with pytest.raises(ValueError) as refusal:
                 attempt()
             # Not damage: the caches retry StoreCorruptedError in vain.
@@ -123,6 +111,63 @@ def test_retired_shape_is_refused_by_every_open(mono, shape):
     finally:
         payload_cache().clear()
         InMemoryBackend.discard(backend.name)
+
+
+def monolithic_payload(store):
+    """A one-shard store's parts in the single-payload layout the
+    monolithic owner wrote up to 41e3f8f: the model part, ``V_exist``,
+    ``T_aux`` and the tracker in one container."""
+    return zerocopy.pack({**store.model.to_state(),
+                          "exist_v2": store.exist.to_state(),
+                          "aux_v2": store.shards[0].aux.to_state(),
+                          "tracker": store.tracker.to_state()})
+
+
+def assert_monolithic_refusal(open_it):
+    with pytest.raises(ValueError) as refusal:
+        open_it()
+    assert not isinstance(refusal.value, StoreCorruptedError)
+    message = str(refusal.value)
+    assert "monolithic" in message and "41e3f8f" in message
+    assert "to_table()" in message
+
+
+def test_a_monolithic_dm_file_is_refused_naming_its_last_reader(
+        one_shard, tmp_path):
+    path = tmp_path / "orders.dm"
+    path.write_bytes(monolithic_payload(one_shard))
+    for url in (str(path), f"file://{path}"):
+        assert_monolithic_refusal(lambda: repro.open(url))
+        assert_monolithic_refusal(lambda: repro.open(url, writable=False))
+    with pytest.raises(SystemExit, match="41e3f8f"):
+        main(["info", str(path)])
+
+
+@pytest.mark.parametrize("container", ["mem", "zip", "dir", "http"])
+def test_a_container_holding_a_monolithic_payload_is_refused(
+        one_shard, tmp_path, container):
+    payload = monolithic_payload(one_shard)
+    if container == "mem":
+        backend = InMemoryBackend.named(f"mono-{os.urandom(6).hex()}")
+        url = backend.url
+    else:
+        directory = tmp_path / "mono"
+        url = (f"zip://{tmp_path / 'mono.zip'}" if container == "zip"
+               else str(directory))
+        backend = repro.storage.backend_for_url(url)
+    backend.write_bytes(MONOLITHIC_BLOB, payload)
+    try:
+        if container == "http":
+            with serve_backend(backend) as server:
+                assert_monolithic_refusal(lambda: repro.open(server.url))
+        else:
+            assert_monolithic_refusal(lambda: repro.open(url))
+            if container == "zip":  # zip:// omitted: the archive is sniffed
+                assert_monolithic_refusal(
+                    lambda: repro.open(str(tmp_path / "mono.zip")))
+    finally:
+        if container == "mem":
+            InMemoryBackend.discard(backend.name)
 
 
 def test_unpickling_and_container_internals_stay_in_their_modules():
@@ -145,8 +190,8 @@ def test_payload_loaders_stay_in_core_persistence():
     """One open rule: every loader opens a payload through
     ``repro.core.persistence.open_payload``, so the private steps it is
     made of are named nowhere else."""
-    private = re.compile(r"\b(_open_shared|_load_state|_parts|_cached"
-                         r"|_from_bundle|_assemble)\b")
+    private = re.compile(r"\b(_load_state|_cached|_shard_bundle"
+                         r"|_open_part)\b")
     outside = [(path.relative_to(SRC).as_posix(), hit)
                for path in sorted(SRC.rglob("*.py"))
                if path.relative_to(SRC).as_posix() != "core/persistence.py"
@@ -182,34 +227,20 @@ def test_the_write_path_runs_one_predictor():
     assert calls == [("core/model.py", "x = key_encoder.encode(flat)")]
 
 
-def parent_config_payload(mapping):
-    """``mapping``'s payload as the parent commit wrote it: the pickled
-    config still carries the retired ``inference_batch`` field."""
-    state = zerocopy.unpack(mapping.to_payload())
-    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
-    state["config"].__dict__["inference_batch"] = 65536
-    return zerocopy.pack(state)
-
-
-@pytest.mark.parametrize("kind", ["mono", "sharded"])
+@pytest.mark.parametrize("kind", ["one_shard", "sharded"])
 def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
         request, query_keys, kind):
     store = request.getfixturevalue(kind)
     name = f"parent-config-{kind}-{os.urandom(6).hex()}"
     backend = InMemoryBackend.named(name)
-    if kind == "mono":
+    # Saved whole, so the shard blobs name the model blob's CRC.
+    config = store.model.config
+    config.__dict__["inference_batch"] = 65536
+    try:
         store.save(backend.url)
-        backend.write_bytes(MONOLITHIC_BLOB, parent_config_payload(store))
-    else:
-        # Saved whole, so the shard blobs name the model blob's CRC.
-        config = store.model.config
-        config.__dict__["inference_batch"] = 65536
-        try:
-            store.save(backend.url)
-        finally:
-            del config.__dict__["inference_batch"]
-    config_blob = MONOLITHIC_BLOB if kind == "mono" else MODEL_NAME
-    assert b"inference_batch" in backend.read_bytes(config_blob)
+    finally:
+        del config.__dict__["inference_batch"]
+    assert b"inference_batch" in backend.read_bytes(MODEL_NAME)
     expected = store.lookup(query_keys)
 
     def opens():
@@ -235,31 +266,21 @@ def test_parent_saved_config_opens_everywhere_and_resaves_without_it(
         InMemoryBackend.discard(again.name)
 
 
-def parent_tracker_payload(mapping):
-    """``mapping``'s payload as the parent commit wrote it: the tracker
-    state still carries the retired ``threshold_bytes`` and
-    ``ops_since_build``."""
-    state = zerocopy.unpack(mapping.to_payload())
-    state["aux_v2"] = mapping.aux.to_state()  # re-packable partitions
-    state["tracker"].update(threshold_bytes=10**9, ops_since_build=7)
-    return zerocopy.pack(state)
-
-
 @pytest.fixture(scope="module")
 def mutated(api_table):
-    """A writable mono store and a managed 4-shard store, each rebuilt
+    """A managed one-shard and a managed 4-shard store, each rebuilt
     once and then updated on every shard, so both tracker counters are
-    non-zero everywhere."""
+    non-zero."""
     config = fast_config(epochs=5)
     rows = {name: api_table.column(name)[::9] for name in api_table.key}
     rows.update({name: api_table.column(name)[::-9]
                  for name in api_table.value_columns})
     stores = {
-        "mono": DeepMapping.fit(api_table, config),
-        "sharded": ShardedDeepMapping.fit(
+        kind: DeepMapping.fit(
             api_table, config,
-            ShardingConfig(n_shards=4, lifecycle=LifecycleConfig(
-                policy="bytes", retrain_bytes=10**9))),
+            ShardingConfig(n_shards=n_shards, lifecycle=LifecycleConfig(
+                policy="bytes", retrain_bytes=10**9)))
+        for kind, n_shards in (("one_shard", 1), ("sharded", 4))
     }
     for store in stores.values():
         store.rebuild()
@@ -268,26 +289,17 @@ def mutated(api_table):
 
 
 def saved_fields(backend):
-    """Tracker keys of every payload and of the manifest, plus the
-    manifest's lifecycle-config keys."""
-    found = set()
-    for blob in backend.list():
-        if blob == MANIFEST_NAME:
-            manifest = json.loads(backend.read_bytes(blob))
-            found |= set(manifest["lifecycle"]["config"])
-            found |= set(manifest["tracker"])
-        elif blob.endswith(".dm"):
-            state = zerocopy.unpack(backend.read_bytes(blob))
-            found |= set(state.get("tracker", {}))
-    return found
+    """The manifest's tracker and lifecycle-config keys."""
+    manifest = json.loads(backend.read_bytes(MANIFEST_NAME))
+    return set(manifest["lifecycle"]["config"]) | set(manifest["tracker"])
 
 
 def tracker_counters(store):
-    """A sharded store's one tracker, or a monolithic structure's."""
+    """The store's one tracker."""
     return (store.tracker.bytes_since_build, store.tracker.total_retrains)
 
 
-@pytest.mark.parametrize("kind", ["mono", "sharded"])
+@pytest.mark.parametrize("kind", ["one_shard", "sharded"])
 def test_parent_saved_tracker_and_manifest_fields_open_and_resave_without_them(
         mutated, query_keys, kind):
     store = mutated[kind]
@@ -296,17 +308,13 @@ def test_parent_saved_tracker_and_manifest_fields_open_and_resave_without_them(
     name = f"parent-tracker-{kind}-{os.urandom(6).hex()}"
     backend = InMemoryBackend.named(name)
     store.save(backend.url)
-    retired = {"threshold_bytes", "ops_since_build"}
-    if kind == "mono":
-        backend.write_bytes(MONOLITHIC_BLOB, parent_tracker_payload(store))
-    else:
-        manifest = json.loads(backend.read_bytes(MANIFEST_NAME))
-        manifest["tracker"].update(threshold_bytes=10**9, ops_since_build=7)
-        retired |= {"policy_min_rows", "per_shard_mhas",
-                    "sizing_reference_rows", "sizing_min_width",
-                    "sizing_search_rows"}
-        manifest["lifecycle"]["config"].update(dict.fromkeys(retired, 1))
-        backend.write_bytes(MANIFEST_NAME, json.dumps(manifest).encode())
+    retired = {"threshold_bytes", "ops_since_build", "policy_min_rows",
+               "per_shard_mhas", "sizing_reference_rows", "sizing_min_width",
+               "sizing_search_rows"}
+    manifest = json.loads(backend.read_bytes(MANIFEST_NAME))
+    manifest["tracker"].update(threshold_bytes=10**9, ops_since_build=7)
+    manifest["lifecycle"]["config"].update(dict.fromkeys(retired, 1))
+    backend.write_bytes(MANIFEST_NAME, json.dumps(manifest).encode())
     assert retired <= saved_fields(backend)
     expected = store.lookup(query_keys)
 
@@ -333,9 +341,9 @@ class TestCliStoreTargets:
 
     @pytest.mark.parametrize("scheme", ["", "file://"], ids=["path", "url"])
     def test_store_target_opens_silently(
-            self, tmp_path, mono, capsys, scheme):
-        path = str(tmp_path / "cli.dm")
-        mono.save(path)
+            self, tmp_path, one_shard, capsys, scheme):
+        path = str(tmp_path / "cli.dms")
+        one_shard.save(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["info", scheme + path]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import DeepMapping
 from repro.bench import (
     build_system,
     dm_with_codec,
@@ -11,7 +12,7 @@ from repro.bench import (
     run_comparison,
     storage_of,
 )
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.data import synthetic
 
 
@@ -39,7 +40,8 @@ class TestBuildSystem:
         template = build_system("DM-Z", table, dm_config=FAST_DM)
         clone = build_system("DM-L", table, dm_template=template)
         assert clone.config.aux_codec == "lzma"
-        assert clone.session is template.session  # model shared, not retrained
+        # The model is shared, not retrained.
+        assert clone.model.session is template.model.session
 
 
 class TestDmWithCodec:
@@ -55,7 +57,8 @@ class TestDmWithCodec:
         low = synthetic.single_column(2000, "low")
         dm = DeepMapping.fit(low, FAST_DM)
         clone = dm_with_codec(dm, "lzma")
-        assert clone.aux.stored_bytes() <= dm.aux.stored_bytes()
+        assert (clone.size_report().aux_bytes
+                <= dm.size_report().aux_bytes)
 
 
 class TestMeasure:

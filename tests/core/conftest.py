@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig
+from repro import DeepMapping
+from repro.core import DeepMappingConfig
 from repro.data import ColumnTable, synthetic
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import AuxiliaryTable, DeepMapping
+from repro import DeepMapping
+from repro.core import AuxiliaryTable
 from repro.data import synthetic
 
 from .conftest import fast_config
@@ -74,7 +75,7 @@ class TestDeepMappingCompactionConfig:
         table = synthetic.multi_column(300, "low")
         dm = DeepMapping.fit(table, fast_config(
             epochs=2, aux_auto_compact_rows=7))
-        assert dm.aux.auto_compact_rows == 7
+        assert dm.shards[0].aux.auto_compact_rows == 7
 
     def test_inserts_fold_into_partitions(self):
         table = synthetic.multi_column(400, "low")
@@ -83,6 +84,6 @@ class TestDeepMappingCompactionConfig:
         batch = synthetic.insert_batch(table, 200, "low")
         dm.insert(batch)
         # 200 > 50 threshold: the overlay was folded at least once.
-        assert len(dm.aux._overlay) < 200
+        assert len(dm.shards[0].aux._overlay) < 200
         result = dm.lookup({"key": batch.column("key")})
         assert result.found.all()

@@ -10,7 +10,7 @@ from repro.cli import load_dataset, main
 
 def build_args(tmp_path, dataset="synthetic:multi-high", scale=0.05,
                extra=()):
-    out = str(tmp_path / "structure.dm")
+    out = str(tmp_path / "structure.dms")
     argv = ["build", "--dataset", dataset, "--scale", str(scale),
             "--out", out, "--epochs", "15", "--batch-size", "256"]
     argv.extend(extra)
@@ -72,12 +72,16 @@ class TestBuildInfoQuery:
         assert main(["info", out]) == 0
         lines = {line.split(":")[0]: line
                  for line in capsys.readouterr().out.splitlines()}
-        size = os.path.getsize(out)
+        sizes = {name: os.path.getsize(os.path.join(out, name))
+                 for name in os.listdir(out)}
+        size = sum(sizes.values())
         paper = int(lines["total"].split()[1].replace(",", ""))
         rows = int(lines["keys"].rsplit("live rows: ", 1)[1])
         assert lines["on disk"].split(":", 1)[1].strip() == (
             f"{size:,} B ({size / rows:.2f} B/row, "
-            f"{size / paper:.2f}x total)")
+            f"{size / paper:.2f}x total: "
+            f"manifest {sizes['manifest.json']:,} B, "
+            f"shard payloads {sizes['shard-0000.dm']:,} B)")
 
     def test_query_hits_and_misses(self, tmp_path, capsys):
         argv, out = build_args(tmp_path)

@@ -5,10 +5,11 @@ and engine invalidation across mutations and rebuilds."""
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping
+import repro
+from repro.core.model import Model
 from repro.data import ColumnTable, synthetic
 from repro.nn import CompiledSession, MultiTaskMLP
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing import oracles
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
@@ -45,7 +46,7 @@ class TestCompiledLookupParity:
         dm = DeepMapping.fit(gap_table, fast_config())
         query = mixed_query(gap_table, np.random.default_rng(0))
         a = dm.lookup(query)
-        b = reference_lookup(dm, query)
+        b = barrier_lookup(dm, query, shard_lookup=reference_lookup)
         np.testing.assert_array_equal(a.found, b.found)
         for column in a.values:
             np.testing.assert_array_equal(a.values[column], b.values[column])
@@ -62,7 +63,7 @@ class TestCompiledLookupParity:
                                                monkeypatch):
         dm = DeepMapping.fit(gap_table, fast_config())
         calls = []
-        engine = dm.compiled_session()
+        engine = dm.model.compiled_session()
         original = engine.run
         monkeypatch.setattr(
             engine, "run",
@@ -90,7 +91,7 @@ class TestCompiledLookupParity:
         query = {"key": np.concatenate([gap_table.column("key"),
                                         np.array([3001, 3004])])}
         compiled = dm.lookup(query)
-        reference = reference_lookup(dm, query)
+        reference = barrier_lookup(dm, query, shard_lookup=reference_lookup)
         np.testing.assert_array_equal(compiled.found, reference.found)
         assert compiled.found.all()
         np.testing.assert_array_equal(compiled.values["status"],
@@ -119,8 +120,9 @@ class TestCompiledLookupParity:
         dm = DeepMapping.fit(gap_table, fast_config())
         def boom(*a, **k):
             raise AssertionError("compiled engine must not be used")
-        monkeypatch.setattr(DeepMapping, "compiled_session", boom)
-        result = reference_lookup(dm, {"key": gap_table.column("key")[:20]})
+        monkeypatch.setattr(Model, "compiled_session", boom)
+        result = barrier_lookup(dm, {"key": gap_table.column("key")[:20]},
+                                shard_lookup=reference_lookup)
         assert result.found.all()
 
 
@@ -128,21 +130,21 @@ class TestEngineLifecycle:
     def test_fit_prewarms_engine(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
         assert isinstance(dm.model._compiled, CompiledSession)
-        assert dm.compiled_session() is dm.model._compiled
+        assert dm.model.compiled_session() is dm.model._compiled
 
     def test_engine_cached_across_lookups(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
-        engine = dm.compiled_session()
+        engine = dm.model.compiled_session()
         dm.lookup({"key": gap_table.column("key")[:10]})
-        assert dm.compiled_session() is engine
+        assert dm.model.compiled_session() is engine
 
     def test_rebuild_recompiles_engine(self, gap_table):
         dm = DeepMapping.fit(gap_table, fast_config())
-        stale = dm.compiled_session()
+        stale = dm.model.compiled_session()
         dm.rebuild()
-        fresh = dm.compiled_session()
+        fresh = dm.model.compiled_session()
         assert fresh is not stale
-        assert fresh.session is dm.session
+        assert fresh.session is dm.model.session
         result = dm.lookup({"key": gap_table.column("key")})
         assert result.found.all()
         np.testing.assert_array_equal(result.values["status"],
@@ -155,51 +157,49 @@ class TestEngineLifecycle:
             fast_config(retrain_threshold_bytes=1,
                         key_headroom_fraction=0.5),
         )
-        stale = dm.compiled_session()
+        stale = dm.model.compiled_session()
         new_keys = np.array([3001, 3004], dtype=np.int64)
         dm.insert({"key": new_keys, "status": np.array(["A", "B"])})
-        assert dm.compiled_session() is not stale
+        assert dm.model.compiled_session() is not stale
         result = dm.lookup({"key": new_keys})
         assert result.found.all()
         np.testing.assert_array_equal(result.values["status"],
                                       np.array(["A", "B"]))
 
     def test_engine_belongs_to_the_model(self, gap_table):
-        # The kernel is compiled once per model: a structure answers
-        # through whichever model it holds, never a stale kernel.
-        dm = DeepMapping.fit(gap_table, fast_config())
-        stale = dm.compiled_session()
-        other = DeepMapping.fit(gap_table, fast_config(seed=5))
-        dm.model = other.model
-        assert dm.compiled_session() is not stale
-        assert dm.compiled_session().session is other.session
+        # The kernel is compiled once per model: every shard answers
+        # through the store's model, never a stale kernel.
+        dm = DeepMapping.fit(gap_table, fast_config(),
+                             ShardingConfig(n_shards=2))
+        dm.rebuild()
+        assert all(shard.model is dm.model for shard in dm.shards)
+        assert dm.model.compiled_session().session is dm.model.session
 
     def test_save_load_roundtrip_keeps_compiled_lookups(self, gap_table,
                                                         tmp_path):
         dm = DeepMapping.fit(gap_table, fast_config())
         path = str(tmp_path / "store.dm")
         dm.save(path)
-        clone = DeepMapping.open(path)
+        clone = repro.open(path)
         result = clone.lookup({"key": gap_table.column("key")})
         assert result.found.all()
         np.testing.assert_array_equal(result.values["status"],
                                       gap_table.column("status"))
-        assert isinstance(clone.compiled_session(), CompiledSession)
+        assert isinstance(clone.model.compiled_session(), CompiledSession)
 
 
 class TestShardedCompiledEngines:
     def test_fit_compiles_one_engine_for_every_shard(self):
         table = synthetic.single_column(2000, "high", seed=3)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=4))
         live = [s for s in store.shards if s is not None]
         assert isinstance(store.model._compiled, CompiledSession)
-        assert all(s.compiled_session() is store.model._compiled
-                   for s in live)
+        assert all(s.model is store.model for s in live)
 
     def test_sharded_lookup_matches_reference_path(self):
         table = synthetic.single_column(2000, "high", seed=3)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=4))
         rng = np.random.default_rng(1)
         keys = table.column("key")
@@ -216,21 +216,20 @@ class TestShardedCompiledEngines:
 
     def test_load_compiles_engines(self, tmp_path):
         table = synthetic.single_column(1500, "high", seed=4)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=2))
         store.save(str(tmp_path / "store.dms"))
         store.close()
-        clone = ShardedDeepMapping.load(str(tmp_path / "store.dms"))
+        clone = DeepMapping.load(str(tmp_path / "store.dms"))
         live = [s for s in clone.shards if s is not None]
         assert isinstance(clone.model._compiled, CompiledSession)
-        assert live and all(s.compiled_session() is clone.model._compiled
-                            for s in live)
+        assert live and all(s.model is clone.model for s in live)
         assert clone.lookup({"key": table.column("key")}).found.all()
         clone.close()
 
     def test_compile_engines_counts_live_shards(self):
         table = synthetic.single_column(1000, "high", seed=5)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(), ShardingConfig(n_shards=2))
         assert store.compile_engines() == 2
         store.close()
@@ -308,7 +307,7 @@ class TestOnePredictorDecidesAux:
             np.testing.assert_array_equal(
                 got.values[column][:keys.size],
                 np.array([truth[k][j] for k in keys.tolist()]))
-        reference = reference_lookup(dm, query)
+        reference = barrier_lookup(dm, query, shard_lookup=reference_lookup)
         np.testing.assert_array_equal(got.found, reference.found)
         for column in columns:
             np.testing.assert_array_equal(got.values[column],
@@ -339,7 +338,7 @@ class TestOnePredictorDecidesAux:
         dm.rebuild()
         assert dm.lookup({"key": new["key"]}).found.all()
 
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             synthetic.single_column(2000, "high", seed=24),
             fast_config(epochs=5), ShardingConfig(n_shards=2))
         store.split_shard(0)
@@ -349,11 +348,11 @@ class TestOnePredictorDecidesAux:
 
     def test_aux_holds_exactly_the_wrong_and_the_near_tied_rows(self, table):
         dm = DeepMapping.fit(table, fast_config())
-        flat = dm.key_codec.flatten(table.key_columns_dict())
-        labels = dm.fdecode.encode(table.value_columns_dict())
-        codes, ties = dm.compiled_session().classify(flat)
+        flat = dm.model.key_codec.flatten(table.key_columns_dict())
+        labels = dm.model.fdecode.encode(table.value_columns_dict())
+        codes, ties = dm.model.compiled_session().classify(flat)
         wrong = np.zeros(flat.size, dtype=bool)
         for task, expected in labels.items():
             wrong |= codes[task] != expected
-        in_aux, _ = dm.aux.lookup_batch(flat)
+        in_aux, _ = dm.shards[0].aux.lookup_batch(flat)
         np.testing.assert_array_equal(in_aux, wrong | ties)

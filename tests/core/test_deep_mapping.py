@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeepMapping, DeepMappingConfig
+from repro import DeepMapping
+from repro.core import DeepMappingConfig
 from repro.data import ColumnTable, synthetic, tpch
 
 from .conftest import fast_config
@@ -209,7 +210,7 @@ class TestPersistence:
         path = os.path.join(tmp_path, "dm.bin")
         nbytes = dm.save(path)
         assert nbytes > 0
-        clone = DeepMapping.open(path)
+        clone = DeepMapping.load(path)
         probe = {"key": small_high_table.column("key")}
         a, b = dm.lookup(probe), clone.lookup(probe)
         np.testing.assert_array_equal(a.found, b.found)
@@ -222,7 +223,7 @@ class TestPersistence:
                              fast_config(key_headroom_fraction=1.0))
         path = os.path.join(tmp_path, "dm.bin")
         dm.save(path)
-        clone = DeepMapping.open(path)
+        clone = DeepMapping.load(path)
         clone.delete({"key": np.array([0])})
         assert clone.lookup_one(key=0) is None
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, ModificationTracker
+from repro import DeepMapping
+from repro.core import ModificationTracker
 from repro.data import ColumnTable, synthetic
 from repro.store import ThreadPoolStrategy
 
@@ -46,10 +47,10 @@ class TestInsert:
     def test_insert_uncorrelated_data_fills_aux(self):
         table, dm = fresh_mapping(n=800, correlation="high", epochs=60)
         batch = synthetic.insert_batch(table, 200, "low")
-        aux_before = len(dm.aux)
+        aux_before = len(dm.shards[0].aux)
         landed = dm.insert(batch)
         assert landed > 100
-        assert len(dm.aux) >= aux_before + landed - 5
+        assert len(dm.shards[0].aux) >= aux_before + landed - 5
 
     def test_duplicate_insert_rejected(self):
         table, dm = fresh_mapping()
@@ -65,10 +66,10 @@ class TestInsert:
         table, dm = fresh_mapping(headroom=0.0)
         batch = synthetic.insert_batch(table, 50, "high")
         assert batch.column("key").min() > table.column("key").max()
-        session = dm.session
+        session = dm.model.session
         dm.insert(batch)
         assert dm.tracker.total_retrains == 0
-        assert dm.session is session
+        assert dm.model.session is session
         assert dm.lookup({"key": batch.column("key")}).found.all()
         assert dm.lookup(table).found.all()
         assert len(dm) == table.n_rows + 50
@@ -135,11 +136,11 @@ class TestDelete:
 
     def test_delete_removes_aux_rows(self):
         table, dm = fresh_mapping(correlation="low", epochs=3)
-        aux_before = len(dm.aux)
+        aux_before = len(dm.shards[0].aux)
         assert aux_before > 0
         victims = table.column("key")[:50]
         dm.delete({"key": victims})
-        assert len(dm.aux) < aux_before
+        assert len(dm.shards[0].aux) < aux_before
 
     def test_delete_accepts_plain_array(self):
         table, dm = fresh_mapping()
@@ -179,10 +180,10 @@ class TestUpdate:
         table, dm = fresh_mapping(n=1500, correlation="high", epochs=80)
         keys = table.column("key")
         # Find a row the model predicts correctly (and not near a tie).
-        labels = {t: dm.fdecode.encoders[t].encode(table.column(t))
+        labels = {t: dm.model.fdecode.encoders[t].encode(table.column(t))
                   for t in dm.value_names}
-        correct = ~dm.compiled_session().lost_rows(
-            dm.key_codec.flatten({"key": keys}), labels)
+        correct = ~dm.model.compiled_session().lost_rows(
+            dm.model.key_codec.flatten({"key": keys}), labels)
         assert correct.any()
         idx = int(np.flatnonzero(correct)[0])
         # Force the row into aux with a different value, then restore it.
@@ -190,10 +191,10 @@ class TestUpdate:
         twisted = {t: np.array([(int(original[t][0]) + 1) % 2])
                    for t in dm.value_names}
         dm.update({"key": keys[idx: idx + 1], **twisted})
-        assert dm.aux.contains(int(dm.key_codec.flatten(
+        assert dm.shards[0].aux.contains(int(dm.model.key_codec.flatten(
             {"key": keys[idx: idx + 1]})[0]))
         dm.update({"key": keys[idx: idx + 1], **original})
-        assert not dm.aux.contains(int(dm.key_codec.flatten(
+        assert not dm.shards[0].aux.contains(int(dm.model.key_codec.flatten(
             {"key": keys[idx: idx + 1]})[0]))
 
     def test_update_missing_key_rejected(self):
@@ -302,7 +303,7 @@ class TestTrackerPersistence:
         path = str(tmp_path / "store.dm")
         dm.save(path)
 
-        loaded = DeepMapping.open(path)
+        loaded = DeepMapping.load(path)
         assert loaded.tracker.bytes_since_build == dm.tracker.bytes_since_build
         assert loaded.tracker.total_retrains == dm.tracker.total_retrains
         # Threshold comes from the config, counters from the payload.
@@ -316,7 +317,7 @@ class TestTrackerPersistence:
         before = dm.tracker.bytes_since_build
         path = str(tmp_path / "store.dm")
         dm.save(path)
-        loaded = DeepMapping.open(path)
+        loaded = DeepMapping.load(path)
         grown = loaded.to_table()
         loaded.insert(synthetic.insert_batch(grown, 20, "high"))
         assert loaded.tracker.bytes_since_build > before
@@ -359,17 +360,18 @@ class TestAuxRatioRetrain:
         assert dm.tracker.total_retrains == 0
 
     def test_row_level_halves_count_nothing_and_never_retrain(self):
-        """``apply_*`` are what a shard runs under its store: the owner's
-        insert/delete/update count the batch and retrain, they do not."""
+        """``hold`` / ``apply_update`` are what a shard runs under its
+        store: the store's insert/delete/update flip the bits, count the
+        batch and retrain; a shard does none of it."""
         table, dm = fresh_mapping(n=300, retrain_threshold_bytes=1)
         batch = batch_columns(synthetic.insert_batch(table, 20, "high"))
         flat, labels, lost = dm.model.encode(batch)
-        dm.apply_insert(flat, labels, lost)
-        dm.apply_update(flat, labels, lost)
-        dm.apply_delete(flat[:5])
+        shard = dm.shards[0]
+        shard.hold(flat, labels, lost)
+        shard.apply_update(flat, labels, lost)
         assert dm.tracker.bytes_since_build == 0
         assert dm.tracker.total_retrains == 0
-        assert len(dm) == len(table) + 15
+        assert len(dm) == len(table)
         dm.delete({"key": batch["key"][5:10]})
         assert dm.tracker.total_retrains == 1
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping
+from repro import DeepMapping
 from repro.core.query import QueryError, run_select, select
 from repro.data import ColumnTable, tpch
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, build_range_view, lookup_range
+from repro import DeepMapping
+from repro.core import build_range_view, lookup_range
 from repro.data import ColumnTable, synthetic, tpch
 
 from .conftest import fast_config

@@ -9,7 +9,7 @@ reader still holding it gets bit-identical answers from
 
 import numpy as np
 
-from repro.core import DeepMapping
+from repro import DeepMapping
 from repro.data import synthetic
 
 from .conftest import fast_config
@@ -37,7 +37,7 @@ def assert_same(aux, probe, reference):
 
 def mutate(dm):
     """Leave a live overlay and tombstones in ``dm``'s ``T_aux``."""
-    keys, _ = dm.aux.scan()
+    keys, _ = dm.shards[0].aux.scan()
     dm.delete({"key": keys[:5]})
     dm.update({"key": keys[5:10], "value": np.asarray(
         dm.lookup({"key": keys[10:15]}).values["value"])})
@@ -46,23 +46,24 @@ def mutate(dm):
 def test_aux_retired_by_rebuild_answers_as_before():
     dm = fitted()
     mutate(dm)
-    retired = dm.aux
+    retired = dm.shards[0].aux
     assert len(retired) > 0
     probe, before = record(retired)
     dm.rebuild()
-    assert dm.aux is not retired and dm.aux.pool is retired.pool
+    aux = dm.shards[0].aux
+    assert aux is not retired and aux.pool is retired.pool
     assert_same(retired, probe, before)
 
 
 def test_aux_retired_by_a_domain_widening_insert_answers_as_before():
     dm = fitted()
     mutate(dm)
-    retired = dm.aux
+    retired = dm.shards[0].aux
     probe, before = record(retired)
     far = int(dm.to_table().column("key").min()) - 5  # below: a retrain
     dm.insert({"key": np.array([far], dtype=np.int64),
                "value": np.asarray(dm.lookup(
                    {"key": probe[:1]}).values["value"])})
-    assert dm.aux is not retired
+    assert dm.shards[0].aux is not retired
     assert dm.lookup_one(key=far) is not None
     assert_same(retired, probe, before)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DeepMapping
 from repro.core import (
-    DeepMapping,
     ExistenceIndex,
     SparseExistenceIndex,
     existence_from_state,
@@ -137,7 +137,7 @@ class TestDeepMappingWithSparseKeys:
         dm = DeepMapping.fit(table, fast_config(epochs=2))
         path = str(tmp_path / "sparse.dm")
         dm.save(path)
-        clone = DeepMapping.open(path)
+        clone = DeepMapping.load(path)
         assert isinstance(clone.exist, SparseExistenceIndex)
         assert clone.lookup({"key": keys}).found.all()
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig
+from repro import DeepMapping
+from repro.core import DeepMappingConfig
+from repro.core.model import Model
 from repro.data import synthetic
 from repro.nn import ArchitectureSpec, InferenceSession, MultiTaskMLP
 from repro.testing.oracles import reference_logits
@@ -84,21 +86,24 @@ class TestLoadStateArrays:
 class TestWarmStartFit:
     def test_warm_start_lowers_initial_loss(self):
         table = synthetic.multi_column(800, "high")
-        cold = DeepMapping.fit(table, fast_config(epochs=40))
-        warm = DeepMapping.fit(table, fast_config(epochs=2),
-                               warm_start=cold.session.state_arrays())
+        cold = Model.fit(table, fast_config(epochs=40))
+        warm = Model.fit(table, fast_config(epochs=2),
+                         warm_start=cold.model.session.state_arrays())
         assert warm.model.warm_started_tensors > 0
-        cold_restart = DeepMapping.fit(table, fast_config(epochs=2))
+        cold_restart = Model.fit(table, fast_config(epochs=2))
         assert (warm.model.last_training.epoch_losses[0]
                 < cold_restart.model.last_training.epoch_losses[0])
 
     def test_warm_start_preserves_losslessness(self):
         table = synthetic.multi_column(500, "low")
-        first = DeepMapping.fit(table, fast_config(epochs=5))
-        second = DeepMapping.fit(table, fast_config(epochs=1),
-                                 warm_start=first.session.state_arrays())
-        result = second.lookup({"key": table.column("key")})
+        store = DeepMapping.fit(table, fast_config(epochs=5))
+        store.rebuild(fast_config(epochs=1))
+        assert store.model.warm_started_tensors > 0
+        result = store.lookup({"key": table.column("key")})
         assert result.found.all()
+        for column in table.value_columns:
+            np.testing.assert_array_equal(result.values[column],
+                                          table.column(column))
 
 
 class TestWarmRebuild:
@@ -112,10 +117,10 @@ class TestWarmRebuild:
     def test_rebuild_from_a_packed_store_transfers_every_tensor(self):
         table = synthetic.multi_column(600, "high")
         dm = DeepMapping.fit(table, fast_config(epochs=30))
-        assert dm.session.bits is not None
+        assert dm.model.session.bits is not None
         dm.rebuild()
         assert dm.model.warm_started_tensors == 2 * len(
-            dm.session.spec.layer_plan())
+            dm.model.session.spec.layer_plan())
         result = dm.lookup({"key": table.column("key")})
         assert result.found.all()
         for column in table.value_columns:
@@ -136,10 +141,10 @@ class TestWarmRebuild:
         table = synthetic.multi_column(1500, "high")
         config = fast_config(epochs=120, tol=1e-4, shared_sizes=(64,),
                              private_sizes=(32,))
-        dm = DeepMapping.fit(table, config)
+        dm = Model.fit(table, config)
 
-        dm_warm = DeepMapping.fit(table, config,
-                                  warm_start=dm.session.state_arrays())
-        dm_cold = DeepMapping.fit(table, config)
+        dm_warm = Model.fit(table, config,
+                            warm_start=dm.model.session.state_arrays())
+        dm_cold = Model.fit(table, config)
         assert (dm_warm.model.last_training.epochs_run
                 <= dm_cold.model.last_training.epochs_run)

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import DeepMapping, verify
+from repro import DeepMapping
+from repro.core import verify
 from repro.core.mhas import measure_aux_bytes_per_row
 from repro.data import ColumnTable, synthetic
 from repro.nn import CompiledSession, InferenceSession, inference
 from repro.nn.multitask import MultiTaskMLP
-from repro.storage import MONOLITHIC_BLOB, InMemoryBackend, zerocopy
+from repro.storage import InMemoryBackend, zerocopy
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
 
@@ -34,7 +35,7 @@ def fit_at(monkeypatch, bits, table, config):
     with monkeypatch.context() as patch:
         patch.setattr(inference, "WIDTH_CANDIDATES", (bits,))
         mapping = DeepMapping.fit(table, config)
-    assert mapping.session.bits == bits
+    assert mapping.model.session.bits == bits
     return mapping
 
 
@@ -55,6 +56,12 @@ def assert_answers_table(store, table):
         got = result.values[column][:n]
         assert got.dtype == table.column(column).dtype
         np.testing.assert_array_equal(got, table.column(column))
+
+
+def blobs(name):
+    """Every blob of container ``name``, by name."""
+    backend = InMemoryBackend.named(name)
+    return {blob: bytes(backend.read_bytes(blob)) for blob in backend.list()}
 
 
 def every_open(name):
@@ -95,15 +102,15 @@ def test_any_table_at_any_width_round_trips_through_every_open(data):
             source = fit_at(patch, bits, table, config)
         assert_answers_table(source, table)
         source.save(f"mem://{name}")
-        first = InMemoryBackend.named(name).read_bytes(MONOLITHIC_BLOB)
+        first = blobs(name)
         for how, opened in every_open(name):
-            assert opened.session.bits == bits, how
+            assert opened.model.session.bits == bits, how
             assert_answers_table(opened, table)
             if how == "writable":
-                assert opened.session.nbytes == source.session.nbytes
+                assert (opened.model.session.nbytes
+                        == source.model.session.nbytes)
                 opened.save(f"mem://{name}")
-                assert InMemoryBackend.named(name).read_bytes(
-                    MONOLITHIC_BLOB) == first
+                assert blobs(name) == first
             opened.close()
     finally:
         payload_cache().clear()
@@ -123,19 +130,19 @@ class TestLosslessWhereQuantisationHurts:
         config = fast_config(epochs=30, key_headroom_fraction=0.5)
         wide = fit_at(monkeypatch, None, table, config)
         narrow = fit_at(monkeypatch, 3, table, config)
-        assert narrow.session.nbytes < wide.session.nbytes / 3
+        assert narrow.model.session.nbytes < wide.model.session.nbytes / 3
         assert narrow.aux_ratio() > wide.aux_ratio()
         assert verify(narrow, table).ok
         assert_answers_table(narrow, table)
 
         # Every row the stored predictor gets wrong is an aux row.
-        flat = narrow.key_codec.flatten(table.key_columns_dict())
-        labels = narrow.fdecode.encode(table.value_columns_dict())
-        predicted = narrow.compiled_session().run(flat)
+        flat = narrow.model.key_codec.flatten(table.key_columns_dict())
+        labels = narrow.model.fdecode.encode(table.value_columns_dict())
+        predicted = narrow.model.compiled_session().run(flat)
         wrong = np.zeros(flat.size, dtype=bool)
         for task, codes in labels.items():
             wrong |= predicted[task] != codes
-        in_aux, _ = narrow.aux.lookup_batch(np.sort(flat[wrong]))
+        in_aux, _ = narrow.shards[0].aux.lookup_batch(np.sort(flat[wrong]))
         assert wrong.sum() > 0 and in_aux.all()
 
     def test_mutation_and_retrain_on_the_reopened_store(
@@ -145,7 +152,7 @@ class TestLosslessWhereQuantisationHurts:
         fit_at(monkeypatch, 3, table, config).save(path)
 
         store = repro.open(path)
-        assert store.session.bits == 3
+        assert store.model.session.bits == 3
         truth = {int(k): tuple(table.column(c)[i]
                                for c in table.value_columns)
                  for i, k in enumerate(table.column("key"))}
@@ -183,7 +190,7 @@ class TestLosslessWhereQuantisationHurts:
         # A retrain re-chooses the width over what the store holds now
         # (all candidates back in play) and must stay exact.
         store.rebuild()
-        assert store.session.bits in CANDIDATES
+        assert store.model.session.bits in CANDIDATES
         check()
         store.save(path)
         store = repro.open(path, writable=False)
@@ -191,39 +198,34 @@ class TestLosslessWhereQuantisationHurts:
 
 
 class TestUnpackedLayout:
-    """Plain float arrays per layer — what every store saved before
-    weights could be packed holds — are the unpacked case of the one
+    """Plain float arrays per layer are the unpacked case of the one
     reader."""
 
     @pytest.mark.parametrize("dtype", ["float16", "float32"])
-    def test_parent_layout_opens_everywhere_and_resaves(
+    def test_unpacked_layout_opens_everywhere_and_resaves(
             self, monkeypatch, dtype):
         table = synthetic.multi_column(300, "high", seed=9)
         source = fit_at(monkeypatch, None, table,
                         fast_config(epochs=3, weight_dtype=dtype))
-        state = zerocopy.unpack(source.to_payload())
-        state["aux_v2"] = source.aux.to_state()   # re-packable partitions
-        session = state["session_v2"]
-        del session["bits"]                        # as the parent wrote it
-        for weight, bias in [*session["shared"],
-                             *(p for c in session["heads"].values()
-                               for p in c)]:
-            assert weight.dtype == bias.dtype == np.dtype(dtype)
-            assert weight.ndim == 2 and bias.ndim == 1
-
-        name = f"parent-layout-{os.urandom(6).hex()}"
+        name = f"unpacked-layout-{os.urandom(6).hex()}"
         try:
-            InMemoryBackend.named(name).write_bytes(
-                MONOLITHIC_BLOB, zerocopy.pack(state))
+            source.save(f"mem://{name}")
+            session = zerocopy.unpack(InMemoryBackend.named(name).read_bytes(
+                "model.rzc"))["session_v2"]
+            for weight, bias in [*session["shared"],
+                                 *(p for c in session["heads"].values()
+                                   for p in c)]:
+                assert weight.dtype == bias.dtype == np.dtype(dtype)
+                assert weight.ndim == 2 and bias.ndim == 1
             for how, opened in every_open(name):
-                assert opened.session.bits is None, how
-                assert opened.session.width_label == dtype
+                assert opened.model.session.bits is None, how
+                assert opened.model.session.width_label == dtype
                 assert_answers_table(opened, table)
                 if how == "writable":
                     opened.save(f"mem://{name}-again")
                 opened.close()
             again = repro.open(f"mem://{name}-again", writable=False)
-            assert again.session.bits is None
+            assert again.model.session.bits is None
             assert_answers_table(again, table)
         finally:
             payload_cache().clear()
@@ -238,8 +240,8 @@ class TestChosenWidthIsTheEq1Argmin:
         rows ``T_aux`` would hold under that candidate's compiled
         predictor — the ones it gets wrong and the ones under its tie
         margin."""
-        flat = mapping.key_codec.flatten(table.key_columns_dict())
-        labels = mapping.fdecode.encode(table.value_columns_dict())
+        flat = mapping.model.key_codec.flatten(table.key_columns_dict())
+        labels = mapping.model.fdecode.encode(table.value_columns_dict())
         config = mapping.config
         costs, rows = {}, {}
         for bits in CANDIDATES:
@@ -250,7 +252,7 @@ class TestChosenWidthIsTheEq1Argmin:
                 for chain in [session._shared, *session._heads.values()]
                 for layer in chain for array in layer)
             predicted, wrong = CompiledSession(
-                session, mapping.key_encoder).classify(flat)
+                session, mapping.model.key_encoder).classify(flat)
             for task, codes in labels.items():
                 wrong |= predicted[task] != codes
             per_row = measure_aux_bytes_per_row(
@@ -277,9 +279,10 @@ class TestChosenWidthIsTheEq1Argmin:
         (model,) = frozen
         assert isinstance(model, MultiTaskMLP)
         costs, aux_rows = self.recompute(mapping, model, table)
-        assert costs[mapping.session.bits] == min(costs.values())
+        assert costs[mapping.model.session.bits] == min(costs.values())
         # The winner's priced rows are exactly the rows T_aux holds.
-        assert aux_rows[mapping.session.bits] == len(mapping.aux)
+        assert aux_rows[mapping.model.session.bits] == \
+            mapping.size_report().n_in_aux
         assert verify(mapping, table).ok
 
     def test_perfectly_memorised_float32_table_stays_exact(self):
@@ -291,10 +294,10 @@ class TestChosenWidthIsTheEq1Argmin:
                             key=("key",))
         mapping = DeepMapping.fit(
             table, fast_config(epochs=150, weight_dtype="float32"))
-        assert mapping.session.bits is not None
-        assert mapping.session.weight_dtype == np.float32
+        assert mapping.model.session.bits is not None
+        assert mapping.model.session.weight_dtype == np.float32
         assert verify(mapping, table).ok
         assert_answers_table(mapping, table)
-        unpacked = inference.weight_nbytes(mapping.session.spec, None,
+        unpacked = inference.weight_nbytes(mapping.model.session.spec, None,
                                            "float32")
-        assert mapping.session.nbytes < unpacked / 4
+        assert mapping.model.session.nbytes < unpacked / 4

@@ -54,7 +54,8 @@ class TestLearnability:
     def test_cross_product_table_becomes_learnable(self):
         """Integration: mixed-radix columns unlearnable from base-10
         features become memorizable with co-prime bases."""
-        from repro.core import DeepMapping, DeepMappingConfig
+        from repro.core import DeepMappingConfig
+        from repro import DeepMapping
         from repro.data import ColumnTable
 
         keys = np.arange(2000, dtype=np.int64)

@@ -36,7 +36,8 @@ class TestRoundtrip:
             table.column("o_orderstatus"))
 
     def test_loaded_table_feeds_deepmapping(self, tmp_path):
-        from repro.core import DeepMapping, DeepMappingConfig
+        from repro.core import DeepMappingConfig
+        from repro import DeepMapping
 
         table = tpch.generate("supplier", scale=1.0)
         path = str(tmp_path / "s.csv")

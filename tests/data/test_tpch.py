@@ -1,5 +1,9 @@
 """Tests for the TPC-H generator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,33 @@ class TestGenerate:
         a = tpch.generate("orders", scale=0.2, seed=3)
         b = tpch.generate("orders", scale=0.2, seed=3)
         assert a.equals(b)
+
+    def test_same_tables_under_any_hash_seed(self):
+        """Generation does not depend on ``PYTHONHASHSEED``, which salts
+        ``str`` hashes per process: two processes under different hash
+        seeds produce identical TPC-H and TPC-DS columns."""
+        script = (
+            "import hashlib\n"
+            "from repro.data import tpcds, tpch\n"
+            "tables = [tpch.generate(name, scale=0.05, seed=0)\n"
+            "          for name in tpch.TPCH_TABLES]\n"
+            "tables += [tpcds.generate(name, scale=0.05, seed=0)\n"
+            "           for name in tpcds.TPCDS_TABLES]\n"
+            "for table in tables:\n"
+            "    for name in table.column_names:\n"
+            "        digest = hashlib.sha256(\n"
+            "            table.column(name).tobytes()).hexdigest()\n"
+            "        print(table.name, name, table.n_rows, digest)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_seed_changes_data(self):
         a = tpch.generate("orders", scale=0.2, seed=3)

@@ -6,11 +6,10 @@ has the shape ``bench/`` measures (8 range shards, one 64-wide shared
 layer and one 32-wide private layer, 4 KiB ``T_aux`` partitions, the
 gapped high-correlation table) at its 20 000-row smoke scale, seed 0.
 
-The ceilings are this store's bytes with weights on disk bit-packed
-(the width chosen per shard by Eq. 1), ``T_aux`` partitions stored as
+The ceilings are this store's bytes with the store's one model on disk
+bit-packed (the width chosen by Eq. 1), ``T_aux`` partitions stored as
 key gaps plus raw codes and the store's one ``V_exist`` saved once as
-``exist.rzc``, plus ~4 % headroom (the model and ``T_aux`` ceilings
-still date from one model per shard).  ``T_aux`` holds the serving
+``exist.rzc``, plus ~4 % headroom.  ``T_aux`` holds the serving
 kernel's near-ties as well as its errors, so a kernel that rounds a
 near-tie the other way no longer moves rows in or out of it.
 Before the weights were packed the same store was 146 483 B on disk
@@ -19,7 +18,9 @@ Bloom filter per shard it was 86 635 B (4.33 B/row), 19 267 B of it
 manifest; while ``T_aux`` partitions were pickled int64 keys and codes
 it was 76 302 B (3.82 B/row), 22 980 B of it ``T_aux``; while the
 manifest carried a negative filter over the key set it was 27 225 B
-(1.36 B/row), 8 625 B of it manifest.  Lower a ceiling when a change
+(1.36 B/row), 8 625 B of it manifest; while each shard trained a model
+of its own the model was 21 480 B (8 shards x 3-bit weights) and
+``T_aux`` 6 904 B (9 461 rows).  Lower a ceiling when a change
 shrinks the store; a change that has to raise one is a storage
 regression and needs that argued.
 """
@@ -31,7 +32,7 @@ import pytest
 import repro
 from repro import DeepMappingConfig, LifecycleConfig, ShardingConfig
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping
+from repro.shard import DeepMapping
 from repro.storage import LocalDirBackend
 
 ROWS = 20_000
@@ -40,11 +41,11 @@ ROWS = 20_000
 DISK_BYTES_PER_ROW = 1.02
 #: Measured: 1 863 B of manifest.json (no key set).
 MANIFEST_BYTES = 1_950
-#: Measured: 21 480 B (8 shards x 3-bit weights).
-MODEL_BYTES = 22_400
-#: Measured: 6 904 B for 9 461 auxiliary rows in 24 partitions, all
-#: with one-byte key gaps (22 980 B as pickled int64 keys and codes).
-AUX_BYTES = 7_200
+#: Measured: 4 293 B (the store's one model, 5-bit weights).
+MODEL_BYTES = 4_470
+#: Measured: 2 013 B for 1 566 auxiliary rows in 8 partitions (one per
+#: shard), all with one-byte key gaps.
+AUX_BYTES = 2_100
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +80,11 @@ def test_paper_accounting(saved):
     assert report.n_rows == ROWS
     assert report.model_bytes <= MODEL_BYTES
     assert report.aux_bytes <= AUX_BYTES
-    # Every shard's weights are stored packed: the unpacked float16
-    # model alone (4 935 parameters x 2 B x 8 shards) would be 78 960 B.
-    assert all(shard.session.bits is not None for shard in store.shards)
+    # The one model's weights are stored packed: unpacked float16 it
+    # would be 4 935 parameters x 2 B = 9 870 B.
+    assert store.model.session.bits is not None
+    assert all(shard.model is store.model
+               for shard in store.shards if shard is not None)
 
 
 def test_a_hash_store_stores_existence_once():
@@ -96,7 +99,7 @@ def test_a_hash_store_stores_existence_once():
                                shared_sizes=(16,), private_sizes=(8,))
     exist_bytes = {}
     for n_shards, strategy in ((8, "hash"), (1, "range")):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, config, ShardingConfig(n_shards=n_shards,
                                           strategy=strategy))
         exist_bytes[n_shards] = store.size_report().exist_bytes

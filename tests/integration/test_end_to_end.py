@@ -8,7 +8,7 @@ under generous and hostile memory budgets alike.
 import numpy as np
 import pytest
 
-from repro import DeepMapping, DeepMappingConfig
+from repro import DeepMapping, DeepMappingConfig, ShardingConfig
 from repro.baselines import make_baseline
 from repro.bench import key_batches
 from repro.data import synthetic, tpcds, tpch
@@ -70,8 +70,8 @@ class TestMemoryPressureInvariance:
 
     @pytest.mark.parametrize("budget", [None, 16 * 1024, 512])
     def test_deepmapping_budget_invariance(self, orders, budget):
-        pool = BufferPool(budget_bytes=budget)
-        dm = DeepMapping.fit(orders, FAST, pool=pool)
+        dm = DeepMapping.fit(orders, FAST,
+                             ShardingConfig(pool_budget_bytes=budget))
         batch = key_batches(orders, 300, repeats=1, seed=4)[0]
         result = dm.lookup(batch)
         assert result.found.all()
@@ -94,7 +94,7 @@ class TestLifecycleRoundtrip:
 
         path = str(tmp_path / "m.dm")
         dm.save(path)
-        clone = DeepMapping.open(path)
+        clone = DeepMapping.load(path)
 
         # The clone carries the modifications...
         assert not clone.lookup({"key": table.column("key")[:50]}).found.any()

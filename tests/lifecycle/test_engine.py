@@ -5,14 +5,14 @@ import pytest
 
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig, MaintenanceEngine
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 
 from ..core.conftest import fast_config
 
 
 def managed_store(table, lifecycle, n_shards=4, **cfg):
     config = fast_config(epochs=4, **cfg)
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         table, config,
         ShardingConfig(n_shards=n_shards, strategy="range",
                        lifecycle=lifecycle))
@@ -46,17 +46,17 @@ class TestAdoption:
                     np.random.default_rng(0))
         assert store.model is model
         assert store.tracker.bytes_since_build > 0
-        assert all(shard.tracker is None
-                   for shard in store.shards if shard is not None)
+        assert not any(hasattr(shard, "tracker")
+                       for shard in store.shards if shard is not None)
 
     def test_unmanaged_store_has_no_engine(self, small_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             small_table, fast_config(epochs=3), ShardingConfig(n_shards=2))
         assert store.engine is None
         store.delete({"key": small_table.column("key")[:3]})
         assert store.tracker.bytes_since_build > 0
-        assert all(shard.tracker is None
-                   for shard in store.shards if shard is not None)
+        assert not any(hasattr(shard, "tracker")
+                       for shard in store.shards if shard is not None)
 
     def test_fresh_shard_from_insert_never_retrains_inline(self):
         """An insert materializing an empty shard makes a shard of the
@@ -81,31 +81,25 @@ class TestAdoption:
                       "sub": np.array([0], dtype=np.int64),
                       "status": np.array(["A"])})
         assert store.shards[empty].model is model is store.model
-        assert store.shards[empty].tracker is None
+        assert not hasattr(store.shards[empty], "tracker")
 
-    def test_a_shard_refuses_to_be_mutated_or_retrained_directly(
-            self, small_table, tmp_path):
+    def test_a_shard_has_no_owner_entry_points(self, small_table, tmp_path):
         """A shard's T_aux holds the rows the *store's* model loses, so a
         shard retrained on its own would be saved under the wrong
-        model; its owner entry points refuse and nothing changes."""
+        model: it has no way to mutate, retrain, count or save itself,
+        built or reopened."""
+        owner = ("insert", "update", "delete", "rebuild", "to_table",
+                 "save", "tracker", "writable", "lookup")
         store = managed_store(small_table, LifecycleConfig(policy="never"),
                               retrain_threshold_bytes=1)
-        shard = next(s for s in store.shards if s is not None)
-        rows = {"key": small_table.column("key")[:1],
-                **{name: small_table.column(name)[:1]
-                   for name in store.value_names}}
-        for call in (lambda: shard.insert(rows), lambda: shard.update(rows),
-                     lambda: shard.delete({"key": rows["key"]}),
-                     shard.rebuild, shard.to_table):
-            with pytest.raises(PermissionError, match="shard"):
-                call()
-        assert shard.model is store.model
         store.save(str(tmp_path / "store"))
-        reopened = ShardedDeepMapping.load(str(tmp_path / "store"))
-        assert all(s.tracker is None for s in reopened.shards
-                   if s is not None)
-        with pytest.raises(PermissionError, match="shard"):
-            next(s for s in reopened.shards if s is not None).rebuild()
+        reopened = DeepMapping.load(str(tmp_path / "store"))
+        for opened in (store, reopened):
+            for shard in opened.shards:
+                if shard is not None:
+                    assert shard.model is opened.model
+                    assert shard.exist is opened.exist
+                    assert not any(hasattr(shard, name) for name in owner)
 
 
 class TestRetrains:

@@ -6,9 +6,12 @@ over a stand-in that sets exactly those, so each bound can be put at its
 edge without training a model.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig, ModificationTracker
+from repro import DeepMapping
+from repro.core import DeepMappingConfig, ModificationTracker
 from repro.core.modify import MIN_ROWS_FOR_RATIO_RETRAIN
 from repro.lifecycle import LifecycleConfig, POLICY_NAMES
 
@@ -29,7 +32,8 @@ class Structure:
 
     def __init__(self, n_rows=1000, aux_rows=0, bytes_since=0, aux=None):
         self.n_rows = n_rows
-        self.aux = aux if aux is not None else range(aux_rows)
+        self.shards = [SimpleNamespace(
+            aux=aux if aux is not None else range(aux_rows))]
         self.tracker = ModificationTracker()
         self.tracker.record(bytes_since)
 

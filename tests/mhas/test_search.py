@@ -5,7 +5,8 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig
+from repro import DeepMapping
+from repro.core import DeepMappingConfig
 from repro.core.mhas import MHASConfig, measure_aux_bytes_per_row, search
 from repro.data import KeyEncoder, synthetic
 
@@ -124,8 +125,8 @@ def test_fit_prices_aux_rows_with_the_build_codec(monkeypatch):
         use_search=True, search=quick_config(iterations=2), epochs=2,
         aux_codec="lzma", aux_partition_bytes=4096)
     dm = DeepMapping.fit(table, config)
-    flat = dm.key_codec.flatten(table.key_columns_dict())
-    labels = dm.fdecode.encode(table.value_columns_dict())
+    flat = dm.model.key_codec.flatten(table.key_columns_dict())
+    labels = dm.model.fdecode.encode(table.value_columns_dict())
     lzma = measure_aux_bytes_per_row(flat, labels, codec="lzma",
                                      partition_bytes=4096)
     assert prices and set(prices) == {lzma}

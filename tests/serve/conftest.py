@@ -1,16 +1,17 @@
 """Shared fixtures for the serving-tier suite.
 
-One 4-shard store (and one monolithic sibling) is built per session —
-the suite hammers it from many threads but never mutates it, which is
-exactly the ``repro.open(url, writable=False)`` serving contract.
+One 4-shard store (and a one-shard sibling, ``mono_store``) is built
+per session — the suite hammers it from many threads but never mutates
+it, which is exactly the ``repro.open(url, writable=False)`` serving
+contract.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, DeepMappingConfig
+from repro.core import DeepMappingConfig
 from repro.data import ColumnTable
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 
 #: Live keys stride 3 so two thirds of the contiguous domain are
 #: in-domain misses; values exercise two dtypes.
@@ -38,7 +39,7 @@ def live_keys():
 
 @pytest.fixture(scope="session")
 def sharded_store():
-    store = ShardedDeepMapping.fit(_table(), _config(),
+    store = DeepMapping.fit(_table(), _config(),
                                    ShardingConfig(n_shards=4))
     yield store
     store.close()

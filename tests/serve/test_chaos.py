@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.resilience import DeadlineExceeded, PartialResult
 from repro.serve import AdmissionPolicy, BackgroundTCPServer, TCPClient
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing import ChaosStore, break_shard
 
 from .conftest import _config, _table
@@ -39,7 +39,7 @@ SLACK_S = 1.0
 @pytest.fixture(scope="module")
 def partial_store():
     """A 4-shard store in ``on_shard_error="partial"`` mode."""
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         _table(), _config(),
         ShardingConfig(n_shards=4, on_shard_error="partial"))
     yield store

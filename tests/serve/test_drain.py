@@ -9,8 +9,10 @@ same path and exits 0.
 """
 
 import asyncio
+import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -217,6 +219,32 @@ class TestTCPDrain:
         else:
             assert isinstance(outcome["refused"], ServerDrainingError)
         assert "awaited_batches" in report
+
+    def test_shutdown_meeting_a_closing_handler_logs_no_error(
+            self, mono_store, monkeypatch, caplog):
+        """A connection whose handler is already closing — its client
+        hung up, so it sits in ``writer.wait_closed()`` — is cancelled
+        there by the shutdown.  The handler must end cleanly: a handler
+        task that ends cancelled makes asyncio's stream callback log an
+        ``Exception in callback`` traceback."""
+        parked = threading.Event()
+
+        async def wait_closed_until_cancelled(self):
+            parked.set()
+            await asyncio.Event().wait()  # still closing at shutdown
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            wait_closed_until_cancelled)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        server = BackgroundTCPServer(mono_store)
+        try:
+            socket.create_connection((server.host, server.port),
+                                     timeout=10).close()
+            assert parked.wait(timeout=10)
+        finally:
+            server.close()
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
 
 #: ``python -m repro`` with Python 3.12.1's ``Server.wait_closed``: from

@@ -4,8 +4,8 @@ For ANY partition of a key batch across concurrent requests — with
 overlapping keys, duplicate keys, in-domain misses, and out-of-domain
 misses — each request's response through the coalescing server is
 bit-identical to one direct ``store.lookup`` of its own keys.  Checked
-under both the serial and the threads executor strategy, over both the
-sharded and the monolithic store.
+under both the serial and the threads executor strategy, over both a
+four-shard and a one-shard store.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -70,7 +70,7 @@ class TestPartitionParity:
 
     @RELAXED
     @given(partition=PARTITIONS)
-    def test_monolithic_threads_executor(self, mono_store, partition):
+    def test_one_shard_threads_executor(self, mono_store, partition):
         _serve_and_compare(mono_store, partition, "threads")
 
     @RELAXED

@@ -32,7 +32,7 @@ class TestSingleRequestParity:
         assert assert_identical(got, sharded_store.lookup(query),
                                 "single") is None
 
-    def test_monolithic_store_served_identically(self, mono_store):
+    def test_one_shard_store_served_identically(self, mono_store):
         query = keys_of([0, 3, 4, 12, 10_000])
         with repro.serving(mono_store) as client:
             got = client.lookup(query)

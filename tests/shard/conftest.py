@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import ColumnTable, synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 
 from ..core.conftest import fast_config
 
@@ -18,7 +18,7 @@ def small_table():
 @pytest.fixture
 def sharded(small_table):
     """A 4-shard range-partitioned store over the small table."""
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         small_table, fast_config(epochs=5),
         ShardingConfig(n_shards=4, strategy="range"),
     )

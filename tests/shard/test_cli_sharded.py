@@ -1,4 +1,4 @@
-"""CLI tests for the --shards flag and sharded-store auto-detection."""
+"""CLI tests for the --shards flag and the lifecycle flags."""
 
 import os
 
@@ -100,10 +100,13 @@ class TestLifecycleFlags:
         with pytest.raises(SystemExit, match="retrain-bytes"):
             main(argv)
 
-    def test_lifecycle_needs_multiple_shards(self, tmp_path):
+    def test_lifecycle_flags_at_one_shard(self, tmp_path, capsys):
+        """A one-shard range store can split, so the flags apply."""
         argv, _ = build_sharded(tmp_path, shards=1, extra=["--rebalance"])
-        with pytest.raises(SystemExit, match="shards"):
-            main(argv)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "sharded range x1" in stdout
+        assert "lifecycle: policy=never rebalance=True" in stdout
 
     def test_rebalance_needs_range_strategy(self, tmp_path):
         argv, _ = build_sharded(

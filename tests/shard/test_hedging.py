@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from repro.resilience.hedging import HedgeController, HedgePolicy
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing import break_shard
 
 from ..core.conftest import fast_config
 
 
-def hedging_store(table) -> ShardedDeepMapping:
-    return ShardedDeepMapping.fit(
+def hedging_store(table) -> DeepMapping:
+    return DeepMapping.fit(
         table, fast_config(epochs=5),
         ShardingConfig(n_shards=4, strategy="range", max_workers=4,
                        hedged_reads=True))
@@ -140,7 +140,7 @@ class TestHedgedReads:
         assert 1 <= launched <= store.hedger.batch_budget(4)
 
     def test_hedging_off_by_default(self, small_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             small_table, fast_config(epochs=5),
             ShardingConfig(n_shards=4, max_workers=4))
         assert store.hedger is None
@@ -153,7 +153,7 @@ class TestHedgedReads:
         store = hedging_store(small_table)
         target = str(tmp_path / "hedged-store")
         store.save(target)
-        loaded = ShardedDeepMapping.load(target)
+        loaded = DeepMapping.load(target)
         assert loaded.sharding.hedged_reads is True
         assert loaded.hedger is not None
         rng = np.random.default_rng(9)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.data import ColumnTable, synthetic
 from repro.lifecycle import LifecycleConfig
-from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
+from repro.shard import DeepMapping, ShardingConfig, ShardManifest
+from repro.storage import LocalDirBackend
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
 from ..core.conftest import fast_config
@@ -44,7 +45,7 @@ def table():
 
 @pytest.fixture
 def store(table):
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         table, fast_config(epochs=4),
         ShardingConfig(n_shards=4, strategy="range"))
 
@@ -91,7 +92,7 @@ class TestSplitMechanics:
                 store.split_shard(empty_candidates[0])
 
     def test_split_requires_range_router(self, table):
-        hashed = ShardedDeepMapping.fit(
+        hashed = DeepMapping.fit(
             table, fast_config(epochs=3),
             ShardingConfig(n_shards=2, strategy="hash"))
         with pytest.raises(TypeError, match="range"):
@@ -141,7 +142,7 @@ class TestMergeMechanics:
             {"grp": grp, "sub": sub,
              "status": rng.choice(np.array(["A", "B"]), size=grp.size)},
             key=("grp", "sub"), name="two-group")
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             two_group, fast_config(epochs=3),
             ShardingConfig(n_shards=4, strategy="range"))
         counts = store.shard_row_counts()
@@ -163,7 +164,7 @@ class TestLifecyclePersistence:
     def test_lifecycle_round_trips_through_save_load(self, table, tmp_path):
         lifecycle = LifecycleConfig(policy="bytes", retrain_bytes=1 << 20,
                                     rebalance=True, split_min_rows=64)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=3),
             ShardingConfig(n_shards=4, lifecycle=lifecycle))
         store.split_shard(0)
@@ -171,11 +172,11 @@ class TestLifecyclePersistence:
         path = str(tmp_path / "store")
         store.save(path)
 
-        manifest = ShardManifest.load(path)
+        manifest = ShardManifest.load_from(LocalDirBackend(path, create=False))
         assert manifest.lifecycle["config"]["rebalance"] is True
         assert manifest.lifecycle["counters"]["splits"] == 1
 
-        loaded = ShardedDeepMapping.load(path)
+        loaded = DeepMapping.load(path)
         assert loaded.engine is not None
         assert loaded.engine.n_splits == 1
         assert loaded.sharding.lifecycle == lifecycle
@@ -189,7 +190,7 @@ class TestLifecyclePersistence:
         store.merge_shards(0)
         path = str(tmp_path / "store")
         store.save(path)
-        loaded = ShardedDeepMapping.load(path)
+        loaded = DeepMapping.load(path)
         assert loaded.n_shards == store.n_shards
         assert loaded.shard_row_counts() == store.shard_row_counts()
         assert_lossless(loaded, table)
@@ -197,9 +198,9 @@ class TestLifecyclePersistence:
     def test_unmanaged_manifest_has_empty_lifecycle(self, store, tmp_path):
         path = str(tmp_path / "store")
         store.save(path)
-        manifest = ShardManifest.load(path)
+        manifest = ShardManifest.load_from(LocalDirBackend(path, create=False))
         assert manifest.lifecycle == {}
-        assert ShardedDeepMapping.load(path).engine is None
+        assert DeepMapping.load(path).engine is None
 
 
 class TestSkewedStream:
@@ -212,9 +213,9 @@ class TestSkewedStream:
                                     split_balance=1.6, split_min_rows=64,
                                     merge_balance=0.4,
                                     max_actions_per_run=8)
-        managed = ShardedDeepMapping.fit(
+        managed = DeepMapping.fit(
             table, config, ShardingConfig(n_shards=4, lifecycle=lifecycle))
-        baseline = ShardedDeepMapping.fit(
+        baseline = DeepMapping.fit(
             table, config, ShardingConfig(n_shards=4))
 
         rng = np.random.default_rng(11)
@@ -248,7 +249,7 @@ class TestOneModel:
     def test_engine_retrain_keeps_the_stores_rebuilt_config(self, table):
         # A retrain refits with the config the store was last rebuilt
         # with, and every shard answers through that one model.
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=2, lifecycle=LifecycleConfig(
                 policy="bytes", retrain_bytes=1)))

@@ -1,12 +1,11 @@
-"""Tests for the sharded-store manifest format."""
+"""Tests for the store manifest format."""
 
 import json
-import os
 
 import pytest
 
-from repro.shard import (MANIFEST_NAME, ShardEntry, ShardManifest,
-                         is_sharded_store)
+from repro.shard import MANIFEST_NAME, ShardEntry, ShardManifest
+from repro.storage import LocalDirBackend
 
 
 def sample_manifest():
@@ -38,13 +37,14 @@ class TestRoundTrip:
 
     def test_disk_round_trip(self, tmp_path):
         manifest = sample_manifest()
-        nbytes = manifest.save(str(tmp_path))
+        nbytes = manifest.save_to(LocalDirBackend(str(tmp_path)))
         assert nbytes > 0
-        restored = ShardManifest.load(str(tmp_path))
+        restored = ShardManifest.load_from(
+            LocalDirBackend(str(tmp_path), create=False))
         assert restored.to_json() == manifest.to_json()
 
     def test_file_is_readable_json(self, tmp_path):
-        sample_manifest().save(str(tmp_path))
+        sample_manifest().save_to(LocalDirBackend(str(tmp_path)))
         with open(tmp_path / MANIFEST_NAME) as handle:
             obj = json.load(handle)
         assert obj["format"] == "sharded-deepmapping"
@@ -60,16 +60,3 @@ class TestValidation:
         obj["version"] = 999
         with pytest.raises(ValueError, match="newer"):
             ShardManifest.from_json(obj)
-
-
-class TestDetection:
-    def test_is_sharded_store(self, tmp_path):
-        assert not is_sharded_store(str(tmp_path))
-        sample_manifest().save(str(tmp_path))
-        assert is_sharded_store(str(tmp_path))
-
-    def test_plain_file_is_not_a_store(self, tmp_path):
-        path = tmp_path / "structure.dm"
-        path.write_bytes(b"pickle")
-        assert not is_sharded_store(str(path))
-        assert not is_sharded_store(str(tmp_path / "missing"))

@@ -22,7 +22,7 @@ import repro
 from repro.core.plan import blank
 from repro.data import ColumnTable
 from repro.serve import BackgroundTCPServer
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.storage import LocalDirBackend
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
@@ -44,7 +44,7 @@ def correlated_table() -> ColumnTable:
 
 @pytest.fixture
 def store():
-    built = ShardedDeepMapping.fit(correlated_table(), fast_config(epochs=3),
+    built = DeepMapping.fit(correlated_table(), fast_config(epochs=3),
                                    ShardingConfig(n_shards=2))
     yield built
     built.close()
@@ -87,7 +87,7 @@ class TestMissReadsBlank:
 
     def test_empty_shard_keys_read_what_a_live_miss_reads(
             self, two_group_table):
-        sharded = ShardedDeepMapping.fit(
+        sharded = DeepMapping.fit(
             two_group_table, fast_config(epochs=3),
             ShardingConfig(n_shards=4, strategy="range"))
         assert 0 in sharded.shard_row_counts()
@@ -124,7 +124,7 @@ class TestOneDtypePerColumn:
         assert store.value_dtype("s") == np.dtype("<U9")
         # One decode map for every shard: shard 1 decodes the new value
         # too, though none of its rows holds it.
-        assert all(shard.fdecode is store.model.fdecode
+        assert all(shard.model.fdecode is store.model.fdecode
                    for shard in store.shards)
         for keys in (self.SHARD_1, {"key": np.zeros(0, dtype=np.int64)}):
             for result in (store.lookup(keys), barrier_lookup(store, keys)):
@@ -169,7 +169,7 @@ class TestManifestVersion:
         # removed prune metadata was written for.
         table = ColumnTable({"key": KEYS, "v": KEYS % 3},
                             key=("key",), name="uniform")
-        sharded = ShardedDeepMapping.fit(table, fast_config(epochs=2),
+        sharded = DeepMapping.fit(table, fast_config(epochs=2),
                                          ShardingConfig(n_shards=2))
         path = tmp_path / "store"
         sharded.save(str(path))

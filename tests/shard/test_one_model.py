@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro import DeepMapping
 from repro.data import ColumnTable, synthetic
 from repro.core.persistence import blob_crc
 from repro.lifecycle import LifecycleConfig
 from repro.nn.training import Trainer
 from repro.resilience import StoreCorruptedError
-from repro.shard import ShardedDeepMapping, ShardingConfig, ShardManifest
-from repro.storage import (InMemoryBackend, LocalDirBackend, MONOLITHIC_BLOB,
+from repro.shard import DeepMapping, ShardingConfig, ShardManifest
+from repro.storage import (InMemoryBackend, LocalDirBackend,
                            payload_cache, zerocopy)
 from repro.testing import serve_backend
 
@@ -49,7 +48,7 @@ def lookup_matches(store, table):
 
 def test_nothing_outside_a_retrain_trains(two_group_table, fits):
     config = fast_config(epochs=2)
-    store = ShardedDeepMapping.fit(two_group_table, config,
+    store = DeepMapping.fit(two_group_table, config,
                                    ShardingConfig(n_shards=4))
     assert len(fits) == 1  # the one model
     assert store.shards[2] is None and store.shards[3] is None
@@ -84,7 +83,7 @@ def test_nothing_outside_a_retrain_trains(two_group_table, fits):
 
 def test_hash_buckets_share_the_one_model(fits):
     table = synthetic.multi_column(1200, "low", seed=3)
-    store = ShardedDeepMapping.fit(table, fast_config(epochs=2),
+    store = DeepMapping.fit(table, fast_config(epochs=2),
                                    ShardingConfig(n_shards=4,
                                                   strategy="hash"))
     assert len(fits) == 1
@@ -114,7 +113,7 @@ def test_engine_split_trains_nothing(fits):
     lifecycle = LifecycleConfig(
         policy="never", rebalance=True, split_balance=1.5,
         split_min_rows=8, max_actions_per_run=1)
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, fast_config(epochs=2), ShardingConfig(n_shards=1,
                                                      lifecycle=lifecycle))
     store.split_shard(0, cut=1)
@@ -131,7 +130,7 @@ def test_engine_split_trains_nothing(fits):
 
 @pytest.mark.parametrize("writable", [True, False])
 def test_a_reopened_store_shares_one_model(two_group_table, writable):
-    store = ShardedDeepMapping.fit(two_group_table, fast_config(epochs=2),
+    store = DeepMapping.fit(two_group_table, fast_config(epochs=2),
                                    ShardingConfig(n_shards=4))
     backend = InMemoryBackend.named(f"one-model-reopen-{writable}")
     try:
@@ -152,7 +151,7 @@ def test_sharded_model_bytes_equal_a_one_shard_fit():
     config = fast_config(epochs=4)
     mono = DeepMapping.fit(table, config).size_report()
     for n_shards in (1, 4):
-        sharded = ShardedDeepMapping.fit(
+        sharded = DeepMapping.fit(
             table, config, ShardingConfig(n_shards=n_shards)).size_report()
         assert sharded.model_bytes == mono.model_bytes
         assert sharded.decode_bytes == mono.decode_bytes
@@ -161,7 +160,7 @@ def test_sharded_model_bytes_equal_a_one_shard_fit():
 
 def test_shard_blobs_hold_no_session_and_the_model_is_written_once(
         two_group_table):
-    store = ShardedDeepMapping.fit(two_group_table, fast_config(epochs=2),
+    store = DeepMapping.fit(two_group_table, fast_config(epochs=2),
                                    ShardingConfig(n_shards=4))
     backend = InMemoryBackend.named("one-model-layout")
     try:
@@ -183,25 +182,6 @@ def test_shard_blobs_hold_no_session_and_the_model_is_written_once(
             state = zerocopy.unpack(backend.read_bytes(name))
             assert set(state) == {"aux_v2", "model_crc"}
             assert state["model_crc"] == crc
-    finally:
-        InMemoryBackend.discard(backend.name)
-
-
-def test_a_monolithic_payload_with_a_zero_window_base_opens(sparse_table):
-    """A monolithic payload keeps the parent's layout; the parent saved
-    its existence state with a window base of 0, which reads as the
-    whole domain."""
-    mono = DeepMapping.fit(sparse_table, fast_config(epochs=3))
-    state = zerocopy.unpack(mono.to_payload())
-    state["aux_v2"] = mono.aux.to_state()  # re-packable partitions
-    assert "base" not in state["exist_v2"]
-    state["exist_v2"]["base"] = 0
-    backend = InMemoryBackend.named("one-model-parent-payload")
-    try:
-        backend.write_bytes(MONOLITHIC_BLOB, zerocopy.pack(state))
-        for writable in (True, False):
-            with repro.open(backend.url, writable=writable) as opened:
-                lookup_matches(opened, sparse_table)
     finally:
         InMemoryBackend.discard(backend.name)
 
@@ -234,7 +214,7 @@ def test_a_key_far_past_the_max_keeps_v_exist_small(tmp_path, sharding,
     table = synthetic.single_column(2_000, "high", seed=1)
     config = fast_config(epochs=2)
     store = (DeepMapping.fit(table, config) if sharding is None
-             else ShardedDeepMapping.fit(table, config, ShardingConfig(
+             else DeepMapping.fit(table, config, ShardingConfig(
                  n_shards=4, strategy=sharding)))
     rows = far_rows(store)
     before = store.size_report().exist_bytes
@@ -272,11 +252,12 @@ class CutShort(LocalDirBackend):
 def saved_and_retrained(two_group_table, tmp_path):
     """A store saved at ``tmp_path/store`` and the same store after a
     retrain that changed its model."""
-    store = ShardedDeepMapping.fit(two_group_table, fast_config(epochs=2),
+    store = DeepMapping.fit(two_group_table, fast_config(epochs=2),
                                    ShardingConfig(n_shards=4))
     path = str(tmp_path / "store")
     store.save(path)
-    old_crc = ShardManifest.load(path).model_crc
+    old_crc = ShardManifest.load_from(
+        LocalDirBackend(path, create=False)).model_crc
     store.rebuild(fast_config(epochs=3, seed=5))
     yield path, store, old_crc
     payload_cache().clear()

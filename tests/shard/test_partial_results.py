@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.resilience import (Deadline, DeadlineExceeded, PartialResult,
                               PartialResultError)
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.testing import break_shard
 
 from ..core.conftest import fast_config
@@ -29,7 +29,7 @@ from ..core.conftest import fast_config
 def store():
     from repro.data import synthetic
     table = synthetic.multi_column(1200, "low", seed=3)
-    built = ShardedDeepMapping.fit(
+    built = DeepMapping.fit(
         table, fast_config(epochs=5),
         ShardingConfig(n_shards=4, strategy="range",
                        on_shard_error="partial"),
@@ -179,6 +179,27 @@ class TestTimeoutClassification:
         assert isinstance(got.shard_errors[0], DeadlineExceeded)
         # the budget plus scheduling slack, nowhere near the 60 s stall
         assert partial_s < 5.0 and raise_s < 5.0
+
+    def test_a_one_shard_store_is_timed_out_too(self):
+        # A one-shard store reads its only shard inline when nothing
+        # needs the executor lane; a deadline does, so a wedged shard
+        # cannot hold the caller past the budget, misses or not.
+        from repro.data import synthetic
+        table = synthetic.single_column(300, "high", seed=3)
+        store = DeepMapping.fit(table, fast_config(epochs=2))
+        keys = {"key": np.concatenate([table.column("key")[:40], [-5]])}
+        release = threading.Event()
+        restore = break_shard(store, 0, delay_s=60.0, release=release)
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                store.lookup(keys, deadline=Deadline(0.1))
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+            restore()
+            store.close()
+        assert elapsed < 5.0
 
 
 class TestResultIsPrivate:

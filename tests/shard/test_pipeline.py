@@ -1,6 +1,6 @@
 """Pipelined read path: bit-parity with the barrier oracle, all routes.
 
-`ShardedDeepMapping.lookup` (staged plans, shared sort, streaming
+`DeepMapping.lookup` (staged plans, shared sort, streaming
 scatter) must return bit-identical results to
 `repro.testing.oracles.barrier_lookup` (the pre-pipeline
 map/concat/permute path) on every router, key shape, executor and hit
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DeepMappingConfig
 from repro.data import ColumnTable, synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig, topology
+from repro.shard import DeepMapping, ShardingConfig, topology
 from repro.store import make_executor
 from repro.testing.oracles import barrier_lookup, reference_lookup
 
@@ -35,7 +35,7 @@ def table():
 
 @pytest.fixture(scope="module", params=["range", "hash"])
 def store(request, table):
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         table, fast_config(epochs=4),
         ShardingConfig(n_shards=4, strategy=request.param))
 
@@ -168,7 +168,7 @@ class TestPresortedRuns:
         expected = reference_lookup(shard, {"key": keys})
         distinct_hits = np.unique(keys[expected.found]).size
         assert plan.model_rows.size + plan.aux_rows.size == distinct_hits
-        assert_same(plan.finish(), expected, shard.value_names)
+        assert_same(plan.finish(), expected, shard.model.fdecode.columns)
 
     @pytest.fixture
     def shard(self, store):
@@ -207,7 +207,7 @@ class TestPresortedRuns:
 
 class TestReferencePathParity:
     def test_store_matches_reference_engine_behind_barrier_merge(self, table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=3), ShardingConfig(n_shards=3))
         rng = np.random.default_rng(1)
         live = table.column("key")
@@ -229,7 +229,7 @@ class TestCompositeKeys:
             {"a": a, "b": b,
              "v": rng.integers(0, 50, a.size).astype(np.int64)},
             key=("a", "b"))
-        store = ShardedDeepMapping.fit(table, fast_config(epochs=3),
+        store = DeepMapping.fit(table, fast_config(epochs=3),
                                        ShardingConfig(n_shards=3))
         query = {
             "a": np.concatenate([a[::7], rng.integers(0, 40, 60)]),
@@ -241,7 +241,7 @@ class TestCompositeKeys:
 
 class TestEmptyShards:
     def test_batch_touching_empty_shard(self, table):
-        store = ShardedDeepMapping.fit(table, fast_config(epochs=3),
+        store = DeepMapping.fit(table, fast_config(epochs=3),
                                        ShardingConfig(n_shards=4))
         # Delete every row of shard 0 so its segment is all misses.
         key_cols = store.model.key_codec.unflatten(
@@ -273,14 +273,14 @@ class TestExecutors:
         with pytest.raises(TypeError, match="ExecutorStrategy"):
             make_executor(NoJobLane())
         with pytest.raises(TypeError, match="ExecutorStrategy"):
-            ShardedDeepMapping.fit(
+            DeepMapping.fit(
                 synthetic.multi_column(50, "low", seed=5),
                 fast_config(epochs=1),
                 ShardingConfig(n_shards=2, executor=NoJobLane()))
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_named_strategies_parity(self, table, executor):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=3),
             ShardingConfig(n_shards=3, executor=executor))
         rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 
 from ..core.conftest import fast_config
 
@@ -19,7 +19,7 @@ from ..core.conftest import fast_config
 @pytest.fixture
 def store():
     table = synthetic.single_column(3000, "low", seed=1)
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         table, fast_config(epochs=2),
         ShardingConfig(n_shards=2, strategy="range"))
 
@@ -41,7 +41,7 @@ def assert_same(result, reference):
 
 def answers(store, ordinal):
     probe = probe_for(store, ordinal)
-    return probe, store.shards[ordinal].lookup(probe)
+    return probe, store.shards[ordinal].plan_lookup(probe).execute()
 
 
 def test_a_shard_retired_by_a_split_answers_as_before(store):
@@ -50,7 +50,7 @@ def test_a_shard_retired_by_a_split_answers_as_before(store):
     probe, before = answers(store, 0)
     store.split_shard(0)
     assert all(shard is not retired for shard in store.shards)
-    assert_same(retired.lookup(probe), before)
+    assert_same(retired.plan_lookup(probe).execute(), before)
     # What a retired shard faults in is served, not cached: nothing
     # would ever evict it from the shared (unbounded) pool.
     retired_keys = {meta.pool_key for meta in retired.aux._store.partitions}
@@ -62,7 +62,7 @@ def test_shards_retired_by_a_merge_answer_as_before(store):
     recorded = [answers(store, 0), answers(store, 1)]
     store.merge_shards(0)
     for shard, (probe, before) in zip((first, second), recorded):
-        assert_same(shard.lookup(probe), before)
+        assert_same(shard.plan_lookup(probe).execute(), before)
     # The merged shard serves both halves' keys from its own partitions.
     for probe, before in recorded:
         assert_same(store.lookup(probe), before)

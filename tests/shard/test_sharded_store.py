@@ -1,13 +1,13 @@
-"""Tests for ShardedDeepMapping: routing, parity, persistence, mutation."""
+"""Tests for DeepMapping: routing, parity, persistence, mutation."""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.core import DeepMapping, select
+from repro.core import select
 from repro.data import ColumnTable
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 
 from ..core.conftest import fast_config
 
@@ -21,10 +21,10 @@ def query_keys(table, rng, n_miss=3):
 
 
 class TestLookupParity:
-    def test_matches_monolithic_and_preserves_input_order(self, small_table):
+    def test_matches_one_shard_and_preserves_input_order(self, small_table):
         config = fast_config(epochs=5)
         mono = DeepMapping.fit(small_table, config)
-        sharded = ShardedDeepMapping.fit(
+        sharded = DeepMapping.fit(
             small_table, config, ShardingConfig(n_shards=4))
         rng = np.random.default_rng(11)
         keys = query_keys(small_table, rng)
@@ -50,7 +50,7 @@ class TestLookupParity:
 
     def test_hash_strategy_parity(self, small_table):
         config = fast_config(epochs=5)
-        sharded = ShardedDeepMapping.fit(
+        sharded = DeepMapping.fit(
             small_table, config, ShardingConfig(n_shards=3, strategy="hash"))
         rng = np.random.default_rng(2)
         keys = query_keys(small_table, rng)
@@ -60,10 +60,10 @@ class TestLookupParity:
 
     def test_parallel_workers_match_serial(self, small_table):
         config = fast_config(epochs=5)
-        serial = ShardedDeepMapping.fit(
+        serial = DeepMapping.fit(
             small_table, config,
             ShardingConfig(n_shards=4, max_workers=1))
-        with ShardedDeepMapping.fit(
+        with DeepMapping.fit(
                 small_table, config,
                 ShardingConfig(n_shards=4, max_workers=4)) as parallel:
             rng = np.random.default_rng(5)
@@ -78,7 +78,7 @@ class TestLookupParity:
     def test_concurrent_lookups_share_one_executor(self, small_table):
         import threading
 
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             small_table, fast_config(epochs=3),
             ShardingConfig(n_shards=4, max_workers=2))
         pools = []
@@ -101,7 +101,7 @@ class TestLookupParity:
         assert set(result.values) == set(sharded.value_names)
 
     def test_single_shard_store_works(self, small_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             small_table, fast_config(epochs=5), ShardingConfig(n_shards=1))
         assert store.n_shards == 1
         key = int(small_table.column("key")[3])
@@ -116,7 +116,7 @@ class TestLookupParity:
 
 class TestEmptyShards:
     def test_range_sharding_sparse_leading_column(self, two_group_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
             ShardingConfig(n_shards=4, strategy="range"))
         counts = store.shard_row_counts()
@@ -126,14 +126,14 @@ class TestEmptyShards:
         assert result.found.all()
 
     def test_empty_shards_round_trip_save_load(self, two_group_table, tmp_path):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
             ShardingConfig(n_shards=4, strategy="range"))
         path = str(tmp_path / "store")
         nbytes = store.save(path)
         assert nbytes > 0
 
-        loaded = ShardedDeepMapping.load(path)
+        loaded = DeepMapping.load(path)
         assert loaded.shard_row_counts() == store.shard_row_counts()
         assert len(loaded) == len(store)
         # Keys owned by an empty shard are clean per-key misses.
@@ -143,7 +143,7 @@ class TestEmptyShards:
         np.testing.assert_array_equal(result.found, [True, True, False])
 
     def test_insert_materializes_empty_shard(self, two_group_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
             ShardingConfig(n_shards=4, strategy="range"))
         empty = store.shard_row_counts().index(0)
@@ -259,7 +259,7 @@ class TestPersistence:
         sharded.save(path)
         assert os.path.isfile(os.path.join(path, "manifest.json"))
 
-        loaded = ShardedDeepMapping.load(path)
+        loaded = DeepMapping.load(path)
         rng = np.random.default_rng(9)
         keys = query_keys(small_table, rng)
         a, b = sharded.lookup({"key": keys}), loaded.lookup({"key": keys})
@@ -271,26 +271,26 @@ class TestPersistence:
     def test_load_overrides_workers_and_budget(self, sharded, tmp_path):
         path = str(tmp_path / "store")
         sharded.save(path)
-        loaded = ShardedDeepMapping.load(path, max_workers=2,
+        loaded = DeepMapping.load(path, max_workers=2,
                                          pool_budget_bytes=1 << 20)
         assert loaded.sharding.effective_workers() == 2
         assert loaded.pool.budget_bytes == 1 << 20
 
     def test_size_report_aggregates_all_shards(self, sharded):
         report = sharded.size_report()
-        per_shard = [shard.size_report() for shard in sharded.shards
+        per_shard = [shard.aux.stored_bytes() for shard in sharded.shards
                      if shard is not None]
         # One model, decode map and V_exist, counted once; T_aux summed
         # over shards.
         assert report.model_bytes == sharded.model.session.nbytes
         assert report.decode_bytes == sharded.model.fdecode.nbytes
-        assert report.aux_bytes == sum(r.aux_bytes for r in per_shard)
+        assert report.aux_bytes == sum(per_shard)
         assert report.exist_bytes == sharded.exist.stored_bytes()
         assert report.n_rows == len(sharded)
         assert report.total_bytes > 0
 
     def test_to_table_round_trips_content(self, two_group_table):
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
             ShardingConfig(n_shards=4))
         table = store.to_table()
@@ -303,7 +303,7 @@ class TestRebuildKeepsCoHosting:
     def test_out_of_domain_insert_keeps_the_shared_pool(self, small_table):
         """A shard rebuild (out-of-domain insert) must stay on the store's
         shared pool."""
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             small_table, fast_config(epochs=4),
             ShardingConfig(n_shards=3, strategy="range"))
         far_key = int(small_table.column("key").max()) * 10 + 7
@@ -318,12 +318,10 @@ class TestRebuildKeepsCoHosting:
         assert store.lookup_one(key=far_key) is not None
 
     def test_explicit_rebuild_keeps_the_pool(self, small_table):
-        from repro.storage import BufferPool
-
-        pool = BufferPool()
-        dm = DeepMapping.fit(small_table, fast_config(epochs=3), pool=pool)
+        dm = DeepMapping.fit(small_table, fast_config(epochs=3))
+        pool = dm.pool
         dm.rebuild()
-        assert dm.aux.pool is pool
+        assert dm.shards[0].aux.pool is pool
 
 
 class TestConfigValidation:

@@ -1,10 +1,13 @@
-"""Model-based test of the sharded store: a dict is the specification.
+"""Model-based test of the store: a dict is the specification.
 
 One hypothesis ``RuleBasedStateMachine`` drives a writable range-sharded
 store with a lifecycle-free config through inserts (into gaps and past
-the leading key's max, near it or 10**6 past it), deletes, updates, ``rebuild``, ``split_shard``,
-``merge_shards`` and save -> reopen on ``file://`` and ``mem://`` (both
-writable and ``writable=False``), and checks after every step that:
+the leading key's max, near it or 10**6 past it), deletes, updates,
+``rebuild``, ``split_shard``, ``merge_shards`` and save -> reopen on
+``file://``, ``mem://`` and ``zip://`` (both writable and
+``writable=False``).  It runs twice: from a 3-shard store, and from a
+default ``DeepMapping.fit`` store (one shard, which a split turns into
+more).  After every step it checks that:
 
 - found-mask and values are bit-identical to the dict, on live keys and
   on misses (deleted keys, gaps, keys outside the domain);
@@ -36,7 +39,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 import repro
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.shard.manifest import ShardManifest
 from repro.storage import InMemoryBackend, backend_for_url, payload_cache
 
@@ -55,24 +58,39 @@ ROWS = 400
 _COUNTER = itertools.count()
 _BASE = {}
 
+#: The sharding of each machine's base store: ``None`` is the default.
+SHARDINGS = {
+    "sharded": lambda: ShardingConfig(n_shards=3, strategy="range",
+                                      executor="serial"),
+    "default": lambda: None,
+}
 
-def _base_store_url() -> str:
-    """One fit per process, saved to ``mem://``; every example opens a
-    private writable copy of it."""
-    if "url" not in _BASE:
-        table = synthetic.single_column(ROWS, "high", seed=11,
-                                        domain_factor=2.0)
-        store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=4),
-            ShardingConfig(n_shards=3, strategy="range",
-                           executor="serial"))
-        url = "mem://state-machine-base"
+
+def _table():
+    return synthetic.single_column(ROWS, "high", seed=11, domain_factor=2.0)
+
+
+def _base_store_url(kind: str) -> str:
+    """One fit per process and kind, saved to ``mem://``; every example
+    opens a private writable copy of it."""
+    if kind not in _BASE:
+        table = _table()
+        store = DeepMapping.fit(table, fast_config(epochs=4),
+                                SHARDINGS[kind]())
+        url = f"mem://state-machine-base-{kind}"
         store.save(url)
-        _BASE["url"] = url
+        store.close()
+        _BASE[kind] = url
+    return _BASE[kind]
+
+
+def _base_rows():
+    if "rows" not in _BASE:
+        table = _table()
         _BASE["rows"] = dict(zip(table.column("key").tolist(),
                                  table.column("value").tolist()))
         _BASE["vocab"] = sorted(set(_BASE["rows"].values()))
-    return _BASE["url"]
+    return _BASE["rows"]
 
 
 def _check_index(store, live) -> None:
@@ -101,20 +119,23 @@ def _route_lookup(router, shards, keys: np.ndarray):
         rows = np.flatnonzero(ids == ordinal)
         if shard is None or rows.size == 0:
             continue
-        result = shard.lookup({"key": keys[rows]})
+        result = shard.plan_lookup({"key": keys[rows]}).execute()
         found[rows] = result.found
         values[rows[result.found]] = result.values["value"][result.found]
     return found, values
 
 
 class ShardedStoreMachine(RuleBasedStateMachine):
+    #: Which base store (:data:`SHARDINGS`) an example starts from.
+    KIND = "sharded"
+
     def __init__(self):
         super().__init__()
-        self.store = repro.open(_base_store_url())
-        self.model = dict(_BASE["rows"])
+        self.store = repro.open(_base_store_url(self.KIND))
+        self.model = dict(_base_rows())
         self.ever = set(self.model)
         self.snapshot = None  # (router, shards, keys, found, values)
-        self.scratch = None  # directory of this example's file:// saves
+        self.scratch = None  # directory of this example's file/zip saves
         self.mem_names = []  # this example's mem:// containers
 
     # -- helpers ---------------------------------------------------------
@@ -210,7 +231,8 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         self.store.merge_shards(
             data.draw(st.integers(0, self.store.n_shards - 2)))
 
-    @rule(scheme=st.sampled_from(["file", "mem"]), writable=st.booleans())
+    @rule(scheme=st.sampled_from(["file", "mem", "zip"]),
+          writable=st.booleans())
     def save_reopen(self, scheme, writable):
         name = f"state-machine-{next(_COUNTER)}"
         if scheme == "mem":
@@ -219,7 +241,8 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         else:
             if self.scratch is None:
                 self.scratch = tempfile.mkdtemp(prefix="repro-machine-")
-            url = f"file://{os.path.join(self.scratch, name)}"
+            path = os.path.join(self.scratch, name)
+            url = f"zip://{path}.zip" if scheme == "zip" else f"file://{path}"
         self.store.save(url)
         manifest = ShardManifest.load_from(backend_for_url(url, create=False))
         assert ShardManifest.from_json(manifest.to_json()) == manifest
@@ -279,5 +302,13 @@ class ShardedStoreMachine(RuleBasedStateMachine):
             shutil.rmtree(self.scratch, ignore_errors=True)
 
 
+class DefaultStoreMachine(ShardedStoreMachine):
+    """The same rules from a default (one-shard) store."""
+
+    KIND = "default"
+
+
 ShardedStoreMachine.TestCase.settings = PROFILE
 TestShardedStoreMachine = ShardedStoreMachine.TestCase
+DefaultStoreMachine.TestCase.settings = PROFILE
+TestDefaultStoreMachine = DefaultStoreMachine.TestCase

@@ -23,7 +23,7 @@ import repro
 from repro.core.exist_index import (ExistenceIndex,
                                     SparseExistenceIndex)
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.shard.manifest import EXIST_NAME, MANIFEST_NAME
 from repro.testing.oracles import barrier_lookup
 
@@ -58,7 +58,7 @@ int64s = st.integers(min_value=-2**62, max_value=2**62)
 @pytest.fixture(scope="module", params=["range", "hash"])
 def routed_store(request):
     table = synthetic.multi_column(1000, "low", seed=9)
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, fast_config(epochs=4),
         ShardingConfig(n_shards=4, strategy=request.param))
     return store, table
@@ -102,7 +102,7 @@ class TestIndexSelection:
     @pytest.mark.parametrize("strategy", ["range", "hash"])
     def test_dense_domain_picks_a_bitmap(self, strategy):
         table = synthetic.single_column(600, "high", seed=2)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=3, strategy=strategy))
         assert isinstance(store.exist, ExistenceIndex)
@@ -116,7 +116,7 @@ class TestIndexSelection:
         # bits per key.
         table = synthetic.single_column(600, "high", seed=2,
                                         domain_factor=200.0)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=3, strategy=strategy))
         assert isinstance(store.exist, SparseExistenceIndex)
@@ -134,7 +134,7 @@ class TestMutationInvariants:
     @given(data=st.data())
     def test_insert_delete_sequences(self, data):
         table = synthetic.multi_column(300, "low", seed=4)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=3, strategy=data.draw(
                 st.sampled_from(["range", "hash"]))))
@@ -163,7 +163,7 @@ class TestMutationInvariants:
 
     def test_insert_far_outside_the_dense_domain_goes_sparse(self):
         table = synthetic.single_column(600, "high", seed=6)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=3, strategy="range"))
         key_name = table.key[0]
@@ -199,7 +199,7 @@ class TestMutationInvariants:
 class TestLifecycleInvariants:
     def test_split_then_merge_keep_the_index(self):
         table = synthetic.single_column(800, "high", seed=8)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=2, strategy="range"))
         live = set(table.column(table.key[0]).tolist())
@@ -228,7 +228,7 @@ class TestPartialInsertFailure:
     def test_rows_that_landed_are_found(self, monkeypatch):
         table = synthetic.single_column(800, "high", seed=3,
                                         domain_factor=2.0)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=4, strategy="range"))
         key_name = table.key[0]
@@ -297,7 +297,7 @@ class TestPrunedKeysCounter:
     def test_every_miss_is_pruned_and_no_hit(self):
         table = synthetic.single_column(600, "high", seed=7,
                                         domain_factor=1.0)
-        store = ShardedDeepMapping.fit(
+        store = DeepMapping.fit(
             table, fast_config(epochs=2),
             ShardingConfig(n_shards=3, strategy="range"))
         key_name = table.key[0]

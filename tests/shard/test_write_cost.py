@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro import DeepMapping
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig
 from repro.nn.compiled import CompiledSession
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.storage import InMemoryBackend, payload_cache
 from repro.storage.partition import SortedPartitionStore
 
@@ -30,7 +29,7 @@ def table():
 
 
 def _store(table, lifecycle=None):
-    return ShardedDeepMapping.fit(
+    return DeepMapping.fit(
         table, fast_config(epochs=3, aux_partition_bytes=512),
         ShardingConfig(n_shards=8, strategy="range", executor="serial",
                        lifecycle=lifecycle))
@@ -81,8 +80,8 @@ class TestOneModelPassPerBatch:
         store.delete({"key": rows["key"][:30]})
         assert counted["lost_rows"] == 2
 
-    def test_monolithic_insert_and_update_run_the_model_once(self, table,
-                                                             counted):
+    def test_one_shard_insert_and_update_run_the_model_once(self, table,
+                                                            counted):
         mono = DeepMapping.fit(table, fast_config(epochs=3))
         counted.clear()
         mono.insert(_gap_rows(table, 50))

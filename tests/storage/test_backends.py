@@ -6,11 +6,9 @@ import zipfile
 
 import pytest
 
-from repro.storage.backends import (MONOLITHIC_BLOB, URL_SCHEMES,
-                                    InMemoryBackend, LocalDirBackend,
-                                    StorageBackend, ZipBackend,
-                                    backend_for_url, parse_url,
-                                    resolve_blob_url)
+from repro.storage.backends import (URL_SCHEMES, InMemoryBackend,
+                                    LocalDirBackend, StorageBackend,
+                                    ZipBackend, backend_for_url, parse_url)
 
 
 @pytest.fixture(params=["local", "mem", "zip"])
@@ -199,13 +197,3 @@ class TestUrlResolution:
         assert isinstance(backend_for_url(f"zip://{tmp_path}/a.zip"),
                           ZipBackend)
 
-    def test_resolve_blob_url_file_names_the_blob(self, tmp_path):
-        backend, blob = resolve_blob_url(str(tmp_path / "orders.dm"))
-        assert isinstance(backend, LocalDirBackend)
-        assert blob == "orders.dm"
-
-    def test_resolve_blob_url_containers_use_canonical_name(self, tmp_path):
-        for url in ("mem://resolve-test", f"zip://{tmp_path}/a.zip"):
-            _backend, blob = resolve_blob_url(url)
-            assert blob == MONOLITHIC_BLOB
-        InMemoryBackend.discard("resolve-test")

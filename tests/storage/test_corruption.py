@@ -29,9 +29,10 @@ def table():
         {"sku": keys, "price": (keys * 7) % 101}, key=("sku",))
 
 
-def build_monolithic(table, path: str) -> None:
+def build_one_shard(table, directory) -> None:
+    """A default (one-shard) store saved into ``directory``."""
     repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
-                url=path).close()
+                url=str(directory)).close()
 
 
 def flip_file_byte(path, position: int) -> None:
@@ -46,36 +47,38 @@ def flip_blob_byte(backend, name: str, position: int) -> None:
     backend.write_bytes(name, bytes(payload))
 
 
-class TestMonolithicCorruption:
+class TestOneShardCorruption:
+    """A flipped byte in the shard blob or the model blob of a default
+    store is caught at open."""
+
     @pytest.mark.parametrize("where", ["head", "middle", "tail"])
     def test_single_flipped_byte_is_caught(self, tmp_path, table, where):
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
         size = len(path.read_bytes())
         position = {"head": len(zerocopy.MAGIC) + 1,
                     "middle": size // 2,
                     "tail": size - 9}[where]
         flip_file_byte(path, position)
         with pytest.raises(StoreCorruptedError):
-            repro.open(str(path))
+            repro.open(str(tmp_path / "store"))
 
     def test_truncated_payload_is_caught(self, tmp_path, table):
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
         payload = path.read_bytes()
         path.write_bytes(payload[:len(payload) // 2])
         with pytest.raises(StoreCorruptedError):
-            repro.open(str(path))
+            repro.open(str(tmp_path / "store"))
 
     def test_error_is_still_an_unpickling_error(self, tmp_path, table):
         # The pre-resilience facade caught pickle.UnpicklingError; the
         # typed error must remain catchable there.
-        import pickle
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
         flip_file_byte(path, len(path.read_bytes()) // 2)
         with pytest.raises(pickle.UnpicklingError):
-            repro.open(str(path))
+            repro.open(str(tmp_path / "store"))
 
     @pytest.mark.parametrize("writable", [False, True])
     def test_flipped_byte_in_an_aux_partition_names_its_segment(
@@ -83,11 +86,11 @@ class TestMonolithicCorruption:
         # T_aux is saved as compressed partitions, one container segment
         # each; damage inside one must be caught by that segment's CRC at
         # open, not by a decompressor at some later lookup.
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
         payload = path.read_bytes()
-        with repro.open(str(path)) as store:
-            blob = bytes(store.aux._store.partitions[-1].blob)
+        with repro.open(str(tmp_path / "store")) as store:
+            blob = bytes(store.shards[0].aux._store.partitions[-1].blob)
         start = payload.find(blob)
         assert start > 0 and payload.count(blob) == 1
         segments = zerocopy.parse_index(payload, len(payload)).segments
@@ -97,7 +100,7 @@ class TestMonolithicCorruption:
         with pytest.raises(
                 StoreCorruptedError,
                 match=f"segment {segment} of {n_segments} failed checksum"):
-            repro.open(str(path), writable=writable)
+            repro.open(str(tmp_path / "store"), writable=writable)
 
     @pytest.mark.parametrize("writable", [False, True])
     def test_flipped_byte_in_a_packed_weight_segment_names_its_segment(
@@ -105,12 +108,13 @@ class TestMonolithicCorruption:
         # Bit-packed weights have no redundancy of their own — any byte
         # is a valid run of k-bit levels — so the segment CRC is what
         # stands between a flipped bit and a silently different model.
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "model.rzc"
         payload = path.read_bytes()
-        with repro.open(str(path)) as store:
-            assert store.session.bits is not None
-            packed = max((layer[0] for layer in store.session._shared),
+        with repro.open(str(tmp_path / "store")) as store:
+            session = store.model.session
+            assert session.bits is not None
+            packed = max((layer[0] for layer in session._shared),
                          key=lambda array: array.nbytes)
             assert packed.dtype == np.uint8 and packed.ndim == 1
             blob = packed.tobytes()
@@ -123,10 +127,10 @@ class TestMonolithicCorruption:
                 StoreCorruptedError,
                 match=f"segment {segment} of {len(segments)} "
                       "failed checksum"):
-            repro.open(str(path), writable=writable)
+            repro.open(str(tmp_path / "store"), writable=writable)
 
     def test_healthy_reopen_unaffected(self, tmp_path, table):
-        url = str(tmp_path / "store.dm")
+        url = str(tmp_path / "store")
         store = repro.build(table, repro.DeepMappingConfig(epochs=1, seed=0),
                             url=url)
         want = store.lookup({"sku": np.arange(64, dtype=np.int64)})
@@ -168,22 +172,24 @@ class TestDamagedAuxPartition:
     @pytest.mark.parametrize("damage", sorted(AUX_DAMAGE))
     def test_lookup_refuses_and_names_the_partition(
             self, tmp_path, table, damage, writable):
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
-        with repro.open(str(path)) as store:
-            state = zerocopy.unpack(store.to_payload())
-            state["aux_v2"] = store.aux.to_state()  # re-packable segments
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
+        with repro.open(str(tmp_path / "store")) as store:
+            aux = store.shards[0].aux
+            state = zerocopy.unpack(path.read_bytes())
+            state["aux_v2"] = aux.to_state()  # re-packable segments
             # Named by ordinal and (as the damaged fence reads) key range.
-            named = rf"partition {len(store.aux._store.partitions) - 1} " \
+            named = rf"partition {len(aux._store.partitions) - 1} " \
                     r"\(keys -?\d+\.\.-?\d+\)"
             field, edit = AUX_DAMAGE[damage]
             entries = state["aux_v2"]["store"][field]
-            entries[-1] = edit(entries[-1], store.aux._store.codec)
+            entries[-1] = edit(entries[-1], aux._store.codec)
         path.write_bytes(bytes(zerocopy.pack(state)))
-        with repro.open(str(path), writable=writable) as damaged:
+        with repro.open(str(tmp_path / "store"),
+                        writable=writable) as damaged:
             with pytest.raises(StoreCorruptedError, match=named):
                 damaged.lookup({"sku": np.arange(256, dtype=np.int64)})
-            assert damaged.aux.pool.stats.counters[
+            assert damaged.shards[0].aux.pool.stats.counters[
                 "pool_corruption_retries"] == 1
 
 
@@ -529,8 +535,8 @@ class TestRetiredMagic:
                                                       table):
         # The pre-checksum container (same layout, no CRC footer, another
         # magic) loaded with damage inside a segment.  Nothing reads it now.
-        path = tmp_path / "store.dm"
-        build_monolithic(table, str(path))
+        build_one_shard(table, tmp_path / "store")
+        path = tmp_path / "store" / "shard-0000.dm"
         payload = path.read_bytes()
         index = zerocopy.parse_index(payload, len(payload))
         relabelled = bytearray(
@@ -542,7 +548,7 @@ class TestRetiredMagic:
             zerocopy.unpack(bytes(relabelled))
         for writable in (True, False):
             with pytest.raises(ValueError, match="re-save it at commit"):
-                repro.open(str(path), writable=writable)
+                repro.open(str(tmp_path / "store"), writable=writable)
 
 
 class TestDurability:

@@ -20,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import AuxiliaryTable, DeepMapping
+from repro.core import AuxiliaryTable, Shard
 from repro.core.model import Model
-from repro.core.modify import ModificationTracker
 from repro.data import synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.shard.manifest import EXIST_NAME, MODEL_NAME
-from repro.storage import InMemoryBackend, LocalDirBackend, zerocopy
+from repro.storage import (InMemoryBackend, LocalDirBackend, StoreStats,
+                           zerocopy)
 from repro.storage.blob_cache import payload_cache
 from repro.storage.partition import SortedPartitionStore
 from repro.testing import serve_backend
@@ -38,7 +38,7 @@ from ..core.conftest import fast_config
 @pytest.fixture
 def saved_store(tmp_path):
     table = synthetic.single_column(400, "high", seed=2)
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, fast_config(epochs=2),
         ShardingConfig(n_shards=2, strategy="range"))
     url = str(tmp_path / "store")
@@ -243,7 +243,8 @@ def template():
 def with_aux(template, codec, partition_bytes, rows, overlay, dead):
     """``template`` over a hand-made auxiliary table: ``rows`` in
     partitions, then ``overlay`` rows added and ``dead`` keys removed."""
-    config = replace(template.config, aux_codec=codec,
+    base = template.model
+    config = replace(base.config, aux_codec=codec,
                      aux_partition_bytes=partition_bytes)
     aux = AuxiliaryTable(template.value_names, codec=codec,
                          target_partition_bytes=partition_bytes,
@@ -258,11 +259,13 @@ def with_aux(template, codec, partition_bytes, rows, overlay, dead):
     if overlay:
         aux.add_batch(*columns(overlay))
     aux.remove_batch(np.array(dead, dtype=np.int64))
-    model = Model(config, template.key_codec, template.key_encoder,
-                  template.session, template.fdecode,
-                  template.model.dataset_bytes)
-    return DeepMapping(model, aux, template.exist,
-                       tracker=ModificationTracker())
+    model = Model(config, base.key_codec, base.key_encoder, base.session,
+                  base.fdecode, base.dataset_bytes)
+    shard = Shard(model, aux, template.exist, StoreStats(), len(template))
+    return DeepMapping(template.router, model, [shard], template.exist,
+                       ShardingConfig(), value_names=template.value_names,
+                       value_dtypes={c: template.value_dtype(c)
+                                     for c in template.value_names})
 
 
 def assert_same_store(opened, source, query):
@@ -271,11 +274,12 @@ def assert_same_store(opened, source, query):
     for column in source.value_names:
         np.testing.assert_array_equal(result.values[column],
                                       reference.values[column])
-    assert len(opened.aux) == len(source.aux)
-    assert opened.aux.stored_bytes() == source.aux.stored_bytes()
-    assert opened.aux.partition_count == source.aux.partition_count
-    got_keys, got_codes = opened.aux.scan()
-    keys, codes = source.aux.scan()
+    opened_aux, source_aux = opened.shards[0].aux, source.shards[0].aux
+    assert len(opened_aux) == len(source_aux)
+    assert opened_aux.stored_bytes() == source_aux.stored_bytes()
+    assert opened_aux.partition_count == source_aux.partition_count
+    got_keys, got_codes = opened_aux.scan()
+    keys, codes = source_aux.scan()
     np.testing.assert_array_equal(got_keys, keys)
     for task in codes:
         assert got_codes[task].dtype == codes[task].dtype
@@ -290,8 +294,8 @@ def test_any_aux_table_round_trips_through_every_open(template, data):
     ``partition_count`` and ``scan()``, and the writable reopen saves
     back the identical bytes — for any codec, partition sizes down to
     one row, an empty table, and a live overlay and tombstones."""
-    n_keys = template.key_codec.domain_size
-    cardinality = min(template.fdecode.cardinalities().values())
+    n_keys = template.model.key_codec.domain_size
+    cardinality = min(template.model.fdecode.cardinalities().values())
     key = st.integers(min_value=0, max_value=n_keys - 1)
     row = st.tuples(key, st.integers(min_value=0, max_value=cardinality - 1))
     unique_rows = dict(unique_by=lambda pair: pair[0])
@@ -303,15 +307,17 @@ def test_any_aux_table_round_trips_through_every_open(template, data):
     dead = data.draw(st.lists(key, max_size=8))
     source = with_aux(template, codec, partition_bytes, rows, overlay, dead)
     if partition_bytes == 1:
-        assert source.aux.partition_count == len(rows)
-    query = template.key_codec.unflatten(np.arange(n_keys, dtype=np.int64))
+        assert source.shards[0].aux.partition_count == len(rows)
+    query = template.model.key_codec.unflatten(
+        np.arange(n_keys, dtype=np.int64))
 
     name = f"aux-round-trip-{os.urandom(6).hex()}"
     url = f"mem://{name}"
     try:
         source.save(url)
         backend = InMemoryBackend.named(name)
-        first = backend.read_bytes(repro.storage.MONOLITHIC_BLOB)
+        first = {blob: bytes(backend.read_bytes(blob))
+                 for blob in backend.list()}
 
         read_only = repro.open(url, writable=False)
         assert_same_store(read_only, source, query)
@@ -321,10 +327,11 @@ def test_any_aux_table_round_trips_through_every_open(template, data):
             assert_same_store(repro.open(server.url), source, query)
 
         writable.save(url)
-        assert backend.read_bytes(repro.storage.MONOLITHIC_BLOB) == first
+        assert {blob: bytes(backend.read_bytes(blob))
+                for blob in backend.list()} == first
         # Still mutable after attaching: fold the overlay in and compare.
-        writable.aux.compact()
-        source.aux.compact()
+        writable.shards[0].aux.compact()
+        source.shards[0].aux.compact()
         assert_same_store(writable, source, query)
     finally:
         payload_cache().clear()

@@ -18,11 +18,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro import DeepMapping
 from repro.data import ColumnTable, synthetic
-from repro.shard import ShardedDeepMapping, ShardingConfig
-from repro.storage import (MONOLITHIC_BLOB, LocalDirBackend,
-                           configure_hydration_cache)
+from repro.shard import DeepMapping, ShardingConfig
+from repro.storage import LocalDirBackend, configure_hydration_cache
 from repro.storage.blob_cache import payload_cache
 from repro.storage.remote import _cache_config
 from repro.testing import serve_backend
@@ -44,7 +42,7 @@ def saved_store(tmp_path, request):
              if getattr(request, "param", None) == "key-correlated"
              else synthetic.single_column(400, "high", seed=2))
     # Managed: the engine adopts every shard at open, proxies included.
-    store = ShardedDeepMapping.fit(
+    store = DeepMapping.fit(
         table, fast_config(epochs=2),
         ShardingConfig(n_shards=2, strategy="range",
                        lifecycle=repro.LifecycleConfig(policy="never")))
@@ -159,13 +157,13 @@ class TestLazyHydration:
 
 
 @pytest.fixture
-def saved_mono(tmp_path):
-    """A monolithic store saved into a directory container."""
+def saved_default(tmp_path):
+    """A default (one-shard) store saved into a directory container."""
     table = synthetic.single_column(400, "high", seed=2)
     store = DeepMapping.fit(table, fast_config(epochs=2))
-    directory = tmp_path / "mono"
-    directory.mkdir()
-    store.save(str(directory / MONOLITHIC_BLOB))
+    directory = tmp_path / "default"
+    store.save(str(directory))
+    store.close()
     payload_cache().clear()
     yield table, directory
     payload_cache().clear()
@@ -181,15 +179,15 @@ def insert_refused(opened, table):
 
 
 class TestOneOpenRule:
-    """``DeepMapping.open`` and ``repro.open`` open a payload by one rule
-    (``repro.core.persistence.open_payload``)."""
+    """``DeepMapping.load`` and ``repro.open`` open a store by one rule
+    (``repro.shard.persistence.load``)."""
 
     @pytest.mark.parametrize("scheme", ["", "cached+"])
-    @pytest.mark.parametrize("entry", [repro.open, DeepMapping.open],
-                             ids=["repro.open", "DeepMapping.open"])
-    def test_remote_monolithic_opens_are_read_only(self, saved_mono, scheme,
-                                                   entry, cache_dir):
-        table, directory = saved_mono
+    @pytest.mark.parametrize("entry", [repro.open, DeepMapping.load],
+                             ids=["repro.open", "DeepMapping.load"])
+    def test_remote_default_opens_are_read_only(self, saved_default, scheme,
+                                                entry, cache_dir):
+        table, directory = saved_default
         with serve_backend(LocalDirBackend(str(directory),
                                            create=False)) as server:
             for writable in (True, False):
@@ -199,25 +197,25 @@ class TestOneOpenRule:
                 assert opened.lookup(table).found.all()
                 opened.close()
 
-    def test_both_entry_points_agree_on_every_scheme(self, saved_mono,
+    def test_both_entry_points_agree_on_every_scheme(self, saved_default,
                                                      cache_dir, tmp_path):
-        table, directory = saved_mono
-        payload = (directory / MONOLITHIC_BLOB).read_bytes()
+        table, directory = saved_default
         mem = repro.storage.InMemoryBackend.named("one-open-rule")
-        mem.write_bytes(MONOLITHIC_BLOB, payload)
         zip_url = f"zip://{tmp_path / 'store.zip'}"
-        repro.storage.backend_for_url(zip_url).write_bytes(MONOLITHIC_BLOB,
-                                                           payload)
+        source = LocalDirBackend(str(directory), create=False)
+        for target in (mem, repro.storage.backend_for_url(zip_url)):
+            for name in source.list():
+                target.write_bytes(name, source.read_bytes(name))
         try:
             with serve_backend(LocalDirBackend(str(directory),
                                                create=False)) as server:
-                urls = {str(directory / MONOLITHIC_BLOB): True,
+                urls = {str(directory): True,
                         mem.url: True, zip_url: True,
                         server.url: False, "cached+" + server.url: False}
                 for url, can_write in urls.items():
                     for writable in (True, False):
                         opens = [entry(url, writable=writable)
-                                 for entry in (repro.open, DeepMapping.open)]
+                                 for entry in (repro.open, DeepMapping.load)]
                         assert [store.writable for store in opens] == \
                             [writable and can_write] * 2, (url, writable)
                         for store in opens:

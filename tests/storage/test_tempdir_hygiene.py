@@ -14,7 +14,7 @@ import numpy as np
 import repro
 from repro.data import synthetic
 from repro.lifecycle import LifecycleConfig
-from repro.shard import ShardedDeepMapping, ShardingConfig
+from repro.shard import DeepMapping, ShardingConfig
 from repro.storage.blob_cache import payload_cache
 
 from ..core.conftest import fast_config
@@ -31,7 +31,7 @@ def test_no_step_of_a_store_lifetime_touches_the_temp_directory(
     def step(label):
         assert os.listdir(temp_root) == [], f"{label} left temporary files"
 
-    built = ShardedDeepMapping.fit(
+    built = DeepMapping.fit(
         table, fast_config(epochs=2, aux_auto_compact_rows=4),
         ShardingConfig(n_shards=2, strategy="range",
                        lifecycle=LifecycleConfig(policy="never")))
