@@ -109,10 +109,10 @@ def run_modify_benchmark(rows: int = 2000, stream: int = 12_000,
 
     rebalanced = DeepMapping.fit(
         table, config,
-        ShardingConfig(n_shards=4, strategy="range",
+        ShardingConfig(n_shards=4,
                        lifecycle=lifecycle_config(smoke)))
     baseline = DeepMapping.fit(
-        table, config, ShardingConfig(n_shards=4, strategy="range"))
+        table, config, ShardingConfig(n_shards=4))
     built_model_bytes = rebalanced.size_report().model_bytes
 
     truth = {int(k): v for k, v in zip(table.column("key"),

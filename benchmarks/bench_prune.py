@@ -150,7 +150,7 @@ def run_pruning_section(table, batch: int, shards: int, runs: int,
                         workdir: str, smoke: bool):
     config = bench_config(smoke)
     built = DeepMapping.fit(
-        table, config, ShardingConfig(n_shards=shards, strategy="range"))
+        table, config, ShardingConfig(n_shards=shards))
     url = os.path.join(workdir, "store")
     built.save(url)
     built.close()
@@ -245,7 +245,7 @@ def run_cold_open_section(rows: int, shards: int, runs: int,
     table = synthetic.single_column(rows, "high", seed=3, domain_factor=8.0)
     store = DeepMapping.fit(
         table, cold_open_config(smoke),
-        ShardingConfig(n_shards=shards, strategy="range"))
+        ShardingConfig(n_shards=shards))
     url = os.path.join(workdir, "cold")
     store.save(url)
 

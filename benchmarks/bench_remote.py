@@ -132,7 +132,7 @@ def _run(table, batch: int, shards: int, runs: int, workdir: str,
          smoke: bool):
     store = DeepMapping.fit(
         table, bench_config(smoke),
-        ShardingConfig(n_shards=shards, strategy="range"))
+        ShardingConfig(n_shards=shards))
     url = os.path.join(workdir, "store")
     store.save(url)
     total_bytes = store_bytes(url)

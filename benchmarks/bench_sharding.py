@@ -61,7 +61,7 @@ def run_sharding_benchmark():
         start = time.perf_counter()
         store = repro.build(
             table, config,
-            sharding=ShardingConfig(n_shards=n_shards, strategy="range"))
+            sharding=ShardingConfig(n_shards=n_shards))
         stores.append((f"sharded x{n_shards}", n_shards, store,
                        time.perf_counter() - start))
 

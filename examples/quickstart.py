@@ -51,27 +51,28 @@ def main() -> None:
     print(f"batch of 1000: all found={result.found.all()}, lossless={exact}")
 
     # 5. Persistence: one URL per backend, same bits back from each.
-    workdir = tempfile.mkdtemp()
-    targets = [
-        os.path.join(workdir, "orders.dms"),         # directory
-        f"zip://{workdir}/orders.zip",               # single file
-        "mem://quickstart-orders",                    # in-process scratch
-    ]
-    expected = dm.lookup_one(o_orderkey=first_key)
-    for target in targets:
-        nbytes = dm.save(target)
-        with repro.open(target) as clone:
-            assert clone.lookup_one(o_orderkey=first_key) == expected
-        print(f"round-tripped {nbytes} bytes through {target}")
+    with tempfile.TemporaryDirectory() as workdir:
+        targets = [
+            os.path.join(workdir, "orders.dms"),     # directory
+            f"zip://{workdir}/orders.zip",           # single file
+            "mem://quickstart-orders",                # in-process scratch
+        ]
+        expected = dm.lookup_one(o_orderkey=first_key)
+        for target in targets:
+            nbytes = dm.save(target)
+            with repro.open(target) as clone:
+                assert clone.lookup_one(o_orderkey=first_key) == expected
+            print(f"round-tripped {nbytes} bytes through {target}")
 
-    # 6. Sharded build + async lookup through the same facade.
-    with repro.build(orders, config, shards=4,
-                     url=f"zip://{workdir}/orders-sharded.zip") as sharded:
-        future = sharded.lookup_async(batch)
-        async_result = future.result()
-        assert np.array_equal(async_result.found, result.found)
-        print(f"sharded x{sharded.n_shards}: async batch matches "
-              f"synchronous lookup ({int(async_result.found.sum())} hits)")
+        # 6. Sharded build + async lookup through the same facade.
+        with repro.build(orders, config, shards=4,
+                         url=f"zip://{workdir}/orders-sharded.zip") as sharded:
+            future = sharded.lookup_async(batch)
+            async_result = future.result()
+            assert np.array_equal(async_result.found, result.found)
+            print(f"sharded x{sharded.n_shards}: async batch matches "
+                  f"synchronous lookup ({int(async_result.found.sum())} "
+                  "hits)")
 
 
 if __name__ == "__main__":

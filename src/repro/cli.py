@@ -130,19 +130,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     lifecycle = _lifecycle_from_args(args)
-    if lifecycle is not None and lifecycle.rebalance \
-            and args.shard_strategy != "range":
-        raise SystemExit("--rebalance requires --shard-strategy range")
     table = load_dataset(args.dataset, args.scale, args.seed)
     print(f"building DeepMapping over {table.name}: {table.n_rows} rows, "
           f"{table.uncompressed_bytes() // 1024} KB raw")
     dm = build_store(
         table, _config_from_args(args),
         sharding=ShardingConfig(n_shards=args.shards,
-                                strategy=args.shard_strategy,
                                 executor=args.executor,
                                 lifecycle=lifecycle))
-    print(f"sharded {args.shard_strategy} x{args.shards}: "
+    print(f"sharded range x{args.shards}: "
           f"rows/shard {dm.shard_row_counts()}")
     if dm.engine is not None:
         summary = dm.engine.summary()
@@ -180,7 +176,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"keys: {dm.key_names}; values: {list(dm.value_names)}; "
           f"live rows: {len(dm)}")
     print(f"shards:       {dm.n_shards} "
-          f"({dm.sharding.strategy}; rows {dm.shard_row_counts()})")
+          f"(range; rows {dm.shard_row_counts()})")
     if dm.engine is not None:
         summary = dm.engine.summary()
         print(f"lifecycle:    policy={summary['policy']}, "
@@ -306,9 +302,6 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=1,
                         help="split the store's T_aux across N key shards")
-    parser.add_argument("--shard-strategy", default="range",
-                        choices=["range", "hash"],
-                        help="shard placement policy")
     parser.add_argument("--executor", default=None,
                         choices=list(EXECUTOR_NAMES),
                         help="fan-out executor strategy (default: thread "

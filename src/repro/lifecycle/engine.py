@@ -98,7 +98,7 @@ class MaintenanceEngine:
         performed: List[LifecycleEvent] = []
         # Rebalance first: a split or merge only repartitions, so a
         # retrain after it re-materializes the final shards once.
-        if self.config.rebalance and self.store.router.kind == "range":
+        if self.config.rebalance:
             performed.extend(self._run_rebalance())
         bounds = self.config.retrain_bounds(
             self.store.config.retrain_threshold_bytes)

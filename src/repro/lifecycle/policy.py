@@ -45,7 +45,7 @@ class LifecycleConfig:
     #: ``MIN_ROWS_FOR_RATIO_RETRAIN`` rows never fire it).
     aux_ratio: float = 0.5
 
-    #: Enable range split/merge rebalancing (range routers only).
+    #: Enable shard split/merge rebalancing.
     rebalance: bool = False
     #: Split a shard once its rows exceed this multiple of the mean.
     split_balance: float = 2.0

@@ -5,9 +5,9 @@ one ``V_exist`` over its key domain, and splits ``T_aux`` into key
 windows (shards, one by default) that fan batched lookups out and
 rebalance independently:
 
-- :mod:`repro.shard.router` — vectorized key→shard routing policies
-  (:class:`RangeShardRouter` over the leading key column,
-  :class:`HashShardRouter` over all key columns);
+- :mod:`repro.shard.router` — :class:`RangeShardRouter`, vectorized
+  key→shard routing by contiguous ranges of the leading key column (the
+  only placement: a shard's keys are one run of the flat codes);
 - :mod:`repro.shard.store` — :class:`DeepMapping`, the store that fans
   batched lookups out to the owning shards (optionally on a thread
   pool) and merges the results back into input order;
@@ -22,8 +22,7 @@ in by passing ``ShardingConfig(lifecycle=...)``.
 """
 
 from .manifest import MANIFEST_NAME, ShardEntry, ShardManifest
-from .router import (HashShardRouter, RangeShardRouter, ShardRouter,
-                     make_router, router_from_state)
+from .router import RangeShardRouter
 from .store import DeepMapping, ShardingConfig
 # After .store (which it imports): loaded with the package, so the first
 # save / open does not pay for the import.
@@ -32,11 +31,7 @@ from . import persistence  # noqa: E402,F401
 __all__ = [
     "DeepMapping",
     "ShardingConfig",
-    "ShardRouter",
     "RangeShardRouter",
-    "HashShardRouter",
-    "make_router",
-    "router_from_state",
     "ShardManifest",
     "ShardEntry",
     "MANIFEST_NAME",

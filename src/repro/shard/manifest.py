@@ -17,7 +17,7 @@ the ``model.rzc`` they were saved with, the manifest names the CRC-32 of
 key set of that save).
 
 ``manifest.json`` is deliberately human-readable JSON: it carries the
-router state (strategy + cut points / seed), the key and value schema with
+router state (the leading key's cut points), the key and value schema with
 NumPy dtype strings and a per-shard table of file name / row count / byte
 size.  Everything needed to route a query is in the manifest, and every
 miss is answered by ``exist.rzc`` alone, so a loader can open shards

@@ -36,7 +36,7 @@ from ..storage.hydration import LazyShard
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy
 from .manifest import EXIST_NAME, MODEL_NAME, ShardEntry, ShardManifest
-from .router import router_from_state
+from .router import RangeShardRouter
 from .store import DeepMapping, ShardingConfig
 
 __all__ = ["save", "load", "shard_blob_name", "is_shard_blob"]
@@ -110,7 +110,9 @@ def _save_into(store: DeepMapping, backend: StorageBackend) -> int:
         model_crc=model_crc,
         exist_crc=blob_crc(exist_blob),
         sharding={
-            "strategy": sharding.strategy,
+            # Range is the only placement; the key stays for the
+            # format's sake (version 4 writes it).
+            "strategy": "range",
             "n_shards": sharding.n_shards,
             "max_workers": sharding.max_workers,
             "pool_budget_bytes": sharding.pool_budget_bytes,
@@ -177,7 +179,7 @@ def load(cls, target: Union[str, StorageBackend],
     if hydrating:
         writable = False
     manifest = ShardManifest.load_from(backend)
-    router = router_from_state(manifest.router)
+    router = RangeShardRouter.from_state(manifest.router)
     model = open_model(backend, MODEL_NAME, writable=writable,
                        crc=manifest.model_crc)
     exist = open_exist(backend, EXIST_NAME, writable=writable,
@@ -187,7 +189,6 @@ def load(cls, target: Union[str, StorageBackend],
     lifecycle_state = manifest.lifecycle.get("config")
     sharding = ShardingConfig(
         n_shards=manifest.n_shards,
-        strategy=saved.get("strategy", router.kind),
         max_workers=(max_workers if max_workers is not None
                      else saved.get("max_workers")),
         pool_budget_bytes=(pool_budget_bytes if pool_budget_bytes is not None

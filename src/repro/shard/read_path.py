@@ -35,7 +35,6 @@ from ..core.plan import LookupResult, blank
 from ..resilience.errors import DeadlineExceeded
 from ..resilience.partial import PartialResult
 from ..storage.hydration import LazyShard
-from .router import RangeShardRouter
 
 __all__ = ["lookup", "contains_batch", "fan_out"]
 
@@ -67,14 +66,14 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
         # (fan_out's inline rule): partial mode, a deadline and a hedger
         # take the generic path, whose executor lane they need.
         return _single(store, shards[0], key_cols, n)
-    idx = _live(store, model, exist, key_cols)
+    idx, flat = _live(store, model, exist, key_cols)
     n_routed = n if idx is None else int(idx.size)
     if n_routed < n:
         store.stats.bump("pruned_keys", n - n_routed)
     jobs = []
     if n_routed:  # else no key is live: nothing to sort or dispatch
         jobs = _make_jobs(store, shards,
-                          _route(store, router, key_cols, idx))
+                          _route(store, router, key_cols, flat, idx))
     found, values = _allocate(store, n)
     errors, stragglers = _dispatch(store, jobs, n_routed, found, values,
                                    deadline)
@@ -102,64 +101,51 @@ def _single(store, shard, key_cols, n: int) -> LookupResult:
 def contains_batch(store, keys) -> np.ndarray:
     """Liveness per key: the existence stage alone."""
     _, model, _, exist = store._topology
-    return _exists(model, exist, normalize_keys(keys, store.key_names))
+    return _exists(model, exist, normalize_keys(keys, store.key_names))[0]
 
 
-def _exists(model, exist, key_cols) -> np.ndarray:
+def _exists(model, exist, key_cols) -> Tuple[np.ndarray, np.ndarray]:
     """The batch flattened once and tested once against the store's
-    index (a key outside the model's domain is not live)."""
+    index: ``(live, flat)`` (a key outside the model's domain is not
+    live, and its flat code means nothing)."""
     flat, in_domain = model.key_codec.try_flatten(key_cols)
-    return exist.test_batch(flat) & in_domain
+    return exist.test_batch(flat) & in_domain, flat
 
 
-def _live(store, model, exist, key_cols) -> Optional[np.ndarray]:
+def _live(store, model, exist, key_cols
+          ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """The existence stage: the positions of the batch's live keys, or
-    ``None`` when every key is live (nothing to compact).  Placement is
-    a pure function of the key, so a key the store's index does not
-    hold is in no shard, and nothing routes it."""
+    ``None`` when every key is live (nothing to compact), and the
+    batch's flat codes.  Placement is a pure function of the key, so a
+    key the store's index does not hold is in no shard, and nothing
+    routes it."""
     with store.stats.timing("existence"):
-        live = _exists(model, exist, key_cols)
-    return None if live.all() else np.flatnonzero(live)
+        live, flat = _exists(model, exist, key_cols)
+    return (None if live.all() else np.flatnonzero(live)), flat
 
 
 def _take(key_cols, idx) -> Dict[str, np.ndarray]:
     return {name: np.asarray(arr)[idx] for name, arr in key_cols.items()}
 
 
-def _route(store, router, key_cols, idx=None):
-    """Route + sort the batch (or its live keys ``idx``) in one
-    pass: ``order`` permutes the ORIGINAL batch positions into (shard,
-    key...) order — shard groups contiguous *and* each ascending in
-    flattened-key order, so every aux probe rides the partition store's
-    monotonic fast path and no later stage sorts again —
-    ``bounds[s]:bounds[s+1]`` delimits shard ``s``'s group, and
-    ``grouped`` holds the key columns permuted by ``order``."""
+def _route(store, router, key_cols, flat, idx=None):
+    """Sort the batch (or its live keys ``idx``) once, by the flat codes
+    the existence stage computed, and cut the sorted run at the router's
+    cuts.  The codec is lexicographic, so ascending flat codes ascend in
+    the leading column too, for single and composite keys alike: each
+    shard's keys are one contiguous group, ascending, so every aux probe
+    rides the partition store's monotonic fast path and no later stage
+    sorts again.  ``order`` permutes the ORIGINAL batch positions into
+    that order, ``bounds[s]:bounds[s+1]`` delimits shard ``s``'s group,
+    and ``grouped`` holds the key columns permuted by ``order``."""
     with store.stats.timing("route"):
         if idx is not None:
-            key_cols = _take(key_cols, idx)
-        cols = [np.asarray(key_cols[name]) for name in store.key_names]
-        if isinstance(router, RangeShardRouter) and len(cols) == 1:
-            # Range routing on a single key: shard ordinal is monotone
-            # in the key, so one plain sort both groups and orders, and
-            # the group boundaries are the cuts' positions in the
-            # sorted keys.
-            leading = cols[0].astype(np.int64, copy=False)
-            order = np.argsort(leading)
-            grouped = {store.key_names[0]: leading[order]}
-            inner = np.searchsorted(grouped[store.key_names[0]], router.cuts,
-                                    side="left")
-            bounds = np.concatenate(([0], inner, [leading.size]))
-        else:
-            shard_ids = router.route(key_cols)
-            # lexsort: last key is primary — shard first, then key
-            # columns in significance order, which is exactly ascending
-            # flattened-key order inside each shard (the codec is
-            # lexicographic).
-            order = np.lexsort(tuple(np.asarray(c, dtype=np.int64)
-                                     for c in reversed(cols)) + (shard_ids,))
-            bounds = np.searchsorted(shard_ids[order],
-                                     np.arange(router.n_shards + 1))
-            grouped = _take(key_cols, order)
+            key_cols, flat = _take(key_cols, idx), flat[idx]
+        order = np.argsort(flat)
+        grouped = _take(key_cols, order)
+        leading = np.asarray(grouped[store.key_names[0]], dtype=np.int64)
+        inner = np.searchsorted(leading, router.cuts, side="left")
+        bounds = np.concatenate(([0], inner, [order.size]))
         return (order if idx is None else idx[order]), bounds, grouped
 
 

@@ -1,24 +1,17 @@
-"""Key→shard routing policies for the sharded DeepMapping store.
+"""Key→shard routing for the DeepMapping store: contiguous ranges of the
+leading key column.
 
-A router maps a batch of (possibly composite) key columns to shard ordinals
-in ``[0, n_shards)`` with pure NumPy array arithmetic — no per-key Python
-loops, so routing a 100k-key batch costs microseconds, not milliseconds.
+:class:`RangeShardRouter` partitions on the *leading* key column using
+cut points chosen at build time to balance row counts.  Every shard owns
+a contiguous key range, so shards can split and merge, and a shard's
+live keys are one contiguous run of the lexicographic flat codes.  Keys
+outside the fitted range route to the first/last shard, which keeps
+inserts of fresh, larger keys well-defined.  Routing is pure NumPy array
+arithmetic — no per-key Python loops.
 
-Two policies are provided:
-
-- :class:`RangeShardRouter` partitions on the *leading* key column using
-  cut points chosen at build time to balance row counts.  Every shard owns
-  a contiguous key range, so shards can split and merge.  Keys outside
-  the fitted range route to the first/last shard, which keeps inserts of
-  fresh, larger keys well-defined.
-- :class:`HashShardRouter` mixes *all* key columns through a splitmix64
-  finalizer and takes the result modulo ``n_shards``.  Placement is
-  uniform and oblivious to key distribution (good for skewed or adversarial
-  leading columns), at the cost of split and merge.
-
-Routers are deterministic, picklable via :meth:`ShardRouter.to_state` /
-:func:`router_from_state` (plain JSON-friendly dicts, recorded in the store
-manifest), and stable across processes.
+The router is deterministic and round-trips through
+:meth:`RangeShardRouter.to_state` / :meth:`RangeShardRouter.from_state`
+(a plain JSON-friendly dict, recorded in the store manifest).
 """
 
 from __future__ import annotations
@@ -27,43 +20,13 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-__all__ = [
-    "ShardRouter",
-    "RangeShardRouter",
-    "HashShardRouter",
-    "make_router",
-    "router_from_state",
-]
+__all__ = ["RangeShardRouter"]
+
+#: The last commit that reads a store placed by the retired hash router.
+_LAST_HASH_READER = "212a3db"
 
 
-class ShardRouter:
-    """Base class: deterministic vectorized key→shard assignment."""
-
-    #: Registry tag written to / read from router state dicts.
-    kind = "base"
-
-    def __init__(self, key_names: Sequence[str], n_shards: int):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if not key_names:
-            raise ValueError("at least one key column required")
-        self.key_names = tuple(key_names)
-        self.n_shards = int(n_shards)
-
-    def route(self, key_cols: Dict[str, np.ndarray]) -> np.ndarray:
-        """Shard ordinal in ``[0, n_shards)`` for each key row."""
-        raise NotImplementedError
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-serializable state (inverse of :func:`router_from_state`)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(key={self.key_names}, "
-                f"n_shards={self.n_shards})")
-
-
-class RangeShardRouter(ShardRouter):
+class RangeShardRouter:
     """Contiguous ranges of the leading key column, one per shard.
 
     ``cuts`` holds ``n_shards - 1`` ascending boundary values; row ``r``
@@ -73,10 +36,13 @@ class RangeShardRouter(ShardRouter):
     varying key attribute).
     """
 
-    kind = "range"
-
     def __init__(self, key_names: Sequence[str], n_shards: int, cuts):
-        super().__init__(key_names, n_shards)
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if not key_names:
+            raise ValueError("at least one key column required")
+        self.key_names = tuple(key_names)
+        self.n_shards = int(n_shards)
         self.cuts = np.asarray(cuts, dtype=np.int64)
         if self.cuts.size != self.n_shards - 1:
             raise ValueError(
@@ -135,7 +101,23 @@ class RangeShardRouter(ShardRouter):
                                    np.asarray(pad, dtype=np.int64)])
         return cls(key_names, n_shards, cuts)
 
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "RangeShardRouter":
+        """Restore a router from :meth:`to_state` output."""
+        kind = state.get("kind")
+        if kind == "hash":
+            raise ValueError(
+                "this store was placed by the hash router, which this "
+                "version does not read (range placement is the only one). "
+                f"Open the store at commit {_LAST_HASH_READER}, the last "
+                "one that reads it, take its rows (to_table()) and build "
+                "them again with this version.")
+        if kind != "range":
+            raise ValueError(f"unknown router kind {kind!r}")
+        return cls(state["key_names"], int(state["n_shards"]), state["cuts"])
+
     def route(self, key_cols: Dict[str, np.ndarray]) -> np.ndarray:
+        """Shard ordinal in ``[0, n_shards)`` for each key row."""
         leading = np.asarray(key_cols[self.key_names[0]], dtype=np.int64)
         if self.cuts.size == 0:
             return np.zeros(leading.size, dtype=np.int64)
@@ -194,84 +176,12 @@ class RangeShardRouter(ShardRouter):
 
     def to_state(self) -> Dict[str, object]:
         return {
-            "kind": self.kind,
+            "kind": "range",
             "key_names": list(self.key_names),
             "n_shards": self.n_shards,
             "cuts": [int(c) for c in self.cuts],
         }
 
-
-#: splitmix64 finalizer constants (Steele et al.); wraparound is intended.
-_MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit avalanche (murmur3/splitmix64 finalizer)."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(33)
-    x *= _MIX_1
-    x ^= x >> np.uint64(33)
-    x *= _MIX_2
-    x ^= x >> np.uint64(33)
-    return x
-
-
-class HashShardRouter(ShardRouter):
-    """Uniform placement by mixing every key column.
-
-    Each column is avalanched independently (offset by its position times
-    the 64-bit golden ratio so symmetric composite keys don't collide) and
-    the combined hash is reduced modulo ``n_shards``.
-    """
-
-    kind = "hash"
-
-    def __init__(self, key_names: Sequence[str], n_shards: int, seed: int = 0):
-        super().__init__(key_names, n_shards)
-        self.seed = int(seed)
-
-    def route(self, key_cols: Dict[str, np.ndarray]) -> np.ndarray:
-        n = np.asarray(key_cols[self.key_names[0]]).size
-        h = np.full(n, np.uint64(self.seed), dtype=np.uint64)
-        for i, name in enumerate(self.key_names):
-            col = np.asarray(key_cols[name], dtype=np.int64).view(np.uint64)
-            offset = np.uint64(((i + 1) * int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
-            h ^= _mix64(col + offset)
-        return (_mix64(h) % np.uint64(self.n_shards)).astype(np.int64)
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "key_names": list(self.key_names),
-            "n_shards": self.n_shards,
-            "seed": self.seed,
-        }
-
-
-def make_router(
-    strategy: str,
-    key_cols: Dict[str, np.ndarray],
-    key_names: Sequence[str],
-    n_shards: int,
-) -> ShardRouter:
-    """Build a router of the named ``strategy`` over observed keys."""
-    if strategy == "range":
-        return RangeShardRouter.from_keys(key_cols, key_names, n_shards)
-    if strategy == "hash":
-        return HashShardRouter(key_names, n_shards)
-    raise ValueError(f"unknown sharding strategy {strategy!r}; "
-                     "expected 'range' or 'hash'")
-
-
-def router_from_state(state: Dict[str, object]) -> ShardRouter:
-    """Restore a router from :meth:`ShardRouter.to_state` output."""
-    kind = state.get("kind")
-    if kind == RangeShardRouter.kind:
-        return RangeShardRouter(state["key_names"], int(state["n_shards"]),
-                                state["cuts"])
-    if kind == HashShardRouter.kind:
-        return HashShardRouter(state["key_names"], int(state["n_shards"]),
-                               int(state.get("seed", 0)))
-    raise ValueError(f"unknown router kind {kind!r}")
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(key={self.key_names}, "
+                f"n_shards={self.n_shards})")

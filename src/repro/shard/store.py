@@ -52,7 +52,7 @@ from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
 from ..store.executors import ExecutorStrategy, make_executor
 from . import read_path, topology
-from .router import ShardRouter, make_router
+from .router import RangeShardRouter
 
 __all__ = ["DeepMapping", "ShardingConfig"]
 
@@ -64,9 +64,10 @@ class ShardingConfig:
 
     #: Number of shards the key domain is split into.
     n_shards: int = 1
-    #: ``"range"`` (contiguous leading-key ranges; the only strategy
-    #: that can split and merge) or ``"hash"`` (uniform placement over
-    #: all key columns).
+    #: Placement: ``"range"`` (contiguous leading-key ranges), the only
+    #: value.  Kept only because ``bench/spec.py`` still passes
+    #: ``strategy="range"``; a later benchmark-only change drops that
+    #: argument and then this field.
     strategy: str = "range"
     #: Thread-pool width for fan-out; ``None`` means
     #: ``min(n_shards, cpu_count)``.  Effective width 1 runs inline.
@@ -107,18 +108,13 @@ class ShardingConfig:
     def __post_init__(self):
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.strategy not in ("range", "hash"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy != "range":
+            raise ValueError(f"unknown strategy {self.strategy!r}; "
+                             "range placement is the only one")
         if self.on_shard_error not in ("raise", "partial"):
             raise ValueError(
                 f"on_shard_error must be 'raise' or 'partial', "
                 f"got {self.on_shard_error!r}")
-        if (self.lifecycle is not None and self.lifecycle.rebalance
-                and self.strategy != "range"):
-            raise ValueError(
-                "split/merge rebalancing requires the 'range' strategy "
-                "(hash placement has no contiguous ranges to cut)"
-            )
 
     def effective_workers(self) -> int:
         """Resolved thread-pool width."""
@@ -151,7 +147,7 @@ class DeepMapping:
 
     def __init__(
         self,
-        router: ShardRouter,
+        router: RangeShardRouter,
         model: Model,
         shards: List[Optional[Shard]],
         exist,
@@ -170,7 +166,7 @@ class DeepMapping:
         #: with a single atomic attribute store; readers snapshot the
         #: tuple once per operation.  Every shard is materialized under
         #: the model and reads the index (the same object).
-        self._topology: Tuple[ShardRouter, Model,
+        self._topology: Tuple[RangeShardRouter, Model,
                               List[Optional[Shard]], object] = (
             router, model, list(shards), exist)
         self.sharding = sharding
@@ -221,8 +217,8 @@ class DeepMapping:
         stats = stats if stats is not None else StoreStats()
 
         key_cols = table.key_columns_dict()
-        router = make_router(sharding.strategy, key_cols, table.key,
-                             sharding.n_shards)
+        router = RangeShardRouter.from_keys(key_cols, table.key,
+                                            sharding.n_shards)
         pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                           stats=stats)
         value_names = tuple(sorted(table.value_columns))
@@ -239,7 +235,7 @@ class DeepMapping:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def router(self) -> ShardRouter:
+    def router(self) -> RangeShardRouter:
         """The live key→shard router (swapped atomically with the shards)."""
         return self._topology[0]
 
@@ -337,8 +333,8 @@ class DeepMapping:
 
         One read path (:mod:`repro.shard.read_path`): the batch is
         tested once against the store's ``V_exist`` (only live keys are
-        routed) and sorted once **by key within shard groups** (no later
-        stage ever sorts again); each owning
+        routed) and sorted once **by flat code**, which groups them by
+        shard (no later stage ever sorts again); each owning
         shard runs a staged :class:`~repro.core.plan.LookupPlan`
         — existence gate, ``T_aux`` probe, aux-gated fused inference,
         decode — and streams its finished segment straight into the
@@ -650,6 +646,5 @@ class DeepMapping:
         return (
             f"DeepMapping(key={self.key_names}, "
             f"values={list(self.value_names)}, shards={self.n_shards} "
-            f"({live} live), strategy={self.sharding.strategy!r}, "
-            f"rows={len(self)})"
+            f"({live} live), rows={len(self)})"
         )

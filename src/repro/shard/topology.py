@@ -8,8 +8,8 @@ whole key domain, built by :func:`install`; every shard reads it, and a
 shard holds only the ``T_aux`` rows of its keys, materialized under the
 store's one model (:func:`materialize`, from rows already encoded under
 it, or :func:`build_shard`, from a table); nothing here trains.
-:func:`split_shard` / :func:`merge_shards` repartition range shards
-(taking their keys from ``exist``, which they keep) and swap them in;
+:func:`split_shard` / :func:`merge_shards` repartition shards (taking
+their keys from ``exist``, which they keep) and swap them in;
 :func:`retrain` is the store-level retrain — one warm-started refit,
 then a new index and every shard re-materialized under it.
 """
@@ -25,7 +25,7 @@ from ..core.deep_mapping import Shard
 from ..core.exist_index import make_existence_index
 from ..core.model import Fit, Model
 from ..data.table import ColumnTable
-from .router import RangeShardRouter, ShardRouter
+from .router import RangeShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .store import DeepMapping
@@ -61,7 +61,7 @@ def build_shard(store: "DeepMapping",
                        *model.encode(table.columns_dict()))
 
 
-def swap(store: "DeepMapping", router: ShardRouter, model: Model,
+def swap(store: "DeepMapping", router: RangeShardRouter, model: Model,
          shards: List[Optional[Shard]], exist) -> None:
     """Install a new (router, model, shards, exist) tuple atomically."""
     if len(shards) != router.n_shards:
@@ -112,28 +112,26 @@ def retrain(store: "DeepMapping", table: ColumnTable,
     store.tracker.mark_rebuilt()
 
 
-def _require_range_router(store: "DeepMapping") -> RangeShardRouter:
-    router = store.router
-    if not isinstance(router, RangeShardRouter):
-        raise TypeError(
-            "shard split/merge requires a range router; this store "
-            f"routes by {router.kind!r}"
-        )
-    return router
-
-
-def _live_keys(store: "DeepMapping", ordinals) -> Dict[
+def _live_keys(store: "DeepMapping", first: int, last: int) -> Dict[
         str, np.ndarray]:
-    """Key columns of the live keys that shards ``ordinals`` own, taken
-    from the store's one index, ascending."""
-    key_cols = store.model.key_codec.unflatten(store.exist.existing_keys())
-    mine = np.isin(store.router.route(key_cols), ordinals)
-    return {name: col[mine] for name, col in key_cols.items()}
+    """Key columns of the live keys that shards ``first..last`` own,
+    ascending: one contiguous slice of the store's index, because the
+    lexicographic flat codes ascend with the leading key the cuts
+    split."""
+    codec = store.model.key_codec
+    flat = store.exist.existing_keys()
+    leading = codec.unflatten(flat)[store.key_names[0]]
+    lower, _ = store.router.bounds_of(first)
+    _, upper = store.router.bounds_of(last)
+    start = 0 if lower is None else np.searchsorted(leading, lower)
+    stop = leading.size if upper is None else np.searchsorted(leading, upper)
+    return codec.unflatten(flat[start:stop])
 
 
 def _shard_table(store: "DeepMapping", *ordinals: int) -> ColumnTable:
-    """The rows shards ``ordinals`` hold, as the store reads them."""
-    key_cols = _live_keys(store, list(ordinals))
+    """The rows shards ``ordinals`` (neighbours, ascending) hold, as the
+    store reads them."""
+    key_cols = _live_keys(store, ordinals[0], ordinals[-1])
     columns: Dict[str, np.ndarray] = dict(key_cols)
     columns.update(store.lookup(key_cols).values)
     return ColumnTable(columns, key=store.key_names, name="deepmapping")
@@ -142,16 +140,15 @@ def _shard_table(store: "DeepMapping", *ordinals: int) -> ColumnTable:
 def can_split(store: "DeepMapping", ordinal: int) -> bool:
     """True when shard ``ordinal`` has at least two distinct leading
     keys (the minimum to place a cut with both sides non-empty)."""
-    if store.shards[ordinal] is None \
-            or not isinstance(store.router, RangeShardRouter):
+    if store.shards[ordinal] is None:
         return False
-    leading = _live_keys(store, [ordinal])[store.key_names[0]]
+    leading = _live_keys(store, ordinal, ordinal)[store.key_names[0]]
     return np.unique(leading).size >= 2
 
 
 def split_shard(store: "DeepMapping", ordinal: int,
                 cut: Optional[int] = None) -> int:
-    """Split range shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
+    """Split shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
     upper)`` halves, each materialized under the store's model (nothing
     trains), and swap them in atomically; the retired shard's partitions
     leave the pool (a reader still holding it keeps its answers).
@@ -161,7 +158,7 @@ def split_shard(store: "DeepMapping", ordinal: int,
     Returns the cut used.
     """
     store._require_writable()
-    router = _require_range_router(store)
+    router = store.router
     shard = store.shards[ordinal]
     if shard is None:
         raise ValueError(f"shard {ordinal} is empty; nothing to split")
@@ -195,13 +192,13 @@ def split_shard(store: "DeepMapping", ordinal: int,
 
 
 def merge_shards(store: "DeepMapping", ordinal: int) -> None:
-    """Merge range shards ``ordinal`` and ``ordinal + 1``: the pair's
+    """Merge shards ``ordinal`` and ``ordinal + 1``: the pair's
     rows are materialized as one shard under the store's model (nothing
     trains; two empty shards just lose their boundary) and swapped in
     atomically, the retired shards' partitions purged.  Single-writer.
     """
     store._require_writable()
-    router = _require_range_router(store)
+    router = store.router
     if not 0 <= ordinal < router.n_shards - 1:
         raise ValueError(
             f"cannot merge shard {ordinal} with its right neighbour "

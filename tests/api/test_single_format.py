@@ -170,6 +170,47 @@ def test_a_container_holding_a_monolithic_payload_is_refused(
             InMemoryBackend.discard(backend.name)
 
 
+def hash_placed(store, backend):
+    """Save ``store`` into ``backend`` as the hash router placed it up
+    to 212a3db: same blobs, the manifest's router state rewritten."""
+    store.save(backend.url)
+    manifest = json.loads(bytes(backend.read_bytes(MANIFEST_NAME)))
+    manifest["router"] = {"kind": "hash", "key_names": list(store.key_names),
+                          "n_shards": store.n_shards, "seed": 0}
+    manifest["sharding"]["strategy"] = "hash"
+    backend.write_bytes(MANIFEST_NAME, json.dumps(manifest).encode())
+
+
+@pytest.mark.parametrize("writable", [True, False])
+@pytest.mark.parametrize("container", ["mem", "zip", "dir", "http"])
+def test_a_hash_placed_store_is_refused_naming_its_last_reader(
+        sharded, tmp_path, container, writable):
+    if container in ("mem", "http"):
+        backend = InMemoryBackend.named(f"hash-{os.urandom(6).hex()}")
+    else:
+        backend = repro.storage.backend_for_url(
+            f"zip://{tmp_path / 'hash.zip'}" if container == "zip"
+            else str(tmp_path / "hash"))
+    hash_placed(sharded, backend)
+    try:
+        if container == "http":
+            with serve_backend(backend) as server, \
+                    pytest.raises(ValueError) as refusal:
+                repro.open(server.url, writable=writable)
+        else:
+            with pytest.raises(ValueError) as refusal:
+                repro.open(backend.url, writable=writable)
+    finally:
+        payload_cache().clear()
+        if container in ("mem", "http"):
+            InMemoryBackend.discard(backend.name)
+    # Not damage: the caches retry StoreCorruptedError in vain.
+    assert not isinstance(refusal.value, StoreCorruptedError)
+    message = str(refusal.value)
+    assert "hash router" in message and "212a3db" in message
+    assert "to_table()" in message
+
+
 def test_unpickling_and_container_internals_stay_in_their_modules():
     """Unpickling happens for the container head and the column section
     of a partition holding objects (the baselines only); the container's

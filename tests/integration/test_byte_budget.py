@@ -55,7 +55,7 @@ def saved(tmp_path_factory):
         epochs=12, batch_size=512, shared_sizes=(64,), private_sizes=(32,),
         aux_partition_bytes=4 * 1024)
     sharding = ShardingConfig(
-        n_shards=8, strategy="range",
+        n_shards=8,
         lifecycle=LifecycleConfig(policy="aux-ratio", aux_ratio=0.5,
                                   rebalance=True))
     store = repro.build(table, config, sharding=sharding)
@@ -87,21 +87,20 @@ def test_paper_accounting(saved):
                for shard in store.shards if shard is not None)
 
 
-def test_a_hash_store_stores_existence_once():
-    """The store keeps one ``V_exist`` whatever its router: an 8-shard
-    hash store of the 50k-row benchmark table (``bench/spec.py``, seed
-    0) has no more existence bytes than a 1-shard store of it.  When
-    every hash bucket kept a full-domain window it had 46 668 B against
-    12 519 B."""
+def test_a_sharded_store_stores_existence_once():
+    """The store keeps one ``V_exist`` whatever its shard count: an
+    8-shard store of the 50k-row benchmark table (``bench/spec.py``,
+    seed 0) has exactly the existence bytes of a 1-shard store of it.
+    When every shard kept a window of its own, an 8-shard hash store
+    had 46 668 B against 12 519 B."""
     table = synthetic.single_column(50_000, "high", seed=0,
                                     domain_factor=2.0)
     config = DeepMappingConfig(epochs=1, batch_size=4096,
                                shared_sizes=(16,), private_sizes=(8,))
     exist_bytes = {}
-    for n_shards, strategy in ((8, "hash"), (1, "range")):
-        store = DeepMapping.fit(
-            table, config, ShardingConfig(n_shards=n_shards,
-                                          strategy=strategy))
+    for n_shards in (8, 1):
+        store = DeepMapping.fit(table, config,
+                                ShardingConfig(n_shards=n_shards))
         exist_bytes[n_shards] = store.size_report().exist_bytes
         store.close()
-    assert exist_bytes[8] <= exist_bytes[1]
+    assert exist_bytes[8] == exist_bytes[1]

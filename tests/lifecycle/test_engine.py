@@ -14,8 +14,7 @@ def managed_store(table, lifecycle, n_shards=4, **cfg):
     config = fast_config(epochs=4, **cfg)
     return DeepMapping.fit(
         table, config,
-        ShardingConfig(n_shards=n_shards, strategy="range",
-                       lifecycle=lifecycle))
+        ShardingConfig(n_shards=n_shards, lifecycle=lifecycle))
 
 
 def insert_rows(store, table, keys, rng):
@@ -230,11 +229,6 @@ class TestRebalance:
         insert_rows(store, small_table,
                     np.arange(kmax + 1, kmax + 2001, dtype=np.int64), rng)
         assert store.n_shards <= 6
-
-    def test_hash_strategy_rejects_rebalance(self, small_table):
-        with pytest.raises(ValueError, match="range"):
-            ShardingConfig(n_shards=4, strategy="hash",
-                           lifecycle=LifecycleConfig(rebalance=True))
 
     def test_engine_repr_and_summary(self, small_table):
         store = managed_store(small_table,

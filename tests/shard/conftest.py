@@ -20,7 +20,7 @@ def sharded(small_table):
     """A 4-shard range-partitioned store over the small table."""
     return DeepMapping.fit(
         small_table, fast_config(epochs=5),
-        ShardingConfig(n_shards=4, strategy="range"),
+        ShardingConfig(n_shards=4),
     )
 
 

@@ -25,11 +25,14 @@ class TestShardedBuild:
         stdout = capsys.readouterr().out
         assert "sharded range x2" in stdout
 
-    def test_build_hash_strategy(self, tmp_path, capsys):
+    def test_shard_strategy_flag_is_gone(self, tmp_path, capsys):
         argv, out = build_sharded(
-            tmp_path, extra=["--shard-strategy", "hash"])
-        assert main(argv) == 0
-        assert "sharded hash x2" in capsys.readouterr().out
+            tmp_path, extra=["--shard-strategy", "range"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--shard-strategy" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestShardedInfoQuery:
@@ -107,9 +110,3 @@ class TestLifecycleFlags:
         stdout = capsys.readouterr().out
         assert "sharded range x1" in stdout
         assert "lifecycle: policy=never rebalance=True" in stdout
-
-    def test_rebalance_needs_range_strategy(self, tmp_path):
-        argv, _ = build_sharded(
-            tmp_path, extra=["--shard-strategy", "hash", "--rebalance"])
-        with pytest.raises(SystemExit, match="range"):
-            main(argv)

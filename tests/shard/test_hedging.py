@@ -26,7 +26,7 @@ from ..core.conftest import fast_config
 def hedging_store(table) -> DeepMapping:
     return DeepMapping.fit(
         table, fast_config(epochs=5),
-        ShardingConfig(n_shards=4, strategy="range", max_workers=4,
+        ShardingConfig(n_shards=4, max_workers=4,
                        hedged_reads=True))
 
 

@@ -47,7 +47,7 @@ def table():
 def store(table):
     return DeepMapping.fit(
         table, fast_config(epochs=4),
-        ShardingConfig(n_shards=4, strategy="range"))
+        ShardingConfig(n_shards=4))
 
 
 class TestSplitMechanics:
@@ -90,14 +90,6 @@ class TestSplitMechanics:
         if empty_candidates:
             with pytest.raises(ValueError):
                 store.split_shard(empty_candidates[0])
-
-    def test_split_requires_range_router(self, table):
-        hashed = DeepMapping.fit(
-            table, fast_config(epochs=3),
-            ShardingConfig(n_shards=2, strategy="hash"))
-        with pytest.raises(TypeError, match="range"):
-            hashed.split_shard(0)
-        assert not hashed.can_split(0)
 
     def test_retired_aux_partitions_are_dropped(self, store):
         shard = store.shards[2]
@@ -144,7 +136,7 @@ class TestMergeMechanics:
             key=("grp", "sub"), name="two-group")
         store = DeepMapping.fit(
             two_group, fast_config(epochs=3),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         counts = store.shard_row_counts()
         assert counts[2] == 0 and counts[3] == 0
         store.merge_shards(2)  # both empty -> just drop the boundary

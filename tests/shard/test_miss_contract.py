@@ -89,7 +89,7 @@ class TestMissReadsBlank:
             self, two_group_table):
         sharded = DeepMapping.fit(
             two_group_table, fast_config(epochs=3),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         assert 0 in sharded.shard_row_counts()
         # Hits, a live shard's miss (grp 0, sub 999) and a key routed to
         # an empty shard (grp 5).

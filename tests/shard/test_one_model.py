@@ -81,26 +81,6 @@ def test_nothing_outside_a_retrain_trains(two_group_table, fits):
         lookup_matches(store, table)
 
 
-def test_hash_buckets_share_the_one_model(fits):
-    table = synthetic.multi_column(1200, "low", seed=3)
-    store = DeepMapping.fit(table, fast_config(epochs=2),
-                                   ShardingConfig(n_shards=4,
-                                                  strategy="hash"))
-    assert len(fits) == 1
-    assert all(shard.model is store.model for shard in store.shards)
-    fits.clear()
-
-    keys = table.column("key").astype(np.int64)
-    added = {"key": np.arange(keys.max() + 1, keys.max() + 41,
-                              dtype=np.int64)}
-    for column in store.value_names:
-        added[column] = table.column(column)[:40]
-    store.insert(added)
-    assert fits == []
-    lookup_matches(store, table)
-    lookup_matches(store, ColumnTable(added, key=("key",)))
-
-
 def test_engine_split_trains_nothing(fits):
     # Leading key 0 x20 | 1 x10, 2 x10, 3 x280: once shard 1 holds
     # a >= 1, the engine splits it at the median leading key (3) into
@@ -205,25 +185,22 @@ def far_rows(store):
                for name in store.value_names}}
 
 
-@pytest.mark.parametrize("sharding", [None, "range", "hash"])
-def test_a_key_far_past_the_max_keeps_v_exist_small(tmp_path, sharding,
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_a_key_far_past_the_max_keeps_v_exist_small(tmp_path, n_shards,
                                                     fits):
     """One append ~2**36 past a dense window must not allocate (or save)
     a bit per key of the gap: the grown window goes sparse by the rule
     that built it, and nothing trains."""
     table = synthetic.single_column(2_000, "high", seed=1)
     config = fast_config(epochs=2)
-    store = (DeepMapping.fit(table, config) if sharding is None
-             else DeepMapping.fit(table, config, ShardingConfig(
-                 n_shards=4, strategy=sharding)))
+    store = DeepMapping.fit(table, config, ShardingConfig(n_shards=n_shards))
     rows = far_rows(store)
     before = store.size_report().exist_bytes
     fits.clear()
     store.insert(rows)
     assert fits == []
     assert store.size_report().exist_bytes < before + 4096
-    shards = [store] if sharding is None else store.shards
-    assert sum(s.exist.nbytes for s in shards if s is not None) < 1 << 20
+    assert store.exist.nbytes < 1 << 20
     lookup_matches(store, table)
     hit = store.lookup({"key": rows["key"]})
     assert hit.found.all()
@@ -231,7 +208,7 @@ def test_a_key_far_past_the_max_keeps_v_exist_small(tmp_path, sharding,
         np.testing.assert_array_equal(hit.values[name], rows[name])
     assert not store.lookup({"key": np.array([FAR_KEY - 1])}).found.any()
 
-    path = str(tmp_path / ("store" if sharding else "store.dm"))
+    path = str(tmp_path / "store")
     assert store.save(path) < 1 << 20
     reopened = repro.open(path)
     assert reopened.lookup({"key": rows["key"]}).found.all()

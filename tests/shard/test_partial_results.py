@@ -31,7 +31,7 @@ def store():
     table = synthetic.multi_column(1200, "low", seed=3)
     built = DeepMapping.fit(
         table, fast_config(epochs=5),
-        ShardingConfig(n_shards=4, strategy="range",
+        ShardingConfig(n_shards=4,
                        on_shard_error="partial"),
     )
     yield built

@@ -3,8 +3,8 @@
 `DeepMapping.lookup` (staged plans, shared sort, streaming
 scatter) must return bit-identical results to
 `repro.testing.oracles.barrier_lookup` (the pre-pipeline
-map/concat/permute path) on every router, key shape, executor and hit
-mix — including adversarial batches from hypothesis.
+map/concat/permute path) on every key shape, executor and hit mix —
+including adversarial batches from hypothesis.
 """
 
 import numpy as np
@@ -33,11 +33,18 @@ def table():
     return synthetic.multi_column(1200, "low", seed=5)
 
 
-@pytest.fixture(scope="module", params=["range", "hash"])
-def store(request, table):
-    return DeepMapping.fit(
-        table, fast_config(epochs=4),
-        ShardingConfig(n_shards=4, strategy=request.param))
+@pytest.fixture(scope="module")
+def store(table):
+    return DeepMapping.fit(table, fast_config(epochs=4),
+                           ShardingConfig(n_shards=4))
+
+
+def around_the_cuts(store, lo, hi):
+    """Leading-key values at every cut, one below each, and a few
+    below and above the fitted range ``[lo, hi]``."""
+    cuts = store.router.cuts
+    return np.unique(np.concatenate([cuts, cuts - 1,
+                                     [lo - 10**6, lo - 1, hi + 1, hi + 50]]))
 
 
 class TestParity:
@@ -237,6 +244,15 @@ class TestCompositeKeys:
         }
         assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
+        # The one sort's cut points: each leading value at, just below,
+        # and outside the fitted range, paired with several ``b``.
+        leading, trailing = np.meshgrid(around_the_cuts(store, 0, 29),
+                                        [-1, 0, 7, 19, 20])
+        shuffled = rng.permutation(leading.size)
+        query = {"a": leading.ravel()[shuffled],
+                 "b": trailing.ravel()[shuffled]}
+        assert_same(store.lookup(query), barrier_lookup(store, query),
+                    store.value_names)
 
 
 class TestEmptyShards:
@@ -255,6 +271,10 @@ class TestEmptyShards:
         query = {"key": np.concatenate([
             rng.choice(live, 400),
             rng.integers(live.min(), live.max() + 100, 400)])}
+        assert_same(store.lookup(query), barrier_lookup(store, query),
+                    store.value_names)
+        query = {"key": rng.permutation(around_the_cuts(
+            store, int(live.min()), int(live.max())))}
         assert_same(store.lookup(query), barrier_lookup(store, query),
                     store.value_names)
 

@@ -21,7 +21,7 @@ def store():
     table = synthetic.single_column(3000, "low", seed=1)
     return DeepMapping.fit(
         table, fast_config(epochs=2),
-        ShardingConfig(n_shards=2, strategy="range"))
+        ShardingConfig(n_shards=2))
 
 
 def probe_for(store, ordinal):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.shard import (HashShardRouter, RangeShardRouter, make_router,
-                         router_from_state)
+from repro.shard import RangeShardRouter
 
 
 class TestRangeRouter:
@@ -35,7 +34,7 @@ class TestRangeRouter:
 
     def test_state_round_trip(self):
         router = RangeShardRouter(("a", "b"), 4, cuts=[10, 20, 30])
-        restored = router_from_state(router.to_state())
+        restored = RangeShardRouter.from_state(router.to_state())
         assert isinstance(restored, RangeShardRouter)
         assert restored.key_names == ("a", "b")
         np.testing.assert_array_equal(restored.cuts, router.cuts)
@@ -51,49 +50,16 @@ class TestRangeRouter:
             RangeShardRouter(("k",), 3, cuts=[9, 5])  # not ascending
 
 
-class TestHashRouter:
-    def test_deterministic_and_in_range(self):
-        router = HashShardRouter(("key",), 5)
-        keys = {"key": np.arange(-500, 500, dtype=np.int64)}
-        ids = router.route(keys)
-        assert ids.min() >= 0 and ids.max() < 5
-        np.testing.assert_array_equal(ids, router.route(keys))
+class TestState:
+    def test_from_state_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown router kind"):
+            RangeShardRouter.from_state({"kind": "alien"})
 
-    def test_roughly_uniform(self):
-        router = HashShardRouter(("key",), 4)
-        ids = router.route({"key": np.arange(20_000, dtype=np.int64)})
-        counts = np.bincount(ids, minlength=4)
-        assert counts.min() > 4000  # perfect balance would be 5000
-
-    def test_composite_columns_both_matter(self):
-        router = HashShardRouter(("a", "b"), 16)
-        base = {"a": np.arange(64, dtype=np.int64),
-                "b": np.zeros(64, dtype=np.int64)}
-        swapped = {"a": np.zeros(64, dtype=np.int64),
-                   "b": np.arange(64, dtype=np.int64)}
-        assert not np.array_equal(router.route(base), router.route(swapped))
-
-    def test_state_round_trip(self):
-        router = HashShardRouter(("key",), 7, seed=13)
-        restored = router_from_state(router.to_state())
-        probe = {"key": np.arange(100, dtype=np.int64)}
-        np.testing.assert_array_equal(restored.route(probe),
-                                      router.route(probe))
-
-
-class TestFactories:
-    def test_make_router_strategies(self):
-        keys = {"key": np.arange(100, dtype=np.int64)}
-        assert isinstance(make_router("range", keys, ("key",), 2),
-                          RangeShardRouter)
-        assert isinstance(make_router("hash", keys, ("key",), 2),
-                          HashShardRouter)
-        with pytest.raises(ValueError):
-            make_router("modulo", keys, ("key",), 2)
-
-    def test_router_from_state_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            router_from_state({"kind": "alien"})
+    def test_a_hash_router_state_names_its_last_reader(self):
+        with pytest.raises(ValueError, match="212a3db"):
+            RangeShardRouter.from_state(
+                {"kind": "hash", "key_names": ["key"], "n_shards": 4,
+                 "seed": 0})
 
 
 class TestRangeRouterSkew:

@@ -48,16 +48,6 @@ class TestLookupParity:
         assert rows[1] is None and rows[3] is None
         assert rows[0] is not None and rows[2] is not None
 
-    def test_hash_strategy_parity(self, small_table):
-        config = fast_config(epochs=5)
-        sharded = DeepMapping.fit(
-            small_table, config, ShardingConfig(n_shards=3, strategy="hash"))
-        rng = np.random.default_rng(2)
-        keys = query_keys(small_table, rng)
-        result = sharded.lookup({"key": keys})
-        mono = DeepMapping.fit(small_table, config).lookup({"key": keys})
-        np.testing.assert_array_equal(result.found, mono.found)
-
     def test_parallel_workers_match_serial(self, small_table):
         config = fast_config(epochs=5)
         serial = DeepMapping.fit(
@@ -118,7 +108,7 @@ class TestEmptyShards:
     def test_range_sharding_sparse_leading_column(self, two_group_table):
         store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         counts = store.shard_row_counts()
         assert sum(counts) == two_group_table.n_rows
         assert 0 in counts  # two distinct leading keys cannot fill 4 shards
@@ -128,7 +118,7 @@ class TestEmptyShards:
     def test_empty_shards_round_trip_save_load(self, two_group_table, tmp_path):
         store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         path = str(tmp_path / "store")
         nbytes = store.save(path)
         assert nbytes > 0
@@ -145,7 +135,7 @@ class TestEmptyShards:
     def test_insert_materializes_empty_shard(self, two_group_table):
         store = DeepMapping.fit(
             two_group_table, fast_config(epochs=4),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         empty = store.shard_row_counts().index(0)
         # Find a key the router sends to the empty shard: leading keys route
         # by range, so scan candidates on both sides of the observed domain.
@@ -305,7 +295,7 @@ class TestRebuildKeepsCoHosting:
         shared pool."""
         store = DeepMapping.fit(
             small_table, fast_config(epochs=4),
-            ShardingConfig(n_shards=3, strategy="range"))
+            ShardingConfig(n_shards=3))
         far_key = int(small_table.column("key").max()) * 10 + 7
         owner = int(store.router.route({"key": np.array([far_key])})[0])
         store.insert({
@@ -329,6 +319,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ShardingConfig(n_shards=0)
 
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            ShardingConfig(strategy="modulo")
+    @pytest.mark.parametrize("strategy", ["hash", "modulo"])
+    def test_range_is_the_only_strategy(self, strategy):
+        with pytest.raises(ValueError, match="range placement"):
+            ShardingConfig(strategy=strategy)

@@ -60,7 +60,7 @@ _BASE = {}
 
 #: The sharding of each machine's base store: ``None`` is the default.
 SHARDINGS = {
-    "sharded": lambda: ShardingConfig(n_shards=3, strategy="range",
+    "sharded": lambda: ShardingConfig(n_shards=3,
                                       executor="serial"),
     "default": lambda: None,
 }

@@ -55,12 +55,11 @@ def assert_index_holds(store, live):
 int64s = st.integers(min_value=-2**62, max_value=2**62)
 
 
-@pytest.fixture(scope="module", params=["range", "hash"])
-def routed_store(request):
+@pytest.fixture(scope="module")
+def routed_store():
     table = synthetic.multi_column(1000, "low", seed=9)
     store = DeepMapping.fit(
-        table, fast_config(epochs=4),
-        ShardingConfig(n_shards=4, strategy=request.param))
+        table, fast_config(epochs=4), ShardingConfig(n_shards=4))
     return store, table
 
 
@@ -96,29 +95,25 @@ class TestExistenceStage:
 
 class TestIndexSelection:
     """The store's one index is picked by ``make_existence_index``'s rule
-    over the model's whole key domain, whatever the router: a bitmap
-    where the domain is dense, sorted keys where it is not."""
+    over the model's whole key domain, whatever the shard count: a
+    bitmap where the domain is dense, sorted keys where it is not."""
 
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_dense_domain_picks_a_bitmap(self, strategy):
+    def test_dense_domain_picks_a_bitmap(self):
         table = synthetic.single_column(600, "high", seed=2)
         store = DeepMapping.fit(
-            table, fast_config(epochs=2),
-            ShardingConfig(n_shards=3, strategy=strategy))
+            table, fast_config(epochs=2), ShardingConfig(n_shards=3))
         assert isinstance(store.exist, ExistenceIndex)
         assert store.exist.domain_size == store.model.key_codec.domain_size
         assert_index_holds(store, set(table.column(table.key[0]).tolist()))
         store.close()
 
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_sparse_domain_picks_sorted_keys(self, strategy):
+    def test_sparse_domain_picks_sorted_keys(self):
         # 600 keys over a 120 000-key domain: a bitmap would spend 200
         # bits per key.
         table = synthetic.single_column(600, "high", seed=2,
                                         domain_factor=200.0)
         store = DeepMapping.fit(
-            table, fast_config(epochs=2),
-            ShardingConfig(n_shards=3, strategy=strategy))
+            table, fast_config(epochs=2), ShardingConfig(n_shards=3))
         assert isinstance(store.exist, SparseExistenceIndex)
         assert store.exist.domain_size == store.model.key_codec.domain_size
         live = table.column(table.key[0])
@@ -135,9 +130,7 @@ class TestMutationInvariants:
     def test_insert_delete_sequences(self, data):
         table = synthetic.multi_column(300, "low", seed=4)
         store = DeepMapping.fit(
-            table, fast_config(epochs=2),
-            ShardingConfig(n_shards=3, strategy=data.draw(
-                st.sampled_from(["range", "hash"]))))
+            table, fast_config(epochs=2), ShardingConfig(n_shards=3))
         live = set(int(k) for k in table.column("key"))
         hi = max(live)
         template = {c: np.array([table.column(c)[0]])
@@ -165,7 +158,7 @@ class TestMutationInvariants:
         table = synthetic.single_column(600, "high", seed=6)
         store = DeepMapping.fit(
             table, fast_config(epochs=2),
-            ShardingConfig(n_shards=3, strategy="range"))
+            ShardingConfig(n_shards=3))
         key_name = table.key[0]
         value = {c: np.array([table.column(c)[0]])
                  for c in store.value_names}
@@ -201,7 +194,7 @@ class TestLifecycleInvariants:
         table = synthetic.single_column(800, "high", seed=8)
         store = DeepMapping.fit(
             table, fast_config(epochs=2),
-            ShardingConfig(n_shards=2, strategy="range"))
+            ShardingConfig(n_shards=2))
         live = set(table.column(table.key[0]).tolist())
         query = {table.key[0]: np.concatenate([
             table.column(table.key[0])[:200],
@@ -230,7 +223,7 @@ class TestPartialInsertFailure:
                                         domain_factor=2.0)
         store = DeepMapping.fit(
             table, fast_config(epochs=2),
-            ShardingConfig(n_shards=4, strategy="range"))
+            ShardingConfig(n_shards=4))
         key_name = table.key[0]
         live = np.asarray(table.column(key_name), dtype=np.int64)
         gaps = np.setdiff1d(
@@ -299,7 +292,7 @@ class TestPrunedKeysCounter:
                                         domain_factor=1.0)
         store = DeepMapping.fit(
             table, fast_config(epochs=2),
-            ShardingConfig(n_shards=3, strategy="range"))
+            ShardingConfig(n_shards=3))
         key_name = table.key[0]
         hi = int(table.column(key_name).max())
         miss = np.arange(hi + 10, hi + 410, dtype=np.int64)

@@ -31,7 +31,7 @@ def table():
 def _store(table, lifecycle=None):
     return DeepMapping.fit(
         table, fast_config(epochs=3, aux_partition_bytes=512),
-        ShardingConfig(n_shards=8, strategy="range", executor="serial",
+        ShardingConfig(n_shards=8, executor="serial",
                        lifecycle=lifecycle))
 
 

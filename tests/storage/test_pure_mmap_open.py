@@ -40,7 +40,7 @@ def saved_store(tmp_path):
     table = synthetic.single_column(400, "high", seed=2)
     store = DeepMapping.fit(
         table, fast_config(epochs=2),
-        ShardingConfig(n_shards=2, strategy="range"))
+        ShardingConfig(n_shards=2))
     url = str(tmp_path / "store")
     store.save(url)
     yield store, table, url

@@ -44,7 +44,7 @@ def saved_store(tmp_path, request):
     # Managed: the engine adopts every shard at open, proxies included.
     store = DeepMapping.fit(
         table, fast_config(epochs=2),
-        ShardingConfig(n_shards=2, strategy="range",
+        ShardingConfig(n_shards=2,
                        lifecycle=repro.LifecycleConfig(policy="never")))
     url = str(tmp_path / "store")
     store.save(url)

@@ -33,7 +33,7 @@ def test_no_step_of_a_store_lifetime_touches_the_temp_directory(
 
     built = DeepMapping.fit(
         table, fast_config(epochs=2, aux_auto_compact_rows=4),
-        ShardingConfig(n_shards=2, strategy="range",
+        ShardingConfig(n_shards=2,
                        lifecycle=LifecycleConfig(policy="never")))
     reference = built.lookup(query)
     step("build")
