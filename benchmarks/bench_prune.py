@@ -4,13 +4,14 @@ Two claims are tracked:
 
 1. **Misses are answered by the store's one ``V_exist``.** A sharded
    store tests every batch once against its one existence index
-   (``exist.rzc`` on disk) before routing, the (shard, key) sort and
-   shard dispatch; only live keys reach a shard.  Gated on a 4-shard
+   (``exist.rzc`` on disk) before the one sort of its live keys and
+   any shard ``T_aux`` probe; only live keys reach a shard.  Gated on a 4-shard
    store, with results bit-identical to the unpruned
    ``barrier_lookup`` oracle:
 
    - the all-miss batch counts ``pruned_keys == batch`` and runs **no**
-     shard plan (counted);
+     shard ``T_aux`` probe, a shard's only read call (counted; the JSON
+     keeps the key name ``shard_plans``);
    - the 50%-hit batch prunes exactly its misses;
    - the manifest, which no longer carries a key set, is **<= 3 KB**.
 
@@ -123,22 +124,23 @@ def assert_identical(result, reference, value_names, label):
 # Claim 1: misses are answered by the store's one V_exist
 # ----------------------------------------------------------------------
 def count_plans(store):
-    """Count every shard plan the store's live shards build from here
-    on; returns the one-element counter."""
+    """Count every shard ``T_aux`` probe the store's live shards run from
+    here on — a shard's only read call, so zero probes means the batch
+    touched no shard; returns the one-element counter."""
     count = [0]
     for shard in store.shards:
         if shard is None:
             continue
 
-        def counted(*args, _plan=shard.plan_lookup, **kwargs):
+        def counted(*args, _probe=shard.probe, **kwargs):
             count[0] += 1
-            return _plan(*args, **kwargs)
-        shard.plan_lookup = counted
+            return _probe(*args, **kwargs)
+        shard.probe = counted
     return count
 
 
 def pruned_by(store, query):
-    """``(result, pruned_keys, shard plans)`` of one lookup."""
+    """``(result, pruned_keys, shard probes)`` of one lookup."""
     before = store.stats.counters.get("pruned_keys", 0)
     plans = count_plans(store)
     result = store.lookup(query)
@@ -322,7 +324,7 @@ def run_prune_benchmark(rows: int, batch: int, shards: int, runs: int,
 
     ms = 1e3
     print(format_table(
-        ["batch", "ms", "1-shard ms", "pruned keys", "shard plans"],
+        ["batch", "ms", "1-shard ms", "pruned keys", "shard probes"],
         [["all-miss", f"{miss['seconds'] * ms:.2f}",
           f"{miss['one_shard_seconds'] * ms:.2f}",
           f"{miss['pruned_keys']} of {batch}", miss["shard_plans"]],
@@ -382,7 +384,7 @@ def main() -> int:
     if failed:
         print(f"ACCEPTANCE FAILED: {', '.join(failed)}")
         return 1
-    print("acceptance: every miss pruned before dispatch (no shard plan on "
+    print("acceptance: every miss pruned before dispatch (no shard probe on "
           "the all-miss batch), manifest "
           f"{report['pruning']['manifest_bytes']} B "
           f"(limit {acc['manifest_bytes_limit']}), cold open zero-copy")

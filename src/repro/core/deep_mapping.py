@@ -195,16 +195,16 @@ def new_aux(model: Model, pool: Optional[BufferPool] = None,
 
 
 class Shard:
-    """The ``T_aux`` rows of one key range (or hash bucket) of a store,
-    under the store's one model.
+    """The ``T_aux`` rows of one key range of a store, under the store's
+    one model.
 
     ``model`` and ``exist`` are the store's objects, not copies: the
     store owns, trains, counts and saves them, and flips the index's
     bits for every write; a shard only holds the rows its keys lose
-    (:meth:`hold`, :meth:`apply_update`) and answers a routed segment
-    (:meth:`plan_lookup`).  ``n_rows`` is the live keys of its slice,
-    kept from the bits the store flips for it.  Every field is a plain
-    attribute: a small request builds one plan per shard it touches.
+    (:meth:`hold`, :meth:`apply_update`) and answers its window of a
+    request's one plan (:meth:`probe`, its only read call).  ``n_rows``
+    is the live keys of its slice, kept from the bits the store flips
+    for it.
     """
 
     def __init__(self, model: Model, aux: AuxiliaryTable, exist,
@@ -236,19 +236,26 @@ class Shard:
 
     def plan_lookup(self, keys: KeysLike,
                     presorted: bool = False) -> LookupPlan:
-        """Stage a batched lookup of ``keys`` without executing it.
+        """Stage a batched lookup of ``keys`` against this shard alone.
 
-        Returns a :class:`LookupPlan` whose stages (existence gate, aux
-        probe, gated inference, decode/scatter) the caller drives —
-        ``plan.execute()`` runs them in order, while
-        ``plan.execute_into`` streams the finished segment into shared
-        output arrays (the store's fan-out).  Pass ``presorted=True``
-        only when the keys arrive in ascending flattened order, equal
-        keys adjacent (repeats are allowed): the aux stage then skips
-        sorting entirely, and each run of equal keys is answered once.
+        Returns the one-window case of the store's
+        :class:`LookupPlan` — existence gate, sort, :meth:`probe`,
+        gated inference, decode — whose stages the caller drives
+        (``plan.execute()`` runs them in order).  Pass
+        ``presorted=True`` only when the keys arrive in ascending
+        flattened order (repeats allowed): the route stage then skips
+        its sort.
         """
-        return LookupPlan(self, normalize_keys(
-            keys, self.model.key_codec.key_names), presorted=presorted)
+        return LookupPlan(self.model, self.exist, [self], (), normalize_keys(
+            keys, self.model.key_codec.key_names), self.stats,
+            presorted=presorted)
+
+    def probe(self, flat: np.ndarray):
+        """``T_aux`` over ``flat``, this shard's ascending window of a
+        plan's distinct live codes: ``(hit, codes)`` as
+        :meth:`AuxiliaryTable.lookup_batch
+        <repro.core.aux_table.AuxiliaryTable.lookup_batch>` gives them."""
+        return self.aux.lookup_batch(flat)
 
     def hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
              lost: np.ndarray) -> int:

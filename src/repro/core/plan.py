@@ -1,16 +1,17 @@
 """One batched lookup (paper Algorithm 1) and what it returns.
 
-:class:`LookupPlan` runs one batch through a shard stage by stage (the
-store's read path drives one per shard it routes to);
-:class:`LookupResult` is what every ``lookup`` returns and :func:`blank`
-what a miss reads.  It imports nothing from
+:class:`LookupPlan` runs one batch through every stage once over a
+store's ``(model, exist, shards, cuts)``: the store's read path builds
+one per request, and :meth:`~repro.core.deep_mapping.Shard.plan_lookup`
+is its one-shard case.  :class:`LookupResult` is what every ``lookup``
+returns and :func:`blank` what a miss reads.  It imports nothing from
 :mod:`repro.core.deep_mapping`, which imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,213 +49,205 @@ class LookupResult:
                 yield None
 
 
+#: One shard's ``T_aux`` probe: ``(ordinal, shard, ascending flat codes)``.
+Probe = Tuple[int, object, np.ndarray]
+
+
 class LookupPlan:
     """One batched lookup (Algorithm 1), decomposed into explicit stages.
 
-    The stages and their data dependencies::
+    The stages, each run once per batch whatever the shard count::
 
-        encode ──> existence ──> aux ──> inference ──> decode/scatter
-        (ctor)      (V_exist)   (T_aux)  (compiled M)
+        encode ──> existence ──> route ──> aux ──> inference ──> decode
+        (ctor)      (V_exist)    (sort)   (T_aux)  (compiled M)
 
-    Splitting the lookup open buys three things the opaque call could
-    not deliver:
-
-    - **Shared sort order.** The auxiliary store wants sorted keys (one
-      partition fault per batch).  A caller that already holds the keys
-      sorted — the store's route stage sorts *once* for every shard —
-      passes ``presorted=True`` and no stage ever sorts again; otherwise
-      the plan sorts the surviving keys once and both the aux probe and
-      the scatter reuse that order.
-    - **Aux-gated inference.** ``T_aux`` overrides the model wherever it
-      has a row, so running the model there is pure waste.  The plan
-      probes ``T_aux`` first and runs inference only on keys that are
-      live *and* not served from the auxiliary table.
-    - **Streaming scatter.** :meth:`execute_into` writes the finished
-      segment straight into caller-owned output arrays, so the store's
-      fan-out assembles results as shards finish instead of
-      concatenating and permuting a list of per-shard results behind a
-      barrier.
-    - **Each distinct key once.** In a presorted batch equal keys sit
-      next to each other, so one adjacent-inequality pass over the raw
-      key columns keeps the first key of every run, and every stage —
-      flatten, existence, aux, inference, decode — runs on the distinct
-      keys only; :meth:`finish` and :meth:`execute_into` expand each
-      output column back through ``spread`` (one distinct position per
-      input key).  Raw columns, not flat codes, are compared: every
-      out-of-domain key flattens to 0, while equal raw keys always share
-      one answer.
+    - **Encode / existence.** The batch is flattened once and tested
+      once against the store's one ``V_exist``; a key outside the
+      model's domain is not live.
+    - **Route.** The live keys' flat codes are sorted once (unless the
+      caller passes them ``presorted``), and one adjacent-inequality
+      pass keeps each distinct code once — live codes are exact, so
+      equal codes are equal keys.  The sorted run is cut at the
+      router's ``cuts``: the codec is lexicographic, so each shard's
+      keys are one contiguous window.
+    - **Aux.** Each window probes its shard's ``T_aux``
+      (:meth:`~repro.core.deep_mapping.Shard.probe`, the one per-shard
+      read call) in ascending order, so each partition faults at most
+      once.  The caller may dispatch the probes (the read path's
+      ``fan_out``); a window whose probe fails is its shard's failure
+      alone — its keys come back failed, every other key is answered.
+    - **Inference.** ``T_aux`` overrides the model wherever it has a
+      row, so the kernel runs once, on the live codes with no override
+      and a healthy window (:attr:`model_rows`).
+    - **Decode.** One decode per column over the distinct codes, then
+      one scatter back to every input position, repeats included.
 
     Results are bit-identical to Algorithm 1 as written
     (:func:`repro.testing.oracles.reference_lookup`): gating only skips
     predictions that were about to be overwritten, misses read the same
-    :func:`blank`, and stage order never changes any per-key
-    answer.  Plans are single-use and not thread-safe; build one per
-    batch via :meth:`~repro.core.deep_mapping.Shard.plan_lookup`.
+    :func:`blank`, and stage order never changes any per-key answer.
+    Plans are single-use and not thread-safe.
     """
 
-    __slots__ = ("shard", "flat", "in_domain", "presorted", "spread",
-                 "found", "_hits", "_aux_hit", "_aux_codes", "_model_codes")
+    __slots__ = ("model", "exist", "shards", "cuts", "stats", "presorted",
+                 "flat", "in_domain", "found", "failed", "errors", "_codes",
+                 "_dest", "_rank", "_edges", "_aux_hit", "_failed_codes",
+                 "_labels")
 
-    def __init__(self, shard,
-                 key_cols: Dict[str, np.ndarray],
+    def __init__(self, model, exist, shards: Sequence, cuts,
+                 key_cols: Dict[str, np.ndarray], stats,
                  presorted: bool = False):
-        self.shard = shard
-        #: Distinct position per input key, or None when every key is
-        #: distinct (or the batch is unsorted, so runs are not adjacent).
-        self.spread: Optional[np.ndarray] = None
-        if presorted:
-            key_cols, self.spread = _distinct_runs(key_cols)
-        self.flat, self.in_domain = shard.model.key_codec.try_flatten(
-            key_cols)
-        self.presorted = presorted
+        self.model, self.exist, self.stats = model, exist, stats
+        self.shards, self.cuts, self.presorted = shards, cuts, presorted
+        self.flat, self.in_domain = model.key_codec.try_flatten(key_cols)
+        #: Per input key: live (after existence), minus failed windows
+        #: (after aux).
         self.found: Optional[np.ndarray] = None
-        self._hits: Optional[np.ndarray] = None       # hit rows, key-sorted
-        self._aux_hit: Optional[np.ndarray] = None    # bool per hit row
-        self._aux_codes: Optional[Dict[str, np.ndarray]] = None
-        self._model_codes: Optional[Dict[str, np.ndarray]] = None
+        #: Per input key: its window's probe failed (None: none failed).
+        self.failed: Optional[np.ndarray] = None
+        #: ``{ordinal: exception}`` of the windows whose probe failed.
+        self.errors: Dict[int, BaseException] = {}
+        self._codes: Optional[np.ndarray] = None   # sorted distinct live
+        self._dest = None       # input position of each sorted live key
+        self._rank: Optional[np.ndarray] = None    # its distinct position
+        self._edges: Optional[List[int]] = None    # window bounds per shard
+        self._aux_hit: Optional[np.ndarray] = None
+        self._failed_codes: Optional[np.ndarray] = None
+        self._labels: Optional[Dict[str, np.ndarray]] = None
 
     def __len__(self) -> int:
         """Keys given, repeats included."""
-        return int(self.flat.size if self.spread is None
-                   else self.spread.size)
+        return int(self.flat.size)
 
-    def _expand(self, column: np.ndarray) -> np.ndarray:
-        """One distinct-key column back to one entry per input key."""
-        return column if self.spread is None else column[self.spread]
-
-    # -- stage 2: existence gate ---------------------------------------
+    # -- existence gate ------------------------------------------------
     def run_existence(self) -> np.ndarray:
-        """Mask the distinct keys through ``V_exist`` (and the key
-        domain); ``found`` is indexed by distinct position."""
-        m = self.shard
-        with m.stats.timing("existence"):
-            self.found = m.exist.test_batch(self.flat) & self.in_domain
+        """Mask the batch through ``V_exist`` (and the key domain)."""
+        with self.stats.timing("existence"):
+            self.found = self.exist.test_batch(self.flat) & self.in_domain
         return self.found
 
-    # -- stage 3: auxiliary table --------------------------------------
-    def run_aux(self) -> None:
-        """Probe ``T_aux`` for every surviving key.
+    # -- route ---------------------------------------------------------
+    def run_route(self) -> None:
+        """Sort the live codes once, keep each distinct one once, and cut
+        the run into one window per shard."""
+        with self.stats.timing("route"):
+            live = None if self.found.all() else np.flatnonzero(self.found)
+            flat = self.flat if live is None else self.flat[live]
+            order = None if self.presorted else np.argsort(flat)
+            run = flat if order is None else flat[order]
+            if order is None:
+                self._dest = slice(None) if live is None else live
+            else:
+                self._dest = order if live is None else live[order]
+            self._codes = run
+            step = run[1:] != run[:-1]
+            if not step.all():
+                first = np.concatenate(([True], step))
+                self._codes, self._rank = run[first], np.cumsum(first) - 1
+            inner = np.searchsorted(self._codes, self.model.key_codec
+                                    .leading_bounds(self.cuts)).tolist()
+            self._edges = [0, *inner, int(self._codes.size)]
 
-        Keys are probed in sorted order — reusing the caller's order
-        when ``presorted``, sorting once here otherwise — so the
-        partition store's monotonic fast path skips its own argsort and
-        each partition is faulted at most once.
+    def probes(self) -> List[Probe]:
+        """One probe per shard whose window is not empty, in shard order."""
+        edges = self._edges
+        return [(ordinal, shard, self._codes[edges[ordinal]:
+                                             edges[ordinal + 1]])
+                for ordinal, shard in enumerate(self.shards)
+                if edges[ordinal + 1] > edges[ordinal]]
+
+    # -- auxiliary table -----------------------------------------------
+    def run_aux(self, dispatch: Optional[Callable] = None
+                ) -> Dict[int, BaseException]:
+        """Probe each window's ``T_aux`` (routing first if
+        :meth:`run_route` has not run); returns the failed windows.
+
+        ``dispatch(probes)`` returns ``({ordinal: probe result},
+        {ordinal: exception})``; by default every probe runs here, and
+        the first failure raises.
         """
-        m = self.shard
-        hits = np.flatnonzero(self.found)
-        if hits.size == 0:
-            self._hits = hits
-            self._aux_hit = np.zeros(0, dtype=bool)
-            self._aux_codes = {t: np.zeros(0, dtype=np.int64)
-                               for t in m.model.fdecode.columns}
-            return
-        sub = self.flat[hits]
-        if not self.presorted and sub.size > 1 \
-                and not np.all(sub[1:] >= sub[:-1]):
-            order = np.argsort(sub, kind="stable")
-            hits = hits[order]
-            sub = sub[order]
-        with m.stats.timing("aux"):
-            aux_hit, aux_codes = m.aux.lookup_batch(sub)
-        self._hits = hits
-        self._aux_hit = aux_hit
-        self._aux_codes = {t: codes[aux_hit]
-                           for t, codes in aux_codes.items()}
+        if self._edges is None:
+            self.run_route()
+        probes = self.probes()
+        with self.stats.timing("aux"):
+            if dispatch is None:
+                results = {ordinal: shard.probe(flat)
+                           for ordinal, shard, flat in probes}
+            else:
+                results, self.errors = dispatch(probes)
+        size = self._codes.size
+        self._aux_hit = np.zeros(size, dtype=bool)
+        self._labels = {t: np.zeros(size, dtype=np.int64)
+                        for t in self.model.fdecode.columns}
+        for ordinal, window in results.items():
+            lo, hi = self._edges[ordinal], self._edges[ordinal + 1]
+            hit, codes = window
+            self._aux_hit[lo:hi] = hit
+            for task, labels in self._labels.items():
+                labels[lo:hi] = codes[task]
+        if self.errors:
+            self._failed_codes = np.zeros(size, dtype=bool)
+            for ordinal in self.errors:
+                self._failed_codes[self._edges[ordinal]:
+                                   self._edges[ordinal + 1]] = True
+            self.failed = np.zeros(len(self), dtype=bool)
+            self.failed[self._dest] = self._spread(self._failed_codes)
+            self.found = self.found & ~self.failed
+        return self.errors
 
     @property
     def aux_rows(self) -> np.ndarray:
-        """Distinct-key positions served from ``T_aux``."""
-        return self._hits[self._aux_hit]
+        """Distinct live positions served from ``T_aux``."""
+        return np.flatnonzero(self._aux_hit)
 
     @property
     def model_rows(self) -> np.ndarray:
-        """Distinct-key positions served by model inference alone."""
-        return self._hits[~self._aux_hit]
+        """Distinct live positions served by model inference alone."""
+        served = ~self._aux_hit
+        if self._failed_codes is not None:
+            served &= ~self._failed_codes
+        return np.flatnonzero(served)
 
-    # -- stage 4: model inference --------------------------------------
+    # -- model inference -----------------------------------------------
     def run_inference(self) -> None:
-        """Run the fused kernel on :attr:`model_rows` only — the live
-        keys without an aux override."""
-        m = self.shard
-        with m.stats.timing("inference"):
+        """Run the fused kernel once, on :attr:`model_rows` only."""
+        with self.stats.timing("inference"):
             rows = self.model_rows
             if rows.size:
-                self._model_codes = m.model.compiled_session().run(
-                    self.flat[rows])
-            else:
-                self._model_codes = {t: np.zeros(0, dtype=np.int64)
-                                     for t in m.model.fdecode.columns}
+                codes = self.model.compiled_session().run(self._codes[rows])
+                for task, labels in self._labels.items():
+                    labels[rows] = codes[task]
 
-    # -- stage 5: decode + assembly ------------------------------------
-    def _decoded_task(self, task: str) -> np.ndarray:
-        """This batch's decoded values for one task, per distinct key.
+    # -- decode + scatter ----------------------------------------------
+    def _spread(self, per_code: np.ndarray) -> np.ndarray:
+        """One entry per distinct code to one per sorted live key."""
+        return per_code if self._rank is None else per_code[self._rank]
 
-        The single decode implementation behind both :meth:`finish` and
-        :meth:`execute_into` — the bit-identity-critical branch (the
-        :func:`blank` a miss reads, model/aux overwrite order) lives
-        here once.
+    def finish(self, dtypes: Optional[Dict[str, object]] = None
+               ) -> LookupResult:
+        """Decode each column once and scatter it to every input key.
+
+        ``dtypes`` names each column's output dtype (default: its
+        vocabulary's); a miss and a failed key read its :func:`blank`.
         """
-        enc = self.shard.model.fdecode.encoders[task]
-        out = blank(self.flat.size, enc.vocab.dtype)
-        rows = self.model_rows
-        if rows.size:
-            out[rows] = enc.decode(self._model_codes[task])
-        rows = self.aux_rows
-        if rows.size:
-            out[rows] = enc.decode(self._aux_codes[task])
-        return out
-
-    def finish(self) -> LookupResult:
-        """Decode codes to values and assemble a LookupResult."""
-        m = self.shard
-        with m.stats.timing("decode"):
-            values = {task: self._expand(self._decoded_task(task))
-                      for task in m.model.fdecode.columns}
-        return LookupResult(found=self._expand(self.found), values=values)
+        with self.stats.timing("decode"):
+            values = {}
+            for task in self.model.fdecode.columns:
+                enc = self.model.fdecode.encoders[task]
+                out = blank(len(self), enc.vocab.dtype if dtypes is None
+                            else dtypes[task])
+                if self._codes.size:
+                    out[self._dest] = self._spread(
+                        enc.decode(self._labels[task]))
+                    if self.failed is not None:
+                        out[self.failed] = blank(1, out.dtype)[0]
+                values[task] = out
+        return LookupResult(found=self.found, values=values)
 
     def execute(self) -> LookupResult:
         """Run every stage in order — the serial lookup."""
         self.run_existence()
+        self.run_route()
         self.run_aux()
         self.run_inference()
         return self.finish()
-
-    def execute_into(
-        self,
-        found_out: np.ndarray,
-        values_out: Dict[str, np.ndarray],
-        dest: np.ndarray,
-    ) -> None:
-        """Run the plan and scatter its segment into shared output arrays.
-
-        ``dest`` maps this plan's batch positions to positions in the
-        caller's arrays; disjoint ``dest`` sets may be filled from
-        concurrent threads (the sharded store's streaming assembly).
-        Misses inside the segment are written too (the :func:`blank`),
-        matching what a merge of per-shard results would have produced.
-        """
-        self.run_existence()
-        self.run_aux()
-        self.run_inference()
-        m = self.shard
-        found_out[dest] = self._expand(self.found)
-        with m.stats.timing("decode"):
-            for task in m.model.fdecode.columns:
-                values_out[task][dest] = self._expand(self._decoded_task(task))
-
-
-def _distinct_runs(key_cols: Dict[str, np.ndarray]):
-    """``(distinct key columns, spread)`` of a batch whose equal keys are
-    adjacent; ``spread`` is None when no key repeats its predecessor."""
-    cols = [np.asarray(col) for col in key_cols.values()]
-    if cols[0].size < 2:
-        return key_cols, None
-    first = np.empty(cols[0].size, dtype=bool)
-    first[0] = True
-    np.not_equal(cols[0][1:], cols[0][:-1], out=first[1:])
-    for col in cols[1:]:
-        first[1:] |= col[1:] != col[:-1]
-    if first.all():
-        return key_cols, None
-    spread = np.cumsum(first) - 1
-    return {name: col[first] for name, col in zip(key_cols, cols)}, spread

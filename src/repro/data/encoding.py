@@ -160,6 +160,18 @@ class CompositeKeyCodec:
             flat[~ok] = 0
         return flat, ok, outside
 
+    def leading_bounds(self, leading) -> np.ndarray:
+        """Per leading-column value ``v``, the flat code ``c`` with
+        ``code >= c`` exactly for the in-domain keys whose leading column
+        is ``>= v`` (codes are lexicographic), clamped to ``[0,
+        domain_size]``.  Python ints, so far-out ``v`` cannot overflow."""
+        self._require_fitted()
+        lo, extent = int(self._mins[0]), int(self._extents[0])
+        stride = int(self._strides[0])
+        return np.array([min(max(v - lo, 0), extent) * stride
+                         for v in np.asarray(leading).tolist()],
+                        dtype=np.int64)
+
     def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
         """Invert :meth:`flatten`."""
         self._require_fitted()

@@ -11,8 +11,9 @@ rule over store totals and the executor its reads run on; its other
 methods hand straight to the module that owns the decision: the
 **topology** (the atomically swapped ``(router, model, shards, exist)``
 tuple, split/merge and the store-level retrain) to
-:mod:`repro.shard.topology`, the **read path** (existence → route →
-allocate → dispatch → result) to :mod:`repro.shard.read_path`, and the
+:mod:`repro.shard.topology`, the **read path** (one plan per request:
+existence → route → aux → inference → decode) to
+:mod:`repro.shard.read_path`, and the
 on-disk layout to :mod:`repro.shard.persistence`.
 
 Each modified row flips its bit in the store's index and goes to its
@@ -331,14 +332,13 @@ class DeepMapping:
                deadline: Optional[Deadline] = None) -> LookupResult:
         """Batched exact-match lookup across shards, input order preserved.
 
-        One read path (:mod:`repro.shard.read_path`): the batch is
-        tested once against the store's ``V_exist`` (only live keys are
-        routed) and sorted once **by flat code**, which groups them by
-        shard (no later stage ever sorts again); each owning
-        shard runs a staged :class:`~repro.core.plan.LookupPlan`
-        — existence gate, ``T_aux`` probe, aux-gated fused inference,
-        decode — and streams its finished segment straight into the
-        preallocated output arrays (no serial merge behind a barrier).
+        One read path (:mod:`repro.shard.read_path`), one
+        :class:`~repro.core.plan.LookupPlan` per request: the batch is
+        tested once against the store's ``V_exist``, its live keys are
+        sorted once **by flat code**, which cuts them into one window
+        per shard, each owning shard probes its ``T_aux`` once, and the
+        fused kernel and the decode run once, on the keys no ``T_aux``
+        row overrides.
         Results are bit-identical to the barrier and reference-engine
         oracles in :mod:`repro.testing.oracles`; every column is in its
         :meth:`value_dtype` and a miss reads that dtype's blank.
@@ -347,11 +347,12 @@ class DeepMapping:
 
         ``deadline``
             A :class:`~repro.resilience.Deadline` bounding the whole
-            call.  Deadline-armed shard jobs always run on the executor
-            lane, so even a single wedged shard is timed out rather
-            than waited on; queued jobs past the deadline never start,
-            and the wait stops once the budget is gone.  What happens
-            to the unanswered keys depends on the error mode.
+            call.  Deadline-armed shard probes always run on the
+            executor lane, so even a single wedged shard is timed out
+            rather than waited on; queued probes past the deadline
+            never start, and the wait stops once the budget is gone.
+            What happens to the unanswered keys depends on the error
+            mode.
         ``ShardingConfig.on_shard_error``
             ``"raise"`` (default) fails the whole batch with the lowest
             failing shard's error.  ``"partial"`` isolates the fault:

@@ -120,11 +120,11 @@ def _live_keys(store: "DeepMapping", first: int, last: int) -> Dict[
     split."""
     codec = store.model.key_codec
     flat = store.exist.existing_keys()
-    leading = codec.unflatten(flat)[store.key_names[0]]
     lower, _ = store.router.bounds_of(first)
     _, upper = store.router.bounds_of(last)
-    start = 0 if lower is None else np.searchsorted(leading, lower)
-    stop = leading.size if upper is None else np.searchsorted(leading, upper)
+    start, stop = np.searchsorted(flat, codec.leading_bounds(
+        [-2**63 if lower is None else lower,
+         2**63 - 1 if upper is None else upper]))
     return codec.unflatten(flat[start:stop])
 
 

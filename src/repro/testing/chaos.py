@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..core.deep_mapping import Shard
+
 __all__ = ["ChaosStore", "break_shard", "BrokenShardProxy"]
 
 
@@ -158,11 +160,15 @@ class ChaosStore:
 class BrokenShardProxy:
     """One shard replaced by a saboteur: fails, hangs, or dawdles.
 
-    Sabotages :meth:`plan_lookup`, the one entry point the read path
-    and the barrier oracle use, and delegates everything else to the
-    real shard, so routing is unchanged and healthy shards stay
-    bit-identical.
+    Sabotages :meth:`probe`, a shard's only read call: the read path
+    calls it once per request that touches the shard, and the barrier
+    oracle through :meth:`plan_lookup`, whose plan probes this proxy.
+    Everything else delegates to the real shard, so routing is unchanged
+    and healthy shards stay bit-identical.
     """
+
+    #: The real shard's plan, probing this proxy instead of it.
+    plan_lookup = Shard.plan_lookup
 
     def __init__(self, inner, *, exc_factory: Optional[
             Callable[[], BaseException]] = None,
@@ -204,9 +210,9 @@ class BrokenShardProxy:
         if self._exc_factory is not None:
             raise self._exc_factory()
 
-    def plan_lookup(self, keys, presorted: bool = False):
+    def probe(self, flat):
         self._sabotage()
-        return self._inner.plan_lookup(keys, presorted=presorted)
+        return self._inner.probe(flat)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
@@ -221,7 +227,11 @@ def break_shard(store, ordinal: int, *,
                 seed: int = 0) -> Callable[[], None]:
     """Swap ``store.shards[ordinal]`` for a saboteur; returns a restorer.
 
-    Default sabotage is a clean failure (``RuntimeError``); pass
+    The saboteur (:class:`BrokenShardProxy`) acts on the shard's
+    ``T_aux`` probe, its only read call, so the store's read path and
+    :func:`~repro.testing.oracles.barrier_lookup` both meet the fault,
+    and only keys the shard owns that the store's ``V_exist`` holds
+    (misses never reach a shard).  Default sabotage is a clean failure (``RuntimeError``); pass
     ``delay_s`` (optionally with a ``release`` event) for a straggler
     that outlives deadlines instead, or both for a slow failure.
     ``slow_first`` / ``delay_rate`` make the slowness transient (only

@@ -1,8 +1,8 @@
 """Parity oracles: the predictor's and the read path's predecessors.
 
 Production runs one predictor (:class:`~repro.nn.compiled.CompiledSession`)
-and serves one read path (``repro.shard.read_path`` over each shard's
-compiled :class:`~repro.core.plan.LookupPlan`).  The
+and serves one read path (``repro.shard.read_path``: one
+:class:`~repro.core.plan.LookupPlan` per request).  The
 implementations they replaced stay here, written the slow obvious way,
 so every parity suite and benchmark keeps an independent answer to hold
 them against — nothing in ``repro`` outside this package can select

@@ -104,58 +104,53 @@ def warm_hedger(estimate_s=0.010, **policy):
     return hedger
 
 
-BIG = read_path._SERIAL_DISPATCH_MAX + 1
-
-
 class TestDispatchRule:
     def test_small_unbounded_dispatch_runs_inline(self, harness):
-        errors, stragglers = harness.fan_out(3, n_keys=30)
-        assert (errors, stragglers) == ({}, False)
+        results, errors = harness.fan_out(3)
+        assert (results, errors) == ({0: None, 1: None, 2: None}, {})
         assert harness.ran == [0, 1, 2]
         assert harness.strategy.submitted == []
 
     def test_inline_lane_collects_errors_per_job(self, harness):
         boom = RuntimeError("shard 1")
         harness.failures[1] = [boom]
-        errors, _ = harness.fan_out(3, n_keys=30)
+        results, errors = harness.fan_out(3)
         assert errors == {1: boom}
+        assert sorted(results) == [0, 2]
         assert harness.ran == [0, 1, 2]
 
     def test_single_big_job_without_deadline_runs_inline(self, harness):
-        harness.fan_out(1, n_keys=BIG)
+        harness.fan_out(1)
         assert harness.strategy.submitted == []
 
     def test_small_deadline_dispatch_is_one_hand_off(self, harness):
         harness.steps = [lambda: harness.strategy.run(0)]
-        errors, stragglers = harness.fan_out(
-            3, n_keys=30, deadline=harness.deadline(1.0))
-        assert (errors, stragglers) == ({}, False)
+        results, errors = harness.fan_out(3, deadline=harness.deadline(1.0))
+        assert (sorted(results), errors) == ([0, 1, 2], {})
         assert len(harness.strategy.submitted) == 1
         assert harness.ran == [0, 1, 2]
 
-    @pytest.mark.parametrize("n_keys", [30, BIG])
     def test_single_job_with_deadline_takes_the_executor_lane(
-            self, harness, n_keys):
+            self, harness):
         harness.steps = [lambda: harness.strategy.run(0)]
-        harness.fan_out(1, n_keys=n_keys, deadline=harness.deadline(1.0))
+        harness.fan_out(1, deadline=harness.deadline(1.0))
         assert len(harness.strategy.submitted) == 1
 
     def test_single_job_with_hedger_takes_the_executor_lane(self, harness):
         harness.steps = [lambda: harness.strategy.run(0)]
-        harness.fan_out(1, n_keys=30, hedger=warm_hedger())
+        harness.fan_out(1, hedger=warm_hedger())
         assert len(harness.strategy.submitted) == 1
 
 
 class TestCompletion:
     def test_plain_fan_out_is_a_single_blocking_wait(self, harness):
-        def finish_out_of_order():
-            for index in (2, 0, 1):
-                harness.strategy.run(index)
-        harness.steps = [finish_out_of_order]
-        errors, stragglers = harness.fan_out(3, n_keys=BIG)
-        assert (errors, stragglers) == ({}, False)
-        assert harness.ran == [2, 0, 1]
-        assert harness.waits == [(None, ALL_COMPLETED)]
+        # Without a hedger, a deadline-armed fan-out is one unit and one
+        # wait bounded by the budget.
+        harness.steps = [lambda: harness.strategy.run(0)]
+        results, errors = harness.fan_out(3, deadline=harness.deadline(1.0))
+        assert (sorted(results), errors) == ([0, 1, 2], {})
+        assert harness.ran == [0, 1, 2]
+        assert harness.waits == [(pytest.approx(1.0), ALL_COMPLETED)]
 
     def test_hedged_fan_out_wakes_per_completion_in_any_order(self, harness):
         hedger = warm_hedger(estimate_s=10.0)  # far too slow to ever fire
@@ -166,8 +161,8 @@ class TestCompletion:
             lambda: (harness.advance(0.001), harness.strategy.run(0)),
             lambda: (harness.advance(0.002), harness.strategy.run(1)),
         ]
-        errors, stragglers = harness.fan_out(3, n_keys=BIG, hedger=hedger)
-        assert (errors, stragglers) == ({}, False)
+        results, errors = harness.fan_out(3, hedger=hedger)
+        assert (sorted(results), errors) == ([0, 1, 2], {})
         assert [when for _, when in harness.waits] == [FIRST_COMPLETED] * 3
         assert recorded == pytest.approx([0.003, 0.004, 0.006])
         assert harness.stats.counters.get("hedges_launched", 0) == 0
@@ -179,10 +174,11 @@ class TestCompletion:
         harness.steps = [lambda: (harness.strategy.run(0),
                                   harness.strategy.fail(1, gate),
                                   harness.strategy.run(2))]
-        errors, stragglers = harness.fan_out(
-            3, n_keys=BIG, deadline=harness.deadline(1.0))
+        results, errors = harness.fan_out(
+            3, deadline=harness.deadline(1.0),
+            hedger=warm_hedger(estimate_s=10.0))  # one unit per job
         assert errors == {0: boom, 1: gate}
-        assert not stragglers
+        assert list(results) == [2]
 
 
 class TestHedging:
@@ -196,8 +192,8 @@ class TestHedging:
             finish_everything,
         ]
         hedger = warm_hedger(max_fraction=0.25)   # 4 jobs -> 1 backup
-        errors, stragglers = harness.fan_out(4, n_keys=BIG, hedger=hedger)
-        assert (errors, stragglers) == ({}, False)
+        results, errors = harness.fan_out(4, hedger=hedger)
+        assert (sorted(results), errors) == ([0, 1, 2, 3], {})
         timeouts = [timeout for timeout, _ in harness.waits]
         # Sleep until the first fire; then the remainder; then, with the
         # budget spent, until the next completion.
@@ -218,9 +214,9 @@ class TestHedging:
             lambda: harness.strategy.run(2),    # unit 0's backup: fails too
             lambda: harness.strategy.run(3),    # unit 1's backup: clean
         ]
-        errors, stragglers = harness.fan_out(2, n_keys=BIG, hedger=hedger)
+        results, errors = harness.fan_out(2, hedger=hedger)
         assert errors == {0: first}
-        assert not stragglers
+        assert list(results) == [1]
         assert harness.stats.counters["hedges_launched"] == 2
         assert harness.stats.counters["hedges_won"] == 1
 
@@ -229,7 +225,7 @@ class TestHedging:
         harness.failures[0] = [boom]
         harness.steps = [lambda: harness.strategy.run(0),
                          lambda: harness.strategy.run(1)]
-        errors, _ = harness.fan_out(2, n_keys=BIG, hedger=warm_hedger())
+        _, errors = harness.fan_out(2, hedger=warm_hedger())
         assert errors == {0: boom}
         assert len(harness.strategy.submitted) == 2
 
@@ -241,29 +237,28 @@ class TestDeadlineExpiry:
         harness.failures[2] = [Stall()]
         harness.steps = [lambda: (harness.strategy.run(0),
                                   harness.advance(0.2))]
-        errors, stragglers = harness.fan_out(
-            4, n_keys=40, deadline=harness.deadline(0.1))
+        results, errors = harness.fan_out(4, deadline=harness.deadline(0.1))
         assert harness.ran == [0, 1, 2]       # job 3 never started
         assert errors[0] is boom              # finished: its own error
-        assert 1 not in errors                # finished clean
+        assert list(results) == [1]           # finished clean
         assert isinstance(errors[2], DeadlineExceeded)
         assert isinstance(errors[3], DeadlineExceeded)
-        assert stragglers                     # the bundle is still running
 
     def test_queued_units_past_the_deadline_are_cancelled(self, harness):
         harness.steps = [lambda: (harness.strategy.run(1),
                                   harness.advance(0.2))]
-        errors, stragglers = harness.fan_out(
-            3, n_keys=BIG, deadline=harness.deadline(0.1))
+        results, errors = harness.fan_out(
+            3, deadline=harness.deadline(0.1),
+            hedger=warm_hedger(estimate_s=10.0))  # one unit per job
         assert sorted(errors) == [0, 2]
         assert all(isinstance(exc, DeadlineExceeded)
                    for exc in errors.values())
-        assert not stragglers                 # nothing left that can write
+        assert list(results) == [1]
         assert harness.ran == [1]
         assert all(future.done()
                    for future, _, _ in harness.strategy.submitted)
 
     def test_wait_never_sleeps_past_the_budget(self, harness):
         harness.steps = [lambda: harness.advance(0.5)]
-        harness.fan_out(2, n_keys=BIG, deadline=harness.deadline(0.25))
+        harness.fan_out(2, deadline=harness.deadline(0.25))
         assert harness.waits == [(pytest.approx(0.25), ALL_COMPLETED)]
