@@ -27,11 +27,12 @@ compressed partition per operation; its serialized size is charged to the
 auxiliary structure so the retrain trigger sees the true footprint.
 
 The live row count is kept as rows change, so ``len`` is O(1) and a
-write costs O(batch), whatever the table's history: :meth:`add_batch` and
-:meth:`remove_batch` each learn from one sorted partition probe which
-keys come or go, :meth:`build` (and so :meth:`compact`) resets it, and
-after :meth:`attach` it is counted once, on first use — without touching
-a partition when the opened overlay is empty.  The count is not saved.
+write costs O(batch), whatever the table's history: :meth:`add_batch`,
+:meth:`remove_batch` and :meth:`update_batch` each learn from one sorted
+partition probe which keys come or go, :meth:`build` (and so
+:meth:`compact`) resets it, and after :meth:`attach` it is counted once,
+on first use — without touching a partition when the opened overlay is
+empty.  The count is not saved.
 """
 
 from __future__ import annotations
@@ -160,17 +161,15 @@ class AuxiliaryTable:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup_batch(
-        self, flat_keys: np.ndarray
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Return ``(found, codes)`` for a batch of flattened keys.
-
-        Overlay entries win over partitions; tombstoned keys read as
-        absent.  Code arrays are int64 and only meaningful where ``found``.
+    def probe(self, flat_keys: np.ndarray, found: np.ndarray,
+              codes: Dict[str, np.ndarray]) -> None:
+        """Look up ``flat_keys`` (int64, ascending and distinct) into
+        arrays the caller owns and aligns with them: ``found`` (bool,
+        all False on entry) and one label array per task (int64).  Overlay
+        entries win over partitions; tombstoned keys read as absent.
+        A label row is only meaningful where ``found`` is set.
         """
-        flat_keys = np.asarray(flat_keys, dtype=np.int64)
-        found, raw = self._store.lookup_batch(flat_keys)
-        codes = {t: np.asarray(raw[t], dtype=np.int64) for t in self.tasks}
+        self._store.probe(flat_keys, found, codes)
         if self._tombstones or self._overlay:
             for i, key in enumerate(flat_keys.tolist()):
                 if key in self._tombstones:
@@ -180,7 +179,21 @@ class AuxiliaryTable:
                     row = self._overlay[key]
                     for j, task in enumerate(self.tasks):
                         codes[task][i] = row[j]
-        return found, codes
+
+    def lookup_batch(
+        self, flat_keys: np.ndarray
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Return ``(found, codes)`` for a batch of flattened keys, in
+        any order, repeats allowed: the distinct keys, sorted, through
+        :meth:`probe`.  Code arrays are int64 and only meaningful where
+        ``found``."""
+        flat_keys = np.asarray(flat_keys, dtype=np.int64)
+        distinct, inverse = np.unique(flat_keys, return_inverse=True)
+        found = np.zeros(distinct.size, dtype=bool)
+        codes = {t: np.zeros(distinct.size, dtype=np.int64)
+                 for t in self.tasks}
+        self.probe(distinct, found, codes)
+        return found[inverse], {t: col[inverse] for t, col in codes.items()}
 
     def contains(self, flat_key: int) -> bool:
         """Membership test for a single key."""
@@ -193,9 +206,43 @@ class AuxiliaryTable:
     def add_batch(self, flat_keys: np.ndarray, codes: Dict[str, np.ndarray]) -> None:
         """Insert or overwrite rows (misclassified inserts / updates)."""
         keys = np.asarray(flat_keys, dtype=np.int64).tolist()
-        in_parts = self._in_partitions(
-            [key for key in keys if key not in self._overlay
-             and key not in self._tombstones])
+        self._add(keys, codes, self._in_partitions(self._unsettled(keys)))
+        self._maybe_compact()
+
+    def remove_batch(self, flat_keys: np.ndarray) -> None:
+        """Remove rows if present (deletes / updates the model now gets
+        right).  Removal of an absent key is a no-op."""
+        keys = np.asarray(flat_keys, dtype=np.int64).tolist()
+        self._remove(keys, self._in_partitions(keys))
+        self._maybe_compact()
+
+    def update_batch(self, flat_keys: np.ndarray,
+                     codes: Dict[str, np.ndarray], lost: np.ndarray) -> None:
+        """Algorithm 5 on ``T_aux``: the rows ``lost`` is False for leave
+        (as :meth:`remove_batch`), the ``lost`` ones are inserted or
+        overwritten with their ``codes`` (as :meth:`add_batch`) — one
+        partition probe for both, unless the removal compacts."""
+        keys = np.asarray(flat_keys, dtype=np.int64)
+        gone, kept = keys[~lost].tolist(), keys[lost].tolist()
+        in_parts = self._in_partitions(gone + self._unsettled(kept))
+        if gone:
+            self._remove(gone, in_parts)
+            if self._maybe_compact():
+                in_parts = self._in_partitions(kept)
+        if kept:
+            self._add(kept, {task: codes[task][lost] for task in self.tasks},
+                      in_parts)
+            self._maybe_compact()
+
+    def _unsettled(self, keys: List[int]) -> List[int]:
+        """Those of ``keys`` neither the overlay nor the tombstones
+        decide: whether an add revives them needs a partition probe."""
+        return [key for key in keys if key not in self._overlay
+                and key not in self._tombstones]
+
+    def _add(self, keys: List[int], codes: Dict[str, np.ndarray],
+             in_parts: Set[int]) -> None:
+        """:meth:`add_batch` given which keys the partitions hold."""
         added = 0
         for i, key in enumerate(keys):
             if key not in self._overlay and (key in self._tombstones
@@ -207,13 +254,9 @@ class AuxiliaryTable:
             )
         if self._live is not None:
             self._live += added
-        self._maybe_compact()
 
-    def remove_batch(self, flat_keys: np.ndarray) -> None:
-        """Remove rows if present (deletes / updates the model now gets
-        right).  Removal of an absent key is a no-op."""
-        keys = np.asarray(flat_keys, dtype=np.int64).tolist()
-        in_parts = self._in_partitions(keys)
+    def _remove(self, keys: List[int], in_parts: Set[int]) -> None:
+        """:meth:`remove_batch` given which keys the partitions hold."""
         removed = 0
         for key in keys:
             if key in self._overlay or (key in in_parts
@@ -224,23 +267,25 @@ class AuxiliaryTable:
                 self._tombstones.add(key)
         if self._live is not None:
             self._live -= removed
-        self._maybe_compact()
 
     def _in_partitions(self, keys: List[int]) -> Set[int]:
         """Which of ``keys`` the compressed partitions hold (tombstoned
         or not): one sorted probe, none for an empty list."""
         if not keys:
             return set()
-        probe = np.unique(np.asarray(keys, dtype=np.int64))
-        found, _ = self._store.lookup_batch(probe)
-        return set(probe[found].tolist())
+        keys = np.asarray(keys, dtype=np.int64)
+        found, _ = self._store.lookup_batch(keys)
+        return set(keys[found].tolist())
 
-    def _maybe_compact(self) -> None:
+    def _maybe_compact(self) -> bool:
         """Fold the overlay into compressed partitions once it grows past
         ``auto_compact_rows`` (keeps the offline footprint honest: the
-        paper stores misclassified modifications compressed)."""
-        if len(self._overlay) + len(self._tombstones) >= self.auto_compact_rows:
-            self.compact()
+        paper stores misclassified modifications compressed); returns
+        whether it did."""
+        if len(self._overlay) + len(self._tombstones) < self.auto_compact_rows:
+            return False
+        self.compact()
+        return True
 
     # ------------------------------------------------------------------
     # Maintenance / accounting

@@ -250,12 +250,14 @@ class Shard:
             keys, self.model.key_codec.key_names), self.stats,
             presorted=presorted)
 
-    def probe(self, flat: np.ndarray):
-        """``T_aux`` over ``flat``, this shard's ascending window of a
-        plan's distinct live codes: ``(hit, codes)`` as
-        :meth:`AuxiliaryTable.lookup_batch
-        <repro.core.aux_table.AuxiliaryTable.lookup_batch>` gives them."""
-        return self.aux.lookup_batch(flat)
+    def probe(self, flat: np.ndarray, hit: np.ndarray,
+              labels: Dict[str, np.ndarray]) -> None:
+        """``T_aux`` over ``flat``, this shard's window of a plan's
+        distinct live codes (ascending), into the caller's arrays
+        aligned with it: ``hit`` and one int64 label array per column
+        (:meth:`AuxiliaryTable.probe
+        <repro.core.aux_table.AuxiliaryTable.probe>`)."""
+        self.aux.probe(flat, hit, labels)
 
     def hold(self, flat: np.ndarray, labels: Dict[str, np.ndarray],
              lost: np.ndarray) -> int:
@@ -272,9 +274,8 @@ class Shard:
         """Algorithm 5 on live rows: those the model now predicts
         correctly leave ``T_aux``; the ``lost`` ones are inserted or
         updated in place there (their count is returned)."""
-        if (~lost).any():
-            self.aux.remove_batch(flat[~lost])
-        return self.hold(flat, labels, lost)
+        self.aux.update_batch(flat, labels, lost)
+        return int(lost.sum())
 
     def __repr__(self) -> str:
         return f"Shard(rows={self.n_rows}, aux_rows={len(self.aux)})"

@@ -49,8 +49,9 @@ class LookupResult:
                 yield None
 
 
-#: One shard's ``T_aux`` probe: ``(ordinal, shard, ascending flat codes)``.
-Probe = Tuple[int, object, np.ndarray]
+#: One shard's ``T_aux`` probe: ``(ordinal, shard, ascending flat codes,
+#: hit, labels)``, the last two its window's slices of the plan's arrays.
+Probe = Tuple[int, object, np.ndarray, np.ndarray, Dict[str, np.ndarray]]
 
 
 class LookupPlan:
@@ -67,15 +68,17 @@ class LookupPlan:
     - **Route.** The live keys' flat codes are sorted once (unless the
       caller passes them ``presorted``), and one adjacent-inequality
       pass keeps each distinct code once — live codes are exact, so
-      equal codes are equal keys.  The sorted run is cut at the
-      router's ``cuts``: the codec is lexicographic, so each shard's
-      keys are one contiguous window.
+      equal codes are equal keys.  The sorted run is cut at ``cuts``,
+      the router's cuts as flat codes: the codec is lexicographic, so
+      each shard's keys are one contiguous window.
     - **Aux.** Each window probes its shard's ``T_aux``
       (:meth:`~repro.core.deep_mapping.Shard.probe`, the one per-shard
       read call) in ascending order, so each partition faults at most
-      once.  The caller may dispatch the probes (the read path's
-      ``fan_out``); a window whose probe fails is its shard's failure
-      alone — its keys come back failed, every other key is answered.
+      once, straight into the window's slices of the plan's hit and
+      label arrays.  The caller may dispatch the probes (the read
+      path's ``fan_out``); a window whose probe fails is its shard's
+      failure alone — its keys come back failed, every other key is
+      answered.
     - **Inference.** ``T_aux`` overrides the model wherever it has a
       row, so the kernel runs once, on the live codes with no override
       and a healthy window (:attr:`model_rows`).
@@ -144,17 +147,8 @@ class LookupPlan:
             if not step.all():
                 first = np.concatenate(([True], step))
                 self._codes, self._rank = run[first], np.cumsum(first) - 1
-            inner = np.searchsorted(self._codes, self.model.key_codec
-                                    .leading_bounds(self.cuts)).tolist()
+            inner = self._codes.searchsorted(self.cuts).tolist()
             self._edges = [0, *inner, int(self._codes.size)]
-
-    def probes(self) -> List[Probe]:
-        """One probe per shard whose window is not empty, in shard order."""
-        edges = self._edges
-        return [(ordinal, shard, self._codes[edges[ordinal]:
-                                             edges[ordinal + 1]])
-                for ordinal, shard in enumerate(self.shards)
-                if edges[ordinal + 1] > edges[ordinal]]
 
     # -- auxiliary table -----------------------------------------------
     def run_aux(self, dispatch: Optional[Callable] = None
@@ -162,34 +156,36 @@ class LookupPlan:
         """Probe each window's ``T_aux`` (routing first if
         :meth:`run_route` has not run); returns the failed windows.
 
-        ``dispatch(probes)`` returns ``({ordinal: probe result},
-        {ordinal: exception})``; by default every probe runs here, and
-        the first failure raises.
+        The hit and label arrays are allocated here, once, and each
+        :data:`Probe` carries its window's slices of them.
+        ``dispatch(probes)`` answers every probe it does not fail into
+        those slices, on this thread, and returns ``{ordinal:
+        exception}``; by default every probe runs here, and the first
+        failure raises.
         """
         if self._edges is None:
             self.run_route()
-        probes = self.probes()
-        with self.stats.timing("aux"):
-            if dispatch is None:
-                results = {ordinal: shard.probe(flat)
-                           for ordinal, shard, flat in probes}
-            else:
-                results, self.errors = dispatch(probes)
-        size = self._codes.size
+        size, edges = self._codes.size, self._edges
         self._aux_hit = np.zeros(size, dtype=bool)
         self._labels = {t: np.zeros(size, dtype=np.int64)
                         for t in self.model.fdecode.columns}
-        for ordinal, window in results.items():
-            lo, hi = self._edges[ordinal], self._edges[ordinal + 1]
-            hit, codes = window
-            self._aux_hit[lo:hi] = hit
-            for task, labels in self._labels.items():
-                labels[lo:hi] = codes[task]
+        probes = [(ordinal, shard, self._codes[lo:hi], self._aux_hit[lo:hi],
+                   {t: labels[lo:hi] for t, labels in self._labels.items()})
+                  for ordinal, (shard, lo, hi)
+                  in enumerate(zip(self.shards, edges, edges[1:]))
+                  if hi > lo]
+        with self.stats.timing("aux"):
+            if dispatch is None:
+                for _, shard, *window in probes:
+                    shard.probe(*window)
+            else:
+                self.errors = dispatch(probes)
         if self.errors:
             self._failed_codes = np.zeros(size, dtype=bool)
             for ordinal in self.errors:
-                self._failed_codes[self._edges[ordinal]:
-                                   self._edges[ordinal + 1]] = True
+                window = slice(edges[ordinal], edges[ordinal + 1])
+                self._failed_codes[window] = True
+                self._aux_hit[window] = False  # what a failed probe wrote
             self.failed = np.zeros(len(self), dtype=bool)
             self.failed[self._dest] = self._spread(self._failed_codes)
             self.found = self.found & ~self.failed

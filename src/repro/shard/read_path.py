@@ -13,13 +13,14 @@ column's :meth:`~repro.shard.DeepMapping.value_dtype`, and no output
 dtype depends on which shards a batch touches.
 
 A shard is the failure domain, and its probe is all that runs on it:
-with no deadline and no hedger the probes run inline; otherwise they go
-through :func:`fan_out`, the **one** completion-driven wait, where
-bundling and hedging are policy rather than separate code paths.  A
-worker only returns its window's probe result; the calling thread
-writes every output array.  The parity oracles (barrier merge, reference
-engine) live in :mod:`repro.testing.oracles`; nothing here can select
-them.
+with no deadline and no hedger the probes run inline, each answering
+into its window of the plan's arrays; otherwise they go through
+:func:`fan_out`, the **one** completion-driven wait, where bundling and
+hedging are policy rather than separate code paths.  There an attempt
+probes into arrays of its own and returns them, and the calling thread
+copies the first clean one in and writes every output array.  The
+parity oracles (barrier merge, reference engine) live in
+:mod:`repro.testing.oracles`; nothing here can select them.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     # shard retired mid-batch keeps answering as it did (retiring only
     # purges its pool entries), but this does NOT license concurrent
     # mutation: the single-writer contract stands.
-    router, model, shards, exist = store._topology
-    plan = LookupPlan(model, exist, shards, router.cuts,
+    _, model, shards, exist, cut_codes = store._topology
+    plan = LookupPlan(model, exist, shards, cut_codes,
                       normalize_keys(keys, store.key_names), store.stats)
     n = len(plan)
     if n and deadline is not None:
@@ -60,15 +61,37 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     plan.run_route()
 
     def probe(job):
-        ordinal, shard, flat = job
+        ordinal, shard, *window = job
         if deadline is not None:
             deadline.check(f"shard {ordinal} lookup")
-        return shard.probe(flat)
+        shard.probe(*window)
+
+    # An attempt a deadline may abandon or a hedge may race probes into
+    # arrays of its own, returned to this thread, which copies the
+    # first clean one in: one still running after ``fan_out`` returns
+    # never touches the plan.  Otherwise a probe answers in place.
+    isolated = deadline is not None or store.hedger is not None
+
+    def attempt(job):
+        ordinal, shard, flat, hit, labels = job
+        own = np.zeros_like(hit), {t: np.zeros_like(column)
+                                   for t, column in labels.items()}
+        probe((ordinal, shard, flat, *own))
+        return own
 
     def dispatch(probes):
         _prefetch(store, probes)
-        return fan_out(probes, probe, store.executor, store.stats,
-                       deadline=deadline, hedger=store.hedger)
+        results, errors = fan_out(probes, attempt if isolated else probe,
+                                  store.executor, store.stats,
+                                  deadline=deadline, hedger=store.hedger)
+        if isolated:
+            for ordinal, _, _, hit, labels in probes:
+                if ordinal in results:
+                    own_hit, own_labels = results[ordinal]
+                    hit[:] = own_hit
+                    for task, column in labels.items():
+                        column[:] = own_labels[task]
+        return errors
 
     errors = plan.run_aux(dispatch)
     if errors and store.sharding.on_shard_error == "raise":
@@ -83,7 +106,7 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
 
 def contains_batch(store, keys) -> np.ndarray:
     """Liveness per key: the existence stage alone."""
-    _, model, _, exist = store._topology
+    _, model, _, exist, _ = store._topology
     return LookupPlan(model, exist, (), (),
                       normalize_keys(keys, store.key_names),
                       store.stats).run_existence()
@@ -93,7 +116,7 @@ def _prefetch(store, probes) -> None:
     """Fire hydration for every cold lazy shard the batch probes before
     any probe runs, so remote downloads overlap on the workers.  The
     proxy's hydrate lock makes the race benign."""
-    cold = [shard for _, shard, _ in probes
+    cold = [shard for _, shard, *_ in probes
             if isinstance(shard, LazyShard) and not shard.hydrated]
     if len(cold) > 1:
         for proxy in cold:

@@ -158,18 +158,14 @@ class DeepMapping:
         stats: Optional[StoreStats] = None,
         pool: Optional[BufferPool] = None,
     ):
-        if len(shards) != router.n_shards:
-            raise ValueError(
-                f"router expects {router.n_shards} shards, got {len(shards)}"
-            )
-        #: Router, model, shard list and the one existence index live in
-        #: ONE tuple so lifecycle actions (split/merge/retrain) swap them
-        #: with a single atomic attribute store; readers snapshot the
-        #: tuple once per operation.  Every shard is materialized under
-        #: the model and reads the index (the same object).
-        self._topology: Tuple[RangeShardRouter, Model,
-                              List[Optional[Shard]], object] = (
-            router, model, list(shards), exist)
+        #: Router, model, shard list, the one existence index and the
+        #: cuts' flat codes live in ONE tuple (:func:`topology.snapshot
+        #: <repro.shard.topology.snapshot>`) so lifecycle actions
+        #: (split/merge/retrain) swap them with a single atomic
+        #: attribute store; readers snapshot the tuple once per
+        #: operation.  Every shard is materialized under the model and
+        #: reads the index (the same object).
+        self._topology = topology.snapshot(router, model, shards, exist)
         self.sharding = sharding
         #: Modified bytes since the last retrain, over the whole store:
         #: the bytes bound of :meth:`retrain_due`.
@@ -498,18 +494,18 @@ class DeepMapping:
     def _cover(self, flat: np.ndarray):
         """The store's index, grown to cover the new flat keys ``flat``
         (:func:`~repro.core.exist_index.cover`); when growing gives a new
-        object it replaces the old one in the topology and in every
-        shard."""
-        exist = self.exist
+        object it replaces the old one in every shard.  The topology is
+        snapshotted again either way: admitting ``flat`` may have grown
+        the key codec's domain, which moves the cuts' flat codes."""
+        router, model, shards, exist, _ = self._topology
         if not flat.size:
             return exist
         grown = cover(exist, int(flat.max()) + 1, len(self) + flat.size)
         if grown is not exist:
-            router, model, shards, _ = self._topology
             for shard in shards:
                 if shard is not None:
                     shard.exist = grown
-            topology.swap(self, router, model, shards, grown)
+        topology.swap(self, router, model, shards, grown)
         return grown
 
     def delete(self, keys: KeysLike) -> int:
@@ -595,7 +591,7 @@ class DeepMapping:
         """Logical content as one ColumnTable: the keys of the store's
         index, ascending, and their values as :meth:`lookup` reads
         them."""
-        _, model, _, exist = self._topology
+        _, model, _, exist, _ = self._topology
         key_cols = model.key_codec.unflatten(exist.existing_keys())
         columns: Dict[str, np.ndarray] = dict(key_cols)
         columns.update(self.lookup(key_cols).values)

@@ -1,13 +1,14 @@
 """The store's topology: the one module that changes it.
 
-The store's ``(router, model, shards, exist)`` tuple is swapped
-atomically (:func:`swap`), so a reader holding the old tuple keeps its
-answers — the model it started with and that model's existence index
-included.  ``exist`` is the store's one ``V_exist`` over the model's
-whole key domain, built by :func:`install`; every shard reads it, and a
-shard holds only the ``T_aux`` rows of its keys, materialized under the
-store's one model (:func:`materialize`, from rows already encoded under
-it, or :func:`build_shard`, from a table); nothing here trains.
+The store's ``(router, model, shards, exist, cut_codes)`` tuple
+(:func:`snapshot`) is swapped atomically (:func:`swap`), so a reader
+holding the old tuple keeps its answers — the model it started with and
+that model's existence index included.  ``exist`` is the store's one
+``V_exist`` over the model's whole key domain, built by :func:`install`;
+every shard reads it, and a shard holds only the ``T_aux`` rows of its
+keys, materialized under the store's one model (:func:`materialize`,
+from rows already encoded under it, or :func:`build_shard`, from a
+table); nothing here trains.
 :func:`split_shard` / :func:`merge_shards` repartition shards (taking
 their keys from ``exist``, which they keep) and swap them in;
 :func:`retrain` is the store-level retrain — one warm-started refit,
@@ -16,7 +17,7 @@ then a new index and every shard re-materialized under it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .router import RangeShardRouter
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .store import DeepMapping
 
-__all__ = ["rows", "materialize", "build_shard", "swap", "install",
+__all__ = ["rows", "materialize", "build_shard", "snapshot", "swap",
+           "install",
            "retrain", "can_split", "split_shard", "merge_shards"]
 
 
@@ -61,14 +63,24 @@ def build_shard(store: "DeepMapping",
                        *model.encode(table.columns_dict()))
 
 
-def swap(store: "DeepMapping", router: RangeShardRouter, model: Model,
-         shards: List[Optional[Shard]], exist) -> None:
-    """Install a new (router, model, shards, exist) tuple atomically."""
+def snapshot(router: RangeShardRouter, model: Model,
+             shards: List[Optional[Shard]], exist) -> Tuple:
+    """The store's topology tuple: ``(router, model, shards, exist)``
+    and the router's cuts as flat codes under the model's key codec
+    (what a read cuts its sorted run at), computed once here — only a
+    new router or model moves them."""
     if len(shards) != router.n_shards:
         raise ValueError(
             f"router expects {router.n_shards} shards, got {len(shards)}"
         )
-    store._topology = (router, model, list(shards), exist)
+    return (router, model, list(shards), exist,
+            model.key_codec.leading_bounds(router.cuts))
+
+
+def swap(store: "DeepMapping", router: RangeShardRouter, model: Model,
+         shards: List[Optional[Shard]], exist) -> None:
+    """Install a new topology tuple (:func:`snapshot`) atomically."""
+    store._topology = snapshot(router, model, shards, exist)
     # Keep the recorded knob in step so save/load round-trips the
     # post-rebalance shard count.
     store.sharding.n_shards = router.n_shards

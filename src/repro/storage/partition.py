@@ -405,17 +405,6 @@ class SortedPartitionStore:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def locate(self, keys: np.ndarray) -> np.ndarray:
-        """Partition ordinal for each query key (-1 when outside any range)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if not self._metas:
-            return np.full(keys.size, -1, dtype=np.int64)
-        with self.stats.timing("locate"):
-            idx = self._first_keys.searchsorted(keys, side="right") - 1
-            # idx -1 reads the last fence; the idx < 0 term voids it.
-            idx[(idx < 0) | (keys > self._last_keys[idx])] = -1
-        return idx
-
     def load_partition(self, pid: int) -> Dict[str, np.ndarray]:
         """Fetch partition ``pid`` through the buffer pool, decompressing on miss.
 
@@ -450,60 +439,70 @@ class SortedPartitionStore:
             return loader()[0]
         return self.pool.get(meta.pool_key, loader)
 
+    def probe(self, keys: np.ndarray, found: np.ndarray,
+              columns: Dict[str, np.ndarray]) -> None:
+        """Point lookup of ``keys`` (int64, ascending and distinct) into
+        arrays the caller owns and aligns with them: ``found`` (bool, all
+        False on entry) is set for every key held here, and each array
+        in ``columns`` (a subset of :attr:`column_names`, any dtype the
+        stored ones cast to) gets that key's row; no other row of a
+        column is written.
+
+        One binary search of the window at the partition fences
+        (``locate``) cuts it into one run per partition.  A partition is
+        faulted in once, and binary-searched (``search``), only if its
+        run holds a key in its ``[first_key, last_key]``: a key below
+        the first fence, past the last or between two partitions
+        touches none (paper Sec. IV-B2).
+        """
+        metas = self._metas
+        if not keys.size or not metas:
+            return
+        with self.stats.timing("locate"):
+            inner = (keys.searchsorted(self._first_keys[1:]).tolist()
+                     if len(metas) > 1 else [])
+        edges = [0, *inner, keys.size]
+        for pid, (start, stop) in enumerate(zip(edges, edges[1:])):
+            if start == stop:
+                continue
+            meta = metas[pid]
+            if keys[start] < meta.first_key:  # below the first fence
+                start += int(keys[start:stop].searchsorted(meta.first_key))
+                if start == stop:
+                    continue
+            if keys[start] > meta.last_key:
+                continue  # the whole run lies past the partition
+            if keys[stop - 1] > meta.last_key:
+                stop = start + int(keys[start:stop].searchsorted(
+                    meta.last_key, side="right"))
+            block = self.load_partition(pid)
+            part_keys = block["keys"]
+            run = keys[start:stop]
+            with self.stats.timing("search"):
+                pos = part_keys.searchsorted(run)
+                hit = part_keys[pos] == run
+            found[start:stop] = hit
+            if columns:
+                pos = pos[hit]
+                for name, out in columns.items():
+                    out[start:stop][hit] = block[name][pos]
+
     def lookup_batch(self, keys) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Batch point lookup.
+        """Batch point lookup of any keys, in any order, repeats allowed.
 
         Returns ``(found, values)`` where ``found`` is a boolean array
         aligned with ``keys`` and ``values`` maps each column to an array
-        whose rows are only meaningful where ``found`` is True.
-
-        Query keys are processed in sorted order so each partition is
-        faulted in and decompressed at most once per batch (paper
-        Sec. IV-B2).  Batches that *arrive* sorted — one vectorized
-        monotonicity check — skip the argsort entirely; callers that
-        already hold the keys in sorted order (the staged lookup plan,
-        the sharded route stage) ride this fast path and never pay a
-        second sort.
+        whose rows are only meaningful where ``found`` is True: the
+        distinct keys, sorted, through :meth:`probe`.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        found = np.zeros(keys.size, dtype=bool)
-        values = {name: self._empty_column(name, keys.size) for name in self._columns}
-        if keys.size == 0 or not self._metas:
-            return found, values
-
-        if keys.size < 2 or (keys[1:] >= keys[:-1]).all():
-            order = None  # already sorted: identity order
-            sorted_keys = keys
-        else:
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-        pids = self.locate(sorted_keys)
-
-        # ``pids`` is non-decreasing apart from -1 markers (keys are
-        # sorted and partitions are disjoint ascending ranges), so equal
-        # pids form contiguous runs — iterate runs instead of scanning a
-        # ``pids == pid`` mask per partition.
-        edges = [0, *((pids[1:] != pids[:-1]).nonzero()[0] + 1).tolist(),
-                 pids.size]
-        for start, stop in zip(edges[:-1], edges[1:]):
-            pid = int(pids[start])
-            if pid < 0:
-                continue
-            block = self.load_partition(pid)
-            part_keys = block["keys"]
-            run = sorted_keys[start:stop]
-            with self.stats.timing("search"):
-                pos = part_keys.searchsorted(run)
-                np.minimum(pos, part_keys.size - 1, out=pos)
-                hit = part_keys[pos] == run
-            if order is None:
-                rows = hit.nonzero()[0] + start
-            else:
-                rows = order[start:stop][hit]
-            found[rows] = True
-            for name in self._columns:
-                values[name][rows] = block[name][pos[hit]]
-        return found, values
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        found = np.zeros(distinct.size, dtype=bool)
+        values = {name: self._empty_column(name, distinct.size)
+                  for name in self._columns}
+        self.probe(distinct, found, values)
+        return found[inverse], {name: col[inverse]
+                                for name, col in values.items()}
 
     def scan(self) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Materialize every row (used by compaction and tests)."""

@@ -210,9 +210,9 @@ class BrokenShardProxy:
         if self._exc_factory is not None:
             raise self._exc_factory()
 
-    def probe(self, flat):
+    def probe(self, flat, hit, labels):
         self._sabotage()
-        return self._inner.probe(flat)
+        self._inner.probe(flat, hit, labels)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

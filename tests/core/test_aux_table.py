@@ -101,6 +101,20 @@ class TestMutations:
         aux.remove_batch(np.array([99_999], dtype=np.int64))
         assert len(aux) == len(keys)
 
+    def test_update_compacting_midway_counts_its_rows(self):
+        # The removal half compacts (threshold 3), so the add half must
+        # not count against the partitions the table had before it.
+        aux = AuxiliaryTable(("v",), auto_compact_rows=3)
+        aux.build(np.arange(4), {"v": np.zeros(4, dtype=np.int64)})
+        aux.add_batch(np.array([10]), {"v": np.array([1])})
+        aux.remove_batch(np.array([3]))
+        aux.update_batch(np.array([0, 10, 3]), {"v": np.array([0, 5, 6])},
+                         np.array([False, True, True]))
+        found, got = aux.lookup_batch(np.arange(11))
+        assert np.flatnonzero(found).tolist() == [1, 2, 3, 10]
+        assert got["v"][[3, 10]].tolist() == [6, 5]
+        assert len(aux) == 4
+
     def test_readd_after_remove(self):
         aux, keys, _ = build_aux()
         aux.remove_batch(keys[:1])
@@ -157,32 +171,51 @@ class TestAccounting:
         assert many.partition_count > few.partition_count
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_aux_matches_dict_model_under_random_ops(data):
-    """Property: T_aux behaves like a dict under add/remove sequences."""
+    """Property: T_aux behaves like a dict under add/remove/update
+    batches (an update keeps the ``lost`` rows and drops the others)."""
     rng_keys = st.integers(min_value=0, max_value=200)
     initial = data.draw(st.lists(rng_keys, min_size=1, max_size=40, unique=True))
     initial = np.array(sorted(initial), dtype=np.int64)
-    aux = AuxiliaryTable(("v",), target_partition_bytes=256)
+    compact_at = data.draw(st.sampled_from([4, 4096]))
+    aux = AuxiliaryTable(("v",), target_partition_bytes=256,
+                         auto_compact_rows=compact_at)
     aux.build(initial, {"v": initial % 7})
     model = {int(k): int(k) % 7 for k in initial}
 
     ops = data.draw(
         st.lists(
-            st.tuples(st.sampled_from(["add", "remove"]), rng_keys,
-                      st.integers(min_value=0, max_value=6)),
+            st.tuples(st.sampled_from(["add", "remove", "update"]),
+                      st.lists(st.tuples(rng_keys,
+                                         st.integers(min_value=0, max_value=6),
+                                         st.booleans()),
+                               min_size=1, max_size=6,
+                               unique_by=lambda row: row[0])),
             max_size=30,
         )
     )
-    for op, key, value in ops:
+    for op, rows in ops:
+        keys = np.array([key for key, _, _ in rows], dtype=np.int64)
+        values = {"v": np.array([value for _, value, _ in rows],
+                                dtype=np.int64)}
+        lost = np.array([kept for _, _, kept in rows])
         if op == "add":
-            aux.add_batch(np.array([key], dtype=np.int64),
-                          {"v": np.array([value], dtype=np.int64)})
-            model[key] = value
+            aux.add_batch(keys, values)
+            model.update((key, value) for key, value, _ in rows)
+        elif op == "remove":
+            aux.remove_batch(keys)
+            for key, _, _ in rows:
+                model.pop(key, None)
         else:
-            aux.remove_batch(np.array([key], dtype=np.int64))
-            model.pop(key, None)
+            aux.update_batch(keys, values, lost)
+            for key, value, kept in rows:
+                if kept:
+                    model[key] = value
+                else:
+                    model.pop(key, None)
+        assert len(aux) == len(model)
 
     probe = np.arange(201, dtype=np.int64)
     found, codes = aux.lookup_batch(probe)
@@ -267,6 +300,35 @@ def test_scan_and_compact_match_the_per_row_dict_merge(aux):
     assert not aux._overlay and not aux._tombstones
     assert_rows_equal(aux.scan(), expected)
     assert len(aux) == live == expected[0].size
+
+
+@settings(max_examples=80, deadline=None)
+@given(aux=mutated_aux(), data=st.data())
+def test_probe_matches_the_dict_on_any_sorted_window(aux, data):
+    """Property: the sorted core answers any ascending, distinct window
+    — empty, reaching below the first fence or past the last, or lying
+    between two partitions, over single-row partitions or wide ones,
+    with or without overlay and tombstones — as a dict of the live rows
+    would."""
+    keys, codes = scan_by_dict(aux)
+    model = dict(zip(keys.tolist(), zip(codes["a"].tolist(),
+                                        codes["b"].tolist())))
+    fences = [(meta.first_key, meta.last_key)
+              for meta in aux._store.partitions]
+    between = [key for (_, last), (first, _) in zip(fences, fences[1:])
+               for key in range(last + 1, first)]
+    windows = st.lists(st.integers(-60, 310), max_size=40, unique=True)
+    if between:
+        windows |= st.lists(st.sampled_from(between), unique=True)
+    window = np.array(sorted(data.draw(windows)), dtype=np.int64)
+    hit = np.zeros(window.size, dtype=bool)
+    labels = {task: np.zeros(window.size, dtype=np.int64)
+              for task in aux.tasks}
+    aux.probe(window, hit, labels)
+    for i, key in enumerate(window.tolist()):
+        assert hit[i] == (key in model)
+        if key in model:
+            assert (labels["a"][i], labels["b"][i]) == model[key]
 
 
 # ---------------------------------------------------------------------------

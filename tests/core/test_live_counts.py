@@ -116,6 +116,10 @@ class TestAuxiliaryTableCount:
         assert len(calls) == 1
         aux.remove_batch(batch[:50])
         assert len(calls) == 2
+        lost = np.arange(50) % 2 == 0
+        aux.update_batch(batch[50:], _codes(batch[50:], 3), lost)
+        assert len(calls) == 3
+        assert len(aux) == keys.size + 50 - 25
 
     def test_attached_count_is_taken_once_on_first_use(self, monkeypatch):
         keys = np.arange(0, 400, 2, dtype=np.int64)

@@ -115,18 +115,18 @@ class TestEachDistinctKeyOnce:
         from repro.nn.compiled import CompiledSession
 
         seen = {"run": [], "aux": []}
-        run, probe = CompiledSession.run, AuxiliaryTable.lookup_batch
+        run, probe = CompiledSession.run, AuxiliaryTable.probe
 
         def counting_run(self, flat_keys):
             seen["run"].append((self, np.array(flat_keys)))
             return run(self, flat_keys)
 
-        def counting_probe(self, flat_keys):
+        def counting_probe(self, flat_keys, *out):
             seen["aux"].append((self, np.array(flat_keys)))
-            return probe(self, flat_keys)
+            return probe(self, flat_keys, *out)
 
         monkeypatch.setattr(CompiledSession, "run", counting_run)
-        monkeypatch.setattr(AuxiliaryTable, "lookup_batch", counting_probe)
+        monkeypatch.setattr(AuxiliaryTable, "probe", counting_probe)
 
         rng = np.random.default_rng(4)
         live = table.column("key")

@@ -149,7 +149,7 @@ class ShardedStoreMachine(RuleBasedStateMachine):
         return max(self.ever)
 
     def _take_snapshot(self) -> None:
-        router, _, shards, _ = self.store._topology
+        router, _, shards, *_ = self.store._topology
         keys = np.array(sorted(self.ever) + [-5, max(self.ever) + 50],
                         dtype=np.int64)
         found, values = _route_lookup(router, shards, keys)

@@ -90,6 +90,19 @@ class TestOneModelPassPerBatch:
         assert counted["lost_rows"] == 2
 
 
+class TestOneProbePerShard:
+    def test_an_update_probes_each_shard_once(self, table, counted):
+        """Algorithm 5's two halves (rows leaving ``T_aux``, rows held
+        there) share one partition probe per shard the batch touches."""
+        store = _store(table)
+        live = table.column("key")[::7]
+        touched = np.unique(store.router.route({"key": live})).size
+        counted.clear()
+        store.update({"key": live,
+                      "value": table.column("value")[::-1][::7]})
+        assert counted["lookup_batch"] == touched
+
+
 class TestCountsCostNothing:
     def test_retrain_rule_after_a_write_probes_no_partition(self, table,
                                                             counted):

@@ -109,12 +109,24 @@ class TestLookup:
         assert found.size == 0
         assert values["qty"].size == 0
 
-    def test_locate_boundaries(self):
+    def test_fence_boundaries(self, monkeypatch):
         store, _, _, _ = build_store(n=2000, target=2048)
         metas = store.partitions
-        pids = store.locate(np.array([metas[0].first_key, metas[0].last_key,
-                                      metas[1].first_key]))
-        assert pids.tolist() == [0, 0, 1]
+        loaded = []
+        real = SortedPartitionStore.load_partition
+        monkeypatch.setattr(SortedPartitionStore, "load_partition",
+                            lambda self, pid: loaded.append(pid)
+                            or real(self, pid))
+        found, _ = store.lookup_batch([metas[0].first_key, metas[0].last_key,
+                                       metas[1].first_key])
+        assert found.all() and loaded == [0, 1]
+        # Below the first fence, between two partitions, past the last:
+        # no partition owns these keys, so none is faulted in.
+        loaded.clear()
+        found, _ = store.lookup_batch([metas[0].first_key - 1,
+                                       metas[0].last_key + 1,
+                                       metas[-1].last_key + 1])
+        assert not found.any() and loaded == []
 
 
 class TestCodecs:
@@ -188,17 +200,25 @@ class TestScan:
         assert got_keys.size == 0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                   max_size=150, unique=True),
-    probe=st.lists(st.integers(min_value=0, max_value=10_000), max_size=50),
+    # Probes reach below the first fence and past the last one.
+    probe=st.lists(st.integers(min_value=-50, max_value=10_050),
+                   max_size=50),
+    # 16 B is one row (an int64 key and an int64 value) per partition.
+    target=st.sampled_from([16, 48, 512]),
 )
-def test_partition_store_matches_dict_model(keys, probe):
-    """Property: lookups agree with a plain dict over the same pairs."""
+@example(keys=[5], probe=[], target=16)
+@example(keys=[0, 10, 20], probe=[-1, 5, 15, 25], target=16)
+def test_partition_store_matches_dict_model(keys, probe, target):
+    """Property: lookups agree with a plain dict over the same pairs;
+    the sorted core writes only the rows of the keys it holds and
+    faults in exactly the partitions whose fences hold a probed key."""
     keys_arr = np.array(keys, dtype=np.int64)
     vals = keys_arr * 7 + 1
-    store = SortedPartitionStore(codec="zstd", target_partition_bytes=512)
+    store = SortedPartitionStore(codec="zstd", target_partition_bytes=target)
     store.build(keys_arr, {"v": vals})
     model = dict(zip(keys, (vals).tolist()))
 
@@ -209,6 +229,19 @@ def test_partition_store_matches_dict_model(keys, probe):
             assert values["v"][i] == model[key]
         else:
             assert not found[i]
+
+    window = np.unique(np.array(probe, dtype=np.int64))
+    hit = np.zeros(window.size, dtype=bool)
+    out = np.full(window.size, -1, dtype=np.int64)
+    loaded = []
+    real = store.load_partition
+    store.load_partition = lambda pid: loaded.append(pid) or real(pid)
+    store.probe(window, hit, {"v": out})
+    assert hit.tolist() == [key in model for key in window.tolist()]
+    assert out.tolist() == [model.get(key, -1) for key in window.tolist()]
+    assert loaded == [pid for pid, meta in enumerate(store.partitions)
+                      if ((window >= meta.first_key)
+                          & (window <= meta.last_key)).any()]
 
 
 # ---------------------------------------------------------------------------
