@@ -216,19 +216,20 @@ class Shard:
         self.n_rows = n_rows
 
     @classmethod
-    def materialize(cls, model: Model, flat: np.ndarray,
-                    labels: Dict[str, np.ndarray], lost: np.ndarray, exist,
+    def materialize(cls, model: Model, exist, keys: np.ndarray,
+                    codes: Dict[str, np.ndarray], n_rows: int,
                     pool: Optional[BufferPool] = None,
                     stats: Optional[StoreStats] = None) -> "Shard":
-        """``T_aux`` of rows ``flat`` under ``model``, no training:
-        ``labels`` are their codes, ``lost`` the rows the kernel loses
-        (:meth:`Model.encode <repro.core.model.Model.encode>` computes
-        both).  ``exist`` is the store's index, whose owner sets the
-        rows' bits; the shard counts ``flat.size`` live keys."""
+        """The one shard constructor: ``T_aux`` of the rows ``keys``
+        (flat) with label ``codes``, the ones ``model`` loses among the
+        slice's ``n_rows`` live keys of ``exist`` (the store's index) —
+        from :meth:`Model.encode <repro.core.model.Model.encode>` on a
+        build or insert, from other shards' ``T_aux`` on a split or
+        merge.  Nothing trains or runs the kernel."""
         stats = stats if stats is not None else StoreStats()
         aux = new_aux(model, pool, stats)
-        aux.build(flat[lost], {t: labels[t][lost] for t in aux.tasks})
-        return cls(model, aux, exist, stats, int(flat.size))
+        aux.build(keys, codes)
+        return cls(model, aux, exist, stats, int(n_rows))
 
     def __len__(self) -> int:
         """Live keys of this shard's slice."""

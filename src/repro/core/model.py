@@ -5,8 +5,8 @@ session, served through its compiled kernel and tie margin τ), the key
 codec and key encoder over the global key domain, the decode map
 ``f_decode`` and the build config.  :meth:`Model.fit` is the one place
 anything trains; a store builds its one ``V_exist`` over the model's
-key domain and materializes each shard's ``T_aux`` under the model
-(:meth:`~repro.core.deep_mapping.Shard.materialize`).
+key domain and materializes each shard's ``T_aux`` from the rows the
+model loses (:meth:`~repro.core.deep_mapping.Shard.materialize`).
 """
 
 from __future__ import annotations

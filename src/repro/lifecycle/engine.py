@@ -5,12 +5,13 @@ lifecycle.
 
 - **splits** — a shard whose row count exceeds ``split_balance`` times
   the mean splits its key range at a median cut chosen from its live
-  keys; the two halves are materialized under the store's one model
-  (nothing trains) and the router/shard-list swap is atomic (see
+  keys; its ``T_aux`` rows move into the two halves (nothing trains or
+  runs the kernel) and the router/shard-list swap is atomic (see
   :mod:`repro.shard.topology`);
 - **merges** — an adjacent pair whose combined rows fall under
-  ``merge_balance`` times the mean merges back into one shard
-  (hysteresis between the two bounds prevents split/merge oscillation);
+  ``merge_balance`` times the mean merges back into one shard, its rows
+  moved the same way (hysteresis between the two bounds prevents
+  split/merge oscillation);
 - **retrain** — after rebalancing, the engine asks the store
   :meth:`~repro.shard.store.DeepMapping.retrain_due` over its
   totals with the bounds the policy name maps to

@@ -6,8 +6,8 @@ cut points chosen at build time to balance row counts.  Every shard owns
 a contiguous key range, so shards can split and merge, and a shard's
 live keys are one contiguous run of the lexicographic flat codes.  Keys
 outside the fitted range route to the first/last shard, which keeps
-inserts of fresh, larger keys well-defined.  Routing is pure NumPy array
-arithmetic — no per-key Python loops.
+inserts of fresh, larger keys well-defined.  The store places rows at
+these cuts turned into flat codes (:mod:`repro.shard.topology`).
 
 The router is deterministic and round-trips through
 :meth:`RangeShardRouter.to_state` / :meth:`RangeShardRouter.from_state`
@@ -117,18 +117,10 @@ class RangeShardRouter:
         return cls(state["key_names"], int(state["n_shards"]), state["cuts"])
 
     def route(self, key_cols: Dict[str, np.ndarray]) -> np.ndarray:
-        """Shard ordinal in ``[0, n_shards)`` for each key row."""
+        """Shard ordinal in ``[0, n_shards)`` per key row, by its leading
+        column: the routing oracle that the barrier oracle and the tests
+        hold the store's flat-code cuts against."""
         leading = np.asarray(key_cols[self.key_names[0]], dtype=np.int64)
-        if self.cuts.size == 0:
-            return np.zeros(leading.size, dtype=np.int64)
-        if self.cuts.size <= 8:
-            # Few cuts: summed comparisons are one linear pass per cut,
-            # several times faster than searchsorted's per-query binary
-            # search (which costs ~10ns/key regardless of cut count).
-            out = np.zeros(leading.size, dtype=np.int64)
-            for cut in self.cuts:
-                out += leading >= cut
-            return out
         return np.searchsorted(self.cuts, leading, side="right")
 
     # ------------------------------------------------------------------

@@ -10,14 +10,15 @@ This module owns the store's build, its **mutation** path, the retrain
 rule over store totals and the executor its reads run on; its other
 methods hand straight to the module that owns the decision: the
 **topology** (the atomically swapped ``(router, model, shards, exist)``
-tuple, split/merge and the store-level retrain) to
-:mod:`repro.shard.topology`, the **read path** (one plan per request:
-existence → route → aux → inference → decode) to
-:mod:`repro.shard.read_path`, and the
-on-disk layout to :mod:`repro.shard.persistence`.
+tuple, split/merge, whose ``T_aux`` rows move, and the store-level
+retrain) to :mod:`repro.shard.topology`, the **read path** (one plan per
+request: existence → route → aux → inference → decode) to
+:mod:`repro.shard.read_path`, and the on-disk layout to
+:mod:`repro.shard.persistence`.
 
-Each modified row flips its bit in the store's index and goes to its
-owning shard's auxiliary table; an insert into an empty shard
+Each modified row flips its bit in the store's index and goes to the
+shard whose window of the topology's cut codes holds its flat code (the
+one cut rule), into its auxiliary table; an insert into an empty shard
 materializes one under the model, keys past the leading key's max grow
 the domain in place, and any other widening retrains the store.  Every
 mutation batch ends with the retrain rule — a
@@ -225,7 +226,7 @@ class DeepMapping:
         store = cls(router, fit.model, [None] * router.n_shards, None,
                     sharding, value_names=value_names,
                     value_dtypes=value_dtypes, stats=stats, pool=pool)
-        topology.install(store, table, fit)
+        topology.install(store, fit)
         return store
 
     # ------------------------------------------------------------------
@@ -473,21 +474,27 @@ class DeepMapping:
         flat, labels, lost = encode_insert(model, columns,
                                            self.exist.test_batch)
         self._widen_dtypes(columns)
+        # Route only now: admitting the keys may have grown the domain,
+        # which moves the cut codes, and _cover snapshots them again.
         exist = self._cover(flat)
         landed = 0
-        for ordinal, rows_idx in self._group_rows(columns):
-            part = topology.rows(rows_idx, flat, labels, lost)
+        for ordinal, idx in self._group_rows(flat):
             shard = self.shards[ordinal]
             if shard is None:
-                self.shards[ordinal] = topology.materialize(
-                    self, model, exist, *part)
-                landed += int(part[2].sum())
+                held = idx[lost[idx]]
+                self.shards[ordinal] = Shard.materialize(
+                    model, exist, flat[held],
+                    {t: codes[held] for t, codes in labels.items()},
+                    idx.size, pool=self.pool, stats=self.stats)
+                landed += held.size
             else:
-                landed += shard.hold(*part)
-                shard.n_rows += part[0].size
+                landed += shard.hold(
+                    flat[idx], {t: codes[idx] for t, codes in labels.items()},
+                    lost[idx])
+                shard.n_rows += idx.size
             # Bits go up per shard once its rows have landed: if a later
             # shard raises, the rows already held here are found.
-            exist.set_batch(part[0])
+            exist.set_batch(flat[idx])
         settle(self, columns, self.engine)
         return landed
 
@@ -520,9 +527,8 @@ class DeepMapping:
         live = np.flatnonzero(exist.test_batch(flat) & in_domain)
         deleted = 0
         if live.size:
-            for ordinal, rows_idx in self._group_rows(
-                    {name: col[live] for name, col in key_cols.items()}):
-                targets = flat[live[rows_idx]]
+            for ordinal, idx in self._group_rows(flat[live]):
+                targets = flat[live[idx]]
                 shard = self.shards[ordinal]
                 shard.aux.remove_batch(targets)
                 cleared = exist.clear_batch(targets)
@@ -545,9 +551,10 @@ class DeepMapping:
                                            self.exist.test_batch)
         self._widen_dtypes(columns)
         landed = 0
-        for ordinal, rows_idx in self._group_rows(columns):
+        for ordinal, idx in self._group_rows(flat):
             landed += self.shards[ordinal].apply_update(
-                *topology.rows(rows_idx, flat, labels, lost))
+                flat[idx], {t: codes[idx] for t, codes in labels.items()},
+                lost[idx])
         settle(self, columns, self.engine)
         return landed
 
@@ -557,12 +564,13 @@ class DeepMapping:
                 "this store was opened writable=False (shared, read-only "
                 "shard components); reopen with repro.open(url) to mutate it")
 
-    def _group_rows(self, columns: Dict[str, np.ndarray]
-                    ) -> List[Tuple[int, np.ndarray]]:
-        """``(shard_ordinal, row_indices)`` for routed input rows."""
-        key_cols = {name: columns[name] for name in self.key_names}
+    def _group_rows(self, flat: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """``(shard_ordinal, row_indices)`` for rows of in-domain flat
+        codes ``flat``: the shard whose window of the topology's cut
+        codes holds each code (the one cut rule)."""
         with self.stats.timing("route"):
-            shard_ids = self.router.route(key_cols)
+            shard_ids = np.searchsorted(self._topology[4], flat,
+                                        side="right")
         return [(int(ordinal), np.flatnonzero(shard_ids == ordinal))
                 for ordinal in np.unique(shard_ids)]
 

@@ -5,12 +5,14 @@ The store's ``(router, model, shards, exist, cut_codes)`` tuple
 holding the old tuple keeps its answers — the model it started with and
 that model's existence index included.  ``exist`` is the store's one
 ``V_exist`` over the model's whole key domain, built by :func:`install`;
-every shard reads it, and a shard holds only the ``T_aux`` rows of its
-keys, materialized under the store's one model (:func:`materialize`,
-from rows already encoded under it, or :func:`build_shard`, from a
-table); nothing here trains.
-:func:`split_shard` / :func:`merge_shards` repartition shards (taking
-their keys from ``exist``, which they keep) and swap them in;
+every shard reads it and holds only the ``T_aux`` rows of its keys.
+
+One cut rule places rows everywhere: a row belongs to the shard whose
+window of ``cut_codes`` holds its flat code — for a read, a write,
+:func:`install` and :func:`split_shard` / :func:`merge_shards`.  A write
+never changes the model (paper Sec. IV-D), so a shard's ``T_aux`` is
+exactly the live rows of its window the model loses, and rebalancing
+moves those rows: nothing trains, looks up or runs the kernel.
 :func:`retrain` is the store-level retrain — one warm-started refit,
 then a new index and every shard re-materialized under it.
 """
@@ -31,44 +33,16 @@ from .router import RangeShardRouter
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .store import DeepMapping
 
-__all__ = ["rows", "materialize", "build_shard", "snapshot", "swap",
-           "install",
-           "retrain", "can_split", "split_shard", "merge_shards"]
-
-
-def rows(idx: np.ndarray, flat: np.ndarray, labels: Dict[str, np.ndarray],
-         lost: np.ndarray):
-    """Rows ``idx`` of a batch encoded under a model, ``(flat, labels,
-    lost)`` as :meth:`Model.encode <repro.core.model.Model.encode>` gives
-    them: one shard's slice."""
-    return flat[idx], {t: codes[idx] for t, codes in labels.items()}, \
-        lost[idx]
-
-
-def materialize(store: "DeepMapping", model: Model, exist, flat,
-                labels, lost) -> Shard:
-    """A shard over rows encoded under ``model`` (see :func:`rows`),
-    reading ``exist``, the index that holds (or is about to hold) their
-    keys; no training."""
-    return Shard.materialize(model, flat, labels, lost, exist,
-                             pool=store.pool, stats=store.stats)
-
-
-def build_shard(store: "DeepMapping",
-                table: ColumnTable) -> Shard:
-    """A shard over ``table``, whose keys the store's index holds,
-    materialized under the store's model — no training."""
-    model = store.model
-    return materialize(store, model, store.exist,
-                       *model.encode(table.columns_dict()))
+__all__ = ["snapshot", "swap", "install", "retrain", "can_split",
+           "split_shard", "merge_shards"]
 
 
 def snapshot(router: RangeShardRouter, model: Model,
              shards: List[Optional[Shard]], exist) -> Tuple:
     """The store's topology tuple: ``(router, model, shards, exist)``
     and the router's cuts as flat codes under the model's key codec
-    (what a read cuts its sorted run at), computed once here — only a
-    new router or model moves them."""
+    (what every row is cut at), computed once here — only a new router
+    or model moves them."""
     if len(shards) != router.n_shards:
         raise ValueError(
             f"router expects {router.n_shards} shards, got {len(shards)}"
@@ -86,26 +60,35 @@ def swap(store: "DeepMapping", router: RangeShardRouter, model: Model,
     store.sharding.n_shards = router.n_shards
 
 
-def install(store: "DeepMapping", table: ColumnTable,
-            fit: Fit) -> None:
-    """Build the one index of ``table``'s keys under ``fit`` (just fit
-    over it), materialize every shard under it and swap the tuple in;
+def _edges(flat: np.ndarray, cut_codes: np.ndarray) -> np.ndarray:
+    """The cut rule over ascending flat codes: shard ``i`` owns
+    ``flat[edges[i]:edges[i + 1]]``."""
+    return np.concatenate([[0], np.searchsorted(flat, cut_codes),
+                           [flat.size]])
+
+
+def install(store: "DeepMapping", fit: Fit) -> None:
+    """Build the one index of the fit's keys, cut its sorted codes at
+    the new model's cut codes into one shard each and swap the tuple in;
     retired shards' partitions leave the pool, a reader still holding
     them keeps its answers."""
-    router = store.router
-    exist = make_existence_index(fit.model.key_codec.domain_size,
-                                 fit.flat.size)
+    router, model = store.router, fit.model
+    exist = make_existence_index(model.key_codec.domain_size, fit.flat.size)
     exist.set_batch(fit.flat)
     with store.stats.timing("route"):
-        shard_ids = router.route(table.key_columns_dict())
+        order = np.argsort(fit.flat)
+        edges = _edges(fit.flat[order],
+                       model.key_codec.leading_bounds(router.cuts))
     shards: List[Optional[Shard]] = []
     for ordinal in range(router.n_shards):
-        idx = np.flatnonzero(shard_ids == ordinal)
-        shards.append(None if idx.size == 0 else materialize(
-            store, fit.model, exist,
-            *rows(idx, fit.flat, fit.labels, fit.lost)))
+        rows = order[edges[ordinal]:edges[ordinal + 1]]
+        held = rows[fit.lost[rows]]
+        shards.append(None if rows.size == 0 else Shard.materialize(
+            model, exist, fit.flat[held],
+            {t: codes[held] for t, codes in fit.labels.items()}, rows.size,
+            pool=store.pool, stats=store.stats))
     retired = store.shards
-    swap(store, router, fit.model, shards, exist)
+    swap(store, router, model, shards, exist)
     for shard in retired:
         if shard is not None:
             shard.aux.drop_storage()
@@ -120,33 +103,32 @@ def retrain(store: "DeepMapping", table: ColumnTable,
     config = config if config is not None else store.config
     warm = (store.model.session.state_arrays()
             if config.warm_start_rebuild and not config.use_search else None)
-    install(store, table, Model.fit(table, config, warm_start=warm))
+    install(store, Model.fit(table, config, warm_start=warm))
     store.tracker.mark_rebuilt()
 
 
-def _live_keys(store: "DeepMapping", first: int, last: int) -> Dict[
-        str, np.ndarray]:
-    """Key columns of the live keys that shards ``first..last`` own,
-    ascending: one contiguous slice of the store's index, because the
-    lexicographic flat codes ascend with the leading key the cuts
-    split."""
-    codec = store.model.key_codec
+def _live(store: "DeepMapping", first: int, last: int) -> np.ndarray:
+    """The live flat codes shards ``first..last`` own, ascending: the
+    slice of the store's index between their cut codes."""
     flat = store.exist.existing_keys()
-    lower, _ = store.router.bounds_of(first)
-    _, upper = store.router.bounds_of(last)
-    start, stop = np.searchsorted(flat, codec.leading_bounds(
-        [-2**63 if lower is None else lower,
-         2**63 - 1 if upper is None else upper]))
-    return codec.unflatten(flat[start:stop])
+    edges = _edges(flat, store._topology[4])
+    return flat[edges[first]:edges[last + 1]]
 
 
-def _shard_table(store: "DeepMapping", *ordinals: int) -> ColumnTable:
-    """The rows shards ``ordinals`` (neighbours, ascending) hold, as the
-    store reads them."""
-    key_cols = _live_keys(store, ordinals[0], ordinals[-1])
-    columns: Dict[str, np.ndarray] = dict(key_cols)
-    columns.update(store.lookup(key_cols).values)
-    return ColumnTable(columns, key=store.key_names, name="deepmapping")
+def _held(store: "DeepMapping", *shards: Optional[Shard]
+          ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """The ``T_aux`` rows of ``shards`` (neighbours, ascending) whose
+    keys the store's index holds, ascending: what a shard over their
+    windows holds under the same model."""
+    scans = [shard.aux.scan() for shard in shards if shard is not None]
+    keys = np.concatenate([scan[0] for scan in scans])
+    live = store.exist.test_batch(keys)
+    return keys[live], {t: np.concatenate([scan[1][t] for scan in scans])[live]
+                        for t in scans[0][1]}
+
+
+def _leading(store: "DeepMapping", flat: np.ndarray) -> np.ndarray:
+    return store.model.key_codec.unflatten(flat)[store.key_names[0]]
 
 
 def can_split(store: "DeepMapping", ordinal: int) -> bool:
@@ -154,16 +136,16 @@ def can_split(store: "DeepMapping", ordinal: int) -> bool:
     keys (the minimum to place a cut with both sides non-empty)."""
     if store.shards[ordinal] is None:
         return False
-    leading = _live_keys(store, ordinal, ordinal)[store.key_names[0]]
-    return np.unique(leading).size >= 2
+    return np.unique(_leading(store, _live(store, ordinal, ordinal))).size >= 2
 
 
 def split_shard(store: "DeepMapping", ordinal: int,
                 cut: Optional[int] = None) -> int:
     """Split shard ``ordinal`` into ``[lower, cut)`` / ``[cut,
-    upper)`` halves, each materialized under the store's model (nothing
-    trains), and swap them in atomically; the retired shard's partitions
-    leave the pool (a reader still holding it keeps its answers).
+    upper)`` halves, its ``T_aux`` rows cut at the cut's flat code
+    (nothing trains, nothing is looked up), and swap them in atomically;
+    the retired shard's partitions leave the pool (a reader still
+    holding it keeps its answers).
 
     ``cut`` defaults to the shard's median live leading key; an
     explicit cut must leave both halves non-empty.  Single-writer.
@@ -174,8 +156,8 @@ def split_shard(store: "DeepMapping", ordinal: int,
     shard = store.shards[ordinal]
     if shard is None:
         raise ValueError(f"shard {ordinal} is empty; nothing to split")
-    table = _shard_table(store, ordinal)
-    leading = np.asarray(table.column(store.key_names[0]), dtype=np.int64)
+    live = _live(store, ordinal, ordinal)
+    leading = _leading(store, live)  # ascends with the flat codes
     uniq = np.unique(leading)
     if uniq.size < 2:
         raise ValueError(
@@ -183,7 +165,7 @@ def split_shard(store: "DeepMapping", ordinal: int,
             "key(s); a split needs at least two"
         )
     if cut is None:
-        cut = int(np.sort(leading)[leading.size // 2])
+        cut = int(leading[leading.size // 2])
         if cut <= int(uniq[0]):
             cut = int(uniq[1])  # left half (keys < cut) must be non-empty
     else:
@@ -195,8 +177,14 @@ def split_shard(store: "DeepMapping", ordinal: int,
             )
 
     split = router.split_at(ordinal, cut)
-    halves = [build_shard(store, table.take(np.flatnonzero(mask)))
-              for mask in (leading < cut, leading >= cut)]
+    at = int(store.model.key_codec.leading_bounds([cut])[0])
+    keys, codes = _held(store, shard)
+    side, n_left = np.searchsorted(keys, at), np.searchsorted(live, at)
+    halves = [Shard.materialize(store.model, store.exist, keys[part],
+                                {t: col[part] for t, col in codes.items()},
+                                n_rows, pool=store.pool, stats=store.stats)
+              for part, n_rows in ((slice(None, side), n_left),
+                                   (slice(side, None), live.size - n_left))]
     new_shards = store.shards[:ordinal] + halves + store.shards[ordinal + 1:]
     swap(store, split, store.model, new_shards, store.exist)
     shard.aux.drop_storage()
@@ -205,8 +193,8 @@ def split_shard(store: "DeepMapping", ordinal: int,
 
 def merge_shards(store: "DeepMapping", ordinal: int) -> None:
     """Merge shards ``ordinal`` and ``ordinal + 1``: the pair's
-    rows are materialized as one shard under the store's model (nothing
-    trains; two empty shards just lose their boundary) and swapped in
+    ``T_aux`` rows join in one shard (nothing trains, nothing is looked
+    up; a pair with no live rows just loses its boundary) swapped in
     atomically, the retired shards' partitions purged.  Single-writer.
     """
     store._require_writable()
@@ -216,14 +204,15 @@ def merge_shards(store: "DeepMapping", ordinal: int) -> None:
             f"cannot merge shard {ordinal} with its right neighbour "
             f"in a {router.n_shards}-shard store"
         )
-    first = store.shards[ordinal]
-    second = store.shards[ordinal + 1]
-    table = _shard_table(store, ordinal, ordinal + 1)
-    merged = build_shard(store, table) if table.n_rows else None
+    pair = store.shards[ordinal:ordinal + 2]
+    n_rows = _live(store, ordinal, ordinal + 1).size
+    merged = Shard.materialize(
+        store.model, store.exist, *_held(store, *pair), n_rows,
+        pool=store.pool, stats=store.stats) if n_rows else None
     new_shards = (store.shards[:ordinal] + [merged]
                   + store.shards[ordinal + 2:])
     swap(store, router.merge_at(ordinal), store.model, new_shards,
          store.exist)
-    for retired in (first, second):
+    for retired in pair:
         if retired is not None:
             retired.aux.drop_storage()

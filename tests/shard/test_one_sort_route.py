@@ -1,12 +1,13 @@
 """Range placement routes every key shape with one sort.
 
 The read path sorts a batch's live keys once, by the flat codes the
-existence stage computed, and cuts the sorted run at the router's cuts;
-split and merge take a shard's live keys as one contiguous slice of the
-store's index.  Both rest on the lexicographic codec: ascending flat
-codes ascend in the leading column the cuts split.  Everything here is
-checked against ``router.route``, which the write path and the oracles
-still use.
+existence stage computed, and cuts the sorted run at the router's cuts
+turned into flat codes; writes group their rows, and split and merge
+take a shard's live keys and ``T_aux`` rows, by the same cut codes.
+All of it rests on the lexicographic codec: ascending flat codes ascend
+in the leading column the cuts split.  Everything here is checked
+against ``router.route``, the routing oracle the barrier oracle
+(``repro.testing.oracles.barrier_lookup``) uses.
 """
 
 import json
@@ -107,7 +108,8 @@ def test_each_shard_slice_is_what_the_router_assigns(shape):
     for first in range(store.n_shards):
         for last in range(first, min(first + 2, store.n_shards)):
             mine = (owner >= first) & (owner <= last)
-            got = topology._live_keys(store, first, last)
+            got = store.model.key_codec.unflatten(
+                topology._live(store, first, last))
             for name in store.key_names:
                 np.testing.assert_array_equal(got[name], keys[name][mine])
         assert store.can_split(first) == (
@@ -153,8 +155,8 @@ def test_merge_across_an_emptied_shard():
     keys = store.model.key_codec.unflatten(store.exist.existing_keys())
     mine = store.router.route(keys) == 1
     store.delete({name: col[mine] for name, col in keys.items()})
-    assert all(col.size == 0
-               for col in topology._live_keys(store, 1, 1).values())
+    assert all(col.size == 0 for col in store.model.key_codec.unflatten(
+        topology._live(store, 1, 1)).values())
     before = rows_of(store)
     store.merge_shards(1)
     store.merge_shards(0)

@@ -18,6 +18,9 @@ more).  After every step it checks that:
   ``shard_row_counts()`` is a recount by routing the index's keys, and
   ``len(shard.aux)`` what a scan of its ``T_aux`` finds (on a read-only
   reopen too);
+- each shard's ``T_aux`` scan is exactly the live rows of its window
+  that ``store.model.encode`` marks lost, keys and codes alike — what
+  lets a split or merge move rows instead of re-encoding them;
 - a save's manifest round-trips through JSON and records those counts;
 - a lookup through a ``store._topology`` snapshot taken before the last
   split, merge or retrain returns what it returned then.
@@ -100,13 +103,24 @@ def _check_index(store, live) -> None:
     np.testing.assert_array_equal(
         flat, np.sort(store.model.key_codec.flatten(
             {"key": np.array(sorted(live), dtype=np.int64)})))
-    owners = store.router.route(store.model.key_codec.unflatten(flat))
+    keys = store.model.key_codec.unflatten(flat)
+    owners = store.router.route(keys)
     assert store.shard_row_counts() == np.bincount(
         owners, minlength=store.n_shards).tolist()
-    for shard in store.shards:
+    values = np.array([live[k] for k in keys["key"].tolist()],
+                      dtype=store.value_dtype("value"))
+    _, labels, lost = store.model.encode(dict(keys, value=values), flat)
+    for ordinal, shard in enumerate(store.shards):
         if shard is not None:
             assert shard.exist is store.exist
-            assert len(shard.aux) == shard.aux.scan()[0].size
+            held, codes = shard.aux.scan()
+            assert len(shard.aux) == held.size
+            # The model never changes on a write, so T_aux is exactly
+            # the live rows of the shard's window the model loses.
+            mine = (owners == ordinal) & lost
+            np.testing.assert_array_equal(held, flat[mine])
+            np.testing.assert_array_equal(codes["value"],
+                                          labels["value"][mine])
 
 
 def _route_lookup(router, shards, keys: np.ndarray):
