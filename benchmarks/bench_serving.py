@@ -46,7 +46,6 @@ from repro.resilience.hedging import HedgeController, HedgePolicy
 from repro.serve import (AdmissionPolicy, LoadShedder, QueueFullError,
                          ServeStats, SheddingPolicy)
 from repro.shard import DeepMapping, ShardingConfig
-from repro.testing import break_shard
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -84,15 +83,15 @@ OVERLOAD_GOODPUT_FLOOR = 0.70
 #: but relax the timing-sensitive ones for small shared runners.
 OVERLOAD_SMOKE_P99_FACTOR = 6.0
 OVERLOAD_SMOKE_GOODPUT_FLOOR = 0.50
-#: Hedged reads: chaos-slowed shard's p99 vs the healthy p99 with
-#: hedging on, and the healthy-path hedge rate bound.  Smoke stores are
-#: tiny, so the fixed rescue cost (hedge delay + one retry) dwarfs the
-#: per-shard work the ratio is meant to amortize against — smoke keeps
-#: the structural check (hedged beats unhedged) but relaxes the ratio.
-#: The healthy hedge rate is gated on full runs only, like the deadline
-#: overhead: a smoke run's 80 healthy lookups are too few batches for a
-#: rate (a handful of jitter hedges on a 2-vCPU runner reads 0.10-0.18),
-#: so smoke reports it and does not gate on it.
+#: Hedged range GETs: the p99 of cold remote lookups that meet a
+#: stalled GET vs the healthy p99, hedging on, and the healthy-path
+#: hedge rate (hedges per GET) bound.  Smoke stores are tiny, so the
+#: fixed rescue cost (hedge delay + one re-issue) dwarfs the download
+#: the ratio is meant to amortize against — smoke keeps the structural
+#: check (hedged beats unhedged) but relaxes the ratio.  The healthy
+#: hedge rate is gated on full runs only, like the deadline overhead:
+#: a smoke run's 80 healthy lookups are too few for a rate, so smoke
+#: reports it and does not gate on it.
 HEDGE_TAIL_FACTOR = 2.0
 HEDGE_SMOKE_TAIL_FACTOR = 4.0
 HEDGE_RATE_LIMIT = 0.10
@@ -424,102 +423,109 @@ def run_overload(store, table, smoke: bool):
 
 
 def run_hedging(rows: int, smoke: bool):
-    """Hedged-read tail bound: a chaos-stalled shard must not set the
-    p99, and a healthy store must hedge (essentially) never.
+    """Hedged range-GET tail bound: a stalled GET must not set the p99
+    of a cold remote lookup, and a healthy server must be hedged
+    (essentially) never.
 
-    The chaos is *transient stalls* — every ``stall_every``-th lookup,
-    shard 1's next attempt dawdles ``delay_s`` while a retry of the
-    same work is fast (cold cache, GC pause, a dropped packet).  That
-    is exactly the fault class hedging addresses: a *persistently*
-    slow shard delays backups just as much and needs replication or
-    shard rebuild instead (see ``docs/resilience.md``).
+    The store (4 shards) is saved and served over loopback HTTP by
+    :class:`~repro.testing.RangeServer`; every timed lookup is the first
+    on a freshly opened remote store, so it downloads each shard it
+    touches.  The chaos is *one stalled GET* — every ``stall_every``-th
+    lookup, the server holds the next GET (one shard blob's) ``delay_s``
+    before answering, while a re-issue is answered at once (a dropped
+    packet, an object store's slow replica).  That is exactly the fault
+    class hedging addresses; a *persistently* slow server delays the
+    re-issue just as much (see ``docs/resilience.md``).
     """
+    import tempfile
+
     from repro.data import synthetic
+    from repro.resilience.backend import ResilientBackend
+    from repro.storage import LocalDirBackend, payload_cache
+    from repro.storage.remote import HttpBackend
+    from repro.testing import serve_backend
 
     table = synthetic.single_column(rows, "high", seed=13, domain_factor=2.0)
-    store = DeepMapping.fit(
-        table, bench_config(smoke),
-        ShardingConfig(n_shards=4, max_workers=4, hedged_reads=True))
-    # A snappier hedge trigger than the library default: the bench's
-    # per-shard attempts are milliseconds, so waiting 4x the median
-    # before hedging would itself dominate the rescued tail.  Requests
-    # are large (4096 keys) for the same reason — a rescue costs
-    # roughly one hedge delay plus one retry, which must amortize
-    # against real per-shard work for the p99 gate to measure the
-    # mechanism rather than fixed scheduling overhead.  Phases are long
-    # enough that the chaos p99 interpolates over several rescues
-    # instead of riding on the single worst one.
-    # max_fraction=0.5 gives a 4-shard batch two backup slots: with the
-    # default budget of one, a jitter hedge on a merely-slowish healthy
-    # ordinal can steal the batch's only slot and leave the genuinely
-    # stalled shard unrescued for the full injected delay.
-    hedge_policy = HedgePolicy(delay_factor=1.3, min_delay_ms=1.0,
-                               max_fraction=0.5)
-    hedger = HedgeController(hedge_policy)
-    store.hedger = hedger
+    built = DeepMapping.fit(table, bench_config(smoke),
+                            ShardingConfig(n_shards=4, hedged_reads=True))
+    # One controller spans every phase's opens, so its GET-duration
+    # EWMA is warm from the first timed lookup on (each open would
+    # otherwise start a cold controller, which hedges nothing).  The
+    # re-issue delay is the first attempt's socket timeout, so a GET
+    # that is streaming bytes is never hedged, only one whose server
+    # has gone quiet; the floor keeps loopback scheduling jitter on a
+    # shared 2-vCPU runner from reading as a stall.
+    hedger = HedgeController(HedgePolicy(delay_factor=2.0,
+                                         min_delay_ms=5.0))
     make = _request_maker(table, 4096, seed=17)
     n_lookups = 40 if smoke else 150
     tail_limit = HEDGE_SMOKE_TAIL_FACTOR if smoke else HEDGE_TAIL_FACTOR
     delay_s = 0.1
-    stall_every = 5  # 20% of lookups hit a stalled shard attempt
+    stall_every = 5  # 20% of lookups meet a stalled GET
+    counts = {"hedges_launched": 0, "hedges_won": 0, "range_requests": 0}
 
-    def timed_phase(inject: bool):
-        latencies = []
-        for index in range(n_lookups):
-            query = make()
-            restore = None
-            if inject and index % stall_every == 0:
-                restore = break_shard(store, 1, delay_s=delay_s,
-                                      slow_first=1)
-            try:
-                t0 = time.perf_counter()
-                store.lookup(query)
-                latencies.append(time.perf_counter() - t0)
-            finally:
-                if restore is not None:
-                    restore()
-                    # A won hedge returns the batch early but the
-                    # stalled attempt keeps sleeping on its pool worker
-                    # for the rest of ``delay_s``.  Back-to-back
-                    # lookups here are microseconds apart — far denser
-                    # than real traffic — so without this gap a few
-                    # injections strand every worker behind retiring
-                    # stragglers and starve healthy batches.
-                    time.sleep(delay_s * 1.1)
-        return latencies
+    def cold_lookup(server, query, hedged: bool, stall: bool) -> float:
+        payload_cache().clear()
+        backend = ResilientBackend(HttpBackend(server.url))
+        remote = DeepMapping.load(backend, writable=False)
+        try:
+            remote.hedger = hedger if hedged else None
+            backend.bind_stats(remote.stats, remote.hedger)
+            if stall:
+                server.stall_next(1, delay_s)
+            t0 = time.perf_counter()
+            remote.lookup(query)
+            elapsed = time.perf_counter() - t0
+            for name in counts:
+                counts[name] += remote.stats.counters.get(name, 0)
+        finally:
+            remote.close()
+        return elapsed
 
-    def launched():
-        return store.stats.counters.get("hedges_launched", 0)
+    def timed_phase(server, hedged: bool, inject: bool):
+        return [cold_lookup(server, make(), hedged,
+                            inject and index % stall_every == 0)
+                for index in range(n_lookups)]
 
-    # The healthy baseline *brackets* the chaos phases: ambient
-    # scheduler noise on a shared runner drifts over seconds, and a
-    # spike that lands only inside the chaos window would otherwise be
-    # misread as a hedging regression.  Pooling a before- and an
-    # after-phase exposes the denominator to the same conditions as the
-    # numerator, and doubles the sample count behind the p99.
-    store.lookup(make())  # warm pools/engines outside the timers
-    before_first = launched()
-    healthy_latencies = timed_phase(inject=False)
-    healthy_launched = launched() - before_first
+    with tempfile.TemporaryDirectory() as root:
+        built.save(root)
+        built.close()
+        with serve_backend(LocalDirBackend(root, create=False)) as server:
+            # Warm the controller (and the interpreter) outside the
+            # timers.  The healthy baseline *brackets* the chaos phases:
+            # ambient scheduler noise on a shared runner drifts over
+            # seconds, and a spike that lands only inside the chaos
+            # window would otherwise be misread as a hedging regression.
+            for _ in range(3):
+                cold_lookup(server, make(), True, False)
+            for name in counts:
+                counts[name] = 0
+            healthy_latencies = timed_phase(server, True, False)
+            healthy = dict(counts)
 
-    # Chaos, hedging OFF: every stalled attempt sets its batch's tail.
-    store.hedger = None
-    p99_unhedged_ms = float(np.percentile(
-        timed_phase(inject=True), 99)) * 1e3
+            # Chaos, hedging OFF: every stalled GET sets its lookup's
+            # tail.
+            p99_unhedged_ms = float(np.percentile(
+                timed_phase(server, False, True), 99)) * 1e3
 
-    # Same chaos, hedging ON: backups reclaim the tail.
-    store.hedger = hedger
-    p99_hedged_ms = float(np.percentile(
-        timed_phase(inject=True), 99)) * 1e3
-    chaos_launched = launched()
-    chaos_won = store.stats.counters.get("hedges_won", 0)
+            # Same chaos, hedging ON: the re-issue reclaims the tail.
+            before = dict(counts)
+            p99_hedged_ms = float(np.percentile(
+                timed_phase(server, True, True), 99)) * 1e3
+            chaos_launched = counts["hedges_launched"] \
+                - before["hedges_launched"]
+            chaos_won = counts["hedges_won"] - before["hedges_won"]
 
-    before_second = launched()
-    healthy_latencies += timed_phase(inject=False)
-    healthy_launched += launched() - before_second
+            before = dict(counts)
+            healthy_latencies += timed_phase(server, True, False)
+        payload_cache().clear()
+    healthy_launched = (healthy["hedges_launched"]
+                        + counts["hedges_launched"]
+                        - before["hedges_launched"])
+    healthy_gets = (healthy["range_requests"] + counts["range_requests"]
+                    - before["range_requests"])
     p99_healthy_ms = float(np.percentile(healthy_latencies, 99)) * 1e3
-    hedge_rate = healthy_launched / (2 * n_lookups * 4)
-    store.close()
+    hedge_rate = healthy_launched / max(healthy_gets, 1)
 
     return {
         "rows": rows,
@@ -736,9 +742,9 @@ def main() -> int:
               "-"],
              ["chaos, hedged", f"{hedging['p99_ms_chaos_hedged']:.2f}",
               f"won {hedging['hedges_won_total']}"]],
-            title=(f"Hedged reads (shard 1 stalls "
+            title=(f"Hedged range GETs (one GET stalls "
                    f"{hedging['injected_delay_ms']:.0f} ms every "
-                   f"{hedging['stall_every']}th lookup)")))
+                   f"{hedging['stall_every']}th cold lookup)")))
         if not args.smoke:
             report["acceptance"]["passed"] = (
                 report["acceptance"]["passed"]

@@ -304,8 +304,8 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
                         help="split the store's T_aux across N key shards")
     parser.add_argument("--executor", default=None,
                         choices=list(EXECUTOR_NAMES),
-                        help="fan-out executor strategy (default: thread "
-                             "pool)")
+                        help="executor strategy behind async lookups and "
+                             "remote downloads (default: thread pool)")
     parser.add_argument("--rebalance", action="store_true",
                         help="enable range shard split/merge rebalancing "
                              "under inserts")
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(with --shed-target-ms)")
     p_serve.add_argument("--executor", default=None,
                          choices=list(EXECUTOR_NAMES),
-                         help="store fan-out executor strategy")
+                         help="store executor strategy behind served "
+                              "lookups (default: thread pool)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_bench = sub.add_parser("bench", help="compare against baselines")

@@ -130,7 +130,14 @@ class AuxiliaryTable:
     def attach(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`to_state` image: the partitions are attached
         where they lie (a fault decompresses one straight out of the
-        opened payload), never rebuilt."""
+        opened payload), never rebuilt.  Every column is an int64 label
+        code, so an index declaring an object column (a pickled section,
+        which decoding would unpickle) is refused before anything is
+        attached."""
+        if any(np.dtype(spec).hasobject for spec in state["store"]["dtypes"]):
+            raise StoreCorruptedError(
+                "auxiliary partitions declare a pickled column section "
+                "(object dtype); refused")
         self._store.attach(state["store"])
         if self._store.column_names != self.tasks:
             raise StoreCorruptedError(

@@ -70,10 +70,25 @@ _EXIST_SEGMENTS = ("exist_v2",)
 _SHARD_SEGMENTS = ("aux_v2",)
 
 
-def _load_state(payload, required, zero_copy: bool = False
-                ) -> Dict[str, object]:
+#: The only globals a store blob's head may load: how NumPy rebuilds an
+#: array around an out-of-band buffer, its dtype, and the model's build
+#: config (with the search settings it carries when a build passed
+#: ``search=``; both are plain dataclasses, rebuilt without a call).
+#: Anything else in a head is refused before it is imported, so opening
+#: a store runs no code its blobs name.
+_STORE_GLOBALS = frozenset({("numpy._core.numeric", "_frombuffer"),
+                            ("numpy", "dtype"),
+                            ("repro.core.config", "DeepMappingConfig"),
+                            ("repro.core.mhas.search_space", "MHASConfig")})
+
+
+def _load_state(payload, required, zero_copy: bool = False,
+                blob: str = "payload") -> Dict[str, object]:
     """Payload bytes/view -> state dict, for the layouts this module
     writes; ``required`` names the segments the caller's shape needs.
+    A head naming a global outside :data:`_STORE_GLOBALS` raises
+    :class:`~repro.resilience.errors.StoreCorruptedError` naming
+    ``blob``.
 
     Anything else is refused with a ``ValueError`` — not
     :class:`~repro.resilience.errors.StoreCorruptedError`: the bytes
@@ -84,7 +99,11 @@ def _load_state(payload, required, zero_copy: bool = False
             "it does not start with the RZC2 container magic (bare "
             "pickles and containers without checksums are no longer "
             "read)")
-    state = zerocopy.unpack(payload, zero_copy=zero_copy)
+    try:
+        state = zerocopy.unpack(payload, zero_copy=zero_copy,
+                                allowed=_STORE_GLOBALS)
+    except StoreCorruptedError as exc:
+        raise StoreCorruptedError(f"{blob}: {exc}") from None
     missing = [key for key in required if key not in state]
     if missing:
         raise _unsupported_layout(
@@ -152,11 +171,13 @@ def open_payload(backend, blob: str, *, writable: bool, model: Model,
     shared = not writable or getattr(backend, "remote", False)
     if shared:
         bundle = _cached(backend, blob, lambda view: _shard_bundle(
-            _load_state(view, _SHARD_SEGMENTS, zero_copy=True), model,
+            _load_state(view, _SHARD_SEGMENTS, zero_copy=True, blob=blob),
+            model,
             pool, StoreStats()))
     else:
         with stats.timing("io"):
-            state = _load_state(backend.read_bytes(blob), _SHARD_SEGMENTS)
+            state = _load_state(backend.read_bytes(blob), _SHARD_SEGMENTS,
+                                blob=blob)
         bundle = _shard_bundle(state, model, pool, stats)
     if bundle["model_crc"] != model_crc:
         raise StoreCorruptedError(
@@ -217,7 +238,8 @@ def open_model(backend, blob: str, *, writable: bool, crc: int) -> Model:
     checks ``crc``)."""
     def build(payload, zero_copy: bool):
         model = Model.from_state(
-            _load_state(payload, _MODEL_SEGMENTS, zero_copy=zero_copy))
+            _load_state(payload, _MODEL_SEGMENTS, zero_copy=zero_copy,
+                        blob=blob))
         model.compiled_session()
         return {"model": model}
     bundle = _open_part(backend, blob, writable, crc, "model", build)
@@ -237,7 +259,8 @@ def open_exist(backend, blob: str, *, writable: bool, crc: int,
     opened (``model_crc``), or
     :class:`~repro.resilience.errors.StoreCorruptedError` is raised."""
     def build(payload, zero_copy: bool):
-        state = _load_state(payload, _EXIST_SEGMENTS, zero_copy=zero_copy)
+        state = _load_state(payload, _EXIST_SEGMENTS, zero_copy=zero_copy,
+                            blob=blob)
         return {"exist": existence_from_state(state["exist_v2"]),
                 "model_crc": state.get("model_crc")}
     bundle = _open_part(backend, blob, writable, crc, "existence index",

@@ -11,7 +11,7 @@ returns and :func:`blank` what a miss reads.  It imports nothing from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class LookupResult:
                 yield None
 
 
-#: One shard's ``T_aux`` probe: ``(ordinal, shard, ascending flat codes,
-#: hit, labels)``, the last two its window's slices of the plan's arrays.
-Probe = Tuple[int, object, np.ndarray, np.ndarray, Dict[str, np.ndarray]]
-
-
 class LookupPlan:
     """One batched lookup (Algorithm 1), decomposed into explicit stages.
 
@@ -75,10 +70,9 @@ class LookupPlan:
       (:meth:`~repro.core.deep_mapping.Shard.probe`, the one per-shard
       read call) in ascending order, so each partition faults at most
       once, straight into the window's slices of the plan's hit and
-      label arrays.  The caller may dispatch the probes (the read
-      path's ``fan_out``); a window whose probe fails is its shard's
-      failure alone — its keys come back failed, every other key is
-      answered.
+      label arrays, on the calling thread.  With ``isolate`` a window
+      whose probe fails is its shard's failure alone — its keys come
+      back failed, every other key is answered.
     - **Inference.** ``T_aux`` overrides the model wherever it has a
       row, so the kernel runs once, on the live codes with no override
       and a healthy window (:attr:`model_rows`).
@@ -151,37 +145,44 @@ class LookupPlan:
             self._edges = [0, *inner, int(self._codes.size)]
 
     # -- auxiliary table -----------------------------------------------
-    def run_aux(self, dispatch: Optional[Callable] = None
+    def run_aux(self, deadline=None, *, isolate: bool = False
                 ) -> Dict[int, BaseException]:
-        """Probe each window's ``T_aux`` (routing first if
-        :meth:`run_route` has not run); returns the failed windows.
+        """Probe each window's ``T_aux`` on this thread, in ordinal order
+        (routing first if :meth:`run_route` has not run); returns the
+        failed windows.
 
-        The hit and label arrays are allocated here, once, and each
-        :data:`Probe` carries its window's slices of them.
-        ``dispatch(probes)`` answers every probe it does not fail into
-        those slices, on this thread, and returns ``{ordinal:
-        exception}``; by default every probe runs here, and the first
-        failure raises.
+        The hit and label arrays are allocated here, once, and each probe
+        answers into its window's slices of them.  ``deadline`` (a
+        :class:`~repro.resilience.deadline.Deadline`) is checked before
+        each probe.  By default the first failure — a probe's exception
+        or a failed check — raises; with ``isolate`` it becomes that
+        window's error and the next window is probed, so once the
+        deadline has passed, that window and every later one fail with
+        ``DeadlineExceeded``.
         """
         if self._edges is None:
             self.run_route()
-        size, edges = self._codes.size, self._edges
-        self._aux_hit = np.zeros(size, dtype=bool)
-        self._labels = {t: np.zeros(size, dtype=np.int64)
-                        for t in self.model.fdecode.columns}
-        probes = [(ordinal, shard, self._codes[lo:hi], self._aux_hit[lo:hi],
-                   {t: labels[lo:hi] for t, labels in self._labels.items()})
-                  for ordinal, (shard, lo, hi)
-                  in enumerate(zip(self.shards, edges, edges[1:]))
-                  if hi > lo]
+        codes, edges = self._codes, self._edges
+        self._aux_hit = hit = np.zeros(codes.size, dtype=bool)
+        self._labels = labels = {t: np.zeros(codes.size, dtype=np.int64)
+                                 for t in self.model.fdecode.columns}
         with self.stats.timing("aux"):
-            if dispatch is None:
-                for _, shard, *window in probes:
-                    shard.probe(*window)
-            else:
-                self.errors = dispatch(probes)
+            for ordinal, (shard, lo, hi) in enumerate(
+                    zip(self.shards, edges, edges[1:])):
+                if hi == lo:
+                    continue
+                try:
+                    if deadline is not None:
+                        deadline.check(f"shard {ordinal} lookup")
+                    shard.probe(codes[lo:hi], hit[lo:hi],
+                                {t: column[lo:hi]
+                                 for t, column in labels.items()})
+                except Exception as exc:
+                    if not isolate:
+                        raise
+                    self.errors[ordinal] = exc
         if self.errors:
-            self._failed_codes = np.zeros(size, dtype=bool)
+            self._failed_codes = np.zeros(codes.size, dtype=bool)
             for ordinal in self.errors:
                 window = slice(edges[ordinal], edges[ordinal + 1])
                 self._failed_codes[window] = True
@@ -190,6 +191,14 @@ class LookupPlan:
             self.failed[self._dest] = self._spread(self._failed_codes)
             self.found = self.found & ~self.failed
         return self.errors
+
+    @property
+    def touched(self) -> List:
+        """The shards whose window is non-empty, in ordinal order (once
+        :meth:`run_route` has run)."""
+        edges = self._edges
+        return [shard for shard, lo, hi
+                in zip(self.shards, edges, edges[1:]) if hi > lo]
 
     @property
     def aux_rows(self) -> np.ndarray:

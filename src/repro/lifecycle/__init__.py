@@ -1,7 +1,7 @@
 """Adaptive shard lifecycle: retrain bounds and rebalancing.
 
 This package owns the *write-side* lifecycle of a DeepMapping store,
-complementing the read-side fan-out of :mod:`repro.shard`:
+complementing the read path of :mod:`repro.shard`:
 
 - :mod:`repro.lifecycle.policy` — :class:`LifecycleConfig`, the knob
   bundle persisted in the store manifest; its policy name (the paper's

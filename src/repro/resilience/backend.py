@@ -22,7 +22,9 @@ while non-I/O capabilities (``batch`` / ``url`` / ``scheme`` /
 ``remote`` / ``stats`` / ``bind_stats`` / ``writable``) are forwarded
 untouched — so capability sniffing (``getattr``) sees the same surface
 as the inner backend, and a remote-backed read-only open is resilient
-on every access path, not just ``read_bytes``.
+on every access path, not just ``read_bytes``.  Inside a store read the
+retry loop stops at the read's deadline
+(:data:`~repro.resilience.deadline.read_deadline`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .breaker import CircuitBreaker
+from .deadline import read_deadline
 from .errors import StoreCorruptedError, StoreNotFoundError
 from .retry import RetryPolicy, retry
 
@@ -57,7 +60,10 @@ class ResilientBackend:
 
     # -- retried reads -----------------------------------------------------
     def _read(self, fn):
-        return retry(fn, self.policy, breaker=self.breaker)
+        # A store read binds its deadline: no attempt or backoff sleep
+        # starts once it is spent.
+        return retry(fn, self.policy, breaker=self.breaker,
+                     deadline=read_deadline.get())
 
     def read_bytes(self, name: str) -> bytes:
         return self._read(lambda: self.inner.read_bytes(name))

@@ -9,14 +9,20 @@ could not finish in time.  This is the budget-propagation idiom: a
 2 ms, not a fresh 10.
 
 ``None`` is the conventional "no deadline" at call sites; every helper
-here accepts it.  :data:`DEFAULT_TIMEOUT_S` is the fleet-wide default
-for *control-plane* waits (server startup, shutdown joins, client
-connects) that previously hard-coded ``timeout=30`` literals.
+here accepts it.  A store read also binds its deadline in
+:data:`read_deadline` for the duration of its plan, so a fetch deep in
+the storage tier (a remote shard's range GET, a wait for another
+thread's hydration) spends only what is left of it without the deadline
+being threaded through every call.  :data:`DEFAULT_TIMEOUT_S` is the
+fleet-wide default for *control-plane* waits (server startup, shutdown
+joins, client connects) that previously hard-coded ``timeout=30``
+literals.
 """
 
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from typing import Callable, Optional
 
 from .errors import DeadlineExceeded
@@ -26,6 +32,13 @@ __all__ = ["Deadline", "DEFAULT_TIMEOUT_S", "default_timeout"]
 #: Default bound for control-plane waits (startup/shutdown/connect).
 #: Data-plane lookups have no implicit deadline — callers opt in.
 DEFAULT_TIMEOUT_S = 30.0
+
+#: The deadline of the store read running in this context (None:
+#: unbounded).  A read runs its plan on one thread and binds this for
+#: the plan's duration; the downloads it starts run in copies of its
+#: context, so each spends the same budget.
+read_deadline: ContextVar[Optional["Deadline"]] = ContextVar(
+    "repro_read_deadline", default=None)
 
 
 def default_timeout(override: Optional[float] = None) -> float:

@@ -1,63 +1,68 @@
-"""Hedged requests: bound straggler tails with one backup attempt.
+"""Hedged range GETs: bound a stalled fetch's tail with one re-issue.
 
-A fused batch fanned out across N shards finishes when its *slowest*
-shard does — one degraded backend (cold cache, GC pause, chaos-injected
-latency) sets the whole batch's tail.  The classic fix (Dean & Barroso,
-"The Tail at Scale") is the *hedged request*: when an attempt runs well
-past what its peers needed, launch one backup and take whichever
-finishes first.
+The only step of a read that can block for long is a remote store's
+range GET (a cold shard hydrating); a probe of a hydrated shard runs in
+memory in microseconds.  One stalled GET — a dropped packet, an object
+store's slow replica — would set the whole read's latency.  The classic
+fix (Dean & Barroso, "The Tail at Scale") is the *hedged request*: when
+a request has gone unanswered well past what its peers needed, issue it
+once more.  Here the first attempt's socket timeout *is* the hedge
+delay, so the stalled GET is abandoned (its socket closed) rather than
+raced: no extra thread is started, and the re-issue gets whatever is
+left of the read's deadline (``storage/remote.py``).
 
 :class:`HedgeController` holds the adaptive part — an EWMA of recent
-per-shard attempt durations that turns "well past its peers" into a
-concrete delay — plus the hedge budget that keeps backups a tail
-remedy, not a load doubler:
+GET durations that turns "well past its peers" into a concrete delay —
+plus the budget that keeps hedges a tail remedy, not a load doubler:
 
-- ``hedge_delay_s(peer_durations)`` — hedge an attempt still running
-  after ``delay_factor ×`` the current duration estimate (this batch's
-  completed peers when available, the cross-batch EWMA otherwise),
-  floored at ``min_delay_ms``.  With no estimate at all (cold start),
-  no hedging: the first batches just measure.
-- ``batch_budget(n_jobs)`` — at most ``ceil(max_fraction × n_jobs)``
-  backups per batch, so even a pathological store hedges a bounded
-  fraction of its work (the acceptance gate holds the healthy-path
-  hedge *rate* under 10%).
+- the delay is ``delay_factor ×`` the EWMA, floored at
+  ``min_delay_ms``; with no estimate yet (cold start) nothing is hedged,
+  the first GETs just measure;
+- the read path binds one ``[GETs, hedges]`` count per read in
+  :data:`read_hedges`, and a GET is armed only while the read's hedges
+  stay under ``max(1, ⌊max_fraction × GETs⌋)``.  GETs of one read in
+  flight at once are armed against the same count, so together they
+  can overdraw it by at most their number (the read's own thread and
+  the executor's two download workers).
 
-**Idempotency.** Hedging re-executes a shard lookup that may still be
-running.  That is safe here by construction: shard lookups are pure
-reads of an immutable snapshot (the topology tuple is swapped atomically
-— an attempt never sees a half-rebuilt shard), and both attempts
-scatter *bit-identical* bytes into disjoint destination rows of the
-batch's output arrays, so original and backup racing each other write
-the same values in either order.  The loser's only cost is wasted work,
-which the budget bounds.
+**Idempotency.** A hedge re-issues a ranged GET of a blob version the
+open already pinned: a pure read, whose abandoned first attempt wrote
+nothing anywhere.
 
-Thread-safe: the fan-out loop records durations from the dispatch
-thread while ``lookup_async`` callers may overlap.
+Thread-safe: a read's prefetches record and charge from other threads.
 """
 
 from __future__ import annotations
 
-import math
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional
 
 __all__ = ["HedgePolicy", "HedgeController"]
+
+#: ``[GETs issued, hedges launched]`` of the store read running in this
+#: context; the read path binds a fresh one per read (its prefetches
+#: share it).  None outside a read: a GET with no read to charge is
+#: never hedged.
+read_hedges: ContextVar[Optional[List[int]]] = ContextVar(
+    "repro_read_hedges", default=None)
 
 
 @dataclass(frozen=True)
 class HedgePolicy:
-    """Knobs for when a straggling shard attempt earns a backup."""
+    """Knobs for when a stalled GET is re-issued."""
 
-    #: Hedge an attempt running longer than this multiple of the
-    #: current per-attempt duration estimate.
+    #: Re-issue a GET unanswered for this multiple of the current
+    #: per-GET duration estimate.
     delay_factor: float = 4.0
     #: Never hedge before this many milliseconds, however fast the
-    #: estimate says peers are — guards against hedging jitter.
+    #: estimate says GETs are — guards against hedging jitter.
     min_delay_ms: float = 2.0
-    #: At most this fraction of a batch's jobs may be hedged.
+    #: At most this fraction of a read's GETs may be hedged (at least
+    #: one per read).
     max_fraction: float = 0.25
-    #: EWMA smoothing for the cross-batch duration estimate.
+    #: EWMA smoothing for the duration estimate.
     ewma_alpha: float = 0.2
 
     def __post_init__(self):
@@ -72,7 +77,8 @@ class HedgePolicy:
 
 
 class HedgeController:
-    """Adaptive hedge-delay estimator shared by a store's batches."""
+    """Adaptive hedge delay and per-read budget shared by a store's
+    reads."""
 
     def __init__(self, policy: Optional[HedgePolicy] = None):
         self.policy = policy or HedgePolicy()
@@ -80,7 +86,7 @@ class HedgeController:
         self._ewma_s: Optional[float] = None
 
     def record(self, seconds: float) -> None:
-        """Feed one completed attempt's duration into the estimate."""
+        """Feed one answered GET's duration into the estimate."""
         if seconds <= 0:
             return
         with self._lock:
@@ -95,31 +101,25 @@ class HedgeController:
         with self._lock:
             return self._ewma_s
 
-    def hedge_delay_s(
-            self, peer_durations: Sequence[float] = ()) -> Optional[float]:
-        """How long an attempt may run before earning a backup.
+    def arm(self, spent: List[int], cap: float) -> Optional[float]:
+        """Count one GET against the read whose ``[GETs, hedges]`` are
+        ``spent``; return how long it may go unanswered before it is
+        re-issued, or None when it may not be (no estimate yet, a delay
+        no shorter than the GET's ``cap`` on waiting, or the read's
+        hedges spent)."""
+        policy = self.policy
+        with self._lock:
+            spent[0] += 1
+            basis, budget = self._ewma_s, int(policy.max_fraction * spent[0])
+            if basis is None or spent[1] >= max(1, budget):
+                return None
+        delay = max(policy.min_delay_ms / 1000.0, policy.delay_factor * basis)
+        return delay if delay < cap else None
 
-        Prefers the median of *this batch's* completed peers (the most
-        relevant sample: same store state, same load), falling back to
-        the cross-batch EWMA; None while both are cold (no hedging on a
-        store that has never completed an attempt).
-        """
-        basis: Optional[float]
-        if peer_durations:
-            ordered = sorted(peer_durations)
-            basis = ordered[len(ordered) // 2]
-        else:
-            basis = self.estimate_s
-        if basis is None or basis <= 0:
-            return None
-        return max(self.policy.min_delay_ms / 1000.0,
-                   self.policy.delay_factor * basis)
-
-    def batch_budget(self, n_jobs: int) -> int:
-        """Backup attempts allowed for a batch of ``n_jobs`` (>= 1)."""
-        if n_jobs <= 0:
-            return 0
-        return max(1, math.ceil(self.policy.max_fraction * n_jobs))
+    def fire(self, spent: List[int]) -> None:
+        """Charge one hedge to the read whose counts are ``spent``."""
+        with self._lock:
+            spent[1] += 1
 
     def __repr__(self) -> str:
         return (f"HedgeController(estimate_s={self.estimate_s}, "

@@ -6,10 +6,10 @@
 server.lookup(keys)`` calls are coalesced by the
 :class:`~repro.serve.batcher.Batcher` under the
 :class:`~repro.serve.policy.AdmissionPolicy` triggers, executed as *one*
-store lookup per flush on the store's executor **coordinator lane**
-(``store.lookup_async`` — the fan-out lane underneath still spreads
-shards across workers, and the event loop never blocks on kernels), and
-scattered back to each awaiting future bit-identically.
+store lookup per flush on one executor worker (``store.lookup_async``,
+which runs the whole plan on that thread, so the event loop never
+blocks on kernels), and scattered back to each awaiting future
+bit-identically.
 
 Failure containment, in order of distance from the caller:
 
@@ -53,8 +53,8 @@ DEFAULT_TENANT = "default"
 #: zero-delta for local opens).
 _HYDRATION_KEYS = ("range_requests", "hydrated_bytes", "hydration_waits")
 
-#: Store-stats counters bracketed the same way to surface hedged-read
-#: activity (sharded stores with ``hedged_reads=True`` only).
+#: Store-stats counters bracketed the same way to surface hedged range
+#: GETs (remote stores with ``hedged_reads=True`` only).
 _HEDGE_KEYS = ("hedges_launched", "hedges_won")
 
 
@@ -289,11 +289,10 @@ class LookupServer:
                          if counters is not None else None)
         started = self._loop.time()
         try:
-            # Coordinator lane: the store's executor runs the fused
-            # batch off-loop; shard fan-out uses its separate worker
-            # lane, so this await cannot deadlock the pool.  The wait is
-            # bounded by the batch's most urgent waiter; the store-level
-            # deadline makes the workers stop too.
+            # One executor worker runs the fused batch's plan off-loop.
+            # The wait is bounded by the batch's most urgent waiter; the
+            # store-level deadline stops the plan between stages and
+            # cuts a remote store's fetches to what is left of it.
             future = asyncio.wrap_future(self.store.lookup_async(
                 unique_cols, deadline=deadline))
             if deadline is not None:

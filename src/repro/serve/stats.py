@@ -152,10 +152,9 @@ class ServeStats:
         self.range_requests = 0
         self.hydrated_bytes = 0
         self.hydration_waits = 0
-        #: Hedged-read telemetry mirrored from the sharded store (same
-        #: bracket mechanism as hydration): backup shard attempts
-        #: launched for stragglers, and how many of those backups won
-        #: the race against the original attempt.
+        #: Hedged-GET telemetry mirrored from a remote store (same
+        #: bracket mechanism as hydration): stalled range GETs
+        #: re-issued, and how many of those re-issues answered.
         self.hedges_launched = 0
         self.hedges_won = 0
         #: Requests currently queued in the forming batch.

@@ -87,7 +87,9 @@ class ShardManifest:
     #: ``DeepMapping.value_dtype`` of each column.
     value_dtypes: Dict[str, str]
     shards: List[ShardEntry] = field(default_factory=list)
-    #: Sharding knobs worth preserving across save/load (max_workers etc.).
+    #: Sharding knobs worth preserving across save/load (pool budget,
+    #: executor, error mode, hedging); a key no knob reads any more is
+    #: ignored.
     sharding: Dict[str, object] = field(default_factory=dict)
     #: Lifecycle metadata: ``config`` (a ``LifecycleConfig.to_state()``
     #: dict) and ``counters`` (lifetime rebuild/split/merge totals from

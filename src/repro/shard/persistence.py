@@ -114,7 +114,6 @@ def _save_into(store: DeepMapping, backend: StorageBackend) -> int:
             # format's sake (version 4 writes it).
             "strategy": "range",
             "n_shards": sharding.n_shards,
-            "max_workers": sharding.max_workers,
             "pool_budget_bytes": sharding.pool_budget_bytes,
             "executor": getattr(sharding.executor, "name",
                                 sharding.executor),
@@ -143,7 +142,7 @@ def _save_into(store: DeepMapping, backend: StorageBackend) -> int:
 # Load
 # ----------------------------------------------------------------------
 def load(cls, target: Union[str, StorageBackend],
-         stats: Optional[StoreStats], max_workers: Optional[int],
+         stats: Optional[StoreStats],
          pool_budget_bytes: Optional[int],
          executor: Union[str, ExecutorStrategy, None],
          writable: bool) -> DeepMapping:
@@ -189,8 +188,6 @@ def load(cls, target: Union[str, StorageBackend],
     lifecycle_state = manifest.lifecycle.get("config")
     sharding = ShardingConfig(
         n_shards=manifest.n_shards,
-        max_workers=(max_workers if max_workers is not None
-                     else saved.get("max_workers")),
         pool_budget_bytes=(pool_budget_bytes if pool_budget_bytes is not None
                            else saved.get("pool_budget_bytes")),
         executor=(executor if executor is not None
@@ -201,12 +198,6 @@ def load(cls, target: Union[str, StorageBackend],
         hedged_reads=saved.get("hedged_reads", False),
     )
     stats = stats if stats is not None else StoreStats()
-    # Remote transports accumulate range/hydration counters; point
-    # them at this store's sink so `store.stats` (and the serving
-    # tier's snapshot bracket) sees them.
-    bind_stats = getattr(backend, "bind_stats", None)
-    if bind_stats is not None:
-        bind_stats(stats)
     pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                       stats=stats)
     shards: List[Optional[Shard]] = []
@@ -235,6 +226,13 @@ def load(cls, target: Union[str, StorageBackend],
                 value_names=tuple(manifest.value_names),
                 value_dtypes=value_dtypes, stats=stats, pool=pool)
     store.writable = writable
+    # Remote transports accumulate range/hydration counters and hedge
+    # their range GETs: point them at this store's sink (so
+    # `store.stats`, and the serving tier's snapshot bracket, sees
+    # them, the open's own requests included) and its hedge controller.
+    bind_stats = getattr(backend, "bind_stats", None)
+    if bind_stats is not None:
+        bind_stats(stats, store.hedger)
     store.tracker.restore_counters(manifest.tracker)
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])

@@ -29,8 +29,6 @@ config's bounds otherwise.  Only a retrain trains.
 
 from __future__ import annotations
 
-import functools
-import os
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -71,15 +69,12 @@ class ShardingConfig:
     #: ``strategy="range"``; a later benchmark-only change drops that
     #: argument and then this field.
     strategy: str = "range"
-    #: Thread-pool width for fan-out; ``None`` means
-    #: ``min(n_shards, cpu_count)``.  Effective width 1 runs inline.
-    max_workers: Optional[int] = None
-    #: Executor strategy behind the fan-out and ``lookup_async`` — a name
-    #: from :data:`repro.store.EXECUTOR_NAMES` (``"serial"`` /
-    #: ``"threads"``) or an
-    #: :class:`~repro.store.executors.ExecutorStrategy` instance.
-    #: ``None`` means a thread pool of :meth:`effective_workers` width —
-    #: exactly the pre-strategy behavior.
+    #: Executor strategy behind ``lookup_async`` and a remote store's
+    #: cold-shard downloads — a name from
+    #: :data:`repro.store.EXECUTOR_NAMES` (``"serial"`` / ``"threads"``)
+    #: or an :class:`~repro.store.executors.ExecutorStrategy` instance.
+    #: ``None`` means a two-worker thread pool.  A read's plan runs on
+    #: its calling thread whatever this says.
     executor: Union[str, ExecutorStrategy, None] = None
     #: Shared buffer-pool budget for all shards' aux partitions
     #: (``None`` = unbounded).
@@ -88,7 +83,7 @@ class ShardingConfig:
     #: rebalancing (see :mod:`repro.lifecycle`).  ``None`` keeps the
     #: store unmanaged — it retrains on its build config's bounds.
     lifecycle: Optional[LifecycleConfig] = None
-    #: Fault-isolation mode of the lookup fan-out.  ``"raise"`` (the
+    #: Fault-isolation mode of a lookup's shard probes.  ``"raise"`` (the
     #: default, the historical behavior): any shard failure fails the
     #: whole batch.  ``"partial"``: a failing or timed-out shard does not
     #: poison the batch — its keys come back marked in a
@@ -96,15 +91,13 @@ class ShardingConfig:
     #: shards' results stay bit-identical.  The one place the mode is
     #: set.
     on_shard_error: str = "raise"
-    #: Hedged shard reads: when a routed shard's plan-job runs well past
-    #: an adaptive multiple of what its batch peers needed (see
-    #: :class:`~repro.resilience.hedging.HedgeController`), launch ONE
-    #: backup attempt on the fan-out lane and take whichever finishes
-    #: first.  Safe because shard lookups are pure reads of an
-    #: atomically-snapshotted topology and both attempts scatter
-    #: bit-identical bytes into disjoint output rows; bounded by a
-    #: per-batch hedge budget.  The only switch the fan-out wait
-    #: reads; off by default.
+    #: Hedged range GETs: a remote (``http://``) store's GET still
+    #: unanswered at an adaptive multiple of what GETs usually need
+    #: (see :class:`~repro.resilience.hedging.HedgeController`) is
+    #: abandoned and issued once more, within a per-read hedge budget.
+    #: Safe because a GET is a pure read of a pinned blob version.  A
+    #: local store has nothing to hedge: its probes run in memory.  The
+    #: one switch; off by default.
     hedged_reads: bool = False
 
     def __post_init__(self):
@@ -117,12 +110,6 @@ class ShardingConfig:
             raise ValueError(
                 f"on_shard_error must be 'raise' or 'partial', "
                 f"got {self.on_shard_error!r}")
-
-    def effective_workers(self) -> int:
-        """Resolved thread-pool width."""
-        if self.max_workers is not None:
-            return max(1, int(self.max_workers))
-        return max(1, min(self.n_shards, os.cpu_count() or 1))
 
 
 class DeepMapping:
@@ -139,7 +126,7 @@ class DeepMapping:
     :func:`~repro.core.plan.blank`.
 
     Concurrency contract: :meth:`lookup` is safe to call from many
-    threads at once (that is the point of the fan-out).  Mutations
+    threads at once; each runs its plan on its own thread.  Mutations
     (:meth:`insert` / :meth:`delete` / :meth:`update`) are
     single-writer and must not run concurrently with lookups, and a
     reader racing one is promised nothing.  A split, merge or retrain
@@ -175,16 +162,17 @@ class DeepMapping:
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy: shard fan-out goes through
-        #: ``submit_job``, ``lookup_async`` through ``executor.submit``.
-        #: One built here from a name (or ``None``) is owned by the
+        #: Executor strategy: ``lookup_async`` and a remote store's
+        #: cold-shard downloads go through ``executor.submit``.  One
+        #: built here from a name (or ``None``) is owned by the
         #: store and shut by :meth:`close`; an instance handed in —
         #: possibly shared between stores — stays caller-owned.
         self.executor: Optional[ExecutorStrategy] = None
         self._owns_executor = False
         self.set_executor(sharding.executor)
         #: Adaptive hedge-delay controller (None when hedging is off);
-        #: shared across batches so the duration EWMA spans traffic.
+        #: a remote backend hedges its range GETs under it (bound at
+        #: open), and the read path charges each read's hedges.
         self.hedger: Optional[HedgeController] = (
             HedgeController() if sharding.hedged_reads else None)
         #: False for stores opened via ``repro.open(..., writable=False)``:
@@ -343,13 +331,16 @@ class DeepMapping:
         Resilience (see ``docs/resilience.md``):
 
         ``deadline``
-            A :class:`~repro.resilience.Deadline` bounding the whole
-            call.  Deadline-armed shard probes always run on the
-            executor lane, so even a single wedged shard is timed out
-            rather than waited on; queued probes past the deadline
-            never start, and the wait stops once the budget is gone.
-            What happens to the unanswered keys depends on the error
-            mode.
+            A :class:`~repro.resilience.Deadline` bounding the call.
+            The plan runs on this thread; the deadline is checked
+            before existence, before each shard probe and (in
+            ``"raise"`` mode) before the kernel, and a remote store's
+            range GETs use what is left of it as their socket timeout.
+            A probe already running is not abandoned: a wedged *local*
+            probe holds the call (the serving tier still answers its
+            client by the deadline).  Once the budget is gone, every
+            shard not yet probed fails with ``DeadlineExceeded``; what
+            happens to those keys depends on the error mode.
         ``ShardingConfig.on_shard_error``
             ``"raise"`` (default) fails the whole batch with the lowest
             failing shard's error.  ``"partial"`` isolates the fault:
@@ -399,26 +390,21 @@ class DeepMapping:
         """Schedule :meth:`lookup` on the executor strategy.
 
         Returns a future resolving to the same :class:`LookupResult` the
-        synchronous call would produce; the coordinating job runs off the
-        fan-out workers, so awaiting it never deadlocks the shard pool.
-        Under the serial strategy the work happens inline and the future
-        comes back already resolved.
-
-        ``deadline`` bounds the lookup *and* gates the coordinating job
-        itself: if the budget is gone before a coordinator lane frees
-        up, the future fails with ``DeadlineExceeded`` without touching
-        a shard.
+        synchronous call would produce; the whole read runs on one
+        executor worker.  Under the serial strategy the work happens
+        inline and the future comes back already resolved.  A
+        ``deadline`` already spent when the worker starts fails the
+        future with ``DeadlineExceeded`` before any shard is touched
+        (:meth:`lookup` checks it first).
         """
-        fn = functools.partial(self.lookup, keys, deadline=deadline)
-        return self.executor.submit(fn, deadline=deadline)
+        return self.executor.submit(self.lookup, keys, deadline=deadline)
 
     def set_executor(self, executor) -> None:
         """Install a strategy: a name from :data:`EXECUTOR_NAMES
         <repro.store.EXECUTOR_NAMES>`, an instance, or ``None`` for the
-        default (:func:`~repro.store.executors.make_executor`, as wide
-        as :meth:`ShardingConfig.effective_workers`).  The outgoing one
-        is closed only if this store owned it."""
-        new = make_executor(executor, self.sharding.effective_workers())
+        default (:func:`~repro.store.executors.make_executor`).  The
+        outgoing one is closed only if this store owned it."""
+        new = make_executor(executor)
         if self._owns_executor and new is not self.executor:
             self.executor.close()
         self.executor = new
@@ -624,7 +610,6 @@ class DeepMapping:
         cls,
         target: Union[str, StorageBackend],
         stats: Optional[StoreStats] = None,
-        max_workers: Optional[int] = None,
         pool_budget_bytes: Optional[int] = None,
         executor: Union[str, ExecutorStrategy, None] = None,
         writable: bool = True,
@@ -632,19 +617,18 @@ class DeepMapping:
         """Inverse of :meth:`save`; ``target`` as there
         (:func:`repro.open` opens through here).
 
-        ``max_workers`` / ``pool_budget_bytes`` / ``executor`` override
-        the saved knobs (e.g. load a store built on a big box onto a
-        small one, or force serial fan-out).  ``writable=False`` opens
-        every shard read-only through the process-wide payload cache
-        (zero-copy views, shared bundles, mutations raise
-        ``PermissionError``); remote backends always open read-only and
-        **hydrating** — shards download on first routed touch.  The
-        three opens are described in
+        ``pool_budget_bytes`` / ``executor`` override the saved knobs
+        (e.g. load a store built on a big box onto a small one).
+        ``writable=False`` opens every shard read-only through the
+        process-wide payload cache (zero-copy views, shared bundles,
+        mutations raise ``PermissionError``); remote backends always
+        open read-only and **hydrating** — shards download on first
+        routed touch.  The three opens are described in
         :func:`repro.shard.persistence.load`.
         """
         from . import persistence
-        return persistence.load(cls, target, stats, max_workers,
-                                pool_budget_bytes, executor, writable)
+        return persistence.load(cls, target, stats, pool_budget_bytes,
+                                executor, writable)
 
     def __repr__(self) -> str:
         live = sum(1 for shard in self.shards if shard is not None)

@@ -62,8 +62,8 @@ class BufferPool:
     and decompression), and faults are **deduplicated per key**: when
     several threads miss on the same partition at once, exactly one runs
     ``loader()`` while the rest wait on the in-flight fault and receive
-    its object (counted under ``pool_waits``) — without this, the sharded
-    fan-out decompresses the same partition once per caller (the classic
+    its object (counted under ``pool_waits``) — without this, concurrent
+    reads decompress the same partition once per caller (the classic
     thundering herd).  If the leading loader raises, each waiter retries
     from scratch (one of them becomes the next leader), so per-caller
     error semantics match the un-deduplicated pool.  A load that

@@ -38,6 +38,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..resilience.deadline import read_deadline
+from ..resilience.errors import DeadlineExceeded
 from .zerocopy import ContainerIndex, index_size, parse_index
 
 __all__ = ["RangeReader", "LazyShard", "SNIFF_BYTES", "COALESCE_GAP"]
@@ -206,9 +208,17 @@ class LazyShard:
         if not self._lock.acquire(blocking=False):
             # Another thread is mid-hydration: the wait is the price of
             # contention, and the counter is how it shows up in stats.
+            # A read waits at most what is left of its deadline.
             if stats is not None:
                 stats.bump("hydration_waits")
-            self._lock.acquire()
+            deadline = read_deadline.get()
+            if deadline is None:
+                self._lock.acquire()
+            elif not self._lock.acquire(timeout=max(0.0,
+                                                    deadline.remaining())):
+                raise DeadlineExceeded(
+                    f"waiting for {self._label or 'a shard'} to hydrate "
+                    f"exceeded its deadline")
         try:
             if self._target is None:
                 if stats is not None:

@@ -46,12 +46,15 @@ import mmap
 import os
 import json
 import tempfile
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from typing import Dict, List, Optional
 
-from ..resilience.errors import StoreNotFoundError
+from ..resilience.deadline import read_deadline
+from ..resilience.errors import DeadlineExceeded, StoreNotFoundError
+from ..resilience.hedging import HedgeController, read_hedges
 from .hydration import SNIFF_BYTES, RangeReader
 from .stats import StoreStats
 
@@ -93,6 +96,14 @@ def configure_hydration_cache(root: Optional[str] = None,
             "budget_bytes": _cache_config["budget_bytes"]}
 
 
+def _timed_out(exc: OSError) -> bool:
+    """A socket timeout (bare mid-response, or in a ``URLError`` while
+    connecting), not a spent deadline."""
+    return not isinstance(exc, DeadlineExceeded) and (
+        isinstance(exc, TimeoutError)
+        or isinstance(getattr(exc, "reason", None), TimeoutError))
+
+
 class HttpBackend:
     """Read-only storage backend over HTTP(S) range requests."""
 
@@ -113,13 +124,18 @@ class HttpBackend:
             raise ValueError(f"http URL needs a host: {base_url!r}")
         self.timeout = timeout
         self.stats = stats if stats is not None else StoreStats()
+        self.hedger: Optional[HedgeController] = None
 
     @property
     def url(self) -> str:
         return self.base_url
 
-    def bind_stats(self, stats: Optional[StoreStats]) -> None:
-        """Redirect counters into ``stats``, carrying totals forward."""
+    def bind_stats(self, stats: Optional[StoreStats],
+                   hedger: Optional[HedgeController] = None) -> None:
+        """Redirect counters into ``stats``, carrying totals forward,
+        and hedge this backend's range GETs under ``hedger`` (the
+        opening store's; None: never hedge)."""
+        self.hedger = hedger
         if stats is None or stats is self.stats:
             return
         for name, value in self.stats.counters.items():
@@ -130,13 +146,31 @@ class HttpBackend:
     def _url_for(self, name: str) -> str:
         return f"{self.base_url}/{urllib.parse.quote(name, safe='')}"
 
+    def _budget(self, what: str) -> float:
+        """A request's socket timeout: :attr:`timeout`, cut to what is
+        left of the bound read deadline (``DeadlineExceeded`` when
+        nothing is)."""
+        deadline = read_deadline.get()
+        if deadline is None:
+            return self.timeout
+        remaining = deadline.remaining()
+        if remaining <= 0.0:
+            raise DeadlineExceeded(f"{what} from {self.url} exceeded its "
+                                   f"deadline by {-remaining * 1e3:.1f} ms")
+        return min(self.timeout, remaining)
+
     def _open(self, name: str, method: str = "GET",
-              headers: Optional[Dict[str, str]] = None):
+              headers: Optional[Dict[str, str]] = None,
+              timeout: Optional[float] = None):
+        """Send one request; ``timeout`` (a hedge delay) defaults to
+        :meth:`_budget`."""
+        if timeout is None:
+            timeout = self._budget(f"{method} {name!r}")
         request = urllib.request.Request(self._url_for(name), method=method,
                                          headers=headers or {})
         self.stats.bump("remote_requests")
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout)
+            return urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
             exc.close()
             if exc.code in (404, 410):
@@ -159,18 +193,31 @@ class HttpBackend:
         The length is what the server states — ``Content-Range`` on a
         206, ``Content-Length`` on a 200 from a server that ignored the
         header — or None when it states neither.
+
+        Under the opening store's hedger, inside a read, the first GET's
+        socket timeout is the hedger's delay: one still unanswered then
+        is abandoned and issued once more within the read's budget
+        (``hedges_launched``, then ``hedges_won`` once it answers).
         """
-        ranged = {"Range": f"bytes={start}-{start + length - 1}"}
+        hedger, spent = self.hedger, read_hedges.get()
+        hedge_s = (hedger.arm(spent, self._budget(f"GET {name!r}"))
+                   if hedger is not None and spent is not None else None)
+        started = time.monotonic()
         try:
-            with self._open(name, headers=ranged) as response:
-                body = response.read()
-                status = response.status
-                headers = response.headers
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 416:  # requested range entirely past EOF
-                return b"", None
-            raise
+            body, status, headers = self._get_range(name, start, length,
+                                                    hedge_s)
+        except OSError as exc:
+            if hedge_s is None or not _timed_out(exc):
+                raise
+            hedger.fire(spent)
+            self.stats.bump("hedges_launched")
+            body, status, headers = self._get_range(name, start, length)
+            self.stats.bump("hedges_won")
+        else:
+            if hedger is not None:
+                hedger.record(time.monotonic() - started)
+        if status == 416:  # requested range entirely past EOF
+            return b"", None
         self.stats.bump("range_requests")
         self.stats.bump("hydrated_bytes", len(body))
         stated = (headers.get("Content-Range", "").rpartition("/")[2]
@@ -180,6 +227,20 @@ class HttpBackend:
             # Server ignored the Range header and sent the whole blob.
             return body[start:start + length], total
         return body[:length], total
+
+    def _get_range(self, name: str, start: int, length: int,
+                   timeout: Optional[float] = None):
+        """``(body, status, headers)`` of one ranged GET."""
+        ranged = {"Range": f"bytes={start}-{start + length - 1}"}
+        try:
+            with self._open(name, headers=ranged,
+                            timeout=timeout) as response:
+                return response.read(), response.status, response.headers
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code == 416:
+                return b"", 416, None
+            raise
 
     def read_range(self, name: str, start: int, length: int) -> bytes:
         """Bytes ``[start, start+length)`` of the blob (short at EOF)."""
@@ -309,13 +370,14 @@ class CachedHttpBackend:
     def stats(self) -> StoreStats:
         return self._stats
 
-    def bind_stats(self, stats: Optional[StoreStats]) -> None:
-        if stats is None or stats is self._stats:
-            return
+    def bind_stats(self, stats: Optional[StoreStats],
+                   hedger: Optional[HedgeController] = None) -> None:
         binder = getattr(self.inner, "bind_stats", None)
         if binder is not None:
-            binder(stats)
-        else:
+            binder(stats, hedger)
+        if stats is None or stats is self._stats:
+            return
+        if binder is None:
             for name, value in self._stats.counters.items():
                 stats.bump(name, value)
         self._stats = stats

@@ -79,10 +79,10 @@ class StoreStats:
     - ``existence``: bit-vector membership test
     - ``decode``: label-code to original-value translation
 
-    Thread-safe: the sharded fan-out times and counts from several
-    threads into one sink, so one lock guards every counter bump, every
-    stopwatch accumulation, timer creation, :meth:`snapshot` and
-    :meth:`reset`.
+    Thread-safe: concurrent reads (and a remote store's downloads) time
+    and count from several threads into one sink, so one lock guards
+    every counter bump, every stopwatch accumulation, timer creation,
+    :meth:`snapshot` and :meth:`reset`.
     """
 
     def __init__(self):

@@ -42,6 +42,7 @@ refused before a byte is sliced, allocated or fetched.
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
@@ -197,7 +198,23 @@ def parse_index(prefix, blob_size: int,
         footer=(footer_start, footer_end))
 
 
-def unpack(payload, zero_copy: bool = False) -> Any:
+class _Restricted(pickle.Unpickler):
+    """An unpickler that resolves only the globals it is given."""
+
+    def __init__(self, head, buffers, allowed):
+        super().__init__(io.BytesIO(head), buffers=buffers)
+        self._allowed = allowed
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in self._allowed:
+            raise StoreCorruptedError(
+                f"zero-copy container head names the global "
+                f"{module}.{name}, which no blob of this kind holds; "
+                "refused without loading it")
+        return super().find_class(module, name)
+
+
+def unpack(payload, zero_copy: bool = False, allowed=None) -> Any:
     """Inverse of :func:`pack`.
 
     ``payload`` is any buffer (bytes, memoryview, mmap view).  With
@@ -209,6 +226,11 @@ def unpack(payload, zero_copy: bool = False) -> Any:
     ``bytearray`` first.  Either way the checksum footer is verified:
     :class:`StoreCorruptedError` (an ``UnpicklingError`` subclass)
     names the first mangled segment.
+
+    ``allowed`` (a set of ``(module, name)`` pairs) restricts the
+    globals the head may load; any other one raises
+    :class:`StoreCorruptedError` before it is imported or called.
+    ``None`` loads whatever the head names.
     """
     view = memoryview(payload).cast("B")
     if not view.readonly:
@@ -232,4 +254,6 @@ def unpack(payload, zero_copy: bool = False) -> Any:
                 f"zero-copy container segment {i} of {n_buffers} "
                 f"failed checksum (stored 0x{crcs[i + 1]:08x}): "
                 "bit flip or torn write")
-    return pickle.loads(head, buffers=buffers)
+    if allowed is None:
+        return pickle.loads(head, buffers=buffers)
+    return _Restricted(head, buffers, allowed).load()

@@ -96,7 +96,6 @@ def open_store(
     url_or_path: str,
     *,
     stats=None,
-    max_workers: Optional[int] = None,
     pool_budget_bytes: Optional[int] = None,
     executor: Union[str, ExecutorStrategy, None] = None,
     writable: bool = True,
@@ -110,11 +109,11 @@ def open_store(
         bare filesystem path (a store directory or zip archive).
     stats:
         Optional shared :class:`~repro.storage.stats.StoreStats` sink.
-    max_workers / pool_budget_bytes:
-        Override the saved fan-out width / shared buffer-pool budget
-        (e.g. reopen a big-box store on a laptop).
+    pool_budget_bytes:
+        Override the saved shared buffer-pool budget (e.g. reopen a
+        big-box store on a laptop).
     executor:
-        Executor strategy for fan-out and ``lookup_async`` — a name from
+        Executor strategy for ``lookup_async`` — a name from
         :data:`repro.store.EXECUTOR_NAMES` or an
         :class:`~repro.store.executors.ExecutorStrategy` instance.
     writable:
@@ -136,9 +135,8 @@ def open_store(
         raise StoreNotFoundError(
             f"no store at {url_or_path!r}; {_schemes_note()}")
     return DeepMapping.load(
-        backend, stats=stats, max_workers=max_workers,
-        pool_budget_bytes=pool_budget_bytes, executor=executor,
-        writable=writable)
+        backend, stats=stats, pool_budget_bytes=pool_budget_bytes,
+        executor=executor, writable=writable)
 
 
 def build_store(
@@ -179,7 +177,6 @@ def serving(
     stats=None,
     shedder=None,
     executor: Union[str, ExecutorStrategy, None] = None,
-    max_workers: Optional[int] = None,
     pool_budget_bytes: Optional[int] = None,
 ):
     """A coalescing serving handle over a store: the third facade verb.
@@ -204,8 +201,7 @@ def serving(
     from .protocol import DataStore as _DataStore
 
     if isinstance(target, str):
-        store = open_store(target, max_workers=max_workers,
-                           pool_budget_bytes=pool_budget_bytes,
+        store = open_store(target, pool_budget_bytes=pool_budget_bytes,
                            executor=executor, writable=False)
         return Client(store, policy=policy, stats=stats, shedder=shedder,
                       close_store=True)

@@ -5,7 +5,7 @@ and injects the failure modes a production store exhibits under stress —
 errors, latency, outright hangs — without touching the store itself.
 :func:`break_shard` goes one level deeper: it swaps a single shard of a
 :class:`~repro.shard.store.DeepMapping` for a saboteur proxy, the
-fault unit that partial-result fan-out isolation is specified against.
+fault unit that partial-result isolation is specified against.
 """
 
 from __future__ import annotations
@@ -171,47 +171,16 @@ class BrokenShardProxy:
     plan_lookup = Shard.plan_lookup
 
     def __init__(self, inner, *, exc_factory: Optional[
-            Callable[[], BaseException]] = None,
-            delay_s: float = 0.0,
-            release: Optional[threading.Event] = None,
-            delay_rate: float = 1.0,
-            slow_first: Optional[int] = None,
-            seed: int = 0):
+            Callable[[], BaseException]] = None, delay_s: float = 0.0):
         self._inner = inner
         self._exc_factory = exc_factory
         self._delay_s = float(delay_s)
-        self._release = release
-        #: Transient-slowness modes (for hedging tests, where the point
-        #: is that a RETRY of the same work is fast): ``slow_first=N``
-        #: dawdles only on the first N calls; ``delay_rate`` dawdles a
-        #: seeded random fraction of calls instead of all of them.
-        self._delay_rate = float(delay_rate)
-        self._slow_first = slow_first
-        self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def _sabotage(self) -> None:
-        with self._lock:
-            self.calls += 1
-            call_index = self.calls
-            dawdle = self._delay_s > 0.0 or self._release is not None
-            if dawdle and self._slow_first is not None \
-                    and call_index > self._slow_first:
-                dawdle = False
-            if dawdle and self._delay_rate < 1.0 \
-                    and self._rng.random() >= self._delay_rate:
-                dawdle = False
-        if dawdle:
-            if self._release is not None:
-                self._release.wait(self._delay_s)
-            elif self._delay_s > 0.0:
-                time.sleep(self._delay_s)
-        if self._exc_factory is not None:
-            raise self._exc_factory()
 
     def probe(self, flat, hit, labels):
-        self._sabotage()
+        if self._delay_s > 0.0:
+            time.sleep(self._delay_s)
+        if self._exc_factory is not None:
+            raise self._exc_factory()
         self._inner.probe(flat, hit, labels)
 
     def __getattr__(self, name: str):
@@ -220,25 +189,18 @@ class BrokenShardProxy:
 
 def break_shard(store, ordinal: int, *,
                 exc_factory: Optional[Callable[[], BaseException]] = None,
-                delay_s: float = 0.0,
-                release: Optional[threading.Event] = None,
-                delay_rate: float = 1.0,
-                slow_first: Optional[int] = None,
-                seed: int = 0) -> Callable[[], None]:
+                delay_s: float = 0.0) -> Callable[[], None]:
     """Swap ``store.shards[ordinal]`` for a saboteur; returns a restorer.
 
     The saboteur (:class:`BrokenShardProxy`) acts on the shard's
     ``T_aux`` probe, its only read call, so the store's read path and
     :func:`~repro.testing.oracles.barrier_lookup` both meet the fault,
     and only keys the shard owns that the store's ``V_exist`` holds
-    (misses never reach a shard).  Default sabotage is a clean failure (``RuntimeError``); pass
-    ``delay_s`` (optionally with a ``release`` event) for a straggler
-    that outlives deadlines instead, or both for a slow failure.
-    ``slow_first`` / ``delay_rate`` make the slowness transient (only
-    the first N calls, or a seeded fraction of calls, dawdle) — the
-    fault shape hedged reads exist for: the backup attempt of the same
-    work is fast.  The returned zero-argument callable puts the real
-    shard back::
+    (misses never reach a shard).  Default sabotage is a clean failure
+    (``RuntimeError``); pass ``delay_s`` for a straggler that outlives
+    deadlines instead, or both for a slow failure.  The probe runs on
+    the reading thread, so ``delay_s`` holds the read that long.  The
+    returned zero-argument callable puts the real shard back::
 
         restore = break_shard(store, 1)
         try:
@@ -248,13 +210,12 @@ def break_shard(store, ordinal: int, *,
     """
     if store.shards[ordinal] is None:
         raise ValueError(f"shard {ordinal} is empty; nothing to break")
-    if exc_factory is None and delay_s <= 0.0 and release is None:
+    if exc_factory is None and delay_s <= 0.0:
         exc_factory = lambda: RuntimeError(  # noqa: E731
             f"injected failure in shard {ordinal}")
     original = store.shards[ordinal]
     store.shards[ordinal] = BrokenShardProxy(
-        original, exc_factory=exc_factory, delay_s=delay_s, release=release,
-        delay_rate=delay_rate, slow_first=slow_first, seed=seed)
+        original, exc_factory=exc_factory, delay_s=delay_s)
 
     def restore() -> None:
         store.shards[ordinal] = original

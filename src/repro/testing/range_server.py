@@ -18,8 +18,9 @@ an *accountant* and a *saboteur*:
   name, raw ``Range`` header, response status — so tests can assert
   "the cold open fetched zero shard payloads" byte-for-byte;
 - :meth:`RangeServer.fail_next` queues N scripted error responses
-  (default 503) and :attr:`RangeServer.latency_s` delays every
-  response, for retry/deadline tests.
+  (default 503), :meth:`RangeServer.stall_next` holds the next N GETs
+  before answering them, and :attr:`RangeServer.latency_s` delays every
+  response, for retry, deadline and hedging tests.
 
 For payload *corruption* chaos, wrap the local backend in
 :class:`~repro.testing.faults.FaultInjectingBackend` before serving it —
@@ -103,6 +104,10 @@ class _Handler(BaseHTTPRequestHandler):
             time.sleep(server.latency_s)
         name = urllib.parse.unquote(self.path.lstrip("/"))
         range_header = self.headers.get("Range")
+        if method == "GET":
+            stall = server._pop_stall()
+            if stall:
+                time.sleep(stall)
 
         fault = server._pop_fault()
         if fault is not None:
@@ -194,6 +199,7 @@ class RangeServer(ThreadingHTTPServer):
         #: Fixed delay applied to every response (seconds).
         self.latency_s = 0.0
         self._faults: List[int] = []
+        self._stalls: List[float] = []
         self._lock = threading.Lock()
 
     @property
@@ -207,9 +213,20 @@ class RangeServer(ThreadingHTTPServer):
         with self._lock:
             self._faults.extend([int(status)] * int(n))
 
+    def stall_next(self, n: int = 1, seconds: float = 1.0) -> None:
+        """Hold each of the next ``n`` GETs ``seconds`` before answering
+        it (a stalled replica: the client sees no response; a re-issue
+        after them is answered at once)."""
+        with self._lock:
+            self._stalls.extend([float(seconds)] * int(n))
+
     def _pop_fault(self) -> Optional[int]:
         with self._lock:
             return self._faults.pop(0) if self._faults else None
+
+    def _pop_stall(self) -> float:
+        with self._lock:
+            return self._stalls.pop(0) if self._stalls else 0.0
 
     # -- accounting --------------------------------------------------------
     def _record(self, method: str, name: str, range_header, status: int):

@@ -132,14 +132,18 @@ class TestSharedSurfaceBehaves:
         assert store.lookup_async(query_keys).result(timeout=30)
 
     @pytest.mark.parametrize("strategy", ["serial", "threads"])
-    def test_expired_deadline_fails_a_future_without_a_lookup(
+    def test_expired_deadline_fails_a_future_before_any_stage(
             self, api_table, query_keys, monkeypatch, strategy):
+        # lookup checks the deadline before its existence stage, so a
+        # budget spent by the time the worker starts touches nothing.
+        from repro.core.plan import LookupPlan
         store = DeepMapping.fit(api_table, fast_config(epochs=2))
         store.set_executor(strategy)
         ran = []
-        monkeypatch.setattr(store, "lookup", ran.append)
+        monkeypatch.setattr(LookupPlan, "run_existence",
+                            lambda plan: ran.append(plan))
         future = store.lookup_async(query_keys,
-                                         deadline=Deadline(-1.0))
+                                    deadline=Deadline(-1.0))
         with pytest.raises(DeadlineExceeded):
             future.result(timeout=30)
         assert ran == []
@@ -147,12 +151,12 @@ class TestSharedSurfaceBehaves:
 
     def test_shared_executor_instance_stays_caller_owned(self, api_table):
         from repro.store import ThreadPoolStrategy
-        shared = ThreadPoolStrategy(max_workers=2)
+        shared = ThreadPoolStrategy()
         a = DeepMapping.fit(api_table, fast_config(epochs=3),
                             ShardingConfig(n_shards=2, executor=shared))
         b = DeepMapping.fit(api_table, fast_config(epochs=3))
         b.set_executor(shared)
-        shared.submit_job(lambda: None).result()  # materialize the pool
+        shared.submit(lambda: None).result()  # materialize the pool
         a.close()
         b.close()
         # Neither store shut the shared pool down.

@@ -91,7 +91,7 @@ class TestInsert:
         ``lookup_async``, ``close()`` closes it only when the structure
         made it, and a caller's instance is never replaced."""
         table, dm = fresh_mapping(n=300, headroom=0.0)
-        mine = ThreadPoolStrategy(max_workers=2)
+        mine = ThreadPoolStrategy()
         dm.set_executor("threads" if owned else mine)
         installed = dm.executor
         assert (installed is mine) is not owned

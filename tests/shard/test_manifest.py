@@ -21,7 +21,7 @@ def sample_manifest():
             ShardEntry(file="shard-0002.dm", n_rows=5, n_bytes=567),
         ],
         sharding={"strategy": "range", "n_shards": 3,
-                  "max_workers": None, "pool_budget_bytes": None},
+                  "pool_budget_bytes": None},
     )
 
 

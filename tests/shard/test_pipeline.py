@@ -280,23 +280,20 @@ class TestEmptyShards:
 
 
 class TestExecutors:
-    def test_strategy_without_fan_out_lane_is_rejected(self):
-        class NoJobLane:
-            name = "no-job-lane"
-
-            def submit(self, fn, *args, deadline=None, **kwargs):
-                raise AssertionError("never scheduled")
+    def test_strategy_without_a_submit_lane_is_rejected(self):
+        class NoLane:
+            name = "no-lane"
 
             def close(self):
                 pass
 
         with pytest.raises(TypeError, match="ExecutorStrategy"):
-            make_executor(NoJobLane())
+            make_executor(NoLane())
         with pytest.raises(TypeError, match="ExecutorStrategy"):
             DeepMapping.fit(
                 synthetic.multi_column(50, "low", seed=5),
                 fast_config(epochs=1),
-                ShardingConfig(n_shards=2, executor=NoJobLane()))
+                ShardingConfig(n_shards=2, executor=NoLane()))
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_named_strategies_parity(self, table, executor):

@@ -48,40 +48,43 @@ class TestLookupParity:
         assert rows[1] is None and rows[3] is None
         assert rows[0] is not None and rows[2] is not None
 
-    def test_parallel_workers_match_serial(self, small_table):
+    def test_async_lookups_match_on_either_strategy(self, small_table):
         config = fast_config(epochs=5)
         serial = DeepMapping.fit(
             small_table, config,
-            ShardingConfig(n_shards=4, max_workers=1))
+            ShardingConfig(n_shards=4, executor="serial"))
         with DeepMapping.fit(
                 small_table, config,
-                ShardingConfig(n_shards=4, max_workers=4)) as parallel:
+                ShardingConfig(n_shards=4)) as pooled:
             rng = np.random.default_rng(5)
             keys = query_keys(small_table, rng)
-            a = serial.lookup({"key": keys})
-            b = parallel.lookup({"key": keys})
+            a = serial.lookup_async({"key": keys}).result(timeout=30)
+            b = pooled.lookup_async({"key": keys}).result(timeout=30)
         np.testing.assert_array_equal(a.found, b.found)
         for column in serial.value_names:
             np.testing.assert_array_equal(a.values[column][a.found],
                                           b.values[column][b.found])
 
-    def test_concurrent_lookups_share_one_executor(self, small_table):
+    def test_concurrent_async_lookups_share_one_executor(self, small_table):
         import threading
 
         store = DeepMapping.fit(
             small_table, fast_config(epochs=3),
-            ShardingConfig(n_shards=4, max_workers=2))
-        pools = []
+            ShardingConfig(n_shards=4))
+        keys = {"key": small_table.column("key")[:50]}
+        futures = []
 
-        def probe():
-            pools.append(store.executor._get_pool())
+        def submit():
+            futures.append(store.lookup_async(keys))
 
-        threads = [threading.Thread(target=probe) for _ in range(8)]
+        threads = [threading.Thread(target=submit) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len({id(pool) for pool in pools}) == 1
+        assert all(f.result(timeout=30).found.all() for f in futures)
+        pool = store.executor._pool
+        assert pool is not None and pool._max_workers == 2
         store.close()
         assert store.executor._pool is None
 
@@ -258,13 +261,31 @@ class TestPersistence:
             np.testing.assert_array_equal(a.values[column][a.found],
                                           b.values[column][b.found])
 
-    def test_load_overrides_workers_and_budget(self, sharded, tmp_path):
+    def test_load_overrides_executor_and_budget(self, sharded, tmp_path):
         path = str(tmp_path / "store")
         sharded.save(path)
-        loaded = DeepMapping.load(path, max_workers=2,
-                                         pool_budget_bytes=1 << 20)
-        assert loaded.sharding.effective_workers() == 2
+        loaded = DeepMapping.load(path, executor="serial",
+                                  pool_budget_bytes=1 << 20)
+        assert loaded.executor.name == "serial"
         assert loaded.pool.budget_bytes == 1 << 20
+
+    def test_a_manifest_carrying_max_workers_still_opens(self, sharded,
+                                                         tmp_path):
+        # Manifests written before the fan-out lane went name its width;
+        # the key is ignored.
+        import json
+        path = tmp_path / "store"
+        sharded.save(str(path))
+        manifest = path / "manifest.json"
+        state = json.loads(manifest.read_text())
+        assert "max_workers" not in state["sharding"]
+        state["sharding"]["max_workers"] = 4
+        manifest.write_text(json.dumps(state))
+        loaded = DeepMapping.load(str(path))
+        assert not hasattr(loaded.sharding, "max_workers")
+        keys = {"key": np.arange(-5, 200, dtype=np.int64)}
+        a, b = sharded.lookup(keys), loaded.lookup(keys)
+        np.testing.assert_array_equal(a.found, b.found)
 
     def test_size_report_aggregates_all_shards(self, sharded):
         report = sharded.size_report()
