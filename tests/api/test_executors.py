@@ -9,7 +9,7 @@ from repro.store import (EXECUTOR_NAMES, ExecutorStrategy, SerialStrategy,
 
 
 class TestSerial:
-    def test_submissions_run_on_calling_thread(self):
+    def test_jobs_run_on_calling_thread(self):
         seen = []
         strategy = SerialStrategy()
         futures = [strategy.submit(seen.append, threading.get_ident())
@@ -33,7 +33,7 @@ class TestSerial:
 
 
 class TestThreadPool:
-    def test_submissions_run_on_a_two_worker_pool(self):
+    def test_jobs_run_on_the_pool(self):
         strategy = ThreadPoolStrategy()
         try:
             futures = [strategy.submit(lambda x: x * x, x)
@@ -55,7 +55,7 @@ class TestThreadPool:
         assert strategy.submit(lambda: 4).result(timeout=10) == 4
         strategy.close()
 
-    def test_exception_propagates_from_a_submission(self):
+    def test_exception_propagates_from_a_job(self):
         strategy = ThreadPoolStrategy()
 
         def boom():

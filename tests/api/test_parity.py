@@ -132,7 +132,7 @@ class TestSharedSurfaceBehaves:
         assert store.lookup_async(query_keys).result(timeout=30)
 
     @pytest.mark.parametrize("strategy", ["serial", "threads"])
-    def test_expired_deadline_fails_a_future_before_any_stage(
+    def test_expired_deadline_fails_a_future_without_a_lookup(
             self, api_table, query_keys, monkeypatch, strategy):
         # lookup checks the deadline before its existence stage, so a
         # budget spent by the time the worker starts touches nothing.

@@ -1,133 +1,69 @@
-"""A fan-out attempt never writes into the lookup it was launched for.
+"""A shard probe that fails part-way writes nothing the lookup returns.
 
-Under a deadline or a hedger a shard's ``T_aux`` probe runs on a worker
-and may outlive the wait: the deadline abandons it, or a backup attempt
-wins the race.  Each attempt probes into arrays of its own, and the
-dispatching thread copies the first clean one into the plan, so what a
-held attempt writes once it is released lands nowhere a caller can see:
-not in the returned arrays, and not in the plan's hit and label arrays.
+A probe answers into its window's slices of the plan's hit and label
+arrays as it goes, so one that fails after answering some of its keys —
+a partitioned ``T_aux`` whose next partition's range GET runs past the
+read's deadline, say — has already written into them.  The plan clears
+a failed window's hits before decoding, so its keys come back failed
+and not found, never half-answered.
 """
 
-import threading
-
 import numpy as np
-import pytest
 
 from repro.core.plan import LookupPlan
-from repro.resilience import Deadline, PartialResult
+from repro.resilience import Deadline, DeadlineExceeded, PartialResult
 from repro.shard import DeepMapping, ShardingConfig
-from repro.testing import break_shard
 
 from ..core.conftest import fast_config
 
 
-class Scribbler:
-    """A shard whose probes, once ``released`` is set, scribble over the
-    arrays they were handed after answering into them."""
+class AnswersThenTimesOut:
+    """A shard whose probe answers every key, then finds the read's
+    deadline spent and raises."""
 
-    def __init__(self, inner, released: threading.Event):
+    def __init__(self, inner, deadline: Deadline):
         self._inner = inner
-        self._released = released
-        self.scribbled = threading.Event()
+        self._deadline = deadline
 
     def probe(self, flat, hit, labels):
         self._inner.probe(flat, hit, labels)
-        if self._released.is_set():
-            hit[:] = ~hit
-            for column in labels.values():
-                column[:] = -1
-            self.scribbled.set()
+        assert hit.any()  # the window really was written into
+        self._deadline.expires_at = self._deadline.clock()
+        self._deadline.check("partition fetch")
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
-@pytest.fixture
-def plans(monkeypatch):
-    """Every plan that reaches its decode stage, in order."""
-    seen = []
+def test_an_attempt_past_its_deadline_writes_nothing_it_returned(
+        small_table, monkeypatch):
+    plans = []
     finish = LookupPlan.finish
 
     def recording(self, *args, **kwargs):
-        seen.append(self)
+        plans.append(self)
         return finish(self, *args, **kwargs)
+
     monkeypatch.setattr(LookupPlan, "finish", recording)
-    return seen
-
-
-def frozen(result, plan):
-    """Copies of what a lookup returned and of the plan's aux arrays."""
-    return (result.found.copy(),
-            {name: column.copy() for name, column in result.values.items()},
-            plan._aux_hit.copy(),
-            {task: labels.copy() for task, labels in plan._labels.items()})
-
-
-def assert_unchanged(result, plan, before):
-    found, values, hit, labels = before
-    np.testing.assert_array_equal(result.found, found)
-    for name, column in values.items():
-        np.testing.assert_array_equal(result.values[name], column)
-    np.testing.assert_array_equal(plan._aux_hit, hit)
-    for task, column in labels.items():
-        np.testing.assert_array_equal(plan._labels[task], column)
-
-
-def hold(store, ordinal, release, **sabotage):
-    """Hold shard ``ordinal``'s probe until ``release``; returns the
-    scribbler wrapped around it and the restorer."""
-    restore = break_shard(store, ordinal, delay_s=60.0, release=release,
-                          **sabotage)
-    scribbler = Scribbler(store.shards[ordinal], release)
-    store.shards[ordinal] = scribbler
-    return scribbler, restore
-
-
-def test_a_hedged_attempt_that_loses_writes_nothing_it_returned(
-        small_table, plans):
-    store = DeepMapping.fit(
-        small_table, fast_config(epochs=4),
-        ShardingConfig(n_shards=4, max_workers=4, hedged_reads=True))
-    keys = {"key": np.random.default_rng(5).permutation(
-        small_table.column("key"))[:200]}
-    baseline = store.lookup(keys)  # warms the hedge delay
-    release = threading.Event()
-    scribbler, restore = hold(store, 1, release, slow_first=1)
-    try:
-        got = store.lookup(keys)
-        before = frozen(got, plans[-1])
-        release.set()
-        assert scribbler.scribbled.wait(10.0)
-    finally:
-        release.set()
-        restore()
-        store.close()
-    assert store.stats.counters.get("hedges_won", 0) >= 1
-    assert not isinstance(got, PartialResult)
-    assert_unchanged(got, plans[-1], before)
-    np.testing.assert_array_equal(got.found, baseline.found)
-    for name in store.value_names:
-        np.testing.assert_array_equal(got.values[name],
-                                      baseline.values[name])
-
-
-def test_an_attempt_past_its_deadline_writes_nothing_it_returned(
-        small_table, plans):
     store = DeepMapping.fit(
         small_table, fast_config(epochs=4),
         ShardingConfig(n_shards=4, on_shard_error="partial"))
     keys = {"key": small_table.column("key")}
-    release = threading.Event()
-    scribbler, restore = hold(store, 1, release)
+    deadline = Deadline(60.0)
+    original = store.shards[1]
+    store.shards[1] = AnswersThenTimesOut(original, deadline)
     try:
-        got = store.lookup(keys, deadline=Deadline(0.2))
-        before = frozen(got, plans[-1])
-        release.set()
-        assert scribbler.scribbled.wait(10.0)
-        store.close()  # joins the released bundle's remaining probes
+        got = store.lookup(keys, deadline=deadline)
     finally:
-        release.set()
-        restore()
+        store.shards[1] = original
         store.close()
-    assert isinstance(got, PartialResult) and 1 in got.shard_errors
-    assert_unchanged(got, plans[-1], before)
+    assert isinstance(got, PartialResult)
+    assert set(got.shard_errors) == {1, 2, 3}
+    assert all(isinstance(exc, DeadlineExceeded)
+               for exc in got.shard_errors.values())
+    plan = plans[-1]
+    edges = plan._edges
+    assert edges[2] > edges[1]  # shard 1's window was not empty
+    assert not plan._aux_hit[edges[1]:].any()
+    assert not got.found[got.failed_mask].any()
+    assert got.found[~got.failed_mask].all()

@@ -153,6 +153,35 @@ class TestTimeoutClassification:
         assert not isinstance(error, DeadlineExceeded)
         assert "socket read timed out" in str(error)
 
+    def test_single_shard_batch_is_timed_out_too(self, store, monkeypatch):
+        # A batch that routes to ONE shard is not exempt from the
+        # budget: once the stages before the probe have spent it, the
+        # only window fails with DeadlineExceeded without being probed.
+        from repro.core.plan import LookupPlan
+        keys = np.arange(40, dtype=np.int64)
+        assert set(store.router.route({"key": keys}).tolist()) == {0}
+        now = [0.0]
+        existence = LookupPlan.run_existence
+
+        def slow_existence(plan):
+            now[0] += 2.0  # the stage outlasts the 1 s budget
+            return existence(plan)
+
+        monkeypatch.setattr(LookupPlan, "run_existence", slow_existence)
+        restore = break_shard(
+            store, 0, exc_factory=lambda: AssertionError("probed"))
+        try:
+            got = store.lookup({"key": keys},
+                               deadline=Deadline(1.0, clock=lambda: now[0]))
+            with raise_mode(store), pytest.raises(DeadlineExceeded):
+                store.lookup({"key": keys},
+                             deadline=Deadline(1.0, clock=lambda: now[0]))
+        finally:
+            restore()
+        assert isinstance(got, PartialResult)
+        assert got.failed_mask.all() and not got.found.any()
+        assert set(got.shard_errors) == {0}
+        assert isinstance(got.shard_errors[0], DeadlineExceeded)
 
     def test_shards_after_a_stall_are_timed_out_in_both_modes(
             self, store, all_keys):
@@ -205,7 +234,34 @@ class TestTimeoutClassification:
         assert elapsed < 2.0
 
 
-class TestResultIsFinal:
+class TestResultIsPrivate:
+    def test_shard_errors_do_not_change_after_return(self, store, all_keys):
+        # Each read builds its own plan, and the PartialResult holds that
+        # plan's arrays and error dict: a later read failing elsewhere
+        # leaves what an earlier read returned exactly as it was.
+        keys = {"key": all_keys[:400]}
+        restore = break_shard(store, 1)
+        try:
+            got = store.lookup(keys)
+        finally:
+            restore()
+        assert isinstance(got, PartialResult)
+        before = dict(got.shard_errors)
+        found, failed = got.found.copy(), got.failed_mask.copy()
+        values = {name: column.copy() for name, column in got.values.items()}
+        restore = break_shard(store, 2)
+        try:
+            later = store.lookup(keys, deadline=Deadline(60.0))
+        finally:
+            restore()
+        assert set(later.shard_errors) == {2}
+        assert set(got.shard_errors) == set(before) == {1}
+        assert got.shard_errors[1] is before[1]
+        np.testing.assert_array_equal(got.found, found)
+        np.testing.assert_array_equal(got.failed_mask, failed)
+        for name, column in values.items():
+            np.testing.assert_array_equal(got.values[name], column)
+
     def test_a_slow_failure_is_its_own_error_and_later_shards_time_out(
             self, store, all_keys):
         # A shard that fails only after the budget ran out keeps its

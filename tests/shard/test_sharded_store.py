@@ -48,7 +48,7 @@ class TestLookupParity:
         assert rows[1] is None and rows[3] is None
         assert rows[0] is not None and rows[2] is not None
 
-    def test_async_lookups_match_on_either_strategy(self, small_table):
+    def test_parallel_workers_match_serial(self, small_table):
         config = fast_config(epochs=5)
         serial = DeepMapping.fit(
             small_table, config,
@@ -65,7 +65,7 @@ class TestLookupParity:
             np.testing.assert_array_equal(a.values[column][a.found],
                                           b.values[column][b.found])
 
-    def test_concurrent_async_lookups_share_one_executor(self, small_table):
+    def test_concurrent_lookups_share_one_executor(self, small_table):
         import threading
 
         store = DeepMapping.fit(
