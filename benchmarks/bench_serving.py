@@ -42,7 +42,6 @@ import numpy as np
 import repro
 from repro.bench import format_table
 from repro.core import DeepMappingConfig
-from repro.resilience.hedging import HedgeController, HedgePolicy
 from repro.serve import (AdmissionPolicy, LoadShedder, QueueFullError,
                          ServeStats, SheddingPolicy)
 from repro.shard import DeepMapping, ShardingConfig
@@ -448,15 +447,11 @@ def run_hedging(rows: int, smoke: bool):
     table = synthetic.single_column(rows, "high", seed=13, domain_factor=2.0)
     built = DeepMapping.fit(table, bench_config(smoke),
                             ShardingConfig(n_shards=4, hedged_reads=True))
-    # One controller spans every phase's opens, so its GET-duration
-    # EWMA is warm from the first timed lookup on (each open would
-    # otherwise start a cold controller, which hedges nothing).  The
-    # re-issue delay is the first attempt's socket timeout, so a GET
-    # that is streaming bytes is never hedged, only one whose server
-    # has gone quiet; the floor keeps loopback scheduling jitter on a
-    # shared 2-vCPU runner from reading as a stall.
-    hedger = HedgeController(HedgePolicy(delay_factor=2.0,
-                                         min_delay_ms=5.0))
+    # Every timed lookup runs on a plain open: the store's own hedge
+    # controller, at the default policy, seeded by the open's GETs
+    # (model and existence blobs) alone.  The re-issue delay is the
+    # first attempt's socket timeout, so a GET that is streaming bytes
+    # is never hedged, only one whose server has gone quiet.
     make = _request_maker(table, 4096, seed=17)
     n_lookups = 40 if smoke else 150
     tail_limit = HEDGE_SMOKE_TAIL_FACTOR if smoke else HEDGE_TAIL_FACTOR
@@ -469,8 +464,8 @@ def run_hedging(rows: int, smoke: bool):
         backend = ResilientBackend(HttpBackend(server.url))
         remote = DeepMapping.load(backend, writable=False)
         try:
-            remote.hedger = hedger if hedged else None
-            backend.bind_stats(remote.stats, remote.hedger)
+            if not hedged:
+                backend.bind_hedger(None)  # the control: never re-issue
             if stall:
                 server.stall_next(1, delay_s)
             t0 = time.perf_counter()
@@ -491,8 +486,8 @@ def run_hedging(rows: int, smoke: bool):
         built.save(root)
         built.close()
         with serve_backend(LocalDirBackend(root, create=False)) as server:
-            # Warm the controller (and the interpreter) outside the
-            # timers.  The healthy baseline *brackets* the chaos phases:
+            # Warm the interpreter outside the timers.  The healthy
+            # baseline *brackets* the chaos phases:
             # ambient scheduler noise on a shared runner drifts over
             # seconds, and a spike that lands only inside the chaos
             # window would otherwise be misread as a hedging regression.

@@ -304,8 +304,8 @@ def _add_build_options(parser: argparse.ArgumentParser) -> None:
                         help="split the store's T_aux across N key shards")
     parser.add_argument("--executor", default=None,
                         choices=list(EXECUTOR_NAMES),
-                        help="executor strategy behind async lookups and "
-                             "remote downloads (default: thread pool)")
+                        help="executor strategy behind async lookups "
+                             "(default: thread pool)")
     parser.add_argument("--rebalance", action="store_true",
                         help="enable range shard split/merge rebalancing "
                              "under inserts")

@@ -17,14 +17,18 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..resilience.errors import StoreCorruptedError
 from ..storage import zerocopy
 from ..storage.backends import read_blob_view
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.stats import StoreStats
+from .config import DeepMappingConfig
 from .deep_mapping import Shard, new_aux
 from .exist_index import existence_from_state
+from .mhas.search_space import MHASConfig
 from .model import Model
 
 __all__ = ["model_payload", "exist_payload", "shard_payload", "blob_crc",
@@ -70,16 +74,23 @@ _EXIST_SEGMENTS = ("exist_v2",)
 _SHARD_SEGMENTS = ("aux_v2",)
 
 
-#: The only globals a store blob's head may load: how NumPy rebuilds an
-#: array around an out-of-band buffer, its dtype, and the model's build
+#: NumPy's array rebuild around an out-of-band buffer.  A head names it
+#: by the path of the NumPy that wrote it (``numpy.core.numeric`` under
+#: 1.x, ``numpy._core.numeric`` under 2.x); both load as this NumPy's.
+_FROMBUFFER = np.arange(1).__reduce_ex__(5)[0]
+
+#: The only globals a store blob's head may load, each to the object it
+#: resolves to: the array rebuild, its dtype, and the model's build
 #: config (with the search settings it carries when a build passed
 #: ``search=``; both are plain dataclasses, rebuilt without a call).
 #: Anything else in a head is refused before it is imported, so opening
 #: a store runs no code its blobs name.
-_STORE_GLOBALS = frozenset({("numpy._core.numeric", "_frombuffer"),
-                            ("numpy", "dtype"),
-                            ("repro.core.config", "DeepMappingConfig"),
-                            ("repro.core.mhas.search_space", "MHASConfig")})
+_STORE_GLOBALS = {("numpy.core.numeric", "_frombuffer"): _FROMBUFFER,
+                  ("numpy._core.numeric", "_frombuffer"): _FROMBUFFER,
+                  ("numpy", "dtype"): np.dtype,
+                  ("repro.core.config", "DeepMappingConfig"):
+                      DeepMappingConfig,
+                  ("repro.core.mhas.search_space", "MHASConfig"): MHASConfig}
 
 
 def _load_state(payload, required, zero_copy: bool = False,

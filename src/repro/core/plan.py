@@ -193,14 +193,6 @@ class LookupPlan:
         return self.errors
 
     @property
-    def touched(self) -> List:
-        """The shards whose window is non-empty, in ordinal order (once
-        :meth:`run_route` has run)."""
-        edges = self._edges
-        return [shard for shard, lo, hi
-                in zip(self.shards, edges, edges[1:]) if hi > lo]
-
-    @property
     def aux_rows(self) -> np.ndarray:
         """Distinct live positions served from ``T_aux``."""
         return np.flatnonzero(self._aux_hit)

@@ -19,9 +19,9 @@ Every read *capability* gets the same treatment as the core reads:
 ``read_view`` / ``blob_version`` / ``read_range`` / ``size`` are
 retried under the policy and breaker when the inner backend has them,
 while non-I/O capabilities (``batch`` / ``url`` / ``scheme`` /
-``remote`` / ``stats`` / ``bind_stats`` / ``writable``) are forwarded
-untouched — so capability sniffing (``getattr``) sees the same surface
-as the inner backend, and a remote-backed read-only open is resilient
+``remote`` / ``stats`` / ``bind_stats`` / ``bind_hedger`` /
+``writable``) are forwarded untouched — so capability sniffing
+(``getattr``) sees the same surface as the inner backend, and a remote-backed read-only open is resilient
 on every access path, not just ``read_bytes``.  Inside a store read the
 retry loop stops at the read's deadline
 (:data:`~repro.resilience.deadline.read_deadline`).
@@ -85,7 +85,7 @@ class ResilientBackend:
     _RETRIED_CAPS = ("read_view", "blob_version", "size")
     #: Non-I/O capabilities forwarded verbatim from the inner backend.
     _FORWARDED_CAPS = ("batch", "url", "scheme", "remote", "stats",
-                       "bind_stats", "writable")
+                       "bind_stats", "bind_hedger", "writable")
 
     # -- capabilities, present iff the inner backend has them --------------
     def __getattr__(self, attr):

@@ -16,20 +16,21 @@ GET durations that turns "well past its peers" into a concrete delay —
 plus the budget that keeps hedges a tail remedy, not a load doubler:
 
 - the delay is ``delay_factor ×`` the EWMA, floored at
-  ``min_delay_ms``; with no estimate yet (cold start) nothing is hedged,
-  the first GETs just measure;
+  ``min_delay_ms``; with no estimate yet nothing is hedged, the first
+  GETs just measure (an open binds the controller before its own GETs,
+  so those seed it);
 - the read path binds one ``[GETs, hedges]`` count per read in
   :data:`read_hedges`, and a GET is armed only while the read's hedges
   stay under ``max(1, ⌊max_fraction × GETs⌋)``.  GETs of one read in
   flight at once are armed against the same count, so together they
   can overdraw it by at most their number (the read's own thread and
-  the executor's two download workers).
+  its download threads).
 
 **Idempotency.** A hedge re-issues a ranged GET of a blob version the
 open already pinned: a pure read, whose abandoned first attempt wrote
 nothing anywhere.
 
-Thread-safe: a read's prefetches record and charge from other threads.
+Thread-safe: a read's downloads record and charge from other threads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import List, Optional
 __all__ = ["HedgePolicy", "HedgeController"]
 
 #: ``[GETs issued, hedges launched]`` of the store read running in this
-#: context; the read path binds a fresh one per read (its prefetches
+#: context; the read path binds a fresh one per read (its downloads
 #: share it).  None outside a read: a GET with no read to charge is
 #: never hedged.
 read_hedges: ContextVar[Optional[List[int]]] = ContextVar(

@@ -29,6 +29,7 @@ from ..core.persistence import (blob_crc, exist_payload, model_payload,
                                 open_exist, open_model, open_payload,
                                 shard_payload)
 from ..lifecycle import LifecycleConfig
+from ..resilience.hedging import HedgeController
 from ..storage.backends import StorageBackend, backend_for_url
 from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
@@ -179,12 +180,19 @@ def load(cls, target: Union[str, StorageBackend],
         writable = False
     manifest = ShardManifest.load_from(backend)
     router = RangeShardRouter.from_state(manifest.router)
+    saved = manifest.sharding
+    # A remote transport hedges its range GETs under the store's
+    # controller, bound before the model and index open so that their
+    # GETs seed its estimate: the first read's GETs can be hedged.
+    hedger = HedgeController() if saved.get("hedged_reads") else None
+    bind_hedger = getattr(backend, "bind_hedger", None)
+    if bind_hedger is not None:
+        bind_hedger(hedger)
     model = open_model(backend, MODEL_NAME, writable=writable,
                        crc=manifest.model_crc)
     exist = open_exist(backend, EXIST_NAME, writable=writable,
                        crc=manifest.exist_crc, model_crc=manifest.model_crc)
 
-    saved = manifest.sharding
     lifecycle_state = manifest.lifecycle.get("config")
     sharding = ShardingConfig(
         n_shards=manifest.n_shards,
@@ -195,9 +203,15 @@ def load(cls, target: Union[str, StorageBackend],
         lifecycle=(LifecycleConfig.from_state(lifecycle_state)
                    if lifecycle_state else None),
         on_shard_error=saved.get("on_shard_error", "raise"),
-        hedged_reads=saved.get("hedged_reads", False),
+        hedged_reads=hedger is not None,
     )
     stats = stats if stats is not None else StoreStats()
+    # Remote transports accumulate range/hydration counters; point
+    # them at this store's sink so `store.stats` (and the serving
+    # tier's snapshot bracket) sees them.
+    bind_stats = getattr(backend, "bind_stats", None)
+    if bind_stats is not None:
+        bind_stats(stats)
     pool = BufferPool(budget_bytes=sharding.pool_budget_bytes,
                       stats=stats)
     shards: List[Optional[Shard]] = []
@@ -226,13 +240,7 @@ def load(cls, target: Union[str, StorageBackend],
                 value_names=tuple(manifest.value_names),
                 value_dtypes=value_dtypes, stats=stats, pool=pool)
     store.writable = writable
-    # Remote transports accumulate range/hydration counters and hedge
-    # their range GETs: point them at this store's sink (so
-    # `store.stats`, and the serving tier's snapshot bracket, sees
-    # them, the open's own requests included) and its hedge controller.
-    bind_stats = getattr(backend, "bind_stats", None)
-    if bind_stats is not None:
-        bind_stats(stats, store.hedger)
+    store.hedger = hedger
     store.tracker.restore_counters(manifest.tracker)
     if store.engine is not None and "counters" in manifest.lifecycle:
         store.engine.restore_counters(manifest.lifecycle["counters"])

@@ -28,6 +28,8 @@ parity oracles (barrier merge, reference engine) live in
 from __future__ import annotations
 
 import contextvars
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -62,7 +64,7 @@ def lookup(store, keys, *, deadline=None) -> LookupResult:
     partial = store.sharding.on_shard_error == "partial"
     bound = read_deadline.set(deadline), read_hedges.set([0, 0])
     try:
-        _prefetch(store, plan)
+        _prefetch(plan)
         errors = plan.run_aux(deadline, isolate=partial)
     finally:
         read_deadline.reset(bound[0])
@@ -85,15 +87,35 @@ def contains_batch(store, keys) -> np.ndarray:
                       store.stats).run_existence()
 
 
-def _prefetch(store, plan) -> None:
-    """Start hydrating every cold lazy shard the batch touches before any
-    probe runs, so remote downloads overlap on the executor.  Each runs
-    in a copy of this context, within the read's deadline; nothing waits
-    on them, and the proxy's hydrate lock makes the race with the probes
-    benign."""
-    cold = [shard for shard in plan.touched
-            if isinstance(shard, LazyShard) and not shard.hydrated]
-    if len(cold) > 1:
-        for proxy in cold:
-            store.executor.submit(contextvars.copy_context().run,
-                                  proxy.hydrate)
+#: At most this many threads download one read's cold shards at once.
+_DOWNLOADS = 8
+
+
+def _prefetch(plan) -> None:
+    """Start downloading every cold lazy shard the batch touches but the
+    first before any probe runs, on up to :data:`_DOWNLOADS` short-lived
+    threads of the read's own: the calling thread hydrates the first as
+    it probes, and waits on the proxy's hydrate lock for a download it
+    reaches first.  Each thread runs in a copy of this context, so its
+    GETs spend what is left of the read's deadline.  Nothing waits on
+    them: a failed download is the probe's to report, which hydrates
+    again."""
+    edges = plan._edges
+    cold = deque(shard for shard, lo, hi
+                 in zip(plan.shards, edges, edges[1:])
+                 if hi > lo and isinstance(shard, LazyShard)
+                 and not shard.hydrated)
+    if cold:
+        cold.popleft()
+
+    def download():
+        while cold:
+            try:
+                cold.popleft().hydrate()
+            except Exception:  # emptied by a peer, or the probe's to report
+                pass
+
+    for _ in range(min(len(cold), _DOWNLOADS)):
+        threading.Thread(target=contextvars.copy_context().run,
+                         args=(download,), name="repro-download",
+                         daemon=True).start()

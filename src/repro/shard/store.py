@@ -69,8 +69,7 @@ class ShardingConfig:
     #: ``strategy="range"``; a later benchmark-only change drops that
     #: argument and then this field.
     strategy: str = "range"
-    #: Executor strategy behind ``lookup_async`` and a remote store's
-    #: cold-shard downloads — a name from
+    #: Executor strategy behind ``lookup_async`` — a name from
     #: :data:`repro.store.EXECUTOR_NAMES` (``"serial"`` / ``"threads"``)
     #: or an :class:`~repro.store.executors.ExecutorStrategy` instance.
     #: ``None`` means a two-worker thread pool.  A read's plan runs on
@@ -162,8 +161,8 @@ class DeepMapping:
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy: ``lookup_async`` and a remote store's
-        #: cold-shard downloads go through ``executor.submit``.  One
+        #: Executor strategy: ``lookup_async`` goes through
+        #: ``executor.submit``.  One
         #: built here from a name (or ``None``) is owned by the
         #: store and shut by :meth:`close`; an instance handed in —
         #: possibly shared between stores — stays caller-owned.
@@ -171,8 +170,9 @@ class DeepMapping:
         self._owns_executor = False
         self.set_executor(sharding.executor)
         #: Adaptive hedge-delay controller (None when hedging is off);
-        #: a remote backend hedges its range GETs under it (bound at
-        #: open), and the read path charges each read's hedges.
+        #: a remote backend hedges its range GETs under it (an open
+        #: binds it before its own GETs), and the read path charges
+        #: each read's hedges.
         self.hedger: Optional[HedgeController] = (
             HedgeController() if sharding.hedged_reads else None)
         #: False for stores opened via ``repro.open(..., writable=False)``:

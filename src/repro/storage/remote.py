@@ -36,7 +36,8 @@ Observability: every instance accumulates ``remote_requests``,
 ``range_requests`` and ``hydrated_bytes`` (bytes that actually crossed
 the network) into a :class:`~repro.storage.stats.StoreStats` sink;
 ``bind_stats`` rebinds the sink (carrying counts forward) so a store
-open threads its own stats object down into the transport.
+open threads its own stats object down into the transport, and
+``bind_hedger`` hands it the store's hedge controller.
 """
 
 from __future__ import annotations
@@ -130,17 +131,19 @@ class HttpBackend:
     def url(self) -> str:
         return self.base_url
 
-    def bind_stats(self, stats: Optional[StoreStats],
-                   hedger: Optional[HedgeController] = None) -> None:
-        """Redirect counters into ``stats``, carrying totals forward,
-        and hedge this backend's range GETs under ``hedger`` (the
-        opening store's; None: never hedge)."""
-        self.hedger = hedger
+    def bind_stats(self, stats: Optional[StoreStats]) -> None:
+        """Redirect counters into ``stats``, carrying totals forward."""
         if stats is None or stats is self.stats:
             return
         for name, value in self.stats.counters.items():
             stats.bump(name, value)
         self.stats = stats
+
+    def bind_hedger(self, hedger: Optional[HedgeController]) -> None:
+        """Hedge this backend's range GETs under ``hedger`` (the opening
+        store's; None: never hedge).  Every answered GET feeds its
+        estimate, the open's own included."""
+        self.hedger = hedger
 
     # -- transport -------------------------------------------------------
     def _url_for(self, name: str) -> str:
@@ -370,17 +373,21 @@ class CachedHttpBackend:
     def stats(self) -> StoreStats:
         return self._stats
 
-    def bind_stats(self, stats: Optional[StoreStats],
-                   hedger: Optional[HedgeController] = None) -> None:
-        binder = getattr(self.inner, "bind_stats", None)
-        if binder is not None:
-            binder(stats, hedger)
+    def bind_stats(self, stats: Optional[StoreStats]) -> None:
         if stats is None or stats is self._stats:
             return
-        if binder is None:
+        binder = getattr(self.inner, "bind_stats", None)
+        if binder is not None:
+            binder(stats)
+        else:
             for name, value in self._stats.counters.items():
                 stats.bump(name, value)
         self._stats = stats
+
+    def bind_hedger(self, hedger: Optional[HedgeController]) -> None:
+        binder = getattr(self.inner, "bind_hedger", None)
+        if binder is not None:
+            binder(hedger)
 
     # -- cache mechanics -------------------------------------------------
     def _cache_path(self, name: str, version) -> str:

@@ -199,19 +199,21 @@ def parse_index(prefix, blob_size: int,
 
 
 class _Restricted(pickle.Unpickler):
-    """An unpickler that resolves only the globals it is given."""
+    """An unpickler that resolves only the globals it is given, to the
+    objects it is given for them; it imports nothing by name."""
 
     def __init__(self, head, buffers, allowed):
         super().__init__(io.BytesIO(head), buffers=buffers)
         self._allowed = allowed
 
     def find_class(self, module: str, name: str):
-        if (module, name) not in self._allowed:
+        try:
+            return self._allowed[module, name]
+        except KeyError:
             raise StoreCorruptedError(
                 f"zero-copy container head names the global "
                 f"{module}.{name}, which no blob of this kind holds; "
-                "refused without loading it")
-        return super().find_class(module, name)
+                "refused without loading it") from None
 
 
 def unpack(payload, zero_copy: bool = False, allowed=None) -> Any:
@@ -227,9 +229,10 @@ def unpack(payload, zero_copy: bool = False, allowed=None) -> Any:
     :class:`StoreCorruptedError` (an ``UnpicklingError`` subclass)
     names the first mangled segment.
 
-    ``allowed`` (a set of ``(module, name)`` pairs) restricts the
-    globals the head may load; any other one raises
-    :class:`StoreCorruptedError` before it is imported or called.
+    ``allowed`` (a mapping of ``(module, name)`` pairs to the objects
+    they load as) restricts the globals the head may load; any other
+    one raises :class:`StoreCorruptedError` before it is imported or
+    called.
     ``None`` loads whatever the head names.
     """
     view = memoryview(payload).cast("B")

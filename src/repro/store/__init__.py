@@ -12,8 +12,8 @@ This package is the public way to use the library:
 - :class:`~repro.storage.backends.StorageBackend` and its
   local-directory / in-memory / zip implementations — where payloads
   live, fully decoupled from how queries route;
-- :class:`ExecutorStrategy` — how ``lookup_async`` and a remote
-  store's cold-shard downloads schedule (serial / thread pool).
+- :class:`ExecutorStrategy` — how ``lookup_async`` schedules (serial /
+  thread pool).
 
 See ``docs/api.md`` for the full tour and the old→new migration table.
 """

@@ -2,8 +2,7 @@
 
 A read runs its plan on the calling thread; the only work a store hands
 to an executor is ``lookup_async`` (the whole read, off the caller's
-thread) and the fire-and-forget downloads of a remote store's cold
-shards.  How that runs is a deployment decision, not a store decision,
+thread).  How that runs is a deployment decision, not a store decision,
 so it lives behind one small protocol with one lane, ``submit``:
 
 - :class:`SerialStrategy` — everything inline on the calling thread

@@ -17,7 +17,7 @@ import repro
 from repro.data import synthetic
 from repro.resilience.hedging import HedgeController, HedgePolicy
 from repro.shard import DeepMapping, ShardingConfig
-from repro.storage import LocalDirBackend
+from repro.storage import LocalDirBackend, StoreStats
 from repro.storage.blob_cache import payload_cache
 from repro.testing import serve_backend
 
@@ -131,6 +131,51 @@ class TestHedgedGets:
         assert_same(got, store.lookup(keys), store.value_names)
         remote.close()
 
+    def test_the_first_read_after_an_open_is_hedged(self, hedged):
+        # The open's own GETs (model and existence blobs) seed the
+        # controller, so the read a fresh open exists for — the one
+        # that downloads cold shards — can already be rescued.
+        store, table, server = hedged
+        remote = repro.open(server.url)
+        assert remote.hedger.estimate_s is not None
+        keys = shard_keys(store, table, 1)
+        server.stall_next(1, 2.0)   # the first read's first GET
+        started = time.monotonic()
+        got = remote.lookup(keys)
+        elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert remote.stats.counters.get("hedges_won", 0) >= 1
+        assert_same(got, store.lookup(keys), store.value_names)
+        remote.close()
+
+    def test_a_remote_backend_without_a_hedge_capability_opens(
+            self, hedged, tmp_path):
+        # A transport with only the one-argument ``bind_stats`` (and no
+        # ``bind_hedger``) opens a hedged store; it just is not hedged.
+        store, table, _ = hedged
+        path = str(tmp_path / "store")
+
+        class Transport:
+            remote = True
+
+            def __init__(self):
+                self.inner = LocalDirBackend(path, create=False)
+                self.stats = StoreStats()
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def bind_stats(self, stats):
+                self.stats = stats
+
+        payload_cache().clear()
+        remote = DeepMapping.load(Transport())
+        assert remote.hedger is not None
+        keys = {"key": table.column("key")}
+        assert_same(remote.lookup(keys), store.lookup(keys),
+                    store.value_names)
+        remote.close()
+
     def test_hedges_stay_within_the_read_budget(self, hedged):
         store, table, server = hedged
         remote = repro.open(server.url)
@@ -140,7 +185,7 @@ class TestHedgedGets:
         # Every GET of the read stalls, re-issues included: only the
         # budget bounds how many are hedged.  GETs in flight at once are
         # armed against the same count, so they may overdraw it by at
-        # most the read's two download workers beside its own thread.
+        # most the read's two download threads beside its own.
         server.stall_next(50, 0.3)
         keys = {"key": np.concatenate([shard_keys(store, table, o)["key"]
                                        for o in (1, 2, 3)])}

@@ -9,6 +9,8 @@ global is imported or called, on every backend.  A partition index that
 declares a pickled column section is refused the same way.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,4 +117,38 @@ def test_a_store_built_with_search_settings_opens(tmp_path):
     keys = {"key": table.column("key")}
     np.testing.assert_array_equal(loaded.lookup(keys).found,
                                   built.lookup(keys).found)
+    payload_cache().clear()
+
+
+@pytest.mark.parametrize("writer_path", ["numpy.core.numeric",
+                                         "numpy._core.numeric"])
+def test_a_store_saved_under_either_numpy_path_opens(store, tmp_path,
+                                                     monkeypatch,
+                                                     writer_path):
+    # NumPy 1.x pickles its array rebuild as numpy.core.numeric's,
+    # NumPy 2.x as numpy._core.numeric's: a store saved under either
+    # opens under this NumPy, and the open imports neither path (under
+    # NumPy 2 the 1.x one warns on import).
+    rebuild = np.arange(1).__reduce_ex__(5)[0]
+    path = str(tmp_path / "store")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        monkeypatch.setattr(rebuild, "__module__", writer_path)
+        store.save(path)
+        monkeypatch.undo()
+    head = LocalDirBackend(path, create=False).read_bytes("model.rzc")
+    other = ({"numpy.core.numeric", "numpy._core.numeric"}
+             - {writer_path}).pop()
+    assert writer_path.encode() in head and other.encode() not in head
+    keys = {"key": np.arange(-5, 400, dtype=np.int64)}
+    expected = store.lookup(keys)
+    for writable in (True, False):
+        payload_cache().clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = repro.open(path, writable=writable)
+        got = loaded.lookup(keys)
+        np.testing.assert_array_equal(got.found, expected.found)
+        for name, column in expected.values.items():
+            np.testing.assert_array_equal(got.values[name], column)
     payload_cache().clear()

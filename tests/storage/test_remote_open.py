@@ -301,3 +301,42 @@ class TestRemoteChaos:
         with serve_backend(empty) as server:
             with pytest.raises(StoreNotFoundError):
                 repro.open(server.url)
+
+
+def test_cold_downloads_overlap_while_the_executor_is_busy(tmp_path):
+    # A cold read downloads the shards it touches on threads of its
+    # own, not on the executor that runs ``lookup_async``: with both
+    # of the executor's workers held (two served flushes), a read
+    # touching four cold shards still fetches them at once.
+    import threading
+    import time
+
+    table = synthetic.single_column(800, "high", seed=2)
+    store = DeepMapping.fit(table, fast_config(epochs=2),
+                            ShardingConfig(n_shards=4))
+    path = str(tmp_path / "store")
+    store.save(path)
+    payload_cache().clear()
+    keys = {"key": table.column("key")}
+    with serve_backend(LocalDirBackend(path, create=False)) as server:
+        remote = repro.open(server.url)
+        release = threading.Event()
+        held = [remote.executor.submit(release.wait, 10.0)
+                for _ in range(2)]
+        try:
+            server.latency_s = 0.1
+            started = time.monotonic()
+            got = remote.lookup(keys)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+            for future in held:
+                future.result()
+        assert remote.stats.counters.get("hydrated_shards", 0) == 4
+        # One shard's download is a few 0.1 s round trips; four in a
+        # row would be well over a second.
+        assert elapsed < 0.8
+        assert_identical(store.lookup(keys), got, store)
+        remote.close()
+    payload_cache().clear()
+    store.close()
