@@ -21,10 +21,10 @@ retried under the policy and breaker when the inner backend has them,
 while non-I/O capabilities (``batch`` / ``url`` / ``scheme`` /
 ``remote`` / ``stats`` / ``bind_stats`` / ``bind_hedger`` /
 ``writable``) are forwarded untouched — so capability sniffing
-(``getattr``) sees the same surface as the inner backend, and a remote-backed read-only open is resilient
-on every access path, not just ``read_bytes``.  Inside a store read the
-retry loop stops at the read's deadline
-(:data:`~repro.resilience.deadline.read_deadline`).
+(``getattr``) sees the same surface as the inner backend, and a
+remote-backed read-only open is resilient on every access path, not
+just ``read_bytes``.  Inside a store read the retry loop stops at the
+read's deadline (:data:`~repro.resilience.deadline.read_deadline`).
 """
 
 from __future__ import annotations

@@ -5,14 +5,15 @@ The remote read path reaches the wrapped backend through *capabilities*
 with ``getattr``), not just the core ``read_bytes``.  Each of those must
 be retried under the policy and breaker exactly like a core read, while
 non-I/O capabilities (``url`` / ``scheme`` / ``remote`` / ``stats`` /
-``bind_stats``) forward verbatim so capability sniffing sees the same
-surface as the inner backend.
+``bind_stats`` / ``bind_hedger``) forward verbatim so capability
+sniffing sees the same surface as the inner backend.
 """
 
 import pytest
 
 from repro.resilience import (BACKEND_READ_RETRY, ResilientBackend,
                               RetryPolicy, StoreNotFoundError)
+from repro.resilience.hedging import HedgeController
 from repro.storage import StoreStats
 
 FAST = RetryPolicy(attempts=3, base_delay=0.0, max_delay=0.0,
@@ -77,6 +78,9 @@ class CapabilityBackend:
     def bind_stats(self, stats):
         self.stats = stats
 
+    def bind_hedger(self, hedger):
+        self.hedger = hedger
+
 
 @pytest.fixture
 def inner():
@@ -135,6 +139,11 @@ class TestForwardedCapabilities:
         sink = StoreStats()
         backend.bind_stats(sink)
         assert inner.stats is sink
+
+    def test_bind_hedger_reaches_the_inner_backend(self, inner, backend):
+        hedger = HedgeController()
+        backend.bind_hedger(hedger)
+        assert inner.hedger is hedger
 
     def test_absent_capability_stays_absent(self, backend):
         # Capability sniffing must see the same surface as the inner
